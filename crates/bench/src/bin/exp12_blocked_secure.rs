@@ -1,20 +1,18 @@
-//! E12 — the blocked, multithreaded secure-scan pipeline.
+//! E12 — block size and threads in the secure-scan pipeline.
 //!
-//! The monolithic secure path materializes all M variant summands
-//! (O(K·M) floats per party) before one giant aggregation round. The
-//! blocked path walks the variants in blocks of B columns: peak summand
-//! memory drops to O(K·B) (two blocks in flight), block b+1's local
-//! compute overlaps block b's secure round, and each block's columns can
-//! be split over worker threads. Results are bit-identical (asserted
-//! below on every run).
+//! The secure scan aggregates the y-side statistics once, then walks the
+//! variants in blocks of B columns: peak summand memory is O(K·B) (two
+//! blocks in flight), block b+1's local compute overlaps block b's secure
+//! round, and each block's columns can be split over worker threads.
+//! `--block-size off` is the one-block case B = M. Results are the same
+//! bits for every row (asserted below on every run).
 //!
-//! This binary measures, at a mid-sized shape:
+//! This binary sweeps the block size at a mid-sized shape and reports:
 //!
-//! - monolithic vs blocked wall clock across block sizes and threads;
+//! - wall clock per block size and thread count, relative to one block;
 //! - the analytic per-party summand-memory bound each configuration
 //!   implies;
-//! - the per-block traffic accounting (rounds × bytes) that the blocked
-//!   path exposes.
+//! - the per-block traffic accounting (rounds × bytes).
 
 // Experiment/bench binaries may abort on broken preconditions: an unwrap
 // here fails the run loudly instead of printing a wrong table.
@@ -41,58 +39,54 @@ fn main() {
         ..SecureScanConfig::default()
     };
 
-    let (mono_t, mono) = time_median(3, || secure_scan(&parties, &base).unwrap());
-    // Per-party peak summand floats: xy + xx + qty + qtx for the whole M
-    // (monolithic), or two blocks in flight of width B (blocked).
-    let mono_mem = (2 * m + k + k * m) * 8;
-
     let mut t = Table::new(&[
         "configuration",
         "wall clock",
-        "vs monolithic",
+        "vs one block",
         "block rounds",
         "block-round traffic",
         "peak summand memory/party",
     ]);
-    t.row(vec![
-        "monolithic (block-size off)".to_string(),
-        fmt_seconds(mono_t.median_s),
-        "1.00x".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        fmt_bytes(mono_mem as u64),
-    ]);
-    for block in [256usize, 1024] {
+    let mut one_block: Option<(f64, Vec<f64>)> = None;
+    for block in [None, Some(1024usize), Some(256)] {
         for threads in [1usize, 2, 4] {
             let cfg = SecureScanConfig {
-                block_size: Some(block),
+                block_size: block,
                 threads,
                 ..base
             };
             let (timed, out) = time_median(3, || secure_scan(&parties, &cfg).unwrap());
+            let (one_s, one_beta) =
+                one_block.get_or_insert_with(|| (timed.median_s, out.result.beta.clone()));
             // Bit-identity is part of the experiment's claim; NaN-safe
             // compare via bits.
-            for (a, b) in out.result.beta.iter().zip(&mono.result.beta) {
-                assert_eq!(a.to_bits(), b.to_bits(), "blocked != monolithic");
+            for (a, b) in out.result.beta.iter().zip(one_beta.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "block size changed the bits");
             }
-            let blocked_mem = 2 * (2 * block + k * block) * 8;
+            // Per-party peak summand floats: xy + xx + qtx for two blocks
+            // in flight (one, when a single block covers all M).
+            let width = block.unwrap_or(m);
+            let in_flight = if width >= m { 1 } else { 2 };
+            let mem = in_flight * (2 * width + k * width) * 8;
             t.row(vec![
-                format!("B = {block}, threads = {threads}"),
+                match block {
+                    None => format!("B = M (block-size off), threads = {threads}"),
+                    Some(b) => format!("B = {b}, threads = {threads}"),
+                },
                 fmt_seconds(timed.median_s),
-                format!("{:.2}x", timed.median_s / mono_t.median_s),
+                format!("{:.2}x", timed.median_s / *one_s),
                 format!("{}", out.per_block_bytes.len()),
                 fmt_bytes(out.per_block_bytes.iter().sum::<u64>()),
-                fmt_bytes(blocked_mem as u64),
+                fmt_bytes(mem as u64),
             ]);
         }
     }
     t.print();
     println!(
-        "\nEvery blocked row reproduced the monolithic results bit for bit, \
-         with the summand working set bounded by the block size instead of \
-         M. Block compute dominates at this shape and overlaps the secure \
-         rounds, so wall clock improves with --threads when host cores are \
-         available ({cores} here; on a single core the blocked path still \
-         wins slightly through the smaller working set)."
+        "\nEvery row reproduced the same results bit for bit, with the \
+         summand working set bounded by the block size. Block compute \
+         dominates at this shape and overlaps the secure rounds; --threads \
+         splits it over workers, which can only help up to the host's core \
+         count ({cores} here)."
     );
 }

@@ -105,7 +105,7 @@ pub(crate) fn report_secure_output(
             out,
             "blocked pipeline: {} blocks of <= {} variants, {} bytes in block rounds ({} bytes/block avg), {} threads",
             output.per_block_bytes.len(),
-            block_size.unwrap_or(0),
+            block_size.unwrap_or(output.result.len()),
             block_total,
             block_total / output.per_block_bytes.len() as u64,
             threads,

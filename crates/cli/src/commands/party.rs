@@ -55,7 +55,8 @@ OBSERVABILITY:
     --metrics BOOL    print the per-party metrics summary [default: false]
 
 BLOCKED PIPELINE:
-    --block-size B  variant block size, or 'off' [default: 4096]
+    --block-size B  variant block size, or 'off' for one block of all
+                    variants [default: 4096]
     --threads T     worker threads for block compute, >= 1 [default: 1]
 
 TRANSPORT:
@@ -64,7 +65,8 @@ TRANSPORT:
     --backoff-ms N          initial retry backoff in ms [default: 1]
     --connect-timeout-ms N  per-attempt dial/hello timeout in ms [default: 2000]
     --connect-retries N     dial attempts per lower-id peer [default: 30]
-    --accept-timeout-ms N   total wait for higher-id peers in ms [default: 30000]
+    --accept-timeout-ms N   total wait for higher-id peers to dial in, and for
+                            a dialed peer's hello reply, in ms [default: 30000]
 
 SUPERVISION & CRASH RECOVERY:
     --supervise BOOL        idle-link heartbeats, slow-vs-dead liveness
@@ -76,7 +78,7 @@ SUPERVISION & CRASH RECOVERY:
                             reconnecting [default: 15000]
     --checkpoint-dir DIR    persist resumable protocol state to
                             DIR/party-K.ckpt at every block boundary
-                            (needs --supervise true and the blocked path)
+                            (needs --supervise true)
     --resume BOOL           rejoin an interrupted run from the checkpoint
                             in --checkpoint-dir [default: false]";
 
@@ -126,7 +128,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 return Err(CliError::BadValue {
                     flag: "--block-size".into(),
                     value: raw,
-                    expected: "a positive block size, or 'off' for the monolithic path",
+                    expected: "a positive block size, or 'off' for one block of all variants",
                 })
             }
         },
@@ -196,8 +198,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     cfg.block_size = block_size;
     cfg.threads = threads;
 
-    let data = load_party_dir(&dir)?;
-
     let trace = if trace_out.is_some() || metrics {
         TraceHandle::enabled(n)
     } else {
@@ -220,6 +220,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .unwrap_or(bind_addr),
     )?;
     out.flush()?;
+    // Loaded only now, with the listener bound: peers that finish parsing
+    // first queue their dials in the accept backlog instead of spending
+    // --connect-retries while a large cohort is still being read.
+    let data = load_party_dir(&dir)?;
 
     let tcp_cfg = TcpConfig {
         run_id,
@@ -355,6 +359,34 @@ mod tests {
         let mut buf = Vec::new();
         let err = run(&argv(&[]), &mut buf).unwrap_err();
         assert!(err.to_string().contains("--id"), "{err}");
+    }
+
+    /// Regression (dial race): the listener must be bound and announced
+    /// before the cohort is parsed, so peers' dials queue in the accept
+    /// backlog meanwhile. A malformed `x.tsv` makes the load fail; the
+    /// `listening on` line must already have been printed.
+    #[test]
+    fn listens_before_loading_the_cohort() {
+        let dir = tmp_dir("party_listen_first");
+        write_party(&dir, &toy_party(6, 2, 1, 5));
+        std::fs::write(dir.join("x.tsv"), "1.0\tnot-a-number\n").unwrap();
+        let mut buf = Vec::new();
+        let err = run(
+            &argv(&[
+                "--id",
+                "0",
+                "--peers",
+                "127.0.0.1:0,127.0.0.1:1",
+                "--dir",
+                dir.to_str().unwrap(),
+            ]),
+            &mut buf,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("parse error"), "{err}");
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("party 0 of 2 listening on"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Full in-test run: three `run()` calls on three threads over real

@@ -37,10 +37,9 @@ OBSERVABILITY:
 
 BLOCKED PIPELINE (results are bit-identical for any block size):
     --block-size B  aggregate variants in blocks of B columns; peak summand
-                    memory is O(N*B) instead of O(N*M), and each block's
-                    secure round overlaps the next block's local compute.
-                    'off' selects the monolithic single-round path
-                    [default: 4096]
+                    memory is O(K*B), and each block's secure round
+                    overlaps the next block's local compute. 'off' means
+                    one block of all M variants [default: 4096]
     --threads T     worker threads for per-block summand compute, >= 1
                     [default: 1]
 
@@ -136,7 +135,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 return Err(CliError::BadValue {
                     flag: "--block-size".into(),
                     value: raw,
-                    expected: "a positive block size, or 'off' for the monolithic path",
+                    expected: "a positive block size, or 'off' for one block of all variants",
                 })
             }
         },
@@ -339,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_pipeline_reported_and_matches_monolithic() {
+    fn block_size_reported_and_off_is_one_block() {
         let dir = setup("blocked");
         let mut blocked_buf = Vec::new();
         let blocked_res = dir.join("blocked.tsv");
@@ -366,8 +365,8 @@ mod tests {
             "{text}"
         );
 
-        let mut mono_buf = Vec::new();
-        let mono_res = dir.join("mono.tsv");
+        let mut one_buf = Vec::new();
+        let one_res = dir.join("one.tsv");
         run(
             &argv(&[
                 "--dir",
@@ -377,17 +376,20 @@ mod tests {
                 "--audit",
                 "false",
                 "--out",
-                mono_res.to_str().unwrap(),
+                one_res.to_str().unwrap(),
             ]),
-            &mut mono_buf,
+            &mut one_buf,
         )
         .unwrap();
-        let mono_text = String::from_utf8(mono_buf).unwrap();
-        assert!(!mono_text.contains("blocked pipeline"), "{mono_text}");
+        let one_text = String::from_utf8(one_buf).unwrap();
+        assert!(
+            one_text.contains("blocked pipeline: 1 blocks of <= 5 variants"),
+            "{one_text}"
+        );
 
-        // Written results are bit-identical across the two paths.
+        // Written results are bit-identical across block sizes.
         let a = std::fs::read_to_string(&blocked_res).unwrap();
-        let b = std::fs::read_to_string(&mono_res).unwrap();
+        let b = std::fs::read_to_string(&one_res).unwrap();
         assert_eq!(a, b);
         std::fs::remove_dir_all(&dir).ok();
     }

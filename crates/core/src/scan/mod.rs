@@ -1,8 +1,8 @@
 //! Plaintext association scans.
 //!
-//! - [`serial`]: the single-threaded four-step algorithm of §2;
-//! - [`parallel`]: the same with variant columns distributed over worker
-//!   threads — the "C total cores" of Eq. (4);
+//! - [`parallel`]: the four-step algorithm of §2, with the variant columns
+//!   distributed over worker threads — the "C total cores" of Eq. (4);
+//! - [`serial`]: its one-thread case, on the calling thread;
 //! - [`naive`]: per-variant full OLS (the `lm(y ~ X[,m] + C - 1)` loop of
 //!   the R demo) — quadratically slower, used as the correctness oracle.
 

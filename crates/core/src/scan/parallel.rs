@@ -1,54 +1,18 @@
-//! Multi-threaded association scan.
+//! The plaintext scan driver.
 //!
 //! Step 3 of the paper's algorithm is embarrassingly parallel over the
 //! columns of X ("we assume the columns of X are distributed across
-//! machines with C total cores"); this module distributes contiguous
-//! column blocks over OS threads. Steps 1–2 (Q, the y-side statistics) are
-//! O(NK²) and computed once up front.
+//! machines with C total cores"); `variant_summands` distributes
+//! contiguous column ranges over OS threads, for the plaintext scan and
+//! for the secure scan's block producer alike. Steps 1–2 (Q, the y-side
+//! statistics) are O(NK²) and computed once up front.
 
 use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
-use crate::suffstats::{column_dots, orthonormal_basis, ScanStats};
-use dash_linalg::{dot, gemv_t, self_dot, Matrix};
+use crate::secure::SummandSource;
+use crate::suffstats::{orthonormal_basis, SuffStats, VariantSummands};
+use dash_linalg::Matrix;
 use std::thread::ScopedJoinHandle;
-
-/// Per-variant statistics for a block of columns.
-struct BlockStats {
-    lo: usize,
-    xy: Vec<f64>,
-    xx: Vec<f64>,
-    qtxqty: Vec<f64>,
-    qtxqtx: Vec<f64>,
-}
-
-/// Computes the per-variant statistics for columns `[lo, hi)`.
-///
-/// Reads each column exactly once via the shared
-/// [`crate::suffstats::column_dots`] kernel (also the engine of the
-/// blocked secure scan), then reduces the `QᵀX` column against `Qᵀy` in
-/// place.
-fn scan_block(y: &[f64], x: &Matrix, q: &Matrix, qty: &[f64], lo: usize, hi: usize) -> BlockStats {
-    let k = q.cols();
-    let mut xy = Vec::with_capacity(hi - lo);
-    let mut xx = Vec::with_capacity(hi - lo);
-    let mut qtxqty = Vec::with_capacity(hi - lo);
-    let mut qtxqtx = Vec::with_capacity(hi - lo);
-    let mut qtx_col = vec![0.0; k];
-    for j in lo..hi {
-        let (xyv, xxv) = column_dots(y, q, x.col(j), &mut qtx_col);
-        xy.push(xyv);
-        xx.push(xxv);
-        qtxqty.push(dot(&qtx_col, qty));
-        qtxqtx.push(self_dot(&qtx_col));
-    }
-    BlockStats {
-        lo,
-        xy,
-        xx,
-        qtxqty,
-        qtxqtx,
-    }
-}
 
 /// Joins every worker handle, converting a panic into a structured
 /// [`CoreError::WorkerPanicked`] instead of aborting the process.
@@ -56,7 +20,7 @@ fn scan_block(y: &[f64], x: &Matrix, q: &Matrix, qty: &[f64], lo: usize, hi: usi
 /// All handles are joined before any outcome is inspected: bailing on the
 /// first panic would leave later panicked threads unjoined and re-raise
 /// their payloads when the enclosing scope exits.
-pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, CoreError> {
+fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, CoreError> {
     let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
     let mut out = Vec::with_capacity(joined.len());
     for j in joined {
@@ -68,12 +32,58 @@ pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Result<V
     Ok(out)
 }
 
-/// Runs the association scan with variant columns distributed over
-/// `n_threads` worker threads.
+/// Computes the variant-side summands of columns `[lo, hi)`, splitting
+/// them over up to `threads` workers and stitching the sub-ranges back in
+/// column order. `threads <= 1` runs on the calling thread.
 ///
-/// Produces bit-identical per-variant statistics to [`crate::associate`]
-/// (each variant's dots are computed by exactly one thread in the same
-/// order), so results are deterministic regardless of thread count.
+/// Each column's dots are computed by exactly one worker, so the result
+/// is the same bits for every thread count.
+pub(crate) fn variant_summands<S: SummandSource>(
+    data: &S,
+    q: &Matrix,
+    lo: usize,
+    hi: usize,
+    threads: usize,
+) -> Result<VariantSummands, CoreError> {
+    let len = hi - lo;
+    let threads = threads.min(len.max(1));
+    if threads <= 1 {
+        return data.summands_block(q, lo, hi);
+    }
+    let chunk = len.div_ceil(threads).max(1);
+    let parts = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        let mut a = lo;
+        while a < hi {
+            let b = (a + chunk).min(hi);
+            handles.push(scope.spawn(move || data.summands_block(q, a, b)));
+            a = b;
+        }
+        join_workers(handles)
+    })?;
+    let k = q.cols();
+    let mut xy = Vec::with_capacity(len);
+    let mut xx = Vec::with_capacity(len);
+    let mut qtx = Matrix::zeros(k, len);
+    for part in parts {
+        let part = part?;
+        for j in 0..part.len() {
+            qtx.col_mut(part.lo - lo + j)
+                .copy_from_slice(part.qtx.col(j));
+        }
+        xy.extend_from_slice(&part.xy);
+        xx.extend_from_slice(&part.xx);
+    }
+    Ok(VariantSummands { lo, xy, xx, qtx })
+}
+
+/// Runs the association scan on pooled data with the variant columns
+/// distributed over `n_threads` worker threads.
+///
+/// Algorithm (paper §2): compute `Q` by thin QR of `C`; compute the six
+/// sufficient statistics; apply Lemma 2.1. Complexity `O(NK² + NKM)` —
+/// the cost of reading `X` once for constant K. Results are the same bits
+/// for every thread count.
 pub fn associate_parallel(data: &PartyData, n_threads: usize) -> Result<ScanResult, CoreError> {
     if n_threads == 0 {
         return Err(CoreError::BadConfig {
@@ -82,52 +92,21 @@ pub fn associate_parallel(data: &PartyData, n_threads: usize) -> Result<ScanResu
     }
     let n = data.n_samples();
     let k = data.n_covariates();
-    let m = data.n_variants();
     if n <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n, k });
     }
-    // Steps 1–2: Q and the y-side statistics (cheap, done once).
     let q = orthonormal_basis(data.c())?;
-    let y = data.y();
-    let yy = self_dot(y);
-    let qty = gemv_t(&q, y)?;
-    let qtyqty = self_dot(&qty);
-
-    // Step 3: per-variant statistics over column blocks.
-    let threads = n_threads.min(m.max(1));
-    let chunk = m.div_ceil(threads.max(1)).max(1);
-    let blocks: Vec<BlockStats> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut lo = 0;
-        while lo < m {
-            let hi = (lo + chunk).min(m);
-            let (q_ref, qty_ref, x_ref) = (&q, &qty, data.x());
-            handles.push(scope.spawn(move || scan_block(y, x_ref, q_ref, qty_ref, lo, hi)));
-            lo = hi;
-        }
-        join_workers(handles)
-    })?;
-
-    // Step 4: assemble and finalize.
-    let mut xy = vec![0.0; m];
-    let mut xx = vec![0.0; m];
-    let mut qtxqty = vec![0.0; m];
-    let mut qtxqtx = vec![0.0; m];
-    for b in blocks {
-        let len = b.xy.len();
-        xy[b.lo..b.lo + len].copy_from_slice(&b.xy);
-        xx[b.lo..b.lo + len].copy_from_slice(&b.xx);
-        qtxqty[b.lo..b.lo + len].copy_from_slice(&b.qtxqty);
-        qtxqtx[b.lo..b.lo + len].copy_from_slice(&b.qtxqtx);
-    }
-    ScanStats {
+    let (yy, qty) = data.y_summands(&q)?;
+    let VariantSummands { xy, xx, qtx, .. } =
+        variant_summands(data, &q, 0, data.n_variants(), n_threads)?;
+    SuffStats {
         yy,
         xy,
         xx,
-        qtyqty,
-        qtxqty,
-        qtxqtx,
+        qty,
+        qtx,
     }
+    .reduce()
     .finalize(n, k)
 }
 

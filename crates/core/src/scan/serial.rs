@@ -2,22 +2,12 @@
 
 use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
-use crate::suffstats::{orthonormal_basis, SuffStats};
+use crate::scan::associate_parallel;
 
-/// Runs the association scan on pooled data.
-///
-/// Algorithm (paper §2): compute `Q` by thin QR of `C`; compute the six
-/// sufficient statistics; apply Lemma 2.1. Complexity
-/// `O(NK² + NKM)` — the cost of reading `X` once for constant K.
+/// Runs the association scan on pooled data on the calling thread: the
+/// one-thread case of [`associate_parallel`].
 pub fn associate(data: &PartyData) -> Result<ScanResult, CoreError> {
-    let n = data.n_samples();
-    let k = data.n_covariates();
-    if n <= k + 1 {
-        return Err(CoreError::NotEnoughSamples { n, k });
-    }
-    let q = orthonormal_basis(data.c())?;
-    let stats = SuffStats::local(data.y(), data.x(), &q)?;
-    stats.reduce().finalize(n, k)
+    associate_parallel(data, 1)
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Phase 2 of the secure scan: aggregating the six statistics.
+//! Phase 2 of the secure scan: aggregating the six statistics — the
+//! y-side pair `(y·y, Qᵀy)` once (`aggregate_y`), then the variant-side
+//! statistics one block at a time (`aggregate_block`).
 //!
-//! All four modes produce the same [`ScanStats`] (up to fixed-point
-//! rounding far below f64 noise); they differ in what crosses the wire
-//! and what opens. See the table in [`crate::secure`].
+//! All five modes produce the same statistics (up to fixed-point rounding
+//! far below f64 noise); they differ in what crosses the wire and what
+//! opens. See the table in [`crate::secure`].
 
 use crate::error::CoreError;
 use crate::secure::wire::all_gather_f64;
 use crate::secure::{AggregationMode, SecureScanConfig};
-use crate::suffstats::{ScanStats, SuffStats, VariantSummands};
+use crate::suffstats::VariantSummands;
 use dash_linalg::{dot, self_dot, Matrix};
 use dash_mpc::dealer::PartyTriples;
 use dash_mpc::field::F61;
@@ -27,200 +29,8 @@ fn shape(what: &'static str, expected: usize, got: usize) -> CoreError {
     }
 }
 
-/// Aggregates this party's summands with everyone else's under the
-/// configured mode and returns the reduced statistics every party needs
-/// for Lemma 2.1.
-pub(crate) fn aggregate(
-    ctx: &mut PartyCtx,
-    summands: &SuffStats,
-    cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
-) -> Result<ScanStats, CoreError> {
-    match cfg.aggregation {
-        AggregationMode::Public => public(ctx, summands),
-        AggregationMode::SecureShares => {
-            let codec = cfg.ring_codec()?;
-            let flat = summands.to_flat();
-            let total = secure_sum_f64(ctx, &codec, &flat, "aggregate scan statistics")?;
-            let total =
-                SuffStats::from_flat(&total, summands.n_variants(), summands.n_covariates())?;
-            Ok(total.reduce())
-        }
-        AggregationMode::MaskedPrg => {
-            let codec = cfg.ring_codec()?;
-            let flat = summands.to_flat();
-            let total = masked_sum_f64(ctx, &codec, &flat, "aggregate scan statistics")?;
-            let total =
-                SuffStats::from_flat(&total, summands.n_variants(), summands.n_covariates())?;
-            Ok(total.reduce())
-        }
-        AggregationMode::MaskedStar => {
-            let codec = cfg.ring_codec()?;
-            let flat = summands.to_flat();
-            let total = masked_sum_star_f64(ctx, &codec, &flat, "aggregate scan statistics")?;
-            let total =
-                SuffStats::from_flat(&total, summands.n_variants(), summands.n_covariates())?;
-            Ok(total.reduce())
-        }
-        AggregationMode::BeaverDots => beaver_dots(ctx, summands, cfg, triples),
-    }
-}
-
-/// "Sharing them to sum": everyone broadcasts raw summands. Fast and
-/// simple, but every party's local statistics leak.
-fn public(ctx: &mut PartyCtx, summands: &SuffStats) -> Result<ScanStats, CoreError> {
-    let m = summands.n_variants();
-    let k = summands.n_covariates();
-    // The recorded scalar count is the length of the very buffer that goes
-    // on the wire, so audit and transcript cannot drift apart.
-    let flat = summands.to_flat();
-    ctx.audit().record_party(
-        ctx.id(),
-        format!("party {} raw statistic summands", ctx.id()),
-        flat.len(),
-    );
-    let tag = ctx.fresh_tag();
-    let gathered = all_gather_f64(ctx, tag, &flat)?;
-    let mut total = SuffStats::zeros(m, k);
-    for flat in gathered {
-        let s = SuffStats::from_flat(&flat, m, k)?;
-        total.add_assign(&s)?;
-    }
-    Ok(total.reduce())
-}
-
-/// The strictest mode: `Qᵀy` and `QᵀX` stay secret-shared (each party's
-/// summand *is* an additive share of the aggregate, masked by the
-/// dealer's uniform triples during the openings); only the per-variant
-/// dot products open.
-///
-/// Numerical trick: the left-hand sums (`y·y`, `X·X`) open first, and the
-/// shared vectors are normalized by `1/√(y·y)` and `1/√(X·X_m)` before
-/// encoding, so every shared quantity has norm ≤ 1 per party. That keeps
-/// all Beaver products within the Mersenne field's fixed-point headroom
-/// for any data scale, and the opened products are rescaled exactly
-/// afterwards.
-fn beaver_dots(
-    ctx: &mut PartyCtx,
-    summands: &SuffStats,
-    cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
-) -> Result<ScanStats, CoreError> {
-    let m = summands.n_variants();
-    let k = summands.n_covariates();
-    let ring_codec = cfg.ring_codec()?;
-
-    // Step 1: open the orthogonally decomposable left-hand quantities.
-    let mut left = Vec::with_capacity(1 + 2 * m);
-    left.push(summands.yy);
-    left.extend_from_slice(&summands.xy);
-    left.extend_from_slice(&summands.xx);
-    let left_total = masked_sum_f64(ctx, &ring_codec, &left, "aggregate y·y, X·y, X·X")?;
-    let expect_left = 1 + 2 * m;
-    let yy = *left_total
-        .first()
-        .ok_or_else(|| shape("aggregated left-hand statistics", expect_left, 0))?;
-    let xy = left_total
-        .get(1..1 + m)
-        .ok_or_else(|| {
-            shape(
-                "aggregated left-hand statistics",
-                expect_left,
-                left_total.len(),
-            )
-        })?
-        .to_vec();
-    let xx = left_total
-        .get(1 + m..1 + 2 * m)
-        .ok_or_else(|| {
-            shape(
-                "aggregated left-hand statistics",
-                expect_left,
-                left_total.len(),
-            )
-        })?
-        .to_vec();
-
-    if k == 0 {
-        return Ok(ScanStats {
-            yy,
-            xy,
-            xx,
-            qtyqty: 0.0,
-            qtxqty: vec![0.0; m],
-            qtxqtx: vec![0.0; m],
-        });
-    }
-    let triples = triples.ok_or(MpcError::DealerExhausted {
-        what: "inner-product triples (none supplied)",
-    })?;
-    let field_codec = cfg.field_codec()?;
-
-    // Step 2: normalize and encode this party's K-vector summands. A
-    // party's summand is its additive share of the aggregate vector; from
-    // the moment it is encoded into the field it stays wrapped.
-    let y_scale = safe_inv_sqrt(yy);
-    let qty_scaled: Vec<f64> = summands.qty.iter().map(|v| v * y_scale).collect();
-    let qty_share = Secret::new(field_codec.encode_field_vec(&qty_scaled)?);
-    let mut qtx_shares: Vec<Secret<Vec<F61>>> = Vec::with_capacity(m);
-    for (j, &xxj) in xx.iter().enumerate().take(m) {
-        let s = safe_inv_sqrt(xxj);
-        let col: Vec<f64> = summands.qtx.col(j).iter().map(|v| v * s).collect();
-        qtx_shares.push(Secret::new(field_codec.encode_field_vec(&col)?));
-    }
-
-    // Step 3: all 2M+1 inner products in one batched round.
-    let mut pairs: Vec<SecretVecPair<'_>> = Vec::with_capacity(2 * m + 1);
-    pairs.push((&qty_share, &qty_share));
-    for share in &qtx_shares {
-        pairs.push((share, &qty_share));
-        pairs.push((share, share));
-    }
-    let mut batch: Vec<Secret<_>> = Vec::with_capacity(pairs.len());
-    for _ in 0..pairs.len() {
-        batch.push(triples.next_inner()?);
-    }
-    ctx.trace_add(Counter::TriplesConsumed, batch.len() as u64);
-    let product_shares = beaver_inner_batch(ctx, &pairs, &batch)?;
-
-    // Step 4: open only the products and rescale.
-    let opened = open_field(
-        ctx,
-        &product_shares,
-        Some("per-variant projected dot products (Qᵀy·Qᵀy, QᵀX·Qᵀy, QᵀX·QᵀX)"),
-    )?;
-    let expect_open = 1 + 2 * m;
-    let qtyqty = field_codec.decode_field_product(
-        *opened
-            .first()
-            .ok_or_else(|| shape("opened Beaver products", expect_open, 0))?,
-    ) * yy;
-    let mut products = opened.iter().skip(1);
-    let mut qtxqty = Vec::with_capacity(m);
-    let mut qtxqtx = Vec::with_capacity(m);
-    for &xxj in &xx {
-        let d1 = *products
-            .next()
-            .ok_or_else(|| shape("opened Beaver products", expect_open, opened.len()))?;
-        let d2 = *products
-            .next()
-            .ok_or_else(|| shape("opened Beaver products", expect_open, opened.len()))?;
-        qtxqty
-            .push(field_codec.decode_field_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt());
-        qtxqtx.push(field_codec.decode_field_product(d2) * xxj);
-    }
-    Ok(ScanStats {
-        yy,
-        xy,
-        xx,
-        qtyqty,
-        qtxqty,
-        qtxqtx,
-    })
-}
-
-/// The y-side aggregate of the blocked protocol's round 0: everything the
-/// per-block rounds need from the block-independent statistics.
+/// The y-side aggregate of round 0: everything the per-block rounds need
+/// from the block-independent statistics.
 #[derive(Clone, PartialEq)]
 pub(crate) enum YAggregate {
     /// The aggregate `Qᵀy` opened (every mode except Beaver).
@@ -264,10 +74,6 @@ impl std::fmt::Debug for YAggregate {
 
 impl YAggregate {
     /// `(y·y, Qᵀy·Qᵀy)` — the block-independent scalars of Lemma 2.1.
-    ///
-    /// `Opened` computes `Qᵀy·Qᵀy` with the same `self_dot` call as
-    /// [`SuffStats::reduce`], so it is bit-identical to the monolithic
-    /// path.
     pub(crate) fn y_stats(&self) -> (f64, f64) {
         match self {
             YAggregate::Opened { yy, qty } => (*yy, self_dot(qty)),
@@ -276,7 +82,7 @@ impl YAggregate {
     }
 }
 
-/// The per-variant aggregates of one block of the blocked protocol.
+/// The per-variant aggregates of one variant block.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BlockAggregate {
     pub xy: Vec<f64>,
@@ -286,9 +92,8 @@ pub(crate) struct BlockAggregate {
 }
 
 /// Sums the gathered vectors element-wise in party order, starting from
-/// zero — the same accumulation order as `SuffStats::zeros` +
-/// `add_assign` in [`public`], so blocked `Public` sums are bit-identical
-/// to monolithic ones.
+/// zero. The order is fixed so `Public` sums are the same bits for every
+/// block size.
 fn sum_gathered(gathered: Vec<Vec<f64>>, len: usize) -> Result<Vec<f64>, CoreError> {
     let mut total = vec![0.0; len];
     for v in gathered {
@@ -306,16 +111,25 @@ fn sum_gathered(gathered: Vec<Vec<f64>>, len: usize) -> Result<Vec<f64>, CoreErr
     Ok(total)
 }
 
-/// Round 0 of the blocked protocol: aggregates the block-independent
-/// y-side summands `(y·y, Qᵀy)` under the configured mode.
+/// Round 0: aggregates the block-independent y-side summands
+/// `(y·y, Qᵀy)` under the configured mode.
 ///
-/// `m` is the total variant count — `Public` mode records its one
-/// disclosure entry per party here, sized for the *full* summand vector,
-/// so the audit totals match the monolithic path exactly.
+/// `m` is the total variant count — `Public` mode ("sharing them to
+/// sum": everyone broadcasts raw summands, so every party's local
+/// statistics leak) records its one disclosure entry per party here,
+/// sized for the *full* summand vector.
 ///
-/// Consumes dealer triple 0 for the `(Qᵀy, Qᵀy)` product in Beaver mode —
-/// the same triple the monolithic batch assigns to that pair — keeping
-/// every opened Beaver value bit-identical to the unblocked run.
+/// Beaver mode, the strictest: `Qᵀy` and `QᵀX` stay secret-shared (each
+/// party's summand *is* an additive share of the aggregate, masked by the
+/// dealer's uniform triples during the openings); only the dot products
+/// open. The left-hand sum `y·y` opens first and the shared vector is
+/// normalized by `1/√(y·y)` (per block: `1/√(X·X_m)`) before encoding, so
+/// every shared quantity has norm ≤ 1 per party. That keeps all Beaver
+/// products within the Mersenne field's fixed-point headroom for any data
+/// scale, and the opened products are rescaled exactly afterwards. This
+/// round consumes dealer triple 0 for the `(Qᵀy, Qᵀy)` product; the block
+/// rounds consume two per variant in ascending order, so the triple a
+/// product meets does not depend on the block size.
 pub(crate) fn aggregate_y(
     ctx: &mut PartyCtx,
     yy: f64,
@@ -330,14 +144,14 @@ pub(crate) fn aggregate_y(
     flat.extend_from_slice(qty);
     let opened = match cfg.aggregation {
         AggregationMode::Public => {
-            // Recorded once for the whole blocked run: this round sends the
+            // Recorded once for the whole run: this round sends the
             // 1 + k y-side scalars, and the per-block rounds send the
             // remaining m·(2 + k) — together the full summand vector.
             let full_count = 1 + 2 * m + k + k * m;
             debug_assert_eq!(
                 full_count,
                 flat.len() + m * (2 + k),
-                "blocked Public disclosure accounting out of sync with the y-round payload"
+                "Public disclosure accounting out of sync with the y-round payload"
             );
             ctx.audit().record_party(
                 ctx.id(),
@@ -406,16 +220,15 @@ pub(crate) fn aggregate_y(
     })
 }
 
-/// One per-block round of the blocked protocol: aggregates the
-/// variant-side summands of `block` and reduces them against the y-side
-/// aggregate from [`aggregate_y`].
+/// One per-block round: aggregates the variant-side summands of `block`
+/// and reduces them against the y-side aggregate from [`aggregate_y`].
 ///
-/// Element-wise, every secure sum here opens exactly the value the
-/// monolithic round would (fixed-point sums are exact and PRG masks
-/// cancel exactly, regardless of how the vector is split across rounds),
-/// and Beaver triples are consumed in the monolithic order (two per
-/// variant, ascending) — so the returned aggregates are bit-identical to
-/// the corresponding slice of the unblocked run.
+/// Element-wise, every secure sum here opens a value that does not depend
+/// on the block size (fixed-point sums are exact and PRG masks cancel
+/// exactly, regardless of how the vector is split across rounds), and
+/// Beaver triples are consumed two per variant in ascending order — so
+/// the returned aggregates are the same bits for every way of cutting
+/// the variants into blocks.
 pub(crate) fn aggregate_block(
     ctx: &mut PartyCtx,
     block: &VariantSummands,
@@ -579,8 +392,7 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suffstats::orthonormal_basis;
-    use dash_linalg::Matrix;
+    use crate::suffstats::{orthonormal_basis, y_dots, ScanStats, SuffStats};
     use dash_mpc::dealer::TrustedDealer;
     use dash_mpc::net::Network;
     use parking_lot::Mutex;
@@ -636,6 +448,38 @@ mod tests {
             .collect()
     }
 
+    /// The y round, then the variants in blocks of 3.
+    fn aggregate_all(
+        ctx: &mut PartyCtx,
+        y: &[f64],
+        x: &Matrix,
+        q: &Matrix,
+        cfg: &SecureScanConfig,
+        mut triples: Option<&mut PartyTriples>,
+    ) -> Result<ScanStats, CoreError> {
+        let m = x.cols();
+        let (yy, qty) = y_dots(y, q)?;
+        let head = aggregate_y(ctx, yy, &qty, m, cfg, triples.as_deref_mut())?;
+        let (yy, qtyqty) = head.y_stats();
+        let mut stats = ScanStats {
+            yy,
+            qtyqty,
+            xy: Vec::new(),
+            xx: Vec::new(),
+            qtxqty: Vec::new(),
+            qtxqtx: Vec::new(),
+        };
+        for lo in (0..m).step_by(3) {
+            let block = VariantSummands::local(y, x, q, lo, (lo + 3).min(m))?;
+            let agg = aggregate_block(ctx, &block, &head, cfg, triples.as_deref_mut())?;
+            stats.xy.extend(agg.xy);
+            stats.xx.extend(agg.xx);
+            stats.qtxqty.extend(agg.qtxqty);
+            stats.qtxqtx.extend(agg.qtxqtx);
+        }
+        Ok(stats)
+    }
+
     fn run_mode(
         mode: AggregationMode,
         p: usize,
@@ -661,9 +505,8 @@ mod tests {
             };
         let (results, _stats, audit) = Network::run_parties_detailed(p, 21, |ctx| {
             let (y, x, _) = &parties[ctx.id()];
-            let summands = SuffStats::local(y, x, &qs[ctx.id()]).unwrap();
             let mut tr = slots[ctx.id()].lock().take();
-            aggregate(ctx, &summands, &cfg, tr.as_mut()).unwrap()
+            aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, tr.as_mut()).unwrap()
         });
         // All parties agree exactly.
         for r in &results[1..] {
@@ -740,8 +583,7 @@ mod tests {
         };
         let results = Network::run_parties(2, 1, |ctx| {
             let (y, x, _) = &parties[ctx.id()];
-            let summands = SuffStats::local(y, x, &qs[ctx.id()]).unwrap();
-            aggregate(ctx, &summands, &cfg, None).err()
+            aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, None).err()
         });
         for r in results {
             assert!(matches!(r, Some(CoreError::Mpc(_))));

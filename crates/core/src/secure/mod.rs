@@ -106,15 +106,14 @@ pub struct SecureScanConfig {
     pub retry_backoff_ms: u64,
     /// Optional deterministic fault injection (testing/chaos runs only).
     pub faults: Option<FaultPlan>,
-    /// Variant-block size of the blocked aggregation pipeline: `Some(B)`
-    /// walks the variants in blocks of B columns — peak summand memory
-    /// O(N·B + K·B) instead of O(N·M) — overlapping each block's secure
-    /// round with the next block's local compute. `None` runs the
-    /// original monolithic single-round aggregation. Results are
-    /// bit-identical either way.
+    /// Variant-block size of the aggregation pipeline: the variants are
+    /// walked in blocks of B columns — peak summand memory O(K·B) —
+    /// overlapping each block's secure round with the next block's local
+    /// compute. `None` means one block of all M variants. Results are the
+    /// same bits for every size.
     pub block_size: Option<usize>,
-    /// Worker threads for the blocked path's local summand compute
-    /// (must be ≥ 1; the monolithic path ignores it).
+    /// Worker threads for each block's local summand compute (must be
+    /// ≥ 1).
     pub threads: usize,
 }
 
@@ -228,9 +227,10 @@ pub struct SecureScanOutput {
     pub disclosures: Vec<Disclosure>,
     /// Number of participating parties.
     pub n_parties: usize,
-    /// Bytes exchanged during each blocked aggregation round, in block
-    /// order (empty for monolithic runs). Together with the unscoped
-    /// protocol traffic these partition [`NetworkReport::total_bytes`].
+    /// Bytes exchanged during each variant-block aggregation round, in
+    /// block order (one entry per block; never empty when M > 0).
+    /// Together with the unscoped protocol traffic these partition
+    /// [`NetworkReport::total_bytes`].
     pub per_block_bytes: Vec<u64>,
 }
 
@@ -238,11 +238,12 @@ pub struct SecureScanOutput {
 ///
 /// The protocol only needs three things from a party: its covariate rows
 /// `C_k` (for the QR phase), its sample count, and the ability to produce
-/// the [`crate::suffstats::SuffStats`] summands given its private
-/// `Q_k` rows. [`PartyData`] provides the dense implementation;
-/// alternative storage — sparse genotypes, memory-mapped files, on-the-fly
-/// dosage decoding — implements this trait and plugs into
-/// [`secure_scan_with`] unchanged.
+/// its summands of the Lemma 2.1 statistics given its private `Q_k` rows —
+/// the y-side pair once, then the variant side one column range at a
+/// time. [`PartyData`] provides the dense implementation; alternative
+/// storage — sparse genotypes, memory-mapped files, on-the-fly dosage
+/// decoding — implements this trait and plugs into [`secure_scan_with`]
+/// unchanged.
 pub trait SummandSource: Sync {
     /// Number of samples this party holds.
     fn n_samples(&self) -> usize;
@@ -250,32 +251,17 @@ pub trait SummandSource: Sync {
     fn n_variants(&self) -> usize;
     /// The permanent covariate rows, N_k×K.
     fn covariates(&self) -> &dash_linalg::Matrix;
-    /// The additive statistics of Lemma 2.1 for this party's rows, given
-    /// its slice `Q_k` of the shared orthonormal basis.
-    fn summands(&self, q: &dash_linalg::Matrix) -> Result<crate::suffstats::SuffStats, CoreError>;
-    /// The block-independent y-side summands `(y·y, Qᵀy)` — round 0 of
-    /// the blocked pipeline.
-    ///
-    /// The default derives them from [`SummandSource::summands`]; storage
-    /// that can produce them directly should override so the blocked path
-    /// never materializes all M variant summands at once.
-    fn y_summands(&self, q: &dash_linalg::Matrix) -> Result<(f64, Vec<f64>), CoreError> {
-        let s = self.summands(q)?;
-        Ok((s.yy, s.qty))
-    }
+    /// The block-independent y-side summands `(y·y, Qᵀy)` — round 0.
+    fn y_summands(&self, q: &dash_linalg::Matrix) -> Result<(f64, Vec<f64>), CoreError>;
     /// The variant-side summands for columns `[lo, hi)` — the per-block
-    /// unit of the blocked pipeline.
-    ///
-    /// The default slices [`SummandSource::summands`]; overriding with a
-    /// native block computation is what realizes the O(K·B) memory bound.
+    /// unit. A scan asks for every column exactly once, so the cost must
+    /// be that of the range, not of all M variants.
     fn summands_block(
         &self,
         q: &dash_linalg::Matrix,
         lo: usize,
         hi: usize,
-    ) -> Result<crate::suffstats::VariantSummands, CoreError> {
-        crate::suffstats::VariantSummands::from_suffstats(&self.summands(q)?, lo, hi)
-    }
+    ) -> Result<crate::suffstats::VariantSummands, CoreError>;
 }
 
 impl SummandSource for PartyData {
@@ -288,23 +274,8 @@ impl SummandSource for PartyData {
     fn covariates(&self) -> &dash_linalg::Matrix {
         self.c()
     }
-    fn summands(&self, q: &dash_linalg::Matrix) -> Result<crate::suffstats::SuffStats, CoreError> {
-        crate::suffstats::SuffStats::local(self.y(), self.x(), q)
-    }
     fn y_summands(&self, q: &dash_linalg::Matrix) -> Result<(f64, Vec<f64>), CoreError> {
-        // The same `self_dot`/`gemv_t` calls `SuffStats::local` makes, so
-        // the blocked path opens bit-identical y-side values.
-        if q.rows() != self.n_samples() {
-            return Err(CoreError::ShapeMismatch {
-                what: "y_summands Q rows",
-                expected: self.n_samples(),
-                got: q.rows(),
-            });
-        }
-        Ok((
-            dash_linalg::self_dot(self.y()),
-            dash_linalg::gemv_t(q, self.y())?,
-        ))
+        crate::suffstats::y_dots(self.y(), q)
     }
     fn summands_block(
         &self,
@@ -316,8 +287,15 @@ impl SummandSource for PartyData {
     }
 }
 
-/// Validates a set of [`SummandSource`]s and returns `(N, M, K)`.
-fn validate_sources<S: SummandSource>(parties: &[S]) -> Result<(usize, usize, usize), CoreError> {
+/// Validates the sources this process holds and returns `(M, K)`.
+///
+/// The pooled sample count is checked only when this process holds every
+/// party's rows; a lone party of a multi-process run learns it from the
+/// count round.
+fn validate_sources<S: SummandSource>(
+    parties: &[S],
+    n_parties: usize,
+) -> Result<(usize, usize), CoreError> {
     let first = parties.first().ok_or(CoreError::NoParties)?;
     let m = first.n_variants();
     let k = first.covariates().cols();
@@ -348,14 +326,14 @@ fn validate_sources<S: SummandSource>(parties: &[S]) -> Result<(usize, usize, us
         }
         n += p.n_samples();
     }
-    if n <= k + 1 {
+    if parties.len() == n_parties && n <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n, k });
     }
-    Ok((n, m, k))
+    Ok((m, k))
 }
 
 /// Validates the run-shape knobs of a configuration against the variant
-/// count (shared by the in-process and multi-process entry points).
+/// count.
 fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
     cfg.ring_codec()?;
     cfg.field_codec()?;
@@ -367,7 +345,7 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
     if let Some(b) = cfg.block_size {
         if b == 0 {
             return Err(CoreError::BadConfig {
-                what: "block_size must be >= 1 (or None for the monolithic path)",
+                what: "block_size must be >= 1 (or None for one block of all variants)",
             });
         }
         if m.div_ceil(b) as u64 > dash_mpc::net::MAX_BLOCK_ID as u64 + 1 {
@@ -377,6 +355,103 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
         }
     }
     Ok(())
+}
+
+/// Each party's slice of the dealer's output, taken by the party's own
+/// thread when its protocol starts (`None` when the mode needs none).
+type TripleSlots = [Mutex<Option<PartyTriples>>];
+
+fn take_triples(slots: &TripleSlots, id: usize) -> Option<PartyTriples> {
+    slots.get(id).and_then(|slot| slot.lock().take())
+}
+
+/// What a run shape hands back: every local party's outcome, and the
+/// counters and disclosure log they shared.
+type RunParts = (
+    Vec<Result<ScanResult, CoreError>>,
+    Arc<NetworkStats>,
+    DisclosureLog,
+);
+
+/// The body every run shape shares: validate, deal the offline material,
+/// `run` the `parties` this process holds, check they agree, and report.
+/// `lone` is `(id, party count)` when `parties` is the single party of a
+/// multi-process run, `None` when it is all of them.
+fn run_scan<S: SummandSource>(
+    parties: &[S],
+    lone: Option<(usize, usize)>,
+    cfg: &SecureScanConfig,
+    run: impl FnOnce(&TripleSlots) -> Result<RunParts, CoreError>,
+) -> Result<SecureScanOutput, CoreError> {
+    let n_parties = lone.map_or(parties.len(), |(_, n)| n);
+    // Validate eagerly so configuration errors surface before any thread
+    // spawns.
+    let (m, k) = validate_sources(parties, n_parties)?;
+    validate_config(cfg, m)?;
+
+    // Offline phase: deal Beaver material when the strict mode needs it.
+    // The trusted dealer is a deterministic function of `(party count,
+    // seed)`, so a lone party process deals the full output and keeps its
+    // own slice — bit-identical to dealing centrally.
+    let slots: Vec<Mutex<Option<PartyTriples>>> =
+        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
+            TrustedDealer::new(n_parties, cfg.seed)?
+                .deal_inners(k, 2 * m + 1)
+                .into_iter()
+                .enumerate()
+                .map(|(i, b)| Mutex::new(lone.is_none_or(|(id, _)| id == i).then_some(b)))
+                .collect()
+        } else {
+            (0..n_parties).map(|_| Mutex::new(None)).collect()
+        };
+
+    let (results, stats, audit) = run(&slots)?;
+
+    // Any party's failure fails the run with its structured error — never
+    // a hang or a process panic.
+    let mut iter = results.into_iter();
+    let first = iter.next().ok_or(CoreError::NoParties)??;
+    for r in iter {
+        let r = r?;
+        debug_assert_eq!(
+            r, first,
+            "parties derived different results from identical opened values"
+        );
+    }
+
+    // The tag-keyed per-block counters must partition the run's total
+    // traffic exactly: every frame is attributed to exactly one block or
+    // to the unscoped protocol phases.
+    debug_assert_eq!(
+        stats.block_bytes_total() + stats.unscoped_bytes(),
+        stats.total_bytes(),
+        "per-block traffic counters must partition the run total"
+    );
+    Ok(SecureScanOutput {
+        result: first,
+        network: NetworkReport::from_stats(&stats),
+        disclosures: audit.entries(),
+        n_parties,
+        per_block_bytes: stats
+            .per_block_traffic()
+            .into_iter()
+            .map(|(_, bytes, _)| bytes)
+            .collect(),
+    })
+}
+
+/// One party's protocol context over an established transport, with the
+/// configured fault injector (if any) wrapped around it.
+fn party_ctx<T: FrameTransport + 'static>(
+    transport: T,
+    cfg: &SecureScanConfig,
+    audit: DisclosureLog,
+) -> PartyCtx {
+    let boxed: Box<dyn Transport> = match cfg.faults {
+        Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
+        None => Box::new(transport),
+    };
+    PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit)
 }
 
 /// Runs the full secure multi-party association scan over an in-process
@@ -420,80 +495,31 @@ pub fn secure_scan_traced_with<S: SummandSource>(
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    let (_n, m, k) = validate_sources(parties)?;
     let p = parties.len();
-    // Validate eagerly so configuration errors surface before any thread
-    // spawns.
-    validate_config(cfg, m)?;
-
-    // Offline phase: deal Beaver material when the strict mode needs it.
-    let triple_slots: Vec<Mutex<Option<PartyTriples>>> =
-        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-            let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-            dealer
-                .deal_inners(k, 2 * m + 1)
-                .into_iter()
-                .map(|b| Mutex::new(Some(b)))
-                .collect()
-        } else {
-            (0..p).map(|_| Mutex::new(None)).collect()
+    run_scan(parties, None, cfg, |slots| {
+        let opts = NetOptions {
+            trace,
+            ..cfg.net_options()
         };
-
-    let opts = NetOptions {
-        trace,
-        ..cfg.net_options()
-    };
-    let (results, stats, audit) = Network::run_parties_detailed_with(p, cfg.seed, &opts, |ctx| {
-        // ctx.id() < p by construction; the lookups are total anyway.
-        let data = parties
-            .get(ctx.id())
-            .ok_or(dash_mpc::MpcError::NoSuchParty {
-                id: ctx.id(),
-                n_parties: p,
+        let (results, stats, audit) =
+            Network::run_parties_detailed_with(p, cfg.seed, &opts, |ctx| {
+                // ctx.id() < p by construction; the lookup is total anyway.
+                let data = parties
+                    .get(ctx.id())
+                    .ok_or(dash_mpc::MpcError::NoSuchParty {
+                        id: ctx.id(),
+                        n_parties: p,
+                    })?;
+                let mut triples = take_triples(slots, ctx.id());
+                protocol::party_protocol_with(ctx, data, cfg, triples.as_mut(), None)
             })?;
-        let mut triples = triple_slots
-            .get(ctx.id())
-            .and_then(|slot| slot.lock().take());
-        protocol::party_protocol_with(ctx, data, cfg, triples.as_mut())
-    })
-    .map_err(CoreError::from)?;
-
-    // Flatten each party's slot: the outer Result carries panics/crash
-    // faults (PartyFailed), the inner one protocol errors. Either way the
-    // run fails with a structured error, never a hang or a process panic.
-    let mut iter = results.into_iter();
-    let first = iter
-        .next()
-        .ok_or(CoreError::NoParties)?
-        .map_err(CoreError::from)??;
-    for r in iter {
-        let r = r.map_err(CoreError::from)??;
-        debug_assert_eq!(
-            r, first,
-            "parties derived different results from identical opened values"
-        );
-    }
-
-    // The tag-keyed per-block counters must partition the run's total
-    // traffic exactly: every frame is attributed to exactly one block or
-    // to the unscoped protocol phases.
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the run total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result: first,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
+        // Flatten each party's slot: the outer Result carries panics/crash
+        // faults (PartyFailed), the inner one protocol errors.
+        let results = results
+            .into_iter()
+            .map(|r| r.map_err(CoreError::from).and_then(|inner| inner))
+            .collect();
+        Ok((results, stats, audit))
     })
 }
 
@@ -502,11 +528,6 @@ pub fn secure_scan_traced_with<S: SummandSource>(
 /// deployment, or any [`FrameTransport`] in tests. This is the
 /// per-process counterpart of [`secure_scan_with`], which runs every
 /// party on threads of one process.
-///
-/// The Beaver offline phase is reproduced locally: the trusted dealer is
-/// a deterministic function of `(party count, seed)`, so every process
-/// deals the full output and keeps its own slice — bit-identical to the
-/// central dealing of the in-process path.
 ///
 /// The returned [`SecureScanOutput`] is this process's view: `network`
 /// counts **own outbound** traffic only (receivers never record, so the
@@ -523,57 +544,7 @@ where
     S: SummandSource,
     T: FrameTransport + 'static,
 {
-    let id = transport.id();
-    let p = transport.n_parties();
-    let m = data.n_variants();
-    let k = data.covariates().cols();
-    if data.covariates().rows() != data.n_samples() {
-        return Err(CoreError::ShapeMismatch {
-            what: "covariate rows vs samples",
-            expected: data.n_samples(),
-            got: data.covariates().rows(),
-        });
-    }
-    validate_config(cfg, m)?;
-
-    let mut triples = if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-        let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-        dealer.deal_inners(k, 2 * m + 1).into_iter().nth(id)
-    } else {
-        None
-    };
-
-    let stats = Arc::clone(transport.stats());
-    let audit = DisclosureLog::new();
-    let boxed: Box<dyn Transport> = match cfg.faults {
-        Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
-        None => Box::new(transport),
-    };
-    let mut ctx =
-        PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit.clone());
-    let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut())?;
-    // Tear the socket mesh down before reporting so every reader thread
-    // has exited and the counters are final.
-    drop(ctx);
-
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the process total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
-    })
+    scan_party(data, cfg, transport, None)
 }
 
 /// [`secure_scan_party_with`] with crash-recovery checkpoints: the run
@@ -586,12 +557,11 @@ where
 /// checkpoint's link cursors when resuming) before handing it in.
 ///
 /// Restrictions, each a structured [`CoreError::Checkpoint`]: the
-/// blocked pipeline must be on (`block_size`), the aggregation mode must
-/// not be Beaver (its y aggregate stays secret-shared across blocks, and
-/// share material must never touch disk), the transport must have
-/// durable link identity (TCP), and the deterministic fault injector
-/// cannot be combined with checkpointing (replayed faults would desync
-/// its per-message schedule).
+/// aggregation mode must not be Beaver (its y aggregate stays
+/// secret-shared across blocks, and share material must never touch
+/// disk), the transport must have durable link identity (TCP), and the
+/// deterministic fault injector cannot be combined with checkpointing
+/// (replayed faults would desync its per-message schedule).
 pub fn secure_scan_party_checkpointed<S, T>(
     data: &S,
     cfg: &SecureScanConfig,
@@ -602,51 +572,31 @@ where
     S: SummandSource,
     T: FrameTransport + 'static,
 {
+    scan_party(data, cfg, transport, Some(policy))
+}
+
+fn scan_party<S, T>(
+    data: &S,
+    cfg: &SecureScanConfig,
+    transport: T,
+    policy: Option<&checkpoint::CheckpointPolicy>,
+) -> Result<SecureScanOutput, CoreError>
+where
+    S: SummandSource,
+    T: FrameTransport + 'static,
+{
+    let id = transport.id();
     let p = transport.n_parties();
-    let m = data.n_variants();
-    if data.covariates().rows() != data.n_samples() {
-        return Err(CoreError::ShapeMismatch {
-            what: "covariate rows vs samples",
-            expected: data.n_samples(),
-            got: data.covariates().rows(),
-        });
-    }
-    validate_config(cfg, m)?;
-    if cfg.faults.is_some() {
-        return Err(CoreError::Checkpoint {
-            what: "checkpointing cannot be combined with the deterministic fault \
-                   injector; use the socket-level chaos proxy instead"
-                .to_string(),
-        });
-    }
-
-    let stats = Arc::clone(transport.stats());
-    let audit = DisclosureLog::new();
-    let boxed: Box<dyn Transport> = Box::new(transport);
-    let mut ctx =
-        PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit.clone());
-    let result = protocol::party_protocol_checkpointed(&mut ctx, data, cfg, policy)?;
-    // Tear the socket mesh down before reporting so every reader thread
-    // has exited and the counters are final.
-    drop(ctx);
-
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the process total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
+    run_scan(std::slice::from_ref(data), Some((id, p)), cfg, |slots| {
+        let stats = Arc::clone(transport.stats());
+        let audit = DisclosureLog::new();
+        let mut ctx = party_ctx(transport, cfg, audit.clone());
+        let mut triples = take_triples(slots, id);
+        let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), policy);
+        // Tear the socket mesh down before reporting so every reader
+        // thread has exited and the counters are final.
+        drop(ctx);
+        Ok((vec![result], stats, audit))
     })
 }
 
@@ -675,119 +625,68 @@ pub fn secure_scan_tcp_local_traced<S: SummandSource>(
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    let (_n, m, k) = validate_sources(parties)?;
     let p = parties.len();
-    validate_config(cfg, m)?;
-
-    let triple_slots: Vec<Mutex<Option<PartyTriples>>> =
-        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-            let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-            dealer
-                .deal_inners(k, 2 * m + 1)
-                .into_iter()
-                .map(|b| Mutex::new(Some(b)))
-                .collect()
-        } else {
-            (0..p).map(|_| Mutex::new(None)).collect()
+    run_scan(parties, None, cfg, |slots| {
+        // Rendezvous: bind every party's listener up front (port 0 → the
+        // OS assigns), so each thread knows the full address list.
+        let mut listeners = Vec::with_capacity(p);
+        let mut addrs = Vec::with_capacity(p);
+        for i in 0..p {
+            let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
+                CoreError::Mpc(dash_mpc::MpcError::Handshake {
+                    peer: i,
+                    reason: format!("bind loopback listener: {e}"),
+                })
+            })?;
+            let addr = l.local_addr().map_err(|e| {
+                CoreError::Mpc(dash_mpc::MpcError::Handshake {
+                    peer: i,
+                    reason: format!("read listener address: {e}"),
+                })
+            })?;
+            listeners.push(l);
+            addrs.push(addr);
+        }
+        let tcp_cfg = TcpConfig {
+            run_id: cfg.seed,
+            ..TcpConfig::default()
         };
 
-    // Rendezvous: bind every party's listener up front (port 0 → the OS
-    // assigns), so each thread knows the full address list.
-    let mut listeners = Vec::with_capacity(p);
-    let mut addrs = Vec::with_capacity(p);
-    for i in 0..p {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
-            CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                peer: i,
-                reason: format!("bind loopback listener: {e}"),
-            })
-        })?;
-        let addr = l.local_addr().map_err(|e| {
-            CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                peer: i,
-                reason: format!("read listener address: {e}"),
-            })
-        })?;
-        listeners.push(l);
-        addrs.push(addr);
-    }
-    let tcp_cfg = TcpConfig {
-        run_id: cfg.seed,
-        ..TcpConfig::default()
-    };
-
-    let stats = Arc::new(NetworkStats::with_trace(p, trace));
-    let audit = DisclosureLog::new();
-    let results: Vec<Result<ScanResult, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, listener)| {
-                let addrs = &addrs;
-                let stats = Arc::clone(&stats);
-                let audit = audit.clone();
-                let triple_slots = &triple_slots;
-                let handle = scope.spawn(move || -> Result<ScanResult, CoreError> {
-                    let data = parties.get(i).ok_or(CoreError::NoParties)?;
-                    let tcp = TcpTransport::connect(i, listener, addrs, tcp_cfg, stats)?;
-                    let transport: Box<dyn Transport> = match cfg.faults {
-                        Some(plan) => Box::new(FaultyTransport::new(tcp, plan)),
-                        None => Box::new(tcp),
-                    };
-                    let mut ctx = PartyCtx::with_transport(
-                        transport,
-                        cfg.net_options().transport,
-                        cfg.seed,
-                        audit,
-                    );
-                    let mut triples = triple_slots.get(i).and_then(|slot| slot.lock().take());
-                    protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut())
-                });
-                (i, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(i, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(CoreError::Mpc(dash_mpc::MpcError::PartyFailed {
-                        party: i,
-                        reason: match CoreError::worker_panicked(payload.as_ref()) {
-                            CoreError::WorkerPanicked { reason } => reason,
-                            _ => "party thread panicked".to_string(),
-                        },
-                    }))
+        let stats = Arc::new(NetworkStats::with_trace(p, trace));
+        let audit = DisclosureLog::new();
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .zip(parties)
+                .enumerate()
+                .map(|(i, (listener, data))| {
+                    let addrs = &addrs;
+                    let stats = Arc::clone(&stats);
+                    let audit = audit.clone();
+                    let handle = scope.spawn(move || -> Result<ScanResult, CoreError> {
+                        let tcp = TcpTransport::connect(i, listener, addrs, tcp_cfg, stats)?;
+                        let mut ctx = party_ctx(tcp, cfg, audit);
+                        let mut triples = take_triples(slots, i);
+                        protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), None)
+                    });
+                    (i, handle)
                 })
-            })
-            .collect()
-    });
-
-    let mut iter = results.into_iter();
-    let first = iter.next().ok_or(CoreError::NoParties)??;
-    for r in iter {
-        let r = r?;
-        debug_assert_eq!(
-            r, first,
-            "parties derived different results from identical opened values"
-        );
-    }
-
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the run total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result: first,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
+                .collect();
+            handles
+                .into_iter()
+                .map(|(i, h)| {
+                    h.join().unwrap_or_else(|payload| {
+                        Err(CoreError::Mpc(dash_mpc::MpcError::PartyFailed {
+                            party: i,
+                            reason: match CoreError::worker_panicked(payload.as_ref()) {
+                                CoreError::WorkerPanicked { reason } => reason,
+                                _ => "party thread panicked".to_string(),
+                            },
+                        }))
+                    })
+                })
+                .collect()
+        });
+        Ok((results, stats, audit))
     })
 }

@@ -1,21 +1,18 @@
 //! The full per-party protocol: QR phase → private Q rows → summands →
 //! aggregation → Lemma 2.1.
 //!
-//! Phase 2 has two shapes. The **monolithic** path (`block_size: None`)
-//! materializes all M variant summands and aggregates them in one secure
-//! round. The **blocked** path (`block_size: Some(B)`) walks the variants
-//! in blocks of B columns: round 0 aggregates the block-independent
-//! y-side statistics under ordinary protocol tags, then each block runs
-//! its own secure round inside a [block-scoped tag
+//! Phase 2 has one shape: round 0 aggregates the block-independent y-side
+//! statistics under ordinary protocol tags, then the variants are walked
+//! in blocks of `block_size` columns (`None` ⇒ one block of M). Each
+//! block runs its own secure round inside a [block-scoped tag
 //! range](dash_mpc::net::BLOCK_TAG_BASE), while a producer thread
 //! computes the *next* block's local summands concurrently (optionally
 //! splitting each block's columns over `threads` workers). Peak summand
-//! memory is O(K·B) instead of O(K·M), and results are bit-identical to
-//! the monolithic path for every block size.
+//! memory is O(K·B), and results are the same bits for every block size.
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
-use crate::scan::parallel::join_workers;
+use crate::scan::parallel::variant_summands;
 use crate::secure::aggregate::YAggregate;
 use crate::secure::checkpoint::{self, Checkpoint, CheckpointPolicy, Fingerprint};
 use crate::secure::{
@@ -33,39 +30,84 @@ use std::sync::mpsc;
 /// Executes the secure scan from one party's perspective (SPMD — every
 /// party runs this same function over the shared network). Generic over
 /// the party's storage via [`SummandSource`].
+///
+/// With `policy`, the protocol state is persisted after the y round and
+/// after every block, and — when `policy.resume_from` is set — the run
+/// rejoins an interrupted one at its last durable block boundary instead
+/// of starting over. Checkpointing needs a non-Beaver aggregation mode,
+/// no fault injector, and a transport with durable link identity (TCP);
+/// anything else is a structured [`CoreError::Checkpoint`], never a
+/// silently unusable checkpoint.
 pub(crate) fn party_protocol_with<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
     triples: Option<&mut PartyTriples>,
+    policy: Option<&CheckpointPolicy>,
 ) -> Result<ScanResult, CoreError> {
-    let _scan_span = ctx.trace_span("scan");
-    let c = data.covariates();
-    let k = c.cols();
-    let n_total = count_round(ctx, data, k)?;
-
-    // Phase 1: combined R factor, then private Q rows.
-    let rfactor_span = ctx.trace_span("phase:rfactor");
-    let r = rfactor::combine_r(ctx, c, cfg)?;
-    let q_k = if k == 0 {
-        Matrix::zeros(data.n_samples(), 0)
-    } else {
-        let rinv = invert_upper(&r)?;
-        gemm(c, &rinv)?
+    let m = data.n_variants();
+    let k = data.covariates().cols();
+    let block_size = cfg.block_size.unwrap_or(m);
+    let Some(policy) = policy else {
+        let _scan_span = ctx.trace_span("scan");
+        let (n_total, _r, q_k) = count_and_rfactor(ctx, data, cfg)?;
+        return blocked_core(
+            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None,
+        );
     };
-    drop(rfactor_span);
 
-    // Phase 2: local summands (storage-specific), secure aggregation,
-    // finalization.
-    let _agg_span = ctx.trace_span("phase:aggregate");
-    match cfg.block_size {
+    let (path, fingerprint) = checkpoint_target(ctx, cfg, policy, m, k, block_size)?;
+    let _scan_span = ctx.trace_span("scan");
+    let (n_total, r, q_k, resume) = match policy.resume_from.as_deref() {
         None => {
-            let summands = data.summands(&q_k)?;
-            let stats = aggregate::aggregate(ctx, &summands, cfg, triples)?;
-            stats.finalize(n_total, k)
+            let (n_total, r, q_k) = count_and_rfactor(ctx, data, cfg)?;
+            (n_total, r, q_k, None)
         }
-        Some(b) => blocked_core(ctx, data, &q_k, n_total, b, cfg, triples, None, None),
+        Some(cp) => {
+            let (n_total, r, q_k, seed) = restore(ctx, data, cp, &fingerprint)?;
+            (n_total, r, q_k, Some(seed))
+        }
+    };
+    let saver = Saver {
+        path,
+        fingerprint,
+        n_total: n_total as u64,
+        r: r.as_slice().to_vec(),
+        crash_after_block: policy.crash_after_block,
+    };
+    blocked_core(
+        ctx,
+        data,
+        &q_k,
+        n_total,
+        block_size,
+        cfg,
+        triples,
+        Some(&saver),
+        resume,
+    )
+}
+
+/// Steps 0 and 1: the pooled sample count, the combined R factor, and
+/// this party's private rows `Q_k = C_k R⁻¹`.
+fn count_and_rfactor<S: SummandSource>(
+    ctx: &mut PartyCtx,
+    data: &S,
+    cfg: &SecureScanConfig,
+) -> Result<(usize, Matrix, Matrix), CoreError> {
+    let n_total = count_round(ctx, data, data.covariates().cols())?;
+    let _rfactor_span = ctx.trace_span("phase:rfactor");
+    let r = rfactor::combine_r(ctx, data.covariates(), cfg)?;
+    let q_k = private_q(data, &r)?;
+    Ok((n_total, r, q_k))
+}
+
+fn private_q<S: SummandSource>(data: &S, r: &Matrix) -> Result<Matrix, CoreError> {
+    let c = data.covariates();
+    if c.cols() == 0 {
+        return Ok(Matrix::zeros(data.n_samples(), 0));
     }
+    Ok(gemm(c, &invert_upper(r)?)?)
 }
 
 /// Step 0 of the protocol: the pooled sample count (needed by everyone
@@ -187,24 +229,22 @@ struct ResumeSeed {
     start_block: u32,
 }
 
-/// [`party_protocol_with`] with crash-recovery checkpoints: persists the
-/// protocol state after the y round and after every block, and — when
-/// `policy.resume_from` is set — rejoins an interrupted run at its last
-/// durable block boundary instead of starting over. Restricted to the
-/// blocked pipeline in a non-Beaver aggregation mode over a transport
-/// with durable link identity (TCP); anything else is a structured
-/// [`CoreError::Checkpoint`], never a silently unusable checkpoint.
-pub(crate) fn party_protocol_checkpointed<S: SummandSource>(
-    ctx: &mut PartyCtx,
-    data: &S,
+/// Checks that this run can be checkpointed at all and returns where its
+/// checkpoints go and the fingerprint that ties them to this run.
+fn checkpoint_target(
+    ctx: &PartyCtx,
     cfg: &SecureScanConfig,
     policy: &CheckpointPolicy,
-) -> Result<ScanResult, CoreError> {
-    let Some(block_size) = cfg.block_size else {
+    m: usize,
+    k: usize,
+    block_size: usize,
+) -> Result<(PathBuf, Fingerprint), CoreError> {
+    if cfg.faults.is_some() {
         return Err(ckpt_err(
-            "checkpointing requires the blocked pipeline; set block_size",
+            "checkpointing cannot be combined with the deterministic fault \
+             injector; use the socket-level chaos proxy instead",
         ));
-    };
+    }
     if cfg.aggregation == AggregationMode::BeaverDots {
         return Err(ckpt_err(
             "checkpointing is unsupported in Beaver mode: the y aggregate stays \
@@ -218,12 +258,6 @@ pub(crate) fn party_protocol_checkpointed<S: SummandSource>(
     }
     std::fs::create_dir_all(&policy.dir)
         .map_err(|e| ckpt_err(format!("create {}: {e}", policy.dir.display())))?;
-    let path = checkpoint::checkpoint_path(&policy.dir, ctx.id());
-
-    let _scan_span = ctx.trace_span("scan");
-    let c = data.covariates();
-    let k = c.cols();
-    let m = data.n_variants();
     let (rf, agg) = mode_codes(cfg);
     let fingerprint = Fingerprint {
         seed: cfg.seed,
@@ -237,163 +271,80 @@ pub(crate) fn party_protocol_checkpointed<S: SummandSource>(
         field_frac_bits: cfg.field_frac_bits,
         block_size: block_size as u64,
     };
-
-    match policy.resume_from.as_deref() {
-        None => {
-            let n_total = count_round(ctx, data, k)?;
-            let rfactor_span = ctx.trace_span("phase:rfactor");
-            let r = rfactor::combine_r(ctx, c, cfg)?;
-            let q_k = if k == 0 {
-                Matrix::zeros(data.n_samples(), 0)
-            } else {
-                let rinv = invert_upper(&r)?;
-                gemm(c, &rinv)?
-            };
-            drop(rfactor_span);
-            let saver = Saver {
-                path,
-                fingerprint,
-                n_total: n_total as u64,
-                r: r.as_slice().to_vec(),
-                crash_after_block: policy.crash_after_block,
-            };
-            let _agg_span = ctx.trace_span("phase:aggregate");
-            blocked_core(
-                ctx,
-                data,
-                &q_k,
-                n_total,
-                block_size,
-                cfg,
-                None,
-                Some(&saver),
-                None,
-            )
-        }
-        Some(cp) => {
-            if cp.fingerprint != fingerprint {
-                return Err(ckpt_err(format!(
-                    "checkpoint belongs to a different run: saved {:?}, this run is {:?}",
-                    cp.fingerprint, fingerprint
-                )));
-            }
-            let n_total = usize::try_from(cp.n_total)
-                .map_err(|_| ckpt_err("checkpointed sample count overflows usize"))?;
-            if n_total <= k + 1 {
-                return Err(CoreError::NotEnoughSamples { n: n_total, k });
-            }
-            if cp.r.len() != k * k {
-                return Err(ckpt_err("checkpointed R factor has the wrong shape"));
-            }
-            for (name, v) in [
-                ("qty", &cp.qty),
-                ("xy", &cp.xy),
-                ("xx", &cp.xx),
-                ("qtxqty", &cp.qtxqty),
-                ("qtxqtx", &cp.qtxqtx),
-            ] {
-                let want = if name == "qty" { k } else { m };
-                if v.len() != want {
-                    return Err(ckpt_err(format!(
-                        "checkpointed {name} has length {}, expected {want}",
-                        v.len()
-                    )));
-                }
-            }
-            // Deterministic state back first: randomness, tags, the audit
-            // log, and the traffic counters — so everything recorded from
-            // here on continues the interrupted run exactly.
-            ctx.restore_protocol_state(&CtxState {
-                rng: cp.rng,
-                pair_prgs: cp.pair_prgs.clone(),
-                tag_counter: cp.tag_counter,
-            })?;
-            ctx.audit().restore(cp.disclosures.clone());
-            ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
-            // Private Q rows are recomputed locally from the persisted
-            // combined R — phase 1 never re-runs, so nothing re-opens.
-            let q_k = if k == 0 {
-                Matrix::zeros(data.n_samples(), 0)
-            } else {
-                let r = Matrix::from_column_major(k, k, cp.r.clone())?;
-                gemm(c, &invert_upper(&r)?)?
-            };
-            let seed = ResumeSeed {
-                head: YAggregate::Opened {
-                    yy: cp.yy,
-                    qty: cp.qty.clone(),
-                },
-                xy: cp.xy.clone(),
-                xx: cp.xx.clone(),
-                qtxqty: cp.qtxqty.clone(),
-                qtxqtx: cp.qtxqtx.clone(),
-                start_block: cp.next_block,
-            };
-            let saver = Saver {
-                path,
-                fingerprint,
-                n_total: cp.n_total,
-                r: cp.r.clone(),
-                crash_after_block: policy.crash_after_block,
-            };
-            let _agg_span = ctx.trace_span("phase:aggregate");
-            blocked_core(
-                ctx,
-                data,
-                &q_k,
-                n_total,
-                block_size,
-                cfg,
-                None,
-                Some(&saver),
-                Some(seed),
-            )
-        }
-    }
+    Ok((
+        checkpoint::checkpoint_path(&policy.dir, ctx.id()),
+        fingerprint,
+    ))
 }
 
-/// Computes one block's local summands, splitting its columns over up to
-/// `threads` workers and stitching the sub-ranges back in column order.
-fn compute_block<S: SummandSource>(
+/// Validates a loaded checkpoint against this run and puts the party back
+/// at its block boundary: returns `(N, R, Q_k, seed)` in place of steps 0
+/// and 1, which never re-run — so nothing re-opens.
+fn restore<S: SummandSource>(
+    ctx: &mut PartyCtx,
     data: &S,
-    q: &Matrix,
-    lo: usize,
-    hi: usize,
-    threads: usize,
-) -> Result<VariantSummands, CoreError> {
-    let len = hi - lo;
-    let threads = threads.min(len.max(1));
-    if threads <= 1 {
-        return data.summands_block(q, lo, hi);
+    cp: &Checkpoint,
+    fingerprint: &Fingerprint,
+) -> Result<(usize, Matrix, Matrix, ResumeSeed), CoreError> {
+    let m = data.n_variants();
+    let k = data.covariates().cols();
+    if cp.fingerprint != *fingerprint {
+        return Err(ckpt_err(format!(
+            "checkpoint belongs to a different run: saved {:?}, this run is {:?}",
+            cp.fingerprint, fingerprint
+        )));
     }
-    let chunk = len.div_ceil(threads).max(1);
-    let parts = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut a = lo;
-        while a < hi {
-            let b = (a + chunk).min(hi);
-            handles.push(scope.spawn(move || data.summands_block(q, a, b)));
-            a = b;
+    let n_total = usize::try_from(cp.n_total)
+        .map_err(|_| ckpt_err("checkpointed sample count overflows usize"))?;
+    if n_total <= k + 1 {
+        return Err(CoreError::NotEnoughSamples { n: n_total, k });
+    }
+    if cp.r.len() != k * k {
+        return Err(ckpt_err("checkpointed R factor has the wrong shape"));
+    }
+    for (name, v) in [
+        ("qty", &cp.qty),
+        ("xy", &cp.xy),
+        ("xx", &cp.xx),
+        ("qtxqty", &cp.qtxqty),
+        ("qtxqtx", &cp.qtxqtx),
+    ] {
+        let want = if name == "qty" { k } else { m };
+        if v.len() != want {
+            return Err(ckpt_err(format!(
+                "checkpointed {name} has length {}, expected {want}",
+                v.len()
+            )));
         }
-        join_workers(handles)
+    }
+    // Deterministic state back first: randomness, tags, the audit log,
+    // and the traffic counters — so everything recorded from here on
+    // continues the interrupted run exactly.
+    ctx.restore_protocol_state(&CtxState {
+        rng: cp.rng,
+        pair_prgs: cp.pair_prgs.clone(),
+        tag_counter: cp.tag_counter,
     })?;
-    let k = q.cols();
-    let mut xy = Vec::with_capacity(len);
-    let mut xx = Vec::with_capacity(len);
-    let mut qtx = Matrix::zeros(k, len);
-    for part in parts {
-        let part = part?;
-        for j in 0..part.len() {
-            qtx.col_mut(part.lo - lo + j)
-                .copy_from_slice(part.qtx.col(j));
-        }
-        xy.extend_from_slice(&part.xy);
-        xx.extend_from_slice(&part.xx);
-    }
-    Ok(VariantSummands { lo, xy, xx, qtx })
+    ctx.audit().restore(cp.disclosures.clone());
+    ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
+    let r = Matrix::from_column_major(k, k, cp.r.clone())?;
+    let q_k = private_q(data, &r)?;
+    let seed = ResumeSeed {
+        head: YAggregate::Opened {
+            yy: cp.yy,
+            qty: cp.qty.clone(),
+        },
+        xy: cp.xy.clone(),
+        xx: cp.xx.clone(),
+        qtxqty: cp.qtxqty.clone(),
+        qtxqtx: cp.qtxqtx.clone(),
+        start_block: cp.next_block,
+    };
+    Ok((n_total, r, q_k, seed))
 }
 
-/// Phase 2 of the blocked pipeline (see the module docs).
+/// Phase 2 (see the module docs): local summands (storage-specific),
+/// secure aggregation, finalization.
 ///
 /// A producer thread computes block b+1's summands while the protocol
 /// thread runs block b's secure round; a rendezvous channel of depth 1
@@ -417,6 +368,7 @@ fn blocked_core<S: SummandSource>(
     saver: Option<&Saver>,
     resume: Option<ResumeSeed>,
 ) -> Result<ScanResult, CoreError> {
+    let _agg_span = ctx.trace_span("phase:aggregate");
     let m = data.n_variants();
     let k = q_k.cols();
     let mut triples = triples;
@@ -455,7 +407,7 @@ fn blocked_core<S: SummandSource>(
             for b in start_block..n_blocks {
                 let lo = b * block_size;
                 let hi = (lo + block_size).min(m);
-                let res = compute_block(data, q_k, lo, hi, threads);
+                let res = variant_summands(data, q_k, lo, hi, threads);
                 let stop = res.is_err();
                 if tx.send(res).is_err() || stop {
                     break;

@@ -61,35 +61,13 @@ impl SuffStats {
     }
 
     /// Computes one party's summands from its rows and its slice `Q_k` of
-    /// the global orthonormal basis.
+    /// the global orthonormal basis: the y-side dots plus the one-block
+    /// case of [`VariantSummands::local`].
     ///
     /// `q` must have the same row count as `y`/`x`; K may be zero.
     pub fn local(y: &[f64], x: &Matrix, q: &Matrix) -> Result<Self, CoreError> {
-        if x.rows() != y.len() {
-            return Err(CoreError::ShapeMismatch {
-                what: "SuffStats::local X rows",
-                expected: y.len(),
-                got: x.rows(),
-            });
-        }
-        if q.rows() != y.len() {
-            return Err(CoreError::ShapeMismatch {
-                what: "SuffStats::local Q rows",
-                expected: y.len(),
-                got: q.rows(),
-            });
-        }
-        let m = x.cols();
-        let yy = self_dot(y);
-        let qty = gemv_t(q, y)?;
-        let mut xy = Vec::with_capacity(m);
-        let mut xx = Vec::with_capacity(m);
-        let qtx = gemm_at_b(q, x)?;
-        for j in 0..m {
-            let col = x.col(j);
-            xy.push(dot(col, y));
-            xx.push(self_dot(col));
-        }
+        let VariantSummands { xy, xx, qtx, .. } = VariantSummands::local(y, x, q, 0, x.cols())?;
+        let (yy, qty) = y_dots(y, q)?;
         Ok(SuffStats {
             yy,
             xy,
@@ -97,19 +75,6 @@ impl SuffStats {
             qty,
             qtx,
         })
-    }
-
-    /// Like [`SuffStats::local`] but restricted to the half-open variant
-    /// range `[lo, hi)` — the unit of work of the parallel scan.
-    pub fn local_block(
-        y: &[f64],
-        x: &Matrix,
-        q: &Matrix,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Self, CoreError> {
-        let block = x.col_block(lo, hi);
-        Self::local(y, &block, q)
     }
 
     /// Creates a zero accumulator with the given shape.
@@ -176,55 +141,24 @@ impl SuffStats {
             qtxqtx,
         }
     }
+}
 
-    /// Serializes into one flat vector (layout: `yy, xy, xx, qty, qtx`
-    /// column-major) — the payload of the secure-sum modes.
-    pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(
-            1 + 2 * self.n_variants() + self.qty.len() + self.qtx.as_slice().len(),
-        );
-        out.push(self.yy);
-        out.extend_from_slice(&self.xy);
-        out.extend_from_slice(&self.xx);
-        out.extend_from_slice(&self.qty);
-        out.extend_from_slice(self.qtx.as_slice());
-        out
+/// The block-independent y-side dots `(y·y, Qᵀy)`.
+pub(crate) fn y_dots(y: &[f64], q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
+    if q.rows() != y.len() {
+        return Err(CoreError::ShapeMismatch {
+            what: "y_dots Q rows",
+            expected: y.len(),
+            got: q.rows(),
+        });
     }
-
-    /// Inverse of [`SuffStats::to_flat`].
-    pub fn from_flat(flat: &[f64], m: usize, k: usize) -> Result<Self, CoreError> {
-        let expected = 1 + 2 * m + k + k * m;
-        if flat.len() != expected {
-            return Err(CoreError::ShapeMismatch {
-                what: "SuffStats::from_flat length",
-                expected,
-                got: flat.len(),
-            });
-        }
-        let yy = flat[0];
-        let xy = flat[1..1 + m].to_vec();
-        let xx = flat[1 + m..1 + 2 * m].to_vec();
-        let qty = flat[1 + 2 * m..1 + 2 * m + k].to_vec();
-        let qtx = Matrix::from_column_major(k, m, flat[1 + 2 * m + k..].to_vec())?;
-        Ok(SuffStats {
-            yy,
-            xy,
-            xx,
-            qty,
-            qtx,
-        })
-    }
+    Ok((self_dot(y), gemv_t(q, y)?))
 }
 
 /// One pass over a variant column: `X_j·y`, `X_j·X_j`, and the K dots
-/// `Q_i·X_j` written into `qtx_col`.
-///
-/// This is the shared kernel of the parallel plaintext scan and the
-/// blocked secure scan. It performs the *same* `dot`/`self_dot` calls as
-/// [`SuffStats::local`] (whose `gemm_at_b` entry `(i, j)` is exactly
-/// `dot(q.col(i), x.col(j))`), so per-column results are bit-identical to
-/// the monolithic path.
-pub(crate) fn column_dots(y: &[f64], q: &Matrix, col: &[f64], qtx_col: &mut [f64]) -> (f64, f64) {
+/// `Q_i·X_j` written into `qtx_col` — the one dense scan kernel, shared
+/// by the plaintext scan and the secure scan's block producer.
+fn column_dots(y: &[f64], q: &Matrix, col: &[f64], qtx_col: &mut [f64]) -> (f64, f64) {
     let xy = dot(col, y);
     let xx = self_dot(col);
     for (i, q_i) in qtx_col.iter_mut().enumerate() {
@@ -235,8 +169,8 @@ pub(crate) fn column_dots(y: &[f64], q: &Matrix, col: &[f64], qtx_col: &mut [f64
 
 /// The variant-side slice of [`SuffStats`] for columns `[lo, lo+len)`:
 /// everything except the block-independent `yy`/`qty`. This is the unit
-/// the blocked secure scan computes, ships, and aggregates — peak summand
-/// memory is O(K·B) per block instead of O(K·M).
+/// every scan computes, and the secure scan ships and aggregates — peak
+/// summand memory is O(K·B) per block of B variants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantSummands {
     /// First variant index covered by this block.
@@ -261,8 +195,9 @@ impl VariantSummands {
     }
 
     /// Computes one party's variant-side summands for columns `[lo, hi)`
-    /// directly from its rows, without materializing the full M-wide
-    /// statistics. Bit-identical to slicing [`SuffStats::local`].
+    /// directly from its rows. Each column's dots depend on that column
+    /// alone, so the values are the same bits for every way of cutting
+    /// `[0, M)` into blocks.
     pub fn local(
         y: &[f64],
         x: &Matrix,
@@ -302,30 +237,6 @@ impl VariantSummands {
             xx.push(xxv);
         }
         Ok(VariantSummands { lo, xy, xx, qtx })
-    }
-
-    /// Slices the variant range `[lo, hi)` out of already-computed full
-    /// summands (the generic fallback for [`crate::secure::SummandSource`]
-    /// implementations without a native block path).
-    pub fn from_suffstats(s: &SuffStats, lo: usize, hi: usize) -> Result<Self, CoreError> {
-        if lo > hi || hi > s.n_variants() {
-            return Err(CoreError::ShapeMismatch {
-                what: "VariantSummands::from_suffstats column range",
-                expected: s.n_variants(),
-                got: hi,
-            });
-        }
-        let k = s.n_covariates();
-        let mut qtx = Matrix::zeros(k, hi - lo);
-        for j in lo..hi {
-            qtx.col_mut(j - lo).copy_from_slice(s.qtx.col(j));
-        }
-        Ok(VariantSummands {
-            lo,
-            xy: s.xy[lo..hi].to_vec(),
-            xx: s.xx[lo..hi].to_vec(),
-            qtx,
-        })
     }
 }
 
@@ -626,47 +537,27 @@ mod tests {
     }
 
     #[test]
-    fn block_local_covers_all_columns() {
-        let (y, x, c) = toy(15, 6, 1, 5);
-        let q = orthonormal_basis(&c).unwrap();
-        let full = SuffStats::local(&y, &x, &q).unwrap();
-        let b1 = SuffStats::local_block(&y, &x, &q, 0, 2).unwrap();
-        let b2 = SuffStats::local_block(&y, &x, &q, 2, 6).unwrap();
-        assert_eq!(b1.n_variants(), 2);
-        assert!((b1.xy[1] - full.xy[1]).abs() < 1e-14);
-        assert!((b2.xy[0] - full.xy[2]).abs() < 1e-14);
-    }
-
-    #[test]
-    fn variant_summands_bit_identical_to_full() {
+    fn variant_summands_invariant_to_block_cuts() {
         let (y, x, c) = toy(18, 7, 2, 9);
         let q = orthonormal_basis(&c).unwrap();
         let full = SuffStats::local(&y, &x, &q).unwrap();
         for (lo, hi) in [(0, 7), (0, 3), (3, 7), (2, 2), (6, 7)] {
-            let direct = VariantSummands::local(&y, &x, &q, lo, hi).unwrap();
-            let sliced = VariantSummands::from_suffstats(&full, lo, hi).unwrap();
-            // Bit-identical, not merely close: the blocked secure path
-            // depends on this equivalence.
-            assert_eq!(direct, sliced, "[{lo}, {hi})");
+            let block = VariantSummands::local(&y, &x, &q, lo, hi).unwrap();
+            assert_eq!((block.lo, block.len()), (lo, hi - lo));
+            // Bit-identical, not merely close: every scan path depends on
+            // a column's dots not caring which block it was computed in.
             for j in lo..hi {
-                assert_eq!(direct.xy[j - lo].to_bits(), full.xy[j].to_bits());
-                assert_eq!(direct.xx[j - lo].to_bits(), full.xx[j].to_bits());
+                assert_eq!(block.xy[j - lo].to_bits(), full.xy[j].to_bits());
+                assert_eq!(block.xx[j - lo].to_bits(), full.xx[j].to_bits());
+                assert_eq!(
+                    block.qtx.col(j - lo),
+                    full.qtx.col(j),
+                    "[{lo}, {hi}) col {j}"
+                );
             }
         }
         assert!(VariantSummands::local(&y, &x, &q, 3, 9).is_err());
-        assert!(VariantSummands::from_suffstats(&full, 5, 3).is_err());
-    }
-
-    #[test]
-    fn flat_roundtrip() {
-        let (y, x, c) = toy(10, 3, 2, 7);
-        let q = orthonormal_basis(&c).unwrap();
-        let s = SuffStats::local(&y, &x, &q).unwrap();
-        let flat = s.to_flat();
-        assert_eq!(flat.len(), 1 + 2 * 3 + 2 + 2 * 3);
-        let back = SuffStats::from_flat(&flat, 3, 2).unwrap();
-        assert_eq!(back, s);
-        assert!(SuffStats::from_flat(&flat[..5], 3, 2).is_err());
+        assert!(VariantSummands::local(&y, &x, &q, 5, 3).is_err());
     }
 
     #[test]

@@ -127,14 +127,21 @@ fn sorted_disclosures(outs: &[SecureScanOutput]) -> Vec<(Option<usize>, String, 
 
 #[test]
 fn checkpointed_run_matches_plain_run_and_leaves_complete_checkpoints() {
+    // Three blocks of 2, then `None`: one block of all 6 variants.
+    for (block_size, final_boundary) in [(Some(2), 3), (None, 1)] {
+        checkpointed_run_matches_plain_run(block_size, final_boundary);
+    }
+}
+
+fn checkpointed_run_matches_plain_run(block_size: Option<usize>, final_boundary: u32) {
     let parties = gen_parties(&[9, 7, 8], 6, 2, 0xC0FFEE);
     let cfg = SecureScanConfig {
         aggregation: AggregationMode::MaskedPrg,
-        block_size: Some(2),
+        block_size,
         seed: 0x5AFE,
         ..SecureScanConfig::default()
     };
-    let dir = temp_dir("clean");
+    let dir = temp_dir(&format!("clean{final_boundary}"));
     let reference = secure_scan(&parties, &cfg).unwrap();
     let outs: Vec<_> = run_tcp_checkpointed(&parties, &cfg, &dir, false)
         .into_iter()
@@ -169,7 +176,7 @@ fn checkpointed_run_matches_plain_run_and_leaves_complete_checkpoints() {
     // boundary.
     for i in 0..parties.len() {
         let cp = checkpoint::load(&checkpoint::checkpoint_path(&dir, i)).unwrap();
-        assert_eq!(cp.next_block, 3, "party {i} final boundary");
+        assert_eq!(cp.next_block, final_boundary, "party {i} final boundary");
         assert_eq!(cp.fingerprint.party, i as u64);
         assert_eq!(cp.fingerprint.seed, cfg.seed);
         assert!(cp.links.is_some(), "TCP runs must persist link cursors");
@@ -179,14 +186,20 @@ fn checkpointed_run_matches_plain_run_and_leaves_complete_checkpoints() {
 
 #[test]
 fn full_fleet_resume_reproduces_identical_output() {
+    for block_size in [Some(2), None] {
+        full_fleet_resume(block_size);
+    }
+}
+
+fn full_fleet_resume(block_size: Option<usize>) {
     let parties = gen_parties(&[8, 6, 7], 5, 2, 0xFEED);
     let cfg = SecureScanConfig {
         aggregation: AggregationMode::MaskedStar,
-        block_size: Some(2),
+        block_size,
         seed: 0xACE,
         ..SecureScanConfig::default()
     };
-    let dir = temp_dir("fleet");
+    let dir = temp_dir(&format!("fleet{}", block_size.unwrap_or(0)));
     let first: Vec<_> = run_tcp_checkpointed(&parties, &cfg, &dir, false)
         .into_iter()
         .collect::<Result<_, _>>()
@@ -217,21 +230,6 @@ fn full_fleet_resume_reproduces_identical_output() {
 fn unsupported_configurations_fail_structurally() {
     let parties = gen_parties(&[6, 6], 2, 1, 0xBAD);
     let dir = temp_dir("guards");
-
-    // Monolithic pipeline: no block boundaries to checkpoint at.
-    let monolithic = SecureScanConfig {
-        block_size: None,
-        seed: 7,
-        ..SecureScanConfig::default()
-    };
-    for r in run_tcp_checkpointed(&parties, &monolithic, &dir, false) {
-        match r {
-            Err(CoreError::Checkpoint { what }) => {
-                assert!(what.contains("block"), "{what}")
-            }
-            other => panic!("expected Checkpoint error, got {other:?}"),
-        }
-    }
 
     // Beaver mode: the y aggregate stays secret-shared; persisting it
     // would write share material to disk.

@@ -1,16 +1,16 @@
-//! The leakage ladder must be invariant to blocking: splitting the
-//! aggregation into variant blocks changes *when* values open, but must
-//! not change *what* leaks. For every rung of the mode matrix and every
-//! block size, the blocked pipeline's [`DisclosureLog`] must account for
-//! exactly the leakage of the monolithic path:
+//! The leakage ladder must be invariant to the block size: splitting the
+//! aggregation into more variant blocks changes *when* values open, but
+//! must not change *what* leaks. For every rung of the mode matrix and
+//! every block size (`None` is one block of M), the [`DisclosureLog`]
+//! must account for exactly the leakage of the one-block run:
 //!
 //! - the per-party disclosures (the quantity the stricter modes drive to
 //!   zero) are identical entry for entry — same party, same label, same
 //!   scalar count;
 //! - the aggregate disclosures total the same number of opened scalars
-//!   (the blocked path opens the same values under round-scoped labels);
+//!   (more blocks open the same values in more, smaller entries);
 //! - the strictest rung (GramAggregate + a secure aggregation) leaks no
-//!   per-party value in either path.
+//!   per-party value at any block size.
 
 // Test code asserts freely; the panic-free discipline applies to the
 // protocol code proper.
@@ -88,7 +88,7 @@ fn run(parties: &[PartyData], cfg: &SecureScanConfig) -> SecureScanOutput {
 }
 
 #[test]
-fn blocked_leakage_identical_across_modes_and_block_sizes() {
+fn leakage_identical_across_modes_and_block_sizes() {
     let m = 6;
     let k = 2;
     let parties = gen_parties(&[13, 18, 11], m, k, 77);
@@ -100,28 +100,34 @@ fn blocked_leakage_identical_across_modes_and_block_sizes() {
                 seed: 29,
                 ..SecureScanConfig::default()
             };
-            let mono = run(&parties, &base);
-            for block in [1, 3, 4, m, m + 3] {
-                let what = format!("{rf:?}/{agg:?} block={block}");
+            let one = run(
+                &parties,
+                &SecureScanConfig {
+                    block_size: Some(m),
+                    ..base
+                },
+            );
+            for block in [Some(1), Some(3), Some(4), Some(m + 3), None] {
+                let what = format!("{rf:?}/{agg:?} block={block:?}");
                 let blocked = run(
                     &parties,
                     &SecureScanConfig {
-                        block_size: Some(block),
+                        block_size: block,
                         ..base
                     },
                 );
                 // Per-party leakage: identical entry for entry.
                 assert_eq!(
                     sorted(per_party(&blocked.disclosures)),
-                    sorted(per_party(&mono.disclosures)),
-                    "{what}: per-party disclosures must match the monolithic path"
+                    sorted(per_party(&one.disclosures)),
+                    "{what}: per-party disclosures must match the one-block run"
                 );
-                // Aggregate leakage: same total opened scalars (labels
-                // are round-scoped, so entry counts legitimately differ).
+                // Aggregate leakage: same total opened scalars (one entry
+                // per round, so entry counts legitimately differ).
                 assert_eq!(
                     aggregate_scalars(&blocked.disclosures),
-                    aggregate_scalars(&mono.disclosures),
-                    "{what}: aggregate scalars must match the monolithic path"
+                    aggregate_scalars(&one.disclosures),
+                    "{what}: aggregate scalars must match the one-block run"
                 );
                 // Public aggregation leaks whole summand vectors
                 // per-party; splitting into blocks must not re-label or
@@ -139,11 +145,11 @@ fn blocked_leakage_identical_across_modes_and_block_sizes() {
     }
 }
 
-/// The top rung of the ladder must stay leak-free under blocking: with
+/// The top rung of the ladder must stay leak-free at any block size: with
 /// aggregate-only R factors and any secure aggregation, *no* per-party
-/// value opens in either path.
+/// value opens.
 #[test]
-fn strictest_rung_leaks_nothing_per_party_blocked_or_not() {
+fn strictest_rung_leaks_nothing_per_party_at_any_block_size() {
     let parties = gen_parties(&[12, 15], 4, 2, 5);
     for agg in [
         AggregationMode::SecureShares,
@@ -175,10 +181,10 @@ fn strictest_rung_leaks_nothing_per_party_blocked_or_not() {
 }
 
 /// Moving up the ladder never leaks more: per-party scalar counts are
-/// monotonically non-increasing as the R-factor mode tightens, in both
-/// the monolithic and the blocked pipeline.
+/// monotonically non-increasing as the R-factor mode tightens, with one
+/// block or several.
 #[test]
-fn ladder_monotone_under_blocking() {
+fn ladder_monotone_at_any_block_size() {
     let parties = gen_parties(&[16, 13, 10], 5, 2, 13);
     for block in [None, Some(2)] {
         let mut prev: Option<usize> = None;

@@ -37,7 +37,7 @@ pub use genotype::{simulate_genotypes, simulate_genotypes_ld, GenotypeMatrix, Ge
 pub use kinship::{kinship_eigen_from_genotypes, kinship_matrix};
 pub use pheno::{simulate_phenotype, PhenotypeSim, PhenotypeTruth};
 pub use power::{evaluate_scan, lambda_gc, PowerReport};
-pub use sparse::{sparse_scan_stats, sparse_suffstats, SparseMatrix, SparseParty};
+pub use sparse::{sparse_scan_stats, SparseMatrix, SparseParty};
 pub use standardize::{impute_and_standardize, standardize_columns};
 pub use structure::{
     simulate_admixed_cohorts, simulate_structured_cohorts, AdmixedSimConfig, StructuredSimConfig,

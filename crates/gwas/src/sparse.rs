@@ -7,8 +7,8 @@
 //! scan dot product O(nnz) instead of O(N).
 
 use crate::error::GwasError;
-use dash_core::suffstats::ScanStats;
-use dash_linalg::{dot, gemv_t, self_dot, Matrix};
+use dash_core::suffstats::{ScanStats, SuffStats, VariantSummands};
+use dash_linalg::{gemv_t, self_dot, Matrix};
 
 /// Compressed sparse column matrix with a per-column fill value:
 /// `A[i, j] = fill[j]` except at the stored `(row, value)` pairs.
@@ -123,11 +123,30 @@ impl SparseMatrix {
     }
 }
 
+/// The variant-side summands of sparse columns `[lo, hi)`: every dot
+/// costs O(nnz_j) instead of O(N), plus O(N·K) per call for the column
+/// sums of `Q` that carry each column's fill-value contribution.
+///
+/// Callers have checked that `y`, `x` and `q` agree on the row count.
+fn sparse_block(y: &[f64], x: &SparseMatrix, q: &Matrix, lo: usize, hi: usize) -> VariantSummands {
+    let k = q.cols();
+    let y_sum: f64 = y.iter().sum();
+    let q_col_sums: Vec<f64> = (0..k).map(|i| q.col(i).iter().sum()).collect();
+    let mut xy = Vec::with_capacity(hi - lo);
+    let mut xx = Vec::with_capacity(hi - lo);
+    let mut qtx = Matrix::zeros(k, hi - lo);
+    for j in lo..hi {
+        xy.push(x.col_dot(j, y, y_sum));
+        xx.push(x.col_self_dot(j));
+        for (i, out) in qtx.col_mut(j - lo).iter_mut().enumerate() {
+            *out = x.col_dot(j, q.col(i), q_col_sums[i]);
+        }
+    }
+    VariantSummands { lo, xy, xx, qtx }
+}
+
 /// Computes the reduced scan statistics with sparse X: every per-variant
 /// dot costs O(nnz_j + K) instead of O(N·K).
-///
-/// Precomputes `Σᵢ y[i]` and the column sums of `Q` once, so the
-/// fill-value contribution of each column is O(K).
 pub fn sparse_scan_stats(y: &[f64], x: &SparseMatrix, q: &Matrix) -> Result<ScanStats, GwasError> {
     if x.rows() != y.len() || q.rows() != y.len() {
         return Err(GwasError::ShapeMismatch {
@@ -140,80 +159,15 @@ pub fn sparse_scan_stats(y: &[f64], x: &SparseMatrix, q: &Matrix) -> Result<Scan
             },
         });
     }
-    let m = x.cols();
-    let k = q.cols();
-    let yy = self_dot(y);
-    let qty = gemv_t(q, y).expect("shape checked above");
-    let qtyqty = self_dot(&qty);
-    let y_sum: f64 = y.iter().sum();
-    let q_col_sums: Vec<f64> = (0..k).map(|i| q.col(i).iter().sum()).collect();
-
-    let mut xy = Vec::with_capacity(m);
-    let mut xx = Vec::with_capacity(m);
-    let mut qtxqty = Vec::with_capacity(m);
-    let mut qtxqtx = Vec::with_capacity(m);
-    let mut qtx_col = vec![0.0; k];
-    for j in 0..m {
-        xy.push(x.col_dot(j, y, y_sum));
-        xx.push(x.col_self_dot(j));
-        for (i, out) in qtx_col.iter_mut().enumerate() {
-            *out = x.col_dot(j, q.col(i), q_col_sums[i]);
-        }
-        qtxqty.push(dot(&qtx_col, &qty));
-        qtxqtx.push(self_dot(&qtx_col));
-    }
-    Ok(ScanStats {
-        yy,
+    let VariantSummands { xy, xx, qtx, .. } = sparse_block(y, x, q, 0, x.cols());
+    Ok(SuffStats {
+        yy: self_dot(y),
         xy,
         xx,
-        qtyqty,
-        qtxqty,
-        qtxqtx,
-    })
-}
-
-/// The additive sufficient statistics (the secure scan's summand layer)
-/// computed from sparse X: O(nnz + K) per column.
-pub fn sparse_suffstats(
-    y: &[f64],
-    x: &SparseMatrix,
-    q: &Matrix,
-) -> Result<dash_core::suffstats::SuffStats, GwasError> {
-    if x.rows() != y.len() || q.rows() != y.len() {
-        return Err(GwasError::ShapeMismatch {
-            what: "sparse_suffstats rows",
-            expected: y.len(),
-            got: if x.rows() != y.len() {
-                x.rows()
-            } else {
-                q.rows()
-            },
-        });
-    }
-    let m = x.cols();
-    let k = q.cols();
-    let yy = self_dot(y);
-    let qty = gemv_t(q, y).expect("shape checked above");
-    let y_sum: f64 = y.iter().sum();
-    let q_col_sums: Vec<f64> = (0..k).map(|i| q.col(i).iter().sum()).collect();
-    let mut xy = Vec::with_capacity(m);
-    let mut xx = Vec::with_capacity(m);
-    let mut qtx = Matrix::zeros(k, m);
-    for j in 0..m {
-        xy.push(x.col_dot(j, y, y_sum));
-        xx.push(x.col_self_dot(j));
-        let col = qtx.col_mut(j);
-        for (i, out) in col.iter_mut().enumerate() {
-            *out = x.col_dot(j, q.col(i), q_col_sums[i]);
-        }
-    }
-    Ok(dash_core::suffstats::SuffStats {
-        yy,
-        xy,
-        xx,
-        qty,
+        qty: gemv_t(q, y).expect("shape checked above"),
         qtx,
-    })
+    }
+    .reduce())
 }
 
 /// A party whose genotype matrix lives in sparse storage — plugs straight
@@ -248,6 +202,17 @@ impl SparseParty {
     pub fn x(&self) -> &SparseMatrix {
         &self.x
     }
+
+    fn check_q_rows(&self, q: &Matrix) -> Result<(), dash_core::CoreError> {
+        if q.rows() != self.y.len() {
+            return Err(dash_core::CoreError::ShapeMismatch {
+                what: "sparse summands Q rows",
+                expected: self.y.len(),
+                got: q.rows(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl dash_core::secure::SummandSource for SparseParty {
@@ -260,22 +225,34 @@ impl dash_core::secure::SummandSource for SparseParty {
     fn covariates(&self) -> &Matrix {
         &self.c
     }
-    fn summands(
+    fn y_summands(&self, q: &Matrix) -> Result<(f64, Vec<f64>), dash_core::CoreError> {
+        self.check_q_rows(q)?;
+        Ok((self_dot(&self.y), gemv_t(q, &self.y)?))
+    }
+    fn summands_block(
         &self,
         q: &Matrix,
-    ) -> Result<dash_core::suffstats::SuffStats, dash_core::CoreError> {
-        sparse_suffstats(&self.y, &self.x, q).map_err(|_| dash_core::CoreError::ShapeMismatch {
-            what: "sparse summands",
-            expected: self.y.len(),
-            got: q.rows(),
-        })
+        lo: usize,
+        hi: usize,
+    ) -> Result<VariantSummands, dash_core::CoreError> {
+        self.check_q_rows(q)?;
+        if lo > hi || hi > self.x.cols() {
+            return Err(dash_core::CoreError::ShapeMismatch {
+                what: "sparse summands column range",
+                expected: self.x.cols(),
+                got: hi,
+            });
+        }
+        Ok(sparse_block(&self.y, &self.x, q, lo, hi))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_core::suffstats::{orthonormal_basis, SuffStats};
+    use dash_core::secure::SummandSource;
+    use dash_core::suffstats::orthonormal_basis;
+    use dash_linalg::dot;
 
     fn toy_dense(n: usize, m: usize, sparsity: f64, seed: u64) -> Matrix {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
@@ -377,11 +354,10 @@ mod tests {
         assert!(res_sparse.max_rel_diff(&res_dense).unwrap() < 1e-9);
     }
 
-    #[test]
-    fn sparse_suffstats_match_dense() {
-        let n = 40;
-        let dense = toy_dense(n, 5, 0.2, 9);
-        let mut s = 11u64;
+    /// A sparse party plus the dense rows and basis it was built from.
+    fn toy_party(n: usize, m: usize, seed: u64) -> (SparseParty, Vec<f64>, Matrix, Matrix) {
+        let dense = toy_dense(n, m, 0.2, seed);
+        let mut s = seed.wrapping_add(11);
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
@@ -390,11 +366,50 @@ mod tests {
         let c = Matrix::from_fn(n, 2, |_, _| next());
         let q = orthonormal_basis(&c).unwrap();
         let sparse = SparseMatrix::from_dense(&dense, 0.0).unwrap();
-        let sp = sparse_suffstats(&y, &sparse, &q).unwrap();
+        (SparseParty::new(y.clone(), sparse, c).unwrap(), y, dense, q)
+    }
+
+    #[test]
+    fn sparse_party_summands_match_dense() {
+        let (party, y, dense, q) = toy_party(40, 5, 9);
         let dn = SuffStats::local(&y, &dense, &q).unwrap();
-        assert!((sp.yy - dn.yy).abs() < 1e-10);
-        assert!(sp.qtx.max_abs_diff(&dn.qtx).unwrap() < 1e-9);
-        for j in 0..5 {
+        let (yy, qty) = party.y_summands(&q).unwrap();
+        assert_eq!(yy.to_bits(), dn.yy.to_bits());
+        assert_eq!(qty, dn.qty);
+        for (lo, hi) in [(0, 5), (1, 4), (3, 3)] {
+            let sp = party.summands_block(&q, lo, hi).unwrap();
+            assert_eq!((sp.lo, sp.len()), (lo, hi - lo));
+            for j in lo..hi {
+                assert!((sp.xy[j - lo] - dn.xy[j]).abs() < 1e-9);
+                assert!((sp.xx[j - lo] - dn.xx[j]).abs() < 1e-9);
+                for (a, b) in sp.qtx.col(j - lo).iter().zip(dn.qtx.col(j)) {
+                    assert!((a - b).abs() < 1e-9);
+                }
+            }
+        }
+        assert!(party.summands_block(&q, 2, 6).is_err());
+        assert!(party.summands_block(&q, 4, 3).is_err());
+        assert!(party.summands_block(&Matrix::zeros(39, 2), 0, 5).is_err());
+        assert!(party.y_summands(&Matrix::zeros(39, 2)).is_err());
+    }
+
+    /// Regression: `summands_block` used to compute all M columns and
+    /// slice, so a scan in blocks cost O(blocks·M). Every stored entry
+    /// outside the requested range is given a row index past the end of
+    /// the matrix, so reading any such column panics.
+    #[test]
+    fn sparse_party_block_reads_only_its_columns() {
+        let (mut party, y, dense, q) = toy_party(30, 12, 4);
+        let (lo, hi) = (4, 9);
+        let (first, last) = (party.x.col_ptr[lo], party.x.col_ptr[hi]);
+        for (idx, r) in party.x.row_idx.iter_mut().enumerate() {
+            if idx < first || idx >= last {
+                *r = u32::MAX;
+            }
+        }
+        let sp = party.summands_block(&q, lo, hi).unwrap();
+        let dn = VariantSummands::local(&y, &dense, &q, lo, hi).unwrap();
+        for j in 0..hi - lo {
             assert!((sp.xy[j] - dn.xy[j]).abs() < 1e-9);
         }
     }

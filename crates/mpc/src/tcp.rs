@@ -125,7 +125,7 @@ pub struct TcpConfig {
     /// different run (stale processes, wrong rendezvous).
     pub run_id: u64,
     /// Per-attempt TCP connect timeout when dialing a lower-id peer,
-    /// and the read timeout for hello exchanges.
+    /// and the read timeout for an accepted dialer's hello.
     pub connect_timeout: Duration,
     /// Dial attempts per lower-id peer before giving up. Peers start in
     /// arbitrary order, so early attempts routinely hit
@@ -136,7 +136,9 @@ pub struct TcpConfig {
     /// `jitter_seed`, so simultaneous restarts don't thunder in
     /// lockstep yet every run replays identically.
     pub connect_backoff: Duration,
-    /// Total time to wait for every higher-id peer to dial in.
+    /// The rendezvous window: total time to wait for every higher-id
+    /// peer to dial in, and for each dialed lower-id peer to answer our
+    /// hello (its listener may be bound before it is accepting).
     pub accept_timeout: Duration,
     /// Seed for the deterministic dial-backoff jitter (derive it from
     /// the run seed so reruns are bit-identical).
@@ -1124,13 +1126,13 @@ impl TcpTransport {
             stream
                 .write_all(&ours)
                 .map_err(|e| hs_io(j, "send hello", &e))?;
-            let Some(hello) = read_hello_deadline(&mut stream, cfg.connect_timeout) else {
+            // A peer may bind its listener long before it starts accepting
+            // (`dash party` binds, then parses its cohort), so a connected
+            // dialer gives the reply the whole rendezvous window.
+            let Some(hello) = read_hello_deadline(&mut stream, cfg.accept_timeout) else {
                 return Err(MpcError::Handshake {
                     peer: j,
-                    reason: format!(
-                        "hello reply did not arrive within {:?}",
-                        cfg.connect_timeout
-                    ),
+                    reason: format!("hello reply did not arrive within {:?}", cfg.accept_timeout),
                 });
             };
             let h = decode_hello(&hello, j, cfg.run_id, n)?;
@@ -1884,6 +1886,33 @@ mod tests {
         t0.send_words(1, 9, &[1]).unwrap();
         assert_eq!(t1.recv_words(0, 9).unwrap(), vec![1]);
         drop(rogue);
+    }
+
+    #[test]
+    fn dialer_waits_out_a_bound_but_not_yet_accepting_peer() {
+        // Regression (`dash party` dial race): party 0's listener is bound
+        // but party 0 starts accepting only after several hello timeouts
+        // have passed. Party 1's dial lands in the accept backlog at once;
+        // its wait for the hello reply used to be one `connect_timeout`.
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        let mut cfg = test_cfg(4);
+        cfg.connect_timeout = Duration::from_millis(100);
+        let (r0, r1) = std::thread::scope(|scope| {
+            let a1 = addrs.clone();
+            let h1 = scope.spawn(move || {
+                let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
+                TcpTransport::connect(1, l1, &a1, cfg, stats)
+            });
+            std::thread::sleep(cfg.connect_timeout * 5);
+            let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
+            let r0 = TcpTransport::connect(0, l0, &addrs, cfg, stats);
+            (r0, h1.join().unwrap())
+        });
+        let (t0, t1) = (r0.unwrap(), r1.unwrap());
+        t1.send_words(0, 9, &[7]).unwrap();
+        assert_eq!(t0.recv_words(1, 9).unwrap(), vec![7]);
     }
 
     #[test]

@@ -48,12 +48,20 @@ cargo fmt --all --check
 echo "== tests"
 cargo test --workspace --release
 
-echo "== blocked-vs-monolithic bit-identity property (bounded case count)"
-# The blocked secure pipeline must be bit-identical to the monolithic
-# path; DASH_BLOCKED_CASES bounds the randomized sweep so CI stays fast
-# (raise it locally for a deeper search). The run also exercises the
-# debug assertion that per-block traffic counters partition the total.
+echo "== block-size invariance property (bounded case count)"
+# The secure scan must give the same bits for every block size ('off' is
+# one block of M); DASH_BLOCKED_CASES bounds the randomized sweep so CI
+# stays fast (raise it locally for a deeper search). The run also
+# exercises the debug assertion that per-block traffic counters partition
+# the total.
 DASH_BLOCKED_CASES=16 cargo test -p dash-core --test blocked_secure
+
+echo "== benchmark smoke (benchmark/ builds against this tree and every operation passes)"
+# benchmark/ is its own package outside the workspace, so nothing above
+# compiles it: a signature drift against benchmark/src/adapter.rs would
+# otherwise surface only in the benchmark pipeline. Tiny shapes, ~10 s
+# after the build; exits non-zero on any failed operation.
+bash benchmark/run.sh --smoke | grep -E '^total:'
 
 echo "== trace smoke (scan --trace-out, then schema/invariant validation)"
 # A tiny end-to-end observability round trip: simulate a 2-party study,

@@ -98,29 +98,38 @@ fn public_aggregation_is_the_worst_rung() {
 fn beaver_opens_dot_products_not_k_vectors() {
     let m = 6;
     let out = run(RFactorMode::GramAggregate, AggregationMode::BeaverDots);
-    // The projected-statistics opening must be 2M+1 scalars (dot
+    // The projected-statistics openings must be 1 + 2M scalars (dot
     // products), not the (M+1)K scalars of the K-vector aggregates.
-    let dots = out
-        .disclosures
-        .iter()
-        .find(|d| d.label.contains("projected dot products"))
-        .expect("dot-product disclosure present");
-    assert_eq!(dots.scalars, 2 * m + 1);
-    assert!(out
-        .disclosures
-        .iter()
-        .all(|d| !d.label.contains("aggregate scan statistics")));
+    let scalars_of = |label: &str| -> usize {
+        out.disclosures
+            .iter()
+            .filter(|d| d.label.contains(label))
+            .map(|d| d.scalars)
+            .sum()
+    };
+    assert_eq!(scalars_of("projected response dot product"), 1);
+    assert_eq!(scalars_of("per-variant projected dot products"), 2 * m);
+    assert_eq!(scalars_of("aggregate y·y, Qᵀy"), 0);
+    assert_eq!(scalars_of("aggregate variant-block statistics"), 0);
 }
 
 #[test]
-fn masked_mode_opens_the_flat_aggregate_once() {
+fn masked_mode_opens_the_y_side_once_and_every_variant_once() {
     let m = 6;
     let k = 3;
     let out = run(RFactorMode::GramAggregate, AggregationMode::MaskedPrg);
-    let agg = out
-        .disclosures
-        .iter()
-        .find(|d| d.label.contains("aggregate scan statistics"))
-        .expect("aggregate disclosure present");
-    assert_eq!(agg.scalars, 1 + 2 * m + k + k * m);
+    let entries = |label: &str| -> Vec<usize> {
+        out.disclosures
+            .iter()
+            .filter(|d| d.label.contains(label))
+            .map(|d| d.scalars)
+            .collect()
+    };
+    assert_eq!(entries("aggregate y·y, Qᵀy"), [1 + k]);
+    assert_eq!(
+        entries("aggregate variant-block statistics")
+            .iter()
+            .sum::<usize>(),
+        m * (k + 2)
+    );
 }
