@@ -5,7 +5,7 @@
 //! passes don't need (lifetimes, generic bounds, visibility, attributes
 //! other than `#[test]`/`#[cfg(test)]`/`#[derive(..)]`) is dropped or
 //! flattened, and any construct the parser cannot make sense of becomes
-//! [`Expr::Unknown`] rather than an error. "Faithful" means: for the
+//! [`ExprKind::Unknown`] rather than an error. "Faithful" means: for the
 //! constructs the passes *do* reason about — items, fn signatures and
 //! bodies, `let`/`match` bindings, field accesses, closures, method and
 //! free calls — the tree mirrors real syntax, so the passes never have to

@@ -1,0 +1,243 @@
+//! Hand-rolled JSON reader and writer (no serde, per the vendored-shim
+//! policy): [`json_str`] escapes strings for the `--format json` report,
+//! [`parse_json`] reads `dash-trace/1` exports for `--validate-trace`.
+
+use std::fmt::Write as _;
+
+/// JSON string literal with escaping.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Minimal JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Obj(Vec<(String, Json)>),
+    Arr(Vec<Json>),
+    Str(String),
+    Num(f64),
+    Bool(bool),
+    Null,
+}
+
+impl Json {
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(v) => Some(v),
+            _ => None,
+        }
+    }
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+    /// Looks up a key in an object value.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+}
+
+/// Parses one JSON document (trailing whitespace allowed).
+pub fn parse_json(src: &str) -> Result<Json, String> {
+    let b = src.as_bytes();
+    let mut i = 0usize;
+    let v = parse_value(b, &mut i)?;
+    skip_ws(b, &mut i);
+    if i != b.len() {
+        return Err(format!("trailing garbage at byte {i}"));
+    }
+    Ok(v)
+}
+
+fn skip_ws(b: &[u8], i: &mut usize) {
+    while *i < b.len() && b[*i].is_ascii_whitespace() {
+        *i += 1;
+    }
+}
+
+fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+    skip_ws(b, i);
+    match b.get(*i) {
+        Some(b'{') => {
+            *i += 1;
+            let mut fields = Vec::new();
+            skip_ws(b, i);
+            if b.get(*i) == Some(&b'}') {
+                *i += 1;
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                skip_ws(b, i);
+                let k = parse_string(b, i)?;
+                skip_ws(b, i);
+                if b.get(*i) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {i}"));
+                }
+                *i += 1;
+                let v = parse_value(b, i)?;
+                fields.push((k, v));
+                skip_ws(b, i);
+                match b.get(*i) {
+                    Some(b',') => *i += 1,
+                    Some(b'}') => {
+                        *i += 1;
+                        return Ok(Json::Obj(fields));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
+                }
+            }
+        }
+        Some(b'[') => {
+            *i += 1;
+            let mut items = Vec::new();
+            skip_ws(b, i);
+            if b.get(*i) == Some(&b']') {
+                *i += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(b, i)?);
+                skip_ws(b, i);
+                match b.get(*i) {
+                    Some(b',') => *i += 1,
+                    Some(b']') => {
+                        *i += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
+                }
+            }
+        }
+        Some(b'"') => Ok(Json::Str(parse_string(b, i)?)),
+        Some(b't') if b[*i..].starts_with(b"true") => {
+            *i += 4;
+            Ok(Json::Bool(true))
+        }
+        Some(b'f') if b[*i..].starts_with(b"false") => {
+            *i += 5;
+            Ok(Json::Bool(false))
+        }
+        Some(b'n') if b[*i..].starts_with(b"null") => {
+            *i += 4;
+            Ok(Json::Null)
+        }
+        Some(c) if c.is_ascii_digit() || *c == b'-' => {
+            let start = *i;
+            *i += 1;
+            while *i < b.len()
+                && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
+            {
+                *i += 1;
+            }
+            std::str::from_utf8(&b[start..*i])
+                .ok()
+                .and_then(|s| s.parse::<f64>().ok())
+                .map(Json::Num)
+                .ok_or_else(|| format!("bad number at byte {start}"))
+        }
+        _ => Err(format!("unexpected byte at {i}")),
+    }
+}
+
+fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
+    if b.get(*i) != Some(&b'"') {
+        return Err(format!("expected string at byte {i}"));
+    }
+    *i += 1;
+    let mut out = String::new();
+    while *i < b.len() {
+        match b[*i] {
+            b'"' => {
+                *i += 1;
+                return Ok(out);
+            }
+            b'\\' => {
+                *i += 1;
+                match b.get(*i) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hex = b
+                            .get(*i + 1..*i + 5)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
+                        out.push(hex);
+                        *i += 4;
+                    }
+                    _ => return Err(format!("bad escape at byte {i}")),
+                }
+                *i += 1;
+            }
+            c => {
+                // Multi-byte UTF-8: copy the full char.
+                let s = std::str::from_utf8(&b[*i..])
+                    .map_err(|_| format!("invalid utf-8 at byte {i}"))?;
+                let ch = s.chars().next().ok_or("empty string tail")?;
+                out.push(ch);
+                *i += ch.len_utf8();
+                let _ = c;
+            }
+        }
+    }
+    Err("unterminated string".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_escapes() {
+        let s = json_str("a\"b\\c\nd");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
+        let v = parse_json("{\"k\": \"a\\\"b\\\\c\\nd\", \"n\": [1, 2.5], \"t\": true}").unwrap();
+        let obj = v.as_obj().unwrap();
+        assert_eq!(obj[0].1.as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn malformed_json_rejected() {
+        assert!(parse_json("{").is_err());
+        assert!(parse_json("[1,]").is_err());
+        assert!(parse_json("{} x").is_err());
+    }
+}

@@ -6,12 +6,13 @@
 //!   (`all_gather*`, `broadcast*`, `exchange_sum*`, `open_*`) must be
 //!   accounted to the [`DisclosureLog`] in the same function, so the
 //!   leakage ladder measured by the experiments stays honest.
-//! - **tag-range** — the message-tag registry in `dash_mpc::tags` must be
-//!   pairwise disjoint, exhaustively named, and cover the whole `u32`
-//!   space; tag constants may not be declared anywhere else.
-//! - **panic-free** — `unwrap`/`expect`/`panic!`-family macros are denied
-//!   in the secure crates' non-test code: a party that panics mid-round
-//!   deadlocks or crashes everyone else.
+//! - **tag-range** — tag constants may not be declared outside the
+//!   registry module `dash_mpc::tags`, whose `REGISTRY` proves itself a
+//!   partition of the `u32` space with a compile-time assertion.
+//! - **panic-free** — `unwrap`/`expect`, the `panic!` family and
+//!   `assert!`/`assert_eq!`/`assert_ne!` are denied in the secure crates'
+//!   non-test code: a party that panics mid-round deadlocks or crashes
+//!   everyone else.
 //! - **secret-taint** — share/mask/triple types must not derive `Debug`,
 //!   flow into print macros, or appear in formatting/assertions outside
 //!   `#[cfg(test)]`.
@@ -20,9 +21,7 @@
 //!   through a call chain that never passes an audited open) must not
 //!   reach a print/format macro, even via innocuously-named locals or
 //!   wrapper structs.
-//! - **secure-indexing** — direct `x[i]` indexing in secure code. The
-//!   grandfathered baseline has been burned down to zero and the lint now
-//!   denies like the rest.
+//! - **secure-indexing** — direct `x[i]` indexing in secure code.
 //! - **constant-time** — the mpc crate's element/share modules must stay
 //!   branch-free on secret data: no `if`/`while`/`match`, comparison,
 //!   `%`/`/`, or table indexing whose operand is share material. Scoped
@@ -30,32 +29,30 @@
 //!   `fixed.rs`, `share.rs`, `secret.rs`); protocol layers branch on
 //!   public control flow and are exempt by design.
 //!
-//! All lints deny by default; there is no warn tier left in the defaults.
-//!
-//! The analyzer is self-contained by design: a hand-rolled lexer and JSON
-//! reader/writer, no registry access, consistent with the workspace's
-//! vendored-shim policy. Findings are suppressed either by an inline
-//! pragma —
+//! One pipeline, one verdict: lex → token lints + parse → AST passes, and
+//! any finding fails the gate. The only suppression is an inline pragma —
 //!
 //! ```text
 //! // dash-analyze::allow(<lint>): <reason>
 //! ```
 //!
-//! — which applies to the enclosing (or immediately following) function,
-//! or by an entry in the checked-in baseline file.
+//! — which applies to the enclosing (or immediately following) function.
+//!
+//! The analyzer is self-contained by design: a hand-rolled lexer, parser
+//! and JSON reader/writer, no registry access, consistent with the
+//! workspace's vendored-shim policy.
 //!
 //! [`DisclosureLog`]: ../dash_mpc/audit/struct.DisclosureLog.html
 
 pub mod ast;
-pub mod baseline;
 pub mod ct;
+pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod model;
 pub mod parser;
 pub(crate) mod registry;
 pub mod report;
-pub mod tags_check;
 pub mod taint;
 pub mod trace_check;
 
@@ -63,43 +60,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Names of every lint, in report order.
-pub const LINTS: [&str; 7] = [
-    "disclosure-completeness",
-    "tag-range",
-    "panic-free",
-    "secret-taint",
-    "cross-function-taint",
-    "secure-indexing",
-    "constant-time",
-];
-
-/// Severity of a lint or finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    Allow,
-    Warn,
-    Deny,
-}
-
-impl Level {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Allow => "allow",
-            Level::Warn => "warn",
-            Level::Deny => "deny",
-        }
-    }
-}
-
-/// Default level of each lint before CLI overrides. Every lint denies:
-/// `secure-indexing` graduated from warn once its grandfathered baseline
-/// reached zero.
-pub fn default_level(_lint: &str) -> Level {
-    Level::Deny
-}
-
-/// One raw finding (before level resolution and baseline suppression).
+/// One finding. Pragma-suppressed sites never become findings, so each one
+/// fails the gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     pub lint: &'static str,
@@ -110,7 +72,7 @@ pub struct Finding {
     /// Enclosing function, or `""` for item-level findings.
     pub function: String,
     pub message: String,
-    /// Trimmed source line, used for fingerprinting.
+    /// Trimmed source line.
     pub snippet: String,
 }
 
@@ -120,68 +82,32 @@ pub fn in_scope(rel: &str) -> bool {
     rel.contains("crates/mpc/src") || rel.contains("crates/core/src/secure")
 }
 
-/// Which cross-function-taint engine to run.
+/// Analyzes one file's source; `scoped` selects whether the secure-code
+/// lints apply.
 ///
-/// `Ast` is the production engine: field-sensitive, closure-aware
-/// abstract interpretation over the parsed syntax. `Token` is the legacy
-/// token-stream closure, kept as a differential baseline — every leak it
-/// can see, the AST engine must also see (`--differential` enforces
-/// this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaintEngine {
-    Token,
-    Ast,
-}
-
-/// Analyzes one file's source. `scoped` selects whether the secure-code
-/// lints apply; the tag-registry consistency check additionally runs when
-/// `rel` is the registry module itself.
-///
-/// The cross-function taint pass runs here over the single file only —
-/// enough for fixtures and ad-hoc checks. Whole-workspace runs go through
-/// [`analyze_workspace`], which feeds the pass every scoped file at once
-/// so chains spanning files are closed too.
+/// The cross-function passes run here over the single file only — enough
+/// for fixtures and ad-hoc checks. Whole-workspace runs go through
+/// [`analyze_workspace`], which feeds them every scoped file at once so
+/// chains spanning files are closed too.
 pub fn analyze_source(rel: &str, src: &str, scoped: bool) -> Vec<Finding> {
-    analyze_source_engine(rel, src, scoped, TaintEngine::Ast)
+    if !scoped {
+        return Vec::new();
+    }
+    analyze_models(&[model::FileModel::parse(rel, src)])
 }
 
-/// [`analyze_source`] with an explicit taint engine (differential runs).
-pub fn analyze_source_engine(
-    rel: &str,
-    src: &str,
-    scoped: bool,
-    engine: TaintEngine,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    if scoped {
-        let m = model::FileModel::parse(rel, src);
-        findings.extend(lints::run_all(&m));
-        findings.extend(run_taint(std::slice::from_ref(&m), engine));
-        findings.extend(ct::run(std::slice::from_ref(&m)));
-    }
-    if rel.ends_with("crates/mpc/src/tags.rs") || rel == "crates/mpc/src/tags.rs" {
-        findings.extend(tags_check::check_tags_source(rel, src));
-    }
+/// The one pipeline: per-file lints, then the cross-function taint and
+/// constant-time passes over all of `models` at once.
+fn analyze_models(models: &[model::FileModel]) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = models.iter().flat_map(lints::run_all).collect();
+    findings.extend(taint::run(models));
+    findings.extend(ct::run(models));
     findings
 }
 
-fn run_taint(models: &[model::FileModel], engine: TaintEngine) -> Vec<Finding> {
-    match engine {
-        TaintEngine::Ast => taint::run(models),
-        TaintEngine::Token => taint::run_token(models),
-    }
-}
-
-/// Walks the workspace under `root` and analyzes every `.rs` file beneath
-/// each crate's `src/` (plus the root package's `src/`, if any).
+/// Walks the workspace under `root` and analyzes every in-scope `.rs` file
+/// beneath each crate's `src/` (plus the root package's `src/`, if any).
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    analyze_workspace_engine(root, TaintEngine::Ast)
-}
-
-/// [`analyze_workspace`] with an explicit taint engine (differential
-/// runs: `--differential` runs both and requires the AST engine to see a
-/// superset of the token engine's cross-function-taint findings).
-pub fn analyze_workspace_engine(root: &Path, engine: TaintEngine) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -198,39 +124,16 @@ pub fn analyze_workspace_engine(root: &Path, engine: TaintEngine) -> io::Result<
     }
     files.sort();
 
-    let mut findings = Vec::new();
-    let mut saw_registry = false;
+    // Every scoped file is modelled before any pass runs, so secret-returning
+    // call chains that cross files (mpc → core/secure) are closed.
     let mut models = Vec::new();
     for path in files {
         let rel = rel_path(root, &path);
-        let src = fs::read_to_string(&path)?;
-        if rel.ends_with("crates/mpc/src/tags.rs") {
-            saw_registry = true;
-            findings.extend(tags_check::check_tags_source(&rel, &src));
-        }
         if in_scope(&rel) {
-            let m = model::FileModel::parse(&rel, &src);
-            findings.extend(lints::run_all(&m));
-            models.push(m);
+            models.push(model::FileModel::parse(&rel, &fs::read_to_string(&path)?));
         }
     }
-    // One global taint pass over every scoped file, so secret-returning
-    // call chains that cross files (mpc → core/secure) are closed.
-    findings.extend(run_taint(&models, engine));
-    findings.extend(ct::run(&models));
-    if !saw_registry {
-        findings.push(Finding {
-            lint: "tag-range",
-            file: "crates/mpc/src/tags.rs".to_string(),
-            line: 1,
-            function: String::new(),
-            message: "tag registry module is missing: crates/mpc/src/tags.rs must exist and \
-                      define REGISTRY"
-                .to_string(),
-            snippet: String::new(),
-        });
-    }
-    Ok(findings)
+    Ok(analyze_models(&models))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -246,7 +149,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// `root`-relative path with forward slashes (stable across platforms for
-/// baselines and reports).
+/// reports).
 pub fn rel_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let mut s = String::new();
@@ -273,15 +176,31 @@ mod tests {
     }
 
     #[test]
-    fn default_levels() {
-        assert_eq!(default_level("panic-free"), Level::Deny);
-        assert_eq!(default_level("secure-indexing"), Level::Deny);
-        assert_eq!(default_level("cross-function-taint"), Level::Deny);
-    }
-
-    #[test]
     fn unscoped_source_yields_nothing() {
         let src = "fn f(v: Vec<u32>) -> u32 { v[0] }";
         assert!(analyze_source("crates/linalg/src/x.rs", src, false).is_empty());
+    }
+
+    /// The lexer, item scan, parser and every pass must return on any
+    /// input, including source cut off mid-item: every prefix (at every
+    /// 16th line) of every scoped workspace file and every fixture
+    /// analyzes without panicking.
+    #[test]
+    fn truncated_sources_do_not_panic() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        collect_rs(&root.join("crates"), &mut files).unwrap();
+        files.retain(|p| {
+            let rel = rel_path(&root, p);
+            in_scope(&rel) || rel.contains("crates/analyze/tests/fixtures")
+        });
+        assert!(files.len() > 20, "scope moved? {files:?}");
+        for path in files {
+            let src = fs::read_to_string(&path).unwrap();
+            let cuts = src.match_indices('\n').map(|(i, _)| i + 1).step_by(16);
+            for cut in cuts {
+                let _ = analyze_source(&rel_path(&root, &path), &src[..cut], true);
+            }
+        }
     }
 }

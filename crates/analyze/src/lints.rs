@@ -41,7 +41,7 @@ pub fn run_all(m: &FileModel) -> Vec<Finding> {
 }
 
 fn finding(m: &FileModel, lint: &'static str, idx: usize, message: String) -> Finding {
-    let line = m.code.get(idx).map_or(0, |t| t.line);
+    let line = m.line_of(idx);
     Finding {
         lint,
         file: m.rel.clone(),
@@ -155,7 +155,18 @@ fn disclosure_completeness(m: &FileModel, out: &mut Vec<Finding>) {
 fn panic_free(m: &FileModel, out: &mut Vec<Finding>) {
     const LINT: &str = "panic-free";
     const METHODS: [&str; 2] = ["unwrap", "expect"];
-    const MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+    const MACROS: [&str; 7] = [
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "assert",
+        "assert_eq",
+        "assert_ne",
+    ];
+    // `const _: () = assert!(…);` is evaluated by the compiler: a failure
+    // stops the build, it cannot abort a running party.
+    const CONST_ASSERTION: [&str; 6] = ["const", "_", ":", "(", ")", "="];
     for (i, t) in m.code.iter().enumerate() {
         if t.kind != TokKind::Ident || m.in_test(i) {
             continue;
@@ -169,6 +180,14 @@ fn panic_free(m: &FileModel, out: &mut Vec<Finding>) {
         } else if MACROS.contains(&t.text.as_str())
             && m.code.get(i + 1).is_some_and(|n| n.is_punct('!'))
         {
+            let is_const_assertion = i >= CONST_ASSERTION.len()
+                && m.code[i - CONST_ASSERTION.len()..i]
+                    .iter()
+                    .map(|p| p.text.as_str())
+                    .eq(CONST_ASSERTION);
+            if is_const_assertion {
+                continue;
+            }
             format!("{}! aborts the party mid-protocol", t.text)
         } else {
             continue;
@@ -188,7 +207,7 @@ fn panic_free(m: &FileModel, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint 5 (warn): direct `x[i]` indexing. Range slicing (`x[a..b]`),
+/// Lint 5: direct `x[i]` indexing. Range slicing (`x[a..b]`),
 /// attributes (`#[…]`) and macro brackets (`vec![…]`) are not flagged.
 fn secure_indexing(m: &FileModel, out: &mut Vec<Finding>) {
     const LINT: &str = "secure-indexing";
@@ -293,8 +312,8 @@ fn secret_ident(s: &str) -> bool {
 /// - `println!`-family / `dbg!` anywhere in secure non-test code.
 /// - formatting/assert macros whose arguments mention a secret-named
 ///   identifier outside `#[cfg(test)]` — including inline format-string
-///   captures (`format!("{share:?}")`), which the token pass could not
-///   see inside string literals.
+///   captures (`format!("{share:?}")`), which live inside the string
+///   literal.
 /// - trace/metric emission calls (`trace_add`, `trace_span`,
 ///   `trace_span_at`) with a secret-named argument: the trace exports to
 ///   JSON on the operator's machine, so these are formatter-like sinks —
@@ -481,7 +500,8 @@ fn is_leaf_secret_type(sd: &crate::ast::StructDef) -> bool {
 
 /// Tag-range hygiene: tag constants must live in the registry module
 /// (`crates/mpc/src/tags.rs`), never scattered across the secure crates,
-/// so the disjointness proof actually covers every tag in the workspace.
+/// so its compile-time partition assertion covers every tag in the
+/// workspace.
 fn stray_tag_consts(m: &FileModel, out: &mut Vec<Finding>) {
     const LINT: &str = "tag-range";
     if m.rel.ends_with("tags.rs") {
@@ -507,7 +527,7 @@ fn stray_tag_consts(m: &FileModel, out: &mut Vec<Finding>) {
                 i + 1,
                 format!(
                     "tag constant `{}` declared outside the registry; move it into \
-                     dash_mpc::tags so the disjointness check covers it",
+                     dash_mpc::tags so the registry's partition assertion covers it",
                     name.text
                 ),
             ));
@@ -556,6 +576,17 @@ mod tests {
             "fn ok() {\n// dash-analyze::allow(panic-free): documented contract\npanic!(\"x\"); }",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn asserts_flagged_debug_and_const_assertions_not() {
+        let f = run("fn bad(n: usize) { assert!(n > 0); assert_eq!(n, 1); assert_ne!(n, 2); }");
+        assert_eq!(lints_of(&f), vec!["panic-free"; 3]);
+        let f = run("fn ok(n: usize) { debug_assert!(n > 0); }\nconst _: () = assert!(N > 0);");
+        assert!(f.is_empty(), "{f:?}");
+        // Only the anonymous unit const is a compile-time assertion.
+        let f = run("fn bad() { let _x: () = assert!(true); }");
+        assert_eq!(lints_of(&f), vec!["panic-free"]);
     }
 
     #[test]

@@ -2,44 +2,28 @@
 //!
 //! ```text
 //! dash-analyze [--root <dir>] [--format text|json|github]
-//!              [--baseline <file>] [--update-baseline] [--prune]
-//!              [--deny <lint>|all]... [--warn <lint>|all]... [--allow <lint>|all]...
-//! dash-analyze --differential [--root <dir>]
 //! dash-analyze --validate-trace <trace.json>
 //! ```
 //!
-//! Exits 0 when no unsuppressed deny-level finding remains, 1 when the
-//! gate fails, 2 on usage or I/O errors. `--format github` emits
-//! workflow-command annotations for CI. `--update-baseline` keeps (and
-//! warns about) stale fingerprints unless `--prune` is also given.
-//! `--differential` runs the legacy token taint engine and the AST engine
-//! side by side and fails if the AST engine misses any token-engine
-//! cross-function-taint finding. `--validate-trace` skips the workspace
-//! scan and instead checks one `dash-trace/1` JSON export (as written by
+//! Exits 0 when the analysis reports no finding, 1 when the gate fails, 2
+//! on usage or I/O errors. `--format github` emits workflow-command
+//! annotations for CI. `--validate-trace` skips the workspace scan and
+//! instead checks one `dash-trace/1` JSON export (as written by
 //! `dash secure-scan --trace-out`) for schema and conservation-invariant
 //! violations.
 
-use dash_analyze::baseline::Baseline;
-use dash_analyze::report::{judge, render_github, render_json, render_text, Levels};
-use dash_analyze::{analyze_workspace, analyze_workspace_engine, Level, TaintEngine};
+use dash_analyze::analyze_workspace;
+use dash_analyze::report::{render_github, render_json, render_text};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
     format: String,
-    baseline_path: PathBuf,
-    update_baseline: bool,
-    prune: bool,
-    differential: bool,
-    levels: Levels,
 }
 
 fn usage() -> String {
-    "usage: dash-analyze [--root <dir>] [--format text|json|github] [--baseline <file>] \
-     [--update-baseline] [--prune] [--deny <lint>|all] [--warn <lint>|all] \
-     [--allow <lint>|all]\n\
-     \x20      dash-analyze --differential [--root <dir>]\n\
+    "usage: dash-analyze [--root <dir>] [--format text|json|github]\n\
      \x20      dash-analyze --validate-trace <trace.json>"
         .to_string()
 }
@@ -73,11 +57,6 @@ fn validate_trace_file(path: &str) -> ExitCode {
 fn parse_args() -> Result<Args, String> {
     let mut root: Option<PathBuf> = None;
     let mut format = "text".to_string();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut prune = false;
-    let mut differential = false;
-    let mut levels = Levels::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut take = |name: &str| -> Result<String, String> {
@@ -95,87 +74,15 @@ fn parse_args() -> Result<Args, String> {
                     ));
                 }
             }
-            "--baseline" => baseline_path = Some(PathBuf::from(take("--baseline")?)),
-            "--update-baseline" => update_baseline = true,
-            "--prune" => prune = true,
-            "--differential" => differential = true,
-            "--deny" => levels.set(&take("--deny")?, Level::Deny)?,
-            "--warn" => levels.set(&take("--warn")?, Level::Warn)?,
-            "--allow" => levels.set(&take("--allow")?, Level::Allow)?,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
-    }
-    if prune && !update_baseline {
-        return Err(format!(
-            "--prune only makes sense with --update-baseline\n{}",
-            usage()
-        ));
     }
     let root = match root {
         Some(r) => r,
         None => find_root()?,
     };
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("analyze-baseline.json"));
-    Ok(Args {
-        root,
-        format,
-        baseline_path,
-        update_baseline,
-        prune,
-        differential,
-        levels,
-    })
-}
-
-/// `--differential`: both taint engines over the same workspace; the AST
-/// engine must report a superset of the token engine's
-/// cross-function-taint findings (by file and line). Exits 1 on any miss.
-fn run_differential(root: &std::path::Path) -> ExitCode {
-    let token = match analyze_workspace_engine(root, TaintEngine::Token) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("dash-analyze: cannot read workspace: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ast = match analyze_workspace_engine(root, TaintEngine::Ast) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("dash-analyze: cannot read workspace: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let sites = |fs: &[dash_analyze::Finding]| -> Vec<(String, usize)> {
-        fs.iter()
-            .filter(|f| f.lint == "cross-function-taint")
-            .map(|f| (f.file.clone(), f.line))
-            .collect()
-    };
-    let token_sites = sites(&token);
-    let ast_sites = sites(&ast);
-    let missed: Vec<_> = token_sites
-        .iter()
-        .filter(|s| !ast_sites.contains(s))
-        .collect();
-    println!(
-        "differential: token-engine {} site{}, ast-engine {} site{}, missed by ast {}",
-        token_sites.len(),
-        if token_sites.len() == 1 { "" } else { "s" },
-        ast_sites.len(),
-        if ast_sites.len() == 1 { "" } else { "s" },
-        missed.len()
-    );
-    for (file, line) in &missed {
-        println!("  MISSED {file}:{line}");
-    }
-    if missed.is_empty() {
-        println!("differential: PASS (ast ⊇ token)");
-        ExitCode::SUCCESS
-    } else {
-        println!("differential: FAIL — the AST engine lost findings the token engine had");
-        ExitCode::from(1)
-    }
+    Ok(Args { root, format })
 }
 
 /// Walks up from the current directory to the workspace root (the first
@@ -216,10 +123,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.differential {
-        return run_differential(&args.root);
-    }
-    let findings = match analyze_workspace(&args.root) {
+    let mut findings = match analyze_workspace(&args.root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!(
@@ -229,68 +133,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let prev = if args.baseline_path.is_file() {
-        match std::fs::read_to_string(&args.baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| Baseline::parse(&s))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "dash-analyze: bad baseline {}: {e}",
-                    args.baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    if args.update_baseline {
-        let (base, stale) = Baseline::regenerate(
-            &findings,
-            &prev,
-            "grandfathered pre-existing site; burn down per ROADMAP",
-            args.prune,
-        );
-        for e in &stale {
-            eprintln!(
-                "dash-analyze: stale baseline entry {} ({} in {}): {}",
-                e.fingerprint,
-                e.lint,
-                e.file,
-                if args.prune {
-                    "pruned"
-                } else {
-                    "kept — rerun with --prune to drop it"
-                }
-            );
-        }
-        if let Err(e) = std::fs::write(&args.baseline_path, base.to_json()) {
-            eprintln!(
-                "dash-analyze: cannot write {}: {e}",
-                args.baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "dash-analyze: wrote {} entries to {}",
-            base.entries.len(),
-            args.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let outcome = judge(findings, &args.levels, &prev);
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     match args.format.as_str() {
-        "json" => print!("{}", render_json(&outcome)),
-        "github" => print!("{}", render_github(&outcome)),
-        _ => print!("{}", render_text(&outcome)),
+        "json" => print!("{}", render_json(&findings)),
+        "github" => print!("{}", render_github(&findings)),
+        _ => print!("{}", render_text(&findings)),
     }
-    if outcome.blocking > 0 {
-        ExitCode::from(1)
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -2,10 +2,12 @@
 //! recovered from the token stream by brace tracking — plus the parsed
 //! AST (`ast` field) that the taint and constant-time passes walk.
 //!
-//! The token-level view (`code`, `fns`, `enclosing_fn`, …) remains the
-//! interface for the cheap lints (disclosure-completeness, panic-free,
-//! secure-indexing, tag-range); the AST passes use `ast` together with
-//! the line-based helpers `allowed_line` and `line_in_test`.
+//! The token-level view (`code`, `fns`, `enclosing_fn`, …) is the
+//! interface for the single-token lints (disclosure-completeness,
+//! panic-free, secure-indexing, tag-range); the AST passes use `ast`.
+//! Test regions and pragmas are resolved by source line
+//! (`line_in_test`, `allowed_line`); `in_test` and `allowed` look up a
+//! token's line and ask the same question.
 
 use crate::ast::Item;
 use crate::lexer::{lex, Tok, TokKind};
@@ -101,19 +103,17 @@ impl FileModel {
             .min_by_key(|f| f.body_end - f.body_start)
     }
 
-    /// Whether code-token `idx` is inside test-only code (a `#[test]` fn
-    /// or a `#[cfg(test)]` module).
-    pub fn in_test(&self, idx: usize) -> bool {
-        if self.enclosing_fn(idx).is_some_and(|f| f.is_test) {
-            return true;
-        }
-        let line = self.code.get(idx).map_or(0, |t| t.line);
-        self.test_mod_lines
-            .iter()
-            .any(|&(a, b)| a <= line && line <= b)
+    pub(crate) fn line_of(&self, idx: usize) -> usize {
+        self.code.get(idx).map_or(0, |t| t.line)
     }
 
-    /// Whether source `line` (1-based) is inside test-only code.
+    /// Whether code-token `idx` is inside test-only code.
+    pub fn in_test(&self, idx: usize) -> bool {
+        self.line_in_test(self.line_of(idx))
+    }
+
+    /// Whether source `line` (1-based) is inside test-only code (a
+    /// `#[test]` fn or a `#[cfg(test)]` module).
     pub fn line_in_test(&self, line: usize) -> bool {
         if self
             .fns
@@ -127,8 +127,16 @@ impl FileModel {
             .any(|&(a, b)| a <= line && line <= b)
     }
 
-    /// Line-based variant of [`FileModel::allowed`], for the AST passes:
-    /// whether a pragma suppresses `lint` at source `line` (1-based).
+    /// Whether a pragma suppresses `lint` at code token `idx`.
+    pub fn allowed(&self, lint: &str, idx: usize) -> bool {
+        self.allowed_line(lint, self.line_of(idx))
+    }
+
+    /// Whether a pragma suppresses `lint` at source `line` (1-based). A
+    /// pragma applies to the function whose line span contains it, or —
+    /// when written above an item — to the first function starting after
+    /// the pragma line. Item-level code accepts a pragma anywhere within
+    /// the preceding 5 lines.
     pub fn allowed_line(&self, lint: &str, line: usize) -> bool {
         let enclosing = self
             .fns
@@ -136,31 +144,6 @@ impl FileModel {
             .filter(|f| f.start_line <= line && line <= f.end_line)
             .min_by_key(|f| f.end_line - f.start_line);
         let Some(f) = enclosing else {
-            return self
-                .pragmas
-                .iter()
-                .any(|p| p.lint == lint && p.line <= line && line - p.line <= 5);
-        };
-        self.pragmas.iter().any(|p| {
-            p.lint == lint
-                && ((f.start_line <= p.line && p.line <= f.end_line)
-                    || (p.line < f.start_line
-                        && !self
-                            .fns
-                            .iter()
-                            .any(|g| g.start_line > p.line && g.start_line < f.start_line)))
-        })
-    }
-
-    /// Whether a pragma suppresses `lint` for the function around code
-    /// token `idx`. A pragma applies to the function whose line span
-    /// contains it, or — when written above an item — to the first
-    /// function starting after the pragma line.
-    pub fn allowed(&self, lint: &str, idx: usize) -> bool {
-        let Some(f) = self.enclosing_fn(idx) else {
-            // Item-level code: accept a pragma anywhere above it within
-            // the preceding 5 lines.
-            let line = self.code.get(idx).map_or(0, |t| t.line);
             return self
                 .pragmas
                 .iter()

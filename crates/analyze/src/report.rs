@@ -1,103 +1,16 @@
-//! Level resolution, baseline application, and report rendering.
+//! Report rendering. Every finding that reaches a renderer fails the
+//! gate: pragma-suppressed sites are dropped by the passes themselves.
 
-use crate::baseline::{fingerprint, Baseline};
-use crate::{baseline::json_str, default_level, Finding, Level, LINTS};
-use std::collections::BTreeMap;
+use crate::{json::json_str, Finding};
 use std::fmt::Write as _;
 
-/// Effective per-lint levels after CLI overrides.
-#[derive(Debug, Clone)]
-pub struct Levels(BTreeMap<&'static str, Level>);
-
-impl Default for Levels {
-    fn default() -> Self {
-        Levels(LINTS.iter().map(|&l| (l, default_level(l))).collect())
-    }
-}
-
-impl Levels {
-    /// Applies an override; `lint` may be `"all"`. Unknown names error so
-    /// typos fail loudly in CI rather than silently keeping defaults.
-    pub fn set(&mut self, lint: &str, level: Level) -> Result<(), String> {
-        if lint == "all" {
-            for v in self.0.values_mut() {
-                *v = level;
-            }
-            return Ok(());
-        }
-        let key = LINTS
-            .iter()
-            .find(|&&l| l == lint)
-            .ok_or_else(|| format!("unknown lint `{lint}`; known: {}", LINTS.join(", ")))?;
-        self.0.insert(key, level);
-        Ok(())
-    }
-
-    pub fn get(&self, lint: &str) -> Level {
-        self.0.get(lint).copied().unwrap_or(Level::Deny)
-    }
-}
-
-/// One finding with its resolved level and suppression state.
-#[derive(Debug, Clone)]
-pub struct Judged {
-    pub finding: Finding,
-    pub level: Level,
-    pub suppressed: bool,
-}
-
-/// The gate's overall outcome.
-#[derive(Debug)]
-pub struct Outcome {
-    pub judged: Vec<Judged>,
-    pub stale_baseline: usize,
-    /// Deny findings that are neither pragma'd nor baselined.
-    pub blocking: usize,
-}
-
-/// Resolves levels and applies the baseline. Allow-level findings are
-/// dropped entirely; suppressed findings are kept (reported, non-fatal).
-pub fn judge(findings: Vec<Finding>, levels: &Levels, baseline: &Baseline) -> Outcome {
-    let stale_baseline = baseline.unused(&findings).len();
-    let mut judged = Vec::new();
-    for finding in findings {
-        let level = levels.get(finding.lint);
-        if level == Level::Allow {
-            continue;
-        }
-        let suppressed = baseline.suppresses(&finding);
-        judged.push(Judged {
-            finding,
-            level,
-            suppressed,
-        });
-    }
-    judged.sort_by(|a, b| {
-        (b.level, &a.finding.file, a.finding.line).cmp(&(a.level, &b.finding.file, b.finding.line))
-    });
-    let blocking = judged
-        .iter()
-        .filter(|j| j.level == Level::Deny && !j.suppressed)
-        .count();
-    Outcome {
-        judged,
-        stale_baseline,
-        blocking,
-    }
-}
-
 /// Human-readable report.
-pub fn render_text(o: &Outcome) -> String {
+pub fn render_text(findings: &[Finding]) -> String {
     let mut s = String::new();
-    for j in &o.judged {
-        if j.suppressed {
-            continue;
-        }
-        let f = &j.finding;
+    for f in findings {
         let _ = writeln!(
             s,
-            "{}[{}] {}:{}{}",
-            j.level.as_str(),
+            "error[{}] {}:{}{}",
             f.lint,
             f.file,
             f.line,
@@ -112,108 +25,72 @@ pub fn render_text(o: &Outcome) -> String {
             let _ = writeln!(s, "  > {}", f.snippet);
         }
     }
-    let suppressed = o.judged.iter().filter(|j| j.suppressed).count();
-    let warns = o
-        .judged
-        .iter()
-        .filter(|j| j.level == Level::Warn && !j.suppressed)
-        .count();
-    let _ = writeln!(
-        s,
-        "dash-analyze: {} blocking, {} warnings, {} baselined, {} stale baseline entr{}",
-        o.blocking,
-        warns,
-        suppressed,
-        o.stale_baseline,
-        if o.stale_baseline == 1 { "y" } else { "ies" }
-    );
-    if o.blocking == 0 {
+    let _ = writeln!(s, "dash-analyze: {} findings", findings.len());
+    if findings.is_empty() {
         let _ = writeln!(s, "dash-analyze: PASS");
     } else {
         let _ = writeln!(
             s,
-            "dash-analyze: FAIL — fix the findings, add a `// dash-analyze::allow(<lint>): \
-             reason` pragma, or (for grandfathered warns only) regenerate the baseline with \
-             --update-baseline"
+            "dash-analyze: FAIL — fix the findings or add a `// dash-analyze::allow(<lint>): \
+             reason` pragma"
         );
     }
     s
 }
 
-/// GitHub Actions workflow-command annotations: one
-/// `::error`/`::warning` line per unsuppressed finding, so findings show
-/// inline on the PR diff. Message text is percent-encoded per the
-/// workflow-command escaping rules (`%` → `%25`, newline → `%0A`,
-/// carriage return → `%0D`). A plain summary line follows for the log.
-pub fn render_github(o: &Outcome) -> String {
+/// GitHub Actions workflow-command annotations: one `::error` line per
+/// finding, so findings show inline on the PR diff. Message text is
+/// percent-encoded per the workflow-command escaping rules (`%` → `%25`,
+/// newline → `%0A`, carriage return → `%0D`). A plain summary line
+/// follows for the log.
+pub fn render_github(findings: &[Finding]) -> String {
     fn esc(s: &str) -> String {
         s.replace('%', "%25")
             .replace('\r', "%0D")
             .replace('\n', "%0A")
     }
     let mut s = String::new();
-    for j in &o.judged {
-        if j.suppressed {
-            continue;
-        }
-        let f = &j.finding;
-        let kind = match j.level {
-            Level::Deny => "error",
-            _ => "warning",
-        };
+    for f in findings {
         let _ = writeln!(
             s,
-            "::{kind} file={},line={},title=dash-analyze[{}]::{}",
+            "::error file={},line={},title=dash-analyze[{}]::{}",
             f.file,
             f.line,
             f.lint,
             esc(&f.message)
         );
     }
-    let _ = writeln!(
-        s,
-        "dash-analyze: {} blocking, {} stale baseline entr{}",
-        o.blocking,
-        o.stale_baseline,
-        if o.stale_baseline == 1 { "y" } else { "ies" }
-    );
+    let _ = writeln!(s, "dash-analyze: {} findings", findings.len());
     s
 }
 
 /// Machine-readable report (one JSON document on stdout).
-pub fn render_json(o: &Outcome) -> String {
+pub fn render_json(findings: &[Finding]) -> String {
     let mut s = String::from("{\n  \"findings\": [");
-    for (i, j) in o.judged.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let f = &j.finding;
         let _ = write!(
             s,
-            "\n    {{\"lint\": {}, \"level\": {}, \"file\": {}, \"line\": {}, \"function\": {}, \
-             \"message\": {}, \"snippet\": {}, \"fingerprint\": {}, \"suppressed\": {}}}",
+            "\n    {{\"lint\": {}, \"file\": {}, \"line\": {}, \"function\": {}, \
+             \"message\": {}, \"snippet\": {}}}",
             json_str(f.lint),
-            json_str(j.level.as_str()),
             json_str(&f.file),
             f.line,
             json_str(&f.function),
             json_str(&f.message),
             json_str(&f.snippet),
-            json_str(&fingerprint(f)),
-            j.suppressed
         );
     }
-    if !o.judged.is_empty() {
+    if !findings.is_empty() {
         s.push_str("\n  ");
     }
     let _ = write!(
         s,
-        "],\n  \"summary\": {{\"blocking\": {}, \"suppressed\": {}, \"stale_baseline\": {}, \
-         \"pass\": {}}}\n}}\n",
-        o.blocking,
-        o.judged.iter().filter(|j| j.suppressed).count(),
-        o.stale_baseline,
-        o.blocking == 0
+        "],\n  \"summary\": {{\"findings\": {}, \"pass\": {}}}\n}}\n",
+        findings.len(),
+        findings.is_empty()
     );
     s
 }
@@ -234,99 +111,40 @@ mod tests {
     }
 
     #[test]
-    fn deny_blocks_warn_does_not() {
-        // Every lint denies by default now; demote one explicitly to
-        // exercise the warn path.
-        let mut levels = Levels::default();
-        levels.set("secure-indexing", Level::Warn).unwrap();
-        let o = judge(
-            vec![f("panic-free", "a.unwrap()"), f("secure-indexing", "v[0]")],
-            &levels,
-            &Baseline::default(),
+    fn any_finding_fails_none_passes() {
+        let s = render_text(&[f("panic-free", "a.unwrap()"), f("secure-indexing", "v[0]")]);
+        assert!(s.contains("FAIL"), "{s}");
+        assert!(
+            s.contains("error[secure-indexing] crates/mpc/src/x.rs:3 (in fn g)"),
+            "{s}"
         );
-        assert_eq!(o.blocking, 1);
-        assert!(render_text(&o).contains("FAIL"));
-    }
-
-    #[test]
-    fn defaults_block_secure_indexing() {
-        let o = judge(
-            vec![f("secure-indexing", "v[0]")],
-            &Levels::default(),
-            &Baseline::default(),
-        );
-        assert_eq!(o.blocking, 1);
-    }
-
-    #[test]
-    fn baseline_suppresses_denies_too() {
-        let findings = vec![f("panic-free", "a.unwrap()")];
-        let base = Baseline::from_findings(&findings, &Baseline::default(), "documented");
-        let o = judge(findings, &Levels::default(), &base);
-        assert_eq!(o.blocking, 0);
-        assert!(render_text(&o).contains("PASS"));
-    }
-
-    #[test]
-    fn deny_all_escalates_warns() {
-        let mut levels = Levels::default();
-        levels.set("all", Level::Deny).unwrap();
-        let o = judge(
-            vec![f("secure-indexing", "v[0]")],
-            &levels,
-            &Baseline::default(),
-        );
-        assert_eq!(o.blocking, 1);
-    }
-
-    #[test]
-    fn allow_drops_findings() {
-        let mut levels = Levels::default();
-        levels.set("secure-indexing", Level::Allow).unwrap();
-        let o = judge(
-            vec![f("secure-indexing", "v[0]")],
-            &levels,
-            &Baseline::default(),
-        );
-        assert!(o.judged.is_empty());
-        assert_eq!(o.blocking, 0);
-    }
-
-    #[test]
-    fn unknown_lint_rejected() {
-        assert!(Levels::default().set("nope", Level::Deny).is_err());
+        assert!(render_text(&[]).contains("PASS"));
     }
 
     #[test]
     fn github_annotations_escape_workflow_commands() {
         let mut bad = f("panic-free", "a.unwrap()");
         bad.message = "50% of cases\nbreak".to_string();
-        let o = judge(vec![bad], &Levels::default(), &Baseline::default());
-        let s = render_github(&o);
+        let s = render_github(&[bad]);
         assert!(
             s.contains("::error file=crates/mpc/src/x.rs,line=3,title=dash-analyze[panic-free]::"),
             "{s}"
         );
         assert!(s.contains("50%25 of cases%0Abreak"), "{s}");
-        // Suppressed findings emit no annotation.
-        let findings = vec![f("panic-free", "a.unwrap()")];
-        let base = Baseline::from_findings(&findings, &Baseline::default(), "ok");
-        let o = judge(findings, &Levels::default(), &base);
-        assert!(
-            !render_github(&o).contains("::error"),
-            "{}",
-            render_github(&o)
-        );
+        assert!(!render_github(&[]).contains("::error"));
     }
 
     #[test]
     fn json_report_is_parseable() {
-        let o = judge(
-            vec![f("panic-free", "a.unwrap()")],
-            &Levels::default(),
-            &Baseline::default(),
+        let v = crate::json::parse_json(&render_json(&[f("panic-free", "a.unwrap()")])).unwrap();
+        let list = v.get("findings").and_then(|l| l.as_arr()).unwrap();
+        assert_eq!(list.len(), 1);
+        assert_eq!(
+            list[0].get("lint").and_then(|l| l.as_str()),
+            Some("panic-free")
         );
-        let v = crate::baseline::parse_json(&render_json(&o)).unwrap();
-        let _ = v;
+        let empty = crate::json::parse_json(&render_json(&[])).unwrap();
+        let summary = empty.get("summary").unwrap();
+        assert_eq!(summary.get("pass"), Some(&crate::json::Json::Bool(true)));
     }
 }

@@ -1,15 +1,14 @@
 //! Cross-function secret-taint closure (`cross-function-taint`).
 //!
-//! The token-level `secret-taint` lint catches secrets reaching a
-//! formatter *in the same expression*. This pass closes the remaining
-//! gap: secret material that escapes through a call chain — a function
-//! returns a [`Secret`]-typed value (or a struct carrying one), a second
-//! function passes it along under an innocuous name and type, and a third
-//! finally Debug-formats it.
+//! The per-file `secret-taint` lint catches secret-*named* values
+//! reaching a formatter *in the same expression*. This pass closes the
+//! remaining gap: secret material that escapes through a call chain — a
+//! function returns a [`Secret`]-typed value (or a struct carrying one),
+//! a second function passes it along under an innocuous name and type,
+//! and a third finally Debug-formats it.
 //!
-//! Since the analyzer grew a real parser (`crate::parser`), the primary
-//! pass ([`run`]) is an abstract interpreter over the AST with three
-//! precision upgrades over the original token pass:
+//! The pass ([`run`]) is an abstract interpreter over the AST
+//! (`crate::parser`), which gives it three kinds of precision:
 //!
 //! - **Field sensitivity.** Taint is tracked per dotted *place*
 //!   (`pkt.shares`, `pair.1`), and a struct's declared field types decide
@@ -29,7 +28,7 @@
 //!   are recognized as *paths* — `Secret::open_via`,
 //!   `PartyCtx::{open_local, open_sum_ring, open_sum_field}`, free
 //!   `open_field`/`reconstruct_*` — so an arbitrary `.open_via()` on some
-//!   other known type no longer sanitizes by name collision.
+//!   other known type does not sanitize by name collision.
 //!
 //! The interpreter seeds from declared return types (any non-test secure
 //! function whose return type carries `Secret`, plus every method of
@@ -40,16 +39,10 @@
 //! (`// dash-analyze::allow(cross-function-taint): reason`) or in test
 //! code.
 //!
-//! The original token-stream pass is kept verbatim as [`run_token`]: it
-//! backs the `--differential` safety net, which asserts the AST pass
-//! reports a superset of the token pass wherever both can see a leak.
-//!
 //! [`Secret`]: ../../dash_mpc/secret/struct.Secret.html
 
 use crate::ast::{Block, Expr, ExprKind, Pat, Stmt, Ty};
-use crate::lexer::TokKind;
-use crate::lints::matching;
-use crate::model::{FileModel, FnSpan};
+use crate::model::FileModel;
 use crate::registry::{FnEntry, Registry};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,183 +54,6 @@ const LINT: &str = "cross-function-taint";
 const SINK_MACROS: [&str; 8] = [
     "println", "eprintln", "print", "eprint", "dbg", "format", "write", "writeln",
 ];
-
-/// Whether `name` is an audited-open (or reconstruction) primitive: the
-/// value it produces is opened/public, so it ends a taint chain.
-fn sanitizing_ident(name: &str) -> bool {
-    matches!(
-        name,
-        "open_via" | "open_local" | "open_sum_ring" | "open_sum_field" | "open_field"
-    ) || name.starts_with("reconstruct_")
-}
-
-/// Per-function facts extracted from the token stream. Shared between
-/// this pass and the `constant-time` lint (`crate::ct`), which reuses the
-/// same seed-and-fixpoint closure with a different seed predicate.
-pub(crate) struct FnFacts {
-    pub(crate) model: usize,
-    pub(crate) fn_idx: usize,
-    pub(crate) name: String,
-    /// Signature declares a return type at all.
-    pub(crate) returns_value: bool,
-    /// Token range (in the model's code view) of the declared return
-    /// type: `arrow_index..body_start`. `None` when the fn returns unit.
-    pub(crate) ret_range: Option<(usize, usize)>,
-    /// Body reaches an audited open / reconstruction.
-    pub(crate) sanitizes: bool,
-    /// Bare names of everything the body calls.
-    pub(crate) calls: BTreeSet<String>,
-}
-
-fn is_call_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "if" | "match" | "while" | "for" | "loop" | "return" | "move" | "in" | "as" | "fn"
-    )
-}
-
-fn collect_facts(m: &FileModel, model: usize, fn_idx: usize, f: &FnSpan) -> FnFacts {
-    let code = &m.code;
-    let body_end = f.body_end.min(code.len().saturating_sub(1));
-    // Signature: backwards from the body brace to this fn's `fn` keyword.
-    let sig_start = (0..f.body_start)
-        .rev()
-        .find(|&j| code[j].is_ident("fn"))
-        .unwrap_or(0);
-    let arrow = (sig_start..f.body_start.saturating_sub(1))
-        .find(|&j| code[j].is_punct('-') && code.get(j + 1).is_some_and(|n| n.is_punct('>')));
-
-    let mut sanitizes = false;
-    let mut calls = BTreeSet::new();
-    for k in f.body_start..=body_end {
-        let t = &code[k];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if sanitizing_ident(&t.text) {
-            sanitizes = true;
-        }
-        if code.get(k + 1).is_some_and(|n| n.is_punct('('))
-            && !is_call_keyword(&t.text)
-            && !(k > 0 && code[k - 1].is_ident("fn"))
-        {
-            calls.insert(t.text.clone());
-        }
-    }
-    FnFacts {
-        model,
-        fn_idx,
-        name: f.name.clone(),
-        returns_value: arrow.is_some(),
-        ret_range: arrow.map(|a| (a, f.body_start)),
-        sanitizes,
-        calls,
-    }
-}
-
-/// Collects [`FnFacts`] for every non-test function across `models`.
-pub(crate) fn collect_all_facts(models: &[FileModel]) -> Vec<FnFacts> {
-    let mut facts = Vec::new();
-    for (mi, m) in models.iter().enumerate() {
-        for (fi, f) in m.fns.iter().enumerate() {
-            if f.is_test {
-                continue;
-            }
-            facts.push(collect_facts(m, mi, fi, f));
-        }
-    }
-    facts
-}
-
-/// The shared seed-and-fixpoint closure: functions for which `seed`
-/// holds are tainted, and taint propagates through every value-returning,
-/// non-sanitizing caller (bare-name call matching) until nothing changes.
-/// Returns the tainted function-name set.
-pub(crate) fn closure_over(
-    models: &[FileModel],
-    facts: &[FnFacts],
-    seed: impl Fn(&FileModel, &FnFacts) -> bool,
-) -> BTreeSet<String> {
-    let mut tainted: BTreeSet<String> = facts
-        .iter()
-        .filter(|ff| models.get(ff.model).is_some_and(|m| seed(m, ff)))
-        .map(|ff| ff.name.clone())
-        .collect();
-    loop {
-        let mut changed = false;
-        for ff in facts {
-            if !ff.returns_value || ff.sanitizes || tainted.contains(&ff.name) {
-                continue;
-            }
-            if ff.calls.iter().any(|c| tainted.contains(c)) {
-                tainted.insert(ff.name.clone());
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    tainted
-}
-
-/// Names of locals in `f` bound (transitively) from tainted calls.
-fn tainted_locals(m: &FileModel, f: &FnSpan, tainted: &BTreeSet<String>) -> BTreeSet<String> {
-    let code = &m.code;
-    let body_end = f.body_end.min(code.len().saturating_sub(1));
-    let mut out: BTreeSet<String> = BTreeSet::new();
-    let mut k = f.body_start;
-    while k <= body_end {
-        if !code[k].is_ident("let") {
-            k += 1;
-            continue;
-        }
-        let mut j = k + 1;
-        if code.get(j).is_some_and(|t| t.is_ident("mut")) {
-            j += 1;
-        }
-        let Some(name_tok) = code.get(j).filter(|t| t.kind == TokKind::Ident) else {
-            k += 1;
-            continue;
-        };
-        let name = name_tok.text.clone();
-        // Statement span: to the `;` (or unbalanced close) at depth 0.
-        let mut depth = 0i32;
-        let mut q = j + 1;
-        let mut stmt_end = body_end;
-        while q <= body_end {
-            let t = &code[q];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    stmt_end = q;
-                    break;
-                }
-            } else if depth == 0 && t.is_punct(';') {
-                stmt_end = q;
-                break;
-            }
-            q += 1;
-        }
-        let sanitized = (j + 1..stmt_end)
-            .any(|q| code[q].kind == TokKind::Ident && sanitizing_ident(&code[q].text));
-        let initializer_tainted = !sanitized
-            && (j + 1..stmt_end).any(|q| {
-                let t = &code[q];
-                t.kind == TokKind::Ident
-                    && ((tainted.contains(&t.text)
-                        && code.get(q + 1).is_some_and(|n| n.is_punct('(')))
-                        || out.contains(&t.text))
-            });
-        if initializer_tainted {
-            out.insert(name);
-        }
-        k = stmt_end + 1;
-    }
-    out
-}
 
 /// Identifiers captured inline in a format-string literal: `{name}`,
 /// `{name:?}`, `{name:>8}`, …
@@ -268,112 +84,6 @@ pub(crate) fn inline_captures(lit: &str) -> Vec<String> {
     }
     out
 }
-
-/// The original token-stream pass: bare-name call graph, `let`-bound
-/// local tracking, sanitizer-by-identifier. Kept as the differential
-/// baseline for the AST pass ([`run`]); every leak it can see, the AST
-/// pass must also see.
-pub fn run_token(models: &[FileModel]) -> Vec<Finding> {
-    // Pass 1: facts.
-    let facts = collect_all_facts(models);
-    // Pass 2: seeds (declared return type mentions `Secret`, outside the
-    // wrapper module itself), then propagation to fixpoint.
-    let tainted = closure_over(models, &facts, |m, ff| {
-        ff.ret_range.is_some_and(|(a, b)| {
-            m.code[a..b.min(m.code.len())]
-                .iter()
-                .any(|t| t.is_ident("Secret"))
-        }) && !m.rel.ends_with("mpc/src/secret.rs")
-    });
-    // Pass 3: sinks.
-    let mut out = Vec::new();
-    for ff in &facts {
-        let Some(m) = models.get(ff.model) else {
-            continue;
-        };
-        let Some(f) = m.fns.get(ff.fn_idx) else {
-            continue;
-        };
-        let locals = tainted_locals(m, f, &tainted);
-        let code = &m.code;
-        let body_end = f.body_end.min(code.len().saturating_sub(1));
-        let mut k = f.body_start;
-        while k <= body_end {
-            let t = &code[k];
-            let is_sink = t.kind == TokKind::Ident
-                && SINK_MACROS.contains(&t.text.as_str())
-                && code.get(k + 1).is_some_and(|n| n.is_punct('!'));
-            if !is_sink {
-                k += 1;
-                continue;
-            }
-            let Some(open) = (k + 2..code.len().min(k + 4))
-                .find(|&q| code[q].is_punct('(') || code[q].is_punct('['))
-            else {
-                k += 1;
-                continue;
-            };
-            let (oc, cc) = if code[open].is_punct('(') {
-                ('(', ')')
-            } else {
-                ('[', ']')
-            };
-            let close = matching(code, open, oc, cc);
-            let mut offender: Option<(String, &'static str)> = None;
-            for q in open..=close.min(body_end) {
-                let a = &code[q];
-                match a.kind {
-                    TokKind::Ident => {
-                        if tainted.contains(&a.text)
-                            && code.get(q + 1).is_some_and(|n| n.is_punct('('))
-                        {
-                            offender = Some((a.text.clone(), "a call to secret-returning"));
-                            break;
-                        }
-                        if locals.contains(&a.text) {
-                            offender =
-                                Some((a.text.clone(), "a local bound from secret-returning"));
-                            break;
-                        }
-                    }
-                    TokKind::Str => {
-                        if let Some(cap) = inline_captures(&a.text)
-                            .into_iter()
-                            .find(|c| locals.contains(c))
-                        {
-                            offender = Some((cap, "an inline capture of a local bound from"));
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let Some((name, how)) = offender {
-                if !m.allowed(LINT, k) {
-                    out.push(Finding {
-                        lint: LINT,
-                        file: m.rel.clone(),
-                        line: code.get(k).map_or(0, |t| t.line),
-                        function: f.name.clone(),
-                        message: format!(
-                            "{}! formats `{}` — {} function material that never passed an \
-                             audited open (`open_via`); secret-typed values must open through \
-                             the DisclosureLog before they may be rendered",
-                            t.text, name, how
-                        ),
-                        snippet: m.line_text(code.get(k).map_or(0, |t| t.line)).to_string(),
-                    });
-                }
-            }
-            k = close + 1;
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// AST pass
-// ---------------------------------------------------------------------------
 
 /// Methods that are audited opens when resolved to `Secret`/`PartyCtx`
 /// (or when the receiver type is unknown and no competing definition
@@ -1126,7 +836,7 @@ fn analyze_entry(
     (it.ret_tainted || tail, it.findings)
 }
 
-/// Runs the AST cross-function taint pass over a set of (secure-scope)
+/// Runs the cross-function taint pass over a set of (secure-scope)
 /// file models: seed from declared return types, propagate function-level
 /// taint to a fixpoint by abstract interpretation, then report formatter
 /// sinks fed by secret material.
@@ -1421,20 +1131,6 @@ fn split_leak(pkt: Pkt) -> String {
         let f = run(&models(&[("crates/mpc/src/x.rs", src)]));
         assert_eq!(lint_count(&f), 1, "{f:?}");
         assert_eq!(f[0].function, "split_leak");
-    }
-
-    #[test]
-    fn token_pass_still_catches_the_basics() {
-        let src = r#"
-fn draw(prg: &mut Prg) -> Secret<Vec<R64>> { Secret::new(prg.ring_vec(4)) }
-fn leak(prg: &mut Prg) -> String {
-    let noise = draw(prg);
-    format!("{:?}", noise)
-}
-"#;
-        let f = run_token(&models(&[("crates/mpc/src/x.rs", src)]));
-        assert_eq!(lint_count(&f), 1, "{f:?}");
-        assert_eq!(f[0].function, "leak");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! - every span names a valid party, closes after it opens, and has a
 //!   non-empty name; `dropped_spans` is a non-negative integer.
 
-use crate::baseline::{parse_json, Json};
+use crate::json::{parse_json, Json};
 
 /// Counter keys every per-party counters object must carry (mirrors
 /// `dash_obs::Counter::ALL` — update both together).

@@ -1,13 +1,8 @@
 //! Integration tests: the analyzer must (a) detect every seeded violation
-//! in its fixture corpus, (b) pass cleanly over the real workspace with
-//! the checked-in baseline, and (c) prove the live tag registry sound.
+//! in its fixture corpus, through the library and through the binary,
+//! and (b) pass cleanly over the real workspace.
 
-use dash_analyze::baseline::Baseline;
-use dash_analyze::report::{judge, Levels};
-use dash_analyze::{
-    analyze_source, analyze_source_engine, analyze_workspace, analyze_workspace_engine, tags_check,
-    Finding, TaintEngine,
-};
+use dash_analyze::{analyze_source, analyze_workspace, Finding};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -44,11 +39,19 @@ fn disclosure_fixture_detected() {
 #[test]
 fn panic_fixture_detected() {
     let f = run_fixture("panics.rs");
-    assert_eq!(count(&f, "panic-free"), 4, "{f:?}");
+    assert_eq!(count(&f, "panic-free"), 6, "{f:?}");
     let fns: Vec<&str> = f.iter().map(|x| x.function.as_str()).collect();
-    for bad in ["take_unwrap", "take_expect", "boom", "pick"] {
+    for bad in [
+        "take_unwrap",
+        "take_expect",
+        "boom",
+        "pick",
+        "checked_len",
+        "checked_eq",
+    ] {
         assert!(fns.contains(&bad), "missing {bad} in {fns:?}");
     }
+    assert!(!fns.contains(&"debug_only"));
     assert!(!fns.contains(&"graceful"));
     assert!(!fns.contains(&"documented_panic"));
     assert!(!fns.contains(&"tests_may_panic_freely"));
@@ -76,111 +79,94 @@ fn taint_fixture_detected() {
 #[test]
 fn cross_taint_fixture_detected() {
     let f = run_fixture("cross_taint.rs");
-    assert_eq!(count(&f, "cross-function-taint"), 2, "{f:?}");
+    let sites: Vec<(usize, &str)> = f
+        .iter()
+        .filter(|x| x.lint == "cross-function-taint")
+        .map(|x| (x.line, x.function.as_str()))
+        .collect();
+    assert_eq!(sites, vec![(31, "report"), (39, "report_inline")]);
     let fns: Vec<&str> = f.iter().map(|x| x.function.as_str()).collect();
-    assert!(fns.contains(&"report"), "{fns:?}");
-    assert!(fns.contains(&"report_inline"), "{fns:?}");
     // Audited open sanitizes; counts and test code are free.
     assert!(!fns.contains(&"report_opened"));
     assert!(!fns.contains(&"report_count"));
     assert!(!fns.contains(&"tests_may_format_freely"));
 }
 
-/// Cross-taint findings from one engine over a fixture.
-fn cross_taint(name: &str, engine: TaintEngine) -> Vec<Finding> {
-    analyze_source_engine(name, &fixture(name), true, engine)
+/// Cross-function-taint findings over a fixture.
+fn cross_taint(name: &str) -> Vec<Finding> {
+    run_fixture(name)
         .into_iter()
         .filter(|f| f.lint == "cross-function-taint")
         .collect()
 }
 
 #[test]
-fn field_projection_leak_caught_by_ast_missed_by_token() {
-    let ast = cross_taint("field_leak.rs", TaintEngine::Ast);
-    assert_eq!(ast.len(), 1, "{ast:?}");
-    assert_eq!(ast[0].function, "describe_payload");
+fn field_projection_leak_caught() {
+    let f = cross_taint("field_leak.rs");
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].function, "describe_payload");
     assert!(
-        ast[0].message.contains("field projection"),
+        f[0].message.contains("field projection"),
         "{}",
-        ast[0].message
-    );
-    // The token engine has no struct-field index: documented miss.
-    let token = cross_taint("field_leak.rs", TaintEngine::Token);
-    assert!(
-        token.is_empty(),
-        "token engine unexpectedly caught: {token:?}"
+        f[0].message
     );
 }
 
 #[test]
-fn closure_capture_leak_caught_by_ast_missed_by_token() {
-    let ast = cross_taint("closure_leak.rs", TaintEngine::Ast);
-    let fns: Vec<&str> = ast.iter().map(|f| f.function.as_str()).collect();
-    assert_eq!(ast.len(), 2, "{ast:?}");
+fn closure_capture_leak_caught() {
+    let f = cross_taint("closure_leak.rs");
+    let fns: Vec<&str> = f.iter().map(|f| f.function.as_str()).collect();
+    assert_eq!(f.len(), 2, "{f:?}");
     assert!(fns.contains(&"leak_capture"), "{fns:?}");
     assert!(fns.contains(&"leak_combinator"), "{fns:?}");
     assert!(!fns.contains(&"clean_combinator"), "{fns:?}");
-    // The token engine sees neither the capture nor the combinator
-    // parameter: documented miss.
-    let token = cross_taint("closure_leak.rs", TaintEngine::Token);
-    assert!(
-        token.is_empty(),
-        "token engine unexpectedly caught: {token:?}"
-    );
 }
 
 #[test]
-fn fake_audited_open_caught_by_ast_missed_by_token() {
-    let ast = cross_taint("dispatch_leak.rs", TaintEngine::Ast);
-    assert_eq!(ast.len(), 1, "{ast:?}");
-    assert_eq!(ast[0].function, "leak_dispatch");
-    // The token engine sanitizes on the bare name `open_via`: documented
-    // miss.
-    let token = cross_taint("dispatch_leak.rs", TaintEngine::Token);
-    assert!(
-        token.is_empty(),
-        "token engine unexpectedly caught: {token:?}"
-    );
+fn fake_audited_open_caught() {
+    let f = cross_taint("dispatch_leak.rs");
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].function, "leak_dispatch");
 }
 
-/// The acceptance gate for the seeded fixtures: judged at deny-all with
-/// no baseline, each leak fixture must block.
+/// Runs the real `dash-analyze` binary over a scratch workspace whose only
+/// secure-scope file is `fixture`; returns its exit code and stdout.
+fn run_binary_over(fixture_name: &str, format: &str) -> (Option<i32>, String) {
+    let root = std::env::temp_dir().join(format!(
+        "dash-analyze-{}-{fixture_name}-{format}",
+        std::process::id()
+    ));
+    let src_dir = root.join("crates/mpc/src");
+    std::fs::create_dir_all(&src_dir).unwrap();
+    std::fs::write(src_dir.join(fixture_name), fixture(fixture_name)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dash-analyze"))
+        .arg("--root")
+        .arg(&root)
+        .args(["--format", format])
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+    (out.status.code(), String::from_utf8(out.stdout).unwrap())
+}
+
+/// The acceptance gate for the seeded fixtures, through the shipped
+/// binary: each leak fixture must be reported and fail the process.
 #[test]
-fn leak_fixtures_block_at_deny_all() {
-    let mut levels = Levels::default();
-    levels.set("all", dash_analyze::Level::Deny).unwrap();
+fn leak_fixtures_fail_the_binary() {
     for name in ["field_leak.rs", "closure_leak.rs", "dispatch_leak.rs"] {
-        let findings = analyze_source(name, &fixture(name), true);
-        let o = judge(findings, &levels, &Baseline::default());
-        assert!(o.blocking > 0, "{name} must block at deny-all");
+        let (code, text) = run_binary_over(name, "text");
+        assert_eq!(code, Some(1), "{name}: {text}");
+        assert!(text.contains("error[cross-function-taint]"), "{text}");
+        assert!(text.contains("dash-analyze: FAIL"), "{text}");
+        let (code, json) = run_binary_over(name, "json");
+        assert_eq!(code, Some(1), "{name}: {json}");
+        let v = dash_analyze::json::parse_json(&json).unwrap();
+        let n = v.get("findings").and_then(|l| l.as_arr()).unwrap().len();
+        assert!(n >= 1, "{json}");
+        let (code, gh) = run_binary_over(name, "github");
+        assert_eq!(code, Some(1), "{name}: {gh}");
+        assert!(gh.starts_with("::error file=crates/mpc/src/"), "{gh}");
     }
-}
-
-/// Differential safety net over the real workspace: the AST engine must
-/// report a superset of the token engine's cross-function-taint sites
-/// (both are empty today, and the superset property must hold as code
-/// grows).
-#[test]
-fn ast_engine_covers_token_engine_on_workspace() {
-    let root = workspace_root();
-    let token = analyze_workspace_engine(&root, TaintEngine::Token).unwrap();
-    let ast = analyze_workspace_engine(&root, TaintEngine::Ast).unwrap();
-    let sites = |fs: &[Finding]| -> Vec<(String, usize)> {
-        fs.iter()
-            .filter(|f| f.lint == "cross-function-taint")
-            .map(|f| (f.file.clone(), f.line))
-            .collect()
-    };
-    let token_sites = sites(&token);
-    let ast_sites = sites(&ast);
-    let missed: Vec<_> = token_sites
-        .iter()
-        .filter(|s| !ast_sites.contains(s))
-        .collect();
-    assert!(
-        missed.is_empty(),
-        "AST engine lost token-engine findings: {missed:?}"
-    );
 }
 
 #[test]
@@ -234,19 +220,6 @@ fn stray_tag_fixture_detected() {
     assert!(f[0].message.contains("SIDE_CHANNEL_TAG_BASE"));
 }
 
-#[test]
-fn broken_registry_fixture_detected() {
-    let f = tags_check::check_tags_source("bad_tags.rs", &fixture("bad_tags.rs"));
-    let msgs: String = f
-        .iter()
-        .map(|x| x.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(msgs.contains("overlap"), "{msgs}");
-    assert!(msgs.contains("gap"), "{msgs}");
-    assert!(msgs.contains("u32::MAX"), "{msgs}");
-}
-
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -255,69 +228,16 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The live registry in dash_mpc::tags must prove sound statically.
+/// The gate the repo actually ships under: the full workspace analysis
+/// reports nothing. This is the same analysis `scripts/check.sh` runs.
 #[test]
-fn live_tag_registry_sound() {
-    let src = std::fs::read_to_string(workspace_root().join("crates/mpc/src/tags.rs")).unwrap();
-    let f = tags_check::check_tags_source("crates/mpc/src/tags.rs", &src);
-    assert!(f.is_empty(), "live registry findings: {f:?}");
-    let ranges = tags_check::parse_registry(&src).unwrap();
-    assert_eq!(ranges.len(), 4);
-    assert_eq!(ranges[0].name, "reserved");
-    assert_eq!(ranges[3].last, u64::from(u32::MAX));
-}
-
-/// The gate the repo actually ships under: the full workspace analysis,
-/// judged with the checked-in baseline at deny-all, must pass. This is
-/// the same invocation `scripts/check.sh` runs.
-#[test]
-fn workspace_clean_under_checked_in_baseline() {
-    let root = workspace_root();
-    let findings = analyze_workspace(&root).expect("workspace walk");
-    let baseline_src = std::fs::read_to_string(root.join("analyze-baseline.json"))
-        .expect("checked-in analyze-baseline.json");
-    let baseline = Baseline::parse(&baseline_src).expect("baseline parses");
-    let mut levels = Levels::default();
-    levels.set("all", dash_analyze::Level::Deny).unwrap();
-    let outcome = judge(findings, &levels, &baseline);
-    let blocking: Vec<_> = outcome
-        .judged
+fn workspace_clean() {
+    let findings = analyze_workspace(&workspace_root()).expect("workspace walk");
+    let lines: Vec<_> = findings
         .iter()
-        .filter(|j| !j.suppressed)
-        .map(|j| {
-            format!(
-                "{}:{} {} — {}",
-                j.finding.file, j.finding.line, j.finding.lint, j.finding.message
-            )
-        })
+        .map(|f| format!("{}:{} {} — {}", f.file, f.line, f.lint, f.message))
         .collect();
-    assert_eq!(
-        outcome.blocking,
-        0,
-        "unsuppressed findings:\n{}",
-        blocking.join("\n")
-    );
-    assert_eq!(
-        outcome.stale_baseline, 0,
-        "baseline has stale entries; regenerate with --update-baseline"
-    );
-}
-
-/// The burn-down is done and must stay done: the grandfathered baseline
-/// is empty, so every lint (secure-indexing included) holds with no
-/// suppressions at all. New code must fix findings or pragma them with a
-/// written justification — re-baselining is not an option.
-#[test]
-fn baseline_is_empty_and_stays_empty() {
-    let root = workspace_root();
-    let baseline_src = std::fs::read_to_string(root.join("analyze-baseline.json")).unwrap();
-    let baseline = Baseline::parse(&baseline_src).unwrap();
-    assert!(
-        baseline.entries.is_empty(),
-        "analyze-baseline.json must stay empty; fix or pragma findings instead of baselining: \
-         {:?}",
-        baseline.entries
-    );
+    assert!(findings.is_empty(), "findings:\n{}", lines.join("\n"));
 }
 
 /// The crash-recovery modules (supervised transport, chaos proxy,
@@ -340,23 +260,4 @@ fn recovery_modules_stay_in_lint_scope() {
             "{rel} moved or was renamed; update this scope pin"
         );
     }
-}
-
-/// Satellite invariant: the panic-free lint holds with zero baseline
-/// entries in the two hot-path files, and indeed everywhere.
-#[test]
-fn no_baselined_panics_in_hot_paths() {
-    let root = workspace_root();
-    let baseline_src = std::fs::read_to_string(root.join("analyze-baseline.json")).unwrap();
-    let baseline = Baseline::parse(&baseline_src).unwrap();
-    assert!(
-        baseline.entries.iter().all(|e| e.lint != "panic-free"),
-        "panic-free findings must be fixed, not baselined"
-    );
-    let findings = analyze_workspace(&root).unwrap();
-    assert_eq!(
-        findings.iter().filter(|f| f.lint == "panic-free").count(),
-        0,
-        "un-pragma'd panicking constructs in secure code"
-    );
 }

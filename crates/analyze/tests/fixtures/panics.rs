@@ -26,6 +26,21 @@ fn pick(mode: u8) -> u8 {
     }
 }
 
+/// VIOLATION: a failed assert aborts the party just like panic!.
+fn checked_len(v: &[u32]) {
+    assert!(!v.is_empty(), "empty round");
+}
+
+/// VIOLATION: assert_eq likewise.
+fn checked_eq(a: u32, b: u32) {
+    assert_eq!(a, b);
+}
+
+/// OK: debug assertions are compiled out of release builds.
+fn debug_only(n: usize) {
+    debug_assert!(n > 0);
+}
+
 /// OK: the panic-free combinators do not trigger.
 fn graceful(v: Option<u32>) -> u32 {
     v.unwrap_or(0).max(v.unwrap_or_else(|| 1)).max(v.unwrap_or_default())

@@ -1,26 +1,24 @@
 //! E15 — analyzer runtime over the full workspace.
 //!
-//! `dash-analyze` moved from a token-stream taint pass onto a real
-//! recursive-descent parser with a field-sensitive, closure-aware
-//! cross-function fixpoint (DESIGN.md §7). That precision is only
-//! affordable if the gate stays interactive: it runs on every
-//! `scripts/check.sh` invocation and in CI, so this experiment pins the
-//! median full-workspace analysis under a hard wall-clock budget and
-//! reports the AST engine's cost next to the legacy token engine it
-//! replaced. The run **asserts** the budget — a parser or fixpoint
-//! regression that makes the gate sluggish fails the experiment suite,
-//! not just developer patience.
+//! `dash-analyze` runs a real recursive-descent parser and a
+//! field-sensitive, closure-aware cross-function fixpoint (DESIGN.md §7).
+//! That precision is only affordable if the gate stays interactive: it
+//! runs on every `scripts/check.sh` invocation and in CI, so this
+//! experiment pins the median full-workspace analysis under a hard
+//! wall-clock budget. The run **asserts** the budget — a parser or
+//! fixpoint regression that makes the gate sluggish fails the experiment
+//! suite, not just developer patience.
 
 // Experiment/bench binaries may abort on broken preconditions: an unwrap
 // here fails the run loudly instead of printing a wrong table.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dash_analyze::{analyze_workspace_engine, Finding, TaintEngine};
+use dash_analyze::analyze_workspace;
 use dash_bench::table::{fmt_seconds, Table};
 use dash_bench::timing::time_median;
 use std::path::{Path, PathBuf};
 
-/// Hard wall-clock budget for one full-workspace AST analysis (median
+/// Hard wall-clock budget for one full-workspace analysis (median
 /// of 5 runs). The hand-rolled lexer/parser clocks in far below this on
 /// commodity hardware; the slack absorbs noisy shared CI machines.
 const BUDGET_S: f64 = 1.5;
@@ -71,13 +69,6 @@ fn workspace_stats(root: &Path) -> (usize, usize) {
     (files, lines)
 }
 
-fn taint_sites(findings: &[Finding]) -> usize {
-    findings
-        .iter()
-        .filter(|f| f.lint == "cross-function-taint")
-        .count()
-}
-
 fn main() {
     let root = find_root();
     let (files, lines) = workspace_stats(&root);
@@ -86,58 +77,32 @@ fn main() {
         root.display()
     );
 
-    let (t_ast, ast) = time_median(5, || {
-        analyze_workspace_engine(&root, TaintEngine::Ast).unwrap()
-    });
-    let (t_tok, tok) = time_median(5, || {
-        analyze_workspace_engine(&root, TaintEngine::Token).unwrap()
-    });
+    let (t, findings) = time_median(5, || analyze_workspace(&root).unwrap());
+    let klines_per_s = lines as f64 / t.median_s / 1e3;
 
-    let mut t = Table::new(&["quantity", "value"]);
-    t.row(vec![
-        "workspace analysis, AST engine (median of 5)".into(),
-        fmt_seconds(t_ast.median_s),
+    let mut table = Table::new(&["quantity", "value"]);
+    table.row(vec![
+        "workspace analysis (median of 5)".into(),
+        fmt_seconds(t.median_s),
     ]);
-    t.row(vec![
-        "workspace analysis, token engine (median of 5)".into(),
-        fmt_seconds(t_tok.median_s),
+    table.row(vec![
+        "throughput".into(),
+        format!("{klines_per_s:.0} klines/s"),
     ]);
-    t.row(vec![
-        "AST / token".into(),
-        format!("{:.2}x", t_ast.median_s / t_tok.median_s),
-    ]);
-    t.row(vec![
-        "AST throughput".into(),
-        format!("{:.0} klines/s", lines as f64 / t_ast.median_s / 1e3),
-    ]);
-    t.row(vec![
-        "findings (AST / token)".into(),
-        format!("{} / {}", ast.len(), tok.len()),
-    ]);
-    t.row(vec![
-        "cross-function-taint sites (AST / token)".into(),
-        format!("{} / {}", taint_sites(&ast), taint_sites(&tok)),
-    ]);
-    t.row(vec!["budget".into(), fmt_seconds(BUDGET_S)]);
-    t.print();
+    table.row(vec!["findings".into(), findings.len().to_string()]);
+    table.row(vec!["budget".into(), fmt_seconds(BUDGET_S)]);
+    table.print();
 
     assert!(
-        t_ast.median_s < BUDGET_S,
-        "AST workspace analysis took {} — breaches the {} gate budget",
-        fmt_seconds(t_ast.median_s),
+        t.median_s < BUDGET_S,
+        "workspace analysis took {} — breaches the {} gate budget",
+        fmt_seconds(t.median_s),
         fmt_seconds(BUDGET_S)
     );
-    // Sanity: the precision upgrade must not lose legacy coverage (the
-    // full site-level check is `dash-analyze --differential`).
-    assert!(
-        taint_sites(&ast) >= taint_sites(&tok),
-        "AST engine reports fewer cross-function-taint sites than the token engine"
-    );
     println!(
-        "\nThe AST engine analyzes the workspace in {} ({:.0} klines/s), inside the \
+        "\nThe analyzer covers the workspace in {} ({klines_per_s:.0} klines/s), inside the \
          {} budget — precise enough to gate every check.sh run without a cache.",
-        fmt_seconds(t_ast.median_s),
-        lines as f64 / t_ast.median_s / 1e3,
+        fmt_seconds(t.median_s),
         fmt_seconds(BUDGET_S)
     );
 }

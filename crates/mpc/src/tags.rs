@@ -5,8 +5,8 @@
 //! desyncs early, and the shared [`crate::net::NetworkStats`] uses them to
 //! attribute traffic to variant blocks. Both uses break silently if two
 //! subsystems ever claim overlapping tag values, so every named range
-//! lives here, the [`REGISTRY`] table enumerates them exhaustively, and
-//! both a unit test and the `dash-analyze` static checker verify that the
+//! lives here, the [`REGISTRY`] table enumerates them exhaustively, and a
+//! compile-time assertion ([`is_partition`]) stops the build unless the
 //! ranges are pairwise disjoint and cover the whole `u32` space. Defining
 //! a tag constant anywhere else in `crates/mpc` or `crates/core/src/secure`
 //! is a `dash-analyze` finding.
@@ -80,8 +80,8 @@ impl TagRange {
 }
 
 /// Every named tag range, in ascending order. The ranges are pairwise
-/// disjoint and together cover `0..=u32::MAX` exactly — asserted by the
-/// unit tests below and re-verified statically by `dash-analyze`.
+/// disjoint and together cover `0..=u32::MAX` exactly — asserted at
+/// compile time below.
 pub const REGISTRY: [TagRange; 4] = [
     TagRange {
         name: "reserved",
@@ -104,6 +104,27 @@ pub const REGISTRY: [TagRange; 4] = [
         last: u32::MAX,
     },
 ];
+
+/// Whether `ranges` partition the tag space: ascending, contiguous, none
+/// inverted, starting at 0 and ending at `u32::MAX`.
+pub const fn is_partition(mut ranges: &[TagRange]) -> bool {
+    // First tag not covered yet; `None` once `u32::MAX` is.
+    let mut next = Some(0u32);
+    while let [r, rest @ ..] = ranges {
+        match next {
+            Some(n) if r.first == n && r.first <= r.last => {}
+            _ => return false,
+        }
+        next = r.last.checked_add(1);
+        ranges = rest;
+    }
+    next.is_none()
+}
+
+const _: () = assert!(
+    is_partition(&REGISTRY),
+    "REGISTRY must partition 0..=u32::MAX: ascending, contiguous, no inverted range"
+);
 
 /// The registry range a tag belongs to (total: every tag is in exactly
 /// one range, so the fallback below is unreachable in practice).
@@ -133,34 +154,35 @@ pub fn block_of_tag(tag: u32) -> Option<u32> {
 mod tests {
     use super::*;
 
-    /// Satellite invariant: the registry ranges are pairwise disjoint,
-    /// ascending, and exhaustive over the whole `u32` tag space.
+    const fn r(first: u32, last: u32) -> TagRange {
+        TagRange {
+            name: "r",
+            first,
+            last,
+        }
+    }
+
+    /// The same check the compile-time assertion makes, on the same value.
     #[test]
     fn registry_disjoint_and_exhaustive() {
-        for w in REGISTRY.windows(2) {
-            assert!(
-                w[0].last < w[1].first,
-                "ranges {} and {} overlap or are out of order",
-                w[0].name,
-                w[1].name
-            );
-            assert_eq!(
-                w[0].last + 1,
-                w[1].first,
-                "gap between ranges {} and {}",
-                w[0].name,
-                w[1].name
-            );
-        }
-        assert_eq!(REGISTRY[0].first, 0, "registry must start at tag 0");
-        assert_eq!(
-            REGISTRY[REGISTRY.len() - 1].last,
-            u32::MAX,
-            "registry must end at u32::MAX"
+        assert!(is_partition(&REGISTRY));
+    }
+
+    #[test]
+    fn is_partition_rejects_every_defect() {
+        assert!(is_partition(&[r(0, u32::MAX)]));
+        assert!(is_partition(&[r(0, 0), r(1, 9), r(10, u32::MAX)]));
+        assert!(!is_partition(&[]), "empty");
+        assert!(!is_partition(&[r(0, 9), r(9, u32::MAX)]), "overlap");
+        assert!(!is_partition(&[r(0, 9), r(11, u32::MAX)]), "gap");
+        assert!(
+            !is_partition(&[r(0, 9), r(10, 5), r(6, u32::MAX)]),
+            "inverted"
         );
-        for r in &REGISTRY {
-            assert!(r.first <= r.last, "range {} is empty or inverted", r.name);
-        }
+        assert!(!is_partition(&[r(1, u32::MAX)]), "not from 0");
+        assert!(!is_partition(&[r(0, 9), r(10, u32::MAX - 1)]), "not to MAX");
+        assert!(!is_partition(&[r(10, u32::MAX), r(0, 9)]), "descending");
+        assert!(!is_partition(&[r(0, u32::MAX), r(0, u32::MAX)]), "past MAX");
     }
 
     #[test]
@@ -170,8 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn range_names_unique() {
+    fn range_names_unique_and_non_empty() {
         for (i, a) in REGISTRY.iter().enumerate() {
+            assert!(!a.name.is_empty(), "range {i} has no name");
             for b in REGISTRY.iter().skip(i + 1) {
                 assert_ne!(a.name, b.name, "duplicate range name");
             }

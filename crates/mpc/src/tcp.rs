@@ -3,7 +3,7 @@
 //! One OS process per party. Frames are length-prefixed with the same
 //! per-link sequence numbers the in-process [`crate::net::Endpoint`]
 //! uses, received by per-peer reader threads that feed the shared
-//! [`RecvState`] in-order delivery machinery — so dedup, reorder
+//! `RecvState` in-order delivery machinery — so dedup, reorder
 //! buffering (bounded by [`crate::net::MAX_EARLY_FRAMES`]) and the
 //! structured error surface ([`MpcError::Timeout`],
 //! [`MpcError::ChannelClosed`], [`MpcError::MalformedPayload`],

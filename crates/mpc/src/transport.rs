@@ -2,7 +2,7 @@
 //! fault injection.
 //!
 //! [`Transport`] is the narrow interface protocols talk to — send a word
-//! vector, receive one under a deadline. [`Endpoint`](crate::net::Endpoint)
+//! vector, receive one under a deadline. [`Endpoint`]
 //! implements it directly for healthy runs; [`FaultyTransport`] wraps an
 //! endpoint and injects delays, drops, duplicates, reorders, transient
 //! send failures and party crashes, each decided by a pure hash of

@@ -232,7 +232,7 @@ tuple_strategy! {
     (A, B, C, D, E, G)
 }
 
-/// Sizes accepted by [`vec`]: a fixed length or a length range.
+/// Sizes accepted by [`vec()`]: a fixed length or a length range.
 pub trait SizeRange {
     fn sample_len(&self, rng: &mut TestRng) -> usize;
 }
@@ -260,7 +260,7 @@ pub fn vec<S: Strategy, L: SizeRange>(element: S, len: L) -> VecStrategy<S, L> {
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S, L> {
     element: S,
     len: L,

@@ -8,39 +8,25 @@ cargo build --workspace --all-targets --release
 
 echo "== lint (clippy, warnings are errors)"
 # indexing_slicing stays advisory at the clippy layer: dash-analyze below
-# denies direct indexing in the secure scope (with zero baseline), where
-# it matters; a blanket clippy error would only force blanket module
-# allows in the non-secure crates.
+# denies direct indexing in the secure scope, where it matters; a blanket
+# clippy error would only force blanket module allows in the non-secure
+# crates.
 cargo clippy --workspace --all-targets --release -- -D warnings -A clippy::indexing-slicing
 
-echo "== static analysis (dash-analyze, all lints denied, cross-function taint)"
-# Covers the token lints plus the call-graph taint pass: any path from a
-# Secret-producing function to a formatter that never goes through an
-# audited open (open_via/open_local) is a build failure. The set includes
-# the constant-time lint: data-dependent branches, comparisons, `%`/`/`,
-# and table lookups on share material in the mpc arithmetic modules deny
-# with a zero baseline.
-cargo run --release -p dash-analyze -- --deny all --format json
-
-echo "== analyzer differential (AST engine must cover the token engine)"
-# The AST taint engine replaced the token-stream pass; this guard runs
-# both over the workspace and fails if the AST engine misses any
-# cross-function-taint site the legacy engine still finds.
-cargo run --release -p dash-analyze -- --differential
+echo "== static analysis (dash-analyze: token lints, cross-function taint, constant-time)"
+# Any finding fails the build; the only suppression is an inline pragma
+# with a written reason. Covers the single-token lints plus the call-graph
+# taint pass: any path from a Secret-producing function to a formatter
+# that never goes through an audited open (open_via/open_local). The set
+# includes the constant-time lint: data-dependent branches, comparisons,
+# `%`/`/`, and table lookups on share material in the mpc arithmetic
+# modules.
+cargo run --release -p dash-analyze -- --format json
 
 echo "== analyzer runtime budget (E15)"
 # The gate runs uncached on every sweep, so its own runtime is pinned:
-# E15 asserts the median full-workspace AST analysis stays under 1.5 s.
+# E15 asserts the median full-workspace analysis stays under 1.5 s.
 ./target/release/exp15_analyze
-
-echo "== analyzer baseline must stay empty"
-# The grandfathered secure-indexing sites were burned down to zero; the
-# gate is one-way. New findings get fixed or pragma'd with a written
-# justification — never re-baselined.
-if ! grep -q '"findings": \[\]' analyze-baseline.json; then
-    echo "error: analyze-baseline.json is non-empty; fix or pragma the findings" >&2
-    exit 1
-fi
 
 echo "== format"
 cargo fmt --all --check
@@ -183,8 +169,8 @@ echo "== timing-leak smoke (E14, bounded samples, enforced)"
 DASH_TIMING_SAMPLES=2000 DASH_TIMING_THRESHOLD=8 DASH_TIMING_ENFORCE=1 \
     ./target/release/exp14_timing
 
-echo "== docs"
-cargo doc --workspace --no-deps
+echo "== docs (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== experiments (E1..E15)"
 cargo run --release -p dash-bench --bin run_all
