@@ -25,7 +25,7 @@
 use dash_bench::table::{fmt_seconds, Table};
 use dash_bench::timing::time_median;
 use dash_bench::workloads::normal_parties;
-use dash_core::secure::{secure_scan_traced, SecureScanConfig, TraceCounter, TraceHandle};
+use dash_core::secure::{secure_scan_traced_with, SecureScanConfig, TraceCounter, TraceHandle};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -47,18 +47,18 @@ fn main() {
 
     // Scan medians with the handle disabled and enabled.
     let (t_off, out) = time_median(3, || {
-        secure_scan_traced(&parties, &cfg, TraceHandle::disabled()).unwrap()
+        secure_scan_traced_with(&parties, &cfg, TraceHandle::disabled()).unwrap()
     });
     let (t_on, _) = time_median(3, || {
         let trace = TraceHandle::enabled(parties.len());
-        secure_scan_traced(&parties, &cfg, trace).unwrap()
+        secure_scan_traced_with(&parties, &cfg, trace).unwrap()
     });
 
     // Count the trace events one real scan emits: every recorded frame
     // hits the transport mirror once, every span costs an open + a drop,
     // and the protocol layers add triple/opened-scalar counts.
     let probe = TraceHandle::enabled(parties.len());
-    let probed = secure_scan_traced(&parties, &cfg, probe.clone()).unwrap();
+    let probed = secure_scan_traced_with(&parties, &cfg, probe.clone()).unwrap();
     let mirror_calls = probed.network.total_messages
         + probed.network.total_retries
         + probed.network.total_timeouts;

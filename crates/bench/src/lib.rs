@@ -1,6 +1,5 @@
 //! Experiment harness utilities: workload presets, wall-clock timing and
-//! aligned table printing shared by the `exp*` binaries and the Criterion
-//! benches.
+//! aligned table printing shared by the `exp*` binaries.
 //!
 //! Each quantitative claim of the paper maps to one binary in `src/bin/`
 //! (see DESIGN.md §3 for the experiment index); this crate keeps them

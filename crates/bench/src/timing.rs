@@ -1,8 +1,8 @@
 //! Wall-clock timing helpers for the experiment binaries.
 //!
-//! Criterion handles the microbenchmarks; the `exp*` binaries need only
-//! honest medians of a handful of repetitions, with a warmup run to
-//! populate caches and page in the data.
+//! `benchmark/` is the committed, layer-by-layer record; the `exp*`
+//! binaries need only honest medians of a handful of repetitions, with a
+//! warmup run to populate caches and page in the data.
 
 use std::time::Instant;
 

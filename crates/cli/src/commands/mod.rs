@@ -10,12 +10,15 @@ pub mod secure_scan;
 pub mod simulate;
 pub mod top;
 
+use crate::args::Flags;
 use crate::error::CliError;
 use dash_core::model::PartyData;
-use dash_core::secure::{AggregationMode, RFactorMode, SecureScanConfig, SecureScanOutput};
-use dash_gwas::io::read_matrix_tsv;
+use dash_core::secure::{
+    AggregationMode, RFactorMode, SecureScanConfig, SecureScanOutput, TraceHandle,
+};
+use dash_gwas::io::{read_matrix_tsv, write_scan_tsv};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Loads one dataset from a directory holding `y.tsv` (N×1), `x.tsv`
 /// (N×M) and `c.tsv` (N×K).
@@ -34,9 +37,8 @@ pub(crate) fn load_party_dir(dir: &Path) -> Result<PartyData, CliError> {
     Ok(PartyData::new(y, x, c)?)
 }
 
-/// Maps a `--mode` name to the matching security-ladder configuration
-/// (shared by `secure-scan` and `party` so the two paths cannot drift).
-pub(crate) fn mode_config(mode: &str, seed: u64) -> Result<SecureScanConfig, CliError> {
+/// Maps a `--mode` name to the matching security-ladder configuration.
+fn mode_config(mode: &str, seed: u64) -> Result<SecureScanConfig, CliError> {
     match mode {
         "public" => Ok(SecureScanConfig {
             rfactor: RFactorMode::PublicStack,
@@ -65,66 +67,177 @@ pub(crate) fn mode_config(mode: &str, seed: u64) -> Result<SecureScanConfig, Cli
     }
 }
 
-/// Prints the standard secure-scan report (traffic, transport counters,
-/// blocked-pipeline summary, disclosure audit, top results). Shared by
-/// `secure-scan` and `party` so their outputs stay line-compatible —
-/// the multi-process smoke test parses both with the same patterns.
-pub(crate) fn report_secure_output(
-    out: &mut dyn Write,
-    output: &SecureScanOutput,
-    mode: &str,
+/// The flags `secure-scan` and `party` share — `--mode --out --seed
+/// --audit --trace-out --metrics --deadline-ms --retries --backoff-ms
+/// --block-size --threads` — parsed once, with one set of defaults and
+/// error texts, plus the report both commands end with, so the two paths
+/// cannot drift (the multi-process smoke test parses both outputs with
+/// the same patterns).
+pub(crate) struct ScanFlags {
+    mode: String,
+    /// Protocol seed (also the default fault seed and TCP run id).
+    pub seed: u64,
+    out_path: Option<PathBuf>,
+    audit: bool,
+    trace_out: Option<PathBuf>,
+    metrics: bool,
+    deadline_ms: u64,
+    max_retries: u32,
+    retry_backoff_ms: u64,
     block_size: Option<usize>,
     threads: usize,
-    audit: bool,
-) -> Result<(), CliError> {
-    writeln!(
-        out,
-        "secure scan over {} parties, {} variants (mode: {mode})",
-        output.n_parties,
-        output.result.len()
-    )?;
-    writeln!(
-        out,
-        "traffic: {} bytes total, {} bytes worst party, {} messages",
-        output.network.total_bytes, output.network.max_party_bytes, output.network.total_messages
-    )?;
-    writeln!(
-        out,
-        "simulated network time: LAN {:.1} ms, WAN {:.1} ms",
-        output.network.lan_seconds * 1e3,
-        output.network.wan_seconds * 1e3
-    )?;
-    writeln!(
-        out,
-        "transport: {} send retries, {} receive timeouts",
-        output.network.total_retries, output.network.total_timeouts
-    )?;
-    if !output.per_block_bytes.is_empty() {
-        let block_total: u64 = output.per_block_bytes.iter().sum();
-        writeln!(
-            out,
-            "blocked pipeline: {} blocks of <= {} variants, {} bytes in block rounds ({} bytes/block avg), {} threads",
-            output.per_block_bytes.len(),
-            block_size.unwrap_or(output.result.len()),
-            block_total,
-            block_total / output.per_block_bytes.len() as u64,
+}
+
+impl ScanFlags {
+    /// Consumes the shared flags from `flags`.
+    pub(crate) fn parse(flags: &Flags) -> Result<Self, CliError> {
+        let mode = flags.optional("mode").unwrap_or_else(|| "default".into());
+        let out_path = flags.optional("out").map(PathBuf::from);
+        let seed = flags.parse_or("seed", 42u64, "an integer seed")?;
+        let audit = flags.parse_or("audit", true, "true or false")?;
+        let trace_out = flags.optional("trace-out").map(PathBuf::from);
+        let metrics = flags.parse_or("metrics", false, "true or false")?;
+        let deadline_ms = flags.parse_or("deadline-ms", 60_000u64, "milliseconds")?;
+        let max_retries = flags.parse_or("retries", 3u32, "a retry count")?;
+        let retry_backoff_ms = flags.parse_or("backoff-ms", 1u64, "milliseconds")?;
+        let block_size = match flags.optional("block-size") {
+            None => Some(4096),
+            Some(raw) if raw == "off" => None,
+            Some(raw) => match raw.parse::<usize>() {
+                Ok(b) if b >= 1 => Some(b),
+                _ => {
+                    return Err(CliError::BadValue {
+                        flag: "--block-size".into(),
+                        value: raw,
+                        expected: "a positive block size, or 'off' for one block of all variants",
+                    })
+                }
+            },
+        };
+        let threads = flags.parse_or("threads", 1usize, "a positive integer")?;
+        if threads == 0 {
+            return Err(CliError::BadValue {
+                flag: "--threads".into(),
+                value: "0".into(),
+                expected: "a positive integer (use 1 for serial block compute)",
+            });
+        }
+        Ok(ScanFlags {
+            mode,
+            seed,
+            out_path,
+            audit,
+            trace_out,
+            metrics,
+            deadline_ms,
+            max_retries,
+            retry_backoff_ms,
+            block_size,
             threads,
-        )?;
+        })
     }
-    let per_party: usize = output
-        .disclosures
-        .iter()
-        .filter(|d| d.source_party.is_some())
-        .map(|d| d.scalars)
-        .sum();
-    writeln!(out, "per-party scalars disclosed: {per_party}")?;
-    if audit {
-        writeln!(out, "disclosure log:")?;
-        for d in &output.disclosures {
-            writeln!(out, "  {d}")?;
+
+    /// The scan configuration these flags describe (no fault plan; a bad
+    /// `--mode` is reported here).
+    pub(crate) fn config(&self) -> Result<SecureScanConfig, CliError> {
+        Ok(SecureScanConfig {
+            deadline_ms: self.deadline_ms,
+            max_retries: self.max_retries,
+            retry_backoff_ms: self.retry_backoff_ms,
+            block_size: self.block_size,
+            threads: self.threads,
+            ..mode_config(&self.mode, self.seed)?
+        })
+    }
+
+    /// The run's trace sink: enabled iff `--trace-out` or `--metrics`
+    /// asked for it.
+    pub(crate) fn trace(&self, n_parties: usize) -> TraceHandle {
+        if self.trace_out.is_some() || self.metrics {
+            TraceHandle::enabled(n_parties)
+        } else {
+            TraceHandle::disabled()
         }
     }
-    Ok(())
+
+    /// Everything both commands print and write after a run: the traffic,
+    /// transport and blocked-pipeline lines, the disclosure audit, the
+    /// metrics table, the top results, the results TSV and the trace.
+    pub(crate) fn report(
+        &self,
+        out: &mut dyn Write,
+        output: &SecureScanOutput,
+        trace: &TraceHandle,
+    ) -> Result<(), CliError> {
+        writeln!(
+            out,
+            "secure scan over {} parties, {} variants (mode: {})",
+            output.n_parties,
+            output.result.len(),
+            self.mode
+        )?;
+        writeln!(
+            out,
+            "traffic: {} bytes total, {} bytes worst party, {} messages",
+            output.network.total_bytes,
+            output.network.max_party_bytes,
+            output.network.total_messages
+        )?;
+        writeln!(
+            out,
+            "simulated network time: LAN {:.1} ms, WAN {:.1} ms",
+            output.network.lan_seconds * 1e3,
+            output.network.wan_seconds * 1e3
+        )?;
+        writeln!(
+            out,
+            "transport: {} send retries, {} receive timeouts",
+            output.network.total_retries, output.network.total_timeouts
+        )?;
+        if !output.per_block_bytes.is_empty() {
+            let block_total: u64 = output.per_block_bytes.iter().sum();
+            writeln!(
+                out,
+                "blocked pipeline: {} blocks of <= {} variants, {} bytes in block rounds ({} bytes/block avg), {} threads",
+                output.per_block_bytes.len(),
+                self.block_size.unwrap_or(output.result.len()),
+                block_total,
+                block_total / output.per_block_bytes.len() as u64,
+                self.threads,
+            )?;
+        }
+        let per_party: usize = output
+            .disclosures
+            .iter()
+            .filter(|d| d.source_party.is_some())
+            .map(|d| d.scalars)
+            .sum();
+        writeln!(out, "per-party scalars disclosed: {per_party}")?;
+        if self.audit {
+            writeln!(out, "disclosure log:")?;
+            for d in &output.disclosures {
+                writeln!(out, "  {d}")?;
+            }
+        }
+        if self.metrics {
+            out.write_all(trace.summary().as_bytes())?;
+        }
+        scan::summarize(&output.result, out)?;
+        if let Some(path) = &self.out_path {
+            write_scan_tsv(path, &output.result)?;
+            writeln!(out, "results written to {}", path.display())?;
+        }
+        if let Some(path) = &self.trace_out {
+            std::fs::write(path, trace.export_json()).map_err(CliError::Io)?;
+            writeln!(
+                out,
+                "trace written to {} ({} spans)",
+                path.display(),
+                trace.spans().len()
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Loads `party0/ party1/ …` subdirectories of `dir`, in order.

@@ -16,14 +16,13 @@
 //! ```
 
 use crate::args::Flags;
-use crate::commands::{load_party_dir, mode_config, report_secure_output};
+use crate::commands::{load_party_dir, ScanFlags};
 use crate::error::CliError;
 use dash_core::secure::checkpoint::{self, CheckpointPolicy};
-use dash_core::secure::{secure_scan_party_checkpointed, secure_scan_party_with, TraceHandle};
+use dash_core::secure::{secure_scan_party_checkpointed, secure_scan_party_with};
 use dash_core::CoreError;
-use dash_gwas::io::write_scan_tsv;
 use dash_mpc::net::NetworkStats;
-use dash_mpc::tcp::{LinkSupervision, ResumeState, TcpConfig, TcpTransport};
+use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::transport::Transport;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -106,41 +105,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     })?;
     let peers = parse_peers(&flags.required("peers", USAGE)?)?;
     let dir = PathBuf::from(flags.required("dir", USAGE)?);
-    let mode = flags.optional("mode").unwrap_or_else(|| "default".into());
-    let out_path = flags.optional("out").map(PathBuf::from);
-    let seed = flags.parse_or("seed", 42u64, "an integer seed")?;
-    let run_id = flags.parse_or("run-id", seed, "an integer run identifier")?;
-    let audit = flags.parse_or("audit", true, "true or false")?;
-    let trace_out = flags.optional("trace-out").map(PathBuf::from);
-    let metrics = flags.parse_or("metrics", false, "true or false")?;
-    let deadline_ms = flags.parse_or("deadline-ms", 60_000u64, "milliseconds")?;
-    let max_retries = flags.parse_or("retries", 3u32, "a retry count")?;
-    let retry_backoff_ms = flags.parse_or("backoff-ms", 1u64, "milliseconds")?;
+    let scan = ScanFlags::parse(&flags)?;
+    let run_id = flags.parse_or("run-id", scan.seed, "an integer run identifier")?;
     let connect_timeout_ms = flags.parse_or("connect-timeout-ms", 2_000u64, "milliseconds")?;
     let connect_retries = flags.parse_or("connect-retries", 30u32, "an attempt count")?;
     let accept_timeout_ms = flags.parse_or("accept-timeout-ms", 30_000u64, "milliseconds")?;
-    let block_size = match flags.optional("block-size") {
-        None => Some(4096),
-        Some(raw) if raw == "off" => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(b) if b >= 1 => Some(b),
-            _ => {
-                return Err(CliError::BadValue {
-                    flag: "--block-size".into(),
-                    value: raw,
-                    expected: "a positive block size, or 'off' for one block of all variants",
-                })
-            }
-        },
-    };
-    let threads = flags.parse_or("threads", 1usize, "a positive integer")?;
-    if threads == 0 {
-        return Err(CliError::BadValue {
-            flag: "--threads".into(),
-            value: "0".into(),
-            expected: "a positive integer (use 1 for serial block compute)",
-        });
-    }
     let listen = flags.optional("listen");
     let supervise = flags.parse_or("supervise", true, "true or false")?;
     let heartbeat_ms = flags.parse_or("heartbeat-ms", 250u64, "milliseconds")?;
@@ -191,18 +160,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         });
     }
 
-    let mut cfg = mode_config(&mode, seed)?;
-    cfg.deadline_ms = deadline_ms;
-    cfg.max_retries = max_retries;
-    cfg.retry_backoff_ms = retry_backoff_ms;
-    cfg.block_size = block_size;
-    cfg.threads = threads;
-
-    let trace = if trace_out.is_some() || metrics {
-        TraceHandle::enabled(n)
-    } else {
-        TraceHandle::disabled()
-    };
+    let cfg = scan.config()?;
+    let trace = scan.trace(n);
     let stats = Arc::new(NetworkStats::with_trace(n, trace.clone()));
     let own = listen.as_deref().unwrap_or("");
     let bind_addr = if own.is_empty() {
@@ -252,14 +211,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         None
     };
-    let resume_state = loaded
-        .as_ref()
-        .and_then(|c| c.links.clone())
-        .map(|l| ResumeState {
-            send_next: l.send_next,
-            recv_next: l.recv_next,
-            replay: l.replay,
-        });
+    let resume_state = loaded.as_ref().and_then(|c| c.links.clone());
     if resume {
         writeln!(
             out,
@@ -294,25 +246,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         None => secure_scan_party_with(&data, &cfg, transport)?,
     };
-    report_secure_output(out, &output, &mode, block_size, threads, audit)?;
-    if metrics {
-        out.write_all(trace.summary().as_bytes())?;
-    }
-    super::scan::summarize(&output.result, out)?;
-    if let Some(path) = out_path {
-        write_scan_tsv(&path, &output.result)?;
-        writeln!(out, "results written to {}", path.display())?;
-    }
-    if let Some(path) = trace_out {
-        std::fs::write(&path, trace.export_json()).map_err(CliError::Io)?;
-        writeln!(
-            out,
-            "trace written to {} ({} spans)",
-            path.display(),
-            trace.spans().len()
-        )?;
-    }
-    Ok(())
+    scan.report(out, &output, &trace)
 }
 
 #[cfg(test)]
@@ -460,7 +394,7 @@ mod tests {
         };
         let reference = dash_core::secure_scan(&datasets, &cfg).unwrap();
         let ref_file = dir.join("ref.tsv");
-        write_scan_tsv(&ref_file, &reference.result).unwrap();
+        dash_gwas::io::write_scan_tsv(&ref_file, &reference.result).unwrap();
         let want = std::fs::read_to_string(&ref_file).unwrap();
         for i in 0..3 {
             let got = std::fs::read_to_string(dir.join(format!("res{i}.tsv"))).unwrap();

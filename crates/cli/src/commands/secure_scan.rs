@@ -1,10 +1,9 @@
 //! `dash secure-scan` — the multi-party protocol over party directories.
 
 use crate::args::Flags;
-use crate::commands::{load_all_parties, mode_config, report_secure_output};
+use crate::commands::{load_all_parties, ScanFlags};
 use crate::error::CliError;
-use dash_core::secure::{secure_scan_traced, TraceHandle};
-use dash_gwas::io::write_scan_tsv;
+use dash_core::secure::secure_scan_traced_with;
 use dash_mpc::{CrashPoint, FaultPlan};
 use std::io::Write;
 use std::path::PathBuf;
@@ -116,74 +115,17 @@ fn fault_plan(flags: &Flags, seed: u64) -> Result<Option<FaultPlan>, CliError> {
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, USAGE)?;
     let dir = PathBuf::from(flags.required("dir", USAGE)?);
-    let mode = flags.optional("mode").unwrap_or_else(|| "default".into());
-    let out_path = flags.optional("out").map(PathBuf::from);
-    let seed = flags.parse_or("seed", 42u64, "an integer seed")?;
-    let audit = flags.parse_or("audit", true, "true or false")?;
-    let trace_out = flags.optional("trace-out").map(PathBuf::from);
-    let metrics = flags.parse_or("metrics", false, "true or false")?;
-    let deadline_ms = flags.parse_or("deadline-ms", 60_000u64, "milliseconds")?;
-    let max_retries = flags.parse_or("retries", 3u32, "a retry count")?;
-    let retry_backoff_ms = flags.parse_or("backoff-ms", 1u64, "milliseconds")?;
-    let faults = fault_plan(&flags, seed)?;
-    let block_size = match flags.optional("block-size") {
-        None => Some(4096),
-        Some(raw) if raw == "off" => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(b) if b >= 1 => Some(b),
-            _ => {
-                return Err(CliError::BadValue {
-                    flag: "--block-size".into(),
-                    value: raw,
-                    expected: "a positive block size, or 'off' for one block of all variants",
-                })
-            }
-        },
-    };
-    let threads = flags.parse_or("threads", 1usize, "a positive integer")?;
-    if threads == 0 {
-        return Err(CliError::BadValue {
-            flag: "--threads".into(),
-            value: "0".into(),
-            expected: "a positive integer (use 1 for serial block compute)",
-        });
-    }
+    let scan = ScanFlags::parse(&flags)?;
+    let faults = fault_plan(&flags, scan.seed)?;
     flags.reject_unknown(USAGE)?;
 
-    let mut cfg = mode_config(&mode, seed)?;
-    cfg.deadline_ms = deadline_ms;
-    cfg.max_retries = max_retries;
-    cfg.retry_backoff_ms = retry_backoff_ms;
+    let mut cfg = scan.config()?;
     cfg.faults = faults;
-    cfg.block_size = block_size;
-    cfg.threads = threads;
 
     let parties = load_all_parties(&dir)?;
-    let trace = if trace_out.is_some() || metrics {
-        TraceHandle::enabled(parties.len())
-    } else {
-        TraceHandle::disabled()
-    };
-    let output = secure_scan_traced(&parties, &cfg, trace.clone())?;
-    report_secure_output(out, &output, &mode, block_size, threads, audit)?;
-    if metrics {
-        out.write_all(trace.summary().as_bytes())?;
-    }
-    super::scan::summarize(&output.result, out)?;
-    if let Some(path) = out_path {
-        write_scan_tsv(&path, &output.result)?;
-        writeln!(out, "results written to {}", path.display())?;
-    }
-    if let Some(path) = trace_out {
-        std::fs::write(&path, trace.export_json()).map_err(CliError::Io)?;
-        writeln!(
-            out,
-            "trace written to {} ({} spans)",
-            path.display(),
-            trace.spans().len()
-        )?;
-    }
-    Ok(())
+    let trace = scan.trace(parties.len());
+    let output = secure_scan_traced_with(&parties, &cfg, trace.clone())?;
+    scan.report(out, &output, &trace)
 }
 
 #[cfg(test)]

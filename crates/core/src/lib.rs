@@ -90,10 +90,9 @@ pub use permutation::{permutation_scan, PermutationResult};
 pub use scan::{associate, associate_parallel, per_variant_ols};
 pub use secure::checkpoint::{Checkpoint, CheckpointPolicy};
 pub use secure::{
-    secure_scan, secure_scan_party_checkpointed, secure_scan_party_with, secure_scan_tcp_local,
-    secure_scan_tcp_local_traced, secure_scan_traced, secure_scan_traced_with, secure_scan_with,
-    AggregationMode, NetworkReport, RFactorMode, SecureScanConfig, SecureScanOutput, SummandSource,
-    TraceCounter, TraceHandle,
+    secure_scan, secure_scan_party_checkpointed, secure_scan_party_with,
+    secure_scan_tcp_local_traced, secure_scan_traced_with, AggregationMode, NetworkReport,
+    RFactorMode, SecureScanConfig, SecureScanOutput, SummandSource, TraceCounter, TraceHandle,
 };
 pub use suffstats::{ScanStats, SuffStats, VariantSummands};
 

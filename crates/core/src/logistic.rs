@@ -20,9 +20,8 @@
 
 use crate::error::CoreError;
 use crate::model::{validate_parties, PartyData};
-use crate::secure::{NetworkReport, SecureScanConfig};
+use crate::secure::{run_in_process, NetworkReport, SecureScanConfig};
 use dash_linalg::{cholesky_upper, dot, solve_lower, solve_upper, Matrix};
-use dash_mpc::net::Network;
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_ring};
 use dash_mpc::{PartyCtx, R64};
 use dash_stats::{ChiSquared, StatsError};
@@ -328,18 +327,13 @@ pub fn secure_logistic_scan(
         validate_binary(p.y())?;
     }
     let codec = cfg.ring_codec()?;
-    let p_count = parties.len();
 
-    let (results, stats, _audit) = Network::run_parties_detailed(p_count, cfg.seed, |ctx| {
-        party_logistic(ctx, &parties[ctx.id()], m, k, &codec)
-    });
-    let mut iter = results.into_iter();
-    let first = iter.next().ok_or(CoreError::NoParties)??;
-    for r in iter {
-        r?;
-    }
-    let report = NetworkReport::from_stats(&stats);
-    Ok((first, report))
+    let (results, stats, _audit) =
+        run_in_process(parties, cfg.seed, &cfg.net_options(), |ctx, data| {
+            party_logistic(ctx, data, m, k, &codec)
+        })?;
+    let first = results.into_iter().next().ok_or(CoreError::NoParties)?;
+    Ok((first, NetworkReport::from_stats(&stats)))
 }
 
 fn party_logistic(

@@ -112,7 +112,7 @@ pub fn secure_multi_phenotype_scan(
     parties: &[MultiPartyData],
     cfg: &crate::secure::SecureScanConfig,
 ) -> Result<Vec<ScanResult>, CoreError> {
-    use dash_mpc::net::Network;
+    use crate::secure::run_in_process;
     use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_ring};
     use dash_mpc::R64;
 
@@ -135,8 +135,9 @@ pub fn secure_multi_phenotype_scan(
     }
     let codec = cfg.ring_codec()?;
 
-    let results = Network::run_parties_detailed(parties.len(), cfg.seed, |ctx| {
-        let data = &parties[ctx.id()];
+    let run = |ctx: &mut dash_mpc::PartyCtx,
+               data: &MultiPartyData|
+     -> Result<Vec<ScanResult>, CoreError> {
         // Pooled N.
         let n_total = masked_sum_ring(ctx, &[R64(data.ys.rows() as u64)], "total sample count N")?
             [0]
@@ -206,13 +207,9 @@ pub fn secure_multi_phenotype_scan(
             );
         }
         Ok(out)
-    });
-    let mut iter = results.0.into_iter();
-    let firstr = iter.next().ok_or(CoreError::NoParties)??;
-    for r in iter {
-        r?;
-    }
-    Ok(firstr)
+    };
+    let (results, _stats, _audit) = run_in_process(parties, cfg.seed, &cfg.net_options(), run)?;
+    results.into_iter().next().ok_or(CoreError::NoParties)
 }
 
 #[cfg(test)]

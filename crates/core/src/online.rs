@@ -10,10 +10,9 @@ use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
 use crate::suffstats::CtStats;
 use dash_linalg::Matrix;
-use dash_mpc::net::Network;
 use dash_mpc::protocol::masked::masked_sum_f64;
 
-use crate::secure::{NetworkReport, SecureScanConfig};
+use crate::secure::{run_in_process, NetworkReport, SecureScanConfig};
 
 /// A streaming scan accumulator: feed batches of rows, finalize whenever
 /// a result is wanted. Finalization does not consume the accumulator, so
@@ -149,20 +148,14 @@ pub fn secure_online_scan(
         }
     }
     let codec = cfg.ring_codec()?;
-    let p = accumulators.len();
-    let (results, stats, _audit) = Network::run_parties_detailed(p, cfg.seed, |ctx| {
-        let flat = flatten(accumulators[ctx.id()].stats());
-        let total = masked_sum_f64(ctx, &codec, &flat, "aggregate Cᵀ-compressed statistics")?;
-        let pooled = unflatten(&total, m, k)?;
-        pooled.finalize(k)
-    });
-    let mut iter = results.into_iter();
-    let result = iter.next().ok_or(CoreError::NoParties)??;
-    for r in iter {
-        r?;
-    }
-    let report = NetworkReport::from_stats(&stats);
-    Ok((result, report))
+    let (results, stats, _audit) =
+        run_in_process(accumulators, cfg.seed, &cfg.net_options(), |ctx, mine| {
+            let flat = flatten(mine.stats());
+            let total = masked_sum_f64(ctx, &codec, &flat, "aggregate Cᵀ-compressed statistics")?;
+            unflatten(&total, m, k)?.finalize(k)
+        })?;
+    let result = results.into_iter().next().ok_or(CoreError::NoParties)?;
+    Ok((result, NetworkReport::from_stats(&stats)))
 }
 
 #[cfg(test)]

@@ -20,9 +20,9 @@
 
 use crate::error::CoreError;
 use crate::model::{validate_parties, PartyData};
-use crate::secure::{NetworkReport, SecureScanConfig};
+use crate::secure::{run_in_process, NetworkReport, SecureScanConfig};
 use dash_linalg::{gemm_at_b, ops::gemm, qr_thin, symmetric_eigen, Matrix};
-use dash_mpc::net::Network;
+use dash_mpc::net::NetOptions;
 use dash_mpc::prg::Prg;
 use dash_mpc::protocol::masked::masked_sum_f64;
 use dash_mpc::PartyCtx;
@@ -94,26 +94,26 @@ pub fn secure_pca(parties: &[PartyData], cfg: &PcaConfig) -> Result<SecurePcaOut
         ..SecureScanConfig::default()
     };
     let codec = scan_cfg.ring_codec()?;
-    let p = parties.len();
     let r = cfg.components;
 
-    let (results, stats, _audit) = Network::run_parties_detailed(p, cfg.seed, |ctx| {
-        party_pca(ctx, parties[ctx.id()].x(), m, r, cfg, &codec)
-    });
+    // `PcaConfig` carries no transport settings, so the run uses the
+    // default deadline and retry policy with no fault plan.
+    let (results, stats, _audit) =
+        run_in_process(parties, cfg.seed, &NetOptions::default(), |ctx, data| {
+            party_pca(ctx, data.x(), m, r, cfg, &codec)
+        })?;
     let mut iter = results.into_iter();
-    let (loadings, eigenvalues, score0) = iter.next().ok_or(CoreError::NoParties)??;
+    let (loadings, eigenvalues, score0) = iter.next().ok_or(CoreError::NoParties)?;
     let mut scores = vec![score0];
-    for res in iter {
-        let (l, _e, s) = res?;
+    for (l, _e, s) in iter {
         debug_assert!(l.max_abs_diff(&loadings).unwrap_or(f64::INFINITY) < 1e-9);
         scores.push(s);
     }
-    let network = NetworkReport::from_stats(&stats);
     Ok(SecurePcaOutput {
         loadings,
         eigenvalues,
         scores,
-        network,
+        network: NetworkReport::from_stats(&stats),
     })
 }
 

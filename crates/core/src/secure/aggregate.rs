@@ -394,7 +394,7 @@ mod tests {
     use super::*;
     use crate::suffstats::{orthonormal_basis, y_dots, ScanStats, SuffStats};
     use dash_mpc::dealer::TrustedDealer;
-    use dash_mpc::net::Network;
+    use dash_mpc::net::{NetOptions, Network};
     use parking_lot::Mutex;
 
     /// Builds P party datasets plus the pooled reduced statistics they
@@ -503,11 +503,14 @@ mod tests {
             } else {
                 (0..p).map(|_| Mutex::new(None)).collect()
             };
-        let (results, _stats, audit) = Network::run_parties_detailed(p, 21, |ctx| {
-            let (y, x, _) = &parties[ctx.id()];
-            let mut tr = slots[ctx.id()].lock().take();
-            aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, tr.as_mut()).unwrap()
-        });
+        let (results, _stats, audit) =
+            Network::run_parties_detailed_with(p, 21, &NetOptions::default(), |ctx| {
+                let (y, x, _) = &parties[ctx.id()];
+                let mut tr = slots[ctx.id()].lock().take();
+                aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, tr.as_mut()).unwrap()
+            })
+            .unwrap();
+        let results: Vec<_> = results.into_iter().map(Result::unwrap).collect();
         // All parties agree exactly.
         for r in &results[1..] {
             assert_eq!(r, &results[0]);

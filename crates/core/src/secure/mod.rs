@@ -38,14 +38,11 @@ use dash_mpc::audit::{Disclosure, DisclosureLog};
 use dash_mpc::dealer::{PartyTriples, TrustedDealer};
 use dash_mpc::net::{CostModel, NetOptions, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
-use dash_mpc::tcp::{TcpConfig, TcpTransport};
-use dash_mpc::transport::{
-    FaultPlan, FaultyTransport, FrameTransport, RetryPolicy, Transport, TransportConfig,
-};
-use dash_mpc::FixedPointCodec;
+use dash_mpc::tcp::TcpConfig;
+use dash_mpc::transport::{FaultPlan, RetryPolicy, Transport, TransportConfig};
+use dash_mpc::{FixedPointCodec, MpcError};
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
 use parking_lot::Mutex;
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -210,8 +207,8 @@ impl NetworkReport {
             total_messages: stats.total_messages(),
             lan_seconds: CostModel::lan().estimate_seconds(stats),
             wan_seconds: CostModel::wan().estimate_seconds(stats),
-            total_retries: stats.total_retries(),
-            total_timeouts: stats.total_timeouts(),
+            total_retries: stats.total(TraceCounter::Retries),
+            total_timeouts: stats.total(TraceCounter::Timeouts),
         }
     }
 }
@@ -242,7 +239,7 @@ pub struct SecureScanOutput {
 /// the y-side pair once, then the variant side one column range at a
 /// time. [`PartyData`] provides the dense implementation; alternative
 /// storage — sparse genotypes, memory-mapped files, on-the-fly dosage
-/// decoding — implements this trait and plugs into [`secure_scan_with`]
+/// decoding — implements this trait and plugs into [`secure_scan`]
 /// unchanged.
 pub trait SummandSource: Sync {
     /// Number of samples this party holds.
@@ -365,13 +362,52 @@ fn take_triples(slots: &TripleSlots, id: usize) -> Option<PartyTriples> {
     slots.get(id).and_then(|slot| slot.lock().take())
 }
 
-/// What a run shape hands back: every local party's outcome, and the
-/// counters and disclosure log they shared.
-type RunParts = (
-    Vec<Result<ScanResult, CoreError>>,
-    Arc<NetworkStats>,
-    DisclosureLog,
-);
+/// What a run shape hands back: every local party's result (all of them
+/// succeeded), and the counters and disclosure log they shared.
+type RunParts<T> = (Vec<T>, Arc<NetworkStats>, DisclosureLog);
+
+/// The flatten step every in-process workload shares: a party's slot
+/// carries panics and crash faults on the outside (`PartyFailed`) and its
+/// protocol errors on the inside; any party's failure fails the run with
+/// that party's structured error — never a hang or a process panic.
+fn flatten<T>(
+    (slots, stats, audit): RunParts<Result<Result<T, CoreError>, MpcError>>,
+) -> Result<RunParts<T>, CoreError> {
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.map_err(CoreError::from).and_then(|inner| inner))
+        .collect::<Result<_, _>>()?;
+    Ok((results, stats, audit))
+}
+
+/// The rows of the party `ctx` is running as. `ctx.id() < parties.len()`
+/// by construction; the lookup is total anyway.
+fn own_rows<'a, P>(parties: &'a [P], ctx: &PartyCtx) -> Result<&'a P, CoreError> {
+    Ok(parties.get(ctx.id()).ok_or(MpcError::NoSuchParty {
+        id: ctx.id(),
+        n_parties: parties.len(),
+    })?)
+}
+
+/// Runs `f(ctx, its rows)` as one in-process party per element of
+/// `parties` on the structured runner and flattens the outcome. The §5
+/// workloads (logistic, multi-phenotype, online, PCA) run through here,
+/// so they honour `opts` — deadline, retries, fault plan, trace — exactly
+/// like the linear scan.
+pub(crate) fn run_in_process<P: Sync, T: Send>(
+    parties: &[P],
+    seed: u64,
+    opts: &NetOptions,
+    f: impl Fn(&mut PartyCtx, &P) -> Result<T, CoreError> + Sync,
+) -> Result<RunParts<T>, CoreError> {
+    let party = |ctx: &mut PartyCtx| f(ctx, own_rows(parties, ctx)?);
+    flatten(Network::run_parties_detailed_with(
+        parties.len(),
+        seed,
+        opts,
+        party,
+    )?)
+}
 
 /// The body every run shape shares: validate, deal the offline material,
 /// `run` the `parties` this process holds, check they agree, and report.
@@ -381,7 +417,7 @@ fn run_scan<S: SummandSource>(
     parties: &[S],
     lone: Option<(usize, usize)>,
     cfg: &SecureScanConfig,
-    run: impl FnOnce(&TripleSlots) -> Result<RunParts, CoreError>,
+    run: impl FnOnce(&TripleSlots) -> Result<RunParts<ScanResult>, CoreError>,
 ) -> Result<SecureScanOutput, CoreError> {
     let n_parties = lone.map_or(parties.len(), |(_, n)| n);
     // Validate eagerly so configuration errors surface before any thread
@@ -407,12 +443,9 @@ fn run_scan<S: SummandSource>(
 
     let (results, stats, audit) = run(&slots)?;
 
-    // Any party's failure fails the run with its structured error — never
-    // a hang or a process panic.
     let mut iter = results.into_iter();
-    let first = iter.next().ok_or(CoreError::NoParties)??;
+    let first = iter.next().ok_or(CoreError::NoParties)?;
     for r in iter {
-        let r = r?;
         debug_assert_eq!(
             r, first,
             "parties derived different results from identical opened values"
@@ -440,94 +473,65 @@ fn run_scan<S: SummandSource>(
     })
 }
 
-/// One party's protocol context over an established transport, with the
-/// configured fault injector (if any) wrapped around it.
-fn party_ctx<T: FrameTransport + 'static>(
-    transport: T,
+/// Both all-parties run shapes: every party on a thread of this process,
+/// over the mpsc mesh or (with `tcp`) over a loopback socket mesh.
+fn scan_all_parties<S: SummandSource>(
+    parties: &[S],
     cfg: &SecureScanConfig,
-    audit: DisclosureLog,
-) -> PartyCtx {
-    let boxed: Box<dyn Transport> = match cfg.faults {
-        Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
-        None => Box::new(transport),
-    };
-    PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit)
+    trace: TraceHandle,
+    tcp: Option<TcpConfig>,
+) -> Result<SecureScanOutput, CoreError> {
+    run_scan(parties, None, cfg, |slots| {
+        let opts = NetOptions {
+            trace,
+            ..cfg.net_options()
+        };
+        let party = |ctx: &mut PartyCtx| {
+            let data = own_rows(parties, ctx)?;
+            let mut triples = take_triples(slots, ctx.id());
+            protocol::party_protocol_with(ctx, data, cfg, triples.as_mut(), None)
+        };
+        let (p, seed) = (parties.len(), cfg.seed);
+        flatten(match tcp {
+            None => Network::run_parties_detailed_with(p, seed, &opts, party)?,
+            Some(tcp) => Network::run_parties_tcp_with(p, seed, &opts, tcp, party)?,
+        })
+    })
 }
 
 /// Runs the full secure multi-party association scan over an in-process
-/// party network.
+/// party network, over any [`SummandSource`] storage ([`PartyData`] is
+/// the dense one).
 ///
 /// Each element of `parties` is one party's private rows; the function
 /// spawns one thread per party, runs the configured protocol, and checks
 /// that all parties derived identical results (they must — every final
 /// statistic is computed from identically opened values).
-pub fn secure_scan(
-    parties: &[PartyData],
-    cfg: &SecureScanConfig,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_with(parties, cfg)
-}
-
-/// Like [`secure_scan`] but records spans and per-party counters into
-/// `trace` (pass [`TraceHandle::enabled`] with the party count; a
-/// disabled handle makes this identical to [`secure_scan`]).
-pub fn secure_scan_traced(
-    parties: &[PartyData],
-    cfg: &SecureScanConfig,
-    trace: TraceHandle,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_traced_with(parties, cfg, trace)
-}
-
-/// Generic variant of [`secure_scan`] over any [`SummandSource`] storage.
-pub fn secure_scan_with<S: SummandSource>(
+pub fn secure_scan<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
 ) -> Result<SecureScanOutput, CoreError> {
     secure_scan_traced_with(parties, cfg, TraceHandle::disabled())
 }
 
-/// Generic traced variant: the run's transport counters mirror into
-/// `trace` and every party records hierarchical spans
-/// (`scan → phase → block → secure round`) plus protocol counters.
+/// [`secure_scan`] recording into `trace` (pass [`TraceHandle::enabled`]
+/// with the party count): the run's transport counters mirror into it and
+/// every party records hierarchical spans (`scan → phase → block → secure
+/// round`) plus protocol counters. A disabled handle makes this identical
+/// to [`secure_scan`].
 pub fn secure_scan_traced_with<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    let p = parties.len();
-    run_scan(parties, None, cfg, |slots| {
-        let opts = NetOptions {
-            trace,
-            ..cfg.net_options()
-        };
-        let (results, stats, audit) =
-            Network::run_parties_detailed_with(p, cfg.seed, &opts, |ctx| {
-                // ctx.id() < p by construction; the lookup is total anyway.
-                let data = parties
-                    .get(ctx.id())
-                    .ok_or(dash_mpc::MpcError::NoSuchParty {
-                        id: ctx.id(),
-                        n_parties: p,
-                    })?;
-                let mut triples = take_triples(slots, ctx.id());
-                protocol::party_protocol_with(ctx, data, cfg, triples.as_mut(), None)
-            })?;
-        // Flatten each party's slot: the outer Result carries panics/crash
-        // faults (PartyFailed), the inner one protocol errors.
-        let results = results
-            .into_iter()
-            .map(|r| r.map_err(CoreError::from).and_then(|inner| inner))
-            .collect();
-        Ok((results, stats, audit))
-    })
+    scan_all_parties(parties, cfg, trace, None)
 }
 
 /// Runs **one party's** side of the secure scan over an externally
-/// established transport — a [`TcpTransport`] in a real multi-process
-/// deployment, or any [`FrameTransport`] in tests. This is the
-/// per-process counterpart of [`secure_scan_with`], which runs every
-/// party on threads of one process.
+/// established transport — a [`dash_mpc::tcp::TcpTransport`] in a real
+/// multi-process deployment, or any [`Transport`] in tests. This is the
+/// per-process counterpart of [`secure_scan`], which runs every party on
+/// threads of one process.
 ///
 /// The returned [`SecureScanOutput`] is this process's view: `network`
 /// counts **own outbound** traffic only (receivers never record, so the
@@ -542,7 +546,7 @@ pub fn secure_scan_party_with<S, T>(
 ) -> Result<SecureScanOutput, CoreError>
 where
     S: SummandSource,
-    T: FrameTransport + 'static,
+    T: Transport + 'static,
 {
     scan_party(data, cfg, transport, None)
 }
@@ -570,7 +574,7 @@ pub fn secure_scan_party_checkpointed<S, T>(
 ) -> Result<SecureScanOutput, CoreError>
 where
     S: SummandSource,
-    T: FrameTransport + 'static,
+    T: Transport + 'static,
 {
     scan_party(data, cfg, transport, Some(policy))
 }
@@ -583,110 +587,76 @@ fn scan_party<S, T>(
 ) -> Result<SecureScanOutput, CoreError>
 where
     S: SummandSource,
-    T: FrameTransport + 'static,
+    T: Transport + 'static,
 {
     let id = transport.id();
     let p = transport.n_parties();
     run_scan(std::slice::from_ref(data), Some((id, p)), cfg, |slots| {
         let stats = Arc::clone(transport.stats());
         let audit = DisclosureLog::new();
-        let mut ctx = party_ctx(transport, cfg, audit.clone());
+        let mut ctx = cfg
+            .net_options()
+            .party_ctx(transport, cfg.seed, audit.clone());
         let mut triples = take_triples(slots, id);
         let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), policy);
         // Tear the socket mesh down before reporting so every reader
         // thread has exited and the counters are final.
         drop(ctx);
-        Ok((vec![result], stats, audit))
+        Ok((vec![result?], stats, audit))
     })
 }
 
-/// Runs the secure scan over **real loopback TCP sockets**, one
-/// [`TcpTransport`] per party thread — the full socket path (framing,
-/// handshake, reader threads) under one roof so tests and the check.sh
-/// smoke can assert bit-identical results and accounting against
-/// [`secure_scan_with`].
+/// [`secure_scan_traced_with`] over **real loopback TCP sockets**, one
+/// [`dash_mpc::tcp::TcpTransport`] per party thread — the full socket
+/// path (framing, handshake, reader threads) under one roof so tests and
+/// the check.sh smoke can assert bit-identical results and accounting
+/// against [`secure_scan`].
 ///
 /// Unlike separate `dash party` processes, all parties share one
 /// [`NetworkStats`] and one [`DisclosureLog`] here, exactly like the
 /// in-process runner — so `network` and `disclosures` of the output are
 /// directly comparable (equal, for a deterministic protocol) to the
 /// mpsc run's.
-pub fn secure_scan_tcp_local<S: SummandSource>(
-    parties: &[S],
-    cfg: &SecureScanConfig,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_tcp_local_traced(parties, cfg, TraceHandle::disabled())
-}
-
-/// [`secure_scan_tcp_local`] with the shared counters mirroring into
-/// `trace`.
 pub fn secure_scan_tcp_local_traced<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    let p = parties.len();
-    run_scan(parties, None, cfg, |slots| {
-        // Rendezvous: bind every party's listener up front (port 0 → the
-        // OS assigns), so each thread knows the full address list.
-        let mut listeners = Vec::with_capacity(p);
-        let mut addrs = Vec::with_capacity(p);
-        for i in 0..p {
-            let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
-                CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                    peer: i,
-                    reason: format!("bind loopback listener: {e}"),
-                })
-            })?;
-            let addr = l.local_addr().map_err(|e| {
-                CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                    peer: i,
-                    reason: format!("read listener address: {e}"),
-                })
-            })?;
-            listeners.push(l);
-            addrs.push(addr);
-        }
-        let tcp_cfg = TcpConfig {
-            run_id: cfg.seed,
-            ..TcpConfig::default()
-        };
+    let tcp = TcpConfig {
+        run_id: cfg.seed,
+        ..TcpConfig::default()
+    };
+    scan_all_parties(parties, cfg, trace, Some(tcp))
+}
 
-        let stats = Arc::new(NetworkStats::with_trace(p, trace));
-        let audit = DisclosureLog::new();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = listeners
-                .into_iter()
-                .zip(parties)
-                .enumerate()
-                .map(|(i, (listener, data))| {
-                    let addrs = &addrs;
-                    let stats = Arc::clone(&stats);
-                    let audit = audit.clone();
-                    let handle = scope.spawn(move || -> Result<ScanResult, CoreError> {
-                        let tcp = TcpTransport::connect(i, listener, addrs, tcp_cfg, stats)?;
-                        let mut ctx = party_ctx(tcp, cfg, audit);
-                        let mut triples = take_triples(slots, i);
-                        protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), None)
-                    });
-                    (i, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(i, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(CoreError::Mpc(dash_mpc::MpcError::PartyFailed {
-                            party: i,
-                            reason: match CoreError::worker_panicked(payload.as_ref()) {
-                                CoreError::WorkerPanicked { reason } => reason,
-                                _ => "party thread panicked".to_string(),
-                            },
-                        }))
-                    })
-                })
-                .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `secure_scan`, the three §5 drivers and `secure_pca` all run their
+    /// parties through `run_in_process`: a panic inside one party's
+    /// closure must come back as that party's `PartyFailed`, and the
+    /// survivors' structured errors must not take the process down.
+    #[test]
+    fn panicking_party_fails_the_run_with_party_failed() {
+        let opts = NetOptions {
+            transport: TransportConfig {
+                deadline: Duration::from_millis(200),
+                ..TransportConfig::default()
+            },
+            ..NetOptions::default()
+        };
+        let run = run_in_process(&[(); 3], 1, &opts, |ctx, ()| -> Result<u64, CoreError> {
+            if ctx.id() == 0 {
+                panic!("boom in party 0");
+            }
+            Ok(ctx.recv_words(0, 50)?.len() as u64)
         });
-        Ok((results, stats, audit))
-    })
+        match run.map(|(results, _, _)| results) {
+            Err(CoreError::Mpc(MpcError::PartyFailed { party: 0, reason })) => {
+                assert!(reason.contains("boom"), "reason = {reason:?}");
+            }
+            other => panic!("expected PartyFailed, got {other:?}"),
+        }
+    }
 }

@@ -212,7 +212,7 @@ fn gram_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_mpc::net::Network;
+    use dash_mpc::net::{NetOptions, Network};
 
     fn rand_block(n: usize, k: usize, seed: u64) -> Matrix {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(13);
@@ -236,9 +236,12 @@ mod tests {
             rfactor: mode,
             ..SecureScanConfig::default()
         };
-        let (results, _stats, audit) = Network::run_parties_detailed(n_parties, 7, |ctx| {
-            combine_r(ctx, &blocks[ctx.id()], &cfg).unwrap()
-        });
+        let (results, _stats, audit) =
+            Network::run_parties_detailed_with(n_parties, 7, &NetOptions::default(), |ctx| {
+                combine_r(ctx, &blocks[ctx.id()], &cfg).unwrap()
+            })
+            .unwrap();
+        let results: Vec<_> = results.into_iter().map(Result::unwrap).collect();
         (results, expect, audit.per_party_disclosures())
     }
 

@@ -18,8 +18,7 @@
 use dash_core::model::{pool_parties, PartyData};
 use dash_core::scan::per_variant_ols;
 use dash_core::secure::{
-    secure_scan, secure_scan_with, AggregationMode, RFactorMode, SecureScanConfig,
-    SecureScanOutput, SummandSource,
+    secure_scan, AggregationMode, RFactorMode, SecureScanConfig, SecureScanOutput, SummandSource,
 };
 use dash_core::suffstats::VariantSummands;
 use dash_core::{CoreError, ScanResult};
@@ -384,7 +383,7 @@ fn every_block_size_visits_each_column_exactly_once() {
                 threads,
                 ..SecureScanConfig::default()
             };
-            secure_scan_with(&counting, &cfg).unwrap();
+            secure_scan(&counting, &cfg).unwrap();
             for (i, c) in counting.iter().enumerate() {
                 let visits: Vec<usize> =
                     c.visits.iter().map(|v| v.load(Ordering::Relaxed)).collect();

@@ -17,7 +17,7 @@ use dash_core::secure::{
 };
 use dash_core::CoreError;
 use dash_linalg::Matrix;
-use dash_mpc::tcp::{LinkSupervision, ResumeState, TcpConfig, TcpTransport};
+use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::NetworkStats;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -87,15 +87,7 @@ fn run_tcp_checkpointed(
                     } else {
                         None
                     };
-                    let rs =
-                        resume_from
-                            .as_ref()
-                            .and_then(|c| c.links.clone())
-                            .map(|l| ResumeState {
-                                send_next: l.send_next,
-                                recv_next: l.recv_next,
-                                replay: l.replay,
-                            });
+                    let rs = resume_from.as_ref().and_then(|c| c.links.clone());
                     let stats = Arc::new(NetworkStats::with_trace(
                         p,
                         dash_core::TraceHandle::disabled(),

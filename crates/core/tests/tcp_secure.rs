@@ -5,7 +5,7 @@
 //! healthy or under the deterministic fault-injection matrix
 //! (duplicates, reorders, transient send failures, delays), since
 //! [`dash_mpc::FaultyTransport`] wraps either transport through the same
-//! `FrameTransport` interface with the same fate hashes.
+//! frame methods of `Transport`, with the same fate hashes.
 
 // Test code asserts freely; the panic-free discipline applies to the
 // protocol code proper.
@@ -13,8 +13,8 @@
 
 use dash_core::model::PartyData;
 use dash_core::secure::{
-    secure_scan, secure_scan_tcp_local, AggregationMode, RFactorMode, SecureScanConfig,
-    SecureScanOutput,
+    secure_scan, secure_scan_tcp_local_traced, AggregationMode, RFactorMode, SecureScanConfig,
+    SecureScanOutput, TraceHandle,
 };
 use dash_core::ScanResult;
 use dash_linalg::Matrix;
@@ -74,7 +74,7 @@ fn sorted_disclosures(out: &SecureScanOutput) -> Vec<(Option<usize>, String, usi
 fn assert_tcp_matches_inprocess(parties: &[PartyData], cfg: &SecureScanConfig, what: &str) {
     let mpsc =
         secure_scan(parties, cfg).unwrap_or_else(|e| panic!("{what}: mpsc path failed: {e:?}"));
-    let tcp = secure_scan_tcp_local(parties, cfg)
+    let tcp = secure_scan_tcp_local_traced(parties, cfg, TraceHandle::disabled())
         .unwrap_or_else(|e| panic!("{what}: tcp path failed: {e:?}"));
     assert_bits_eq(&tcp.result, &mpsc.result, what);
     assert_eq!(tcp.network, mpsc.network, "{what}: network report");
@@ -206,7 +206,7 @@ fn tcp_fails_structurally_under_message_loss() {
     };
     let started = std::time::Instant::now();
     let mpsc = secure_scan(&parties, &cfg);
-    let tcp = secure_scan_tcp_local(&parties, &cfg);
+    let tcp = secure_scan_tcp_local_traced(&parties, &cfg, TraceHandle::disabled());
     assert!(mpsc.is_err(), "mpsc path must fail under heavy loss");
     assert!(tcp.is_err(), "tcp path must fail under heavy loss");
     assert!(

@@ -16,8 +16,8 @@
 
 use dash_core::model::PartyData;
 use dash_core::secure::{
-    secure_scan, secure_scan_traced, AggregationMode, RFactorMode, SecureScanConfig, TraceCounter,
-    TraceHandle,
+    secure_scan, secure_scan_traced_with, AggregationMode, RFactorMode, SecureScanConfig,
+    TraceCounter, TraceHandle,
 };
 use dash_linalg::Matrix;
 use dash_mpc::transport::FaultPlan;
@@ -68,7 +68,7 @@ fn disclosure_log_matches_trace_observed_openings() {
             ..SecureScanConfig::default()
         };
         let trace = TraceHandle::enabled(parties.len());
-        let out = secure_scan_traced(&parties, &cfg, trace.clone()).unwrap();
+        let out = secure_scan_traced_with(&parties, &cfg, trace.clone()).unwrap();
         let claimed: u64 = out.disclosures.iter().map(|d| d.scalars as u64).sum();
         let observed = trace.counter_total(TraceCounter::OpenedScalars);
         assert!(claimed > 0, "{agg:?}: a scan must disclose something");
@@ -94,7 +94,7 @@ fn trace_totals_match_network_report_exactly() {
         ..SecureScanConfig::default()
     };
     let trace = TraceHandle::enabled(parties.len());
-    let out = secure_scan_traced(&parties, &cfg, trace.clone()).unwrap();
+    let out = secure_scan_traced_with(&parties, &cfg, trace.clone()).unwrap();
     let sent = trace.counter_total(TraceCounter::BytesSent);
     let received = trace.counter_total(TraceCounter::BytesReceived);
     assert_eq!(sent, out.network.total_bytes, "trace sent vs report");
@@ -145,7 +145,7 @@ fn trace_matches_stats_under_fault_injection() {
         ..SecureScanConfig::default()
     };
     let trace = TraceHandle::enabled(parties.len());
-    let out = secure_scan_traced(&parties, &cfg, trace.clone()).unwrap();
+    let out = secure_scan_traced_with(&parties, &cfg, trace.clone()).unwrap();
     assert_eq!(
         trace.counter_total(TraceCounter::BytesSent),
         out.network.total_bytes,
@@ -184,7 +184,7 @@ fn span_tree_reflects_blocked_protocol_structure() {
         ..SecureScanConfig::default()
     };
     let trace = TraceHandle::enabled(parties.len());
-    secure_scan_traced(&parties, &cfg, trace.clone()).unwrap();
+    secure_scan_traced_with(&parties, &cfg, trace.clone()).unwrap();
     assert_eq!(trace.dropped_spans(), 0, "default capacity must suffice");
     let spans = trace.spans();
     let n_blocks = m.div_ceil(block) as u64;
@@ -229,7 +229,7 @@ fn disabled_trace_is_transparent() {
     };
     let plain = secure_scan(&parties, &cfg).unwrap();
     let disabled = TraceHandle::disabled();
-    let traced = secure_scan_traced(&parties, &cfg, disabled.clone()).unwrap();
+    let traced = secure_scan_traced_with(&parties, &cfg, disabled.clone()).unwrap();
     assert!(!disabled.is_enabled());
     assert!(disabled.spans().is_empty());
     assert_eq!(disabled.counter_total(TraceCounter::BytesSent), 0);
@@ -251,7 +251,7 @@ fn json_export_carries_exact_byte_totals() {
         ..SecureScanConfig::default()
     };
     let trace = TraceHandle::enabled(parties.len());
-    let out = secure_scan_traced(&parties, &cfg, trace.clone()).unwrap();
+    let out = secure_scan_traced_with(&parties, &cfg, trace.clone()).unwrap();
     let json = trace.export_json();
     assert!(json.contains("\"schema\": \"dash-trace/1\""));
     assert!(json.contains("\"n_parties\": 2"));

@@ -417,7 +417,7 @@ mod tests {
     use crate::tcp::{LinkSupervision, TcpConfig, TcpTransport};
     use crate::transport::Transport;
     use crate::MpcError;
-    use dash_obs::TraceHandle;
+    use dash_obs::{Counter, TraceHandle};
 
     fn echo_upstream() -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
@@ -593,7 +593,7 @@ mod tests {
         }
         // The fault actually fired: a second connection was accepted.
         assert!(proxy.connections() >= 2, "fault never tripped");
-        assert_eq!(t0.stats().reconnects_by(0), 1);
+        assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 1);
         proxy.stop();
     }
 
@@ -635,7 +635,7 @@ mod tests {
         );
         t1.send_words(0, 600, &[1, 2, 3, 4]).unwrap();
         assert_eq!(t0.recv_words(1, 600).unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(t0.stats().reconnects_by(0), 0);
+        assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 0);
         proxy.stop();
     }
 

@@ -19,15 +19,18 @@
 //!   elements with explicit overflow errors.
 //! - [`prg`]: deterministic pseudo-random generator for share expansion and
 //!   pairwise correlated masks.
-//! - [`net`]: an in-process party network with exact per-link
-//!   byte/message accounting and a latency/bandwidth cost model.
-//! - [`transport`]: the deadline-aware [`transport::Transport`] interface
-//!   protocols talk to, plus deterministic fault injection
+//! - [`transport`]: the one [`transport::Transport`] trait between a
+//!   party's protocol and the wire — implementors move sequence-numbered
+//!   frames; the word codec, tag check and timeout accounting are
+//!   provided once on top — plus deterministic fault injection
 //!   ([`transport::FaultyTransport`]) for resilience testing.
-//! - [`tcp`]: the same contract over real sockets
-//!   ([`tcp::TcpTransport`]) — one OS process per party, length-prefixed
-//!   frames, deterministic connect handshake, identical error surface
-//!   and accounting to the in-process endpoint.
+//! - [`net`]: the in-process mpsc implementor ([`net::Endpoint`]), the
+//!   exact per-link byte/message accounting every implementor records
+//!   into, a latency/bandwidth cost model, and the one party runner.
+//! - [`tcp`]: the real-socket implementor ([`tcp::TcpTransport`]) — one
+//!   OS process per party, length-prefixed frames, deterministic connect
+//!   handshake, identical error surface and accounting to the
+//!   in-process endpoint.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
 //! - [`dealer`]: trusted dealer producing Beaver scalar and inner-product
@@ -45,7 +48,7 @@
 //! # Example
 //!
 //! ```
-//! use dash_mpc::net::Network;
+//! use dash_mpc::net::{NetOptions, Network};
 //! use dash_mpc::protocol::sum::secure_sum_f64;
 //! use dash_mpc::fixed::FixedPointCodec;
 //!
@@ -53,13 +56,16 @@
 //! // revealed.
 //! let inputs = vec![vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
 //! let codec = FixedPointCodec::new(32).unwrap();
-//! let results = Network::run_parties(3, 7, |ctx| {
-//!     let mine = inputs[ctx.id()].clone();
-//!     secure_sum_f64(ctx, &codec, &mine, "demo total").unwrap()
-//! });
-//! for r in &results {
-//!     assert!((r[0] - 111.0).abs() < 1e-6);
-//!     assert!((r[1] - 222.0).abs() < 1e-6);
+//! let (slots, _stats, _audit) =
+//!     Network::run_parties_detailed_with(3, 7, &NetOptions::default(), |ctx| {
+//!         secure_sum_f64(ctx, &codec, &inputs[ctx.id()], "demo total")
+//!     })
+//!     .unwrap();
+//! for slot in slots {
+//!     // Outer `Result`: the party ran to completion; inner: its protocol.
+//!     let total = slot.unwrap().unwrap();
+//!     assert!((total[0] - 111.0).abs() < 1e-6);
+//!     assert!((total[1] - 222.0).abs() < 1e-6);
 //! }
 //! ```
 
@@ -103,9 +109,9 @@ pub use chaos::{ChaosMode, ChaosPolicy, ChaosProxy};
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
 pub use ring::R64;
 pub use secret::{OpenMode, ScalarCount, Secret};
-pub use tcp::{LinkSupervision, ResumeState, TcpConfig, TcpTransport};
+pub use tcp::{LinkSupervision, TcpConfig, TcpTransport};
 pub use transport::{
-    CrashPoint, FaultPlan, FaultyTransport, FrameTransport, RetryPolicy, Transport, TransportConfig,
+    CrashPoint, FaultPlan, FaultyTransport, RetryPolicy, Transport, TransportConfig,
 };
 
 /// Convenience alias used across the crate.

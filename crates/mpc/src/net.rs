@@ -18,10 +18,12 @@
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
 use crate::party::PartyCtx;
+use crate::tcp::{TcpConfig, TcpTransport};
 use crate::transport::{FaultPlan, FaultyTransport, Transport, TransportConfig};
 use dash_obs::{Counter, TraceHandle};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -60,24 +62,20 @@ pub struct Message {
     pub payload: Vec<u8>,
 }
 
-/// Per-link byte/message counters plus per-party retry/timeout counters,
-/// shared by all endpoints of one network.
+/// Per-link byte/message counters plus one per-party table of event
+/// counters (retries, timeouts, reconnects, heartbeats, resumes), shared
+/// by all endpoints of one network.
 #[derive(Debug)]
 pub struct NetworkStats {
     n: usize,
     bytes: Vec<AtomicU64>,
     msgs: Vec<AtomicU64>,
-    retries: Vec<AtomicU64>,
-    timeouts: Vec<AtomicU64>,
-    /// Link re-establishments after socket errors (crash recovery).
-    reconnects: Vec<AtomicU64>,
-    /// Heartbeat frames shipped. Deliberately *not* folded into
-    /// `bytes`/`msgs`: heartbeat counts depend on wall-clock timing, and
-    /// the protocol's traffic totals must stay bit-identical across runs
+    /// Per-party event counts, row-major `party * Counter::ALL.len() +
+    /// counter`. Heartbeats live here and deliberately *not* in
+    /// `bytes`/`msgs`: their count depends on wall-clock timing, and the
+    /// protocol's traffic totals must stay bit-identical across runs
     /// (interrupted or not).
-    heartbeats: Vec<AtomicU64>,
-    /// Resume handshakes completed (either side of a resume hello).
-    resumes: Vec<AtomicU64>,
+    events: Vec<AtomicU64>,
     /// Per-block (bytes, messages), keyed by block id (tag-derived).
     block_traffic: Mutex<BTreeMap<u32, (u64, u64)>>,
     /// Bytes of every message whose tag is outside the block range.
@@ -88,27 +86,27 @@ pub struct NetworkStats {
     trace: TraceHandle,
 }
 
+fn zeros(len: usize) -> Vec<AtomicU64> {
+    (0..len).map(|_| AtomicU64::new(0)).collect()
+}
+
+fn loads(cells: &[AtomicU64]) -> impl Iterator<Item = u64> + '_ {
+    cells.iter().map(|c| c.load(Ordering::Relaxed))
+}
+
 impl NetworkStats {
-    /// Standalone counters for `n` parties, mirroring into `trace` (pass
+    /// Counters for `n` parties, mirroring into `trace` (pass
     /// [`TraceHandle::disabled`] for the free path). The in-process
-    /// [`Network`] builds its shared counters internally; this
-    /// constructor exists for transports assembled by hand — one
+    /// [`Network`] builds its shared counters through this too; it is
+    /// public for transports assembled by hand — one
     /// [`crate::tcp::TcpTransport`] per OS process, for example — which
     /// need the same single accounting point.
     pub fn with_trace(n: usize, trace: TraceHandle) -> Self {
-        Self::new_traced(n, trace)
-    }
-
-    fn new_traced(n: usize, trace: TraceHandle) -> Self {
         NetworkStats {
             n,
-            bytes: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            msgs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            retries: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            timeouts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            reconnects: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            heartbeats: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            resumes: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            bytes: zeros(n * n),
+            msgs: zeros(n * n),
+            events: zeros(n * Counter::ALL.len()),
             block_traffic: Mutex::new(BTreeMap::new()),
             unscoped_bytes: AtomicU64::new(0),
             trace,
@@ -126,7 +124,7 @@ impl NetworkStats {
     /// per-link counters, per-block attribution and the trace mirror can
     /// never drift apart.
     #[inline]
-    pub(crate) fn record(&self, from: usize, to: usize, tag: u32, payload_len: usize) {
+    pub(crate) fn record_frame(&self, from: usize, to: usize, tag: u32, payload_len: usize) {
         let nbytes = HEADER_BYTES + payload_len as u64;
         if let Some(b) = self.bytes.get(from * self.n + to) {
             b.fetch_add(nbytes, Ordering::Relaxed);
@@ -150,45 +148,29 @@ impl NetworkStats {
         }
     }
 
-    /// Counts one send retry performed by `party`.
-    pub(crate) fn record_retry(&self, party: usize) {
-        if let Some(r) = self.retries.get(party) {
-            r.fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace.add(party, Counter::Retries, 1);
+    /// An out-of-range party indexes past the table (every counter's
+    /// discriminant is below the row width), so it reads as `None`.
+    fn event(&self, party: usize, c: Counter) -> Option<&AtomicU64> {
+        self.events.get(party * Counter::ALL.len() + c as usize)
     }
 
-    /// Counts one receive deadline expiry suffered by `party`.
-    pub(crate) fn record_timeout(&self, party: usize) {
-        if let Some(t) = self.timeouts.get(party) {
-            t.fetch_add(1, Ordering::Relaxed);
+    /// Adds `amount` events of kind `c` at `party`, mirrored into the
+    /// trace at this one point.
+    fn add_events(&self, party: usize, c: Counter, amount: u64) {
+        if let Some(cell) = self.event(party, c) {
+            cell.fetch_add(amount, Ordering::Relaxed);
         }
-        self.trace.add(party, Counter::Timeouts, 1);
+        self.trace.add(party, c, amount);
     }
 
-    /// Counts one successful link re-establishment performed by `party`.
-    pub(crate) fn record_reconnect(&self, party: usize) {
-        if let Some(r) = self.reconnects.get(party) {
-            r.fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace.add(party, Counter::Reconnects, 1);
-    }
-
-    /// Counts one heartbeat frame shipped by `party` (bytes/messages are
-    /// intentionally untouched — see the field docs).
-    pub(crate) fn record_heartbeat(&self, party: usize) {
-        if let Some(h) = self.heartbeats.get(party) {
-            h.fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace.add(party, Counter::HeartbeatsSent, 1);
-    }
-
-    /// Counts one completed resume handshake on `party`'s side.
-    pub(crate) fn record_resume(&self, party: usize) {
-        if let Some(r) = self.resumes.get(party) {
-            r.fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace.add(party, Counter::Resumes, 1);
+    /// Counts one per-party event: a send retry performed
+    /// ([`Counter::Retries`]), a receive deadline expired
+    /// ([`Counter::Timeouts`]), a link re-established
+    /// ([`Counter::Reconnects`]), a heartbeat frame shipped
+    /// ([`Counter::HeartbeatsSent`]; bytes/messages stay untouched) or a
+    /// resume handshake completed ([`Counter::Resumes`]).
+    pub(crate) fn record(&self, party: usize, c: Counter) {
+        self.add_events(party, c, 1);
     }
 
     /// Number of parties.
@@ -220,83 +202,27 @@ impl NetworkStats {
         (0..self.n).map(|j| self.messages_between(party, j)).sum()
     }
 
-    /// Send retries performed by one party.
-    pub fn retries_by(&self, party: usize) -> u64 {
-        self.retries
-            .get(party)
-            .map_or(0, |r| r.load(Ordering::Relaxed))
+    /// Events of kind `c` recorded at one party (see
+    /// `NetworkStats::record` for the kinds counted here; byte and
+    /// message counts live in the per-link matrices above).
+    pub fn count_by(&self, party: usize, c: Counter) -> u64 {
+        self.event(party, c)
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
-    /// Receive timeouts suffered by one party.
-    pub fn timeouts_by(&self, party: usize) -> u64 {
-        self.timeouts
-            .get(party)
-            .map_or(0, |t| t.load(Ordering::Relaxed))
-    }
-
-    /// Link re-establishments performed by one party.
-    pub fn reconnects_by(&self, party: usize) -> u64 {
-        self.reconnects
-            .get(party)
-            .map_or(0, |r| r.load(Ordering::Relaxed))
-    }
-
-    /// Heartbeat frames shipped by one party.
-    pub fn heartbeats_by(&self, party: usize) -> u64 {
-        self.heartbeats
-            .get(party)
-            .map_or(0, |h| h.load(Ordering::Relaxed))
-    }
-
-    /// Resume handshakes completed on one party's side.
-    pub fn resumes_by(&self, party: usize) -> u64 {
-        self.resumes
-            .get(party)
-            .map_or(0, |r| r.load(Ordering::Relaxed))
+    /// Events of kind `c` over all parties.
+    pub fn total(&self, c: Counter) -> u64 {
+        (0..self.n).map(|p| self.count_by(p, c)).sum()
     }
 
     /// Total bytes over all links.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        loads(&self.bytes).sum()
     }
 
     /// Total messages over all links.
     pub fn total_messages(&self) -> u64 {
-        self.msgs.iter().map(|m| m.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total send retries over all parties.
-    pub fn total_retries(&self) -> u64 {
-        self.retries.iter().map(|r| r.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total receive timeouts over all parties.
-    pub fn total_timeouts(&self) -> u64 {
-        self.timeouts
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total link re-establishments over all parties.
-    pub fn total_reconnects(&self) -> u64 {
-        self.reconnects
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total heartbeat frames over all parties.
-    pub fn total_heartbeats(&self) -> u64 {
-        self.heartbeats
-            .iter()
-            .map(|h| h.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total resume handshakes over all parties.
-    pub fn total_resumes(&self) -> u64 {
-        self.resumes.iter().map(|r| r.load(Ordering::Relaxed)).sum()
+        loads(&self.msgs).sum()
     }
 
     /// Largest per-party outbound byte count — the bottleneck link in a
@@ -330,26 +256,8 @@ impl NetworkStats {
 
     /// Resets all counters (between experiment repetitions).
     pub fn reset(&self) {
-        for b in &self.bytes {
-            b.store(0, Ordering::Relaxed);
-        }
-        for m in &self.msgs {
-            m.store(0, Ordering::Relaxed);
-        }
-        for r in &self.retries {
-            r.store(0, Ordering::Relaxed);
-        }
-        for t in &self.timeouts {
-            t.store(0, Ordering::Relaxed);
-        }
-        for r in &self.reconnects {
-            r.store(0, Ordering::Relaxed);
-        }
-        for h in &self.heartbeats {
-            h.store(0, Ordering::Relaxed);
-        }
-        for r in &self.resumes {
-            r.store(0, Ordering::Relaxed);
+        for cell in self.bytes.iter().chain(&self.msgs).chain(&self.events) {
+            cell.store(0, Ordering::Relaxed);
         }
         self.block_traffic.lock().clear();
         self.unscoped_bytes.store(0, Ordering::Relaxed);
@@ -362,28 +270,13 @@ impl NetworkStats {
     /// describe the crash, not the protocol, and must not be replayed
     /// into a resumed run's report.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let per_party = |c| (0..self.n).map(|p| self.count_by(p, c)).collect();
         StatsSnapshot {
             n: self.n,
-            bytes: self
-                .bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            msgs: self
-                .msgs
-                .iter()
-                .map(|m| m.load(Ordering::Relaxed))
-                .collect(),
-            retries: self
-                .retries
-                .iter()
-                .map(|r| r.load(Ordering::Relaxed))
-                .collect(),
-            timeouts: self
-                .timeouts
-                .iter()
-                .map(|t| t.load(Ordering::Relaxed))
-                .collect(),
+            bytes: loads(&self.bytes).collect(),
+            msgs: loads(&self.msgs).collect(),
+            retries: per_party(Counter::Retries),
+            timeouts: per_party(Counter::Timeouts),
             block_traffic: self.per_block_traffic(),
             unscoped_bytes: self.unscoped_bytes.load(Ordering::Relaxed),
         }
@@ -423,16 +316,10 @@ impl NetworkStats {
             }
         }
         for (p, &r) in snap.retries.iter().enumerate().take(self.n) {
-            if let Some(slot) = self.retries.get(p) {
-                slot.fetch_add(r, Ordering::Relaxed);
-            }
-            self.trace.add(p, Counter::Retries, r);
+            self.add_events(p, Counter::Retries, r);
         }
         for (p, &t) in snap.timeouts.iter().enumerate().take(self.n) {
-            if let Some(slot) = self.timeouts.get(p) {
-                slot.fetch_add(t, Ordering::Relaxed);
-            }
-            self.trace.add(p, Counter::Timeouts, t);
+            self.add_events(p, Counter::Timeouts, t);
         }
         {
             let mut map = self.block_traffic.lock();
@@ -633,8 +520,9 @@ impl RecvState {
     }
 }
 
-/// One party's view of the network: senders to every peer, in-order
-/// deadline-aware receivers from every peer.
+/// One party's view of the in-process network: senders to every peer,
+/// in-order deadline-aware receivers from every peer. Its whole API is
+/// the [`Transport`] trait.
 #[derive(Debug)]
 pub struct Endpoint {
     id: usize,
@@ -645,151 +533,58 @@ pub struct Endpoint {
     stats: Arc<NetworkStats>,
 }
 
-/// Serializes words into the little-endian byte payload.
-pub(crate) fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        buf.extend_from_slice(&w.to_le_bytes());
+impl Endpoint {
+    fn no_such_party(&self, id: usize) -> MpcError {
+        MpcError::NoSuchParty {
+            id,
+            n_parties: self.n,
+        }
     }
-    buf
 }
 
-impl Endpoint {
-    /// This endpoint's party id.
-    pub fn id(&self) -> usize {
+impl Transport for Endpoint {
+    fn id(&self) -> usize {
         self.id
     }
 
-    /// Number of parties on the network.
-    pub fn n_parties(&self) -> usize {
+    fn n_parties(&self) -> usize {
         self.n
     }
 
-    /// The shared counters.
-    pub fn stats(&self) -> &Arc<NetworkStats> {
+    fn stats(&self) -> &Arc<NetworkStats> {
         &self.stats
     }
 
-    /// Allocates the next sequence number for the link to `to`,
-    /// validating the link exists.
-    pub(crate) fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
+    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
         if to == self.id {
-            return Err(MpcError::NoSuchParty {
-                id: to,
-                n_parties: self.n,
-            });
+            return Err(self.no_such_party(to));
         }
         self.send_seqs
             .get(to)
             .map(|s| s.fetch_add(1, Ordering::Relaxed))
-            .ok_or(MpcError::NoSuchParty {
-                id: to,
-                n_parties: self.n,
-            })
+            .ok_or_else(|| self.no_such_party(to))
     }
 
-    /// Ships an already-framed message, recording its cost. Used by the
-    /// fault-injection layer to duplicate and reorder frames.
-    pub(crate) fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
-        let sender =
-            self.senders
-                .get(to)
-                .and_then(|s| s.as_ref())
-                .ok_or(MpcError::NoSuchParty {
-                    id: to,
-                    n_parties: self.n,
-                })?;
-        self.stats.record(self.id, to, msg.tag, msg.payload.len());
+    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
+        let sender = self
+            .senders
+            .get(to)
+            .and_then(|s| s.as_ref())
+            .ok_or_else(|| self.no_such_party(to))?;
+        self.stats
+            .record_frame(self.id, to, msg.tag, msg.payload.len());
         sender
             .send(msg)
             .map_err(|_| MpcError::ChannelClosed { peer: to })
     }
 
-    /// Sends a raw byte payload to a peer under a tag.
-    pub fn send_bytes(&self, to: usize, tag: u32, payload: &[u8]) -> Result<(), MpcError> {
-        let seq = self.alloc_seq(to)?;
-        self.send_frame(
-            to,
-            Message {
-                seq,
-                tag,
-                payload: payload.to_vec(),
-            },
-        )
-    }
-
-    /// Sends a vector of u64 words to a peer under a tag.
-    pub fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
-        self.send_bytes(to, tag, &words_to_bytes(words))
-    }
-
-    /// Receives the next in-order frame from `from`, waiting at most
-    /// `deadline`. Duplicates (already-delivered sequence numbers) are
-    /// discarded; early arrivals are buffered until their turn.
     fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError> {
         let link = self
             .links
             .get(from)
             .and_then(|l| l.as_ref())
-            .ok_or(MpcError::NoSuchParty {
-                id: from,
-                n_parties: self.n,
-            })?;
-        let res = link.lock().recv_in_order(from, tag, deadline);
-        if let Err(MpcError::Timeout { .. }) = &res {
-            self.stats.record_timeout(self.id);
-        }
-        res
-    }
-
-    /// Receives a raw byte payload from a peer, verifying the tag and
-    /// waiting at most `deadline`.
-    pub fn recv_bytes_timeout(
-        &self,
-        from: usize,
-        expected_tag: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u8>, MpcError> {
-        let msg = self.recv_frame(from, expected_tag, deadline)?;
-        if msg.tag != expected_tag {
-            return Err(MpcError::UnexpectedMessage {
-                expected_tag,
-                got_tag: msg.tag,
-                from,
-            });
-        }
-        Ok(msg.payload)
-    }
-
-    /// Receives a word vector from a specific peer, verifying the tag
-    /// and waiting at most `deadline`. A payload that is not a whole
-    /// number of words is rejected rather than silently truncated.
-    pub fn recv_words_timeout(
-        &self,
-        from: usize,
-        expected_tag: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u64>, MpcError> {
-        let payload = self.recv_bytes_timeout(from, expected_tag, deadline)?;
-        if payload.len() % 8 != 0 {
-            return Err(MpcError::MalformedPayload {
-                from,
-                len: payload.len(),
-            });
-        }
-        Ok(payload
-            .chunks_exact(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w)
-            })
-            .collect())
-    }
-
-    /// Receives a word vector with the [`DEFAULT_DEADLINE`].
-    pub fn recv_words(&self, from: usize, expected_tag: u32) -> Result<Vec<u64>, MpcError> {
-        self.recv_words_timeout(from, expected_tag, DEFAULT_DEADLINE)
+            .ok_or_else(|| self.no_such_party(from))?;
+        link.lock().recv_in_order(from, tag, deadline)
     }
 }
 
@@ -799,7 +594,7 @@ impl Endpoint {
 pub struct NetOptions {
     /// Receive deadline and send retry policy.
     pub transport: TransportConfig,
-    /// When set, every endpoint is wrapped in a
+    /// When set, every party's transport is wrapped in a
     /// [`FaultyTransport`] driven by this plan.
     pub faults: Option<FaultPlan>,
     /// Observability sink. Disabled by default; when enabled, the shared
@@ -809,17 +604,89 @@ pub struct NetOptions {
     pub trace: TraceHandle,
 }
 
+impl NetOptions {
+    /// One party's protocol context over an established transport: the
+    /// configured fault injector (if any) wrapped around it, this run's
+    /// deadline/retry policy, and the party's seeded randomness. Every
+    /// run shape — mpsc mesh, loopback TCP mesh, a lone party process —
+    /// builds its contexts here.
+    pub fn party_ctx<X: Transport + 'static>(
+        &self,
+        transport: X,
+        seed: u64,
+        audit: DisclosureLog,
+    ) -> PartyCtx {
+        let boxed: Box<dyn Transport> = match self.faults {
+            Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
+            None => Box::new(transport),
+        };
+        PartyCtx::with_transport(boxed, self.transport, seed, audit)
+    }
+}
+
 /// Factory for in-process party networks.
 pub struct Network;
 
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// What a structured runner hands back: each party's slot (`Err` for a
+/// party that panicked, crashed or never got its transport), the shared
+/// counters, and the shared disclosure log.
+type PartyRun<T> = (Vec<Result<T, MpcError>>, Arc<NetworkStats>, DisclosureLog);
+
+fn party_failed(party: usize, payload: &(dyn std::any::Any + Send)) -> MpcError {
+    let reason = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "party panicked with non-string payload".to_string()
-    }
+    };
+    MpcError::PartyFailed { party, reason }
+}
+
+/// The one thread-per-party body: party `i` obtains its transport from
+/// `connect[i]` *on its own thread* (a socket mesh can only form with
+/// every party dialing concurrently), builds its context through
+/// [`NetOptions::party_ctx`], and runs `f` with panics contained — a
+/// party that panics yields `Err(MpcError::PartyFailed)` in its own slot
+/// while the survivors keep running into their own structured errors.
+fn run_party_threads<T, X, C, F>(
+    connect: Vec<C>,
+    seed: u64,
+    opts: &NetOptions,
+    audit: &DisclosureLog,
+    f: F,
+) -> Vec<Result<T, MpcError>>
+where
+    T: Send,
+    X: Transport + 'static,
+    C: FnOnce() -> Result<X, MpcError> + Send,
+    F: Fn(&mut PartyCtx) -> T + Sync,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = connect
+            .into_iter()
+            .enumerate()
+            .map(|(id, connect)| {
+                let f = &f;
+                scope.spawn(move || {
+                    let mut ctx = opts.party_ctx(connect()?, seed, audit.clone());
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
+                        .map_err(|payload| party_failed(id, payload.as_ref()))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            // The closure contains its own panics, so join only fails if
+            // the panic machinery itself aborted; report that as a party
+            // failure too instead of propagating.
+            .map(|(id, h)| {
+                h.join()
+                    .unwrap_or_else(|payload| Err(party_failed(id, payload.as_ref())))
+            })
+            .collect()
+    })
 }
 
 impl Network {
@@ -840,7 +707,7 @@ impl Network {
                 min: 1,
             });
         }
-        let stats = Arc::new(NetworkStats::new_traced(n, trace));
+        let stats = Arc::new(NetworkStats::with_trace(n, trace));
         // channels[i][j]: sender for link i→j held by i, receiver held by j.
         let mut senders: Vec<Vec<Option<Sender<Message>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -874,112 +741,98 @@ impl Network {
         Ok((endpoints, stats))
     }
 
-    /// Runs `n` party threads executing the same (SPMD) protocol closure
-    /// and returns their results in party order.
-    ///
-    /// `seed` derives every party's private randomness and all pairwise
-    /// mask seeds, so runs are fully reproducible. Panics if a party
-    /// panics (tests want the original panic, not a swallowed error).
-    pub fn run_parties<T, F>(n: usize, seed: u64, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut PartyCtx) -> T + Sync,
-    {
-        Self::run_parties_detailed(n, seed, f).0
-    }
-
-    /// Like [`Network::run_parties`] but also returns the network counters
-    /// and the disclosure log.
-    pub fn run_parties_detailed<T, F>(
+    /// Panic-on-failure shorthand for tests and experiment binaries that
+    /// want a party's original panic: `n` SPMD party threads over the
+    /// mpsc mesh, results in party order. Library code uses
+    /// [`Network::run_parties_detailed_with`].
+    pub fn run_parties<T: Send>(
         n: usize,
         seed: u64,
-        f: F,
-    ) -> (Vec<T>, Arc<NetworkStats>, DisclosureLog)
-    where
-        T: Send,
-        F: Fn(&mut PartyCtx) -> T + Sync,
-    {
-        let (results, stats, audit) =
-            Self::run_parties_detailed_with(n, seed, &NetOptions::default(), f)
-                // dash-analyze::allow(panic-free): this runner's documented
-                // contract is panic-on-failure (tests want the original
-                // failure); `run_parties_detailed_with` is the
-                // structured-error path.
-                .unwrap_or_else(|e| panic!("network setup failed: {e}"));
-        let results = results
-            .into_iter()
-            // dash-analyze::allow(panic-free): this runner's documented
-            // contract is to surface a party panic as a process panic so
-            // tests see the original failure; the fault-tolerant
-            // `run_parties_detailed_with` is the structured-error path.
-            .map(|r| r.unwrap_or_else(|e| panic!("party thread panicked: {e}")))
-            .collect();
-        (results, stats, audit)
+        f: impl Fn(&mut PartyCtx) -> T + Sync,
+    ) -> Vec<T> {
+        // dash-analyze::allow(panic-free): panic-on-failure is this
+        // wrapper's documented contract; no library path calls it.
+        let ok = |r: Result<T, MpcError>| r.unwrap_or_else(|e| panic!("party failed: {e}"));
+        let run = Self::run_parties_detailed_with(n, seed, &NetOptions::default(), f);
+        let (slots, _, _) = run.unwrap_or_else(|e| panic!("network setup failed: {e}"));
+        slots.into_iter().map(ok).collect()
     }
 
-    /// The fault-tolerant runner: like [`Network::run_parties_detailed`]
-    /// but each party's slot is a `Result` — a party that panics (or hits
-    /// an injected crash fault) yields `Err(MpcError::PartyFailed)` in its
-    /// own slot while the survivors keep running and report their own
-    /// structured errors ([`MpcError::ChannelClosed`] or
-    /// [`MpcError::Timeout`]) within the configured deadline. The process
-    /// never panics and never hangs.
+    /// The structured runner over the in-process mpsc mesh: `n` party
+    /// threads execute the same (SPMD) protocol closure; `seed` derives
+    /// every party's private randomness and all pairwise mask seeds, so
+    /// runs are fully reproducible. Each party's slot is a `Result` — a
+    /// party that panics (or hits an injected crash fault) yields
+    /// `Err(MpcError::PartyFailed)` in its own slot while the survivors
+    /// keep running and report their own structured errors
+    /// ([`MpcError::ChannelClosed`] or [`MpcError::Timeout`]) within the
+    /// configured deadline. The process never panics and never hangs.
     ///
     /// A network that cannot be set up at all (e.g. `n == 0`) is an
-    /// `Err` on the runner itself — previously this was silently mapped
-    /// to an empty zero-party *success*, making a setup failure
-    /// indistinguishable from "no parties" (regression-tested below).
-    #[allow(clippy::type_complexity)]
+    /// `Err` on the runner itself, never an empty zero-party success.
     pub fn run_parties_detailed_with<T, F>(
         n: usize,
         seed: u64,
         opts: &NetOptions,
         f: F,
-    ) -> Result<(Vec<Result<T, MpcError>>, Arc<NetworkStats>, DisclosureLog), MpcError>
+    ) -> Result<PartyRun<T>, MpcError>
     where
         T: Send,
         F: Fn(&mut PartyCtx) -> T + Sync,
     {
         let (endpoints, stats) = Self::endpoints_traced(n, opts.trace.clone())?;
         let audit = DisclosureLog::new();
-        let results: Vec<Result<T, MpcError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|ep| {
-                    let audit = audit.clone();
-                    let f = &f;
-                    let id = ep.id();
-                    let handle = scope.spawn(move || {
-                        let transport: Box<dyn Transport> = match opts.faults {
-                            Some(plan) => Box::new(FaultyTransport::new(ep, plan)),
-                            None => Box::new(ep),
-                        };
-                        let mut ctx =
-                            PartyCtx::with_transport(transport, opts.transport, seed, audit);
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
-                            .map_err(|payload| MpcError::PartyFailed {
-                                party: id,
-                                reason: panic_reason(payload.as_ref()),
-                            })
-                    });
-                    (id, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(id, h)| {
-                    // The closure runs under catch_unwind, so join only
-                    // fails if the panic machinery itself aborted; report
-                    // that as a party failure instead of propagating.
-                    h.join().unwrap_or_else(|payload| {
-                        Err(MpcError::PartyFailed {
-                            party: id,
-                            reason: panic_reason(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        });
+        let connect = endpoints.into_iter().map(|ep| move || Ok(ep)).collect();
+        let results = run_party_threads(connect, seed, opts, &audit, f);
+        Ok((results, stats, audit))
+    }
+
+    /// [`Network::run_parties_detailed_with`] over **real loopback TCP
+    /// sockets**: one [`TcpTransport`] per party thread, connected under
+    /// `tcp` on OS-assigned ports — framing, handshake and reader threads
+    /// included. All parties share one [`NetworkStats`] and one
+    /// [`DisclosureLog`], exactly like the mpsc mesh, so the two runners'
+    /// outputs are directly comparable. A party whose connect fails
+    /// carries that handshake error in its slot.
+    pub fn run_parties_tcp_with<T, F>(
+        n: usize,
+        seed: u64,
+        opts: &NetOptions,
+        tcp: TcpConfig,
+        f: F,
+    ) -> Result<PartyRun<T>, MpcError>
+    where
+        T: Send,
+        F: Fn(&mut PartyCtx) -> T + Sync,
+    {
+        // Rendezvous: bind every party's listener up front (port 0 → the
+        // OS assigns), so each thread knows the full address list.
+        let bind_err = |peer, what: &str, e: std::io::Error| MpcError::Handshake {
+            peer,
+            reason: format!("{what}: {e}"),
+        };
+        let mut listeners = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
+        for i in 0..n {
+            let l = TcpListener::bind("127.0.0.1:0")
+                .map_err(|e| bind_err(i, "bind loopback listener", e))?;
+            addrs.push(
+                l.local_addr()
+                    .map_err(|e| bind_err(i, "read listener address", e))?,
+            );
+            listeners.push(l);
+        }
+        let stats = Arc::new(NetworkStats::with_trace(n, opts.trace.clone()));
+        let audit = DisclosureLog::new();
+        let connect = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let (addrs, stats) = (&addrs, Arc::clone(&stats));
+                move || TcpTransport::connect(i, l, addrs, tcp, stats)
+            })
+            .collect();
+        let results = run_party_threads(connect, seed, opts, &audit, f);
         Ok((results, stats, audit))
     }
 }
@@ -987,7 +840,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::RetryPolicy;
+    use crate::transport::{words_to_bytes, RetryPolicy};
 
     #[test]
     fn zero_parties_rejected() {
@@ -1054,8 +907,14 @@ mod tests {
                 trace.counter(p, Counter::MessagesSent),
                 stats.messages_sent_by(p)
             );
-            assert_eq!(trace.counter(p, Counter::Retries), stats.retries_by(p));
-            assert_eq!(trace.counter(p, Counter::Timeouts), stats.timeouts_by(p));
+            assert_eq!(
+                trace.counter(p, Counter::Retries),
+                stats.count_by(p, Counter::Retries)
+            );
+            assert_eq!(
+                trace.counter(p, Counter::Timeouts),
+                stats.count_by(p, Counter::Timeouts)
+            );
         }
         assert_eq!(trace.counter_total(Counter::BytesSent), stats.total_bytes());
         assert_eq!(
@@ -1070,31 +929,31 @@ mod tests {
         // Build a stats object with traffic in every category, snapshot
         // it, restore into a fresh traced instance, and check both the
         // counters and the mirrored trace match the original exactly.
-        let orig = NetworkStats::new_traced(3, TraceHandle::enabled(3));
-        orig.record(0, 1, 2000, 40); // block-tagged
-        orig.record(1, 2, 2000, 8);
-        orig.record(2, 0, 7, 16); // unscoped tag
-        orig.record_retry(1);
-        orig.record_timeout(2);
-        orig.record_reconnect(0);
-        orig.record_heartbeat(0);
-        orig.record_resume(0);
+        let orig = NetworkStats::with_trace(3, TraceHandle::enabled(3));
+        orig.record_frame(0, 1, 2000, 40); // block-tagged
+        orig.record_frame(1, 2, 2000, 8);
+        orig.record_frame(2, 0, 7, 16); // unscoped tag
+        orig.record(1, Counter::Retries);
+        orig.record(2, Counter::Timeouts);
+        orig.record(0, Counter::Reconnects);
+        orig.record(0, Counter::HeartbeatsSent);
+        orig.record(0, Counter::Resumes);
         let snap = orig.snapshot();
 
-        let fresh = NetworkStats::new_traced(3, TraceHandle::enabled(3));
+        let fresh = NetworkStats::with_trace(3, TraceHandle::enabled(3));
         fresh.restore_snapshot(&snap).unwrap();
         assert_eq!(fresh.total_bytes(), orig.total_bytes());
         assert_eq!(fresh.total_messages(), orig.total_messages());
         assert_eq!(fresh.bytes_between(0, 1), orig.bytes_between(0, 1));
-        assert_eq!(fresh.retries_by(1), 1);
-        assert_eq!(fresh.timeouts_by(2), 1);
+        assert_eq!(fresh.count_by(1, Counter::Retries), 1);
+        assert_eq!(fresh.count_by(2, Counter::Timeouts), 1);
         assert_eq!(fresh.per_block_traffic(), orig.per_block_traffic());
         assert_eq!(fresh.unscoped_bytes(), orig.unscoped_bytes());
         // Recovery counters describe the crash, not the protocol: they
         // are not part of the snapshot and stay zero after a restore.
-        assert_eq!(fresh.total_reconnects(), 0);
-        assert_eq!(fresh.total_heartbeats(), 0);
-        assert_eq!(fresh.total_resumes(), 0);
+        assert_eq!(fresh.total(Counter::Reconnects), 0);
+        assert_eq!(fresh.total(Counter::HeartbeatsSent), 0);
+        assert_eq!(fresh.total(Counter::Resumes), 0);
         // The restored deltas were mirrored into the trace, so the
         // per-process conservation invariant still holds.
         let t = fresh.trace();
@@ -1110,7 +969,7 @@ mod tests {
         assert_eq!(t.counter(1, Counter::Retries), 1);
         assert_eq!(t.counter(2, Counter::Timeouts), 1);
         // Snapshots from a differently-sized mesh are rejected.
-        let wrong = NetworkStats::new_traced(2, TraceHandle::disabled());
+        let wrong = NetworkStats::with_trace(2, TraceHandle::disabled());
         assert!(matches!(
             wrong.restore_snapshot(&snap),
             Err(MpcError::LengthMismatch { .. })
@@ -1120,24 +979,24 @@ mod tests {
     #[test]
     fn recovery_counters_recorded_and_reset() {
         use dash_obs::Counter;
-        let stats = NetworkStats::new_traced(2, TraceHandle::enabled(2));
-        stats.record_reconnect(1);
-        stats.record_reconnect(1);
-        stats.record_heartbeat(0);
-        stats.record_resume(1);
-        assert_eq!(stats.reconnects_by(1), 2);
-        assert_eq!(stats.heartbeats_by(0), 1);
-        assert_eq!(stats.resumes_by(1), 1);
-        assert_eq!(stats.total_reconnects(), 2);
-        assert_eq!(stats.total_heartbeats(), 1);
-        assert_eq!(stats.total_resumes(), 1);
+        let stats = NetworkStats::with_trace(2, TraceHandle::enabled(2));
+        stats.record(1, Counter::Reconnects);
+        stats.record(1, Counter::Reconnects);
+        stats.record(0, Counter::HeartbeatsSent);
+        stats.record(1, Counter::Resumes);
+        assert_eq!(stats.count_by(1, Counter::Reconnects), 2);
+        assert_eq!(stats.count_by(0, Counter::HeartbeatsSent), 1);
+        assert_eq!(stats.count_by(1, Counter::Resumes), 1);
+        assert_eq!(stats.total(Counter::Reconnects), 2);
+        assert_eq!(stats.total(Counter::HeartbeatsSent), 1);
+        assert_eq!(stats.total(Counter::Resumes), 1);
         assert_eq!(stats.trace().counter(1, Counter::Reconnects), 2);
         assert_eq!(stats.trace().counter(0, Counter::HeartbeatsSent), 1);
         assert_eq!(stats.trace().counter(1, Counter::Resumes), 1);
         stats.reset();
-        assert_eq!(stats.total_reconnects(), 0);
-        assert_eq!(stats.total_heartbeats(), 0);
-        assert_eq!(stats.total_resumes(), 0);
+        assert_eq!(stats.total(Counter::Reconnects), 0);
+        assert_eq!(stats.total(Counter::HeartbeatsSent), 0);
+        assert_eq!(stats.total(Counter::Resumes), 0);
     }
 
     #[test]
@@ -1153,27 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_mismatch_detected() {
-        let (eps, _) = Network::endpoints(2).unwrap();
-        eps[0].send_words(1, 1, &[42]).unwrap();
-        assert!(matches!(
-            eps[1].recv_words(0, 2),
-            Err(MpcError::UnexpectedMessage {
-                expected_tag: 2,
-                got_tag: 1,
-                from: 0
-            })
-        ));
-    }
-
-    #[test]
-    fn no_self_link() {
-        let (eps, _) = Network::endpoints(3).unwrap();
-        assert!(eps[1].send_words(1, 0, &[1]).is_err());
-        assert!(eps[1].send_words(9, 0, &[1]).is_err());
-    }
-
-    #[test]
     fn closed_channel_reported() {
         let (mut eps, _) = Network::endpoints(2).unwrap();
         let b = eps.pop().unwrap();
@@ -1182,63 +1020,6 @@ mod tests {
             b.recv_words(0, 0),
             Err(MpcError::ChannelClosed { peer: 0 })
         ));
-    }
-
-    #[test]
-    fn trailing_bytes_rejected_not_truncated() {
-        // Regression: recv_words used to silently drop a ragged tail,
-        // returning a short-but-plausible vector.
-        let (eps, _) = Network::endpoints(2).unwrap();
-        eps[0]
-            .send_bytes(1, 3, &[1, 2, 3, 4, 5, 6, 7, 8, 9])
-            .unwrap();
-        assert_eq!(
-            eps[1].recv_words(0, 3),
-            Err(MpcError::MalformedPayload { from: 0, len: 9 })
-        );
-        // Raw byte receives of the same shape are fine.
-        eps[0].send_bytes(1, 4, &[1, 2, 3]).unwrap();
-        assert_eq!(
-            eps[1].recv_bytes_timeout(0, 4, DEFAULT_DEADLINE).unwrap(),
-            vec![1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn recv_deadline_expires_with_structured_error() {
-        let (eps, stats) = Network::endpoints(2).unwrap();
-        let start = Instant::now();
-        let err = eps[1]
-            .recv_words_timeout(0, 9, Duration::from_millis(30))
-            .unwrap_err();
-        match err {
-            MpcError::Timeout { peer, tag, waited } => {
-                assert_eq!((peer, tag), (0, 9));
-                assert!(waited >= Duration::from_millis(30));
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(stats.timeouts_by(1), 1);
-        assert_eq!(stats.total_timeouts(), 1);
-    }
-
-    #[test]
-    fn duplicate_and_reordered_frames_handled() {
-        let (eps, _) = Network::endpoints(2).unwrap();
-        let frame = |seq: u64, tag: u32, word: u64| Message {
-            seq,
-            tag,
-            payload: words_to_bytes(&[word]),
-        };
-        // Deliver out of order with a duplicate: 1, 0, 0-again, 2.
-        eps[0].send_frame(1, frame(1, 11, 101)).unwrap();
-        eps[0].send_frame(1, frame(0, 10, 100)).unwrap();
-        eps[0].send_frame(1, frame(0, 10, 100)).unwrap();
-        eps[0].send_frame(1, frame(2, 12, 102)).unwrap();
-        assert_eq!(eps[1].recv_words(0, 10).unwrap(), vec![100]);
-        assert_eq!(eps[1].recv_words(0, 11).unwrap(), vec![101]);
-        assert_eq!(eps[1].recv_words(0, 12).unwrap(), vec![102]);
     }
 
     #[test]
@@ -1362,12 +1143,12 @@ mod tests {
             }
         }
         assert_eq!(results[2], Ok(Ok(vec![])));
-        assert_eq!(stats.total_timeouts(), 2);
+        assert_eq!(stats.total(Counter::Timeouts), 2);
     }
 
     #[test]
     fn panicking_party_becomes_error_not_process_panic() {
-        // Regression: run_parties_detailed used to propagate a party
+        // Regression: the runner used to propagate a party
         // panic through join(), killing the whole run. Now the dead
         // party's slot carries PartyFailed and survivors get a
         // structured channel error.
@@ -1410,12 +1191,12 @@ mod tests {
         assert_eq!(stats.total_messages(), 3);
         assert_eq!(stats.max_party_bytes(), stats.bytes_sent_by(0));
         let _ = eps[1].recv_words_timeout(0, 0, Duration::from_millis(1));
-        stats.record_retry(2);
-        assert_eq!(stats.retries_by(2), 1);
+        stats.record(2, Counter::Retries);
+        assert_eq!(stats.count_by(2, Counter::Retries), 1);
         stats.reset();
         assert_eq!(stats.total_bytes(), 0);
-        assert_eq!(stats.total_retries(), 0);
-        assert_eq!(stats.total_timeouts(), 0);
+        assert_eq!(stats.total(Counter::Retries), 0);
+        assert_eq!(stats.total(Counter::Timeouts), 0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
 use crate::field::F61;
-use crate::net::Endpoint;
 use crate::prg::Prg;
 use crate::ring::R64;
 use crate::secret::{OpenMode, ScalarCount, Secret};
@@ -54,12 +53,6 @@ pub struct PartyCtx {
 }
 
 impl PartyCtx {
-    /// Builds a context from an endpoint and the network-wide master
-    /// seed, with the default [`TransportConfig`].
-    pub fn new(ep: Endpoint, master_seed: u64, audit: DisclosureLog) -> Self {
-        Self::with_transport(Box::new(ep), TransportConfig::default(), master_seed, audit)
-    }
-
     /// Builds a context over any [`Transport`] with an explicit policy.
     ///
     /// Private randomness is derived as `h(master, party)`; the pairwise
@@ -141,7 +134,7 @@ impl PartyCtx {
                     if remaining.is_zero() {
                         return Err(err);
                     }
-                    self.transport.stats().record_retry(self.id());
+                    self.transport.stats().record(self.id(), Counter::Retries);
                     // backoff_for clamps a zero/near-zero configured
                     // backoff to a floor, so a misconfigured policy can't
                     // degenerate into an instant-retry busy loop; the
@@ -544,15 +537,18 @@ mod tests {
         fn stats(&self) -> &Arc<NetworkStats> {
             &self.stats
         }
-        fn send_words(&self, to: usize, _tag: u32, _words: &[u64]) -> Result<(), MpcError> {
+        fn alloc_seq(&self, _to: usize) -> Result<u64, MpcError> {
+            Ok(0)
+        }
+        fn send_frame(&self, to: usize, _msg: crate::net::Message) -> Result<(), MpcError> {
             Err(MpcError::TransientFailure { peer: to })
         }
-        fn recv_words_timeout(
+        fn recv_frame(
             &self,
             from: usize,
             tag: u32,
-            deadline: std::time::Duration,
-        ) -> Result<Vec<u64>, MpcError> {
+            deadline: Duration,
+        ) -> Result<crate::net::Message, MpcError> {
             Err(MpcError::Timeout {
                 peer: from,
                 tag,
@@ -596,7 +592,7 @@ mod tests {
         );
         // The loop used some of its budget before giving up (it retried
         // at least once rather than bailing immediately).
-        assert!(ctx.endpoint().stats().retries_by(0) >= 1);
+        assert!(ctx.endpoint().stats().count_by(0, Counter::Retries) >= 1);
     }
 
     #[test]

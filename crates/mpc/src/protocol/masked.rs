@@ -127,7 +127,7 @@ pub fn masked_sum_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Network;
+    use crate::net::{NetOptions, Network};
     use crate::protocol::sum::secure_sum_ring;
 
     #[test]
@@ -176,15 +176,21 @@ mod tests {
     #[test]
     fn cheaper_than_share_based() {
         let masked_bytes = {
-            let (_r, stats, _a) = Network::run_parties_detailed(4, 3, |ctx| {
-                masked_sum_ring(ctx, &vec![R64(1); 512], "m").unwrap()
-            });
+            let (slots, stats, _a) =
+                Network::run_parties_detailed_with(4, 3, &NetOptions::default(), |ctx| {
+                    masked_sum_ring(ctx, &vec![R64(1); 512], "m").unwrap()
+                })
+                .unwrap();
+            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
             stats.total_bytes()
         };
         let share_bytes = {
-            let (_r, stats, _a) = Network::run_parties_detailed(4, 3, |ctx| {
-                secure_sum_ring(ctx, &vec![R64(1); 512], "s").unwrap()
-            });
+            let (slots, stats, _a) =
+                Network::run_parties_detailed_with(4, 3, &NetOptions::default(), |ctx| {
+                    secure_sum_ring(ctx, &vec![R64(1); 512], "s").unwrap()
+                })
+                .unwrap();
+            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
             stats.total_bytes()
         };
         assert!(
@@ -227,9 +233,12 @@ mod tests {
     #[test]
     fn star_total_traffic_is_linear_in_p() {
         let bytes = |n: usize| {
-            let (_r, stats, _a) = Network::run_parties_detailed(n, 51, move |ctx| {
-                masked_sum_star_ring(ctx, &vec![R64(1); 256], "s").unwrap()
-            });
+            let (slots, stats, _a) =
+                Network::run_parties_detailed_with(n, 51, &NetOptions::default(), move |ctx| {
+                    masked_sum_star_ring(ctx, &vec![R64(1); 256], "s").unwrap()
+                })
+                .unwrap();
+            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
             stats.total_bytes()
         };
         // 2(P−1) transfers of the vector: P = 5 should be exactly 2x P = 3.
@@ -237,9 +246,12 @@ mod tests {
         let b5 = bytes(5);
         assert_eq!(b5, 2 * b3, "b3 = {b3}, b5 = {b5}");
         // And strictly cheaper than all-to-all at P = 5.
-        let (_r, stats, _a) = Network::run_parties_detailed(5, 51, |ctx| {
-            masked_sum_ring(ctx, &vec![R64(1); 256], "f").unwrap()
-        });
+        let (slots, stats, _a) =
+            Network::run_parties_detailed_with(5, 51, &NetOptions::default(), |ctx| {
+                masked_sum_ring(ctx, &vec![R64(1); 256], "f").unwrap()
+            })
+            .unwrap();
+        assert!(slots.iter().all(Result::is_ok), "{slots:?}");
         assert!(b5 < stats.total_bytes() / 2);
     }
 

@@ -79,7 +79,7 @@ pub fn secure_sum_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Network;
+    use crate::net::{NetOptions, Network};
 
     #[test]
     fn totals_correct_all_party_counts() {
@@ -120,9 +120,12 @@ mod tests {
 
     #[test]
     fn disclosure_recorded_once() {
-        let (_r, _stats, audit) = Network::run_parties_detailed(3, 1, |ctx| {
-            secure_sum_ring(ctx, &[R64(1), R64(2)], "aggregate pair").unwrap()
-        });
+        let (slots, _stats, audit) =
+            Network::run_parties_detailed_with(3, 1, &NetOptions::default(), |ctx| {
+                secure_sum_ring(ctx, &[R64(1), R64(2)], "aggregate pair").unwrap()
+            })
+            .unwrap();
+        assert!(slots.iter().all(Result::is_ok), "{slots:?}");
         let entries = audit.entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].label, "aggregate pair");
@@ -134,10 +137,13 @@ mod tests {
     #[test]
     fn communication_is_linear_in_len_and_independent_of_secret() {
         let bytes_for = |len: usize| {
-            let (_r, stats, _a) = Network::run_parties_detailed(3, 4, move |ctx| {
-                let mine = vec![R64(ctx.id() as u64); len];
-                secure_sum_ring(ctx, &mine, "x").unwrap()
-            });
+            let (slots, stats, _a) =
+                Network::run_parties_detailed_with(3, 4, &NetOptions::default(), move |ctx| {
+                    let mine = vec![R64(ctx.id() as u64); len];
+                    secure_sum_ring(ctx, &mine, "x").unwrap()
+                })
+                .unwrap();
+            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
             stats.total_bytes()
         };
         let b100 = bytes_for(100);

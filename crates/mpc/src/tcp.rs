@@ -15,9 +15,14 @@
 //!
 //! Connection setup is deterministic: party `i` dials every lower id
 //! `j < i` (bounded connect retry with backoff) and accepts from every
-//! higher id, and both directions exchange a fixed 32-byte hello (magic,
-//! wire version, run id, party id, party count) before any protocol
-//! byte moves. Any mismatch is a structured [`MpcError::Handshake`].
+//! higher id, and both directions exchange a fixed 48-byte hello (magic,
+//! wire version, run id, party id, party count, resume cursor, flags)
+//! before any protocol byte moves. Any mismatch is a structured
+//! [`MpcError::Handshake`]. The exchange is written once per side —
+//! `hello_dial` and `hello_accept` — and the initial mesh, the reconnect
+//! dial and the accept router all go through them; likewise one
+//! `read_frame` parses every frame, and the two reader loops keep only
+//! their policy (fail-fast vs. heartbeat/ack/reconnect).
 //!
 //! Threat model: this transport moves **plaintext shares** over TCP. On
 //! an untrusted network an eavesdropper seeing all links can reconstruct
@@ -25,12 +30,10 @@
 //! see DESIGN.md §"Wire transport".
 
 use crate::error::MpcError;
-use crate::net::{
-    words_to_bytes, Message, NetworkStats, RecvState, DEFAULT_DEADLINE, HEADER_BYTES,
-    MAX_EARLY_FRAMES,
-};
+use crate::net::{Message, NetworkStats, RecvState, HEADER_BYTES, MAX_EARLY_FRAMES};
 use crate::tags::HEARTBEAT_TAG;
-use crate::transport::{FrameTransport, LinkSnapshot, ReplayFrame, Transport};
+use crate::transport::{LinkSnapshot, ReplayFrame, Transport};
+use dash_obs::Counter;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -304,7 +307,113 @@ fn read_hello_deadline(stream: &mut TcpStream, deadline: Duration) -> Option<[u8
     Some(buf)
 }
 
-/// Maps a socket error during the hello exchange with `peer`.
+/// Who this process is in every hello it sends or checks.
+#[derive(Debug, Clone, Copy)]
+struct Identity {
+    run_id: u64,
+    id: usize,
+    n: usize,
+}
+
+impl Identity {
+    fn hello(&self, next_expected: u64, flags: u64) -> [u8; HELLO_BYTES] {
+        encode_hello(
+            self.run_id,
+            self.id as u64,
+            self.n as u64,
+            next_expected,
+            flags,
+        )
+    }
+}
+
+/// Why a link could not be (re)established on a given socket.
+enum LinkError {
+    /// The socket died or stalled mid-exchange. Fatal for the initial
+    /// mesh; inside a reconnect window it is worth another attempt.
+    Io(MpcError),
+    /// Structurally irreconcilable (wrong run, wrong peer, cursors that
+    /// cannot meet); the link fails with this error everywhere.
+    Fatal(MpcError),
+}
+
+impl LinkError {
+    fn into_inner(self) -> MpcError {
+        match self {
+            LinkError::Io(e) | LinkError::Fatal(e) => e,
+        }
+    }
+}
+
+/// The dial side of the hello exchange, for the initial mesh and for a
+/// supervised re-dial alike: send ours (our receive cursor on this link,
+/// `flags`), wait at most `reply_deadline` for the peer's, validate it
+/// against this run and check the peer is who we dialed.
+fn hello_dial(
+    stream: &mut TcpStream,
+    me: Identity,
+    peer: usize,
+    next_expected: u64,
+    flags: u64,
+    reply_deadline: Duration,
+) -> Result<Hello, LinkError> {
+    let io = |reason: String| LinkError::Io(MpcError::Handshake { peer, reason });
+    stream
+        .write_all(&me.hello(next_expected, flags))
+        .map_err(|e| io(format!("send hello: {e}")))?;
+    let buf = read_hello_deadline(stream, reply_deadline).ok_or_else(|| {
+        io(format!(
+            "hello reply did not arrive within {reply_deadline:?}"
+        ))
+    })?;
+    let hello = decode_hello(&buf, peer, me.run_id, me.n).map_err(LinkError::Fatal)?;
+    if hello.party != peer {
+        return Err(LinkError::Fatal(MpcError::Handshake {
+            peer,
+            reason: format!("dialed party {peer} but peer claims id {}", hello.party),
+        }));
+    }
+    Ok(hello)
+}
+
+/// The accept side of the hello exchange, for the initial mesh and for
+/// the supervised accept router alike: read the dialer's hello under a
+/// hard per-socket `deadline`, validate it against this run (`blame`
+/// attributes a hello too broken to name its sender), check the dial
+/// direction — only higher ids ever dial us — and that `cursor_for`
+/// still has a link waiting for that party, then answer with our receive
+/// cursor on it.
+///
+/// `Err(None)` is a stalled or dead dialer: drop the socket and keep
+/// accepting. `Err(Some(_))` is a dialer that is wrong for this run; the
+/// initial mesh fails with it, the router drops it like any stranger.
+fn hello_accept(
+    stream: &mut TcpStream,
+    me: Identity,
+    blame: usize,
+    deadline: Duration,
+    flags: u64,
+    cursor_for: impl FnOnce(usize) -> Option<u64>,
+) -> Result<Hello, Option<MpcError>> {
+    let buf = read_hello_deadline(stream, deadline).ok_or(None)?;
+    let hello = decode_hello(&buf, blame, me.run_id, me.n)?;
+    let peer = hello.party;
+    let reject = |reason: String| Some(MpcError::Handshake { peer, reason });
+    let cursor = (peer > me.id)
+        .then(|| cursor_for(peer))
+        .flatten()
+        .ok_or_else(|| {
+            reject(format!(
+                "party {peer} dialed us but should not (duplicate or wrong direction)"
+            ))
+        })?;
+    stream
+        .write_all(&me.hello(cursor, flags))
+        .map_err(|e| reject(format!("send hello: {e}")))?;
+    Ok(hello)
+}
+
+/// Maps a listener error during mesh setup, blaming `peer`.
 fn hs_io(peer: usize, what: &str, e: &std::io::Error) -> MpcError {
     MpcError::Handshake {
         peer,
@@ -340,21 +449,6 @@ fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<Tcp
             cfg.connect_retries.saturating_add(1)
         ),
     })
-}
-
-/// Per-link wire state a party persists in a checkpoint and feeds back
-/// through [`TcpTransport::connect_resume`] after a crash: where each
-/// link's cursors stood at the last durable block boundary, plus the
-/// outbound frames buffered for replay. Indexed by peer id; the party's
-/// own slots are zero/empty.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ResumeState {
-    /// Next sequence number to assign on each outbound link.
-    pub send_next: Vec<u64>,
-    /// Next in-order sequence number expected from each peer.
-    pub recv_next: Vec<u64>,
-    /// Buffered outbound frames per peer, oldest first.
-    pub replay: Vec<Vec<ReplayFrame>>,
 }
 
 /// Writer half of one supervised link, shared by the protocol's send
@@ -465,10 +559,9 @@ struct RoutedConn {
     next_expected: u64,
 }
 
-/// Why a reader loop's blocking read ended.
-enum ReadStatus {
-    /// The buffer was filled completely.
-    Done,
+/// Why a read ended short of what it was asked for.
+#[derive(Debug, PartialEq, Eq)]
+enum ReadEnd {
     /// The peer closed the connection; `partial` is true when the close
     /// landed mid-frame.
     Eof { partial: bool },
@@ -476,6 +569,9 @@ enum ReadStatus {
     Shutdown,
     /// An unrecoverable socket error.
     Failed,
+    /// A header announcing more than [`MAX_FRAME_BYTES`] of payload;
+    /// nothing was allocated for it.
+    Oversized(u64),
 }
 
 /// Fills `buf` from `stream`, tolerating read-timeout wakeups: partial
@@ -483,21 +579,16 @@ enum ReadStatus {
 /// desyncs the stream) and the shutdown flag is polled between reads.
 /// `std::io::Read::read_exact` must not be used here — it discards its
 /// partial progress on timeout errors.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> ReadStatus {
+fn read_full(stream: &mut impl Read, buf: &mut [u8], shutdown: &AtomicBool) -> Result<(), ReadEnd> {
     let mut filled = 0usize;
     while filled < buf.len() {
         if shutdown.load(Ordering::Relaxed) {
-            return ReadStatus::Shutdown;
+            return Err(ReadEnd::Shutdown);
         }
-        let Some(dst) = buf.get_mut(filled..) else {
-            return ReadStatus::Failed;
-        };
+        let dst = buf.get_mut(filled..).ok_or(ReadEnd::Failed)?;
+        let partial = filled > 0;
         match stream.read(dst) {
-            Ok(0) => {
-                return ReadStatus::Eof {
-                    partial: filled > 0,
-                }
-            }
+            Ok(0) => return Err(ReadEnd::Eof { partial }),
             Ok(k) => filled = filled.saturating_add(k),
             Err(e) => match e.kind() {
                 std::io::ErrorKind::WouldBlock
@@ -507,15 +598,45 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> R
                 // teardown (it closed with unread duplicates in flight);
                 // at a frame boundary treat it like EOF.
                 std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted => {
-                    return ReadStatus::Eof {
-                        partial: filled > 0,
-                    }
+                    return Err(ReadEnd::Eof { partial })
                 }
-                _ => return ReadStatus::Failed,
+                _ => return Err(ReadEnd::Failed),
             },
         }
     }
-    ReadStatus::Done
+    Ok(())
+}
+
+/// Reads one `seq | tag | len | payload` frame — the only frame parser.
+/// The length is checked against [`MAX_FRAME_BYTES`] *before* the payload
+/// buffer is allocated, so a hostile header costs 20 bytes, not memory. A
+/// close after the header is always mid-frame (`partial`), whatever the
+/// payload read had gathered. Generic over [`Read`] so arbitrary byte
+/// streams can be driven through it from a slice.
+fn read_frame(stream: &mut impl Read, shutdown: &AtomicBool) -> Result<Message, ReadEnd> {
+    let mut header = [0u8; HEADER_BYTES as usize];
+    read_full(stream, &mut header, shutdown)?;
+    let (Some(seq), Some(tag), Some(len)) =
+        (le_u64(&header, 0), le_u32(&header, 8), le_u64(&header, 12))
+    else {
+        return Err(ReadEnd::Failed); // unreachable: the buffer is header-sized
+    };
+    if len > MAX_FRAME_BYTES {
+        return Err(ReadEnd::Oversized(len));
+    }
+    let mut payload = vec![0u8; len as usize];
+    read_full(stream, &mut payload, shutdown).map_err(|end| match end {
+        ReadEnd::Eof { .. } => ReadEnd::Eof { partial: true },
+        other => other,
+    })?;
+    Ok(Message { seq, tag, payload })
+}
+
+fn oversized(from: usize, len: u64) -> MpcError {
+    MpcError::MalformedPayload {
+        from,
+        len: usize::try_from(len).unwrap_or(usize::MAX),
+    }
 }
 
 /// Discards everything left on the socket until the peer's EOF (or a
@@ -542,11 +663,11 @@ fn drain_until_eof(stream: &mut TcpStream) {
     }
 }
 
-/// One peer's reader loop: parse length-prefixed frames off the socket
-/// and feed them to the in-order delivery state. Exits on peer close,
-/// malformed input (after storing the structured error in the failure
-/// slot) or local shutdown; dropping `tx` is what surfaces
-/// [`MpcError::ChannelClosed`] to the protocol thread.
+/// The unsupervised (fail-fast) reader policy: feed frames to the
+/// in-order delivery state until the peer closes cleanly, the stream
+/// breaks (the structured reason goes into the failure slot) or we shut
+/// down; dropping `tx` is what surfaces [`MpcError::ChannelClosed`] to
+/// the protocol thread.
 fn reader_loop(
     stream: &mut TcpStream,
     from: usize,
@@ -554,47 +675,24 @@ fn reader_loop(
     fail: &Mutex<Option<MpcError>>,
     shutdown: &AtomicBool,
 ) {
-    let mut header = [0u8; HEADER_BYTES as usize];
     loop {
-        match read_full(stream, &mut header, shutdown) {
-            ReadStatus::Done => {}
-            ReadStatus::Eof { partial: false } => return,
-            ReadStatus::Shutdown => {
+        let verdict = match read_frame(stream, shutdown) {
+            Ok(msg) => match tx.send(msg) {
+                Ok(()) => continue,
+                Err(_) => return, // protocol side is gone; nothing left to deliver to
+            },
+            Err(ReadEnd::Eof { partial: false }) => return,
+            Err(ReadEnd::Shutdown) => {
                 drain_until_eof(stream);
                 return;
             }
-            ReadStatus::Eof { partial: true } | ReadStatus::Failed => {
-                *fail.lock() = Some(MpcError::ChannelClosed { peer: from });
-                return;
+            Err(ReadEnd::Oversized(len)) => oversized(from, len),
+            Err(ReadEnd::Eof { partial: true } | ReadEnd::Failed) => {
+                MpcError::ChannelClosed { peer: from }
             }
-        }
-        let (Some(seq), Some(tag), Some(len)) =
-            (le_u64(&header, 0), le_u32(&header, 8), le_u64(&header, 12))
-        else {
-            return; // unreachable: the header buffer is header-sized
         };
-        if len > MAX_FRAME_BYTES {
-            *fail.lock() = Some(MpcError::MalformedPayload {
-                from,
-                len: usize::try_from(len).unwrap_or(usize::MAX),
-            });
-            return;
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(stream, &mut payload, shutdown) {
-            ReadStatus::Done => {}
-            ReadStatus::Shutdown => {
-                drain_until_eof(stream);
-                return;
-            }
-            ReadStatus::Eof { .. } | ReadStatus::Failed => {
-                *fail.lock() = Some(MpcError::ChannelClosed { peer: from });
-                return;
-            }
-        }
-        if tx.send(Message { seq, tag, payload }).is_err() {
-            return; // protocol side is gone; nothing left to deliver to
-        }
+        *fail.lock() = Some(verdict);
+        return;
     }
 }
 
@@ -610,11 +708,9 @@ enum SupEnd {
 
 /// Everything a supervised link's reader/supervisor thread needs.
 struct SupCtx {
-    id: usize,
+    me: Identity,
     peer: usize,
     peer_addr: SocketAddr,
-    run_id: u64,
-    n: usize,
     sup: LinkSupervision,
     jitter_seed: u64,
     connect_timeout: Duration,
@@ -626,56 +722,38 @@ struct SupCtx {
     routed: Receiver<RoutedConn>,
 }
 
-/// Reads frames off the current socket, consuming heartbeats (liveness +
-/// replay-ack) and forwarding protocol frames, while mirroring the
-/// in-order cursor the reorder buffer will reach so reconnect handshakes
-/// can advertise it without touching the protocol thread's lock.
+/// The supervised reader policy for one socket's lifetime: consume
+/// heartbeats (liveness + replay-ack) and forward protocol frames, while
+/// mirroring the in-order cursor the reorder buffer will reach so
+/// reconnect handshakes can advertise it without touching the protocol
+/// thread's lock.
 fn supervised_read_pass(
     stream: &mut TcpStream,
     ctx: &SupCtx,
     early: &mut BTreeSet<u64>,
     tx: &Sender<Message>,
 ) -> SupEnd {
-    let mut header = [0u8; HEADER_BYTES as usize];
     loop {
-        match read_full(stream, &mut header, &ctx.shutdown) {
-            ReadStatus::Done => {}
-            ReadStatus::Shutdown => {
+        let msg = match read_frame(stream, &ctx.shutdown) {
+            Ok(msg) => msg,
+            Err(ReadEnd::Shutdown) => {
                 drain_until_eof(stream);
                 return SupEnd::Finished;
             }
+            Err(ReadEnd::Oversized(len)) => return SupEnd::Fatal(oversized(ctx.peer, len)),
             // Under supervision even a clean FIN is "link down": a
             // SIGKILL'd process closes its sockets exactly like a
             // graceful peer, so the distinction between crash and
             // teardown is made by whether the peer comes back within
             // the reconnect window.
-            ReadStatus::Eof { .. } | ReadStatus::Failed => return SupEnd::LinkDown,
-        }
-        let (Some(seq), Some(tag), Some(len)) =
-            (le_u64(&header, 0), le_u32(&header, 8), le_u64(&header, 12))
-        else {
-            return SupEnd::LinkDown; // unreachable: header buffer is header-sized
+            Err(ReadEnd::Eof { .. } | ReadEnd::Failed) => return SupEnd::LinkDown,
         };
-        if len > MAX_FRAME_BYTES {
-            return SupEnd::Fatal(MpcError::MalformedPayload {
-                from: ctx.peer,
-                len: usize::try_from(len).unwrap_or(usize::MAX),
-            });
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(stream, &mut payload, &ctx.shutdown) {
-            ReadStatus::Done => {}
-            ReadStatus::Shutdown => {
-                drain_until_eof(stream);
-                return SupEnd::Finished;
-            }
-            ReadStatus::Eof { .. } | ReadStatus::Failed => return SupEnd::LinkDown,
-        }
         *ctx.link.last_heard.lock() = Instant::now();
-        if seq == HEARTBEAT_SEQ && tag == HEARTBEAT_TAG {
+        let seq = msg.seq;
+        if seq == HEARTBEAT_SEQ && msg.tag == HEARTBEAT_TAG {
             // Liveness + replay-ack sentinel; never enters the reorder
             // buffer and never touches byte/message accounting.
-            if let Some(ack) = le_u64(&payload, 0) {
+            if let Some(ack) = le_u64(&msg.payload, 0) {
                 ctx.link.prune_acked(ack);
             }
             continue;
@@ -694,19 +772,10 @@ fn supervised_read_pass(
         } else if seq > contig && seq != HEARTBEAT_SEQ && early.len() < MAX_EARLY_FRAMES {
             early.insert(seq);
         }
-        if tx.send(Message { seq, tag, payload }).is_err() {
+        if tx.send(msg).is_err() {
             return SupEnd::Finished;
         }
     }
-}
-
-/// Outcome of trying to turn a fresh socket into a reestablished link.
-enum InstallError {
-    /// The socket died during the handshake/replay; try again within
-    /// the window.
-    Retry,
-    /// Structurally irreconcilable; fail the link with this error.
-    Fatal(MpcError),
 }
 
 /// Reconciles sequence cursors with a freshly handshaken peer socket,
@@ -719,81 +788,46 @@ fn reconcile_and_install(
     stream: TcpStream,
     their_next: u64,
     self_resuming: bool,
-) -> Result<TcpStream, InstallError> {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return Err(InstallError::Retry);
+) -> Result<TcpStream, LinkError> {
+    let io = |what: &str| {
+        LinkError::Io(MpcError::Handshake {
+            peer,
+            reason: format!("link failed while {what}"),
+        })
     };
-    if read_half
+    let resume_mismatch =
+        |reason: String| LinkError::Fatal(MpcError::ResumeMismatch { peer, reason });
+    let _ = stream.set_nodelay(true);
+    let read_half = stream.try_clone().map_err(|_| io("cloning the socket"))?;
+    read_half
         .set_read_timeout(Some(READ_POLL_INTERVAL))
-        .is_err()
-    {
-        return Err(InstallError::Retry);
-    }
+        .map_err(|_| io("arming the read poll"))?;
     let mut w = link.wr.lock();
     let cursor = link.send_next.load(Ordering::Relaxed);
     if their_next > cursor && !self_resuming {
-        return Err(InstallError::Fatal(MpcError::ResumeMismatch {
-            peer,
-            reason: format!(
-                "peer expects frame {their_next} but only {cursor} frames were \
-                 ever sent on this link (peer restarted without --resume, or \
-                 states diverged)"
-            ),
-        }));
+        return Err(resume_mismatch(format!(
+            "peer expects frame {their_next} but only {cursor} frames were \
+             ever sent on this link (peer restarted without --resume, or \
+             states diverged)"
+        )));
     }
     if their_next < w.pruned_to {
-        return Err(InstallError::Fatal(MpcError::ResumeMismatch {
-            peer,
-            reason: format!(
-                "peer needs replay from frame {their_next} but frames below \
-                 {} were already pruned from the replay buffer",
-                w.pruned_to
-            ),
-        }));
+        return Err(resume_mismatch(format!(
+            "peer needs replay from frame {their_next} but frames below \
+             {} were already pruned from the replay buffer",
+            w.pruned_to
+        )));
     }
     let mut stream = stream;
     for f in w.replay.iter().filter(|f| f.seq >= their_next) {
-        if stream
+        stream
             .write_all(&frame_bytes(f.seq, f.tag, &f.payload))
-            .is_err()
-        {
-            return Err(InstallError::Retry);
-        }
+            .map_err(|_| io("replaying the resume backlog"))?;
     }
     w.stream = Some(stream);
     drop(w);
     *link.last_heard.lock() = Instant::now();
     Ok(read_half)
-}
-
-/// Dial-side resume handshake: send our hello (resume flag, our receive
-/// cursor), read and validate the peer's reply, return its cursor.
-fn resume_handshake_dial(stream: &mut TcpStream, ctx: &SupCtx) -> Result<u64, InstallError> {
-    let ours = encode_hello(
-        ctx.run_id,
-        ctx.id as u64,
-        ctx.n as u64,
-        ctx.link.recv_contig.load(Ordering::Relaxed),
-        HELLO_FLAG_RESUME,
-    );
-    if stream.write_all(&ours).is_err() {
-        return Err(InstallError::Retry);
-    }
-    let Some(buf) = read_hello_deadline(stream, ctx.connect_timeout) else {
-        return Err(InstallError::Retry);
-    };
-    match decode_hello(&buf, ctx.peer, ctx.run_id, ctx.n) {
-        Err(e) => Err(InstallError::Fatal(e)),
-        Ok(h) if h.party != ctx.peer => Err(InstallError::Fatal(MpcError::Handshake {
-            peer: ctx.peer,
-            reason: format!(
-                "re-dialed party {} but peer claims id {}",
-                ctx.peer, h.party
-            ),
-        })),
-        Ok(h) => Ok(h.next_expected),
-    }
 }
 
 /// Tries to bring a downed link back up within the reconnect window.
@@ -819,35 +853,21 @@ fn reestablish(ctx: &SupCtx) -> Result<TcpStream, Option<MpcError>> {
             }));
         }
         let remaining = ctx.sup.reconnect_window.saturating_sub(elapsed);
-        if ctx.peer < ctx.id {
-            // We were the dialer for this link; dial again.
-            if let Ok(mut s) = TcpStream::connect_timeout(
-                &ctx.peer_addr,
-                ctx.connect_timeout
-                    .min(remaining.max(Duration::from_millis(10))),
-            ) {
-                match resume_handshake_dial(&mut s, ctx) {
-                    Ok(their_next) => {
-                        match reconcile_and_install(&ctx.link, ctx.peer, s, their_next, false) {
-                            Ok(rh) => return Ok(rh),
-                            Err(InstallError::Fatal(e)) => return Err(Some(e)),
-                            Err(InstallError::Retry) => {}
-                        }
-                    }
-                    Err(InstallError::Fatal(e)) => return Err(Some(e)),
-                    Err(InstallError::Retry) => {}
-                }
-            }
-            std::thread::sleep(
-                jittered_backoff(
-                    ctx.sup.reconnect_backoff,
-                    ctx.jitter_seed,
-                    ctx.peer,
-                    attempt,
-                )
-                .min(remaining),
-            );
-            attempt = attempt.saturating_add(1);
+        let dialer = ctx.peer < ctx.me.id;
+        let attempted = if dialer {
+            // We were the dialer for this link; dial again, announcing
+            // the resume and our receive cursor.
+            let dial_timeout = ctx
+                .connect_timeout
+                .min(remaining.max(Duration::from_millis(10)));
+            let dialed = TcpStream::connect_timeout(&ctx.peer_addr, dial_timeout).ok();
+            dialed.map(|mut s| {
+                let ours = ctx.link.recv_contig.load(Ordering::Relaxed);
+                let flags = HELLO_FLAG_RESUME;
+                let theirs =
+                    hello_dial(&mut s, ctx.me, ctx.peer, ours, flags, ctx.connect_timeout)?;
+                reconcile_and_install(&ctx.link, ctx.peer, s, theirs.next_expected, false)
+            })
         } else {
             // The peer dials us; wait for the accept thread's routing.
             match ctx
@@ -859,21 +879,29 @@ fn reestablish(ctx: &SupCtx) -> Result<TcpStream, Option<MpcError>> {
                     while let Ok(newer) = ctx.routed.try_recv() {
                         conn = newer;
                     }
-                    match reconcile_and_install(
-                        &ctx.link,
-                        ctx.peer,
-                        conn.stream,
-                        conn.next_expected,
-                        false,
-                    ) {
-                        Ok(rh) => return Ok(rh),
-                        Err(InstallError::Fatal(e)) => return Err(Some(e)),
-                        Err(InstallError::Retry) => {}
-                    }
+                    let (s, theirs) = (conn.stream, conn.next_expected);
+                    Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
                 }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Err(None),
             }
+        };
+        match attempted {
+            Some(Ok(read_half)) => return Ok(read_half),
+            Some(Err(LinkError::Fatal(e))) => return Err(Some(e)),
+            // The socket died mid-exchange (or none arrived): try again
+            // within the window.
+            Some(Err(LinkError::Io(_))) | None => {}
+        }
+        if dialer {
+            let backoff = jittered_backoff(
+                ctx.sup.reconnect_backoff,
+                ctx.jitter_seed,
+                ctx.peer,
+                attempt,
+            );
+            std::thread::sleep(backoff.min(remaining));
+            attempt = attempt.saturating_add(1);
         }
     }
 }
@@ -909,7 +937,7 @@ fn supervised_reader(
                 match reestablish(&ctx) {
                     Ok(rh) => {
                         read_half = rh;
-                        ctx.stats.record_reconnect(ctx.id);
+                        ctx.stats.record(ctx.me.id, Counter::Reconnects);
                     }
                     Err(Some(e)) => {
                         *fail.lock() = Some(e);
@@ -928,13 +956,10 @@ fn supervised_reader(
 /// supervisor. Malformed or stale dialers are dropped silently — a
 /// structured verdict for *this* run's links comes from the supervisors'
 /// windows, not from strangers on the port.
-#[allow(clippy::too_many_arguments)]
 fn accept_route_loop(
     listener: TcpListener,
-    id: usize,
-    n: usize,
-    run_id: u64,
-    connect_timeout: Duration,
+    me: Identity,
+    hello_deadline: Duration,
     links: Vec<Option<Arc<LinkShared>>>,
     routes: Vec<Option<Sender<RoutedConn>>>,
     shutdown: Arc<AtomicBool>,
@@ -943,46 +968,34 @@ fn accept_route_loop(
         return;
     }
     while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let Some(buf) = read_hello_deadline(&mut stream, connect_timeout) else {
-                    continue; // stalled or dead dialer: drop, keep accepting
-                };
-                let Ok(hello) = decode_hello(&buf, id, run_id, n) else {
-                    continue; // wrong run/version: not ours
-                };
-                // Only higher-id peers ever dial us, and only for links
-                // that exist.
-                if hello.party <= id {
-                    continue;
-                }
-                let Some(link) = links.get(hello.party).and_then(|l| l.as_ref()) else {
-                    continue;
-                };
-                let reply = encode_hello(
-                    run_id,
-                    id as u64,
-                    n as u64,
-                    link.recv_contig.load(Ordering::Relaxed),
-                    HELLO_FLAG_RESUME,
-                );
-                if stream.write_all(&reply).is_err() {
-                    continue;
-                }
-                if let Some(route) = routes.get(hello.party).and_then(|r| r.as_ref()) {
-                    let _ = route.send(RoutedConn {
-                        stream,
-                        next_expected: hello.next_expected,
-                    });
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL_INTERVAL),
+        let Ok((mut stream, _)) = listener.accept() else {
+            std::thread::sleep(ACCEPT_POLL_INTERVAL);
+            continue;
+        };
+        if stream.set_nonblocking(false).is_err() {
+            continue;
+        }
+        // Our reply carries the link's live receive cursor; a party with
+        // no link here (or any other stranger) gets no reply at all.
+        let cursor_for = |peer: usize| {
+            let link = links.get(peer)?.as_ref()?;
+            Some(link.recv_contig.load(Ordering::Relaxed))
+        };
+        let Ok(hello) = hello_accept(
+            &mut stream,
+            me,
+            me.id,
+            hello_deadline,
+            HELLO_FLAG_RESUME,
+            cursor_for,
+        ) else {
+            continue;
+        };
+        if let Some(route) = routes.get(hello.party).and_then(|r| r.as_ref()) {
+            let _ = route.send(RoutedConn {
+                stream,
+                next_expected: hello.next_expected,
+            });
         }
     }
 }
@@ -1017,7 +1030,7 @@ fn heartbeat_loop(
                 w.stream = None;
             } else {
                 drop(w);
-                stats.record_heartbeat(id);
+                stats.record(id, Counter::HeartbeatsSent);
             }
         }
     }
@@ -1073,7 +1086,9 @@ impl TcpTransport {
     }
 
     /// [`TcpTransport::connect`], optionally rejoining an interrupted
-    /// run from checkpointed per-link cursors. With `resume`, every
+    /// run from checkpointed per-link cursors — the [`LinkSnapshot`] its
+    /// previous process took with [`Transport::link_snapshot`] at the
+    /// last durable block boundary. With `resume`, every
     /// hello carries the resume flag and this party's checkpointed
     /// receive cursor; surviving peers replay the outbound frames this
     /// party lost with its process, and this party's own re-executed
@@ -1087,7 +1102,7 @@ impl TcpTransport {
         peers: &[SocketAddr],
         cfg: TcpConfig,
         stats: Arc<NetworkStats>,
-        resume: Option<ResumeState>,
+        resume: Option<LinkSnapshot>,
     ) -> Result<Self, MpcError> {
         let n = peers.len();
         if id >= n {
@@ -1104,49 +1119,31 @@ impl TcpTransport {
                 what: "NetworkStats sized for a different party count",
             });
         }
+        let me = Identity {
+            run_id: cfg.run_id,
+            id,
+            n,
+        };
         let resuming = resume.is_some();
         let mut resume = resume.unwrap_or_default();
         resume.send_next.resize(n, 0);
         resume.recv_next.resize(n, 0);
         resume.replay.resize(n, Vec::new());
+        let recv_next = |j: usize| resume.recv_next.get(j).copied().unwrap_or(0);
         let flags = if resuming { HELLO_FLAG_RESUME } else { 0 };
-        let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut their_next: Vec<u64> = vec![0; n];
+        // Per peer: the handshaken socket and the peer's receive cursor.
+        let mut conns: Vec<Option<(TcpStream, u64)>> = (0..n).map(|_| None).collect();
 
-        // Dial every lower-numbered peer; send our hello, check theirs.
+        // Dial every lower-numbered peer. A peer may bind its listener
+        // long before it starts accepting (`dash party` binds, then
+        // parses its cohort), so a connected dialer gives the hello reply
+        // the whole rendezvous window.
         for (j, addr) in peers.iter().copied().enumerate().take(id) {
             let mut stream = dial_with_retry(addr, j, &cfg)?;
-            let ours = encode_hello(
-                cfg.run_id,
-                id as u64,
-                n as u64,
-                resume.recv_next.get(j).copied().unwrap_or(0),
-                flags,
-            );
-            stream
-                .write_all(&ours)
-                .map_err(|e| hs_io(j, "send hello", &e))?;
-            // A peer may bind its listener long before it starts accepting
-            // (`dash party` binds, then parses its cohort), so a connected
-            // dialer gives the reply the whole rendezvous window.
-            let Some(hello) = read_hello_deadline(&mut stream, cfg.accept_timeout) else {
-                return Err(MpcError::Handshake {
-                    peer: j,
-                    reason: format!("hello reply did not arrive within {:?}", cfg.accept_timeout),
-                });
-            };
-            let h = decode_hello(&hello, j, cfg.run_id, n)?;
-            if h.party != j {
-                return Err(MpcError::Handshake {
-                    peer: j,
-                    reason: format!("dialed party {j} but peer claims id {}", h.party),
-                });
-            }
-            if let Some(t) = their_next.get_mut(j) {
-                *t = h.next_expected;
-            }
-            if let Some(slot) = streams.get_mut(j) {
-                *slot = Some(stream);
+            let theirs = hello_dial(&mut stream, me, j, recv_next(j), flags, cfg.accept_timeout)
+                .map_err(LinkError::into_inner)?;
+            if let Some(slot) = conns.get_mut(j) {
+                *slot = Some((stream, theirs.next_expected));
             }
         }
 
@@ -1156,26 +1153,18 @@ impl TcpTransport {
         // stalls (or trickles bytes) is dropped and accepting continues,
         // so it cannot pin the loop past the accept window while real
         // peers wait behind it.
-        let missing = |streams: &[Option<TcpStream>]| -> Option<usize> {
-            streams
-                .iter()
-                .enumerate()
-                .skip(id + 1)
-                .find(|(_, s)| s.is_none())
-                .map(|(j, _)| j)
+        let missing = |conns: &[Option<(TcpStream, u64)>]| -> Option<usize> {
+            (id + 1..n).find(|&j| conns.get(j).is_some_and(Option::is_none))
         };
-        if missing(&streams).is_some() {
-            listener.set_nonblocking(true).map_err(|e| {
-                hs_io(
-                    missing(&streams).unwrap_or(id),
-                    "set listener nonblocking",
-                    &e,
-                )
-            })?;
+        if let Some(j) = missing(&conns) {
+            listener
+                .set_nonblocking(true)
+                .map_err(|e| hs_io(j, "set listener nonblocking", &e))?;
         }
         let accept_start = Instant::now();
-        while let Some(next_missing) = missing(&streams) {
-            if accept_start.elapsed() >= cfg.accept_timeout {
+        while let Some(next_missing) = missing(&conns) {
+            let window_left = cfg.accept_timeout.saturating_sub(accept_start.elapsed());
+            if window_left.is_zero() {
                 return Err(MpcError::Handshake {
                     peer: next_missing,
                     reason: format!(
@@ -1189,40 +1178,28 @@ impl TcpTransport {
                     if stream.set_nonblocking(false).is_err() {
                         continue;
                     }
-                    let window_left = cfg.accept_timeout.saturating_sub(accept_start.elapsed());
-                    let Some(hello) =
-                        read_hello_deadline(&mut stream, cfg.connect_timeout.min(window_left))
-                    else {
-                        continue; // stalled or dead dialer: drop it, keep accepting
+                    // One free link per higher id: a second dial from the
+                    // same party has no cursor to be answered with.
+                    let cursor_for = |j: usize| match conns.get(j) {
+                        Some(None) => Some(recv_next(j)),
+                        _ => None,
                     };
-                    let h = decode_hello(&hello, next_missing, cfg.run_id, n)?;
-                    let slot = streams.get_mut(h.party).ok_or(MpcError::Handshake {
-                        peer: h.party,
-                        reason: format!("claimed party id {} out of range", h.party),
-                    })?;
-                    if h.party <= id || slot.is_some() {
-                        return Err(MpcError::Handshake {
-                            peer: h.party,
-                            reason: format!(
-                                "party {} dialed us but should not (duplicate or wrong direction)",
-                                h.party
-                            ),
-                        });
-                    }
-                    let ours = encode_hello(
-                        cfg.run_id,
-                        id as u64,
-                        n as u64,
-                        resume.recv_next.get(h.party).copied().unwrap_or(0),
+                    match hello_accept(
+                        &mut stream,
+                        me,
+                        next_missing,
+                        cfg.connect_timeout.min(window_left),
                         flags,
-                    );
-                    stream
-                        .write_all(&ours)
-                        .map_err(|e| hs_io(h.party, "send hello", &e))?;
-                    if let Some(t) = their_next.get_mut(h.party) {
-                        *t = h.next_expected;
+                        cursor_for,
+                    ) {
+                        Ok(theirs) => {
+                            if let Some(slot) = conns.get_mut(theirs.party) {
+                                *slot = Some((stream, theirs.next_expected));
+                            }
+                        }
+                        Err(None) => {} // stalled or dead dialer: drop it, keep accepting
+                        Err(Some(e)) => return Err(e),
                     }
-                    *slot = Some(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL_INTERVAL);
@@ -1240,33 +1217,21 @@ impl TcpTransport {
             (0..n).map(|_| Arc::new(Mutex::new(None))).collect();
         let mut readers = Vec::with_capacity(n.saturating_sub(1));
         let mut routes: Vec<Option<Sender<RoutedConn>>> = (0..n).map(|_| None).collect();
-        for (j, slot) in streams.into_iter().enumerate() {
-            let Some(stream) = slot else { continue };
+        for (j, slot) in conns.into_iter().enumerate() {
+            let Some((stream, their_next)) = slot else {
+                continue;
+            };
             let shared = Arc::new(LinkShared::new(
                 resume.send_next.get(j).copied().unwrap_or(0),
-                resume.recv_next.get(j).copied().unwrap_or(0),
+                recv_next(j),
                 resume
                     .replay
                     .get_mut(j)
                     .map(std::mem::take)
                     .unwrap_or_default(),
             ));
-            let read_half = match reconcile_and_install(
-                &shared,
-                j,
-                stream,
-                their_next.get(j).copied().unwrap_or(0),
-                resuming,
-            ) {
-                Ok(rh) => rh,
-                Err(InstallError::Fatal(e)) => return Err(e),
-                Err(InstallError::Retry) => {
-                    return Err(MpcError::Handshake {
-                        peer: j,
-                        reason: "link failed while replaying the resume backlog".to_string(),
-                    })
-                }
-            };
+            let read_half = reconcile_and_install(&shared, j, stream, their_next, resuming)
+                .map_err(LinkError::into_inner)?;
             let (tx, rx) = channel();
             let slot_fail = fail.get(j).cloned().unwrap_or_default();
             let flag = Arc::clone(&shutdown);
@@ -1281,11 +1246,9 @@ impl TcpTransport {
                     continue;
                 };
                 let ctx = SupCtx {
-                    id,
+                    me,
                     peer: j,
                     peer_addr,
-                    run_id: cfg.run_id,
-                    n,
                     sup,
                     jitter_seed: cfg.jitter_seed,
                     connect_timeout: cfg.connect_timeout,
@@ -1304,10 +1267,7 @@ impl TcpTransport {
                 }));
             }
             if let Some(l) = links.get_mut(j) {
-                *l = Some(Mutex::new(RecvState::with_next_seq(
-                    rx,
-                    resume.recv_next.get(j).copied().unwrap_or(0),
-                )));
+                *l = Some(Mutex::new(RecvState::with_next_seq(rx, recv_next(j))));
             }
             if let Some(s) = link_state.get_mut(j) {
                 *s = Some(shared);
@@ -1320,9 +1280,7 @@ impl TcpTransport {
             aux.push(std::thread::spawn(move || {
                 accept_route_loop(
                     listener,
-                    id,
-                    n,
-                    cfg.run_id,
+                    me,
                     cfg.connect_timeout,
                     accept_links,
                     routes,
@@ -1337,7 +1295,7 @@ impl TcpTransport {
             }));
         }
         if resuming {
-            stats.record_resume(id);
+            stats.record(id, Counter::Resumes);
         }
 
         Ok(TcpTransport {
@@ -1354,22 +1312,47 @@ impl TcpTransport {
         })
     }
 
-    /// Allocates the next wire sequence number for the link to `to`.
-    fn alloc_seq_inner(&self, to: usize) -> Result<u64, MpcError> {
+    fn no_such_party(&self, id: usize) -> MpcError {
+        MpcError::NoSuchParty {
+            id,
+            n_parties: self.n,
+        }
+    }
+
+    /// A closed receive channel means the link's reader exited; report
+    /// the structured reason it stored (malformed frame, torn
+    /// connection, dead peer, irreconcilable resume) when there is one.
+    fn closed_reason(&self, from: usize, err: MpcError) -> MpcError {
+        let stored = || self.fail.get(from).and_then(|f| f.lock().clone());
+        match err {
+            MpcError::ChannelClosed { .. } => stored().unwrap_or(err),
+            other => other,
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    fn n_parties(&self) -> usize {
+        self.n
+    }
+
+    fn stats(&self) -> &Arc<NetworkStats> {
+        &self.stats
+    }
+
+    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
         if to == self.id {
-            return Err(MpcError::NoSuchParty {
-                id: to,
-                n_parties: self.n,
-            });
+            return Err(self.no_such_party(to));
         }
         self.link_state
             .get(to)
             .and_then(|s| s.as_ref())
             .map(|s| s.send_next.fetch_add(1, Ordering::Relaxed))
-            .ok_or(MpcError::NoSuchParty {
-                id: to,
-                n_parties: self.n,
-            })
+            .ok_or_else(|| self.no_such_party(to))
     }
 
     /// Ships one frame: record at the single accounting point (the same
@@ -1379,16 +1362,14 @@ impl TcpTransport {
     /// failure is *not* an error — the frame rides the replay buffer to
     /// the reconnected socket, and it was already counted, so totals
     /// stay identical whether or not the link hiccupped.
-    fn send_frame_inner(&self, to: usize, msg: Message) -> Result<(), MpcError> {
-        let link =
-            self.link_state
-                .get(to)
-                .and_then(|s| s.as_ref())
-                .ok_or(MpcError::NoSuchParty {
-                    id: to,
-                    n_parties: self.n,
-                })?;
-        self.stats.record(self.id, to, msg.tag, msg.payload.len());
+    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
+        let link = self
+            .link_state
+            .get(to)
+            .and_then(|s| s.as_ref())
+            .ok_or_else(|| self.no_such_party(to))?;
+        self.stats
+            .record_frame(self.id, to, msg.tag, msg.payload.len());
         let buf = frame_bytes(msg.seq, msg.tag, &msg.payload);
         let mut w = link.wr.lock();
         if let Some(sup) = self.supervision {
@@ -1417,13 +1398,6 @@ impl TcpTransport {
         }
     }
 
-    /// Translates a closed receive channel into the reader's stored
-    /// structured reason when one exists.
-    fn closed_reason(&self, from: usize, peer: usize) -> MpcError {
-        let stored = self.fail.get(from).and_then(|f| f.lock().clone());
-        stored.unwrap_or(MpcError::ChannelClosed { peer })
-    }
-
     /// In-order deadline-aware receive. Under supervision the wait is
     /// sliced so liveness is checked against the heartbeat stream: a
     /// peer silent past the liveness deadline fails fast with
@@ -1434,20 +1408,10 @@ impl TcpTransport {
             .links
             .get(from)
             .and_then(|l| l.as_ref())
-            .ok_or(MpcError::NoSuchParty {
-                id: from,
-                n_parties: self.n,
-            })?;
+            .ok_or_else(|| self.no_such_party(from))?;
         let Some(sup) = self.supervision else {
             let res = link.lock().recv_in_order(from, tag, deadline);
-            return match res {
-                Err(MpcError::Timeout { peer, tag, waited }) => {
-                    self.stats.record_timeout(self.id);
-                    Err(MpcError::Timeout { peer, tag, waited })
-                }
-                Err(MpcError::ChannelClosed { peer }) => Err(self.closed_reason(from, peer)),
-                other => other,
-            };
+            return res.map_err(|e| self.closed_reason(from, e));
         };
         let shared = self.link_state.get(from).and_then(|s| s.as_ref());
         let start = Instant::now();
@@ -1467,7 +1431,6 @@ impl TcpTransport {
                         }
                     }
                     if start.elapsed() >= deadline {
-                        self.stats.record_timeout(self.id);
                         return Err(MpcError::Timeout {
                             peer: from,
                             tag,
@@ -1475,71 +1438,9 @@ impl TcpTransport {
                         });
                     }
                 }
-                Err(MpcError::ChannelClosed { peer }) => return Err(self.closed_reason(from, peer)),
-                other => return other,
+                other => return other.map_err(|e| self.closed_reason(from, e)),
             }
         }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn n_parties(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> &Arc<NetworkStats> {
-        &self.stats
-    }
-
-    fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
-        let seq = self.alloc_seq_inner(to)?;
-        self.send_frame_inner(
-            to,
-            Message {
-                seq,
-                tag,
-                payload: words_to_bytes(words),
-            },
-        )
-    }
-
-    fn recv_words_timeout(
-        &self,
-        from: usize,
-        expected_tag: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u64>, MpcError> {
-        let msg = self.recv_frame(from, expected_tag, deadline)?;
-        if msg.tag != expected_tag {
-            return Err(MpcError::UnexpectedMessage {
-                expected_tag,
-                got_tag: msg.tag,
-                from,
-            });
-        }
-        if msg.payload.len() % 8 != 0 {
-            return Err(MpcError::MalformedPayload {
-                from,
-                len: msg.payload.len(),
-            });
-        }
-        Ok(msg
-            .payload
-            .chunks_exact(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w)
-            })
-            .collect())
-    }
-
-    fn recv_words(&self, from: usize, tag: u32) -> Result<Vec<u64>, MpcError> {
-        self.recv_words_timeout(from, tag, DEFAULT_DEADLINE)
     }
 
     fn link_snapshot(&self) -> Option<LinkSnapshot> {
@@ -1583,15 +1484,6 @@ impl Transport for TcpTransport {
     }
 }
 
-impl FrameTransport for TcpTransport {
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
-        self.alloc_seq_inner(to)
-    }
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
-        self.send_frame_inner(to, msg)
-    }
-}
-
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
@@ -1613,11 +1505,11 @@ impl Drop for TcpTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dash_obs::TraceHandle;
 
-    fn test_cfg(run_id: u64) -> TcpConfig {
+    pub(crate) fn test_cfg(run_id: u64) -> TcpConfig {
         TcpConfig {
             run_id,
             connect_timeout: Duration::from_secs(2),
@@ -1630,7 +1522,7 @@ mod tests {
     }
 
     /// Supervision policy with test-sized windows.
-    fn test_sup() -> LinkSupervision {
+    pub(crate) fn test_sup() -> LinkSupervision {
         LinkSupervision {
             heartbeat_interval: Duration::from_millis(20),
             liveness_deadline: Duration::from_secs(2),
@@ -1643,7 +1535,10 @@ mod tests {
     /// Binds `n` loopback listeners and connects a full mesh under
     /// `cfg`, one transport per simulated "process" (each with its own
     /// stats). Returns the transports and the mesh addresses.
-    fn connect_mesh_cfg(n: usize, cfg: TcpConfig) -> (Vec<TcpTransport>, Vec<SocketAddr>) {
+    pub(crate) fn connect_mesh_cfg(
+        n: usize,
+        cfg: TcpConfig,
+    ) -> (Vec<TcpTransport>, Vec<SocketAddr>) {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
@@ -1708,49 +1603,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn reordered_and_duplicate_frames_recover() {
-        // The TCP receive path reuses the same in-order machinery as the
-        // mpsc endpoint: frames shipped out of wire order (distinct
-        // seqs) and duplicates are absorbed.
-        let mesh = connect_mesh(2, 3);
-        let frame = |seq: u64, tag: u32, word: u64| Message {
-            seq,
-            tag,
-            payload: words_to_bytes(&[word]),
-        };
-        // Allocate seqs 0..3 but ship 1, 0, 0-again, 2.
-        for _ in 0..3 {
-            mesh[0].alloc_seq(1).unwrap();
-        }
-        mesh[0].send_frame(1, frame(1, 11, 101)).unwrap();
-        mesh[0].send_frame(1, frame(0, 10, 100)).unwrap();
-        mesh[0].send_frame(1, frame(0, 10, 100)).unwrap();
-        mesh[0].send_frame(1, frame(2, 12, 102)).unwrap();
-        assert_eq!(mesh[1].recv_words(0, 10).unwrap(), vec![100]);
-        assert_eq!(mesh[1].recv_words(0, 11).unwrap(), vec![101]);
-        assert_eq!(mesh[1].recv_words(0, 12).unwrap(), vec![102]);
-    }
-
-    #[test]
-    fn recv_deadline_expires_with_structured_error() {
-        let mesh = connect_mesh(2, 9);
-        let start = Instant::now();
-        let err = mesh[1]
-            .recv_words_timeout(0, 4, Duration::from_millis(40))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            MpcError::Timeout {
-                peer: 0,
-                tag: 4,
-                ..
-            }
-        ));
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(mesh[1].stats().timeouts_by(1), 1);
     }
 
     #[test]
@@ -1923,7 +1775,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         for t in &mesh {
             assert!(
-                t.stats().heartbeats_by(t.id()) > 0,
+                t.stats().count_by(t.id(), Counter::HeartbeatsSent) > 0,
                 "party {} sent no heartbeats",
                 t.id()
             );
@@ -1992,19 +1844,8 @@ mod tests {
         // Restart B on its original port, resuming from the snapshot.
         let listener = TcpListener::bind(b_addr).unwrap();
         let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
-        let b2 = TcpTransport::connect_resume(
-            1,
-            listener,
-            &addrs,
-            cfg,
-            stats,
-            Some(ResumeState {
-                send_next: snap.send_next.clone(),
-                recv_next: snap.recv_next.clone(),
-                replay: snap.replay.clone(),
-            }),
-        )
-        .unwrap();
+        let b2 = TcpTransport::connect_resume(1, listener, &addrs, cfg, stats, Some(snap.clone()))
+            .unwrap();
         // B's replayed frame (seq 0, already delivered) must be
         // deduplicated by A, and fresh traffic must flow both ways with
         // the original sequence numbering.
@@ -2012,8 +1853,8 @@ mod tests {
         assert_eq!(b2.recv_words(0, 102).unwrap(), vec![12]);
         b2.send_words(0, 201, &[21]).unwrap();
         assert_eq!(a.recv_words(1, 201).unwrap(), vec![21]);
-        assert_eq!(a.stats().reconnects_by(0), 1);
-        assert_eq!(b2.stats().resumes_by(1), 1);
+        assert_eq!(a.stats().count_by(0, Counter::Reconnects), 1);
+        assert_eq!(b2.stats().count_by(1, Counter::Resumes), 1);
         // The replayed duplicate was not re-counted anywhere: B2's
         // counters carry only its post-resume frame.
         assert_eq!(b2.stats().total_bytes(), HEADER_BYTES + 8);
@@ -2080,5 +1921,120 @@ mod tests {
         let mut bad = buf;
         bad[0] = b'X';
         assert!(decode_hello(&bad, 2, 42, 3).is_err());
+    }
+
+    /// A stream of `frames` well-formed frames followed by `tail`.
+    fn frame_stream(frames: &[(u64, u32, Vec<u8>)], tail: &[u8]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for (seq, tag, payload) in frames {
+            stream.extend_from_slice(&frame_bytes(*seq, *tag, payload));
+        }
+        stream.extend_from_slice(tail);
+        stream
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// ROADMAP aim 3 (ii): `decode_hello` is total. Arbitrary bytes,
+        /// and a valid hello that was truncated (zero tail) or had bytes
+        /// flipped, end in a hello consistent with this run or in a
+        /// structured `Handshake` — never a panic.
+        #[test]
+        fn decode_hello_is_total_on_arbitrary_and_truncated_buffers(
+            noise in proptest::collection::vec(0u8..=255, HELLO_BYTES),
+            fields in (0u64..4, 0u64..6, 2u64..5, proptest::prelude::any::<u64>(), 0u64..4),
+            cut in 0usize..=HELLO_BYTES,
+            flips in proptest::collection::vec((0usize..HELLO_BYTES, 0u8..=255), 0..3),
+            from_noise in proptest::prelude::any::<bool>(),
+        ) {
+            let (run, party, n, next, flags) = fields;
+            let mut buf = encode_hello(run, party, n, next, flags);
+            if from_noise {
+                buf.copy_from_slice(&noise);
+            }
+            buf[cut..].fill(0);
+            for (at, x) in flips {
+                buf[at] ^= x;
+            }
+            match decode_hello(&buf, 1, 2, 3) {
+                Ok(h) => {
+                    proptest::prop_assert!(h.party < 3);
+                    proptest::prop_assert_eq!(&buf[..4], &HELLO_MAGIC[..]);
+                    proptest::prop_assert_eq!(le_u32(&buf, 4), Some(WIRE_VERSION));
+                    proptest::prop_assert_eq!(le_u64(&buf, 8), Some(2));
+                    proptest::prop_assert_eq!(le_u64(&buf, 24), Some(3));
+                    proptest::prop_assert_eq!(le_u64(&buf, 32), Some(h.next_expected));
+                }
+                Err(e) => proptest::prop_assert!(
+                    matches!(e, MpcError::Handshake { peer: 1, .. }),
+                    "unstructured verdict {e:?}"
+                ),
+            }
+        }
+
+        /// ROADMAP aim 3 (ii): `read_frame` is total over arbitrary byte
+        /// streams driven from a slice. Every well-formed frame comes
+        /// back intact; the stream then ends in a clean EOF, a mid-frame
+        /// EOF, or `Oversized` — the last exactly when the header
+        /// announces more than `MAX_FRAME_BYTES`, before any payload
+        /// allocation.
+        #[test]
+        fn read_frame_is_total_on_arbitrary_streams(
+            frames in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::collection::vec(0u8..=255, 0..24),
+                ),
+                0..4,
+            ),
+            tail in proptest::collection::vec(0u8..=255, 0..40),
+            small_len in proptest::prelude::any::<bool>(),
+        ) {
+            let mut tail = tail;
+            if small_len {
+                // Keep the announced length plausible so the payload
+                // read, not the size guard, meets the end of the stream.
+                if let Some(high) = tail.get_mut(13..20) {
+                    high.fill(0);
+                }
+            }
+            let stream = frame_stream(&frames, &tail);
+            let mut src: &[u8] = &stream;
+            let never = AtomicBool::new(false);
+            for (seq, tag, payload) in &frames {
+                let got = read_frame(&mut src, &never);
+                proptest::prop_assert!(
+                    matches!(&got, Ok(m) if m.seq == *seq && m.tag == *tag && &m.payload == payload),
+                    "frame lost: {got:?}"
+                );
+            }
+            // What is left is exactly the tail; walk it against a
+            // bounds-checked model of the framing.
+            proptest::prop_assert_eq!(src, &tail[..]);
+            let mut pos = 0usize;
+            loop {
+                let rest = tail.get(pos..).unwrap_or(&[]);
+                let announced = le_u64(rest, 12);
+                let body = announced.and_then(|len| rest.get(20..20 + usize::try_from(len).ok()?));
+                let got = read_frame(&mut src, &never);
+                match (announced, body) {
+                    (Some(len), _) if len > MAX_FRAME_BYTES => {
+                        proptest::prop_assert_eq!(got.err(), Some(ReadEnd::Oversized(len)));
+                        break;
+                    }
+                    (Some(_), Some(body)) => {
+                        proptest::prop_assert_eq!(got.ok().map(|m| m.payload), Some(body.to_vec()));
+                        pos += 20 + body.len();
+                    }
+                    _ => {
+                        let partial = !rest.is_empty();
+                        proptest::prop_assert_eq!(got.err(), Some(ReadEnd::Eof { partial }));
+                        break;
+                    }
+                }
+            }
+        }
     }
 }

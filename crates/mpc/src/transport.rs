@@ -1,12 +1,17 @@
-//! Transport abstraction: deadline-aware messaging plus deterministic
-//! fault injection.
+//! Transport abstraction: a transport moves sequence-numbered frames;
+//! everything above the frame exists once, here.
 //!
-//! [`Transport`] is the narrow interface protocols talk to — send a word
-//! vector, receive one under a deadline. [`Endpoint`]
-//! implements it directly for healthy runs; [`FaultyTransport`] wraps an
-//! endpoint and injects delays, drops, duplicates, reorders, transient
-//! send failures and party crashes, each decided by a pure hash of
-//! `(plan seed, link, message index)` so every run is reproducible.
+//! [`Transport`] is the one interface between a party's protocol and the
+//! wire. An implementor supplies six small frame-level methods (identity,
+//! counters, sequence allocation, ship a frame, receive the next in-order
+//! frame); the word codec, the tag check, the whole-word check and the
+//! receive-timeout accounting are provided methods written once below, so
+//! the in-process [`crate::net::Endpoint`], the socket-backed
+//! [`crate::tcp::TcpTransport`] and any future link share them by
+//! construction. [`FaultyTransport`] wraps any transport and injects
+//! delays, drops, duplicates, reorders, transient send failures and party
+//! crashes, each decided by a pure hash of `(plan seed, link, message
+//! index)` so every run is reproducible.
 //!
 //! Fault semantics are chosen so that *every* outcome is structured: a
 //! dropped message leaves the receiver to hit [`MpcError::Timeout`] or
@@ -17,7 +22,8 @@
 //! Nothing hangs and nothing takes down the process.
 
 use crate::error::MpcError;
-use crate::net::{Endpoint, Message, NetworkStats, DEFAULT_DEADLINE};
+use crate::net::{Message, NetworkStats, DEFAULT_DEADLINE};
+use dash_obs::Counter;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,8 +57,21 @@ pub struct LinkSnapshot {
     pub replay: Vec<Vec<ReplayFrame>>,
 }
 
+/// Serializes words into the little-endian byte payload.
+pub(crate) fn words_to_bytes(words: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(words.len() * 8);
+    for w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    buf
+}
+
 /// The message layer a [`crate::party::PartyCtx`] drives. Object-safe so
 /// the runner can swap the faulty wrapper in without protocols noticing.
+///
+/// The required methods move frames; the word-level API protocols call is
+/// provided on top of them and is the only place a payload is encoded,
+/// decoded, tag-checked or a receive timeout counted.
 pub trait Transport: Send + std::fmt::Debug {
     /// This party's id.
     fn id(&self) -> usize;
@@ -60,24 +79,74 @@ pub trait Transport: Send + std::fmt::Debug {
     fn n_parties(&self) -> usize;
     /// The shared network counters.
     fn stats(&self) -> &Arc<NetworkStats>;
+    /// Allocates the next sequence number for the link to `to`,
+    /// validating that the link exists.
+    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError>;
+    /// Ships an already-framed message, recording its cost at the
+    /// single accounting point ([`NetworkStats`]).
+    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError>;
+    /// Delivers the next in-order frame from `from`, waiting at most
+    /// `deadline`; `tag` only labels a [`MpcError::Timeout`]. Duplicates
+    /// are discarded and early arrivals buffered below this call. The
+    /// implementor does *not* count a timeout — the provided
+    /// [`Transport::recv_words_timeout`] does, once.
+    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError>;
+
     /// Sends a word vector to a peer under a tag.
-    fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError>;
+    fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
+        let seq = self.alloc_seq(to)?;
+        let payload = words_to_bytes(words);
+        self.send_frame(to, Message { seq, tag, payload })
+    }
     /// Receives a word vector from a peer, waiting at most `deadline`.
+    /// A frame under another tag is a protocol desync
+    /// ([`MpcError::UnexpectedMessage`]); a payload that is not a whole
+    /// number of words is rejected ([`MpcError::MalformedPayload`]) rather
+    /// than silently truncated.
     fn recv_words_timeout(
         &self,
         from: usize,
         tag: u32,
         deadline: Duration,
-    ) -> Result<Vec<u64>, MpcError>;
+    ) -> Result<Vec<u64>, MpcError> {
+        let msg = self.recv_frame(from, tag, deadline).inspect_err(|e| {
+            if matches!(e, MpcError::Timeout { .. }) {
+                self.stats().record(self.id(), Counter::Timeouts);
+            }
+        })?;
+        if msg.tag != tag {
+            return Err(MpcError::UnexpectedMessage {
+                expected_tag: tag,
+                got_tag: msg.tag,
+                from,
+            });
+        }
+        if msg.payload.len() % 8 != 0 {
+            return Err(MpcError::MalformedPayload {
+                from,
+                len: msg.payload.len(),
+            });
+        }
+        Ok(msg
+            .payload
+            .chunks_exact(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect())
+    }
     /// Receives with the [`DEFAULT_DEADLINE`].
     fn recv_words(&self, from: usize, tag: u32) -> Result<Vec<u64>, MpcError> {
         self.recv_words_timeout(from, tag, DEFAULT_DEADLINE)
     }
     /// Captures the per-link wire cursors and replay buffers for a crash
     /// checkpoint. `None` means this transport has no durable identity
-    /// across a process restart (the in-process [`Endpoint`] cannot be
-    /// resumed), which callers surface as a configuration error rather
-    /// than writing an unusable checkpoint.
+    /// across a process restart (the in-process
+    /// [`crate::net::Endpoint`] cannot be resumed), which callers surface
+    /// as a configuration error rather than writing an unusable
+    /// checkpoint.
     fn link_snapshot(&self) -> Option<LinkSnapshot> {
         None
     }
@@ -89,54 +158,6 @@ pub trait Transport: Send + std::fmt::Debug {
     /// replay buffers.
     fn note_durable(&self, recv_next: &[u64]) {
         let _ = recv_next;
-    }
-}
-
-impl Transport for Endpoint {
-    fn id(&self) -> usize {
-        Endpoint::id(self)
-    }
-    fn n_parties(&self) -> usize {
-        Endpoint::n_parties(self)
-    }
-    fn stats(&self) -> &Arc<NetworkStats> {
-        Endpoint::stats(self)
-    }
-    fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
-        Endpoint::send_words(self, to, tag, words)
-    }
-    fn recv_words_timeout(
-        &self,
-        from: usize,
-        tag: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u64>, MpcError> {
-        Endpoint::recv_words_timeout(self, from, tag, deadline)
-    }
-}
-
-/// A [`Transport`] that also exposes its framing layer: wire
-/// sequence-number allocation and raw frame shipping. The fault injector
-/// sits on this interface so it can duplicate, reorder and hold back
-/// individual frames below the retry layer; both the in-process
-/// [`Endpoint`] and the socket-backed [`crate::tcp::TcpTransport`]
-/// implement it, which is what lets the same deterministic fault plans
-/// run over real TCP.
-pub trait FrameTransport: Transport {
-    /// Allocates the next sequence number for the link to `to`,
-    /// validating that the link exists.
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError>;
-    /// Ships an already-framed message, recording its cost at the
-    /// transport's single accounting point.
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError>;
-}
-
-impl FrameTransport for Endpoint {
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
-        Endpoint::alloc_seq(self, to)
-    }
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
-        Endpoint::send_frame(self, to, msg)
     }
 }
 
@@ -268,21 +289,17 @@ fn fate_roll(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-#[derive(Debug)]
-struct HeldFrame {
-    to: usize,
-    msg: Message,
-}
-
-/// Fault-injecting wrapper around any [`FrameTransport`] (the in-process
-/// [`Endpoint`] by default; the TCP transport for socket runs).
+/// Fault-injecting wrapper around any [`Transport`]. It sits on the
+/// frame methods so it can duplicate, reorder and hold back individual
+/// frames below the retry layer, which is what lets the same
+/// deterministic fault plans run over the mpsc mesh and over real TCP.
 ///
 /// All faults act on the send side: the wrapped party's outgoing traffic
 /// is delayed, dropped, duplicated, reordered or refused according to
 /// the [`FaultPlan`]; a [`CrashPoint`] makes every transport call fail
 /// once the party has completed its quota of sends.
 #[derive(Debug)]
-pub struct FaultyTransport<T: FrameTransport = Endpoint> {
+pub struct FaultyTransport<T: Transport> {
     inner: T,
     plan: FaultPlan,
     /// Completed sends (crash-point bookkeeping).
@@ -296,7 +313,7 @@ pub struct FaultyTransport<T: FrameTransport = Endpoint> {
     holdback: Mutex<Vec<Option<Message>>>,
 }
 
-impl<T: FrameTransport> FaultyTransport<T> {
+impl<T: Transport> FaultyTransport<T> {
     /// Wraps `inner`, injecting faults per `plan`.
     pub fn new(inner: T, plan: FaultPlan) -> Self {
         let n = inner.n_parties();
@@ -339,6 +356,14 @@ impl<T: FrameTransport> FaultyTransport<T> {
         Ok(())
     }
 
+    /// Empties every holdback slot, returning `(destination, frame)`.
+    fn take_held(&self) -> Vec<(usize, Message)> {
+        let mut slots = self.holdback.lock();
+        let held = slots.iter_mut().enumerate();
+        held.filter_map(|(to, slot)| Some((to, slot.take()?)))
+            .collect()
+    }
+
     /// Releases every held-back frame. Called before the party blocks on
     /// a receive: a frame parked "behind the next send to the same peer"
     /// would otherwise deadlock any request-response round in which that
@@ -348,15 +373,8 @@ impl<T: FrameTransport> FaultyTransport<T> {
     /// indistinguishable from a drop, so a closed channel is tolerated
     /// exactly like the duplicate-delivery path.
     fn flush_all_holdbacks(&self) -> Result<(), MpcError> {
-        let held: Vec<HeldFrame> = self
-            .holdback
-            .lock()
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(to, slot)| slot.take().map(|msg| HeldFrame { to, msg }))
-            .collect();
-        for h in held {
-            match self.inner.send_frame(h.to, h.msg) {
+        for (to, msg) in self.take_held() {
+            match self.inner.send_frame(to, msg) {
                 Err(MpcError::ChannelClosed { .. }) => {}
                 other => other?,
             }
@@ -365,7 +383,7 @@ impl<T: FrameTransport> FaultyTransport<T> {
     }
 }
 
-impl<T: FrameTransport> Transport for FaultyTransport<T> {
+impl<T: Transport> Transport for FaultyTransport<T> {
     fn id(&self) -> usize {
         self.inner.id()
     }
@@ -376,6 +394,20 @@ impl<T: FrameTransport> Transport for FaultyTransport<T> {
 
     fn stats(&self) -> &Arc<NetworkStats> {
         self.inner.stats()
+    }
+
+    // Frame moves pass straight through: the plan acts on logical
+    // messages, in the two word-level overrides below.
+    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
+        self.inner.alloc_seq(to)
+    }
+
+    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
+        self.inner.send_frame(to, msg)
+    }
+
+    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError> {
+        self.inner.recv_frame(from, tag, deadline)
     }
 
     fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
@@ -433,7 +465,7 @@ impl<T: FrameTransport> Transport for FaultyTransport<T> {
         let msg = Message {
             seq,
             tag,
-            payload: crate::net::words_to_bytes(words),
+            payload: words_to_bytes(words),
         };
 
         // Reorder: hold this frame back until the next frame to the same
@@ -500,19 +532,12 @@ impl<T: FrameTransport> Transport for FaultyTransport<T> {
     }
 }
 
-impl<T: FrameTransport> Drop for FaultyTransport<T> {
+impl<T: Transport> Drop for FaultyTransport<T> {
     fn drop(&mut self) {
         // Ship any frames still held back by reorder faults so peers
         // waiting on them unblock without burning their deadline.
-        let held: Vec<HeldFrame> = self
-            .holdback
-            .lock()
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(to, slot)| slot.take().map(|msg| HeldFrame { to, msg }))
-            .collect();
-        for h in held {
-            let _ = self.inner.send_frame(h.to, h.msg);
+        for (to, msg) in self.take_held() {
+            let _ = self.inner.send_frame(to, msg);
         }
     }
 }
@@ -520,13 +545,109 @@ impl<T: FrameTransport> Drop for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{NetOptions, Network};
+    use crate::net::{Endpoint, NetOptions, Network};
+    use crate::tcp::tests::{connect_mesh_cfg, test_cfg, test_sup};
+    use crate::tcp::TcpConfig;
 
     fn two_endpoints() -> (Endpoint, Endpoint, Arc<NetworkStats>) {
         let (mut eps, stats) = Network::endpoints(2).unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         (a, b, stats)
+    }
+
+    /// What every [`Transport`] owes its caller, as party 0 (`a`) talking
+    /// to party 1 (`b`) of a 2-party link. The word-level checks are
+    /// provided methods, so passing here means an implementor's six frame
+    /// methods feed them correctly.
+    fn check_contract(a: &dyn Transport, b: &dyn Transport) {
+        let frame = |seq: u64, tag: u32, payload: Vec<u8>| Message { seq, tag, payload };
+        // Wrong tag: a protocol desync, reported with both tags.
+        a.send_words(1, 1, &[42]).unwrap();
+        assert_eq!(
+            b.recv_words(0, 2),
+            Err(MpcError::UnexpectedMessage {
+                expected_tag: 2,
+                got_tag: 1,
+                from: 0
+            })
+        );
+        // A payload that is not whole words is rejected, not truncated.
+        let seq = a.alloc_seq(1).unwrap();
+        a.send_frame(1, frame(seq, 3, vec![7; 7])).unwrap();
+        assert_eq!(
+            b.recv_words(0, 3),
+            Err(MpcError::MalformedPayload { from: 0, len: 7 })
+        );
+        // No link to oneself or to a party that does not exist, in
+        // either direction.
+        for peer in [0, 9] {
+            let no_such = MpcError::NoSuchParty {
+                id: peer,
+                n_parties: 2,
+            };
+            assert_eq!(a.send_words(peer, 0, &[1]), Err(no_such.clone()));
+            assert_eq!(a.recv_words(peer, 0), Err(no_such));
+        }
+        // An expired deadline is a structured Timeout, counted once.
+        let before = b.stats().total(Counter::Timeouts);
+        let deadline = Duration::from_millis(30);
+        match b.recv_words_timeout(0, 9, deadline) {
+            Err(MpcError::Timeout { peer, tag, waited }) => {
+                assert_eq!((peer, tag), (0, 9));
+                assert!(waited >= deadline && waited < Duration::from_secs(5));
+            }
+            other => panic!("expected Timeout, got {other:?}"),
+        }
+        assert_eq!(b.stats().total(Counter::Timeouts), before + 1);
+        assert_eq!(b.stats().count_by(1, Counter::Timeouts), before + 1);
+        // Frames shipped out of wire order, with a duplicate, deliver
+        // once each and in sequence order: base+1, base, base again,
+        // base+2.
+        let base = a.alloc_seq(1).unwrap();
+        for _ in 0..2 {
+            a.alloc_seq(1).unwrap();
+        }
+        for (off, word) in [(1, 101), (0, 100), (0, 100), (2, 102)] {
+            let payload = words_to_bytes(&[word]);
+            a.send_frame(1, frame(base + off, 10 + off as u32, payload))
+                .unwrap();
+        }
+        for (tag, word) in [(10, 100), (11, 101), (12, 102)] {
+            assert_eq!(b.recv_words(0, tag).unwrap(), vec![word]);
+        }
+    }
+
+    /// The contract over a pair of transports, bare and again (on a fresh
+    /// pair) behind a [`FaultyTransport`] with an empty plan.
+    fn check_contract_bare_and_wrapped<T: Transport>(pair: impl Fn() -> (T, T)) {
+        let (a, b) = pair();
+        check_contract(&a, &b);
+        let (a, b) = pair();
+        let quiet = FaultPlan::default();
+        check_contract(
+            &FaultyTransport::new(a, quiet),
+            &FaultyTransport::new(b, quiet),
+        );
+    }
+
+    #[test]
+    fn every_transport_honours_the_contract() {
+        check_contract_bare_and_wrapped(|| {
+            let (a, b, _) = two_endpoints();
+            (a, b)
+        });
+        let supervised = TcpConfig {
+            supervision: Some(test_sup()),
+            ..test_cfg(62)
+        };
+        for cfg in [test_cfg(61), supervised] {
+            check_contract_bare_and_wrapped(|| {
+                let mut mesh = connect_mesh_cfg(2, cfg).0;
+                let b = mesh.pop().unwrap();
+                (mesh.pop().unwrap(), b)
+            });
+        }
     }
 
     #[test]
@@ -676,7 +797,7 @@ mod tests {
             assert_eq!(r, Ok(Ok(3)));
         }
         // Every message failed once and was resent: 6 messages, 6 retries.
-        assert_eq!(stats.total_retries(), 6);
+        assert_eq!(stats.total(Counter::Retries), 6);
     }
 
     #[test]
@@ -743,7 +864,7 @@ mod tests {
         }
         // Each party's send failed once then succeeded: 2 retries, but
         // only 2 frames on the wire, both attributed to block 5.
-        assert_eq!(stats.total_retries(), 2);
+        assert_eq!(stats.total(Counter::Retries), 2);
         assert_eq!(
             stats.per_block_traffic(),
             vec![(5, 2 * (HEADER_BYTES + 24), 2)]

@@ -13,8 +13,8 @@ use dash_mpc::protocol::masked::masked_sum_ring;
 use dash_mpc::protocol::sum::secure_sum_ring;
 use dash_mpc::ring::R64;
 use dash_mpc::share::{reconstruct_field, reconstruct_ring, share_field, share_ring};
-use dash_mpc::tcp::{LinkSupervision, ResumeState, TcpConfig, TcpTransport};
-use dash_mpc::transport::{FaultPlan, Transport};
+use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
+use dash_mpc::transport::{FaultPlan, LinkSnapshot, Transport};
 use dash_mpc::{MpcError, Secret, TraceCounter, TraceHandle};
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -322,7 +322,7 @@ proptest! {
                 ..TcpConfig::default()
             },
             Arc::clone(&b2_stats),
-            Some(ResumeState {
+            Some(LinkSnapshot {
                 send_next: vec![s, 0],
                 recv_next: vec![0, 0],
                 replay: vec![Vec::new(), Vec::new()],
@@ -366,7 +366,7 @@ proptest! {
         let unit = b_stats.total_bytes() / n_sent;
         prop_assert_eq!(b_stats.total_bytes(), unit * n_sent);
         prop_assert_eq!(b2_stats.total_bytes(), unit * (n_total - s + 1));
-        prop_assert_eq!(b2_stats.resumes_by(1), 1);
+        prop_assert_eq!(b2_stats.count_by(1, TraceCounter::Resumes), 1);
         drop(a);
     }
 }

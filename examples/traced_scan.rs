@@ -14,7 +14,8 @@
 
 use dash_core::model::PartyData;
 use dash_core::secure::{
-    secure_scan_traced, AggregationMode, RFactorMode, SecureScanConfig, TraceCounter, TraceHandle,
+    secure_scan_traced_with, AggregationMode, RFactorMode, SecureScanConfig, TraceCounter,
+    TraceHandle,
 };
 use dash_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -42,7 +43,7 @@ fn main() {
     };
 
     let trace = TraceHandle::enabled(parties.len());
-    let out = secure_scan_traced(&parties, &cfg, trace.clone()).expect("scan succeeds");
+    let out = secure_scan_traced_with(&parties, &cfg, trace.clone()).expect("scan succeeds");
 
     println!("{}", trace.summary());
 

@@ -175,4 +175,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== experiments (E1..E15)"
 cargo run --release -p dash-bench --bin run_all
 
+echo "== non-test lines per crate (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "== done"

@@ -3,13 +3,16 @@
 
 use dash_core::burden::{burden_parties, burden_scan, GeneSet};
 use dash_core::lmm::{estimate_delta, lmm_scan, KinshipEigen};
+use dash_core::logistic::secure_logistic_scan;
 use dash_core::model::{pool_parties, PartyData};
-use dash_core::multi::multi_phenotype_scan;
+use dash_core::multi::{multi_phenotype_scan, secure_multi_phenotype_scan, MultiPartyData};
 use dash_core::online::{secure_online_scan, OnlineScan};
 use dash_core::scan::associate;
 use dash_core::secure::{secure_scan, SecureScanConfig};
+use dash_core::CoreError;
 use dash_gwas::pheno::{normal_matrix, normal_vec, sample_standard_normal};
-use dash_linalg::qr_thin;
+use dash_linalg::{qr_thin, Matrix};
+use dash_mpc::{CrashPoint, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,4 +173,114 @@ fn online_accumulators_match_batch_and_survive_reordering() {
     }
     let (merged, _report) = secure_online_scan(&[a, b], &SecureScanConfig::default()).unwrap();
     assert!(merged.max_rel_diff(&reference).unwrap() < 1e-5);
+}
+
+/// The §5 secure drivers take a `SecureScanConfig`; its transport half
+/// (deadline, retries, fault plan) must reach the runner. One table, one
+/// row per driver, each reduced to the bits of everything it returns.
+#[test]
+fn section5_drivers_honour_deadline_and_fault_plan() {
+    type Driver = Box<dyn Fn(&SecureScanConfig) -> Result<Vec<u64>, CoreError>>;
+    let bits = |cols: &[&[f64]]| -> Vec<u64> {
+        let all = cols.iter().flat_map(|c| c.iter());
+        all.map(|v| v.to_bits()).collect()
+    };
+    let ps = parties(&[40, 50, 45], 12, 2, 9);
+    let binary: Vec<PartyData> = ps
+        .iter()
+        .map(|p| {
+            let y = p.y().iter().map(|&v| f64::from(v > 0.0)).collect();
+            PartyData::new(y, p.x().clone(), p.c().clone()).unwrap()
+        })
+        .collect();
+    let multi: Vec<MultiPartyData> = ps
+        .iter()
+        .map(|p| {
+            let ys = Matrix::from_cols(&[p.y(), p.x().col(0)]).unwrap();
+            MultiPartyData::new(ys, p.x().clone(), p.c().clone()).unwrap()
+        })
+        .collect();
+    let online: Vec<OnlineScan> = ps
+        .iter()
+        .map(|p| {
+            let mut acc = OnlineScan::new(12, 2);
+            acc.push_batch(p).unwrap();
+            acc
+        })
+        .collect();
+    let drivers: Vec<(&str, Driver)> = vec![
+        (
+            "logistic",
+            Box::new(move |cfg| {
+                let (r, _) = secure_logistic_scan(&binary, cfg)?;
+                Ok(bits(&[&r.u, &r.v, &r.z, &r.p]))
+            }),
+        ),
+        (
+            "multi-phenotype",
+            Box::new(move |cfg| {
+                let rs = secure_multi_phenotype_scan(&multi, cfg)?;
+                let cols = rs.iter().flat_map(|r| [&r.beta[..], &r.se, &r.t, &r.p]);
+                Ok(bits(&cols.collect::<Vec<_>>()))
+            }),
+        ),
+        (
+            "online",
+            Box::new(move |cfg| {
+                let (r, _) = secure_online_scan(&online, cfg)?;
+                Ok(bits(&[&r.beta, &r.se, &r.t, &r.p]))
+            }),
+        ),
+    ];
+
+    let with = |faults: FaultPlan| SecureScanConfig {
+        deadline_ms: 300,
+        faults: Some(faults),
+        ..SecureScanConfig::default()
+    };
+    let noisy = [
+        FaultPlan {
+            seed: 3,
+            dup_prob: 0.6,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed: 4,
+            reorder_prob: 0.6,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed: 5,
+            transient_prob: 0.6,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed: 6,
+            dup_prob: 0.4,
+            reorder_prob: 0.4,
+            transient_prob: 0.4,
+            ..FaultPlan::default()
+        },
+    ];
+    let crash = FaultPlan {
+        crash: Some(CrashPoint {
+            party: 1,
+            after_sends: 0,
+        }),
+        ..FaultPlan::default()
+    };
+    for (name, run) in &drivers {
+        let healthy = run(&SecureScanConfig::default()).unwrap();
+        assert!(!healthy.is_empty(), "{name}");
+        // Faults the transport absorbs leave every bit unchanged.
+        for plan in noisy {
+            assert_eq!(run(&with(plan)).unwrap(), healthy, "{name} under {plan:?}");
+        }
+        // A crashed party is a structured error inside the deadline, not
+        // a panic, a hang, or a silently healthy run.
+        let started = std::time::Instant::now();
+        let err = run(&with(crash)).expect_err(name);
+        assert!(matches!(err, CoreError::Mpc(_)), "{name}: {err:?}");
+        assert!(started.elapsed().as_secs() < 5, "{name} hung");
+    }
 }
