@@ -114,6 +114,7 @@ pub fn associate_parallel(data: &PartyData, n_threads: usize) -> Result<ScanResu
 mod tests {
     use super::*;
     use crate::scan::associate;
+    use dash_linalg::dot;
 
     fn gen_data(n: usize, m: usize, k: usize, seed: u64) -> PartyData {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
@@ -139,6 +140,58 @@ mod tests {
             assert_eq!(par.beta, serial.beta, "threads={threads}");
             assert_eq!(par.se, serial.se, "threads={threads}");
             assert_eq!(par.p, serial.p, "threads={threads}");
+        }
+    }
+
+    /// Asserts that `got` holds the per-column [`dot`]s of its columns,
+    /// bit for bit.
+    fn assert_is_per_column_dot(got: &VariantSummands, data: &PartyData, q: &Matrix, at: &str) {
+        for j in 0..got.len() {
+            let col = data.x().col(got.lo + j);
+            assert_eq!(
+                got.xy[j].to_bits(),
+                dot(col, data.y()).to_bits(),
+                "xy {at} col {j}"
+            );
+            assert_eq!(
+                got.xx[j].to_bits(),
+                dot(col, col).to_bits(),
+                "xx {at} col {j}"
+            );
+            for i in 0..q.cols() {
+                let want = dot(q.col(i), col).to_bits();
+                assert_eq!(
+                    got.qtx.get(i, j).to_bits(),
+                    want,
+                    "qtx row {i} {at} col {j}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// However `variant_summands` cuts `[0, M)` over 1–3 workers, and
+        /// wherever those cuts fall relative to the kernel's panels and
+        /// row chunks, every summand is the per-column `dot`, bit for bit.
+        #[test]
+        fn every_thread_cut_is_bit_equal_to_per_column_dot(seed in 0u64..1_000_000) {
+            for n in [0, 1, 3, 4, 5, 63, 64, 65, 255, 256, 257, 1001] {
+                for k in [0, 1, 3, 16] {
+                    // Any N×K matrix serves as Q: the identity under test
+                    // is per dot, not a property of an orthonormal basis.
+                    let data = gen_data(n, 13, k, seed ^ (n * 31 + k) as u64);
+                    for m in 0..=data.n_variants() {
+                        for threads in 1..=3 {
+                            let got = variant_summands(&data, data.c(), 0, m, threads).unwrap();
+                            proptest::prop_assert_eq!((got.lo, got.len()), (0, m));
+                            let at = format!("n={n} k={k} m={m} threads={threads}");
+                            assert_is_per_column_dot(&got, &data, data.c(), &at);
+                        }
+                    }
+                }
+            }
         }
     }
 

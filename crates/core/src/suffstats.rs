@@ -27,7 +27,9 @@
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
-use dash_linalg::{dot, gemm_at_b, gemv_t, qr_thin, self_dot, solve_lower, Matrix};
+use dash_linalg::{
+    dot, gemm_at_b, gemv_t, qr_thin, scan_dots, self_dot, solve_lower, Matrix, ScanDots,
+};
 use dash_stats::StudentT;
 
 /// Relative threshold below which the covariate-adjusted variant variance
@@ -155,18 +157,6 @@ pub(crate) fn y_dots(y: &[f64], q: &Matrix) -> Result<(f64, Vec<f64>), CoreError
     Ok((self_dot(y), gemv_t(q, y)?))
 }
 
-/// One pass over a variant column: `X_j·y`, `X_j·X_j`, and the K dots
-/// `Q_i·X_j` written into `qtx_col` — the one dense scan kernel, shared
-/// by the plaintext scan and the secure scan's block producer.
-fn column_dots(y: &[f64], q: &Matrix, col: &[f64], qtx_col: &mut [f64]) -> (f64, f64) {
-    let xy = dot(col, y);
-    let xx = self_dot(col);
-    for (i, q_i) in qtx_col.iter_mut().enumerate() {
-        *q_i = dot(q.col(i), col);
-    }
-    (xy, xx)
-}
-
 /// The variant-side slice of [`SuffStats`] for columns `[lo, lo+len)`:
 /// everything except the block-independent `yy`/`qty`. This is the unit
 /// every scan computes, and the secure scan ships and aggregates — peak
@@ -195,9 +185,16 @@ impl VariantSummands {
     }
 
     /// Computes one party's variant-side summands for columns `[lo, hi)`
-    /// directly from its rows. Each column's dots depend on that column
-    /// alone, so the values are the same bits for every way of cutting
-    /// `[0, M)` into blocks.
+    /// directly from its rows: one [`scan_dots`] pass that reads `X` once
+    /// for all K+2 dots — the one dense scan kernel, shared by the
+    /// plaintext scan and the secure scan's block producer.
+    ///
+    /// The canonical summation order is [`dot`]'s, per (column, target)
+    /// pair: four lane sums by row mod 4, then the `N mod 4` tail rows,
+    /// combined `(s0 + s1) + (s2 + s3) + tail`. The kernel's column panels
+    /// and row chunks only interleave independent pairs, so a column's
+    /// values are the same bits whichever panel, block `[lo, hi)` or
+    /// thread computed it — every pinned result depends on that.
     pub fn local(
         y: &[f64],
         x: &Matrix,
@@ -226,16 +223,7 @@ impl VariantSummands {
                 got: hi,
             });
         }
-        let k = q.cols();
-        let len = hi - lo;
-        let mut xy = Vec::with_capacity(len);
-        let mut xx = Vec::with_capacity(len);
-        let mut qtx = Matrix::zeros(k, len);
-        for j in lo..hi {
-            let (xyv, xxv) = column_dots(y, q, x.col(j), qtx.col_mut(j - lo));
-            xy.push(xyv);
-            xx.push(xxv);
-        }
+        let ScanDots { xy, xx, atx: qtx } = scan_dots(y, q, x, lo, hi)?;
         Ok(VariantSummands { lo, xy, xx, qtx })
     }
 }
@@ -352,18 +340,10 @@ impl CtStats {
                 },
             });
         }
-        let m = x.cols();
         let yy = self_dot(y);
         let cty = gemv_t(c, y)?;
-        let ctx = gemm_at_b(c, x)?;
+        let ScanDots { xy, xx, atx: ctx } = scan_dots(y, c, x, 0, x.cols())?;
         let gram = gemm_at_b(c, c)?;
-        let mut xy = Vec::with_capacity(m);
-        let mut xx = Vec::with_capacity(m);
-        for j in 0..m {
-            let col = x.col(j);
-            xy.push(dot(col, y));
-            xx.push(self_dot(col));
-        }
         Ok(CtStats {
             n: y.len(),
             yy,
@@ -538,10 +518,21 @@ mod tests {
 
     #[test]
     fn variant_summands_invariant_to_block_cuts() {
-        let (y, x, c) = toy(18, 7, 2, 9);
+        // 11 columns: two full kernel panels and three leftovers, so the
+        // cuts below start and end inside, on and across panel boundaries.
+        let (y, x, c) = toy(18, 11, 2, 9);
         let q = orthonormal_basis(&c).unwrap();
         let full = SuffStats::local(&y, &x, &q).unwrap();
-        for (lo, hi) in [(0, 7), (0, 3), (3, 7), (2, 2), (6, 7)] {
+        for (lo, hi) in [
+            (0, 11),
+            (0, 3),
+            (3, 7),
+            (2, 2),
+            (6, 7),
+            (1, 10),
+            (4, 8),
+            (5, 11),
+        ] {
             let block = VariantSummands::local(&y, &x, &q, lo, hi).unwrap();
             assert_eq!((block.lo, block.len()), (lo, hi - lo));
             // Bit-identical, not merely close: every scan path depends on
@@ -556,8 +547,20 @@ mod tests {
                 );
             }
         }
-        assert!(VariantSummands::local(&y, &x, &q, 3, 9).is_err());
-        assert!(VariantSummands::local(&y, &x, &q, 5, 3).is_err());
+        let shape_err = |r: Result<VariantSummands, CoreError>, what| {
+            assert!(matches!(r, Err(CoreError::ShapeMismatch { what: w, .. }) if w == what));
+        };
+        let col_range = "VariantSummands::local column range";
+        shape_err(VariantSummands::local(&y, &x, &q, 3, 12), col_range);
+        shape_err(VariantSummands::local(&y, &x, &q, 5, 3), col_range);
+        shape_err(
+            VariantSummands::local(&y[..17], &x, &q, 0, 11),
+            "VariantSummands::local X rows",
+        );
+        shape_err(
+            VariantSummands::local(&y, &x, &q.row_block(0, 17), 0, 11),
+            "VariantSummands::local Q rows",
+        );
     }
 
     #[test]
@@ -617,6 +620,21 @@ mod tests {
         for j in 0..4 {
             assert!((via_q.qtxqty[j] - via_ct.qtxqty[j]).abs() < 1e-8, "j={j}");
             assert!((via_q.qtxqtx[j] - via_ct.qtxqtx[j]).abs() < 1e-8, "j={j}");
+        }
+    }
+
+    #[test]
+    fn ct_stats_local_is_bit_equal_to_gemm_composition() {
+        // `CtStats::local` used to be `gemm_at_b(C, X)` plus a `dot` pass
+        // per column for xy/xx; the fused kernel must give those bits.
+        for (n, m, k) in [(25, 4, 3), (67, 9, 2), (130, 6, 0)] {
+            let (y, x, c) = toy(n, m, k, 21);
+            let stats = CtStats::local(&y, &x, &c).unwrap();
+            assert_eq!(stats.ctx, gemm_at_b(&c, &x).unwrap(), "n={n} m={m} k={k}");
+            for j in 0..m {
+                assert_eq!(stats.xy[j].to_bits(), dot(x.col(j), &y).to_bits());
+                assert_eq!(stats.xx[j].to_bits(), self_dot(x.col(j)).to_bits());
+            }
         }
     }
 

@@ -53,7 +53,7 @@ pub use chol::cholesky_upper;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use ops::{axpy, dot, frobenius_norm, gemm_at_b, gemv, gemv_t, self_dot};
+pub use ops::{axpy, dot, frobenius_norm, gemm_at_b, gemv, gemv_t, scan_dots, self_dot, ScanDots};
 pub use qr::{qr_r_factor, qr_thin, ThinQr};
 pub use tri::{invert_upper, solve_lower, solve_upper};
 pub use tsqr::{combine_r_factors, tsqr_r};

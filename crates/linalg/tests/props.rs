@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use dash_linalg::{
-    cholesky_upper, combine_r_factors, gemm_at_b, invert_upper, qr_r_factor, qr_thin, solve_upper,
-    tsqr_r, Matrix,
+    cholesky_upper, combine_r_factors, dot, gemm_at_b, invert_upper, qr_r_factor, qr_thin,
+    scan_dots, solve_upper, tsqr_r, Matrix,
 };
 use proptest::prelude::*;
 
@@ -145,5 +145,58 @@ proptest! {
         let bot = a.row_block(cut, n);
         let back = Matrix::vstack(&[&top, &bot]).unwrap();
         prop_assert_eq!(back, a);
+    }
+}
+
+/// Row counts around every edge of the fused kernel: empty, shorter than
+/// one lane group, each `rows mod 4` tail, and one row either side of a
+/// row chunk and of a few chunks.
+const SCAN_ROWS: [usize; 12] = [0, 1, 3, 4, 5, 63, 64, 65, 255, 256, 257, 1001];
+const SCAN_TARGETS: [usize; 4] = [0, 1, 3, 16];
+/// Wide enough that a range of up to 9 columns starts at every offset
+/// within a panel and ends in every leftover count.
+const SCAN_COLS: usize = 13;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The fused kernel is `dot`, bit for bit, for every (column, target)
+    /// pair — whatever the panel a column lands in, the row count, or the
+    /// number of targets. Entries span twelve decades so that any other
+    /// summation order would change low bits.
+    #[test]
+    fn scan_dots_is_bit_equal_to_per_column_dot(seed in 0u64..1_000_000) {
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(5);
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let u = ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            u * 10f64.powi((s >> 7) as i32 % 7)
+        };
+        for n in SCAN_ROWS {
+            let y: Vec<f64> = (0..n).map(|_| next()).collect();
+            let x = Matrix::from_fn(n, SCAN_COLS, |_, _| next());
+            for k in SCAN_TARGETS {
+                let a = Matrix::from_fn(n, k, |_, _| next());
+                for lo in 0..=SCAN_COLS {
+                    for hi in lo..=(lo + 9).min(SCAN_COLS) {
+                        let got = scan_dots(&y, &a, &x, lo, hi).unwrap();
+                        prop_assert_eq!(got.atx.shape(), (k, hi - lo));
+                        for j in lo..hi {
+                            let col = x.col(j);
+                            let at = format!("n={n} k={k} [{lo}, {hi}) col {j}");
+                            prop_assert_eq!(got.xy[j - lo].to_bits(), dot(col, &y).to_bits(), "xy {}", at);
+                            prop_assert_eq!(got.xx[j - lo].to_bits(), dot(col, col).to_bits(), "xx {}", at);
+                            for i in 0..k {
+                                prop_assert_eq!(
+                                    got.atx.get(i, j - lo).to_bits(),
+                                    dot(a.col(i), col).to_bits(),
+                                    "atx row {} {}", i, at
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

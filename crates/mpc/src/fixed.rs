@@ -79,7 +79,10 @@ impl FixedPointCodec {
     /// `k`-bit budget. Rounding therefore cannot push an accepted value
     /// past the budget; the round-trip proptests in `tests/props.rs` pin
     /// `±max_abs` exactly.
-    fn to_scaled_i64(self, x: f64, max_abs: f64) -> Result<i64, MpcError> {
+    ///
+    /// `scale` is [`FixedPointCodec::scale`]: a parameter so that the slice
+    /// encoders pay its `exp2`, and `max_abs`'s, once per slice.
+    fn to_scaled_i64(self, x: f64, scale: f64, max_abs: f64) -> Result<i64, MpcError> {
         if !x.is_finite() {
             return Err(MpcError::NotFinite { value: x });
         }
@@ -90,12 +93,16 @@ impl FixedPointCodec {
                 frac_bits: self.frac_bits,
             });
         }
-        Ok((x * self.scale()).round() as i64)
+        Ok((x * scale).round() as i64)
     }
 
     /// Encodes one value into the ring.
     pub fn encode_ring(&self, x: f64) -> Result<R64, MpcError> {
-        Ok(R64::from_i64(self.to_scaled_i64(x, self.max_abs_ring())?))
+        Ok(R64::from_i64(self.to_scaled_i64(
+            x,
+            self.scale(),
+            self.max_abs_ring(),
+        )?))
     }
 
     /// Decodes a ring element (interpreting it as two's-complement).
@@ -105,7 +112,10 @@ impl FixedPointCodec {
 
     /// Encodes a slice into the ring.
     pub fn encode_ring_vec(&self, xs: &[f64]) -> Result<Vec<R64>, MpcError> {
-        xs.iter().map(|&x| self.encode_ring(x)).collect()
+        let (scale, max_abs) = (self.scale(), self.max_abs_ring());
+        xs.iter()
+            .map(|&x| self.to_scaled_i64(x, scale, max_abs).map(R64::from_i64))
+            .collect()
     }
 
     /// Decodes a slice of ring elements.
@@ -115,7 +125,11 @@ impl FixedPointCodec {
 
     /// Encodes one value into the field.
     pub fn encode_field(&self, x: f64) -> Result<F61, MpcError> {
-        Ok(F61::from_i64(self.to_scaled_i64(x, self.max_abs_field())?))
+        Ok(F61::from_i64(self.to_scaled_i64(
+            x,
+            self.scale(),
+            self.max_abs_field(),
+        )?))
     }
 
     /// Decodes a field element at the encoding scale 2^f.
@@ -144,7 +158,10 @@ impl FixedPointCodec {
 
     /// Encodes a slice into the field.
     pub fn encode_field_vec(&self, xs: &[f64]) -> Result<Vec<F61>, MpcError> {
-        xs.iter().map(|&x| self.encode_field(x)).collect()
+        let (scale, max_abs) = (self.scale(), self.max_abs_field());
+        xs.iter()
+            .map(|&x| self.to_scaled_i64(x, scale, max_abs).map(F61::from_i64))
+            .collect()
     }
 
     /// Decodes a slice of field elements at scale 2^f.

@@ -192,6 +192,25 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64, StatsError> {
             value: b,
         });
     }
+    reg_inc_beta_normalised(a, b, x, ln_beta_normaliser(a, b))
+}
+
+/// `−ln B(a, b)`: the part of [`reg_inc_beta`] that does not depend on `x`.
+pub(crate) fn ln_beta_normaliser(a: f64, b: f64) -> f64 {
+    ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+}
+
+/// [`reg_inc_beta`] for positive `a`, `b` given `ln_norm =
+/// ln_beta_normaliser(a, b)`, so a caller with fixed shapes (a t
+/// distribution evaluated once per variant) pays the three `ln_gamma`
+/// calls once. The sum continues left to right from `ln_norm`, which keeps
+/// the result the same bits as the one-shot evaluation.
+pub(crate) fn reg_inc_beta_normalised(
+    a: f64,
+    b: f64,
+    x: f64,
+    ln_norm: f64,
+) -> Result<f64, StatsError> {
     if !(0.0..=1.0).contains(&x) {
         return Err(StatsError::DomainError {
             what: "reg_inc_beta (x)",
@@ -204,7 +223,7 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64, StatsError> {
     if x == 1.0 {
         return Ok(1.0);
     }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+    let ln_front = ln_norm + a * x.ln() + b * (1.0 - x).ln();
     let front = ln_front.exp();
     // The continued fraction converges rapidly for x < (a+1)/(a+b+2).
     if x < (a + 1.0) / (a + b + 2.0) {

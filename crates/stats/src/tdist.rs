@@ -7,13 +7,16 @@
 
 use crate::error::StatsError;
 use crate::normal::Normal;
-use crate::special::{ln_gamma, reg_inc_beta};
+use crate::special::{ln_beta_normaliser, ln_gamma, reg_inc_beta_normalised};
 
 /// Student's t distribution with `df` degrees of freedom (not necessarily
 /// integral).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudentT {
     df: f64,
+    /// `−ln B(ν/2, ½)`: the tail's normaliser, fixed by `df`, so a scan
+    /// pays its three `ln_gamma` calls once and not per variant.
+    ln_tail_norm: f64,
 }
 
 impl StudentT {
@@ -25,7 +28,10 @@ impl StudentT {
                 value: df,
             });
         }
-        Ok(StudentT { df })
+        Ok(StudentT {
+            df,
+            ln_tail_norm: ln_beta_normaliser(df / 2.0, 0.5),
+        })
     }
 
     /// Degrees of freedom.
@@ -67,7 +73,7 @@ impl StudentT {
         debug_assert!(t_abs >= 0.0);
         let v = self.df;
         let x = v / (v + t_abs * t_abs);
-        0.5 * reg_inc_beta(v / 2.0, 0.5, x)
+        0.5 * reg_inc_beta_normalised(v / 2.0, 0.5, x, self.ln_tail_norm)
             .expect("x = v/(v+t^2) is always in [0,1] and shapes are positive")
     }
 
@@ -139,6 +145,7 @@ impl StudentT {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::reg_inc_beta;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
@@ -208,6 +215,26 @@ mod tests {
             assert!(close(direct, via_cdf, 1e-10), "x={x}");
         }
         assert!(close(t.two_sided_p(0.0), 1.0, 1e-14));
+    }
+
+    #[test]
+    fn cached_normaliser_gives_the_one_shot_bits() {
+        // The normaliser computed in `new` must leave every p-value the
+        // bits `reg_inc_beta` gives when it recomputes it per call.
+        for &df in &[1.0, 2.5, 93.0, 4496.0, 1e7] {
+            let t = StudentT::new(df).unwrap();
+            for i in 0..400 {
+                let x = (i as f64 - 200.0) * 0.173;
+                let one_shot = (2.0
+                    * (0.5 * reg_inc_beta(df / 2.0, 0.5, df / (df + x * x)).unwrap()))
+                .min(1.0);
+                assert_eq!(
+                    t.two_sided_p(x).to_bits(),
+                    one_shot.to_bits(),
+                    "df={df} t={x}"
+                );
+            }
+        }
     }
 
     #[test]
