@@ -172,11 +172,6 @@ impl GenotypeMatrix {
         self.m
     }
 
-    /// The simulated (true) MAF of each variant.
-    pub fn true_mafs(&self) -> &[f64] {
-        &self.mafs
-    }
-
     /// Raw codes of one variant column (−1 = missing).
     pub fn col(&self, j: usize) -> &[i8] {
         assert!(j < self.m, "variant {j} out of range");

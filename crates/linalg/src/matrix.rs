@@ -194,11 +194,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the column-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))

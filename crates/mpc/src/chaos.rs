@@ -414,6 +414,7 @@ fn pump(
 mod tests {
     use super::*;
     use crate::net::NetworkStats;
+    use crate::tcp::tests::drop_together;
     use crate::tcp::{LinkSupervision, TcpConfig, TcpTransport};
     use crate::transport::Transport;
     use crate::MpcError;
@@ -595,6 +596,7 @@ mod tests {
         assert!(proxy.connections() >= 2, "fault never tripped");
         assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 1);
         proxy.stop();
+        drop_together([t0, t1]);
     }
 
     #[test]
@@ -619,6 +621,7 @@ mod tests {
         }
         assert!(proxy.connections() >= 2, "partition never tripped");
         proxy.stop();
+        drop_together([t0, t1]);
     }
 
     #[test]
@@ -637,6 +640,7 @@ mod tests {
         assert_eq!(t0.recv_words(1, 600).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 0);
         proxy.stop();
+        drop_together([t0, t1]);
     }
 
     #[test]
@@ -666,7 +670,7 @@ mod tests {
             "verdict took {:?}",
             started.elapsed()
         );
-        drop(t1);
         proxy.stop();
+        drop_together([t0, t1]);
     }
 }

@@ -30,7 +30,9 @@
 //! - [`tcp`]: the real-socket implementor ([`tcp::TcpTransport`]) — one
 //!   OS process per party, length-prefixed frames, deterministic connect
 //!   handshake, identical error surface and accounting to the
-//!   in-process endpoint.
+//!   in-process endpoint. It is the socket/thread shell around the
+//!   crate-private `link` machine, which states a link's sequence, replay,
+//!   ack, liveness and reconnect rules once and does no I/O.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
 //! - [`dealer`]: trusted dealer producing Beaver scalar and inner-product
@@ -84,6 +86,7 @@ pub mod dealer;
 pub mod error;
 pub mod field;
 pub mod fixed;
+mod link;
 pub mod net;
 pub mod party;
 pub mod prg;

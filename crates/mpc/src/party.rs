@@ -109,11 +109,6 @@ impl PartyCtx {
         self.transport.as_ref()
     }
 
-    /// The transport policy this party runs under.
-    pub fn transport_config(&self) -> &TransportConfig {
-        &self.config
-    }
-
     /// Sends a word vector, retrying transient failures with exponential
     /// backoff per the configured [`crate::transport::RetryPolicy`].
     ///

@@ -89,11 +89,6 @@ impl<T> Secret<T> {
         Secret(f(self.0))
     }
 
-    /// Borrowing variant of [`Secret::map`].
-    pub fn map_ref<U>(&self, f: impl FnOnce(&T) -> U) -> Secret<U> {
-        Secret(f(&self.0))
-    }
-
     /// Combines two secrets; the result stays wrapped.
     pub fn zip_with<U, V>(self, other: Secret<U>, f: impl FnOnce(T, U) -> V) -> Secret<V> {
         Secret(f(self.0, other.0))

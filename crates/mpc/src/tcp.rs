@@ -21,8 +21,11 @@
 //! [`MpcError::Handshake`]. The exchange is written once per side —
 //! `hello_dial` and `hello_accept` — and the initial mesh, the reconnect
 //! dial and the accept router all go through them; likewise one
-//! `read_frame` parses every frame, and the two reader loops keep only
-//! their policy (fail-fast vs. heartbeat/ack/reconnect).
+//! `read_frame` parses every frame under the one reader loop
+//! (`reader_thread`). What a link *decides* — sequence, replay, ack,
+//! liveness and reconnect rules, fail-fast vs. supervised — is the pure
+//! `link.rs` machine's; this module is the shell that owns the
+//! sockets, the threads, the pauses and the clock.
 //!
 //! Threat model: this transport moves **plaintext shares** over TCP. On
 //! an untrusted network an eavesdropper seeing all links can reconstruct
@@ -30,15 +33,15 @@
 //! see DESIGN.md §"Wire transport".
 
 use crate::error::MpcError;
-use crate::net::{Message, NetworkStats, RecvState, HEADER_BYTES, MAX_EARLY_FRAMES};
+use crate::link::{AfterRead, Link, Reconnect};
+use crate::net::{Message, NetworkStats, RecvState, HEADER_BYTES};
 use crate::tags::HEARTBEAT_TAG;
 use crate::transport::{LinkSnapshot, ReplayFrame, Transport};
 use dash_obs::Counter;
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,7 +65,7 @@ const HELLO_FLAG_RESUME: u64 = 1;
 /// enter the reorder buffer (the reader consumes them) and never touch
 /// the byte/message accounting, so supervised and unsupervised runs of
 /// the same protocol report bit-identical traffic totals.
-const HEARTBEAT_SEQ: u64 = u64::MAX;
+pub(crate) const HEARTBEAT_SEQ: u64 = u64::MAX;
 
 /// Largest payload a frame may carry (64 MiB). A header announcing more
 /// is treated as a malformed frame — the link fails structurally with
@@ -169,7 +172,7 @@ impl Default for TcpConfig {
 /// `(seed, peer, attempt)` mapped to a factor in [0.5, 1.5). Identical
 /// seeds replay identical schedules; distinct parties (and the same
 /// party on later attempts) spread out instead of dialing in lockstep.
-fn jittered_backoff(base: Duration, seed: u64, peer: usize, attempt: u32) -> Duration {
+pub(crate) fn jittered_backoff(base: Duration, seed: u64, peer: usize, attempt: u32) -> Duration {
     let mut z = seed
         ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9)
@@ -182,7 +185,7 @@ fn jittered_backoff(base: Duration, seed: u64, peer: usize, attempt: u32) -> Dur
 }
 
 /// Little-endian u64 at `off`, bounds-checked.
-fn le_u64(buf: &[u8], off: usize) -> Option<u64> {
+pub(crate) fn le_u64(buf: &[u8], off: usize) -> Option<u64> {
     let bytes: [u8; 8] = buf.get(off..off.checked_add(8)?)?.try_into().ok()?;
     Some(u64::from_le_bytes(bytes))
 }
@@ -451,93 +454,25 @@ fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<Tcp
     })
 }
 
-/// Writer half of one supervised link, shared by the protocol's send
-/// path, the heartbeat thread and the link's reader/supervisor thread.
-/// One mutex covers the stream *and* the replay buffer so a reconnect
-/// replays and re-installs atomically — no frame can slip between the
-/// replayed backlog and new sends.
+/// One peer's link as the shell holds it: the machine, the socket's write
+/// half and the protocol-side inbox, shared by the protocol thread, the
+/// heartbeat thread, the accept router and the link's reader thread.
+///
+/// Two invariants rest on how the first two locks are used. (1) A
+/// reconnect replays the backlog and installs the new socket atomically
+/// with respect to new sends: both hold `socket` from asking the machine
+/// (`peer_hello` / `sent`) to the write's end, so no frame can slip
+/// between the replayed backlog and the first new send. (2) `machine` is
+/// never held across I/O and `socket` is never taken to process an
+/// arriving frame, so a sender blocked in `write_all` on a full frame
+/// stalls no reader. Lock order: `socket`, then `machine`.
 #[derive(Debug)]
-struct WriterHalf {
-    /// Current socket; `None` while the link is down (supervised mode
-    /// buffers sends for replay instead of failing them).
-    stream: Option<TcpStream>,
-    /// Outbound frames a resuming peer may re-request, oldest first.
-    replay: std::collections::VecDeque<ReplayFrame>,
-    /// Everything below this sequence is pruned (peer acknowledged it
-    /// durably, or the bounded buffer overflowed); a peer asking to
-    /// resume below it cannot be reconciled.
-    pruned_to: u64,
-}
-
-/// State one link shares between its threads (the writer side exists in
-/// both modes; the supervision fields are simply unused when `None`).
-#[derive(Debug)]
-struct LinkShared {
-    /// Next outbound sequence number on this link.
-    send_next: AtomicU64,
-    wr: Mutex<WriterHalf>,
-    /// When we last heard *anything* (frame or heartbeat) from the peer.
-    last_heard: Mutex<Instant>,
-    /// Highest in-order sequence the reader has forwarded (reader-side
-    /// mirror of the reorder buffer's cursor, advertised in handshakes).
-    recv_contig: AtomicU64,
-    /// Receive cursor made durable by a checkpoint; heartbeat acks
-    /// advertise this once set so peers never prune frames we could
-    /// still re-request after a crash.
-    durable: AtomicU64,
-    has_durable: AtomicBool,
-}
-
-impl LinkShared {
-    fn new(send_next: u64, recv_next: u64, replay: Vec<ReplayFrame>) -> Self {
-        let pruned_to = replay.first().map_or(send_next, |f| f.seq);
-        LinkShared {
-            send_next: AtomicU64::new(send_next),
-            wr: Mutex::new(WriterHalf {
-                stream: None,
-                replay: replay.into(),
-                pruned_to,
-            }),
-            last_heard: Mutex::new(Instant::now()),
-            recv_contig: AtomicU64::new(recv_next),
-            durable: AtomicU64::new(0),
-            has_durable: AtomicBool::new(false),
-        }
-    }
-
-    /// The receive cursor advertised to the peer in heartbeat acks: the
-    /// durable (checkpointed) cursor when checkpointing is active, else
-    /// the in-memory contiguous cursor.
-    fn ack_cursor(&self) -> u64 {
-        if self.has_durable.load(Ordering::Relaxed) {
-            self.durable.load(Ordering::Relaxed)
-        } else {
-            self.recv_contig.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Drops replay entries the peer has durably acknowledged.
-    fn prune_acked(&self, ack: u64) {
-        let mut w = self.wr.lock();
-        while w.replay.front().is_some_and(|f| f.seq < ack) {
-            w.replay.pop_front();
-        }
-        w.pruned_to = w.pruned_to.max(ack);
-    }
-
-    /// Buffers an outbound frame for replay, bounded by `capacity`:
-    /// overflow drops the oldest entry and records that it is gone.
-    fn push_replay(&self, w: &mut WriterHalf, frame: ReplayFrame, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        while w.replay.len() >= capacity {
-            if let Some(old) = w.replay.pop_front() {
-                w.pruned_to = w.pruned_to.max(old.seq.saturating_add(1));
-            }
-        }
-        w.replay.push_back(frame);
-    }
+struct PeerLink {
+    /// Current socket; `None` while the link is down.
+    socket: Mutex<Option<TcpStream>>,
+    machine: Mutex<Link>,
+    /// In-order delivery state fed by this peer's reader thread.
+    inbox: Mutex<RecvState>,
 }
 
 /// Encodes one frame header + payload into a single write buffer.
@@ -550,18 +485,9 @@ fn frame_bytes(seq: u64, tag: u32, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// A reconnected socket handed from the accept thread to the link's
-/// reader/supervisor, with the hello already exchanged.
-#[derive(Debug)]
-struct RoutedConn {
-    stream: TcpStream,
-    /// The peer's next-expected receive sequence from its hello.
-    next_expected: u64,
-}
-
 /// Why a read ended short of what it was asked for.
 #[derive(Debug, PartialEq, Eq)]
-enum ReadEnd {
+pub(crate) enum ReadEnd {
     /// The peer closed the connection; `partial` is true when the close
     /// landed mid-frame.
     Eof { partial: bool },
@@ -632,13 +558,6 @@ fn read_frame(stream: &mut impl Read, shutdown: &AtomicBool) -> Result<Message, 
     Ok(Message { seq, tag, payload })
 }
 
-fn oversized(from: usize, len: u64) -> MpcError {
-    MpcError::MalformedPayload {
-        from,
-        len: usize::try_from(len).unwrap_or(usize::MAX),
-    }
-}
-
 /// Discards everything left on the socket until the peer's EOF (or a
 /// bounded deadline). Closing a TCP socket with unread bytes in its
 /// receive queue — absorbed duplicates, a peer's trailing frames — makes
@@ -663,129 +582,30 @@ fn drain_until_eof(stream: &mut TcpStream) {
     }
 }
 
-/// The unsupervised (fail-fast) reader policy: feed frames to the
-/// in-order delivery state until the peer closes cleanly, the stream
-/// breaks (the structured reason goes into the failure slot) or we shut
-/// down; dropping `tx` is what surfaces [`MpcError::ChannelClosed`] to
-/// the protocol thread.
-fn reader_loop(
-    stream: &mut TcpStream,
-    from: usize,
-    tx: &Sender<Message>,
-    fail: &Mutex<Option<MpcError>>,
-    shutdown: &AtomicBool,
-) {
-    loop {
-        let verdict = match read_frame(stream, shutdown) {
-            Ok(msg) => match tx.send(msg) {
-                Ok(()) => continue,
-                Err(_) => return, // protocol side is gone; nothing left to deliver to
-            },
-            Err(ReadEnd::Eof { partial: false }) => return,
-            Err(ReadEnd::Shutdown) => {
-                drain_until_eof(stream);
-                return;
-            }
-            Err(ReadEnd::Oversized(len)) => oversized(from, len),
-            Err(ReadEnd::Eof { partial: true } | ReadEnd::Failed) => {
-                MpcError::ChannelClosed { peer: from }
-            }
-        };
-        *fail.lock() = Some(verdict);
-        return;
-    }
-}
-
-/// Why one pass of the supervised read loop ended.
-enum SupEnd {
-    /// Socket failed or closed: attempt to reestablish the link.
-    LinkDown,
-    /// Local shutdown, or the protocol side dropped its receiver.
-    Finished,
-    /// Unrecoverable protocol violation; stored for the receive path.
-    Fatal(MpcError),
-}
-
-/// Everything a supervised link's reader/supervisor thread needs.
-struct SupCtx {
+/// Everything a link's reader thread needs.
+struct ReaderCtx {
     me: Identity,
     peer: usize,
     peer_addr: SocketAddr,
-    sup: LinkSupervision,
-    jitter_seed: u64,
     connect_timeout: Duration,
-    link: Arc<LinkShared>,
+    link: Arc<PeerLink>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<NetworkStats>,
     /// Reconnected sockets routed from the accept thread (peers that
-    /// dial us, i.e. `peer > id`).
-    routed: Receiver<RoutedConn>,
+    /// dial us, i.e. `peer > id`), hello already exchanged, each with the
+    /// peer's next-expected receive sequence from it.
+    routed: Receiver<(TcpStream, u64)>,
 }
 
-/// The supervised reader policy for one socket's lifetime: consume
-/// heartbeats (liveness + replay-ack) and forward protocol frames, while
-/// mirroring the in-order cursor the reorder buffer will reach so
-/// reconnect handshakes can advertise it without touching the protocol
-/// thread's lock.
-fn supervised_read_pass(
-    stream: &mut TcpStream,
-    ctx: &SupCtx,
-    early: &mut BTreeSet<u64>,
-    tx: &Sender<Message>,
-) -> SupEnd {
-    loop {
-        let msg = match read_frame(stream, &ctx.shutdown) {
-            Ok(msg) => msg,
-            Err(ReadEnd::Shutdown) => {
-                drain_until_eof(stream);
-                return SupEnd::Finished;
-            }
-            Err(ReadEnd::Oversized(len)) => return SupEnd::Fatal(oversized(ctx.peer, len)),
-            // Under supervision even a clean FIN is "link down": a
-            // SIGKILL'd process closes its sockets exactly like a
-            // graceful peer, so the distinction between crash and
-            // teardown is made by whether the peer comes back within
-            // the reconnect window.
-            Err(ReadEnd::Eof { .. } | ReadEnd::Failed) => return SupEnd::LinkDown,
-        };
-        *ctx.link.last_heard.lock() = Instant::now();
-        let seq = msg.seq;
-        if seq == HEARTBEAT_SEQ && msg.tag == HEARTBEAT_TAG {
-            // Liveness + replay-ack sentinel; never enters the reorder
-            // buffer and never touches byte/message accounting.
-            if let Some(ack) = le_u64(&msg.payload, 0) {
-                ctx.link.prune_acked(ack);
-            }
-            continue;
-        }
-        // Mirror the in-order cursor (duplicates below it are ignored,
-        // bounded early set absorbs reordering). Understating after an
-        // overflow is safe: it only makes a peer replay more, and the
-        // reorder buffer dedups the excess.
-        let contig = ctx.link.recv_contig.load(Ordering::Relaxed);
-        if seq == contig {
-            let mut next = seq.saturating_add(1);
-            while early.remove(&next) {
-                next = next.saturating_add(1);
-            }
-            ctx.link.recv_contig.store(next, Ordering::Relaxed);
-        } else if seq > contig && seq != HEARTBEAT_SEQ && early.len() < MAX_EARLY_FRAMES {
-            early.insert(seq);
-        }
-        if tx.send(msg).is_err() {
-            return SupEnd::Finished;
-        }
-    }
-}
-
-/// Reconciles sequence cursors with a freshly handshaken peer socket,
-/// replays any outbound frames the peer still expects (bypassing the
-/// accounting point — they were counted when first sent), and installs
-/// the socket as the link's writer. Returns the reader half.
+/// Asks the machine what a freshly handshaken peer socket still needs,
+/// writes that backlog (bypassing the accounting point — those frames
+/// were counted when first sent) and installs the socket as the link's
+/// writer, all under the `socket` lock (invariant 1 on [`PeerLink`]).
+/// Returns the reader half.
 fn reconcile_and_install(
-    link: &LinkShared,
+    link: &PeerLink,
     peer: usize,
-    stream: TcpStream,
+    mut stream: TcpStream,
     their_next: u64,
     self_resuming: bool,
 ) -> Result<TcpStream, LinkError> {
@@ -795,173 +615,138 @@ fn reconcile_and_install(
             reason: format!("link failed while {what}"),
         })
     };
-    let resume_mismatch =
-        |reason: String| LinkError::Fatal(MpcError::ResumeMismatch { peer, reason });
     let _ = stream.set_nodelay(true);
     let read_half = stream.try_clone().map_err(|_| io("cloning the socket"))?;
     read_half
         .set_read_timeout(Some(READ_POLL_INTERVAL))
         .map_err(|_| io("arming the read poll"))?;
-    let mut w = link.wr.lock();
-    let cursor = link.send_next.load(Ordering::Relaxed);
-    if their_next > cursor && !self_resuming {
-        return Err(resume_mismatch(format!(
-            "peer expects frame {their_next} but only {cursor} frames were \
-             ever sent on this link (peer restarted without --resume, or \
-             states diverged)"
-        )));
-    }
-    if their_next < w.pruned_to {
-        return Err(resume_mismatch(format!(
-            "peer needs replay from frame {their_next} but frames below \
-             {} were already pruned from the replay buffer",
-            w.pruned_to
-        )));
-    }
-    let mut stream = stream;
-    for f in w.replay.iter().filter(|f| f.seq >= their_next) {
+    let now = Instant::now();
+    let mut socket = link.socket.lock();
+    let backlog = link
+        .machine
+        .lock()
+        .peer_hello(their_next, self_resuming, now);
+    for f in backlog.map_err(LinkError::Fatal)? {
         stream
             .write_all(&frame_bytes(f.seq, f.tag, &f.payload))
             .map_err(|_| io("replaying the resume backlog"))?;
     }
-    w.stream = Some(stream);
-    drop(w);
-    *link.last_heard.lock() = Instant::now();
+    *socket = Some(stream);
     Ok(read_half)
 }
 
-/// Tries to bring a downed link back up within the reconnect window.
-/// Lower-id peers are re-dialed (with seeded-jitter backoff); higher-id
-/// peers dial us, so their sockets arrive via the accept thread's route
-/// channel. `Ok` carries the new reader half; `Err(Some)` the structured
-/// verdict (dead peer, irreconcilable resume); `Err(None)` means local
-/// shutdown won the race.
-fn reestablish(ctx: &SupCtx) -> Result<TcpStream, Option<MpcError>> {
-    ctx.link.wr.lock().stream = None;
-    let start = Instant::now();
-    let mut attempt = 0u32;
+/// Carries out the machine's reconnect steps until the link is back
+/// (`Some`: the new reader half) or the thread should end (`None`: local
+/// shutdown won the race, or the verdict is stored in the machine).
+/// Lower-id peers are re-dialed; higher-id peers dial us, so their
+/// sockets arrive via the accept thread's route channel.
+fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
     loop {
         if ctx.shutdown.load(Ordering::Relaxed) {
-            return Err(None);
+            return None;
         }
-        let elapsed = start.elapsed();
-        if elapsed >= ctx.sup.reconnect_window {
-            let silent_for = ctx.link.last_heard.lock().elapsed();
-            return Err(Some(MpcError::PeerCrashed {
-                peer: ctx.peer,
-                silent_for,
-            }));
-        }
-        let remaining = ctx.sup.reconnect_window.saturating_sub(elapsed);
-        let dialer = ctx.peer < ctx.me.id;
-        let attempted = if dialer {
-            // We were the dialer for this link; dial again, announcing
-            // the resume and our receive cursor.
-            let dial_timeout = ctx
-                .connect_timeout
-                .min(remaining.max(Duration::from_millis(10)));
-            let dialed = TcpStream::connect_timeout(&ctx.peer_addr, dial_timeout).ok();
-            dialed.map(|mut s| {
-                let ours = ctx.link.recv_contig.load(Ordering::Relaxed);
-                let flags = HELLO_FLAG_RESUME;
-                let theirs =
-                    hello_dial(&mut s, ctx.me, ctx.peer, ours, flags, ctx.connect_timeout)?;
-                reconcile_and_install(&ctx.link, ctx.peer, s, theirs.next_expected, false)
-            })
-        } else {
-            // The peer dials us; wait for the accept thread's routing.
-            match ctx
-                .routed
-                .recv_timeout(remaining.min(ACCEPT_POLL_INTERVAL.max(Duration::from_millis(100))))
-            {
-                Ok(mut conn) => {
-                    // If several dials raced in, keep only the newest.
-                    while let Ok(newer) = ctx.routed.try_recv() {
-                        conn = newer;
+        let now = Instant::now();
+        let step = ctx.link.machine.lock().reconnect_step(now).ok()?;
+        let attempted = match step {
+            Reconnect::Dial { remaining, .. } => {
+                // Dial again, announcing the resume and our receive cursor.
+                let dial_timeout = ctx
+                    .connect_timeout
+                    .min(remaining.max(Duration::from_millis(10)));
+                let dialed = TcpStream::connect_timeout(&ctx.peer_addr, dial_timeout).ok();
+                dialed.map(|mut s| {
+                    let ours = ctx.link.machine.lock().recv_cursor();
+                    let flags = HELLO_FLAG_RESUME;
+                    let theirs =
+                        hello_dial(&mut s, ctx.me, ctx.peer, ours, flags, ctx.connect_timeout)?;
+                    reconcile_and_install(&ctx.link, ctx.peer, s, theirs.next_expected, false)
+                })
+            }
+            Reconnect::Await { remaining } => {
+                let poll = remaining.min(ACCEPT_POLL_INTERVAL.max(Duration::from_millis(100)));
+                match ctx.routed.recv_timeout(poll) {
+                    Ok(mut conn) => {
+                        // If several dials raced in, keep only the newest.
+                        while let Ok(newer) = ctx.routed.try_recv() {
+                            conn = newer;
+                        }
+                        let (s, theirs) = conn;
+                        Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
                     }
-                    let (s, theirs) = (conn.stream, conn.next_expected);
-                    Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
+                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return None,
                 }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Err(None),
             }
         };
         match attempted {
-            Some(Ok(read_half)) => return Ok(read_half),
-            Some(Err(LinkError::Fatal(e))) => return Err(Some(e)),
+            Some(Ok(read_half)) => return Some(read_half),
+            Some(Err(LinkError::Fatal(e))) => {
+                ctx.link.machine.lock().fail(e);
+                return None;
+            }
             // The socket died mid-exchange (or none arrived): try again
             // within the window.
             Some(Err(LinkError::Io(_))) | None => {}
         }
-        if dialer {
-            let backoff = jittered_backoff(
-                ctx.sup.reconnect_backoff,
-                ctx.jitter_seed,
-                ctx.peer,
-                attempt,
-            );
-            std::thread::sleep(backoff.min(remaining));
-            attempt = attempt.saturating_add(1);
+        if let Reconnect::Dial { pause, .. } = step {
+            std::thread::sleep(pause);
         }
     }
 }
 
-/// One supervised link's reader/supervisor thread: read until the socket
-/// dies, then reconnect within the window and keep going; only a fatal
-/// verdict (dead peer, irreconcilable resume, malformed frame) or local
-/// shutdown ends the thread. Dropping `tx` is what surfaces the stored
-/// verdict to the protocol thread.
-fn supervised_reader(
-    mut read_half: TcpStream,
-    ctx: SupCtx,
-    tx: Sender<Message>,
-    fail: Arc<Mutex<Option<MpcError>>>,
-) {
-    let mut early: BTreeSet<u64> = BTreeSet::new();
+/// The one reader thread, for both policies: read a frame, ask the
+/// machine, forward or drop it; when the read ends, do what the machine
+/// says — exit, exit with its verdict stored, or reconnect within the
+/// window and keep going. Dropping `tx` is what surfaces a stored verdict
+/// (or a plain [`MpcError::ChannelClosed`]) to the protocol thread.
+fn reader_thread(mut read_half: TcpStream, ctx: ReaderCtx, tx: Sender<Message>) {
     loop {
-        match supervised_read_pass(&mut read_half, &ctx, &mut early, &tx) {
-            SupEnd::Finished => return,
-            SupEnd::Fatal(e) => {
-                let _ = read_half.shutdown(Shutdown::Both);
-                ctx.link.wr.lock().stream = None;
-                *fail.lock() = Some(e);
-                return;
-            }
-            SupEnd::LinkDown => {
-                // Fully close the dead socket before reconnecting: a peer
-                // tearing down gracefully drains its half until EOF, and
-                // holding our clones open would stall that drain for its
-                // whole deadline (delaying the peer's restart past our
-                // reconnect window).
-                let _ = read_half.shutdown(Shutdown::Both);
-                match reestablish(&ctx) {
-                    Ok(rh) => {
-                        read_half = rh;
-                        ctx.stats.record(ctx.me.id, Counter::Reconnects);
-                    }
-                    Err(Some(e)) => {
-                        *fail.lock() = Some(e);
-                        return;
-                    }
-                    Err(None) => return,
+        let end = match read_frame(&mut read_half, &ctx.shutdown) {
+            Ok(msg) => {
+                let deliver = ctx.link.machine.lock().frame_arrived(msg, Instant::now());
+                if let Some(msg) = deliver {
+                    // Cannot fail: the receiver lives in `ctx.link.inbox`.
+                    let _ = tx.send(msg);
                 }
+                continue;
             }
+            Err(end) => end,
+        };
+        let after = ctx.link.machine.lock().read_ended(end, Instant::now());
+        if after == Ok(AfterRead::Finish) {
+            // After a clean EOF there is nothing left to drain.
+            drain_until_eof(&mut read_half);
+            return;
         }
+        // Fully close the dead socket before anything else: a peer
+        // tearing down gracefully drains its half until EOF, and holding
+        // our clones open would stall that drain for its whole deadline
+        // (delaying the peer's restart past our reconnect window).
+        let _ = read_half.shutdown(Shutdown::Both);
+        *ctx.link.socket.lock() = None;
+        if after.is_err() {
+            return;
+        }
+        let Some(reconnected) = reestablish(&ctx) else {
+            return;
+        };
+        read_half = reconnected;
+        ctx.stats.record(ctx.me.id, Counter::Reconnects);
     }
 }
 
 /// The supervised accept thread: owns the listener after initial mesh
 /// setup, handshakes every later incoming connection under a hard hello
-/// deadline, and routes reconnect sockets to the owning link's
-/// supervisor. Malformed or stale dialers are dropped silently — a
-/// structured verdict for *this* run's links comes from the supervisors'
-/// windows, not from strangers on the port.
+/// deadline, and routes reconnect sockets to the owning link's reader.
+/// Malformed or stale dialers are dropped silently — a structured verdict
+/// for *this* run's links comes from the links' own windows, not from
+/// strangers on the port.
 fn accept_route_loop(
     listener: TcpListener,
     me: Identity,
     hello_deadline: Duration,
-    links: Vec<Option<Arc<LinkShared>>>,
-    routes: Vec<Option<Sender<RoutedConn>>>,
+    links: Vec<Option<Arc<PeerLink>>>,
+    routes: Vec<Option<Sender<(TcpStream, u64)>>>,
     shutdown: Arc<AtomicBool>,
 ) {
     if listener.set_nonblocking(true).is_err() {
@@ -979,7 +764,7 @@ fn accept_route_loop(
         // no link here (or any other stranger) gets no reply at all.
         let cursor_for = |peer: usize| {
             let link = links.get(peer)?.as_ref()?;
-            Some(link.recv_contig.load(Ordering::Relaxed))
+            Some(link.machine.lock().recv_cursor())
         };
         let Ok(hello) = hello_accept(
             &mut stream,
@@ -992,21 +777,18 @@ fn accept_route_loop(
             continue;
         };
         if let Some(route) = routes.get(hello.party).and_then(|r| r.as_ref()) {
-            let _ = route.send(RoutedConn {
-                stream,
-                next_expected: hello.next_expected,
-            });
+            let _ = route.send((stream, hello.next_expected));
         }
     }
 }
 
-/// The heartbeat thread: periodically writes the liveness/ack sentinel
-/// on every up link. Write failures just mark the link down — the
-/// link's own reader notices the broken socket and runs the reconnect
-/// protocol; the heartbeat thread never supervises.
+/// The heartbeat thread: writes the liveness/ack sentinel on every up
+/// link whenever its machine says one is due. Write failures just mark
+/// the link down — the link's own reader notices the broken socket and
+/// runs the reconnect protocol; the heartbeat thread never supervises.
 fn heartbeat_loop(
     id: usize,
-    links: Vec<Option<Arc<LinkShared>>>,
+    links: Vec<Option<Arc<PeerLink>>>,
     interval: Duration,
     stats: Arc<NetworkStats>,
     shutdown: Arc<AtomicBool>,
@@ -1014,22 +796,19 @@ fn heartbeat_loop(
     let step = interval
         .min(Duration::from_millis(50))
         .max(Duration::from_millis(1));
-    let mut last_beat = Instant::now();
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(step);
-        if last_beat.elapsed() < interval {
-            continue;
-        }
-        last_beat = Instant::now();
         for link in links.iter().flatten() {
-            let ack = link.ack_cursor();
+            let Some(ack) = link.machine.lock().heartbeat_due(Instant::now()) else {
+                continue;
+            };
             let frame = frame_bytes(HEARTBEAT_SEQ, HEARTBEAT_TAG, &ack.to_le_bytes());
-            let mut w = link.wr.lock();
-            let Some(s) = w.stream.as_mut() else { continue };
+            let mut socket = link.socket.lock();
+            let Some(s) = socket.as_mut() else { continue };
             if s.write_all(&frame).is_err() {
-                w.stream = None;
+                *socket = None;
             } else {
-                drop(w);
+                drop(socket);
                 stats.record(id, Counter::HeartbeatsSent);
             }
         }
@@ -1042,22 +821,13 @@ fn heartbeat_loop(
 #[derive(Debug)]
 pub struct TcpTransport {
     id: usize,
-    n: usize,
-    /// Per-peer writer half, send cursor and supervision state (index =
-    /// peer id; self is `None`).
-    link_state: Vec<Option<Arc<LinkShared>>>,
-    /// Receiver half: the shared in-order delivery state fed by this
-    /// peer's reader thread.
-    links: Vec<Option<Mutex<RecvState>>>,
-    /// Structured reason a reader shut its link down (malformed frame,
-    /// torn connection, dead peer, irreconcilable resume); consulted
-    /// when a receive sees the channel close.
-    fail: Vec<Arc<Mutex<Option<MpcError>>>>,
+    /// Per-peer link: machine, socket writer and inbox (index = peer id;
+    /// self is `None`).
+    links: Vec<Option<Arc<PeerLink>>>,
     shutdown: Arc<AtomicBool>,
     readers: Vec<JoinHandle<()>>,
     /// Accept-router and heartbeat threads (supervised mode only).
     aux: Vec<JoinHandle<()>>,
-    supervision: Option<LinkSupervision>,
     stats: Arc<NetworkStats>,
 }
 
@@ -1211,71 +981,51 @@ impl TcpTransport {
         // Wire up per-peer link state, reconcile cursors (replaying
         // whatever each peer still expects), and start the threads.
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut link_state: Vec<Option<Arc<LinkShared>>> = (0..n).map(|_| None).collect();
-        let mut links: Vec<Option<Mutex<RecvState>>> = (0..n).map(|_| None).collect();
-        let fail: Vec<Arc<Mutex<Option<MpcError>>>> =
-            (0..n).map(|_| Arc::new(Mutex::new(None))).collect();
+        let mut links: Vec<Option<Arc<PeerLink>>> = (0..n).map(|_| None).collect();
         let mut readers = Vec::with_capacity(n.saturating_sub(1));
-        let mut routes: Vec<Option<Sender<RoutedConn>>> = (0..n).map(|_| None).collect();
+        let mut routes: Vec<Option<Sender<(TcpStream, u64)>>> = (0..n).map(|_| None).collect();
         for (j, slot) in conns.into_iter().enumerate() {
-            let Some((stream, their_next)) = slot else {
+            let (Some((stream, their_next)), Some(&peer_addr)) = (slot, peers.get(j)) else {
                 continue;
             };
-            let shared = Arc::new(LinkShared::new(
-                resume.send_next.get(j).copied().unwrap_or(0),
-                recv_next(j),
-                resume
-                    .replay
-                    .get_mut(j)
-                    .map(std::mem::take)
-                    .unwrap_or_default(),
-            ));
-            let read_half = reconcile_and_install(&shared, j, stream, their_next, resuming)
-                .map_err(LinkError::into_inner)?;
+            let send_next = resume.send_next.get(j).copied().unwrap_or(0);
+            let backlog = resume.replay.get_mut(j).map(std::mem::take);
+            let backlog = backlog.unwrap_or_default();
+            let now = Instant::now();
+            let machine = Link::new(j, j < id, &cfg, send_next, recv_next(j), backlog, now);
             let (tx, rx) = channel();
-            let slot_fail = fail.get(j).cloned().unwrap_or_default();
-            let flag = Arc::clone(&shutdown);
-            if let Some(sup) = cfg.supervision {
-                let (route_tx, route_rx) = channel();
-                if j > id {
-                    if let Some(r) = routes.get_mut(j) {
-                        *r = Some(route_tx);
-                    }
-                }
-                let Some(&peer_addr) = peers.get(j) else {
-                    continue;
-                };
-                let ctx = SupCtx {
-                    me,
-                    peer: j,
-                    peer_addr,
-                    sup,
-                    jitter_seed: cfg.jitter_seed,
-                    connect_timeout: cfg.connect_timeout,
-                    link: Arc::clone(&shared),
-                    shutdown: flag,
-                    stats: Arc::clone(&stats),
-                    routed: route_rx,
-                };
-                readers.push(std::thread::spawn(move || {
-                    supervised_reader(read_half, ctx, tx, slot_fail);
-                }));
-            } else {
-                let mut rh = read_half;
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(&mut rh, j, &tx, &slot_fail, &flag);
-                }));
+            let link = Arc::new(PeerLink {
+                socket: Mutex::new(None),
+                machine: Mutex::new(machine),
+                inbox: Mutex::new(RecvState::with_next_seq(rx, recv_next(j))),
+            });
+            let read_half = reconcile_and_install(&link, j, stream, their_next, resuming)
+                .map_err(LinkError::into_inner)?;
+            // Only higher ids dial us, so only their links are routed to.
+            let (route_tx, routed) = channel();
+            if let Some(r) = routes.get_mut(j).filter(|_| j > id) {
+                *r = Some(route_tx);
             }
+            let ctx = ReaderCtx {
+                me,
+                peer: j,
+                peer_addr,
+                connect_timeout: cfg.connect_timeout,
+                link: Arc::clone(&link),
+                shutdown: Arc::clone(&shutdown),
+                stats: Arc::clone(&stats),
+                routed,
+            };
+            readers.push(std::thread::spawn(move || {
+                reader_thread(read_half, ctx, tx)
+            }));
             if let Some(l) = links.get_mut(j) {
-                *l = Some(Mutex::new(RecvState::with_next_seq(rx, recv_next(j))));
-            }
-            if let Some(s) = link_state.get_mut(j) {
-                *s = Some(shared);
+                *l = Some(link);
             }
         }
         let mut aux = Vec::new();
         if let Some(sup) = cfg.supervision {
-            let accept_links = link_state.clone();
+            let accept_links = links.clone();
             let accept_shutdown = Arc::clone(&shutdown);
             aux.push(std::thread::spawn(move || {
                 accept_route_loop(
@@ -1287,7 +1037,7 @@ impl TcpTransport {
                     accept_shutdown,
                 );
             }));
-            let hb_links = link_state.clone();
+            let hb_links = links.clone();
             let hb_stats = Arc::clone(&stats);
             let hb_shutdown = Arc::clone(&shutdown);
             aux.push(std::thread::spawn(move || {
@@ -1300,34 +1050,21 @@ impl TcpTransport {
 
         Ok(TcpTransport {
             id,
-            n,
-            link_state,
             links,
-            fail,
             shutdown,
             readers,
             aux,
-            supervision: cfg.supervision,
             stats,
         })
     }
 
-    fn no_such_party(&self, id: usize) -> MpcError {
-        MpcError::NoSuchParty {
-            id,
-            n_parties: self.n,
-        }
-    }
-
-    /// A closed receive channel means the link's reader exited; report
-    /// the structured reason it stored (malformed frame, torn
-    /// connection, dead peer, irreconcilable resume) when there is one.
-    fn closed_reason(&self, from: usize, err: MpcError) -> MpcError {
-        let stored = || self.fail.get(from).and_then(|f| f.lock().clone());
-        match err {
-            MpcError::ChannelClosed { .. } => stored().unwrap_or(err),
-            other => other,
-        }
+    /// The link to `peer`; there is none to oneself or past the mesh.
+    fn link(&self, peer: usize) -> Result<&PeerLink, MpcError> {
+        let link = self.links.get(peer).and_then(|l| l.as_deref());
+        link.ok_or(MpcError::NoSuchParty {
+            id: peer,
+            n_parties: self.links.len(),
+        })
     }
 }
 
@@ -1337,7 +1074,7 @@ impl Transport for TcpTransport {
     }
 
     fn n_parties(&self) -> usize {
-        self.n
+        self.links.len()
     }
 
     fn stats(&self) -> &Arc<NetworkStats> {
@@ -1345,90 +1082,54 @@ impl Transport for TcpTransport {
     }
 
     fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
-        if to == self.id {
-            return Err(self.no_such_party(to));
-        }
-        self.link_state
-            .get(to)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.send_next.fetch_add(1, Ordering::Relaxed))
-            .ok_or_else(|| self.no_such_party(to))
+        Ok(self.link(to)?.machine.lock().alloc_seq())
     }
 
     /// Ships one frame: record at the single accounting point (the same
-    /// sender-side ordering as the in-process endpoint), then write
-    /// `seq | tag | len | payload` in one buffered syscall. Under
-    /// supervision the frame is also buffered for replay, and a write
-    /// failure is *not* an error — the frame rides the replay buffer to
-    /// the reconnected socket, and it was already counted, so totals
-    /// stay identical whether or not the link hiccupped.
+    /// sender-side ordering as the in-process endpoint), hand it to the
+    /// machine, then write `seq | tag | len | payload` in one buffered
+    /// syscall — the last two under the `socket` lock (invariant 1 on
+    /// `PeerLink`). What a failed write means is the machine's call:
+    /// supervised, the frame rides the replay buffer to the reconnected
+    /// socket, and it was already counted, so totals stay identical
+    /// whether or not the link hiccupped.
     fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
-        let link = self
-            .link_state
-            .get(to)
-            .and_then(|s| s.as_ref())
-            .ok_or_else(|| self.no_such_party(to))?;
+        let link = self.link(to)?;
         self.stats
             .record_frame(self.id, to, msg.tag, msg.payload.len());
         let buf = frame_bytes(msg.seq, msg.tag, &msg.payload);
-        let mut w = link.wr.lock();
-        if let Some(sup) = self.supervision {
-            link.push_replay(
-                &mut w,
-                ReplayFrame {
-                    seq: msg.seq,
-                    tag: msg.tag,
-                    payload: msg.payload,
-                },
-                sup.replay_capacity,
-            );
-            if let Some(s) = w.stream.as_mut() {
-                if s.write_all(&buf).is_err() {
-                    w.stream = None;
-                }
-            }
-            Ok(())
-        } else {
-            match w.stream.as_mut() {
-                Some(s) => s
-                    .write_all(&buf)
-                    .map_err(|_| MpcError::ChannelClosed { peer: to }),
-                None => Err(MpcError::ChannelClosed { peer: to }),
-            }
+        let mut socket = link.socket.lock();
+        link.machine.lock().sent(ReplayFrame {
+            seq: msg.seq,
+            tag: msg.tag,
+            payload: msg.payload,
+        });
+        if socket.as_mut().is_some_and(|s| s.write_all(&buf).is_ok()) {
+            return Ok(());
         }
+        *socket = None;
+        link.machine.lock().write_failed()
     }
 
-    /// In-order deadline-aware receive. Under supervision the wait is
-    /// sliced so liveness is checked against the heartbeat stream: a
-    /// peer silent past the liveness deadline fails fast with
-    /// [`MpcError::PeerCrashed`] (a dead process, not a slow one),
-    /// while a live-but-slow peer still gets the full deadline.
+    /// In-order deadline-aware receive. The wait is sliced so the machine
+    /// can judge liveness against the heartbeat stream: a peer silent
+    /// past the liveness deadline fails fast with
+    /// [`MpcError::PeerCrashed`] (a dead process, not a slow one), while a
+    /// live-but-slow peer still gets the full deadline. A closed channel
+    /// means the link's reader exited; the verdict it left in the machine
+    /// (malformed frame, torn connection, dead peer, irreconcilable
+    /// resume) is the error.
     fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError> {
-        let link = self
-            .links
-            .get(from)
-            .and_then(|l| l.as_ref())
-            .ok_or_else(|| self.no_such_party(from))?;
-        let Some(sup) = self.supervision else {
-            let res = link.lock().recv_in_order(from, tag, deadline);
-            return res.map_err(|e| self.closed_reason(from, e));
-        };
-        let shared = self.link_state.get(from).and_then(|s| s.as_ref());
+        let link = self.link(from)?;
         let start = Instant::now();
         loop {
             let remaining = deadline.saturating_sub(start.elapsed());
             let slice = remaining.min(LIVENESS_POLL_INTERVAL);
-            let res = link.lock().recv_in_order(from, tag, slice);
+            let res = link.inbox.lock().recv_in_order(from, tag, slice);
             match res {
                 Err(MpcError::Timeout { .. }) => {
-                    if let Some(shared) = shared {
-                        let silent_for = shared.last_heard.lock().elapsed();
-                        if silent_for > sup.liveness_deadline {
-                            return Err(MpcError::PeerCrashed {
-                                peer: from,
-                                silent_for,
-                            });
-                        }
+                    if let Some(dead) = link.machine.lock().silent_verdict(Instant::now()) {
+                        return Err(dead);
                     }
                     if start.elapsed() >= deadline {
                         return Err(MpcError::Timeout {
@@ -1438,47 +1139,36 @@ impl Transport for TcpTransport {
                         });
                     }
                 }
-                other => return other.map_err(|e| self.closed_reason(from, e)),
+                Err(closed @ MpcError::ChannelClosed { .. }) => {
+                    return Err(link.machine.lock().verdict().unwrap_or(closed));
+                }
+                other => return other,
             }
         }
     }
 
     fn link_snapshot(&self) -> Option<LinkSnapshot> {
-        // Only a supervised transport keeps the replay buffers that make
-        // a checkpoint actually resumable.
-        self.supervision?;
-        let mut snap = LinkSnapshot {
-            send_next: vec![0; self.n],
-            recv_next: vec![0; self.n],
-            replay: (0..self.n).map(|_| Vec::new()).collect(),
-        };
-        for j in 0..self.n {
-            let Some(shared) = self.link_state.get(j).and_then(|s| s.as_ref()) else {
-                continue;
+        let mut snap = LinkSnapshot::default();
+        for link in &self.links {
+            let (send_next, replay) = match link {
+                Some(link) => link.machine.lock().snapshot()?,
+                None => (0, Vec::new()),
             };
-            if let Some(slot) = snap.send_next.get_mut(j) {
-                *slot = shared.send_next.load(Ordering::Relaxed);
-            }
             // The protocol-consumed cursor, not the reader's: frames
             // sitting undelivered in the channel die with the process,
             // and peers re-send everything from this cursor on resume.
-            if let Some(l) = self.links.get(j).and_then(|l| l.as_ref()) {
-                if let Some(slot) = snap.recv_next.get_mut(j) {
-                    *slot = l.lock().next_seq();
-                }
-            }
-            if let Some(slot) = snap.replay.get_mut(j) {
-                *slot = shared.wr.lock().replay.iter().cloned().collect();
-            }
+            let recv_next = link.as_ref().map_or(0, |l| l.inbox.lock().next_seq());
+            snap.send_next.push(send_next);
+            snap.recv_next.push(recv_next);
+            snap.replay.push(replay);
         }
         Some(snap)
     }
 
     fn note_durable(&self, recv_next: &[u64]) {
-        for (j, &cursor) in recv_next.iter().enumerate().take(self.n) {
-            if let Some(shared) = self.link_state.get(j).and_then(|s| s.as_ref()) {
-                shared.durable.store(cursor, Ordering::Relaxed);
-                shared.has_durable.store(true, Ordering::Relaxed);
+        for (link, &cursor) in self.links.iter().zip(recv_next) {
+            if let Some(link) = link {
+                link.machine.lock().note_durable(cursor);
             }
         }
     }
@@ -1487,12 +1177,12 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        for s in self.link_state.iter().flatten() {
+        for link in self.links.iter().flatten() {
             // Write-side shutdown only: it sends FIN but preserves
             // in-flight data for the peer, where Shutdown::Both/Read on
             // a socket with unread bytes (e.g. absorbed duplicates)
             // would RST and destroy data the peer still needs.
-            if let Some(stream) = s.wr.lock().stream.as_ref() {
+            if let Some(stream) = link.socket.lock().as_ref() {
                 let _ = stream.shutdown(Shutdown::Write);
             }
         }
@@ -1563,8 +1253,26 @@ pub(crate) mod tests {
         (out.into_iter().map(|t| t.unwrap()).collect(), addrs)
     }
 
+    /// The base the `link` machine tests count their synthetic instants
+    /// from: the machine never reads the clock, and neither does its file.
+    pub(crate) fn epoch() -> Instant {
+        Instant::now()
+    }
+
     fn connect_mesh(n: usize, run_id: u64) -> Vec<TcpTransport> {
         connect_mesh_cfg(n, test_cfg(run_id)).0
+    }
+
+    /// Drops a mesh's transports the way separate party processes exit:
+    /// all at once. Dropped one after another on one thread, every
+    /// unsupervised transport but the last waits the full
+    /// `DRAIN_DEADLINE` for the FIN of a peer that is still alive.
+    pub(crate) fn drop_together<T: Send>(mesh: impl IntoIterator<Item = T>) {
+        std::thread::scope(|scope| {
+            for t in mesh {
+                scope.spawn(move || drop(t));
+            }
+        });
     }
 
     #[test]
@@ -1579,6 +1287,7 @@ pub(crate) mod tests {
         assert_eq!(mesh[0].stats().bytes_between(0, 1), HEADER_BYTES + 24);
         assert_eq!(mesh[0].stats().messages_between(0, 1), 1);
         assert_eq!(mesh[1].stats().bytes_between(1, 0), HEADER_BYTES + 8);
+        drop_together(mesh);
     }
 
     #[test]
@@ -1603,17 +1312,23 @@ pub(crate) mod tests {
                 });
             }
         });
+        drop_together(mesh);
     }
 
     #[test]
     fn peer_teardown_surfaces_channel_closed() {
         let mut mesh = connect_mesh(2, 11);
         let b = mesh.pop().unwrap();
-        drop(mesh); // party 0 closes its sockets (FIN)
-        let err = b
-            .recv_words_timeout(0, 1, Duration::from_secs(5))
-            .unwrap_err();
-        assert_eq!(err, MpcError::ChannelClosed { peer: 0 });
+        std::thread::scope(|scope| {
+            // Party 0 closes its sockets (FIN), then drains until `b`
+            // closes too — so its drop runs beside `b`, not before it.
+            scope.spawn(move || drop(mesh));
+            let err = b
+                .recv_words_timeout(0, 1, Duration::from_secs(5))
+                .unwrap_err();
+            assert_eq!(err, MpcError::ChannelClosed { peer: 0 });
+            drop(b);
+        });
     }
 
     #[test]
@@ -1737,6 +1452,7 @@ pub(crate) mod tests {
         let t1 = r1.unwrap();
         t0.send_words(1, 9, &[1]).unwrap();
         assert_eq!(t1.recv_words(0, 9).unwrap(), vec![1]);
+        drop_together([t0, t1]);
         drop(rogue);
     }
 
@@ -1765,6 +1481,7 @@ pub(crate) mod tests {
         let (t0, t1) = (r0.unwrap(), r1.unwrap());
         t1.send_words(0, 9, &[7]).unwrap();
         assert_eq!(t0.recv_words(1, 9).unwrap(), vec![7]);
+        drop_together([t0, t1]);
     }
 
     #[test]
@@ -1786,6 +1503,7 @@ pub(crate) mod tests {
         mesh[0].send_words(1, 7, &[5, 6]).unwrap();
         assert_eq!(mesh[1].recv_words(0, 7).unwrap(), vec![5, 6]);
         assert_eq!(mesh[0].stats().total_bytes(), HEADER_BYTES + 16);
+        drop_together(mesh);
     }
 
     #[test]
@@ -1858,6 +1576,7 @@ pub(crate) mod tests {
         // The replayed duplicate was not re-counted anywhere: B2's
         // counters carry only its post-resume frame.
         assert_eq!(b2.stats().total_bytes(), HEADER_BYTES + 8);
+        drop_together([a, b2]);
     }
 
     #[test]

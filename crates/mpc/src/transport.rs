@@ -546,7 +546,7 @@ impl<T: Transport> Drop for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::net::{Endpoint, NetOptions, Network};
-    use crate::tcp::tests::{connect_mesh_cfg, test_cfg, test_sup};
+    use crate::tcp::tests::{connect_mesh_cfg, drop_together, test_cfg, test_sup};
     use crate::tcp::TcpConfig;
 
     fn two_endpoints() -> (Endpoint, Endpoint, Arc<NetworkStats>) {
@@ -623,12 +623,15 @@ mod tests {
     fn check_contract_bare_and_wrapped<T: Transport>(pair: impl Fn() -> (T, T)) {
         let (a, b) = pair();
         check_contract(&a, &b);
+        drop_together([a, b]);
         let (a, b) = pair();
         let quiet = FaultPlan::default();
-        check_contract(
-            &FaultyTransport::new(a, quiet),
-            &FaultyTransport::new(b, quiet),
+        let (a, b) = (
+            FaultyTransport::new(a, quiet),
+            FaultyTransport::new(b, quiet),
         );
+        check_contract(&a, &b);
+        drop_together([a, b]);
     }
 
     #[test]

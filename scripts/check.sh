@@ -42,6 +42,15 @@ echo "== block-size invariance property (bounded case count)"
 # the total.
 DASH_BLOCKED_CASES=16 cargo test -p dash-core --test blocked_secure
 
+echo "== link machine: every seeded schedule delivers exactly once or ends in one verdict"
+# Two pure `Link` machines joined by in-memory queues under seeded
+# send / cut / reconnect / checkpoint / restart schedules (no sockets, no
+# threads, no clock): every frame arrives exactly once and in order, or
+# the run ends in PeerCrashed / ResumeMismatch for a stated reason.
+# DASH_LINK_SCHEDULES bounds the case count (default 1024, ~10 ms; raise
+# it locally for a deeper search).
+DASH_LINK_SCHEDULES=4096 cargo test -p dash-mpc --release --lib link::tests
+
 echo "== benchmark smoke (benchmark/ builds against this tree and every operation passes)"
 # benchmark/ is its own package outside the workspace, so nothing above
 # compiles it: a signature drift against benchmark/src/adapter.rs would
