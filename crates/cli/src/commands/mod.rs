@@ -20,21 +20,36 @@ use dash_gwas::io::{read_matrix_tsv, write_scan_tsv};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Loads one dataset from a directory holding `y.tsv` (N×1), `x.tsv`
-/// (N×M) and `c.tsv` (N×K).
-pub(crate) fn load_party_dir(dir: &Path) -> Result<PartyData, CliError> {
-    let y_mat = read_matrix_tsv(&dir.join("y.tsv"))?;
-    if y_mat.cols() != 1 {
+/// Loads one dataset from `y` (N×1), `x` (N×M) and `c` (N×K) TSV files;
+/// `y_name` is how the caller's usage text names the first. The two small
+/// files are read first, so a bad `y` or `c` fails before X is parsed.
+pub(crate) fn load_party(
+    y: &Path,
+    x: &Path,
+    c: &Path,
+    y_name: &str,
+) -> Result<PartyData, CliError> {
+    let y = read_matrix_tsv(y)?;
+    if y.cols() != 1 {
         return Err(CliError::Usage(format!(
-            "{}/y.tsv must have exactly one column, found {}",
-            dir.display(),
-            y_mat.cols()
+            "{y_name} must have exactly one column, found {}",
+            y.cols()
         )));
     }
-    let y = y_mat.col(0).to_vec();
-    let x = read_matrix_tsv(&dir.join("x.tsv"))?;
-    let c = read_matrix_tsv(&dir.join("c.tsv"))?;
-    Ok(PartyData::new(y, x, c)?)
+    let c = read_matrix_tsv(c)?;
+    let x = read_matrix_tsv(x)?;
+    Ok(PartyData::new(y.col(0).to_vec(), x, c)?)
+}
+
+/// [`load_party`] on a directory holding `y.tsv`, `x.tsv` and `c.tsv`.
+pub(crate) fn load_party_dir(dir: &Path) -> Result<PartyData, CliError> {
+    let y = dir.join("y.tsv");
+    load_party(
+        &y,
+        &dir.join("x.tsv"),
+        &dir.join("c.tsv"),
+        &y.display().to_string(),
+    )
 }
 
 /// Maps a `--mode` name to the matching security-ladder configuration.
@@ -334,7 +349,32 @@ mod tests {
         // Overwrite y with two columns.
         let bad = dash_linalg::Matrix::zeros(5, 2);
         dash_gwas::io::write_matrix_tsv(&dir.join("y.tsv"), &bad).unwrap();
-        assert!(load_party_dir(&dir).is_err());
+        let (y, x, c) = (dir.join("y.tsv"), dir.join("x.tsv"), dir.join("c.tsv"));
+        // Each caller's text names y its own way.
+        let err = load_party_dir(&dir).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!(
+                "{}/y.tsv must have exactly one column, found 2",
+                dir.display()
+            )
+        );
+        let err = load_party(&y, &x, &c, "--y file").unwrap_err().to_string();
+        assert_eq!(err, "--y file must have exactly one column, found 2");
+        // The small files are read before x: a bad y or c is reported
+        // although x is worse.
+        std::fs::write(&x, "not\ta\tmatrix\n").unwrap();
+        assert!(matches!(
+            load_party_dir(&dir),
+            Err(CliError::Usage(text)) if text.contains("y.tsv")
+        ));
+        write_party(&dir, &p);
+        std::fs::write(&x, "not\ta\tmatrix\n").unwrap();
+        std::fs::write(&c, "1\n2\nthree\n4\n5\n").unwrap();
+        assert!(matches!(
+            load_party_dir(&dir),
+            Err(CliError::Gwas(dash_gwas::GwasError::Parse { line: 3, .. }))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,13 +1,13 @@
 //! `dash scan` — plaintext association scan on one dataset.
 
 use crate::args::Flags;
-use crate::commands::load_party_dir;
+use crate::commands::{load_party, load_party_dir};
 use crate::error::CliError;
 use dash_core::model::PartyData;
 use dash_core::scan::associate_parallel;
-use dash_gwas::io::{read_matrix_tsv, write_scan_tsv};
+use dash_gwas::io::write_scan_tsv;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
 dash scan — plaintext association scan
@@ -60,7 +60,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Loads from `--dir` or from explicit `--y/--x/--c` paths.
 pub(crate) fn load_input(flags: &Flags) -> Result<PartyData, CliError> {
     if let Some(dir) = flags.optional("dir") {
-        return load_party_dir(&PathBuf::from(dir));
+        return load_party_dir(Path::new(&dir));
     }
     let (Some(yp), Some(xp), Some(cp)) = (
         flags.optional("y"),
@@ -71,15 +71,7 @@ pub(crate) fn load_input(flags: &Flags) -> Result<PartyData, CliError> {
             "provide --dir, or all of --y/--x/--c\n{USAGE}"
         )));
     };
-    let y_mat = read_matrix_tsv(&PathBuf::from(yp))?;
-    if y_mat.cols() != 1 {
-        return Err(CliError::Usage(
-            "--y file must have exactly one column".into(),
-        ));
-    }
-    let x = read_matrix_tsv(&PathBuf::from(xp))?;
-    let c = read_matrix_tsv(&PathBuf::from(cp))?;
-    Ok(PartyData::new(y_mat.col(0).to_vec(), x, c)?)
+    load_party(Path::new(&yp), Path::new(&xp), Path::new(&cp), "--y file")
 }
 
 /// Prints hit counts and the best association.

@@ -27,7 +27,7 @@ proptest! {
         let m = Matrix::from_fn(rows, cols, |_, _| next());
         let mut buf = Vec::new();
         write_matrix(&mut buf, &m).unwrap();
-        let back = read_matrix(buf.as_slice()).unwrap();
+        let back = read_matrix(std::io::Cursor::new(buf)).unwrap();
         prop_assert_eq!(back, m);
     }
 

@@ -51,6 +51,17 @@ echo "== link machine: every seeded schedule delivers exactly once or ends in on
 # it locally for a deeper search).
 DASH_LINK_SCHEDULES=4096 cargo test -p dash-mpc --release --lib link::tests
 
+echo "== TSV reader: bit-equal to the line-based reference or the same structured error"
+# The byte-level reader (gwas/src/io.rs) against the lines()/split/trim/
+# parse reader it replaced, kept as the test oracle: generated tables
+# (every number spelling on and off the exact cell path, CRLF, blank
+# lines, one defect per table) read with 1-byte to 1-MiB chunks give the
+# same matrix bit for bit or the same error with the same line, column
+# and token; the exact path equals str::parse on 2e5 tokens and declines
+# past its limits; arbitrary bytes never panic. DASH_TSV_CASES bounds the
+# generated tables (default 256; raise it locally for a deeper search).
+DASH_TSV_CASES=2048 cargo test -p dash-gwas --release --lib io::tests
+
 echo "== benchmark smoke (benchmark/ builds against this tree and every operation passes)"
 # benchmark/ is its own package outside the workspace, so nothing above
 # compiles it: a signature drift against benchmark/src/adapter.rs would
