@@ -16,9 +16,9 @@
 //! - [`ExprKind::Index`] where the index expression is tainted.
 //!
 //! **Taint** starts from function parameters whose declared type mentions
-//! an element/secret type (`F61`, `R64`, `Secret`, `BeaverTriple`,
-//! `InnerTriple` — plus raw `u64`/`u128`/`i64` words inside the element
-//! modules themselves, where every word *is* an element), from `self` in
+//! an element/secret type (`F61`, `R64`, `Secret`, `InnerTriple` — plus
+//! raw `u64`/`u128`/`i64` words inside the element modules themselves,
+//! where every word *is* an element), from `self` in
 //! the element/share modules, and from locals bound from tainted
 //! expressions or from calls into the element-producing call graph — a
 //! seed-and-fixpoint closure over the program registry, seeded on
@@ -66,7 +66,7 @@ const WORD_MODULES: [&str; 3] = ["field.rs", "ring.rs", "ctime.rs"];
 
 /// Type identifiers that mark a parameter as secret material.
 fn secret_type_ident(s: &str) -> bool {
-    matches!(s, "F61" | "R64" | "Secret" | "BeaverTriple" | "InnerTriple")
+    matches!(s, "F61" | "R64" | "Secret" | "InnerTriple")
 }
 
 /// Raw word types — secret only inside the element modules.
@@ -92,10 +92,8 @@ const SANITIZER_METHODS: [&str; 9] = [
 /// Audited-open / reconstruction identifiers: a body that reaches one
 /// returns *opened* data, ending element-taint propagation through it.
 fn sanitizing_ident(name: &str) -> bool {
-    matches!(
-        name,
-        "open_via" | "open_local" | "open_sum_ring" | "open_sum_field" | "open_field"
-    ) || name.starts_with("reconstruct_")
+    matches!(name, "open_via" | "open_local" | "open_sum" | "open_field")
+        || name.starts_with("reconstruct_")
 }
 
 fn basename(rel: &str) -> &str {

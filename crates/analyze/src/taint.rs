@@ -26,7 +26,7 @@
 //!   ascriptions, fn signatures, and struct fields, and method calls are
 //!   resolved against the program's own impl blocks. The audited opens
 //!   are recognized as *paths* — `Secret::open_via`,
-//!   `PartyCtx::{open_local, open_sum_ring, open_sum_field}`, free
+//!   `PartyCtx::{open_local, open_sum}`, free
 //!   `open_field`/`reconstruct_*` — so an arbitrary `.open_via()` on some
 //!   other known type does not sanitize by name collision.
 //!
@@ -88,13 +88,7 @@ pub(crate) fn inline_captures(lit: &str) -> Vec<String> {
 /// Methods that are audited opens when resolved to `Secret`/`PartyCtx`
 /// (or when the receiver type is unknown and no competing definition
 /// exists).
-const AUDITED_METHODS: [&str; 5] = [
-    "open_via",
-    "open_local",
-    "open_sum_ring",
-    "open_sum_field",
-    "finish_open",
-];
+const AUDITED_METHODS: [&str; 4] = ["open_via", "open_local", "open_sum", "finish_open"];
 
 /// Receiver types whose audited-open methods are trusted.
 const AUDITED_TYPES: [&str; 2] = ["Secret", "PartyCtx"];

@@ -76,7 +76,6 @@ fn main() {
     ]);
     for agg in [
         AggregationMode::Public,
-        AggregationMode::SecureShares,
         AggregationMode::MaskedPrg,
         AggregationMode::MaskedStar,
         AggregationMode::BeaverDots,

@@ -113,8 +113,7 @@ pub fn secure_multi_phenotype_scan(
     cfg: &crate::secure::SecureScanConfig,
 ) -> Result<Vec<ScanResult>, CoreError> {
     use crate::secure::run_in_process;
-    use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_ring};
-    use dash_mpc::R64;
+    use dash_mpc::protocol::masked::masked_sum_f64;
 
     let first = parties.first().ok_or(CoreError::NoParties)?;
     let m = first.x.cols();
@@ -138,21 +137,9 @@ pub fn secure_multi_phenotype_scan(
     let run = |ctx: &mut dash_mpc::PartyCtx,
                data: &MultiPartyData|
      -> Result<Vec<ScanResult>, CoreError> {
-        // Pooled N.
-        let n_total = masked_sum_ring(ctx, &[R64(data.ys.rows() as u64)], "total sample count N")?
-            [0]
-        .0 as usize;
-        if n_total <= k + 1 {
-            return Err(CoreError::NotEnoughSamples { n: n_total, k });
-        }
-        // Phase 1: shared R and private Q rows (paper-default mode).
-        let r = crate::secure::rfactor::combine_r(ctx, &data.c, cfg)?;
-        let q = if k == 0 {
-            Matrix::zeros(data.ys.rows(), 0)
-        } else {
-            let rinv = dash_linalg::invert_upper(&r)?;
-            dash_linalg::ops::gemm(&data.c, &rinv)?
-        };
+        // Steps 0-1: pooled N, shared R and private Q rows.
+        let (n_total, _r, q) =
+            crate::secure::protocol::count_and_rfactor(ctx, data.ys.rows(), &data.c, cfg)?;
         // Phase 2: one flat payload carrying the shared X-side statistics
         // plus T phenotype-side blocks.
         let qtx = gemm_at_b(&q, &data.x)?;

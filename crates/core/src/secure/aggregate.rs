@@ -2,7 +2,7 @@
 //! y-side pair `(y·y, Qᵀy)` once (`aggregate_y`), then the variant-side
 //! statistics one block at a time (`aggregate_block`).
 //!
-//! All five modes produce the same statistics (up to fixed-point rounding
+//! All four modes produce the same statistics (up to fixed-point rounding
 //! far below f64 noise); they differ in what crosses the wire and what
 //! opens. See the table in [`crate::secure`].
 
@@ -15,7 +15,6 @@ use dash_mpc::dealer::PartyTriples;
 use dash_mpc::field::F61;
 use dash_mpc::protocol::beaver::{beaver_inner_batch, open_field, SecretVecPair};
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
-use dash_mpc::protocol::sum::secure_sum_f64;
 use dash_mpc::{MpcError, PartyCtx, Secret};
 use dash_obs::Counter;
 
@@ -161,9 +160,6 @@ pub(crate) fn aggregate_y(
             let tag = ctx.fresh_tag();
             let gathered = all_gather_f64(ctx, tag, &flat)?;
             sum_gathered(gathered, flat.len())?
-        }
-        AggregationMode::SecureShares => {
-            secure_sum_f64(ctx, &cfg.ring_codec()?, &flat, "aggregate y·y, Qᵀy")?
         }
         AggregationMode::MaskedPrg => {
             masked_sum_f64(ctx, &cfg.ring_codec()?, &flat, "aggregate y·y, Qᵀy")?
@@ -332,12 +328,6 @@ pub(crate) fn aggregate_block(
             let gathered = all_gather_f64(ctx, tag, &flat)?;
             sum_gathered(gathered, flat.len())?
         }
-        AggregationMode::SecureShares => secure_sum_f64(
-            ctx,
-            &cfg.ring_codec()?,
-            &flat,
-            "aggregate variant-block statistics",
-        )?,
         AggregationMode::MaskedPrg => masked_sum_f64(
             ctx,
             &cfg.ring_codec()?,
@@ -539,13 +529,6 @@ mod tests {
         let (got, want, leaks) = run_mode(AggregationMode::Public, 3, 4, 2);
         assert_stats_close(&got, &want, 1e-10);
         assert_eq!(leaks, 3); // every party's summands leaked
-    }
-
-    #[test]
-    fn secure_shares_mode_matches_pooled() {
-        let (got, want, leaks) = run_mode(AggregationMode::SecureShares, 3, 4, 2);
-        assert_stats_close(&got, &want, 1e-6);
-        assert_eq!(leaks, 0);
     }
 
     #[test]

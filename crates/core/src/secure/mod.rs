@@ -18,8 +18,7 @@
 //! | mode | what leaks beyond the final statistics |
 //! |------|----------------------------------------|
 //! | [`AggregationMode::Public`] | every party's raw summands ("sharing them to sum") |
-//! | [`AggregationMode::SecureShares`] | only the aggregates `X·y, X·X, y·y, Qᵀy, QᵀX` (share-based SMC sum) |
-//! | [`AggregationMode::MaskedPrg`] | same aggregates, half the traffic (PRG-correlated masks) |
+//! | [`AggregationMode::MaskedPrg`] | only the aggregates `X·y, X·X, y·y, Qᵀy, QᵀX` (the SMC sum: PRG-correlated masks, one all-to-all round) |
 //! | [`AggregationMode::MaskedStar`] | same aggregates, O(P·M) total traffic via an aggregator |
 //! | [`AggregationMode::BeaverDots`] | only `y·y, X·y, X·X` and the three projected *dot products* per variant — the K-vector aggregates never open (the paper's "even greater security" parenthetical) |
 //!
@@ -64,9 +63,7 @@ pub enum RFactorMode {
 pub enum AggregationMode {
     /// Broadcast raw summands and sum locally.
     Public,
-    /// Share-based secure sum (two rounds).
-    SecureShares,
-    /// PRG-masked secure sum (one round, half the bytes).
+    /// PRG-masked secure sum, all-to-all (one round).
     MaskedPrg,
     /// PRG-masked secure sum over a star topology: masked values flow to
     /// party 0, which broadcasts the total. Total traffic O(P·M) instead
@@ -91,7 +88,7 @@ pub struct SecureScanConfig {
     /// (inputs are pre-normalized to ‖·‖ ≤ 1, so 26 bits leave ample
     /// product headroom for up to 16 parties).
     pub field_frac_bits: u32,
-    /// Master seed for all protocol randomness (shares, masks, dealer).
+    /// Master seed for all protocol randomness (masks, dealer).
     pub seed: u64,
     /// Longest any party waits for one message before failing with a
     /// structured timeout (milliseconds).

@@ -50,7 +50,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     let block_size = cfg.block_size.unwrap_or(m);
     let Some(policy) = policy else {
         let _scan_span = ctx.trace_span("scan");
-        let (n_total, _r, q_k) = count_and_rfactor(ctx, data, cfg)?;
+        let (n_total, _r, q_k) = count_and_rfactor(ctx, data.n_samples(), data.covariates(), cfg)?;
         return blocked_core(
             ctx, data, &q_k, n_total, block_size, cfg, triples, None, None,
         );
@@ -60,7 +60,8 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     let _scan_span = ctx.trace_span("scan");
     let (n_total, r, q_k, resume) = match policy.resume_from.as_deref() {
         None => {
-            let (n_total, r, q_k) = count_and_rfactor(ctx, data, cfg)?;
+            let (n_total, r, q_k) =
+                count_and_rfactor(ctx, data.n_samples(), data.covariates(), cfg)?;
             (n_total, r, q_k, None)
         }
         Some(cp) => {
@@ -88,39 +89,21 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     )
 }
 
-/// Steps 0 and 1: the pooled sample count, the combined R factor, and
-/// this party's private rows `Q_k = C_k R⁻¹`.
-fn count_and_rfactor<S: SummandSource>(
+/// Steps 0 and 1, for every workload that starts with them: the pooled
+/// sample count (needed by everyone for the degrees of freedom, summed
+/// securely so individual cohort sizes stay private), the combined R
+/// factor of the covariate rows `c`, and this party's private rows
+/// `Q_k = C_k R⁻¹` (`n_samples`×0 when K = 0).
+pub(crate) fn count_and_rfactor(
     ctx: &mut PartyCtx,
-    data: &S,
+    n_samples: usize,
+    c: &Matrix,
     cfg: &SecureScanConfig,
 ) -> Result<(usize, Matrix, Matrix), CoreError> {
-    let n_total = count_round(ctx, data, data.covariates().cols())?;
-    let _rfactor_span = ctx.trace_span("phase:rfactor");
-    let r = rfactor::combine_r(ctx, data.covariates(), cfg)?;
-    let q_k = private_q(data, &r)?;
-    Ok((n_total, r, q_k))
-}
-
-fn private_q<S: SummandSource>(data: &S, r: &Matrix) -> Result<Matrix, CoreError> {
-    let c = data.covariates();
-    if c.cols() == 0 {
-        return Ok(Matrix::zeros(data.n_samples(), 0));
-    }
-    Ok(gemm(c, &invert_upper(r)?)?)
-}
-
-/// Step 0 of the protocol: the pooled sample count (needed by everyone
-/// for the degrees of freedom), summed securely so individual cohort
-/// sizes stay private under the secure modes.
-fn count_round<S: SummandSource>(
-    ctx: &mut PartyCtx,
-    data: &S,
-    k: usize,
-) -> Result<usize, CoreError> {
+    let k = c.cols();
     let n_total = {
         let _span = ctx.trace_span("phase:count");
-        let own = [R64(data.n_samples() as u64)];
+        let own = [R64(n_samples as u64)];
         let total = masked_sum_ring(ctx, &own, "total sample count N")?;
         total
             .first()
@@ -134,7 +117,17 @@ fn count_round<S: SummandSource>(
     if n_total <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n: n_total, k });
     }
-    Ok(n_total)
+    let _rfactor_span = ctx.trace_span("phase:rfactor");
+    let r = rfactor::combine_r(ctx, c, cfg)?;
+    let q_k = private_q(n_samples, c, &r)?;
+    Ok((n_total, r, q_k))
+}
+
+fn private_q(n_samples: usize, c: &Matrix, r: &Matrix) -> Result<Matrix, CoreError> {
+    if c.cols() == 0 {
+        return Ok(Matrix::zeros(n_samples, 0));
+    }
+    Ok(gemm(c, &invert_upper(r)?)?)
 }
 
 fn ckpt_err(what: impl Into<String>) -> CoreError {
@@ -142,7 +135,10 @@ fn ckpt_err(what: impl Into<String>) -> CoreError {
 }
 
 /// Stable on-disk discriminants of the mode ladder (new modes append —
-/// renumbering would invalidate every existing checkpoint).
+/// renumbering would invalidate every existing checkpoint). Aggregation
+/// code 1 is retired with the share-based rung it named and is never
+/// reused: a checkpoint carrying it fails the fingerprint comparison in
+/// `restore`.
 fn mode_codes(cfg: &SecureScanConfig) -> (u8, u8) {
     let rf = match cfg.rfactor {
         RFactorMode::PublicStack => 0,
@@ -151,7 +147,6 @@ fn mode_codes(cfg: &SecureScanConfig) -> (u8, u8) {
     };
     let agg = match cfg.aggregation {
         AggregationMode::Public => 0,
-        AggregationMode::SecureShares => 1,
         AggregationMode::MaskedPrg => 2,
         AggregationMode::MaskedStar => 3,
         AggregationMode::BeaverDots => 4,
@@ -328,7 +323,7 @@ fn restore<S: SummandSource>(
     ctx.audit().restore(cp.disclosures.clone());
     ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
     let r = Matrix::from_column_major(k, k, cp.r.clone())?;
-    let q_k = private_q(data, &r)?;
+    let q_k = private_q(data.n_samples(), data.covariates(), &r)?;
     let seed = ResumeSeed {
         head: YAggregate::Opened {
             yy: cp.yy,
@@ -502,6 +497,24 @@ mod tests {
             .collect()
     }
 
+    /// Retired code stays retired: the four surviving rungs keep their
+    /// on-disk discriminants, and 1 (the share-based rung) is not handed
+    /// to anything else.
+    #[test]
+    fn mode_codes_keep_their_on_disk_values() {
+        let code = |aggregation| {
+            mode_codes(&SecureScanConfig {
+                aggregation,
+                ..SecureScanConfig::default()
+            })
+            .1
+        };
+        assert_eq!(code(AggregationMode::Public), 0);
+        assert_eq!(code(AggregationMode::MaskedPrg), 2);
+        assert_eq!(code(AggregationMode::MaskedStar), 3);
+        assert_eq!(code(AggregationMode::BeaverDots), 4);
+    }
+
     /// The central correctness claim: the secure multi-party scan equals
     /// the pooled plaintext scan (and hence pooled per-variant OLS), for
     /// every combination of modes.
@@ -517,7 +530,6 @@ mod tests {
         ] {
             for agg in [
                 AggregationMode::Public,
-                AggregationMode::SecureShares,
                 AggregationMode::MaskedPrg,
                 AggregationMode::MaskedStar,
                 AggregationMode::BeaverDots,

@@ -251,14 +251,36 @@ fn unsupported_configurations_fail_structurally() {
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
-    let other_seed = SecureScanConfig { seed: 22, ..good };
-    for r in run_tcp_checkpointed(&parties, &other_seed, &dir, true) {
-        match r {
-            Err(CoreError::Checkpoint { what }) => {
-                assert!(what.contains("different run"), "{what}")
+    let assert_refused = |cfg: &SecureScanConfig| {
+        for r in run_tcp_checkpointed(&parties, cfg, &dir, true) {
+            match r {
+                Err(CoreError::Checkpoint { what }) => {
+                    assert!(what.contains("different run"), "{what}")
+                }
+                other => panic!("expected fingerprint mismatch, got {other:?}"),
             }
-            other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
+    };
+    assert_refused(&SecureScanConfig { seed: 22, ..good });
+
+    // Retired code stays retired: aggregation code 1 named the deleted
+    // share-based rung. A checkpoint carrying it matches no surviving
+    // rung's fingerprint, so it is refused — never resumed under another.
+    for i in 0..parties.len() {
+        let path = checkpoint::checkpoint_path(&dir, i);
+        let mut cp = checkpoint::load(&path).unwrap();
+        cp.fingerprint.aggregation = 1;
+        checkpoint::save(&path, &cp).unwrap();
+    }
+    for aggregation in [
+        AggregationMode::Public,
+        AggregationMode::MaskedPrg,
+        AggregationMode::MaskedStar,
+    ] {
+        assert_refused(&SecureScanConfig {
+            aggregation,
+            ..good
+        });
     }
     std::fs::remove_dir_all(&dir).ok();
 }

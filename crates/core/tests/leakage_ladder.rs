@@ -75,9 +75,8 @@ const ALL_RF: [RFactorMode; 3] = [
     RFactorMode::PairwiseTree,
     RFactorMode::GramAggregate,
 ];
-const ALL_AGG: [AggregationMode; 5] = [
+const ALL_AGG: [AggregationMode; 4] = [
     AggregationMode::Public,
-    AggregationMode::SecureShares,
     AggregationMode::MaskedPrg,
     AggregationMode::MaskedStar,
     AggregationMode::BeaverDots,
@@ -152,7 +151,6 @@ fn leakage_identical_across_modes_and_block_sizes() {
 fn strictest_rung_leaks_nothing_per_party_at_any_block_size() {
     let parties = gen_parties(&[12, 15], 4, 2, 5);
     for agg in [
-        AggregationMode::SecureShares,
         AggregationMode::MaskedPrg,
         AggregationMode::MaskedStar,
         AggregationMode::BeaverDots,

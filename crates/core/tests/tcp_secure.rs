@@ -95,7 +95,6 @@ fn tcp_matches_inprocess_across_aggregation_modes() {
     let parties = gen_parties(&[7, 5, 6], 4, 2, 0xA11CE);
     for agg in [
         AggregationMode::Public,
-        AggregationMode::SecureShares,
         AggregationMode::MaskedPrg,
         AggregationMode::MaskedStar,
         AggregationMode::BeaverDots,

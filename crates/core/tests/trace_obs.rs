@@ -43,10 +43,9 @@ fn gen_parties(sizes: &[usize], m: usize, k: usize, seed: u64) -> Vec<PartyData>
 }
 
 /// Fully-secure modes: every disclosure flows through an instrumented
-/// opening site (masked sums, share-based sums, Beaver openings), so the
+/// opening site (masked sums, Beaver openings), so the
 /// audit log's claims and the trace's observed counts must coincide.
-const SECURE_AGG: [AggregationMode; 4] = [
-    AggregationMode::SecureShares,
+const SECURE_AGG: [AggregationMode; 3] = [
     AggregationMode::MaskedPrg,
     AggregationMode::MaskedStar,
     AggregationMode::BeaverDots,

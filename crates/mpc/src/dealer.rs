@@ -1,13 +1,15 @@
 //! Trusted dealer for Beaver preprocessing.
 //!
 //! The Beaver mode needs correlated randomness that is independent of the
-//! parties' inputs: scalar triples `(a, b, c = a·b)` and inner-product
-//! triples `(a⃗, b⃗, c = a⃗·b⃗)`, each additively shared across the parties.
-//! A trusted dealer is the standard "offline phase" abstraction for
-//! semi-honest protocols (in production it would be replaced by OT- or
-//! HE-based preprocessing; the *online* protocol — and hence the
-//! communication the experiments measure — is identical either way, so the
-//! substitution preserves the behaviour the paper cares about).
+//! parties' inputs: inner-product triples `(a⃗, b⃗, c = a⃗·b⃗)`, additively
+//! shared across the parties — one triple kind, because the one Beaver
+//! product a scan runs is the batched inner product (a scalar product
+//! would be a triple of length 1). A trusted dealer is the standard
+//! "offline phase" abstraction for semi-honest protocols (in production it
+//! would be replaced by OT- or HE-based preprocessing; the *online*
+//! protocol — and hence the communication the experiments measure — is
+//! identical either way, so the substitution preserves the behaviour the
+//! paper cares about).
 
 use crate::error::MpcError;
 use crate::field::F61;
@@ -16,25 +18,6 @@ use crate::secret::Secret;
 use crate::share::share_field;
 use std::collections::VecDeque;
 use std::fmt;
-
-/// One party's share of a scalar Beaver triple.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct BeaverTriple {
-    /// Share of `a`.
-    pub a: F61,
-    /// Share of `b`.
-    pub b: F61,
-    /// Share of `c = a·b`.
-    pub c: F61,
-}
-
-impl fmt::Debug for BeaverTriple {
-    // Triple shares are secret material: never print the values, even in
-    // panic messages or test diagnostics.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("BeaverTriple { <shares redacted> }")
-    }
-}
 
 /// One party's share of an inner-product triple over vectors of a fixed
 /// length.
@@ -49,6 +32,8 @@ pub struct InnerTriple {
 }
 
 impl fmt::Debug for InnerTriple {
+    // Triple shares are secret material: never print the values, even in
+    // panic messages or test diagnostics.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -58,11 +43,10 @@ impl fmt::Debug for InnerTriple {
     }
 }
 
-/// A queue of preprocessed material handed to one party before the online
-/// phase.
+/// The queue of preprocessed triples handed to one party before the
+/// online phase.
 #[derive(Clone, Default)]
 pub struct PartyTriples {
-    scalars: VecDeque<BeaverTriple>,
     inners: VecDeque<InnerTriple>,
 }
 
@@ -70,26 +54,15 @@ impl fmt::Debug for PartyTriples {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "PartyTriples {{ scalars: {}, inners: {}, <shares redacted> }}",
-            self.scalars.len(),
+            "PartyTriples {{ inners: {}, <shares redacted> }}",
             self.inners.len()
         )
     }
 }
 
 impl PartyTriples {
-    /// Takes the next scalar triple, wrapped: triple shares are secret
-    /// from the moment they leave the queue.
-    pub fn next_scalar(&mut self) -> Result<Secret<BeaverTriple>, MpcError> {
-        self.scalars
-            .pop_front()
-            .map(Secret::new)
-            .ok_or(MpcError::DealerExhausted {
-                what: "scalar Beaver triples",
-            })
-    }
-
-    /// Takes the next inner-product triple, wrapped.
+    /// Takes the next triple, wrapped: triple shares are secret from the
+    /// moment they leave the queue.
     pub fn next_inner(&mut self) -> Result<Secret<InnerTriple>, MpcError> {
         self.inners
             .pop_front()
@@ -97,16 +70,6 @@ impl PartyTriples {
             .ok_or(MpcError::DealerExhausted {
                 what: "inner-product triples",
             })
-    }
-
-    /// Remaining scalar triples.
-    pub fn scalars_left(&self) -> usize {
-        self.scalars.len()
-    }
-
-    /// Remaining inner-product triples.
-    pub fn inners_left(&self) -> usize {
-        self.inners.len()
     }
 }
 
@@ -132,25 +95,8 @@ impl TrustedDealer {
         })
     }
 
-    /// Deals `count` scalar triples; returns one [`PartyTriples`] per
-    /// party (inner queues empty).
-    pub fn deal_scalars(&mut self, count: usize) -> Vec<PartyTriples> {
-        let mut out: Vec<PartyTriples> = (0..self.n).map(|_| PartyTriples::default()).collect();
-        for _ in 0..count {
-            let a = self.prg.next_field();
-            let b = self.prg.next_field();
-            let c = a * b;
-            let sa = share_field(a, self.n, &mut self.prg).into_inner();
-            let sb = share_field(b, self.n, &mut self.prg).into_inner();
-            let sc = share_field(c, self.n, &mut self.prg).into_inner();
-            for (dst, ((a, b), c)) in out.iter_mut().zip(sa.into_iter().zip(sb).zip(sc)) {
-                dst.scalars.push_back(BeaverTriple { a, b, c });
-            }
-        }
-        out
-    }
-
-    /// Deals `count` inner-product triples over vectors of length `len`.
+    /// Deals `count` inner-product triples over vectors of length `len`;
+    /// returns one [`PartyTriples`] per party.
     pub fn deal_inners(&mut self, len: usize, count: usize) -> Vec<PartyTriples> {
         let mut out: Vec<PartyTriples> = (0..self.n).map(|_| PartyTriples::default()).collect();
         for _ in 0..count {
@@ -188,15 +134,6 @@ impl TrustedDealer {
         }
         out
     }
-
-    /// Merges additional material into existing queues (so one party
-    /// bundle can carry both scalar and inner triples).
-    pub fn merge(into: &mut [PartyTriples], from: Vec<PartyTriples>) {
-        for (dst, src) in into.iter_mut().zip(from) {
-            dst.scalars.extend(src.scalars);
-            dst.inners.extend(src.inners);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,27 +144,6 @@ mod tests {
     #[test]
     fn zero_parties_rejected() {
         assert!(TrustedDealer::new(0, 1).is_err());
-    }
-
-    #[test]
-    fn scalar_triples_satisfy_relation() {
-        let mut d = TrustedDealer::new(3, 7).unwrap();
-        let mut per_party = d.deal_scalars(5);
-        for _ in 0..5 {
-            let trs: Vec<BeaverTriple> = per_party
-                .iter_mut()
-                .map(|p| p.next_scalar().unwrap().into_inner())
-                .collect();
-            let a = reconstruct_field_iter(trs.iter().map(|t| t.a));
-            let b = reconstruct_field_iter(trs.iter().map(|t| t.b));
-            let c = reconstruct_field_iter(trs.iter().map(|t| t.c));
-            assert_eq!(a * b, c);
-        }
-        // Exhaustion reported.
-        assert!(matches!(
-            per_party[0].next_scalar(),
-            Err(MpcError::DealerExhausted { .. })
-        ));
     }
 
     #[test]
@@ -251,35 +167,30 @@ mod tests {
             let c = reconstruct_field_iter(trs.iter().map(|t| t.c));
             assert_eq!(dot, c);
         }
+        // Exhaustion reported, at every party alike.
+        for p in &mut per_party {
+            assert!(matches!(
+                p.next_inner(),
+                Err(MpcError::DealerExhausted { .. })
+            ));
+        }
     }
 
     #[test]
     fn shares_differ_across_parties() {
         let mut d = TrustedDealer::new(3, 11).unwrap();
-        let mut pp = d.deal_scalars(1);
-        let t0 = pp[0].next_scalar().unwrap().into_inner();
-        let t1 = pp[1].next_scalar().unwrap().into_inner();
+        let mut pp = d.deal_inners(2, 1);
+        let t0 = pp[0].next_inner().unwrap().into_inner();
+        let t1 = pp[1].next_inner().unwrap().into_inner();
         assert_ne!(t0, t1);
-    }
-
-    #[test]
-    fn merge_combines_queues() {
-        let mut d = TrustedDealer::new(2, 3).unwrap();
-        let mut bundle = d.deal_scalars(2);
-        let inners = d.deal_inners(4, 1);
-        TrustedDealer::merge(&mut bundle, inners);
-        assert_eq!(bundle[0].scalars_left(), 2);
-        assert_eq!(bundle[0].inners_left(), 1);
-        assert_eq!(bundle[1].scalars_left(), 2);
-        assert_eq!(bundle[1].inners_left(), 1);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let deal = |seed| {
             let mut d = TrustedDealer::new(2, seed).unwrap();
-            let mut pp = d.deal_scalars(1);
-            pp[0].next_scalar().unwrap().into_inner()
+            let mut pp = d.deal_inners(3, 1);
+            pp[0].next_inner().unwrap().into_inner()
         };
         assert_eq!(deal(5), deal(5));
         assert_ne!(deal(5), deal(6));

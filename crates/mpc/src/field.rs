@@ -133,6 +133,19 @@ impl F61 {
     }
 }
 
+impl crate::party::Element for F61 {
+    const EXCHANGE_SUM: &'static str = "exchange_sum_field";
+    #[inline]
+    fn to_word(self) -> u64 {
+        self.0
+    }
+    /// Received words are reduced mod p, exactly as [`F61::new`] does.
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        F61::new(word)
+    }
+}
+
 impl std::iter::Sum for F61 {
     fn sum<I: Iterator<Item = F61>>(iter: I) -> F61 {
         F61::sum(iter)

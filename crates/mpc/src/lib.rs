@@ -1,11 +1,11 @@
 //! Secure multi-party computation substrate for DASH.
 //!
 //! The paper assumes "an SMC sum protocol which only reveals the overall
-//! sum" built from "simple secret sharing on tiny data" (§3). This crate
-//! supplies that machinery, plus the stronger Beaver-triple mode its
-//! parenthetical calls for, and the simulated multi-party network on which
-//! the communication claims (O(M) inter-party bits, independent of N) are
-//! measured.
+//! sum" on tiny data (§3). This crate supplies exactly what a scan runs of
+//! that: one secure-sum family (pairwise-masked, mesh or star), the
+//! Beaver-triple inner product its parenthetical calls for, and the
+//! simulated multi-party network on which the communication claims (O(M)
+//! inter-party bits, independent of N) are measured.
 //!
 //! Layers, bottom to top:
 //!
@@ -17,8 +17,8 @@
 //!   mode, where shares are *multiplied* before anything is opened.
 //! - [`fixed`]: fixed-point encoding of `f64` statistics into ring/field
 //!   elements with explicit overflow errors.
-//! - [`prg`]: deterministic pseudo-random generator for share expansion and
-//!   pairwise correlated masks.
+//! - [`prg`]: deterministic pseudo-random generator for the pairwise
+//!   correlated masks and the dealer's triples.
 //! - [`transport`]: the one [`transport::Transport`] trait between a
 //!   party's protocol and the wire — implementors move sequence-numbered
 //!   frames; the word codec, tag check and timeout accounting are
@@ -35,10 +35,11 @@
 //!   ack, liveness and reconnect rules once and does no I/O.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
-//! - [`dealer`]: trusted dealer producing Beaver scalar and inner-product
-//!   triples during an offline phase.
-//! - [`protocol`]: the secure-sum (share-based and PRG-masked) and Beaver
-//!   multiplication/inner-product protocols.
+//! - [`share`] / [`dealer`]: additive field sharing, and the trusted
+//!   dealer that uses it to produce inner-product triples during an
+//!   offline phase.
+//! - [`protocol`]: the masked secure sum (mesh and star) and the batched
+//!   Beaver inner product.
 //!
 //! # Trust model
 //!
@@ -51,7 +52,7 @@
 //!
 //! ```
 //! use dash_mpc::net::{NetOptions, Network};
-//! use dash_mpc::protocol::sum::secure_sum_f64;
+//! use dash_mpc::protocol::masked::masked_sum_f64;
 //! use dash_mpc::fixed::FixedPointCodec;
 //!
 //! // Three parties, each holding one private vector; only the total is
@@ -60,7 +61,7 @@
 //! let codec = FixedPointCodec::new(32).unwrap();
 //! let (slots, _stats, _audit) =
 //!     Network::run_parties_detailed_with(3, 7, &NetOptions::default(), |ctx| {
-//!         secure_sum_f64(ctx, &codec, &inputs[ctx.id()], "demo total")
+//!         masked_sum_f64(ctx, &codec, &inputs[ctx.id()], "demo total")
 //!     })
 //!     .unwrap();
 //! for slot in slots {

@@ -11,9 +11,7 @@
 
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
-use crate::field::F61;
 use crate::prg::Prg;
-use crate::ring::R64;
 use crate::secret::{OpenMode, ScalarCount, Secret};
 use crate::tags::{self, BLOCK_TAG_BASE, BLOCK_TAG_STRIDE, MAX_BLOCK_ID};
 use crate::transport::{Transport, TransportConfig};
@@ -31,6 +29,21 @@ pub struct CtxState {
     pub pair_prgs: Vec<Option<[u64; 4]>>,
     /// Lockstep protocol tag counter (outside any block scope).
     pub tag_counter: u32,
+}
+
+/// A ring or field element as it travels between parties: one `u64` word
+/// each way. Implemented by [`crate::ring::R64`] and [`crate::field::F61`]
+/// next to their definitions; [`PartyCtx`]'s typed helpers are generic
+/// over it.
+pub trait Element: Copy + std::ops::AddAssign {
+    /// The `what` of the [`MpcError::LengthMismatch`] raised when a peer's
+    /// vector of this element has the wrong length in
+    /// [`PartyCtx::exchange_sum`].
+    const EXCHANGE_SUM: &'static str;
+    /// The word that goes on the wire.
+    fn to_word(self) -> u64;
+    /// The element a received word stands for.
+    fn from_word(word: u64) -> Self;
 }
 
 /// One party's execution context.
@@ -261,92 +274,48 @@ impl PartyCtx {
     }
 
     // ---- typed send/recv helpers -------------------------------------
+    //
+    // Stated once, generic over the [`Element`] that travels: `R64` for
+    // the masked sums, `F61` for the Beaver openings.
 
-    /// Sends a ring vector to a peer.
-    pub fn send_ring(&self, to: usize, tag: u32, v: &[R64]) -> Result<(), MpcError> {
-        // R64 is a transparent u64 wrapper; map without extra allocation
-        // cost beyond the word buffer itself.
-        let words: Vec<u64> = v.iter().map(|r| r.0).collect();
+    /// Sends an element vector to a peer, one word per element.
+    pub fn send<E: Element>(&self, to: usize, tag: u32, v: &[E]) -> Result<(), MpcError> {
+        let words: Vec<u64> = v.iter().map(|e| e.to_word()).collect();
         self.send_words(to, tag, &words)
     }
 
-    /// Receives a ring vector from a peer.
-    pub fn recv_ring(&self, from: usize, tag: u32) -> Result<Vec<R64>, MpcError> {
-        Ok(self.recv_words(from, tag)?.into_iter().map(R64).collect())
-    }
-
-    /// Sends a field vector to a peer.
-    pub fn send_field(&self, to: usize, tag: u32, v: &[F61]) -> Result<(), MpcError> {
-        let words: Vec<u64> = v.iter().map(|f| f.value()).collect();
-        self.send_words(to, tag, &words)
-    }
-
-    /// Receives a field vector from a peer.
-    pub fn recv_field(&self, from: usize, tag: u32) -> Result<Vec<F61>, MpcError> {
+    /// Receives an element vector from a peer.
+    pub fn recv<E: Element>(&self, from: usize, tag: u32) -> Result<Vec<E>, MpcError> {
         Ok(self
             .recv_words(from, tag)?
             .into_iter()
-            .map(F61::new)
+            .map(E::from_word)
             .collect())
     }
 
-    /// Sends the same ring vector to every other party.
-    pub fn broadcast_ring(&self, tag: u32, v: &[R64]) -> Result<(), MpcError> {
+    /// Sends the same element vector to every other party.
+    pub fn broadcast<E: Element>(&self, tag: u32, v: &[E]) -> Result<(), MpcError> {
         for j in 0..self.n_parties() {
             if j != self.id() {
-                self.send_ring(j, tag, v)?;
+                self.send(j, tag, v)?;
             }
         }
         Ok(())
     }
 
-    /// Sends the same field vector to every other party.
-    pub fn broadcast_field(&self, tag: u32, v: &[F61]) -> Result<(), MpcError> {
-        for j in 0..self.n_parties() {
-            if j != self.id() {
-                self.send_field(j, tag, v)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Broadcasts own contribution and element-wise sums everyone's ring
+    /// Broadcasts own contribution and element-wise sums everyone's
     /// vectors (the "open" step of an additively shared value).
-    pub fn exchange_sum_ring(&self, tag: u32, own: &[R64]) -> Result<Vec<R64>, MpcError> {
-        self.broadcast_ring(tag, own)?;
+    pub fn exchange_sum<E: Element>(&self, tag: u32, own: &[E]) -> Result<Vec<E>, MpcError> {
+        self.broadcast(tag, own)?;
         let mut total = own.to_vec();
         for j in 0..self.n_parties() {
             if j == self.id() {
                 continue;
             }
-            let v = self.recv_ring(j, tag)?;
+            let v: Vec<E> = self.recv(j, tag)?;
             if v.len() != own.len() {
                 return Err(MpcError::LengthMismatch {
-                    what: "exchange_sum_ring",
-                    expected: own.len(),
-                    got: v.len(),
-                });
-            }
-            for (t, s) in total.iter_mut().zip(&v) {
-                *t += *s;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Broadcasts own contribution and element-wise sums everyone's field
-    /// vectors.
-    pub fn exchange_sum_field(&self, tag: u32, own: &[F61]) -> Result<Vec<F61>, MpcError> {
-        self.broadcast_field(tag, own)?;
-        let mut total = own.to_vec();
-        for j in 0..self.n_parties() {
-            if j == self.id() {
-                continue;
-            }
-            let v = self.recv_field(j, tag)?;
-            if v.len() != own.len() {
-                return Err(MpcError::LengthMismatch {
-                    what: "exchange_sum_field",
+                    what: E::EXCHANGE_SUM,
                     expected: own.len(),
                     got: v.len(),
                 });
@@ -360,72 +329,42 @@ impl PartyCtx {
 
     // ---- Secret-typed helpers ----------------------------------------
     //
-    // Shares travel between parties wrapped in [`Secret`]; a single share
-    // is uniform noise to its recipient, so sending it is not a
-    // disclosure. Only the *sum* over all parties opens, and only through
-    // [`Secret::open_via`] below.
+    // A masked vector is uniform noise to its recipient, so receiving it
+    // is not a disclosure; it stays wrapped in [`Secret`] until the *sum*
+    // over all parties opens, and only through [`Secret::open_via`] below.
 
-    /// Sends one wrapped ring share-vector to a peer.
-    pub fn send_ring_secret(
+    /// Receives one peer's masked vector, wrapped.
+    pub fn recv_secret<E: Element>(
         &self,
-        to: usize,
+        from: usize,
         tag: u32,
-        v: &Secret<Vec<R64>>,
-    ) -> Result<(), MpcError> {
-        self.send_ring(to, tag, v.expose())
+    ) -> Result<Secret<Vec<E>>, MpcError> {
+        Ok(Secret::new(self.recv(from, tag)?))
     }
 
-    /// Receives one wrapped ring share-vector from a peer.
-    pub fn recv_ring_secret(&self, from: usize, tag: u32) -> Result<Secret<Vec<R64>>, MpcError> {
-        Ok(Secret::new(self.recv_ring(from, tag)?))
-    }
-
-    /// Sends one wrapped field share-vector to a peer.
-    pub fn send_field_secret(
-        &self,
-        to: usize,
-        tag: u32,
-        v: &Secret<Vec<F61>>,
-    ) -> Result<(), MpcError> {
-        self.send_field(to, tag, v.expose())
-    }
-
-    /// Receives one wrapped field share-vector from a peer.
-    pub fn recv_field_secret(&self, from: usize, tag: u32) -> Result<Secret<Vec<F61>>, MpcError> {
-        Ok(Secret::new(self.recv_field(from, tag)?))
-    }
-
-    /// Opens an additively shared ring vector: exchanges partial sums with
+    /// Opens an additively shared vector: exchanges partial sums with
     /// every peer and routes the total through the audited
     /// [`Secret::open_via`] path. With `Some(label)` the total is a
     /// disclosure — party 0 records it (once per network, not once per
     /// party) and mirrors the count into the trace; with `None` the total
     /// is a uniform one-time-pad difference (Beaver `d`/`e`), which is not
     /// a disclosure by construction.
-    pub fn open_sum_ring(
+    pub fn open_sum<E: Element>(
         &self,
         tag: u32,
-        partial: &Secret<Vec<R64>>,
+        partial: &Secret<Vec<E>>,
         disclosed_as: Option<&str>,
-    ) -> Result<Vec<R64>, MpcError> {
-        let total = self.exchange_sum_ring(tag, partial.expose())?;
-        Ok(self.finish_open(Secret::new(total), disclosed_as))
-    }
-
-    /// Field counterpart of [`PartyCtx::open_sum_ring`].
-    pub fn open_sum_field(
-        &self,
-        tag: u32,
-        partial: &Secret<Vec<F61>>,
-        disclosed_as: Option<&str>,
-    ) -> Result<Vec<F61>, MpcError> {
-        let total = self.exchange_sum_field(tag, partial.expose())?;
+    ) -> Result<Vec<E>, MpcError>
+    where
+        Vec<E>: ScalarCount,
+    {
+        let total = self.exchange_sum(tag, partial.expose())?;
         Ok(self.finish_open(Secret::new(total), disclosed_as))
     }
 
     /// Opens a value this party already holds in full (the single-party
     /// fast path, or a star aggregator's locally accumulated total) via
-    /// the same audited path as [`PartyCtx::open_sum_ring`].
+    /// the same audited path as [`PartyCtx::open_sum`].
     pub fn open_local<T: ScalarCount>(&self, value: Secret<T>, disclosed_as: Option<&str>) -> T {
         self.finish_open(value, disclosed_as)
     }
@@ -509,7 +448,9 @@ impl PartyCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::F61;
     use crate::net::{Network, NetworkStats};
+    use crate::ring::R64;
     use crate::transport::RetryPolicy;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -707,7 +648,7 @@ mod tests {
         let totals = Network::run_parties(3, 1, |ctx| {
             let own = vec![R64(ctx.id() as u64 + 1), R64(10 * (ctx.id() as u64 + 1))];
             let tag = ctx.fresh_tag();
-            ctx.exchange_sum_ring(tag, &own).unwrap()
+            ctx.exchange_sum(tag, &own).unwrap()
         });
         for t in totals {
             assert_eq!(t, vec![R64(6), R64(60)]);
@@ -719,7 +660,7 @@ mod tests {
         let totals = Network::run_parties(4, 1, |ctx| {
             let own = vec![F61::from_i64(ctx.id() as i64 - 2)];
             let tag = ctx.fresh_tag();
-            ctx.exchange_sum_field(tag, &own).unwrap()
+            ctx.exchange_sum(tag, &own).unwrap()
         });
         for t in totals {
             assert_eq!(t[0].as_i64(), -2); // (-2) + (-1) + 0 + 1
@@ -776,7 +717,7 @@ mod tests {
     fn single_party_exchange_is_identity() {
         let totals = Network::run_parties(1, 1, |ctx| {
             let tag = ctx.fresh_tag();
-            ctx.exchange_sum_ring(tag, &[R64(9)]).unwrap()
+            ctx.exchange_sum(tag, &[R64(9)]).unwrap()
         });
         assert_eq!(totals[0], vec![R64(9)]);
     }

@@ -1,10 +1,11 @@
-//! Deterministic pseudo-random generation for shares and masks.
+//! Deterministic pseudo-random generation for masks and dealer shares.
 //!
-//! Share expansion and the correlated-mask secure sum both need streams of
-//! uniform ring/field elements that two parties can reproduce from a shared
-//! seed. We wrap `rand`'s `StdRng` (ChaCha-based, cryptographically strong)
-//! rather than hand-rolling a cipher; the wrapper adds uniform sampling of
-//! [`R64`] (trivial) and [`F61`] (rejection sampling of 61-bit words so the
+//! The correlated-mask secure sum needs streams of uniform ring elements
+//! that two parties can reproduce from a shared seed, and the dealer needs
+//! uniform field elements for its triples and their shares. We wrap
+//! `rand`'s `StdRng` (ChaCha-based, cryptographically strong) rather than
+//! hand-rolling a cipher; the wrapper adds uniform sampling of [`R64`]
+//! (trivial) and [`F61`] (rejection sampling of 61-bit words so the
 //! distribution over the field is exactly uniform).
 
 use crate::field::{F61, MODULUS};

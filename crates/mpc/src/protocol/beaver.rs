@@ -1,29 +1,29 @@
-//! Beaver-triple multiplication and inner products on secret shares.
+//! Beaver-triple inner products on secret shares.
 //!
 //! This powers the paper's strictest mode ("use a more sophisticated SMC
 //! algorithm to only share the three right-hand quantities"): the K-vector
-//! summands `Qᵀy` and `QᵀX_m` stay secret-shared, and only the final dot
-//! products `Qᵀy·Qᵀy`, `QᵀX_m·Qᵀy`, `QᵀX_m·QᵀX_m` are ever opened.
+//! summands `Qᵀy` and `QᵀX_m` stay secret-shared — a party's summand *is*
+//! its additive share of the aggregate — and only the final dot products
+//! `Qᵀy·Qᵀy`, `QᵀX_m·Qᵀy`, `QᵀX_m·QᵀX_m` are ever opened.
 //!
-//! Protocol (per multiplication, inputs shared over F_{2⁶¹−1}): with a
-//! preprocessed triple `(a, b, c = ab)`, parties open the masked
-//! differences `d = x − a` and `e = y − b` (uniform, reveal nothing) and
-//! output the share `z = c + d·⟨b⟩ + e·⟨a⟩ (+ d·e at party 0)`, which
-//! reconstructs to `x·y`. Inner products use vector triples with a scalar
-//! `c = a⃗·b⃗` so each length-L dot costs one round of `2L` opened masked
-//! words instead of `L` separate multiplications.
+//! Protocol (per inner product, inputs shared over F_{2⁶¹−1}): with a
+//! preprocessed vector triple `(a⃗, b⃗, c = a⃗·b⃗)`, parties open the masked
+//! differences `d⃗ = x⃗ − a⃗` and `e⃗ = y⃗ − b⃗` (uniform, reveal nothing) and
+//! output the share `z = c + d⃗·⟨b⃗⟩ + e⃗·⟨a⃗⟩ (+ d⃗·e⃗ at party 0)`, which
+//! reconstructs to `x⃗·y⃗`. [`beaver_inner_batch`] is the one product: a
+//! whole batch of length-L dots costs one round of `2L` opened masked
+//! words each, concatenated into a single opening. One inner product is a
+//! batch of one; a scalar product is an inner product of length 1.
 //!
 //! Every share, triple and intermediate result here travels wrapped in
 //! [`Secret`]; the only unwrap points are the audited
-//! [`crate::party::PartyCtx::open_sum_field`] openings behind
-//! [`open_field`].
+//! [`crate::party::PartyCtx::open_sum`] openings behind [`open_field`].
 
-use crate::dealer::{BeaverTriple, InnerTriple};
+use crate::dealer::InnerTriple;
 use crate::error::MpcError;
 use crate::field::F61;
 use crate::party::PartyCtx;
 use crate::secret::Secret;
-use crate::share::share_field_vec;
 
 /// One `(xs, ys)` operand pair for [`beaver_inner_batch`]: borrowed,
 /// wrapped share vectors of equal length.
@@ -39,139 +39,7 @@ pub fn open_field(
     disclosed_as: Option<&str>,
 ) -> Result<Vec<F61>, MpcError> {
     let tag = ctx.fresh_tag();
-    ctx.open_sum_field(tag, shares, disclosed_as)
-}
-
-/// Secret-shares this party's private input vector so the network holds
-/// `⟨xs⟩`: each party ends up with one additive share of every element.
-///
-/// Round structure: the owner shares each of its values; every party
-/// contributes in `party` order so the SPMD call sequence stays aligned.
-/// Returns this party's (wrapped) shares of `owner`'s vector.
-pub fn input_shares(
-    ctx: &mut PartyCtx,
-    owner: usize,
-    xs: Option<&[F61]>,
-    len: usize,
-) -> Result<Secret<Vec<F61>>, MpcError> {
-    let n = ctx.n_parties();
-    let me = ctx.id();
-    if owner >= n {
-        return Err(MpcError::NoSuchParty {
-            id: owner,
-            n_parties: n,
-        });
-    }
-    let tag = ctx.fresh_tag();
-    if me == owner {
-        let xs = xs.ok_or(MpcError::LengthMismatch {
-            what: "input_shares owner data",
-            expected: len,
-            got: 0,
-        })?;
-        if xs.len() != len {
-            return Err(MpcError::LengthMismatch {
-                what: "input_shares owner data",
-                expected: len,
-                got: xs.len(),
-            });
-        }
-        // Share every element; send share-vector j to party j.
-        let per_party = share_field_vec(xs, n, ctx.rng_mut());
-        for (j, sv) in per_party.iter().enumerate() {
-            if j != me {
-                ctx.send_field_secret(j, tag, sv)?;
-            }
-        }
-        per_party.into_iter().nth(me).ok_or(MpcError::Protocol {
-            what: "input_shares: own share vector missing",
-        })
-    } else {
-        let sv = ctx.recv_field_secret(owner, tag)?;
-        if sv.scalar_count() != len {
-            return Err(MpcError::LengthMismatch {
-                what: "input_shares received",
-                expected: len,
-                got: sv.scalar_count(),
-            });
-        }
-        Ok(sv)
-    }
-}
-
-/// Multiplies two shared scalars, consuming one scalar triple. Returns a
-/// (wrapped) share of the product.
-pub fn beaver_mul(
-    ctx: &mut PartyCtx,
-    x: &Secret<F61>,
-    y: &Secret<F61>,
-    triple: &Secret<BeaverTriple>,
-) -> Result<Secret<F61>, MpcError> {
-    let (xv, yv) = (*x.expose(), *y.expose());
-    let t = triple.expose();
-    let pads = Secret::new(vec![xv - t.a, yv - t.b]);
-    // dash-analyze::allow(disclosure-completeness): the opened values are
-    // the one-time-pad differences x−a, y−b — uniform and independent of
-    // the inputs — so by design they are not a disclosure.
-    let de = open_field(ctx, &pads, None)?;
-    let (d, e) = match de.as_slice() {
-        [d, e] => (*d, *e),
-        _ => {
-            return Err(MpcError::Protocol {
-                what: "beaver_mul: expected exactly two opened pad differences",
-            })
-        }
-    };
-    let mut z = t.c + d * t.b + e * t.a;
-    if ctx.id() == 0 {
-        z += d * e;
-    }
-    Ok(Secret::new(z))
-}
-
-/// Inner product of two shared vectors, consuming one inner-product triple
-/// of matching length. Returns a (wrapped) share of `xs · ys` after one
-/// communication round.
-pub fn beaver_inner(
-    ctx: &mut PartyCtx,
-    xs: &Secret<Vec<F61>>,
-    ys: &Secret<Vec<F61>>,
-    triple: &Secret<InnerTriple>,
-) -> Result<Secret<F61>, MpcError> {
-    let len = xs.scalar_count();
-    if ys.scalar_count() != len {
-        return Err(MpcError::LengthMismatch {
-            what: "beaver_inner operands",
-            expected: len,
-            got: ys.scalar_count(),
-        });
-    }
-    if triple.vec_len() != len {
-        return Err(MpcError::LengthMismatch {
-            what: "beaver_inner triple",
-            expected: len,
-            got: triple.vec_len(),
-        });
-    }
-    let t = triple.expose();
-    // Open [xs − a ; ys − b] in a single message.
-    let mut pads = Vec::with_capacity(2 * len);
-    pads.extend(xs.expose().iter().zip(&t.a).map(|(&x, &a)| x - a));
-    pads.extend(ys.expose().iter().zip(&t.b).map(|(&y, &b)| y - b));
-    // dash-analyze::allow(disclosure-completeness): xs−a⃗ and ys−b⃗ are
-    // uniform one-time-pad differences; opening them reveals nothing.
-    let opened = open_field(ctx, &Secret::new(pads), None)?;
-    let (d, e) = opened.split_at(len);
-    let mut z = t.c;
-    for ((&dv, &ev), (&av, &bv)) in d.iter().zip(e).zip(t.a.iter().zip(&t.b)) {
-        z += dv * bv + ev * av;
-    }
-    if ctx.id() == 0 {
-        for (&dv, &ev) in d.iter().zip(e) {
-            z += dv * ev;
-        }
-    }
-    Ok(Secret::new(z))
+    ctx.open_sum(tag, shares, disclosed_as)
 }
 
 /// Batched inner products: evaluates many length-L dots in **one**
@@ -254,217 +122,149 @@ pub fn beaver_inner_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::DisclosureLog;
     use crate::dealer::{PartyTriples, TrustedDealer};
     use crate::fixed::FixedPointCodec;
-    use crate::net::Network;
+    use crate::net::{NetOptions, Network};
     use parking_lot::Mutex;
 
-    /// Distributes dealer material to party threads through a mutex slot
-    /// per party (threads take their own bundle at startup).
+    /// Runs `f` at every party with its slice of `deal_inners(len, count)`
+    /// (threads take their own bundle at startup); returns the results and
+    /// the shared disclosure log.
     fn with_triples<T: Send>(
         n: usize,
-        seed: u64,
-        bundles: Vec<PartyTriples>,
+        (len, count): (usize, usize),
         f: impl Fn(&mut PartyCtx, &mut PartyTriples) -> T + Sync,
-    ) -> Vec<T> {
-        let slots: Vec<Mutex<Option<PartyTriples>>> =
-            bundles.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        Network::run_parties(n, seed, |ctx| {
-            let mut mine = slots[ctx.id()].lock().take().expect("bundle taken once");
-            f(ctx, &mut mine)
-        })
+    ) -> (Vec<T>, DisclosureLog) {
+        let slots: Vec<Mutex<Option<PartyTriples>>> = TrustedDealer::new(n, 31)
+            .unwrap()
+            .deal_inners(len, count)
+            .into_iter()
+            .map(|b| Mutex::new(Some(b)))
+            .collect();
+        let (results, _stats, audit) =
+            Network::run_parties_detailed_with(n, 32, &NetOptions::default(), |ctx| {
+                let mut mine = slots[ctx.id()].lock().take().expect("bundle taken once");
+                f(ctx, &mut mine)
+            })
+            .unwrap();
+        (results.into_iter().map(Result::unwrap).collect(), audit)
+    }
+
+    /// Party `id`'s additive share of pair `p`'s operands — its own clear
+    /// summand, the way the scan shares `Qᵀy` and `QᵀX`.
+    fn summands(id: usize, p: usize, len: usize) -> (Vec<f64>, Vec<f64>) {
+        let xs = (0..len)
+            .map(|i| (p * len + i) as f64 * 0.25 - 1.0 + id as f64 * 0.125)
+            .collect();
+        let ys = (0..len)
+            .map(|i| 1.5 - (p + i) as f64 * 0.5 - id as f64 * 0.375)
+            .collect();
+        (xs, ys)
+    }
+
+    /// The clear reference: `(Σ_id xs) · (Σ_id ys)` for pair `p`.
+    fn expected_dot(n: usize, p: usize, len: usize) -> f64 {
+        (0..len)
+            .map(|i| {
+                let x: f64 = (0..n).map(|id| summands(id, p, len).0[i]).sum();
+                let y: f64 = (0..n).map(|id| summands(id, p, len).1[i]).sum();
+                x * y
+            })
+            .sum()
+    }
+
+    fn encoded(codec: &FixedPointCodec, v: &[f64]) -> Secret<Vec<F61>> {
+        Secret::new(codec.encode_field_vec(v).unwrap())
     }
 
     #[test]
-    fn open_reconstructs() {
-        // Secret-share a value offline, open it online.
-        let mut d = TrustedDealer::new(3, 1).unwrap();
-        let bundles = d.deal_scalars(1);
-        let results = with_triples(3, 2, bundles, |ctx, triples| {
-            let t = triples.next_scalar().unwrap();
-            // a is shared; open it.
-            let a_share = t.map(|t| vec![t.a]);
-            open_field(ctx, &a_share, Some("the a value")).unwrap()[0]
+    fn open_reconstructs_and_records_once() {
+        let (results, audit) = with_triples(3, (0, 0), |ctx, _| {
+            let share = Secret::new(vec![F61::from_i64((ctx.id() as i64 + 1) * 7)]);
+            open_field(ctx, &share, Some("sum of shares")).unwrap()[0].as_i64()
         });
-        // All parties agree on the opened value.
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-    }
-
-    #[test]
-    fn mul_correct() {
-        let n = 3;
-        let mut dealer = TrustedDealer::new(n, 10).unwrap();
-        let bundles = dealer.deal_scalars(1);
-        let codec = FixedPointCodec::new(20).unwrap();
-        let x_clear = 12.5;
-        let y_clear = -3.25;
-        let results = with_triples(n, 11, bundles, |ctx, triples| {
-            // Party 0 inputs x, party 1 inputs y.
-            let xe = codec.encode_field(x_clear).unwrap();
-            let ye = codec.encode_field(y_clear).unwrap();
-            let xs = input_shares(ctx, 0, Some(&[xe]), 1).unwrap();
-            let ys = input_shares(ctx, 1, Some(&[ye]), 1).unwrap();
-            let t = triples.next_scalar().unwrap();
-            let z = beaver_mul(ctx, &xs.element(0).unwrap(), &ys.element(0).unwrap(), &t).unwrap();
-            let opened = open_field(ctx, &z.map(|v| vec![v]), Some("product")).unwrap();
-            codec.decode_field_product(opened[0])
-        });
-        for r in results {
-            assert!((r - x_clear * y_clear).abs() < 1e-4, "r={r}");
-        }
+        assert_eq!(results, vec![7 + 14 + 21; 3]);
+        let entries = audit.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].scalars, entries[0].source_party), (1, None));
     }
 
     #[test]
     fn inner_product_correct() {
-        let n = 4;
-        let len = 8;
-        let mut dealer = TrustedDealer::new(n, 3).unwrap();
-        let bundles = dealer.deal_inners(len, 1);
+        // A single inner product is a batch of one.
+        let (n, len) = (4, 8);
         let codec = FixedPointCodec::new(20).unwrap();
-        let xs_clear: Vec<f64> = (0..len).map(|i| (i as f64) * 0.5 - 1.0).collect();
-        let ys_clear: Vec<f64> = (0..len).map(|i| 2.0 - (i as f64) * 0.25).collect();
-        let expect: f64 = xs_clear.iter().zip(&ys_clear).map(|(a, b)| a * b).sum();
-        let results = with_triples(n, 4, bundles, |ctx, triples| {
-            let xe = codec.encode_field_vec(&xs_clear).unwrap();
-            let ye = codec.encode_field_vec(&ys_clear).unwrap();
-            let xs = input_shares(ctx, 0, Some(&xe), len).unwrap();
-            let ys = input_shares(ctx, 2, Some(&ye), len).unwrap();
+        let (results, _) = with_triples(n, (len, 1), |ctx, triples| {
+            let (xs, ys) = summands(ctx.id(), 0, len);
+            let (xs, ys) = (encoded(&codec, &xs), encoded(&codec, &ys));
             let t = triples.next_inner().unwrap();
-            let z = beaver_inner(ctx, &xs, &ys, &t).unwrap();
-            let opened = open_field(ctx, &z.map(|v| vec![v]), Some("dot")).unwrap();
+            let z = beaver_inner_batch(ctx, &[(&xs, &ys)], &[t]).unwrap();
+            let opened = open_field(ctx, &z, Some("dot")).unwrap();
             codec.decode_field_product(opened[0])
         });
+        let expect = expected_dot(n, 0, len);
         for r in results {
             assert!((r - expect).abs() < 1e-3, "r={r} expect={expect}");
         }
     }
 
     #[test]
-    fn inner_length_mismatches_rejected() {
-        let n = 2;
-        let mut dealer = TrustedDealer::new(n, 5).unwrap();
-        let bundles = dealer.deal_inners(4, 1);
-        let results = with_triples(n, 6, bundles, |ctx, triples| {
-            let t = triples.next_inner().unwrap();
-            let xs = Secret::new(vec![F61::ONE; 4]);
-            let ys = Secret::new(vec![F61::ONE; 3]);
-            beaver_inner(ctx, &xs, &ys, &t).err()
-        });
-        for r in results {
-            assert!(matches!(r, Some(MpcError::LengthMismatch { .. })));
-        }
-    }
-
-    #[test]
-    fn sum_of_shared_inputs_opens_to_sum() {
-        // input_shares is additively homomorphic across owners.
-        let n = 3;
-        let results = Network::run_parties(n, 8, |ctx| {
-            let mine = [F61::from_i64((ctx.id() as i64 + 1) * 7)];
-            let mut acc = Secret::new(vec![F61::ZERO]);
-            for owner in 0..3 {
-                let data = if ctx.id() == owner {
-                    Some(&mine[..])
-                } else {
-                    None
-                };
-                let sh = input_shares(ctx, owner, data, 1).unwrap();
-                acc.add_assign_secret(&sh).unwrap();
-            }
-            open_field(ctx, &acc, Some("sum of inputs")).unwrap()[0].as_i64()
-        });
-        for r in results {
-            assert_eq!(r, 7 + 14 + 21);
-        }
-    }
-
-    #[test]
     fn masked_openings_reveal_nothing_recognizable() {
-        // The d = x − a openings inside beaver_mul must not equal the raw
-        // inputs (a is uniform).
-        let n = 2;
-        let mut dealer = TrustedDealer::new(n, 21).unwrap();
-        let bundles = dealer.deal_scalars(1);
+        // The d = x − a opening inside the product must not equal the raw
+        // input (a is uniform). Party 0 holds x, party 1 a zero share.
         let x_clear = F61::from_i64(5);
-        let results = with_triples(n, 22, bundles, |ctx, triples| {
-            let owner_data = [x_clear];
-            let data = if ctx.id() == 0 {
-                Some(&owner_data[..])
-            } else {
-                None
-            };
-            let xs = input_shares(ctx, 0, data, 1).unwrap();
-            let t = triples.next_scalar().unwrap();
-            let pad = xs.element(0).unwrap().zip_with(t, |x, t| vec![x - t.a]);
+        let (results, audit) = with_triples(2, (1, 1), |ctx, triples| {
+            let x = if ctx.id() == 0 { x_clear } else { F61::ZERO };
+            let t = triples.next_inner().unwrap();
+            let pad = Secret::new(x).zip_with(t, |x, t| vec![x - t.a[0]]);
             open_field(ctx, &pad, None).unwrap()[0]
         });
         assert_eq!(results[0], results[1]);
         assert_ne!(results[0], x_clear, "mask failed to hide the input");
+        // A pad opening is not a disclosure.
+        assert!(audit.entries().is_empty());
     }
 
     #[test]
-    fn batched_inner_products_match_sequential() {
-        let n = 3;
-        let len = 5;
-        let n_pairs = 4;
-        let mut dealer = TrustedDealer::new(n, 31).unwrap();
-        let bundles = dealer.deal_inners(len, 2 * n_pairs);
+    fn a_batch_equals_its_pairs_one_at_a_time() {
+        let (n, len, n_pairs) = (3, 5, 4);
         let codec = FixedPointCodec::new(20).unwrap();
-        // Deterministic clear inputs per pair.
-        let clear: Vec<(Vec<f64>, Vec<f64>)> = (0..n_pairs)
-            .map(|p| {
-                let xs: Vec<f64> = (0..len)
-                    .map(|i| (p * len + i) as f64 * 0.25 - 1.0)
-                    .collect();
-                let ys: Vec<f64> = (0..len).map(|i| 1.5 - (p + i) as f64 * 0.5).collect();
-                (xs, ys)
-            })
-            .collect();
-        let results = with_triples(n, 32, bundles, |ctx, triples| {
-            // Shares: party 0 inputs xs, party 1 inputs ys for every pair.
-            let mut share_pairs = Vec::new();
-            for (xs_clear, ys_clear) in &clear {
-                let xe = codec.encode_field_vec(xs_clear).unwrap();
-                let ye = codec.encode_field_vec(ys_clear).unwrap();
-                let xd = if ctx.id() == 0 { Some(&xe[..]) } else { None };
-                let xs = input_shares(ctx, 0, xd, len).unwrap();
-                let yd = if ctx.id() == 1 { Some(&ye[..]) } else { None };
-                let ys = input_shares(ctx, 1, yd, len).unwrap();
-                share_pairs.push((xs, ys));
-            }
-            // Sequential.
+        let (results, _) = with_triples(n, (len, 2 * n_pairs), |ctx, triples| {
+            let share_pairs: Vec<_> = (0..n_pairs)
+                .map(|p| {
+                    let (xs, ys) = summands(ctx.id(), p, len);
+                    (encoded(&codec, &xs), encoded(&codec, &ys))
+                })
+                .collect();
+            // One round per pair.
             let mut seq = Vec::new();
             for (xs, ys) in &share_pairs {
                 let t = triples.next_inner().unwrap();
-                seq.push(beaver_inner(ctx, xs, ys, &t).unwrap().into_inner());
+                let z = beaver_inner_batch(ctx, &[(xs, ys)], &[t]).unwrap();
+                seq.push(open_field(ctx, &z, None).unwrap()[0]);
             }
-            // Batched.
+            // One round for all of them, on fresh triples.
             let batch_triples: Vec<Secret<InnerTriple>> = (0..n_pairs)
                 .map(|_| triples.next_inner().unwrap())
                 .collect();
             let pair_refs: Vec<SecretVecPair<'_>> =
                 share_pairs.iter().map(|(x, y)| (x, y)).collect();
             let batch = beaver_inner_batch(ctx, &pair_refs, &batch_triples).unwrap();
-            let seq_open = open_field(ctx, &Secret::new(seq), None).unwrap();
-            let batch_open = open_field(ctx, &batch, None).unwrap();
-            (seq_open, batch_open)
+            (seq, open_field(ctx, &batch, None).unwrap())
         });
         for (seq_open, batch_open) in results {
             for (p, (s, b)) in seq_open.iter().zip(&batch_open).enumerate() {
-                let expect: f64 = clear[p].0.iter().zip(&clear[p].1).map(|(a, c)| a * c).sum();
+                let expect = expected_dot(n, p, len);
                 assert!((codec.decode_field_product(*s) - expect).abs() < 1e-3);
-                assert_eq!(s, b, "pair {p}: batch disagrees with sequential");
+                assert_eq!(s, b, "pair {p}: batch disagrees with one at a time");
             }
         }
     }
 
     #[test]
     fn batch_shape_errors() {
-        let n = 2;
-        let mut dealer = TrustedDealer::new(n, 41).unwrap();
-        let bundles = dealer.deal_inners(3, 1);
-        let results = with_triples(n, 42, bundles, |ctx, triples| {
+        let (results, _) = with_triples(2, (3, 2), |ctx, triples| {
             let t = triples.next_inner().unwrap();
             let xs = Secret::new(vec![F61::ONE; 3]);
             let ys = Secret::new(vec![F61::ONE; 3]);
@@ -473,24 +273,13 @@ mod tests {
                 beaver_inner_batch(ctx, &[(&xs, &ys), (&xs, &ys)], std::slice::from_ref(&t)).err();
             // Mismatched operand lengths.
             let short = Secret::new(vec![F61::ONE; 2]);
-            let r2 = beaver_inner_batch(ctx, &[(&xs, &short)], &[t]).err();
-            (r1, r2)
+            let r2 = beaver_inner_batch(ctx, &[(&xs, &short)], std::slice::from_ref(&t)).err();
+            // Triple dealt for another length.
+            let r3 = beaver_inner_batch(ctx, &[(&short, &short)], &[t]).err();
+            [r1, r2, r3]
         });
-        for (r1, r2) in results {
-            assert!(matches!(r1, Some(MpcError::LengthMismatch { .. })));
-            assert!(matches!(r2, Some(MpcError::LengthMismatch { .. })));
-        }
-    }
-
-    #[test]
-    fn exhausted_dealer_reported() {
-        let n = 2;
-        let dealer_bundles = TrustedDealer::new(n, 1).unwrap().deal_scalars(0);
-        let results = with_triples(n, 1, dealer_bundles, |_ctx, triples| {
-            triples.next_scalar().err()
-        });
-        for r in results {
-            assert!(matches!(r, Some(MpcError::DealerExhausted { .. })));
+        for r in results.into_iter().flatten() {
+            assert!(matches!(r, Some(MpcError::LengthMismatch { .. })), "{r:?}");
         }
     }
 }

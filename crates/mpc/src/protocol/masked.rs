@@ -1,11 +1,13 @@
-//! PRG-correlated masked sum.
+//! PRG-correlated masked sum — the "SMC sum protocol which only reveals
+//! the overall sum" of the paper's §3, in its two topologies.
 //!
-//! The share-based sum sends every input twice (shares, then partials).
-//! When the parties already hold pairwise shared seeds, each pair `{i, j}`
-//! can expand the same pseudo-random mask vector `m_{ij}`; party `min`
-//! *adds* it and party `max` *subtracts* it, so the masks cancel in the
-//! total. Each party then broadcasts a single masked vector — one round,
-//! `(n−1)·len` words per party — and sums what it receives.
+//! The parties hold pairwise shared seeds, so each pair `{i, j}` expands
+//! the same pseudo-random mask vector `m_{ij}`; party `min` *adds* it and
+//! party `max` *subtracts* it, and the masks cancel in the total. Mesh
+//! ([`masked_sum_ring`]): each party broadcasts its one masked vector —
+//! one round, `(n−1)·len` words per party — and sums what it receives.
+//! Star ([`masked_sum_star_ring`]): the masked vectors flow to party 0,
+//! which broadcasts the total — two hops, `2(n−1)·len` words in all.
 //!
 //! Privacy: a party's broadcast value is its input plus a PRG mask
 //! unknown to any single observer (for n ≥ 3, every pair mask is secret
@@ -48,7 +50,7 @@ pub fn masked_sum_ring(
     // One broadcast round; masks cancel in the sum. The total opens
     // through the audited path (recorded once, by party 0).
     let tag = ctx.fresh_tag();
-    ctx.open_sum_ring(tag, &Secret::new(masked), Some(label))
+    ctx.open_sum(tag, &Secret::new(masked), Some(label))
 }
 
 /// Star-topology masked sum: masked values flow to one aggregator
@@ -86,17 +88,17 @@ pub fn masked_sum_star_ring(
         // wrapped and only the final total goes through the audited open.
         let mut total = Secret::new(masked);
         for j in 1..n {
-            let v = ctx.recv_ring_secret(j, tag_up)?;
+            let v = ctx.recv_secret(j, tag_up)?;
             total.add_assign_secret(&v)?;
         }
         let total = ctx.open_local(total, Some(label));
-        ctx.broadcast_ring(tag_down, &total)?;
+        ctx.broadcast(tag_down, &total)?;
         Ok(total)
     } else {
-        ctx.send_ring(0, tag_up, &masked)?;
+        ctx.send(0, tag_up, &masked)?;
         // The aggregator already recorded this total; what arrives here is
         // the published aggregate, not a secret.
-        ctx.recv_ring(0, tag_down)
+        ctx.recv(0, tag_down)
     }
 }
 
@@ -127,37 +129,39 @@ pub fn masked_sum_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{NetOptions, Network};
-    use crate::protocol::sum::secure_sum_ring;
+    use crate::net::{NetOptions, Network, HEADER_BYTES};
+
+    type RingSum = fn(&mut PartyCtx, &[R64], &str) -> Result<Vec<R64>, MpcError>;
+    type F64Sum = fn(&mut PartyCtx, &FixedPointCodec, &[f64], &str) -> Result<Vec<f64>, MpcError>;
+
+    /// Both members of the family: what is asserted about "a secure sum"
+    /// below is asserted of each.
+    const RING: [(&str, RingSum); 2] = [("mesh", masked_sum_ring), ("star", masked_sum_star_ring)];
+    const F64: [(&str, F64Sum); 2] = [("mesh", masked_sum_f64), ("star", masked_sum_star_f64)];
 
     #[test]
     fn totals_correct_all_party_counts() {
-        for n in 1..=6usize {
-            let results = Network::run_parties(n, 77, move |ctx| {
-                let me = ctx.id() as i64;
-                let mine = vec![R64::from_i64(me * me), R64::from_i64(-me)];
-                masked_sum_ring(ctx, &mine, "sq").unwrap()
-            });
-            let sq: i64 = (0..n as i64).map(|i| i * i).sum();
-            let lin: i64 = -(0..n as i64).sum::<i64>();
-            for r in &results {
-                assert_eq!(r[0].as_i64(), sq, "n={n}");
-                assert_eq!(r[1].as_i64(), lin, "n={n}");
+        for (name, sum) in RING {
+            for n in 1..=6usize {
+                let results = Network::run_parties(n, 77, move |ctx| {
+                    let me = ctx.id() as i64;
+                    let mine = vec![
+                        R64::from_i64(me * me),
+                        R64::from_i64(-me),
+                        R64(100 * (me as u64 + 1)),
+                    ];
+                    sum(ctx, &mine, "sq").unwrap()
+                });
+                let sq: i64 = (0..n as i64).map(|i| i * i).sum();
+                let lin: i64 = -(0..n as i64).sum::<i64>();
+                let hundreds: u64 = (1..=n as u64).map(|i| 100 * i).sum();
+                for r in &results {
+                    assert_eq!(r[0].as_i64(), sq, "{name} n={n}");
+                    assert_eq!(r[1].as_i64(), lin, "{name} n={n}");
+                    assert_eq!(r[2], R64(hundreds), "{name} n={n}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn agrees_with_share_based_sum() {
-        let via_masked = Network::run_parties(4, 5, |ctx| {
-            let mine = vec![R64(ctx.id() as u64 * 1000 + 1)];
-            masked_sum_ring(ctx, &mine, "m").unwrap()
-        });
-        let via_shares = Network::run_parties(4, 5, |ctx| {
-            let mine = vec![R64(ctx.id() as u64 * 1000 + 1)];
-            secure_sum_ring(ctx, &mine, "s").unwrap()
-        });
-        assert_eq!(via_masked[0], via_shares[0]);
     }
 
     #[test]
@@ -174,42 +178,68 @@ mod tests {
     }
 
     #[test]
-    fn cheaper_than_share_based() {
-        let masked_bytes = {
+    fn disclosure_recorded_once() {
+        // One aggregate entry, recorded by party 0 alone, its scalar
+        // count taken from the opened value.
+        for (name, sum) in RING {
+            let (slots, _stats, audit) =
+                Network::run_parties_detailed_with(3, 1, &NetOptions::default(), move |ctx| {
+                    sum(ctx, &[R64(1), R64(2)], "aggregate pair").unwrap()
+                })
+                .unwrap();
+            assert!(slots.iter().all(Result::is_ok), "{name}: {slots:?}");
+            let entries = audit.entries();
+            assert_eq!(entries.len(), 1, "{name}");
+            assert_eq!(entries[0].label, "aggregate pair");
+            assert_eq!(entries[0].scalars, 2);
+            assert_eq!(entries[0].source_party, None);
+            assert_eq!(audit.per_party_disclosures(), 0);
+        }
+    }
+
+    #[test]
+    fn traffic_is_exact_linear_in_len_and_independent_of_the_secret() {
+        // Mesh: every party sends its masked vector to every other,
+        // P(P−1) frames; star: P−1 up, P−1 down. Each frame is the header
+        // plus 8 bytes per word, whatever the words are.
+        let traffic = |sum: RingSum, p: usize, len: usize, secret: u64| {
             let (slots, stats, _a) =
-                Network::run_parties_detailed_with(4, 3, &NetOptions::default(), |ctx| {
-                    masked_sum_ring(ctx, &vec![R64(1); 512], "m").unwrap()
+                Network::run_parties_detailed_with(p, 3, &NetOptions::default(), move |ctx| {
+                    sum(ctx, &vec![R64(secret ^ ctx.id() as u64); len], "t").unwrap()
                 })
                 .unwrap();
             assert!(slots.iter().all(Result::is_ok), "{slots:?}");
-            stats.total_bytes()
+            (stats.total_messages(), stats.total_bytes())
         };
-        let share_bytes = {
-            let (slots, stats, _a) =
-                Network::run_parties_detailed_with(4, 3, &NetOptions::default(), |ctx| {
-                    secure_sum_ring(ctx, &vec![R64(1); 512], "s").unwrap()
-                })
-                .unwrap();
-            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
-            stats.total_bytes()
-        };
-        assert!(
-            (masked_bytes as f64) < 0.6 * share_bytes as f64,
-            "masked {masked_bytes} vs shares {share_bytes}"
-        );
+        for p in [2usize, 4, 5] {
+            let family: [(&str, RingSum, usize); 2] = [
+                ("mesh", masked_sum_ring, p * (p - 1)),
+                ("star", masked_sum_star_ring, 2 * (p - 1)),
+            ];
+            for (name, sum, frames) in family {
+                let frames = frames as u64;
+                for len in [0usize, 100, 200, 512] {
+                    let expect = (frames, frames * (HEADER_BYTES + 8 * len as u64));
+                    assert_eq!(traffic(sum, p, len, 1), expect, "{name} p={p} len={len}");
+                    assert_eq!(traffic(sum, p, len, u64::MAX), expect, "{name} p={p}");
+                }
+            }
+        }
     }
 
     #[test]
     fn repeated_invocations_stay_synchronized() {
         // Pairwise PRGs must advance identically across calls.
-        let results = Network::run_parties(3, 8, |ctx| {
-            let a = masked_sum_ring(ctx, &[R64(ctx.id() as u64)], "a").unwrap();
-            let b = masked_sum_ring(ctx, &[R64(10 + ctx.id() as u64)], "b").unwrap();
-            (a[0], b[0])
-        });
-        for &(a, b) in &results {
-            assert_eq!(a, R64(3));
-            assert_eq!(b, R64(33));
+        for (name, sum) in RING {
+            let results = Network::run_parties(3, 8, move |ctx| {
+                let a = sum(ctx, &[R64(ctx.id() as u64)], "a").unwrap();
+                let b = sum(ctx, &[R64(10 + ctx.id() as u64)], "b").unwrap();
+                (a[0], b[0])
+            });
+            for &(a, b) in &results {
+                assert_eq!(a, R64(3), "{name}");
+                assert_eq!(b, R64(33), "{name}");
+            }
         }
     }
 
@@ -231,58 +261,60 @@ mod tests {
     }
 
     #[test]
-    fn star_total_traffic_is_linear_in_p() {
-        let bytes = |n: usize| {
-            let (slots, stats, _a) =
-                Network::run_parties_detailed_with(n, 51, &NetOptions::default(), move |ctx| {
-                    masked_sum_star_ring(ctx, &vec![R64(1); 256], "s").unwrap()
-                })
-                .unwrap();
-            assert!(slots.iter().all(Result::is_ok), "{slots:?}");
-            stats.total_bytes()
-        };
-        // 2(P−1) transfers of the vector: P = 5 should be exactly 2x P = 3.
-        let b3 = bytes(3);
-        let b5 = bytes(5);
-        assert_eq!(b5, 2 * b3, "b3 = {b3}, b5 = {b5}");
-        // And strictly cheaper than all-to-all at P = 5.
-        let (slots, stats, _a) =
-            Network::run_parties_detailed_with(5, 51, &NetOptions::default(), |ctx| {
-                masked_sum_ring(ctx, &vec![R64(1); 256], "f").unwrap()
-            })
-            .unwrap();
-        assert!(slots.iter().all(Result::is_ok), "{slots:?}");
-        assert!(b5 < stats.total_bytes() / 2);
-    }
-
-    #[test]
-    fn star_f64_wrapper_and_length_check() {
-        let results = Network::run_parties(3, 52, |ctx| {
-            let codec = FixedPointCodec::default();
-            masked_sum_star_f64(ctx, &codec, &[1.5, -0.25], "w").unwrap()
-        });
-        for r in results {
-            assert!((r[0] - 4.5).abs() < 1e-8);
-            assert!((r[1] + 0.75).abs() < 1e-8);
+    fn f64_wrappers_and_precision() {
+        let inputs = [1.25f64, -7.5, 3.0625];
+        let expect: f64 = inputs.iter().sum();
+        for (name, sum) in F64 {
+            let results = Network::run_parties(3, 9, move |ctx| {
+                let codec = FixedPointCodec::new(32).unwrap();
+                sum(ctx, &codec, &[inputs[ctx.id()], -0.25], "w").unwrap()
+            });
+            for r in results {
+                assert!((r[0] - expect).abs() < 1e-8, "{name}");
+                assert!((r[1] + 0.75).abs() < 1e-8, "{name}");
+            }
         }
     }
 
     #[test]
-    fn f64_wrapper() {
-        let results = Network::run_parties(3, 6, |ctx| {
-            let codec = FixedPointCodec::default();
-            masked_sum_f64(ctx, &codec, &[0.5 * (ctx.id() as f64 + 1.0)], "w").unwrap()
-        });
-        for r in results {
-            assert!((r[0] - 3.0).abs() < 1e-8);
+    fn overflow_rejected_before_sending() {
+        for (name, sum) in F64 {
+            let (slots, stats, _a) =
+                Network::run_parties_detailed_with(2, 2, &NetOptions::default(), move |ctx| {
+                    let codec = FixedPointCodec::new(40).unwrap();
+                    // Way beyond 2^22 integer range at 40 fractional bits.
+                    sum(ctx, &codec, &[1e12], "x")
+                })
+                .unwrap();
+            for r in slots {
+                assert!(
+                    matches!(r, Ok(Err(MpcError::FixedPointOverflow { .. }))),
+                    "{name}: {r:?}"
+                );
+            }
+            assert_eq!(
+                stats.total_messages(),
+                0,
+                "{name}: a frame left before the error"
+            );
         }
     }
 
     #[test]
     fn empty_and_single_party() {
-        let r = Network::run_parties(1, 1, |ctx| masked_sum_ring(ctx, &[R64(7)], "solo").unwrap());
-        assert_eq!(r[0], vec![R64(7)]);
-        let r = Network::run_parties(3, 1, |ctx| masked_sum_ring(ctx, &[], "none").unwrap());
-        assert!(r[0].is_empty());
+        for (name, sum) in RING {
+            // A lone party's "sum" is its own data, opened through the
+            // audited path all the same.
+            let (slots, stats, audit) =
+                Network::run_parties_detailed_with(1, 1, &NetOptions::default(), move |ctx| {
+                    sum(ctx, &[R64(7)], "solo").unwrap()
+                })
+                .unwrap();
+            assert_eq!(slots, vec![Ok(vec![R64(7)])], "{name}");
+            assert_eq!(stats.total_messages(), 0);
+            assert_eq!(audit.entries().len(), 1, "{name}");
+            let r = Network::run_parties(3, 1, move |ctx| sum(ctx, &[], "none").unwrap());
+            assert!(r.iter().all(Vec::is_empty), "{name}");
+        }
     }
 }

@@ -1,13 +1,11 @@
-//! The online protocols.
+//! The online protocols — exactly what a scan runs.
 //!
-//! - [`sum`]: share-based secure sum — each party's input is split into
-//!   additive shares, partial sums are exchanged, only the total opens.
-//! - [`masked`]: PRG-correlated masked sum — pairwise masks cancel in the
-//!   total; half the traffic of [`sum`] and one round instead of two.
-//! - [`beaver`]: multiplication and inner products on secret-shared
-//!   values via Beaver triples; used by the strictest scan mode, which
-//!   opens only final per-variant dot products.
+//! - [`masked`]: the secure sum. Pairwise PRG masks cancel in the total,
+//!   so only the total opens; one family in two topologies (all-to-all
+//!   mesh, and a star through party 0).
+//! - [`beaver`]: batched inner products on secret-shared vectors via
+//!   dealer triples; used by the strictest scan mode, which opens only
+//!   final per-variant dot products.
 
 pub mod beaver;
 pub mod masked;
-pub mod sum;

@@ -1,9 +1,10 @@
 //! The ring Z₂⁶⁴ — wrapping 64-bit arithmetic.
 //!
-//! Additive secret sharing over Z₂⁶⁴ is information-theoretically hiding:
-//! any n−1 of the n shares of a value are uniformly random. All secure-sum
-//! protocols in this crate operate on [`R64`] elements; the fixed-point
-//! codec ([`crate::fixed`]) maps statistics into and out of the ring.
+//! A value plus a uniform element of Z₂⁶⁴ is uniform, and sums wrap
+//! exactly, so pairwise masks hide each summand and cancel in the total
+//! without error. The masked secure sums ([`crate::protocol::masked`])
+//! operate on [`R64`] elements; the fixed-point codec ([`crate::fixed`])
+//! maps statistics into and out of the ring.
 //!
 //! # Constant time
 //!
@@ -62,6 +63,18 @@ impl R64 {
     #[inline]
     pub fn ct_select(mask: u64, a: R64, b: R64) -> R64 {
         R64(ctime::select(mask, a.0, b.0))
+    }
+}
+
+impl crate::party::Element for R64 {
+    const EXCHANGE_SUM: &'static str = "exchange_sum_ring";
+    #[inline]
+    fn to_word(self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        R64(word)
     }
 }
 

@@ -9,7 +9,7 @@
 //! - the wrapped value is private — no `Display`, no serialization, and a
 //!   `Debug` impl that prints only a redaction marker;
 //! - arithmetic happens through explicit combinators ([`Secret::map`],
-//!   [`Secret::zip_with`], the vector `add_assign_secret` helpers), whose
+//!   [`Secret::zip_with`], the ring-vector `add_assign_secret`), whose
 //!   results stay wrapped;
 //! - the **only** way to extract the inner value is
 //!   [`Secret::open_via`], which takes the shared [`DisclosureLog`] and an
@@ -23,7 +23,7 @@
 //! through the audited path.
 
 use crate::audit::DisclosureLog;
-use crate::dealer::{BeaverTriple, InnerTriple};
+use crate::dealer::InnerTriple;
 use crate::error::MpcError;
 use crate::field::F61;
 use crate::ring::{add_assign_vec, sub_assign_vec, R64};
@@ -143,12 +143,6 @@ impl ScalarCount for Vec<R64> {
 impl ScalarCount for Vec<F61> {
     fn scalar_count(&self) -> usize {
         self.len()
-    }
-}
-
-impl ScalarCount for BeaverTriple {
-    fn scalar_count(&self) -> usize {
-        3 // a, b, c
     }
 }
 
@@ -276,23 +270,6 @@ impl Secret<InnerTriple> {
     }
 }
 
-impl Secret<Vec<F61>> {
-    /// Element-wise share accumulation; errors on length mismatch.
-    pub fn add_assign_secret(&mut self, other: &Secret<Vec<F61>>) -> Result<(), MpcError> {
-        if self.0.len() != other.0.len() {
-            return Err(MpcError::LengthMismatch {
-                what: "Secret::add_assign_secret (field)",
-                expected: self.0.len(),
-                got: other.0.len(),
-            });
-        }
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += *b;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,12 +362,6 @@ mod tests {
         assert_eq!(Secret::new(R64(1)).scalar_count(), 1);
         assert_eq!(Secret::new(F61::new(1)).scalar_count(), 1);
         assert_eq!(Secret::new(vec![R64(1); 5]).scalar_count(), 5);
-        let t = BeaverTriple {
-            a: F61::ZERO,
-            b: F61::ZERO,
-            c: F61::ZERO,
-        };
-        assert_eq!(Secret::new(t).scalar_count(), 3);
         let it = InnerTriple {
             a: vec![F61::ZERO; 4],
             b: vec![F61::ZERO; 4],

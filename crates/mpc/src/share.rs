@@ -1,89 +1,24 @@
-//! Additive n-of-n secret sharing over Z₂⁶⁴ and F_{2⁶¹−1}.
+//! Additive n-of-n secret sharing over F_{2⁶¹−1}.
 //!
-//! `share(x)` produces n shares that sum to `x`; any n−1 of them are
-//! jointly uniform, so nothing short of the full set reveals anything
-//! about `x`. This is the "simple secret sharing" the paper's §3 invokes.
+//! `share_field(x)` produces n shares that sum to `x`; any n−1 of them
+//! are jointly uniform, so nothing short of the full set reveals anything
+//! about `x`. The one caller is the [dealer](crate::dealer), which splits
+//! triples this way; a scan's own inputs are never re-shared — each
+//! party's summand already *is* its additive share of the aggregate.
 //!
-//! Every sharing function returns its shares wrapped in [`Secret`]: a
-//! share is secret material from the moment it exists, and stays wrapped
-//! until a protocol opens the *sum* through the audited
-//! [`Secret::open_via`] path. The `reconstruct_*` inverses are the
-//! dealer/test-side counterparts that recombine a complete share set.
+//! Shares come back wrapped in [`Secret`]: a share is secret material
+//! from the moment it exists. The `reconstruct_*` inverses are the
+//! test-side counterparts that recombine a complete share set.
 
 use crate::field::F61;
 use crate::prg::Prg;
-use crate::ring::R64;
 use crate::secret::Secret;
 
-/// Splits a ring element into `n` additive shares (one per recipient).
+/// Splits a field element into `n` additive shares (one per recipient).
 ///
-/// Panics in debug builds if `n == 0`; protocols guarantee `n ≥ 1`.
-pub fn share_ring(x: R64, n: usize, prg: &mut Prg) -> Secret<Vec<R64>> {
-    debug_assert!(n >= 1, "cannot share into zero shares");
-    let mut out = Vec::with_capacity(n);
-    let mut acc = R64::ZERO;
-    for _ in 0..n - 1 {
-        let s = prg.next_ring();
-        acc += s;
-        out.push(s);
-    }
-    out.push(x - acc);
-    Secret::new(out)
-}
-
-/// Recombines a complete ring share set (dealer/test-side inverse of
-/// [`share_ring`]; a full set is by definition no longer hiding).
-pub fn reconstruct_ring(shares: &Secret<Vec<R64>>) -> R64 {
-    R64::sum(shares.expose())
-}
-
-/// Recombines ring shares streamed from an iterator — for callers that
-/// hold shares scattered across structures (e.g. one per triple) and
-/// would otherwise collect a `Vec` just to sum it.
-pub fn reconstruct_ring_iter<I>(shares: I) -> R64
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<R64>,
-{
-    R64::sum(shares)
-}
-
-/// Splits each element of a vector into `n` additive shares; returns one
-/// share-vector per recipient (transposed layout, ready to send).
-pub fn share_ring_vec(xs: &[R64], n: usize, prg: &mut Prg) -> Vec<Secret<Vec<R64>>> {
-    debug_assert!(n >= 1);
-    let mut out: Vec<Vec<R64>> = (0..n).map(|_| Vec::with_capacity(xs.len())).collect();
-    for &x in xs {
-        let shares = share_ring(x, n, prg);
-        for (recipient, s) in out.iter_mut().zip(shares.into_inner()) {
-            recipient.push(s);
-        }
-    }
-    out.into_iter().map(Secret::new).collect()
-}
-
-/// Recombines per-recipient ring share vectors (inverse of
-/// [`share_ring_vec`]).
-pub fn reconstruct_ring_vec(share_vecs: &[Secret<Vec<R64>>]) -> Vec<R64> {
-    let len = match share_vecs.first() {
-        Some(first) => first.scalar_count(),
-        None => return Vec::new(),
-    };
-    let mut out = vec![R64::ZERO; len];
-    for sv in share_vecs {
-        debug_assert_eq!(sv.scalar_count(), len);
-        // Complete share set: summing into the public output *is* the
-        // reconstruction, not a leak.
-        for (o, &s) in out.iter_mut().zip(sv.expose()) {
-            *o += s;
-        }
-    }
-    out
-}
-
-/// Splits a field element into `n` additive shares.
+/// Panics in debug builds if `n == 0`; the dealer guarantees `n ≥ 1`.
 pub fn share_field(x: F61, n: usize, prg: &mut Prg) -> Secret<Vec<F61>> {
-    debug_assert!(n >= 1);
+    debug_assert!(n >= 1, "cannot share into zero shares");
     let mut out = Vec::with_capacity(n);
     let mut acc = F61::ZERO;
     for _ in 0..n - 1 {
@@ -95,13 +30,15 @@ pub fn share_field(x: F61, n: usize, prg: &mut Prg) -> Secret<Vec<F61>> {
     Secret::new(out)
 }
 
-/// Recombines a complete field share set.
+/// Recombines a complete field share set (a full set is by definition no
+/// longer hiding).
 pub fn reconstruct_field(shares: &Secret<Vec<F61>>) -> F61 {
     F61::sum(shares.expose())
 }
 
-/// Recombines field shares streamed from an iterator (see
-/// [`reconstruct_ring_iter`]).
+/// Recombines field shares streamed from an iterator — for callers that
+/// hold shares scattered across structures (e.g. one per triple) and
+/// would otherwise collect a `Vec` just to sum it.
 pub fn reconstruct_field_iter<I>(shares: I) -> F61
 where
     I: IntoIterator,
@@ -110,52 +47,9 @@ where
     F61::sum(shares)
 }
 
-/// Splits each element of a vector into `n` field shares (transposed
-/// layout, one vector per recipient).
-pub fn share_field_vec(xs: &[F61], n: usize, prg: &mut Prg) -> Vec<Secret<Vec<F61>>> {
-    debug_assert!(n >= 1);
-    let mut out: Vec<Vec<F61>> = (0..n).map(|_| Vec::with_capacity(xs.len())).collect();
-    for &x in xs {
-        let shares = share_field(x, n, prg);
-        for (recipient, s) in out.iter_mut().zip(shares.into_inner()) {
-            recipient.push(s);
-        }
-    }
-    out.into_iter().map(Secret::new).collect()
-}
-
-/// Recombines per-recipient field share vectors.
-pub fn reconstruct_field_vec(share_vecs: &[Secret<Vec<F61>>]) -> Vec<F61> {
-    let len = match share_vecs.first() {
-        Some(first) => first.scalar_count(),
-        None => return Vec::new(),
-    };
-    let mut out = vec![F61::ZERO; len];
-    for sv in share_vecs {
-        debug_assert_eq!(sv.scalar_count(), len);
-        for (o, &s) in out.iter_mut().zip(sv.expose()) {
-            *o += s;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_share_reconstruct_roundtrip() {
-        let mut prg = Prg::from_seed(1);
-        for &v in &[0i64, 1, -1, i64::MAX, i64::MIN, 123456789] {
-            for n in 1..=5 {
-                let x = R64::from_i64(v);
-                let shares = share_ring(x, n, &mut prg);
-                assert_eq!(shares.scalar_count(), n);
-                assert_eq!(reconstruct_ring(&shares), x, "v={v} n={n}");
-            }
-        }
-    }
 
     #[test]
     fn field_share_reconstruct_roundtrip() {
@@ -164,6 +58,7 @@ mod tests {
             for n in 1..=5 {
                 let x = F61::from_i64(v);
                 let shares = share_field(x, n, &mut prg);
+                assert_eq!(shares.scalar_count(), n);
                 assert_eq!(reconstruct_field(&shares), x, "v={v} n={n}");
             }
         }
@@ -172,23 +67,18 @@ mod tests {
     #[test]
     fn iterator_reconstruction_matches_slice_reconstruction() {
         let mut prg = Prg::from_seed(11);
-        let x = R64::from_i64(-987654);
-        let shares = share_ring(x, 4, &mut prg);
-        assert_eq!(reconstruct_ring_iter(shares.expose().iter()), x);
         let y = F61::from_i64(424242);
-        let fshares = share_field(y, 4, &mut prg);
-        assert_eq!(reconstruct_field_iter(fshares.expose().iter()), y);
-        // Streaming from a mapped iterator — the use case that previously
-        // forced an intermediate Vec.
-        let pairs: Vec<(R64, R64)> = shares.expose().iter().map(|&s| (s, s)).collect();
-        assert_eq!(reconstruct_ring_iter(pairs.iter().map(|p| p.0)), x);
+        let shares = share_field(y, 4, &mut prg);
+        assert_eq!(reconstruct_field_iter(shares.expose().iter()), y);
+        // Streaming from a mapped iterator — the use case that would
+        // otherwise force an intermediate Vec.
+        let pairs: Vec<(F61, F61)> = shares.expose().iter().map(|&s| (s, s)).collect();
+        assert_eq!(reconstruct_field_iter(pairs.iter().map(|p| p.0)), y);
     }
 
     #[test]
     fn single_share_is_value() {
         let mut prg = Prg::from_seed(3);
-        let x = R64(777);
-        assert_eq!(share_ring(x, 1, &mut prg).into_inner(), vec![x]);
         let y = F61::new(777);
         assert_eq!(share_field(y, 1, &mut prg).into_inner(), vec![y]);
     }
@@ -197,48 +87,18 @@ mod tests {
     fn shares_look_random() {
         // A fixed value shared twice gives unrelated share sets.
         let mut prg = Prg::from_seed(4);
-        let x = R64(42);
-        let s1 = share_ring(x, 3, &mut prg).into_inner();
-        let s2 = share_ring(x, 3, &mut prg).into_inner();
+        let x = F61::new(42);
+        let s1 = share_field(x, 3, &mut prg).into_inner();
+        let s2 = share_field(x, 3, &mut prg).into_inner();
         assert_ne!(s1, s2);
         // No individual share equals the secret (overwhelmingly likely).
         assert!(s1.iter().filter(|&&s| s == x).count() <= 1);
     }
 
     #[test]
-    fn vec_sharing_transposed_layout() {
-        let mut prg = Prg::from_seed(5);
-        let xs = vec![R64(1), R64(2), R64(3)];
-        let per_recipient = share_ring_vec(&xs, 4, &mut prg);
-        assert_eq!(per_recipient.len(), 4);
-        for sv in &per_recipient {
-            assert_eq!(sv.scalar_count(), 3);
-        }
-        assert_eq!(reconstruct_ring_vec(&per_recipient), xs);
-    }
-
-    #[test]
-    fn field_vec_sharing_roundtrip() {
-        let mut prg = Prg::from_seed(6);
-        let xs = vec![F61::from_i64(-5), F61::from_i64(17)];
-        let per_recipient = share_field_vec(&xs, 3, &mut prg);
-        assert_eq!(reconstruct_field_vec(&per_recipient), xs);
-    }
-
-    #[test]
-    fn empty_vectors() {
-        let mut prg = Prg::from_seed(7);
-        let shared = share_ring_vec(&[], 3, &mut prg);
-        assert!(shared.iter().all(|s| s.scalar_count() == 0));
-        assert!(reconstruct_ring_vec(&shared).is_empty());
-        assert!(reconstruct_ring_vec(&[]).is_empty());
-        assert!(reconstruct_field_vec(&[]).is_empty());
-    }
-
-    #[test]
     fn shares_debug_redacted() {
         let mut prg = Prg::from_seed(8);
-        let shares = share_ring(R64(0xDEAD), 3, &mut prg);
+        let shares = share_field(F61::new(0xDEAD), 3, &mut prg);
         assert_eq!(format!("{shares:?}"), "Secret { <redacted> }");
     }
 }

@@ -754,7 +754,7 @@ mod tests {
             };
             let (results, _, _) = Network::run_parties_detailed_with(2, seed, &opts, |ctx| {
                 let tag = ctx.fresh_tag();
-                ctx.exchange_sum_ring(tag, &[crate::ring::R64(ctx.id() as u64 + 1)])
+                ctx.exchange_sum(tag, &[crate::ring::R64(ctx.id() as u64 + 1)])
             })
             .unwrap();
             for r in results {

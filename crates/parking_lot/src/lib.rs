@@ -42,34 +42,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose accessors never return `Result`s.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard, recovering from poisoning.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires an exclusive write guard, recovering from poisoning.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,13 +64,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 0);
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

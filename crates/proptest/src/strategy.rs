@@ -33,19 +33,6 @@ pub trait Strategy {
     {
         FlatMap { inner: self, f }
     }
-
-    /// Rejects generated values failing the predicate (bounded retries).
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
 }
 
 impl<S: Strategy + ?Sized> Strategy for &S {
@@ -97,30 +84,6 @@ where
     }
 }
 
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.sample(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter {:?} rejected 1000 candidates", self.whence);
-    }
-}
-
 /// Always produces a clone of one value.
 #[derive(Debug, Clone)]
 pub struct Just<T: Clone>(pub T);
@@ -155,11 +118,6 @@ impl Arbitrary for i64 {
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.next_f64()
     }
 }
 
@@ -209,7 +167,7 @@ macro_rules! float_strategy {
         }
     )*};
 }
-float_strategy!(f32, f64);
+float_strategy!(f64);
 
 macro_rules! tuple_strategy {
     ($(($($name:ident),+))*) => {$(
@@ -332,12 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn map_flat_map_filter_compose() {
+    fn map_flat_map_compose() {
         let mut r = rng();
         let s = (1usize..4)
             .prop_flat_map(|n| vec(0.0f64..1.0, n))
-            .prop_map(|v| v.len())
-            .prop_filter("nonzero", |&n| n > 0);
+            .prop_map(|v| v.len());
         for _ in 0..50 {
             let n = s.sample(&mut r);
             assert!((1..4).contains(&n));

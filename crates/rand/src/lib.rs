@@ -60,11 +60,6 @@ impl Standard for f64 {
         (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 / (1u32 << 24) as f32
-    }
-}
 
 /// Ranges that `Rng::gen_range` accepts.
 pub trait SampleRange<T> {
@@ -118,7 +113,7 @@ macro_rules! float_range {
         }
     )*};
 }
-float_range!(f32, f64);
+float_range!(f64);
 
 /// High-level sampling helpers, auto-implemented for every [`RngCore`].
 pub trait Rng: RngCore {

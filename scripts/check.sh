@@ -198,4 +198,11 @@ cargo run --release -p dash-bench --bin run_all
 echo "== non-test lines per crate (scripts/loc.sh)"
 scripts/loc.sh
 
+echo "== pub fns with no non-test caller (scripts/unused.sh, advisory)"
+# The sweep a simplicity PR starts from, by loc.sh's rule for what is
+# test code. Names shared with another item under-report (the safe
+# direction); the test-side inverses (`reconstruct_field*`,
+# `decode_field`) and `PartyCtx::rng_mut` are listed on purpose.
+scripts/unused.sh
+
 echo "== done"

@@ -48,8 +48,8 @@ fn secure_scan_equals_pooled_for_every_mode_combination() {
     ] {
         for agg in [
             AggregationMode::Public,
-            AggregationMode::SecureShares,
             AggregationMode::MaskedPrg,
+            AggregationMode::MaskedStar,
             AggregationMode::BeaverDots,
         ] {
             let cfg = SecureScanConfig {

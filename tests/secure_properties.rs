@@ -41,8 +41,8 @@ proptest! {
         let reference = associate(&pool_parties(&parties).unwrap()).unwrap();
         let agg = [
             AggregationMode::Public,
-            AggregationMode::SecureShares,
             AggregationMode::MaskedPrg,
+            AggregationMode::MaskedStar,
             AggregationMode::BeaverDots,
         ][mode_idx];
         let cfg = SecureScanConfig {
@@ -104,7 +104,7 @@ proptest! {
     #[test]
     fn faulty_networks_finish_or_fail_structured(
         p in 2usize..=5,
-        mode_idx in 0usize..5,
+        mode_idx in 0usize..4,
         fault_idx in 0usize..3,
         fault_seed in 0u64..1_000,
     ) {
@@ -113,7 +113,6 @@ proptest! {
         let reference = associate(&pool_parties(&parties).unwrap()).unwrap();
         let agg = [
             AggregationMode::Public,
-            AggregationMode::SecureShares,
             AggregationMode::MaskedPrg,
             AggregationMode::MaskedStar,
             AggregationMode::BeaverDots,
