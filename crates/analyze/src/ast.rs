@@ -103,7 +103,9 @@ pub struct ImplBlock {
     pub fns: Vec<Fun>,
 }
 
-/// A module with a body (`mod m { … }`).
+/// A module with a body (`mod m { … }`) — or the interior of an
+/// item-position macro invocation (`proptest! { … }`) read as items,
+/// named after the macro.
 #[derive(Debug)]
 pub struct ModDef {
     pub name: String,
@@ -365,11 +367,12 @@ impl Expr {
     }
 
     /// Collect every identifier mentioned anywhere under this expression
-    /// (path segments, field and method names, macro raw idents).
+    /// (path segments, field and method names, macro raw idents), in
+    /// source order. Only the kinds that carry names of their own are
+    /// spelled out; the rest contribute their children's.
     pub fn collect_idents(&self, out: &mut Vec<String>) {
         match &self.kind {
             ExprKind::Path(segs) => out.extend(segs.iter().cloned()),
-            ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => {}
             ExprKind::Field(b, name) => {
                 b.collect_idents(out);
                 out.push(name.clone());
@@ -381,27 +384,12 @@ impl Expr {
                     a.collect_idents(out);
                 }
             }
-            ExprKind::Call { callee, args } => {
-                callee.collect_idents(out);
-                for a in args {
-                    a.collect_idents(out);
-                }
-            }
+            // The raw bag covers the args, parsed or not.
             ExprKind::Macro {
                 name, raw_idents, ..
             } => {
                 out.push(name.clone());
                 out.extend(raw_idents.iter().cloned());
-            }
-            ExprKind::Closure { body, .. } => body.collect_idents(out),
-            ExprKind::Binary(_, a, b) | ExprKind::Assign { lhs: a, rhs: b } => {
-                a.collect_idents(out);
-                b.collect_idents(out);
-            }
-            ExprKind::Unary(a) | ExprKind::Cast(a, _) | ExprKind::Try(a) => a.collect_idents(out),
-            ExprKind::Index { base, index } => {
-                base.collect_idents(out);
-                index.collect_idents(out);
             }
             ExprKind::StructLit { path, fields, base } => {
                 out.push(path.clone());
@@ -413,173 +401,166 @@ impl Expr {
                     b.collect_idents(out);
                 }
             }
-            ExprKind::Tuple(es) | ExprKind::Array(es) => {
-                for e in es {
-                    e.collect_idents(out);
-                }
-            }
-            ExprKind::If { cond, then, els } => {
-                cond.collect_idents(out);
-                block_idents(then, out);
-                if let Some(e) = els {
-                    e.collect_idents(out);
-                }
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                scrutinee.collect_idents(out);
-                for a in arms {
-                    if let Some(g) = &a.guard {
-                        g.collect_idents(out);
-                    }
-                    a.body.collect_idents(out);
-                }
-            }
-            ExprKind::While { cond, body } => {
-                cond.collect_idents(out);
-                block_idents(body, out);
-            }
-            ExprKind::ForLoop { iter, body, .. } => {
-                iter.collect_idents(out);
-                block_idents(body, out);
-            }
-            ExprKind::Loop(b) | ExprKind::Block(b) => block_idents(b, out),
-            ExprKind::Return(e) | ExprKind::Break(e) => {
-                if let Some(e) = e {
-                    e.collect_idents(out);
-                }
-            }
-            ExprKind::Range(a, b) => {
-                if let Some(a) = a {
-                    a.collect_idents(out);
-                }
-                if let Some(b) = b {
-                    b.collect_idents(out);
-                }
-            }
+            _ => self.for_each_child(&mut |c| c.collect_idents(out)),
         }
     }
-}
 
-fn block_idents(b: &Block, out: &mut Vec<String>) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let { init, .. } => {
-                if let Some(e) = init {
-                    e.collect_idents(out);
-                }
-            }
-            Stmt::Expr { expr, .. } => expr.collect_idents(out),
-            Stmt::Item(_) | Stmt::Empty => {}
-        }
-    }
-}
-
-impl Expr {
     /// Visit this expression and every sub-expression, pre-order. Blocks
-    /// (bodies, arms, closures, `let` initializers) are traversed too, so
-    /// one call covers a whole function body via [`Block::walk`].
+    /// (bodies, arms, closures, `let` initializers and `else` blocks) are
+    /// traversed too, so one call covers a whole function body via
+    /// [`Block::walk`]. Nested items are functions of their own and are
+    /// not entered.
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
+        self.for_each_child(&mut |c| c.walk(f));
+    }
+
+    /// The one statement of what an expression contains: calls `f` on
+    /// each direct child — sub-expression or block — in source order.
+    /// Every traversal in the analyzer descends through here (or through
+    /// [`Stmt::for_each_child`]), so none can miss a position another
+    /// sees.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        let mut expr = |e: &'a Expr| f(Node::Expr(e));
         match &self.kind {
             ExprKind::Path(_) | ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => {}
-            ExprKind::Field(b, _)
-            | ExprKind::Unary(b)
-            | ExprKind::Cast(b, _)
-            | ExprKind::Try(b) => b.walk(f),
-            ExprKind::MethodCall { recv, args, .. } => {
-                recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                callee.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
+            ExprKind::Field(a, _)
+            | ExprKind::Unary(a)
+            | ExprKind::Cast(a, _)
+            | ExprKind::Try(a)
+            | ExprKind::Closure { body: a, .. } => expr(a),
+            ExprKind::MethodCall { recv: a, args, .. } | ExprKind::Call { callee: a, args } => {
+                expr(a);
+                args.iter().for_each(expr);
             }
             ExprKind::Macro { args, .. } | ExprKind::Tuple(args) | ExprKind::Array(args) => {
-                for a in args {
-                    a.walk(f);
-                }
+                args.iter().for_each(expr)
             }
-            ExprKind::Closure { body, .. } => body.walk(f),
-            ExprKind::Binary(_, a, b) | ExprKind::Assign { lhs: a, rhs: b } => {
-                a.walk(f);
-                b.walk(f);
-            }
-            ExprKind::Index { base, index } => {
-                base.walk(f);
-                index.walk(f);
+            ExprKind::Binary(_, a, b)
+            | ExprKind::Assign { lhs: a, rhs: b }
+            | ExprKind::Index { base: a, index: b } => {
+                expr(a);
+                expr(b);
             }
             ExprKind::StructLit { fields, base, .. } => {
-                for (_, e) in fields {
-                    e.walk(f);
-                }
-                if let Some(b) = base {
-                    b.walk(f);
-                }
+                fields.iter().for_each(|(_, e)| expr(e));
+                base.iter().for_each(|e| expr(e));
             }
+            ExprKind::Return(a) | ExprKind::Break(a) => a.iter().for_each(|e| expr(e)),
+            ExprKind::Range(a, b) => a.iter().chain(b).for_each(|e| expr(e)),
             ExprKind::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk(f);
+                expr(cond);
+                f(Node::Block(then));
                 if let Some(e) = els {
-                    e.walk(f);
+                    f(Node::Expr(e));
                 }
             }
             ExprKind::Match { scrutinee, arms } => {
-                scrutinee.walk(f);
+                expr(scrutinee);
                 for a in arms {
-                    if let Some(g) = &a.guard {
-                        g.walk(f);
-                    }
-                    a.body.walk(f);
+                    a.guard.iter().for_each(&mut expr);
+                    expr(&a.body);
                 }
             }
-            ExprKind::While { cond, body } => {
-                cond.walk(f);
-                body.walk(f);
+            ExprKind::While { cond: a, body } | ExprKind::ForLoop { iter: a, body, .. } => {
+                expr(a);
+                f(Node::Block(body));
             }
-            ExprKind::ForLoop { iter, body, .. } => {
-                iter.walk(f);
-                body.walk(f);
+            ExprKind::Loop(b) | ExprKind::Block(b) => f(Node::Block(b)),
+        }
+    }
+}
+
+/// A direct child of an expression, statement or block.
+#[derive(Clone, Copy)]
+pub enum Node<'a> {
+    Expr(&'a Expr),
+    Block(&'a Block),
+    /// An item nested in a body: a unit of its own to every pass, found
+    /// by [`for_each_item`].
+    Item(&'a Item),
+}
+
+impl<'a> Node<'a> {
+    pub fn for_each_child(self, f: &mut impl FnMut(Node<'a>)) {
+        match self {
+            Node::Expr(e) => e.for_each_child(f),
+            Node::Block(b) => b.for_each_child(f),
+            Node::Item(_) => {}
+        }
+    }
+
+    fn collect_idents(self, out: &mut Vec<String>) {
+        match self {
+            Node::Expr(e) => e.collect_idents(out),
+            _ => self.for_each_child(&mut |c| c.collect_idents(out)),
+        }
+    }
+
+    fn walk(self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Node::Expr(e) => e.walk(f),
+            _ => self.for_each_child(&mut |c| c.walk(f)),
+        }
+    }
+}
+
+impl Stmt {
+    /// A statement's children in source order: a `let`'s initializer and
+    /// `else` block, an expression, or a nested item.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        match self {
+            Stmt::Let {
+                init, else_block, ..
+            } => {
+                init.iter().for_each(|e| f(Node::Expr(e)));
+                else_block.iter().for_each(|b| f(Node::Block(b)));
             }
-            ExprKind::Loop(b) | ExprKind::Block(b) => b.walk(f),
-            ExprKind::Return(e) | ExprKind::Break(e) => {
-                if let Some(e) = e {
-                    e.walk(f);
-                }
-            }
-            ExprKind::Range(a, b) => {
-                if let Some(a) = a {
-                    a.walk(f);
-                }
-                if let Some(b) = b {
-                    b.walk(f);
-                }
-            }
+            Stmt::Expr { expr, .. } => f(Node::Expr(expr)),
+            Stmt::Item(item) => f(Node::Item(item)),
+            Stmt::Empty => {}
         }
     }
 }
 
 impl Block {
+    /// Every statement's children, in source order.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        self.stmts.iter().for_each(|s| s.for_each_child(f));
+    }
+
+    /// See [`Expr::collect_idents`].
+    pub fn collect_idents(&self, out: &mut Vec<String>) {
+        Node::Block(self).collect_idents(out);
+    }
+
     /// Visit every expression in the block, pre-order (see [`Expr::walk`]).
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        for s in &self.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        e.walk(f);
-                    }
-                    if let Some(b) = else_block {
-                        b.walk(f);
-                    }
-                }
-                Stmt::Expr { expr, .. } => expr.walk(f),
-                Stmt::Item(_) | Stmt::Empty => {}
-            }
+        Node::Block(self).walk(f);
+    }
+}
+
+/// Visits every item under `items`, pre-order: through modules, and
+/// through items nested in the body of any `fn` (free, or in an `impl` or
+/// `trait`). The flat view every whole-file pass starts from, so a `fn`
+/// inside a body is analysed like any other.
+pub fn for_each_item<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
+    fn nested<'a>(n: Node<'a>, f: &mut impl FnMut(&'a Item)) {
+        match n {
+            Node::Item(item) => for_each_item(std::slice::from_ref(item), f),
+            _ => n.for_each_child(&mut |c| nested(c, f)),
+        }
+    }
+    for item in items {
+        f(item);
+        match item {
+            Item::Mod(md) => for_each_item(&md.items, f),
+            Item::Fn(fun) => nested(Node::Block(&fun.body), f),
+            Item::Impl(ib) => ib
+                .fns
+                .iter()
+                .for_each(|fun| nested(Node::Block(&fun.body), f)),
+            Item::Struct(_) | Item::Other => {}
         }
     }
 }

@@ -40,7 +40,7 @@
 //! in-tree is `F61::inverse`, whose `Option` return is inherently a
 //! branch on invertibility).
 
-use crate::ast::{BinOp, Block, Expr, ExprKind, Stmt};
+use crate::ast::{BinOp, Block, Expr, ExprKind, Node, Stmt};
 use crate::model::FileModel;
 use crate::registry::Registry;
 use crate::Finding;
@@ -121,117 +121,24 @@ fn self_is_secret(rel: &str) -> bool {
     basename(rel) != "fixed.rs"
 }
 
-/// Collects the bare names every expression in a body calls, plus whether
-/// the body reaches an audited open (which ends propagation through it).
-fn body_calls(b: &Block, calls: &mut BTreeSet<String>, sanitizes: &mut bool) {
-    let mut idents = Vec::new();
-    for s in &b.stmts {
-        match s {
-            Stmt::Let { init, .. } => {
-                if let Some(e) = init {
-                    expr_calls(e, calls, sanitizes);
-                    e.collect_idents(&mut idents);
-                }
-            }
-            Stmt::Expr { expr, .. } => {
-                expr_calls(expr, calls, sanitizes);
-                expr.collect_idents(&mut idents);
-            }
-            Stmt::Item(_) | Stmt::Empty => {}
-        }
-    }
-    if idents.iter().any(|i| sanitizing_ident(i)) {
-        *sanitizes = true;
-    }
-}
-
-fn expr_calls(e: &Expr, calls: &mut BTreeSet<String>, sanitizes: &mut bool) {
-    match &e.kind {
-        ExprKind::Call { callee, args } => {
+/// The bare names every expression in a body calls, plus whether the
+/// body reaches an audited open (which ends propagation through it).
+fn body_calls(b: &Block) -> (BTreeSet<String>, bool) {
+    let mut calls = BTreeSet::new();
+    b.walk(&mut |e| match &e.kind {
+        ExprKind::Call { callee, .. } => {
             if let ExprKind::Path(segs) = &callee.kind {
-                if let Some(l) = segs.last() {
-                    calls.insert(l.clone());
-                }
-            } else {
-                expr_calls(callee, calls, sanitizes);
-            }
-            for a in args {
-                expr_calls(a, calls, sanitizes);
+                calls.extend(segs.last().cloned());
             }
         }
-        ExprKind::MethodCall { recv, name, args } => {
+        ExprKind::MethodCall { name, .. } => {
             calls.insert(name.clone());
-            expr_calls(recv, calls, sanitizes);
-            for a in args {
-                expr_calls(a, calls, sanitizes);
-            }
         }
-        ExprKind::Closure { body, .. } => expr_calls(body, calls, sanitizes),
-        ExprKind::Binary(_, a, b) | ExprKind::Assign { lhs: a, rhs: b } => {
-            expr_calls(a, calls, sanitizes);
-            expr_calls(b, calls, sanitizes);
-        }
-        ExprKind::Unary(i) | ExprKind::Try(i) | ExprKind::Cast(i, _) => {
-            expr_calls(i, calls, sanitizes)
-        }
-        ExprKind::Index { base, index } => {
-            expr_calls(base, calls, sanitizes);
-            expr_calls(index, calls, sanitizes);
-        }
-        ExprKind::StructLit { fields, base, .. } => {
-            for (_, fe) in fields {
-                expr_calls(fe, calls, sanitizes);
-            }
-            if let Some(b) = base {
-                expr_calls(b, calls, sanitizes);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) | ExprKind::Macro { args: es, .. } => {
-            for x in es {
-                expr_calls(x, calls, sanitizes);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            expr_calls(cond, calls, sanitizes);
-            body_calls(then, calls, sanitizes);
-            if let Some(e) = els {
-                expr_calls(e, calls, sanitizes);
-            }
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            expr_calls(scrutinee, calls, sanitizes);
-            for a in arms {
-                if let Some(g) = &a.guard {
-                    expr_calls(g, calls, sanitizes);
-                }
-                expr_calls(&a.body, calls, sanitizes);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            expr_calls(cond, calls, sanitizes);
-            body_calls(body, calls, sanitizes);
-        }
-        ExprKind::ForLoop { iter, body, .. } => {
-            expr_calls(iter, calls, sanitizes);
-            body_calls(body, calls, sanitizes);
-        }
-        ExprKind::Loop(b) | ExprKind::Block(b) => body_calls(b, calls, sanitizes),
-        ExprKind::Return(v) | ExprKind::Break(v) => {
-            if let Some(v) = v {
-                expr_calls(v, calls, sanitizes);
-            }
-        }
-        ExprKind::Range(a, b) => {
-            if let Some(a) = a {
-                expr_calls(a, calls, sanitizes);
-            }
-            if let Some(b) = b {
-                expr_calls(b, calls, sanitizes);
-            }
-        }
-        ExprKind::Field(b, _) => expr_calls(b, calls, sanitizes),
-        ExprKind::Path(_) | ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => {}
-    }
+        _ => {}
+    });
+    let mut idents = Vec::new();
+    b.collect_idents(&mut idents);
+    (calls, idents.iter().any(|i| sanitizing_ident(i)))
 }
 
 /// The element-producing call-graph closure: seeds are non-test fns whose
@@ -255,9 +162,7 @@ fn element_fns(reg: &Registry) -> BTreeSet<String> {
         let Some(m) = reg.models.get(e.model) else {
             continue;
         };
-        let mut calls = BTreeSet::new();
-        let mut sanitizes = false;
-        body_calls(&e.fun.body, &mut calls, &mut sanitizes);
+        let (calls, sanitizes) = body_calls(&e.fun.body);
         let seed = !m.rel.ends_with("mpc/src/secret.rs")
             && (e.fun.ret.idents.iter().any(|i| secret_type_ident(i))
                 || (is_word_module(&m.rel) && e.fun.ret.mentions("Self")));
@@ -289,22 +194,35 @@ fn element_fns(reg: &Registry) -> BTreeSet<String> {
     tainted
 }
 
-/// First tainted value read by `e`, if any: a tainted local (or a field
-/// projection rooted at one), or a call into the element-producing graph.
-/// Chains through public-metadata methods are clean. `casts_opaque`
-/// selects binary-operand semantics, where `as` launders provenance.
+/// First tainted value read under `n`, in source order, if any: a tainted
+/// local (or a field projection rooted at one), or a call into the
+/// element-producing graph. Chains through public-metadata methods are
+/// clean. `casts_opaque` selects binary-operand semantics, where `as`
+/// launders provenance.
 fn offender(
-    e: &Expr,
+    n: Node,
     locals: &BTreeSet<String>,
     fns: &BTreeSet<String>,
     casts_opaque: bool,
 ) -> Option<String> {
-    let walk = |x: &Expr| offender(x, locals, fns, casts_opaque);
+    let walk = |x: &Expr| offender(Node::Expr(x), locals, fns, casts_opaque);
+    let children = |n: Node| {
+        let mut first = None;
+        n.for_each_child(&mut |c| {
+            if first.is_none() {
+                first = offender(c, locals, fns, casts_opaque);
+            }
+        });
+        first
+    };
+    let Node::Expr(e) = n else {
+        return children(n);
+    };
     match &e.kind {
-        ExprKind::Path(segs) if segs.len() == 1 && locals.contains(&segs[0]) => {
-            Some(segs[0].clone())
-        }
-        ExprKind::Path(_) | ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => None,
+        ExprKind::Path(segs) => match segs.as_slice() {
+            [local] if locals.contains(local) => Some(local.clone()),
+            _ => None,
+        },
         ExprKind::Field(base, _) => {
             if let Some(p) = e.place() {
                 let root = p.split('.').next().unwrap_or("");
@@ -336,65 +254,9 @@ fn offender(
             }
             args.iter().find_map(walk)
         }
-        ExprKind::Cast(i, _) => {
-            if casts_opaque {
-                None
-            } else {
-                walk(i)
-            }
-        }
-        ExprKind::Unary(i) | ExprKind::Try(i) => walk(i),
-        ExprKind::Binary(_, a, b) | ExprKind::Assign { lhs: a, rhs: b } => {
-            walk(a).or_else(|| walk(b))
-        }
-        ExprKind::Index { base, index } => walk(base).or_else(|| walk(index)),
-        ExprKind::Macro { args, .. } | ExprKind::Tuple(args) | ExprKind::Array(args) => {
-            args.iter().find_map(walk)
-        }
-        ExprKind::StructLit { fields, base, .. } => fields
-            .iter()
-            .find_map(|(_, fe)| walk(fe))
-            .or_else(|| base.as_deref().and_then(walk)),
-        ExprKind::Closure { body, .. } => walk(body),
-        ExprKind::If { cond, then, els } => walk(cond)
-            .or_else(|| block_offender(then, locals, fns, casts_opaque))
-            .or_else(|| els.as_deref().and_then(walk)),
-        ExprKind::Match { scrutinee, arms } => walk(scrutinee).or_else(|| {
-            arms.iter()
-                .find_map(|a| a.guard.as_ref().and_then(&walk).or_else(|| walk(&a.body)))
-        }),
-        ExprKind::While { cond, body } => {
-            walk(cond).or_else(|| block_offender(body, locals, fns, casts_opaque))
-        }
-        ExprKind::ForLoop { iter, body, .. } => {
-            walk(iter).or_else(|| block_offender(body, locals, fns, casts_opaque))
-        }
-        ExprKind::Loop(b) | ExprKind::Block(b) => block_offender(b, locals, fns, casts_opaque),
-        ExprKind::Return(v) | ExprKind::Break(v) => v.as_deref().and_then(walk),
-        ExprKind::Range(a, b) => a
-            .as_deref()
-            .and_then(&walk)
-            .or_else(|| b.as_deref().and_then(walk)),
+        ExprKind::Cast(..) if casts_opaque => None,
+        _ => children(n),
     }
-}
-
-fn block_offender(
-    b: &Block,
-    locals: &BTreeSet<String>,
-    fns: &BTreeSet<String>,
-    casts_opaque: bool,
-) -> Option<String> {
-    for s in &b.stmts {
-        let e = match s {
-            Stmt::Let { init: Some(e), .. } => e,
-            Stmt::Expr { expr, .. } => expr,
-            _ => continue,
-        };
-        if let Some(o) = offender(e, locals, fns, casts_opaque) {
-            return Some(o);
-        }
-    }
-    None
 }
 
 fn op_str(op: BinOp) -> Option<&'static str> {
@@ -436,84 +298,61 @@ impl CtScan<'_> {
         });
     }
 
+    fn offender(&self, e: &Expr, casts_opaque: bool) -> Option<String> {
+        offender(Node::Expr(e), &self.locals, self.fns, casts_opaque)
+    }
+
+    fn scan(&mut self, n: Node) {
+        match n {
+            Node::Expr(e) => self.scan_expr(e),
+            Node::Block(b) => self.scan_block(b),
+            // A nested fn is a registry entry of its own.
+            Node::Item(_) => {}
+        }
+    }
+
     fn scan_block(&mut self, b: &Block) {
         for s in &b.stmts {
-            match s {
-                Stmt::Let { pat, init, .. } => {
-                    if let Some(e) = init {
-                        self.scan_expr(e);
-                        // Locals bound from tainted expressions join the
-                        // taint set (forward pass: later statements see
-                        // earlier bindings).
-                        if offender(e, &self.locals, self.fns, false).is_some() {
-                            let mut binds = Vec::new();
-                            pat.bindings(&mut binds);
-                            self.locals.extend(binds);
-                        }
-                    }
+            s.for_each_child(&mut |c| self.scan(c));
+            // Locals bound from tainted expressions join the taint set
+            // (forward pass: later statements see earlier bindings).
+            if let Stmt::Let {
+                pat, init: Some(e), ..
+            } = s
+            {
+                if self.offender(e, false).is_some() {
+                    let mut binds = Vec::new();
+                    pat.bindings(&mut binds);
+                    self.locals.extend(binds);
                 }
-                Stmt::Expr { expr, .. } => self.scan_expr(expr),
-                Stmt::Item(_) | Stmt::Empty => {}
             }
         }
     }
 
+    /// Checks the shape of `e` itself, then everything under it.
     fn scan_expr(&mut self, e: &Expr) {
+        let branch = match &e.kind {
+            ExprKind::If { cond, .. } => Some(("if", cond)),
+            ExprKind::While { cond, .. } => Some(("while", cond)),
+            ExprKind::Match { scrutinee, .. } => Some(("match", scrutinee)),
+            _ => None,
+        };
+        if let Some((kw, cond)) = branch {
+            if let Some(name) = self.offender(cond, false) {
+                self.push(
+                    e.line,
+                    format!(
+                        "`{kw}` branches on secret value `{name}` — control flow must not \
+                         depend on share material; use the ctime mask primitives \
+                         (ct_select / ct_eq) instead"
+                    ),
+                );
+            }
+        }
         match &e.kind {
-            ExprKind::If { cond, then, els } => {
-                if let Some(name) = offender(cond, &self.locals, self.fns, false) {
-                    self.push(
-                        e.line,
-                        format!(
-                            "`if` branches on secret value `{name}` — control flow must not \
-                             depend on share material; use the ctime mask primitives \
-                             (ct_select / ct_eq) instead"
-                        ),
-                    );
-                }
-                self.scan_expr(cond);
-                self.scan_block(then);
-                if let Some(x) = els {
-                    self.scan_expr(x);
-                }
-            }
-            ExprKind::While { cond, body } => {
-                if let Some(name) = offender(cond, &self.locals, self.fns, false) {
-                    self.push(
-                        e.line,
-                        format!(
-                            "`while` branches on secret value `{name}` — control flow must not \
-                             depend on share material; use the ctime mask primitives \
-                             (ct_select / ct_eq) instead"
-                        ),
-                    );
-                }
-                self.scan_expr(cond);
-                self.scan_block(body);
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                if let Some(name) = offender(scrutinee, &self.locals, self.fns, false) {
-                    self.push(
-                        e.line,
-                        format!(
-                            "`match` branches on secret value `{name}` — control flow must not \
-                             depend on share material; use the ctime mask primitives \
-                             (ct_select / ct_eq) instead"
-                        ),
-                    );
-                }
-                self.scan_expr(scrutinee);
-                for a in arms {
-                    if let Some(g) = &a.guard {
-                        self.scan_expr(g);
-                    }
-                    self.scan_expr(&a.body);
-                }
-            }
             ExprKind::Binary(op, a, b) => {
                 if let Some(ops) = op_str(*op) {
-                    let off = offender(a, &self.locals, self.fns, true)
-                        .or_else(|| offender(b, &self.locals, self.fns, true));
+                    let off = self.offender(a, true).or_else(|| self.offender(b, true));
                     if let Some(name) = off {
                         let what = match ops {
                             "%" | "/" => "divides/reduces",
@@ -529,11 +368,9 @@ impl CtScan<'_> {
                         );
                     }
                 }
-                self.scan_expr(a);
-                self.scan_expr(b);
             }
-            ExprKind::Index { base, index } => {
-                if let Some(name) = offender(index, &self.locals, self.fns, false) {
+            ExprKind::Index { index, .. } => {
+                if let Some(name) = self.offender(index, false) {
                     self.push(
                         e.line,
                         format!(
@@ -542,72 +379,19 @@ impl CtScan<'_> {
                         ),
                     );
                 }
-                self.scan_expr(base);
-                self.scan_expr(index);
             }
-            ExprKind::Field(b, _)
-            | ExprKind::Unary(b)
-            | ExprKind::Try(b)
-            | ExprKind::Cast(b, _) => self.scan_expr(b),
-            ExprKind::MethodCall { recv, args, .. } => {
-                self.scan_expr(recv);
-                for a in args {
-                    self.scan_expr(a);
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                self.scan_expr(callee);
-                for a in args {
-                    self.scan_expr(a);
-                }
-            }
-            ExprKind::Macro { args, .. } | ExprKind::Tuple(args) | ExprKind::Array(args) => {
-                for a in args {
-                    self.scan_expr(a);
-                }
-            }
-            ExprKind::StructLit { fields, base, .. } => {
-                for (_, fe) in fields {
-                    self.scan_expr(fe);
-                }
-                if let Some(b) = base {
-                    self.scan_expr(b);
-                }
-            }
-            ExprKind::Closure { body, .. } => self.scan_expr(body),
-            ExprKind::Assign { lhs, rhs } => {
-                self.scan_expr(lhs);
-                self.scan_expr(rhs);
-            }
-            ExprKind::Loop(b) | ExprKind::Block(b) => self.scan_block(b),
-            ExprKind::ForLoop { iter, body, .. } => {
-                self.scan_expr(iter);
-                self.scan_block(body);
-            }
-            ExprKind::Return(v) | ExprKind::Break(v) => {
-                if let Some(v) = v {
-                    self.scan_expr(v);
-                }
-            }
-            ExprKind::Range(a, b) => {
-                if let Some(a) = a {
-                    self.scan_expr(a);
-                }
-                if let Some(b) = b {
-                    self.scan_expr(b);
-                }
-            }
-            ExprKind::Path(_) | ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => {}
+            _ => {}
         }
+        e.for_each_child(&mut |c| self.scan(c));
     }
 }
 
-/// Runs the constant-time lint over a set of (secure-scope) file models.
-/// The whole model set feeds the element-producing call-graph closure;
-/// only the arithmetic/share modules are scanned for violating shapes.
-pub fn run(models: &[FileModel]) -> Vec<Finding> {
-    let reg = Registry::build(models);
-    let tainted_fns = element_fns(&reg);
+/// Runs the constant-time lint over the registry of a set of
+/// (secure-scope) file models. The whole set feeds the element-producing
+/// call-graph closure; only the arithmetic/share modules are scanned for
+/// violating shapes.
+pub(crate) fn run(reg: &Registry) -> Vec<Finding> {
+    let tainted_fns = element_fns(reg);
     let mut out: Vec<Finding> = Vec::new();
     for e in &reg.fns {
         if e.fun.is_test {
@@ -656,7 +440,8 @@ mod tests {
     use crate::model::FileModel;
 
     fn run_on(rel: &str, src: &str) -> Vec<Finding> {
-        run(std::slice::from_ref(&FileModel::parse(rel, src)))
+        let models = [FileModel::parse(rel, src)];
+        run(&Registry::build(&models))
     }
 
     #[test]

@@ -1,29 +1,5 @@
-//! Hand-rolled JSON reader and writer (no serde, per the vendored-shim
-//! policy): [`json_str`] escapes strings for the `--format json` report,
+//! Hand-rolled JSON reader (no serde, per the vendored-shim policy):
 //! [`parse_json`] reads `dash-trace/1` exports for `--validate-trace`.
-
-use std::fmt::Write as _;
-
-/// JSON string literal with escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Minimal JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,8 +203,6 @@ mod tests {
 
     #[test]
     fn json_escapes() {
-        let s = json_str("a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
         let v = parse_json("{\"k\": \"a\\\"b\\\\c\\nd\", \"n\": [1, 2.5], \"t\": true}").unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(obj[0].1.as_str(), Some("a\"b\\c\nd"));

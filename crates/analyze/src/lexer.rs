@@ -120,7 +120,10 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 });
                 line += nl;
             }
-            b'\'' => {
+            // A quote, or the `b` of a byte literal (`b'x'`).
+            b'\'' | b'b'
+                if c == b'\'' || (b.get(i + 1) == Some(&b'\'') && !is_lifetime_at(b, i + 1)) =>
+            {
                 // Lifetime if 'ident not closed by a quote; else char.
                 if is_lifetime_at(b, i) {
                     let start = i;
@@ -135,7 +138,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     });
                 } else {
                     let start = i;
-                    i += 1;
+                    i += if c == b'b' { 2 } else { 1 };
                     while i < b.len() {
                         if b[i] == b'\\' {
                             i += 2;
@@ -195,7 +198,9 @@ fn scan_string(b: &[u8], src: &str, i: &mut usize) -> (String, usize) {
     *i += 1;
     while *i < b.len() {
         match b[*i] {
-            b'\\' => *i += 2,
+            // An escaped newline (line continuation) is still a line: it
+            // is left for the `\n` arm to count.
+            b'\\' if b.get(*i + 1) != Some(&b'\n') => *i += 2,
             b'\n' => {
                 nl += 1;
                 *i += 1;
@@ -246,7 +251,7 @@ fn scan_raw_or_byte(b: &[u8], src: &str, i: &mut usize) -> (String, usize) {
     let mut nl = 0;
     while *i < b.len() {
         match b[*i] {
-            b'\\' if !raw => *i += 2,
+            b'\\' if !raw && b.get(*i + 1) != Some(&b'\n') => *i += 2,
             b'\n' => {
                 nl += 1;
                 *i += 1;
@@ -306,6 +311,29 @@ mod tests {
             .iter()
             .any(|(k, t)| *k == TokKind::Str && t.contains("quoted")));
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "x"));
+    }
+
+    #[test]
+    fn byte_literals_are_one_char_token() {
+        // Regression: `b'"'` lexed as ident `b` + char, so a match arm
+        // with a byte-literal pattern derailed the parser.
+        let toks = lex(r#"match c { b'"' => 1, b'\'' => 2, b'a' => 3, _ => 4 }"#);
+        let chars: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Char)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(chars, vec![r#"b'"'"#, r"b'\''", "b'a'"]);
+        assert!(!toks.iter().any(|t| t.is_ident("b")));
+    }
+
+    #[test]
+    fn escaped_newline_in_a_string_still_counts_as_a_line() {
+        // Regression: a `\`-continued string literal dropped a line, so
+        // every later token (and finding) in the file was numbered low.
+        let toks = lex("let s = \"a \\\n b\";\nlet t = b\"c \\\n d\";\nend");
+        let end = toks.iter().find(|t| t.is_ident("end")).unwrap();
+        assert_eq!(end.line, 5);
     }
 
     #[test]

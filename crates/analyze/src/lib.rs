@@ -39,7 +39,7 @@
 //! — which applies to the enclosing (or immediately following) function.
 //!
 //! The analyzer is self-contained by design: a hand-rolled lexer, parser
-//! and JSON reader/writer, no registry access, consistent with the
+//! and JSON reader, no registry access, consistent with the
 //! workspace's vendored-shim policy.
 //!
 //! [`DisclosureLog`]: ../dash_mpc/audit/struct.DisclosureLog.html
@@ -76,6 +76,17 @@ pub struct Finding {
     pub snippet: String,
 }
 
+/// What one analysis run found, and over how much code: a verdict over an
+/// AST that has lost functions must not read like one over all of them.
+#[derive(Debug)]
+pub struct Report {
+    pub findings: Vec<Finding>,
+    /// Files analyzed.
+    pub files: usize,
+    /// Functions the AST passes saw in them (test code included).
+    pub functions: usize,
+}
+
 /// Whether a repo-relative path is in the secure scope the deny lints
 /// cover.
 pub fn in_scope(rel: &str) -> bool {
@@ -93,21 +104,26 @@ pub fn analyze_source(rel: &str, src: &str, scoped: bool) -> Vec<Finding> {
     if !scoped {
         return Vec::new();
     }
-    analyze_models(&[model::FileModel::parse(rel, src)])
+    analyze_models(&[model::FileModel::parse(rel, src)]).findings
 }
 
 /// The one pipeline: per-file lints, then the cross-function taint and
 /// constant-time passes over all of `models` at once.
-fn analyze_models(models: &[model::FileModel]) -> Vec<Finding> {
+fn analyze_models(models: &[model::FileModel]) -> Report {
     let mut findings: Vec<Finding> = models.iter().flat_map(lints::run_all).collect();
-    findings.extend(taint::run(models));
-    findings.extend(ct::run(models));
-    findings
+    let reg = registry::Registry::build(models);
+    findings.extend(taint::run(&reg));
+    findings.extend(ct::run(&reg));
+    Report {
+        findings,
+        files: models.len(),
+        functions: reg.fns.len(),
+    }
 }
 
 /// Walks the workspace under `root` and analyzes every in-scope `.rs` file
 /// beneath each crate's `src/` (plus the root package's `src/`, if any).
-pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -202,5 +218,48 @@ mod tests {
                 let _ = analyze_source(&rel_path(&root, &path), &src[..cut], true);
             }
         }
+    }
+
+    /// The brace tracker (`model::scan_items`) and the parser read the
+    /// same tokens independently. Every fn body the tracker finds in a
+    /// scoped file or a fixture must be a `Fun` in the AST — flattened
+    /// through mods, impls, traits and nested items — with the same name,
+    /// first and last line, and test scope: a parse slip that drops or
+    /// truncates functions fails here instead of quietly shrinking what
+    /// the AST passes look at.
+    #[test]
+    fn parser_agrees_with_brace_tracker() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        collect_rs(&root.join("crates"), &mut files).unwrap();
+        let mut lost = Vec::new();
+        for path in files {
+            let rel = rel_path(&root, &path);
+            if !in_scope(&rel) && !rel.contains("crates/analyze/tests/fixtures") {
+                continue;
+            }
+            let m = model::FileModel::parse(&rel, &fs::read_to_string(&path).unwrap());
+            let mut funs = Vec::new();
+            ast::for_each_item(&m.ast, &mut |item| match item {
+                ast::Item::Fn(f) => funs.push(f),
+                ast::Item::Impl(ib) => funs.extend(&ib.fns),
+                _ => {}
+            });
+            for sp in &m.fns {
+                let span = (sp.name.as_str(), sp.start_line, sp.end_line, sp.is_test);
+                if !funs
+                    .iter()
+                    .any(|f| (f.name.as_str(), f.line, f.end_line, f.is_test) == span)
+                {
+                    lost.push(format!("{rel}: {span:?}"));
+                }
+            }
+        }
+        assert!(
+            lost.is_empty(),
+            "{} fns the parser lost or mis-spanned (name, first line, last line, test):\n{}",
+            lost.len(),
+            lost.join("\n")
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! syntax rather than token windows. All passes skip test code and honour
 //! inline `// dash-analyze::allow(<lint>): …` pragmas (function scope).
 
-use crate::ast::{Expr, ExprKind, Item};
+use crate::ast::{for_each_item, Expr, ExprKind, Item};
 use crate::lexer::{Tok, TokKind};
 use crate::model::FileModel;
 use crate::Finding;
@@ -319,7 +319,7 @@ fn secret_ident(s: &str) -> bool {
 ///   JSON on the operator's machine, so these are formatter-like sinks —
 ///   only counts and static labels may flow in, never share/mask values.
 fn secret_taint(m: &FileModel, out: &mut Vec<Finding>) {
-    walk_items(&m.ast, &mut |item| secret_taint_item(m, item, out));
+    for_each_item(&m.ast, &mut |item| secret_taint_item(m, item, out));
 }
 
 const PRINTS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
@@ -335,16 +335,6 @@ const FORMATTERS: [&str; 9] = [
     "debug_assert_eq",
     "debug_assert_ne",
 ];
-
-/// Visit every item in the tree, recursing through modules and impls.
-fn walk_items<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
-    for item in items {
-        f(item);
-        if let Item::Mod(md) = item {
-            walk_items(&md.items, f);
-        }
-    }
-}
 
 fn secret_taint_item(m: &FileModel, item: &Item, out: &mut Vec<Finding>) {
     const LINT: &str = "secret-taint";

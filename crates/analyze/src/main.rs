@@ -1,29 +1,23 @@
 //! `dash-analyze` CLI: the workspace invariants gate.
 //!
 //! ```text
-//! dash-analyze [--root <dir>] [--format text|json|github]
+//! dash-analyze [--root <dir>]
 //! dash-analyze --validate-trace <trace.json>
 //! ```
 //!
 //! Exits 0 when the analysis reports no finding, 1 when the gate fails, 2
-//! on usage or I/O errors. `--format github` emits workflow-command
-//! annotations for CI. `--validate-trace` skips the workspace scan and
+//! on usage or I/O errors. `--validate-trace` skips the workspace scan and
 //! instead checks one `dash-trace/1` JSON export (as written by
 //! `dash secure-scan --trace-out`) for schema and conservation-invariant
 //! violations.
 
 use dash_analyze::analyze_workspace;
-use dash_analyze::report::{render_github, render_json, render_text};
+use dash_analyze::report::render_text;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    root: PathBuf,
-    format: String,
-}
-
 fn usage() -> String {
-    "usage: dash-analyze [--root <dir>] [--format text|json|github]\n\
+    "usage: dash-analyze [--root <dir>]\n\
      \x20      dash-analyze --validate-trace <trace.json>"
         .to_string()
 }
@@ -54,35 +48,24 @@ fn validate_trace_file(path: &str) -> ExitCode {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The workspace root to analyze: `--root`, else found from the cwd.
+fn parse_args() -> Result<PathBuf, String> {
     let mut root: Option<PathBuf> = None;
-    let mut format = "text".to_string();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
         match arg.as_str() {
-            "--root" => root = Some(PathBuf::from(take("--root")?)),
-            "--format" => {
-                format = take("--format")?;
-                if format != "text" && format != "json" && format != "github" {
-                    return Err(format!(
-                        "--format must be text, json, or github\n{}",
-                        usage()
-                    ));
-                }
-            }
+            "--root" => match it.next() {
+                Some(dir) => root = Some(PathBuf::from(dir)),
+                None => return Err(format!("--root needs a value\n{}", usage())),
+            },
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
-    let root = match root {
-        Some(r) => r,
-        None => find_root()?,
-    };
-    Ok(Args { root, format })
+    match root {
+        Some(r) => Ok(r),
+        None => find_root(),
+    }
 }
 
 /// Walks up from the current directory to the workspace root (the first
@@ -116,30 +99,28 @@ fn main() -> ExitCode {
             }
         };
     }
-    let args = match parse_args() {
-        Ok(a) => a,
+    let root = match parse_args() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
-    let mut findings = match analyze_workspace(&args.root) {
-        Ok(f) => f,
+    let mut report = match analyze_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!(
                 "dash-analyze: cannot read workspace at {}: {e}",
-                args.root.display()
+                root.display()
             );
             return ExitCode::from(2);
         }
     };
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    match args.format.as_str() {
-        "json" => print!("{}", render_json(&findings)),
-        "github" => print!("{}", render_github(&findings)),
-        _ => print!("{}", render_text(&findings)),
-    }
-    if findings.is_empty() {
+    report
+        .findings
+        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    print!("{}", render_text(&report));
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -176,7 +176,9 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
     let mut stack: Vec<Frame> = Vec::new();
     let mut test_depth = 0usize;
     let mut attr_is_test = false;
-    let mut pending_fn: Option<(String, usize, bool)> = None;
+    // (name, line, is_test, paren depth at the `fn` keyword): a `{` deeper
+    // than that is a struct pattern in the parameter list, not the body.
+    let mut pending_fn: Option<(String, usize, bool, usize)> = None;
     let mut pending_test_mod = false;
     let mut mod_start_line = 0usize;
     // Paren/bracket nesting, so the `;` inside an array type in a
@@ -216,7 +218,8 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
         match t.kind {
             TokKind::Ident if t.text == "fn" => {
                 if let Some(name) = code.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
-                    pending_fn = Some((name.text.clone(), t.line, attr_is_test || test_depth > 0));
+                    let is_test = attr_is_test || test_depth > 0;
+                    pending_fn = Some((name.text.clone(), t.line, is_test, pdepth));
                 }
                 attr_is_test = false;
                 adepth = 0;
@@ -259,7 +262,7 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
             }
             TokKind::Punct if t.is_punct('{') => {
                 adepth = 0;
-                if let Some((name, line, is_test)) = pending_fn.take() {
+                if let Some((name, line, is_test, _)) = pending_fn.take_if(|p| p.3 == pdepth) {
                     fns.push(FnSpan {
                         name,
                         body_start: i,
@@ -356,6 +359,22 @@ mod tests {
         );
         let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["lut", "after"]);
+    }
+
+    #[test]
+    fn struct_pattern_in_a_parameter_is_not_the_body() {
+        // Regression: the `{` of a destructuring parameter opened the fn
+        // body, so the span ended at the pattern's `}`.
+        let m = FileModel::parse(
+            "x.rs",
+            "fn wire(Frame { seq, tag }: Frame) -> Msg {\n    Msg { seq, tag }\n}\nfn after() {}",
+        );
+        let spans: Vec<(&str, usize, usize)> = m
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.start_line, f.end_line))
+            .collect();
+        assert_eq!(spans, vec![("wire", 1, 3), ("after", 4, 4)]);
     }
 
     #[test]

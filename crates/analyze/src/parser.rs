@@ -3,9 +3,14 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Never panic, never loop.** Every loop consumes at least one token
-//!    or breaks; malformed input degrades to [`ExprKind::Unknown`], not
-//!    an error. The analyzer is itself a panic-free gate.
+//! 1. **Never panic, never loop, never run past a closer.** Every
+//!    `(…)`/`[…]`/`{…}` group is matched once (`Parser::group`) and
+//!    parsed by a sub-parser that holds exactly its interior, so a
+//!    construct the parser gets wrong can garble at most the group it
+//!    sits in — never the enclosing item or the rest of the file. One
+//!    loop (`Parser::list`) owns element separators and the progress
+//!    guard. Malformed input degrades to [`ExprKind::Unknown`], not an
+//!    error. The analyzer is itself a panic-free gate.
 //! 2. **Faithful where the passes look.** Items, signatures, bodies,
 //!    `let`/`match` bindings, field projections, closures, and calls are
 //!    modeled structurally.
@@ -22,19 +27,51 @@ use crate::lexer::{Tok, TokKind};
 
 /// Parses a comment-free token stream into items.
 pub fn parse_items(code: &[Tok]) -> Vec<Item> {
-    let mut p = Parser { t: code, pos: 0 };
-    p.items(false)
+    let mut p = Parser {
+        t: code,
+        pos: 0,
+        end_line: code.last().map_or(1, |t| t.line),
+        in_test: false,
+        stmt_start: usize::MAX,
+    };
+    p.items()
 }
 
-/// Parses a standalone expression from a token slice (used for macro
-/// argument segments). Leftover tokens are ignored.
-fn parse_expr_slice(code: &[Tok]) -> Option<Expr> {
-    if code.is_empty() {
-        return None;
-    }
-    let mut p = Parser { t: code, pos: 0 };
-    Some(p.expr(false))
-}
+/// Operators spelled by more than one punct token, longest first.
+/// [`Parser::punct`] reads the longest one the adjacent tokens spell
+/// (maximal munch), so `-` is never the head of `->` or `-=`, `<` never
+/// that of `<<`, `=` never that of `==` or `=>`, `.` never that of `..`.
+const MULTI: [&str; 23] = [
+    "<<=", ">>=", "..=", "->", "=>", "::", "..", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+    "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=",
+];
+
+/// Binary operators with their precedence (higher binds tighter); all
+/// are parsed left-associative.
+const BINARY: [(&str, BinOp, u8); 18] = [
+    ("||", BinOp::Or, 1),
+    ("&&", BinOp::And, 2),
+    ("==", BinOp::Eq, 3),
+    ("!=", BinOp::Ne, 3),
+    ("<", BinOp::Lt, 3),
+    (">", BinOp::Gt, 3),
+    ("<=", BinOp::Le, 3),
+    (">=", BinOp::Ge, 3),
+    ("|", BinOp::BitOr, 4),
+    ("^", BinOp::BitXor, 5),
+    ("&", BinOp::BitAnd, 6),
+    ("<<", BinOp::Shl, 7),
+    (">>", BinOp::Shr, 7),
+    ("+", BinOp::Add, 8),
+    ("-", BinOp::Sub, 8),
+    ("*", BinOp::Mul, 9),
+    ("/", BinOp::Div, 9),
+    ("%", BinOp::Rem, 9),
+];
+
+const ASSIGN: [&str; 11] = [
+    "=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>=",
+];
 
 #[derive(Default)]
 struct Attrs {
@@ -44,8 +81,38 @@ struct Attrs {
 }
 
 struct Parser<'a> {
+    /// Exactly the tokens this parser may read: a whole file, or the
+    /// interior of one delimiter group.
     t: &'a [Tok],
     pos: usize,
+    /// Line of the group's closer (of the last token, for a file or an
+    /// unclosed group): where a construct the end of the slice cut short
+    /// is reported.
+    end_line: usize,
+    /// Inside a `#[test]` fn or `#[cfg(test)]` module: items nested in
+    /// a body inherit it.
+    in_test: bool,
+    /// Position of the first token of the statement or match-arm body
+    /// being parsed: a block-like expression starting there ends at its
+    /// brace (rustc's rule), so a following `(`/`[` starts new syntax.
+    stmt_start: usize,
+}
+
+fn is_open(t: &Tok) -> bool {
+    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
+}
+
+/// Whether `e` is an expression that ends at a closing brace.
+fn block_like(e: &Expr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::If { .. }
+            | ExprKind::Match { .. }
+            | ExprKind::While { .. }
+            | ExprKind::ForLoop { .. }
+            | ExprKind::Loop(_)
+            | ExprKind::Block(_)
+    )
 }
 
 impl<'a> Parser<'a> {
@@ -71,13 +138,18 @@ impl<'a> Parser<'a> {
         self.tok().is_some_and(|t| t.is_ident(s))
     }
 
-    fn is_ident_tok(&self) -> bool {
-        self.tok().is_some_and(|t| t.kind == TokKind::Ident)
+    fn is_kind(&self, kind: TokKind) -> bool {
+        self.tok().is_some_and(|t| t.kind == kind)
+    }
+
+    fn eat_kind(&mut self, kind: TokKind) -> bool {
+        let hit = self.is_kind(kind);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn line(&self) -> usize {
-        self.tok()
-            .map_or(self.t.last().map_or(1, |t| t.line), |t| t.line)
+        self.tok().map_or(self.end_line, |t| t.line)
     }
 
     fn bump(&mut self) {
@@ -85,20 +157,25 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_p(&mut self, c: char) -> bool {
-        if self.is_p(c) {
-            self.bump();
-            true
-        } else {
-            false
-        }
+        let hit = self.is_p(c);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn eat_id(&mut self, s: &str) -> bool {
-        if self.is_id(s) {
-            self.bump();
-            true
-        } else {
-            false
+        let hit = self.is_id(s);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes an identifier and returns its text (`""` if none).
+    fn eat_ident(&mut self) -> String {
+        match self.tok().filter(|t| t.kind == TokKind::Ident) {
+            Some(t) => {
+                self.bump();
+                t.text.clone()
+            }
+            None => String::new(),
         }
     }
 
@@ -106,80 +183,168 @@ impl<'a> Parser<'a> {
         self.pos >= self.t.len()
     }
 
-    /// Skips a balanced delimiter group; `pos` must sit on an opener.
-    /// Tracks all three bracket kinds so `)` inside `{}` doesn't confuse
-    /// the count. Collects idents and string literals if sinks given.
-    fn skip_balanced(&mut self, idents: Option<&mut Vec<String>>, strs: Option<&mut Vec<String>>) {
+    /// The operator at `pos`: the longest [`MULTI`] entry the adjacent
+    /// punct tokens spell, else the single punct (`""` for a non-punct).
+    fn punct(&self) -> &'a str {
+        let Some(t) = self.tok().filter(|t| t.kind == TokKind::Punct) else {
+            return "";
+        };
+        let spells = |s: &str| s.chars().enumerate().all(|(k, c)| self.nth_is_p(k, c));
+        MULTI
+            .iter()
+            .find(|m| spells(m))
+            .map_or(t.text.as_str(), |m| m)
+    }
+
+    fn op(&self, s: &str) -> bool {
+        self.punct() == s
+    }
+
+    fn eat_op(&mut self, s: &str) -> bool {
+        let hit = self.op(s);
+        if hit {
+            self.pos += s.len();
+        }
+        hit
+    }
+
+    fn at_range(&self) -> bool {
+        self.op("..") || self.op("..=")
+    }
+
+    fn eat_range(&mut self) -> bool {
+        self.eat_op("..") || self.eat_op("..=")
+    }
+
+    // ----- groups and lists ------------------------------------------
+
+    fn at_open(&self) -> bool {
+        self.tok().is_some_and(is_open)
+    }
+
+    /// A parser over `t`, inheriting the test scope.
+    fn sub(&self, t: &'a [Tok], end_line: usize) -> Parser<'a> {
+        Parser {
+            t,
+            pos: 0,
+            end_line,
+            in_test: self.in_test,
+            stmt_start: usize::MAX,
+        }
+    }
+
+    /// Ends a group that opened at `open` and whose closer is at `pos`
+    /// (or that the end of the slice cut short): steps past the closer
+    /// and returns a parser over exactly the interior.
+    fn interior(&mut self, open: usize) -> Parser<'a> {
+        let inner = self.sub(self.t.get(open + 1..self.pos).unwrap_or(&[]), self.line());
+        self.bump();
+        inner
+    }
+
+    /// The one place a `(…)`/`[…]`/`{…}` group is matched: `pos` sits on
+    /// the opener; steps past the whole group and returns a parser over
+    /// its interior. All three bracket kinds count, so a `)` inside `{}`
+    /// cannot close the wrong group. Not on an opener: one token, empty
+    /// interior.
+    fn group(&mut self) -> Parser<'a> {
+        let open = self.pos;
         let mut depth = 0usize;
-        let mut id_sink = idents;
-        let mut str_sink = strs;
         while let Some(t) = self.tok() {
-            match t.kind {
-                TokKind::Punct => {
-                    let c = t.text.as_bytes().first().copied().unwrap_or(0);
-                    if matches!(c, b'(' | b'[' | b'{') {
-                        depth += 1;
-                    } else if matches!(c, b')' | b']' | b'}') {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            self.bump();
-                            return;
-                        }
-                    }
-                }
-                TokKind::Ident => {
-                    if let Some(sink) = id_sink.as_deref_mut() {
-                        sink.push(t.text.clone());
-                    }
-                }
-                TokKind::Str => {
-                    if let Some(sink) = str_sink.as_deref_mut() {
-                        sink.push(t.text.clone());
-                    }
-                }
+            match t.text.as_bytes() {
+                [b'(' | b'[' | b'{'] if t.kind == TokKind::Punct => depth += 1,
+                [b')' | b']' | b'}'] if t.kind == TokKind::Punct => depth = depth.saturating_sub(1),
                 _ => {}
             }
-            self.bump();
             if depth == 0 {
-                // Wasn't on an opener — give up after one token.
+                break;
+            }
+            self.bump();
+        }
+        self.interior(open)
+    }
+
+    /// A `<…>` generics list as a group; `pos` sits on `<`. Angle
+    /// brackets are not lexical delimiters (`>` is also an operator), so
+    /// they are matched by the type grammar's rules: the `>` of `->`
+    /// closes nothing, and bracket groups (const-generic braces, `Fn(..)`
+    /// sugar) are stepped over whole.
+    fn angles(&mut self) -> Parser<'a> {
+        let open = self.pos;
+        let mut depth = 0usize;
+        while let Some(t) = self.tok() {
+            if t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct('>') {
+                depth = depth.saturating_sub(1);
+            }
+            if depth == 0 {
+                break;
+            }
+            self.skip_one(true);
+        }
+        self.interior(open)
+    }
+
+    /// A closure's `|…|` parameter list as a group; `pos` sits on the
+    /// first `|`. Closes at the next `|` outside any bracket group.
+    fn bars(&mut self) -> Parser<'a> {
+        let open = self.pos;
+        self.bump();
+        self.skip_to("|", false);
+        self.interior(open)
+    }
+
+    /// Steps over one token, a whole bracket group at a time; in type
+    /// position also over a whole `->`.
+    fn skip_one(&mut self, types: bool) {
+        if types && self.op("->") {
+            self.pos += 2;
+        } else if self.at_open() {
+            self.group();
+        } else {
+            self.bump();
+        }
+    }
+
+    /// Skips to the first punct in `stops` outside any group (not
+    /// consumed), or to the end of the slice. In type position `<…>`
+    /// lists are groups too.
+    fn skip_to(&mut self, stops: &str, types: bool) {
+        while let Some(t) = self.tok() {
+            if t.kind == TokKind::Punct && stops.contains(t.text.as_str()) {
                 return;
+            }
+            if types && t.is_punct('<') {
+                self.angles();
+            } else {
+                self.skip_one(types);
             }
         }
     }
 
-    /// Skips a generic-argument group; `pos` must sit on `<`. Understands
-    /// `->` (its `>` is not a closer), nested delimiters, and
-    /// const-generic braces.
-    fn skip_angles(&mut self, idents: Option<&mut Vec<String>>) {
-        let mut depth = 0usize;
-        let mut sink = idents;
-        while let Some(t) = self.tok() {
-            if t.is_punct('<') {
-                depth += 1;
+    /// Parses the rest of the slice as a list: `elem` once per element,
+    /// then at most one separator from `seps`. The one loop that owns the
+    /// progress guard — an element that consumes nothing costs one
+    /// skipped token, never a stall. Returns the separators seen.
+    fn list(&mut self, seps: &str, mut elem: impl FnMut(&mut Self)) -> usize {
+        let mut n = 0;
+        while !self.at_end() {
+            let before = self.pos;
+            elem(self);
+            n += usize::from(seps.chars().any(|c| self.eat_p(c)));
+            if self.pos == before {
                 self.bump();
-            } else if t.is_punct('>') {
-                depth = depth.saturating_sub(1);
-                self.bump();
-                if depth == 0 {
-                    return;
-                }
-            } else if t.is_punct('-') && self.nth_is_p(1, '>') {
-                self.bump();
-                self.bump();
-            } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                self.skip_balanced(sink.as_deref_mut(), None);
-            } else {
-                if t.kind == TokKind::Ident {
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.push(t.text.clone());
-                    }
-                }
-                self.bump();
-            }
-            if depth == 0 {
-                return;
             }
         }
+        n
+    }
+
+    /// The text of every remaining token of `kind`, at any depth.
+    fn texts(&self, kind: TokKind) -> Vec<String> {
+        let rest = self.t.get(self.pos..).unwrap_or(&[]);
+        let of_kind = rest.iter().filter(|t| t.kind == kind);
+        of_kind.map(|t| t.text.clone()).collect()
     }
 
     /// Consumes `#[...]` / `#![...]` attributes, classifying the bits the
@@ -187,19 +352,12 @@ impl<'a> Parser<'a> {
     fn attrs(&mut self) -> Attrs {
         let mut out = Attrs::default();
         while self.is_p('#') {
-            let mut k = 1;
-            if self.nth_is_p(1, '!') {
-                k = 2;
-            }
+            let k = if self.nth_is_p(1, '!') { 2 } else { 1 };
             if !self.nth_is_p(k, '[') {
                 break;
             }
-            self.bump();
-            if k == 2 {
-                self.bump();
-            }
-            let mut ids = Vec::new();
-            self.skip_balanced(Some(&mut ids), None);
+            self.pos += k;
+            let ids = self.group().texts(TokKind::Ident);
             let has = |s: &str| ids.iter().any(|i| i == s);
             if has("derive") {
                 out.derives
@@ -207,12 +365,17 @@ impl<'a> Parser<'a> {
             }
             if has("test") {
                 out.test = true;
-                if has("cfg") {
-                    out.cfg_test = true;
-                }
+                out.cfg_test |= has("cfg");
             }
         }
         out
+    }
+
+    /// Skips `pub` / `pub(crate)`.
+    fn vis(&mut self) {
+        if self.eat_id("pub") && self.is_p('(') {
+            self.group();
+        }
     }
 
     // ----- types -----------------------------------------------------
@@ -222,61 +385,58 @@ impl<'a> Parser<'a> {
     fn ty(&mut self) -> Ty {
         let mut ty = self.ty_component();
         // Trait bounds: `A + B + 'a`.
-        while self.is_p('+') {
-            self.bump();
-            if self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                self.bump();
-                continue;
+        while self.eat_p('+') {
+            if !self.eat_kind(TokKind::Lifetime) {
+                ty.idents.extend(self.ty_component().idents);
             }
-            let more = self.ty_component();
-            ty.idents.extend(more.idents);
         }
         ty
+    }
+
+    /// `: Ty`, or the unknown type.
+    fn ascription(&mut self) -> Ty {
+        if self.eat_p(':') {
+            self.ty()
+        } else {
+            Ty::default()
+        }
+    }
+
+    /// `-> Ty`, or the unknown type.
+    fn ret_ty(&mut self) -> Ty {
+        if self.eat_op("->") {
+            self.ty()
+        } else {
+            Ty::default()
+        }
     }
 
     fn ty_component(&mut self) -> Ty {
         // Prefixes that don't change the head.
         loop {
-            if self.is_p('&') {
-                self.bump();
-                if self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                    self.bump();
-                }
+            if self.eat_p('&') {
+                self.eat_kind(TokKind::Lifetime);
                 self.eat_id("mut");
-            } else if self.is_p('*') {
-                self.bump();
+            } else if self.eat_p('*') {
                 let _ = self.eat_id("const") || self.eat_id("mut");
-            } else if self.is_id("dyn") || self.is_id("impl") {
-                self.bump();
             } else if self.is_id("for") && self.nth_is_p(1, '<') {
                 self.bump();
-                self.skip_angles(None);
-            } else if self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                self.bump();
-            } else {
+                self.angles();
+            } else if !(self.eat_id("dyn")
+                || self.eat_id("impl")
+                || self.eat_kind(TokKind::Lifetime))
+            {
                 break;
             }
         }
         if self.is_p('(') {
             // Tuple (or parenthesized) type.
-            self.bump();
             let mut args = Vec::new();
-            let mut idents = Vec::new();
-            let mut saw_comma = false;
-            while !self.at_end() && !self.is_p(')') {
-                let before = self.pos;
-                let el = self.ty();
-                idents.extend(el.idents.iter().cloned());
-                args.push(el);
-                saw_comma |= self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
+            let commas = self.group().list(",", |p| args.push(p.ty()));
+            if args.len() == 1 && commas == 0 {
+                return args.pop().unwrap_or_default();
             }
-            self.eat_p(')');
-            if args.len() == 1 && !saw_comma {
-                return args.into_iter().next().unwrap_or_default();
-            }
+            let idents = args.iter().flat_map(|a| a.idents.iter().cloned()).collect();
             return Ty {
                 head: String::new(),
                 args,
@@ -284,185 +444,106 @@ impl<'a> Parser<'a> {
             };
         }
         if self.is_p('[') {
-            // Slice / array.
-            self.bump();
-            let el = self.ty();
+            // Slice / array; the idents of a const length expression count.
+            let mut inner = self.group();
+            let el = inner.ty();
             let mut idents = el.idents.clone();
-            if self.eat_p(';') {
-                // Const length expression: skip to `]` at depth 0.
-                while let Some(t) = self.tok() {
-                    if t.is_punct(']') {
-                        break;
-                    }
-                    if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                        self.skip_balanced(Some(&mut idents), None);
-                    } else {
-                        if t.kind == TokKind::Ident {
-                            idents.push(t.text.clone());
-                        }
-                        self.bump();
-                    }
-                }
-            }
-            self.eat_p(']');
+            idents.extend(inner.texts(TokKind::Ident));
             return Ty {
                 head: String::new(),
                 args: vec![el],
                 idents,
             };
         }
-        if self.is_id("fn") {
+        if self.eat_id("fn") {
             // Fn-pointer type.
-            self.bump();
             let mut idents = vec!["fn".to_string()];
             if self.is_p('(') {
-                self.skip_balanced(Some(&mut idents), None);
+                idents.extend(self.group().texts(TokKind::Ident));
             }
-            if self.is_p('-') && self.nth_is_p(1, '>') {
-                self.bump();
-                self.bump();
-                let ret = self.ty();
-                idents.extend(ret.idents);
-            }
+            idents.extend(self.ret_ty().idents);
             return Ty {
                 head: "fn".to_string(),
                 args: Vec::new(),
                 idents,
             };
         }
-        if !self.is_ident_tok() && !self.is_p(':') {
-            return Ty::default();
-        }
         // Path type: `a::b::C<...>`, `Fn(..) -> R` sugar on any segment.
-        let mut segs: Vec<String> = Vec::new();
-        let mut idents = Vec::new();
-        let mut args: Vec<Ty> = Vec::new();
-        // Leading `::`.
-        if self.is_p(':') && self.nth_is_p(1, ':') {
-            self.bump();
-            self.bump();
-        }
-        while let Some(t) = self.tok() {
-            if t.kind != TokKind::Ident {
-                break;
-            }
+        let mut ty = Ty::default();
+        self.eat_op("::");
+        while let Some(t) = self.tok().filter(|t| t.kind == TokKind::Ident) {
             if t.text == "where" || (t.text == "for" && !self.nth_is_p(1, '<')) || t.text == "as" {
                 break;
             }
-            segs.push(t.text.clone());
-            idents.push(t.text.clone());
+            ty.head = t.text.clone();
+            ty.idents.push(t.text.clone());
             self.bump();
             if self.is_p('(') {
                 // `Fn(args) -> Ret` sugar.
-                self.skip_balanced(Some(&mut idents), None);
-                if self.is_p('-') && self.nth_is_p(1, '>') {
-                    self.bump();
-                    self.bump();
-                    let ret = self.ty();
-                    idents.extend(ret.idents.iter().cloned());
-                    args.push(ret);
+                ty.idents.extend(self.group().texts(TokKind::Ident));
+                if self.op("->") {
+                    let ret = self.ret_ty();
+                    ty.idents.extend(ret.idents.iter().cloned());
+                    ty.args.push(ret);
                 }
                 break;
             }
             if self.is_p('<') {
-                let (a, ids) = self.generic_args();
-                args = a;
-                idents.extend(ids);
+                self.generic_args(&mut ty);
             }
-            if self.is_p(':') && self.nth_is_p(1, ':') {
-                self.bump();
-                self.bump();
-                // A later segment's generic args win; reset.
-                args.clear();
-                continue;
-            }
-            break;
-        }
-        if segs.is_empty() {
-            return Ty::default();
-        }
-        Ty {
-            head: segs.last().cloned().unwrap_or_default(),
-            args,
-            idents,
-        }
-    }
-
-    /// Parses `<...>` generic arguments; `pos` sits on `<`. Returns the
-    /// positional type args and every ident seen.
-    fn generic_args(&mut self) -> (Vec<Ty>, Vec<String>) {
-        let mut args = Vec::new();
-        let mut idents = Vec::new();
-        self.bump(); // `<`
-        while let Some(t) = self.tok() {
-            if t.is_punct('>') {
-                self.bump();
+            if !self.eat_op("::") {
                 break;
             }
-            if t.is_punct(',') {
-                self.bump();
-                continue;
-            }
-            if t.kind == TokKind::Lifetime {
-                self.bump();
-                continue;
-            }
-            if t.kind == TokKind::Ident && self.nth_is_p(1, '=') {
-                // Associated binding `Item = T`.
-                idents.push(t.text.clone());
-                self.bump();
-                self.bump();
-                let ty = self.ty();
-                idents.extend(ty.idents);
-                continue;
-            }
-            if t.is_punct('{') {
-                // Const-generic expression.
-                self.skip_balanced(Some(&mut idents), None);
-                continue;
-            }
-            if t.kind == TokKind::Number || t.is_ident("true") || t.is_ident("false") {
-                self.bump();
-                continue;
-            }
-            let before = self.pos;
-            let ty = self.ty();
-            idents.extend(ty.idents.iter().cloned());
-            args.push(ty);
-            if self.pos == before {
-                self.bump();
-            }
+            // A later segment's generic args win; reset.
+            ty.args.clear();
         }
-        (args, idents)
+        ty
+    }
+
+    /// Parses `<...>` generic arguments into `ty` (positional type args,
+    /// and every ident seen); `pos` sits on `<`.
+    fn generic_args(&mut self, ty: &mut Ty) {
+        ty.args.clear();
+        self.angles().list(",", |p| {
+            let Some(t) = p.tok() else { return };
+            if t.kind == TokKind::Ident && p.nth_is_p(1, '=') {
+                // Associated binding `Item = T`.
+                ty.idents.push(t.text.clone());
+                p.pos += 2;
+                ty.idents.extend(p.ty().idents);
+            } else if t.is_punct('{') {
+                // Const-generic expression.
+                ty.idents.extend(p.group().texts(TokKind::Ident));
+            } else if matches!(t.kind, TokKind::Lifetime | TokKind::Number)
+                || t.is_ident("true")
+                || t.is_ident("false")
+            {
+                p.bump();
+            } else {
+                let arg = p.ty();
+                ty.idents.extend(arg.idents.iter().cloned());
+                ty.args.push(arg);
+            }
+        });
     }
 
     // ----- patterns --------------------------------------------------
 
     fn pat(&mut self) -> Pat {
         let first = self.pat_single();
-        if !self.is_p('|') || self.nth_is_p(1, '|') {
+        if !self.op("|") {
             return first;
         }
         // Or-pattern: union of alternatives' bindings.
         let mut alts = vec![first];
-        while self.is_p('|') && !self.nth_is_p(1, '|') {
-            self.bump();
+        while self.eat_op("|") {
             alts.push(self.pat_single());
         }
         Pat::Tuple(alts)
     }
 
     fn pat_single(&mut self) -> Pat {
-        loop {
-            if self.eat_id("ref") || self.eat_id("mut") || self.eat_id("box") {
-                continue;
-            }
-            if self.is_p('&') {
-                self.bump();
-                continue;
-            }
-            break;
-        }
+        while self.eat_id("ref") || self.eat_id("mut") || self.eat_id("box") || self.eat_p('&') {}
         let Some(t) = self.tok() else {
             return Pat::Other;
         };
@@ -478,22 +559,11 @@ impl<'a> Parser<'a> {
             }
             TokKind::Punct if t.is_punct('-') => {
                 self.bump();
-                if self.tok().is_some_and(|t| t.kind == TokKind::Number) {
-                    self.bump();
-                }
+                self.eat_kind(TokKind::Number);
                 self.pat_range_tail();
                 Pat::Other
             }
-            TokKind::Punct if t.is_punct('(') => {
-                self.bump();
-                let ps = self.pat_list(')');
-                Pat::Tuple(ps)
-            }
-            TokKind::Punct if t.is_punct('[') => {
-                self.bump();
-                let ps = self.pat_list(']');
-                Pat::Tuple(ps)
-            }
+            TokKind::Punct if t.is_punct('(') || t.is_punct('[') => Pat::Tuple(self.pat_list()),
             TokKind::Punct if t.is_punct('.') => {
                 // `..` rest pattern.
                 self.bump();
@@ -501,82 +571,7 @@ impl<'a> Parser<'a> {
                 self.eat_p('=');
                 Pat::Other
             }
-            TokKind::Ident => {
-                let mut segs = vec![t.text.clone()];
-                self.bump();
-                while self.is_p(':') && self.nth_is_p(1, ':') {
-                    self.bump();
-                    self.bump();
-                    if self.is_p('<') {
-                        self.skip_angles(None);
-                    }
-                    if let Some(n) = self.tok().filter(|n| n.kind == TokKind::Ident) {
-                        segs.push(n.text.clone());
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let name = segs.last().cloned().unwrap_or_default();
-                if self.is_p('(') {
-                    self.bump();
-                    let ps = self.pat_list(')');
-                    return Pat::TupleStruct(name, ps);
-                }
-                if self.is_p('{') {
-                    self.bump();
-                    let mut fields = Vec::new();
-                    while !self.at_end() && !self.is_p('}') {
-                        let before = self.pos;
-                        if self.is_p('.') {
-                            // `..` rest.
-                            self.bump();
-                            self.eat_p('.');
-                        } else if let Some(f) =
-                            self.tok().filter(|f| f.kind == TokKind::Ident).cloned()
-                        {
-                            self.bump();
-                            if self.eat_p(':') {
-                                let p = self.pat();
-                                fields.push((f.text.clone(), p));
-                            } else {
-                                fields.push((f.text.clone(), Pat::Ident(f.text.clone())));
-                            }
-                        }
-                        self.eat_p(',');
-                        if self.pos == before {
-                            self.bump();
-                        }
-                    }
-                    self.eat_p('}');
-                    return Pat::Struct(name, fields);
-                }
-                if segs.len() > 1 {
-                    self.pat_range_tail();
-                    return Pat::Other;
-                }
-                // `n @ sub-pattern` keeps the binding.
-                if self.is_p('@') {
-                    self.bump();
-                    let _ = self.pat_single();
-                    return Pat::Ident(name);
-                }
-                if self.is_p('.') && self.nth_is_p(1, '.') {
-                    self.pat_range_tail();
-                    return Pat::Other;
-                }
-                // Heuristic: lowercase-initial single segment binds;
-                // uppercase is a unit variant / const (`None`, `MAX`).
-                if name
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_lowercase() || c == '_')
-                {
-                    Pat::Ident(name)
-                } else {
-                    Pat::Other
-                }
-            }
+            TokKind::Ident => self.pat_path(),
             _ => {
                 self.bump();
                 Pat::Other
@@ -584,66 +579,114 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Consumes a `..`/`..=` literal-range tail if present.
-    fn pat_range_tail(&mut self) {
-        if self.is_p('.') && self.nth_is_p(1, '.') {
-            self.bump();
-            self.bump();
-            self.eat_p('=');
-            if self
-                .tok()
-                .is_some_and(|t| matches!(t.kind, TokKind::Number | TokKind::Char))
-            {
-                self.bump();
-            } else if self.is_p('-') {
-                self.bump();
-                if self.tok().is_some_and(|t| t.kind == TokKind::Number) {
-                    self.bump();
-                }
+    /// A pattern that starts with a path: binding, unit/tuple/struct
+    /// variant, or a range bound.
+    fn pat_path(&mut self) -> Pat {
+        let mut name = self.eat_ident();
+        let mut single = true;
+        while self.eat_op("::") {
+            if self.is_p('<') {
+                self.angles();
             }
+            if !self.is_kind(TokKind::Ident) {
+                break;
+            }
+            name = self.eat_ident();
+            single = false;
+        }
+        if self.is_p('(') {
+            return Pat::TupleStruct(name, self.pat_list());
+        }
+        if self.is_p('{') {
+            let mut fields = Vec::new();
+            self.group().list(",", |p| {
+                if p.eat_p('.') {
+                    p.eat_p('.'); // `..` rest
+                } else if let Some(f) = p.tok().filter(|f| f.kind == TokKind::Ident) {
+                    p.bump();
+                    let sub = if p.eat_p(':') {
+                        p.pat()
+                    } else {
+                        Pat::Ident(f.text.clone())
+                    };
+                    fields.push((f.text.clone(), sub));
+                }
+            });
+            return Pat::Struct(name, fields);
+        }
+        // `n @ sub-pattern` keeps the binding.
+        if single && self.eat_p('@') {
+            let _ = self.pat_single();
+            return Pat::Ident(name);
+        }
+        if !single || self.at_range() {
+            self.pat_range_tail();
+            return Pat::Other;
+        }
+        // Heuristic: lowercase-initial single segment binds;
+        // uppercase is a unit variant / const (`None`, `MAX`).
+        if name.starts_with(|c: char| c.is_lowercase() || c == '_') {
+            Pat::Ident(name)
+        } else {
+            Pat::Other
         }
     }
 
-    fn pat_list(&mut self, close: char) -> Vec<Pat> {
-        let mut ps = Vec::new();
-        while !self.at_end() && !self.is_p(close) {
-            let before = self.pos;
-            ps.push(self.pat());
-            self.eat_p(',');
-            if self.pos == before {
-                self.bump();
-            }
+    /// Consumes a `..`/`..=` literal-range tail if present.
+    fn pat_range_tail(&mut self) {
+        if self.eat_range() {
+            self.eat_p('-');
+            let _ = self.eat_kind(TokKind::Number) || self.eat_kind(TokKind::Char);
         }
-        self.eat_p(close);
+    }
+
+    /// `(p, …)` / `[p, …]`; `pos` sits on the opener.
+    fn pat_list(&mut self) -> Vec<Pat> {
+        let mut ps = Vec::new();
+        self.group().list(",", |p| ps.push(p.pat()));
         ps
     }
 
     // ----- items -----------------------------------------------------
 
-    /// Parses items until `}` or EOF. `in_test` marks everything inside a
-    /// `#[cfg(test)]` module.
-    fn items(&mut self, in_test: bool) -> Vec<Item> {
+    /// Parses the rest of the slice as items.
+    fn items(&mut self) -> Vec<Item> {
         let mut out = Vec::new();
-        while !self.at_end() && !self.is_p('}') {
-            let before = self.pos;
-            if let Some(item) = self.item_one(in_test) {
-                out.push(item);
-            }
-            if self.pos == before {
-                self.bump();
-            }
-        }
+        self.list("", |p| {
+            let attrs = p.attrs();
+            out.extend(p.item_one(attrs).or_else(|| p.macro_items()));
+        });
         out
     }
 
-    fn item_one(&mut self, in_test: bool) -> Option<Item> {
+    /// An item-position macro invocation, its interior read as items so
+    /// fns written inside one (`proptest! { … }`) stay visible. Reached
+    /// from [`Parser::items`] only: in a fn body `name!(…)` is an
+    /// expression the passes must see, attributes or not.
+    fn macro_items(&mut self) -> Option<Item> {
+        if !(self.is_kind(TokKind::Ident) && self.nth_is_p(1, '!')) {
+            return None;
+        }
+        let name = self.eat_ident();
+        self.bump(); // `!`
+        let body = self.at_open().then(|| self.group());
+        self.eat_p(';');
+        Some(body.map_or(Item::Other, |mut inner| {
+            Item::Mod(ModDef {
+                name,
+                cfg_test: false,
+                items: inner.items(),
+            })
+        }))
+    }
+
+    /// One keyword-introduced item, its `attrs` already read; `None` if
+    /// no item starts here.
+    fn item_one(&mut self, attrs: Attrs) -> Option<Item> {
         if self.eat_p(';') {
             return None;
         }
-        let attrs = self.attrs();
-        if self.eat_id("pub") && self.is_p('(') {
-            self.skip_balanced(None, None);
-        }
+        self.vis();
         // Fn qualifiers.
         let mut saw_qual = false;
         loop {
@@ -652,162 +695,99 @@ impl<'a> Parser<'a> {
                 || self.is_id("unsafe")
             {
                 self.bump();
-                saw_qual = true;
-            } else if self.is_id("extern") {
-                self.bump();
-                saw_qual = true;
-                if self.tok().is_some_and(|t| t.kind == TokKind::Str) {
-                    self.bump();
-                }
+            } else if self.eat_id("extern") {
+                self.eat_kind(TokKind::Str);
             } else {
                 break;
             }
+            saw_qual = true;
         }
         if self.is_id("fn") {
-            return Some(Item::Fn(self.fun(in_test || attrs.test)));
+            return Some(Item::Fn(self.fun(attrs.test)));
+        }
+        if self.is_id("impl") {
+            return Some(Item::Impl(self.impl_block()));
         }
         if saw_qual {
-            // `unsafe impl`, `extern { … }` blocks.
-            if self.is_id("impl") {
-                return Some(Item::Impl(self.impl_block(in_test)));
-            }
+            // `extern { … }` blocks.
             if self.is_p('{') {
-                self.skip_balanced(None, None);
+                self.group();
             }
             return Some(Item::Other);
         }
         if self.is_id("struct") || self.is_id("enum") || self.is_id("union") {
             return Some(Item::Struct(self.struct_def(attrs.derives)));
         }
-        if self.is_id("impl") {
-            return Some(Item::Impl(self.impl_block(in_test)));
-        }
         if self.is_id("trait") {
-            return Some(Item::Impl(self.trait_def(in_test)));
+            return Some(Item::Impl(self.trait_def()));
         }
-        if self.is_id("mod") {
-            self.bump();
-            let name = self
-                .tok()
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            self.bump();
-            if self.eat_p(';') {
+        if self.eat_id("mod") {
+            let name = self.eat_ident();
+            if !self.is_p('{') {
+                self.eat_p(';');
                 return Some(Item::Other);
             }
             let cfg_test = attrs.cfg_test || attrs.test;
-            if self.eat_p('{') {
-                let items = self.items(in_test || cfg_test);
-                self.eat_p('}');
-                return Some(Item::Mod(ModDef {
-                    name,
-                    cfg_test,
-                    items,
-                }));
-            }
-            return Some(Item::Other);
+            let mut inner = self.group();
+            inner.in_test |= cfg_test;
+            return Some(Item::Mod(ModDef {
+                name,
+                cfg_test,
+                items: inner.items(),
+            }));
         }
         if self.is_id("use") || self.is_id("const") || self.is_id("static") || self.is_id("type") {
-            // Skip to `;` at depth 0, stepping over any delimiter groups.
-            self.bump();
-            while let Some(t) = self.tok() {
-                if t.is_punct(';') {
-                    self.bump();
-                    break;
-                }
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    self.skip_balanced(None, None);
-                } else if t.is_punct('<') {
-                    self.skip_angles(None);
-                } else if t.is_punct('}') {
-                    break;
-                } else {
-                    self.bump();
-                }
-            }
+            // No `<…>` grouping here: `const N: u64 = 1 << 26;`.
+            self.skip_to(";", false);
+            self.eat_p(';');
             return Some(Item::Other);
         }
-        if self.is_id("macro_rules") {
-            self.bump();
+        if self.eat_id("macro_rules") {
+            // `macro_rules! name { … }`: the body is token patterns, not
+            // items; skipped.
             self.eat_p('!');
-            if self.is_ident_tok() {
-                self.bump();
+            self.eat_ident();
+            if self.at_open() {
+                self.group();
             }
-            if self.is_p('(') || self.is_p('[') || self.is_p('{') {
-                self.skip_balanced(None, None);
-            }
+            self.eat_p(';');
             return Some(Item::Other);
         }
         None
     }
 
-    fn fun(&mut self, is_test: bool) -> Fun {
+    fn fun(&mut self, attr_test: bool) -> Fun {
         let line = self.line();
         self.bump(); // `fn`
-        let name = self
-            .tok()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        if !name.is_empty() {
-            self.bump();
-        }
+        let name = self.eat_ident();
         if self.is_p('<') {
-            self.skip_angles(None);
+            self.angles();
         }
         let mut params = Vec::new();
         let mut has_self = false;
-        if self.eat_p('(') {
-            while !self.at_end() && !self.is_p(')') {
-                let before = self.pos;
-                let _ = self.attrs();
+        if self.is_p('(') {
+            self.group().list(",", |p| {
+                let _ = p.attrs();
                 // Self parameter: `[&]['a][mut] self [: Ty]`.
-                let save = self.pos;
-                if self.eat_p('&') && self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                    self.bump();
-                }
-                self.eat_id("mut");
-                if self.eat_id("self") {
+                let save = p.pos;
+                let _ = p.eat_p('&') && p.eat_kind(TokKind::Lifetime);
+                p.eat_id("mut");
+                if p.eat_id("self") {
                     has_self = true;
-                    if self.eat_p(':') {
-                        let _ = self.ty();
-                    }
+                    let _ = p.ascription();
                 } else {
-                    self.pos = save;
-                    let pat = self.pat();
-                    let ty = if self.eat_p(':') {
-                        self.ty()
-                    } else {
-                        Ty::default()
-                    };
-                    params.push((pat, ty));
+                    p.pos = save;
+                    params.push((p.pat(), p.ascription()));
                 }
-                self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p(')');
+            });
         }
-        let ret = if self.is_p('-') && self.nth_is_p(1, '>') {
-            self.bump();
-            self.bump();
-            self.ty()
-        } else {
-            Ty::default()
-        };
-        if self.is_id("where") {
-            self.skip_where();
-        }
+        let ret = self.ret_ty();
+        self.where_clause();
+        let is_test = self.in_test || attr_test;
         let (body, end_line) = if self.is_p('{') {
-            let b = self.block();
-            (
-                b,
-                self.t
-                    .get(self.pos.saturating_sub(1))
-                    .map_or(line, |t| t.line),
-            )
+            let mut inner = self.group();
+            inner.in_test = is_test;
+            (inner.stmts(), inner.end_line)
         } else {
             self.eat_p(';');
             (Block::default(), line)
@@ -824,24 +804,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips a `where` clause up to the `{`/`;` that ends it, with the
-    /// same `->`/angle awareness as the type parser.
-    fn skip_where(&mut self) {
-        self.bump(); // `where`
-        while let Some(t) = self.tok() {
-            if t.is_punct('{') || t.is_punct(';') {
-                return;
-            }
-            if t.is_punct('<') {
-                self.skip_angles(None);
-            } else if t.is_punct('-') && self.nth_is_p(1, '>') {
-                self.bump();
-                self.bump();
-            } else if t.is_punct('(') || t.is_punct('[') {
-                self.skip_balanced(None, None);
-            } else {
-                self.bump();
-            }
+    /// Skips a `where` clause up to the `{`/`;` that ends it.
+    fn where_clause(&mut self) {
+        if self.is_id("where") {
+            self.skip_to("{;", true);
         }
     }
 
@@ -849,90 +815,31 @@ impl<'a> Parser<'a> {
         let line = self.line();
         let is_enum = self.is_id("enum");
         self.bump(); // struct/enum/union
-        let name = self
-            .tok()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        if !name.is_empty() {
-            self.bump();
-        }
+        let name = self.eat_ident();
         if self.is_p('<') {
-            self.skip_angles(None);
+            self.angles();
         }
-        if self.is_id("where") {
-            self.skip_where();
-        }
+        self.where_clause();
         let mut fields = Vec::new();
-        if self.eat_p('(') {
-            // Tuple struct.
-            let mut idx = 0usize;
-            while !self.at_end() && !self.is_p(')') {
-                let before = self.pos;
-                let _ = self.attrs();
-                let _ = self.eat_id("pub");
-                if self.is_p('(') {
-                    self.skip_balanced(None, None);
+        if self.is_p('(') {
+            self.group().tuple_fields(&mut fields);
+        } else if self.is_p('{') && is_enum {
+            // Variants: `Name`, `Name(Ty, …)`, `Name { f: Ty, … }`, each
+            // with an optional `= discriminant`.
+            self.group().list(",", |p| {
+                let _ = p.attrs();
+                p.eat_ident();
+                if p.is_p('(') {
+                    p.group().tuple_fields(&mut fields);
+                } else if p.is_p('{') {
+                    p.group().named_fields(&mut fields);
                 }
-                let ty = self.ty();
-                fields.push((idx.to_string(), ty));
-                idx += 1;
-                self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p(')');
-            self.eat_p(';');
-        } else if self.eat_p('{') {
-            if is_enum {
-                while !self.at_end() && !self.is_p('}') {
-                    let before = self.pos;
-                    let _ = self.attrs();
-                    if self.is_ident_tok() {
-                        self.bump();
-                    }
-                    if self.eat_p('(') {
-                        let mut idx = 0usize;
-                        while !self.at_end() && !self.is_p(')') {
-                            let b2 = self.pos;
-                            let ty = self.ty();
-                            fields.push((idx.to_string(), ty));
-                            idx += 1;
-                            self.eat_p(',');
-                            if self.pos == b2 {
-                                self.bump();
-                            }
-                        }
-                        self.eat_p(')');
-                    } else if self.eat_p('{') {
-                        self.named_fields(&mut fields);
-                    }
-                    if self.eat_p('=') {
-                        // Discriminant: skip to `,`/`}`.
-                        while let Some(t) = self.tok() {
-                            if t.is_punct(',') || t.is_punct('}') {
-                                break;
-                            }
-                            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                                self.skip_balanced(None, None);
-                            } else {
-                                self.bump();
-                            }
-                        }
-                    }
-                    self.eat_p(',');
-                    if self.pos == before {
-                        self.bump();
-                    }
-                }
-            } else {
-                self.named_fields(&mut fields);
-            }
-            self.eat_p('}');
-        } else {
-            self.eat_p(';');
+                p.skip_to(",", false);
+            });
+        } else if self.is_p('{') {
+            self.group().named_fields(&mut fields);
         }
+        self.eat_p(';');
         StructDef {
             name,
             fields,
@@ -942,155 +849,119 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses `name: Ty,` pairs up to (and including) the closing `}` of
-    /// the *current* group — the opener has already been consumed.
-    fn named_fields(&mut self, fields: &mut Vec<(String, Ty)>) {
-        while !self.at_end() && !self.is_p('}') {
-            let before = self.pos;
-            let _ = self.attrs();
-            if self.eat_id("pub") && self.is_p('(') {
-                self.skip_balanced(None, None);
-            }
-            if let Some(f) = self.tok().filter(|t| t.kind == TokKind::Ident).cloned() {
-                self.bump();
-                if self.eat_p(':') {
-                    let ty = self.ty();
-                    fields.push((f.text.clone(), ty));
-                }
-            }
-            self.eat_p(',');
-            if self.pos == before {
-                self.bump();
-            }
-        }
+    /// The rest of the slice as tuple fields `Ty, …`, named `0`, `1`, ….
+    fn tuple_fields(&mut self, fields: &mut Vec<(String, Ty)>) {
+        let mut idx = 0usize;
+        self.list(",", |p| {
+            let _ = p.attrs();
+            p.vis();
+            fields.push((idx.to_string(), p.ty()));
+            idx += 1;
+        });
     }
 
-    fn impl_block(&mut self, in_test: bool) -> ImplBlock {
+    /// The rest of the slice as named fields `name: Ty, …`.
+    fn named_fields(&mut self, fields: &mut Vec<(String, Ty)>) {
+        self.list(",", |p| {
+            let _ = p.attrs();
+            p.vis();
+            let name = p.eat_ident();
+            if !name.is_empty() && p.eat_p(':') {
+                fields.push((name, p.ty()));
+            }
+        });
+    }
+
+    fn impl_block(&mut self) -> ImplBlock {
         self.bump(); // `impl`
         if self.is_p('<') {
-            self.skip_angles(None);
+            self.angles();
         }
         let first = self.ty();
         let (self_ty, trait_name) = if self.eat_id("for") {
-            let target = self.ty();
-            (target.head, Some(first.head))
+            (self.ty().head, Some(first.head))
         } else {
             (first.head, None)
         };
-        if self.is_id("where") {
-            self.skip_where();
-        }
-        let mut fns = Vec::new();
-        if self.eat_p('{') {
-            for item in self.items(in_test) {
-                if let Item::Fn(f) = item {
-                    fns.push(f);
-                }
-            }
-            self.eat_p('}');
-        }
+        self.where_clause();
         ImplBlock {
             self_ty,
             trait_name,
-            fns,
+            fns: self.fn_items(),
         }
     }
 
-    fn trait_def(&mut self, in_test: bool) -> ImplBlock {
+    fn trait_def(&mut self) -> ImplBlock {
         self.bump(); // `trait`
-        let name = self
-            .tok()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        if !name.is_empty() {
-            self.bump();
-        }
-        if self.is_p('<') {
-            self.skip_angles(None);
-        }
-        if self.eat_p(':') {
-            // Supertrait bounds.
-            while let Some(t) = self.tok() {
-                if t.is_punct('{') || t.is_punct(';') {
-                    break;
-                }
-                if t.is_punct('<') {
-                    self.skip_angles(None);
-                } else if t.is_punct('(') {
-                    self.skip_balanced(None, None);
-                } else {
-                    self.bump();
-                }
-            }
-        }
-        if self.is_id("where") {
-            self.skip_where();
-        }
-        let mut fns = Vec::new();
-        if self.eat_p('{') {
-            for item in self.items(in_test) {
-                if let Item::Fn(f) = item {
-                    fns.push(f);
-                }
-            }
-            self.eat_p('}');
-        }
+        let name = self.eat_ident();
+        // Generics, supertrait bounds and `where` clause.
+        self.skip_to("{;", true);
         ImplBlock {
             self_ty: name,
             trait_name: None,
-            fns,
+            fns: self.fn_items(),
         }
+    }
+
+    /// The fns of an `impl`/`trait` body; `pos` sits on its `{`.
+    fn fn_items(&mut self) -> Vec<Fun> {
+        let items = if self.is_p('{') {
+            self.group().items()
+        } else {
+            Vec::new()
+        };
+        let fns = items.into_iter().filter_map(|i| match i {
+            Item::Fn(f) => Some(f),
+            _ => None,
+        });
+        fns.collect()
     }
 
     // ----- statements & blocks ---------------------------------------
 
     /// Parses a `{ … }` block; `pos` sits on `{`.
     fn block(&mut self) -> Block {
-        let mut stmts = Vec::new();
-        if !self.eat_p('{') {
-            return Block { stmts };
+        if self.is_p('{') {
+            self.group().stmts()
+        } else {
+            Block::default()
         }
-        while !self.at_end() && !self.is_p('}') {
-            let before = self.pos;
-            if self.eat_p(';') {
+    }
+
+    /// Parses the rest of the slice as statements.
+    fn stmts(&mut self) -> Block {
+        let mut stmts = Vec::new();
+        self.list("", |p| {
+            // Attributes decide nothing: what follows them is dispatched
+            // as if they were absent, so `#[cfg(..)] eprintln!(..)` and
+            // `#[allow(..)] unsafe { .. }` stay expressions the passes see.
+            let attrs = p.attrs();
+            if p.eat_p(';') {
                 stmts.push(Stmt::Empty);
-                continue;
-            }
-            if self.is_id("let") {
-                stmts.push(self.let_stmt());
-            } else if self.at_item_start() {
-                if let Some(item) = self.item_one(false) {
-                    stmts.push(Stmt::Item(Box::new(item)));
-                }
+            } else if p.is_id("let") {
+                stmts.push(p.let_stmt());
+            } else if p.at_item_start() {
+                stmts.extend(p.item_one(attrs).map(|i| Stmt::Item(Box::new(i))));
             } else {
-                let expr = self.expr(false);
-                let semi = self.eat_p(';');
+                p.stmt_start = p.pos;
+                let expr = p.expr(false);
+                let semi = p.eat_p(';');
                 stmts.push(Stmt::Expr { expr, semi });
             }
-            if self.pos == before {
-                self.bump();
-            }
-        }
-        self.eat_p('}');
+        });
         Block { stmts }
     }
 
-    /// Whether the current token begins a nested item rather than an
-    /// expression statement.
+    /// Whether the current token (attributes already read) begins a
+    /// nested item rather than an expression statement.
     fn at_item_start(&self) -> bool {
-        let Some(t) = self.tok() else { return false };
-        if t.is_punct('#') {
-            return true;
-        }
-        if t.kind != TokKind::Ident {
+        let Some(t) = self.tok().filter(|t| t.kind == TokKind::Ident) else {
             return false;
-        }
+        };
         matches!(
             t.text.as_str(),
             "fn" | "struct"
                 | "enum"
-                | "union"
                 | "impl"
                 | "trait"
                 | "mod"
@@ -1099,33 +970,22 @@ impl<'a> Parser<'a> {
                 | "type"
                 | "macro_rules"
                 | "pub"
-        ) || (t.text == "const" && !self.nth_is_p(1, '{'))
+        )
+            // A qualifier starts an item (`unsafe fn`, `extern "C" fn`)
+            // unless it opens a block expression (`unsafe { … }`).
+            || (matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern")
+                && !self.nth_is_p(1, '{'))
+            // `union` is a keyword only before a name (`union.sort()`).
+            || (t.text == "union" && self.nth(1).is_some_and(|n| n.kind == TokKind::Ident))
     }
 
     fn let_stmt(&mut self) -> Stmt {
         let line = self.line();
         self.bump(); // `let`
         let pat = self.pat();
-        let ty = if self.eat_p(':') {
-            Some(self.ty())
-        } else {
-            None
-        };
-        let init = if self.is_p('=') && !self.nth_is_p(1, '=') {
-            self.bump();
-            Some(self.expr(false))
-        } else {
-            None
-        };
-        let else_block = if self.eat_id("else") {
-            if self.is_p('{') {
-                Some(self.block())
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let ty = self.eat_p(':').then(|| self.ty());
+        let init = self.eat_op("=").then(|| self.expr(false));
+        let else_block = (self.eat_id("else") && self.is_p('{')).then(|| self.block());
         self.eat_p(';');
         Stmt::Let {
             pat,
@@ -1138,98 +998,45 @@ impl<'a> Parser<'a> {
 
     // ----- expressions -----------------------------------------------
 
-    /// Parses one expression. `ns` (no-struct) forbids `Path { … }`
-    /// struct literals, as in `if`/`while`/`match`-header positions.
+    /// Parses one expression (assignment level, right-associative).
+    /// `ns` (no-struct) forbids `Path { … }` struct literals, as in
+    /// `if`/`while`/`match`-header positions.
     fn expr(&mut self, ns: bool) -> Expr {
-        self.assign(ns)
-    }
-
-    fn assign(&mut self, ns: bool) -> Expr {
         let line = self.line();
         let lhs = self.range_expr(ns);
-        // `=` (plain) or compound `op=`; comparison `<=`/`>=`/`==`/`!=`
-        // were already consumed at the binary level.
-        if self.is_p('=') && !self.nth_is_p(1, '=') {
-            self.bump();
-            let rhs = self.assign(ns);
-            return Expr {
-                line,
-                kind: ExprKind::Assign {
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-            };
+        let op = self.punct();
+        if !ASSIGN.contains(&op) {
+            return lhs;
         }
-        for op in ["+", "-", "*", "/", "%", "^", "&", "|"] {
-            if self.is_p(op.as_bytes()[0] as char) && self.nth_is_p(1, '=') {
-                self.bump();
-                self.bump();
-                let rhs = self.assign(ns);
-                return Expr {
-                    line,
-                    kind: ExprKind::Assign {
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    },
-                };
-            }
-        }
-        for c in ['<', '>'] {
-            if self.is_p(c) && self.nth_is_p(1, c) && self.nth_is_p(2, '=') {
-                self.bump();
-                self.bump();
-                self.bump();
-                let rhs = self.assign(ns);
-                return Expr {
-                    line,
-                    kind: ExprKind::Assign {
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    },
-                };
-            }
-        }
-        lhs
+        self.pos += op.len();
+        let kind = ExprKind::Assign {
+            lhs: Box::new(lhs),
+            rhs: Box::new(self.expr(ns)),
+        };
+        Expr { line, kind }
     }
 
     fn range_expr(&mut self, ns: bool) -> Expr {
         let line = self.line();
-        if self.is_p('.') && self.nth_is_p(1, '.') {
-            // Leading `..hi` / `..`.
-            self.bump();
-            self.bump();
-            self.eat_p('=');
-            let hi = if self.expr_can_start(ns) {
-                Some(Box::new(self.or_expr(ns)))
-            } else {
-                None
-            };
-            return Expr {
-                line,
-                kind: ExprKind::Range(None, hi),
-            };
+        let mut lo = None;
+        if !self.at_range() {
+            let e = self.binary(ns, 0);
+            if !self.at_range() {
+                return e;
+            }
+            lo = Some(Box::new(e));
         }
-        let lo = self.or_expr(ns);
-        if self.is_p('.') && self.nth_is_p(1, '.') {
-            self.bump();
-            self.bump();
-            self.eat_p('=');
-            let hi = if self.expr_can_start(ns) {
-                Some(Box::new(self.or_expr(ns)))
-            } else {
-                None
-            };
-            return Expr {
-                line,
-                kind: ExprKind::Range(Some(Box::new(lo)), hi),
-            };
+        self.eat_range();
+        let hi = self.expr_can_start().then(|| Box::new(self.binary(ns, 0)));
+        Expr {
+            line,
+            kind: ExprKind::Range(lo, hi),
         }
-        lo
     }
 
     /// Whether the current token can plausibly begin an expression (used
-    /// only to decide open-ended ranges).
-    fn expr_can_start(&self, _ns: bool) -> bool {
+    /// to decide open-ended ranges and bare `return`/`break`).
+    fn expr_can_start(&self) -> bool {
         let Some(t) = self.tok() else { return false };
         match t.kind {
             TokKind::Ident => !matches!(t.text.as_str(), "in" | "else" | "where"),
@@ -1244,302 +1051,99 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn or_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.and_expr(ns);
-        while self.is_p('|') && self.nth_is_p(1, '|') && !self.nth_is_p(2, '=') {
-            let line = self.line();
-            self.bump();
-            self.bump();
-            let rhs = self.and_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn and_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.cmp_expr(ns);
-        while self.is_p('&') && self.nth_is_p(1, '&') && !self.nth_is_p(2, '=') {
-            let line = self.line();
-            self.bump();
-            self.bump();
-            let rhs = self.cmp_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn cmp_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitor_expr(ns);
-        loop {
-            let line = self.line();
-            let op = if self.is_p('=') && self.nth_is_p(1, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Eq
-            } else if self.is_p('!') && self.nth_is_p(1, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Ne
-            } else if self.is_p('<') && self.nth_is_p(1, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Le
-            } else if self.is_p('>') && self.nth_is_p(1, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Ge
-            } else if self.is_p('<') && !self.nth_is_p(1, '<') {
-                self.bump();
-                BinOp::Lt
-            } else if self.is_p('>') && !self.nth_is_p(1, '>') {
-                self.bump();
-                BinOp::Gt
-            } else {
-                break;
-            };
-            let rhs = self.bitor_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn bitor_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitxor_expr(ns);
-        while self.is_p('|') && !self.nth_is_p(1, '|') && !self.nth_is_p(1, '=') {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bitxor_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::BitOr, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn bitxor_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitand_expr(ns);
-        while self.is_p('^') && !self.nth_is_p(1, '=') {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bitand_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::BitXor, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn bitand_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.shift_expr(ns);
-        while self.is_p('&') && !self.nth_is_p(1, '&') && !self.nth_is_p(1, '=') {
-            let line = self.line();
-            self.bump();
-            let rhs = self.shift_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::BitAnd, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn shift_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.add_expr(ns);
-        loop {
-            let line = self.line();
-            let op = if self.is_p('<') && self.nth_is_p(1, '<') && !self.nth_is_p(2, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Shl
-            } else if self.is_p('>') && self.nth_is_p(1, '>') && !self.nth_is_p(2, '=') {
-                self.bump();
-                self.bump();
-                BinOp::Shr
-            } else {
-                break;
-            };
-            let rhs = self.add_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn add_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.mul_expr(ns);
-        loop {
-            let line = self.line();
-            let op = if self.is_p('+') && !self.nth_is_p(1, '=') {
-                self.bump();
-                BinOp::Add
-            } else if self.is_p('-') && !self.nth_is_p(1, '=') && !self.nth_is_p(1, '>') {
-                self.bump();
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let rhs = self.mul_expr(ns);
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        lhs
-    }
-
-    fn mul_expr(&mut self, ns: bool) -> Expr {
+    /// Precedence climbing over [`BINARY`]: operators binding at least
+    /// as tightly as `min`.
+    fn binary(&mut self, ns: bool, min: u8) -> Expr {
         let mut lhs = self.cast_expr(ns);
         loop {
-            let line = self.line();
-            let op = if self.is_p('*') && !self.nth_is_p(1, '=') {
-                self.bump();
-                BinOp::Mul
-            } else if self.is_p('/') && !self.nth_is_p(1, '=') {
-                self.bump();
-                BinOp::Div
-            } else if self.is_p('%') && !self.nth_is_p(1, '=') {
-                self.bump();
-                BinOp::Rem
-            } else {
-                break;
+            let op = self.punct();
+            let Some(&(_, bin, prec)) = BINARY.iter().find(|b| b.0 == op && b.2 >= min) else {
+                return lhs;
             };
-            let rhs = self.cast_expr(ns);
+            let line = self.line();
+            self.pos += op.len();
+            let rhs = self.binary(ns, prec + 1);
             lhs = Expr {
                 line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
+                kind: ExprKind::Binary(bin, Box::new(lhs), Box::new(rhs)),
             };
         }
-        lhs
     }
 
     fn cast_expr(&mut self, ns: bool) -> Expr {
         let line = self.line();
         let mut e = self.unary(ns);
         while self.eat_id("as") {
-            let ty = self.ty();
-            e = Expr {
-                line,
-                kind: ExprKind::Cast(Box::new(e), ty),
-            };
+            // No `+` bounds here: `x as usize + y` adds `y`.
+            let kind = ExprKind::Cast(Box::new(e), self.ty_component());
+            e = Expr { line, kind };
         }
         e
     }
 
     fn unary(&mut self, ns: bool) -> Expr {
         let line = self.line();
-        if self.is_p('-') || self.is_p('!') || self.is_p('*') {
-            self.bump();
-            let inner = self.unary(ns);
-            return Expr {
-                line,
-                kind: ExprKind::Unary(Box::new(inner)),
-            };
+        // `&&x` is two tokens; the second `&` recurses.
+        if !['-', '!', '*', '&'].iter().any(|&c| self.eat_p(c)) {
+            return self.postfix(ns);
         }
-        if self.is_p('&') {
-            self.bump();
-            // `&&x` is two tokens; the second `&` recurses.
-            self.eat_id("mut");
-            let inner = self.unary(ns);
-            return Expr {
-                line,
-                kind: ExprKind::Unary(Box::new(inner)),
-            };
+        self.eat_id("mut");
+        Expr {
+            line,
+            kind: ExprKind::Unary(Box::new(self.unary(ns))),
         }
-        self.postfix(ns)
     }
 
     fn postfix(&mut self, ns: bool) -> Expr {
+        let at_stmt = self.pos == self.stmt_start;
         let mut e = self.primary(ns);
+        if at_stmt && block_like(&e) && (self.is_p('(') || self.is_p('[')) {
+            return e;
+        }
         loop {
             let line = self.line();
-            if self.is_p('.') && !self.nth_is_p(1, '.') {
+            let kind = if self.op(".") {
                 let Some(next) = self.nth(1) else { break };
+                let name = next.text.clone();
                 match next.kind {
-                    TokKind::Ident if next.text == "await" => {
-                        self.bump();
-                        self.bump();
-                        // `.await` is transparent to the passes.
+                    // `.await` is transparent to the passes.
+                    TokKind::Ident if name == "await" => {
+                        self.pos += 2;
+                        continue;
                     }
-                    TokKind::Ident => {
-                        let name = next.text.clone();
-                        self.bump();
-                        self.bump();
-                        // Turbofish between name and call parens.
-                        if self.is_p(':') && self.nth_is_p(1, ':') && self.nth_is_p(2, '<') {
-                            self.bump();
-                            self.bump();
-                            self.skip_angles(None);
-                        }
-                        if self.is_p('(') {
-                            let args = self.call_args();
-                            e = Expr {
-                                line,
-                                kind: ExprKind::MethodCall {
-                                    recv: Box::new(e),
-                                    name,
-                                    args,
-                                },
-                            };
-                        } else {
-                            e = Expr {
-                                line,
-                                kind: ExprKind::Field(Box::new(e), name),
-                            };
-                        }
-                    }
-                    TokKind::Number => {
-                        let name = next.text.clone();
-                        self.bump();
-                        self.bump();
-                        e = Expr {
-                            line,
-                            kind: ExprKind::Field(Box::new(e), name),
-                        };
-                    }
+                    TokKind::Ident | TokKind::Number => self.pos += 2,
                     _ => break,
                 }
+                // Turbofish between name and call parens.
+                if self.op("::") && self.nth_is_p(2, '<') {
+                    self.pos += 2;
+                    self.angles();
+                }
+                if next.kind == TokKind::Ident && self.is_p('(') {
+                    ExprKind::MethodCall {
+                        recv: Box::new(e),
+                        name,
+                        args: self.call_args(),
+                    }
+                } else {
+                    ExprKind::Field(Box::new(e), name)
+                }
             } else if self.is_p('(') {
-                let args = self.call_args();
-                e = Expr {
-                    line,
-                    kind: ExprKind::Call {
-                        callee: Box::new(e),
-                        args,
-                    },
-                };
+                ExprKind::Call {
+                    callee: Box::new(e),
+                    args: self.call_args(),
+                }
             } else if self.is_p('[') {
-                self.bump();
-                let idx = self.expr(false);
-                self.eat_p(']');
-                e = Expr {
-                    line,
-                    kind: ExprKind::Index {
-                        base: Box::new(e),
-                        index: Box::new(idx),
-                    },
-                };
-            } else if self.is_p('?') {
-                self.bump();
-                e = Expr {
-                    line,
-                    kind: ExprKind::Try(Box::new(e)),
-                };
+                ExprKind::Index {
+                    base: Box::new(e),
+                    index: Box::new(self.group().expr(false)),
+                }
+            } else if self.eat_p('?') {
+                ExprKind::Try(Box::new(e))
             } else {
                 break;
-            }
+            };
+            e = Expr { line, kind };
         }
         e
     }
@@ -1547,16 +1151,7 @@ impl<'a> Parser<'a> {
     /// Parses `( expr, … )` call arguments; `pos` sits on `(`.
     fn call_args(&mut self) -> Vec<Expr> {
         let mut args = Vec::new();
-        self.bump(); // `(`
-        while !self.at_end() && !self.is_p(')') {
-            let before = self.pos;
-            args.push(self.expr(false));
-            self.eat_p(',');
-            if self.pos == before {
-                self.bump();
-            }
-        }
-        self.eat_p(')');
+        self.group().list(",", |p| args.push(p.expr(false)));
         args
     }
 
@@ -1565,289 +1160,177 @@ impl<'a> Parser<'a> {
         let Some(t) = self.tok() else {
             return Expr::unknown(line);
         };
-        match t.kind {
-            TokKind::Number | TokKind::Char => {
-                self.bump();
-                Expr {
-                    line,
-                    kind: ExprKind::Lit,
-                }
-            }
-            TokKind::Str => {
-                let s = t.text.clone();
-                self.bump();
-                Expr {
-                    line,
-                    kind: ExprKind::Str(s),
-                }
-            }
+        let kind = match t.kind {
+            TokKind::Number | TokKind::Char => ExprKind::Lit,
+            TokKind::Str => ExprKind::Str(t.text.clone()),
             TokKind::Lifetime => {
                 // Loop label: `'l: loop { … }`.
                 self.bump();
                 self.eat_p(':');
-                self.primary(ns)
+                return self.primary(ns);
             }
-            TokKind::Punct => self.primary_punct(ns, line),
-            TokKind::Ident => self.primary_ident(ns, line),
-            _ => {
-                self.bump();
-                Expr::unknown(line)
-            }
-        }
+            TokKind::Punct => return self.primary_punct(line),
+            TokKind::Ident => return self.primary_ident(ns, line),
+            _ => ExprKind::Unknown,
+        };
+        self.bump();
+        Expr { line, kind }
     }
 
-    fn primary_punct(&mut self, _ns: bool, line: usize) -> Expr {
-        if self.is_p('(') {
-            self.bump();
-            let mut els = Vec::new();
-            let mut saw_comma = false;
-            while !self.at_end() && !self.is_p(')') {
-                let before = self.pos;
-                els.push(self.expr(false));
-                saw_comma |= self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p(')');
-            if els.len() == 1 && !saw_comma {
+    fn primary_punct(&mut self, line: usize) -> Expr {
+        let mut els = Vec::new();
+        let kind = if self.is_p('(') {
+            let commas = self.group().list(",", |p| els.push(p.expr(false)));
+            if els.len() == 1 && commas == 0 {
                 return els.pop().unwrap_or_else(|| Expr::unknown(line));
             }
-            return Expr {
-                line,
-                kind: ExprKind::Tuple(els),
-            };
-        }
-        if self.is_p('[') {
-            self.bump();
-            let mut els = Vec::new();
-            while !self.at_end() && !self.is_p(']') {
-                let before = self.pos;
-                els.push(self.expr(false));
-                let _ = self.eat_p(',') || self.eat_p(';');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p(']');
-            return Expr {
-                line,
-                kind: ExprKind::Array(els),
-            };
-        }
-        if self.is_p('{') {
-            let b = self.block();
-            return Expr {
-                line,
-                kind: ExprKind::Block(b),
-            };
-        }
-        if self.is_p('|') {
+            ExprKind::Tuple(els)
+        } else if self.is_p('[') {
+            self.group().list(",;", |p| els.push(p.expr(false)));
+            ExprKind::Array(els)
+        } else if self.is_p('{') {
+            ExprKind::Block(self.block())
+        } else if self.is_p('|') {
             return self.closure(line);
-        }
-        if self.is_p('<') {
+        } else if self.is_p('<') {
             // Qualified path `<T as Trait>::method(…)`: skip the type,
             // then parse the path tail.
-            self.skip_angles(None);
-            if self.is_p(':') && self.nth_is_p(1, ':') {
-                self.bump();
-                self.bump();
+            self.angles();
+            if self.eat_op("::") {
                 return self.primary(true);
             }
-            return Expr::unknown(line);
-        }
-        self.bump();
-        Expr::unknown(line)
+            ExprKind::Unknown
+        } else {
+            self.bump();
+            ExprKind::Unknown
+        };
+        Expr { line, kind }
     }
 
+    /// `|params| body`; `pos` sits on the first `|`.
     fn closure(&mut self, line: usize) -> Expr {
-        // `pos` sits on the first `|` (or caller consumed `move`).
         let mut params = Vec::new();
-        self.bump(); // `|`
-        if self.eat_p('|') {
-            // `||` zero-param closure.
-        } else {
-            while !self.at_end() && !self.is_p('|') {
-                let before = self.pos;
-                // `pat_single`, not `pat`: the closing `|` of the closure
-                // must not start an or-pattern.
-                let pat = self.pat_single();
-                let ty = if self.eat_p(':') {
-                    self.ty()
-                } else {
-                    Ty::default()
-                };
-                params.push((pat, ty));
-                self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p('|');
-        }
-        if self.is_p('-') && self.nth_is_p(1, '>') {
-            self.bump();
-            self.bump();
-            let _ = self.ty();
-        }
-        let body = self.expr(false);
-        Expr {
-            line,
-            kind: ExprKind::Closure {
-                params,
-                body: Box::new(body),
-            },
-        }
+        self.bars()
+            .list(",", |p| params.push((p.pat(), p.ascription())));
+        let _ = self.ret_ty();
+        let kind = ExprKind::Closure {
+            params,
+            body: Box::new(self.expr(false)),
+        };
+        Expr { line, kind }
     }
 
     fn primary_ident(&mut self, ns: bool, line: usize) -> Expr {
         let Some(t) = self.tok() else {
             return Expr::unknown(line);
         };
-        match t.text.as_str() {
+        let kind = match t.text.as_str() {
+            "if" => return self.if_expr(line),
+            "match" => return self.match_expr(line),
+            "while" => return self.while_expr(line),
             "true" | "false" | "continue" => {
                 self.bump();
-                if self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                    self.bump();
-                }
-                Expr {
-                    line,
-                    kind: ExprKind::Lit,
-                }
+                self.eat_kind(TokKind::Lifetime); // `continue 'l`
+                ExprKind::Lit
             }
-            "if" => self.if_expr(line),
-            "match" => self.match_expr(line),
-            "while" => self.while_expr(line),
             "for" => {
                 self.bump();
                 let pat = self.pat();
                 self.eat_id("in");
-                let iter = self.expr(true);
-                let body = self.block();
-                Expr {
-                    line,
-                    kind: ExprKind::ForLoop {
-                        pat,
-                        iter: Box::new(iter),
-                        body,
-                    },
+                ExprKind::ForLoop {
+                    pat,
+                    iter: Box::new(self.expr(true)),
+                    body: self.block(),
                 }
             }
             "loop" => {
                 self.bump();
-                let body = self.block();
-                Expr {
-                    line,
-                    kind: ExprKind::Loop(body),
-                }
+                ExprKind::Loop(self.block())
             }
             "return" => {
                 self.bump();
-                let val = if self.expr_can_start(ns) && !self.is_p('}') {
-                    Some(Box::new(self.expr(ns)))
-                } else {
-                    None
-                };
-                Expr {
-                    line,
-                    kind: ExprKind::Return(val),
-                }
+                ExprKind::Return(self.operand(ns))
             }
             "break" => {
                 self.bump();
-                if self.tok().is_some_and(|t| t.kind == TokKind::Lifetime) {
-                    self.bump();
-                }
-                let val = if self.expr_can_start(ns) && !self.is_p('}') && !self.is_p(';') {
-                    Some(Box::new(self.expr(ns)))
-                } else {
-                    None
-                };
-                Expr {
-                    line,
-                    kind: ExprKind::Break(val),
-                }
+                self.eat_kind(TokKind::Lifetime);
+                ExprKind::Break(self.operand(ns))
             }
-            "unsafe" => {
+            "unsafe" if self.nth_is_p(1, '{') => {
                 self.bump();
-                if self.is_p('{') {
-                    let b = self.block();
-                    return Expr {
-                        line,
-                        kind: ExprKind::Block(b),
-                    };
-                }
-                Expr::unknown(line)
+                ExprKind::Block(self.block())
             }
-            "move" => {
+            "move" if self.nth_is_p(1, '|') => {
                 self.bump();
-                if self.is_p('|') {
-                    return self.closure(line);
-                }
-                Expr::unknown(line)
+                return self.closure(line);
             }
             "let" => {
                 // Let-chain fragment (`… && let Some(x) = e`): keep the
                 // scrutinee, drop the binding — lossy but safe.
                 self.bump();
                 let _ = self.pat();
-                if self.is_p('=') && !self.nth_is_p(1, '=') {
-                    self.bump();
+                if self.eat_op("=") {
                     return self.expr(true);
                 }
-                Expr::unknown(line)
+                ExprKind::Unknown
             }
-            _ => self.path_expr(ns, line),
-        }
+            "unsafe" | "move" => {
+                self.bump();
+                ExprKind::Unknown
+            }
+            _ => return self.path_expr(ns, line),
+        };
+        Expr { line, kind }
+    }
+
+    /// The optional value of a `return`/`break`.
+    fn operand(&mut self, ns: bool) -> Option<Box<Expr>> {
+        self.expr_can_start().then(|| Box::new(self.expr(ns)))
+    }
+
+    /// `= scrutinee` after the pattern of an `if let`/`while let`.
+    fn scrutinee(&mut self, line: usize) -> Box<Expr> {
+        Box::new(if self.eat_op("=") {
+            self.expr(true)
+        } else {
+            Expr::unknown(line)
+        })
     }
 
     fn if_expr(&mut self, line: usize) -> Expr {
         self.bump(); // `if`
-        if self.eat_id("let") {
-            // Desugar `if let P = e { A } else { B }` to a two-arm match.
-            let pat = self.pat();
-            let scrutinee = if self.is_p('=') && !self.nth_is_p(1, '=') {
-                self.bump();
-                self.expr(true)
-            } else {
-                Expr::unknown(line)
+        if !self.eat_id("let") {
+            let kind = ExprKind::If {
+                cond: Box::new(self.expr(true)),
+                then: self.block(),
+                els: self.else_tail(line).map(Box::new),
             };
-            let then = self.block();
-            let els = self.else_tail(line);
-            let mut arms = vec![Arm {
+            return Expr { line, kind };
+        }
+        // Desugar `if let P = e { A } else { B }` to a two-arm match.
+        let pat = self.pat();
+        let scrutinee = self.scrutinee(line);
+        let block = |b| Expr {
+            line,
+            kind: ExprKind::Block(b),
+        };
+        let then = block(self.block());
+        let els = self.else_tail(line);
+        let arms = vec![
+            Arm {
                 pat,
                 guard: None,
-                body: Expr {
-                    line,
-                    kind: ExprKind::Block(then),
-                },
-            }];
-            arms.push(Arm {
+                body: then,
+            },
+            Arm {
                 pat: Pat::Wild,
                 guard: None,
-                body: els.unwrap_or_else(|| Expr {
-                    line,
-                    kind: ExprKind::Block(Block::default()),
-                }),
-            });
-            return Expr {
-                line,
-                kind: ExprKind::Match {
-                    scrutinee: Box::new(scrutinee),
-                    arms,
-                },
-            };
-        }
-        let cond = self.expr(true);
-        let then = self.block();
-        let els = self.else_tail(line);
+                body: els.unwrap_or_else(|| block(Block::default())),
+            },
+        ];
         Expr {
             line,
-            kind: ExprKind::If {
-                cond: Box::new(cond),
-                then,
-                els: els.map(Box::new),
-            },
+            kind: ExprKind::Match { scrutinee, arms },
         }
     }
 
@@ -1858,153 +1341,91 @@ impl<'a> Parser<'a> {
         if self.is_id("if") {
             return Some(self.if_expr(self.line()));
         }
-        if self.is_p('{') {
-            let b = self.block();
-            return Some(Expr {
-                line,
-                kind: ExprKind::Block(b),
-            });
-        }
-        None
+        self.is_p('{').then(|| Expr {
+            line,
+            kind: ExprKind::Block(self.block()),
+        })
     }
 
     fn match_expr(&mut self, line: usize) -> Expr {
         self.bump(); // `match`
-        let scrutinee = self.expr(true);
+        let scrutinee = Box::new(self.expr(true));
         let mut arms = Vec::new();
-        if self.eat_p('{') {
-            while !self.at_end() && !self.is_p('}') {
-                let before = self.pos;
-                let _ = self.attrs();
-                self.eat_p('|');
-                let pat = self.pat();
-                let guard = if self.eat_id("if") {
-                    Some(self.expr(true))
-                } else {
-                    None
-                };
-                if self.is_p('=') && self.nth_is_p(1, '>') {
-                    self.bump();
-                    self.bump();
-                }
-                let body = self.expr(false);
+        if self.is_p('{') {
+            self.group().list(",", |p| {
+                let _ = p.attrs();
+                p.eat_p('|');
+                let pat = p.pat();
+                let guard = p.eat_id("if").then(|| p.expr(true));
+                p.eat_op("=>");
+                p.stmt_start = p.pos;
+                let body = p.expr(false);
                 arms.push(Arm { pat, guard, body });
-                self.eat_p(',');
-                if self.pos == before {
-                    self.bump();
-                }
-            }
-            self.eat_p('}');
+            });
         }
         Expr {
             line,
-            kind: ExprKind::Match {
-                scrutinee: Box::new(scrutinee),
-                arms,
-            },
+            kind: ExprKind::Match { scrutinee, arms },
         }
     }
 
     fn while_expr(&mut self, line: usize) -> Expr {
         self.bump(); // `while`
-        if self.eat_id("let") {
-            // Desugar `while let P = e { B }` to
-            // `loop { match e { P => B, _ => break } }`.
-            let pat = self.pat();
-            let scrutinee = if self.is_p('=') && !self.nth_is_p(1, '=') {
-                self.bump();
-                self.expr(true)
-            } else {
-                Expr::unknown(line)
+        if !self.eat_id("let") {
+            let kind = ExprKind::While {
+                cond: Box::new(self.expr(true)),
+                body: self.block(),
             };
-            let body = self.block();
-            let mtch = Expr {
-                line,
-                kind: ExprKind::Match {
-                    scrutinee: Box::new(scrutinee),
-                    arms: vec![
-                        Arm {
-                            pat,
-                            guard: None,
-                            body: Expr {
-                                line,
-                                kind: ExprKind::Block(body),
-                            },
-                        },
-                        Arm {
-                            pat: Pat::Wild,
-                            guard: None,
-                            body: Expr {
-                                line,
-                                kind: ExprKind::Break(None),
-                            },
-                        },
-                    ],
-                },
-            };
-            return Expr {
-                line,
-                kind: ExprKind::Loop(Block {
-                    stmts: vec![Stmt::Expr {
-                        expr: mtch,
-                        semi: true,
-                    }],
-                }),
-            };
+            return Expr { line, kind };
         }
-        let cond = self.expr(true);
-        let body = self.block();
+        // Desugar `while let P = e { B }` to
+        // `loop { match e { P => B, _ => break } }`.
+        let pat = self.pat();
+        let scrutinee = self.scrutinee(line);
+        let arm = |pat, kind| Arm {
+            pat,
+            guard: None,
+            body: Expr { line, kind },
+        };
+        let arms = vec![
+            arm(pat, ExprKind::Block(self.block())),
+            arm(Pat::Wild, ExprKind::Break(None)),
+        ];
+        let expr = Expr {
+            line,
+            kind: ExprKind::Match { scrutinee, arms },
+        };
+        let stmts = vec![Stmt::Expr { expr, semi: true }];
         Expr {
             line,
-            kind: ExprKind::While {
-                cond: Box::new(cond),
-                body,
-            },
+            kind: ExprKind::Loop(Block { stmts }),
         }
     }
 
     fn path_expr(&mut self, ns: bool, line: usize) -> Expr {
         let mut segs: Vec<String> = Vec::new();
-        while let Some(t) = self.tok() {
-            if t.kind != TokKind::Ident {
+        while self.is_kind(TokKind::Ident) {
+            segs.push(self.eat_ident());
+            if !self.eat_op("::") {
                 break;
             }
-            segs.push(t.text.clone());
-            self.bump();
-            if self.is_p(':') && self.nth_is_p(1, ':') {
-                self.bump();
-                self.bump();
-                if self.is_p('<') {
-                    // Turbofish.
-                    self.skip_angles(None);
-                    if self.is_p(':') && self.nth_is_p(1, ':') {
-                        self.bump();
-                        self.bump();
-                        continue;
-                    }
+            if self.is_p('<') {
+                // Turbofish.
+                self.angles();
+                if !self.eat_op("::") {
                     break;
                 }
-                continue;
             }
-            break;
         }
-        if segs.is_empty() {
-            self.bump();
-            return Expr::unknown(line);
-        }
+        let head = segs.last().cloned().unwrap_or_default();
         // Macro invocation.
-        if self.is_p('!')
-            && self
-                .nth(1)
-                .is_some_and(|t| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'))
-        {
+        if self.is_p('!') && self.nth(1).is_some_and(is_open) {
             self.bump(); // `!`
-            return self.macro_call(segs.last().cloned().unwrap_or_default(), line);
+            return self.macro_call(head, line);
         }
         // Struct literal (uppercase-initial heads only, outside header
         // positions).
-        let head = segs.last().cloned().unwrap_or_default();
-        if !ns && self.is_p('{') && head.chars().next().is_some_and(|c| c.is_uppercase()) {
+        if !ns && self.is_p('{') && head.starts_with(char::is_uppercase) {
             return self.struct_lit(head, line);
         }
         Expr {
@@ -2014,37 +1435,26 @@ impl<'a> Parser<'a> {
     }
 
     fn struct_lit(&mut self, path: String, line: usize) -> Expr {
-        self.bump(); // `{`
         let mut fields = Vec::new();
         let mut base = None;
-        while !self.at_end() && !self.is_p('}') {
-            let before = self.pos;
-            if self.is_p('.') && self.nth_is_p(1, '.') {
-                self.bump();
-                self.bump();
-                base = Some(Box::new(self.expr(false)));
-            } else if let Some(f) = self.tok().filter(|t| t.kind == TokKind::Ident).cloned() {
-                self.bump();
-                if self.eat_p(':') {
-                    let e = self.expr(false);
-                    fields.push((f.text.clone(), e));
+        self.group().list(",", |p| {
+            if p.eat_range() {
+                // `Variant { .. }` in a `matches!` pattern has no base.
+                base = (!p.at_end()).then(|| Box::new(p.expr(false)));
+            } else if let Some(f) = p.tok().filter(|t| t.kind == TokKind::Ident) {
+                p.bump();
+                let value = if p.eat_p(':') {
+                    p.expr(false)
                 } else {
                     // Shorthand `Foo { x }`.
-                    fields.push((
-                        f.text.clone(),
-                        Expr {
-                            line: f.line,
-                            kind: ExprKind::Path(vec![f.text.clone()]),
-                        },
-                    ));
-                }
+                    Expr {
+                        line: f.line,
+                        kind: ExprKind::Path(vec![f.text.clone()]),
+                    }
+                };
+                fields.push((f.text.clone(), value));
             }
-            self.eat_p(',');
-            if self.pos == before {
-                self.bump();
-            }
-        }
-        self.eat_p('}');
+        });
         Expr {
             line,
             kind: ExprKind::StructLit { path, fields, base },
@@ -2053,38 +1463,21 @@ impl<'a> Parser<'a> {
 
     /// Parses `name!(…)` — `pos` sits on the opening delimiter. Captures
     /// the raw ident/string bag, then best-effort parses the top-level
-    /// `,`/`;`-separated segments as expressions.
+    /// `,`/`;`-separated segments as expressions, each on its own slice:
+    /// an argument that is no expression (a pattern, a type) cannot
+    /// disturb its neighbours. Leftover tokens of a segment are ignored.
     fn macro_call(&mut self, name: String, line: usize) -> Expr {
-        let open = self.pos;
-        let mut raw_idents = Vec::new();
-        let mut strs = Vec::new();
-        self.skip_balanced(Some(&mut raw_idents), Some(&mut strs));
-        let close = self.pos.saturating_sub(1);
-        let inner: &[Tok] = if open < close {
-            &self.t[open + 1..close]
-        } else {
-            &[]
-        };
+        let mut inner = self.group();
+        let (raw_idents, strs) = (inner.texts(TokKind::Ident), inner.texts(TokKind::Str));
         let mut args = Vec::new();
-        let mut depth = 0usize;
-        let mut seg_start = 0usize;
-        for (i, t) in inner.iter().enumerate() {
-            if t.kind == TokKind::Punct {
-                let c = t.text.as_bytes().first().copied().unwrap_or(0);
-                if matches!(c, b'(' | b'[' | b'{') {
-                    depth += 1;
-                } else if matches!(c, b')' | b']' | b'}') {
-                    depth = depth.saturating_sub(1);
-                } else if (c == b',' || c == b';') && depth == 0 {
-                    if let Some(e) = parse_expr_slice(&inner[seg_start..i]) {
-                        args.push(e);
-                    }
-                    seg_start = i + 1;
-                }
+        while !inner.at_end() {
+            let start = inner.pos;
+            inner.skip_to(",;", false);
+            let seg = inner.t.get(start..inner.pos).unwrap_or(&[]);
+            if let Some(last) = seg.last() {
+                args.push(inner.sub(seg, last.line).expr(false));
             }
-        }
-        if let Some(e) = parse_expr_slice(&inner[seg_start.min(inner.len())..]) {
-            args.push(e);
+            inner.bump();
         }
         Expr {
             line,
@@ -2380,6 +1773,210 @@ mod tests {
         };
         assert_eq!(path, "Pkt");
         assert_eq!(fields.len(), 2);
+    }
+
+    fn fn_names(items: &[Item]) -> Vec<&str> {
+        items
+            .iter()
+            .filter_map(|i| match i {
+                Item::Fn(f) => Some(f.name.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn struct_like_enum_variant_does_not_end_the_enum() {
+        // Regression: the variant's `}` was taken for the enum's, and the
+        // enum's real `}` then ended the file's item list.
+        let items = parse("enum E { A, B { x: u32 }, C }\nfn after() {}");
+        assert_eq!(fn_names(&items), vec!["after"]);
+        let Some(Item::Struct(e)) = items.first() else {
+            panic!("expected enum");
+        };
+        let fields: Vec<&str> = e.fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(fields, vec!["x"]);
+    }
+
+    #[test]
+    fn shift_in_const_initialiser_is_not_a_generic_list() {
+        // Regression: `<<` opened two angle groups that never closed, so
+        // the skip ran to end of file.
+        let items = parse("pub const MAX: u64 = 1 << 26;\ntype T = Vec<u8>;\nfn after() {}");
+        assert_eq!(fn_names(&items), vec!["after"]);
+    }
+
+    #[test]
+    fn block_bodied_arm_is_not_called_by_the_next_arm() {
+        // Regression: `{ … }` followed by an arm whose pattern starts
+        // with `(` parsed as a call on the block, and the arm list (and
+        // the fn body) ran on to wherever the brackets happened to close.
+        let items = parse(
+            "fn f(a: A, b: B) -> u32 {\n\
+                 match (a, b) {\n\
+                     (A::X, _) => { return 1 }\n\
+                     (A::Y { .. } | A::Z, Some(_)) => 2,\n\
+                     [p, q] => 3,\n\
+                 }\n\
+             }\n\
+             fn after() { if c { d() } (e, g).h(); }",
+        );
+        assert_eq!(fn_names(&items), vec!["f", "after"]);
+        let Some(ExprKind::Match { arms, .. }) = first_fn(&items).body.tail().map(|e| &e.kind)
+        else {
+            panic!("expected match tail");
+        };
+        assert_eq!(arms.len(), 3);
+        let Some(Item::Fn(after)) = items.get(1) else {
+            panic!("expected fn");
+        };
+        assert_eq!(after.body.stmts.len(), 2);
+    }
+
+    #[test]
+    fn a_slip_inside_a_group_stays_inside_it() {
+        // `if )` used to consume the call's own `)`, so the argument list
+        // ran on over `; h()` to the next `)` it could find.
+        let items = parse("fn f() { g(x, if ); h() }\nfn after() { k(1) }");
+        assert_eq!(fn_names(&items), vec!["f", "after"]);
+        let stmts = &first_fn(&items).body.stmts;
+        assert_eq!(stmts.len(), 2, "{stmts:?}");
+        let Some(Stmt::Expr { expr, .. }) = stmts.get(1) else {
+            panic!("expected `h()`");
+        };
+        assert!(matches!(&expr.kind, ExprKind::Call { args, .. } if args.is_empty()));
+    }
+
+    #[test]
+    fn attributed_statements_are_still_expressions() {
+        // A leading `#[…]` must not route a statement to the item
+        // parser: `name!(…)` there is an item-position macro (no
+        // expression left for the passes) and `unsafe { … }` a qualifier
+        // with a skipped body.
+        let items = parse(
+            "fn f(share: F61) {\n\
+                 #[cfg(debug_assertions)] eprintln!(\"{share:?}\");\n\
+                 #[allow(unused)] unsafe { leak(share) }\n\
+                 #[inline] unsafe fn inner() {}\n\
+                 #[rustfmt::skip] let y = 1;\n\
+             }",
+        );
+        let stmts = &first_fn(&items).body.stmts;
+        assert_eq!(stmts.len(), 4, "{stmts:?}");
+        assert!(matches!(&stmts[0], Stmt::Expr { expr, .. }
+                if matches!(&expr.kind, ExprKind::Macro { name, .. } if name == "eprintln")));
+        let Stmt::Expr { expr, .. } = &stmts[1] else {
+            panic!("expected the unsafe block, got {:?}", stmts[1]);
+        };
+        let ExprKind::Block(b) = &expr.kind else {
+            panic!("expected a block, got {expr:?}");
+        };
+        assert!(matches!(
+            b.tail().map(|e| &e.kind),
+            Some(ExprKind::Call { .. })
+        ));
+        assert!(
+            matches!(&stmts[2], Stmt::Item(i) if matches!(&**i, Item::Fn(f) if f.name == "inner"))
+        );
+        assert!(matches!(&stmts[3], Stmt::Let { .. }));
+    }
+
+    #[test]
+    fn item_position_macro_bodies_are_items_and_macro_rules_is_skipped() {
+        let items = parse(
+            "proptest! { #[test] fn prop(x in 0..4u32) { check(x) } }\n\
+             macro_rules! m { ($x:expr) => { fn hidden() {} }; }\n\
+             fn f() { macro_rules! local { () => { fn hidden2() {} }; } g() }",
+        );
+        let Some(Item::Mod(m)) = items.first() else {
+            panic!("expected the macro body as a mod, got {items:?}");
+        };
+        assert_eq!(m.name, "proptest");
+        assert_eq!(fn_names(&m.items), vec!["prop"]);
+        assert!(matches!(&m.items[0], Item::Fn(f) if f.is_test));
+        assert!(matches!(items.get(1), Some(Item::Other)));
+        let stmts = &first_fn(&items).body.stmts;
+        assert_eq!(stmts.len(), 2, "{stmts:?}");
+        assert!(matches!(&stmts[0], Stmt::Item(i) if matches!(**i, Item::Other)));
+    }
+
+    #[test]
+    fn guarded_arm_keeps_guard_and_body_apart() {
+        // `=>` after a guard is one operator; read as `=` then `>` the
+        // guard becomes `Assign { g, > body }`.
+        let items = parse("fn f(v: V) -> u32 { match v { V::A(n) if n > 1 => n, _ => 0 } }");
+        let Some(ExprKind::Match { arms, .. }) = first_fn(&items).body.tail().map(|e| &e.kind)
+        else {
+            panic!("expected match tail");
+        };
+        assert_eq!(arms.len(), 2);
+        let guard = arms[0].guard.as_ref().expect("guard");
+        assert!(matches!(guard.kind, ExprKind::Binary(BinOp::Gt, _, _)));
+        assert_eq!(arms[0].body.place().as_deref(), Some("n"));
+    }
+
+    #[test]
+    fn cast_takes_no_trait_bounds() {
+        // `+ b` after `as usize` is an operand; read as a bound on the
+        // cast's type it hides `b` from every pass.
+        let items = parse("fn f(a: u32, b: usize) -> usize { a as usize + b }");
+        let tail = first_fn(&items).body.tail().expect("tail");
+        let ExprKind::Binary(BinOp::Add, l, r) = &tail.kind else {
+            panic!("expected `+`, got {tail:?}");
+        };
+        assert!(matches!(&l.kind, ExprKind::Cast(_, ty) if ty.head == "usize"));
+        assert_eq!(r.place().as_deref(), Some("b"));
+    }
+
+    #[test]
+    fn rest_only_struct_pattern_in_macro_has_no_base() {
+        // `V { .. }` as a `matches!` pattern: nothing follows `..`, so
+        // there is no base (not an `Unknown` one).
+        let items = parse("fn f(v: V) -> bool { matches!(v, V::A { .. }) }");
+        let tail = first_fn(&items).body.tail().expect("tail");
+        let ExprKind::Macro { args, .. } = &tail.kind else {
+            panic!("expected macro, got {tail:?}");
+        };
+        assert!(
+            matches!(&args[1].kind, ExprKind::StructLit { base: None, fields, .. } if fields.is_empty()),
+            "{:?}",
+            args[1]
+        );
+    }
+
+    #[test]
+    fn union_is_a_keyword_only_before_a_name() {
+        let items = parse("fn f(mut union: Vec<u32>) { union.sort(); union U { a: u32 } }");
+        let stmts = &first_fn(&items).body.stmts;
+        assert_eq!(stmts.len(), 2, "{stmts:?}");
+        assert!(matches!(&stmts[0], Stmt::Expr { expr, .. }
+            if matches!(&expr.kind, ExprKind::MethodCall { name, .. } if name == "sort")));
+        assert!(
+            matches!(&stmts[1], Stmt::Item(i) if matches!(&**i, Item::Struct(s) if s.name == "U"))
+        );
+    }
+
+    #[test]
+    fn stray_closer_at_top_level_does_not_end_the_file() {
+        let items = parse("fn f() {} }\nfn after() {}");
+        assert_eq!(fn_names(&items), vec!["f", "after"]);
+    }
+
+    #[test]
+    fn items_nested_in_test_code_are_test_scoped() {
+        let items = parse("#[test] fn t() { fn helper() {} helper() }\nfn f() { fn inner() {} }");
+        for (outer, nested, is_test) in [(0, "helper", true), (1, "inner", false)] {
+            let Some(Item::Fn(f)) = items.get(outer) else {
+                panic!("expected fn");
+            };
+            let Some(Stmt::Item(i)) = f.body.stmts.first() else {
+                panic!("expected nested item in {}", f.name);
+            };
+            assert!(
+                matches!(&**i, Item::Fn(n) if n.name == nested && n.is_test == is_test),
+                "{i:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Shared by the AST-based `cross-function-taint` and `constant-time`
 //! passes; built once per analysis run from every scoped [`FileModel`].
 
-use crate::ast::{Fun, Item, StructDef, Ty};
+use crate::ast::{for_each_item, Fun, Item, StructDef, Ty};
 use crate::model::FileModel;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,9 +42,26 @@ impl<'a> Registry<'a> {
     pub fn build(models: &'a [FileModel]) -> Registry<'a> {
         let mut fns = Vec::new();
         let mut structs: BTreeMap<&str, &StructDef> = BTreeMap::new();
-        for (mi, m) in models.iter().enumerate() {
-            let in_secret = m.rel.ends_with("mpc/src/secret.rs");
-            collect(&m.ast, mi, in_secret, &mut fns, &mut structs);
+        for (model, m) in models.iter().enumerate() {
+            let in_secret_rs = m.rel.ends_with("mpc/src/secret.rs");
+            let mut entry = |fun: &'a Fun, self_ty: Option<&String>| {
+                fns.push(FnEntry {
+                    model,
+                    fun,
+                    self_ty: self_ty.cloned(),
+                    in_secret_rs,
+                })
+            };
+            // Flattened through modules and bodies: a fn nested in a body
+            // is an entry like any other.
+            for_each_item(&m.ast, &mut |item| match item {
+                Item::Fn(f) => entry(f, None),
+                Item::Impl(ib) => ib.fns.iter().for_each(|f| entry(f, Some(&ib.self_ty))),
+                Item::Struct(sd) => {
+                    structs.entry(sd.name.as_str()).or_insert(sd);
+                }
+                Item::Mod(_) | Item::Other => {}
+            });
         }
         let mut methods = BTreeMap::new();
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -109,40 +126,6 @@ impl<'a> Registry<'a> {
     pub fn field_ty(&self, struct_head: &str, field: &str) -> Option<&Ty> {
         let sd = self.structs.get(struct_head)?;
         sd.fields.iter().find(|(n, _)| n == field).map(|(_, t)| t)
-    }
-}
-
-fn collect<'a>(
-    items: &'a [Item],
-    model: usize,
-    in_secret_rs: bool,
-    fns: &mut Vec<FnEntry<'a>>,
-    structs: &mut BTreeMap<&'a str, &'a StructDef>,
-) {
-    for item in items {
-        match item {
-            Item::Fn(f) => fns.push(FnEntry {
-                model,
-                fun: f,
-                self_ty: None,
-                in_secret_rs,
-            }),
-            Item::Struct(sd) => {
-                structs.entry(sd.name.as_str()).or_insert(sd);
-            }
-            Item::Impl(ib) => {
-                for f in &ib.fns {
-                    fns.push(FnEntry {
-                        model,
-                        fun: f,
-                        self_ty: Some(ib.self_ty.clone()),
-                        in_secret_rs,
-                    });
-                }
-            }
-            Item::Mod(md) => collect(&md.items, model, in_secret_rs, fns, structs),
-            Item::Other => {}
-        }
     }
 }
 

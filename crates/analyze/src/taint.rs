@@ -7,7 +7,7 @@
 //! a second function passes it along under an innocuous name and type,
 //! and a third finally Debug-formats it.
 //!
-//! The pass ([`run`]) is an abstract interpreter over the AST
+//! The pass (`run`) is an abstract interpreter over the AST
 //! (`crate::parser`), which gives it three kinds of precision:
 //!
 //! - **Field sensitivity.** Taint is tracked per dotted *place*
@@ -830,12 +830,11 @@ fn analyze_entry(
     (it.ret_tainted || tail, it.findings)
 }
 
-/// Runs the cross-function taint pass over a set of (secure-scope)
-/// file models: seed from declared return types, propagate function-level
-/// taint to a fixpoint by abstract interpretation, then report formatter
-/// sinks fed by secret material.
-pub fn run(models: &[FileModel]) -> Vec<Finding> {
-    let reg = Registry::build(models);
+/// Runs the cross-function taint pass over the registry of a set of
+/// (secure-scope) file models: seed from declared return types, propagate
+/// function-level taint to a fixpoint by abstract interpretation, then
+/// report formatter sinks fed by secret material.
+pub(crate) fn run(reg: &Registry) -> Vec<Finding> {
     let mut tainted_free: BTreeSet<String> = BTreeSet::new();
     let mut tainted_methods: BTreeSet<(String, String)> = BTreeSet::new();
     for e in &reg.fns {
@@ -871,7 +870,7 @@ pub fn run(models: &[FileModel]) -> Vec<Finding> {
             if already {
                 continue;
             }
-            let (ret_t, _) = analyze_entry(&reg, &tainted_free, &tainted_methods, e, false);
+            let (ret_t, _) = analyze_entry(reg, &tainted_free, &tainted_methods, e, false);
             if ret_t {
                 match &e.self_ty {
                     Some(st) => {
@@ -893,7 +892,7 @@ pub fn run(models: &[FileModel]) -> Vec<Finding> {
         if e.fun.is_test {
             continue;
         }
-        let (_, f) = analyze_entry(&reg, &tainted_free, &tainted_methods, e, true);
+        let (_, f) = analyze_entry(reg, &tainted_free, &tainted_methods, e, true);
         out.extend(f);
     }
     out
@@ -908,6 +907,10 @@ mod tests {
             .iter()
             .map(|(rel, src)| FileModel::parse(rel, src))
             .collect()
+    }
+
+    fn run(models: &[FileModel]) -> Vec<Finding> {
+        super::run(&Registry::build(models))
     }
 
     fn lint_count(f: &[Finding]) -> usize {

@@ -84,7 +84,20 @@ fn cross_taint_fixture_detected() {
         .filter(|x| x.lint == "cross-function-taint")
         .map(|x| (x.line, x.function.as_str()))
         .collect();
-    assert_eq!(sites, vec![(31, "report"), (39, "report_inline")]);
+    assert_eq!(
+        sites,
+        vec![
+            (31, "report"),
+            (39, "report_inline"),
+            // Sites only a complete AST shows: inside a nested fn, and
+            // after a struct-like enum variant and a `<<` in a `const`
+            // (syntax a parser can mistake for the end of the file).
+            (61, "render"),
+            (78, "report_late"),
+            // A macro statement behind an attribute is still a sink.
+            (86, "report_debug"),
+        ]
+    );
     let fns: Vec<&str> = f.iter().map(|x| x.function.as_str()).collect();
     // Audited open sanitizes; counts and test code are free.
     assert!(!fns.contains(&"report_opened"));
@@ -131,9 +144,9 @@ fn fake_audited_open_caught() {
 
 /// Runs the real `dash-analyze` binary over a scratch workspace whose only
 /// secure-scope file is `fixture`; returns its exit code and stdout.
-fn run_binary_over(fixture_name: &str, format: &str) -> (Option<i32>, String) {
+fn run_binary_over(fixture_name: &str) -> (Option<i32>, String) {
     let root = std::env::temp_dir().join(format!(
-        "dash-analyze-{}-{fixture_name}-{format}",
+        "dash-analyze-{}-{fixture_name}",
         std::process::id()
     ));
     let src_dir = root.join("crates/mpc/src");
@@ -142,7 +155,6 @@ fn run_binary_over(fixture_name: &str, format: &str) -> (Option<i32>, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_dash-analyze"))
         .arg("--root")
         .arg(&root)
-        .args(["--format", format])
         .output()
         .unwrap();
     std::fs::remove_dir_all(&root).unwrap();
@@ -154,18 +166,10 @@ fn run_binary_over(fixture_name: &str, format: &str) -> (Option<i32>, String) {
 #[test]
 fn leak_fixtures_fail_the_binary() {
     for name in ["field_leak.rs", "closure_leak.rs", "dispatch_leak.rs"] {
-        let (code, text) = run_binary_over(name, "text");
+        let (code, text) = run_binary_over(name);
         assert_eq!(code, Some(1), "{name}: {text}");
         assert!(text.contains("error[cross-function-taint]"), "{text}");
         assert!(text.contains("dash-analyze: FAIL"), "{text}");
-        let (code, json) = run_binary_over(name, "json");
-        assert_eq!(code, Some(1), "{name}: {json}");
-        let v = dash_analyze::json::parse_json(&json).unwrap();
-        let n = v.get("findings").and_then(|l| l.as_arr()).unwrap().len();
-        assert!(n >= 1, "{json}");
-        let (code, gh) = run_binary_over(name, "github");
-        assert_eq!(code, Some(1), "{name}: {gh}");
-        assert!(gh.starts_with("::error file=crates/mpc/src/"), "{gh}");
     }
 }
 
@@ -181,7 +185,7 @@ fn indexing_fixture_detected() {
 #[test]
 fn constant_time_fixture_detected() {
     let f = run_fixture("ct_violations.rs");
-    assert_eq!(count(&f, "constant-time"), 7, "{f:?}");
+    assert_eq!(count(&f, "constant-time"), 11, "{f:?}");
     let flagged: Vec<&str> = f
         .iter()
         .filter(|x| x.lint == "constant-time")
@@ -195,12 +199,18 @@ fn constant_time_fixture_detected() {
         "sign_match",
         "local_leak",
         "div_leak",
+        "let_else_leak",
+        // BAD 9 sits in the nested fn, not in `nested_leak` around it.
+        "inner",
+        "attributed_assert_leak",
+        "cast_sum_leak",
     ] {
         assert!(flagged.contains(&bad), "missing {bad} in {flagged:?}");
     }
     // Branch-free arithmetic, public shape metadata, pragma'd Option
     // branches, and test code must all stay clean.
     for good in [
+        "nested_leak",
         "branchless_reduce",
         "ge_mask",
         "public_branch",
@@ -232,7 +242,8 @@ fn workspace_root() -> PathBuf {
 /// reports nothing. This is the same analysis `scripts/check.sh` runs.
 #[test]
 fn workspace_clean() {
-    let findings = analyze_workspace(&workspace_root()).expect("workspace walk");
+    let report = analyze_workspace(&workspace_root()).expect("workspace walk");
+    let findings = &report.findings;
     let lines: Vec<_> = findings
         .iter()
         .map(|f| format!("{}:{} {} — {}", f.file, f.line, f.lint, f.message))

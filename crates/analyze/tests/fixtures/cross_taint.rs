@@ -54,6 +54,38 @@ pub fn report_count(prg: &mut PartyPrg) -> String {
     format!("{n} rounds")
 }
 
+/// Sink inside a fn nested in a body. VIOLATION — cross-function-taint.
+pub fn report_nested(prg: &mut PartyPrg) -> String {
+    fn render(prg: &mut PartyPrg) -> String {
+        let stats = collect_summary(prg);
+        format!("{:?}", stats)
+    }
+    render(prg)
+}
+
+/// Syntax a parser can mistake for the end of the file: a struct-like
+/// enum variant, and a `<<` in a `const` (no generic list opens there).
+pub enum Phase {
+    Idle,
+    Round { index: u32 },
+}
+
+const ROUND_LIMIT: u64 = 1 << 3;
+
+/// Sink placed after them. VIOLATION — cross-function-taint.
+pub fn report_late(prg: &mut PartyPrg) -> String {
+    let stats = collect_summary(prg);
+    format!("{:?} of {ROUND_LIMIT}", stats)
+}
+
+/// Sink behind an attribute — the usual shape of a debug print left in.
+/// VIOLATION — cross-function-taint.
+pub fn report_debug(prg: &mut PartyPrg) {
+    let stats = collect_summary(prg);
+    #[cfg(debug_assertions)]
+    println!("{:?}", stats);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

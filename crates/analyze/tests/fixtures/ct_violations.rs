@@ -53,6 +53,35 @@ fn div_leak(x: F61) -> u64 {
     x.0 / 4
 }
 
+// BAD 8: the same branch inside the diverging block of a `let … else`.
+fn let_else_leak(x: F61, t: &[u64]) -> u64 {
+    let Some(v) = t.first() else {
+        if x.0 > 3 { return 1; }
+        return 0;
+    };
+    *v
+}
+
+// BAD 9: the same branch inside a fn nested in a body.
+fn nested_leak(x: F61) -> u64 {
+    fn inner(y: F61) -> u64 {
+        if y.0 > 3 { 1 } else { 0 }
+    }
+    inner(x)
+}
+
+// BAD 10: the same comparison in a macro statement behind an attribute.
+fn attributed_assert_leak(x: F61) {
+    #[allow(clippy::all)]
+    debug_assert!(x.0 > 3);
+}
+
+// BAD 11: `+ x.0` after a cast is an operand, not a bound on the cast's
+// type (`n` is public and the cast ends its chain; `x.0` is neither).
+fn cast_sum_leak(n: u32, x: F61) -> u64 {
+    (n as u64 + x.0) % 3
+}
+
 // CLEAN: branch-free mask arithmetic — the shapes the lint demands.
 fn branchless_reduce(v: u64) -> u64 {
     let folded = (v >> 61).wrapping_add(v & M);

@@ -77,7 +77,7 @@ fn main() {
         root.display()
     );
 
-    let (t, findings) = time_median(5, || analyze_workspace(&root).unwrap());
+    let (t, report) = time_median(5, || analyze_workspace(&root).unwrap());
     let klines_per_s = lines as f64 / t.median_s / 1e3;
 
     let mut table = Table::new(&["quantity", "value"]);
@@ -89,7 +89,11 @@ fn main() {
         "throughput".into(),
         format!("{klines_per_s:.0} klines/s"),
     ]);
-    table.row(vec!["findings".into(), findings.len().to_string()]);
+    table.row(vec!["findings".into(), report.findings.len().to_string()]);
+    table.row(vec![
+        "covered".into(),
+        format!("{} functions in {} files", report.functions, report.files),
+    ]);
     table.row(vec!["budget".into(), fmt_seconds(BUDGET_S)]);
     table.print();
 

@@ -21,7 +21,7 @@ echo "== static analysis (dash-analyze: token lints, cross-function taint, const
 # includes the constant-time lint: data-dependent branches, comparisons,
 # `%`/`/`, and table lookups on share material in the mpc arithmetic
 # modules.
-cargo run --release -p dash-analyze -- --format json
+./target/release/dash-analyze
 
 echo "== analyzer runtime budget (E15)"
 # The gate runs uncached on every sweep, so its own runtime is pinned:
