@@ -486,7 +486,10 @@ fn scan_all_parties<S: SummandSource>(
         let party = |ctx: &mut PartyCtx| {
             let data = own_rows(parties, ctx)?;
             let mut triples = take_triples(slots, ctx.id());
+            // A party that finished says so (`Transport::close`); one that
+            // failed must look to its peers like the crash it is.
             protocol::party_protocol_with(ctx, data, cfg, triples.as_mut(), None)
+                .inspect(|_| ctx.endpoint().close())
         };
         let (p, seed) = (parties.len(), cfg.seed);
         flatten(match tcp {
@@ -595,7 +598,11 @@ where
             .net_options()
             .party_ctx(transport, cfg.seed, audit.clone());
         let mut triples = take_triples(slots, id);
-        let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), policy);
+        // A party that finished says so before it tears down; one that
+        // failed says nothing, so supervised peers see a crash and hold the
+        // link open for a `--resume`.
+        let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), policy)
+            .inspect(|_| ctx.endpoint().close());
         // Tear the socket mesh down before reporting so every reader
         // thread has exited and the counters are final.
         drop(ctx);

@@ -414,7 +414,6 @@ fn pump(
 mod tests {
     use super::*;
     use crate::net::NetworkStats;
-    use crate::tcp::tests::drop_together;
     use crate::tcp::{LinkSupervision, TcpConfig, TcpTransport};
     use crate::transport::Transport;
     use crate::MpcError;
@@ -596,7 +595,6 @@ mod tests {
         assert!(proxy.connections() >= 2, "fault never tripped");
         assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 1);
         proxy.stop();
-        drop_together([t0, t1]);
     }
 
     #[test]
@@ -621,7 +619,6 @@ mod tests {
         }
         assert!(proxy.connections() >= 2, "partition never tripped");
         proxy.stop();
-        drop_together([t0, t1]);
     }
 
     #[test]
@@ -640,7 +637,6 @@ mod tests {
         assert_eq!(t0.recv_words(1, 600).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(t0.stats().count_by(0, Counter::Reconnects), 0);
         proxy.stop();
-        drop_together([t0, t1]);
     }
 
     #[test]
@@ -651,7 +647,7 @@ mod tests {
         // Threshold just past the handshake: the steady heartbeat
         // stream trips it within a few intervals, every reconnect dial
         // is black-holed, and the waiting receive must get the verdict.
-        let (t0, t1, proxy) = proxied_pair(
+        let (t0, _t1, proxy) = proxied_pair(
             73,
             ChaosMode::PartitionAfterBytes {
                 bytes: 200,
@@ -671,6 +667,5 @@ mod tests {
             started.elapsed()
         );
         proxy.stop();
-        drop_together([t0, t1]);
     }
 }

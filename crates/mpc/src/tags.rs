@@ -13,7 +13,7 @@
 //!
 //! | range | tags | who issues them |
 //! |-------|------|-----------------|
-//! | `reserved` | `0..=999` | hand-picked tags in tests and examples; tag [`HEARTBEAT_TAG`] (`999`) is the transport-internal liveness beacon |
+//! | `reserved` | `0..=999` | hand-picked tags in tests and examples; the top two are transport-internal: [`HEARTBEAT_TAG`] (`999`), the liveness beacon, and [`CLOSE_TAG`] (`998`), the close record |
 //! | `protocol` | `1000..=BLOCK_TAG_BASE-1` | the lockstep [`crate::party::PartyCtx::fresh_tag`] counter |
 //! | `blocks` | `BLOCK_TAG_BASE..=BLOCK_TAG_LAST` | per-block scopes ([`crate::party::PartyCtx::enter_block`]), 1024 tags per block |
 //! | `block-tail` | `BLOCK_TAG_LAST+1..=u32::MAX` | nobody — the partial stride above the last whole block, kept unissuable |
@@ -31,6 +31,12 @@ pub const RESERVED_TAG_LAST: u32 = 999;
 /// self-describing on the wire. Hand-picked from the top of the reserved
 /// range so no test tag collides with it by accident.
 pub const HEARTBEAT_TAG: u32 = RESERVED_TAG_LAST;
+
+/// The transport-internal close record (`crate::tcp`): the last frame a
+/// party that finished its run writes on each link, so the FIN behind it
+/// reads as "finished", not "crashed". Same sentinel sequence number as a
+/// heartbeat, empty payload, consumed by the reader and uncounted.
+pub const CLOSE_TAG: u32 = RESERVED_TAG_LAST - 1;
 
 /// First value of the ordinary lockstep counter range. The counter starts
 /// *at* this value and pre-increments, so the first issued tag is
@@ -186,9 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_tag_is_reserved() {
-        assert_eq!(range_of_tag(HEARTBEAT_TAG).name, "reserved");
-        assert_eq!(block_of_tag(HEARTBEAT_TAG), None);
+    fn transport_internal_tags_are_reserved_and_distinct() {
+        for tag in [HEARTBEAT_TAG, CLOSE_TAG] {
+            assert_eq!(range_of_tag(tag).name, "reserved");
+            assert_eq!(block_of_tag(tag), None);
+        }
+        assert_ne!(HEARTBEAT_TAG, CLOSE_TAG);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! (`reader_thread`). What a link *decides* — sequence, replay, ack,
 //! liveness and reconnect rules, fail-fast vs. supervised — is the pure
 //! `link.rs` machine's; this module is the shell that owns the
-//! sockets, the threads, the pauses and the clock.
+//! sockets, the threads, the pauses and the clock. Teardown is an event,
+//! not a poll: a party that finished says so with a close record
+//! ([`Transport::close`]), a read that ends closes its socket at once, and
+//! every pause blocks on the one stop signal `Drop` raises.
 //!
 //! Threat model: this transport moves **plaintext shares** over TCP. On
 //! an untrusted network an eavesdropper seeing all links can reconstruct
@@ -35,7 +38,7 @@
 use crate::error::MpcError;
 use crate::link::{AfterRead, Link, Reconnect};
 use crate::net::{Message, NetworkStats, RecvState, HEADER_BYTES};
-use crate::tags::HEARTBEAT_TAG;
+use crate::tags::{CLOSE_TAG, HEARTBEAT_TAG};
 use crate::transport::{LinkSnapshot, ReplayFrame, Transport};
 use dash_obs::Counter;
 use parking_lot::Mutex;
@@ -43,42 +46,47 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Hello preamble: magic, wire version, run id, party id, party count,
 /// next-expected receive sequence, flags.
 const HELLO_MAGIC: [u8; 4] = *b"DSH1";
-/// Bumped on any framing or handshake layout change. Version 2 extends
+/// Bumped on any framing or handshake layout change. Version 2 extended
 /// the hello with a per-link resume cursor and a flags word so a
 /// reconnecting or checkpoint-resumed party can tell its peer exactly
-/// which frame it expects next.
-const WIRE_VERSION: u32 = 2;
+/// which frame it expects next; version 3 adds the close record.
+const WIRE_VERSION: u32 = 3;
 /// Size of the fixed hello exchanged in both directions at connect time.
 const HELLO_BYTES: usize = 48;
 /// Hello flags bit: the sender is re-attaching to an existing run (link
 /// reconnect or checkpoint resume) rather than joining a fresh mesh.
 const HELLO_FLAG_RESUME: u64 = 1;
 
-/// Sentinel sequence number marking a heartbeat frame. Heartbeats never
-/// enter the reorder buffer (the reader consumes them) and never touch
-/// the byte/message accounting, so supervised and unsupervised runs of
-/// the same protocol report bit-identical traffic totals.
-pub(crate) const HEARTBEAT_SEQ: u64 = u64::MAX;
+/// Sentinel sequence number of the two transport-internal frames: the
+/// heartbeat ([`HEARTBEAT_TAG`], payload = ack cursor) and the close
+/// record ([`CLOSE_TAG`], no payload, the last frame of a party that
+/// finished). Neither enters the reorder buffer (the reader consumes
+/// them) or the byte/message accounting, so every transport and policy
+/// reports bit-identical traffic totals for the same protocol.
+pub(crate) const SENTINEL_SEQ: u64 = u64::MAX;
 
 /// Largest payload a frame may carry (64 MiB). A header announcing more
 /// is treated as a malformed frame — the link fails structurally with
 /// [`MpcError::MalformedPayload`] instead of attempting the allocation.
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
-/// How often a blocked reader thread wakes to check the shutdown flag.
-/// Read timeouts are armed from the start (not at teardown) because a
+/// How often a blocked reader thread wakes to check the stop signal: the
+/// fallback for a peer that never answers our FIN (one that does wakes
+/// the read itself). Armed from the start, not at teardown, because a
 /// timeout set on an already-blocked `read` does not wake it.
 const READ_POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Pause between accept polls while waiting for higher-numbered peers.
-const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// Pause between non-blocking `accept`s: doubled from the first to the
+/// second while nothing arrives, back to zero on each accepted socket.
+const ACCEPT_POLL_MIN: Duration = Duration::from_micros(50);
+const ACCEPT_POLL_MAX: Duration = Duration::from_millis(5);
 
 /// Longest a supervised receive blocks before re-checking peer liveness
 /// against the heartbeat stream.
@@ -454,6 +462,37 @@ fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<Tcp
     })
 }
 
+/// The transport's stop signal. `Drop` raises it once, and every pause in
+/// the shell — heartbeat step, re-dial backoff, accept poll — is a
+/// [`Stop::wait`], so teardown wakes its threads instead of waiting them
+/// out. Only a blocked socket `read` cannot wait on it; that one polls
+/// `raised` (which publishes nothing but itself, hence `Relaxed`).
+#[derive(Debug, Default)]
+struct Stop {
+    raised: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Stop {
+    /// Under `lock`, so no waiter can check, miss the wake and then block.
+    fn raise(&self) {
+        let _held = self.lock.lock();
+        self.raised.store(true, Ordering::Relaxed);
+        self.wake.notify_all();
+    }
+
+    /// Blocks for `pause` or until raised; true once raised.
+    fn wait(&self, pause: Duration) -> bool {
+        let lowered = |_: &mut ()| !self.raised.load(Ordering::Relaxed);
+        drop(
+            self.wake
+                .wait_timeout_while(self.lock.lock(), pause, lowered),
+        );
+        self.raised.load(Ordering::Relaxed)
+    }
+}
+
 /// One peer's link as the shell holds it: the machine, the socket's write
 /// half and the protocol-side inbox, shared by the protocol thread, the
 /// heartbeat thread, the accept router and the link's reader thread.
@@ -462,10 +501,11 @@ fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<Tcp
 /// reconnect replays the backlog and installs the new socket atomically
 /// with respect to new sends: both hold `socket` from asking the machine
 /// (`peer_hello` / `sent`) to the write's end, so no frame can slip
-/// between the replayed backlog and the first new send. (2) `machine` is
-/// never held across I/O and `socket` is never taken to process an
-/// arriving frame, so a sender blocked in `write_all` on a full frame
-/// stalls no reader. Lock order: `socket`, then `machine`.
+/// between the replayed backlog and the first new send, nor follow the
+/// close record that `close` writes under it. (2) `machine` is never held
+/// across I/O and `socket` is never taken to process an arriving frame, so
+/// a sender blocked in `write_all` on a full frame stalls no reader. Lock
+/// order: `socket`, then `machine`.
 #[derive(Debug)]
 struct PeerLink {
     /// Current socket; `None` while the link is down.
@@ -486,7 +526,7 @@ fn frame_bytes(seq: u64, tag: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Why a read ended short of what it was asked for.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadEnd {
     /// The peer closed the connection; `partial` is true when the close
     /// landed mid-frame.
@@ -589,7 +629,7 @@ struct ReaderCtx {
     peer_addr: SocketAddr,
     connect_timeout: Duration,
     link: Arc<PeerLink>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     stats: Arc<NetworkStats>,
     /// Reconnected sockets routed from the accept thread (peers that
     /// dial us, i.e. `peer > id`), hello already exchanged, each with the
@@ -636,19 +676,22 @@ fn reconcile_and_install(
 }
 
 /// Carries out the machine's reconnect steps until the link is back
-/// (`Some`: the new reader half) or the thread should end (`None`: local
-/// shutdown won the race, or the verdict is stored in the machine).
+/// (`Some`: the new reader half) or the thread should end (`None`: the
+/// stop signal was raised, or the verdict is stored in the machine).
 /// Lower-id peers are re-dialed; higher-id peers dial us, so their
-/// sockets arrive via the accept thread's route channel.
+/// sockets arrive via the accept thread's route channel — which that
+/// thread drops when it stops, so both waits here end with the transport.
 fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
-    loop {
-        if ctx.shutdown.load(Ordering::Relaxed) {
-            return None;
-        }
+    let mut pause = Duration::ZERO;
+    while !ctx.stop.wait(pause) {
         let now = Instant::now();
         let step = ctx.link.machine.lock().reconnect_step(now).ok()?;
         let attempted = match step {
-            Reconnect::Dial { remaining, .. } => {
+            Reconnect::Dial {
+                remaining,
+                pause: backoff,
+            } => {
+                pause = backoff;
                 // Dial again, announcing the resume and our receive cursor.
                 let dial_timeout = ctx
                     .connect_timeout
@@ -662,21 +705,18 @@ fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
                     reconcile_and_install(&ctx.link, ctx.peer, s, theirs.next_expected, false)
                 })
             }
-            Reconnect::Await { remaining } => {
-                let poll = remaining.min(ACCEPT_POLL_INTERVAL.max(Duration::from_millis(100)));
-                match ctx.routed.recv_timeout(poll) {
-                    Ok(mut conn) => {
-                        // If several dials raced in, keep only the newest.
-                        while let Ok(newer) = ctx.routed.try_recv() {
-                            conn = newer;
-                        }
-                        let (s, theirs) = conn;
-                        Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
+            Reconnect::Await { remaining } => match ctx.routed.recv_timeout(remaining) {
+                Ok(mut conn) => {
+                    // If several dials raced in, keep only the newest.
+                    while let Ok(newer) = ctx.routed.try_recv() {
+                        conn = newer;
                     }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return None,
+                    let (s, theirs) = conn;
+                    Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
                 }
-            }
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return None,
+            },
         };
         match attempted {
             Some(Ok(read_half)) => return Some(read_half),
@@ -688,10 +728,8 @@ fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
             // within the window.
             Some(Err(LinkError::Io(_))) | None => {}
         }
-        if let Reconnect::Dial { pause, .. } = step {
-            std::thread::sleep(pause);
-        }
     }
+    None
 }
 
 /// The one reader thread, for both policies: read a frame, ask the
@@ -701,7 +739,7 @@ fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
 /// (or a plain [`MpcError::ChannelClosed`]) to the protocol thread.
 fn reader_thread(mut read_half: TcpStream, ctx: ReaderCtx, tx: Sender<Message>) {
     loop {
-        let end = match read_frame(&mut read_half, &ctx.shutdown) {
+        let end = match read_frame(&mut read_half, &ctx.stop.raised) {
             Ok(msg) => {
                 let deliver = ctx.link.machine.lock().frame_arrived(msg, Instant::now());
                 if let Some(msg) = deliver {
@@ -713,18 +751,20 @@ fn reader_thread(mut read_half: TcpStream, ctx: ReaderCtx, tx: Sender<Message>) 
             Err(end) => end,
         };
         let after = ctx.link.machine.lock().read_ended(end, Instant::now());
-        if after == Ok(AfterRead::Finish) {
-            // After a clean EOF there is nothing left to drain.
+        if end == ReadEnd::Shutdown {
+            // `Drop` has sent our FIN; closing before the peer's arrives
+            // could RST frames it has yet to read.
             drain_until_eof(&mut read_half);
             return;
         }
-        // Fully close the dead socket before anything else: a peer
-        // tearing down gracefully drains its half until EOF, and holding
-        // our clones open would stall that drain for its whole deadline
-        // (delaying the peer's restart past our reconnect window).
+        // Any other end is the peer's doing (a FIN, with or without a
+        // close record, or a dead socket): close our side fully before
+        // anything else. A peer tearing down drains its half until our
+        // FIN, and holding our clones open would stall that drain for its
+        // whole deadline (delaying a restart past our reconnect window).
         let _ = read_half.shutdown(Shutdown::Both);
         *ctx.link.socket.lock() = None;
-        if after.is_err() {
+        if after != Ok(AfterRead::Reconnect) {
             return;
         }
         let Some(reconnected) = reestablish(&ctx) else {
@@ -747,16 +787,18 @@ fn accept_route_loop(
     hello_deadline: Duration,
     links: Vec<Option<Arc<PeerLink>>>,
     routes: Vec<Option<Sender<(TcpStream, u64)>>>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 ) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
-    while !shutdown.load(Ordering::Relaxed) {
+    let mut pause = Duration::ZERO;
+    while !stop.wait(pause) {
         let Ok((mut stream, _)) = listener.accept() else {
-            std::thread::sleep(ACCEPT_POLL_INTERVAL);
+            pause = (pause * 2).clamp(ACCEPT_POLL_MIN, ACCEPT_POLL_MAX);
             continue;
         };
+        pause = Duration::ZERO;
         if stream.set_nonblocking(false).is_err() {
             continue;
         }
@@ -791,18 +833,17 @@ fn heartbeat_loop(
     links: Vec<Option<Arc<PeerLink>>>,
     interval: Duration,
     stats: Arc<NetworkStats>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 ) {
     let step = interval
         .min(Duration::from_millis(50))
         .max(Duration::from_millis(1));
-    while !shutdown.load(Ordering::Relaxed) {
-        std::thread::sleep(step);
+    while !stop.wait(step) {
         for link in links.iter().flatten() {
             let Some(ack) = link.machine.lock().heartbeat_due(Instant::now()) else {
                 continue;
             };
-            let frame = frame_bytes(HEARTBEAT_SEQ, HEARTBEAT_TAG, &ack.to_le_bytes());
+            let frame = frame_bytes(SENTINEL_SEQ, HEARTBEAT_TAG, &ack.to_le_bytes());
             let mut socket = link.socket.lock();
             let Some(s) = socket.as_mut() else { continue };
             if s.write_all(&frame).is_err() {
@@ -824,7 +865,7 @@ pub struct TcpTransport {
     /// Per-peer link: machine, socket writer and inbox (index = peer id;
     /// self is `None`).
     links: Vec<Option<Arc<PeerLink>>>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     readers: Vec<JoinHandle<()>>,
     /// Accept-router and heartbeat threads (supervised mode only).
     aux: Vec<JoinHandle<()>>,
@@ -932,6 +973,7 @@ impl TcpTransport {
                 .map_err(|e| hs_io(j, "set listener nonblocking", &e))?;
         }
         let accept_start = Instant::now();
+        let mut pause = Duration::ZERO;
         while let Some(next_missing) = missing(&conns) {
             let window_left = cfg.accept_timeout.saturating_sub(accept_start.elapsed());
             if window_left.is_zero() {
@@ -945,6 +987,7 @@ impl TcpTransport {
             }
             match listener.accept() {
                 Ok((mut stream, _)) => {
+                    pause = Duration::ZERO;
                     if stream.set_nonblocking(false).is_err() {
                         continue;
                     }
@@ -972,7 +1015,8 @@ impl TcpTransport {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL_INTERVAL);
+                    pause = (pause * 2).clamp(ACCEPT_POLL_MIN, ACCEPT_POLL_MAX);
+                    std::thread::sleep(pause);
                 }
                 Err(e) => return Err(hs_io(next_missing, "accept", &e)),
             }
@@ -980,7 +1024,7 @@ impl TcpTransport {
 
         // Wire up per-peer link state, reconcile cursors (replaying
         // whatever each peer still expects), and start the threads.
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::default());
         let mut links: Vec<Option<Arc<PeerLink>>> = (0..n).map(|_| None).collect();
         let mut readers = Vec::with_capacity(n.saturating_sub(1));
         let mut routes: Vec<Option<Sender<(TcpStream, u64)>>> = (0..n).map(|_| None).collect();
@@ -1012,7 +1056,7 @@ impl TcpTransport {
                 peer_addr,
                 connect_timeout: cfg.connect_timeout,
                 link: Arc::clone(&link),
-                shutdown: Arc::clone(&shutdown),
+                stop: Arc::clone(&stop),
                 stats: Arc::clone(&stats),
                 routed,
             };
@@ -1026,7 +1070,7 @@ impl TcpTransport {
         let mut aux = Vec::new();
         if let Some(sup) = cfg.supervision {
             let accept_links = links.clone();
-            let accept_shutdown = Arc::clone(&shutdown);
+            let accept_stop = Arc::clone(&stop);
             aux.push(std::thread::spawn(move || {
                 accept_route_loop(
                     listener,
@@ -1034,14 +1078,14 @@ impl TcpTransport {
                     cfg.connect_timeout,
                     accept_links,
                     routes,
-                    accept_shutdown,
+                    accept_stop,
                 );
             }));
             let hb_links = links.clone();
             let hb_stats = Arc::clone(&stats);
-            let hb_shutdown = Arc::clone(&shutdown);
+            let hb_stop = Arc::clone(&stop);
             aux.push(std::thread::spawn(move || {
-                heartbeat_loop(id, hb_links, sup.heartbeat_interval, hb_stats, hb_shutdown);
+                heartbeat_loop(id, hb_links, sup.heartbeat_interval, hb_stats, hb_stop);
             }));
         }
         if resuming {
@@ -1051,7 +1095,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             id,
             links,
-            shutdown,
+            stop,
             readers,
             aux,
             stats,
@@ -1172,11 +1216,28 @@ impl Transport for TcpTransport {
             }
         }
     }
+
+    /// Per link, under the `socket` lock so that no send can follow: tell
+    /// the machine, write the close record, send the FIN and give the
+    /// write half up. Each reader then exits on its peer's answering FIN,
+    /// before `Drop` comes to join it. A record that cannot be written was
+    /// for a link already down, which the peer judges as it would a crash.
+    fn close(&self) {
+        let record = frame_bytes(SENTINEL_SEQ, CLOSE_TAG, &[]);
+        for link in self.links.iter().flatten() {
+            let mut socket = link.socket.lock();
+            link.machine.lock().close();
+            if let Some(mut stream) = socket.take() {
+                let _ = stream.write_all(&record);
+                let _ = stream.shutdown(Shutdown::Write);
+            }
+        }
+    }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.stop.raise();
         for link in self.links.iter().flatten() {
             // Write-side shutdown only: it sends FIN but preserves
             // in-flight data for the peer, where Shutdown::Both/Read on
@@ -1187,8 +1248,9 @@ impl Drop for TcpTransport {
             }
         }
         for h in self.readers.drain(..).chain(self.aux.drain(..)) {
-            // All threads poll the shutdown flag at a bounded interval,
-            // so each join resolves within one poll period.
+            // The stop signal ends every pause and our FIN (above, or
+            // `close`'s) brings each peer's, which ends the reads; only a
+            // peer that never answers costs a read poll + `DRAIN_DEADLINE`.
             let _ = h.join();
         }
     }
@@ -1263,18 +1325,6 @@ pub(crate) mod tests {
         connect_mesh_cfg(n, test_cfg(run_id)).0
     }
 
-    /// Drops a mesh's transports the way separate party processes exit:
-    /// all at once. Dropped one after another on one thread, every
-    /// unsupervised transport but the last waits the full
-    /// `DRAIN_DEADLINE` for the FIN of a peer that is still alive.
-    pub(crate) fn drop_together<T: Send>(mesh: impl IntoIterator<Item = T>) {
-        std::thread::scope(|scope| {
-            for t in mesh {
-                scope.spawn(move || drop(t));
-            }
-        });
-    }
-
     #[test]
     fn loopback_roundtrip_and_accounting() {
         let mesh = connect_mesh(2, 7);
@@ -1287,7 +1337,19 @@ pub(crate) mod tests {
         assert_eq!(mesh[0].stats().bytes_between(0, 1), HEADER_BYTES + 24);
         assert_eq!(mesh[0].stats().messages_between(0, 1), 1);
         assert_eq!(mesh[1].stats().bytes_between(1, 0), HEADER_BYTES + 8);
-        drop_together(mesh);
+    }
+
+    /// One all-to-all round under `tag`: every peer gets our id, and we
+    /// return the sum of everyone's.
+    fn sum_of_ids(t: &TcpTransport, tag: u32) -> u64 {
+        let me = t.id() as u64;
+        let peers = || (0..t.n_parties()).filter(|&j| j != t.id());
+        for j in peers() {
+            t.send_words(j, tag, &[me]).unwrap();
+        }
+        me + peers()
+            .map(|j| t.recv_words(j, tag).unwrap()[0])
+            .sum::<u64>()
     }
 
     #[test]
@@ -1295,24 +1357,114 @@ pub(crate) mod tests {
         let mesh = connect_mesh(3, 21);
         std::thread::scope(|scope| {
             for t in &mesh {
-                scope.spawn(move || {
-                    let me = t.id() as u64;
-                    for j in 0..t.n_parties() {
-                        if j != t.id() {
-                            t.send_words(j, 40, &[me]).unwrap();
-                        }
-                    }
-                    let mut sum = me;
-                    for j in 0..t.n_parties() {
-                        if j != t.id() {
-                            sum += t.recv_words(j, 40).unwrap()[0];
-                        }
-                    }
-                    assert_eq!(sum, 3);
-                });
+                scope.spawn(move || assert_eq!(sum_of_ids(t, 40), 3));
             }
         });
-        drop_together(mesh);
+    }
+
+    #[test]
+    fn a_closed_transport_drops_at_once_whatever_the_backoff_and_its_peers_are_doing() {
+        // At the parent this cannot pass: a reader that took a finished
+        // peer's FIN for a crash sat out a jittered `reconnect_backoff`
+        // (2.5-7.5 s here) under `Drop`'s join, and every `Drop` waited
+        // out the rest of a 50 ms heartbeat step.
+        let mut cfg = test_cfg(55);
+        cfg.supervision = Some(LinkSupervision {
+            reconnect_backoff: Duration::from_secs(5),
+            ..LinkSupervision::default()
+        });
+        let mut drops = Vec::new();
+        for round in 0..20 {
+            let (mesh, _) = connect_mesh_cfg(3, cfg);
+            let start = Instant::now();
+            std::thread::scope(|scope| {
+                let parties: Vec<_> = mesh
+                    .into_iter()
+                    .map(|t| {
+                        scope.spawn(move || {
+                            assert_eq!(sum_of_ids(&t, 40), 3);
+                            if t.id() > 0 {
+                                // Parties 1 and 2 work on after 0 has left.
+                                let other = 3 - t.id();
+                                t.send_words(other, 41, &[7]).unwrap();
+                                assert_eq!(t.recv_words(other, 41).unwrap(), vec![7]);
+                            }
+                            t.close();
+                            let closed = Instant::now();
+                            drop(t);
+                            closed.elapsed()
+                        })
+                    })
+                    .collect();
+                drops.extend(parties.into_iter().map(|h| h.join().unwrap()));
+            });
+            let took = start.elapsed();
+            assert!(took < Duration::from_secs(1), "round {round}: {took:?}");
+        }
+        drops.sort();
+        let (median, worst) = (drops[drops.len() / 2], drops[drops.len() - 1]);
+        assert!(
+            median < Duration::from_millis(10),
+            "a closed transport's drop: median {median:?}, worst {worst:?}"
+        );
+    }
+
+    #[test]
+    fn a_closed_peer_is_channel_closed_at_once_not_a_reconnect_window() {
+        let mut cfg = test_cfg(56);
+        cfg.supervision = Some(LinkSupervision {
+            liveness_deadline: Duration::from_secs(30),
+            reconnect_window: Duration::from_secs(30),
+            ..test_sup()
+        });
+        let (mut mesh, _) = connect_mesh_cfg(2, cfg);
+        let b = mesh.pop().unwrap();
+        let a = mesh.pop().unwrap();
+        b.send_words(0, 8, &[1, 2]).unwrap();
+        b.close();
+        drop(b);
+        // What it sent before the record is still delivered ...
+        assert_eq!(a.recv_words(1, 8).unwrap(), vec![1, 2]);
+        // ... and nothing after it is waited for: not the receive deadline,
+        // not a reconnect window ending in `PeerCrashed`.
+        let start = Instant::now();
+        let err = a
+            .recv_words_timeout(1, 9, Duration::from_secs(30))
+            .unwrap_err();
+        assert_eq!(err, MpcError::ChannelClosed { peer: 1 });
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(a.stats().count_by(0, Counter::Reconnects), 0);
+    }
+
+    #[test]
+    fn close_records_do_not_touch_traffic_accounting() {
+        use crate::net::{NetOptions, Network};
+        let round = |ctx: &mut crate::party::PartyCtx| -> Result<u64, MpcError> {
+            let tag = ctx.fresh_tag();
+            let me = crate::ring::R64(ctx.id() as u64 + 1);
+            let sum = ctx.exchange_sum(tag, &[me])?;
+            ctx.endpoint().close();
+            Ok(sum.first().map_or(0, |s| s.0))
+        };
+        let opts = NetOptions::default();
+        let supervised = TcpConfig {
+            supervision: Some(test_sup()),
+            ..test_cfg(58)
+        };
+        let totals = [
+            Network::run_parties_detailed_with(3, 9, &opts, round),
+            Network::run_parties_tcp_with(3, 9, &opts, test_cfg(57), round),
+            Network::run_parties_tcp_with(3, 9, &opts, supervised, round),
+        ]
+        .map(|run| {
+            let (results, stats, _) = run.unwrap();
+            for sum in results {
+                assert_eq!(sum, Ok(Ok(6)));
+            }
+            (stats.total_bytes(), stats.total_messages())
+        });
+        // Six frames of one word each, whichever transport said goodbye.
+        assert_eq!(totals, [(6 * (HEADER_BYTES + 8), 6); 3]);
     }
 
     #[test]
@@ -1452,7 +1604,6 @@ pub(crate) mod tests {
         let t1 = r1.unwrap();
         t0.send_words(1, 9, &[1]).unwrap();
         assert_eq!(t1.recv_words(0, 9).unwrap(), vec![1]);
-        drop_together([t0, t1]);
         drop(rogue);
     }
 
@@ -1481,7 +1632,6 @@ pub(crate) mod tests {
         let (t0, t1) = (r0.unwrap(), r1.unwrap());
         t1.send_words(0, 9, &[7]).unwrap();
         assert_eq!(t0.recv_words(1, 9).unwrap(), vec![7]);
-        drop_together([t0, t1]);
     }
 
     #[test]
@@ -1503,7 +1653,6 @@ pub(crate) mod tests {
         mesh[0].send_words(1, 7, &[5, 6]).unwrap();
         assert_eq!(mesh[1].recv_words(0, 7).unwrap(), vec![5, 6]);
         assert_eq!(mesh[0].stats().total_bytes(), HEADER_BYTES + 16);
-        drop_together(mesh);
     }
 
     #[test]
@@ -1576,7 +1725,6 @@ pub(crate) mod tests {
         // The replayed duplicate was not re-counted anywhere: B2's
         // counters carry only its post-resume frame.
         assert_eq!(b2.stats().total_bytes(), HEADER_BYTES + 8);
-        drop_together([a, b2]);
     }
 
     #[test]
@@ -1640,6 +1788,17 @@ pub(crate) mod tests {
         let mut bad = buf;
         bad[0] = b'X';
         assert!(decode_hello(&bad, 2, 42, 3).is_err());
+        // A party of the previous wire version, which would deliver our
+        // close record as data, is refused by name.
+        let mut v2 = buf;
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_hello(&v2, 2, 42, 3),
+            Err(MpcError::Handshake {
+                peer: 2,
+                reason: "wire version mismatch: ours 3, theirs 2".to_string()
+            })
+        );
     }
 
     /// A stream of `frames` well-formed frames followed by `tail`.

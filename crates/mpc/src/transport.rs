@@ -159,6 +159,15 @@ pub trait Transport: Send + std::fmt::Debug {
     fn note_durable(&self, recv_next: &[u64]) {
         let _ = recv_next;
     }
+    /// Tells every peer this party has finished the run: call it after
+    /// the last send of a protocol that returned `Ok`, then drop the
+    /// transport. A socket transport writes a close record on each link so
+    /// the end of its stream reads as "finished" — peers stop expecting
+    /// it back at once, and its own teardown has nothing to wait out. A
+    /// transport dropped *without* this looks like a crash to supervised
+    /// peers, which is what an error path or a killed process should look
+    /// like. Default: no-op (an mpsc channel's disconnect is unambiguous).
+    fn close(&self) {}
 }
 
 /// Bounded resend policy for transient send failures.
@@ -364,6 +373,14 @@ impl<T: Transport> FaultyTransport<T> {
             .collect()
     }
 
+    /// Ships any frames still held back by reorder faults, best effort, so
+    /// peers waiting on them unblock without burning their deadline.
+    fn ship_held(&self) {
+        for (to, msg) in self.take_held() {
+            let _ = self.inner.send_frame(to, msg);
+        }
+    }
+
     /// Releases every held-back frame. Called before the party blocks on
     /// a receive: a frame parked "behind the next send to the same peer"
     /// would otherwise deadlock any request-response round in which that
@@ -530,15 +547,17 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn note_durable(&self, recv_next: &[u64]) {
         self.inner.note_durable(recv_next);
     }
+
+    /// Nothing may follow the close record, so held frames go first.
+    fn close(&self) {
+        self.ship_held();
+        self.inner.close();
+    }
 }
 
 impl<T: Transport> Drop for FaultyTransport<T> {
     fn drop(&mut self) {
-        // Ship any frames still held back by reorder faults so peers
-        // waiting on them unblock without burning their deadline.
-        for (to, msg) in self.take_held() {
-            let _ = self.inner.send_frame(to, msg);
-        }
+        self.ship_held();
     }
 }
 
@@ -546,7 +565,7 @@ impl<T: Transport> Drop for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::net::{Endpoint, NetOptions, Network};
-    use crate::tcp::tests::{connect_mesh_cfg, drop_together, test_cfg, test_sup};
+    use crate::tcp::tests::{connect_mesh_cfg, test_cfg, test_sup};
     use crate::tcp::TcpConfig;
 
     fn two_endpoints() -> (Endpoint, Endpoint, Arc<NetworkStats>) {
@@ -623,7 +642,6 @@ mod tests {
     fn check_contract_bare_and_wrapped<T: Transport>(pair: impl Fn() -> (T, T)) {
         let (a, b) = pair();
         check_contract(&a, &b);
-        drop_together([a, b]);
         let (a, b) = pair();
         let quiet = FaultPlan::default();
         let (a, b) = (
@@ -631,7 +649,6 @@ mod tests {
             FaultyTransport::new(b, quiet),
         );
         check_contract(&a, &b);
-        drop_together([a, b]);
     }
 
     #[test]

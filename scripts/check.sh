@@ -67,7 +67,20 @@ echo "== benchmark smoke (benchmark/ builds against this tree and every operatio
 # compiles it: a signature drift against benchmark/src/adapter.rs would
 # otherwise surface only in the benchmark pipeline. Tiny shapes, ~10 s
 # after the build; exits non-zero on any failed operation.
-bash benchmark/run.sh --smoke | grep -E '^total:'
+#
+# The smoke's supervised TCP scans also gate teardown: with a timer back
+# under `Drop` none can finish below 0.05 s + connect (the heartbeat step
+# alone; 0.061 / 0.137 s sampled before the close record), and as events
+# they take 0.004-0.02 s, so 0.045 s cannot pass by luck or regress
+# silently.
+SMOKE_OUT=$(bash benchmark/run.sh --smoke)
+grep -E '^total:' <<<"$SMOKE_OUT"
+grep -E '^tcp_scan_s = ' <<<"$SMOKE_OUT" | awk '
+    { print "  " $0; n++; if ($3 + 0 >= 0.045) slow++ }
+    END {
+        if (n < 3) { print "error: expected a tcp_scan_s line per smoke workload, saw " n + 0; exit 1 }
+        if (slow) { print "error: " slow " smoke tcp_scan_s >= 0.045 s: teardown is waiting on a timer again"; exit 1 }
+    }'
 
 echo "== trace smoke (scan --trace-out, then schema/invariant validation)"
 # A tiny end-to-end observability round trip: simulate a 2-party study,
