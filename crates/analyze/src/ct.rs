@@ -16,7 +16,7 @@
 //! - [`ExprKind::Index`] where the index expression is tainted.
 //!
 //! **Taint** starts from function parameters whose declared type mentions
-//! an element/secret type (`F61`, `R64`, `Secret`, `InnerTriple` — plus
+//! an element/secret type (`F61`, `R64`, `Secret`, `TripleBatch` — plus
 //! raw `u64`/`u128`/`i64` words inside the element modules themselves,
 //! where every word *is* an element), from `self` in
 //! the element/share modules, and from locals bound from tainted
@@ -56,7 +56,7 @@ const CT_MODULES: [&str; 6] = [
     "ring.rs",
     "ctime.rs",
     "fixed.rs",
-    "share.rs",
+    "dealer.rs",
     "secret.rs",
 ];
 
@@ -66,7 +66,7 @@ const WORD_MODULES: [&str; 3] = ["field.rs", "ring.rs", "ctime.rs"];
 
 /// Type identifiers that mark a parameter as secret material.
 fn secret_type_ident(s: &str) -> bool {
-    matches!(s, "F61" | "R64" | "Secret" | "InnerTriple")
+    matches!(s, "F61" | "R64" | "Secret" | "TripleBatch")
 }
 
 /// Raw word types — secret only inside the element modules.
@@ -77,11 +77,10 @@ fn word_type_ident(s: &str) -> bool {
 /// Methods whose result is public shape metadata, ending a taint chain.
 /// Lengths and emptiness are exchanged in the clear by the protocols;
 /// `first`/`get` appear only in `Option`-emptiness dispatch.
-const SANITIZER_METHODS: [&str; 9] = [
+const SANITIZER_METHODS: [&str; 8] = [
     "len",
     "is_empty",
     "scalar_count",
-    "vec_len",
     "first",
     "last",
     "get",
@@ -448,7 +447,7 @@ mod tests {
     fn scope_is_the_arithmetic_core() {
         assert!(in_ct_scope("crates/mpc/src/field.rs"));
         assert!(in_ct_scope("crates/mpc/src/ctime.rs"));
-        assert!(in_ct_scope("crates/mpc/src/share.rs"));
+        assert!(in_ct_scope("crates/mpc/src/dealer.rs"));
         assert!(!in_ct_scope("crates/mpc/src/net.rs"));
         assert!(!in_ct_scope("crates/mpc/src/protocol.rs"));
         assert!(!in_ct_scope("crates/core/src/secure/aggregate.rs"));
@@ -531,7 +530,7 @@ mod tests {
                      if n > 4 { F61::ZERO } else { F61::ONE }\n\
                    }\n\
                    fn decode(x: F61, scale: f64) -> f64 { x.as_i64() as f64 / scale }";
-        assert!(run_on("crates/mpc/src/share.rs", src).is_empty());
+        assert!(run_on("crates/mpc/src/dealer.rs", src).is_empty());
     }
 
     #[test]
@@ -547,10 +546,10 @@ mod tests {
 
     #[test]
     fn raw_words_secret_only_in_element_modules() {
-        // In share.rs a bare u64 parameter is public (a length, a seed
+        // In dealer.rs a bare u64 parameter is public (a length, a seed
         // index); the same signature in field.rs is share material.
         let src = "fn pick(n: u64) -> u64 { if n > 4 { 1 } else { 0 } }";
-        assert!(run_on("crates/mpc/src/share.rs", src).is_empty());
+        assert!(run_on("crates/mpc/src/dealer.rs", src).is_empty());
         assert_eq!(run_on("crates/mpc/src/field.rs", src).len(), 1);
     }
 

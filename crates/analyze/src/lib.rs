@@ -26,7 +26,7 @@
 //!   branch-free on secret data: no `if`/`while`/`match`, comparison,
 //!   `%`/`/`, or table indexing whose operand is share material. Scoped
 //!   to the arithmetic core (`field.rs`, `ring.rs`, `ctime.rs`,
-//!   `fixed.rs`, `share.rs`, `secret.rs`); protocol layers branch on
+//!   `fixed.rs`, `dealer.rs`, `secret.rs`); protocol layers branch on
 //!   public control flow and are exempt by design.
 //!
 //! One pipeline, one verdict: lex → token lints + parse → AST passes, and

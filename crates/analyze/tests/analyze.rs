@@ -185,7 +185,7 @@ fn indexing_fixture_detected() {
 #[test]
 fn constant_time_fixture_detected() {
     let f = run_fixture("ct_violations.rs");
-    assert_eq!(count(&f, "constant-time"), 11, "{f:?}");
+    assert_eq!(count(&f, "constant-time"), 12, "{f:?}");
     let flagged: Vec<&str> = f
         .iter()
         .filter(|x| x.lint == "constant-time")
@@ -204,6 +204,7 @@ fn constant_time_fixture_detected() {
         "inner",
         "attributed_assert_leak",
         "cast_sum_leak",
+        "batch_leak",
     ] {
         assert!(flagged.contains(&bad), "missing {bad} in {flagged:?}");
     }
@@ -211,6 +212,7 @@ fn constant_time_fixture_detected() {
     // branches, and test code must all stay clean.
     for good in [
         "nested_leak",
+        "batch_shape",
         "branchless_reduce",
         "ge_mask",
         "public_branch",

@@ -8,6 +8,10 @@ const M: u64 = (1 << 61) - 1;
 struct F61(u64);
 struct R64(u64);
 struct Prg;
+struct TripleBatch {
+    count: usize,
+    words: Vec<F61>,
+}
 
 // BAD 1: data-dependent branch in a reduction.
 fn branchy_reduce(v: u64) -> u64 {
@@ -80,6 +84,19 @@ fn attributed_assert_leak(x: F61) {
 // type (`n` is public and the cast ends its chain; `x.0` is neither).
 fn cast_sum_leak(n: u32, x: F61) -> u64 {
     (n as u64 + x.0) % 3
+}
+
+// BAD 12: a dealt batch is share material by type name.
+fn batch_leak(t: &TripleBatch) -> u64 {
+    match t.words.iter().map(|w| w.0).max() {
+        Some(0) => 0,
+        _ => 1,
+    }
+}
+
+// CLEAN: a batch's shape is public; `.count()` sanitizes.
+fn batch_shape(t: &TripleBatch) -> usize {
+    if t.words.iter().count() > 4 { t.count } else { 0 }
 }
 
 // CLEAN: branch-free mask arithmetic — the shapes the lint demands.

@@ -83,9 +83,11 @@ fn disclosure_multiset(text: &str) -> Vec<String> {
     entries
 }
 
-#[test]
-fn three_party_processes_match_single_process_scan() {
-    let dir = tmp_dir("e2e");
+/// Three `dash party` processes against one `dash secure-scan`, both
+/// given `mode_args`: same TSV bytes everywhere, traffic totals that sum,
+/// disclosure logs that union. Returns the single process's report.
+fn three_processes_match_one(tag: &str, mode_args: &[&str]) -> String {
+    let dir = tmp_dir(tag);
     dash(&[
         "simulate",
         "--out",
@@ -126,6 +128,7 @@ fn three_party_processes_match_single_process_scan() {
                 "--out",
                 dir.join(format!("res{i}.tsv")).to_str().unwrap(),
             ])
+            .args(mode_args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -155,15 +158,17 @@ fn three_party_processes_match_single_process_scan() {
     let outputs: Vec<String> = readers.into_iter().map(|r| r.join().unwrap()).collect();
 
     // Reference run: same workload, same seed, one process.
-    let ref_text = dash(&[
+    let ref_out = dir.join("ref.tsv");
+    let mut ref_args = vec![
         "secure-scan",
         "--dir",
         dir.to_str().unwrap(),
         "--seed",
         SEED,
-        "--out",
-        dir.join("ref.tsv").to_str().unwrap(),
-    ]);
+    ];
+    ref_args.extend(["--out", ref_out.to_str().unwrap()]);
+    ref_args.extend(mode_args);
+    let ref_text = dash(&ref_args);
 
     // Bit-identical result files at every party and vs the reference.
     let want = std::fs::read_to_string(dir.join("ref.tsv")).unwrap();
@@ -187,6 +192,21 @@ fn three_party_processes_match_single_process_scan() {
     assert_eq!(union, disclosure_multiset(&ref_text), "disclosure logs");
 
     std::fs::remove_dir_all(&dir).ok();
+    ref_text
+}
+
+#[test]
+fn three_party_processes_match_single_process_scan() {
+    three_processes_match_one("e2e", &[]);
+}
+
+/// The strict rung as real processes: every process runs the dealer
+/// stream itself and keeps its own slice, and 12 variants in blocks of 5
+/// make that stream cross two block boundaries.
+#[test]
+fn three_party_processes_match_single_process_scan_in_max_mode() {
+    let report = three_processes_match_one("e2e_max", &["--mode", "max", "--block-size", "5"]);
+    assert!(report.contains("3 blocks of <= 5 variants"), "{report}");
 }
 
 #[test]

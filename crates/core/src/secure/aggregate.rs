@@ -7,13 +7,13 @@
 //! opens. See the table in [`crate::secure`].
 
 use crate::error::CoreError;
+use crate::secure::triples::TripleFeed;
 use crate::secure::wire::all_gather_f64;
 use crate::secure::{AggregationMode, SecureScanConfig};
 use crate::suffstats::VariantSummands;
 use dash_linalg::{dot, self_dot, Matrix};
-use dash_mpc::dealer::PartyTriples;
 use dash_mpc::field::F61;
-use dash_mpc::protocol::beaver::{beaver_inner_batch, open_field, SecretVecPair};
+use dash_mpc::protocol::beaver::{beaver_inner_batch, open_field};
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
 use dash_mpc::{MpcError, PartyCtx, Secret};
 use dash_obs::Counter;
@@ -30,7 +30,6 @@ fn shape(what: &'static str, expected: usize, got: usize) -> CoreError {
 
 /// The y-side aggregate of round 0: everything the per-block rounds need
 /// from the block-independent statistics.
-#[derive(Clone, PartialEq)]
 pub(crate) enum YAggregate {
     /// The aggregate `Qᵀy` opened (every mode except Beaver).
     Opened { yy: f64, qty: Vec<f64> },
@@ -41,34 +40,6 @@ pub(crate) enum YAggregate {
         qty_share: Secret<Vec<F61>>,
         qtyqty: f64,
     },
-}
-
-impl std::fmt::Debug for YAggregate {
-    // `qty_share` is this party's additive share of Qᵀy; on top of the
-    // wrapper's own redaction, this Debug form reports only its length so
-    // a stray `{:?}` shows shape, never material.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            YAggregate::Opened { yy, qty } => f
-                .debug_struct("Opened")
-                .field("yy", yy)
-                .field("qty_len", &qty.len())
-                .finish(),
-            YAggregate::BeaverShared {
-                yy,
-                qtyqty,
-                qty_share,
-            } => f
-                .debug_struct("BeaverShared")
-                .field("yy", yy)
-                .field("qtyqty", qtyqty)
-                .field(
-                    "qty_share",
-                    &format_args!("<{} shares redacted>", qty_share.scalar_count()),
-                )
-                .finish(),
-        }
-    }
 }
 
 impl YAggregate {
@@ -126,16 +97,17 @@ fn sum_gathered(gathered: Vec<Vec<f64>>, len: usize) -> Result<Vec<f64>, CoreErr
 /// every shared quantity has norm ≤ 1 per party. That keeps all Beaver
 /// products within the Mersenne field's fixed-point headroom for any data
 /// scale, and the opened products are rescaled exactly afterwards. This
-/// round consumes dealer triple 0 for the `(Qᵀy, Qᵀy)` product; the block
-/// rounds consume two per variant in ascending order, so the triple a
-/// product meets does not depend on the block size.
+/// round consumes the dealer's first batch, of one triple, for the
+/// `(Qᵀy, Qᵀy)` product; each block round consumes one batch of two per
+/// variant in ascending order, so the triple a product meets does not
+/// depend on the block size.
 pub(crate) fn aggregate_y(
     ctx: &mut PartyCtx,
     yy: f64,
     qty: &[f64],
     m: usize,
     cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
+    triples: &mut TripleFeed,
 ) -> Result<YAggregate, CoreError> {
     let k = qty.len();
     let mut flat = Vec::with_capacity(1 + k);
@@ -179,17 +151,13 @@ pub(crate) fn aggregate_y(
                     qtyqty: 0.0,
                 });
             }
-            let triples = triples.ok_or(MpcError::DealerExhausted {
-                what: "inner-product triples (none supplied)",
-            })?;
             let field_codec = cfg.field_codec()?;
             let y_scale = safe_inv_sqrt(yy_total);
             let qty_scaled: Vec<f64> = qty.iter().map(|v| v * y_scale).collect();
             let qty_share = Secret::new(field_codec.encode_field_vec(&qty_scaled)?);
-            let pairs: Vec<SecretVecPair<'_>> = vec![(&qty_share, &qty_share)];
-            let batch = vec![triples.next_inner()?];
+            let batch = triples.take(1)?;
             ctx.trace_add(Counter::TriplesConsumed, 1);
-            let product_shares = beaver_inner_batch(ctx, &pairs, &batch)?;
+            let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
             let opened = open_field(
                 ctx,
                 &product_shares,
@@ -230,88 +198,14 @@ pub(crate) fn aggregate_block(
     block: &VariantSummands,
     head: &YAggregate,
     cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
+    triples: &mut TripleFeed,
 ) -> Result<BlockAggregate, CoreError> {
     let len = block.len();
     let k = block.qtx.rows();
-    if cfg.aggregation == AggregationMode::BeaverDots {
-        let (yy, qty_share) = match head {
-            YAggregate::BeaverShared { yy, qty_share, .. } => (*yy, qty_share),
-            YAggregate::Opened { .. } => {
-                return Err(CoreError::from(MpcError::Protocol {
-                    what: "blocked Beaver round given an opened y-aggregate",
-                }))
-            }
-        };
-        let mut left = Vec::with_capacity(2 * len);
-        left.extend_from_slice(&block.xy);
-        left.extend_from_slice(&block.xx);
-        let left_total = masked_sum_f64(ctx, &cfg.ring_codec()?, &left, "aggregate X·y, X·X")?;
-        let xy = left_total[..len].to_vec();
-        let xx = left_total[len..].to_vec();
-        if k == 0 {
-            return Ok(BlockAggregate {
-                xy,
-                xx,
-                qtxqty: vec![0.0; len],
-                qtxqtx: vec![0.0; len],
-            });
-        }
-        let triples = triples.ok_or(MpcError::DealerExhausted {
-            what: "inner-product triples (none supplied)",
-        })?;
-        let field_codec = cfg.field_codec()?;
-        let mut qtx_shares: Vec<Secret<Vec<F61>>> = Vec::with_capacity(len);
-        for (j, &xxj) in xx.iter().enumerate() {
-            let s = safe_inv_sqrt(xxj);
-            let col: Vec<f64> = block.qtx.col(j).iter().map(|v| v * s).collect();
-            qtx_shares.push(Secret::new(field_codec.encode_field_vec(&col)?));
-        }
-        let mut pairs: Vec<SecretVecPair<'_>> = Vec::with_capacity(2 * len);
-        for share in &qtx_shares {
-            pairs.push((share, qty_share));
-            pairs.push((share, share));
-        }
-        let mut batch = Vec::with_capacity(pairs.len());
-        for _ in 0..pairs.len() {
-            batch.push(triples.next_inner()?);
-        }
-        ctx.trace_add(Counter::TriplesConsumed, batch.len() as u64);
-        let product_shares = beaver_inner_batch(ctx, &pairs, &batch)?;
-        let opened = open_field(
-            ctx,
-            &product_shares,
-            Some("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
-        )?;
-        let mut products = opened.iter();
-        let mut qtxqty = Vec::with_capacity(len);
-        let mut qtxqtx = Vec::with_capacity(len);
-        for &xxj in &xx {
-            let d1 = *products
-                .next()
-                .ok_or_else(|| shape("opened block Beaver products", 2 * len, opened.len()))?;
-            let d2 = *products
-                .next()
-                .ok_or_else(|| shape("opened block Beaver products", 2 * len, opened.len()))?;
-            qtxqty.push(
-                field_codec.decode_field_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt(),
-            );
-            qtxqtx.push(field_codec.decode_field_product(d2) * xxj);
-        }
-        return Ok(BlockAggregate {
-            xy,
-            xx,
-            qtxqty,
-            qtxqtx,
-        });
-    }
-
     let qty = match head {
         YAggregate::Opened { qty, .. } => qty,
-        YAggregate::BeaverShared { .. } => {
-            return Err(CoreError::from(MpcError::Protocol {
-                what: "blocked opening round given a shared y-aggregate",
-            }))
+        YAggregate::BeaverShared { yy, qty_share, .. } => {
+            return beaver_block(ctx, block, *yy, qty_share, cfg, triples)
         }
     };
     let mut flat = Vec::with_capacity(2 * len + k * len);
@@ -341,11 +235,9 @@ pub(crate) fn aggregate_block(
             "aggregate variant-block statistics",
         )?,
         AggregationMode::BeaverDots => {
-            // Already dispatched before the opened-qty match; reaching this
-            // arm means the dispatch above was broken, so surface a
-            // structured protocol error instead of panicking mid-round.
+            // The Beaver y round never opens `Qᵀy`.
             return Err(CoreError::from(MpcError::Protocol {
-                what: "blocked opening round re-entered the Beaver arm",
+                what: "blocked Beaver round given an opened y-aggregate",
             }));
         }
     };
@@ -359,6 +251,82 @@ pub(crate) fn aggregate_block(
         let col = qtx.col(j);
         qtxqty.push(dot(col, qty));
         qtxqtx.push(self_dot(col));
+    }
+    Ok(BlockAggregate {
+        xy,
+        xx,
+        qtxqty,
+        qtxqtx,
+    })
+}
+
+/// The Beaver block round: `X·y, X·X` open through a secure sum; `QᵀX`
+/// stays shared, and against the shared, `1/√yy`-normalized `Qᵀy` the
+/// round's batch of `2·len` triples opens two dot products per variant.
+fn beaver_block(
+    ctx: &mut PartyCtx,
+    block: &VariantSummands,
+    yy: f64,
+    qty_share: &Secret<Vec<F61>>,
+    cfg: &SecureScanConfig,
+    triples: &mut TripleFeed,
+) -> Result<BlockAggregate, CoreError> {
+    let len = block.len();
+    let k = block.qtx.rows();
+    let mut left = Vec::with_capacity(2 * len);
+    left.extend_from_slice(&block.xy);
+    left.extend_from_slice(&block.xx);
+    let left_total = masked_sum_f64(ctx, &cfg.ring_codec()?, &left, "aggregate X·y, X·X")?;
+    let xy = left_total[..len].to_vec();
+    let xx = left_total[len..].to_vec();
+    if k == 0 {
+        return Ok(BlockAggregate {
+            xy,
+            xx,
+            qtxqty: vec![0.0; len],
+            qtxqtx: vec![0.0; len],
+        });
+    }
+    let field_codec = cfg.field_codec()?;
+    // QᵀX, each column scaled by 1/√(X·X_j), encoded in one pass; then the
+    // products `(QᵀX_j, Qᵀy)`, `(QᵀX_j, QᵀX_j)` laid out like their batch.
+    let mut scaled = block.qtx.as_slice().to_vec();
+    for (col, &xxj) in scaled.chunks_exact_mut(k).zip(&xx) {
+        let s = safe_inv_sqrt(xxj);
+        col.iter_mut().for_each(|v| *v *= s);
+    }
+    let qtx = field_codec.encode_field_vec(&scaled)?;
+    let mut xs = Vec::with_capacity(2 * k * len);
+    for col in qtx.chunks_exact(k) {
+        xs.extend_from_slice(col);
+        xs.extend_from_slice(col);
+    }
+    let ys = qty_share.clone().map(|qty| {
+        let mut ys = Vec::with_capacity(2 * k * len);
+        for col in qtx.chunks_exact(k) {
+            ys.extend_from_slice(&qty);
+            ys.extend_from_slice(col);
+        }
+        ys
+    });
+    let batch = triples.take(2 * len)?;
+    ctx.trace_add(Counter::TriplesConsumed, 2 * len as u64);
+    let product_shares = beaver_inner_batch(ctx, &Secret::new(xs), &ys, &batch)?;
+    let opened = open_field(
+        ctx,
+        &product_shares,
+        Some("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
+    )?;
+    let mut products = opened.iter();
+    let mut qtxqty = Vec::with_capacity(len);
+    let mut qtxqtx = Vec::with_capacity(len);
+    for &xxj in &xx {
+        let (Some(&d1), Some(&d2)) = (products.next(), products.next()) else {
+            return Err(shape("opened block Beaver products", 2 * len, opened.len()));
+        };
+        qtxqty
+            .push(field_codec.decode_field_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt());
+        qtxqtx.push(field_codec.decode_field_product(d2) * xxj);
     }
     Ok(BlockAggregate {
         xy,
@@ -382,10 +350,12 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::protocol::triple_counts;
+    use crate::secure::triples::{deal_alongside, FeedSlots};
     use crate::suffstats::{orthonormal_basis, y_dots, ScanStats, SuffStats};
     use dash_mpc::dealer::TrustedDealer;
     use dash_mpc::net::{NetOptions, Network};
-    use parking_lot::Mutex;
+    use dash_obs::TraceHandle;
 
     /// Builds P party datasets plus the pooled reduced statistics they
     /// must reproduce.
@@ -445,11 +415,11 @@ mod tests {
         x: &Matrix,
         q: &Matrix,
         cfg: &SecureScanConfig,
-        mut triples: Option<&mut PartyTriples>,
+        triples: &mut TripleFeed,
     ) -> Result<ScanStats, CoreError> {
         let m = x.cols();
         let (yy, qty) = y_dots(y, q)?;
-        let head = aggregate_y(ctx, yy, &qty, m, cfg, triples.as_deref_mut())?;
+        let head = aggregate_y(ctx, yy, &qty, m, cfg, triples)?;
         let (yy, qtyqty) = head.y_stats();
         let mut stats = ScanStats {
             yy,
@@ -461,13 +431,51 @@ mod tests {
         };
         for lo in (0..m).step_by(3) {
             let block = VariantSummands::local(y, x, q, lo, (lo + 3).min(m))?;
-            let agg = aggregate_block(ctx, &block, &head, cfg, triples.as_deref_mut())?;
+            let agg = aggregate_block(ctx, &block, &head, cfg, triples)?;
             stats.xy.extend(agg.xy);
             stats.xx.extend(agg.xx);
             stats.qtxqty.extend(agg.qtxqty);
             stats.qtxqtx.extend(agg.qtxqtx);
         }
         Ok(stats)
+    }
+
+    /// `aggregate_all` at every party, next to a dealer dealing `counts`
+    /// when the mode has one; the parties' outcomes and what they shared.
+    fn run_parties(
+        mode: AggregationMode,
+        parties: &[(Vec<f64>, Matrix, Matrix)],
+        counts: Vec<usize>,
+        trace: TraceHandle,
+    ) -> (Vec<Result<ScanStats, CoreError>>, usize) {
+        let (p, k) = (parties.len(), parties[0].2.cols());
+        let qs = party_qs(parties);
+        let cfg = SecureScanConfig {
+            aggregation: mode,
+            ..SecureScanConfig::default()
+        };
+        let opts = NetOptions {
+            trace,
+            ..NetOptions::default()
+        };
+        let run = |slots: &FeedSlots| {
+            Ok(Network::run_parties_detailed_with(p, 21, &opts, |ctx| {
+                let (y, x, _) = &parties[ctx.id()];
+                let mut feed = TripleFeed::take_from(slots, ctx.id());
+                aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, &mut feed)
+            })?)
+        };
+        let (results, _stats, audit) = if mode == AggregationMode::BeaverDots && k > 0 {
+            let mut dealer = TrustedDealer::new(p, 5).unwrap();
+            let deal = |count| dealer.deal_inners(k, count);
+            deal_alongside(deal, counts.into_iter(), (p, None), run).unwrap()
+        } else {
+            run(&[]).unwrap()
+        };
+        (
+            results.into_iter().map(Result::unwrap).collect(),
+            audit.per_party_disclosures(),
+        )
     }
 
     fn run_mode(
@@ -477,39 +485,14 @@ mod tests {
         k: usize,
     ) -> (ScanStats, ScanStats, usize) {
         let (parties, pooled) = setup(p, 12, m, k);
-        let qs = party_qs(&parties);
-        let cfg = SecureScanConfig {
-            aggregation: mode,
-            ..SecureScanConfig::default()
-        };
-        let slots: Vec<Mutex<Option<PartyTriples>>> =
-            if mode == AggregationMode::BeaverDots && k > 0 {
-                TrustedDealer::new(p, 5)
-                    .unwrap()
-                    .deal_inners(k, 2 * m + 1)
-                    .into_iter()
-                    .map(|b| Mutex::new(Some(b)))
-                    .collect()
-            } else {
-                (0..p).map(|_| Mutex::new(None)).collect()
-            };
-        let (results, _stats, audit) =
-            Network::run_parties_detailed_with(p, 21, &NetOptions::default(), |ctx| {
-                let (y, x, _) = &parties[ctx.id()];
-                let mut tr = slots[ctx.id()].lock().take();
-                aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, tr.as_mut()).unwrap()
-            })
-            .unwrap();
+        let counts = triple_counts(m, Some(3)).collect();
+        let (results, leaks) = run_parties(mode, &parties, counts, TraceHandle::disabled());
         let results: Vec<_> = results.into_iter().map(Result::unwrap).collect();
         // All parties agree exactly.
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
-        (
-            results.into_iter().next().unwrap(),
-            pooled,
-            audit.per_party_disclosures(),
-        )
+        (results.into_iter().next().unwrap(), pooled, leaks)
     }
 
     fn assert_stats_close(got: &ScanStats, want: &ScanStats, tol: f64) {
@@ -569,10 +552,44 @@ mod tests {
         };
         let results = Network::run_parties(2, 1, |ctx| {
             let (y, x, _) = &parties[ctx.id()];
-            aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, None).err()
+            aggregate_all(
+                ctx,
+                y,
+                x,
+                &qs[ctx.id()],
+                &cfg,
+                &mut TripleFeed::take_from(&[], 0),
+            )
+            .err()
         });
+        let none = MpcError::DealerExhausted {
+            wanted: 1,
+            available: 0,
+        };
         for r in results {
-            assert!(matches!(r, Some(CoreError::Mpc(_))));
+            assert_eq!(r, Some(CoreError::Mpc(none.clone())));
+        }
+    }
+
+    #[test]
+    fn a_short_dealer_fails_the_block_before_anything_is_consumed() {
+        // The y round's batch of one, then a block batch one triple short
+        // of the 2·3 the first block of three variants needs.
+        let (parties, _) = setup(2, 12, 4, 2);
+        let trace = TraceHandle::enabled(2);
+        let (results, _) = run_parties(
+            AggregationMode::BeaverDots,
+            &parties,
+            vec![1, 5, 2],
+            trace.clone(),
+        );
+        let short = MpcError::DealerExhausted {
+            wanted: 6,
+            available: 5,
+        };
+        for (id, r) in results.into_iter().enumerate() {
+            assert_eq!(r, Err(CoreError::Mpc(short.clone())));
+            assert_eq!(trace.counter(id, Counter::TriplesConsumed), 1);
         }
     }
 

@@ -29,21 +29,22 @@ pub mod aggregate;
 pub mod checkpoint;
 pub mod protocol;
 pub mod rfactor;
+pub(crate) mod triples;
 pub(crate) mod wire;
 
 use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
 use dash_mpc::audit::{Disclosure, DisclosureLog};
-use dash_mpc::dealer::{PartyTriples, TrustedDealer};
+use dash_mpc::dealer::TrustedDealer;
 use dash_mpc::net::{CostModel, NetOptions, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
 use dash_mpc::tcp::TcpConfig;
 use dash_mpc::transport::{FaultPlan, RetryPolicy, Transport, TransportConfig};
 use dash_mpc::{FixedPointCodec, MpcError};
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
+use triples::{FeedSlots, TripleFeed};
 
 /// How the combined R factor of the pooled covariates is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,14 +352,6 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Each party's slice of the dealer's output, taken by the party's own
-/// thread when its protocol starts (`None` when the mode needs none).
-type TripleSlots = [Mutex<Option<PartyTriples>>];
-
-fn take_triples(slots: &TripleSlots, id: usize) -> Option<PartyTriples> {
-    slots.get(id).and_then(|slot| slot.lock().take())
-}
-
 /// What a run shape hands back: every local party's result (all of them
 /// succeeded), and the counters and disclosure log they shared.
 type RunParts<T> = (Vec<T>, Arc<NetworkStats>, DisclosureLog);
@@ -406,15 +399,15 @@ pub(crate) fn run_in_process<P: Sync, T: Send>(
     )?)
 }
 
-/// The body every run shape shares: validate, deal the offline material,
-/// `run` the `parties` this process holds, check they agree, and report.
-/// `lone` is `(id, party count)` when `parties` is the single party of a
-/// multi-process run, `None` when it is all of them.
+/// The body every run shape shares: validate, `run` the `parties` this
+/// process holds — next to the run's dealer when the mode has one — check
+/// they agree, and report. `lone` is `(id, party count)` when `parties` is
+/// the single party of a multi-process run, `None` when it is all of them.
 fn run_scan<S: SummandSource>(
     parties: &[S],
     lone: Option<(usize, usize)>,
     cfg: &SecureScanConfig,
-    run: impl FnOnce(&TripleSlots) -> Result<RunParts<ScanResult>, CoreError>,
+    run: impl FnOnce(&FeedSlots) -> Result<RunParts<ScanResult>, CoreError>,
 ) -> Result<SecureScanOutput, CoreError> {
     let n_parties = lone.map_or(parties.len(), |(_, n)| n);
     // Validate eagerly so configuration errors surface before any thread
@@ -422,23 +415,21 @@ fn run_scan<S: SummandSource>(
     let (m, k) = validate_sources(parties, n_parties)?;
     validate_config(cfg, m)?;
 
-    // Offline phase: deal Beaver material when the strict mode needs it.
-    // The trusted dealer is a deterministic function of `(party count,
-    // seed)`, so a lone party process deals the full output and keeps its
-    // own slice — bit-identical to dealing centrally.
-    let slots: Vec<Mutex<Option<PartyTriples>>> =
-        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-            TrustedDealer::new(n_parties, cfg.seed)?
-                .deal_inners(k, 2 * m + 1)
-                .into_iter()
-                .enumerate()
-                .map(|(i, b)| Mutex::new(lone.is_none_or(|(id, _)| id == i).then_some(b)))
-                .collect()
-        } else {
-            (0..n_parties).map(|_| Mutex::new(None)).collect()
-        };
-
-    let (results, stats, audit) = run(&slots)?;
+    // Offline phase, streamed: the strict mode's one dealer deals each
+    // Beaver round's batch while the parties run the round before it. It
+    // is a function of `(party count, seed)`, so a lone party process runs
+    // the whole stream itself and keeps its own slice of it.
+    let (results, stats, audit) = if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
+        let mut dealer = TrustedDealer::new(n_parties, cfg.seed)?;
+        triples::deal_alongside(
+            |count| dealer.deal_inners(k, count),
+            protocol::triple_counts(m, cfg.block_size),
+            (n_parties, lone.map(|(id, _)| id)),
+            run,
+        )?
+    } else {
+        run(&[])?
+    };
 
     let mut iter = results.into_iter();
     let first = iter.next().ok_or(CoreError::NoParties)?;
@@ -485,10 +476,10 @@ fn scan_all_parties<S: SummandSource>(
         };
         let party = |ctx: &mut PartyCtx| {
             let data = own_rows(parties, ctx)?;
-            let mut triples = take_triples(slots, ctx.id());
+            let mut feed = TripleFeed::take_from(slots, ctx.id());
             // A party that finished says so (`Transport::close`); one that
             // failed must look to its peers like the crash it is.
-            protocol::party_protocol_with(ctx, data, cfg, triples.as_mut(), None)
+            protocol::party_protocol_with(ctx, data, cfg, &mut feed, None)
                 .inspect(|_| ctx.endpoint().close())
         };
         let (p, seed) = (parties.len(), cfg.seed);
@@ -597,11 +588,11 @@ where
         let mut ctx = cfg
             .net_options()
             .party_ctx(transport, cfg.seed, audit.clone());
-        let mut triples = take_triples(slots, id);
+        let mut feed = TripleFeed::take_from(slots, id);
         // A party that finished says so before it tears down; one that
         // failed says nothing, so supervised peers see a crash and hold the
         // link open for a `--resume`.
-        let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut(), policy)
+        let result = protocol::party_protocol_with(&mut ctx, data, cfg, &mut feed, policy)
             .inspect(|_| ctx.endpoint().close());
         // Tear the socket mesh down before reporting so every reader
         // thread has exited and the counters are final.

@@ -15,13 +15,13 @@ use crate::model::ScanResult;
 use crate::scan::parallel::variant_summands;
 use crate::secure::aggregate::YAggregate;
 use crate::secure::checkpoint::{self, Checkpoint, CheckpointPolicy, Fingerprint};
+use crate::secure::triples::TripleFeed;
 use crate::secure::{
     aggregate, rfactor, AggregationMode, RFactorMode, SecureScanConfig, SummandSource,
 };
 use crate::suffstats::{ScanStats, VariantSummands};
 
 use dash_linalg::{invert_upper, ops::gemm, Matrix};
-use dash_mpc::dealer::PartyTriples;
 use dash_mpc::protocol::masked::masked_sum_ring;
 use dash_mpc::{CtxState, PartyCtx, R64};
 use std::path::PathBuf;
@@ -42,7 +42,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
+    triples: &mut TripleFeed,
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ScanResult, CoreError> {
     let m = data.n_variants();
@@ -121,6 +121,19 @@ pub(crate) fn count_and_rfactor(
     let r = rfactor::combine_r(ctx, c, cfg)?;
     let q_k = private_q(n_samples, c, &r)?;
     Ok((n_total, r, q_k))
+}
+
+/// The run's variant blocks as column ranges `[lo, hi)`, in order.
+fn blocks(m: usize, block_size: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
+    let size = block_size.max(1);
+    (0..m.div_ceil(size)).map(move |b| (b * size, ((b + 1) * size).min(m)))
+}
+
+/// Triples each Beaver round consumes — one dealer batch per entry: one
+/// for the y round's `Qᵀy·Qᵀy`, then two per variant of each block.
+pub(crate) fn triple_counts(m: usize, block_size: Option<usize>) -> impl Iterator<Item = usize> {
+    let per_block = blocks(m, block_size.unwrap_or(m)).map(|(lo, hi)| 2 * (hi - lo));
+    std::iter::once(1).chain(per_block)
 }
 
 fn private_q(n_samples: usize, c: &Matrix, r: &Matrix) -> Result<Matrix, CoreError> {
@@ -359,15 +372,14 @@ fn blocked_core<S: SummandSource>(
     n_total: usize,
     block_size: usize,
     cfg: &SecureScanConfig,
-    triples: Option<&mut PartyTriples>,
+    triples: &mut TripleFeed,
     saver: Option<&Saver>,
     resume: Option<ResumeSeed>,
 ) -> Result<ScanResult, CoreError> {
     let _agg_span = ctx.trace_span("phase:aggregate");
     let m = data.n_variants();
     let k = q_k.cols();
-    let mut triples = triples;
-    let n_blocks = m.div_ceil(block_size.max(1));
+    let n_blocks = blocks(m, block_size).len();
 
     let (head, mut xy, mut xx, mut qtxqty, mut qtxqtx, start_block) = match resume {
         None => {
@@ -375,8 +387,7 @@ fn blocked_core<S: SummandSource>(
             // statistics.
             let y_span = ctx.trace_span("round:y");
             let (yy_local, qty_local) = data.y_summands(q_k)?;
-            let head =
-                aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples.as_deref_mut())?;
+            let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples)?;
             drop(y_span);
             let zero = vec![0.0; m];
             if let Some(s) = saver {
@@ -399,9 +410,7 @@ fn blocked_core<S: SummandSource>(
         let (tx, rx) = mpsc::sync_channel::<Result<VariantSummands, CoreError>>(1);
         let threads = cfg.threads;
         let producer = scope.spawn(move || {
-            for b in start_block..n_blocks {
-                let lo = b * block_size;
-                let hi = (lo + block_size).min(m);
+            for (lo, hi) in blocks(m, block_size).skip(start_block) {
                 let res = variant_summands(data, q_k, lo, hi, threads);
                 let stop = res.is_err();
                 if tx.send(res).is_err() || stop {
@@ -421,8 +430,7 @@ fn blocked_core<S: SummandSource>(
                 let _block_span = ctx.trace_span_at("block", b as u64);
                 ctx.enter_block(b as u32).map_err(CoreError::from)?;
                 let round_span = ctx.trace_span("round:secure");
-                let agg =
-                    aggregate::aggregate_block(ctx, &summ, &head, cfg, triples.as_deref_mut());
+                let agg = aggregate::aggregate_block(ctx, &summ, &head, cfg, triples);
                 drop(round_span);
                 ctx.exit_block().map_err(CoreError::from)?;
                 let agg = agg?;

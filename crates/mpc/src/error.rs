@@ -65,8 +65,9 @@ pub enum MpcError {
     /// Retryable: the retry policy resends with backoff, and the error
     /// only surfaces once retries are exhausted.
     TransientFailure { peer: usize },
-    /// The dealer ran out of preprocessed material for this protocol run.
-    DealerExhausted { what: &'static str },
+    /// This Beaver round needs a batch of `wanted` triples and the dealer
+    /// offers one of `available` (0: no dealer, or its stream has ended).
+    DealerExhausted { wanted: usize, available: usize },
     /// A party id outside `0..n_parties`.
     NoSuchParty { id: usize, n_parties: usize },
     /// A protocol invariant was violated by the caller (e.g. mismatched
@@ -148,8 +149,8 @@ impl fmt::Display for MpcError {
             MpcError::TransientFailure { peer } => {
                 write!(f, "transient send failure towards party {peer}")
             }
-            MpcError::DealerExhausted { what } => {
-                write!(f, "trusted dealer ran out of {what}")
+            MpcError::DealerExhausted { wanted, available } => {
+                write!(f, "dealer: wanted {wanted} triples, batch has {available}")
             }
             MpcError::NoSuchParty { id, n_parties } => {
                 write!(f, "party id {id} out of range for {n_parties} parties")

@@ -35,9 +35,9 @@
 //!   ack, liveness and reconnect rules once and does no I/O.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
-//! - [`share`] / [`dealer`]: additive field sharing, and the trusted
-//!   dealer that uses it to produce inner-product triples during an
-//!   offline phase.
+//! - [`dealer`]: the trusted dealer, which additively shares
+//!   inner-product triples into one flat [`dealer::TripleBatch`] per
+//!   party and Beaver round.
 //! - [`protocol`]: the masked secure sum (mesh and star) and the batched
 //!   Beaver inner product.
 //!
@@ -94,7 +94,6 @@ pub mod prg;
 pub mod protocol;
 pub mod ring;
 pub mod secret;
-pub mod share;
 pub mod tags;
 pub mod tcp;
 pub mod transport;

@@ -12,22 +12,20 @@
 //! output the share `z = c + d⃗·⟨b⃗⟩ + e⃗·⟨a⃗⟩ (+ d⃗·e⃗ at party 0)`, which
 //! reconstructs to `x⃗·y⃗`. [`beaver_inner_batch`] is the one product: a
 //! whole batch of length-L dots costs one round of `2L` opened masked
-//! words each, concatenated into a single opening. One inner product is a
-//! batch of one; a scalar product is an inner product of length 1.
+//! words each, concatenated into a single opening, against one flat
+//! [`TripleBatch`] and two flat operand vectors of the same shape. One
+//! inner product is a batch of one; a scalar product is an inner product
+//! of length 1.
 //!
 //! Every share, triple and intermediate result here travels wrapped in
 //! [`Secret`]; the only unwrap points are the audited
 //! [`crate::party::PartyCtx::open_sum`] openings behind [`open_field`].
 
-use crate::dealer::InnerTriple;
+use crate::dealer::TripleBatch;
 use crate::error::MpcError;
 use crate::field::F61;
 use crate::party::PartyCtx;
 use crate::secret::Secret;
-
-/// One `(xs, ys)` operand pair for [`beaver_inner_batch`]: borrowed,
-/// wrapped share vectors of equal length.
-pub type SecretVecPair<'a> = (&'a Secret<Vec<F61>>, &'a Secret<Vec<F61>>);
 
 /// Opens a vector of shared field elements: everyone broadcasts shares and
 /// sums. With `Some(label)` the total is a disclosure, recorded by party 0
@@ -43,70 +41,62 @@ pub fn open_field(
 }
 
 /// Batched inner products: evaluates many length-L dots in **one**
-/// communication round by concatenating every pair's masked differences
-/// into a single opening.
+/// communication round by concatenating every product's masked
+/// differences into a single opening — 2M+1 dot products cost one masked
+/// and one result opening per block instead of 2M+1 sequential rounds.
 ///
-/// `pairs[i]` is `(xs_i, ys_i)`; `triples` must supply one inner-product
-/// triple of matching length per pair. Returns one (wrapped) share per
-/// pair.
-///
-/// This is what makes the strictest scan mode round-efficient: 2M+1 dot
-/// products cost one masked opening plus one result opening instead of
-/// 2M+1 sequential rounds — on a WAN, the difference between seconds and
-/// hours.
+/// `xs` and `ys` are laid out like the batch's `a` and `b` regions
+/// (product `i` at row `i` of [`TripleBatch::rows`]), so both must hold
+/// `count × len` shares; anything else is a [`MpcError::LengthMismatch`]
+/// before a word is sent. Returns one (wrapped) share per product. An
+/// empty batch, or one of empty vectors (every product the empty dot),
+/// still runs its opening, of zero words: every party stays on one tag.
 pub fn beaver_inner_batch(
     ctx: &mut PartyCtx,
-    pairs: &[SecretVecPair<'_>],
-    triples: &[Secret<InnerTriple>],
+    xs: &Secret<Vec<F61>>,
+    ys: &Secret<Vec<F61>>,
+    triples: &Secret<TripleBatch>,
 ) -> Result<Secret<Vec<F61>>, MpcError> {
-    if triples.len() != pairs.len() {
-        return Err(MpcError::LengthMismatch {
-            what: "beaver_inner_batch triples",
-            expected: pairs.len(),
-            got: triples.len(),
-        });
+    let t = triples.expose();
+    let (a, b, c) = t.parts();
+    for (what, operand) in [
+        ("beaver_inner_batch xs vs batch", xs),
+        ("beaver_inner_batch ys vs batch", ys),
+    ] {
+        if operand.scalar_count() != a.len() {
+            return Err(MpcError::LengthMismatch {
+                what,
+                expected: a.len(),
+                got: operand.scalar_count(),
+            });
+        }
     }
-    // Concatenate [xs_i − a_i ; ys_i − b_i] for all i.
-    let total_len: usize = pairs.iter().map(|(x, _)| 2 * x.scalar_count()).sum();
-    let mut pads = Vec::with_capacity(total_len);
-    for ((xs, ys), tr) in pairs.iter().zip(triples.iter()) {
-        let len = xs.scalar_count();
-        if ys.scalar_count() != len {
-            return Err(MpcError::LengthMismatch {
-                what: "beaver_inner_batch operands",
-                expected: len,
-                got: ys.scalar_count(),
-            });
-        }
-        if tr.vec_len() != len {
-            return Err(MpcError::LengthMismatch {
-                what: "beaver_inner_batch triple length",
-                expected: len,
-                got: tr.vec_len(),
-            });
-        }
-        let t = tr.expose();
-        pads.extend(xs.expose().iter().zip(&t.a).map(|(&x, &a)| x - a));
-        pads.extend(ys.expose().iter().zip(&t.b).map(|(&y, &b)| y - b));
+    // Per product, [x⃗ − a⃗ ; y⃗ − b⃗].
+    let mut pads = Vec::with_capacity(2 * a.len());
+    let operands = t.rows(xs.expose()).zip(t.rows(ys.expose()));
+    for ((x, y), (a, b)) in operands.zip(t.rows(a).zip(t.rows(b))) {
+        pads.extend(x.iter().zip(a).map(|(&x, &a)| x - a));
+        pads.extend(y.iter().zip(b).map(|(&y, &b)| y - b));
     }
     // dash-analyze::allow(disclosure-completeness): the concatenated
-    // per-pair differences are uniform one-time-pad values; opening them
-    // reveals nothing, so no disclosure entry is due here.
+    // per-product differences are uniform one-time-pad values; opening
+    // them reveals nothing, so no disclosure entry is due here.
     let opened = open_field(ctx, &Secret::new(pads), None)?;
+    if opened.len() != 2 * a.len() {
+        return Err(MpcError::Protocol {
+            what: "beaver_inner_batch: opened buffer differs from its declared shape",
+        });
+    }
     // Reassemble shares.
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut off = 0;
     let leader = ctx.id() == 0;
-    for ((xs, _), tr) in pairs.iter().zip(triples.iter()) {
-        let len = xs.scalar_count();
-        let t = tr.expose();
-        let de = opened.get(off..off + 2 * len).ok_or(MpcError::Protocol {
-            what: "beaver_inner_batch: opened buffer shorter than its declared shape",
-        })?;
-        let (d, e) = de.split_at(len);
-        off += 2 * len;
-        let mut z = t.c;
-        for ((&dv, &ev), (&av, &bv)) in d.iter().zip(e).zip(t.a.iter().zip(&t.b)) {
+    let mut out = Vec::with_capacity(c.len());
+    let mut rest = opened.as_slice();
+    for ((a, b), &ci) in t.rows(a).zip(t.rows(b)).zip(c) {
+        let (d, tail) = rest.split_at(a.len());
+        let (e, tail) = tail.split_at(b.len());
+        rest = tail;
+        let mut z = ci;
+        for ((&dv, &ev), (&av, &bv)) in d.iter().zip(e).zip(a.iter().zip(b)) {
             z += dv * bv + ev * av;
         }
         if leader {
@@ -123,29 +113,31 @@ pub fn beaver_inner_batch(
 mod tests {
     use super::*;
     use crate::audit::DisclosureLog;
-    use crate::dealer::{PartyTriples, TrustedDealer};
+    use crate::dealer::TrustedDealer;
     use crate::fixed::FixedPointCodec;
     use crate::net::{NetOptions, Network};
     use parking_lot::Mutex;
 
-    /// Runs `f` at every party with its slice of `deal_inners(len, count)`
-    /// (threads take their own bundle at startup); returns the results and
-    /// the shared disclosure log.
+    /// Runs `f` at every party with its slice of each `deal_inners(len,
+    /// count)` batch in `shapes`, in order (threads take their own bundle
+    /// at startup); returns the results and the shared disclosure log.
     fn with_triples<T: Send>(
         n: usize,
-        (len, count): (usize, usize),
-        f: impl Fn(&mut PartyCtx, &mut PartyTriples) -> T + Sync,
+        shapes: &[(usize, usize)],
+        f: impl Fn(&mut PartyCtx, Vec<Secret<TripleBatch>>) -> T + Sync,
     ) -> (Vec<T>, DisclosureLog) {
-        let slots: Vec<Mutex<Option<PartyTriples>>> = TrustedDealer::new(n, 31)
-            .unwrap()
-            .deal_inners(len, count)
-            .into_iter()
-            .map(|b| Mutex::new(Some(b)))
-            .collect();
+        let mut dealer = TrustedDealer::new(n, 31).unwrap();
+        let mut slots: Vec<Vec<Secret<TripleBatch>>> = vec![Vec::new(); n];
+        for &(len, count) in shapes {
+            for (slot, batch) in slots.iter_mut().zip(dealer.deal_inners(len, count)) {
+                slot.push(batch);
+            }
+        }
+        let slots: Vec<_> = slots.into_iter().map(|b| Mutex::new(Some(b))).collect();
         let (results, _stats, audit) =
             Network::run_parties_detailed_with(n, 32, &NetOptions::default(), |ctx| {
-                let mut mine = slots[ctx.id()].lock().take().expect("bundle taken once");
-                f(ctx, &mut mine)
+                let mine = slots[ctx.id()].lock().take().expect("bundle taken once");
+                f(ctx, mine)
             })
             .unwrap();
         (results.into_iter().map(Result::unwrap).collect(), audit)
@@ -163,6 +155,23 @@ mod tests {
         (xs, ys)
     }
 
+    /// Party `id`'s flat, encoded operands for pairs `pairs`.
+    fn operands(
+        codec: &FixedPointCodec,
+        id: usize,
+        pairs: std::ops::Range<usize>,
+        len: usize,
+    ) -> (Secret<Vec<F61>>, Secret<Vec<F61>>) {
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for p in pairs {
+            let (x, y) = summands(id, p, len);
+            xs.extend(x);
+            ys.extend(y);
+        }
+        let encoded = |v: &[f64]| Secret::new(codec.encode_field_vec(v).unwrap());
+        (encoded(&xs), encoded(&ys))
+    }
+
     /// The clear reference: `(Σ_id xs) · (Σ_id ys)` for pair `p`.
     fn expected_dot(n: usize, p: usize, len: usize) -> f64 {
         (0..len)
@@ -174,13 +183,9 @@ mod tests {
             .sum()
     }
 
-    fn encoded(codec: &FixedPointCodec, v: &[f64]) -> Secret<Vec<F61>> {
-        Secret::new(codec.encode_field_vec(v).unwrap())
-    }
-
     #[test]
     fn open_reconstructs_and_records_once() {
-        let (results, audit) = with_triples(3, (0, 0), |ctx, _| {
+        let (results, audit) = with_triples(3, &[], |ctx, _| {
             let share = Secret::new(vec![F61::from_i64((ctx.id() as i64 + 1) * 7)]);
             open_field(ctx, &share, Some("sum of shares")).unwrap()[0].as_i64()
         });
@@ -192,20 +197,21 @@ mod tests {
 
     #[test]
     fn inner_product_correct() {
-        // A single inner product is a batch of one.
-        let (n, len) = (4, 8);
+        // A single inner product is a batch of one; one party is a valid
+        // party count (its share of every triple is the triple).
+        let len = 8;
         let codec = FixedPointCodec::new(20).unwrap();
-        let (results, _) = with_triples(n, (len, 1), |ctx, triples| {
-            let (xs, ys) = summands(ctx.id(), 0, len);
-            let (xs, ys) = (encoded(&codec, &xs), encoded(&codec, &ys));
-            let t = triples.next_inner().unwrap();
-            let z = beaver_inner_batch(ctx, &[(&xs, &ys)], &[t]).unwrap();
-            let opened = open_field(ctx, &z, Some("dot")).unwrap();
-            codec.decode_field_product(opened[0])
-        });
-        let expect = expected_dot(n, 0, len);
-        for r in results {
-            assert!((r - expect).abs() < 1e-3, "r={r} expect={expect}");
+        for n in [1, 4] {
+            let (results, _) = with_triples(n, &[(len, 1)], |ctx, triples| {
+                let (xs, ys) = operands(&codec, ctx.id(), 0..1, len);
+                let z = beaver_inner_batch(ctx, &xs, &ys, &triples[0]).unwrap();
+                let opened = open_field(ctx, &z, Some("dot")).unwrap();
+                codec.decode_field_product(opened[0])
+            });
+            let expect = expected_dot(n, 0, len);
+            for r in results {
+                assert!((r - expect).abs() < 1e-3, "n={n} r={r} expect={expect}");
+            }
         }
     }
 
@@ -214,10 +220,10 @@ mod tests {
         // The d = x − a opening inside the product must not equal the raw
         // input (a is uniform). Party 0 holds x, party 1 a zero share.
         let x_clear = F61::from_i64(5);
-        let (results, audit) = with_triples(2, (1, 1), |ctx, triples| {
+        let (results, audit) = with_triples(2, &[(1, 1)], |ctx, mut triples| {
             let x = if ctx.id() == 0 { x_clear } else { F61::ZERO };
-            let t = triples.next_inner().unwrap();
-            let pad = Secret::new(x).zip_with(t, |x, t| vec![x - t.a[0]]);
+            let t = triples.remove(0);
+            let pad = t.map(|t| vec![x - t.parts().0[0]]);
             open_field(ctx, &pad, None).unwrap()[0]
         });
         assert_eq!(results[0], results[1]);
@@ -230,30 +236,23 @@ mod tests {
     fn a_batch_equals_its_pairs_one_at_a_time() {
         let (n, len, n_pairs) = (3, 5, 4);
         let codec = FixedPointCodec::new(20).unwrap();
-        let (results, _) = with_triples(n, (len, 2 * n_pairs), |ctx, triples| {
-            let share_pairs: Vec<_> = (0..n_pairs)
-                .map(|p| {
-                    let (xs, ys) = summands(ctx.id(), p, len);
-                    (encoded(&codec, &xs), encoded(&codec, &ys))
-                })
-                .collect();
+        let mut shapes = vec![(len, 1); n_pairs];
+        shapes.push((len, n_pairs));
+        let (results, _) = with_triples(n, &shapes, |ctx, triples| {
             // One round per pair.
             let mut seq = Vec::new();
-            for (xs, ys) in &share_pairs {
-                let t = triples.next_inner().unwrap();
-                let z = beaver_inner_batch(ctx, &[(xs, ys)], &[t]).unwrap();
+            for (p, t) in triples[..n_pairs].iter().enumerate() {
+                let (xs, ys) = operands(&codec, ctx.id(), p..p + 1, len);
+                let z = beaver_inner_batch(ctx, &xs, &ys, t).unwrap();
                 seq.push(open_field(ctx, &z, None).unwrap()[0]);
             }
             // One round for all of them, on fresh triples.
-            let batch_triples: Vec<Secret<InnerTriple>> = (0..n_pairs)
-                .map(|_| triples.next_inner().unwrap())
-                .collect();
-            let pair_refs: Vec<SecretVecPair<'_>> =
-                share_pairs.iter().map(|(x, y)| (x, y)).collect();
-            let batch = beaver_inner_batch(ctx, &pair_refs, &batch_triples).unwrap();
+            let (xs, ys) = operands(&codec, ctx.id(), 0..n_pairs, len);
+            let batch = beaver_inner_batch(ctx, &xs, &ys, &triples[n_pairs]).unwrap();
             (seq, open_field(ctx, &batch, None).unwrap())
         });
         for (seq_open, batch_open) in results {
+            assert_eq!(batch_open.len(), n_pairs);
             for (p, (s, b)) in seq_open.iter().zip(&batch_open).enumerate() {
                 let expect = expected_dot(n, p, len);
                 assert!((codec.decode_field_product(*s) - expect).abs() < 1e-3);
@@ -264,22 +263,45 @@ mod tests {
 
     #[test]
     fn batch_shape_errors() {
-        let (results, _) = with_triples(2, (3, 2), |ctx, triples| {
-            let t = triples.next_inner().unwrap();
-            let xs = Secret::new(vec![F61::ONE; 3]);
-            let ys = Secret::new(vec![F61::ONE; 3]);
-            // Wrong triple count.
-            let r1 =
-                beaver_inner_batch(ctx, &[(&xs, &ys), (&xs, &ys)], std::slice::from_ref(&t)).err();
-            // Mismatched operand lengths.
-            let short = Secret::new(vec![F61::ONE; 2]);
-            let r2 = beaver_inner_batch(ctx, &[(&xs, &short)], std::slice::from_ref(&t)).err();
-            // Triple dealt for another length.
-            let r3 = beaver_inner_batch(ctx, &[(&short, &short)], &[t]).err();
-            [r1, r2, r3]
+        let (results, _) = with_triples(2, &[(3, 2)], |ctx, triples| {
+            let t = &triples[0];
+            let full = Secret::new(vec![F61::ONE; 6]);
+            // One product's worth of operands against a batch of two, a
+            // short ys, and operands for another vector length: each a
+            // structured error before anything is sent, never an index
+            // panic.
+            let one = Secret::new(vec![F61::ONE; 3]);
+            let long = Secret::new(vec![F61::ONE; 8]);
+            [
+                beaver_inner_batch(ctx, &one, &one, t).err(),
+                beaver_inner_batch(ctx, &full, &one, t).err(),
+                beaver_inner_batch(ctx, &long, &long, t).err(),
+            ]
         });
         for r in results.into_iter().flatten() {
             assert!(matches!(r, Some(MpcError::LengthMismatch { .. })), "{r:?}");
         }
+    }
+
+    #[test]
+    fn degenerate_batches_run_an_empty_round() {
+        // count == 0: no products. len == 0 (K = 0): every product is the
+        // empty dot, whose shares are the batch's shares of c = 0.
+        let (results, audit) = with_triples(3, &[(4, 0), (0, 5)], |ctx, triples| {
+            let none = Secret::new(Vec::new());
+            let empty = beaver_inner_batch(ctx, &none, &none, &triples[0]).unwrap();
+            let dots = beaver_inner_batch(ctx, &none, &none, &triples[1]).unwrap();
+            (
+                empty.scalar_count(),
+                open_field(ctx, &dots, None).unwrap(),
+                ctx.fresh_tag(),
+            )
+        });
+        for (empty, dots, tag) in &results {
+            assert_eq!(*empty, 0);
+            assert_eq!(dots, &vec![F61::ZERO; 5]);
+            assert_eq!(*tag, results[0].2, "parties left on different tags");
+        }
+        assert!(audit.entries().is_empty());
     }
 }

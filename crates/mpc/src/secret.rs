@@ -9,8 +9,7 @@
 //! - the wrapped value is private — no `Display`, no serialization, and a
 //!   `Debug` impl that prints only a redaction marker;
 //! - arithmetic happens through explicit combinators ([`Secret::map`],
-//!   [`Secret::zip_with`], the ring-vector `add_assign_secret`), whose
-//!   results stay wrapped;
+//!   the ring-vector `add_assign_secret`), whose results stay wrapped;
 //! - the **only** way to extract the inner value is
 //!   [`Secret::open_via`], which takes the shared [`DisclosureLog`] and an
 //!   [`OpenMode`] and records the opened scalar count *derived from the
@@ -23,7 +22,6 @@
 //! through the audited path.
 
 use crate::audit::DisclosureLog;
-use crate::dealer::InnerTriple;
 use crate::error::MpcError;
 use crate::field::F61;
 use crate::ring::{add_assign_vec, sub_assign_vec, R64};
@@ -89,21 +87,11 @@ impl<T> Secret<T> {
         Secret(f(self.0))
     }
 
-    /// Combines two secrets; the result stays wrapped.
-    pub fn zip_with<U, V>(self, other: Secret<U>, f: impl FnOnce(T, U) -> V) -> Secret<V> {
-        Secret(f(self.0, other.0))
-    }
-
     /// Crate-internal read access for the protocol layer (wire
     /// serialization, share arithmetic). Not visible outside `dash-mpc`:
     /// external code must go through [`Secret::open_via`].
     pub(crate) fn expose(&self) -> &T {
         &self.0
-    }
-
-    /// Crate-internal unwrap for protocol plumbing.
-    pub(crate) fn into_inner(self) -> T {
-        self.0
     }
 }
 
@@ -143,12 +131,6 @@ impl ScalarCount for Vec<R64> {
 impl ScalarCount for Vec<F61> {
     fn scalar_count(&self) -> usize {
         self.len()
-    }
-}
-
-impl ScalarCount for InnerTriple {
-    fn scalar_count(&self) -> usize {
-        self.a.len() + self.b.len() + 1
     }
 }
 
@@ -255,21 +237,6 @@ impl Secret<R64> {
     }
 }
 
-impl<T: Copy> Secret<Vec<T>> {
-    /// Extracts one element as its own secret; `None` out of bounds.
-    pub fn element(&self, i: usize) -> Option<Secret<T>> {
-        self.0.get(i).copied().map(Secret)
-    }
-}
-
-impl Secret<InnerTriple> {
-    /// Vector length of the wrapped inner-product triple (public shape
-    /// metadata — the protocols exchange lengths in the clear anyway).
-    pub fn vec_len(&self) -> usize {
-        self.0.a.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,11 +273,7 @@ mod tests {
 
     #[test]
     fn combinators_stay_wrapped() {
-        let a = Secret::new(R64(3));
-        let b = Secret::new(R64(4));
-        let sum = a.zip_with(b, |x, y| x + y);
         let log = DisclosureLog::new();
-        assert_eq!(sum.open_via(&log, OpenMode::Pad), R64(7));
         let doubled = Secret::new(R64(5)).map(|x| x + x);
         assert_eq!(doubled.open_via(&log, OpenMode::Pad), R64(10));
     }
@@ -362,11 +325,9 @@ mod tests {
         assert_eq!(Secret::new(R64(1)).scalar_count(), 1);
         assert_eq!(Secret::new(F61::new(1)).scalar_count(), 1);
         assert_eq!(Secret::new(vec![R64(1); 5]).scalar_count(), 5);
-        let it = InnerTriple {
-            a: vec![F61::ZERO; 4],
-            b: vec![F61::ZERO; 4],
-            c: F61::ZERO,
-        };
-        assert_eq!(Secret::new(it).scalar_count(), 9);
+        let mut dealer = crate::dealer::TrustedDealer::new(2, 1).unwrap();
+        let batch = dealer.deal_inners(4, 3).remove(0);
+        assert_eq!(batch.count(), 3);
+        assert_eq!(batch.scalar_count(), 27);
     }
 }

@@ -4,17 +4,15 @@
 // protocol code proper.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use dash_mpc::dealer::InnerTriple;
+use dash_mpc::dealer::{TripleBatch, TrustedDealer};
 use dash_mpc::field::{F61, MODULUS};
 use dash_mpc::fixed::FixedPointCodec;
 use dash_mpc::net::{NetOptions, Network};
-use dash_mpc::prg::Prg;
 use dash_mpc::protocol::masked::{masked_sum_ring, masked_sum_star_ring};
 use dash_mpc::ring::R64;
-use dash_mpc::share::{reconstruct_field, share_field};
 use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::transport::{FaultPlan, LinkSnapshot, Transport};
-use dash_mpc::{MpcError, PartyCtx, Secret, TraceCounter, TraceHandle};
+use dash_mpc::{DisclosureLog, MpcError, OpenMode, PartyCtx, Secret, TraceCounter, TraceHandle};
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -42,15 +40,63 @@ fn assert_redacted(d: &str, raw: &[u64]) {
     }
 }
 
+/// Every party's slice of one dealt batch, unwrapped (a full share set
+/// is by definition no longer hiding).
+fn dealt(dealer: &mut TrustedDealer, len: usize, count: usize) -> Vec<TripleBatch> {
+    let log = DisclosureLog::new();
+    let open = |b: Secret<TripleBatch>| b.open_via(&log, OpenMode::Pad);
+    dealer
+        .deal_inners(len, count)
+        .into_iter()
+        .map(open)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn field_sharing_roundtrip(v in 0u64..MODULUS, n in 1usize..8, seed in any::<u64>()) {
-        let mut prg = Prg::from_seed(seed);
-        let shares = share_field(F61::new(v), n, &mut prg);
-        prop_assert_eq!(shares.scalar_count(), n);
-        prop_assert_eq!(reconstruct_field(&shares), F61::new(v));
+    fn dealt_shares_reconstruct_to_the_triple_relation(
+        n in 1usize..8,
+        len in 0usize..6,
+        count in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let batches = dealt(&mut TrustedDealer::new(n, seed).unwrap(), len, count);
+        prop_assert_eq!(batches.len(), n);
+        // Σ over parties, word by word, of each region.
+        let total = |region: fn(&TripleBatch) -> &[F61], i: usize| {
+            F61::sum(batches.iter().map(|t| region(t)[i]))
+        };
+        for t in 0..count {
+            let dot = (t * len..(t + 1) * len)
+                .map(|i| total(|b| b.parts().0, i) * total(|b| b.parts().1, i))
+                .fold(F61::ZERO, |acc, v| acc + v);
+            prop_assert_eq!(dot, total(|b| b.parts().2, t));
+        }
+    }
+
+    /// Consecutive calls continue one stream: however a run's triples are
+    /// cut into batches, every party holds the same words.
+    #[test]
+    fn cutting_the_deal_into_batches_never_changes_a_word(
+        n in 1usize..6,
+        len in 0usize..5,
+        first in 0usize..6,
+        second in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let whole = dealt(&mut TrustedDealer::new(n, seed).unwrap(), len, first + second);
+        let mut cut = TrustedDealer::new(n, seed).unwrap();
+        let (head, tail) = (dealt(&mut cut, len, first), dealt(&mut cut, len, second));
+        for ((whole, head), tail) in whole.iter().zip(&head).zip(&tail) {
+            let (wa, wb, wc) = whole.parts();
+            let (ha, hb, hc) = head.parts();
+            let (ta, tb, tc) = tail.parts();
+            prop_assert_eq!(wa, [ha, ta].concat());
+            prop_assert_eq!(wb, [hb, tb].concat());
+            prop_assert_eq!(wc, [hc, tc].concat());
+        }
     }
 
     #[test]
@@ -148,14 +194,14 @@ proptest! {
     /// Tentpole invariant, property form: `{:?}` prints the redaction
     /// marker — and nothing value-derived — for **every** `Secret<T>`
     /// instantiation the workspace uses (both scalars, both vectors, the
-    /// triple).
+    /// triple batch — whose own `Debug` prints its shape and nothing else).
     #[test]
     fn debug_redacts_every_secret_instantiation(
         r in any::<u64>(),
         f in 0u64..MODULUS,
         rv in proptest::collection::vec(any::<u64>(), 1..6),
         fv in proptest::collection::vec(0u64..MODULUS, 1..6),
-        iv in proptest::collection::vec(0u64..MODULUS, 2..9),
+        (len, count, seed) in (0usize..5, 0usize..4, any::<u64>()),
     ) {
         assert_redacted(&format!("{:?}", Secret::new(R64(r))), &[r]);
         assert_redacted(&format!("{:?}", Secret::new(F61::new(f))), &[F61::new(f).value()]);
@@ -164,35 +210,14 @@ proptest! {
         let fvals: Vec<F61> = fv.iter().map(|&v| F61::new(v)).collect();
         let fraw: Vec<u64> = fvals.iter().map(|x| x.value()).collect();
         assert_redacted(&format!("{:?}", Secret::new(fvals)), &fraw);
-        let half = iv.len() / 2;
-        let it = InnerTriple {
-            a: iv[..half].iter().map(|&v| F61::new(v)).collect(),
-            b: iv[half..2 * half].iter().map(|&v| F61::new(v)).collect(),
-            c: F61::new(iv[0]),
-        };
-        let iraw: Vec<u64> = iv.iter().map(|&v| F61::new(v).value()).collect();
-        assert_redacted(&format!("{:?}", Secret::new(it)), &iraw);
-    }
-
-    #[test]
-    fn shares_of_zero_and_value_indistinguishable_marginally(
-        v in 0u64..MODULUS,
-        seed in any::<u64>(),
-    ) {
-        // Any strict subset of shares is uniform: the first n-1 shares do
-        // not depend on the secret at all for a fixed PRG stream.
-        let mut prg1 = Prg::from_seed(seed);
-        let mut prg2 = Prg::from_seed(seed);
-        let s_val = share_field(F61::new(v), 4, &mut prg1);
-        let s_zero = share_field(F61::ZERO, 4, &mut prg2);
-        // Secret<_> hides the raw buffer; compare elementwise through the
-        // wrapped accessors (Secret implements PartialEq).
-        for i in 0..3 {
-            prop_assert_eq!(s_val.element(i), s_zero.element(i));
-        }
-        if v != 0 {
-            prop_assert_ne!(reconstruct_field(&s_val), reconstruct_field(&s_zero));
-        }
+        let batch = dealt(&mut TrustedDealer::new(2, seed).unwrap(), len, count).remove(0);
+        let (a, b, c) = batch.parts();
+        let raw: Vec<u64> = [a, b, c].concat().iter().map(|x| x.value()).collect();
+        prop_assert_eq!(
+            format!("{batch:?}"),
+            format!("TripleBatch {{ len: {len}, count: {count}, <shares redacted> }}")
+        );
+        assert_redacted(&format!("{:?}", Secret::new(batch)), &raw);
     }
 }
 

@@ -5,8 +5,9 @@
 # regions of crates/*/src, benchmark/src and examples/. "Non-test region"
 # is scripts/loc.sh's rule (the lines before a file's first line-initial
 # `#[cfg(test)]`); comment lines are skipped, so a doc mention is not a
-# caller. Advisory: a name defined twice or shared with a field or local
-# under-reports, which is the safe direction.
+# caller. A name defined twice or shared with a field or local
+# under-reports, which is the safe direction; scripts/check.sh holds the
+# count (the last line's first field) under a ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
