@@ -78,6 +78,51 @@ mod tests {
     }
 
     #[test]
+    fn p_values_are_the_scalar_call_on_the_scan_s_own_t() {
+        // The scan fills p from one slice call, the naive oracle from the
+        // scalar `two_sided_p` per variant. Variant 0 is a covariate
+        // (degenerate), variant 1 is y itself (perfect fit), the rest are
+        // ordinary.
+        let mut data = gen_data(50, 9, 2, 11);
+        let mut x = data.x().clone();
+        x.col_mut(0).copy_from_slice(data.c().col(1));
+        x.col_mut(1).copy_from_slice(data.y());
+        data = PartyData::new(data.y().to_vec(), x, data.c().clone()).unwrap();
+        let fast = associate(&data).unwrap();
+        let slow = crate::scan::per_variant_ols(&data).unwrap();
+        let tdist = dash_stats::StudentT::new(fast.df as f64).unwrap();
+        for j in 0..fast.len() {
+            assert_eq!(
+                fast.p[j].to_bits(),
+                tdist.two_sided_p(fast.t[j]).to_bits(),
+                "variant {j}"
+            );
+        }
+        assert_eq!((fast.n_degenerate, slow.n_degenerate), (1, 1));
+        assert!(fast.p[0].is_nan() && slow.p[0].is_nan());
+        assert!(fast.p[1] < 1e-300 && slow.p[1] < 1e-300);
+        for j in 2..fast.len() {
+            assert!(
+                (fast.p[j] - slow.p[j]).abs() < 1e-9,
+                "variant {j}: {} vs {}",
+                fast.p[j],
+                slow.p[j]
+            );
+        }
+
+        // y = 0: every statistic is 0/0, so t and p are NaN without the
+        // variant being degenerate — in both scans, the same bits.
+        let null = PartyData::new(vec![0.0; 50], data.x().clone(), data.c().clone()).unwrap();
+        let fast = associate(&null).unwrap();
+        let slow = crate::scan::per_variant_ols(&null).unwrap();
+        assert_eq!((fast.n_degenerate, slow.n_degenerate), (1, 1));
+        for j in 1..fast.len() {
+            assert!(fast.t[j].is_nan(), "variant {j}");
+            assert_eq!(fast.p[j].to_bits(), slow.p[j].to_bits(), "variant {j}");
+        }
+    }
+
+    #[test]
     fn k_zero_supported() {
         let data = gen_data(20, 3, 0, 7);
         let res = associate(&data).unwrap();

@@ -261,10 +261,10 @@ impl ScanStats {
         let tdist = StudentT::new(df as f64)?;
         let m = self.xy.len();
         let yyq = self.yy - self.qtyqty;
-        let mut beta = Vec::with_capacity(m);
-        let mut se = Vec::with_capacity(m);
-        let mut t = Vec::with_capacity(m);
-        let mut p = Vec::with_capacity(m);
+        // A degenerate variant keeps the NaN row it starts with.
+        let mut beta = vec![f64::NAN; m];
+        let mut se = vec![f64::NAN; m];
+        let mut t = vec![f64::NAN; m];
         let mut n_degenerate = 0;
         for j in 0..m {
             let xxq = self.xx[j] - self.qtxqtx[j];
@@ -275,10 +275,6 @@ impl ScanStats {
                 // Variant is constant after projecting out C (or xxq is
                 // NaN): the model is unidentifiable for this variant.
                 n_degenerate += 1;
-                beta.push(f64::NAN);
-                se.push(f64::NAN);
-                t.push(f64::NAN);
-                p.push(f64::NAN);
                 continue;
             }
             let xyq = self.xy[j] - self.qtxqty[j];
@@ -287,12 +283,15 @@ impl ScanStats {
             // when the fit is essentially perfect; clamp at zero.
             let sigma2 = ((yyq / xxq - b * b) / df as f64).max(0.0);
             let s = sigma2.sqrt();
-            let tstat = b / s; // ±inf on a perfect fit, NaN only if b == 0 too
-            beta.push(b);
-            se.push(s);
-            t.push(tstat);
-            p.push(tdist.two_sided_p(tstat));
+            beta[j] = b;
+            se[j] = s;
+            t[j] = b / s; // ±inf on a perfect fit, NaN only if b == 0 too
         }
+        // All M p-values in one call: the t tail is a chain of dependent
+        // divisions per variant, and the slice form runs several side by
+        // side (a NaN statistic has a NaN p-value).
+        let mut p = vec![0.0; m];
+        tdist.two_sided_p_into(&t, &mut p)?;
         Ok(ScanResult {
             beta,
             se,
@@ -599,6 +598,129 @@ mod tests {
         assert_eq!(res.n_degenerate, 1);
         assert!(res.beta[0].is_nan());
         assert!(res.beta[1].is_finite());
+    }
+
+    /// `ScanStats::finalize` as it was before the p-values moved to one
+    /// slice call, kept word for word: a push per variant and the scalar
+    /// `two_sided_p`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn finalize_by_pushing(stats: &ScanStats, n: usize, k: usize) -> ScanResult {
+        let df = n - k - 1;
+        let tdist = StudentT::new(df as f64).unwrap();
+        let m = stats.xy.len();
+        let yyq = stats.yy - stats.qtyqty;
+        let mut beta = Vec::with_capacity(m);
+        let mut se = Vec::with_capacity(m);
+        let mut t = Vec::with_capacity(m);
+        let mut p = Vec::with_capacity(m);
+        let mut n_degenerate = 0;
+        for j in 0..m {
+            let xxq = stats.xx[j] - stats.qtxqtx[j];
+            if !(xxq > DEGENERATE_RTOL * stats.xx[j]) {
+                n_degenerate += 1;
+                beta.push(f64::NAN);
+                se.push(f64::NAN);
+                t.push(f64::NAN);
+                p.push(f64::NAN);
+                continue;
+            }
+            let xyq = stats.xy[j] - stats.qtxqty[j];
+            let b = xyq / xxq;
+            let sigma2 = ((yyq / xxq - b * b) / df as f64).max(0.0);
+            let s = sigma2.sqrt();
+            let tstat = b / s;
+            beta.push(b);
+            se.push(s);
+            t.push(tstat);
+            p.push(tdist.two_sided_p(tstat));
+        }
+        ScanResult {
+            beta,
+            se,
+            t,
+            p,
+            df,
+            n_degenerate,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn finalize_equals_the_push_loop_it_replaced() {
+        // 37 ordinary variants, then rows a scan does meet: a variant in
+        // the span of C (degenerate), a NaN one, a perfect fit either sign
+        // (t = ±inf, p = 0) and a 0/0 statistic (t and p NaN, not
+        // degenerate).
+        let (y, x, c) = toy(40, 37, 2, 5);
+        let q = orthonormal_basis(&c).unwrap();
+        let mut stats = SuffStats::local(&y, &x, &q).unwrap().reduce();
+        let yyq = stats.yy - stats.qtyqty;
+        for (xy, xx, qtxqty, qtxqtx) in [
+            (1.0, 4.0, 0.5, 4.0),
+            (f64::NAN, f64::NAN, 0.0, 0.0),
+            (yyq, yyq, 0.0, 0.0),
+            (-yyq, yyq, 0.0, 0.0),
+        ] {
+            stats.xy.push(xy);
+            stats.xx.push(xx);
+            stats.qtxqty.push(qtxqty);
+            stats.qtxqtx.push(qtxqtx);
+        }
+        let got = stats.finalize(40, 2).unwrap();
+        let want = finalize_by_pushing(&stats, 40, 2);
+        assert_eq!(bits(&got.beta), bits(&want.beta));
+        assert_eq!(bits(&got.se), bits(&want.se));
+        assert_eq!(bits(&got.t), bits(&want.t));
+        assert_eq!(bits(&got.p), bits(&want.p));
+        assert_eq!((got.df, got.n_degenerate), (want.df, want.n_degenerate));
+        assert_eq!(got.n_degenerate, 2);
+        assert!(got.p[37].is_nan() && got.p[38].is_nan());
+        assert_eq!((got.t[39], got.p[39]), (f64::INFINITY, 0.0));
+        assert_eq!((got.t[40], got.p[40]), (f64::NEG_INFINITY, 0.0));
+
+        let zero = ScanStats {
+            yy: 0.0,
+            xy: vec![0.0; 3],
+            xx: vec![1.0, 2.0, 3.0],
+            qtyqty: 0.0,
+            qtxqty: vec![0.0; 3],
+            qtxqtx: vec![0.0; 3],
+        };
+        let got = zero.finalize(10, 0).unwrap();
+        let want = finalize_by_pushing(&zero, 10, 0);
+        assert_eq!(bits(&got.t), bits(&want.t));
+        assert_eq!(bits(&got.p), bits(&want.p));
+        assert_eq!(got.n_degenerate, 0);
+        assert!(got.t.iter().chain(&got.p).all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn a_t_tail_that_does_not_converge_is_an_error_not_a_panic() {
+        // At df ≈ 3·10¹¹ the incomplete-beta continued fraction never meets
+        // its stopping rule for some |t| (dash-stats holds this one). A
+        // scan gets a structured error; it used to be an `expect`.
+        let df = 316_227_766_017usize;
+        let t = 1.73406705;
+        // One variant with β̂ = 1 and σ̂ = 1/t: yy/xx − 1 = df/t².
+        let stats = ScanStats {
+            yy: 1.0 + df as f64 / (t * t),
+            xy: vec![1.0],
+            xx: vec![1.0],
+            qtyqty: 0.0,
+            qtxqty: vec![0.0],
+            qtxqtx: vec![0.0],
+        };
+        let err = stats.finalize(df + 1, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Stats(dash_stats::StatsError::NoConvergence { .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

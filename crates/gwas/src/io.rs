@@ -14,31 +14,73 @@
 use crate::error::GwasError;
 use dash_core::model::ScanResult;
 use dash_linalg::Matrix;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::fmt::Write as _;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Writes a matrix as TSV (rows × columns).
 pub fn write_matrix_tsv(path: &Path, m: &Matrix) -> Result<(), GwasError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    write_matrix(&mut w, m)?;
-    w.flush()?;
-    Ok(())
+    write_matrix(&mut std::fs::File::create(path)?, m)
 }
 
 /// Writes a matrix to any writer.
 pub fn write_matrix(w: &mut impl Write, m: &Matrix) -> Result<(), GwasError> {
+    let mut text = TextOut::new(w);
     for i in 0..m.rows() {
         for j in 0..m.cols() {
             if j > 0 {
-                w.write_all(b"\t")?;
+                text.buf.push('\t');
             }
-            // {:?}-style shortest roundtrip formatting for f64.
-            write!(w, "{}", RoundTrip(m.get(i, j)))?;
+            text.cell(m.get(i, j));
         }
-        w.write_all(b"\n")?;
+        text.end_row()?;
     }
-    Ok(())
+    text.finish()
+}
+
+/// Bytes of text gathered before the writer sees any of it.
+const WRITE_CHUNK: usize = 1 << 16;
+
+/// Table text on its way to a writer: cells are formatted straight into
+/// one reused `String` (no per-cell trip through the `io::Write` adapter)
+/// and the writer is handed `WRITE_CHUNK` bytes or more at a time, so it
+/// needs no buffer of its own.
+struct TextOut<'w, W: Write> {
+    w: &'w mut W,
+    buf: String,
+}
+
+impl<'w, W: Write> TextOut<'w, W> {
+    fn new(w: &'w mut W) -> Self {
+        TextOut {
+            w,
+            buf: String::with_capacity(WRITE_CHUNK),
+        }
+    }
+
+    /// Appends one number: Rust's `{}`, which is shortest-roundtrip, and
+    /// NaN spelled so `parse` accepts it back whatever its sign.
+    fn cell(&mut self, v: f64) {
+        if v.is_nan() {
+            self.buf.push_str("NaN");
+        } else {
+            write!(self.buf, "{v}").expect("formatting into a String cannot fail");
+        }
+    }
+
+    fn end_row(&mut self) -> Result<(), GwasError> {
+        self.buf.push('\n');
+        if self.buf.len() >= WRITE_CHUNK {
+            self.w.write_all(self.buf.as_bytes())?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(), GwasError> {
+        self.w.write_all(self.buf.as_bytes())?;
+        Ok(())
+    }
 }
 
 /// Bytes asked of the input per `read` (DESIGN §5.2 has the measurement).
@@ -438,22 +480,23 @@ fn leading_digits(s: &[u8]) -> (u64, usize) {
 /// Writes scan results as a header-bearing TSV with the R demo's column
 /// names.
 pub fn write_scan_tsv(path: &Path, res: &ScanResult) -> Result<(), GwasError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "variant\tbeta\tsigma\ttstat\tpval")?;
+    write_scan(&mut std::fs::File::create(path)?, res)
+}
+
+/// [`write_scan_tsv`] to any writer.
+fn write_scan(w: &mut impl Write, res: &ScanResult) -> Result<(), GwasError> {
+    let mut text = TextOut::new(w);
+    text.buf.push_str("variant\tbeta\tsigma\ttstat\tpval");
+    text.end_row()?;
     for j in 0..res.len() {
-        writeln!(
-            w,
-            "{}\t{}\t{}\t{}\t{}",
-            j,
-            RoundTrip(res.beta[j]),
-            RoundTrip(res.se[j]),
-            RoundTrip(res.t[j]),
-            RoundTrip(res.p[j]),
-        )?;
+        write!(text.buf, "{j}").expect("formatting into a String cannot fail");
+        for stat in [&res.beta, &res.se, &res.t, &res.p] {
+            text.buf.push('\t');
+            text.cell(stat[j]);
+        }
+        text.end_row()?;
     }
-    w.flush()?;
-    Ok(())
+    text.finish()
 }
 
 /// Reads a scan-result TSV written by [`write_scan_tsv`].
@@ -497,20 +540,6 @@ pub fn read_scan_tsv(path: &Path, df: usize) -> Result<ScanResult, GwasError> {
         df,
         n_degenerate,
     })
-}
-
-/// Shortest-roundtrip f64 formatting (Rust's `{}` on f64 is already
-/// shortest-roundtrip; NaN spelled so `parse` accepts it back).
-struct RoundTrip(f64);
-
-impl std::fmt::Display for RoundTrip {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_nan() {
-            write!(f, "NaN")
-        } else {
-            write!(f, "{}", self.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1076,6 +1105,108 @@ mod tests {
         assert_eq!(back.df, 42);
         assert_eq!(back.p[0], 1e-6);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The writers as they were before `TextOut`, kept word for word: a
+    /// `write!` per cell through `io::Write` and this `Display`.
+    struct RoundTrip(f64);
+
+    impl std::fmt::Display for RoundTrip {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            if self.0.is_nan() {
+                write!(f, "NaN")
+            } else {
+                write!(f, "{}", self.0)
+            }
+        }
+    }
+
+    fn write_matrix_by_cells(w: &mut impl Write, m: &Matrix) {
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                if j > 0 {
+                    w.write_all(b"\t").unwrap();
+                }
+                write!(w, "{}", RoundTrip(m.get(i, j))).unwrap();
+            }
+            w.write_all(b"\n").unwrap();
+        }
+    }
+
+    fn write_scan_by_cells(w: &mut impl Write, res: &ScanResult) {
+        writeln!(w, "variant\tbeta\tsigma\ttstat\tpval").unwrap();
+        for j in 0..res.len() {
+            writeln!(
+                w,
+                "{}\t{}\t{}\t{}\t{}",
+                j,
+                RoundTrip(res.beta[j]),
+                RoundTrip(res.se[j]),
+                RoundTrip(res.t[j]),
+                RoundTrip(res.p[j]),
+            )
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn writers_give_the_bytes_of_the_per_cell_writers() {
+        // Values whose spelling is easy to get wrong, then enough ordinary
+        // rows that the text is handed over in more than one piece.
+        let awkward = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-320,
+            5e-324,
+            1e300,
+            -1.7976931348623157e308,
+            0.1 + 0.2,
+            1e16,
+            1e-7,
+            123456789.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows = 6_000;
+        let column = |rng: &mut StdRng| -> Vec<f64> {
+            (0..rows)
+                .map(|i| match awkward.get(i) {
+                    Some(&v) => v,
+                    None => rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..12)),
+                })
+                .collect()
+        };
+        let res = ScanResult {
+            beta: column(&mut rng),
+            se: column(&mut rng),
+            t: column(&mut rng),
+            p: column(&mut rng),
+            df: 92,
+            n_degenerate: 0,
+        };
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        write_scan(&mut got, &res).unwrap();
+        write_scan_by_cells(&mut want, &res);
+        assert!(want.len() > 3 * WRITE_CHUNK);
+        assert!(got == want, "scan TSV differs from the per-cell writer");
+
+        // A matrix with rows far longer than a chunk, one column, and none.
+        for (r, c) in [(3, 9_000), (rows, 1), (4, 0), (0, 0)] {
+            let m = Matrix::from_fn(r, c, |i, j| match awkward.get(i + j) {
+                Some(&v) => v,
+                None => res.beta[(i * 31 + j) % rows],
+            });
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            write_matrix(&mut got, &m).unwrap();
+            write_matrix_by_cells(&mut want, &m);
+            assert!(
+                got == want,
+                "{r}×{c} matrix differs from the per-cell writer"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::error::StatsError;
 use crate::normal::Normal;
-use crate::special::{ln_beta_normaliser, ln_gamma, reg_inc_beta_normalised};
+use crate::special::{ln_beta_normaliser, ln_gamma, reg_inc_beta_normalised_in_place};
 
 /// Student's t distribution with `df` degrees of freedom (not necessarily
 /// integral).
@@ -70,20 +70,71 @@ impl StudentT {
     /// One-sided tail `P(T > |t|)`, evaluated with full relative accuracy:
     /// `½ I_x(ν/2, ½)` with `x = ν/(ν + t²)`.
     fn sf_abs(&self, t_abs: f64) -> f64 {
-        debug_assert!(t_abs >= 0.0);
+        let mut tail = [t_abs];
+        // Of the three ways the evaluation can fail, x = ν/(ν+t²) in [0, 1]
+        // rules out the domain error on x and `new` the one on the shapes.
+        // The third, `NoConvergence`, takes 500 steps of the continued
+        // fraction: for ν ≤ 1e10 none takes 128 (special.rs,
+        // `continued_fraction_headroom_for_every_df_a_scan_can_hold`). It is
+        // reachable above ν ≈ 3e10, where a scan gets it as an error from
+        // `two_sided_p_into`.
+        self.sf_abs_in_place(&mut tail)
+            .expect("x is in [0,1], the shapes are positive, df is below ~3e10");
+        tail[0]
+    }
+
+    /// Replaces every `|t|` of the slice by its [`sf_abs`](Self::sf_abs).
+    fn sf_abs_in_place(&self, t_abs: &mut [f64]) -> Result<(), StatsError> {
         let v = self.df;
-        let x = v / (v + t_abs * t_abs);
-        0.5 * reg_inc_beta_normalised(v / 2.0, 0.5, x, self.ln_tail_norm)
-            .expect("x = v/(v+t^2) is always in [0,1] and shapes are positive")
+        for t in t_abs.iter_mut() {
+            debug_assert!(*t >= 0.0);
+            *t = v / (v + *t * *t);
+        }
+        reg_inc_beta_normalised_in_place(v / 2.0, 0.5, self.ln_tail_norm, t_abs)?;
+        for tail in t_abs.iter_mut() {
+            *tail *= 0.5;
+        }
+        Ok(())
     }
 
     /// Two-sided p-value `P(|T| ≥ |t|) = 2·pt(−|t|, df)` — exactly what the
     /// paper's R demo computes.
+    ///
+    /// # Panics
+    /// For `df` above about 3e10 and some `|t|` near 1.7–2.3, where the
+    /// continued fraction does not converge;
+    /// [`two_sided_p_into`](Self::two_sided_p_into) returns that as an error.
     pub fn two_sided_p(&self, t: f64) -> f64 {
         if t.is_nan() {
             return f64::NAN;
         }
         (2.0 * self.sf_abs(t.abs())).min(1.0)
+    }
+
+    /// [`two_sided_p`](Self::two_sided_p) of every `t[i]` into `out[i]`:
+    /// the same bits, with the tails of the slice evaluated several at a
+    /// time (see `reg_inc_beta_normalised_in_place`).
+    ///
+    /// The only error is [`StatsError::NoConvergence`], and only for `df`
+    /// above about 3e10; `out` is then unspecified.
+    ///
+    /// # Panics
+    /// When the slices differ in length.
+    pub fn two_sided_p_into(&self, t: &[f64], out: &mut [f64]) -> Result<(), StatsError> {
+        assert_eq!(t.len(), out.len(), "one p-value per statistic");
+        for (p, &t) in out.iter_mut().zip(t) {
+            // A NaN statistic rides along as t = 0, the cheapest tail.
+            *p = if t.is_nan() { 0.0 } else { t.abs() };
+        }
+        self.sf_abs_in_place(out)?;
+        for (p, &t) in out.iter_mut().zip(t) {
+            *p = if t.is_nan() {
+                f64::NAN
+            } else {
+                (2.0 * *p).min(1.0)
+            };
+        }
+        Ok(())
     }
 
     /// Quantile (inverse CDF) by monotone bisection refined with Newton
@@ -145,7 +196,8 @@ impl StudentT {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::special::reg_inc_beta;
+    use crate::special::{oracle, reg_inc_beta};
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
@@ -281,5 +333,127 @@ mod tests {
     fn nan_statistic_propagates() {
         let t = StudentT::new(10.0).unwrap();
         assert!(t.two_sided_p(f64::NAN).is_nan());
+    }
+
+    /// `two_sided_p` through the scalar evaluation `special.rs` keeps as
+    /// its oracle.
+    fn oracle_p(df: f64, t: f64) -> f64 {
+        if t.is_nan() {
+            return f64::NAN;
+        }
+        let x = df / (df + t.abs() * t.abs());
+        let tail =
+            oracle::reg_inc_beta_normalised(df / 2.0, 0.5, x, ln_beta_normaliser(df / 2.0, 0.5));
+        (2.0 * (0.5 * tail.unwrap())).min(1.0)
+    }
+
+    fn assert_slice_equals_oracle(df: f64, t: &[f64]) {
+        let dist = StudentT::new(df).unwrap();
+        let mut p = vec![-1.0; t.len()];
+        dist.two_sided_p_into(t, &mut p).unwrap();
+        for (i, (&t, &p)) in t.iter().zip(&p).enumerate() {
+            let want = oracle_p(df, t);
+            assert_eq!(
+                p.to_bits(),
+                want.to_bits(),
+                "df={df} i={i} t={t:e}: {p:e} vs {want:e}"
+            );
+            assert_eq!(
+                dist.two_sided_p(t).to_bits(),
+                want.to_bits(),
+                "df={df} t={t:e}"
+            );
+        }
+    }
+
+    const DFS: [f64; 6] = [1.0, 2.5, 92.0, 93.0, 4496.0, 1e7];
+
+    /// Statistics no scan should meet and every scan eventually does, plus
+    /// the |t| at which `x = ν/(ν+t²)` crosses the symmetry split, a few
+    /// ulps either side.
+    fn awkward(df: f64) -> Vec<f64> {
+        let split = (df / 2.0 + 1.0) / (df / 2.0 + 2.5);
+        let at_split = (df * (1.0 - split) / split).sqrt();
+        let mut t = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e200,
+            -1e200,
+            1e-200,
+            -1e-200,
+            5e-324,
+            -2.2e-308,
+            1e-9,
+            30.0,
+            -30.0,
+            1.5e154,
+        ];
+        for k in -4i64..=4 {
+            let near = f64::from_bits((at_split.to_bits() as i64 + k) as u64);
+            t.extend([near, -near]);
+        }
+        t
+    }
+
+    #[test]
+    fn a_slice_of_p_values_equals_the_scalar_oracle_bit_for_bit() {
+        for df in DFS {
+            let mut t = awkward(df);
+            t.extend((0..400).map(|i| (i as f64 - 200.0) * 0.0473));
+            assert_slice_equals_oracle(df, &t);
+            // Every length around a lane group, NaN first and last.
+            for len in 0..=9 {
+                assert_slice_equals_oracle(df, &t[..len]);
+                assert_slice_equals_oracle(df, &t[t.len() - len..]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(64, "DASH_PVALUE_CASES"))]
+
+        /// Any mix of central, tail and awkward statistics in any order and
+        /// length: the slice gives the oracle's bits.
+        #[test]
+        fn any_slice_of_p_values_equals_the_scalar_oracle(
+            df in prop_oneof![Just(1.0), Just(2.5), Just(92.0), Just(93.0), Just(4496.0), Just(1e7)],
+            picks in proptest::collection::vec((0u8..10, -1.0f64..1.0, 0usize..64), 0..200),
+        ) {
+            let awkward = awkward(df);
+            let t: Vec<f64> = picks
+                .into_iter()
+                .map(|(kind, u, i)| match kind {
+                    0 => awkward[i % awkward.len()],
+                    1..=2 => 1.7 + 40.0 * u,   // tails, either sign
+                    3 => 2.0 * u,              // around the split
+                    _ => 4.0 * u * u * u,      // the bulk of a null scan
+                })
+                .collect();
+            assert_slice_equals_oracle(df, &t);
+        }
+    }
+
+    #[test]
+    fn a_fraction_that_does_not_converge_is_an_error_from_the_slice() {
+        // Above df ≈ 3e10 the stopping rule of the continued fraction sits
+        // inside rounding noise and some |t| never meet it. The oracle
+        // agrees: this is the evaluation's envelope, not the lanes'.
+        let df = 316_227_766_017.0;
+        let t = 1.73406705;
+        let x = df / (df + t * t);
+        let ln_norm = ln_beta_normaliser(df / 2.0, 0.5);
+        let want = oracle::reg_inc_beta_normalised(df / 2.0, 0.5, x, ln_norm).unwrap_err();
+        assert!(matches!(want, StatsError::NoConvergence { .. }), "{want:?}");
+        let dist = StudentT::new(df).unwrap();
+        for at in 0..5 {
+            let mut ts = [0.3, -2.5, 1.1, 7.0, 0.0];
+            ts[at] = t;
+            let got = dist.two_sided_p_into(&ts, &mut [0.0; 5]).unwrap_err();
+            assert_eq!(got, want);
+        }
     }
 }

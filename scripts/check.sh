@@ -62,6 +62,15 @@ echo "== TSV reader: bit-equal to the line-based reference or the same structure
 # generated tables (default 256; raise it locally for a deeper search).
 DASH_TSV_CASES=2048 cargo test -p dash-gwas --release --lib io::tests
 
+echo "== p-values: a slice evaluated in lock step equals the scalar oracle bit for bit"
+# `StudentT::two_sided_p_into` (stats/src/{tdist,special}.rs: the
+# incomplete-beta continued fractions of a slice run four at a time)
+# against the scalar evaluation it replaced, kept as the test oracle:
+# fixed tables of awkward statistics and lengths, and generated slices
+# mixing central, tail and awkward t in any order. DASH_PVALUE_CASES bounds
+# the generated slices (default 64; raise it locally for a deeper search).
+DASH_PVALUE_CASES=4096 cargo test -p dash-stats --release
+
 echo "== benchmark smoke (benchmark/ builds against this tree and every operation passes)"
 # benchmark/ is its own package outside the workspace, so nothing above
 # compiles it: a signature drift against benchmark/src/adapter.rs would

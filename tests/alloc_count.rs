@@ -1,11 +1,14 @@
 //! Beaver preprocessing and the Beaver round allocate per *batch*, not per
 //! triple: the number of heap allocations is the same for a batch of 64
-//! triples and one of 8,192. A count repeats exactly where a timing does
-//! not, so this gates in tier-1. The counting allocator is process-wide,
-//! hence a test binary of its own with a single test.
+//! triples and one of 8,192. Likewise `ScanStats::finalize` allocates its
+//! four result vectors and no scratch that grows with M. A count repeats
+//! exactly where a timing does not, so this gates in tier-1. The counting
+//! allocator is process-wide, hence a test binary of its own; the counter
+//! is per thread, so its tests do not see each other.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use dash_core::suffstats::ScanStats;
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
 use dash_mpc::field::F61;
 use dash_mpc::net::{NetOptions, Network};
@@ -115,4 +118,29 @@ fn allocations_do_not_grow_with_the_triple_count() {
         deal_large <= 4 * PARTIES as u64,
         "deal_inners made {deal_large} allocations"
     );
+}
+
+/// Allocations of one `ScanStats::finalize` over `m` variants whose
+/// statistics cover both sides of the p-value's symmetry split.
+fn finalize_allocs(m: usize) -> u64 {
+    let stats = ScanStats {
+        yy: 1e4,
+        xy: (0..m).map(|j| ((j * 37) % 101) as f64 - 50.0).collect(),
+        xx: vec![100.0; m],
+        qtyqty: 0.0,
+        qtxqty: vec![0.0; m],
+        qtxqtx: vec![0.0; m],
+    };
+    let (allocs, result) = allocs_of(|| stats.finalize(96, 3).unwrap());
+    assert_eq!(result.len(), m);
+    assert!(result.p.iter().all(|p| (0.0..=1.0).contains(p)));
+    allocs
+}
+
+#[test]
+fn finalize_allocates_its_results_and_no_scratch_that_grows_with_m() {
+    // beta, se, t, p: the p-values of all M variants are evaluated in
+    // place, a few lanes at a time.
+    assert_eq!(finalize_allocs(1_000), 4);
+    assert_eq!(finalize_allocs(100_000), 4);
 }
