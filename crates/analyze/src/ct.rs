@@ -2,7 +2,7 @@
 //!
 //! The disclosure log and taint passes pin *what* the protocols open;
 //! they say nothing about timing. A single data-dependent branch,
-//! division, or table lookup in the field/ring arithmetic leaks
+//! division, or table lookup in the ring arithmetic leaks
 //! share-dependent timing to anyone co-resident with a party. This lint
 //! denies the shapes that produce such leaks inside the mpc crate's
 //! arithmetic and share modules, working over the parsed AST
@@ -16,7 +16,7 @@
 //! - [`ExprKind::Index`] where the index expression is tainted.
 //!
 //! **Taint** starts from function parameters whose declared type mentions
-//! an element/secret type (`F61`, `R64`, `Secret`, `TripleBatch` — plus
+//! an element/secret type (`R64`, `Secret`, `TripleBatch` — plus
 //! raw `u64`/`u128`/`i64` words inside the element modules themselves,
 //! where every word *is* an element), from `self` in
 //! the element/share modules, and from locals bound from tainted
@@ -35,10 +35,9 @@
 //! through casts: a branch on `(x.0 & 7) as usize` still branches on
 //! share material.
 //!
-//! Test code is exempt; deliberate exceptions carry
-//! `// dash-analyze::allow(constant-time): reason` pragmas (the only one
-//! in-tree is `F61::inverse`, whose `Option` return is inherently a
-//! branch on invertibility).
+//! Test code is exempt; a deliberate exception would carry a
+//! `// dash-analyze::allow(constant-time): reason` pragma. The mpc crate
+//! has none, and its integration test pins that.
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, Node, Stmt};
 use crate::model::FileModel;
@@ -51,22 +50,15 @@ const LINT: &str = "constant-time";
 /// Basenames of the mpc modules under constant-time discipline. The
 /// protocol/transport layers above them branch on *public* control flow
 /// (lengths, tags, party ids) and are out of scope by design.
-const CT_MODULES: [&str; 6] = [
-    "field.rs",
-    "ring.rs",
-    "ctime.rs",
-    "fixed.rs",
-    "dealer.rs",
-    "secret.rs",
-];
+const CT_MODULES: [&str; 5] = ["ring.rs", "ctime.rs", "fixed.rs", "dealer.rs", "secret.rs"];
 
 /// Modules where every raw machine word is an element (so `u64`/`u128`/
 /// `i64` parameters are secret too, not just the named element types).
-const WORD_MODULES: [&str; 3] = ["field.rs", "ring.rs", "ctime.rs"];
+const WORD_MODULES: [&str; 2] = ["ring.rs", "ctime.rs"];
 
 /// Type identifiers that mark a parameter as secret material.
 fn secret_type_ident(s: &str) -> bool {
-    matches!(s, "F61" | "R64" | "Secret" | "TripleBatch")
+    matches!(s, "R64" | "Secret" | "TripleBatch")
 }
 
 /// Raw word types — secret only inside the element modules.
@@ -91,8 +83,7 @@ const SANITIZER_METHODS: [&str; 8] = [
 /// Audited-open / reconstruction identifiers: a body that reaches one
 /// returns *opened* data, ending element-taint propagation through it.
 fn sanitizing_ident(name: &str) -> bool {
-    matches!(name, "open_via" | "open_local" | "open_sum" | "open_field")
-        || name.starts_with("reconstruct_")
+    matches!(name, "open_via" | "open_local" | "open_sum") || name.starts_with("reconstruct_")
 }
 
 fn basename(rel: &str) -> &str {
@@ -142,7 +133,7 @@ fn body_calls(b: &Block) -> (BTreeSet<String>, bool) {
 
 /// The element-producing call-graph closure: seeds are non-test fns whose
 /// declared return type mentions an element type (`Self` counts inside
-/// the word modules — `F61::new -> Self`), excluding the Secret wrapper's
+/// the word modules — `R64::from_i64 -> Self`), excluding the Secret wrapper's
 /// own combinators; taint propagates through every value-returning,
 /// non-sanitizing caller by bare name.
 fn element_fns(reg: &Registry) -> BTreeSet<String> {
@@ -445,7 +436,7 @@ mod tests {
 
     #[test]
     fn scope_is_the_arithmetic_core() {
-        assert!(in_ct_scope("crates/mpc/src/field.rs"));
+        assert!(in_ct_scope("crates/mpc/src/ring.rs"));
         assert!(in_ct_scope("crates/mpc/src/ctime.rs"));
         assert!(in_ct_scope("crates/mpc/src/dealer.rs"));
         assert!(!in_ct_scope("crates/mpc/src/net.rs"));
@@ -457,7 +448,7 @@ mod tests {
     #[test]
     fn branch_on_secret_param_denied() {
         let f = run_on(
-            "crates/mpc/src/field.rs",
+            "crates/mpc/src/ring.rs",
             "fn reduce(v: u64) -> u64 { if v >= M { v - M } else { v } }",
         );
         assert!(!f.is_empty(), "expected a finding");
@@ -482,8 +473,8 @@ mod tests {
     #[test]
     fn modulo_and_division_on_secret_denied() {
         let f = run_on(
-            "crates/mpc/src/field.rs",
-            "fn bad(x: F61) -> u64 { x.0 % 7 }\nfn bad2(x: F61) -> u64 { x.0 / 4 }",
+            "crates/mpc/src/ring.rs",
+            "fn bad(x: R64) -> u64 { x.0 % 7 }\nfn bad2(x: R64) -> u64 { x.0 / 4 }",
         );
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.message.contains("divides/reduces")));
@@ -503,8 +494,8 @@ mod tests {
     #[test]
     fn secret_indexed_lookup_denied() {
         let f = run_on(
-            "crates/mpc/src/field.rs",
-            "fn lut(x: F61, tbl: &[u64; 8]) -> u64 { tbl[(x.0 & 7) as usize] }",
+            "crates/mpc/src/ring.rs",
+            "fn lut(x: R64, tbl: &[u64; 8]) -> u64 { tbl[(x.0 & 7) as usize] }",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0]
@@ -515,49 +506,49 @@ mod tests {
     #[test]
     fn branchless_mask_arithmetic_is_clean() {
         let src = "fn reduce_once(v: u64) -> u64 { v.wrapping_sub(M & ge_mask(v, M)) }\n\
-                   fn neg(x: F61) -> F61 { F61((M - x.0) & nonzero_mask(x.0)) }\n\
+                   fn neg(x: R64) -> R64 { R64((M - x.0) & nonzero_mask(x.0)) }\n\
                    fn fold(v: u64) -> u64 { (v >> 61) + (v & M) }\n\
                    fn ladder(mut e: u64) -> u64 { e >>= 1; e }";
-        assert!(run_on("crates/mpc/src/field.rs", src).is_empty());
+        assert!(run_on("crates/mpc/src/ring.rs", src).is_empty());
     }
 
     #[test]
     fn public_shape_branches_are_clean() {
         // Lengths and emptiness are public metadata; `n` is a public
         // usize; casts (`as`) end a binary operand chain.
-        let src = "fn recon(shares: &[F61], n: usize) -> F61 {\n\
-                     if shares.len() != n { return F61::ZERO; }\n\
-                     if n > 4 { F61::ZERO } else { F61::ONE }\n\
+        let src = "fn recon(shares: &[R64], n: usize) -> R64 {\n\
+                     if shares.len() != n { return R64::ZERO; }\n\
+                     if n > 4 { R64::ZERO } else { R64::ONE }\n\
                    }\n\
-                   fn decode(x: F61, scale: f64) -> f64 { x.as_i64() as f64 / scale }";
+                   fn decode(x: R64, scale: f64) -> f64 { x.as_i64() as f64 / scale }";
         assert!(run_on("crates/mpc/src/dealer.rs", src).is_empty());
     }
 
     #[test]
     fn pragma_and_test_code_exempt() {
         let src = "// dash-analyze::allow(constant-time): Option return is public\n\
-                   fn inverse(x: F61) -> Option<F61> { if x.0 == 0 { None } else { Some(x) } }\n\
+                   fn inverse(x: R64) -> Option<R64> { if x.0 == 0 { None } else { Some(x) } }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       fn helper(x: F61) -> bool { x.0 == 0 }\n\
+                       fn helper(x: R64) -> bool { x.0 == 0 }\n\
                    }";
-        assert!(run_on("crates/mpc/src/field.rs", src).is_empty());
+        assert!(run_on("crates/mpc/src/ring.rs", src).is_empty());
     }
 
     #[test]
     fn raw_words_secret_only_in_element_modules() {
         // In dealer.rs a bare u64 parameter is public (a length, a seed
-        // index); the same signature in field.rs is share material.
+        // index); the same signature in ring.rs is share material.
         let src = "fn pick(n: u64) -> u64 { if n > 4 { 1 } else { 0 } }";
         assert!(run_on("crates/mpc/src/dealer.rs", src).is_empty());
-        assert_eq!(run_on("crates/mpc/src/field.rs", src).len(), 1);
+        assert_eq!(run_on("crates/mpc/src/ring.rs", src).len(), 1);
     }
 
     #[test]
     fn equality_operands_walk_through_parens() {
         let f = run_on(
-            "crates/mpc/src/field.rs",
-            "fn cmp(a: F61, b: F61) -> bool { (a.0 ^ b.0) == 0 }",
+            "crates/mpc/src/ring.rs",
+            "fn cmp(a: R64, b: R64) -> bool { (a.0 ^ b.0) == 0 }",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("compares"));
@@ -568,10 +559,10 @@ mod tests {
         // Regression: the token scanner mis-took the `>` of `->` inside an
         // `impl Fn` parameter for a closing angle and mis-segmented the
         // parameter list, losing `share`'s taint.
-        let src = "fn apply(g: impl Fn() -> u64, share: F61) -> u64 {\n\
+        let src = "fn apply(g: impl Fn() -> u64, share: R64) -> u64 {\n\
                      if share.0 > 3 { g() } else { 0 }\n\
                    }";
-        let f = run_on("crates/mpc/src/field.rs", src);
+        let f = run_on("crates/mpc/src/ring.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("branches on secret value `share`"));
     }
@@ -581,8 +572,8 @@ mod tests {
         // Casts launder binary operands (decode divisions) but not branch
         // conditions: this still branches on share material.
         let f = run_on(
-            "crates/mpc/src/field.rs",
-            "fn pick(x: F61) -> u64 { if lut_idx(x.0 as usize) { 1 } else { 0 } }",
+            "crates/mpc/src/ring.rs",
+            "fn pick(x: R64) -> u64 { if lut_idx(x.0 as usize) { 1 } else { 0 } }",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("branches on secret value `x`"));

@@ -25,9 +25,9 @@
 //! - **constant-time** — the mpc crate's element/share modules must stay
 //!   branch-free on secret data: no `if`/`while`/`match`, comparison,
 //!   `%`/`/`, or table indexing whose operand is share material. Scoped
-//!   to the arithmetic core (`field.rs`, `ring.rs`, `ctime.rs`,
-//!   `fixed.rs`, `dealer.rs`, `secret.rs`); protocol layers branch on
-//!   public control flow and are exempt by design.
+//!   to the arithmetic core (`ring.rs`, `ctime.rs`, `fixed.rs`,
+//!   `dealer.rs`, `secret.rs`); protocol layers branch on public control
+//!   flow and are exempt by design.
 //!
 //! One pipeline, one verdict: lex → token lints + parse → AST passes, and
 //! any finding fails the gate. The only suppression is an inline pragma —

@@ -97,7 +97,7 @@ pub(crate) fn matching(code: &[Tok], open: usize, oc: char, cc: char) -> usize {
 /// Lint 1: every opening-primitive call must be accounted to the
 /// disclosure log within the same function — either directly
 /// (`record_aggregate`/`record_party` reachable in the body), through the
-/// primitive itself (`open_field(.., Some(label))` records internally),
+/// primitive itself (`open_sum(.., Some(label))` records internally),
 /// or via an explicit pragma for the by-design cases (uniform masked
 /// differences).
 fn disclosure_completeness(m: &FileModel, out: &mut Vec<Finding>) {
@@ -599,9 +599,9 @@ mod tests {
                   let v = all_gather_f64(ctx, t, &x); }";
         assert!(run(ok).is_empty());
         let labelled =
-            "fn ok2(ctx: &mut Ctx) { open_field(ctx, &s, Some(\"l\")).unwrap_or_default(); }";
+            "fn ok2(ctx: &mut Ctx) { ctx.open_sum(&s, Some(\"l\")).unwrap_or_default(); }";
         assert!(run(labelled).is_empty());
-        let unlabelled = "fn bad2(ctx: &mut Ctx) { open_field(ctx, &s, None).ok(); }";
+        let unlabelled = "fn bad2(ctx: &mut Ctx) { ctx.open_sum(&s, None).ok(); }";
         assert_eq!(lints_of(&run(unlabelled)), vec!["disclosure-completeness"]);
     }
 
@@ -628,7 +628,7 @@ mod tests {
 
     #[test]
     fn derive_debug_on_leaf_secret_flagged() {
-        let f = run("#[derive(Debug, Clone)]\npub struct BeaverTriple { pub a: F61 }");
+        let f = run("#[derive(Debug, Clone)]\npub struct BeaverTriple { pub a: R64 }");
         assert_eq!(lints_of(&f), vec!["secret-taint"]);
         // Container with an innocuous name and fields: fine.
         let f = run("#[derive(Debug)]\npub struct Config { pub bits: u32 }");
@@ -642,7 +642,7 @@ mod tests {
     fn print_and_secret_formatting_flagged() {
         let f = run("fn bad(x: u32) { println!(\"{x}\"); }");
         assert_eq!(lints_of(&f), vec!["secret-taint"]);
-        let f = run("fn bad2(qty_share: &[F61]) { debug_assert_eq!(qty_share.len(), 3); }");
+        let f = run("fn bad2(qty_share: &[R64]) { debug_assert_eq!(qty_share.len(), 3); }");
         assert_eq!(lints_of(&f), vec!["secret-taint"]);
         let f = run("fn ok(label: &str, n: usize) -> String { format!(\"{label}: {n}\") }");
         assert!(f.is_empty(), "{f:?}");

@@ -1545,10 +1545,10 @@ mod tests {
     #[test]
     fn impl_fn_param_arrow_does_not_split_params() {
         // The `->` inside the Fn trait must not eat the second param.
-        let items = parse("fn h(g: impl Fn(u64) -> Vec<u64>, share: F61) -> u64 { 0 }");
+        let items = parse("fn h(g: impl Fn(u64) -> Vec<u64>, share: R64) -> u64 { 0 }");
         let f = first_fn(&items);
         assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[1].1.head, "F61");
+        assert_eq!(f.params[1].1.head, "R64");
     }
 
     #[test]
@@ -1854,7 +1854,7 @@ mod tests {
         // expression left for the passes) and `unsafe { … }` a qualifier
         // with a skipped body.
         let items = parse(
-            "fn f(share: F61) {\n\
+            "fn f(share: R64) {\n\
                  #[cfg(debug_assertions)] eprintln!(\"{share:?}\");\n\
                  #[allow(unused)] unsafe { leak(share) }\n\
                  #[inline] unsafe fn inner() {}\n\

@@ -26,9 +26,9 @@
 //!   ascriptions, fn signatures, and struct fields, and method calls are
 //!   resolved against the program's own impl blocks. The audited opens
 //!   are recognized as *paths* — `Secret::open_via`,
-//!   `PartyCtx::{open_local, open_sum}`, free
-//!   `open_field`/`reconstruct_*` — so an arbitrary `.open_via()` on some
-//!   other known type does not sanitize by name collision.
+//!   `PartyCtx::{open_local, open_sum}`, free `reconstruct_*` — so an
+//!   arbitrary `.open_via()` on some other known type does not sanitize
+//!   by name collision.
 //!
 //! The interpreter seeds from declared return types (any non-test secure
 //! function whose return type carries `Secret`, plus every method of
@@ -105,10 +105,9 @@ const METADATA_METHODS: [&str; 7] = [
     "tag",
 ];
 
-/// Whether `name` is an audited *free* function (reconstruction helpers
-/// and the Beaver `open_field`).
+/// Whether `name` is an audited *free* function (reconstruction helpers).
 fn audited_free(name: &str) -> bool {
-    name == "open_field" || name.starts_with("reconstruct_")
+    name.starts_with("reconstruct_")
 }
 
 /// Whether a fn entry *is* one of the audited open primitives (and must

@@ -253,6 +253,39 @@ fn workspace_clean() {
     assert!(findings.is_empty(), "findings:\n{}", lines.join("\n"));
 }
 
+/// The element layer has no constant-time exceptions: not one
+/// `constant-time` pragma anywhere under `crates/mpc/src`, so the lint
+/// covers every line of it. A new exception has to delete this test.
+#[test]
+fn mpc_has_no_constant_time_pragma() {
+    fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    rs_files(&workspace_root().join("crates/mpc/src"), &mut files);
+    assert!(files.len() > 10, "walked only {files:?}");
+    let needle = "dash-analyze::allow(constant-time)";
+    let hits: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let src = std::fs::read_to_string(path).expect("readable source");
+            src.lines()
+                .enumerate()
+                .filter(|(_, l)| l.contains(needle))
+                .map(|(i, _)| format!("{}:{}", path.display(), i + 1))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(hits.is_empty(), "constant-time pragmas in mpc: {hits:?}");
+}
+
 /// The crash-recovery modules (supervised transport, chaos proxy,
 /// checkpoint codec, checkpointed protocol driver) must sit inside the
 /// deny-gated lint scope: a future scope refactor that silently drops

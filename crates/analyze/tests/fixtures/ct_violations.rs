@@ -5,12 +5,11 @@
 
 const M: u64 = (1 << 61) - 1;
 
-struct F61(u64);
 struct R64(u64);
 struct Prg;
 struct TripleBatch {
     count: usize,
-    words: Vec<F61>,
+    words: Vec<R64>,
 }
 
 // BAD 1: data-dependent branch in a reduction.
@@ -19,12 +18,12 @@ fn branchy_reduce(v: u64) -> u64 {
 }
 
 // BAD 2: `%` is variable-time division in disguise.
-fn secret_mod(x: F61, m: u64) -> u64 {
+fn secret_mod(x: R64, m: u64) -> u64 {
     x.0 % m
 }
 
 // BAD 3: secret-indexed table lookup (cache-timing leak).
-fn table_lookup(x: F61, tbl: &[u64; 8]) -> u64 {
+fn table_lookup(x: R64, tbl: &[u64; 8]) -> u64 {
     tbl[(x.0 & 7) as usize]
 }
 
@@ -34,7 +33,7 @@ fn compare_shares(a: R64, b: R64) -> bool {
 }
 
 // BAD 5: `match` scrutinee reads a share.
-fn sign_match(x: F61) -> i32 {
+fn sign_match(x: R64) -> i32 {
     match x.0 {
         0 => 0,
         _ => 1,
@@ -53,12 +52,12 @@ fn local_leak(prg: &mut Prg) -> u64 {
 }
 
 // BAD 7: plain division of a share word.
-fn div_leak(x: F61) -> u64 {
+fn div_leak(x: R64) -> u64 {
     x.0 / 4
 }
 
 // BAD 8: the same branch inside the diverging block of a `let … else`.
-fn let_else_leak(x: F61, t: &[u64]) -> u64 {
+fn let_else_leak(x: R64, t: &[u64]) -> u64 {
     let Some(v) = t.first() else {
         if x.0 > 3 { return 1; }
         return 0;
@@ -67,22 +66,22 @@ fn let_else_leak(x: F61, t: &[u64]) -> u64 {
 }
 
 // BAD 9: the same branch inside a fn nested in a body.
-fn nested_leak(x: F61) -> u64 {
-    fn inner(y: F61) -> u64 {
+fn nested_leak(x: R64) -> u64 {
+    fn inner(y: R64) -> u64 {
         if y.0 > 3 { 1 } else { 0 }
     }
     inner(x)
 }
 
 // BAD 10: the same comparison in a macro statement behind an attribute.
-fn attributed_assert_leak(x: F61) {
+fn attributed_assert_leak(x: R64) {
     #[allow(clippy::all)]
     debug_assert!(x.0 > 3);
 }
 
 // BAD 11: `+ x.0` after a cast is an operand, not a bound on the cast's
 // type (`n` is public and the cast ends its chain; `x.0` is neither).
-fn cast_sum_leak(n: u32, x: F61) -> u64 {
+fn cast_sum_leak(n: u32, x: R64) -> u64 {
     (n as u64 + x.0) % 3
 }
 
@@ -120,10 +119,11 @@ fn len_check(shares: &[R64]) -> usize {
     if shares.is_empty() { 0 } else { shares.len() }
 }
 
-// CLEAN: pragma'd — an Option return is inherently a public branch.
+// CLEAN: pragma'd — an Option return is inherently a public branch (an
+// even ring element has no inverse).
 // dash-analyze::allow(constant-time): invertibility is publicly observable
-fn checked_inverse(x: F61) -> Option<F61> {
-    if x.0 == 0 { None } else { Some(F61(x.0)) }
+fn checked_inverse(x: R64) -> Option<R64> {
+    if x.0 & 1 == 0 { None } else { Some(R64(x.0)) }
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@ fn leaky_gather(ctx: &mut PartyCtx) -> Vec<f64> {
 }
 
 /// VIOLATION: opens shares with no label and no record.
-fn leaky_open(ctx: &mut PartyCtx, shares: &[F61]) {
-    let _ = open_field(ctx, shares, None);
+fn leaky_open(ctx: &mut PartyCtx, shares: &Secret<Vec<R64>>) {
+    let _ = ctx.open_sum(shares, None);
 }
 
 /// OK: records the opening in the same function.
@@ -20,15 +20,15 @@ fn recorded_gather(ctx: &mut PartyCtx) -> Vec<f64> {
 }
 
 /// OK: the primitive records internally when handed a label.
-fn labelled_open(ctx: &mut PartyCtx, shares: &[F61]) {
-    let _ = open_field(ctx, shares, Some("labelled products"));
+fn labelled_open(ctx: &mut PartyCtx, shares: &Secret<Vec<R64>>) {
+    let _ = ctx.open_sum(shares, Some("labelled products"));
 }
 
 /// OK: pragma documents the by-design unrecorded opening.
-fn masked_difference_open(ctx: &mut PartyCtx, shares: &[F61]) {
+fn masked_difference_open(ctx: &mut PartyCtx, shares: &Secret<Vec<R64>>) {
     // dash-analyze::allow(disclosure-completeness): uniform one-time-pad
     // differences reveal nothing by construction.
-    let _ = open_field(ctx, shares, None);
+    let _ = ctx.open_sum(shares, None);
 }
 
 /// OK: broadcast from inside the primitive layer itself.

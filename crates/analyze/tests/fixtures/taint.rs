@@ -4,8 +4,8 @@
 /// VIOLATION: a triple type deriving Debug would print its shares.
 #[derive(Debug, Clone)]
 pub struct LeakyTriple {
-    pub a: F61,
-    pub b: F61,
+    pub a: R64,
+    pub b: R64,
 }
 
 /// VIOLATION: a neutral name, but the field names secret material.
@@ -27,7 +27,7 @@ fn chatty(n: usize) {
 }
 
 /// VIOLATION: a secret-named identifier reaches an assertion's output.
-fn check_share(qty_share: &[F61]) {
+fn check_share(qty_share: &[R64]) {
     debug_assert_eq!(qty_share.len(), 4, "bad share length");
 }
 

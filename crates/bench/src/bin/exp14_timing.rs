@@ -1,12 +1,13 @@
-//! E14 — timing-leak detection for the F61 share arithmetic.
+//! E14 — timing-leak detection for the R64 share arithmetic.
 //!
 //! The `constant-time` lint (dash-analyze) proves the arithmetic source
 //! is branch-free; this experiment checks the compiled code on the host
 //! CPU agrees, using the dudect fixed-vs-random two-class protocol (see
-//! `dash_bench::dudect`). Every core F61 operation — add, sub, mul,
-//! reduction (`F61::new`), negation, signed encode — is measured with a
-//! worst-case fixed class against a uniform random class; a Welch t-test
-//! over the interleaved timings must stay below the threshold.
+//! `dash_bench::dudect`). Every Z₂⁶⁴ operation the protocols run — add,
+//! sub, mul, negation, signed encode, and the Beaver share combination
+//! `z + d·b + e·a` — is measured with a worst-case fixed class against a
+//! uniform random class; a Welch t-test over the interleaved timings must
+//! stay below the threshold.
 //!
 //! A deliberately branchy **positive control** runs alongside: if the
 //! harness cannot drive the control's |t| above the threshold, the run's
@@ -24,7 +25,7 @@
 
 use dash_bench::dudect::{measure_binary, TimingReport};
 use dash_bench::table::Table;
-use dash_mpc::field::{F61, MODULUS};
+use dash_mpc::R64;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -60,76 +61,52 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(14);
 
     println!(
-        "E14: dudect timing-leak scan of F61 arithmetic \
+        "E14: dudect timing-leak scan of R64 arithmetic \
          (samples = {samples}, batch = {}, threshold |t| = {threshold})\n",
         dash_bench::dudect::BATCH
     );
 
-    // Worst cases: the largest canonical element stresses every carry and
-    // fold path; u64::MAX stresses the 64-bit reduction's double fold.
-    let max_elem = MODULUS - 1;
-    let rand_elem = |r: &mut StdRng| F61::new(r.next_u64()).value();
+    // Worst cases: all-ones words carry through every bit, zero is what an
+    // early-out multiplier or a naive negation would special-case, and
+    // i64::MIN is the sign path's extreme.
+    let words = |r: &mut StdRng| (r.next_u64(), r.next_u64());
+    // The Beaver combination's public half: an opened `d`, `e` and the
+    // party's `c` share, fixed so the two secret operands `a`, `b` are
+    // what the classes vary.
+    let (z, d, e) = (R64(0x0123_4567_89AB_CDEF), R64(u64::MAX), R64(1 << 63));
 
     let rows = vec![
         OpRow {
-            name: "f61_add",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (max_elem, max_elem),
-                |r| (rand_elem(r), rand_elem(r)),
-                |a, b| (F61::new(a) + F61::new(b)).value(),
-            ),
+            name: "r64_add",
+            report: measure_binary(samples, &mut rng, (u64::MAX, u64::MAX), words, |a, b| {
+                (R64(a) + R64(b)).0
+            }),
         },
         OpRow {
-            name: "f61_sub",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (0, max_elem),
-                |r| (rand_elem(r), rand_elem(r)),
-                |a, b| (F61::new(a) - F61::new(b)).value(),
-            ),
+            name: "r64_sub",
+            report: measure_binary(samples, &mut rng, (0, u64::MAX), words, |a, b| {
+                (R64(a) - R64(b)).0
+            }),
         },
         OpRow {
-            name: "f61_mul",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (max_elem, max_elem),
-                |r| (rand_elem(r), rand_elem(r)),
-                |a, b| (F61::new(a) * F61::new(b)).value(),
-            ),
+            name: "r64_mul",
+            report: measure_binary(samples, &mut rng, (0, 0), words, |a, b| (R64(a) * R64(b)).0),
         },
         OpRow {
-            name: "f61_reduce",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (u64::MAX, 0),
-                |r| (r.next_u64(), 0),
-                |a, _| F61::new(a).value(),
-            ),
+            name: "r64_neg",
+            report: measure_binary(samples, &mut rng, (0, 0), words, |a, _| (-R64(a)).0),
         },
         OpRow {
-            name: "f61_neg",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (0, 0), // neg(0) is the branch a naive implementation special-cases
-                |r| (rand_elem(r), 0),
-                |a, _| (-F61::new(a)).value(),
-            ),
+            name: "r64_from_i64",
+            report: measure_binary(samples, &mut rng, (i64::MIN as u64, 0), words, |a, _| {
+                R64::from_i64(a as i64).0
+            }),
         },
         OpRow {
-            name: "f61_from_i64",
-            report: measure_binary(
-                samples,
-                &mut rng,
-                (i64::MIN as u64, 0), // most negative input: sign path worst case
-                |r| (r.next_u64(), 0),
-                |a, _| F61::from_i64(a as i64).value(),
-            ),
+            name: "beaver_combine",
+            report: measure_binary(samples, &mut rng, (0, 0), words, |a, b| {
+                (z + d * R64(b) + e * R64(a)).0
+            }),
         },
     ];
 

@@ -12,10 +12,9 @@ use crate::secure::wire::all_gather_f64;
 use crate::secure::{AggregationMode, SecureScanConfig};
 use crate::suffstats::VariantSummands;
 use dash_linalg::{dot, self_dot, Matrix};
-use dash_mpc::field::F61;
-use dash_mpc::protocol::beaver::{beaver_inner_batch, open_field};
+use dash_mpc::protocol::beaver::beaver_inner_batch;
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
-use dash_mpc::{MpcError, PartyCtx, Secret};
+use dash_mpc::{MpcError, PartyCtx, Secret, R64};
 use dash_obs::Counter;
 
 /// Structured shape error for opened aggregate vectors that arrive with
@@ -37,7 +36,7 @@ pub(crate) enum YAggregate {
     /// normalized additive share and only `Qᵀy·Qᵀy` has opened.
     BeaverShared {
         yy: f64,
-        qty_share: Secret<Vec<F61>>,
+        qty_share: Secret<Vec<R64>>,
         qtyqty: f64,
     },
 }
@@ -94,9 +93,10 @@ fn sum_gathered(gathered: Vec<Vec<f64>>, len: usize) -> Result<Vec<f64>, CoreErr
 /// dealer's uniform triples during the openings); only the dot products
 /// open. The left-hand sum `y·y` opens first and the shared vector is
 /// normalized by `1/√(y·y)` (per block: `1/√(X·X_m)`) before encoding, so
-/// every shared quantity has norm ≤ 1 per party. That keeps all Beaver
-/// products within the Mersenne field's fixed-point headroom for any data
-/// scale, and the opened products are rescaled exactly afterwards. This
+/// each party's share, and their sum, have norm ≤ 1. That keeps every
+/// Beaver product far inside the ring's exactness bound
+/// (`dash_mpc::fixed`) for any data scale, and the opened products are
+/// rescaled exactly afterwards. This
 /// round consumes the dealer's first batch, of one triple, for the
 /// `(Qᵀy, Qᵀy)` product; each block round consumes one batch of two per
 /// variant in ascending order, so the triple a product meets does not
@@ -151,19 +151,18 @@ pub(crate) fn aggregate_y(
                     qtyqty: 0.0,
                 });
             }
-            let field_codec = cfg.field_codec()?;
+            let beaver_codec = cfg.beaver_codec()?;
             let y_scale = safe_inv_sqrt(yy_total);
             let qty_scaled: Vec<f64> = qty.iter().map(|v| v * y_scale).collect();
-            let qty_share = Secret::new(field_codec.encode_field_vec(&qty_scaled)?);
+            let qty_share = Secret::new(beaver_codec.encode_field_vec(&qty_scaled)?);
             let batch = triples.take(1)?;
             ctx.trace_add(Counter::TriplesConsumed, 1);
             let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
-            let opened = open_field(
-                ctx,
+            let opened = ctx.open_sum(
                 &product_shares,
                 Some("projected response dot product (Qᵀy·Qᵀy)"),
             )?;
-            let qtyqty = field_codec.decode_field_product(
+            let qtyqty = beaver_codec.decode_product(
                 *opened
                     .first()
                     .ok_or_else(|| shape("opened Qᵀy·Qᵀy product", 1, 0))?,
@@ -267,7 +266,7 @@ fn beaver_block(
     ctx: &mut PartyCtx,
     block: &VariantSummands,
     yy: f64,
-    qty_share: &Secret<Vec<F61>>,
+    qty_share: &Secret<Vec<R64>>,
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
 ) -> Result<BlockAggregate, CoreError> {
@@ -287,7 +286,7 @@ fn beaver_block(
             qtxqtx: vec![0.0; len],
         });
     }
-    let field_codec = cfg.field_codec()?;
+    let beaver_codec = cfg.beaver_codec()?;
     // QᵀX, each column scaled by 1/√(X·X_j), encoded in one pass; then the
     // products `(QᵀX_j, Qᵀy)`, `(QᵀX_j, QᵀX_j)` laid out like their batch.
     let mut scaled = block.qtx.as_slice().to_vec();
@@ -295,7 +294,7 @@ fn beaver_block(
         let s = safe_inv_sqrt(xxj);
         col.iter_mut().for_each(|v| *v *= s);
     }
-    let qtx = field_codec.encode_field_vec(&scaled)?;
+    let qtx = beaver_codec.encode_field_vec(&scaled)?;
     let mut xs = Vec::with_capacity(2 * k * len);
     for col in qtx.chunks_exact(k) {
         xs.extend_from_slice(col);
@@ -312,8 +311,7 @@ fn beaver_block(
     let batch = triples.take(2 * len)?;
     ctx.trace_add(Counter::TriplesConsumed, 2 * len as u64);
     let product_shares = beaver_inner_batch(ctx, &Secret::new(xs), &ys, &batch)?;
-    let opened = open_field(
-        ctx,
+    let opened = ctx.open_sum(
         &product_shares,
         Some("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
     )?;
@@ -324,9 +322,8 @@ fn beaver_block(
         let (Some(&d1), Some(&d2)) = (products.next(), products.next()) else {
             return Err(shape("opened block Beaver products", 2 * len, opened.len()));
         };
-        qtxqty
-            .push(field_codec.decode_field_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt());
-        qtxqtx.push(field_codec.decode_field_product(d2) * xxj);
+        qtxqty.push(beaver_codec.decode_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt());
+        qtxqtx.push(beaver_codec.decode_product(d2) * xxj);
     }
     Ok(BlockAggregate {
         xy,

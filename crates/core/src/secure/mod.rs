@@ -85,9 +85,12 @@ pub struct SecureScanConfig {
     /// Fractional bits of the Z₂⁶⁴ fixed-point codec used by the secure
     /// sums. 28 gives ±2³⁴ range at 4·10⁻⁹ resolution.
     pub ring_frac_bits: u32,
-    /// Fractional bits of the F_{2⁶¹−1} codec used by the Beaver mode
-    /// (inputs are pre-normalized to ‖·‖ ≤ 1, so 26 bits leave ample
-    /// product headroom for up to 16 parties).
+    /// Fractional bits of the Beaver-operand codec ("field" names that
+    /// codec; its words are Z₂⁶⁴ ring elements). An opened product is
+    /// exact iff |Σ x·y|·2^{2f} < 2⁶³ (the bound `dash_mpc::fixed`
+    /// states). Shared operands are pre-normalized so their sum has
+    /// ‖·‖ ≤ 1, hence |Σ x·y| ≤ 1 up to rounding: 26 bits leave 2¹¹ of
+    /// headroom.
     pub field_frac_bits: u32,
     /// Master seed for all protocol randomness (masks, dealer).
     pub seed: u64,
@@ -156,7 +159,7 @@ impl SecureScanConfig {
         Ok(FixedPointCodec::new(self.ring_frac_bits)?)
     }
 
-    pub(crate) fn field_codec(&self) -> Result<FixedPointCodec, CoreError> {
+    pub(crate) fn beaver_codec(&self) -> Result<FixedPointCodec, CoreError> {
         Ok(FixedPointCodec::new(self.field_frac_bits)?)
     }
 
@@ -331,7 +334,7 @@ fn validate_sources<S: SummandSource>(
 /// count.
 fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
     cfg.ring_codec()?;
-    cfg.field_codec()?;
+    cfg.beaver_codec()?;
     if cfg.threads == 0 {
         return Err(CoreError::BadConfig {
             what: "threads must be >= 1 (use 1 for serial block compute)",

@@ -11,7 +11,7 @@
 //! identical either way, so the substitution preserves the behaviour the
 //! paper cares about).
 //!
-//! Sharing is additive n-of-n over F_{2⁶¹−1} — n−1 uniform draws, and the
+//! Sharing is additive n-of-n over Z₂⁶⁴ — n−1 uniform draws, and the
 //! value minus their sum — and happens only here: a scan's own inputs are
 //! never re-shared, a party's summand already *is* its share of the
 //! aggregate. The unit of dealing is the [`TripleBatch`], all the triples
@@ -20,8 +20,8 @@
 //! run's triples are the same words however they are cut into batches.
 
 use crate::error::MpcError;
-use crate::field::F61;
 use crate::prg::Prg;
+use crate::ring::R64;
 use crate::secret::{ScalarCount, Secret};
 use std::fmt;
 use std::slice::IterMut;
@@ -34,7 +34,7 @@ pub struct TripleBatch {
     count: usize,
     /// The `a⃗` shares (`count × len`, triple after triple), then the `b⃗`
     /// shares (same shape), then the `count` shares of `c`.
-    words: Vec<F61>,
+    words: Vec<R64>,
 }
 
 impl fmt::Debug for TripleBatch {
@@ -53,14 +53,14 @@ impl TripleBatch {
     /// Cuts a `count × len` region — `a`, `b`, or an operand laid out like
     /// them — into `count` per-triple vectors (empty if `len == 0`, or past
     /// the end of a region that is too short).
-    pub fn rows<'a>(&self, region: &'a [F61]) -> impl Iterator<Item = &'a [F61]> {
+    pub fn rows<'a>(&self, region: &'a [R64]) -> impl Iterator<Item = &'a [R64]> {
         let len = self.len;
         (0..self.count).map(move |i| region.get(i * len..(i + 1) * len).unwrap_or(&[]))
     }
 
     /// The regions `(a, b, c)`: `a` and `b` hold `count × len` shares
     /// (cut per triple by [`TripleBatch::rows`]), `c` holds `count`.
-    pub fn parts(&self) -> (&[F61], &[F61], &[F61]) {
+    pub fn parts(&self) -> (&[R64], &[R64], &[R64]) {
         let (a, rest) = self.words.split_at(self.count * self.len);
         let (b, c) = rest.split_at(self.count * self.len);
         (a, b, c)
@@ -82,18 +82,18 @@ impl Secret<TripleBatch> {
 }
 
 /// Writes `v` to the cursor's next slot.
-fn put(cursor: &mut IterMut<'_, F61>, v: F61) {
+fn put(cursor: &mut IterMut<'_, R64>, v: R64) {
     cursor.take(1).for_each(|slot| *slot = v);
 }
 
 /// Splits `x` into one additive share per cursor and writes each to its
 /// cursor's next slot: fresh uniform draws for all but the last party,
 /// which takes `x` minus their sum.
-fn share_into(x: F61, prg: &mut Prg, cursors: &mut [IterMut<'_, F61>]) {
+fn share_into(x: R64, prg: &mut Prg, cursors: &mut [IterMut<'_, R64>]) {
     let (free, last) = cursors.split_at_mut(cursors.len().saturating_sub(1));
-    let mut acc = F61::ZERO;
+    let mut acc = R64::ZERO;
     for cursor in free {
-        let s = prg.next_field();
+        let s = prg.next_ring();
         acc += s;
         put(cursor, s);
     }
@@ -128,13 +128,15 @@ impl TrustedDealer {
     /// length `len`; returns each party's [`TripleBatch`], in party order,
     /// wrapped — triple shares are secret from the moment they exist.
     ///
+    /// Every word is a uniform [`R64`], one `next_ring` draw each, and
+    /// `c` is the wrapping multiply-add of `a⃗` and `b⃗` in Z₂⁶⁴.
     /// Draw order per triple: `a⃗`, `b⃗`, then for each element the n−1
     /// free shares of `a_i` and of `b_i`, then those of `c`; each share
     /// goes straight to its slot in its party's arena, so a call allocates
     /// the same number of times whatever `count` is. `len == 0` deals
     /// shares of `c = 0` only; `count == 0` draws nothing.
     pub fn deal_inners(&mut self, len: usize, count: usize) -> Vec<Secret<TripleBatch>> {
-        let words = vec![F61::ZERO; count * (2 * len + 1)];
+        let words = vec![R64::ZERO; count * (2 * len + 1)];
         let mut out = vec![TripleBatch { len, count, words }; self.n];
         // One write cursor per party and region: each region fills front
         // to back in draw order.
@@ -146,14 +148,14 @@ impl TrustedDealer {
             cur_b.push(b.iter_mut());
             cur_c.push(c.iter_mut());
         }
-        let (mut a, mut b) = (vec![F61::ZERO; len], vec![F61::ZERO; len]);
+        let (mut a, mut b) = (vec![R64::ZERO; len], vec![R64::ZERO; len]);
         for _ in 0..count {
-            a.fill_with(|| self.prg.next_field());
-            b.fill_with(|| self.prg.next_field());
+            a.fill_with(|| self.prg.next_ring());
+            b.fill_with(|| self.prg.next_ring());
             let c = a
                 .iter()
                 .zip(&b)
-                .fold(F61::ZERO, |acc, (&x, &y)| acc + x * y);
+                .fold(R64::ZERO, |acc, (&x, &y)| acc + x * y);
             for (&ai, &bi) in a.iter().zip(&b) {
                 share_into(ai, &mut self.prg, &mut cur_a);
                 share_into(bi, &mut self.prg, &mut cur_b);
@@ -171,36 +173,36 @@ mod tests {
     use crate::secret::OpenMode;
 
     /// One party's triple in the layout this module replaced.
-    type RefTriple = (Vec<F61>, Vec<F61>, F61);
+    type RefTriple = (Vec<R64>, Vec<R64>, R64);
 
     /// The per-element dealer this module replaced, kept as the oracle:
     /// one `Vec` per vector, per share column and per split value.
-    fn share_field(x: F61, n: usize, prg: &mut Prg) -> Vec<F61> {
-        let mut out: Vec<F61> = (0..n - 1).map(|_| prg.next_field()).collect();
-        out.push(x - F61::sum(&out));
+    fn share_ring(x: R64, n: usize, prg: &mut Prg) -> Vec<R64> {
+        let mut out: Vec<R64> = (0..n - 1).map(|_| prg.next_ring()).collect();
+        out.push(x - R64::sum(&out));
         out
     }
 
     fn deal_reference(prg: &mut Prg, n: usize, len: usize, count: usize) -> Vec<Vec<RefTriple>> {
         let mut out: Vec<Vec<RefTriple>> = vec![Vec::new(); n];
         for _ in 0..count {
-            let a: Vec<F61> = (0..len).map(|_| prg.next_field()).collect();
-            let b: Vec<F61> = (0..len).map(|_| prg.next_field()).collect();
+            let a: Vec<R64> = (0..len).map(|_| prg.next_ring()).collect();
+            let b: Vec<R64> = (0..len).map(|_| prg.next_ring()).collect();
             let c = a
                 .iter()
                 .zip(&b)
-                .fold(F61::ZERO, |acc, (&x, &y)| acc + x * y);
+                .fold(R64::ZERO, |acc, (&x, &y)| acc + x * y);
             let mut shares_a = vec![Vec::new(); n];
             let mut shares_b = vec![Vec::new(); n];
             for (&ai, &bi) in a.iter().zip(&b) {
-                for (dst, s) in shares_a.iter_mut().zip(share_field(ai, n, prg)) {
+                for (dst, s) in shares_a.iter_mut().zip(share_ring(ai, n, prg)) {
                     dst.push(s);
                 }
-                for (dst, s) in shares_b.iter_mut().zip(share_field(bi, n, prg)) {
+                for (dst, s) in shares_b.iter_mut().zip(share_ring(bi, n, prg)) {
                     dst.push(s);
                 }
             }
-            let sc = share_field(c, n, prg);
+            let sc = share_ring(c, n, prg);
             for (dst, ((a, b), c)) in out
                 .iter_mut()
                 .zip(shares_a.into_iter().zip(shares_b).zip(sc))
@@ -282,13 +284,13 @@ mod tests {
             assert_eq!(batches.len(), n);
             for i in 0..3 {
                 // Reconstruct a⃗, b⃗ element-wise and c.
-                let mut dot = F61::ZERO;
+                let mut dot = R64::ZERO;
                 for j in 6 * i..6 * (i + 1) {
-                    let aj = F61::sum(batches.iter().map(|t| t.parts().0[j]));
-                    let bj = F61::sum(batches.iter().map(|t| t.parts().1[j]));
+                    let aj = R64::sum(batches.iter().map(|t| t.parts().0[j]));
+                    let bj = R64::sum(batches.iter().map(|t| t.parts().1[j]));
                     dot += aj * bj;
                 }
-                assert_eq!(dot, F61::sum(batches.iter().map(|t| t.parts().2[i])));
+                assert_eq!(dot, R64::sum(batches.iter().map(|t| t.parts().2[i])));
             }
         }
     }
@@ -303,9 +305,9 @@ mod tests {
         assert_eq!(d.prg.state(), before, "an empty batch draws nothing");
         // K = 0: every triple is a sharing of the empty dot product.
         let batches = opened(d.deal_inners(0, 4));
-        assert!(batches[0].rows(batches[0].parts().0).all(<[F61]>::is_empty));
+        assert!(batches[0].rows(batches[0].parts().0).all(<[R64]>::is_empty));
         for i in 0..4 {
-            assert_eq!(F61::sum(batches.iter().map(|t| t.parts().2[i])), F61::ZERO);
+            assert_eq!(R64::sum(batches.iter().map(|t| t.parts().2[i])), R64::ZERO);
         }
     }
 

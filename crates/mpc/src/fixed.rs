@@ -1,4 +1,4 @@
-//! Fixed-point encoding of `f64` statistics into ring/field elements.
+//! Fixed-point encoding of `f64` statistics into ring elements.
 //!
 //! Every party computes its local summands (dot products, Gram entries) in
 //! ordinary `f64`, then encodes them as integers `round(x · 2^f)` for the
@@ -10,9 +10,20 @@
 //! Range checking is strict: a value whose magnitude cannot be represented
 //! returns [`MpcError::FixedPointOverflow`] instead of silently wrapping,
 //! because a wrapped statistic would corrupt downstream β̂/σ̂ invisibly.
+//!
+//! # The Beaver product bound
+//!
+//! A Beaver product opens at scale 2^{2f}, with no truncation inside the
+//! protocol. Let X⃗ and Y⃗ be the operand encodings summed over the parties
+//! (each party encodes its own share), standing for x⃗ = X⃗/2^f and
+//! y⃗ = Y⃗/2^f. The opened word is Σ X·Y mod 2⁶⁴, and
+//! [`FixedPointCodec::decode_product`] returns Σ X·Y / 2^{2f} (the integer
+//! rounded once to `f64`) **iff |Σ x·y|·2^{2f} < 2⁶³**. Past that the
+//! word wraps, and the product decodes with the wrong sign. This is the
+//! one exactness bound of the Beaver path; the scans meet it by
+//! normalising every shared vector to norm ≤ 1 before encoding.
 
 use crate::error::MpcError;
-use crate::field::{F61, MODULUS};
 use crate::ring::R64;
 
 /// A fixed-point codec with a configurable number of fractional bits.
@@ -59,9 +70,10 @@ impl FixedPointCodec {
         (62.0 - self.frac_bits as f64).exp2()
     }
 
-    /// Largest encodable magnitude for the F_{2⁶¹−1} field codec, with the
-    /// same factor-of-two headroom under p/2 ≈ 2⁶⁰.
-    pub fn max_abs_field(&self) -> f64 {
+    /// Largest magnitude one party's Beaver operand share may have:
+    /// 2^{59−f}. It is a range check on each input share; whether an
+    /// opened product decodes exactly is the module's product bound.
+    pub fn max_abs_operand(&self) -> f64 {
         (59.0 - self.frac_bits as f64).exp2()
     }
 
@@ -123,48 +135,21 @@ impl FixedPointCodec {
         vs.iter().map(|&v| self.decode_ring(v)).collect()
     }
 
-    /// Encodes one value into the field.
-    pub fn encode_field(&self, x: f64) -> Result<F61, MpcError> {
-        Ok(F61::from_i64(self.to_scaled_i64(
-            x,
-            self.scale(),
-            self.max_abs_field(),
-        )?))
-    }
-
-    /// Decodes a field element at the encoding scale 2^f — the inverse
-    /// the codec's round-trip tests check [`FixedPointCodec::encode_field`]
-    /// against; a scan only ever decodes *products*
-    /// ([`FixedPointCodec::decode_field_product`]).
-    pub fn decode_field(&self, v: F61) -> f64 {
-        v.as_i64() as f64 / self.scale()
-    }
-
-    /// Decodes a field element that is a *product of two encoded values*
-    /// (scale 2^{2f}) — how the Beaver inner products are opened without
-    /// any in-protocol truncation.
-    ///
-    /// The signed representative range then caps the product magnitude at
-    /// roughly `p/2 / 2^{2f}`; [`FixedPointCodec::max_product_abs`] states
-    /// the limit.
-    pub fn decode_field_product(&self, v: F61) -> f64 {
-        v.as_i64() as f64 / (self.scale() * self.scale())
-    }
-
-    /// Largest product magnitude that [`decode_field_product`] can
-    /// represent unambiguously.
-    ///
-    /// [`decode_field_product`]: FixedPointCodec::decode_field_product
-    pub fn max_product_abs(&self) -> f64 {
-        (MODULUS / 2) as f64 / (self.scale() * self.scale())
-    }
-
-    /// Encodes a slice into the field.
-    pub fn encode_field_vec(&self, xs: &[f64]) -> Result<Vec<F61>, MpcError> {
-        let (scale, max_abs) = (self.scale(), self.max_abs_field());
+    /// Encodes a slice of Beaver operand shares into the ring, each
+    /// bounded by [`FixedPointCodec::max_abs_operand`]. "Field" in the
+    /// name means the Beaver-operand codec; the words are ring elements,
+    /// and [`FixedPointCodec::decode_ring`] inverts them.
+    pub fn encode_field_vec(&self, xs: &[f64]) -> Result<Vec<R64>, MpcError> {
+        let (scale, max_abs) = (self.scale(), self.max_abs_operand());
         xs.iter()
-            .map(|&x| self.to_scaled_i64(x, scale, max_abs).map(F61::from_i64))
+            .map(|&x| self.to_scaled_i64(x, scale, max_abs).map(R64::from_i64))
             .collect()
+    }
+
+    /// Decodes an opened Beaver product, a ring element at scale 2^{2f}
+    /// (two's-complement). Exact iff the module's product bound holds.
+    pub fn decode_product(&self, v: R64) -> f64 {
+        v.as_i64() as f64 / (self.scale() * self.scale())
     }
 }
 
@@ -235,41 +220,39 @@ mod tests {
             Err(MpcError::NotFinite { .. })
         ));
         assert!(c.encode_ring(f64::INFINITY).is_err());
-        assert!(c.encode_field(f64::NEG_INFINITY).is_err());
+        assert!(c.encode_field_vec(&[f64::NEG_INFINITY]).is_err());
     }
 
     #[test]
-    fn field_roundtrip_and_negatives() {
+    fn operand_roundtrip_and_negatives() {
         let c = FixedPointCodec::new(20).unwrap();
-        for &x in &[0.0, 0.5, -0.5, 123.456, -9876.5] {
-            let v = c.encode_field(x).unwrap();
-            assert!((c.decode_field(v) - x).abs() <= 1.0 / c.scale(), "x={x}");
+        let xs = [0.0, 0.5, -0.5, 123.456, -9876.5];
+        let back = c.decode_ring_vec(&c.encode_field_vec(&xs).unwrap());
+        for (x, b) in xs.iter().zip(back) {
+            assert!((b - x).abs() <= 1.0 / c.scale(), "x={x}");
         }
     }
 
     #[test]
-    fn field_product_decoding() {
+    fn product_decoding() {
         // Product of two encoded values carries scale 2^{2f}.
         let c = FixedPointCodec::new(20).unwrap();
-        let a = 12.5;
-        let b = -3.25;
-        let ea = c.encode_field(a).unwrap();
-        let eb = c.encode_field(b).unwrap();
-        let prod = c.decode_field_product(ea * eb);
+        let (a, b) = (12.5, -3.25);
+        let e = c.encode_field_vec(&[a, b]).unwrap();
+        let prod = c.decode_product(e[0] * e[1]);
         assert!((prod - a * b).abs() < 1e-4, "prod={prod}");
     }
 
     #[test]
-    fn field_inner_product_decoding() {
+    fn inner_product_decoding() {
         let c = FixedPointCodec::new(20).unwrap();
         let xs = [1.5, -2.0, 0.75];
         let ys = [4.0, 0.5, -8.0];
-        let mut acc = F61::ZERO;
-        for (x, y) in xs.iter().zip(&ys) {
-            acc += c.encode_field(*x).unwrap() * c.encode_field(*y).unwrap();
-        }
+        let ex = c.encode_field_vec(&xs).unwrap();
+        let ey = c.encode_field_vec(&ys).unwrap();
+        let acc = ex.iter().zip(&ey).map(|(&x, &y)| x * y).sum::<R64>();
         let expect: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-        assert!((c.decode_field_product(acc) - expect).abs() < 1e-4);
+        assert!((c.decode_product(acc) - expect).abs() < 1e-4);
     }
 
     #[test]
@@ -283,7 +266,7 @@ mod tests {
         }
         let encf = c.encode_field_vec(&xs).unwrap();
         for (a, &b) in xs.iter().zip(&encf) {
-            assert!((a - c.decode_field(b)).abs() < 1e-9);
+            assert!((a - c.decode_ring(b)).abs() < 1e-9);
         }
     }
 
@@ -291,15 +274,15 @@ mod tests {
     fn boundary_magnitudes_roundtrip_exactly() {
         // x.abs() == max_abs is accepted and scales to an exact power of
         // two, so encode/decode is lossless right at the boundary — for
-        // every legal frac_bits setting, ring and field alike.
+        // every legal frac_bits setting, ring and Beaver operand alike.
         for f in 1..=FixedPointCodec::MAX_FRAC_BITS {
             let c = FixedPointCodec::new(f).unwrap();
             let mr = c.max_abs_ring();
-            let mf = c.max_abs_field();
+            let mo = c.max_abs_operand();
             assert_eq!(c.decode_ring(c.encode_ring(mr).unwrap()), mr, "f={f}");
             assert_eq!(c.decode_ring(c.encode_ring(-mr).unwrap()), -mr, "f={f}");
-            assert_eq!(c.decode_field(c.encode_field(mf).unwrap()), mf, "f={f}");
-            assert_eq!(c.decode_field(c.encode_field(-mf).unwrap()), -mf, "f={f}");
+            let back = c.decode_ring_vec(&c.encode_field_vec(&[mo, -mo]).unwrap());
+            assert_eq!(back, [mo, -mo], "f={f}");
         }
     }
 
@@ -311,9 +294,9 @@ mod tests {
             assert!(ring_above > c.max_abs_ring());
             assert!(c.encode_ring(ring_above).is_err(), "f={f}");
             assert!(c.encode_ring(-ring_above).is_err(), "f={f}");
-            let field_above = c.max_abs_field() * (1.0 + 1e-9);
-            assert!(c.encode_field(field_above).is_err(), "f={f}");
-            assert!(c.encode_field(-field_above).is_err(), "f={f}");
+            let operand_above = c.max_abs_operand() * (1.0 + 1e-9);
+            assert!(c.encode_field_vec(&[operand_above]).is_err(), "f={f}");
+            assert!(c.encode_field_vec(&[-operand_above]).is_err(), "f={f}");
         }
     }
 
@@ -321,7 +304,6 @@ mod tests {
     fn capacity_relations() {
         let c = FixedPointCodec::new(32).unwrap();
         assert!(c.max_abs_ring() * 2.0 <= c.sum_capacity());
-        assert!(c.max_abs_field() < c.max_abs_ring());
-        assert!(c.max_product_abs() > 0.0);
+        assert!(c.max_abs_operand() < c.max_abs_ring());
     }
 }

@@ -11,12 +11,12 @@
 //!
 //! - [`ctime`]: branch-free mask primitives (select, comparisons as
 //!   all-ones/zero masks) underlying every constant-time arithmetic path.
-//! - [`ring`]: the ring **Z₂⁶⁴** (wrapping `u64`) used by the additive
-//!   secure-sum protocols — sums that are opened immediately.
-//! - [`field`]: the Mersenne prime field **F_{2⁶¹−1}** used by the Beaver
-//!   mode, where shares are *multiplied* before anything is opened.
-//! - [`fixed`]: fixed-point encoding of `f64` statistics into ring/field
-//!   elements with explicit overflow errors.
+//! - [`ring`]: the ring **Z₂⁶⁴** (wrapping `u64`), the one arithmetic
+//!   domain: masked sums that open immediately, and Beaver products where
+//!   shares are *multiplied* before anything opens.
+//! - [`fixed`]: fixed-point encoding of `f64` statistics into ring
+//!   elements with explicit overflow errors, and the one exactness bound
+//!   for Beaver products.
 //! - [`prg`]: deterministic pseudo-random generator for the pairwise
 //!   correlated masks and the dealer's triples.
 //! - [`transport`]: the one [`transport::Transport`] trait between a
@@ -85,7 +85,6 @@ pub mod chaos;
 pub mod ctime;
 pub mod dealer;
 pub mod error;
-pub mod field;
 pub mod fixed;
 mod link;
 pub mod net;
@@ -101,7 +100,6 @@ pub mod transport;
 pub use audit::{Disclosure, DisclosureLog};
 pub use dealer::TrustedDealer;
 pub use error::MpcError;
-pub use field::F61;
 pub use fixed::FixedPointCodec;
 pub use net::{CostModel, NetOptions, Network, NetworkStats};
 pub use party::{CtxState, PartyCtx};

@@ -12,6 +12,7 @@
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
 use crate::prg::Prg;
+use crate::ring::R64;
 use crate::secret::{OpenMode, ScalarCount, Secret};
 use crate::tags::{self, BLOCK_TAG_BASE, BLOCK_TAG_STRIDE, MAX_BLOCK_ID};
 use crate::transport::{Transport, TransportConfig};
@@ -29,21 +30,6 @@ pub struct CtxState {
     pub pair_prgs: Vec<Option<[u64; 4]>>,
     /// Lockstep protocol tag counter (outside any block scope).
     pub tag_counter: u32,
-}
-
-/// A ring or field element as it travels between parties: one `u64` word
-/// each way. Implemented by [`crate::ring::R64`] and [`crate::field::F61`]
-/// next to their definitions; [`PartyCtx`]'s typed helpers are generic
-/// over it.
-pub trait Element: Copy + std::ops::AddAssign {
-    /// The `what` of the [`MpcError::LengthMismatch`] raised when a peer's
-    /// vector of this element has the wrong length in
-    /// [`PartyCtx::exchange_sum`].
-    const EXCHANGE_SUM: &'static str;
-    /// The word that goes on the wire.
-    fn to_word(self) -> u64;
-    /// The element a received word stands for.
-    fn from_word(word: u64) -> Self;
 }
 
 /// One party's execution context.
@@ -275,26 +261,22 @@ impl PartyCtx {
 
     // ---- typed send/recv helpers -------------------------------------
     //
-    // Stated once, generic over the [`Element`] that travels: `R64` for
-    // the masked sums, `F61` for the Beaver openings.
+    // One element type travels, [`R64`], one word each: the masked sums
+    // and the Beaver openings alike.
 
     /// Sends an element vector to a peer, one word per element.
-    pub fn send<E: Element>(&self, to: usize, tag: u32, v: &[E]) -> Result<(), MpcError> {
-        let words: Vec<u64> = v.iter().map(|e| e.to_word()).collect();
+    pub fn send(&self, to: usize, tag: u32, v: &[R64]) -> Result<(), MpcError> {
+        let words: Vec<u64> = v.iter().map(|e| e.0).collect();
         self.send_words(to, tag, &words)
     }
 
     /// Receives an element vector from a peer.
-    pub fn recv<E: Element>(&self, from: usize, tag: u32) -> Result<Vec<E>, MpcError> {
-        Ok(self
-            .recv_words(from, tag)?
-            .into_iter()
-            .map(E::from_word)
-            .collect())
+    pub fn recv(&self, from: usize, tag: u32) -> Result<Vec<R64>, MpcError> {
+        Ok(self.recv_words(from, tag)?.into_iter().map(R64).collect())
     }
 
     /// Sends the same element vector to every other party.
-    pub fn broadcast<E: Element>(&self, tag: u32, v: &[E]) -> Result<(), MpcError> {
+    pub fn broadcast(&self, tag: u32, v: &[R64]) -> Result<(), MpcError> {
         for j in 0..self.n_parties() {
             if j != self.id() {
                 self.send(j, tag, v)?;
@@ -305,17 +287,17 @@ impl PartyCtx {
 
     /// Broadcasts own contribution and element-wise sums everyone's
     /// vectors (the "open" step of an additively shared value).
-    pub fn exchange_sum<E: Element>(&self, tag: u32, own: &[E]) -> Result<Vec<E>, MpcError> {
+    pub fn exchange_sum(&self, tag: u32, own: &[R64]) -> Result<Vec<R64>, MpcError> {
         self.broadcast(tag, own)?;
         let mut total = own.to_vec();
         for j in 0..self.n_parties() {
             if j == self.id() {
                 continue;
             }
-            let v: Vec<E> = self.recv(j, tag)?;
+            let v = self.recv(j, tag)?;
             if v.len() != own.len() {
                 return Err(MpcError::LengthMismatch {
-                    what: E::EXCHANGE_SUM,
+                    what: "exchange_sum_ring",
                     expected: own.len(),
                     got: v.len(),
                 });
@@ -334,30 +316,23 @@ impl PartyCtx {
     // over all parties opens, and only through [`Secret::open_via`] below.
 
     /// Receives one peer's masked vector, wrapped.
-    pub fn recv_secret<E: Element>(
-        &self,
-        from: usize,
-        tag: u32,
-    ) -> Result<Secret<Vec<E>>, MpcError> {
+    pub fn recv_secret(&self, from: usize, tag: u32) -> Result<Secret<Vec<R64>>, MpcError> {
         Ok(Secret::new(self.recv(from, tag)?))
     }
 
-    /// Opens an additively shared vector: exchanges partial sums with
-    /// every peer and routes the total through the audited
+    /// Opens an additively shared vector on a fresh tag: exchanges partial
+    /// sums with every peer and routes the total through the audited
     /// [`Secret::open_via`] path. With `Some(label)` the total is a
     /// disclosure — party 0 records it (once per network, not once per
     /// party) and mirrors the count into the trace; with `None` the total
     /// is a uniform one-time-pad difference (Beaver `d`/`e`), which is not
     /// a disclosure by construction.
-    pub fn open_sum<E: Element>(
-        &self,
-        tag: u32,
-        partial: &Secret<Vec<E>>,
+    pub fn open_sum(
+        &mut self,
+        partial: &Secret<Vec<R64>>,
         disclosed_as: Option<&str>,
-    ) -> Result<Vec<E>, MpcError>
-    where
-        Vec<E>: ScalarCount,
-    {
+    ) -> Result<Vec<R64>, MpcError> {
+        let tag = self.fresh_tag();
         let total = self.exchange_sum(tag, partial.expose())?;
         Ok(self.finish_open(Secret::new(total), disclosed_as))
     }
@@ -448,9 +423,7 @@ impl PartyCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::F61;
     use crate::net::{Network, NetworkStats};
-    use crate::ring::R64;
     use crate::transport::RetryPolicy;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -656,9 +629,9 @@ mod tests {
     }
 
     #[test]
-    fn exchange_sum_field_totals() {
+    fn exchange_sum_signed_totals() {
         let totals = Network::run_parties(4, 1, |ctx| {
-            let own = vec![F61::from_i64(ctx.id() as i64 - 2)];
+            let own = vec![R64::from_i64(ctx.id() as i64 - 2)];
             let tag = ctx.fresh_tag();
             ctx.exchange_sum(tag, &own).unwrap()
         });

@@ -2,19 +2,19 @@
 //!
 //! The correlated-mask secure sum needs streams of uniform ring elements
 //! that two parties can reproduce from a shared seed, and the dealer needs
-//! uniform field elements for its triples and their shares. We wrap
-//! `rand`'s `StdRng` (ChaCha-based, cryptographically strong) rather than
-//! hand-rolling a cipher; the wrapper adds uniform sampling of [`R64`]
-//! (trivial) and [`F61`] (rejection sampling of 61-bit words so the
-//! distribution over the field is exactly uniform).
+//! uniform ring elements for its triples and their shares. Both draw
+//! [`R64`] words, one `u64` each, with no rejection step. The generator
+//! underneath is the vendored `rand` shim's `StdRng`: xoshiro256\*\*
+//! seeded through SplitMix64 — fast, linear and **not** cryptographically
+//! strong. Anyone who learns a seed or one state recomputes the stream.
+//! Replacing it with a ChaCha stream is ROADMAP's key-material item (c).
 
-use crate::field::{F61, MODULUS};
 use crate::ring::R64;
 use crate::secret::Secret;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// A seeded PRG producing uniform ring and field elements.
+/// A seeded PRG producing uniform ring elements.
 ///
 /// Two parties constructing `Prg::from_seed(s)` with the same seed draw
 /// identical streams — the basis of the pairwise-mask protocol.
@@ -79,19 +79,6 @@ impl Prg {
         R64(self.next_u64())
     }
 
-    /// Next uniform field element (rejection sampling over 61-bit words;
-    /// acceptance probability is 1 − 2⁻⁶¹, so rejection is astronomically
-    /// rare but keeps exact uniformity).
-    #[inline]
-    pub fn next_field(&mut self) -> F61 {
-        loop {
-            let v = self.next_u64() >> 3; // 61 bits
-            if v < MODULUS {
-                return F61::new(v);
-            }
-        }
-    }
-
     /// Fills a vector with uniform ring elements.
     pub fn ring_vec(&mut self, len: usize) -> Vec<R64> {
         (0..len).map(|_| self.next_ring()).collect()
@@ -123,9 +110,6 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         assert_eq!(a.ring_vec(16), b.ring_vec(16));
-        for _ in 0..16 {
-            assert_eq!(a.next_field(), b.next_field());
-        }
     }
 
     #[test]
@@ -153,15 +137,7 @@ mod tests {
         let snap = a.state();
         let mut b = Prg::from_state(snap);
         for _ in 0..32 {
-            assert_eq!(a.next_field(), b.next_field());
-        }
-    }
-
-    #[test]
-    fn field_elements_in_range() {
-        let mut p = Prg::from_seed(1234);
-        for _ in 0..1000 {
-            assert!(p.next_field().value() < MODULUS);
+            assert_eq!(a.next_ring(), b.next_ring());
         }
     }
 

@@ -6,11 +6,13 @@
 //! its additive share of the aggregate — and only the final dot products
 //! `Qᵀy·Qᵀy`, `QᵀX_m·Qᵀy`, `QᵀX_m·QᵀX_m` are ever opened.
 //!
-//! Protocol (per inner product, inputs shared over F_{2⁶¹−1}): with a
+//! Protocol (per inner product, inputs shared over Z₂⁶⁴): with a
 //! preprocessed vector triple `(a⃗, b⃗, c = a⃗·b⃗)`, parties open the masked
-//! differences `d⃗ = x⃗ − a⃗` and `e⃗ = y⃗ − b⃗` (uniform, reveal nothing) and
-//! output the share `z = c + d⃗·⟨b⃗⟩ + e⃗·⟨a⃗⟩ (+ d⃗·e⃗ at party 0)`, which
-//! reconstructs to `x⃗·y⃗`. [`beaver_inner_batch`] is the one product: a
+//! differences `d⃗ = x⃗ − a⃗` and `e⃗ = y⃗ − b⃗` (uniform in the ring, so they
+//! reveal nothing) and output the share `z = c + d⃗·⟨b⃗⟩ + e⃗·⟨a⃗⟩ (+ d⃗·e⃗ at
+//! party 0)`, which reconstructs to `x⃗·y⃗`. Nothing divides or inverts, so
+//! a ring is enough; [`crate::fixed`] states when the opened product
+//! decodes exactly. [`beaver_inner_batch`] is the one product: a
 //! whole batch of length-L dots costs one round of `2L` opened masked
 //! words each, concatenated into a single opening, against one flat
 //! [`TripleBatch`] and two flat operand vectors of the same shape. One
@@ -19,26 +21,13 @@
 //!
 //! Every share, triple and intermediate result here travels wrapped in
 //! [`Secret`]; the only unwrap points are the audited
-//! [`crate::party::PartyCtx::open_sum`] openings behind [`open_field`].
+//! [`PartyCtx::open_sum`] openings.
 
 use crate::dealer::TripleBatch;
 use crate::error::MpcError;
-use crate::field::F61;
 use crate::party::PartyCtx;
+use crate::ring::R64;
 use crate::secret::Secret;
-
-/// Opens a vector of shared field elements: everyone broadcasts shares and
-/// sums. With `Some(label)` the total is a disclosure, recorded by party 0
-/// with the count taken from the opened value itself; with `None` the
-/// total is a uniform one-time-pad difference (not a disclosure).
-pub fn open_field(
-    ctx: &mut PartyCtx,
-    shares: &Secret<Vec<F61>>,
-    disclosed_as: Option<&str>,
-) -> Result<Vec<F61>, MpcError> {
-    let tag = ctx.fresh_tag();
-    ctx.open_sum(tag, shares, disclosed_as)
-}
 
 /// Batched inner products: evaluates many length-L dots in **one**
 /// communication round by concatenating every product's masked
@@ -53,10 +42,10 @@ pub fn open_field(
 /// still runs its opening, of zero words: every party stays on one tag.
 pub fn beaver_inner_batch(
     ctx: &mut PartyCtx,
-    xs: &Secret<Vec<F61>>,
-    ys: &Secret<Vec<F61>>,
+    xs: &Secret<Vec<R64>>,
+    ys: &Secret<Vec<R64>>,
     triples: &Secret<TripleBatch>,
-) -> Result<Secret<Vec<F61>>, MpcError> {
+) -> Result<Secret<Vec<R64>>, MpcError> {
     let t = triples.expose();
     let (a, b, c) = t.parts();
     for (what, operand) in [
@@ -81,7 +70,7 @@ pub fn beaver_inner_batch(
     // dash-analyze::allow(disclosure-completeness): the concatenated
     // per-product differences are uniform one-time-pad values; opening
     // them reveals nothing, so no disclosure entry is due here.
-    let opened = open_field(ctx, &Secret::new(pads), None)?;
+    let opened = ctx.open_sum(&Secret::new(pads), None)?;
     if opened.len() != 2 * a.len() {
         return Err(MpcError::Protocol {
             what: "beaver_inner_batch: opened buffer differs from its declared shape",
@@ -161,7 +150,7 @@ mod tests {
         id: usize,
         pairs: std::ops::Range<usize>,
         len: usize,
-    ) -> (Secret<Vec<F61>>, Secret<Vec<F61>>) {
+    ) -> (Secret<Vec<R64>>, Secret<Vec<R64>>) {
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for p in pairs {
             let (x, y) = summands(id, p, len);
@@ -186,8 +175,8 @@ mod tests {
     #[test]
     fn open_reconstructs_and_records_once() {
         let (results, audit) = with_triples(3, &[], |ctx, _| {
-            let share = Secret::new(vec![F61::from_i64((ctx.id() as i64 + 1) * 7)]);
-            open_field(ctx, &share, Some("sum of shares")).unwrap()[0].as_i64()
+            let share = Secret::new(vec![R64::from_i64((ctx.id() as i64 + 1) * 7)]);
+            ctx.open_sum(&share, Some("sum of shares")).unwrap()[0].as_i64()
         });
         assert_eq!(results, vec![7 + 14 + 21; 3]);
         let entries = audit.entries();
@@ -205,8 +194,8 @@ mod tests {
             let (results, _) = with_triples(n, &[(len, 1)], |ctx, triples| {
                 let (xs, ys) = operands(&codec, ctx.id(), 0..1, len);
                 let z = beaver_inner_batch(ctx, &xs, &ys, &triples[0]).unwrap();
-                let opened = open_field(ctx, &z, Some("dot")).unwrap();
-                codec.decode_field_product(opened[0])
+                let opened = ctx.open_sum(&z, Some("dot")).unwrap();
+                codec.decode_product(opened[0])
             });
             let expect = expected_dot(n, 0, len);
             for r in results {
@@ -216,15 +205,32 @@ mod tests {
     }
 
     #[test]
+    fn products_decode_exactly_up_to_the_ring_bound() {
+        // The bound is |Σ x·y|·2^{2f} < 2^63 (`crate::fixed`). At f = 20,
+        // x = y = 1024 encodes to 2^30 and multiplies to 2^60, which a
+        // 61-bit modulus would wrap. 2^11 − 2^−10 multiplies to just under
+        // 2^62. Two parties hold half of x each.
+        let codec = FixedPointCodec::new(20).unwrap();
+        for x in [1024.0, 2048.0 - 1.0 / 1024.0] {
+            let (results, _) = with_triples(2, &[(1, 1)], |ctx, triples| {
+                let half = Secret::new(codec.encode_field_vec(&[x / 2.0]).unwrap());
+                let z = beaver_inner_batch(ctx, &half, &half, &triples[0]).unwrap();
+                codec.decode_product(ctx.open_sum(&z, Some("product")).unwrap()[0])
+            });
+            assert_eq!(results, vec![x * x; 2], "x = {x}");
+        }
+    }
+
+    #[test]
     fn masked_openings_reveal_nothing_recognizable() {
         // The d = x − a opening inside the product must not equal the raw
         // input (a is uniform). Party 0 holds x, party 1 a zero share.
-        let x_clear = F61::from_i64(5);
+        let x_clear = R64::from_i64(5);
         let (results, audit) = with_triples(2, &[(1, 1)], |ctx, mut triples| {
-            let x = if ctx.id() == 0 { x_clear } else { F61::ZERO };
+            let x = if ctx.id() == 0 { x_clear } else { R64::ZERO };
             let t = triples.remove(0);
             let pad = t.map(|t| vec![x - t.parts().0[0]]);
-            open_field(ctx, &pad, None).unwrap()[0]
+            ctx.open_sum(&pad, None).unwrap()[0]
         });
         assert_eq!(results[0], results[1]);
         assert_ne!(results[0], x_clear, "mask failed to hide the input");
@@ -244,18 +250,18 @@ mod tests {
             for (p, t) in triples[..n_pairs].iter().enumerate() {
                 let (xs, ys) = operands(&codec, ctx.id(), p..p + 1, len);
                 let z = beaver_inner_batch(ctx, &xs, &ys, t).unwrap();
-                seq.push(open_field(ctx, &z, None).unwrap()[0]);
+                seq.push(ctx.open_sum(&z, None).unwrap()[0]);
             }
             // One round for all of them, on fresh triples.
             let (xs, ys) = operands(&codec, ctx.id(), 0..n_pairs, len);
             let batch = beaver_inner_batch(ctx, &xs, &ys, &triples[n_pairs]).unwrap();
-            (seq, open_field(ctx, &batch, None).unwrap())
+            (seq, ctx.open_sum(&batch, None).unwrap())
         });
         for (seq_open, batch_open) in results {
             assert_eq!(batch_open.len(), n_pairs);
             for (p, (s, b)) in seq_open.iter().zip(&batch_open).enumerate() {
                 let expect = expected_dot(n, p, len);
-                assert!((codec.decode_field_product(*s) - expect).abs() < 1e-3);
+                assert!((codec.decode_product(*s) - expect).abs() < 1e-3);
                 assert_eq!(s, b, "pair {p}: batch disagrees with one at a time");
             }
         }
@@ -265,13 +271,13 @@ mod tests {
     fn batch_shape_errors() {
         let (results, _) = with_triples(2, &[(3, 2)], |ctx, triples| {
             let t = &triples[0];
-            let full = Secret::new(vec![F61::ONE; 6]);
+            let full = Secret::new(vec![R64::ONE; 6]);
             // One product's worth of operands against a batch of two, a
             // short ys, and operands for another vector length: each a
             // structured error before anything is sent, never an index
             // panic.
-            let one = Secret::new(vec![F61::ONE; 3]);
-            let long = Secret::new(vec![F61::ONE; 8]);
+            let one = Secret::new(vec![R64::ONE; 3]);
+            let long = Secret::new(vec![R64::ONE; 8]);
             [
                 beaver_inner_batch(ctx, &one, &one, t).err(),
                 beaver_inner_batch(ctx, &full, &one, t).err(),
@@ -293,13 +299,13 @@ mod tests {
             let dots = beaver_inner_batch(ctx, &none, &none, &triples[1]).unwrap();
             (
                 empty.scalar_count(),
-                open_field(ctx, &dots, None).unwrap(),
+                ctx.open_sum(&dots, None).unwrap(),
                 ctx.fresh_tag(),
             )
         });
         for (empty, dots, tag) in &results {
             assert_eq!(*empty, 0);
-            assert_eq!(dots, &vec![F61::ZERO; 5]);
+            assert_eq!(dots, &vec![R64::ZERO; 5]);
             assert_eq!(*tag, results[0].2, "parties left on different tags");
         }
         assert!(audit.entries().is_empty());

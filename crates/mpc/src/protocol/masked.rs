@@ -49,8 +49,7 @@ pub fn masked_sum_ring(
     }
     // One broadcast round; masks cancel in the sum. The total opens
     // through the audited path (recorded once, by party 0).
-    let tag = ctx.fresh_tag();
-    ctx.open_sum(tag, &Secret::new(masked), Some(label))
+    ctx.open_sum(&Secret::new(masked), Some(label))
 }
 
 /// Star-topology masked sum: masked values flow to one aggregator

@@ -1,24 +1,31 @@
-//! The ring Z₂⁶⁴ — wrapping 64-bit arithmetic.
+//! The ring Z₂⁶⁴ — wrapping 64-bit arithmetic, the crate's one
+//! arithmetic domain.
 //!
-//! A value plus a uniform element of Z₂⁶⁴ is uniform, and sums wrap
-//! exactly, so pairwise masks hide each summand and cancel in the total
-//! without error. The masked secure sums ([`crate::protocol::masked`])
-//! operate on [`R64`] elements; the fixed-point codec ([`crate::fixed`])
-//! maps statistics into and out of the ring.
+//! A value plus a uniform element of Z₂⁶⁴ is uniform, and sums and
+//! products wrap exactly, so pairwise masks hide each summand and cancel
+//! in the total without error, and a Beaver opening `x − a` against a
+//! uniform `a` reveals nothing. The masked secure sums
+//! ([`crate::protocol::masked`]) and the Beaver inner products
+//! ([`crate::protocol::beaver`]) both operate on [`R64`] elements; the
+//! fixed-point codec ([`crate::fixed`]) maps statistics into and out of
+//! the ring. Neither protocol divides or inverts, so no field is needed.
 //!
 //! # Constant time
 //!
 //! All ring arithmetic is `wrapping_*` on `u64` — straight-line machine
-//! code with no data-dependent branches or memory accesses, audited under
-//! the same `constant-time` dash-analyze lint as [`crate::field`].
-//! Comparisons are provided only as mask-returning [`R64::ct_eq`] (plus
-//! [`R64::ct_select`]) so callers never need `==`/`<` on share words.
+//! code with no data-dependent branches or memory accesses, audited by
+//! the `constant-time` dash-analyze lint and timed by E14
+//! (`exp14_timing`). Comparisons are provided only as mask-returning
+//! [`R64::ct_eq`] (plus [`R64::ct_select`]) so callers never need
+//! `==`/`<` on share words.
 
 use crate::ctime;
 use std::borrow::Borrow;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-/// An element of Z₂⁶⁴. All arithmetic wraps.
+/// An element of Z₂⁶⁴. All arithmetic wraps. The one element type that
+/// travels: one `u64` word on the wire, for sums and Beaver products
+/// alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct R64(pub u64);
 
@@ -63,18 +70,6 @@ impl R64 {
     #[inline]
     pub fn ct_select(mask: u64, a: R64, b: R64) -> R64 {
         R64(ctime::select(mask, a.0, b.0))
-    }
-}
-
-impl crate::party::Element for R64 {
-    const EXCHANGE_SUM: &'static str = "exchange_sum_ring";
-    #[inline]
-    fn to_word(self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn from_word(word: u64) -> Self {
-        R64(word)
     }
 }
 

@@ -23,7 +23,6 @@
 
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
-use crate::field::F61;
 use crate::ring::{add_assign_vec, sub_assign_vec, R64};
 use std::fmt;
 
@@ -116,19 +115,7 @@ impl ScalarCount for u64 {
     }
 }
 
-impl ScalarCount for F61 {
-    fn scalar_count(&self) -> usize {
-        1
-    }
-}
-
 impl ScalarCount for Vec<R64> {
-    fn scalar_count(&self) -> usize {
-        self.len()
-    }
-}
-
-impl ScalarCount for Vec<F61> {
     fn scalar_count(&self) -> usize {
         self.len()
     }
@@ -207,31 +194,17 @@ impl Secret<Vec<R64>> {
     }
 }
 
-impl Secret<F61> {
-    /// Constant-time equality of two secret field elements. The result is
+impl Secret<R64> {
+    /// Constant-time equality of two secret ring elements. The result is
     /// an all-ones/zero *mask* and stays wrapped: whether two shares are
     /// equal is itself secret.
-    pub fn ct_eq(&self, other: &Secret<F61>) -> Secret<u64> {
-        Secret(self.0.ct_eq(other.0))
-    }
-
-    /// Constant-time selection between two secret elements under a secret
-    /// mask (`a` where all-ones, `b` where zero). No branch is taken on
-    /// any of the three inputs.
-    pub fn ct_select(mask: &Secret<u64>, a: &Secret<F61>, b: &Secret<F61>) -> Secret<F61> {
-        Secret(F61::ct_select(mask.0, a.0, b.0))
-    }
-}
-
-impl Secret<R64> {
-    /// Constant-time equality of two secret ring elements (see
-    /// [`Secret::<F61>::ct_eq`]).
     pub fn ct_eq(&self, other: &Secret<R64>) -> Secret<u64> {
         Secret(self.0.ct_eq(other.0))
     }
 
     /// Constant-time selection between two secret ring elements under a
-    /// secret mask.
+    /// secret mask (`a` where all-ones, `b` where zero). No branch is
+    /// taken on any of the three inputs.
     pub fn ct_select(mask: &Secret<u64>, a: &Secret<R64>, b: &Secret<R64>) -> Secret<R64> {
         Secret(R64::ct_select(mask.0, a.0, b.0))
     }
@@ -252,7 +225,7 @@ mod tests {
     #[test]
     fn open_via_records_actual_count() {
         let log = DisclosureLog::new();
-        let s = Secret::new(vec![F61::new(1), F61::new(2), F61::new(3)]);
+        let s = Secret::new(vec![R64(1), R64(2), R64(3)]);
         let v = s.open_via(&log, OpenMode::Aggregate("triple of values"));
         assert_eq!(v.len(), 3);
         let entries = log.entries();
@@ -304,26 +277,20 @@ mod tests {
     #[test]
     fn ct_combinators_stay_wrapped() {
         let log = DisclosureLog::new();
-        let a = Secret::new(F61::new(5));
-        let b = Secret::new(F61::new(9));
-        let mask = a.ct_eq(&a);
-        let picked = Secret::<F61>::ct_select(&mask, &a, &b);
-        assert_eq!(picked.open_via(&log, OpenMode::Pad), F61::new(5));
-        let zero_mask = Secret::new(F61::new(5)).ct_eq(&b);
-        let other = Secret::<F61>::ct_select(&zero_mask, &a, &b);
-        assert_eq!(other.open_via(&log, OpenMode::Pad), F61::new(9));
-        let ra = Secret::new(R64(1));
-        let rb = Secret::new(R64(2));
-        let rmask = ra.ct_eq(&rb);
-        assert_eq!(rmask.open_via(&log, OpenMode::Pad), 0);
-        let sel = Secret::<R64>::ct_select(&ra.ct_eq(&ra), &ra, &rb);
-        assert_eq!(sel.open_via(&log, OpenMode::Pad), R64(1));
+        let a = Secret::new(R64(1));
+        let b = Secret::new(R64(2));
+        let (ones, zero) = (a.ct_eq(&a), a.ct_eq(&b));
+        let picked = Secret::<R64>::ct_select(&ones, &a, &b);
+        assert_eq!(picked.open_via(&log, OpenMode::Pad), R64(1));
+        let other = Secret::<R64>::ct_select(&zero, &a, &b);
+        assert_eq!(other.open_via(&log, OpenMode::Pad), R64(2));
+        assert_eq!(zero.open_via(&log, OpenMode::Pad), 0);
     }
 
     #[test]
     fn scalar_counts() {
         assert_eq!(Secret::new(R64(1)).scalar_count(), 1);
-        assert_eq!(Secret::new(F61::new(1)).scalar_count(), 1);
+        assert_eq!(Secret::new(7u64).scalar_count(), 1);
         assert_eq!(Secret::new(vec![R64(1); 5]).scalar_count(), 5);
         let mut dealer = crate::dealer::TrustedDealer::new(2, 1).unwrap();
         let batch = dealer.deal_inners(4, 3).remove(0);

@@ -5,7 +5,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
-use dash_mpc::field::{F61, MODULUS};
 use dash_mpc::fixed::FixedPointCodec;
 use dash_mpc::net::{NetOptions, Network};
 use dash_mpc::protocol::masked::{masked_sum_ring, masked_sum_star_ring};
@@ -31,7 +30,7 @@ fn assert_redacted(d: &str, raw: &[u64]) {
     assert_eq!(d, REDACTED);
     for v in raw {
         // Single digits appear in the marker-free string trivially; only
-        // check multi-digit renderings (collision odds for random u64/F61
+        // check multi-digit renderings (collision odds for random u64
         // values are negligible).
         let s = v.to_string();
         if s.len() > 1 {
@@ -65,13 +64,13 @@ proptest! {
         let batches = dealt(&mut TrustedDealer::new(n, seed).unwrap(), len, count);
         prop_assert_eq!(batches.len(), n);
         // Σ over parties, word by word, of each region.
-        let total = |region: fn(&TripleBatch) -> &[F61], i: usize| {
-            F61::sum(batches.iter().map(|t| region(t)[i]))
+        let total = |region: fn(&TripleBatch) -> &[R64], i: usize| {
+            R64::sum(batches.iter().map(|t| region(t)[i]))
         };
         for t in 0..count {
             let dot = (t * len..(t + 1) * len)
                 .map(|i| total(|b| b.parts().0, i) * total(|b| b.parts().1, i))
-                .fold(F61::ZERO, |acc, v| acc + v);
+                .fold(R64::ZERO, |acc, v| acc + v);
             prop_assert_eq!(dot, total(|b| b.parts().2, t));
         }
     }
@@ -100,23 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn field_ops_match_i128_reference(a in 0u64..MODULUS, b in 0u64..MODULUS) {
-        let fa = F61::new(a);
-        let fb = F61::new(b);
-        let m = MODULUS as u128;
-        prop_assert_eq!((fa + fb).value() as u128, (a as u128 + b as u128) % m);
-        prop_assert_eq!((fa * fb).value() as u128, (a as u128 * b as u128) % m);
-        prop_assert_eq!((fa - fb).value() as u128, (a as u128 + m - b as u128) % m);
-    }
-
-    #[test]
-    fn field_inverse_property(a in 1u64..MODULUS) {
-        let fa = F61::new(a);
-        let inv = fa.inverse().unwrap();
-        prop_assert_eq!(fa * inv, F61::ONE);
-    }
-
-    #[test]
     fn fixed_point_roundtrip_within_half_ulp(
         x in -1.0e6f64..1.0e6,
         frac in 8u32..48,
@@ -138,15 +120,8 @@ proptest! {
     #[test]
     fn fixed_point_boundary_roundtrips_exactly(frac in 1u32..53) {
         let c = FixedPointCodec::new(frac).unwrap();
-        for (enc_max, ring) in [(c.max_abs_ring(), true), (c.max_abs_field(), false)] {
-            for x in [enc_max, -enc_max] {
-                let back = if ring {
-                    c.decode_ring(c.encode_ring(x).unwrap())
-                } else {
-                    c.decode_field(c.encode_field(x).unwrap())
-                };
-                prop_assert_eq!(back, x, "frac={} ring={}", frac, ring);
-            }
+        for x in [c.max_abs_ring(), -c.max_abs_ring()] {
+            prop_assert_eq!(c.decode_ring(c.encode_ring(x).unwrap()), x, "frac={}", frac);
         }
     }
 
@@ -193,26 +168,23 @@ proptest! {
 
     /// Tentpole invariant, property form: `{:?}` prints the redaction
     /// marker — and nothing value-derived — for **every** `Secret<T>`
-    /// instantiation the workspace uses (both scalars, both vectors, the
-    /// triple batch — whose own `Debug` prints its shape and nothing else).
+    /// instantiation the workspace uses (the element, its vector, a mask
+    /// word, the triple batch — whose own `Debug` prints its shape and
+    /// nothing else).
     #[test]
     fn debug_redacts_every_secret_instantiation(
         r in any::<u64>(),
-        f in 0u64..MODULUS,
+        w in any::<u64>(),
         rv in proptest::collection::vec(any::<u64>(), 1..6),
-        fv in proptest::collection::vec(0u64..MODULUS, 1..6),
         (len, count, seed) in (0usize..5, 0usize..4, any::<u64>()),
     ) {
         assert_redacted(&format!("{:?}", Secret::new(R64(r))), &[r]);
-        assert_redacted(&format!("{:?}", Secret::new(F61::new(f))), &[F61::new(f).value()]);
+        assert_redacted(&format!("{:?}", Secret::new(w)), &[w]);
         let rv_secret = Secret::new(rv.iter().map(|&v| R64(v)).collect::<Vec<_>>());
         assert_redacted(&format!("{rv_secret:?}"), &rv);
-        let fvals: Vec<F61> = fv.iter().map(|&v| F61::new(v)).collect();
-        let fraw: Vec<u64> = fvals.iter().map(|x| x.value()).collect();
-        assert_redacted(&format!("{:?}", Secret::new(fvals)), &fraw);
         let batch = dealt(&mut TrustedDealer::new(2, seed).unwrap(), len, count).remove(0);
         let (a, b, c) = batch.parts();
-        let raw: Vec<u64> = [a, b, c].concat().iter().map(|x| x.value()).collect();
+        let raw: Vec<u64> = [a, b, c].concat().iter().map(|x| x.0).collect();
         prop_assert_eq!(
             format!("{batch:?}"),
             format!("TripleBatch {{ len: {len}, count: {count}, <shares redacted> }}")

@@ -203,7 +203,8 @@ for i in 0 1 2; do
 done
 
 echo "== timing-leak smoke (E14, bounded samples, enforced)"
-# The dudect harness must see no class split in the F61 arithmetic. The
+# The dudect harness must see no class split in the R64 arithmetic (add,
+# sub, mul, neg, signed encode, the Beaver share combination). The
 # bounded sample count keeps CI fast (raise DASH_TIMING_SAMPLES locally
 # for a deeper scan); the loosened threshold absorbs shared-runner noise.
 # The in-run positive control is reported but not enforced here — a noisy
@@ -223,12 +224,11 @@ scripts/loc.sh
 echo "== pub fns with no non-test caller (scripts/unused.sh, ceiling)"
 # The sweep a simplicity PR starts from, by loc.sh's rule for what is
 # test code. Names shared with another item under-report (the safe
-# direction); the test-side inverse `decode_field` and `PartyCtx::rng_mut`
-# are listed on purpose. The count may fall, not rise: a PR that strands a
-# `pub fn` gives it a caller, deletes it, or raises the ceiling and says
-# why. 14 since PR 21 (17 before it: `share::reconstruct_field{,_iter}`
-# and `Secret::zip_with` went).
-UNUSED_CEILING=14
+# direction); `PartyCtx::rng_mut` is listed on purpose (key material
+# needs it). The count may fall, not rise: a PR that strands a `pub fn`
+# gives it a caller, deletes it, or raises the ceiling and says why. 12
+# since the field codec went (`decode_field`, `max_product_abs`).
+UNUSED_CEILING=12
 UNUSED_OUT=$(scripts/unused.sh)
 echo "$UNUSED_OUT"
 UNUSED_NOW=$(tail -n 1 <<<"$UNUSED_OUT" | awk '{ print $1 }')

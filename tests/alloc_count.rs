@@ -10,10 +10,9 @@
 
 use dash_core::suffstats::ScanStats;
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
-use dash_mpc::field::F61;
 use dash_mpc::net::{NetOptions, Network};
-use dash_mpc::protocol::beaver::{beaver_inner_batch, open_field};
-use dash_mpc::Secret;
+use dash_mpc::protocol::beaver::beaver_inner_batch;
+use dash_mpc::{Secret, R64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -80,19 +79,19 @@ fn deal_and_round(count: usize) -> (u64, u64) {
     let (results, _stats, _audit) =
         Network::run_parties_detailed_with(PARTIES, 8, &NetOptions::default(), |ctx| {
             let batches = slots[ctx.id()].lock().unwrap().take().unwrap();
-            let operand = || Secret::new(vec![F61::from_i64(ctx.id() as i64 + 2); LEN * count]);
+            let operand = || Secret::new(vec![R64::from_i64(ctx.id() as i64 + 2); LEN * count]);
             let (xs, ys) = (operand(), operand());
             let mut fewest = u64::MAX;
             for batch in &batches {
                 let (round, opened) = allocs_of(|| {
                     let z = beaver_inner_batch(ctx, &xs, &ys, batch).unwrap();
-                    open_field(ctx, &z, None).unwrap()
+                    ctx.open_sum(&z, None).unwrap()
                 });
                 assert_eq!(opened.len(), count);
                 // (Σ_id (id + 2))² · LEN, the same product in every slot.
                 assert!(opened
                     .iter()
-                    .all(|&v| v == F61::from_i64(9 * 9 * LEN as i64)));
+                    .all(|&v| v == R64::from_i64(9 * 9 * LEN as i64)));
                 fewest = fewest.min(round);
             }
             fewest
