@@ -93,6 +93,6 @@ fn main() {
     println!(
         "\nEvery mode is O(M) in M and O(1) in N — the §3 claim. Retry and \
          timeout counts are zero on this healthy in-process network; nonzero \
-         values would flag injected or real faults."
+         values would flag a faulty network."
     );
 }

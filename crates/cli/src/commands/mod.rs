@@ -83,22 +83,19 @@ fn mode_config(mode: &str, seed: u64) -> Result<SecureScanConfig, CliError> {
 }
 
 /// The flags `secure-scan` and `party` share — `--mode --out --seed
-/// --audit --trace-out --metrics --deadline-ms --retries --backoff-ms
-/// --block-size --threads` — parsed once, with one set of defaults and
-/// error texts, plus the report both commands end with, so the two paths
-/// cannot drift (the multi-process smoke test parses both outputs with
-/// the same patterns).
+/// --audit --trace-out --metrics --deadline-ms --block-size --threads` —
+/// parsed once, with one set of defaults and error texts, plus the
+/// report both commands end with, so the two paths cannot drift (the
+/// multi-process smoke test parses both outputs with the same patterns).
 pub(crate) struct ScanFlags {
     mode: String,
-    /// Protocol seed (also the default fault seed and TCP run id).
+    /// Protocol seed (also the default TCP run id).
     pub seed: u64,
     out_path: Option<PathBuf>,
     audit: bool,
     trace_out: Option<PathBuf>,
     metrics: bool,
     deadline_ms: u64,
-    max_retries: u32,
-    retry_backoff_ms: u64,
     block_size: Option<usize>,
     threads: usize,
 }
@@ -113,8 +110,6 @@ impl ScanFlags {
         let trace_out = flags.optional("trace-out").map(PathBuf::from);
         let metrics = flags.parse_or("metrics", false, "true or false")?;
         let deadline_ms = flags.parse_or("deadline-ms", 60_000u64, "milliseconds")?;
-        let max_retries = flags.parse_or("retries", 3u32, "a retry count")?;
-        let retry_backoff_ms = flags.parse_or("backoff-ms", 1u64, "milliseconds")?;
         let block_size = match flags.optional("block-size") {
             None => Some(4096),
             Some(raw) if raw == "off" => None,
@@ -145,20 +140,16 @@ impl ScanFlags {
             trace_out,
             metrics,
             deadline_ms,
-            max_retries,
-            retry_backoff_ms,
             block_size,
             threads,
         })
     }
 
-    /// The scan configuration these flags describe (no fault plan; a bad
-    /// `--mode` is reported here).
+    /// The scan configuration these flags describe (a bad `--mode` is
+    /// reported here).
     pub(crate) fn config(&self) -> Result<SecureScanConfig, CliError> {
         Ok(SecureScanConfig {
             deadline_ms: self.deadline_ms,
-            max_retries: self.max_retries,
-            retry_backoff_ms: self.retry_backoff_ms,
             block_size: self.block_size,
             threads: self.threads,
             ..mode_config(&self.mode, self.seed)?

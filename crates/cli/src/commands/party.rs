@@ -60,8 +60,6 @@ BLOCKED PIPELINE:
 
 TRANSPORT:
     --deadline-ms N         per-receive deadline in ms [default: 60000]
-    --retries N             max send retries on transient failure [default: 3]
-    --backoff-ms N          initial retry backoff in ms [default: 1]
     --connect-timeout-ms N  per-attempt dial/hello timeout in ms [default: 2000]
     --connect-retries N     dial attempts per lower-id peer [default: 30]
     --accept-timeout-ms N   total wait for higher-id peers to dial in, and for

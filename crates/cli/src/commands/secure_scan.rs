@@ -4,7 +4,6 @@ use crate::args::Flags;
 use crate::commands::{load_all_parties, ScanFlags};
 use crate::error::CliError;
 use dash_core::secure::secure_scan_traced_with;
-use dash_mpc::{CrashPoint, FaultPlan};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -44,83 +43,18 @@ BLOCKED PIPELINE (results are bit-identical for any block size):
 
 TRANSPORT:
     --deadline-ms N  per-receive deadline in milliseconds [default: 60000]
-    --retries N      max send retries on transient failure [default: 3]
-    --backoff-ms N   initial retry backoff in ms, doubles per retry [default: 1]
 
-FAULT INJECTION (deterministic; any flag below enables the injector):
-    --fault-seed S      fault stream seed [default: protocol seed]
-    --fault-delay P     per-message delay probability in [0,1]
-    --fault-drop P      per-message drop probability in [0,1]
-    --fault-dup P       per-message duplication probability in [0,1]
-    --fault-reorder P   per-message reorder probability in [0,1]
-    --fault-transient P per-message transient send-failure probability
-    --fault-crash P:N   party P crashes after its N-th send (e.g. 1:5)";
-
-/// Parses `party:after_sends` for `--fault-crash`.
-fn parse_crash(raw: &str) -> Option<CrashPoint> {
-    let (party, after) = raw.split_once(':')?;
-    Some(CrashPoint {
-        party: party.trim().parse().ok()?,
-        after_sends: after.trim().parse().ok()?,
-    })
-}
-
-/// Builds the fault plan if any `--fault-*` flag was given.
-fn fault_plan(flags: &Flags, seed: u64) -> Result<Option<FaultPlan>, CliError> {
-    let fault_seed = flags.parse_or("fault-seed", seed, "an integer seed")?;
-    let prob = |name: &'static str| -> Result<f64, CliError> {
-        let p: f64 = flags.parse_or(name, 0.0, "a probability in [0,1]")?;
-        if (0.0..=1.0).contains(&p) {
-            Ok(p)
-        } else {
-            Err(CliError::BadValue {
-                flag: format!("--{name}"),
-                value: p.to_string(),
-                expected: "a probability in [0,1]",
-            })
-        }
-    };
-    let delay_prob = prob("fault-delay")?;
-    let drop_prob = prob("fault-drop")?;
-    let dup_prob = prob("fault-dup")?;
-    let reorder_prob = prob("fault-reorder")?;
-    let transient_prob = prob("fault-transient")?;
-    let crash = match flags.optional("fault-crash") {
-        None => None,
-        Some(raw) => Some(parse_crash(&raw).ok_or_else(|| CliError::BadValue {
-            flag: "--fault-crash".into(),
-            value: raw,
-            expected: "party:after_sends (e.g. 1:5)",
-        })?),
-    };
-    let enabled = delay_prob > 0.0
-        || drop_prob > 0.0
-        || dup_prob > 0.0
-        || reorder_prob > 0.0
-        || transient_prob > 0.0
-        || crash.is_some();
-    Ok(enabled.then(|| FaultPlan {
-        seed: fault_seed,
-        delay_prob,
-        drop_prob,
-        dup_prob,
-        reorder_prob,
-        transient_prob,
-        crash,
-        ..FaultPlan::default()
-    }))
-}
+FAULT INJECTION happens below the sockets, with `dash chaos` between two
+`dash party` processes, or by killing a party process.";
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, USAGE)?;
     let dir = PathBuf::from(flags.required("dir", USAGE)?);
     let scan = ScanFlags::parse(&flags)?;
-    let faults = fault_plan(&flags, scan.seed)?;
     flags.reject_unknown(USAGE)?;
 
-    let mut cfg = scan.config()?;
-    cfg.faults = faults;
+    let cfg = scan.config()?;
 
     let parties = load_all_parties(&dir)?;
     let trace = scan.trace(parties.len());
@@ -198,85 +132,34 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_recover_and_report_retries() {
-        let dir = setup("transient");
-        let mut buf = Vec::new();
-        run(
-            &argv(&[
-                "--dir",
-                dir.to_str().unwrap(),
-                "--audit",
-                "false",
-                "--fault-transient",
-                "0.6",
-                "--fault-seed",
-                "9",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("secure scan over 2 parties"), "{text}");
-        // At a 60% transient-failure rate the retry loop must have fired
-        // (fault fates are deterministic for a fixed --fault-seed).
-        let retries: u64 = text
-            .lines()
-            .find(|l| l.starts_with("transport:"))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|n| n.parse().ok())
-            .unwrap();
-        assert!(retries > 0, "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn crashed_party_yields_structured_error() {
-        let dir = setup("crash");
+    fn removed_fault_and_retry_flags_are_unknown() {
+        // Both commands refuse the message-level injector's and the
+        // retry loop's flags by name, before touching any data or socket.
         let mut buf = Vec::new();
         let err = run(
-            &argv(&[
-                "--dir",
-                dir.to_str().unwrap(),
-                "--fault-crash",
-                "1:0",
-                "--deadline-ms",
-                "500",
-            ]),
+            &argv(&["--dir", "no-such-dir", "--fault-drop", "0.1"]),
             &mut buf,
         )
         .unwrap_err();
-        let msg = err.to_string();
         assert!(
-            msg.contains("party 1") || msg.contains("timed out") || msg.contains("closed"),
-            "unexpected error: {msg}"
+            err.to_string().starts_with("unknown flag --fault-drop"),
+            "{err}"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_crash_spec_rejected() {
-        let dir = setup("badcrash");
-        let mut buf = Vec::new();
-        let err = run(
-            &argv(&["--dir", dir.to_str().unwrap(), "--fault-crash", "nope"]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--fault-crash"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fault_probability_out_of_range_rejected() {
-        let dir = setup("badprob");
-        let mut buf = Vec::new();
-        let err = run(
-            &argv(&["--dir", dir.to_str().unwrap(), "--fault-drop", "1.5"]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--fault-drop"));
-        std::fs::remove_dir_all(&dir).ok();
+        let party = argv(&[
+            "--id",
+            "0",
+            "--peers",
+            "127.0.0.1:9,127.0.0.1:10",
+            "--dir",
+            "no-such-dir",
+            "--retries",
+            "3",
+        ]);
+        let err = crate::commands::party::run(&party, &mut buf).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown flag --retries"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn secure_pca(parties: &[PartyData], cfg: &PcaConfig) -> Result<SecurePcaOut
     let r = cfg.components;
 
     // `PcaConfig` carries no transport settings, so the run uses the
-    // default deadline and retry policy with no fault plan.
+    // default deadline.
     let (results, stats, _audit) =
         run_in_process(parties, cfg.seed, &NetOptions::default(), |ctx, data| {
             party_pca(ctx, data.x(), m, r, cfg, &codec)

@@ -39,7 +39,7 @@ use dash_mpc::dealer::TrustedDealer;
 use dash_mpc::net::{CostModel, NetOptions, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
 use dash_mpc::tcp::TcpConfig;
-use dash_mpc::transport::{FaultPlan, RetryPolicy, Transport, TransportConfig};
+use dash_mpc::transport::{Transport, TransportConfig};
 use dash_mpc::{FixedPointCodec, MpcError};
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
 use std::sync::Arc;
@@ -97,13 +97,6 @@ pub struct SecureScanConfig {
     /// Longest any party waits for one message before failing with a
     /// structured timeout (milliseconds).
     pub deadline_ms: u64,
-    /// Resend attempts after a transient send failure.
-    pub max_retries: u32,
-    /// Backoff before the first resend (milliseconds; doubles per
-    /// attempt).
-    pub retry_backoff_ms: u64,
-    /// Optional deterministic fault injection (testing/chaos runs only).
-    pub faults: Option<FaultPlan>,
     /// Variant-block size of the aggregation pipeline: the variants are
     /// walked in blocks of B columns — peak summand memory O(K·B) —
     /// overlapping each block's secure round with the next block's local
@@ -124,9 +117,6 @@ impl Default for SecureScanConfig {
             field_frac_bits: 26,
             seed: 0xDA54,
             deadline_ms: 60_000,
-            max_retries: 3,
-            retry_backoff_ms: 1,
-            faults: None,
             block_size: None,
             threads: 1,
         }
@@ -169,12 +159,7 @@ impl SecureScanConfig {
         NetOptions {
             transport: TransportConfig {
                 deadline: Duration::from_millis(self.deadline_ms),
-                retry: RetryPolicy {
-                    max_retries: self.max_retries,
-                    backoff: Duration::from_millis(self.retry_backoff_ms),
-                },
             },
-            faults: self.faults,
             trace: TraceHandle::disabled(),
         }
     }
@@ -193,7 +178,9 @@ pub struct NetworkReport {
     pub lan_seconds: f64,
     /// Simulated wall clock on a 100 Mbit/s / 30 ms WAN.
     pub wan_seconds: f64,
-    /// Send retries performed across all parties (0 on a healthy run).
+    /// Send retries across all parties: 0 by construction, since no
+    /// transport retries a send. Kept for the benchmark's
+    /// failed-operations parser.
     pub total_retries: u64,
     /// Receive deadline expiries across all parties (0 on a healthy run).
     pub total_timeouts: u64,
@@ -360,7 +347,7 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
 type RunParts<T> = (Vec<T>, Arc<NetworkStats>, DisclosureLog);
 
 /// The flatten step every in-process workload shares: a party's slot
-/// carries panics and crash faults on the outside (`PartyFailed`) and its
+/// carries panics on the outside (`PartyFailed`) and its
 /// protocol errors on the inside; any party's failure fails the run with
 /// that party's structured error — never a hang or a process panic.
 fn flatten<T>(
@@ -385,7 +372,7 @@ fn own_rows<'a, P>(parties: &'a [P], ctx: &PartyCtx) -> Result<&'a P, CoreError>
 /// Runs `f(ctx, its rows)` as one in-process party per element of
 /// `parties` on the structured runner and flattens the outcome. The §5
 /// workloads (logistic, multi-phenotype, online, PCA) run through here,
-/// so they honour `opts` — deadline, retries, fault plan, trace — exactly
+/// so they honour `opts` — deadline and trace — exactly
 /// like the linear scan.
 pub(crate) fn run_in_process<P: Sync, T: Send>(
     parties: &[P],
@@ -557,9 +544,7 @@ where
 /// Restrictions, each a structured [`CoreError::Checkpoint`]: the
 /// aggregation mode must not be Beaver (its y aggregate stays
 /// secret-shared across blocks, and share material must never touch
-/// disk), the transport must have durable link identity (TCP), and the
-/// deterministic fault injector cannot be combined with checkpointing
-/// (replayed faults would desync its per-message schedule).
+/// disk), and the transport must have durable link identity (TCP).
 pub fn secure_scan_party_checkpointed<S, T>(
     data: &S,
     cfg: &SecureScanConfig,
@@ -640,7 +625,6 @@ mod tests {
         let opts = NetOptions {
             transport: TransportConfig {
                 deadline: Duration::from_millis(200),
-                ..TransportConfig::default()
             },
             ..NetOptions::default()
         };

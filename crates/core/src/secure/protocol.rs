@@ -34,8 +34,8 @@ use std::sync::mpsc;
 /// With `policy`, the protocol state is persisted after the y round and
 /// after every block, and — when `policy.resume_from` is set — the run
 /// rejoins an interrupted one at its last durable block boundary instead
-/// of starting over. Checkpointing needs a non-Beaver aggregation mode,
-/// no fault injector, and a transport with durable link identity (TCP);
+/// of starting over. Checkpointing needs a non-Beaver aggregation mode
+/// and a transport with durable link identity (TCP);
 /// anything else is a structured [`CoreError::Checkpoint`], never a
 /// silently unusable checkpoint.
 pub(crate) fn party_protocol_with<S: SummandSource>(
@@ -247,12 +247,6 @@ fn checkpoint_target(
     k: usize,
     block_size: usize,
 ) -> Result<(PathBuf, Fingerprint), CoreError> {
-    if cfg.faults.is_some() {
-        return Err(ckpt_err(
-            "checkpointing cannot be combined with the deterministic fault \
-             injector; use the socket-level chaos proxy instead",
-        ));
-    }
     if cfg.aggregation == AggregationMode::BeaverDots {
         return Err(ckpt_err(
             "checkpointing is unsupported in Beaver mode: the y aggregate stays \

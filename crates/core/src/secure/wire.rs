@@ -10,7 +10,7 @@ use dash_mpc::{MpcError, PartyCtx};
 pub(crate) fn send_f64(ctx: &PartyCtx, to: usize, tag: u32, vals: &[f64]) -> Result<(), MpcError> {
     let words: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
     // The ctx helpers (rather than the raw endpoint) apply the configured
-    // retry policy and receive deadline.
+    // receive deadline.
     ctx.send_words(to, tag, &words)
 }
 
@@ -104,35 +104,25 @@ mod tests {
 
     #[test]
     fn all_gather_survives_injected_delays() {
-        // Regression for the fixed-order schedule: with random link
-        // delays, every party must still assemble the party-ordered
-        // vector, and repeated gathers must not cross-talk (the rotated
-        // schedule changes completion order, not correctness).
-        use dash_mpc::net::NetOptions;
-        use dash_mpc::transport::FaultPlan;
+        // Regression for the fixed-order schedule: with every party
+        // arriving late by its own seeded amount, each must still
+        // assemble the party-ordered vector, and repeated gathers must
+        // not cross-talk (the rotated schedule changes completion order,
+        // not correctness).
         use std::time::Duration;
 
-        let opts = NetOptions {
-            faults: Some(FaultPlan {
-                seed: 7,
-                delay_prob: 0.6,
-                max_delay: Duration::from_millis(3),
-                ..FaultPlan::default()
-            }),
-            ..NetOptions::default()
-        };
-        let (results, _, _) = Network::run_parties_detailed_with(4, 2, &opts, |ctx| {
+        let results = Network::run_parties(4, 2, |ctx| {
             let mut rounds = Vec::new();
             for round in 0..3 {
+                let delay_us = ctx.rng_mut().next_u64() % 3_000;
+                std::thread::sleep(Duration::from_micros(delay_us));
                 let tag = ctx.fresh_tag();
                 let own = [ctx.id() as f64 + 100.0 * round as f64];
                 rounds.push(all_gather_f64(ctx, tag, &own).unwrap());
             }
             rounds
-        })
-        .unwrap();
-        for r in results {
-            let rounds = r.unwrap();
+        });
+        for rounds in results {
             for (round, gathered) in rounds.into_iter().enumerate() {
                 let want: Vec<Vec<f64>> = (0..4)
                     .map(|p| vec![p as f64 + 100.0 * round as f64])

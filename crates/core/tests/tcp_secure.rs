@@ -2,10 +2,8 @@
 //! in-process mpsc network at the protocol level: bit-identical scan
 //! results, identical `NetworkStats` totals (both paths record at the
 //! same sender-side accounting point) and identical disclosure logs —
-//! healthy or under the deterministic fault-injection matrix
-//! (duplicates, reorders, transient send failures, delays), since
-//! [`dash_mpc::FaultyTransport`] wraps either transport through the same
-//! frame methods of `Transport`, with the same fate hashes.
+//! healthy, or with a supervised link torn mid-scan by a
+//! [`ChaosProxy`] and recovered by reconnect and replay.
 
 // Test code asserts freely; the panic-free discipline applies to the
 // protocol code proper.
@@ -13,12 +11,18 @@
 
 use dash_core::model::PartyData;
 use dash_core::secure::{
-    secure_scan, secure_scan_tcp_local_traced, AggregationMode, RFactorMode, SecureScanConfig,
-    SecureScanOutput, TraceHandle,
+    secure_scan, secure_scan_party_with, secure_scan_tcp_local_traced, AggregationMode,
+    RFactorMode, SecureScanConfig, SecureScanOutput, TraceHandle,
 };
-use dash_core::ScanResult;
+use dash_core::{CoreError, ScanResult};
 use dash_linalg::Matrix;
-use dash_mpc::transport::FaultPlan;
+use dash_mpc::{
+    ChaosMode, ChaosPolicy, ChaosProxy, LinkSupervision, MpcError, NetworkStats, TcpConfig,
+    TcpTransport,
+};
+use std::net::{Ipv4Addr, TcpListener};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn gen_parties(sizes: &[usize], m: usize, k: usize, seed: u64) -> Vec<PartyData> {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
@@ -130,86 +134,137 @@ fn tcp_matches_inprocess_strict_ladder_and_blocked() {
     assert_tcp_matches_inprocess(&parties, &blocked, "blocked");
 }
 
+/// Runs a two-party scan with one supervised TCP process per party
+/// (threads here), party 1 dialing party 0 through a [`ChaosProxy`] — the
+/// layout of the proxy's own link tests. Returns each party's outcome,
+/// the proxy (for its connection count) and the wall time.
+fn proxied_party_scan(
+    parties: &[PartyData],
+    cfg: &SecureScanConfig,
+    mode: ChaosMode,
+    policy: ChaosPolicy,
+) -> (
+    Vec<Result<SecureScanOutput, CoreError>>,
+    ChaosProxy,
+    Duration,
+) {
+    let sup = LinkSupervision {
+        heartbeat_interval: Duration::from_millis(20),
+        liveness_deadline: Duration::from_secs(1),
+        reconnect_window: Duration::from_secs(2),
+        reconnect_backoff: Duration::from_millis(20),
+        replay_capacity: 4096,
+    };
+    let tcp = TcpConfig {
+        run_id: cfg.seed,
+        connect_timeout: Duration::from_secs(2),
+        connect_retries: 40,
+        connect_backoff: Duration::from_millis(10),
+        accept_timeout: Duration::from_secs(10),
+        jitter_seed: cfg.seed,
+        supervision: Some(sup),
+    };
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap())
+        .collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let proxy = ChaosProxy::start(addrs[0], mode, policy).unwrap();
+    // Only dialers of party 0 read peers[0], so party 1 alone goes
+    // through the proxy.
+    let views = [addrs.clone(), vec![proxy.local_addr(), addrs[1]]];
+    let started = Instant::now();
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .zip(&views)
+            .zip(parties)
+            .enumerate()
+            .map(|(id, ((listener, peers), data))| {
+                scope.spawn(move || {
+                    let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
+                    let transport = TcpTransport::connect(id, listener, peers, tcp, stats)?;
+                    secure_scan_party_with(data, cfg, transport)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    (outcomes, proxy, started.elapsed())
+}
+
 #[test]
-fn tcp_matches_inprocess_under_fault_matrix() {
-    // The deterministic fault plans (pure fate hashes of seed × link ×
-    // message index) drive identical fault sequences over mpsc and TCP,
-    // so even the faulted runs must agree exactly — including retry
-    // counters.
-    let parties = gen_parties(&[6, 5, 7], 3, 2, 0xFA117);
-    let profiles: [(&str, FaultPlan); 4] = [
-        (
-            "dup",
-            FaultPlan {
-                seed: 3,
-                dup_prob: 0.5,
-                ..FaultPlan::default()
-            },
-        ),
-        (
-            "reorder",
-            FaultPlan {
-                seed: 5,
-                reorder_prob: 0.5,
-                ..FaultPlan::default()
-            },
-        ),
-        (
-            "transient",
-            FaultPlan {
-                seed: 7,
-                transient_prob: 0.5,
-                ..FaultPlan::default()
-            },
-        ),
-        (
-            "delay",
-            FaultPlan {
-                seed: 9,
-                delay_prob: 0.3,
-                ..FaultPlan::default()
-            },
-        ),
-    ];
-    for (name, plan) in profiles {
-        for agg in [AggregationMode::MaskedPrg, AggregationMode::BeaverDots] {
-            let cfg = SecureScanConfig {
-                aggregation: agg,
-                faults: Some(plan),
-                seed: 0xD15EA5E,
-                ..SecureScanConfig::default()
-            };
-            assert_tcp_matches_inprocess(&parties, &cfg, &format!("{name}/{agg:?}"));
+fn scan_over_a_link_torn_mid_scan_matches_inprocess() {
+    // The first connection is reset after 3000 forwarded bytes — past
+    // the handshake, well inside the scan's block rounds. Reconnect and
+    // replay must make the cut invisible: same bits, same accounting.
+    let parties = gen_parties(&[9, 8], 120, 2, 0x7EA2);
+    for agg in [AggregationMode::MaskedPrg, AggregationMode::BeaverDots] {
+        let cfg = SecureScanConfig {
+            aggregation: agg,
+            block_size: Some(16),
+            seed: 0xC4A05,
+            ..SecureScanConfig::default()
+        };
+        let want = secure_scan(&parties, &cfg).unwrap();
+        let (outcomes, proxy, _) = proxied_party_scan(
+            &parties,
+            &cfg,
+            ChaosMode::RstAfterBytes(3000),
+            ChaosPolicy::FirstConnectionOnly,
+        );
+        let outs: Vec<SecureScanOutput> = outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|e| panic!("{agg:?}: party failed: {e}")))
+            .collect();
+        assert!(proxy.connections() >= 2, "{agg:?}: the cut never fired");
+        proxy.stop();
+        for out in &outs {
+            assert_bits_eq(&out.result, &want.result, &format!("{agg:?}"));
         }
+        // Each process counts its own outbound traffic; replayed frames
+        // are not counted twice.
+        let sum = |f: fn(&SecureScanOutput) -> u64| outs.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|o| o.network.total_bytes), want.network.total_bytes);
+        assert_eq!(
+            sum(|o| o.network.total_messages),
+            want.network.total_messages
+        );
+        let mut union: Vec<_> = outs.iter().flat_map(sorted_disclosures).collect();
+        union.sort();
+        assert_eq!(union, sorted_disclosures(&want), "{agg:?}: disclosures");
     }
 }
 
 #[test]
-fn tcp_fails_structurally_under_message_loss() {
-    // Heavy loss with a short deadline: both paths must fail with a
-    // structured transport error (never hang, never panic). The exact
-    // variant each party observes first is scheduling-dependent, so only
-    // the structural outcome is pinned.
-    let parties = gen_parties(&[6, 5], 3, 2, 0xDEAD);
+fn scan_over_a_partition_longer_than_the_reconnect_window_fails_structurally() {
+    // The link is cut mid-scan and every re-dial is black-holed far past
+    // the 2 s reconnect window: the run must end in a structured
+    // PeerCrashed verdict, not a hang or a deadline-length wait.
+    let parties = gen_parties(&[9, 8], 120, 2, 0xDEAD);
     let cfg = SecureScanConfig {
-        aggregation: AggregationMode::MaskedPrg,
-        faults: Some(FaultPlan {
-            seed: 1,
-            drop_prob: 0.7,
-            ..FaultPlan::default()
-        }),
-        deadline_ms: 400,
-        max_retries: 1,
+        block_size: Some(16),
         seed: 77,
         ..SecureScanConfig::default()
     };
-    let started = std::time::Instant::now();
-    let mpsc = secure_scan(&parties, &cfg);
-    let tcp = secure_scan_tcp_local_traced(&parties, &cfg, TraceHandle::disabled());
-    assert!(mpsc.is_err(), "mpsc path must fail under heavy loss");
-    assert!(tcp.is_err(), "tcp path must fail under heavy loss");
+    let (outcomes, proxy, waited) = proxied_party_scan(
+        &parties,
+        &cfg,
+        ChaosMode::PartitionAfterBytes {
+            bytes: 3000,
+            window: Duration::from_secs(120),
+        },
+        ChaosPolicy::EveryConnection,
+    );
+    proxy.stop();
+    assert!(waited < Duration::from_secs(30), "verdict took {waited:?}");
     assert!(
-        started.elapsed() < std::time::Duration::from_secs(60),
-        "structured failure must beat the deadline bound, not hang"
+        outcomes.iter().all(Result::is_err),
+        "a party finished across a dead link"
+    );
+    assert!(
+        outcomes
+            .iter()
+            .any(|o| matches!(o, Err(CoreError::Mpc(MpcError::PeerCrashed { .. })))),
+        "wanted a PeerCrashed verdict, got {outcomes:?}"
     );
 }

@@ -6,9 +6,8 @@
 //! opening sites. A mismatch in either direction means the audit log is
 //! lying about what left the parties' machines.
 //!
-//! These tests exercise the *blocked* pipeline (the production path) and
-//! a fault-injected run, so the equalities are pinned under retransmission
-//! and duplication too.
+//! These tests exercise the *blocked* pipeline (the production path) in
+//! the Beaver and the masked modes.
 
 // Test code asserts freely; the panic-free discipline applies to the
 // protocol code proper.
@@ -20,8 +19,6 @@ use dash_core::secure::{
     TraceCounter, TraceHandle,
 };
 use dash_linalg::Matrix;
-use dash_mpc::transport::FaultPlan;
-use std::time::Duration;
 
 fn gen_parties(sizes: &[usize], m: usize, k: usize, seed: u64) -> Vec<PartyData> {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
@@ -121,26 +118,15 @@ fn trace_totals_match_network_report_exactly() {
     assert_eq!(max_sent, out.network.max_party_bytes, "per-party maximum");
 }
 
-/// Under injected duplication and transient send failures the mirror
-/// equalities still hold (duplicates and retries are real traffic and
-/// are counted identically on both sides), and every retry appears in
-/// the trace.
+/// The mirror equalities hold in the masked mode too, and the per-block
+/// partition leaves the unscoped phases their own bytes.
 #[test]
-fn trace_matches_stats_under_fault_injection() {
+fn trace_matches_stats_in_a_masked_blocked_run() {
     let parties = gen_parties(&[12, 15], 4, 1, 77);
     let cfg = SecureScanConfig {
         aggregation: AggregationMode::MaskedPrg,
         block_size: Some(2),
         seed: 5,
-        deadline_ms: 60_000,
-        faults: Some(FaultPlan {
-            seed: 9,
-            dup_prob: 0.3,
-            transient_prob: 0.3,
-            delay_prob: 0.2,
-            max_delay: Duration::from_millis(1),
-            ..FaultPlan::default()
-        }),
         ..SecureScanConfig::default()
     };
     let trace = TraceHandle::enabled(parties.len());
@@ -148,19 +134,14 @@ fn trace_matches_stats_under_fault_injection() {
     assert_eq!(
         trace.counter_total(TraceCounter::BytesSent),
         out.network.total_bytes,
-        "byte mirror under faults"
-    );
-    assert!(
-        out.network.total_retries > 0,
-        "transient_prob 0.3 must force at least one retry"
+        "byte mirror"
     );
     assert_eq!(
         trace.counter_total(TraceCounter::Retries),
         out.network.total_retries,
-        "retry mirror under faults"
+        "retry mirror"
     );
-    // The blocked per-block partition survives fault injection: block
-    // rounds plus unscoped traffic still account for every byte.
+    // Block rounds plus unscoped traffic account for every byte.
     assert!(
         out.per_block_bytes.iter().sum::<u64>() < out.network.total_bytes,
         "unscoped phases also move bytes"

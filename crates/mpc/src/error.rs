@@ -42,18 +42,18 @@ pub enum MpcError {
         tag: u32,
         waited: std::time::Duration,
     },
-    /// A party's protocol execution failed outright — it panicked, or a
-    /// crash fault was injected. Survivors see [`MpcError::ChannelClosed`]
-    /// or [`MpcError::Timeout`]; the failed party's own result slot
-    /// carries this variant with the captured panic/crash reason.
+    /// A party's protocol execution failed outright — it panicked.
+    /// Survivors see [`MpcError::ChannelClosed`] or [`MpcError::Timeout`];
+    /// the failed party's own result slot carries this variant with the
+    /// captured panic reason.
     PartyFailed { party: usize, reason: String },
     /// A payload arrived whose length is not a whole number of 8-byte
     /// words, so it cannot be decoded without silently dropping trailing
     /// bytes.
     MalformedPayload { from: usize, len: usize },
     /// A peer sprayed more early-sequence frames than the per-link
-    /// reorder buffer holds. A correct peer under the supported fault
-    /// model stays far below the cap, so overflow means the peer is
+    /// reorder buffer holds. A correct peer, even replaying after a
+    /// reconnect, stays far below the cap, so overflow means the peer is
     /// misbehaving (or the link is corrupting sequence numbers); failing
     /// structurally beats growing without bound.
     ReorderOverflow { peer: usize, buffered: usize },
@@ -61,10 +61,6 @@ pub enum MpcError {
     /// with a different run id or protocol version, claimed an impossible
     /// party id, or the socket died before the hello exchange finished.
     Handshake { peer: usize, reason: String },
-    /// A send attempt failed transiently (injected fault or flaky link).
-    /// Retryable: the retry policy resends with backoff, and the error
-    /// only surfaces once retries are exhausted.
-    TransientFailure { peer: usize },
     /// This Beaver round needs a batch of `wanted` triples and the dealer
     /// offers one of `available` (0: no dealer, or its stream has ended).
     DealerExhausted { wanted: usize, available: usize },
@@ -145,9 +141,6 @@ impl fmt::Display for MpcError {
             ),
             MpcError::Handshake { peer, reason } => {
                 write!(f, "handshake with party {peer} failed: {reason}")
-            }
-            MpcError::TransientFailure { peer } => {
-                write!(f, "transient send failure towards party {peer}")
             }
             MpcError::DealerExhausted { wanted, available } => {
                 write!(f, "dealer: wanted {wanted} triples, batch has {available}")

@@ -22,8 +22,7 @@
 //! - [`transport`]: the one [`transport::Transport`] trait between a
 //!   party's protocol and the wire — implementors move sequence-numbered
 //!   frames; the word codec, tag check and timeout accounting are
-//!   provided once on top — plus deterministic fault injection
-//!   ([`transport::FaultyTransport`]) for resilience testing.
+//!   provided once on top.
 //! - [`net`]: the in-process mpsc implementor ([`net::Endpoint`]), the
 //!   exact per-link byte/message accounting every implementor records
 //!   into, a latency/bandwidth cost model, and the one party runner.
@@ -111,9 +110,7 @@ pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
 pub use ring::R64;
 pub use secret::{OpenMode, ScalarCount, Secret};
 pub use tcp::{LinkSupervision, TcpConfig, TcpTransport};
-pub use transport::{
-    CrashPoint, FaultPlan, FaultyTransport, RetryPolicy, Transport, TransportConfig,
-};
+pub use transport::{Transport, TransportConfig};
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, MpcError>;

@@ -9,17 +9,17 @@
 //! LAN/WAN wall clock for the E4 overhead tables.
 //!
 //! Messages carry per-link sequence numbers: receivers deliver frames in
-//! send order, drop duplicates, and buffer early arrivals, so the
-//! [`crate::transport::FaultyTransport`] wrapper can duplicate and
-//! reorder traffic without desynchronizing the protocol. Every receive
-//! is deadline-bounded — a stalled or crashed peer yields
-//! [`MpcError::Timeout`] or [`MpcError::ChannelClosed`], never a hang.
+//! send order, drop duplicates, and buffer early arrivals, so the frames
+//! a TCP link replays after a reconnect cannot desynchronize the
+//! protocol. Every receive is deadline-bounded — a stalled or crashed
+//! peer yields [`MpcError::Timeout`] or [`MpcError::ChannelClosed`],
+//! never a hang.
 
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
 use crate::party::PartyCtx;
 use crate::tcp::{TcpConfig, TcpTransport};
-use crate::transport::{FaultPlan, FaultyTransport, Transport, TransportConfig};
+use crate::transport::{Transport, TransportConfig};
 use dash_obs::{Counter, TraceHandle};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -40,10 +40,11 @@ pub const HEADER_BYTES: u64 = 20;
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Most early (out-of-order) frames a receiver buffers per link before
-/// failing with [`MpcError::ReorderOverflow`]. The supported fault model
-/// inverts at most adjacent frames, so a well-behaved link never holds
-/// more than a handful; the cap exists so a misbehaving peer spraying
-/// far-future sequence numbers exhausts this bound instead of memory.
+/// failing with [`MpcError::ReorderOverflow`]. Early frames come only
+/// from a TCP link replaying its unacknowledged frames after a reconnect,
+/// so a well-behaved link never holds more than a handful; the cap exists
+/// so a misbehaving peer spraying far-future sequence numbers exhausts
+/// this bound instead of memory.
 pub const MAX_EARLY_FRAMES: usize = 1024;
 
 // The tag-space constants historically lived here; they now come from the
@@ -163,8 +164,7 @@ impl NetworkStats {
         self.trace.add(party, c, amount);
     }
 
-    /// Counts one per-party event: a send retry performed
-    /// ([`Counter::Retries`]), a receive deadline expired
+    /// Counts one per-party event: a receive deadline expired
     /// ([`Counter::Timeouts`]), a link re-established
     /// ([`Counter::Reconnects`]), a heartbeat frame shipped
     /// ([`Counter::HeartbeatsSent`]; bytes/messages stay untouched) or a
@@ -588,15 +588,12 @@ impl Transport for Endpoint {
     }
 }
 
-/// Knobs for one protocol run: the transport policy every party uses,
-/// optional fault injection, and the observability sink.
+/// Knobs for one protocol run: the transport policy every party uses and
+/// the observability sink.
 #[derive(Debug, Clone, Default)]
 pub struct NetOptions {
-    /// Receive deadline and send retry policy.
+    /// Receive deadline.
     pub transport: TransportConfig,
-    /// When set, every party's transport is wrapped in a
-    /// [`FaultyTransport`] driven by this plan.
-    pub faults: Option<FaultPlan>,
     /// Observability sink. Disabled by default; when enabled, the shared
     /// [`NetworkStats`] mirrors every counter into it and the protocol
     /// layers record spans and protocol counters through
@@ -605,9 +602,8 @@ pub struct NetOptions {
 }
 
 impl NetOptions {
-    /// One party's protocol context over an established transport: the
-    /// configured fault injector (if any) wrapped around it, this run's
-    /// deadline/retry policy, and the party's seeded randomness. Every
+    /// One party's protocol context over an established transport: this
+    /// run's deadline and the party's seeded randomness. Every
     /// run shape — mpsc mesh, loopback TCP mesh, a lone party process —
     /// builds its contexts here.
     pub fn party_ctx<X: Transport + 'static>(
@@ -616,11 +612,7 @@ impl NetOptions {
         seed: u64,
         audit: DisclosureLog,
     ) -> PartyCtx {
-        let boxed: Box<dyn Transport> = match self.faults {
-            Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
-            None => Box::new(transport),
-        };
-        PartyCtx::with_transport(boxed, self.transport, seed, audit)
+        PartyCtx::with_transport(Box::new(transport), self.transport, seed, audit)
     }
 }
 
@@ -628,7 +620,7 @@ impl NetOptions {
 pub struct Network;
 
 /// What a structured runner hands back: each party's slot (`Err` for a
-/// party that panicked, crashed or never got its transport), the shared
+/// party that panicked or never got its transport), the shared
 /// counters, and the shared disclosure log.
 type PartyRun<T> = (Vec<Result<T, MpcError>>, Arc<NetworkStats>, DisclosureLog);
 
@@ -762,7 +754,7 @@ impl Network {
     /// threads execute the same (SPMD) protocol closure; `seed` derives
     /// every party's private randomness and all pairwise mask seeds, so
     /// runs are fully reproducible. Each party's slot is a `Result` — a
-    /// party that panics (or hits an injected crash fault) yields
+    /// party that panics yields
     /// `Err(MpcError::PartyFailed)` in its own slot while the survivors
     /// keep running and report their own structured errors
     /// ([`MpcError::ChannelClosed`] or [`MpcError::Timeout`]) within the
@@ -840,7 +832,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{words_to_bytes, RetryPolicy};
+    use crate::transport::words_to_bytes;
 
     #[test]
     fn zero_parties_rejected() {
@@ -1085,6 +1077,35 @@ mod tests {
     }
 
     #[test]
+    fn duplicated_and_reordered_frames_deliver_once_in_order() {
+        // The receive path both transports share: a TCP link replays
+        // frames after a reconnect, so a receiver sees repeats and
+        // out-of-order arrivals and must still deliver each seq once.
+        let (tx, rx) = channel();
+        for seq in [1, 0, 0, 2, 1, 3] {
+            let payload = words_to_bytes(&[seq]);
+            tx.send(Message {
+                seq,
+                tag: 4,
+                payload,
+            })
+            .unwrap();
+        }
+        drop(tx);
+        let mut link = RecvState::new(rx);
+        let deadline = Duration::from_millis(20);
+        for seq in 0..4 {
+            let msg = link.recv_in_order(0, 4, deadline).unwrap();
+            assert_eq!((msg.seq, msg.payload), (seq, words_to_bytes(&[seq])));
+        }
+        // Nothing is left over: the repeats were discarded, not queued.
+        assert_eq!(
+            link.recv_in_order(0, 4, deadline).unwrap_err(),
+            MpcError::ChannelClosed { peer: 0 }
+        );
+    }
+
+    #[test]
     fn run_parties_all_to_all() {
         // Every party sends its id to everyone and sums what it receives.
         let results = Network::run_parties(4, 99, |ctx| {
@@ -1114,7 +1135,6 @@ mod tests {
         let opts = NetOptions {
             transport: TransportConfig {
                 deadline: Duration::from_millis(100),
-                retry: RetryPolicy::default(),
             },
             ..NetOptions::default()
         };

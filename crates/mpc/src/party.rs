@@ -108,37 +108,9 @@ impl PartyCtx {
         self.transport.as_ref()
     }
 
-    /// Sends a word vector, retrying transient failures with exponential
-    /// backoff per the configured [`crate::transport::RetryPolicy`].
-    ///
-    /// The retry sleeps are charged against the configured deadline: the
-    /// loop gives up with the transient error once the budget is spent,
-    /// and the last sleep is truncated to whatever budget remains, so one
-    /// logical send never waits longer than `deadline` in backoff no
-    /// matter how `max_retries × backoff` multiply out.
+    /// Sends a word vector to a peer under a tag.
     pub fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
-        let start = std::time::Instant::now();
-        let mut attempt = 0;
-        loop {
-            match self.transport.send_words(to, tag, words) {
-                Err(err @ MpcError::TransientFailure { .. })
-                    if attempt < self.config.retry.max_retries =>
-                {
-                    let remaining = self.config.deadline.saturating_sub(start.elapsed());
-                    if remaining.is_zero() {
-                        return Err(err);
-                    }
-                    self.transport.stats().record(self.id(), Counter::Retries);
-                    // backoff_for clamps a zero/near-zero configured
-                    // backoff to a floor, so a misconfigured policy can't
-                    // degenerate into an instant-retry busy loop; the
-                    // deadline cap bounds it from above.
-                    std::thread::sleep(self.config.retry.backoff_for(attempt).min(remaining));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
+        self.transport.send_words(to, tag, words)
     }
 
     /// Receives a word vector, waiting at most the configured deadline.
@@ -423,121 +395,7 @@ impl PartyCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{Network, NetworkStats};
-    use crate::transport::RetryPolicy;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// A transport whose every send fails transiently — unlike the fault
-    /// injector (which fires a transient fault at most once per logical
-    /// message), this exercises the full retry budget.
-    #[derive(Debug)]
-    struct AlwaysTransient {
-        stats: Arc<NetworkStats>,
-    }
-
-    impl Transport for AlwaysTransient {
-        fn id(&self) -> usize {
-            0
-        }
-        fn n_parties(&self) -> usize {
-            2
-        }
-        fn stats(&self) -> &Arc<NetworkStats> {
-            &self.stats
-        }
-        fn alloc_seq(&self, _to: usize) -> Result<u64, MpcError> {
-            Ok(0)
-        }
-        fn send_frame(&self, to: usize, _msg: crate::net::Message) -> Result<(), MpcError> {
-            Err(MpcError::TransientFailure { peer: to })
-        }
-        fn recv_frame(
-            &self,
-            from: usize,
-            tag: u32,
-            deadline: Duration,
-        ) -> Result<crate::net::Message, MpcError> {
-            Err(MpcError::Timeout {
-                peer: from,
-                tag,
-                waited: deadline,
-            })
-        }
-    }
-
-    fn transient_ctx(config: TransportConfig) -> PartyCtx {
-        let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
-        PartyCtx::with_transport(
-            Box::new(AlwaysTransient { stats }),
-            config,
-            7,
-            DisclosureLog::new(),
-        )
-    }
-
-    #[test]
-    fn retry_backoff_is_charged_against_the_deadline() {
-        // Regression (satellite bugfix): the retry loop used to sleep
-        // backoff_for(attempt) without deducting elapsed time from the
-        // deadline budget, so max_retries × backoff could wait far past
-        // the configured deadline. With 1000 retries × 20 ms backoff the
-        // un-deadlined loop would sleep for many seconds; the fix bounds
-        // the total backoff wait by the 100 ms deadline.
-        let ctx = transient_ctx(TransportConfig {
-            deadline: Duration::from_millis(100),
-            retry: RetryPolicy {
-                max_retries: 1000,
-                backoff: Duration::from_millis(20),
-            },
-        });
-        let start = Instant::now();
-        let err = ctx.send_words(1, 5, &[1, 2, 3]).unwrap_err();
-        let waited = start.elapsed();
-        assert_eq!(err, MpcError::TransientFailure { peer: 1 });
-        assert!(
-            waited < Duration::from_secs(2),
-            "retry loop overshot the deadline: waited {waited:?}"
-        );
-        // The loop used some of its budget before giving up (it retried
-        // at least once rather than bailing immediately).
-        assert!(ctx.endpoint().stats().count_by(0, Counter::Retries) >= 1);
-    }
-
-    #[test]
-    fn near_zero_deadline_send_fails_fast_without_sleeping() {
-        // The degenerate budget: with a (near-)zero deadline the first
-        // transient failure surfaces immediately — no backoff sleep is
-        // owed because no budget exists to charge it against.
-        let ctx = transient_ctx(TransportConfig {
-            deadline: Duration::from_nanos(1),
-            retry: RetryPolicy {
-                max_retries: 1000,
-                backoff: Duration::from_secs(10),
-            },
-        });
-        let start = Instant::now();
-        let err = ctx.send_words(1, 5, &[9]).unwrap_err();
-        assert_eq!(err, MpcError::TransientFailure { peer: 1 });
-        assert!(start.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn final_backoff_sleep_is_truncated_to_remaining_budget() {
-        // A single huge backoff must be clipped to the deadline, not
-        // slept in full.
-        let ctx = transient_ctx(TransportConfig {
-            deadline: Duration::from_millis(50),
-            retry: RetryPolicy {
-                max_retries: 1,
-                backoff: Duration::from_secs(30),
-            },
-        });
-        let start = Instant::now();
-        let err = ctx.send_words(1, 2, &[]).unwrap_err();
-        assert_eq!(err, MpcError::TransientFailure { peer: 1 });
-        assert!(start.elapsed() < Duration::from_secs(2));
-    }
+    use crate::net::Network;
 
     #[test]
     fn ids_and_counts() {

@@ -99,7 +99,7 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Link-supervision policy: heartbeats, liveness verdicts and bounded
 /// reconnection. `None` in [`TcpConfig`] keeps the unsupervised
 /// fail-fast semantics (any socket error is immediately fatal for the
-/// link), which is what in-process tests and the fault injector expect.
+/// link), which is what in-process tests expect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSupervision {
     /// How often each party emits a heartbeat frame on an idle link.

@@ -55,7 +55,8 @@ pub enum Counter {
     MessagesSent,
     /// Messages delivered to this party.
     MessagesReceived,
-    /// Send retries this party performed after transient failures.
+    /// Send retries: no transport retries a send, so this stays 0. Kept
+    /// because the benchmark reads it as its failed-operations count.
     Retries,
     /// Receive deadlines this party saw expire.
     Timeouts,

@@ -12,7 +12,6 @@ use dash_core::secure::{secure_scan, SecureScanConfig};
 use dash_core::CoreError;
 use dash_gwas::pheno::{normal_matrix, normal_vec, sample_standard_normal};
 use dash_linalg::{qr_thin, Matrix};
-use dash_mpc::{CrashPoint, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -175,17 +174,15 @@ fn online_accumulators_match_batch_and_survive_reordering() {
     assert!(merged.max_rel_diff(&reference).unwrap() < 1e-5);
 }
 
-/// The §5 secure drivers take a `SecureScanConfig`; its transport half
-/// (deadline, retries, fault plan) must reach the runner. One table, one
-/// row per driver, each reduced to the bits of everything it returns.
-#[test]
-fn section5_drivers_honour_deadline_and_fault_plan() {
-    type Driver = Box<dyn Fn(&SecureScanConfig) -> Result<Vec<u64>, CoreError>>;
+type Driver = Box<dyn Fn(&SecureScanConfig) -> Result<Vec<u64>, CoreError>>;
+
+/// The §5 secure drivers over `ps`, one row each, each reduced to the
+/// bits of everything it returns.
+fn section5_drivers(ps: &[PartyData]) -> Vec<(&'static str, Driver)> {
     let bits = |cols: &[&[f64]]| -> Vec<u64> {
         let all = cols.iter().flat_map(|c| c.iter());
         all.map(|v| v.to_bits()).collect()
     };
-    let ps = parties(&[40, 50, 45], 12, 2, 9);
     let binary: Vec<PartyData> = ps
         .iter()
         .map(|p| {
@@ -203,12 +200,12 @@ fn section5_drivers_honour_deadline_and_fault_plan() {
     let online: Vec<OnlineScan> = ps
         .iter()
         .map(|p| {
-            let mut acc = OnlineScan::new(12, 2);
+            let mut acc = OnlineScan::new(p.n_variants(), p.c().cols());
             acc.push_batch(p).unwrap();
             acc
         })
         .collect();
-    let drivers: Vec<(&str, Driver)> = vec![
+    vec![
         (
             "logistic",
             Box::new(move |cfg| {
@@ -231,55 +228,36 @@ fn section5_drivers_honour_deadline_and_fault_plan() {
                 Ok(bits(&[&r.beta, &r.se, &r.t, &r.p]))
             }),
         ),
-    ];
+    ]
+}
 
-    let with = |faults: FaultPlan| SecureScanConfig {
+/// The §5 secure drivers take a `SecureScanConfig`; its deadline must
+/// reach the runner, and a run with one failing party must end in a
+/// structured error inside it.
+#[test]
+fn section5_drivers_honour_deadline_and_fail_cleanly() {
+    let ps = parties(&[40, 50, 45], 12, 2, 9);
+    let short = SecureScanConfig {
         deadline_ms: 300,
-        faults: Some(faults),
         ..SecureScanConfig::default()
     };
-    let noisy = [
-        FaultPlan {
-            seed: 3,
-            dup_prob: 0.6,
-            ..FaultPlan::default()
-        },
-        FaultPlan {
-            seed: 4,
-            reorder_prob: 0.6,
-            ..FaultPlan::default()
-        },
-        FaultPlan {
-            seed: 5,
-            transient_prob: 0.6,
-            ..FaultPlan::default()
-        },
-        FaultPlan {
-            seed: 6,
-            dup_prob: 0.4,
-            reorder_prob: 0.4,
-            transient_prob: 0.4,
-            ..FaultPlan::default()
-        },
-    ];
-    let crash = FaultPlan {
-        crash: Some(CrashPoint {
-            party: 1,
-            after_sends: 0,
-        }),
-        ..FaultPlan::default()
-    };
-    for (name, run) in &drivers {
+    for (name, run) in section5_drivers(&ps) {
         let healthy = run(&SecureScanConfig::default()).unwrap();
         assert!(!healthy.is_empty(), "{name}");
-        // Faults the transport absorbs leave every bit unchanged.
-        for plan in noisy {
-            assert_eq!(run(&with(plan)).unwrap(), healthy, "{name} under {plan:?}");
-        }
-        // A crashed party is a structured error inside the deadline, not
-        // a panic, a hang, or a silently healthy run.
+        // The deadline is transport policy; it changes no bit.
+        assert_eq!(run(&short).unwrap(), healthy, "{name}");
+    }
+    // Party 1's values overflow the fixed-point encoder mid-protocol.
+    let mut failing = ps;
+    let p1 = &failing[1];
+    let (y, mut x) = (p1.y().iter().map(|v| v * 1e300).collect(), p1.x().clone());
+    x.scale(1e300);
+    failing[1] = PartyData::new(y, x, p1.c().clone()).unwrap();
+    for (name, run) in section5_drivers(&failing) {
+        // A structured error inside the deadline, not a panic, a hang,
+        // or a silently healthy run.
         let started = std::time::Instant::now();
-        let err = run(&with(crash)).expect_err(name);
+        let err = run(&short).expect_err(name);
         assert!(matches!(err, CoreError::Mpc(_)), "{name}: {err:?}");
         assert!(started.elapsed().as_secs() < 5, "{name} hung");
     }

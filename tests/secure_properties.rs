@@ -4,9 +4,13 @@
 
 use dash_core::model::{pool_parties, PartyData};
 use dash_core::scan::associate;
-use dash_core::secure::{secure_scan, AggregationMode, RFactorMode, SecureScanConfig};
+use dash_core::secure::{
+    secure_scan, AggregationMode, RFactorMode, SecureScanConfig, SummandSource,
+};
+use dash_core::{CoreError, VariantSummands};
 use dash_gwas::pheno::{normal_matrix, normal_vec};
-use dash_mpc::{CrashPoint, FaultPlan};
+use dash_linalg::Matrix;
+use dash_mpc::MpcError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,82 +99,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Under injected network faults, every aggregation mode and party
-    /// count must either finish with the pooled-plaintext statistics or
-    /// return a structured MPC error — never hang, never panic.
-    #[test]
-    fn faulty_networks_finish_or_fail_structured(
-        p in 2usize..=5,
-        mode_idx in 0usize..4,
-        fault_idx in 0usize..3,
-        fault_seed in 0u64..1_000,
-    ) {
-        let sizes = vec![15; p];
-        let parties = make_parties(&sizes, 3, 1, 21);
-        let reference = associate(&pool_parties(&parties).unwrap()).unwrap();
-        let agg = [
-            AggregationMode::Public,
-            AggregationMode::MaskedPrg,
-            AggregationMode::MaskedStar,
-            AggregationMode::BeaverDots,
-        ][mode_idx];
-        let faults = match fault_idx {
-            // Pure delays: every message still arrives, so the run must
-            // succeed despite the jitter.
-            0 => FaultPlan {
-                seed: fault_seed,
-                delay_prob: 0.4,
-                ..FaultPlan::default()
-            },
-            // Drops: the victim link loses a frame; the receive deadline
-            // converts that into a structured timeout (or a tag mismatch
-            // when a later frame fills the sequence slot).
-            1 => FaultPlan {
-                seed: fault_seed,
-                drop_prob: 0.04,
-                ..FaultPlan::default()
-            },
-            // Crash: one party dies after a few sends; all survivors
-            // must come back with errors before the deadline.
-            _ => FaultPlan {
-                seed: fault_seed,
-                crash: Some(CrashPoint {
-                    party: (fault_seed as usize) % p,
-                    after_sends: fault_seed % 5,
-                }),
-                ..FaultPlan::default()
-            },
-        };
-        let cfg = SecureScanConfig {
-            rfactor: RFactorMode::GramAggregate,
-            aggregation: agg,
-            seed: 21,
-            deadline_ms: 500,
-            faults: Some(faults),
-            ..SecureScanConfig::default()
-        };
-        match secure_scan(&parties, &cfg) {
-            Ok(out) => {
-                let d = out.result.max_rel_diff(&reference).unwrap();
-                prop_assert!(d < 1e-4, "p={p}, {agg:?}, fault {fault_idx}: diff {d}");
-            }
-            Err(e) => {
-                prop_assert!(
-                    matches!(e, dash_core::CoreError::Mpc(_)),
-                    "p={p}, {agg:?}, fault {fault_idx}: non-MPC error {e}"
-                );
-                prop_assert!(
-                    fault_idx != 0,
-                    "p={p}, {agg:?}: delay-only faults must not fail, got {e}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn traffic_depends_on_m_not_n() {
     let cfg = SecureScanConfig::paper_default(4);
@@ -186,23 +114,167 @@ fn traffic_depends_on_m_not_n() {
     assert!((3.0..5.0).contains(&(b4 / b1)), "ratio {}", b4 / b1);
 }
 
-#[test]
-fn mid_protocol_failure_at_one_party_fails_the_run_cleanly() {
-    // Party 1's data overflows the fixed-point encoder during the
-    // aggregation phase (after the QR phase succeeded). The whole run
-    // must return an error — and terminate, not deadlock on the parties
-    // waiting for party 1's messages.
-    let mut parties = make_parties(&[20, 20, 20], 4, 2, 11);
-    let huge: Vec<f64> = parties[1].y().iter().map(|v| v * 1e300).collect();
-    parties[1] = PartyData::new(huge, parties[1].x().clone(), parties[1].c().clone()).unwrap();
-    let cfg = SecureScanConfig::paper_default(11);
-    let err = secure_scan(&parties, &cfg).unwrap_err();
-    // Either the overflow itself or the resulting closed channel at a
-    // peer — both are Mpc-layer failures surfaced as typed errors.
-    assert!(
-        matches!(err, dash_core::CoreError::Mpc(_)),
-        "unexpected error: {err}"
-    );
+/// A party that may be slow or may crash. `delay` is slept before every
+/// variant block; each block that reaches variant `fails_from` fails with
+/// the fixed-point overflow a `y × 1e300` phenotype raises in the encoded
+/// modes — raised after the y round and the QR phase in every mode,
+/// including the public one, which encodes nothing.
+struct MaybeFailing {
+    data: PartyData,
+    delay: std::time::Duration,
+    fails_from: Option<usize>,
+}
+
+impl SummandSource for MaybeFailing {
+    fn n_samples(&self) -> usize {
+        self.data.n_samples()
+    }
+    fn n_variants(&self) -> usize {
+        self.data.n_variants()
+    }
+    fn covariates(&self) -> &Matrix {
+        self.data.c()
+    }
+    fn y_summands(&self, q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
+        self.data.y_summands(q)
+    }
+    fn summands_block(
+        &self,
+        q: &Matrix,
+        lo: usize,
+        hi: usize,
+    ) -> Result<VariantSummands, CoreError> {
+        std::thread::sleep(self.delay);
+        if self.fails_from.is_some_and(|v| hi > v) {
+            return Err(CoreError::Mpc(MpcError::FixedPointOverflow {
+                value: 1e300,
+                max_abs: 2f64.powi(35),
+                frac_bits: 28,
+            }));
+        }
+        self.data.summands_block(q, lo, hi)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One party fails mid-protocol. For every party count, aggregation
+    /// mode and failing party, the whole run must return a typed MPC
+    /// error within the deadline — not deadlock on the parties waiting
+    /// for the failed party's messages, not panic.
+    #[test]
+    fn mid_protocol_failure_at_one_party_fails_the_run_cleanly(
+        p in 2usize..=5,
+        mode_idx in 0usize..4,
+        victim_pick in 0usize..5,
+    ) {
+        let victim = victim_pick % p;
+        let parties: Vec<MaybeFailing> = make_parties(&vec![20; p], 4, 2, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(i, data)| MaybeFailing {
+                data,
+                delay: std::time::Duration::ZERO,
+                fails_from: (i == victim).then_some(0),
+            })
+            .collect();
+        let agg = [
+            AggregationMode::Public,
+            AggregationMode::MaskedPrg,
+            AggregationMode::MaskedStar,
+            AggregationMode::BeaverDots,
+        ][mode_idx];
+        let cfg = SecureScanConfig {
+            aggregation: agg,
+            deadline_ms: 2_000,
+            ..SecureScanConfig::paper_default(11)
+        };
+        let started = std::time::Instant::now();
+        let err = secure_scan(&parties, &cfg);
+        prop_assert!(
+            matches!(err, Err(CoreError::Mpc(_))),
+            "p={p}, {agg:?}, victim {victim}: {:?}",
+            err.map(|_| "a healthy run")
+        );
+        prop_assert!(started.elapsed().as_millis() < 2_000, "p={p}, {agg:?}: hung");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Faults as the deployed links see them: a slow party, whose peers
+    /// wait on its messages, or a party that crashes at a seeded block.
+    /// Every aggregation mode and party count must either finish with the
+    /// pooled-plaintext statistics or return a structured MPC error —
+    /// never hang, never panic. (Socket-level drops and resets are
+    /// recovered below the scan by the supervised link; `tcp_secure.rs`
+    /// drives them through the chaos proxy.)
+    #[test]
+    fn faulty_networks_finish_or_fail_structured(
+        p in 2usize..=5,
+        mode_idx in 0usize..4,
+        fault_idx in 0usize..2,
+        fault_seed in 0u64..1_000,
+    ) {
+        let m = 6;
+        let data = make_parties(&vec![15; p], m, 1, 21);
+        let reference = associate(&pool_parties(&data).unwrap()).unwrap();
+        let victim = (fault_seed as usize) % p;
+        let parties: Vec<MaybeFailing> = data
+            .into_iter()
+            .enumerate()
+            .map(|(i, data)| MaybeFailing {
+                data,
+                // Delays: every message still arrives, only late.
+                delay: std::time::Duration::from_millis(if fault_idx == 0 {
+                    (fault_seed + i as u64) % 4
+                } else {
+                    0
+                }),
+                // Crash: the victim dies at a seeded variant block.
+                fails_from: (fault_idx == 1 && i == victim)
+                    .then_some((fault_seed as usize / p) % m),
+            })
+            .collect();
+        let agg = [
+            AggregationMode::Public,
+            AggregationMode::MaskedPrg,
+            AggregationMode::MaskedStar,
+            AggregationMode::BeaverDots,
+        ][mode_idx];
+        let cfg = SecureScanConfig {
+            rfactor: RFactorMode::GramAggregate,
+            aggregation: agg,
+            seed: 21,
+            deadline_ms: 2_000,
+            block_size: Some(2),
+            ..SecureScanConfig::default()
+        };
+        let started = std::time::Instant::now();
+        match secure_scan(&parties, &cfg) {
+            Ok(out) => {
+                let d = out.result.max_rel_diff(&reference).unwrap();
+                prop_assert!(d < 1e-4, "p={p}, {agg:?}, fault {fault_idx}: diff {d}");
+                prop_assert!(
+                    fault_idx == 0,
+                    "p={p}, {agg:?}: a crashed party must fail the run"
+                );
+            }
+            Err(e) => {
+                prop_assert!(
+                    matches!(e, CoreError::Mpc(_)),
+                    "p={p}, {agg:?}, fault {fault_idx}: non-MPC error {e}"
+                );
+                prop_assert!(
+                    fault_idx != 0,
+                    "p={p}, {agg:?}: delay-only faults must not fail, got {e}"
+                );
+            }
+        }
+        prop_assert!(started.elapsed().as_millis() < 2_000, "p={p}, {agg:?}: hung");
+    }
 }
 
 #[test]
