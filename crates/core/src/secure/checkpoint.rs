@@ -28,7 +28,7 @@
 use crate::error::CoreError;
 use dash_mpc::audit::Disclosure;
 use dash_mpc::net::StatsSnapshot;
-use dash_mpc::transport::{LinkSnapshot, ReplayFrame};
+use dash_mpc::transport::{LinkSnapshot, Message};
 use std::path::{Path, PathBuf};
 
 /// File magic; changing the payload layout bumps [`VERSION`], not this.
@@ -420,7 +420,7 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
                 let n_frames = d.len(20)?;
                 let mut frames = Vec::with_capacity(n_frames);
                 for _ in 0..n_frames {
-                    frames.push(ReplayFrame {
+                    frames.push(Message {
                         seq: d.u64()?,
                         tag: d.u32()?,
                         payload: d.bytes()?,
@@ -585,7 +585,7 @@ mod tests {
                 recv_next: vec![0, 2, 2],
                 replay: vec![
                     vec![],
-                    vec![ReplayFrame {
+                    vec![Message {
                         seq: 2,
                         tag: 1017,
                         payload: vec![1, 2, 3, 4, 5, 6, 7, 8],

@@ -333,7 +333,7 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
                 what: "block_size must be >= 1 (or None for one block of all variants)",
             });
         }
-        if m.div_ceil(b) as u64 > dash_mpc::net::MAX_BLOCK_ID as u64 + 1 {
+        if m.div_ceil(b) as u64 > dash_mpc::tags::MAX_BLOCK_ID as u64 + 1 {
             return Err(CoreError::BadConfig {
                 what: "too many variant blocks for the block tag range; raise block_size",
             });

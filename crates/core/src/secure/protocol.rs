@@ -5,7 +5,7 @@
 //! statistics under ordinary protocol tags, then the variants are walked
 //! in blocks of `block_size` columns (`None` ⇒ one block of M). Each
 //! block runs its own secure round inside a [block-scoped tag
-//! range](dash_mpc::net::BLOCK_TAG_BASE), while a producer thread
+//! range](dash_mpc::tags::BLOCK_TAG_BASE), while a producer thread
 //! computes the *next* block's local summands concurrently (optionally
 //! splitting each block's columns over `threads` workers). Peak summand
 //! memory is O(K·B), and results are the same bits for every block size.

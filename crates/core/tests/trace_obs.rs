@@ -210,7 +210,7 @@ fn disabled_trace_is_transparent() {
     let plain = secure_scan(&parties, &cfg).unwrap();
     let disabled = TraceHandle::disabled();
     let traced = secure_scan_traced_with(&parties, &cfg, disabled.clone()).unwrap();
-    assert!(!disabled.is_enabled());
+    assert_eq!(disabled.n_parties(), 0);
     assert!(disabled.spans().is_empty());
     assert_eq!(disabled.counter_total(TraceCounter::BytesSent), 0);
     assert_eq!(plain.network.total_bytes, traced.network.total_bytes);

@@ -277,12 +277,6 @@ pub fn frobenius_norm(a: &Matrix) -> f64 {
     self_dot(a.as_slice()).sqrt()
 }
 
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    self_dot(a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,10 +358,5 @@ mod tests {
     #[test]
     fn frobenius_of_identity() {
         assert!(approx(frobenius_norm(&Matrix::identity(4)), 2.0, 1e-15));
-    }
-
-    #[test]
-    fn norm2_pythagoras() {
-        assert!(approx(norm2(&[3.0, 4.0]), 5.0, 1e-15));
     }
 }

@@ -20,9 +20,9 @@
 //! - [`prg`]: deterministic pseudo-random generator for the pairwise
 //!   correlated masks and the dealer's triples.
 //! - [`transport`]: the one [`transport::Transport`] trait between a
-//!   party's protocol and the wire — implementors move sequence-numbered
-//!   frames; the word codec, tag check and timeout accounting are
-//!   provided once on top.
+//!   party's protocol and the wire — implementors move tagged frames,
+//!   each once and in order; the word codec, tag check and timeout
+//!   accounting are provided once on top.
 //! - [`net`]: the in-process mpsc implementor ([`net::Endpoint`]), the
 //!   exact per-link byte/message accounting every implementor records
 //!   into, a latency/bandwidth cost model, and the one party runner.
@@ -30,8 +30,9 @@
 //!   OS process per party, length-prefixed frames, deterministic connect
 //!   handshake, identical error surface and accounting to the
 //!   in-process endpoint. It is the socket/thread shell around the
-//!   crate-private `link` machine, which states a link's sequence, replay,
-//!   ack, liveness and reconnect rules once and does no I/O.
+//!   crate-private `link` machine, which states a link's sequence
+//!   (numbering, ordering, dedup), replay, ack, liveness and reconnect
+//!   rules once and does no I/O.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
 //! - [`dealer`]: the trusted dealer, which additively shares

@@ -1,22 +1,32 @@
 //! The link state machine: everything one TCP link to one peer *decides*.
 //!
 //! [`Link`] owns a link's send cursor, replay buffer and `pruned_to`, the
-//! reader-side contiguous cursor with its bounded early set, the durable
-//! ack cursor, when the peer was last heard, how long the link has been
-//! down, the verdict that ended it, and the supervision policy they are
-//! all judged by. Events in, actions out: it does no I/O, starts nothing,
-//! takes no lock and never reads the clock (`now` is an argument), so every
-//! rule can be driven from a table of synthetic instants. `tcp.rs` is the
-//! shell that turns socket reads, timers and hellos into events and carries
-//! the actions out; DESIGN.md §12.1 tabulates event × policy.
+//! receive cursor with the bounded buffer of frames that arrived ahead of
+//! it, the durable ack cursor, when the peer was last heard, how long the
+//! link has been down, the verdict that ended it, and the supervision
+//! policy they are all judged by. It is the one place a received frame is
+//! sequenced: duplicates are dropped, early frames held, and only frames
+//! now due are handed on. Events in, actions out: it does no I/O, starts
+//! nothing, takes no lock and never reads the clock (`now` is an
+//! argument), so every rule can be driven from a table of synthetic
+//! instants. `tcp.rs` is the shell that turns socket reads, timers and
+//! hellos into events and carries the actions out; DESIGN.md §12.1
+//! tabulates event × policy.
 
 use crate::error::MpcError;
-use crate::net::{Message, MAX_EARLY_FRAMES};
 use crate::tags::{CLOSE_TAG, HEARTBEAT_TAG};
 use crate::tcp::{jittered_backoff, le_u64, LinkSupervision, ReadEnd, TcpConfig, SENTINEL_SEQ};
-use crate::transport::ReplayFrame;
-use std::collections::{BTreeSet, VecDeque};
+use crate::transport::Message;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
+
+/// Most frames a link holds ahead of its receive cursor before it fails
+/// with [`MpcError::ReorderOverflow`]. Early frames come only from a
+/// reconnect replaying unacknowledged frames into a stream that already
+/// carried some of them, so a well-behaved link holds a handful at most;
+/// the cap exists so a misbehaving peer spraying far-future sequence
+/// numbers exhausts this bound instead of memory.
+pub(crate) const MAX_EARLY_FRAMES: usize = 1024;
 
 /// What the reader thread does after a read ended short of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,15 +65,16 @@ pub(crate) struct Link {
     /// Next outbound sequence number.
     send_next: u64,
     /// Outbound frames a resuming peer may re-request, oldest first.
-    replay: VecDeque<ReplayFrame>,
+    replay: VecDeque<Message>,
     /// Everything below this is gone from `replay` (durably acknowledged
     /// or overflowed); a peer asking to resume below it cannot be served.
     pruned_to: u64,
-    /// Next in-order sequence the reader expects: the cursor the reorder
-    /// buffer will reach, advertised in hellos and heartbeat acks.
+    /// Next sequence due: every frame below it has been handed on, once.
+    /// Advertised in hellos and heartbeat acks.
     recv_contig: u64,
-    /// Sequences seen ahead of `recv_contig`, at most `MAX_EARLY_FRAMES`.
-    early: BTreeSet<u64>,
+    /// Frames that arrived ahead of `recv_contig`, at most
+    /// [`MAX_EARLY_FRAMES`].
+    early: BTreeMap<u64, Message>,
     /// Receive cursor a checkpoint made durable; once set, acks carry it
     /// so the peer never prunes a frame a restart could still re-request.
     durable: Option<u64>,
@@ -90,7 +101,7 @@ impl Link {
         cfg: &TcpConfig,
         send_next: u64,
         recv_next: u64,
-        replay: Vec<ReplayFrame>,
+        replay: Vec<Message>,
         now: Instant,
     ) -> Self {
         Link {
@@ -102,7 +113,7 @@ impl Link {
             pruned_to: replay.first().map_or(send_next, |f| f.seq),
             replay: replay.into(),
             recv_contig: recv_next,
-            early: BTreeSet::new(),
+            early: BTreeMap::new(),
             durable: None,
             resumed: false,
             closed: false,
@@ -113,7 +124,8 @@ impl Link {
         }
     }
 
-    /// Allocates the next outbound sequence number.
+    /// Allocates the next outbound sequence number. The shell asks under
+    /// its `socket` lock, so frames go onto the wire in sequence order.
     pub(crate) fn alloc_seq(&mut self) -> u64 {
         let seq = self.send_next;
         self.send_next = seq.wrapping_add(1);
@@ -122,7 +134,7 @@ impl Link {
 
     /// An outbound frame was counted and is about to be written: keep it
     /// for replay, bounded by the policy's capacity (none unsupervised).
-    pub(crate) fn sent(&mut self, frame: ReplayFrame) {
+    pub(crate) fn sent(&mut self, frame: Message) {
         let capacity = self.policy.map_or(0, |p| p.replay_capacity);
         if capacity == 0 {
             return;
@@ -150,43 +162,53 @@ impl Link {
         self.closed = true;
     }
 
-    /// A frame came off the socket. The sentinels are consumed here — they
-    /// never enter the reorder buffer or the accounting — a heartbeat after
-    /// dropping the replay entries its ack covers, the peer's close record
-    /// after noting it. A data frame is returned for delivery once the
-    /// contiguous cursor has taken note of it: duplicates below the cursor
-    /// are ignored and the bounded early set absorbs reordering.
-    /// Understating after an overflow is safe: it only makes a peer replay
-    /// more, and the reorder buffer dedups the excess.
-    pub(crate) fn frame_arrived(&mut self, msg: Message, now: Instant) -> Option<Message> {
+    /// A frame came off the socket; returns the frames now due, in
+    /// sequence order. The sentinels are consumed here — they never reach
+    /// the protocol or the accounting — a heartbeat after dropping the
+    /// replay entries its ack covers, the peer's close record after noting
+    /// it. Any other frame on the sentinel sequence is not data and is
+    /// dropped, as is a duplicate (below the cursor, or already held). The
+    /// frame at the cursor is due together with the held frames it joins
+    /// up; one ahead of it is held, and one more than [`MAX_EARLY_FRAMES`]
+    /// held is the link's [`MpcError::ReorderOverflow`] verdict.
+    pub(crate) fn frame_arrived(
+        &mut self,
+        msg: Message,
+        now: Instant,
+    ) -> Result<Vec<Message>, MpcError> {
         self.last_heard = now;
         let seq = msg.seq;
-        if seq == SENTINEL_SEQ && msg.tag == HEARTBEAT_TAG {
-            if let Some(ack) = le_u64(&msg.payload, 0) {
-                while self.replay.front().is_some_and(|f| f.seq < ack) {
-                    self.replay.pop_front();
+        if seq == SENTINEL_SEQ {
+            if msg.tag == HEARTBEAT_TAG {
+                if let Some(ack) = le_u64(&msg.payload, 0) {
+                    while self.replay.front().is_some_and(|f| f.seq < ack) {
+                        self.replay.pop_front();
+                    }
+                    self.pruned_to = self.pruned_to.max(ack);
                 }
-                self.pruned_to = self.pruned_to.max(ack);
+            } else if msg.tag == CLOSE_TAG && msg.payload.is_empty() {
+                self.closed = true;
             }
-            return None;
+            return Ok(Vec::new());
         }
-        if seq == SENTINEL_SEQ && msg.tag == CLOSE_TAG && msg.payload.is_empty() {
-            self.closed = true;
-            return None;
+        if seq < self.recv_contig || self.early.contains_key(&seq) {
+            return Ok(Vec::new());
         }
-        if seq == self.recv_contig {
-            let mut next = seq.saturating_add(1);
-            while self.early.remove(&next) {
-                next = next.saturating_add(1);
+        if seq > self.recv_contig {
+            if self.early.len() >= MAX_EARLY_FRAMES {
+                let (peer, buffered) = (self.peer, self.early.len());
+                return Err(self.fail(MpcError::ReorderOverflow { peer, buffered }));
             }
-            self.recv_contig = next;
-        } else if seq > self.recv_contig
-            && seq != SENTINEL_SEQ
-            && self.early.len() < MAX_EARLY_FRAMES
-        {
-            self.early.insert(seq);
+            self.early.insert(seq, msg);
+            return Ok(Vec::new());
         }
-        Some(msg)
+        let mut due = vec![msg];
+        self.recv_contig = seq.saturating_add(1);
+        while let Some(next) = self.early.remove(&self.recv_contig) {
+            due.push(next);
+            self.recv_contig = self.recv_contig.saturating_add(1);
+        }
+        Ok(due)
     }
 
     /// A read ended short of a frame. After a close record that is the
@@ -232,7 +254,7 @@ impl Link {
         their_next: u64,
         self_resuming: bool,
         now: Instant,
-    ) -> Result<Vec<ReplayFrame>, MpcError> {
+    ) -> Result<Vec<Message>, MpcError> {
         let cursor = self.send_next;
         self.resumed |= self_resuming;
         let reason = if their_next > cursor && !self.resumed {
@@ -320,7 +342,7 @@ impl Link {
 
     /// Send cursor and replay backlog for a checkpoint. Only a supervised
     /// link keeps the backlog that makes a checkpoint resumable.
-    pub(crate) fn snapshot(&self) -> Option<(u64, Vec<ReplayFrame>)> {
+    pub(crate) fn snapshot(&self) -> Option<(u64, Vec<Message>)> {
         self.policy?;
         Some((self.send_next, self.replay.iter().cloned().collect()))
     }
@@ -335,7 +357,6 @@ impl Link {
 mod tests {
     use super::*;
     use crate::tcp::tests::epoch;
-    use std::collections::BTreeMap;
 
     const PEER: usize = 1;
 
@@ -391,27 +412,21 @@ mod tests {
         }
     }
 
-    /// The replay-buffer entry for `seq`: what [`data`] looks like sent.
-    fn frame(seq: u64) -> ReplayFrame {
-        let Message { seq, tag, payload } = data(seq);
-        ReplayFrame { seq, tag, payload }
-    }
-
-    /// A buffered frame as it goes (back) onto a socket.
-    fn wire(ReplayFrame { seq, tag, payload }: ReplayFrame) -> Message {
-        Message { seq, tag, payload }
-    }
-
     /// Allocates and "sends" `count` frames on `link`.
     fn send(link: &mut Link, count: u64) {
         for _ in 0..count {
             let seq = link.alloc_seq();
-            link.sent(frame(seq));
+            link.sent(data(seq));
         }
     }
 
-    fn seqs(frames: &[ReplayFrame]) -> Vec<u64> {
+    fn seqs(frames: &[Message]) -> Vec<u64> {
         frames.iter().map(|f| f.seq).collect()
+    }
+
+    /// What `frame_arrived` hands on for `msg`, by sequence number.
+    fn arrive(link: &mut Link, msg: Message, now: Instant) -> Result<Vec<u64>, MpcError> {
+        link.frame_arrived(msg, now).map(|due| seqs(&due))
     }
 
     fn mismatch(reason: &str) -> MpcError {
@@ -463,7 +478,7 @@ mod tests {
         }
         assert_eq!(link.peer_hello(1, false, t0), Err(mismatch(pruned)));
         // A link resumed from a checkpoint starts pruned to its backlog.
-        let backlog = vec![frame(4)];
+        let backlog = vec![data(4)];
         let mut resumed = Link::new(PEER, true, &cfg(Some(policy(4))), 5, 0, backlog, t0);
         assert_eq!(
             resumed.peer_hello(4, true, t0).map(|b| seqs(&b)),
@@ -477,14 +492,14 @@ mod tests {
         let t0 = epoch();
         let mut link = fresh(Some(policy(64)), t0);
         send(&mut link, 5);
-        assert!(link.frame_arrived(heartbeat(3), t0).is_none());
+        assert_eq!(arrive(&mut link, heartbeat(3), t0), Ok(vec![]));
         assert_eq!(
             link.snapshot().map(|(n, r)| (n, seqs(&r))),
             Some((5, vec![3, 4]))
         );
         assert!(link.peer_hello(2, false, t0).is_err());
         // A stale (lower) ack never brings anything back or regresses.
-        assert!(link.frame_arrived(heartbeat(1), t0).is_none());
+        assert_eq!(arrive(&mut link, heartbeat(1), t0), Ok(vec![]));
         assert_eq!(
             link.peer_hello(3, false, t0).map(|b| seqs(&b)),
             Ok(vec![3, 4])
@@ -492,17 +507,17 @@ mod tests {
         // A short or foreign-tag sentinel is not an ack.
         let mut short = heartbeat(5);
         short.payload.truncate(7);
-        assert!(link.frame_arrived(short, t0).is_none());
+        assert_eq!(arrive(&mut link, short, t0), Ok(vec![]));
         assert_eq!(link.snapshot().map(|(_, r)| r.len()), Some(2));
 
         // What we acknowledge: the contiguous cursor until a checkpoint
         // made one durable, that one from then on.
         for seq in 0..3 {
-            assert!(link.frame_arrived(data(seq), t0).is_some());
+            assert_eq!(arrive(&mut link, data(seq), t0), Ok(vec![seq]));
         }
         assert_eq!(link.heartbeat_due(t0 + ms(100)), Some(3));
         link.note_durable(1);
-        assert!(link.frame_arrived(data(3), t0).is_some());
+        assert_eq!(arrive(&mut link, data(3), t0), Ok(vec![3]));
         assert_eq!(link.recv_cursor(), 4);
         assert_eq!(link.heartbeat_due(t0 + ms(200)), Some(1));
     }
@@ -534,29 +549,78 @@ mod tests {
     }
 
     #[test]
-    fn early_set_is_bounded_and_only_understates_the_cursor() {
+    fn duplicated_and_reordered_frames_deliver_once_in_order() {
+        // A reconnect replays frames into a stream that already carried
+        // some of them, so the reader sees repeats and out-of-order
+        // arrivals and must still hand each sequence on once, in order.
+        let t0 = epoch();
+        let mut link = fresh(None, t0);
+        let mut delivered = Vec::new();
+        for seq in [1, 0, 0, 2, 1, 3] {
+            for msg in link.frame_arrived(data(seq), t0).unwrap() {
+                assert_eq!(msg, data(msg.seq));
+                delivered.push(msg.seq);
+            }
+        }
+        assert_eq!(delivered, [0, 1, 2, 3]);
+        assert_eq!(link.recv_cursor(), 4);
+    }
+
+    #[test]
+    fn reorder_buffer_below_cap_still_reorders() {
+        // Just under the cap every early frame is held and all of them are
+        // handed on, in order, once the gap frame arrives.
+        let t0 = epoch();
+        let mut link = fresh(None, t0);
+        let max = MAX_EARLY_FRAMES as u64;
+        for seq in 1..max {
+            assert_eq!(arrive(&mut link, data(seq), t0), Ok(vec![]));
+        }
+        assert_eq!(arrive(&mut link, data(0), t0), Ok((0..max).collect()));
+        assert_eq!(link.verdict(), None);
+    }
+
+    #[test]
+    fn reorder_buffer_is_bounded() {
+        // A peer spraying far-future sequence numbers ends the link with a
+        // stored verdict instead of exhausting memory.
+        let t0 = epoch();
+        let mut link = fresh(None, t0);
+        let max = MAX_EARLY_FRAMES as u64;
+        for seq in 1..=max {
+            assert_eq!(arrive(&mut link, data(seq), t0), Ok(vec![]));
+        }
+        let overflow = MpcError::ReorderOverflow {
+            peer: PEER,
+            buffered: MAX_EARLY_FRAMES,
+        };
+        assert_eq!(arrive(&mut link, data(max + 1), t0), Err(overflow.clone()));
+        assert_eq!(link.verdict(), Some(overflow));
+    }
+
+    #[test]
+    fn early_set_is_bounded_and_sentinel_data_takes_no_slot() {
         let t0 = epoch();
         let mut link = fresh(Some(policy(4)), t0);
         let max = MAX_EARLY_FRAMES as u64;
-        // Frame 0 is late; `max + 10` frames arrive ahead of it. Every one
-        // is still delivered (the reorder buffer judges overflow).
-        for seq in 1..=max + 10 {
-            assert!(link.frame_arrived(data(seq), t0).is_some());
-            assert_eq!(link.recv_cursor(), 0);
+        // Frame 0 is late; a full buffer of frames arrives ahead of it.
+        for seq in 1..=max {
+            assert_eq!(arrive(&mut link, data(seq), t0), Ok(vec![]));
         }
-        assert!(link.frame_arrived(data(0), t0).is_some());
-        // Only the first `max` early sequences were remembered: the cursor
-        // stops short of the truth (`max + 11`), never past it.
-        assert_eq!(link.recv_cursor(), max + 1);
-        // Duplicates below the cursor are delivered (dedup is downstream)
-        // and move nothing.
-        assert!(link.frame_arrived(data(3), t0).is_some());
-        assert_eq!(link.recv_cursor(), max + 1);
-        // A data frame that merely wears the sentinel sequence is no
-        // heartbeat and is never remembered as early.
+        assert_eq!(link.recv_cursor(), 0);
+        // At the cap, a held frame arriving again is a duplicate, not an
+        // overflow; a data frame that merely wears the sentinel sequence is
+        // no heartbeat, is never handed on and takes no slot.
+        assert_eq!(arrive(&mut link, data(max), t0), Ok(vec![]));
         let mut odd = data(SENTINEL_SEQ);
         odd.tag = 6;
-        assert!(link.frame_arrived(odd, t0).is_some());
+        assert_eq!(arrive(&mut link, odd, t0), Ok(vec![]));
+        assert_eq!(link.verdict(), None);
+        // The late frame joins every held one up, each once.
+        assert_eq!(arrive(&mut link, data(0), t0), Ok((0..=max).collect()));
+        assert_eq!(link.recv_cursor(), max + 1);
+        // Duplicates below the cursor are dropped and move nothing.
+        assert_eq!(arrive(&mut link, data(3), t0), Ok(vec![]));
         assert_eq!(link.recv_cursor(), max + 1);
     }
 
@@ -587,7 +651,7 @@ mod tests {
         );
         // Anything heard — a heartbeat as much as a frame — refreshes it,
         // and the verdict is a reading, not a stored end of the link.
-        assert!(link.frame_arrived(heartbeat(0), t0 + ms(900)).is_none());
+        assert_eq!(arrive(&mut link, heartbeat(0), t0 + ms(900)), Ok(vec![]));
         assert_eq!(link.silent_verdict(t0 + ms(1_900)), None);
         assert_eq!(
             link.silent_verdict(t0 + ms(1_901)),
@@ -604,7 +668,7 @@ mod tests {
         let backoff = |attempt| jittered_backoff(sup.reconnect_backoff, 7, PEER, attempt);
         let dial = |remaining, pause| Ok(Reconnect::Dial { remaining, pause });
         let mut link = fresh(Some(sup), t0);
-        assert!(link.frame_arrived(data(0), t0 + ms(300)).is_some());
+        assert_eq!(arrive(&mut link, data(0), t0 + ms(300)), Ok(vec![0]));
         let torn = ReadEnd::Eof { partial: true };
         assert_eq!(
             link.read_ended(torn, t0 + ms(500)),
@@ -705,8 +769,8 @@ mod tests {
                 // The peer's record arrived, before or after our own
                 // teardown began (`Shutdown` is the read that saw it begin).
                 let mut link = fresh(policy, t0);
-                assert!(link.frame_arrived(data(0), t0).is_some());
-                assert!(link.frame_arrived(close_record(), t0).is_none());
+                assert_eq!(arrive(&mut link, data(0), t0), Ok(vec![0]));
+                assert_eq!(arrive(&mut link, close_record(), t0), Ok(vec![]));
                 assert_eq!(link.recv_cursor(), 1);
                 assert_eq!(link.read_ended(end, t0 + ms(1)), Ok(AfterRead::Finish));
                 assert_eq!(link.verdict(), None);
@@ -718,12 +782,13 @@ mod tests {
             }
             // A malformed frame is a verdict even from a peer that closed.
             let mut link = fresh(policy, t0);
-            assert!(link.frame_arrived(close_record(), t0).is_none());
+            assert_eq!(arrive(&mut link, close_record(), t0), Ok(vec![]));
             assert!(link.read_ended(ReadEnd::Oversized(1 << 40), t0).is_err());
         }
         // Not a close: the sentinel sequence under another tag, or the close
-        // tag with a payload or an ordinary sequence. Each is delivered like
-        // any data frame and the link stays open — a FIN is still an outage.
+        // tag with a payload or an ordinary sequence. The first two are not
+        // data either and are dropped, the third is delivered like any data
+        // frame; the link stays open — a FIN is still an outage.
         let wrong_tag = Message {
             tag: CLOSE_TAG - 1,
             ..close_record()
@@ -736,9 +801,13 @@ mod tests {
             seq: 0,
             ..close_record()
         };
-        for impostor in [wrong_tag, with_payload, numbered] {
+        for (impostor, delivered) in [
+            (wrong_tag, vec![]),
+            (with_payload, vec![]),
+            (numbered, vec![0]),
+        ] {
             let mut link = fresh(Some(policy(4)), t0);
-            assert!(link.frame_arrived(impostor, t0).is_some());
+            assert_eq!(arrive(&mut link, impostor, t0), Ok(delivered));
             let clean = ReadEnd::Eof { partial: false };
             assert_eq!(link.read_ended(clean, t0), Ok(AfterRead::Reconnect));
         }
@@ -750,13 +819,13 @@ mod tests {
         let mut link = fresh(Some(policy(64)), t0);
         send(&mut link, 5);
         assert_eq!(link.heartbeat_due(t0 + ms(100)), Some(0));
-        assert!(link.frame_arrived(close_record(), t0 + ms(150)).is_none());
+        assert_eq!(arrive(&mut link, close_record(), t0 + ms(150)), Ok(vec![]));
         // Nobody is left to read a heartbeat, however overdue.
         assert_eq!(link.heartbeat_due(t0 + ms(10_000)), None);
         // The record counts as hearing from the peer; an ack that trails it
         // (machine-level only: nothing follows it on a socket) still prunes.
         assert_eq!(link.silent_verdict(t0 + ms(1_150)), None);
-        assert!(link.frame_arrived(heartbeat(3), t0 + ms(200)).is_none());
+        assert_eq!(arrive(&mut link, heartbeat(3), t0 + ms(200)), Ok(vec![]));
         assert_eq!(link.snapshot().map(|(_, r)| seqs(&r)), Some(vec![3, 4]));
         // Our own close silences the heartbeat just the same.
         let mut ours = fresh(Some(policy(64)), t0);
@@ -767,20 +836,18 @@ mod tests {
     /// Frames each simulated party sends over a schedule.
     const TOTAL: u64 = 12;
 
-    /// One end of a simulated link: the machine, a model of the
-    /// protocol-side reorder buffer (`RecvState`'s rule: drop what is below
-    /// the cursor, hold what is ahead of it), the frames in flight towards
-    /// it on the current socket, and its last checkpoint. Like a `dash
-    /// party --checkpoint-dir` process it notes its durable cursor as soon
-    /// as it exists: zero at first, the checkpoint's after a restart.
+    /// One end of a simulated link: the machine, what its `frame_arrived`
+    /// has handed on (the protocol's view, which must be every frame once
+    /// and in order), the frames in flight towards it on the current
+    /// socket, and its last checkpoint. Like a `dash party
+    /// --checkpoint-dir` process it notes its durable cursor as soon as it
+    /// exists: zero at first, the checkpoint's after a restart.
     struct End {
         link: Link,
-        next: u64,
-        held: BTreeMap<u64, Message>,
         delivered: Vec<u64>,
         wire: VecDeque<Message>,
         /// Send cursor, receive cursor, replay backlog at the checkpoint.
-        checkpoint: Option<(u64, u64, Vec<ReplayFrame>)>,
+        checkpoint: Option<(u64, u64, Vec<Message>)>,
         /// Restarted and not yet connected: its next hello is an initial
         /// one (resume flag iff it had a checkpoint), not a reconnect.
         rejoining: Option<bool>,
@@ -803,8 +870,6 @@ mod tests {
             link.note_durable(0);
             End {
                 link,
-                next: 0,
-                held: BTreeMap::new(),
                 delivered: Vec::new(),
                 wire: VecDeque::new(),
                 checkpoint: None,
@@ -813,32 +878,24 @@ mod tests {
             }
         }
 
-        /// Takes the next in-flight frame off the socket.
+        /// Frames handed on so far: the protocol-consumed receive cursor.
+        fn consumed(&self) -> u64 {
+            self.delivered.len() as u64
+        }
+
+        /// Takes the next in-flight frame off the socket and checks that
+        /// what the machine hands on continues the sequence exactly.
         fn read(&mut self, now: Instant) -> Result<(), String> {
             let Some(msg) = self.wire.pop_front() else {
                 return Ok(());
             };
-            let Some(msg) = self.link.frame_arrived(msg, now) else {
-                return Ok(());
-            };
-            if msg.seq >= self.next {
-                self.held.insert(msg.seq, msg);
-            }
-            while let Some(msg) = self.held.remove(&self.next) {
-                if msg.payload != self.next.to_le_bytes() {
-                    return Err(format!("frame {} carries {:?}", self.next, msg.payload));
+            let due = self.link.frame_arrived(msg, now);
+            for msg in due.map_err(|e| format!("{e:?}"))? {
+                let want = self.consumed();
+                if msg != data(want) {
+                    return Err(format!("frame {want} expected, got {msg:?}"));
                 }
-                self.delivered.push(self.next);
-                self.next += 1;
-            }
-            // The reader's cursor mirrors the reorder buffer's (the early
-            // set is far from its bound here).
-            if self.link.recv_cursor() != self.next {
-                return Err(format!(
-                    "cursor {} != {}",
-                    self.link.recv_cursor(),
-                    self.next
-                ));
+                self.delivered.push(want);
             }
             Ok(())
         }
@@ -873,7 +930,7 @@ mod tests {
                 return;
             }
             let seq = from.link.alloc_seq();
-            from.link.sent(frame(seq));
+            from.link.sent(data(seq));
             if self.cut {
                 assert_eq!(from.link.write_failed(), Ok(()));
             } else {
@@ -907,8 +964,8 @@ mod tests {
         fn checkpoint(&mut self, side: usize) {
             let end = &mut self.ends[side];
             if let (Some((send_next, replay)), None) = (end.link.snapshot(), end.rejoining) {
-                end.checkpoint = Some((send_next, end.next, replay));
-                end.link.note_durable(end.next);
+                end.checkpoint = Some((send_next, end.consumed(), replay));
+                end.link.note_durable(end.consumed());
             }
         }
 
@@ -930,8 +987,6 @@ mod tests {
             );
             end.link.note_durable(recv_next);
             end.amnesiac = end.checkpoint.is_none();
-            end.next = recv_next;
-            end.held.clear();
             end.delivered.truncate(recv_next as usize);
             end.rejoining = Some(end.checkpoint.is_some());
         }
@@ -971,8 +1026,7 @@ mod tests {
                 let resuming = end.rejoining == Some(true);
                 match end.link.peer_hello(their_next, resuming, self.now) {
                     Ok(backlog) => {
-                        let to = &mut self.ends[1 - side];
-                        to.wire.extend(backlog.into_iter().map(wire));
+                        self.ends[1 - side].wire.extend(backlog);
                     }
                     // Cursors can fail to meet for two reasons only: the
                     // replay buffer is too small for what a cut can lose,
@@ -1011,8 +1065,9 @@ mod tests {
                 to.read(self.now)?;
             }
             let sent = from.link.snapshot().map_or(0, |(n, _)| n);
-            if to.next < sent {
-                return Err(format!("peer holds {} of {sent} frames at close", to.next));
+            if to.consumed() < sent {
+                let held = to.consumed();
+                return Err(format!("peer holds {held} of {sent} frames at close"));
             }
             for end in [from, to] {
                 let fin = ReadEnd::Eof { partial: false };
@@ -1184,7 +1239,7 @@ mod tests {
             let t0 = epoch();
             let mut link = Link::new(PEER, true, &cfg(Some(policy(4))), send_next, 0, vec![], t0);
             send(&mut link, sends);
-            link.frame_arrived(heartbeat(ack), t0);
+            proptest::prop_assert_eq!(link.frame_arrived(heartbeat(ack), t0), Ok(vec![]));
             match link.peer_hello(their_next, self_resuming, t0) {
                 Ok(backlog) => proptest::prop_assert!(
                     backlog.len() <= 4 && backlog.iter().all(|f| f.seq >= their_next)

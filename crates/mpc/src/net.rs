@@ -8,16 +8,17 @@
 //! experiment E3, and the [`CostModel`] converts them into simulated
 //! LAN/WAN wall clock for the E4 overhead tables.
 //!
-//! Messages carry per-link sequence numbers: receivers deliver frames in
-//! send order, drop duplicates, and buffer early arrivals, so the frames
-//! a TCP link replays after a reconnect cannot desynchronize the
-//! protocol. Every receive is deadline-bounded — a stalled or crashed
-//! peer yields [`MpcError::Timeout`] or [`MpcError::ChannelClosed`],
-//! never a hang.
+//! An mpsc channel is FIFO and exactly-once, so the in-process endpoint
+//! numbers nothing: it hands each frame over in send order, once. (The
+//! TCP transport's sequence numbers, reordering and dedup live in its
+//! link machine.) Every receive is deadline-bounded — a stalled or
+//! crashed peer yields [`MpcError::Timeout`] or
+//! [`MpcError::ChannelClosed`], never a hang.
 
 use crate::audit::DisclosureLog;
 use crate::error::MpcError;
 use crate::party::PartyCtx;
+use crate::tags::block_of_tag;
 use crate::tcp::{TcpConfig, TcpTransport};
 use crate::transport::{Transport, TransportConfig};
 use dash_obs::{Counter, TraceHandle};
@@ -39,29 +40,8 @@ pub const HEADER_BYTES: u64 = 20;
 /// trip it, finite so nothing blocks forever.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 
-/// Most early (out-of-order) frames a receiver buffers per link before
-/// failing with [`MpcError::ReorderOverflow`]. Early frames come only
-/// from a TCP link replaying its unacknowledged frames after a reconnect,
-/// so a well-behaved link never holds more than a handful; the cap exists
-/// so a misbehaving peer spraying far-future sequence numbers exhausts
-/// this bound instead of memory.
-pub const MAX_EARLY_FRAMES: usize = 1024;
-
-// The tag-space constants historically lived here; they now come from the
-// central registry in [`crate::tags`] and are re-exported for the existing
-// `dash_mpc::net::…` call sites and docs.
-pub use crate::tags::{block_of_tag, BLOCK_TAG_BASE, BLOCK_TAG_STRIDE, MAX_BLOCK_ID};
-
-/// A framed protocol message.
-#[derive(Debug, Clone)]
-pub struct Message {
-    /// Per-link sequence number; receivers deliver in `seq` order.
-    pub seq: u64,
-    /// Protocol round tag; receivers verify it to catch desyncs early.
-    pub tag: u32,
-    /// Serialized payload.
-    pub payload: Vec<u8>,
-}
+/// One frame on an in-process link: its tag and payload.
+type Frame = (u32, Vec<u8>);
 
 /// Per-link byte/message counters plus one per-party table of event
 /// counters (retries, timeouts, reconnects, heartbeats, resumes), shared
@@ -195,11 +175,6 @@ impl NetworkStats {
     /// Total bytes sent by one party.
     pub fn bytes_sent_by(&self, party: usize) -> u64 {
         (0..self.n).map(|j| self.bytes_between(party, j)).sum()
-    }
-
-    /// Total messages sent by one party.
-    pub fn messages_sent_by(&self, party: usize) -> u64 {
-        (0..self.n).map(|j| self.messages_between(party, j)).sum()
     }
 
     /// Events of kind `c` recorded at one party (see
@@ -417,119 +392,15 @@ impl CostModel {
     }
 }
 
-/// Receiver-side state of one incoming link: the channel plus the
-/// in-order delivery machinery (next expected sequence number and a
-/// buffer of early arrivals).
-///
-/// Shared between the in-process [`Endpoint`] and the TCP transport
-/// (whose per-peer reader threads feed the same channel type), so both
-/// paths get identical dedup/reorder/overflow semantics.
-#[derive(Debug)]
-pub(crate) struct RecvState {
-    rx: Receiver<Message>,
-    next_seq: u64,
-    early: BTreeMap<u64, Message>,
-}
-
-impl RecvState {
-    pub(crate) fn new(rx: Receiver<Message>) -> Self {
-        Self::with_next_seq(rx, 0)
-    }
-
-    /// A link resumed from a checkpoint: in-order delivery starts at
-    /// `next_seq` instead of 0, so every replayed frame below the cursor
-    /// is discarded as a duplicate by the ordinary dedup path — the
-    /// mechanism that keeps resumed runs bit-identical.
-    pub(crate) fn with_next_seq(rx: Receiver<Message>, next_seq: u64) -> Self {
-        RecvState {
-            rx,
-            next_seq,
-            early: BTreeMap::new(),
-        }
-    }
-
-    /// The next in-order sequence number this link will deliver (equal to
-    /// the count of frames delivered so far on a fresh link). Checkpoints
-    /// persist it as the link's receive cursor.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Delivers the next in-order frame from the link, waiting at most
-    /// `deadline`. Duplicates (already-delivered sequence numbers) are
-    /// discarded; early arrivals are buffered — up to
-    /// [`MAX_EARLY_FRAMES`] of them — until their turn.
-    ///
-    /// The caller owns the error accounting: a returned
-    /// [`MpcError::Timeout`] has *not* been counted into any
-    /// [`NetworkStats`] yet.
-    pub(crate) fn recv_in_order(
-        &mut self,
-        from: usize,
-        tag: u32,
-        deadline: Duration,
-    ) -> Result<Message, MpcError> {
-        let start = Instant::now();
-        loop {
-            let expected = self.next_seq;
-            if let Some(msg) = self.early.remove(&expected) {
-                self.next_seq += 1;
-                return Ok(msg);
-            }
-            let remaining = match deadline.checked_sub(start.elapsed()) {
-                Some(r) if r > Duration::ZERO => r,
-                _ => {
-                    return Err(MpcError::Timeout {
-                        peer: from,
-                        tag,
-                        waited: start.elapsed(),
-                    });
-                }
-            };
-            match self.rx.recv_timeout(remaining) {
-                Ok(msg) if msg.seq < self.next_seq => continue, // duplicate
-                Ok(msg) if msg.seq == self.next_seq => {
-                    self.next_seq += 1;
-                    return Ok(msg);
-                }
-                Ok(msg) => {
-                    // Early arrival (reordered); hold until its turn. The
-                    // buffer is bounded: a peer spraying far-future
-                    // sequence numbers fails the link structurally
-                    // instead of exhausting memory.
-                    if self.early.len() >= MAX_EARLY_FRAMES {
-                        return Err(MpcError::ReorderOverflow {
-                            peer: from,
-                            buffered: self.early.len(),
-                        });
-                    }
-                    self.early.insert(msg.seq, msg);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(MpcError::Timeout {
-                        peer: from,
-                        tag,
-                        waited: start.elapsed(),
-                    });
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(MpcError::ChannelClosed { peer: from });
-                }
-            }
-        }
-    }
-}
-
-/// One party's view of the in-process network: senders to every peer,
-/// in-order deadline-aware receivers from every peer. Its whole API is
-/// the [`Transport`] trait.
+/// One party's view of the in-process network: a channel to every peer
+/// and a deadline-aware receiver from every peer. Its whole API is the
+/// [`Transport`] trait.
 #[derive(Debug)]
 pub struct Endpoint {
     id: usize,
     n: usize,
-    senders: Vec<Option<Sender<Message>>>,
-    send_seqs: Vec<AtomicU64>,
-    links: Vec<Option<Mutex<RecvState>>>,
+    senders: Vec<Option<Sender<Frame>>>,
+    receivers: Vec<Option<Receiver<Frame>>>,
     stats: Arc<NetworkStats>,
 }
 
@@ -555,36 +426,33 @@ impl Transport for Endpoint {
         &self.stats
     }
 
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
-        if to == self.id {
-            return Err(self.no_such_party(to));
-        }
-        self.send_seqs
-            .get(to)
-            .map(|s| s.fetch_add(1, Ordering::Relaxed))
-            .ok_or_else(|| self.no_such_party(to))
-    }
-
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
+    fn send_frame(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), MpcError> {
         let sender = self
             .senders
             .get(to)
             .and_then(|s| s.as_ref())
             .ok_or_else(|| self.no_such_party(to))?;
-        self.stats
-            .record_frame(self.id, to, msg.tag, msg.payload.len());
+        self.stats.record_frame(self.id, to, tag, payload.len());
         sender
-            .send(msg)
+            .send((tag, payload))
             .map_err(|_| MpcError::ChannelClosed { peer: to })
     }
 
-    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError> {
-        let link = self
-            .links
+    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Frame, MpcError> {
+        let rx = self
+            .receivers
             .get(from)
-            .and_then(|l| l.as_ref())
+            .and_then(|r| r.as_ref())
             .ok_or_else(|| self.no_such_party(from))?;
-        link.lock().recv_in_order(from, tag, deadline)
+        let start = Instant::now();
+        rx.recv_timeout(deadline).map_err(|e| match e {
+            RecvTimeoutError::Timeout => MpcError::Timeout {
+                peer: from,
+                tag,
+                waited: start.elapsed(),
+            },
+            RecvTimeoutError::Disconnected => MpcError::ChannelClosed { peer: from },
+        })
     }
 }
 
@@ -701,9 +569,9 @@ impl Network {
         }
         let stats = Arc::new(NetworkStats::with_trace(n, trace));
         // channels[i][j]: sender for link i→j held by i, receiver held by j.
-        let mut senders: Vec<Vec<Option<Sender<Message>>>> =
+        let mut senders: Vec<Vec<Option<Sender<Frame>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut links: Vec<Vec<Option<Mutex<RecvState>>>> =
+        let mut receivers: Vec<Vec<Option<Receiver<Frame>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         for (i, sender_row) in senders.iter_mut().enumerate() {
             for (j, send_slot) in sender_row.iter_mut().enumerate() {
@@ -712,21 +580,20 @@ impl Network {
                 }
                 let (tx, rx) = channel();
                 *send_slot = Some(tx);
-                if let Some(recv_slot) = links.get_mut(j).and_then(|row| row.get_mut(i)) {
-                    *recv_slot = Some(Mutex::new(RecvState::new(rx)));
+                if let Some(recv_slot) = receivers.get_mut(j).and_then(|row| row.get_mut(i)) {
+                    *recv_slot = Some(rx);
                 }
             }
         }
         let endpoints = senders
             .into_iter()
-            .zip(links)
+            .zip(receivers)
             .enumerate()
-            .map(|(id, (s, l))| Endpoint {
+            .map(|(id, (s, r))| Endpoint {
                 id,
                 n,
                 senders: s,
-                send_seqs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                links: l,
+                receivers: r,
                 stats: Arc::clone(&stats),
             })
             .collect();
@@ -832,7 +699,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::words_to_bytes;
+    use crate::tags::{BLOCK_TAG_BASE, BLOCK_TAG_STRIDE};
 
     #[test]
     fn zero_parties_rejected() {
@@ -891,14 +758,12 @@ mod tests {
             assert_eq!(r.unwrap().unwrap(), 3);
         }
         let trace = stats.trace();
-        assert!(trace.is_enabled());
+        assert_eq!(trace.n_parties(), 3);
         assert!(stats.total_bytes() > 0);
         for p in 0..3 {
             assert_eq!(trace.counter(p, Counter::BytesSent), stats.bytes_sent_by(p));
-            assert_eq!(
-                trace.counter(p, Counter::MessagesSent),
-                stats.messages_sent_by(p)
-            );
+            let messages_sent: u64 = (0..3).map(|j| stats.messages_between(p, j)).sum();
+            assert_eq!(trace.counter(p, Counter::MessagesSent), messages_sent);
             assert_eq!(
                 trace.counter(p, Counter::Retries),
                 stats.count_by(p, Counter::Retries)
@@ -1012,97 +877,6 @@ mod tests {
             b.recv_words(0, 0),
             Err(MpcError::ChannelClosed { peer: 0 })
         ));
-    }
-
-    #[test]
-    fn reorder_buffer_is_bounded() {
-        // Regression (satellite bugfix): the early-frame buffer used to
-        // grow without limit, so a peer spraying far-future sequence
-        // numbers exhausted memory. The receive must fail structurally
-        // once MAX_EARLY_FRAMES are buffered.
-        let (eps, _) = Network::endpoints(2).unwrap();
-        // Never send seq 0, so every frame is an early arrival.
-        for seq in 1..=(MAX_EARLY_FRAMES as u64 + 1) {
-            eps[0]
-                .send_frame(
-                    1,
-                    Message {
-                        seq,
-                        tag: 7,
-                        payload: vec![],
-                    },
-                )
-                .unwrap();
-        }
-        let err = eps[1].recv_words(0, 7).unwrap_err();
-        assert_eq!(
-            err,
-            MpcError::ReorderOverflow {
-                peer: 0,
-                buffered: MAX_EARLY_FRAMES
-            }
-        );
-    }
-
-    #[test]
-    fn reorder_buffer_below_cap_still_reorders() {
-        // Just under the cap everything is buffered and delivered in
-        // order once the gap frame arrives.
-        let (eps, _) = Network::endpoints(2).unwrap();
-        for seq in 1..MAX_EARLY_FRAMES as u64 {
-            eps[0]
-                .send_frame(
-                    1,
-                    Message {
-                        seq,
-                        tag: 3,
-                        payload: words_to_bytes(&[seq]),
-                    },
-                )
-                .unwrap();
-        }
-        eps[0]
-            .send_frame(
-                1,
-                Message {
-                    seq: 0,
-                    tag: 3,
-                    payload: words_to_bytes(&[0]),
-                },
-            )
-            .unwrap();
-        for seq in 0..MAX_EARLY_FRAMES as u64 {
-            assert_eq!(eps[1].recv_words(0, 3).unwrap(), vec![seq]);
-        }
-    }
-
-    #[test]
-    fn duplicated_and_reordered_frames_deliver_once_in_order() {
-        // The receive path both transports share: a TCP link replays
-        // frames after a reconnect, so a receiver sees repeats and
-        // out-of-order arrivals and must still deliver each seq once.
-        let (tx, rx) = channel();
-        for seq in [1, 0, 0, 2, 1, 3] {
-            let payload = words_to_bytes(&[seq]);
-            tx.send(Message {
-                seq,
-                tag: 4,
-                payload,
-            })
-            .unwrap();
-        }
-        drop(tx);
-        let mut link = RecvState::new(rx);
-        let deadline = Duration::from_millis(20);
-        for seq in 0..4 {
-            let msg = link.recv_in_order(0, 4, deadline).unwrap();
-            assert_eq!((msg.seq, msg.payload), (seq, words_to_bytes(&[seq])));
-        }
-        // Nothing is left over: the repeats were discarded, not queued.
-        assert_eq!(
-            link.recv_in_order(0, 4, deadline).unwrap_err(),
-            MpcError::ChannelClosed { peer: 0 }
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const RESERVED_TAG_LAST: u32 = 999;
 
 /// Transport-internal heartbeat frames (`crate::tcp` link supervision).
 /// Heartbeats ride the framed wire format with the sentinel sequence
-/// number `u64::MAX`, never enter the reorder buffer, and are excluded
+/// number `u64::MAX`, are consumed by the link's machine, and are excluded
 /// from traffic accounting, so the tag exists purely to make the frames
 /// self-describing on the wire. Hand-picked from the top of the reserved
 /// range so no test tag collides with it by accident.

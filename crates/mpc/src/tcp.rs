@@ -1,17 +1,19 @@
 //! Real-socket transport: the [`Transport`] contract over TCP.
 //!
-//! One OS process per party. Frames are length-prefixed with the same
-//! per-link sequence numbers the in-process [`crate::net::Endpoint`]
-//! uses, received by per-peer reader threads that feed the shared
-//! `RecvState` in-order delivery machinery — so dedup, reorder
-//! buffering (bounded by [`crate::net::MAX_EARLY_FRAMES`]) and the
-//! structured error surface ([`MpcError::Timeout`],
-//! [`MpcError::ChannelClosed`], [`MpcError::MalformedPayload`],
-//! [`MpcError::ReorderOverflow`]) are byte-for-byte the semantics of the
-//! mpsc path. Every outgoing frame is counted at the same single
-//! accounting point ([`NetworkStats`], which mirrors into the `dash-obs`
-//! trace), so stats and trace totals stay bit-identical to an in-process
-//! run of the same protocol.
+//! One OS process per party. Frames are length-prefixed and carry a
+//! per-link sequence number, assigned under the link's socket lock. A
+//! per-peer reader thread hands every frame it reads to the link's
+//! machine (`link.rs`), which drops duplicates, holds early frames (a
+//! reconnect's replay can overlap what already arrived) and passes on only
+//! the frames now due, in order, to the protocol's channel — so the
+//! protocol sees what the in-process [`crate::net::Endpoint`]'s mpsc
+//! channel gives it: every frame once, in send order, or a structured
+//! error ([`MpcError::Timeout`], [`MpcError::ChannelClosed`],
+//! [`MpcError::MalformedPayload`], [`MpcError::ReorderOverflow`]). Every
+//! outgoing frame is counted at the same single accounting point
+//! ([`NetworkStats`], which mirrors into the `dash-obs` trace), so stats
+//! and trace totals stay bit-identical to an in-process run of the same
+//! protocol.
 //!
 //! Connection setup is deterministic: party `i` dials every lower id
 //! `j < i` (bounded connect retry with backoff) and accepts from every
@@ -37,15 +39,15 @@
 
 use crate::error::MpcError;
 use crate::link::{AfterRead, Link, Reconnect};
-use crate::net::{Message, NetworkStats, RecvState, HEADER_BYTES};
+use crate::net::{NetworkStats, HEADER_BYTES};
 use crate::tags::{CLOSE_TAG, HEARTBEAT_TAG};
-use crate::transport::{LinkSnapshot, ReplayFrame, Transport};
+use crate::transport::{LinkSnapshot, Message, Transport};
 use dash_obs::Counter;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,7 +69,7 @@ const HELLO_FLAG_RESUME: u64 = 1;
 /// Sentinel sequence number of the two transport-internal frames: the
 /// heartbeat ([`HEARTBEAT_TAG`], payload = ack cursor) and the close
 /// record ([`CLOSE_TAG`], no payload, the last frame of a party that
-/// finished). Neither enters the reorder buffer (the reader consumes
+/// finished). Neither reaches the protocol (the link's machine consumes
 /// them) or the byte/message accounting, so every transport and policy
 /// reports bit-identical traffic totals for the same protocol.
 pub(crate) const SENTINEL_SEQ: u64 = u64::MAX;
@@ -500,19 +502,30 @@ impl Stop {
 /// Two invariants rest on how the first two locks are used. (1) A
 /// reconnect replays the backlog and installs the new socket atomically
 /// with respect to new sends: both hold `socket` from asking the machine
-/// (`peer_hello` / `sent`) to the write's end, so no frame can slip
-/// between the replayed backlog and the first new send, nor follow the
-/// close record that `close` writes under it. (2) `machine` is never held
-/// across I/O and `socket` is never taken to process an arriving frame, so
-/// a sender blocked in `write_all` on a full frame stalls no reader. Lock
-/// order: `socket`, then `machine`.
+/// (`peer_hello` / `alloc_seq` + `sent`) to the write's end, so frames go
+/// onto the wire in sequence order, and none can slip between the
+/// replayed backlog and the first new send, nor follow the close record
+/// that `close` writes under it. (2) `machine` is never held across I/O
+/// and `socket` is never taken to process an arriving frame, so a sender
+/// blocked in `write_all` on a full frame stalls no reader. Lock order:
+/// `socket`, then `machine`.
 #[derive(Debug)]
 struct PeerLink {
     /// Current socket; `None` while the link is down.
     socket: Mutex<Option<TcpStream>>,
     machine: Mutex<Link>,
-    /// In-order delivery state fed by this peer's reader thread.
-    inbox: Mutex<RecvState>,
+    inbox: Mutex<Inbox>,
+}
+
+/// The protocol's side of a link: the frames the machine has handed on,
+/// in order, and how many of them the protocol has taken.
+#[derive(Debug)]
+struct Inbox {
+    rx: Receiver<(u32, Vec<u8>)>,
+    /// The protocol-consumed receive cursor, which a checkpoint records:
+    /// frames still in the channel die with the process, and peers
+    /// re-send everything from this cursor on resume.
+    consumed: u64,
 }
 
 /// Encodes one frame header + payload into a single write buffer.
@@ -714,8 +727,8 @@ fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
                     let (s, theirs) = conn;
                     Some(reconcile_and_install(&ctx.link, ctx.peer, s, theirs, false))
                 }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return None,
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return None,
             },
         };
         match attempted {
@@ -732,36 +745,42 @@ fn reestablish(ctx: &ReaderCtx) -> Option<TcpStream> {
     None
 }
 
-/// The one reader thread, for both policies: read a frame, ask the
-/// machine, forward or drop it; when the read ends, do what the machine
-/// says — exit, exit with its verdict stored, or reconnect within the
-/// window and keep going. Dropping `tx` is what surfaces a stored verdict
-/// (or a plain [`MpcError::ChannelClosed`]) to the protocol thread.
-fn reader_thread(mut read_half: TcpStream, ctx: ReaderCtx, tx: Sender<Message>) {
+/// The one reader thread, for both policies: read a frame, hand it to the
+/// machine, forward what it says is due; when the read ends, do what the
+/// machine says — exit, exit with its verdict stored, or reconnect within
+/// the window and keep going. Dropping `tx` is what surfaces a stored
+/// verdict (or a plain [`MpcError::ChannelClosed`]) to the protocol thread.
+fn reader_thread(mut read_half: TcpStream, ctx: ReaderCtx, tx: Sender<(u32, Vec<u8>)>) {
     loop {
-        let end = match read_frame(&mut read_half, &ctx.stop.raised) {
+        let after = match read_frame(&mut read_half, &ctx.stop.raised) {
             Ok(msg) => {
-                let deliver = ctx.link.machine.lock().frame_arrived(msg, Instant::now());
-                if let Some(msg) = deliver {
-                    // Cannot fail: the receiver lives in `ctx.link.inbox`.
-                    let _ = tx.send(msg);
+                let due = ctx.link.machine.lock().frame_arrived(msg, Instant::now());
+                match due {
+                    Ok(due) => {
+                        for msg in due {
+                            // Cannot fail: the receiver lives in `ctx.link.inbox`.
+                            let _ = tx.send((msg.tag, msg.payload));
+                        }
+                        continue;
+                    }
+                    // The machine stored its verdict; the link is over.
+                    Err(verdict) => Err(verdict),
                 }
-                continue;
             }
-            Err(end) => end,
+            Err(ReadEnd::Shutdown) => {
+                // `Drop` has sent our FIN; closing before the peer's
+                // arrives could RST frames it has yet to read.
+                drain_until_eof(&mut read_half);
+                return;
+            }
+            Err(end) => ctx.link.machine.lock().read_ended(end, Instant::now()),
         };
-        let after = ctx.link.machine.lock().read_ended(end, Instant::now());
-        if end == ReadEnd::Shutdown {
-            // `Drop` has sent our FIN; closing before the peer's arrives
-            // could RST frames it has yet to read.
-            drain_until_eof(&mut read_half);
-            return;
-        }
         // Any other end is the peer's doing (a FIN, with or without a
-        // close record, or a dead socket): close our side fully before
-        // anything else. A peer tearing down drains its half until our
-        // FIN, and holding our clones open would stall that drain for its
-        // whole deadline (delaying a restart past our reconnect window).
+        // close record, a dead socket, or a frame the machine refused):
+        // close our side fully before anything else. A peer tearing down
+        // drains its half until our FIN, and holding our clones open would
+        // stall that drain for its whole deadline (delaying a restart past
+        // our reconnect window).
         let _ = read_half.shutdown(Shutdown::Both);
         *ctx.link.socket.lock() = None;
         if after != Ok(AfterRead::Reconnect) {
@@ -857,7 +876,7 @@ fn heartbeat_loop(
 }
 
 /// A party's socket mesh: one TCP connection per peer, with the same
-/// sequence-numbered framing, deadline-aware receives, accounting and
+/// once-and-in-order delivery, deadline-aware receives, accounting and
 /// error surface as the in-process [`crate::net::Endpoint`].
 #[derive(Debug)]
 pub struct TcpTransport {
@@ -1041,7 +1060,10 @@ impl TcpTransport {
             let link = Arc::new(PeerLink {
                 socket: Mutex::new(None),
                 machine: Mutex::new(machine),
-                inbox: Mutex::new(RecvState::with_next_seq(rx, recv_next(j))),
+                inbox: Mutex::new(Inbox {
+                    rx,
+                    consumed: recv_next(j),
+                }),
             });
             let read_half = reconcile_and_install(&link, j, stream, their_next, resuming)
                 .map_err(LinkError::into_inner)?;
@@ -1125,29 +1147,25 @@ impl Transport for TcpTransport {
         &self.stats
     }
 
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError> {
-        Ok(self.link(to)?.machine.lock().alloc_seq())
-    }
-
     /// Ships one frame: record at the single accounting point (the same
-    /// sender-side ordering as the in-process endpoint), hand it to the
-    /// machine, then write `seq | tag | len | payload` in one buffered
-    /// syscall — the last two under the `socket` lock (invariant 1 on
-    /// `PeerLink`). What a failed write means is the machine's call:
+    /// sender-side ordering as the in-process endpoint), then, under the
+    /// `socket` lock (invariant 1 on `PeerLink`), number it and hand it to
+    /// the machine and write `seq | tag | len | payload` in one buffered
+    /// syscall. What a failed write means is the machine's call:
     /// supervised, the frame rides the replay buffer to the reconnected
     /// socket, and it was already counted, so totals stay identical
     /// whether or not the link hiccupped.
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError> {
+    fn send_frame(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), MpcError> {
         let link = self.link(to)?;
-        self.stats
-            .record_frame(self.id, to, msg.tag, msg.payload.len());
-        let buf = frame_bytes(msg.seq, msg.tag, &msg.payload);
+        self.stats.record_frame(self.id, to, tag, payload.len());
         let mut socket = link.socket.lock();
-        link.machine.lock().sent(ReplayFrame {
-            seq: msg.seq,
-            tag: msg.tag,
-            payload: msg.payload,
-        });
+        let buf = {
+            let mut machine = link.machine.lock();
+            let seq = machine.alloc_seq();
+            let buf = frame_bytes(seq, tag, &payload);
+            machine.sent(Message { seq, tag, payload });
+            buf
+        };
         if socket.as_mut().is_some_and(|s| s.write_all(&buf).is_ok()) {
             return Ok(());
         }
@@ -1155,23 +1173,33 @@ impl Transport for TcpTransport {
         link.machine.lock().write_failed()
     }
 
-    /// In-order deadline-aware receive. The wait is sliced so the machine
-    /// can judge liveness against the heartbeat stream: a peer silent
-    /// past the liveness deadline fails fast with
-    /// [`MpcError::PeerCrashed`] (a dead process, not a slow one), while a
-    /// live-but-slow peer still gets the full deadline. A closed channel
-    /// means the link's reader exited; the verdict it left in the machine
-    /// (malformed frame, torn connection, dead peer, irreconcilable
-    /// resume) is the error.
-    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError> {
+    /// Deadline-aware receive of the next frame the machine handed on.
+    /// The wait is sliced so the machine can judge liveness against the
+    /// heartbeat stream: a peer silent past the liveness deadline fails
+    /// fast with [`MpcError::PeerCrashed`] (a dead process, not a slow
+    /// one), while a live-but-slow peer still gets the full deadline. A
+    /// closed channel means the link's reader exited; the verdict it left
+    /// in the machine (malformed frame, reorder overflow, torn connection,
+    /// dead peer, irreconcilable resume) is the error.
+    fn recv_frame(
+        &self,
+        from: usize,
+        tag: u32,
+        deadline: Duration,
+    ) -> Result<(u32, Vec<u8>), MpcError> {
         let link = self.link(from)?;
         let start = Instant::now();
         loop {
             let remaining = deadline.saturating_sub(start.elapsed());
             let slice = remaining.min(LIVENESS_POLL_INTERVAL);
-            let res = link.inbox.lock().recv_in_order(from, tag, slice);
-            match res {
-                Err(MpcError::Timeout { .. }) => {
+            let mut inbox = link.inbox.lock();
+            match inbox.rx.recv_timeout(slice) {
+                Ok(frame) => {
+                    inbox.consumed += 1;
+                    return Ok(frame);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    drop(inbox);
                     if let Some(dead) = link.machine.lock().silent_verdict(Instant::now()) {
                         return Err(dead);
                     }
@@ -1183,10 +1211,10 @@ impl Transport for TcpTransport {
                         });
                     }
                 }
-                Err(closed @ MpcError::ChannelClosed { .. }) => {
+                Err(RecvTimeoutError::Disconnected) => {
+                    let closed = MpcError::ChannelClosed { peer: from };
                     return Err(link.machine.lock().verdict().unwrap_or(closed));
                 }
-                other => return other,
             }
         }
     }
@@ -1198,10 +1226,7 @@ impl Transport for TcpTransport {
                 Some(link) => link.machine.lock().snapshot()?,
                 None => (0, Vec::new()),
             };
-            // The protocol-consumed cursor, not the reader's: frames
-            // sitting undelivered in the channel die with the process,
-            // and peers re-send everything from this cursor on resume.
-            let recv_next = link.as_ref().map_or(0, |l| l.inbox.lock().next_seq());
+            let recv_next = link.as_ref().map_or(0, |l| l.inbox.lock().consumed);
             snap.send_next.push(send_next);
             snap.recv_next.push(recv_next);
             snap.replay.push(replay);
@@ -1518,11 +1543,10 @@ pub(crate) mod tests {
         ));
     }
 
-    #[test]
-    fn oversized_frame_len_is_malformed_payload() {
-        // A raw socket impersonates party 0 (correct hello, then a frame
-        // announcing an absurd length): party 1 must fail structurally,
-        // not allocate or hang.
+    /// Party 1 of a two-party run `run_id` whose party 0 is a raw socket:
+    /// it answers the hello by hand, writes `wire` as it stands, and holds
+    /// the socket open a while so EOF cannot race the parse.
+    fn against_raw_party_0(run_id: u64, wire: Vec<u8>) -> (TcpTransport, JoinHandle<()>) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
@@ -1530,18 +1554,25 @@ pub(crate) mod tests {
             let (mut s, _) = l0.accept().unwrap();
             let mut hello = [0u8; HELLO_BYTES];
             s.read_exact(&mut hello).unwrap();
-            s.write_all(&encode_hello(5, 0, 2, 0, 0)).unwrap();
-            // seq 0, tag 1, len = 2^40 — far over MAX_FRAME_BYTES.
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&0u64.to_le_bytes());
-            frame.extend_from_slice(&1u32.to_le_bytes());
-            frame.extend_from_slice(&(1u64 << 40).to_le_bytes());
-            s.write_all(&frame).unwrap();
-            // Hold the socket open so EOF cannot race the parse.
+            s.write_all(&encode_hello(run_id, 0, 2, 0, 0)).unwrap();
+            s.write_all(&wire).unwrap();
             std::thread::sleep(Duration::from_millis(500));
         });
         let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
-        let t = TcpTransport::connect(1, l1, &addrs, test_cfg(5), stats).unwrap();
+        let t = TcpTransport::connect(1, l1, &addrs, test_cfg(run_id), stats).unwrap();
+        (t, fake)
+    }
+
+    #[test]
+    fn oversized_frame_len_is_malformed_payload() {
+        // A frame announcing an absurd length: party 1 must fail
+        // structurally, not allocate or hang. Seq 0, tag 1, len = 2^40 —
+        // far over MAX_FRAME_BYTES.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        let (t, fake) = against_raw_party_0(5, frame);
         let err = t
             .recv_words_timeout(0, 1, Duration::from_secs(5))
             .unwrap_err();
@@ -1549,6 +1580,37 @@ pub(crate) mod tests {
             matches!(err, MpcError::MalformedPayload { from: 0, .. }),
             "got {err:?}"
         );
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn reordered_and_duplicated_frames_deliver_once_and_overflow_fails() {
+        // Seqs [1, 0, 0, 2] on the wire — the shape a reconnect's replay
+        // can give a stream — reach the protocol as 0, 1, 2, each once.
+        let frames: Vec<_> = [1u64, 0, 0, 2]
+            .map(|seq| (seq, 10 + seq as u32, (100 + seq).to_le_bytes().to_vec()))
+            .into();
+        let (t, fake) = against_raw_party_0(8, frame_stream(&frames, &[]));
+        for seq in 0..3 {
+            assert_eq!(t.recv_words(0, 10 + seq as u32).unwrap(), vec![100 + seq]);
+        }
+        // The repeat was dropped, not queued behind them.
+        let rest = t.recv_words_timeout(0, 13, Duration::from_millis(50));
+        assert!(matches!(rest, Err(MpcError::Timeout { .. })), "{rest:?}");
+        drop(t);
+        fake.join().unwrap();
+        // One frame more ahead of seq 0 than a link holds ends the link.
+        let max = crate::link::MAX_EARLY_FRAMES;
+        let early: Vec<_> = (1..=max as u64 + 1).map(|seq| (seq, 7, vec![])).collect();
+        let (t, fake) = against_raw_party_0(9, frame_stream(&early, &[]));
+        assert_eq!(
+            t.recv_words_timeout(0, 7, Duration::from_secs(5)),
+            Err(MpcError::ReorderOverflow {
+                peer: 0,
+                buffered: max
+            })
+        );
+        drop(t);
         fake.join().unwrap();
     }
 

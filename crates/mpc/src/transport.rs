@@ -1,36 +1,40 @@
-//! Transport abstraction: a transport moves sequence-numbered frames;
-//! everything above the frame exists once, here.
+//! Transport abstraction: a transport moves tagged frames, each once and
+//! in order; everything above the frame exists once, here.
 //!
 //! [`Transport`] is the one interface between a party's protocol and the
-//! wire. An implementor supplies six small frame-level methods (identity,
-//! counters, sequence allocation, ship a frame, receive the next in-order
-//! frame); the word codec, the tag check, the whole-word check and the
-//! receive-timeout accounting are provided methods written once below, so
-//! the in-process [`crate::net::Endpoint`], the socket-backed
-//! [`crate::tcp::TcpTransport`] and any future link share them by
-//! construction.
+//! wire. An implementor supplies five small frame-level methods (identity,
+//! counters, ship a frame, receive the next frame); the word codec, the
+//! tag check, the whole-word check and the receive-timeout accounting are
+//! provided methods written once below, so the in-process
+//! [`crate::net::Endpoint`], the socket-backed [`crate::tcp::TcpTransport`]
+//! and any future link share them by construction. Sequence numbers are
+//! not part of the trait: an mpsc channel is already FIFO and
+//! exactly-once, and a TCP link numbers, orders and dedups its frames in
+//! its own state machine (`link.rs`).
 //!
 //! Faults are not injected here. A transport either delivers each frame
 //! once and in order or fails structurally ([`MpcError::Timeout`],
-//! [`MpcError::ChannelClosed`], [`MpcError::PeerCrashed`]); real link
-//! faults are injected below the socket by [`crate::chaos::ChaosProxy`]
-//! and by killing a party process.
+//! [`MpcError::ChannelClosed`], [`MpcError::PeerCrashed`],
+//! [`MpcError::ReorderOverflow`]); real link faults are injected below the
+//! socket by [`crate::chaos::ChaosProxy`] and by killing a party process.
 
 use crate::error::MpcError;
-use crate::net::{Message, NetworkStats, DEFAULT_DEADLINE};
+use crate::net::{NetworkStats, DEFAULT_DEADLINE};
 use dash_obs::Counter;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One outbound frame buffered for possible replay after a peer resumes
-/// from a checkpoint older than what it had acknowledged in-memory.
+/// One framed message on a TCP link: what the wire carries, what the
+/// link's machine orders, and what its replay buffer (and a checkpoint's
+/// backlog) holds for a resuming peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayFrame {
-    /// Wire sequence number on the link.
+pub struct Message {
+    /// Per-link sequence number; the receiving link delivers in `seq`
+    /// order.
     pub seq: u64,
-    /// Protocol tag the frame carries.
+    /// Protocol round tag; receivers verify it to catch desyncs early.
     pub tag: u32,
-    /// Raw payload bytes.
+    /// Serialized payload.
     pub payload: Vec<u8>,
 }
 
@@ -46,7 +50,7 @@ pub struct LinkSnapshot {
     /// Next in-order sequence number expected from each peer.
     pub recv_next: Vec<u64>,
     /// Buffered outbound frames per peer, oldest first.
-    pub replay: Vec<Vec<ReplayFrame>>,
+    pub replay: Vec<Vec<Message>>,
 }
 
 /// Serializes words into the little-endian byte payload.
@@ -71,24 +75,25 @@ pub trait Transport: Send + std::fmt::Debug {
     fn n_parties(&self) -> usize;
     /// The shared network counters.
     fn stats(&self) -> &Arc<NetworkStats>;
-    /// Allocates the next sequence number for the link to `to`,
-    /// validating that the link exists.
-    fn alloc_seq(&self, to: usize) -> Result<u64, MpcError>;
-    /// Ships an already-framed message, recording its cost at the
-    /// single accounting point ([`NetworkStats`]).
-    fn send_frame(&self, to: usize, msg: Message) -> Result<(), MpcError>;
-    /// Delivers the next in-order frame from `from`, waiting at most
-    /// `deadline`; `tag` only labels a [`MpcError::Timeout`]. Duplicates
-    /// are discarded and early arrivals buffered below this call. The
+    /// Ships one frame to `to` under `tag`, recording its cost at the
+    /// single accounting point ([`NetworkStats`]). No link to oneself or
+    /// to a party that does not exist ([`MpcError::NoSuchParty`]).
+    fn send_frame(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), MpcError>;
+    /// Delivers the next frame from `from` as `(tag, payload)`, in the
+    /// order the peer sent them and each once, waiting at most
+    /// `deadline`; `tag` only labels a [`MpcError::Timeout`]. The
     /// implementor does *not* count a timeout — the provided
     /// [`Transport::recv_words_timeout`] does, once.
-    fn recv_frame(&self, from: usize, tag: u32, deadline: Duration) -> Result<Message, MpcError>;
+    fn recv_frame(
+        &self,
+        from: usize,
+        tag: u32,
+        deadline: Duration,
+    ) -> Result<(u32, Vec<u8>), MpcError>;
 
     /// Sends a word vector to a peer under a tag.
     fn send_words(&self, to: usize, tag: u32, words: &[u64]) -> Result<(), MpcError> {
-        let seq = self.alloc_seq(to)?;
-        let payload = words_to_bytes(words);
-        self.send_frame(to, Message { seq, tag, payload })
+        self.send_frame(to, tag, words_to_bytes(words))
     }
     /// Receives a word vector from a peer, waiting at most `deadline`.
     /// A frame under another tag is a protocol desync
@@ -101,26 +106,25 @@ pub trait Transport: Send + std::fmt::Debug {
         tag: u32,
         deadline: Duration,
     ) -> Result<Vec<u64>, MpcError> {
-        let msg = self.recv_frame(from, tag, deadline).inspect_err(|e| {
+        let (got_tag, payload) = self.recv_frame(from, tag, deadline).inspect_err(|e| {
             if matches!(e, MpcError::Timeout { .. }) {
                 self.stats().record(self.id(), Counter::Timeouts);
             }
         })?;
-        if msg.tag != tag {
+        if got_tag != tag {
             return Err(MpcError::UnexpectedMessage {
                 expected_tag: tag,
-                got_tag: msg.tag,
+                got_tag,
                 from,
             });
         }
-        if msg.payload.len() % 8 != 0 {
+        if payload.len() % 8 != 0 {
             return Err(MpcError::MalformedPayload {
                 from,
-                len: msg.payload.len(),
+                len: payload.len(),
             });
         }
-        Ok(msg
-            .payload
+        Ok(payload
             .chunks_exact(8)
             .map(|c| {
                 let mut w = [0u8; 8];
@@ -187,10 +191,11 @@ mod tests {
 
     /// What every [`Transport`] owes its caller, as party 0 (`a`) talking
     /// to party 1 (`b`) of a 2-party link. The word-level checks are
-    /// provided methods, so passing here means an implementor's six frame
-    /// methods feed them correctly.
+    /// provided methods, so passing here means an implementor's five frame
+    /// methods feed them correctly. (A TCP link's ordering and dedup of
+    /// what arrives off the socket is `link::tests`' and
+    /// `tcp::tests::reordered_and_duplicated_frames_deliver_once_and_overflow_fails`'.)
     fn check_contract(a: &dyn Transport, b: &dyn Transport) {
-        let frame = |seq: u64, tag: u32, payload: Vec<u8>| Message { seq, tag, payload };
         // Wrong tag: a protocol desync, reported with both tags.
         a.send_words(1, 1, &[42]).unwrap();
         assert_eq!(
@@ -202,8 +207,7 @@ mod tests {
             })
         );
         // A payload that is not whole words is rejected, not truncated.
-        let seq = a.alloc_seq(1).unwrap();
-        a.send_frame(1, frame(seq, 3, vec![7; 7])).unwrap();
+        a.send_frame(1, 3, vec![7; 7]).unwrap();
         assert_eq!(
             b.recv_words(0, 3),
             Err(MpcError::MalformedPayload { from: 0, len: 7 })
@@ -230,17 +234,9 @@ mod tests {
         }
         assert_eq!(b.stats().total(Counter::Timeouts), before + 1);
         assert_eq!(b.stats().count_by(1, Counter::Timeouts), before + 1);
-        // Frames shipped out of wire order, with a duplicate, deliver
-        // once each and in sequence order: base+1, base, base again,
-        // base+2.
-        let base = a.alloc_seq(1).unwrap();
-        for _ in 0..2 {
-            a.alloc_seq(1).unwrap();
-        }
-        for (off, word) in [(1, 101), (0, 100), (0, 100), (2, 102)] {
-            let payload = words_to_bytes(&[word]);
-            a.send_frame(1, frame(base + off, 10 + off as u32, payload))
-                .unwrap();
+        // Frames arrive in the order they were sent, each once.
+        for (tag, word) in [(10, 100), (11, 101), (12, 102)] {
+            a.send_words(1, tag, &[word]).unwrap();
         }
         for (tag, word) in [(10, 100), (11, 101), (12, 102)] {
             assert_eq!(b.recv_words(0, tag).unwrap(), vec![word]);
@@ -275,13 +271,18 @@ mod tests {
             ..NetOptions::default()
         };
         let started = std::time::Instant::now();
+        let both_received = std::sync::Barrier::new(2);
         let (results, _, _) =
             Network::run_parties_detailed_with(2, 13, &opts, |ctx| -> Result<Vec<u64>, MpcError> {
-                // Both parties receive before anyone sends, so nothing is
-                // in flight: the receive must burn its 1 ns deadline and
-                // fail structurally rather than spin or hang.
+                // Both parties receive before anyone sends, and neither
+                // leaves (closing its channels) before both have received,
+                // so nothing is in flight and nothing is closed: the
+                // receive must burn its 1 ns deadline and fail structurally
+                // rather than spin or hang.
                 let tag = ctx.fresh_tag();
-                ctx.recv_words(1 - ctx.id(), tag)
+                let got = ctx.recv_words(1 - ctx.id(), tag);
+                both_received.wait();
+                got
             })
             .unwrap();
         for r in results {

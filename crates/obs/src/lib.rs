@@ -276,12 +276,6 @@ impl TraceHandle {
         }
     }
 
-    /// Whether this handle records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Number of parties the trace covers (0 when disabled).
     pub fn n_parties(&self) -> usize {
         self.sink.as_ref().map_or(0, |s| s.parties.len())
@@ -572,7 +566,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = TraceHandle::disabled();
-        assert!(!t.is_enabled());
+        assert_eq!(t.summary(), "trace: disabled\n");
         t.add(0, Counter::BytesSent, 10);
         t.on_message(0, 1, 28);
         {

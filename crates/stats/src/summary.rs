@@ -89,15 +89,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (divide by n); NaN when empty.
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn sd(&self) -> f64 {
         self.variance().sqrt()
@@ -128,7 +119,6 @@ mod tests {
         w.extend(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(w.count(), 8);
         assert!(close(w.mean(), 5.0, 1e-15));
-        assert!(close(w.variance_population(), 4.0, 1e-14));
         assert!(close(w.variance(), 32.0 / 7.0, 1e-14));
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 9.0);
@@ -143,7 +133,6 @@ mod tests {
         w1.push(3.0);
         assert_eq!(w1.mean(), 3.0);
         assert!(w1.variance().is_nan());
-        assert!(close(w1.variance_population(), 0.0, 1e-15));
     }
 
     #[test]
@@ -183,6 +172,6 @@ mod tests {
             w.push(1e9 + (i % 2) as f64);
         }
         assert!(close(w.mean(), 1e9 + 0.5, 1e-15));
-        assert!(close(w.variance_population(), 0.25, 1e-9));
+        assert!(close(w.variance(), 0.25 * 1000.0 / 999.0, 1e-9));
     }
 }
