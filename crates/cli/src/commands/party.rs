@@ -65,9 +65,8 @@ TRANSPORT:
     --accept-timeout-ms N   total wait for higher-id peers to dial in, and for
                             a dialed peer's hello reply, in ms [default: 30000]
 
-SUPERVISION & CRASH RECOVERY:
-    --supervise BOOL        idle-link heartbeats, slow-vs-dead liveness
-                            verdicts and bounded reconnect [default: true]
+SUPERVISION & CRASH RECOVERY (links are always supervised: idle-link
+heartbeats, slow-vs-dead liveness verdicts and bounded reconnect):
     --heartbeat-ms N        idle-link heartbeat interval [default: 250]
     --liveness-timeout-ms N silence before a peer is declared dead
                             [default: 15000]
@@ -75,7 +74,6 @@ SUPERVISION & CRASH RECOVERY:
                             reconnecting [default: 15000]
     --checkpoint-dir DIR    persist resumable protocol state to
                             DIR/party-K.ckpt at every block boundary
-                            (needs --supervise true)
     --resume BOOL           rejoin an interrupted run from the checkpoint
                             in --checkpoint-dir [default: false]";
 
@@ -109,7 +107,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let connect_retries = flags.parse_or("connect-retries", 30u32, "an attempt count")?;
     let accept_timeout_ms = flags.parse_or("accept-timeout-ms", 30_000u64, "milliseconds")?;
     let listen = flags.optional("listen");
-    let supervise = flags.parse_or("supervise", true, "true or false")?;
     let heartbeat_ms = flags.parse_or("heartbeat-ms", 250u64, "milliseconds")?;
     let liveness_timeout_ms = flags.parse_or("liveness-timeout-ms", 15_000u64, "milliseconds")?;
     let reconnect_window_ms = flags.parse_or("reconnect-window-ms", 15_000u64, "milliseconds")?;
@@ -127,13 +124,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     flags.reject_unknown(USAGE)?;
 
-    if checkpoint_dir.is_some() && !supervise {
-        return Err(CliError::BadValue {
-            flag: "--checkpoint-dir".into(),
-            value: "with --supervise false".into(),
-            expected: "supervision enabled (checkpoints resume through the supervised link state)",
-        });
-    }
     if resume && checkpoint_dir.is_none() {
         return Err(CliError::BadValue {
             flag: "--resume".into(),
@@ -187,7 +177,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         connect_timeout: Duration::from_millis(connect_timeout_ms),
         connect_retries,
         accept_timeout: Duration::from_millis(accept_timeout_ms),
-        supervision: supervise.then(|| LinkSupervision {
+        supervision: Some(LinkSupervision {
             heartbeat_interval: Duration::from_millis(heartbeat_ms),
             liveness_deadline: Duration::from_millis(liveness_timeout_ms),
             reconnect_window: Duration::from_millis(reconnect_window_ms),
@@ -226,15 +216,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let output = match checkpoint_dir {
         Some(dir) => {
-            // Advertise the durable receive cursors immediately (zeros on
-            // a fresh run, the checkpoint's on resume) so peers never
-            // prune replay frames this process could still re-request
-            // after a crash.
-            let durable = loaded
-                .as_ref()
-                .and_then(|c| c.links.as_ref().map(|l| l.recv_next.clone()))
-                .unwrap_or_else(|| vec![0; n]);
-            transport.note_durable(&durable);
+            // A fresh checkpointed run advertises zero as its durable
+            // receive cursors at once, so peers never prune replay frames
+            // this process could still re-request after a crash; a
+            // resumed transport noted the checkpoint's own cursors.
+            if loaded.is_none() {
+                transport.note_durable(&vec![0; n]);
+            }
             let policy = CheckpointPolicy {
                 dir,
                 resume_from: loaded,

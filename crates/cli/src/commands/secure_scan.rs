@@ -160,6 +160,15 @@ mod tests {
             err.to_string().starts_with("unknown flag --retries"),
             "{err}"
         );
+        // `dash party` is always supervised.
+        let mut party = party;
+        party.truncate(6);
+        party.extend(argv(&["--supervise", "false"]));
+        let err = crate::commands::party::run(&party, &mut buf).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown flag --supervise"),
+            "{err}"
+        );
     }
 
     #[test]

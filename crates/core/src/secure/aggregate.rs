@@ -10,7 +10,7 @@ use crate::error::CoreError;
 use crate::secure::triples::TripleFeed;
 use crate::secure::wire::all_gather_f64;
 use crate::secure::{AggregationMode, SecureScanConfig};
-use crate::suffstats::VariantSummands;
+use crate::suffstats::{ScanStats, VariantSummands};
 use dash_linalg::{dot, self_dot, Matrix};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
@@ -49,15 +49,6 @@ impl YAggregate {
             YAggregate::BeaverShared { yy, qtyqty, .. } => (*yy, *qtyqty),
         }
     }
-}
-
-/// The per-variant aggregates of one variant block.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BlockAggregate {
-    pub xy: Vec<f64>,
-    pub xx: Vec<f64>,
-    pub qtxqty: Vec<f64>,
-    pub qtxqtx: Vec<f64>,
 }
 
 /// Sums the gathered vectors element-wise in party order, starting from
@@ -184,13 +175,14 @@ pub(crate) fn aggregate_y(
 }
 
 /// One per-block round: aggregates the variant-side summands of `block`
-/// and reduces them against the y-side aggregate from [`aggregate_y`].
+/// and reduces them against the y-side aggregate from [`aggregate_y`],
+/// into the block's [`ScanStats`] — ready to finalize on their own.
 ///
 /// Element-wise, every secure sum here opens a value that does not depend
 /// on the block size (fixed-point sums are exact and PRG masks cancel
 /// exactly, regardless of how the vector is split across rounds), and
 /// Beaver triples are consumed two per variant in ascending order — so
-/// the returned aggregates are the same bits for every way of cutting
+/// the returned statistics are the same bits for every way of cutting
 /// the variants into blocks.
 pub(crate) fn aggregate_block(
     ctx: &mut PartyCtx,
@@ -198,13 +190,14 @@ pub(crate) fn aggregate_block(
     head: &YAggregate,
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
-) -> Result<BlockAggregate, CoreError> {
+) -> Result<ScanStats, CoreError> {
     let len = block.len();
     let k = block.qtx.rows();
+    let (yy, qtyqty) = head.y_stats();
     let qty = match head {
         YAggregate::Opened { qty, .. } => qty,
-        YAggregate::BeaverShared { yy, qty_share, .. } => {
-            return beaver_block(ctx, block, *yy, qty_share, cfg, triples)
+        YAggregate::BeaverShared { qty_share, .. } => {
+            return beaver_block(ctx, block, (yy, qtyqty), qty_share, cfg, triples)
         }
     };
     let mut flat = Vec::with_capacity(2 * len + k * len);
@@ -251,9 +244,11 @@ pub(crate) fn aggregate_block(
         qtxqty.push(dot(col, qty));
         qtxqtx.push(self_dot(col));
     }
-    Ok(BlockAggregate {
+    Ok(ScanStats {
+        yy,
         xy,
         xx,
+        qtyqty,
         qtxqty,
         qtxqtx,
     })
@@ -262,14 +257,15 @@ pub(crate) fn aggregate_block(
 /// The Beaver block round: `X·y, X·X` open through a secure sum; `QᵀX`
 /// stays shared, and against the shared, `1/√yy`-normalized `Qᵀy` the
 /// round's batch of `2·len` triples opens two dot products per variant.
+/// `(yy, qtyqty)` are the opened y-side scalars.
 fn beaver_block(
     ctx: &mut PartyCtx,
     block: &VariantSummands,
-    yy: f64,
+    (yy, qtyqty): (f64, f64),
     qty_share: &Secret<Vec<R64>>,
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
-) -> Result<BlockAggregate, CoreError> {
+) -> Result<ScanStats, CoreError> {
     let len = block.len();
     let k = block.qtx.rows();
     let mut left = Vec::with_capacity(2 * len);
@@ -279,9 +275,11 @@ fn beaver_block(
     let xy = left_total[..len].to_vec();
     let xx = left_total[len..].to_vec();
     if k == 0 {
-        return Ok(BlockAggregate {
+        return Ok(ScanStats {
+            yy,
             xy,
             xx,
+            qtyqty,
             qtxqty: vec![0.0; len],
             qtxqtx: vec![0.0; len],
         });
@@ -325,9 +323,11 @@ fn beaver_block(
         qtxqty.push(beaver_codec.decode_product(d1) * xxj.max(0.0).sqrt() * yy.max(0.0).sqrt());
         qtxqtx.push(beaver_codec.decode_product(d2) * xxj);
     }
-    Ok(BlockAggregate {
+    Ok(ScanStats {
+        yy,
         xy,
         xx,
+        qtyqty,
         qtxqty,
         qtxqtx,
     })
@@ -429,6 +429,7 @@ mod tests {
         for lo in (0..m).step_by(3) {
             let block = VariantSummands::local(y, x, q, lo, (lo + 3).min(m))?;
             let agg = aggregate_block(ctx, &block, &head, cfg, triples)?;
+            assert_eq!((agg.yy, agg.qtyqty), (yy, qtyqty));
             stats.xy.extend(agg.xy);
             stats.xx.extend(agg.xx);
             stats.qtxqty.extend(agg.qtxqty);

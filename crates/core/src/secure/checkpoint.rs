@@ -2,12 +2,13 @@
 //!
 //! A checkpoint is everything one party needs to rejoin a run after a
 //! `kill -9`: the deterministic protocol state at a block boundary
-//! (PRG states, tag counter, accumulated statistics, the combined R
-//! factor, the y-round head), the per-link transport cursors and replay
-//! backlog (so the reconnect handshake can reconcile sequence numbers),
-//! the traffic counters, and the disclosure log — so a resumed run's
-//! final TSV, NetworkStats, and disclosure multiset are bit-identical
-//! to an uninterrupted run.
+//! (PRG states, tag counter, the combined R factor, the y-round head),
+//! the finished result rows of every block before it (a block's rows are
+//! final when its round closes, so nothing else of a block survives it),
+//! the per-link transport cursors and replay backlog (so the reconnect
+//! handshake can reconcile sequence numbers), the traffic counters, and
+//! the disclosure log — so a resumed run's final TSV, NetworkStats, and
+//! disclosure multiset are bit-identical to an uninterrupted run.
 //!
 //! The file format is deliberately dependency-free and versioned:
 //!
@@ -26,6 +27,7 @@
 //! structured [`CoreError::Checkpoint`], not a garbage resume.
 
 use crate::error::CoreError;
+use crate::model::ScanResult;
 use dash_mpc::audit::Disclosure;
 use dash_mpc::net::StatsSnapshot;
 use dash_mpc::transport::{LinkSnapshot, Message};
@@ -34,8 +36,9 @@ use std::path::{Path, PathBuf};
 /// File magic; changing the payload layout bumps [`VERSION`], not this.
 const MAGIC: &[u8; 8] = b"DSHCKPT1";
 
-/// Payload layout version.
-const VERSION: u32 = 1;
+/// Payload layout version: 2 holds finished result rows where 1 held
+/// four per-variant accumulators.
+const VERSION: u32 = 2;
 
 /// Hard cap on the payload a loader will allocate for (a corrupt length
 /// field must not become an OOM).
@@ -91,15 +94,10 @@ pub struct Checkpoint {
     pub yy: f64,
     /// Opened Qᵀy aggregate from round 0.
     pub qty: Vec<f64>,
-    /// Per-variant accumulators; entries for blocks `< next_block` are
-    /// final, the rest are zero and recomputed on resume.
-    pub xy: Vec<f64>,
-    /// See [`Checkpoint::xy`].
-    pub xx: Vec<f64>,
-    /// See [`Checkpoint::xy`].
-    pub qtxqty: Vec<f64>,
-    /// See [`Checkpoint::xy`].
-    pub qtxqtx: Vec<f64>,
+    /// The finished rows (β̂, σ̂, t, p and the degenerate count) of blocks
+    /// `< next_block`, in variant order; the blocks after them run on
+    /// resume. `df` is not stored: it is `n_total − k − 1`.
+    pub rows: ScanResult,
     /// Disclosure log entries recorded so far (restored verbatim so the
     /// final multiset matches an uninterrupted run).
     pub disclosures: Vec<Disclosure>,
@@ -290,10 +288,10 @@ fn encode(c: &Checkpoint) -> Vec<u8> {
     e.f64s(&c.r);
     e.f64(c.yy);
     e.f64s(&c.qty);
-    e.f64s(&c.xy);
-    e.f64s(&c.xx);
-    e.f64s(&c.qtxqty);
-    e.f64s(&c.qtxqtx);
+    for v in [&c.rows.beta, &c.rows.se, &c.rows.t, &c.rows.p] {
+        e.f64s(v);
+    }
+    e.u64(c.rows.n_degenerate as u64);
     e.u64(c.disclosures.len() as u64);
     for d in &c.disclosures {
         match d.source_party {
@@ -309,7 +307,6 @@ fn encode(c: &Checkpoint) -> Vec<u8> {
     e.u64(c.stats.n as u64);
     e.u64s(&c.stats.bytes);
     e.u64s(&c.stats.msgs);
-    e.u64s(&c.stats.retries);
     e.u64s(&c.stats.timeouts);
     e.u64(c.stats.block_traffic.len() as u64);
     for &(block, bytes, msgs) in &c.stats.block_traffic {
@@ -371,10 +368,16 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
     let r = d.f64s()?;
     let yy = d.f64()?;
     let qty = d.f64s()?;
-    let xy = d.f64s()?;
-    let xx = d.f64s()?;
-    let qtxqty = d.f64s()?;
-    let qtxqtx = d.f64s()?;
+    let rows = ScanResult {
+        beta: d.f64s()?,
+        se: d.f64s()?,
+        t: d.f64s()?,
+        p: d.f64s()?,
+        df: usize::try_from(n_total.saturating_sub(fingerprint.k.saturating_add(1)))
+            .map_err(|_| corrupt("degrees of freedom overflow usize"))?,
+        n_degenerate: usize::try_from(d.u64()?)
+            .map_err(|_| corrupt("degenerate count overflows usize"))?,
+    };
     let n_disc = d.len(1)?;
     let mut disclosures = Vec::with_capacity(n_disc);
     for _ in 0..n_disc {
@@ -397,7 +400,6 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
         n: usize::try_from(d.u64()?).map_err(|_| corrupt("stats party count overflow"))?,
         bytes: d.u64s()?,
         msgs: d.u64s()?,
-        retries: d.u64s()?,
         timeouts: d.u64s()?,
         block_traffic: {
             let n = d.len(20)?;
@@ -447,10 +449,7 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
         r,
         yy,
         qty,
-        xy,
-        xx,
-        qtxqty,
-        qtxqtx,
+        rows,
         disclosures,
         stats,
         links,
@@ -555,10 +554,15 @@ mod tests {
             r: vec![1.5, -0.25, 0.0, 2.75],
             yy: 12.5,
             qty: vec![0.5, -1.5],
-            xy: vec![1.0, 2.0, 3.0, 4.0, 0.0, 0.0],
-            xx: vec![5.0; 6],
-            qtxqty: vec![-1.0; 6],
-            qtxqtx: vec![0.125; 6],
+            // Blocks 0 and 1 of two variants; variant 2 is degenerate.
+            rows: ScanResult {
+                beta: vec![0.25, -1.5, f64::NAN, 3.0],
+                se: vec![0.5, 0.75, f64::NAN, 1.0],
+                t: vec![0.5, -2.0, f64::NAN, 3.0],
+                p: vec![0.62, 0.052, f64::NAN, 0.0046],
+                df: 42,
+                n_degenerate: 1,
+            },
             disclosures: vec![
                 Disclosure {
                     source_party: None,
@@ -575,7 +579,6 @@ mod tests {
                 n: 3,
                 bytes: vec![0, 10, 20, 30, 0, 40, 50, 60, 0],
                 msgs: vec![0, 1, 2, 3, 0, 4, 5, 6, 0],
-                retries: vec![0, 1, 0],
                 timeouts: vec![0, 0, 0],
                 block_traffic: vec![(0, 100, 4), (1, 100, 4)],
                 unscoped_bytes: 77,
@@ -596,6 +599,13 @@ mod tests {
         }
     }
 
+    /// Equality down to the bits: the NaN rows of degenerate variants
+    /// included, which `==` on f64 never calls equal.
+    fn assert_same(got: &Checkpoint, want: &Checkpoint) {
+        assert_eq!(encode(got), encode(want));
+        assert_eq!(got.rows.df, want.rows.df);
+    }
+
     #[test]
     fn roundtrip_through_file() {
         let dir = std::env::temp_dir().join(format!("dash_ckpt_{}", std::process::id()));
@@ -604,7 +614,12 @@ mod tests {
         let c = sample(1);
         save(&path, &c).unwrap();
         let back = load(&path).unwrap();
-        assert_eq!(back, c);
+        assert_same(&back, &c);
+        // The partial rows come back with their NaN row in place and `df`
+        // recomputed from the sample and covariate counts.
+        assert_eq!(back.rows.len(), 4);
+        assert!(back.rows.p[2].is_nan() && !back.rows.p[3].is_nan());
+        assert_eq!((back.rows.df, back.rows.n_degenerate), (45 - 2 - 1, 1));
         // Overwrite is atomic and keeps the newest state.
         let mut c2 = c.clone();
         c2.next_block = 3;
@@ -620,7 +635,30 @@ mod tests {
         let mut c = sample(0);
         c.links = None;
         let back = decode(&encode(&c)).unwrap();
-        assert_eq!(back, c);
+        assert_same(&back, &c);
+    }
+
+    /// A version-1 file (four per-variant accumulators where version 2
+    /// has result rows) is refused by its version, not misread.
+    #[test]
+    fn version_one_is_refused_by_name() {
+        let dir = std::env::temp_dir().join(format!("dash_ckpt_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint_path(&dir, 0);
+        let payload = encode(&sample(0));
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&payload);
+        let sum = fnv1a64(&file);
+        file.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! block runs its own secure round inside a [block-scoped tag
 //! range](dash_mpc::tags::BLOCK_TAG_BASE), while a producer thread
 //! computes the *next* block's local summands concurrently (optionally
-//! splitting each block's columns over `threads` workers). Peak summand
-//! memory is O(K·B), and results are the same bits for every block size.
+//! splitting each block's columns over `threads` workers). A block's
+//! rows are final as soon as its round closes: it is finalized on its
+//! own and appended to the run's result. Peak summand memory is O(K·B),
+//! and results are the same bits for every block size (finalization is
+//! per variant).
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
@@ -19,7 +22,7 @@ use crate::secure::triples::TripleFeed;
 use crate::secure::{
     aggregate, rfactor, AggregationMode, RFactorMode, SecureScanConfig, SummandSource,
 };
-use crate::suffstats::{ScanStats, VariantSummands};
+use crate::suffstats::VariantSummands;
 
 use dash_linalg::{invert_upper, ops::gemm, Matrix};
 use dash_mpc::protocol::masked::masked_sum_ring;
@@ -65,8 +68,8 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
             (n_total, r, q_k, None)
         }
         Some(cp) => {
-            let (n_total, r, q_k, seed) = restore(ctx, data, cp, &fingerprint)?;
-            (n_total, r, q_k, Some(seed))
+            let (n_total, r, q_k, head, rows) = restore(ctx, data, cp, &fingerprint)?;
+            (n_total, r, q_k, Some((head, rows)))
         }
     };
     let saver = Saver {
@@ -179,19 +182,16 @@ struct Saver {
 
 impl Saver {
     /// Persists the protocol state at a block boundary (`next_block` is
-    /// the first block the resumed run would still execute), then tells
-    /// the transport the just-fsynced receive cursors are durable so
-    /// peers may prune their replay buffers up to them.
-    #[allow(clippy::too_many_arguments)]
+    /// the first block the resumed run would still execute, `rows` the
+    /// finished rows of the blocks before it), then tells the transport
+    /// the just-fsynced receive cursors are durable so peers may prune
+    /// their replay buffers up to them.
     fn save_boundary(
         &self,
         ctx: &PartyCtx,
         next_block: u32,
         head: &YAggregate,
-        xy: &[f64],
-        xx: &[f64],
-        qtxqty: &[f64],
-        qtxqtx: &[f64],
+        rows: &ScanResult,
     ) -> Result<(), CoreError> {
         let YAggregate::Opened { yy, qty } = head else {
             return Err(ckpt_err(
@@ -210,10 +210,7 @@ impl Saver {
             r: self.r.clone(),
             yy: *yy,
             qty: qty.clone(),
-            xy: xy.to_vec(),
-            xx: xx.to_vec(),
-            qtxqty: qtxqty.to_vec(),
-            qtxqtx: qtxqtx.to_vec(),
+            rows: rows.clone(),
             disclosures: ctx.audit().entries(),
             stats: ctx.endpoint().stats().snapshot(),
             links,
@@ -224,17 +221,6 @@ impl Saver {
         }
         Ok(())
     }
-}
-
-/// Accumulator state a resumed run starts from instead of executing the
-/// y round and blocks `< start_block`.
-struct ResumeSeed {
-    head: YAggregate,
-    xy: Vec<f64>,
-    xx: Vec<f64>,
-    qtxqty: Vec<f64>,
-    qtxqtx: Vec<f64>,
-    start_block: u32,
 }
 
 /// Checks that this run can be checkpointed at all and returns where its
@@ -280,14 +266,15 @@ fn checkpoint_target(
 }
 
 /// Validates a loaded checkpoint against this run and puts the party back
-/// at its block boundary: returns `(N, R, Q_k, seed)` in place of steps 0
-/// and 1, which never re-run — so nothing re-opens.
+/// at its block boundary: returns `(N, R, Q_k, head, rows)` in place of
+/// steps 0 and 1 and the y round, which never re-run — so nothing
+/// re-opens — and of the blocks whose finished `rows` it holds.
 fn restore<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cp: &Checkpoint,
     fingerprint: &Fingerprint,
-) -> Result<(usize, Matrix, Matrix, ResumeSeed), CoreError> {
+) -> Result<(usize, Matrix, Matrix, YAggregate, ScanResult), CoreError> {
     let m = data.n_variants();
     let k = data.covariates().cols();
     if cp.fingerprint != *fingerprint {
@@ -304,20 +291,30 @@ fn restore<S: SummandSource>(
     if cp.r.len() != k * k {
         return Err(ckpt_err("checkpointed R factor has the wrong shape"));
     }
-    for (name, v) in [
-        ("qty", &cp.qty),
-        ("xy", &cp.xy),
-        ("xx", &cp.xx),
-        ("qtxqty", &cp.qtxqty),
-        ("qtxqtx", &cp.qtxqtx),
-    ] {
-        let want = if name == "qty" { k } else { m };
-        if v.len() != want {
-            return Err(ckpt_err(format!(
-                "checkpointed {name} has length {}, expected {want}",
-                v.len()
-            )));
-        }
+    if cp.qty.len() != k {
+        return Err(ckpt_err(format!(
+            "checkpointed qty has length {}, expected {k}",
+            cp.qty.len()
+        )));
+    }
+    let block_size = fingerprint.block_size as usize;
+    let (next_block, n_blocks) = (cp.next_block as usize, blocks(m, block_size).len());
+    if next_block > n_blocks {
+        return Err(ckpt_err(format!(
+            "checkpoint resumes at block {next_block} but this run has only {n_blocks} blocks"
+        )));
+    }
+    // The rows of exactly the blocks before `next_block`, so the run
+    // picks up where they end.
+    let done = next_block.saturating_mul(block_size).min(m);
+    let rows = &cp.rows;
+    let lens = [rows.beta.len(), rows.se.len(), rows.t.len(), rows.p.len()];
+    if lens.iter().any(|&l| l != done) || rows.n_degenerate > done {
+        return Err(ckpt_err(format!(
+            "checkpointed rows have lengths {lens:?} and {} degenerate, expected {done} \
+             rows for the blocks before block {next_block}",
+            rows.n_degenerate
+        )));
     }
     // Deterministic state back first: randomness, tags, the audit log,
     // and the traffic counters — so everything recorded from here on
@@ -331,33 +328,51 @@ fn restore<S: SummandSource>(
     ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
     let r = Matrix::from_column_major(k, k, cp.r.clone())?;
     let q_k = private_q(data.n_samples(), data.covariates(), &r)?;
-    let seed = ResumeSeed {
-        head: YAggregate::Opened {
-            yy: cp.yy,
-            qty: cp.qty.clone(),
-        },
-        xy: cp.xy.clone(),
-        xx: cp.xx.clone(),
-        qtxqty: cp.qtxqty.clone(),
-        qtxqtx: cp.qtxqtx.clone(),
-        start_block: cp.next_block,
+    let head = YAggregate::Opened {
+        yy: cp.yy,
+        qty: cp.qty.clone(),
     };
-    Ok((n_total, r, q_k, seed))
+    let mut resumed = no_rows(m, n_total, k);
+    append(&mut resumed, rows.clone());
+    Ok((n_total, r, q_k, head, resumed))
+}
+
+/// A run's result before any block has closed: no rows yet, room for
+/// all `m`.
+fn no_rows(m: usize, n_total: usize, k: usize) -> ScanResult {
+    ScanResult {
+        beta: Vec::with_capacity(m),
+        se: Vec::with_capacity(m),
+        t: Vec::with_capacity(m),
+        p: Vec::with_capacity(m),
+        df: n_total.saturating_sub(k + 1),
+        n_degenerate: 0,
+    }
+}
+
+/// Appends one block's finished rows to the run's.
+fn append(rows: &mut ScanResult, block: ScanResult) {
+    rows.beta.extend(block.beta);
+    rows.se.extend(block.se);
+    rows.t.extend(block.t);
+    rows.p.extend(block.p);
+    rows.n_degenerate += block.n_degenerate;
 }
 
 /// Phase 2 (see the module docs): local summands (storage-specific),
-/// secure aggregation, finalization.
+/// secure aggregation, finalization — block by block.
 ///
 /// A producer thread computes block b+1's summands while the protocol
 /// thread runs block b's secure round; a rendezvous channel of depth 1
-/// bounds in-flight summand memory to two blocks.
+/// bounds in-flight summand memory to two blocks. Each block's opened
+/// statistics are finalized as soon as its round closes and only its
+/// rows are kept.
 ///
 /// With `saver`, the protocol state is persisted at every block boundary
 /// (after the y round and after each block); with `resume`, the y round
-/// and blocks `< start_block` are skipped and their results taken from
-/// the checkpoint instead — the remainder of the run is bit-identical to
-/// an uninterrupted one because all randomness, tags, and cursors were
-/// restored to the boundary state.
+/// and the blocks whose rows it holds are skipped — the remainder of the
+/// run is bit-identical to an uninterrupted one because all randomness,
+/// tags, and cursors were restored to the boundary state.
 #[allow(clippy::too_many_arguments)]
 fn blocked_core<S: SummandSource>(
     ctx: &mut PartyCtx,
@@ -368,14 +383,15 @@ fn blocked_core<S: SummandSource>(
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
     saver: Option<&Saver>,
-    resume: Option<ResumeSeed>,
+    resume: Option<(YAggregate, ScanResult)>,
 ) -> Result<ScanResult, CoreError> {
     let _agg_span = ctx.trace_span("phase:aggregate");
     let m = data.n_variants();
     let k = q_k.cols();
     let n_blocks = blocks(m, block_size).len();
 
-    let (head, mut xy, mut xx, mut qtxqty, mut qtxqtx, start_block) = match resume {
+    let (head, mut rows) = match resume {
+        Some(resumed) => resumed,
         None => {
             // Round 0, under ordinary protocol tags: the y-side
             // statistics.
@@ -383,22 +399,15 @@ fn blocked_core<S: SummandSource>(
             let (yy_local, qty_local) = data.y_summands(q_k)?;
             let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples)?;
             drop(y_span);
-            let zero = vec![0.0; m];
+            let rows = no_rows(m, n_total, k);
             if let Some(s) = saver {
-                s.save_boundary(ctx, 0, &head, &zero, &zero, &zero, &zero)?;
+                s.save_boundary(ctx, 0, &head, &rows)?;
             }
-            (head, zero.clone(), zero.clone(), zero.clone(), zero, 0)
-        }
-        Some(seed) => {
-            let start = seed.start_block as usize;
-            if start > n_blocks {
-                return Err(ckpt_err(format!(
-                    "checkpoint resumes at block {start} but this run has only {n_blocks} blocks"
-                )));
-            }
-            (seed.head, seed.xy, seed.xx, seed.qtxqty, seed.qtxqtx, start)
+            (head, rows)
         }
     };
+    // Every block before the first one without rows is done.
+    let start_block = rows.len().div_ceil(block_size.max(1));
 
     std::thread::scope(|scope| -> Result<(), CoreError> {
         let (tx, rx) = mpsc::sync_channel::<Result<VariantSummands, CoreError>>(1);
@@ -424,17 +433,12 @@ fn blocked_core<S: SummandSource>(
                 let _block_span = ctx.trace_span_at("block", b as u64);
                 ctx.enter_block(b as u32).map_err(CoreError::from)?;
                 let round_span = ctx.trace_span("round:secure");
-                let agg = aggregate::aggregate_block(ctx, &summ, &head, cfg, triples);
+                let stats = aggregate::aggregate_block(ctx, &summ, &head, cfg, triples);
                 drop(round_span);
                 ctx.exit_block().map_err(CoreError::from)?;
-                let agg = agg?;
-                let (lo, len) = (summ.lo, summ.len());
-                xy[lo..lo + len].copy_from_slice(&agg.xy);
-                xx[lo..lo + len].copy_from_slice(&agg.xx);
-                qtxqty[lo..lo + len].copy_from_slice(&agg.qtxqty);
-                qtxqtx[lo..lo + len].copy_from_slice(&agg.qtxqtx);
+                append(&mut rows, stats?.finalize(n_total, k)?);
                 if let Some(s) = saver {
-                    s.save_boundary(ctx, (b + 1) as u32, &head, &xy, &xx, &qtxqty, &qtxqtx)?;
+                    s.save_boundary(ctx, (b + 1) as u32, &head, &rows)?;
                     if s.crash_after_block == Some(b as u32) {
                         // The crash-injection hook: die the way kill -9
                         // does — no unwinding, no Drop, no flush — right
@@ -455,17 +459,7 @@ fn blocked_core<S: SummandSource>(
         }
         res
     })?;
-
-    let (yy, qtyqty) = head.y_stats();
-    ScanStats {
-        yy,
-        xy,
-        xx,
-        qtyqty,
-        qtxqty,
-        qtxqtx,
-    }
-    .finalize(n_total, k)
+    Ok(rows)
 }
 
 #[cfg(test)]

@@ -219,6 +219,57 @@ fn one_block_matches_per_variant_ols() {
     }
 }
 
+/// Each block is finalized on its own, so the degenerate count is summed
+/// across blocks: two all-zero variant columns, in different blocks
+/// whenever B < M, give the NaN rows and `n_degenerate == 2` of B = M in
+/// every mode.
+#[test]
+fn degenerate_variants_in_different_blocks_match_one_block() {
+    let m = 7;
+    let parties: Vec<PartyData> = gen_parties(&[14, 19, 12], m, 2, 61)
+        .into_iter()
+        .map(|p| {
+            let mut x = p.x().clone();
+            x.col_mut(1).fill(0.0);
+            x.col_mut(5).fill(0.0);
+            PartyData::new(p.y().to_vec(), x, p.c().clone()).unwrap()
+        })
+        .collect();
+    for agg in ALL_AGG {
+        let base = SecureScanConfig {
+            aggregation: agg,
+            seed: 29,
+            ..SecureScanConfig::default()
+        };
+        let one = run(
+            &parties,
+            &SecureScanConfig {
+                block_size: Some(m),
+                ..base
+            },
+        );
+        assert_eq!(one.result.n_degenerate, 2, "{agg:?}");
+        assert!(
+            one.result.beta[1].is_nan() && one.result.p[5].is_nan(),
+            "{agg:?}"
+        );
+        for block in [Some(1), Some(3), Some(m), None] {
+            let out = run(
+                &parties,
+                &SecureScanConfig {
+                    block_size: block,
+                    ..base
+                },
+            );
+            assert_bits_eq(
+                &out.result,
+                &one.result,
+                &format!("{agg:?} block={block:?}"),
+            );
+        }
+    }
+}
+
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *h ^= b as u64;

@@ -218,6 +218,49 @@ fn full_fleet_resume(block_size: Option<usize>) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint must hold exactly the rows of the blocks before its
+/// boundary: one row short, the resume is refused rather than run into
+/// a result with a variant missing.
+#[test]
+fn a_checkpoint_missing_a_row_is_refused() {
+    let parties = gen_parties(&[8, 7], 5, 1, 0xD0);
+    let cfg = SecureScanConfig {
+        block_size: Some(2),
+        seed: 31,
+        ..SecureScanConfig::default()
+    };
+    let dir = temp_dir("short_rows");
+    run_tcp_checkpointed(&parties, &cfg, &dir, false)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    for i in 0..parties.len() {
+        let path = checkpoint::checkpoint_path(&dir, i);
+        let mut cp = checkpoint::load(&path).unwrap();
+        assert_eq!(
+            cp.rows.len(),
+            5,
+            "party {i}: the final checkpoint holds every row"
+        );
+        for v in [
+            &mut cp.rows.beta,
+            &mut cp.rows.se,
+            &mut cp.rows.t,
+            &mut cp.rows.p,
+        ] {
+            v.pop();
+        }
+        checkpoint::save(&path, &cp).unwrap();
+    }
+    for r in run_tcp_checkpointed(&parties, &cfg, &dir, true) {
+        match r {
+            Err(CoreError::Checkpoint { what }) => assert!(what.contains("rows"), "{what}"),
+            other => panic!("expected Checkpoint error, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unsupported_configurations_fail_structurally() {
     let parties = gen_parties(&[6, 6], 2, 1, 0xBAD);

@@ -239,7 +239,7 @@ impl NetworkStats {
     }
 
     /// Captures the *protocol-traffic* counters for a checkpoint: the
-    /// per-link byte/message matrices, retry/timeout counts, per-block
+    /// per-link byte/message matrices, timeout counts, per-block
     /// attribution and unscoped bytes. The recovery counters
     /// (reconnects/heartbeats/resumes) are deliberately excluded — they
     /// describe the crash, not the protocol, and must not be replayed
@@ -250,7 +250,6 @@ impl NetworkStats {
             n: self.n,
             bytes: loads(&self.bytes).collect(),
             msgs: loads(&self.msgs).collect(),
-            retries: per_party(Counter::Retries),
             timeouts: per_party(Counter::Timeouts),
             block_traffic: self.per_block_traffic(),
             unscoped_bytes: self.unscoped_bytes.load(Ordering::Relaxed),
@@ -290,9 +289,6 @@ impl NetworkStats {
                 }
             }
         }
-        for (p, &r) in snap.retries.iter().enumerate().take(self.n) {
-            self.add_events(p, Counter::Retries, r);
-        }
         for (p, &t) in snap.timeouts.iter().enumerate().take(self.n) {
             self.add_events(p, Counter::Timeouts, t);
         }
@@ -321,8 +317,6 @@ pub struct StatsSnapshot {
     pub bytes: Vec<u64>,
     /// Row-major `from * n + to` message matrix.
     pub msgs: Vec<u64>,
-    /// Per-party send retries.
-    pub retries: Vec<u64>,
     /// Per-party receive timeouts.
     pub timeouts: Vec<u64>,
     /// Per-block `(block id, bytes, messages)`.
@@ -790,7 +784,6 @@ mod tests {
         orig.record_frame(0, 1, 2000, 40); // block-tagged
         orig.record_frame(1, 2, 2000, 8);
         orig.record_frame(2, 0, 7, 16); // unscoped tag
-        orig.record(1, Counter::Retries);
         orig.record(2, Counter::Timeouts);
         orig.record(0, Counter::Reconnects);
         orig.record(0, Counter::HeartbeatsSent);
@@ -802,7 +795,6 @@ mod tests {
         assert_eq!(fresh.total_bytes(), orig.total_bytes());
         assert_eq!(fresh.total_messages(), orig.total_messages());
         assert_eq!(fresh.bytes_between(0, 1), orig.bytes_between(0, 1));
-        assert_eq!(fresh.count_by(1, Counter::Retries), 1);
         assert_eq!(fresh.count_by(2, Counter::Timeouts), 1);
         assert_eq!(fresh.per_block_traffic(), orig.per_block_traffic());
         assert_eq!(fresh.unscoped_bytes(), orig.unscoped_bytes());
@@ -823,7 +815,6 @@ mod tests {
             t.counter_total(Counter::MessagesReceived)
         );
         assert_eq!(t.counter_total(Counter::BytesSent), fresh.total_bytes());
-        assert_eq!(t.counter(1, Counter::Retries), 1);
         assert_eq!(t.counter(2, Counter::Timeouts), 1);
         // Snapshots from a differently-sized mesh are rejected.
         let wrong = NetworkStats::with_trace(2, TraceHandle::disabled());

@@ -1055,7 +1055,13 @@ impl TcpTransport {
             let backlog = resume.replay.get_mut(j).map(std::mem::take);
             let backlog = backlog.unwrap_or_default();
             let now = Instant::now();
-            let machine = Link::new(j, j < id, &cfg, send_next, recv_next(j), backlog, now);
+            let mut machine = Link::new(j, j < id, &cfg, send_next, recv_next(j), backlog, now);
+            if resuming {
+                // The checkpoint's cursor is durable before the heartbeat
+                // thread can ack anything past it: a peer must not prune
+                // a frame a second crash would re-request.
+                machine.note_durable(recv_next(j));
+            }
             let (tx, rx) = channel();
             let link = Arc::new(PeerLink {
                 socket: Mutex::new(None),
@@ -1787,6 +1793,62 @@ pub(crate) mod tests {
         // The replayed duplicate was not re-counted anywhere: B2's
         // counters carry only its post-resume frame.
         assert_eq!(b2.stats().total_bytes(), HEADER_BYTES + 8);
+    }
+
+    /// A resumed link acks its checkpointed receive cursor from the start,
+    /// not the frames it receives before the run's next checkpoint: the
+    /// peer keeps them for a second crash to re-request.
+    #[test]
+    fn resumed_link_acks_its_checkpointed_cursor() {
+        const R: u64 = 5;
+        let mut cfg = test_cfg(55);
+        cfg.supervision = Some(test_sup());
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        // Consistent cursors: party 0 has sent R frames to party 1, and
+        // party 1 has received them.
+        let snaps = [
+            LinkSnapshot {
+                send_next: vec![0, R],
+                recv_next: vec![0, 0],
+                replay: vec![Vec::new(); 2],
+            },
+            LinkSnapshot {
+                send_next: vec![0, 0],
+                recv_next: vec![R, 0],
+                replay: vec![Vec::new(); 2],
+            },
+        ];
+        let mesh: Vec<TcpTransport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .zip(snaps)
+                .enumerate()
+                .map(|(i, (listener, snap))| {
+                    let addrs = &addrs;
+                    scope.spawn(move || {
+                        let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
+                        TcpTransport::connect_resume(i, listener, addrs, cfg, stats, Some(snap))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect()
+        });
+        for tag in 0..3 {
+            mesh[0].send_words(1, 400 + tag, &[u64::from(tag)]).unwrap();
+            assert_eq!(
+                mesh[1].recv_words(0, 400 + tag).unwrap(),
+                vec![u64::from(tag)]
+            );
+        }
+        let later = Instant::now() + Duration::from_secs(60);
+        let ack = mesh[1].link(0).unwrap().machine.lock().heartbeat_due(later);
+        assert_eq!(ack, Some(R));
     }
 
     #[test]
