@@ -204,7 +204,8 @@ impl NetworkReport {
 /// Everything a secure scan run produces.
 #[derive(Debug, Clone)]
 pub struct SecureScanOutput {
-    /// The scan results (identical at every party; this is party 0's).
+    /// The scan results: party 0's rows. In-process, party 0 alone
+    /// finalizes, once every party's digest matched (see [`secure_scan`]).
     pub result: ScanResult,
     /// Communication accounting.
     pub network: NetworkReport,
@@ -389,6 +390,22 @@ pub(crate) fn run_in_process<P: Sync, T: Send>(
     )?)
 }
 
+/// Party 0's rows, once every party's digest equals party 0's (in every
+/// build); else the first party that disagrees, as a structured error.
+fn agreed_rows(scans: Vec<protocol::PartyScan>) -> Result<ScanResult, CoreError> {
+    let mut scans = scans.into_iter();
+    let first = scans.next().ok_or(CoreError::NoParties)?;
+    match scans.enumerate().find(|(_, s)| s.digest != first.digest) {
+        None => Ok(first.rows),
+        Some((i, other)) => Err(CoreError::PartiesInconsistent {
+            what: "digest of the opened statistics",
+            party: i + 1,
+            expected: first.digest as usize,
+            got: other.digest as usize,
+        }),
+    }
+}
+
 /// The body every run shape shares: validate, `run` the `parties` this
 /// process holds — next to the run's dealer when the mode has one — check
 /// they agree, and report. `lone` is `(id, party count)` when `parties` is
@@ -397,7 +414,7 @@ fn run_scan<S: SummandSource>(
     parties: &[S],
     lone: Option<(usize, usize)>,
     cfg: &SecureScanConfig,
-    run: impl FnOnce(&FeedSlots) -> Result<RunParts<ScanResult>, CoreError>,
+    run: impl FnOnce(&FeedSlots) -> Result<RunParts<protocol::PartyScan>, CoreError>,
 ) -> Result<SecureScanOutput, CoreError> {
     let n_parties = lone.map_or(parties.len(), |(_, n)| n);
     // Validate eagerly so configuration errors surface before any thread
@@ -421,17 +438,7 @@ fn run_scan<S: SummandSource>(
         run(&[])?
     };
 
-    let mut iter = results.into_iter();
-    let first = iter.next().ok_or(CoreError::NoParties)?;
-    for r in iter {
-        // Not `==`: a degenerate variant's NaN row never equals itself.
-        debug_assert!(
-            r.max_rel_diff(&first) == Some(0.0)
-                && (r.df, r.n_degenerate) == (first.df, first.n_degenerate),
-            "parties derived different results from identical opened values"
-        );
-    }
-
+    let result = agreed_rows(results)?;
     // The tag-keyed per-block counters must partition the run's total
     // traffic exactly: every frame is attributed to exactly one block or
     // to the unscoped protocol phases.
@@ -441,7 +448,7 @@ fn run_scan<S: SummandSource>(
         "per-block traffic counters must partition the run total"
     );
     Ok(SecureScanOutput {
-        result: first,
+        result,
         network: NetworkReport::from_stats(&stats),
         disclosures: audit.entries(),
         n_parties,
@@ -453,32 +460,32 @@ fn run_scan<S: SummandSource>(
     })
 }
 
-/// Both all-parties run shapes: every party on a thread of this process,
-/// over the mpsc mesh or (with `tcp`) over a loopback socket mesh.
-fn scan_all_parties<S: SummandSource>(
+/// The `run` of both all-parties shapes: a thread per party over the mpsc
+/// mesh or (with `tcp`) loopback sockets. Party 0 alone finalizes.
+fn all_parties<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
     trace: TraceHandle,
     tcp: Option<TcpConfig>,
-) -> Result<SecureScanOutput, CoreError> {
-    run_scan(parties, None, cfg, |slots| {
-        let opts = NetOptions {
-            trace,
-            ..cfg.net_options()
-        };
-        let party = |ctx: &mut PartyCtx| {
-            let data = own_rows(parties, ctx)?;
-            let mut feed = TripleFeed::take_from(slots, ctx.id());
-            // A party that finished says so (`Transport::close`); one that
-            // failed must look to its peers like the crash it is.
-            protocol::party_protocol_with(ctx, data, cfg, &mut feed, None)
-                .inspect(|_| ctx.endpoint().close())
-        };
-        let (p, seed) = (parties.len(), cfg.seed);
-        flatten(match tcp {
-            None => Network::run_parties_detailed_with(p, seed, &opts, party)?,
-            Some(tcp) => Network::run_parties_tcp_with(p, seed, &opts, tcp, party)?,
-        })
+    slots: &FeedSlots,
+) -> Result<RunParts<protocol::PartyScan>, CoreError> {
+    let opts = NetOptions {
+        trace,
+        ..cfg.net_options()
+    };
+    let party = |ctx: &mut PartyCtx| {
+        let data = own_rows(parties, ctx)?;
+        let mut feed = TripleFeed::take_from(slots, ctx.id());
+        let finalize = ctx.id() == 0;
+        // A party that finished says so (`Transport::close`); one that
+        // failed must look to its peers like the crash it is.
+        protocol::party_protocol_with(ctx, data, cfg, &mut feed, None, finalize)
+            .inspect(|_| ctx.endpoint().close())
+    };
+    let (p, seed) = (parties.len(), cfg.seed);
+    flatten(match tcp {
+        None => Network::run_parties_detailed_with(p, seed, &opts, party)?,
+        Some(tcp) => Network::run_parties_tcp_with(p, seed, &opts, tcp, party)?,
     })
 }
 
@@ -487,9 +494,9 @@ fn scan_all_parties<S: SummandSource>(
 /// the dense one).
 ///
 /// Each element of `parties` is one party's private rows; the function
-/// spawns one thread per party, runs the configured protocol, and checks
-/// that all parties derived identical results (they must — every final
-/// statistic is computed from identically opened values).
+/// spawns one thread per party and runs the configured protocol. Party 0
+/// alone finalizes rows; every party digests what it opens, and unequal
+/// digests fail the run with [`CoreError::PartiesInconsistent`].
 pub fn secure_scan<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
@@ -507,7 +514,9 @@ pub fn secure_scan_traced_with<S: SummandSource>(
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    scan_all_parties(parties, cfg, trace, None)
+    run_scan(parties, None, cfg, |slots| {
+        all_parties(parties, cfg, trace, None, slots)
+    })
 }
 
 /// Runs **one party's** side of the secure scan over an externally
@@ -582,7 +591,7 @@ where
         // A party that finished says so before it tears down; one that
         // failed says nothing, so supervised peers see a crash and hold the
         // link open for a `--resume`.
-        let result = protocol::party_protocol_with(&mut ctx, data, cfg, &mut feed, policy)
+        let result = protocol::party_protocol_with(&mut ctx, data, cfg, &mut feed, policy, true)
             .inspect(|_| ctx.endpoint().close());
         // Tear the socket mesh down before reporting so every reader
         // thread has exited and the counters are final.
@@ -611,12 +620,48 @@ pub fn secure_scan_tcp_local_traced<S: SummandSource>(
         run_id: cfg.seed,
         ..TcpConfig::default()
     };
-    scan_all_parties(parties, cfg, trace, Some(tcp))
+    run_scan(parties, None, cfg, |slots| {
+        all_parties(parties, cfg, trace, Some(tcp), slots)
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::protocol::PartyScan;
     use super::*;
+
+    /// The parties-agree check: party 0's rows when every digest equals
+    /// its own, else a structured error naming the first party that
+    /// disagrees.
+    #[test]
+    fn agreed_rows_names_the_first_party_that_disagrees() {
+        let scan = |digest, m| PartyScan {
+            rows: ScanResult {
+                beta: vec![f64::NAN; m],
+                se: vec![f64::NAN; m],
+                t: vec![f64::NAN; m],
+                p: vec![f64::NAN; m],
+                df: 3,
+                n_degenerate: m,
+            },
+            digest,
+        };
+        let rows = agreed_rows(vec![scan(7, 2), scan(7, 0), scan(7, 0)]).unwrap();
+        assert_eq!((rows.len(), rows.n_degenerate), (2, 2));
+        for (digests, party, got) in [([7, 9, 7], 1, 9), ([7, 7, 8], 2, 8), ([7, 9, 8], 1, 9)] {
+            let scans = digests.into_iter().map(|d| scan(d, 0)).collect();
+            assert_eq!(
+                agreed_rows(scans).unwrap_err(),
+                CoreError::PartiesInconsistent {
+                    what: "digest of the opened statistics",
+                    party,
+                    expected: 7,
+                    got,
+                }
+            );
+        }
+        assert_eq!(agreed_rows(Vec::new()).unwrap_err(), CoreError::NoParties);
+    }
 
     /// `secure_scan`, the three §5 drivers and `secure_pca` all run their
     /// parties through `run_in_process`: a panic inside one party's

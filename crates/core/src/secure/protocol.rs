@@ -12,6 +12,8 @@
 //! own and appended to the run's result. Peak summand memory is O(K·B),
 //! and results are the same bits for every block size (finalization is
 //! per variant).
+//! Every party digests each block's opened statistics; only a lone party,
+//! or party 0 of an in-process run, also finalizes them into rows.
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
@@ -22,7 +24,7 @@ use crate::secure::triples::TripleFeed;
 use crate::secure::{
     aggregate, rfactor, AggregationMode, RFactorMode, SecureScanConfig, SummandSource,
 };
-use crate::suffstats::VariantSummands;
+use crate::suffstats::{ScanStats, VariantSummands};
 
 use dash_linalg::{invert_upper, ops::gemm, Matrix};
 use dash_mpc::protocol::masked::masked_sum_ring;
@@ -30,9 +32,15 @@ use dash_mpc::{CtxState, PartyCtx, R64};
 use std::path::PathBuf;
 use std::sync::mpsc;
 
+/// One party's scan: its rows (none unless it finalizes) and its digest.
+pub(crate) struct PartyScan {
+    pub(crate) rows: ScanResult,
+    pub(crate) digest: u64,
+}
+
 /// Executes the secure scan from one party's perspective (SPMD — every
 /// party runs this same function over the shared network). Generic over
-/// the party's storage via [`SummandSource`].
+/// the party's storage via [`SummandSource`]; rows only with `finalize`.
 ///
 /// With `policy`, the protocol state is persisted after the y round and
 /// after every block, and — when `policy.resume_from` is set — the run
@@ -47,7 +55,8 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
     policy: Option<&CheckpointPolicy>,
-) -> Result<ScanResult, CoreError> {
+    finalize: bool,
+) -> Result<PartyScan, CoreError> {
     let m = data.n_variants();
     let k = data.covariates().cols();
     let block_size = cfg.block_size.unwrap_or(m);
@@ -55,7 +64,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         let _scan_span = ctx.trace_span("scan");
         let (n_total, _r, q_k) = count_and_rfactor(ctx, data.n_samples(), data.covariates(), cfg)?;
         return blocked_core(
-            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None,
+            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None, finalize,
         );
     };
 
@@ -89,6 +98,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         triples,
         Some(&saver),
         resume,
+        finalize,
     )
 }
 
@@ -359,14 +369,26 @@ fn append(rows: &mut ScanResult, block: ScanResult) {
     rows.n_degenerate += block.n_degenerate;
 }
 
+/// Folds a block's opened statistics into the running digest `h`, a
+/// rotate–xor–multiply step per `f64` bit pattern (NaN matches itself): a
+/// bijection of `h`, so runs that differ in one opened word never agree.
+fn digest_block(mut h: u64, s: &ScanStats) -> u64 {
+    for words in [&[s.yy, s.qtyqty][..], &s.xy, &s.xx, &s.qtxqty, &s.qtxqtx] {
+        for w in words {
+            h = (h.rotate_left(5) ^ w.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    h
+}
+
 /// Phase 2 (see the module docs): local summands (storage-specific),
 /// secure aggregation, finalization — block by block.
 ///
 /// A producer thread computes block b+1's summands while the protocol
 /// thread runs block b's secure round; a rendezvous channel of depth 1
 /// bounds in-flight summand memory to two blocks. Each block's opened
-/// statistics are finalized as soon as its round closes and only its
-/// rows are kept.
+/// statistics are digested, and — with `finalize` — finalized as soon as
+/// its round closes; only its rows are kept.
 ///
 /// With `saver`, the protocol state is persisted at every block boundary
 /// (after the y round and after each block); with `resume`, the y round
@@ -384,7 +406,8 @@ fn blocked_core<S: SummandSource>(
     triples: &mut TripleFeed,
     saver: Option<&Saver>,
     resume: Option<(YAggregate, ScanResult)>,
-) -> Result<ScanResult, CoreError> {
+    finalize: bool,
+) -> Result<PartyScan, CoreError> {
     let _agg_span = ctx.trace_span("phase:aggregate");
     let m = data.n_variants();
     let k = q_k.cols();
@@ -399,7 +422,7 @@ fn blocked_core<S: SummandSource>(
             let (yy_local, qty_local) = data.y_summands(q_k)?;
             let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples)?;
             drop(y_span);
-            let rows = no_rows(m, n_total, k);
+            let rows = no_rows(if finalize { m } else { 0 }, n_total, k);
             if let Some(s) = saver {
                 s.save_boundary(ctx, 0, &head, &rows)?;
             }
@@ -408,6 +431,7 @@ fn blocked_core<S: SummandSource>(
     };
     // Every block before the first one without rows is done.
     let start_block = rows.len().div_ceil(block_size.max(1));
+    let mut digest = n_total as u64; // N was opened too
 
     std::thread::scope(|scope| -> Result<(), CoreError> {
         let (tx, rx) = mpsc::sync_channel::<Result<VariantSummands, CoreError>>(1);
@@ -436,7 +460,11 @@ fn blocked_core<S: SummandSource>(
                 let stats = aggregate::aggregate_block(ctx, &summ, &head, cfg, triples);
                 drop(round_span);
                 ctx.exit_block().map_err(CoreError::from)?;
-                append(&mut rows, stats?.finalize(n_total, k)?);
+                let stats = stats?;
+                digest = digest_block(digest, &stats);
+                if finalize {
+                    append(&mut rows, stats.finalize(n_total, k)?);
+                }
                 if let Some(s) = saver {
                     s.save_boundary(ctx, (b + 1) as u32, &head, &rows)?;
                     if s.crash_after_block == Some(b as u32) {
@@ -459,7 +487,7 @@ fn blocked_core<S: SummandSource>(
         }
         res
     })?;
-    Ok(rows)
+    Ok(PartyScan { rows, digest })
 }
 
 #[cfg(test)]
@@ -467,8 +495,9 @@ mod tests {
     use super::*;
     use crate::model::{pool_parties, PartyData};
     use crate::scan::{associate, per_variant_ols};
-    use crate::secure::{secure_scan, AggregationMode, RFactorMode};
+    use crate::secure::{all_parties, run_scan, secure_scan, AggregationMode, RFactorMode};
     use dash_linalg::Matrix;
+    use dash_obs::TraceHandle;
 
     fn gen_parties(sizes: &[usize], m: usize, k: usize, seed: u64) -> Vec<PartyData> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
@@ -509,6 +538,81 @@ mod tests {
         assert_eq!(code(AggregationMode::MaskedPrg), 2);
         assert_eq!(code(AggregationMode::MaskedStar), 3);
         assert_eq!(code(AggregationMode::BeaverDots), 4);
+    }
+
+    /// The in-process seam: party 0 alone finalizes — parties 1 and 2 hand
+    /// back no rows and reserve none — and every party's digest of what it
+    /// opened is party 0's, in every aggregation mode and block size.
+    #[test]
+    fn only_party_zero_finalizes_and_every_digest_agrees() {
+        let m = 7;
+        let parties = gen_parties(&[15, 22, 18], m, 2, 41);
+        for aggregation in [
+            AggregationMode::Public,
+            AggregationMode::MaskedPrg,
+            AggregationMode::MaskedStar,
+            AggregationMode::BeaverDots,
+        ] {
+            for block_size in [Some(1), Some(3), None] {
+                let cfg = SecureScanConfig {
+                    aggregation,
+                    block_size,
+                    seed: 17,
+                    ..SecureScanConfig::default()
+                };
+                let what = format!("{aggregation:?}, B = {block_size:?}");
+                let mut seen = Vec::new();
+                let out = run_scan(&parties, None, &cfg, |slots| {
+                    let parts = all_parties(&parties, &cfg, TraceHandle::disabled(), None, slots)?;
+                    seen = parts
+                        .0
+                        .iter()
+                        .map(|s| (s.rows.len(), s.rows.beta.capacity(), s.digest))
+                        .collect();
+                    Ok(parts)
+                })
+                .unwrap();
+                assert_eq!(out.result.len(), m, "{what}");
+                assert_eq!(seen.len(), 3, "{what}");
+                assert_eq!(seen[0].0, m, "{what}: party 0's rows");
+                for (party, &(len, cap, digest)) in seen.iter().enumerate().skip(1) {
+                    assert_eq!((len, cap), (0, 0), "{what}: party {party} kept rows");
+                    assert_eq!(digest, seen[0].2, "{what}: party {party}'s digest");
+                }
+            }
+        }
+    }
+
+    /// The digest reads bits: NaN statistics digest like themselves, and
+    /// one flipped bit in any opened statistic moves it.
+    #[test]
+    fn digest_matches_nan_and_moves_on_any_flipped_bit() {
+        let stats = ScanStats {
+            yy: 2.0,
+            xy: vec![f64::NAN, 1.0],
+            xx: vec![0.5, 3.0],
+            qtyqty: 1.0,
+            qtxqty: vec![f64::NAN, 0.25],
+            qtxqtx: vec![0.0, -1.0],
+        };
+        let base = digest_block(5, &stats);
+        assert_eq!(digest_block(5, &stats.clone()), base);
+        let words: [fn(&mut ScanStats) -> &mut f64; 6] = [
+            |s| &mut s.yy,
+            |s| &mut s.qtyqty,
+            |s| &mut s.xy[0],
+            |s| &mut s.xx[1],
+            |s| &mut s.qtxqty[1],
+            |s| &mut s.qtxqtx[0],
+        ];
+        for (i, word) in words.iter().enumerate() {
+            for bit in [0, 31, 52, 63] {
+                let mut flipped = stats.clone();
+                let w = word(&mut flipped);
+                *w = f64::from_bits(w.to_bits() ^ (1 << bit));
+                assert_ne!(digest_block(5, &flipped), base, "word {i}, bit {bit}");
+            }
+        }
     }
 
     /// The central correctness claim: the secure multi-party scan equals

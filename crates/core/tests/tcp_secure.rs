@@ -20,7 +20,7 @@ use dash_mpc::{
     ChaosMode, ChaosPolicy, ChaosProxy, LinkSupervision, MpcError, NetworkStats, TcpConfig,
     TcpTransport,
 };
-use std::net::{Ipv4Addr, TcpListener};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,6 +134,90 @@ fn tcp_matches_inprocess_strict_ladder_and_blocked() {
     assert_tcp_matches_inprocess(&parties, &blocked, "blocked");
 }
 
+/// One loopback listener per party, and their addresses.
+fn bind_loopback(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap())
+        .collect();
+    let addrs = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    (listeners, addrs)
+}
+
+/// Runs `secure_scan_party_with` once per party, each on its own thread
+/// and `TcpTransport` — the layout of separate `dash party` processes.
+/// `views[id]` is party `id`'s view of the mesh. Returns each party's
+/// outcome.
+fn party_threads(
+    parties: &[PartyData],
+    cfg: &SecureScanConfig,
+    tcp: TcpConfig,
+    listeners: Vec<TcpListener>,
+    views: &[Vec<SocketAddr>],
+) -> Vec<Result<SecureScanOutput, CoreError>> {
+    let n = parties.len();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .zip(views)
+            .zip(parties)
+            .enumerate()
+            .map(|(id, ((listener, peers), data))| {
+                scope.spawn(move || {
+                    let stats = Arc::new(NetworkStats::with_trace(n, TraceHandle::disabled()));
+                    let transport = TcpTransport::connect(id, listener, peers, tcp, stats)?;
+                    secure_scan_party_with(data, cfg, transport)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// The in-process runs finalize at party 0 only, so the comparisons above
+/// see party 0's rows alone. Here every party finalizes its own, as a
+/// `dash party` process does, over its own loopback transport: each
+/// party's rows must be the in-process bits.
+#[test]
+fn every_lone_party_finalizes_the_inprocess_rows() {
+    let parties = gen_parties(&[7, 5, 6], 5, 2, 0x10AE);
+    let modes = [
+        AggregationMode::Public,
+        AggregationMode::MaskedPrg,
+        AggregationMode::MaskedStar,
+        AggregationMode::BeaverDots,
+    ];
+    let cfgs = modes
+        .map(|aggregation| SecureScanConfig {
+            aggregation,
+            seed: 0x5CA1,
+            ..SecureScanConfig::default()
+        })
+        .into_iter()
+        .chain([SecureScanConfig {
+            block_size: Some(2),
+            threads: 2,
+            seed: 0x5CA2,
+            ..SecureScanConfig::default()
+        }]);
+    for cfg in cfgs {
+        let what = format!("{:?}, B = {:?}", cfg.aggregation, cfg.block_size);
+        let want = secure_scan(&parties, &cfg).unwrap();
+        let (listeners, addrs) = bind_loopback(parties.len());
+        let tcp = TcpConfig {
+            run_id: cfg.seed,
+            ..TcpConfig::default()
+        };
+        let views = vec![addrs; parties.len()];
+        for (id, out) in party_threads(&parties, &cfg, tcp, listeners, &views)
+            .into_iter()
+            .enumerate()
+        {
+            let out = out.unwrap_or_else(|e| panic!("{what}: party {id} failed: {e}"));
+            assert_bits_eq(&out.result, &want.result, &format!("{what}: party {id}"));
+        }
+    }
+}
+
 /// Runs a two-party scan with one supervised TCP process per party
 /// (threads here), party 1 dialing party 0 through a [`ChaosProxy`] — the
 /// layout of the proxy's own link tests. Returns each party's outcome,
@@ -164,31 +248,13 @@ fn proxied_party_scan(
         jitter_seed: cfg.seed,
         supervision: Some(sup),
     };
-    let listeners: Vec<TcpListener> = (0..2)
-        .map(|_| TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap())
-        .collect();
-    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let (listeners, addrs) = bind_loopback(2);
     let proxy = ChaosProxy::start(addrs[0], mode, policy).unwrap();
     // Only dialers of party 0 read peers[0], so party 1 alone goes
     // through the proxy.
     let views = [addrs.clone(), vec![proxy.local_addr(), addrs[1]]];
     let started = Instant::now();
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .zip(&views)
-            .zip(parties)
-            .enumerate()
-            .map(|(id, ((listener, peers), data))| {
-                scope.spawn(move || {
-                    let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
-                    let transport = TcpTransport::connect(id, listener, peers, tcp, stats)?;
-                    secure_scan_party_with(data, cfg, transport)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let outcomes = party_threads(parties, cfg, tcp, listeners, &views);
     (outcomes, proxy, started.elapsed())
 }
 

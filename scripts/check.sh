@@ -34,13 +34,17 @@ cargo fmt --all --check
 echo "== tests"
 cargo test --workspace --release
 
-echo "== block-size invariance property (bounded case count)"
+echo "== block-size invariance property and the parties-agree digest (debug build)"
 # The secure scan must give the same bits for every block size ('off' is
 # one block of M); DASH_BLOCKED_CASES bounds the randomized sweep so CI
-# stays fast (raise it locally for a deeper search). The run also
-# exercises the debug assertion that per-block traffic counters partition
-# the total.
+# stays fast (raise it locally for a deeper search). Both runs are debug
+# builds: the blocked run exercises the debug assertion that per-block
+# traffic counters partition the total, and the `secure::` unit tests fold
+# every in-process party's opened statistics into its digest under
+# overflow checks, so a plain `*` in the fold fails here, not in someone's
+# debug run.
 DASH_BLOCKED_CASES=16 cargo test -p dash-core --test blocked_secure
+cargo test -p dash-core --lib secure::
 
 echo "== link machine: every seeded schedule delivers exactly once or ends in one verdict"
 # Two pure `Link` machines joined by in-memory queues under seeded
