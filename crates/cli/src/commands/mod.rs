@@ -16,7 +16,8 @@ use dash_core::model::PartyData;
 use dash_core::secure::{
     AggregationMode, RFactorMode, SecureScanConfig, SecureScanOutput, TraceHandle,
 };
-use dash_gwas::io::{read_matrix_tsv, write_scan_tsv};
+use dash_gwas::io::{read_matrix_tsv, write_scan_tsv, StreamedParty};
+use dash_linalg::Matrix;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -29,6 +30,13 @@ pub(crate) fn load_party(
     c: &Path,
     y_name: &str,
 ) -> Result<PartyData, CliError> {
+    let (y, c) = load_y_c(y, c, y_name)?;
+    let x = read_matrix_tsv(x)?;
+    Ok(PartyData::new(y, x, c)?)
+}
+
+/// Reads the response `y` (one column) and the covariates `c`.
+fn load_y_c(y: &Path, c: &Path, y_name: &str) -> Result<(Vec<f64>, Matrix), CliError> {
     let y = read_matrix_tsv(y)?;
     if y.cols() != 1 {
         return Err(CliError::Usage(format!(
@@ -36,9 +44,7 @@ pub(crate) fn load_party(
             y.cols()
         )));
     }
-    let c = read_matrix_tsv(c)?;
-    let x = read_matrix_tsv(x)?;
-    Ok(PartyData::new(y.col(0).to_vec(), x, c)?)
+    Ok((y.col(0).to_vec(), read_matrix_tsv(c)?))
 }
 
 /// [`load_party`] on a directory holding `y.tsv`, `x.tsv` and `c.tsv`.
@@ -50,6 +56,15 @@ pub(crate) fn load_party_dir(dir: &Path) -> Result<PartyData, CliError> {
         &dir.join("c.tsv"),
         &y.display().to_string(),
     )
+}
+
+/// A party directory with `y.tsv` and `c.tsv` read and `x.tsv` opened for
+/// its one streamed pass: only its first row is parsed here.
+pub(crate) fn open_party_dir(dir: &Path) -> Result<StreamedParty, CliError> {
+    let y = dir.join("y.tsv");
+    let (y_col, c) = load_y_c(&y, &dir.join("c.tsv"), &y.display().to_string())?;
+    let x = std::fs::File::open(dir.join("x.tsv"))?;
+    Ok(StreamedParty::open(y_col, c, x)?)
 }
 
 /// Maps a `--mode` name to the matching security-ladder configuration.
@@ -83,7 +98,7 @@ fn mode_config(mode: &str, seed: u64) -> Result<SecureScanConfig, CliError> {
 }
 
 /// The flags `secure-scan` and `party` share — `--mode --out --seed
-/// --audit --trace-out --metrics --deadline-ms --block-size --threads` —
+/// --audit --trace-out --metrics --deadline-ms --block-size` —
 /// parsed once, with one set of defaults and error texts, plus the
 /// report both commands end with, so the two paths cannot drift (the
 /// multi-process smoke test parses both outputs with the same patterns).
@@ -124,14 +139,6 @@ impl ScanFlags {
                 }
             },
         };
-        let threads = flags.parse_or("threads", 1usize, "a positive integer")?;
-        if threads == 0 {
-            return Err(CliError::BadValue {
-                flag: "--threads".into(),
-                value: "0".into(),
-                expected: "a positive integer (use 1 for serial block compute)",
-            });
-        }
         Ok(ScanFlags {
             mode,
             seed,
@@ -141,8 +148,22 @@ impl ScanFlags {
             metrics,
             deadline_ms,
             block_size,
-            threads,
+            threads: 1,
         })
+    }
+
+    /// Consumes `--threads`, which only `secure-scan` takes: a `dash
+    /// party` computes every summand in one pass over its `x.tsv`.
+    pub(crate) fn with_threads(self, flags: &Flags) -> Result<Self, CliError> {
+        let threads = flags.parse_or("threads", 1usize, "a positive integer")?;
+        if threads == 0 {
+            return Err(CliError::BadValue {
+                flag: "--threads".into(),
+                value: "0".into(),
+                expected: "a positive integer (use 1 for serial block compute)",
+            });
+        }
+        Ok(ScanFlags { threads, ..self })
     }
 
     /// The scan configuration these flags describe (a bad `--mode` is

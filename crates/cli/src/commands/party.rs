@@ -16,7 +16,7 @@
 //! ```
 
 use crate::args::Flags;
-use crate::commands::{load_party_dir, ScanFlags};
+use crate::commands::{open_party_dir, ScanFlags};
 use crate::error::CliError;
 use dash_core::secure::checkpoint::{self, CheckpointPolicy};
 use dash_core::secure::{secure_scan_party_checkpointed, secure_scan_party_with};
@@ -56,10 +56,11 @@ OBSERVABILITY:
 BLOCKED PIPELINE:
     --block-size B  variant block size, or 'off' for one block of all
                     variants [default: 4096]
-    --threads T     worker threads for block compute, >= 1 [default: 1]
 
 TRANSPORT:
-    --deadline-ms N         per-receive deadline in ms [default: 60000]
+    --deadline-ms N         per-receive deadline in ms; peers wait in block 0
+                            while the slowest party reads its x.tsv, so this
+                            must cover that read [default: 60000]
     --connect-timeout-ms N  per-attempt dial/hello timeout in ms [default: 2000]
     --connect-retries N     dial attempts per lower-id peer [default: 30]
     --accept-timeout-ms N   total wait for higher-id peers to dial in, and for
@@ -167,10 +168,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .unwrap_or(bind_addr),
     )?;
     out.flush()?;
-    // Loaded only now, with the listener bound: peers that finish parsing
-    // first queue their dials in the accept backlog instead of spending
-    // --connect-retries while a large cohort is still being read.
-    let data = load_party_dir(&dir)?;
+    // Opened only now, with the listener bound, and before any dial: y, C
+    // and the first row of X (which gives M, so a bad first row fails
+    // here). X itself is streamed once, through the scan kernel, when the
+    // scan asks for its first block, and never held.
+    let data = open_party_dir(&dir)?;
 
     let tcp_cfg = TcpConfig {
         run_id,

@@ -51,7 +51,7 @@ FAULT INJECTION happens below the sockets, with `dash chaos` between two
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, USAGE)?;
     let dir = PathBuf::from(flags.required("dir", USAGE)?);
-    let scan = ScanFlags::parse(&flags)?;
+    let scan = ScanFlags::parse(&flags)?.with_threads(&flags)?;
     flags.reject_unknown(USAGE)?;
 
     let cfg = scan.config()?;

@@ -272,6 +272,104 @@ fn party_rejects_wrong_run_id() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `dash party` streams its x.tsv after the dial, so a bad cell past the
+/// first row surfaces mid-protocol: that party exits with the parse error
+/// (line and column), and its peers, waiting in block 0, end in a crash
+/// verdict or a closed channel within their short supervision windows —
+/// never a hang.
+#[test]
+fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
+    let dir = tmp_dir("badx");
+    dash(&[
+        "simulate",
+        "--out",
+        dir.to_str().unwrap(),
+        "--samples",
+        "20,25,15",
+        "--variants",
+        "12",
+        "--covariates",
+        "2",
+        "--seed",
+        "5",
+    ]);
+    let x = dir.join("party1").join("x.tsv");
+    let text = std::fs::read_to_string(&x).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut cells: Vec<&str> = lines[2].split('\t').collect();
+    cells[1] = "oops";
+    lines[2] = cells.join("\t");
+    std::fs::write(&x, lines.join("\n") + "\n").unwrap();
+
+    let holders: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers = holders
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    drop(holders);
+    let mut children: Vec<Child> = (0..3)
+        .map(|i| {
+            Command::new(DASH)
+                .args([
+                    "party",
+                    "--id",
+                    &i.to_string(),
+                    "--peers",
+                    &peers,
+                    "--dir",
+                    dir.join(format!("party{i}")).to_str().unwrap(),
+                    "--seed",
+                    SEED,
+                    "--heartbeat-ms",
+                    "20",
+                    "--liveness-timeout-ms",
+                    "300",
+                    "--reconnect-window-ms",
+                    "300",
+                    "--deadline-ms",
+                    "5000",
+                ])
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    let stderr: Vec<_> = children
+        .iter_mut()
+        .map(|c| {
+            let mut pipe = c.stderr.take().unwrap();
+            std::thread::spawn(move || {
+                use std::io::Read;
+                let mut text = String::new();
+                pipe.read_to_string(&mut text).unwrap();
+                text
+            })
+        })
+        .collect();
+    for (i, child) in children.iter_mut().enumerate() {
+        let ok = wait_with_watchdog(child, Duration::from_secs(60), &format!("party {i}"));
+        assert!(!ok, "party {i} must fail");
+    }
+    let stderr: Vec<String> = stderr.into_iter().map(|r| r.join().unwrap()).collect();
+    assert!(
+        stderr[1].contains("parse error at line 3, column 2: \"oops\""),
+        "{}",
+        stderr[1]
+    );
+    for i in [0, 2] {
+        assert!(
+            stderr[i].contains("party 1 is dead") || stderr[i].contains("closed mid-protocol"),
+            "party {i}: {}",
+            stderr[i]
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Guard for the helper itself: the reference parsers must agree with
 /// the real report format (a silent format drift would turn the main
 /// assertions vacuous).

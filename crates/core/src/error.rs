@@ -37,6 +37,9 @@ pub enum CoreError {
     /// Saving, loading, or validating a crash-recovery checkpoint failed
     /// (corrupt file, fingerprint mismatch, unsupported configuration).
     Checkpoint { what: String },
+    /// A [`SummandSource`](crate::secure::SummandSource) could not read
+    /// its party's data (a streamed table that fails to parse).
+    Source { what: String },
     /// An underlying linear-algebra kernel failed.
     Linalg(LinalgError),
     /// An underlying statistical routine failed.
@@ -76,6 +79,7 @@ impl fmt::Display for CoreError {
                 write!(f, "worker thread panicked: {reason}")
             }
             CoreError::Checkpoint { what } => write!(f, "checkpoint: {what}"),
+            CoreError::Source { what } => write!(f, "party data: {what}"),
             CoreError::Linalg(e) => write!(f, "linear algebra: {e}"),
             CoreError::Stats(e) => write!(f, "statistics: {e}"),
             CoreError::Mpc(e) => write!(f, "mpc: {e}"),

@@ -227,8 +227,9 @@ pub struct SecureScanOutput {
 /// its summands of the Lemma 2.1 statistics given its private `Q_k` rows —
 /// the y-side pair once, then the variant side one column range at a
 /// time. [`PartyData`] provides the dense implementation; alternative
-/// storage — sparse genotypes, memory-mapped files, on-the-fly dosage
-/// decoding — implements this trait and plugs into [`secure_scan`]
+/// storage — sparse genotypes, a table streamed from disk
+/// (`dash_gwas::io::StreamedParty`, what `dash party` runs on), on-the-fly
+/// dosage decoding — implements this trait and plugs into [`secure_scan`]
 /// unchanged.
 pub trait SummandSource: Sync {
     /// Number of samples this party holds.
@@ -240,8 +241,10 @@ pub trait SummandSource: Sync {
     /// The block-independent y-side summands `(y·y, Qᵀy)` — round 0.
     fn y_summands(&self, q: &dash_linalg::Matrix) -> Result<(f64, Vec<f64>), CoreError>;
     /// The variant-side summands for columns `[lo, hi)` — the per-block
-    /// unit. A scan asks for every column exactly once, so the cost must
-    /// be that of the range, not of all M variants.
+    /// unit, always with the same `q`. A scan asks for every column
+    /// exactly once, in block order, so all the blocks together must cost
+    /// one pass over the scan: a source may compute each range as it is
+    /// asked for, or every variant on the first call and slice after.
     fn summands_block(
         &self,
         q: &dash_linalg::Matrix,

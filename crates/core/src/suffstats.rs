@@ -146,7 +146,7 @@ impl SuffStats {
 }
 
 /// The block-independent y-side dots `(y·y, Qᵀy)`.
-pub(crate) fn y_dots(y: &[f64], q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
+pub fn y_dots(y: &[f64], q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
     if q.rows() != y.len() {
         return Err(CoreError::ShapeMismatch {
             what: "y_dots Q rows",

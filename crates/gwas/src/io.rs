@@ -9,14 +9,19 @@
 //! of one buffer, `parse_cell` is the one place that decides what a
 //! numeric cell is — an exact fast path for plain decimals, `str::parse`
 //! for everything else, the same `f64` bit for bit either way — and
-//! [`read_matrix`] writes each value once into its column-major slot.
+//! [`read_matrix`] writes each value once into its column-major slot, or
+//! [`StreamedParty`] folds each row tile into the scan and drops it.
 
 use crate::error::GwasError;
 use dash_core::model::ScanResult;
-use dash_linalg::Matrix;
+use dash_core::secure::SummandSource;
+use dash_core::suffstats::{y_dots, VariantSummands};
+use dash_core::CoreError;
+use dash_linalg::{Matrix, ScanDots, ScanLanes};
 use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Mutex, OnceLock};
 
 /// Writes a matrix as TSV (rows × columns).
 pub fn write_matrix_tsv(path: &Path, m: &Matrix) -> Result<(), GwasError> {
@@ -124,7 +129,6 @@ pub fn read_matrix(r: impl Read + Seek) -> Result<Matrix, GwasError> {
 /// [`read_matrix`] with the read size as a parameter, so tests can put a
 /// chunk boundary inside every line.
 fn read_matrix_chunked(mut r: impl Read + Seek, chunk: usize) -> Result<Matrix, GwasError> {
-    const CHANGED: &str = "input changed while it was read";
     let origin = r.stream_position()?;
     let mut lines = LineReader::new(r, chunk);
 
@@ -155,68 +159,248 @@ fn read_matrix_chunked(mut r: impl Read + Seek, chunk: usize) -> Result<Matrix, 
     let mut data = vec![0.0f64; rows * cols];
     let mut tile = vec![0.0f64; tile_rows * cols];
 
-    // Parse pass: a row goes cell by cell into the row-major tile, a full
-    // tile goes column by column into `data`, so each destination cache
-    // line is written once, whole, instead of once per row.
+    // Parse pass: a full tile goes column by column into `data`, so each
+    // destination cache line is written once, whole, instead of once per
+    // row.
     lines.rewind(origin)?;
-    let mut done = 0usize;
+    let changed = || GwasError::MalformedTable {
+        line: 0,
+        detail: "input changed while it was read",
+    };
+    let done = parse_rows(&mut lines, &mut tile, cols, 0, |tile, first| {
+        if first + tile.len() / cols > rows {
+            return Err(changed());
+        }
+        flush_tile(tile, cols, &mut data[first..], rows);
+        Ok(())
+    })?;
+    if done != rows {
+        return Err(changed());
+    }
+    Ok(Matrix::from_column_major(rows, cols, data).expect("data was sized rows * cols"))
+}
+
+/// The one cell-parsing loop: parses the rows left in `lines` into the
+/// row-major `tile` (rows of `cols` cells) and hands each full tile, then
+/// a last partial one, to `full` with the index of its first row (`done`
+/// rows came before). Returns the count of all rows.
+fn parse_rows<R: Read>(
+    lines: &mut LineReader<R>,
+    tile: &mut [f64],
+    cols: usize,
+    mut done: usize,
+    mut full: impl FnMut(&[f64], usize) -> Result<(), GwasError>,
+) -> Result<usize, GwasError> {
+    let tile_rows = tile.len() / cols;
     while let Some((lineno, line)) = lines.next_line()? {
         if is_blank(line) {
             continue;
         }
         let in_tile = done % tile_rows;
-        let out = &mut tile[in_tile * cols..(in_tile + 1) * cols];
-        let (mut start, mut column) = (0usize, 0usize);
-        loop {
-            let (value, end) = parse_cell(line, start);
-            let value = value.ok_or_else(|| parse_error(lineno, column + 1, &line[start..end]))?;
-            // A row longer than the first is reported once all its cells
-            // have parsed, as the ragged check always was.
-            if let Some(slot) = out.get_mut(column) {
-                *slot = value;
-            }
-            column += 1;
-            if end == line.len() {
-                break;
-            }
-            start = end + 1;
-        }
-        if column != cols {
-            return Err(GwasError::MalformedTable {
-                line: lineno,
-                detail: "ragged row",
-            });
-        }
-        if done == rows {
-            return Err(GwasError::MalformedTable {
-                line: lineno,
-                detail: CHANGED,
-            });
-        }
+        parse_row(lineno, line, &mut tile[in_tile * cols..][..cols])?;
         done += 1;
         if done.is_multiple_of(tile_rows) {
-            flush_tile(&tile, cols, &mut data, rows, done - tile_rows);
+            full(tile, done - tile_rows)?;
         }
-    }
-    if done != rows {
-        return Err(GwasError::MalformedTable {
-            line: 0,
-            detail: CHANGED,
-        });
     }
     let rest = done % tile_rows;
-    flush_tile(&tile[..rest * cols], cols, &mut data, rows, done - rest);
-    Ok(Matrix::from_column_major(rows, cols, data).expect("data was sized rows * cols"))
+    if rest > 0 {
+        full(&tile[..rest * cols], done - rest)?;
+    }
+    Ok(done)
 }
 
-/// Copies the row-major `tile` (rows of `cols` cells) into rows `first..`
-/// of the column-major `data` (columns of `rows` cells).
-fn flush_tile(tile: &[f64], cols: usize, data: &mut [f64], rows: usize, first: usize) {
+/// Parses the cells of row `line` (line number `lineno`) into `out`, which
+/// holds as many cells as the first row.
+fn parse_row(lineno: usize, line: &[u8], out: &mut [f64]) -> Result<(), GwasError> {
+    let (mut start, mut column) = (0usize, 0usize);
+    loop {
+        let (value, end) = parse_cell(line, start);
+        let value = value.ok_or_else(|| parse_error(lineno, column + 1, &line[start..end]))?;
+        // A row longer than the first is reported once all its cells have
+        // parsed, as the ragged check always was.
+        if let Some(slot) = out.get_mut(column) {
+            *slot = value;
+        }
+        column += 1;
+        if end == line.len() {
+            break;
+        }
+        start = end + 1;
+    }
+    if column != out.len() {
+        return Err(GwasError::MalformedTable {
+            line: lineno,
+            detail: "ragged row",
+        });
+    }
+    Ok(())
+}
+
+/// Copies the row-major `tile` (rows of `cols` cells) into the front of
+/// each column of the column-major `data` (columns `stride` cells apart).
+fn flush_tile(tile: &[f64], cols: usize, data: &mut [f64], stride: usize) {
     let height = tile.len() / cols;
-    for (c, column) in data.chunks_exact_mut(rows).enumerate() {
-        for (r, slot) in column[first..first + height].iter_mut().enumerate() {
+    for (c, column) in data.chunks_mut(stride).take(cols).enumerate() {
+        for (r, slot) in column[..height].iter_mut().enumerate() {
             *slot = tile[r * cols + c];
         }
+    }
+}
+
+/// Bytes of a [`StreamedParty`]'s row tile and of its column-major copy,
+/// which stay near a core's L2; at least 4 rows, a multiple of 4 (§5.2).
+const STREAM_TILE_BYTES: usize = 1 << 20;
+
+/// A party that never holds `X`: it reads `X`'s TSV once, on the first
+/// block, folding each row tile into [`ScanLanes`], so it keeps O(M·(K+2))
+/// words and one tile whatever N is. Its bits and errors are those of
+/// [`PartyData`](dash_core::model::PartyData) over [`read_matrix`]; a
+/// reader error is [`CoreError::Source`] with its text.
+pub struct StreamedParty<R = std::fs::File> {
+    y: Vec<f64>,
+    c: Matrix,
+    m: usize,
+    /// The reader just past the first row, which is row 0 of the tile.
+    x: Mutex<(LineReader<R>, Vec<f64>)>,
+    /// Every variant's dots once `x` is read, or why it could not be.
+    dots: OnceLock<Result<ScanDots, CoreError>>,
+}
+
+impl<R: Read> StreamedParty<R> {
+    /// A party with response `y` and covariates `c` whose N×M table `x`
+    /// is read up to its first row here, which gives M.
+    pub fn open(y: Vec<f64>, c: Matrix, x: R) -> Result<Self, GwasError> {
+        Self::new(y, c, x, CHUNK, STREAM_TILE_BYTES)
+    }
+
+    fn new(
+        y: Vec<f64>,
+        c: Matrix,
+        x: R,
+        chunk: usize,
+        tile_bytes: usize,
+    ) -> Result<Self, GwasError> {
+        if c.rows() != y.len() {
+            let what = "C rows vs y length";
+            return Err(GwasError::ShapeMismatch {
+                what,
+                expected: y.len(),
+                got: c.rows(),
+            });
+        }
+        let mut lines = LineReader::new(x, chunk);
+        let (m, tile) = loop {
+            match lines.next_line()? {
+                Some((_, line)) if is_blank(line) => {}
+                Some((lineno, line)) => {
+                    let m = 1 + line.iter().filter(|&&b| b == b'\t').count();
+                    let mut tile = vec![0.0; (tile_bytes / (8 * m) / 4).max(1) * 4 * m];
+                    parse_row(lineno, line, &mut tile[..m])?;
+                    break (m, tile);
+                }
+                None => {
+                    let detail = "empty matrix file";
+                    return Err(GwasError::MalformedTable { line: 0, detail });
+                }
+            }
+        };
+        Ok(StreamedParty {
+            y,
+            c,
+            m,
+            x: Mutex::new((lines, tile)),
+            dots: OnceLock::new(),
+        })
+    }
+}
+
+/// Reads the rest of `X` into its `m` columns' dots with `y` and `Q`:
+/// each tile is copied column-major and folded up to its `rows mod 4`
+/// tail, which only the last tile has; its tail finishes every lane.
+fn stream_dots<R: Read>(
+    lines: &mut LineReader<R>,
+    mut tile: Vec<f64>,
+    m: usize,
+    y: &[f64],
+    q: &Matrix,
+) -> Result<ScanDots, CoreError> {
+    let (n, height) = (y.len(), tile.len() / m);
+    let mut lanes = ScanLanes::new(m, q.cols());
+    let mut by_column = vec![0.0; tile.len()];
+    let done = parse_rows(lines, &mut tile, m, 1, |tile, first| {
+        let (h, body) = (tile.len() / m, tile.len() / m / 4 * 4);
+        // Rows past y's are parsed for their errors, not folded.
+        if first + h <= n {
+            flush_tile(tile, m, &mut by_column, h);
+            let by_column = &by_column;
+            lanes.fold(|j| &by_column[j * h..][..body], y, q, first..first + body);
+        }
+        Ok(())
+    })
+    .map_err(|e| CoreError::Source {
+        what: e.to_string(),
+    })?;
+    if done != n {
+        let what = "X rows vs y length";
+        return Err(CoreError::ShapeMismatch {
+            what,
+            expected: n,
+            got: done,
+        });
+    }
+    let (h, tail) = ((n - 1) % height + 1, n % 4);
+    let tail_rows = |j: usize| &by_column[j * h + h - tail..][..tail];
+    Ok(lanes.finish(tail_rows, y, q, n - tail..n))
+}
+
+impl<R: Read + Send> SummandSource for StreamedParty<R> {
+    fn n_samples(&self) -> usize {
+        self.y.len()
+    }
+    fn n_variants(&self) -> usize {
+        self.m
+    }
+    fn covariates(&self) -> &Matrix {
+        &self.c
+    }
+    fn y_summands(&self, q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
+        y_dots(&self.y, q)
+    }
+    /// The first call reads all of `X`, with this `q`; later calls slice.
+    fn summands_block(
+        &self,
+        q: &Matrix,
+        lo: usize,
+        hi: usize,
+    ) -> Result<VariantSummands, CoreError> {
+        let bad = |what, expected, got| {
+            Err(CoreError::ShapeMismatch {
+                what,
+                expected,
+                got,
+            })
+        };
+        if q.rows() != self.y.len() {
+            return bad("streamed summands Q rows", self.y.len(), q.rows());
+        }
+        if lo > hi || hi > self.m {
+            return bad("streamed summands column range", self.m, hi);
+        }
+        let dots = self.dots.get_or_init(|| {
+            // A read that panicked left the reader part-way through X.
+            let mut x = self.x.lock().expect("an earlier read of x.tsv panicked");
+            let (lines, tile) = &mut *x;
+            stream_dots(lines, std::mem::take(tile), self.m, &self.y, q)
+        });
+        let dots = dots.as_ref().map_err(CoreError::clone)?;
+        let (xy, xx) = (dots.xy[lo..hi].to_vec(), dots.xx[lo..hi].to_vec());
+        Ok(VariantSummands {
+            lo,
+            xy,
+            xx,
+            qtx: dots.atx.col_block(lo, hi),
+        })
     }
 }
 
@@ -545,6 +729,7 @@ pub fn read_scan_tsv(path: &Path, df: usize) -> Result<ScanResult, GwasError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dash_core::model::PartyData;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -772,6 +957,68 @@ mod tests {
             if std::str::from_utf8(&bytes).is_ok() && !tab_only_row {
                 prop_assert_eq!(got, outcome(read_matrix_by_lines(bytes.as_slice())), "{:?}", bytes);
             }
+        }
+
+        /// A streamed party gives, for every block cut, the summands of
+        /// the resident load of the same bytes bit for bit — with every
+        /// `N mod 4`, N below and above the tile height, tiles of 4, 8 and
+        /// budgeted rows, and 1-byte to 64-KiB reads — or its error: the
+        /// same parse or table error, or the same `ShapeMismatch` for a row
+        /// count that is not y's. (NaN counts as one value.)
+        #[test]
+        fn streamed_party_equals_the_resident_load(
+            n in 1usize..=40,
+            m in prop_oneof![Just(1usize), Just(5), Just(13)],
+            k in prop_oneof![Just(0usize), Just(1), Just(3)],
+            defect in 0u32..8,
+            extra_rows in prop_oneof![Just(0isize), Just(0), Just(0), Just(-1), Just(1), Just(4)],
+            chunk in prop_oneof![Just(1usize), Just(7), Just(64), Just(CHUNK)],
+            tile_rows in prop_oneof![Just(4usize), Just(8), Just(0)],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let y: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+            let c = Matrix::from_fn(n, k, |_, _| rng.gen::<f64>());
+            let q = Matrix::from_fn(n, k, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+            let rows = n.saturating_add_signed(extra_rows).max(1);
+            let text = table(&mut rng, rows, m, defect);
+            let tile_bytes = if tile_rows == 0 { STREAM_TILE_BYTES } else { 8 * m * tile_rows };
+            let text_of = |e: GwasError| CoreError::Source { what: e.to_string() };
+            let party = StreamedParty::new(y.clone(), c.clone(), text.as_bytes(), chunk, tile_bytes)
+                .map_err(text_of);
+            // A defect in a lone row can change M.
+            let m = party.as_ref().map_or(m, |p| p.n_variants());
+            let mut cuts = vec![(m / 3, m - m / 4)];
+            cuts.extend((0..=m).flat_map(|lo| (lo..=m).map(move |hi| (lo, hi))));
+
+            let resident = read_matrix(Cursor::new(&text))
+                .map_err(text_of)
+                .and_then(|x| PartyData::new(y.clone(), x, c.clone()))
+                .and_then(|data| {
+                    cuts.iter()
+                        .map(|&(lo, hi)| VariantSummands::local(&y, data.x(), &q, lo, hi))
+                        .collect::<Result<Vec<_>, _>>()
+                });
+            let streamed = party.and_then(|party| {
+                cuts.iter()
+                    .map(|&(lo, hi)| party.summands_block(&q, lo, hi))
+                    .collect::<Result<Vec<_>, _>>()
+            });
+            let bits = |r: Result<Vec<VariantSummands>, CoreError>| {
+                r.map(|blocks| {
+                    blocks
+                        .iter()
+                        .map(|b| {
+                            let cells = b.xy.iter().chain(&b.xx).chain(b.qtx.as_slice());
+                            // A NaN's sign and payload are the compiler's
+                            // choice of operand order, not the data's.
+                            let bits = cells.map(|v| if v.is_nan() { 0 } else { v.to_bits() });
+                            (b.lo, b.qtx.shape(), bits.collect::<Vec<_>>())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            };
+            prop_assert_eq!(bits(streamed), bits(resident), "n={} rows={} {:?}", n, rows, text);
         }
 
         /// `LineReader` cuts lines where `BufRead::lines` cuts them, for

@@ -8,6 +8,7 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
+use std::ops::Range;
 
 /// Dot product of two equal-length slices.
 ///
@@ -68,15 +69,9 @@ pub struct ScanDots {
 /// the k+2 dots `X_j·y`, `X_j·X_j` and `A_i·X_j` — each the same bits as
 /// the corresponding [`dot`] call — reading `X` from memory once.
 ///
-/// Tiles of `PANEL` adjacent columns × `ROW_CHUNK` rows stay in L1 while
-/// `y`, the columns themselves and each `A_i` are multiplied against them,
-/// so a target chunk is loaded once per `PANEL` multiply-adds. Tiling changes
-/// which products are formed next to each other in time, not how any one
-/// dot is summed: every (column, target) pair keeps its own four lane sums
-/// (row mod 4) across all row chunks, then the `rows mod 4` tail rows in
-/// order, then `(s0 + s1) + (s2 + s3) + tail` — [`dot`]'s order exactly.
-/// A column's values therefore do not depend on its panel-mates, on
-/// `lo`/`hi`, or on how callers split `[0, cols)` into blocks or threads.
+/// This is [`ScanLanes`] over one tile of all rows, each panel finished in
+/// cache. A column's values do not depend on its panel-mates, `lo`/`hi`,
+/// or how callers split `[0, cols)` into blocks or threads.
 pub fn scan_dots(
     y: &[f64],
     a: &Matrix,
@@ -100,64 +95,130 @@ pub fn scan_dots(
             rhs: (lo, hi),
         });
     }
-    let mut out = ScanDots {
-        xy: vec![0.0; hi - lo],
-        xx: vec![0.0; hi - lo],
-        atx: Matrix::zeros(a.cols(), hi - lo),
-    };
-    let full = lo + (hi - lo) / PANEL * PANEL;
-    scan_panels::<PANEL>(y, a, x, lo, full, lo, &mut out);
-    scan_panels::<1>(y, a, x, full, hi, lo, &mut out);
+    let n = y.len();
+    let body = n - n % 4;
+    let (lanes, tail) = (targets(y, a, 0..body), targets(y, a, body..n));
+    let mut out = ScanDots::zeros(a.cols(), hi - lo);
+    let mut acc = vec![[[0.0; 4]; PANEL]; a.cols() + 2];
+    for j0 in (lo..hi).step_by(PANEL) {
+        let cols: [&[f64]; PANEL] = std::array::from_fn(|p| x.col((j0 + p).min(hi - 1)));
+        acc.fill([[0.0; 4]; PANEL]);
+        fold_panel(&cols.map(|c| &c[..body]), &lanes, &mut acc);
+        for (p, col) in cols.iter().enumerate().take(hi - j0) {
+            finish_column(|t| acc[t][p], &col[body..], &tail, &mut out, j0 + p - lo);
+        }
+    }
     Ok(out)
 }
 
-/// Runs [`scan_dots`] over columns `[from, to)` in panels of `P`; `to −
-/// from` is a multiple of `P` and `out` starts at column `lo`.
-fn scan_panels<const P: usize>(
-    y: &[f64],
-    a: &Matrix,
-    x: &Matrix,
-    from: usize,
-    to: usize,
-    lo: usize,
-    out: &mut ScanDots,
-) {
-    let n = y.len();
-    let k = a.cols();
-    let lanes_end = n - n % 4;
-    // `dot`'s ending: the tail rows in sequence, then the fixed combine.
-    let finish = |lanes: [f64; 4], col: &[f64], target: &[f64]| {
-        let mut tail = 0.0;
-        for r in lanes_end..n {
-            tail += col[r] * target[r];
-        }
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
-    };
-    // Lane sums per target: y, the columns themselves, A_1..A_k.
-    let mut acc = vec![[[0.0f64; 4]; P]; k + 2];
-    for j0 in (from..to).step_by(P) {
-        let cols: [&[f64]; P] = std::array::from_fn(|p| x.col(j0 + p));
-        acc.fill([[0.0; 4]; P]);
-        for r0 in (0..lanes_end).step_by(ROW_CHUNK) {
-            let r1 = (r0 + ROW_CHUNK).min(lanes_end);
-            let tile = cols.map(|c| &c[r0..r1]);
-            accumulate(&tile, &y[r0..r1], &mut acc[0]);
-            for p in 0..P {
-                accumulate(&[tile[p]], tile[p], std::array::from_mut(&mut acc[1][p]));
-            }
-            for i in 0..k {
-                accumulate(&tile, &a.col(i)[r0..r1], &mut acc[2 + i]);
-            }
-        }
-        for p in 0..P {
-            let j = j0 + p - lo;
-            out.xy[j] = finish(acc[0][p], cols[p], y);
-            out.xx[j] = finish(acc[1][p], cols[p], cols[p]);
-            for (i, o) in out.atx.col_mut(j).iter_mut().enumerate() {
-                *o = finish(acc[2 + i][p], cols[p], a.col(i));
-            }
+/// [`dot`]'s four lane sums of every (column, target) pair of the scan,
+/// kept across row tiles so that `X` can arrive a few rows at a time.
+/// Folding the lane rows in any split whose edges are multiples of 4,
+/// then finishing, gives [`scan_dots`]'s bits.
+#[derive(Debug, Clone)]
+pub struct ScanLanes {
+    k: usize,
+    cols: usize,
+    /// Panel `q`'s k+2 targets at `q·(k+2)..`, as [`fold_panel`] keeps them.
+    lanes: Vec<[[f64; 4]; PANEL]>,
+}
+
+impl ScanLanes {
+    /// Zero lane sums for `cols` columns and `k` columns of `A`.
+    pub fn new(cols: usize, k: usize) -> Self {
+        let lanes = vec![[[0.0; 4]; PANEL]; cols.div_ceil(PANEL) * (k + 2)];
+        ScanLanes { k, cols, lanes }
+    }
+
+    /// Adds rows `rows` of every column (`x(j)`; `rows.start` and
+    /// `rows.len()` are multiples of 4) against `y[rows]` and `A[rows]`.
+    pub fn fold<'x>(
+        &mut self,
+        x: impl Fn(usize) -> &'x [f64],
+        y: &[f64],
+        a: &Matrix,
+        rows: Range<usize>,
+    ) {
+        debug_assert!(rows.start.is_multiple_of(4) && rows.len().is_multiple_of(4));
+        let targets = targets(y, a, rows);
+        for (q, acc) in self.lanes.chunks_exact_mut(self.k + 2).enumerate() {
+            let cols = std::array::from_fn(|p| x((q * PANEL + p).min(self.cols - 1)));
+            fold_panel(&cols, &targets, acc);
         }
     }
+
+    /// [`dot`]'s ending for every column: the tail rows `rows` (`x(j)`,
+    /// fewer than 4) in sequence after the lanes, then the fixed combine.
+    pub fn finish<'x>(
+        &self,
+        x: impl Fn(usize) -> &'x [f64],
+        y: &[f64],
+        a: &Matrix,
+        rows: Range<usize>,
+    ) -> ScanDots {
+        let tail = targets(y, a, rows);
+        let mut out = ScanDots::zeros(self.k, self.cols);
+        for j in 0..self.cols {
+            let acc = &self.lanes[j / PANEL * (self.k + 2)..][..self.k + 2];
+            finish_column(|t| acc[t][j % PANEL], x(j), &tail, &mut out, j);
+        }
+        out
+    }
+}
+
+/// Folds the rows of a panel (`cols[p]` has the rows of `targets`) into
+/// `acc[t][p]` for target `t` (y, the column, `A_i`). A `ROW_CHUNK` tile
+/// stays in L1 while every target is multiplied against it.
+fn fold_panel<const P: usize>(cols: &[&[f64]; P], targets: &[&[f64]], acc: &mut [[[f64; 4]; P]]) {
+    let rows = targets[0].len();
+    for r0 in (0..rows).step_by(ROW_CHUNK) {
+        let r1 = (r0 + ROW_CHUNK).min(rows);
+        let tile = cols.map(|c| &c[r0..r1]);
+        accumulate(&tile, &targets[0][r0..r1], &mut acc[0]);
+        for p in 0..P {
+            accumulate(&[tile[p]], tile[p], std::array::from_mut(&mut acc[1][p]));
+        }
+        for (i, a) in targets[1..].iter().enumerate() {
+            accumulate(&tile, &a[r0..r1], &mut acc[2 + i]);
+        }
+    }
+}
+
+/// Column `j` of `out` from its lane sums (`sums(t)` for target `t`) and
+/// its tail rows `col`: [`dot`]'s tail in sequence, then its combine.
+fn finish_column(
+    sums: impl Fn(usize) -> [f64; 4],
+    col: &[f64],
+    tail: &[&[f64]],
+    out: &mut ScanDots,
+    j: usize,
+) {
+    let finish = |lanes: [f64; 4], target: &[f64]| {
+        let mut rest = 0.0;
+        for (c, t) in col.iter().zip(target) {
+            rest += c * t;
+        }
+        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + rest
+    };
+    out.xy[j] = finish(sums(0), tail[0]);
+    out.xx[j] = finish(sums(1), col);
+    for (i, (o, a)) in out.atx.col_mut(j).iter_mut().zip(&tail[1..]).enumerate() {
+        *o = finish(sums(2 + i), a);
+    }
+}
+
+impl ScanDots {
+    fn zeros(k: usize, cols: usize) -> Self {
+        let (xy, xx, atx) = (vec![0.0; cols], vec![0.0; cols], Matrix::zeros(k, cols));
+        ScanDots { xy, xx, atx }
+    }
+}
+
+/// Rows `rows` of `y`, then of each column of `A`: every target but the
+/// column itself.
+fn targets<'t>(y: &'t [f64], a: &'t Matrix, rows: Range<usize>) -> Vec<&'t [f64]> {
+    let columns = std::iter::once(y).chain((0..a.cols()).map(|i| a.col(i)));
+    columns.map(|t| &t[rows.clone()]).collect()
 }
 
 /// `lanes[p][l] += Σ cols[p][r]·target[r]` over rows `r ≡ l (mod 4)`;

@@ -2,7 +2,7 @@
 
 use dash_linalg::{
     cholesky_upper, combine_r_factors, dot, gemm_at_b, invert_upper, qr_r_factor, qr_thin,
-    scan_dots, solve_upper, tsqr_r, Matrix,
+    scan_dots, solve_upper, tsqr_r, Matrix, ScanDots, ScanLanes,
 };
 use proptest::prelude::*;
 
@@ -198,5 +198,46 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Lane sums persist across row tiles: folding the lane rows in any
+    /// split whose edges are multiples of 4, then finishing the tail, is
+    /// `scan_dots` over all rows bit for bit — the streamed scan's
+    /// contract.
+    #[test]
+    fn any_split_into_row_tiles_is_one_scan_dots_call(
+        seed in 0u64..1_000_000,
+        n in 0usize..70,
+        k in 0usize..5,
+        cuts in proptest::collection::vec(0usize..18, 0..6),
+    ) {
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let u = ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            u * 10f64.powi((s >> 7) as i32 % 7)
+        };
+        let y: Vec<f64> = (0..n).map(|_| next()).collect();
+        let x = Matrix::from_fn(n, SCAN_COLS, |_, _| next());
+        let a = Matrix::from_fn(n, k, |_, _| next());
+        let lanes_end = n - n % 4;
+        let mut edges: Vec<usize> = cuts.iter().map(|c| (4 * c).min(lanes_end)).collect();
+        edges.extend([0, lanes_end]);
+        edges.sort_unstable();
+        let mut lanes = ScanLanes::new(SCAN_COLS, k);
+        for w in edges.windows(2) {
+            let (r0, r1) = (w[0], w[1]);
+            lanes.fold(|j| &x.col(j)[r0..r1], &y, &a, r0..r1);
+        }
+        let got = lanes.finish(|j| &x.col(j)[lanes_end..], &y, &a, lanes_end..n);
+        let want = scan_dots(&y, &a, &x, 0, SCAN_COLS).unwrap();
+        let bits = |d: &ScanDots| -> Vec<u64> {
+            d.xy.iter().chain(&d.xx).chain(d.atx.as_slice()).map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&got), bits(&want), "n={} k={} edges {:?}", n, k, edges);
     }
 }

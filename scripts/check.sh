@@ -57,15 +57,21 @@ echo "== link machine: every seeded schedule delivers exactly once or ends in on
 # it locally for a deeper search).
 DASH_LINK_SCHEDULES=4096 cargo test -p dash-mpc --release --lib link::tests
 
-echo "== TSV reader: bit-equal to the line-based reference or the same structured error"
+echo "== TSV reader and streamed party: bit-equal to their references or the same structured error"
 # The byte-level reader (gwas/src/io.rs) against the lines()/split/trim/
 # parse reader it replaced, kept as the test oracle: generated tables
 # (every number spelling on and off the exact cell path, CRLF, blank
 # lines, one defect per table) read with 1-byte to 1-MiB chunks give the
 # same matrix bit for bit or the same error with the same line, column
 # and token; the exact path equals str::parse on 2e5 tokens and declines
-# past its limits; arbitrary bytes never panic. DASH_TSV_CASES bounds the
-# generated tables (default 256; raise it locally for a deeper search).
+# past its limits; arbitrary bytes never panic. The same stage pins the
+# streamed source `dash party` runs on (`StreamedParty`, which folds
+# x.tsv into lane sums and never holds X): for every N mod 4 up to N = 40,
+# M in {1, 5, 13}, K in {0, 1, 3}, tiles of 4, 8 and budgeted rows and
+# 1-byte reads, every block cut's summands equal the resident load's bit
+# for bit, or the error is the reader's, or the row-count mismatch is a
+# ShapeMismatch. DASH_TSV_CASES bounds the generated tables (default 256;
+# raise it locally for a deeper search).
 DASH_TSV_CASES=2048 cargo test -p dash-gwas --release --lib io::tests
 
 echo "== p-values: a slice evaluated in lock step equals the scalar oracle bit for bit"
