@@ -54,7 +54,6 @@ fn main() {
         components: 2,
         iterations: 25,
         seed: 31,
-        ..Default::default()
     };
     let pca = secure_pca(&sim.parties, &pca_cfg).unwrap();
     let pooled = pool_parties(&sim.parties).unwrap();

@@ -183,9 +183,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             heartbeat_interval: Duration::from_millis(heartbeat_ms),
             liveness_deadline: Duration::from_millis(liveness_timeout_ms),
             reconnect_window: Duration::from_millis(reconnect_window_ms),
-            ..LinkSupervision::default()
         }),
-        ..TcpConfig::default()
     };
 
     // When resuming, the checkpoint must be loaded *before* connecting:

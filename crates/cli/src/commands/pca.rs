@@ -42,7 +42,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         components,
         iterations,
         seed,
-        ..Default::default()
     };
     let pca = secure_pca(&parties, &cfg)?;
     writeln!(

@@ -317,11 +317,16 @@ pub fn logistic_score_scan(data: &PartyData) -> Result<ScoreScanResult, CoreErro
 /// count is data-dependent but identical at every party, since the stop
 /// rule reads only aggregates), plus one O(M·K) masked sum for the score
 /// layer. Disclosed: the aggregate IRLS statistics per iteration and the
-/// aggregate score summands — never per-party values.
+/// aggregate score summands — never per-party values. Any aggregation
+/// but [`AggregationMode::MaskedPrg`] is refused with
+/// [`CoreError::BadConfig`].
+///
+/// [`AggregationMode::MaskedPrg`]: crate::secure::AggregationMode::MaskedPrg
 pub fn secure_logistic_scan(
     parties: &[PartyData],
     cfg: &SecureScanConfig,
 ) -> Result<(ScoreScanResult, NetworkReport), CoreError> {
+    cfg.require_masked_prg()?;
     let (_n, m, k) = validate_parties(parties)?;
     for p in parties {
         validate_binary(p.y())?;
@@ -400,6 +405,7 @@ fn party_logistic(
 mod tests {
     use super::*;
     use crate::model::pool_parties;
+    use crate::secure::AggregationMode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -531,6 +537,30 @@ mod tests {
         assert!(report.total_bytes > 0);
         // The planted hit survives end to end.
         assert!(secure.p[0] < 1e-4);
+    }
+
+    #[test]
+    fn secure_logistic_refuses_an_aggregation_it_does_not_run() {
+        let pooled = gen_binary(80, 4, &[], 8);
+        let parties: Vec<PartyData> = [(0, 30), (30, 80)]
+            .iter()
+            .map(|&(lo, hi)| {
+                let y = pooled.y()[lo..hi].to_vec();
+                let (x, c) = (pooled.x().row_block(lo, hi), pooled.c().row_block(lo, hi));
+                PartyData::new(y, x, c).unwrap()
+            })
+            .collect();
+        let star = SecureScanConfig {
+            aggregation: AggregationMode::MaskedStar,
+            ..SecureScanConfig::paper_default(8)
+        };
+        for cfg in [SecureScanConfig::max_security(8), star] {
+            assert!(matches!(
+                secure_logistic_scan(&parties, &cfg),
+                Err(CoreError::BadConfig { .. })
+            ));
+        }
+        assert!(secure_logistic_scan(&parties, &SecureScanConfig::paper_default(8)).is_ok());
     }
 
     #[test]

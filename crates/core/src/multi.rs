@@ -107,7 +107,8 @@ impl MultiPartyData {
 /// once and shared across all T phenotypes, so the marginal cost of an
 /// extra phenotype is one M-vector (`X·y_t`) plus one K-vector — not a
 /// full rerun. Aggregation uses the masked secure sum (the paper-default
-/// rung); only aggregates open.
+/// rung); only aggregates open. Any other `cfg.aggregation` is refused
+/// with [`CoreError::BadConfig`].
 pub fn secure_multi_phenotype_scan(
     parties: &[MultiPartyData],
     cfg: &crate::secure::SecureScanConfig,
@@ -115,6 +116,7 @@ pub fn secure_multi_phenotype_scan(
     use crate::secure::run_in_process;
     use dash_mpc::protocol::masked::masked_sum_f64;
 
+    cfg.require_masked_prg()?;
     let first = parties.first().ok_or(CoreError::NoParties)?;
     let m = first.x.cols();
     let k = first.c.cols();
@@ -290,6 +292,30 @@ mod tests {
             secure_multi_phenotype_scan(&[], &cfg),
             Err(CoreError::NoParties)
         ));
+    }
+
+    #[test]
+    fn secure_multi_refuses_an_aggregation_it_does_not_run() {
+        let parties: Vec<MultiPartyData> = [14, 15]
+            .iter()
+            .map(|&seed| {
+                let (ys, x, c) = gen(20, 4, 1, 2, seed);
+                MultiPartyData::new(ys, x, c).unwrap()
+            })
+            .collect();
+        let paper = crate::secure::SecureScanConfig::paper_default(2);
+        let star = crate::secure::SecureScanConfig {
+            aggregation: crate::secure::AggregationMode::MaskedStar,
+            ..paper
+        };
+        let max = crate::secure::SecureScanConfig::max_security(2);
+        for cfg in [max, star] {
+            assert!(matches!(
+                secure_multi_phenotype_scan(&parties, &cfg),
+                Err(CoreError::BadConfig { .. })
+            ));
+        }
+        assert!(secure_multi_phenotype_scan(&parties, &paper).is_ok());
     }
 
     #[test]

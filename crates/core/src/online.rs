@@ -130,11 +130,15 @@ fn unflatten(flat: &[f64], m: usize, k: usize) -> Result<CtStats, CoreError> {
 /// This is the cheapest secure mode of all — one round, no QR phase —
 /// at the cost of disclosing the aggregates `Cᵀy`, `CᵀX`, `CᵀC` (the
 /// Cᵀ-layer analogue of the masked `Qᵀ` aggregation; §5 notes this also
-/// preserves post-hoc covariate selection).
+/// preserves post-hoc covariate selection). Any aggregation but
+/// [`AggregationMode::MaskedPrg`] is refused with [`CoreError::BadConfig`].
+///
+/// [`AggregationMode::MaskedPrg`]: crate::secure::AggregationMode::MaskedPrg
 pub fn secure_online_scan(
     accumulators: &[OnlineScan],
     cfg: &SecureScanConfig,
 ) -> Result<(ScanResult, NetworkReport), CoreError> {
+    cfg.require_masked_prg()?;
     let first = accumulators.first().ok_or(CoreError::NoParties)?;
     let (m, k) = (first.m, first.k);
     for (i, a) in accumulators.iter().enumerate() {
@@ -163,6 +167,7 @@ mod tests {
     use super::*;
     use crate::model::pool_parties;
     use crate::scan::associate;
+    use crate::secure::AggregationMode;
 
     fn gen_batch(n: usize, m: usize, k: usize, seed: u64) -> PartyData {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(41);
@@ -252,6 +257,28 @@ mod tests {
         let d = secure.max_rel_diff(&reference).unwrap();
         assert!(d < 1e-5, "diff {d}");
         assert!(report.total_bytes > 0);
+    }
+
+    #[test]
+    fn secure_online_refuses_an_aggregation_it_does_not_run() {
+        let accs: Vec<OnlineScan> = (0..2)
+            .map(|party| {
+                let mut acc = OnlineScan::new(3, 1);
+                acc.push_batch(&gen_batch(12, 3, 1, 30 + party)).unwrap();
+                acc
+            })
+            .collect();
+        let star = SecureScanConfig {
+            aggregation: AggregationMode::MaskedStar,
+            ..SecureScanConfig::default()
+        };
+        for cfg in [SecureScanConfig::max_security(3), star] {
+            assert!(matches!(
+                secure_online_scan(&accs, &cfg),
+                Err(CoreError::BadConfig { .. })
+            ));
+        }
+        assert!(secure_online_scan(&accs, &SecureScanConfig::default()).is_ok());
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub struct PcaConfig {
     /// Subspace iterations (each costs one secure sum of M·R values).
     /// 15–30 is ample when the leading eigengaps are real (ancestry).
     pub iterations: usize,
-    /// Fractional bits for the secure sums.
-    pub ring_frac_bits: u32,
-    /// Center variant columns to their *global* means first (the means
-    /// are obtained by one extra secure sum and are aggregate-level).
-    /// PCA on uncentered data mostly recovers the mean direction; leave
-    /// this on unless the inputs are already globally centered.
-    pub center_columns: bool,
     /// Master seed: drives the shared random start and all protocol
     /// randomness.
     pub seed: u64,
@@ -52,8 +45,6 @@ impl Default for PcaConfig {
         PcaConfig {
             components: 4,
             iterations: 20,
-            ring_frac_bits: 28,
-            center_columns: true,
             seed: 0x9CA0,
         }
     }
@@ -88,12 +79,8 @@ pub fn secure_pca(parties: &[PartyData], cfg: &PcaConfig) -> Result<SecurePcaOut
             what: "iterations must be >= 1",
         });
     }
-    let scan_cfg = SecureScanConfig {
-        ring_frac_bits: cfg.ring_frac_bits,
-        seed: cfg.seed,
-        ..SecureScanConfig::default()
-    };
-    let codec = scan_cfg.ring_codec()?;
+    // The secure sums use the scan's fixed-point codec.
+    let codec = SecureScanConfig::default().ring_codec()?;
     let r = cfg.components;
 
     // `PcaConfig` carries no transport settings, so the run uses the
@@ -126,29 +113,24 @@ fn party_pca(
     cfg: &PcaConfig,
     codec: &dash_mpc::FixedPointCodec,
 ) -> Result<(Matrix, Vec<f64>, Matrix), CoreError> {
-    // Optional global centering: one secure sum opens [N, column sums]
-    // (aggregates), from which every party centers its own rows.
-    let x_centered;
-    let x: &Matrix = if cfg.center_columns {
-        let mut payload = Vec::with_capacity(1 + m);
-        payload.push(x.rows() as f64);
-        for j in 0..m {
-            payload.push(x.col(j).iter().sum());
+    // Global centering (PCA on uncentered data mostly recovers the mean
+    // direction): one secure sum opens [N, column sums] (aggregates), from
+    // which every party centers its own rows.
+    let mut payload = Vec::with_capacity(1 + m);
+    payload.push(x.rows() as f64);
+    for j in 0..m {
+        payload.push(x.col(j).iter().sum());
+    }
+    let total = masked_sum_f64(ctx, codec, &payload, "PCA global column means")?;
+    let n_total = total[0].max(1.0);
+    let mut xc = x.clone();
+    for j in 0..m {
+        let mean = total[1 + j] / n_total;
+        for v in xc.col_mut(j) {
+            *v -= mean;
         }
-        let total = masked_sum_f64(ctx, codec, &payload, "PCA global column means")?;
-        let n_total = total[0].max(1.0);
-        let mut xc = x.clone();
-        for j in 0..m {
-            let mean = total[1 + j] / n_total;
-            for v in xc.col_mut(j) {
-                *v -= mean;
-            }
-        }
-        x_centered = xc;
-        &x_centered
-    } else {
-        x
-    };
+    }
+    let x = &xc;
 
     // Shared random start: every party derives the same M×R block and
     // orthonormalizes it identically.
@@ -201,8 +183,8 @@ fn fix_signs(v: &mut Matrix) {
 
 /// Plaintext reference: top-R eigenpairs of the pooled, column-centered
 /// variant covariance `XᵀX` by dense symmetric eigendecomposition
-/// (O(M³) — for tests and small M only). Centering matches
-/// [`PcaConfig::center_columns`]'s default.
+/// (O(M³) — for tests and small M only), centered as [`secure_pca`]
+/// centers.
 pub fn plaintext_pca(x: &Matrix, r: usize) -> Result<(Matrix, Vec<f64>), CoreError> {
     if r == 0 || r > x.cols() {
         return Err(CoreError::BadConfig {
@@ -273,7 +255,6 @@ mod tests {
             components: 3,
             iterations: 40,
             seed: 1,
-            ..Default::default()
         };
         let out = secure_pca(&parties, &cfg).unwrap();
         // Eigenvalues agree.
@@ -298,7 +279,6 @@ mod tests {
             components: 4,
             iterations: 25,
             seed: 2,
-            ..Default::default()
         };
         let out = secure_pca(&parties, &cfg).unwrap();
         let vtv = gemm_at_b(&out.loadings, &out.loadings).unwrap();
@@ -309,19 +289,19 @@ mod tests {
     }
 
     #[test]
-    fn scores_are_local_projections() {
+    fn scores_are_local_projections_of_the_globally_centred_rows() {
         let parties = structured_parties(&[20, 30], 12, 3);
         let cfg = PcaConfig {
             components: 2,
             iterations: 20,
             seed: 3,
-            // Uncentered so scores are plain projections of the raw X.
-            center_columns: false,
-            ..Default::default()
         };
         let out = secure_pca(&parties, &cfg).unwrap();
+        let pooled = crate::model::pool_parties(&parties).unwrap();
+        let means = dash_linalg::column_means(pooled.x());
         for (p, score) in parties.iter().zip(&out.scores) {
-            let expect = gemm(p.x(), &out.loadings).unwrap();
+            let centred = Matrix::from_fn(p.n_samples(), 12, |i, j| p.x().get(i, j) - means[j]);
+            let expect = gemm(&centred, &out.loadings).unwrap();
             assert!(score.max_abs_diff(&expect).unwrap() < 1e-9);
             assert_eq!(score.shape(), (p.n_samples(), 2));
         }
@@ -333,7 +313,6 @@ mod tests {
             components: 2,
             iterations: 5,
             seed: 4,
-            ..Default::default()
         };
         let small = structured_parties(&[10, 10], 16, 4);
         let large = structured_parties(&[80, 80], 16, 5);
@@ -349,7 +328,6 @@ mod tests {
             components: 3,
             iterations: 30,
             seed: 6,
-            ..Default::default()
         };
         let out = secure_pca(&parties, &cfg).unwrap();
         // The planted direction carries far more variance than the rest.

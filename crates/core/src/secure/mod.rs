@@ -145,6 +145,19 @@ impl SecureScanConfig {
         }
     }
 
+    /// The §5 workloads (logistic, online, multi-phenotype) run the
+    /// masked all-to-all sum whatever the mode says, so they refuse any
+    /// other aggregation instead of running a rung the caller did not ask
+    /// for.
+    pub(crate) fn require_masked_prg(&self) -> Result<(), CoreError> {
+        match self.aggregation {
+            AggregationMode::MaskedPrg => Ok(()),
+            _ => Err(CoreError::BadConfig {
+                what: "the section 5 workloads run the masked all-to-all sum: aggregation must be MaskedPrg",
+            }),
+        }
+    }
+
     pub(crate) fn ring_codec(&self) -> Result<FixedPointCodec, CoreError> {
         Ok(FixedPointCodec::new(self.ring_frac_bits)?)
     }

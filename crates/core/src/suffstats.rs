@@ -79,49 +79,6 @@ impl SuffStats {
         })
     }
 
-    /// Creates a zero accumulator with the given shape.
-    pub fn zeros(m: usize, k: usize) -> Self {
-        SuffStats {
-            yy: 0.0,
-            xy: vec![0.0; m],
-            xx: vec![0.0; m],
-            qty: vec![0.0; k],
-            qtx: Matrix::zeros(k, m),
-        }
-    }
-
-    /// Adds another party's summands.
-    pub fn add_assign(&mut self, other: &SuffStats) -> Result<(), CoreError> {
-        if other.n_variants() != self.n_variants() {
-            return Err(CoreError::ShapeMismatch {
-                what: "SuffStats::add_assign variants",
-                expected: self.n_variants(),
-                got: other.n_variants(),
-            });
-        }
-        if other.n_covariates() != self.n_covariates() {
-            return Err(CoreError::ShapeMismatch {
-                what: "SuffStats::add_assign covariates",
-                expected: self.n_covariates(),
-                got: other.n_covariates(),
-            });
-        }
-        self.yy += other.yy;
-        for (a, b) in self.xy.iter_mut().zip(&other.xy) {
-            *a += b;
-        }
-        for (a, b) in self.xx.iter_mut().zip(&other.xx) {
-            *a += b;
-        }
-        for (a, b) in self.qty.iter_mut().zip(&other.qty) {
-            *a += b;
-        }
-        for (a, b) in self.qtx.as_mut_slice().iter_mut().zip(other.qtx.as_slice()) {
-            *a += b;
-        }
-        Ok(())
-    }
-
     /// Reduces the additive statistics to the opened layer: collapses the
     /// K-vectors into the three dot products of Lemma 2.1.
     pub fn reduce(&self) -> ScanStats {
@@ -505,14 +462,18 @@ mod tests {
         let cut = 13;
         let sa = SuffStats::local(&y[..cut], &x.row_block(0, cut), &q.row_block(0, cut)).unwrap();
         let sb = SuffStats::local(&y[cut..], &x.row_block(cut, 30), &q.row_block(cut, 30)).unwrap();
-        let mut sum = sa.clone();
-        sum.add_assign(&sb).unwrap();
-        assert!((sum.yy - pooled.yy).abs() < 1e-10);
+        assert!((sa.yy + sb.yy - pooled.yy).abs() < 1e-10);
         for j in 0..4 {
-            assert!((sum.xy[j] - pooled.xy[j]).abs() < 1e-10);
-            assert!((sum.xx[j] - pooled.xx[j]).abs() < 1e-10);
+            assert!((sa.xy[j] + sb.xy[j] - pooled.xy[j]).abs() < 1e-10);
+            assert!((sa.xx[j] + sb.xx[j] - pooled.xx[j]).abs() < 1e-10);
         }
-        assert!(sum.qtx.max_abs_diff(&pooled.qtx).unwrap() < 1e-10);
+        for i in 0..2 {
+            assert!((sa.qty[i] + sb.qty[i] - pooled.qty[i]).abs() < 1e-10);
+            for j in 0..4 {
+                let sum = sa.qtx.get(i, j) + sb.qtx.get(i, j);
+                assert!((sum - pooled.qtx.get(i, j)).abs() < 1e-10);
+            }
+        }
     }
 
     #[test]
@@ -560,15 +521,6 @@ mod tests {
             VariantSummands::local(&y, &x, &q.row_block(0, 17), 0, 11),
             "VariantSummands::local Q rows",
         );
-    }
-
-    #[test]
-    fn add_assign_shape_checked() {
-        let mut a = SuffStats::zeros(3, 2);
-        let b = SuffStats::zeros(4, 2);
-        assert!(a.add_assign(&b).is_err());
-        let c = SuffStats::zeros(3, 1);
-        assert!(a.add_assign(&c).is_err());
     }
 
     #[test]
@@ -725,7 +677,13 @@ mod tests {
 
     #[test]
     fn finalize_requires_df() {
-        let s = SuffStats::zeros(1, 2);
+        let s = SuffStats {
+            yy: 0.0,
+            xy: vec![0.0],
+            xx: vec![0.0],
+            qty: vec![0.0; 2],
+            qtx: Matrix::zeros(2, 1),
+        };
         assert!(matches!(
             s.reduce().finalize(3, 2),
             Err(CoreError::NotEnoughSamples { .. })

@@ -236,16 +236,12 @@ fn proxied_party_scan(
         heartbeat_interval: Duration::from_millis(20),
         liveness_deadline: Duration::from_secs(1),
         reconnect_window: Duration::from_secs(2),
-        reconnect_backoff: Duration::from_millis(20),
-        replay_capacity: 4096,
     };
     let tcp = TcpConfig {
         run_id: cfg.seed,
         connect_timeout: Duration::from_secs(2),
         connect_retries: 40,
-        connect_backoff: Duration::from_millis(10),
         accept_timeout: Duration::from_secs(10),
-        jitter_seed: cfg.seed,
         supervision: Some(sup),
     };
     let (listeners, addrs) = bind_loopback(2);

@@ -42,13 +42,6 @@ pub struct PhenotypeTruth {
     pub h2_target: f64,
 }
 
-impl PhenotypeTruth {
-    /// True when variant `j` was planted causal.
-    pub fn is_causal(&self, j: usize) -> bool {
-        self.causal.binary_search(&j).is_ok()
-    }
-}
-
 /// Simulates a quantitative phenotype over standardized genotypes `x`
 /// (N×M) and covariates `c` (N×K).
 ///
@@ -219,8 +212,6 @@ mod tests {
             assert!(w[0] < w[1]);
         }
         assert!(*truth.causal.last().unwrap() < 50);
-        assert!(truth.is_causal(truth.causal[0]));
-        assert!(!truth.is_causal(usize::MAX - 1));
     }
 
     #[test]

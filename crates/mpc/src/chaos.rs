@@ -173,16 +173,6 @@ impl ChaosProxy {
         })
     }
 
-    /// Convenience: a fault-free proxy (control case for byte-identical
-    /// comparisons through the same topology).
-    pub fn passthrough(upstream: SocketAddr) -> std::io::Result<Self> {
-        Self::start(
-            upstream,
-            ChaosMode::Passthrough,
-            ChaosPolicy::EveryConnection,
-        )
-    }
-
     /// The localhost address dialers should connect to.
     pub fn local_addr(&self) -> SocketAddr {
         self.local
@@ -444,7 +434,8 @@ mod tests {
     #[test]
     fn passthrough_echoes_verbatim() {
         let (up, h) = echo_upstream();
-        let proxy = ChaosProxy::passthrough(up).unwrap();
+        let proxy =
+            ChaosProxy::start(up, ChaosMode::Passthrough, ChaosPolicy::EveryConnection).unwrap();
         let mut c = TcpStream::connect(proxy.local_addr()).unwrap();
         let msg = b"through the proxy and back";
         c.write_all(msg).unwrap();
@@ -522,8 +513,6 @@ mod tests {
             heartbeat_interval: Duration::from_millis(20),
             liveness_deadline: Duration::from_secs(2),
             reconnect_window: Duration::from_secs(5),
-            reconnect_backoff: Duration::from_millis(20),
-            replay_capacity: 1024,
         }
     }
 
@@ -532,9 +521,7 @@ mod tests {
             run_id,
             connect_timeout: Duration::from_secs(2),
             connect_retries: 40,
-            connect_backoff: Duration::from_millis(10),
             accept_timeout: Duration::from_secs(10),
-            jitter_seed: run_id,
             supervision: Some(sup()),
         }
     }

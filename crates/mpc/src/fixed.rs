@@ -49,11 +49,6 @@ impl FixedPointCodec {
         Ok(FixedPointCodec { frac_bits })
     }
 
-    /// The configured number of fractional bits.
-    pub fn frac_bits(&self) -> u32 {
-        self.frac_bits
-    }
-
     /// The scale factor 2^f.
     pub fn scale(&self) -> f64 {
         (self.frac_bits as f64).exp2()

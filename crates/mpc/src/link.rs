@@ -15,7 +15,9 @@
 
 use crate::error::MpcError;
 use crate::tags::{CLOSE_TAG, HEARTBEAT_TAG};
-use crate::tcp::{jittered_backoff, le_u64, LinkSupervision, ReadEnd, TcpConfig, SENTINEL_SEQ};
+use crate::tcp::{
+    jittered_backoff, le_u64, LinkSupervision, ReadEnd, TcpConfig, RECONNECT_BACKOFF, SENTINEL_SEQ,
+};
 use crate::transport::Message;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -57,11 +59,15 @@ pub(crate) enum Reconnect {
 /// The state of one link and the policy it is judged by.
 #[derive(Debug)]
 pub(crate) struct Link {
+    /// Our party id; we dialed this link (and re-dial it) iff the peer's
+    /// is below it.
+    me: usize,
     peer: usize,
+    /// Keys the re-dial jitter, with `me`, `peer` and the attempt.
+    run_id: u64,
     policy: Option<LinkSupervision>,
-    /// We dialed this link (the peer's id is below ours), so we re-dial it.
-    dialer: bool,
-    jitter_seed: u64,
+    /// Most outbound frames kept for replay (none unsupervised).
+    replay_capacity: usize,
     /// Next outbound sequence number.
     send_next: u64,
     /// Outbound frames a resuming peer may re-request, oldest first.
@@ -93,26 +99,25 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// A link at the given cursors (zeros and no backlog on a fresh run,
-    /// the checkpointed [`crate::transport::LinkSnapshot`] on a resume).
+    /// A fresh link from party `me` to `peer` under `cfg`, keeping at
+    /// most `replay_capacity` frames for replay.
     pub(crate) fn new(
+        me: usize,
         peer: usize,
-        dialer: bool,
         cfg: &TcpConfig,
-        send_next: u64,
-        recv_next: u64,
-        replay: Vec<Message>,
+        replay_capacity: usize,
         now: Instant,
     ) -> Self {
         Link {
+            me,
             peer,
+            run_id: cfg.run_id,
             policy: cfg.supervision,
-            dialer,
-            jitter_seed: cfg.jitter_seed,
-            send_next,
-            pruned_to: replay.first().map_or(send_next, |f| f.seq),
-            replay: replay.into(),
-            recv_contig: recv_next,
+            replay_capacity,
+            send_next: 0,
+            pruned_to: 0,
+            replay: VecDeque::new(),
+            recv_contig: 0,
             early: BTreeMap::new(),
             durable: None,
             resumed: false,
@@ -124,6 +129,15 @@ impl Link {
         }
     }
 
+    /// Puts the link at the checkpointed cursors of a
+    /// [`crate::transport::LinkSnapshot`].
+    pub(crate) fn resume_at(&mut self, send_next: u64, recv_next: u64, replay: Vec<Message>) {
+        self.send_next = send_next;
+        self.pruned_to = replay.first().map_or(send_next, |f| f.seq);
+        self.replay = replay.into();
+        self.recv_contig = recv_next;
+    }
+
     /// Allocates the next outbound sequence number. The shell asks under
     /// its `socket` lock, so frames go onto the wire in sequence order.
     pub(crate) fn alloc_seq(&mut self) -> u64 {
@@ -133,9 +147,9 @@ impl Link {
     }
 
     /// An outbound frame was counted and is about to be written: keep it
-    /// for replay, bounded by the policy's capacity (none unsupervised).
+    /// for replay, bounded by the replay capacity (none unsupervised).
     pub(crate) fn sent(&mut self, frame: Message) {
-        let capacity = self.policy.map_or(0, |p| p.replay_capacity);
+        let capacity = self.policy.map_or(0, |_| self.replay_capacity);
         if capacity == 0 {
             return;
         }
@@ -293,11 +307,11 @@ impl Link {
             return Err(self.fail(MpcError::PeerCrashed { peer, silent_for }));
         }
         let remaining = policy.reconnect_window.saturating_sub(elapsed);
-        if !self.dialer {
+        if peer > self.me {
             return Ok(Reconnect::Await { remaining });
         }
         self.down = (since, attempt.saturating_add(1));
-        let backoff = jittered_backoff(policy.reconnect_backoff, self.jitter_seed, peer, attempt);
+        let backoff = jittered_backoff(RECONNECT_BACKOFF, self.run_id, self.me, peer, attempt);
         let pause = backoff.min(remaining);
         Ok(Reconnect::Dial { remaining, pause })
     }
@@ -359,32 +373,34 @@ mod tests {
     use crate::tcp::tests::epoch;
 
     const PEER: usize = 1;
+    /// Our id on a dialing link (the accepting ends in `Sim` are party 0).
+    const ME: usize = 2;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
     }
 
-    fn policy(replay_capacity: usize) -> LinkSupervision {
+    fn policy() -> LinkSupervision {
         LinkSupervision {
             heartbeat_interval: ms(100),
             liveness_deadline: ms(1_000),
             reconnect_window: ms(2_000),
-            reconnect_backoff: ms(100),
-            replay_capacity,
         }
     }
 
-    fn cfg(supervision: Option<LinkSupervision>) -> TcpConfig {
+    fn cfg(supervised: bool) -> TcpConfig {
         TcpConfig {
-            jitter_seed: 7,
-            supervision,
+            run_id: 7,
+            supervision: supervised.then(policy),
             ..TcpConfig::default()
         }
     }
 
-    /// A fresh link to `PEER` born at `t0`; `dialer` as if our id were 2.
-    fn fresh(supervision: Option<LinkSupervision>, t0: Instant) -> Link {
-        Link::new(PEER, true, &cfg(supervision), 0, 0, Vec::new(), t0)
+    /// A fresh link from `ME` to `PEER` born at `t0`: supervised with the
+    /// given replay capacity, or unsupervised on `None`.
+    fn fresh(replay_capacity: Option<usize>, t0: Instant) -> Link {
+        let cfg = cfg(replay_capacity.is_some());
+        Link::new(ME, PEER, &cfg, replay_capacity.unwrap_or(0), t0)
     }
 
     fn data(seq: u64) -> Message {
@@ -457,7 +473,7 @@ mod tests {
             (9, true, Ok(vec![])),
         ];
         for (their_next, self_resuming, want) in table {
-            let mut link = fresh(Some(policy(4)), t0);
+            let mut link = fresh(Some(4), t0);
             send(&mut link, 6);
             let got = link.peer_hello(their_next, self_resuming, t0);
             let got = got.map(|backlog| seqs(&backlog));
@@ -470,7 +486,7 @@ mod tests {
         // peer cursor on a plain reconnect hello — or a later one, when a
         // re-sent frame joined up early frames of the previous life — and
         // must not fail it. Pruning is judged as ever.
-        let mut link = fresh(Some(policy(4)), t0);
+        let mut link = fresh(Some(4), t0);
         send(&mut link, 6);
         assert_eq!(link.peer_hello(9, true, t0), Ok(vec![]));
         for their_next in [9, 11, 7] {
@@ -479,7 +495,8 @@ mod tests {
         assert_eq!(link.peer_hello(1, false, t0), Err(mismatch(pruned)));
         // A link resumed from a checkpoint starts pruned to its backlog.
         let backlog = vec![data(4)];
-        let mut resumed = Link::new(PEER, true, &cfg(Some(policy(4))), 5, 0, backlog, t0);
+        let mut resumed = fresh(Some(4), t0);
+        resumed.resume_at(5, 0, backlog);
         assert_eq!(
             resumed.peer_hello(4, true, t0).map(|b| seqs(&b)),
             Ok(vec![4])
@@ -490,7 +507,7 @@ mod tests {
     #[test]
     fn acks_prune_and_the_durable_cursor_takes_precedence() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(64)), t0);
+        let mut link = fresh(Some(64), t0);
         send(&mut link, 5);
         assert_eq!(arrive(&mut link, heartbeat(3), t0), Ok(vec![]));
         assert_eq!(
@@ -525,7 +542,7 @@ mod tests {
     #[test]
     fn replay_overflow_advances_pruned_to_and_capacity_zero_buffers_nothing() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(2)), t0);
+        let mut link = fresh(Some(2), t0);
         send(&mut link, 5);
         assert_eq!(
             link.snapshot().map(|(n, r)| (n, seqs(&r))),
@@ -538,7 +555,7 @@ mod tests {
                  pruned from the replay buffer"
             ))
         );
-        let mut none = fresh(Some(policy(0)), t0);
+        let mut none = fresh(Some(0), t0);
         send(&mut none, 5);
         assert_eq!(none.snapshot(), Some((5, vec![])));
         // Unsupervised: nothing buffered, nothing to snapshot.
@@ -601,7 +618,7 @@ mod tests {
     #[test]
     fn early_set_is_bounded_and_sentinel_data_takes_no_slot() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(4)), t0);
+        let mut link = fresh(Some(4), t0);
         let max = MAX_EARLY_FRAMES as u64;
         // Frame 0 is late; a full buffer of frames arrives ahead of it.
         for seq in 1..=max {
@@ -627,7 +644,7 @@ mod tests {
     #[test]
     fn heartbeat_cadence() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(4)), t0);
+        let mut link = fresh(Some(4), t0);
         let due: Vec<_> = [99, 100, 150, 199, 200, 450]
             .map(|at| link.heartbeat_due(t0 + ms(at)).is_some())
             .into();
@@ -639,7 +656,7 @@ mod tests {
     #[test]
     fn silent_verdict_fires_past_the_liveness_deadline_and_not_before() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(4)), t0);
+        let mut link = fresh(Some(4), t0);
         let crashed = |silent_for| MpcError::PeerCrashed {
             peer: PEER,
             silent_for,
@@ -664,10 +681,9 @@ mod tests {
     #[test]
     fn reconnect_window_expiry_is_peer_crashed_with_the_silence_so_far() {
         let t0 = epoch();
-        let sup = policy(4);
-        let backoff = |attempt| jittered_backoff(sup.reconnect_backoff, 7, PEER, attempt);
+        let backoff = |attempt| jittered_backoff(RECONNECT_BACKOFF, 7, ME, PEER, attempt);
         let dial = |remaining, pause| Ok(Reconnect::Dial { remaining, pause });
-        let mut link = fresh(Some(sup), t0);
+        let mut link = fresh(Some(4), t0);
         assert_eq!(arrive(&mut link, data(0), t0 + ms(300)), Ok(vec![0]));
         let torn = ReadEnd::Eof { partial: true };
         assert_eq!(
@@ -690,8 +706,8 @@ mod tests {
 
         // The accepting side waits for the peer's dial instead, and a
         // later outage opens a fresh window with a fresh backoff schedule.
-        let mut acceptor = Link::new(PEER, false, &cfg(Some(sup)), 0, 0, Vec::new(), t0);
-        let mut again = fresh(Some(sup), t0);
+        let mut acceptor = Link::new(0, PEER, &cfg(true), 4, t0);
+        let mut again = fresh(Some(4), t0);
         for down_at in [t0 + ms(100), t0 + ms(5_000)] {
             let clean = ReadEnd::Eof { partial: false };
             assert_eq!(
@@ -739,16 +755,16 @@ mod tests {
             Ok(AfterRead::Reconnect),
             Err(malformed),
         ];
-        for (policy, table) in [(None, unsupervised), (Some(policy(4)), supervised)] {
+        for (capacity, table) in [(None, unsupervised), (Some(4), supervised)] {
             for (end, want) in ends().into_iter().zip(table) {
-                let mut link = fresh(policy, t0);
+                let mut link = fresh(capacity, t0);
                 assert_eq!(link.read_ended(end, t0), want);
                 // Every `Err` is also the link's stored verdict.
                 assert_eq!(link.verdict(), want.err());
             }
         }
         assert_eq!(fresh(None, t0).write_failed(), Err(closed.clone()));
-        assert_eq!(fresh(Some(policy(4)), t0).write_failed(), Ok(()));
+        assert_eq!(fresh(Some(4), t0).write_failed(), Ok(()));
         // An unsupervised link has no window to reconnect in.
         let mut bare = fresh(None, t0);
         assert_eq!(bare.reconnect_step(t0), Err(closed.clone()));
@@ -764,24 +780,24 @@ mod tests {
             ReadEnd::Failed,
             ReadEnd::Shutdown,
         ];
-        for policy in [None, Some(policy(4))] {
+        for capacity in [None, Some(4)] {
             for end in ends {
                 // The peer's record arrived, before or after our own
                 // teardown began (`Shutdown` is the read that saw it begin).
-                let mut link = fresh(policy, t0);
+                let mut link = fresh(capacity, t0);
                 assert_eq!(arrive(&mut link, data(0), t0), Ok(vec![0]));
                 assert_eq!(arrive(&mut link, close_record(), t0), Ok(vec![]));
                 assert_eq!(link.recv_cursor(), 1);
                 assert_eq!(link.read_ended(end, t0 + ms(1)), Ok(AfterRead::Finish));
                 assert_eq!(link.verdict(), None);
                 // Ours went out: the peer's answering FIN carries no record.
-                let mut link = fresh(policy, t0);
+                let mut link = fresh(capacity, t0);
                 link.close();
                 assert_eq!(link.read_ended(end, t0 + ms(1)), Ok(AfterRead::Finish));
                 assert_eq!(link.verdict(), None);
             }
             // A malformed frame is a verdict even from a peer that closed.
-            let mut link = fresh(policy, t0);
+            let mut link = fresh(capacity, t0);
             assert_eq!(arrive(&mut link, close_record(), t0), Ok(vec![]));
             assert!(link.read_ended(ReadEnd::Oversized(1 << 40), t0).is_err());
         }
@@ -806,7 +822,7 @@ mod tests {
             (with_payload, vec![]),
             (numbered, vec![0]),
         ] {
-            let mut link = fresh(Some(policy(4)), t0);
+            let mut link = fresh(Some(4), t0);
             assert_eq!(arrive(&mut link, impostor, t0), Ok(delivered));
             let clean = ReadEnd::Eof { partial: false };
             assert_eq!(link.read_ended(clean, t0), Ok(AfterRead::Reconnect));
@@ -816,7 +832,7 @@ mod tests {
     #[test]
     fn a_closed_link_owes_no_heartbeat_and_still_honours_acks() {
         let t0 = epoch();
-        let mut link = fresh(Some(policy(64)), t0);
+        let mut link = fresh(Some(64), t0);
         send(&mut link, 5);
         assert_eq!(link.heartbeat_due(t0 + ms(100)), Some(0));
         assert_eq!(arrive(&mut link, close_record(), t0 + ms(150)), Ok(vec![]));
@@ -828,7 +844,7 @@ mod tests {
         assert_eq!(arrive(&mut link, heartbeat(3), t0 + ms(200)), Ok(vec![]));
         assert_eq!(link.snapshot().map(|(_, r)| seqs(&r)), Some(vec![3, 4]));
         // Our own close silences the heartbeat just the same.
-        let mut ours = fresh(Some(policy(64)), t0);
+        let mut ours = fresh(Some(64), t0);
         ours.close();
         assert_eq!(ours.heartbeat_due(t0 + ms(10_000)), None);
     }
@@ -858,15 +874,8 @@ mod tests {
 
     impl End {
         fn new(dialer: bool, capacity: usize, now: Instant) -> End {
-            let mut link = Link::new(
-                PEER,
-                dialer,
-                &cfg(Some(policy(capacity))),
-                0,
-                0,
-                vec![],
-                now,
-            );
+            let me = if dialer { ME } else { 0 };
+            let mut link = Link::new(me, PEER, &cfg(true), capacity, now);
             link.note_durable(0);
             End {
                 link,
@@ -975,16 +984,9 @@ mod tests {
             self.cut();
             let end = &mut self.ends[side];
             let (send_next, recv_next, replay) = end.checkpoint.clone().unwrap_or_default();
-            let sup = cfg(Some(policy(self.capacity)));
-            end.link = Link::new(
-                PEER,
-                side == 1,
-                &sup,
-                send_next,
-                recv_next,
-                replay,
-                self.now,
-            );
+            let me = if side == 1 { ME } else { 0 };
+            end.link = Link::new(me, PEER, &cfg(true), self.capacity, self.now);
+            end.link.resume_at(send_next, recv_next, replay);
             end.link.note_durable(recv_next);
             end.amnesiac = end.checkpoint.is_none();
             end.delivered.truncate(recv_next as usize);
@@ -1007,7 +1009,7 @@ mod tests {
                     Err(err) => {
                         let outage = self.now - self.cut_at;
                         let crashed = matches!(err, MpcError::PeerCrashed { .. });
-                        return if crashed && outage >= policy(0).reconnect_window {
+                        return if crashed && outage >= policy().reconnect_window {
                             Ok(Some(Outcome::Crashed))
                         } else {
                             Err(format!("{err:?} after {outage:?}"))
@@ -1095,7 +1097,7 @@ mod tests {
                         }
                     }
                     8 => {
-                        self.now += policy(0).heartbeat_interval;
+                        self.now += policy().heartbeat_interval;
                         self.beat(side);
                     }
                     9 => self.cut(),
@@ -1237,7 +1239,8 @@ mod tests {
         ) {
             let (send_next, ack, their_next) = cursors;
             let t0 = epoch();
-            let mut link = Link::new(PEER, true, &cfg(Some(policy(4))), send_next, 0, vec![], t0);
+            let mut link = fresh(Some(4), t0);
+            link.resume_at(send_next, 0, vec![]);
             send(&mut link, sends);
             proptest::prop_assert_eq!(link.frame_arrived(heartbeat(ack), t0), Ok(vec![]));
             match link.peer_hello(their_next, self_resuming, t0) {

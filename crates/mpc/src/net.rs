@@ -229,15 +229,6 @@ impl NetworkStats {
         self.unscoped_bytes.load(Ordering::Relaxed)
     }
 
-    /// Resets all counters (between experiment repetitions).
-    pub fn reset(&self) {
-        for cell in self.bytes.iter().chain(&self.msgs).chain(&self.events) {
-            cell.store(0, Ordering::Relaxed);
-        }
-        self.block_traffic.lock().clear();
-        self.unscoped_bytes.store(0, Ordering::Relaxed);
-    }
-
     /// Captures the *protocol-traffic* counters for a checkpoint: the
     /// per-link byte/message matrices, timeout counts, per-block
     /// attribution and unscoped bytes. The recovery counters
@@ -825,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_counters_recorded_and_reset() {
+    fn recovery_counters_recorded_per_party_and_in_the_trace() {
         use dash_obs::Counter;
         let stats = NetworkStats::with_trace(2, TraceHandle::enabled(2));
         stats.record(1, Counter::Reconnects);
@@ -841,10 +832,6 @@ mod tests {
         assert_eq!(stats.trace().counter(1, Counter::Reconnects), 2);
         assert_eq!(stats.trace().counter(0, Counter::HeartbeatsSent), 1);
         assert_eq!(stats.trace().counter(1, Counter::Resumes), 1);
-        stats.reset();
-        assert_eq!(stats.total(Counter::Reconnects), 0);
-        assert_eq!(stats.total(Counter::HeartbeatsSent), 0);
-        assert_eq!(stats.total(Counter::Resumes), 0);
     }
 
     #[test]
@@ -967,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_aggregation_and_reset() {
+    fn stats_aggregate_and_a_later_phase_is_their_difference() {
         let (eps, stats) = Network::endpoints(3).unwrap();
         eps[0].send_words(1, 0, &[0; 10]).unwrap();
         eps[0].send_words(2, 0, &[0; 5]).unwrap();
@@ -978,10 +965,12 @@ mod tests {
         let _ = eps[1].recv_words_timeout(0, 0, Duration::from_millis(1));
         stats.record(2, Counter::Retries);
         assert_eq!(stats.count_by(2, Counter::Retries), 1);
-        stats.reset();
-        assert_eq!(stats.total_bytes(), 0);
-        assert_eq!(stats.total(Counter::Retries), 0);
-        assert_eq!(stats.total(Counter::Timeouts), 0);
+        // A later phase is measured against the totals it started from.
+        let (bytes, messages) = (stats.total_bytes(), stats.total_messages());
+        eps[1].send_words(2, 0, &[0; 2]).unwrap();
+        assert_eq!(stats.total_bytes() - bytes, HEADER_BYTES + 16);
+        assert_eq!(stats.total_messages() - messages, 1);
+        assert_eq!(stats.total(Counter::Retries), 1);
     }
 
     #[test]
@@ -1048,9 +1037,6 @@ mod tests {
             stats.block_bytes_total() + stats.unscoped_bytes(),
             stats.total_bytes()
         );
-        stats.reset();
-        assert!(stats.per_block_traffic().is_empty());
-        assert_eq!(stats.unscoped_bytes(), 0);
     }
 
     #[test]

@@ -98,28 +98,38 @@ const LIVENESS_POLL_INTERVAL: Duration = Duration::from_millis(500);
 /// waiting for the peer's FIN before giving up and closing anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
+/// Base pause between initial dial attempts to a lower-id peer; each
+/// pause is a [`jittered_backoff`] multiple of it.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Base pause between re-dial attempts of a supervised link that went
+/// down; each pause is a [`jittered_backoff`] multiple of it.
+pub(crate) const RECONNECT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Outbound frames each supervised link keeps for replay after a peer
+/// resumes; past this the oldest go, and a resume that needs a dropped
+/// frame fails with [`MpcError::ResumeMismatch`].
+const REPLAY_CAPACITY: usize = 8192;
+
 /// Link-supervision policy: heartbeats, liveness verdicts and bounded
 /// reconnection. `None` in [`TcpConfig`] keeps the unsupervised
 /// fail-fast semantics (any socket error is immediately fatal for the
-/// link), which is what in-process tests expect.
+/// link), which is what in-process tests expect. Each field is the
+/// `dash party` flag named on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSupervision {
-    /// How often each party emits a heartbeat frame on an idle link.
+    /// `--heartbeat-ms`: how often each party emits a heartbeat frame on
+    /// an idle link.
     pub heartbeat_interval: Duration,
-    /// A peer silent for longer than this (no frames, no heartbeats) is
-    /// declared dead: receives fail with [`MpcError::PeerCrashed`]
-    /// instead of burning the full protocol deadline.
+    /// `--liveness-timeout-ms`: a peer silent for longer than this (no
+    /// frames, no heartbeats) is declared dead: receives fail with
+    /// [`MpcError::PeerCrashed`] instead of burning the full protocol
+    /// deadline.
     pub liveness_deadline: Duration,
-    /// Total time a broken link may spend reconnecting (dial retries or
-    /// waiting for the peer to dial back in) before the link is failed.
+    /// `--reconnect-window-ms`: total time a broken link may spend
+    /// reconnecting (dial retries or waiting for the peer to dial back
+    /// in) before the link is failed.
     pub reconnect_window: Duration,
-    /// Base sleep between reconnect dial attempts; each attempt sleeps
-    /// a seeded-jitter multiple of this (see `jittered_backoff`).
-    pub reconnect_backoff: Duration,
-    /// Outbound frames buffered per link for replay after a peer
-    /// resumes; oldest frames are dropped past this, and a resume that
-    /// needs a dropped frame fails with [`MpcError::ResumeMismatch`].
-    pub replay_capacity: usize,
 }
 
 impl Default for LinkSupervision {
@@ -128,39 +138,35 @@ impl Default for LinkSupervision {
             heartbeat_interval: Duration::from_millis(250),
             liveness_deadline: Duration::from_secs(15),
             reconnect_window: Duration::from_secs(15),
-            reconnect_backoff: Duration::from_millis(100),
-            replay_capacity: 8192,
         }
     }
 }
 
-/// Connect-time policy for one party process.
+/// Connect-time policy for one party process. Each field is the
+/// `dash party` flag named on it, and the timeouts and retries default
+/// to that command's defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpConfig {
-    /// Shared run identifier; the hello exchange rejects peers from a
-    /// different run (stale processes, wrong rendezvous).
+    /// `--run-id`: shared run identifier; the hello exchange rejects
+    /// peers from a different run (stale processes, wrong rendezvous),
+    /// and it keys the dial jitter.
     pub run_id: u64,
-    /// Per-attempt TCP connect timeout when dialing a lower-id peer,
-    /// and the read timeout for an accepted dialer's hello.
+    /// `--connect-timeout-ms`: per-attempt TCP connect timeout when
+    /// dialing a lower-id peer, and the read timeout for an accepted
+    /// dialer's hello.
     pub connect_timeout: Duration,
-    /// Dial attempts per lower-id peer before giving up. Peers start in
-    /// arbitrary order, so early attempts routinely hit
-    /// connection-refused; the retry loop absorbs that window.
+    /// `--connect-retries`: dial attempts per lower-id peer before giving
+    /// up. Peers start in arbitrary order, so early attempts routinely
+    /// hit connection-refused; the retry loop absorbs that window.
     pub connect_retries: u32,
-    /// Base sleep between dial attempts; the actual sleep is a
-    /// deterministic jittered multiple in [0.5, 1.5) of this, seeded by
-    /// `jitter_seed`, so simultaneous restarts don't thunder in
-    /// lockstep yet every run replays identically.
-    pub connect_backoff: Duration,
-    /// The rendezvous window: total time to wait for every higher-id
-    /// peer to dial in, and for each dialed lower-id peer to answer our
-    /// hello (its listener may be bound before it is accepting).
+    /// `--accept-timeout-ms`: the rendezvous window, the total time to
+    /// wait for every higher-id peer to dial in, and for each dialed
+    /// lower-id peer to answer our hello (its listener may be bound
+    /// before it is accepting).
     pub accept_timeout: Duration,
-    /// Seed for the deterministic dial-backoff jitter (derive it from
-    /// the run seed so reruns are bit-identical).
-    pub jitter_seed: u64,
-    /// Crash-resilience policy; `None` disables heartbeats, reconnects
-    /// and replay buffering entirely.
+    /// The `SUPERVISION` flags (`dash party` is always supervised);
+    /// `None` disables heartbeats, reconnects and replay buffering
+    /// entirely.
     pub supervision: Option<LinkSupervision>,
 }
 
@@ -170,21 +176,27 @@ impl Default for TcpConfig {
             run_id: 0,
             connect_timeout: Duration::from_secs(2),
             connect_retries: 30,
-            connect_backoff: Duration::from_millis(50),
             accept_timeout: Duration::from_secs(30),
-            jitter_seed: 0,
             supervision: None,
         }
     }
 }
 
-/// Deterministic dial-backoff jitter: a SplitMix64-style hash of
-/// `(seed, peer, attempt)` mapped to a factor in [0.5, 1.5). Identical
-/// seeds replay identical schedules; distinct parties (and the same
-/// party on later attempts) spread out instead of dialing in lockstep.
-pub(crate) fn jittered_backoff(base: Duration, seed: u64, peer: usize, attempt: u32) -> Duration {
-    let mut z = seed
-        ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// The pause before the next dial from party `from` to party `to` in run
+/// `run_id`: `base` times a factor in [0.5, 1.5) from a SplitMix64-style
+/// hash of all four keys. A rerun replays the same pauses, and parties
+/// that dial one peer at once (a fleet restarting together) spread out
+/// instead of dialing in lockstep.
+pub(crate) fn jittered_backoff(
+    base: Duration,
+    run_id: u64,
+    from: usize,
+    to: usize,
+    attempt: u32,
+) -> Duration {
+    let mut z = run_id
+        ^ (from as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (to as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
         ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9)
         ^ 0xD6E8_FEB8_6659_FD93;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -436,9 +448,14 @@ fn hs_io(peer: usize, what: &str, e: &std::io::Error) -> MpcError {
 
 /// Dials `addr` with bounded retry: peers start in arbitrary order, so
 /// connection-refused is expected until the peer's listener is up. The
-/// inter-attempt sleep carries deterministic seeded jitter so a fleet of
-/// parties (re)starting together doesn't dial in lockstep.
-fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<TcpStream, MpcError> {
+/// inter-attempt sleep is jittered by run, dialer, peer and attempt so a
+/// fleet of parties (re)starting together doesn't dial in lockstep.
+fn dial_with_retry(
+    addr: SocketAddr,
+    me: Identity,
+    peer: usize,
+    cfg: &TcpConfig,
+) -> Result<TcpStream, MpcError> {
     let mut last: Option<std::io::Error> = None;
     for attempt in 0..=cfg.connect_retries {
         match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
@@ -446,8 +463,9 @@ fn dial_with_retry(addr: SocketAddr, peer: usize, cfg: &TcpConfig) -> Result<Tcp
             Err(e) => {
                 last = Some(e);
                 std::thread::sleep(jittered_backoff(
-                    cfg.connect_backoff,
-                    cfg.jitter_seed,
+                    CONNECT_BACKOFF,
+                    me.run_id,
+                    me.id,
                     peer,
                     attempt,
                 ));
@@ -969,7 +987,7 @@ impl TcpTransport {
         // parses its cohort), so a connected dialer gives the hello reply
         // the whole rendezvous window.
         for (j, addr) in peers.iter().copied().enumerate().take(id) {
-            let mut stream = dial_with_retry(addr, j, &cfg)?;
+            let mut stream = dial_with_retry(addr, me, j, &cfg)?;
             let theirs = hello_dial(&mut stream, me, j, recv_next(j), flags, cfg.accept_timeout)
                 .map_err(LinkError::into_inner)?;
             if let Some(slot) = conns.get_mut(j) {
@@ -1055,7 +1073,8 @@ impl TcpTransport {
             let backlog = resume.replay.get_mut(j).map(std::mem::take);
             let backlog = backlog.unwrap_or_default();
             let now = Instant::now();
-            let mut machine = Link::new(j, j < id, &cfg, send_next, recv_next(j), backlog, now);
+            let mut machine = Link::new(id, j, &cfg, REPLAY_CAPACITY, now);
+            machine.resume_at(send_next, recv_next(j), backlog);
             if resuming {
                 // The checkpoint's cursor is durable before the heartbeat
                 // thread can ack anything past it: a peer must not prune
@@ -1297,9 +1316,7 @@ pub(crate) mod tests {
             run_id,
             connect_timeout: Duration::from_secs(2),
             connect_retries: 40,
-            connect_backoff: Duration::from_millis(10),
             accept_timeout: Duration::from_secs(10),
-            jitter_seed: run_id,
             supervision: None,
         }
     }
@@ -1310,8 +1327,6 @@ pub(crate) mod tests {
             heartbeat_interval: Duration::from_millis(20),
             liveness_deadline: Duration::from_secs(2),
             reconnect_window: Duration::from_secs(5),
-            reconnect_backoff: Duration::from_millis(20),
-            replay_capacity: 1024,
         }
     }
 
@@ -1395,15 +1410,11 @@ pub(crate) mod tests {
 
     #[test]
     fn a_closed_transport_drops_at_once_whatever_the_backoff_and_its_peers_are_doing() {
-        // At the parent this cannot pass: a reader that took a finished
-        // peer's FIN for a crash sat out a jittered `reconnect_backoff`
-        // (2.5-7.5 s here) under `Drop`'s join, and every `Drop` waited
-        // out the rest of a 50 ms heartbeat step.
+        // A reader that took a finished peer's FIN for a crash would sit
+        // out a jittered `RECONNECT_BACKOFF` (50-150 ms) under `Drop`'s
+        // join, which fails the 10 ms median.
         let mut cfg = test_cfg(55);
-        cfg.supervision = Some(LinkSupervision {
-            reconnect_backoff: Duration::from_secs(5),
-            ..LinkSupervision::default()
-        });
+        cfg.supervision = Some(LinkSupervision::default());
         let mut drops = Vec::new();
         for round in 0..20 {
             let (mesh, _) = connect_mesh_cfg(3, cfg);
@@ -1623,10 +1634,10 @@ pub(crate) mod tests {
     #[test]
     fn jittered_backoff_is_deterministic_and_bounded() {
         let base = Duration::from_millis(100);
-        for peer in 0..3 {
+        for (from, to) in [(1, 0), (2, 0), (2, 1)] {
             for attempt in 0..16 {
-                let a = jittered_backoff(base, 42, peer, attempt);
-                let b = jittered_backoff(base, 42, peer, attempt);
+                let a = jittered_backoff(base, 42, from, to, attempt);
+                let b = jittered_backoff(base, 42, from, to, attempt);
                 assert_eq!(a, b, "same inputs must replay the same sleep");
                 assert!(
                     a >= base / 2 && a < base * 3 / 2,
@@ -1634,10 +1645,46 @@ pub(crate) mod tests {
                 );
             }
         }
-        // Distinct seeds produce distinct schedules (overwhelmingly).
-        let s1: Vec<_> = (0..8).map(|a| jittered_backoff(base, 1, 0, a)).collect();
-        let s2: Vec<_> = (0..8).map(|a| jittered_backoff(base, 2, 0, a)).collect();
+        // Distinct runs produce distinct schedules (overwhelmingly).
+        let s1: Vec<_> = (0..8).map(|a| jittered_backoff(base, 1, 1, 0, a)).collect();
+        let s2: Vec<_> = (0..8).map(|a| jittered_backoff(base, 2, 1, 0, a)).collect();
         assert_ne!(s1, s2);
+    }
+
+    /// Parties 1 and 2 of one `dash party` run (its configuration at the
+    /// default flags) dial party 0 at once, as after a fleet restart:
+    /// at every attempt, first dial and re-dial alike, they pause for
+    /// different times, and a rerun of either replays its own pauses.
+    #[test]
+    fn parties_dialing_one_peer_pause_apart_and_a_rerun_pauses_alike() {
+        let cfg = TcpConfig {
+            run_id: 42,
+            supervision: Some(LinkSupervision::default()),
+            ..TcpConfig::default()
+        };
+        let dial = |me| -> Vec<Duration> {
+            let pause = |a| jittered_backoff(CONNECT_BACKOFF, cfg.run_id, me, 0, a);
+            (0..8).map(pause).collect()
+        };
+        let redial = |me| -> Vec<Duration> {
+            let t0 = epoch();
+            let mut link = Link::new(me, 0, &cfg, REPLAY_CAPACITY, t0);
+            assert_eq!(
+                link.read_ended(ReadEnd::Failed, t0),
+                Ok(AfterRead::Reconnect)
+            );
+            let pause = |_| match link.reconnect_step(t0) {
+                Ok(Reconnect::Dial { pause, .. }) => pause,
+                other => panic!("party {me} should re-dial, got {other:?}"),
+            };
+            (0..8).map(pause).collect()
+        };
+        let both: [&dyn Fn(usize) -> Vec<Duration>; 2] = [&dial, &redial];
+        for pauses in both {
+            let (one, two) = (pauses(1), pauses(2));
+            assert!(one.iter().zip(&two).all(|(a, b)| a != b), "{one:?} {two:?}");
+            assert_eq!(one, pauses(1));
+        }
     }
 
     #[test]
@@ -1730,8 +1777,6 @@ pub(crate) mod tests {
             heartbeat_interval: Duration::from_millis(20),
             liveness_deadline: Duration::from_millis(600),
             reconnect_window: Duration::from_secs(30),
-            reconnect_backoff: Duration::from_millis(20),
-            replay_capacity: 64,
         });
         let (mut mesh, _) = connect_mesh_cfg(2, cfg);
         let a = mesh.remove(0);

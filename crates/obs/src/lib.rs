@@ -158,36 +158,26 @@ impl SpanRecord {
     }
 }
 
-/// Bounded span storage: a ring that keeps the most recent `capacity`
-/// finished spans and counts what it had to drop.
-#[derive(Debug)]
+/// Bounded span storage: a ring that keeps the most recent
+/// [`DEFAULT_SPAN_CAPACITY`] finished spans and counts what it had to drop.
+#[derive(Debug, Default)]
 struct SpanRing {
     buf: Vec<SpanRecord>,
-    capacity: usize,
     /// Index of the oldest record once the ring has wrapped.
     head: usize,
     dropped: u64,
 }
 
 impl SpanRing {
-    fn new(capacity: usize) -> Self {
-        SpanRing {
-            buf: Vec::new(),
-            capacity: capacity.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, rec: SpanRecord) {
-        if self.buf.len() < self.capacity {
+        if self.buf.len() < DEFAULT_SPAN_CAPACITY {
             self.buf.push(rec);
             return;
         }
         if let Some(slot) = self.buf.get_mut(self.head) {
             *slot = rec;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head = (self.head + 1) % DEFAULT_SPAN_CAPACITY;
         self.dropped += 1;
     }
 
@@ -211,10 +201,10 @@ struct PartySlot {
 }
 
 impl PartySlot {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         PartySlot {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            ring: Mutex::new(SpanRing::new(capacity)),
+            ring: Mutex::new(SpanRing::default()),
             depth: AtomicU64::new(0),
         }
     }
@@ -228,12 +218,10 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    fn new(n_parties: usize, span_capacity: usize) -> Self {
+    fn new(n_parties: usize) -> Self {
         TraceSink {
             start: Instant::now(),
-            parties: (0..n_parties.max(1))
-                .map(|_| PartySlot::new(span_capacity))
-                .collect(),
+            parties: (0..n_parties.max(1)).map(|_| PartySlot::new()).collect(),
         }
     }
 
@@ -264,15 +252,11 @@ impl TraceHandle {
         TraceHandle { sink: None }
     }
 
-    /// An enabled trace for `n_parties` with the default span capacity.
+    /// An enabled trace for `n_parties`, each with a ring of
+    /// [`DEFAULT_SPAN_CAPACITY`] spans.
     pub fn enabled(n_parties: usize) -> Self {
-        Self::with_capacity(n_parties, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// An enabled trace with an explicit per-party span ring capacity.
-    pub fn with_capacity(n_parties: usize, span_capacity: usize) -> Self {
         TraceHandle {
-            sink: Some(Arc::new(TraceSink::new(n_parties, span_capacity))),
+            sink: Some(Arc::new(TraceSink::new(n_parties))),
         }
     }
 
@@ -640,16 +624,17 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let t = TraceHandle::with_capacity(1, 4);
-        for i in 0..10u64 {
+        let t = TraceHandle::enabled(1);
+        let total = DEFAULT_SPAN_CAPACITY as u64 + 6;
+        for i in 0..total {
             let _g = t.span_at(0, "block", i);
         }
         let spans = t.spans();
-        assert_eq!(spans.len(), 4);
+        assert_eq!(spans.len(), DEFAULT_SPAN_CAPACITY);
         assert_eq!(t.dropped_spans(), 6);
-        // The survivors are the most recent four, in order.
+        // The survivors are the most recent ones, in order.
         let idx: Vec<u64> = spans.iter().filter_map(|s| s.index).collect();
-        assert_eq!(idx, vec![6, 7, 8, 9]);
+        assert_eq!(idx, (6..total).collect::<Vec<_>>());
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl ChiSquared {
         Ok(ChiSquared { k })
     }
 
-    /// Degrees of freedom.
-    pub fn df(&self) -> f64 {
-        self.k
-    }
-
     /// Cumulative distribution function `P(X ≤ x)`; zero for `x ≤ 0`.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {

@@ -33,16 +33,6 @@ impl FDistribution {
         Ok(FDistribution { d1, d2 })
     }
 
-    /// Numerator degrees of freedom.
-    pub fn d1(&self) -> f64 {
-        self.d1
-    }
-
-    /// Denominator degrees of freedom.
-    pub fn d2(&self) -> f64 {
-        self.d2
-    }
-
     /// Cumulative distribution function; zero for `x ≤ 0`.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {

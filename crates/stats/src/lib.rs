@@ -29,7 +29,6 @@ pub mod fdr;
 pub mod meta;
 pub mod normal;
 pub mod special;
-pub mod summary;
 pub mod tdist;
 
 pub use chi2::ChiSquared;
@@ -39,7 +38,6 @@ pub use fdr::{benjamini_hochberg, bh_hits};
 pub use meta::{cochran_q, fixed_effect_meta, MetaResult};
 pub use normal::Normal;
 pub use special::{erf, erfc, ln_gamma, reg_inc_beta, reg_inc_gamma_p, reg_inc_gamma_q};
-pub use summary::Welford;
 pub use tdist::StudentT;
 
 /// Convenience alias used across the crate.

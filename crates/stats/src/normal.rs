@@ -65,16 +65,6 @@ impl Normal {
         let z = z - u / (1.0 + z * u / 2.0);
         Ok(self.mean + self.sd * z)
     }
-
-    /// The mean parameter.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard deviation parameter.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
 }
 
 /// Acklam's inverse-normal rational approximation.

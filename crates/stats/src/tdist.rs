@@ -34,11 +34,6 @@ impl StudentT {
         })
     }
 
-    /// Degrees of freedom.
-    pub fn df(&self) -> f64 {
-        self.df
-    }
-
     /// Probability density at `t`.
     pub fn pdf(&self, t: f64) -> f64 {
         let v = self.df;

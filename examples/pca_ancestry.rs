@@ -42,7 +42,6 @@ fn main() {
             components: 2,
             iterations: 20,
             seed: 404,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -38,7 +38,6 @@ fn secure_pca_then_secure_scan_pipeline() {
             components: 2,
             iterations: 20,
             seed: 5,
-            ..Default::default()
         },
     )
     .unwrap();
