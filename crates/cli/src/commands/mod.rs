@@ -58,8 +58,8 @@ pub(crate) fn load_party_dir(dir: &Path) -> Result<PartyData, CliError> {
     )
 }
 
-/// A party directory with `y.tsv` and `c.tsv` read and `x.tsv` opened for
-/// its one streamed pass: only its first row is parsed here.
+/// A party directory with `y.tsv` and `c.tsv` read and `x.tsv` opened to
+/// be read a block at a time: only its first row is read here.
 pub(crate) fn open_party_dir(dir: &Path) -> Result<StreamedParty, CliError> {
     let y = dir.join("y.tsv");
     let (y_col, c) = load_y_c(&y, &dir.join("c.tsv"), &y.display().to_string())?;

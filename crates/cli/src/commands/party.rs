@@ -59,8 +59,8 @@ BLOCKED PIPELINE:
 
 TRANSPORT:
     --deadline-ms N         per-receive deadline in ms; peers wait in block 0
-                            while the slowest party reads its x.tsv, so this
-                            must cover that read [default: 60000]
+                            while the slowest party passes over its x.tsv
+                            once, so this must cover that [default: 60000]
     --connect-timeout-ms N  per-attempt dial/hello timeout in ms [default: 2000]
     --connect-retries N     dial attempts per lower-id peer [default: 30]
     --accept-timeout-ms N   total wait for higher-id peers to dial in, and for
@@ -169,9 +169,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     out.flush()?;
     // Opened only now, with the listener bound, and before any dial: y, C
-    // and the first row of X (which gives M, so a bad first row fails
-    // here). X itself is streamed once, through the scan kernel, when the
-    // scan asks for its first block, and never held.
+    // and the first row of X, which gives M. X itself is read a block at a
+    // time, through the scan kernel, as the scan asks for each block, and
+    // never held.
     let data = open_party_dir(&dir)?;
 
     let tcp_cfg = TcpConfig {
@@ -283,13 +283,14 @@ mod tests {
 
     /// Regression (dial race): the listener must be bound and announced
     /// before the cohort is parsed, so peers' dials queue in the accept
-    /// backlog meanwhile. A malformed `x.tsv` makes the load fail; the
-    /// `listening on` line must already have been printed.
+    /// backlog meanwhile. A malformed `y.tsv` makes the load fail (x.tsv's
+    /// cells are parsed in their blocks, after the dial); the `listening
+    /// on` line must already have been printed.
     #[test]
     fn listens_before_loading_the_cohort() {
         let dir = tmp_dir("party_listen_first");
         write_party(&dir, &toy_party(6, 2, 1, 5));
-        std::fs::write(dir.join("x.tsv"), "1.0\tnot-a-number\n").unwrap();
+        std::fs::write(dir.join("y.tsv"), "1.0\nnot-a-number\n").unwrap();
         let mut buf = Vec::new();
         let err = run(
             &argv(&[

@@ -6,6 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use dash_core::secure::checkpoint;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -272,14 +273,10 @@ fn party_rejects_wrong_run_id() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `dash party` streams its x.tsv after the dial, so a bad cell past the
-/// first row surfaces mid-protocol: that party exits with the parse error
-/// (line and column), and its peers, waiting in block 0, end in a crash
-/// verdict or a closed channel within their short supervision windows —
-/// never a hang.
-#[test]
-fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
-    let dir = tmp_dir("badx");
+/// A simulated three-party study (20, 25 and 15 samples, 12 variants)
+/// whose party 1 has `edit` applied to the lines of its x.tsv.
+fn study_with_bad_x(tag: &str, edit: impl FnOnce(&mut Vec<String>)) -> PathBuf {
+    let dir = tmp_dir(tag);
     dash(&[
         "simulate",
         "--out",
@@ -296,11 +293,15 @@ fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
     let x = dir.join("party1").join("x.tsv");
     let text = std::fs::read_to_string(&x).unwrap();
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut cells: Vec<&str> = lines[2].split('\t').collect();
-    cells[1] = "oops";
-    lines[2] = cells.join("\t");
+    edit(&mut lines);
     std::fs::write(&x, lines.join("\n") + "\n").unwrap();
+    dir
+}
 
+/// Runs the study's three parties with short supervision windows and
+/// `args`, asserts that every one fails within the watchdog, and returns
+/// their stderr.
+fn failing_parties(dir: &Path, args: &[&str]) -> Vec<String> {
     let holders: Vec<TcpListener> = (0..3)
         .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
         .collect();
@@ -332,6 +333,7 @@ fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
                     "--deadline-ms",
                     "5000",
                 ])
+                .args(args)
                 .stdout(Stdio::null())
                 .stderr(Stdio::piped())
                 .spawn()
@@ -354,12 +356,12 @@ fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
         let ok = wait_with_watchdog(child, Duration::from_secs(60), &format!("party {i}"));
         assert!(!ok, "party {i} must fail");
     }
-    let stderr: Vec<String> = stderr.into_iter().map(|r| r.join().unwrap()).collect();
-    assert!(
-        stderr[1].contains("parse error at line 3, column 2: \"oops\""),
-        "{}",
-        stderr[1]
-    );
+    stderr.into_iter().map(|r| r.join().unwrap()).collect()
+}
+
+/// Parties 0 and 2 saw party 1 die: a crash verdict or a closed channel
+/// within their short supervision windows, never a hang.
+fn peers_of_party_1_saw_it_die(stderr: &[String]) {
     for i in [0, 2] {
         assert!(
             stderr[i].contains("party 1 is dead") || stderr[i].contains("closed mid-protocol"),
@@ -367,6 +369,68 @@ fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
             stderr[i]
         );
     }
+}
+
+/// `dash party` streams its x.tsv after the dial, so a bad cell surfaces
+/// mid-protocol, in the block that holds its column: that party exits
+/// with the parse error (line and column), and its peers, waiting in that
+/// block, end in a crash verdict or a closed channel.
+#[test]
+fn a_bad_x_cell_after_the_dial_fails_every_party_structurally() {
+    let dir = study_with_bad_x("badx", |lines| {
+        let mut cells: Vec<&str> = lines[2].split('\t').collect();
+        cells[1] = "oops";
+        lines[2] = cells.join("\t");
+    });
+    let stderr = failing_parties(&dir, &[]);
+    assert!(
+        stderr[1].contains("parse error at line 3, column 2: \"oops\""),
+        "{}",
+        stderr[1]
+    );
+    peers_of_party_1_saw_it_die(&stderr);
+
+    // In the last of three blocks of 4 variants: party 1 parses it while
+    // block 1's round is on the wire, and fails once that round closes.
+    let dir_last = study_with_bad_x("badx_last", |lines| {
+        let mut cells: Vec<&str> = lines[2].split('\t').collect();
+        cells[10] = "oops";
+        lines[2] = cells.join("\t");
+    });
+    let ckpt = dir_last.join("ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let stderr = failing_parties(
+        &dir_last,
+        &["--block-size", "4", "--checkpoint-dir", ckpt_arg],
+    );
+    assert!(
+        stderr[1].contains("parse error at line 3, column 11: \"oops\""),
+        "{}",
+        stderr[1]
+    );
+    peers_of_party_1_saw_it_die(&stderr);
+    let saved = checkpoint::load(&checkpoint::checkpoint_path(&ckpt, 1)).unwrap();
+    assert_eq!(saved.next_block, 2, "party 1 closed blocks 0 and 1 first");
+    for d in [dir, dir_last] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+/// An x.tsv with one row more than y.tsv fails at block 0, once the row
+/// count is known, whatever its cells hold.
+#[test]
+fn an_x_with_one_row_too_many_fails_at_block_0() {
+    let dir = study_with_bad_x("xrows", |lines| {
+        let extra = lines[0].clone();
+        lines.push(extra);
+    });
+    let stderr = failing_parties(&dir, &[]);
+    assert!(
+        stderr[1].contains("X rows vs y length") && stderr[1].contains("26"),
+        "{}",
+        stderr[1]
+    );
+    peers_of_party_1_saw_it_die(&stderr);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,7 +10,7 @@
 //! numeric cell is — an exact fast path for plain decimals, `str::parse`
 //! for everything else, the same `f64` bit for bit either way — and
 //! [`read_matrix`] writes each value once into its column-major slot, or
-//! [`StreamedParty`] folds each row tile into the scan and drops it.
+//! [`StreamedParty`] reads a block of columns at a time into the scan.
 
 use crate::error::GwasError;
 use dash_core::model::ScanResult;
@@ -21,7 +21,7 @@ use dash_linalg::{Matrix, ScanDots, ScanLanes};
 use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, PoisonError};
 
 /// Writes a matrix as TSV (rows × columns).
 pub fn write_matrix_tsv(path: &Path, m: &Matrix) -> Result<(), GwasError> {
@@ -93,7 +93,8 @@ const CHUNK: usize = 1 << 16;
 
 /// Rows parsed into the row-major scratch before it is copied into the
 /// column-major destination: sixteen `f64` are two whole cache lines of
-/// every destination column (DESIGN §5.2 has the measurement).
+/// every destination column (DESIGN §5.2 has the measurement). A
+/// [`StreamedParty`] block's tile has as many rows.
 const TILE_ROWS: usize = 16;
 
 /// Reads a TSV matrix from a file.
@@ -154,7 +155,7 @@ fn read_matrix_chunked(mut r: impl Read + Seek, chunk: usize) -> Result<Matrix, 
     // that has a short row somewhere: sizing the destination by the bytes
     // keeps the allocation bounded by the input, and the parse pass
     // reports the row at fault before it runs out of destination rows.
-    let rows = rows.min((lines.bytes_read + 1) / cols);
+    let rows = rows.min((lines.pos() as usize + 1) / cols);
     let tile_rows = TILE_ROWS.min(rows);
     let mut data = vec![0.0f64; rows * cols];
     let mut tile = vec![0.0f64; tile_rows * cols];
@@ -162,7 +163,7 @@ fn read_matrix_chunked(mut r: impl Read + Seek, chunk: usize) -> Result<Matrix, 
     // Parse pass: a full tile goes column by column into `data`, so each
     // destination cache line is written once, whole, instead of once per
     // row.
-    lines.rewind(origin)?;
+    lines.seek(origin, chunk)?;
     let changed = || GwasError::MalformedTable {
         line: 0,
         detail: "input changed while it was read",
@@ -184,7 +185,7 @@ fn read_matrix_chunked(mut r: impl Read + Seek, chunk: usize) -> Result<Matrix, 
 /// row-major `tile` (rows of `cols` cells) and hands each full tile, then
 /// a last partial one, to `full` with the index of its first row (`done`
 /// rows came before). Returns the count of all rows.
-fn parse_rows<R: Read>(
+fn parse_rows<R: Read + Seek>(
     lines: &mut LineReader<R>,
     tile: &mut [f64],
     cols: usize,
@@ -248,39 +249,30 @@ fn flush_tile(tile: &[f64], cols: usize, data: &mut [f64], stride: usize) {
     }
 }
 
-/// Bytes of a [`StreamedParty`]'s row tile and of its column-major copy,
-/// which stay near a core's L2; at least 4 rows, a multiple of 4 (§5.2).
-const STREAM_TILE_BYTES: usize = 1 << 20;
-
-/// A party that never holds `X`: it reads `X`'s TSV once, on the first
-/// block, folding each row tile into [`ScanLanes`], so it keeps O(M·(K+2))
-/// words and one tile whatever N is. Its bits and errors are those of
-/// [`PartyData`](dash_core::model::PartyData) over [`read_matrix`]; a
-/// reader error is [`CoreError::Source`] with its text.
+/// A party that never holds `X`: each block parses its columns of `X`'s
+/// TSV from a byte cursor per row into [`ScanLanes`], so it keeps N
+/// cursors and one block's lanes and tile. Its bits and errors are those of
+/// [`PartyData`](dash_core::model::PartyData) over [`read_matrix`], once
+/// the row count is y's (DESIGN §5.2); errors are [`CoreError::Source`].
 pub struct StreamedParty<R = std::fs::File> {
     y: Vec<f64>,
     c: Matrix,
     m: usize,
-    /// The reader just past the first row, which is row 0 of the tile.
-    x: Mutex<(LineReader<R>, Vec<f64>)>,
-    /// Every variant's dots once `x` is read, or why it could not be.
-    dots: OnceLock<Result<ScanDots, CoreError>>,
+    origin: u64,
+    /// `X`'s text and, once found, each row's next cell and its column.
+    x: Mutex<(LineReader<R>, Option<Cursors>)>,
 }
 
-impl<R: Read> StreamedParty<R> {
+type Cursors = (Vec<u64>, usize);
+
+impl<R: Read + Seek> StreamedParty<R> {
     /// A party with response `y` and covariates `c` whose N×M table `x`
-    /// is read up to its first row here, which gives M.
+    /// is read up to the end of its first row here, which gives M.
     pub fn open(y: Vec<f64>, c: Matrix, x: R) -> Result<Self, GwasError> {
-        Self::new(y, c, x, CHUNK, STREAM_TILE_BYTES)
+        Self::new(y, c, x, CHUNK)
     }
 
-    fn new(
-        y: Vec<f64>,
-        c: Matrix,
-        x: R,
-        chunk: usize,
-        tile_bytes: usize,
-    ) -> Result<Self, GwasError> {
+    fn new(y: Vec<f64>, c: Matrix, mut x: R, chunk: usize) -> Result<Self, GwasError> {
         if c.rows() != y.len() {
             let what = "C rows vs y length";
             return Err(GwasError::ShapeMismatch {
@@ -289,72 +281,145 @@ impl<R: Read> StreamedParty<R> {
                 got: c.rows(),
             });
         }
-        let mut lines = LineReader::new(x, chunk);
-        let (m, tile) = loop {
-            match lines.next_line()? {
-                Some((_, line)) if is_blank(line) => {}
-                Some((lineno, line)) => {
-                    let m = 1 + line.iter().filter(|&&b| b == b'\t').count();
-                    let mut tile = vec![0.0; (tile_bytes / (8 * m) / 4).max(1) * 4 * m];
-                    parse_row(lineno, line, &mut tile[..m])?;
-                    break (m, tile);
-                }
+        let origin = x.stream_position()?;
+        let mut text = LineReader::new(x, chunk);
+        let m = loop {
+            match text.blank_line()? {
+                Some(true) => {}
+                Some(false) => break 1 + text.pass(usize::MAX, false)?.0,
                 None => {
                     let detail = "empty matrix file";
                     return Err(GwasError::MalformedTable { line: 0, detail });
                 }
             }
         };
-        Ok(StreamedParty {
-            y,
-            c,
-            m,
-            x: Mutex::new((lines, tile)),
-            dots: OnceLock::new(),
-        })
+        let x = Mutex::new((text, None));
+        Ok(StreamedParty { y, c, m, origin, x })
     }
-}
 
-/// Reads the rest of `X` into its `m` columns' dots with `y` and `Q`:
-/// each tile is copied column-major and folded up to its `rows mod 4`
-/// tail, which only the last tile has; its tail finishes every lane.
-fn stream_dots<R: Read>(
-    lines: &mut LineReader<R>,
-    mut tile: Vec<f64>,
-    m: usize,
-    y: &[f64],
-    q: &Matrix,
-) -> Result<ScanDots, CoreError> {
-    let (n, height) = (y.len(), tile.len() / m);
-    let mut lanes = ScanLanes::new(m, q.cols());
-    let mut by_column = vec![0.0; tile.len()];
-    let done = parse_rows(lines, &mut tile, m, 1, |tile, first| {
-        let (h, body) = (tile.len() / m, tile.len() / m / 4 * 4);
-        // Rows past y's are parsed for their errors, not folded.
-        if first + h <= n {
-            flush_tile(tile, m, &mut by_column, h);
-            let by_column = &by_column;
-            lanes.fold(|j| &by_column[j * h..][..body], y, q, first..first + body);
+    /// The dots of columns `[lo, hi)` of `X`: the first call, or one behind
+    /// the cursors, passes over all of `X`, and others start at them.
+    fn block(&self, q: &Matrix, lo: usize, hi: usize) -> Result<ScanDots, CoreError> {
+        // A block that panicked left no cursors: the next one starts over.
+        let mut x = self.x.lock().unwrap_or_else(PoisonError::into_inner);
+        let (text, cursors) = &mut *x;
+        let (n, last) = (self.y.len(), hi == self.m);
+        let mut fold = Fold::new(&self.y, q, hi - lo);
+        let (mut rows, mut count, mut ok) = (Vec::with_capacity(n), 0, true);
+        let mut read = || -> std::io::Result<()> {
+            match cursors.take() {
+                Some((from, col)) if lo >= col => {
+                    // A row's block is read at once, as long as the last.
+                    let mut want = text.chunk;
+                    for at in from {
+                        text.seek(at, want)?;
+                        ok = ok && text.row(lo - col, fold.next_row(), last)?.0;
+                        want = (text.pos() - at) as usize * 9 / 8 + 64;
+                        rows.push(text.pos());
+                    }
+                    count = n;
+                }
+                _ => {
+                    text.seek(self.origin, text.chunk)?;
+                    while let Some(blank) = text.blank_line()? {
+                        let mut line_ended = blank;
+                        if !blank && count < n && ok {
+                            (ok, line_ended) = text.row(lo, fold.next_row(), last)?;
+                            rows.push(text.pos());
+                        }
+                        if !line_ended {
+                            text.end_line()?;
+                        }
+                        count += usize::from(!blank);
+                    }
+                }
+            }
+            Ok(())
+        };
+        read().map_err(source)?;
+        if count != n {
+            return Err(shape("X rows vs y length", n, count));
         }
-        Ok(())
-    })
-    .map_err(|e| CoreError::Source {
-        what: e.to_string(),
-    })?;
-    if done != n {
-        let what = "X rows vs y length";
-        return Err(CoreError::ShapeMismatch {
-            what,
-            expected: n,
-            got: done,
-        });
+        if !ok {
+            // `read_matrix`'s error: an earlier row may hold one further on.
+            let detail = "input changed while it was read";
+            let rows = (text.seek(self.origin, text.chunk).map_err(GwasError::from))
+                .and_then(|()| parse_rows(text, &mut vec![0.0; self.m], self.m, 0, |_, _| Ok(())));
+            let error = rows
+                .err()
+                .unwrap_or(GwasError::MalformedTable { line: 0, detail });
+            return Err(source(error));
+        }
+        *cursors = Some((rows, hi));
+        Ok(fold.finish())
     }
-    let (h, tail) = ((n - 1) % height + 1, n % 4);
-    let tail_rows = |j: usize| &by_column[j * h + h - tail..][..tail];
-    Ok(lanes.finish(tail_rows, y, q, n - tail..n))
 }
 
-impl<R: Read + Send> SummandSource for StreamedParty<R> {
+fn source(e: impl Into<GwasError>) -> CoreError {
+    let what = e.into().to_string();
+    CoreError::Source { what }
+}
+
+fn shape(what: &'static str, expected: usize, got: usize) -> CoreError {
+    CoreError::ShapeMismatch {
+        what,
+        expected,
+        got,
+    }
+}
+
+/// A block's columns on their way into the kernel: rows go into a
+/// column-major tile, which is folded into the lanes whenever it fills.
+struct Fold<'a> {
+    y: &'a [f64],
+    q: &'a Matrix,
+    tile: Vec<f64>,
+    lanes: ScanLanes,
+    rows: usize,
+}
+
+impl<'a> Fold<'a> {
+    fn new(y: &'a [f64], q: &'a Matrix, width: usize) -> Self {
+        let tile = vec![0.0; TILE_ROWS * width];
+        let lanes = ScanLanes::new(width, q.cols());
+        Fold {
+            y,
+            q,
+            tile,
+            lanes,
+            rows: 0,
+        }
+    }
+
+    /// Where the next row's cells go, once a full tile is folded.
+    fn next_row(&mut self) -> impl Iterator<Item = &mut f64> {
+        if self.rows > 0 && self.rows.is_multiple_of(TILE_ROWS) {
+            self.fold(TILE_ROWS);
+        }
+        self.rows += 1;
+        let at = (self.rows - 1) % TILE_ROWS;
+        self.tile[at..].iter_mut().step_by(TILE_ROWS)
+    }
+
+    /// Folds the tile's `h` rows, the last of them row `rows`, down to a
+    /// multiple of 4.
+    fn fold(&mut self, h: usize) {
+        let (rows, body, tile) = (self.rows - h..self.rows - h % 4, h - h % 4, &self.tile);
+        let columns = |j: usize| &tile[j * TILE_ROWS..][..body];
+        self.lanes.fold(columns, self.y, self.q, rows);
+    }
+
+    /// The block's dots: the last tile's `N mod 4` rows finish the lanes.
+    fn finish(mut self) -> ScanDots {
+        let (n, h) = (self.rows, (self.rows - 1) % TILE_ROWS + 1);
+        self.fold(h);
+        let tail = n % 4;
+        let tail_rows = |j: usize| &self.tile[j * TILE_ROWS + h - tail..][..tail];
+        self.lanes.finish(tail_rows, self.y, self.q, n - tail..n)
+    }
+}
+
+impl<R: Read + Seek + Send> SummandSource for StreamedParty<R> {
     fn n_samples(&self) -> usize {
         self.y.len()
     }
@@ -367,40 +432,26 @@ impl<R: Read + Send> SummandSource for StreamedParty<R> {
     fn y_summands(&self, q: &Matrix) -> Result<(f64, Vec<f64>), CoreError> {
         y_dots(&self.y, q)
     }
-    /// The first call reads all of `X`, with this `q`; later calls slice.
+    /// Reads columns `[lo, hi)` of every row of `X`; an empty range, none.
     fn summands_block(
         &self,
         q: &Matrix,
         lo: usize,
         hi: usize,
     ) -> Result<VariantSummands, CoreError> {
-        let bad = |what, expected, got| {
-            Err(CoreError::ShapeMismatch {
-                what,
-                expected,
-                got,
-            })
-        };
         if q.rows() != self.y.len() {
-            return bad("streamed summands Q rows", self.y.len(), q.rows());
+            return Err(shape("streamed summands Q rows", self.y.len(), q.rows()));
         }
         if lo > hi || hi > self.m {
-            return bad("streamed summands column range", self.m, hi);
+            return Err(shape("streamed summands column range", self.m, hi));
         }
-        let dots = self.dots.get_or_init(|| {
-            // A read that panicked left the reader part-way through X.
-            let mut x = self.x.lock().expect("an earlier read of x.tsv panicked");
-            let (lines, tile) = &mut *x;
-            stream_dots(lines, std::mem::take(tile), self.m, &self.y, q)
-        });
-        let dots = dots.as_ref().map_err(CoreError::clone)?;
-        let (xy, xx) = (dots.xy[lo..hi].to_vec(), dots.xx[lo..hi].to_vec());
-        Ok(VariantSummands {
-            lo,
-            xy,
-            xx,
-            qtx: dots.atx.col_block(lo, hi),
-        })
+        let ScanDots { xy, xx, atx } = if lo == hi {
+            ScanLanes::new(0, q.cols()).finish(|_| &[], &self.y, q, 0..0)
+        } else {
+            self.block(q, lo, hi)?
+        };
+        let qtx = atx;
+        Ok(VariantSummands { lo, xy, xx, qtx })
     }
 }
 
@@ -419,88 +470,184 @@ fn parse_error(line: usize, column: usize, token: &[u8]) -> GwasError {
     }
 }
 
-/// The lines of a byte stream, one at a time, as slices of one reused
-/// buffer: `BufRead::lines` without a `String` per line and without UTF-8
-/// validation. A line ends at `\n`, and one `\r` before that `\n` is
-/// dropped, as `lines()` drops it; lines are numbered from 1.
+/// A byte stream through one reused buffer, a line or a cell at a time,
+/// that keeps only what its caller holds, `buf[held..]`: `BufRead::lines`
+/// without a `String` per line or UTF-8 validation. A line ends at `\n`,
+/// and one `\r` before it is dropped, as `lines()` drops it.
 struct LineReader<R> {
     r: R,
     chunk: usize,
-    /// `buf[pos..len]` is read and not yet handed out.
     buf: Vec<u8>,
-    pos: usize,
+    /// The stream offset of `buf[0]`, from the start or the last `seek`.
+    base: u64,
+    /// `buf[held..at]` is kept, `buf[at..len]` read and not yet passed.
+    held: usize,
+    at: usize,
     len: usize,
-    eof: bool,
     line: usize,
-    bytes_read: usize,
+    /// The size of the next read; `chunk` after it.
+    want: usize,
 }
 
-impl<R: Read> LineReader<R> {
+impl<R: Read + Seek> LineReader<R> {
     fn new(r: R, chunk: usize) -> Self {
         LineReader {
             r,
             chunk,
             buf: Vec::new(),
-            pos: 0,
+            base: 0,
+            held: 0,
+            at: 0,
             len: 0,
-            eof: false,
             line: 0,
-            bytes_read: 0,
+            want: chunk,
+        }
+    }
+
+    fn pos(&self) -> u64 {
+        self.base + self.at as u64
+    }
+
+    /// Moves to offset `to` of the stream, where the next read is `want`.
+    fn seek(&mut self, to: u64, want: usize) -> std::io::Result<()> {
+        self.r.seek(SeekFrom::Start(to))?;
+        (self.base, self.held, self.at, self.len) = (to, 0, 0, 0);
+        (self.line, self.want) = (0, want);
+        Ok(())
+    }
+
+    /// Reads behind `buf[held..len]` (`buf[at..len]` unless `keep`), growing
+    /// the buffer when that fills it; false at the end of the input.
+    fn fill(&mut self, keep: bool) -> std::io::Result<bool> {
+        if !keep {
+            self.held = self.at;
+        }
+        if self.held > 0 {
+            self.buf.copy_within(self.held..self.len, 0);
+            self.base += self.held as u64;
+            (self.at, self.len, self.held) = (self.at - self.held, self.len - self.held, 0);
+        }
+        let room = self.len + std::mem::replace(&mut self.want, self.chunk);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        let n = loop {
+            match self.r.read(&mut self.buf[self.len..room]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                other => break other?,
+            }
+        };
+        self.len += n;
+        Ok(n > 0)
+    }
+
+    /// Where the line ends (`None`: at the end of the input), kept or not.
+    fn newline(&mut self, keep: bool) -> std::io::Result<Option<usize>> {
+        let mut searched = self.at;
+        loop {
+            if let Some(k) = find_byte(&self.buf[searched..self.len], b'\n') {
+                return Ok(Some(searched + k));
+            }
+            if !keep {
+                self.at = self.len;
+            }
+            searched = if keep { self.len - self.held } else { 0 };
+            if !self.fill(keep)? {
+                return Ok(None);
+            }
         }
     }
 
     /// The next line and its number, or `None` at the end of the input.
     fn next_line(&mut self) -> std::io::Result<Option<(usize, &[u8])>> {
-        let mut searched = self.pos;
-        let newline = loop {
-            if let Some(k) = find_byte(&self.buf[searched..self.len], b'\n') {
-                break Some(searched + k);
-            }
-            if self.eof {
-                break None;
-            }
-            // Keep the unfinished line, drop what was handed out, and read
-            // one more chunk behind it (a line longer than the buffer
-            // grows the buffer).
-            if self.pos > 0 {
-                self.buf.copy_within(self.pos..self.len, 0);
-                self.len -= self.pos;
-                self.pos = 0;
-            }
-            searched = self.len;
-            let room = self.len + self.chunk;
-            if self.buf.len() < room {
-                self.buf.resize(room, 0);
-            }
-            let n = loop {
-                match self.r.read(&mut self.buf[self.len..room]) {
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    other => break other?,
-                }
-            };
-            self.eof = n == 0;
-            self.len += n;
-            self.bytes_read += n;
-        };
+        self.held = self.at;
+        let newline = self.newline(true)?;
+        let start = self.held;
         let (end, next) = match newline {
-            Some(nl) if nl > self.pos && self.buf[nl - 1] == b'\r' => (nl - 1, nl + 1),
+            Some(nl) if nl > start && self.buf[nl - 1] == b'\r' => (nl - 1, nl + 1),
             Some(nl) => (nl, nl + 1),
-            None if self.pos == self.len => return Ok(None),
+            None if start == self.len => return Ok(None),
             None => (self.len, self.len),
         };
-        let line = &self.buf[self.pos..end];
-        self.pos = next;
-        self.line += 1;
-        Ok(Some((self.line, line)))
+        (self.at, self.line) = (next, self.line + 1);
+        Ok(Some((self.line, &self.buf[start..end])))
     }
-}
 
-impl<R: Read + Seek> LineReader<R> {
-    /// Starts over at byte `origin` of the stream, keeping the buffer.
-    fn rewind(&mut self, origin: u64) -> std::io::Result<()> {
-        self.r.seek(SeekFrom::Start(origin))?;
-        (self.pos, self.len, self.eof, self.line) = (0, 0, false, 0);
+    /// Passes up to `cells` tabs, or fewer and the line's end; returns the
+    /// tabs passed and whether the line ended.
+    fn pass(&mut self, cells: usize, keep: bool) -> std::io::Result<(usize, bool)> {
+        let mut tabs = 0;
+        while tabs < cells {
+            if self.at == self.len && !self.fill(keep)? {
+                return Ok((tabs, true));
+            }
+            let byte = self.buf[self.at];
+            self.at += 1;
+            if byte == b'\n' {
+                return Ok((tabs, true));
+            }
+            tabs += usize::from(byte == b'\t');
+        }
+        Ok((tabs, false))
+    }
+
+    /// Passes the rest of the line.
+    fn end_line(&mut self) -> std::io::Result<()> {
+        self.at = self.newline(false)?.map_or(self.len, |nl| nl + 1);
         Ok(())
+    }
+
+    /// At a line's start: whether it is blank (then passed); `None` at the end.
+    fn blank_line(&mut self) -> std::io::Result<Option<bool>> {
+        self.held = self.at;
+        if self.at == self.len && !self.fill(true)? {
+            return Ok(None);
+        }
+        // The first cell, or the whole line and its newline if it has no tab.
+        let blank = self.pass(1, true)?.0 == 0 && is_blank(&self.buf[self.held..self.at]);
+        self.at = if blank { self.at } else { self.held };
+        Ok(Some(blank))
+    }
+
+    /// Passes `skip` cells of a row and parses the next ones into `out`.
+    /// Returns whether they are good and end the row just when `last`, and
+    /// whether the line ended.
+    fn row<'o>(
+        &mut self,
+        skip: usize,
+        out: impl Iterator<Item = &'o mut f64>,
+        last: bool,
+    ) -> std::io::Result<(bool, bool)> {
+        if skip > 0 && self.pass(skip, false)?.1 {
+            return Ok((false, true));
+        }
+        let mut slots = out.peekable();
+        while slots.peek().is_some() {
+            // The cells before the last tab or newline read are whole.
+            self.held = self.at;
+            let safe = match self.buf[self.at..self.len]
+                .iter()
+                .rposition(|&b| b == b'\t' || b == b'\n')
+            {
+                Some(k) => self.at + k,
+                None if self.fill(true)? => continue,
+                None => self.len,
+            };
+            while self.at <= safe {
+                let Some(slot) = slots.next() else { break };
+                let (value, end) = parse_cell(&self.buf[..safe], self.at);
+                let line_end = self.buf[..self.len].get(end) != Some(&b'\t');
+                self.at = self.len.min(end + 1);
+                *slot = match value {
+                    Some(value) => value,
+                    None => return Ok((false, line_end)),
+                };
+                if line_end {
+                    return Ok((slots.peek().is_none() && last, true));
+                }
+            }
+        }
+        Ok((!last, false))
     }
 }
 
@@ -527,8 +674,8 @@ fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
 /// The one place that decides what a numeric TSV cell is.
 ///
 /// Parses the cell that starts at `line[start]` and runs to the next tab
-/// or the end of the line; returns its value, `None` when it is not a
-/// number, and the index where it ends. Plain decimals are decided by
+/// or newline or the end of the line; returns its value, `None` when it
+/// is not a number, and the index where it ends. Plain decimals are decided by
 /// `exact_decimal`; every other cell — padding, `\r`, exponents,
 /// `inf`/`nan`, long mantissas, garbage — by `str::trim` +
 /// `str::parse::<f64>`, which `exact_decimal` agrees with bit for bit
@@ -537,7 +684,8 @@ fn parse_cell(line: &[u8], start: usize) -> (Option<f64>, usize) {
     if let Some((value, end)) = exact_decimal(line, start) {
         return (Some(value), end);
     }
-    let end = find_byte(&line[start..], b'\t').map_or(line.len(), |k| start + k);
+    let end = line[start..].iter().position(|&b| b == b'\t' || b == b'\n');
+    let end = end.map_or(line.len(), |k| start + k);
     let value = std::str::from_utf8(&line[start..end])
         .ok()
         .and_then(|s| s.trim().parse().ok());
@@ -914,6 +1062,23 @@ mod tests {
         text
     }
 
+    /// `text` with the first `skip` cells of every row spelled `0`: what a
+    /// run resumed at column `skip` reads, since it never parses them.
+    fn resumed(text: &str, skip: usize) -> String {
+        let zeroed = |line: &str| {
+            let (body, newline) = line
+                .strip_suffix('\n')
+                .map_or((line, ""), |body| (body, "\n"));
+            if is_blank(body.as_bytes()) {
+                return line.to_string();
+            }
+            let cells = body.split('\t').enumerate();
+            let cells: Vec<&str> = cells.map(|(j, c)| if j < skip { "0" } else { c }).collect();
+            cells.join("\t") + newline
+        };
+        text.split_inclusive('\n').map(zeroed).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases_env(256, "DASH_TSV_CASES"))]
 
@@ -959,12 +1124,19 @@ mod tests {
             }
         }
 
-        /// A streamed party gives, for every block cut, the summands of
-        /// the resident load of the same bytes bit for bit — with every
-        /// `N mod 4`, N below and above the tile height, tiles of 4, 8 and
-        /// budgeted rows, and 1-byte to 64-KiB reads — or its error: the
-        /// same parse or table error, or the same `ShapeMismatch` for a row
-        /// count that is not y's. (NaN counts as one value.)
+        /// A streamed party asked for its blocks in scan order — of 1, 3, 5
+        /// or all M columns, from block 0 or, as a resume does, from a
+        /// later one — gives the summands of the resident load of the same
+        /// bytes bit for bit, with every `N mod 4`, N below and above the
+        /// tile height, tiles of 4, 8 and 16 rows, and 1-byte to
+        /// 64-KiB reads; then its first block again, which starts over,
+        /// and its last, which skips the blocks between. Or it gives the
+        /// resident load's error: an empty table's when it opens, then the
+        /// `ShapeMismatch` of a row count that is not y's, then the same
+        /// parse or table error. A resume parses only its own blocks, so it
+        /// fails only if they hold a defect (its reference reads the cells
+        /// before them as zeros), but then with the table's first error.
+        /// (NaN counts as one value.)
         #[test]
         fn streamed_party_equals_the_resident_load(
             n in 1usize..=40,
@@ -973,7 +1145,8 @@ mod tests {
             defect in 0u32..8,
             extra_rows in prop_oneof![Just(0isize), Just(0), Just(0), Just(-1), Just(1), Just(4)],
             chunk in prop_oneof![Just(1usize), Just(7), Just(64), Just(CHUNK)],
-            tile_rows in prop_oneof![Just(4usize), Just(8), Just(0)],
+            block in prop_oneof![Just(1usize), Just(3), Just(5), Just(usize::MAX)],
+            resume_at in prop_oneof![Just(0usize), 1usize..13],
             seed in any::<u64>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -982,23 +1155,38 @@ mod tests {
             let q = Matrix::from_fn(n, k, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
             let rows = n.saturating_add_signed(extra_rows).max(1);
             let text = table(&mut rng, rows, m, defect);
-            let tile_bytes = if tile_rows == 0 { STREAM_TILE_BYTES } else { 8 * m * tile_rows };
             let text_of = |e: GwasError| CoreError::Source { what: e.to_string() };
-            let party = StreamedParty::new(y.clone(), c.clone(), text.as_bytes(), chunk, tile_bytes)
+            let x = Cursor::new(text.as_bytes());
+            let party = StreamedParty::new(y.clone(), c.clone(), x, chunk)
                 .map_err(text_of);
             // A defect in a lone row can change M.
             let m = party.as_ref().map_or(m, |p| p.n_variants());
-            let mut cuts = vec![(m / 3, m - m / 4)];
-            cuts.extend((0..=m).flat_map(|lo| (lo..=m).map(move |hi| (lo, hi))));
+            let b = block.min(m);
+            let first = resume_at % m.div_ceil(b) * b;
+            let mut cuts: Vec<_> = (first..m).step_by(b).map(|lo| (lo, (lo + b).min(m))).collect();
+            cuts.extend([cuts[0], cuts[cuts.len() - 1]]);
 
-            let resident = read_matrix(Cursor::new(&text))
-                .map_err(text_of)
-                .and_then(|x| PartyData::new(y.clone(), x, c.clone()))
-                .and_then(|data| {
-                    cuts.iter()
-                        .map(|&(lo, hi)| VariantSummands::local(&y, data.x(), &q, lo, hi))
-                        .collect::<Result<Vec<_>, _>>()
-                });
+            let mut lines = LineReader::new(Cursor::new(text.as_bytes()), CHUNK);
+            let mut counted = 0;
+            while let Some((_, line)) = lines.next_line().unwrap() {
+                counted += usize::from(!is_blank(line));
+            }
+            let load = |text: &str| {
+                read_matrix(Cursor::new(text))
+                    .map_err(text_of)
+                    .and_then(|x| PartyData::new(y.clone(), x, c.clone()))
+                    .and_then(|data| {
+                        cuts.iter()
+                            .map(|&(lo, hi)| VariantSummands::local(&y, data.x(), &q, lo, hi))
+                            .collect::<Result<Vec<_>, _>>()
+                    })
+            };
+            let resident = if counted != n && counted > 0 {
+                let what = "X rows vs y length";
+                Err(CoreError::ShapeMismatch { what, expected: n, got: counted })
+            } else {
+                load(&resumed(&text, first)).or_else(|_| load(&text))
+            };
             let streamed = party.and_then(|party| {
                 cuts.iter()
                     .map(|&(lo, hi)| party.summands_block(&q, lo, hi))
@@ -1018,7 +1206,10 @@ mod tests {
                         .collect::<Vec<_>>()
                 })
             };
-            prop_assert_eq!(bits(streamed), bits(resident), "n={} rows={} {:?}", n, rows, text);
+            prop_assert_eq!(
+                bits(streamed), bits(resident),
+                "n={} rows={} cuts={:?} {:?}", n, rows, cuts, text
+            );
         }
 
         /// `LineReader` cuts lines where `BufRead::lines` cuts them, for
@@ -1029,7 +1220,7 @@ mod tests {
             chunk in 1usize..20,
         ) {
             let text: String = picks.iter().map(|&p| ["a", "bc", "\n", "\r", "\r\n", "\t"][p]).collect();
-            let mut lines = LineReader::new(text.as_bytes(), chunk);
+            let mut lines = LineReader::new(Cursor::new(text.as_bytes()), chunk);
             let mut got = Vec::new();
             while let Some((n, line)) = lines.next_line().unwrap() {
                 got.push((n, String::from_utf8(line.to_vec()).unwrap()));
@@ -1041,7 +1232,7 @@ mod tests {
                 .map(|(i, l)| (i + 1, l.unwrap()))
                 .collect();
             prop_assert_eq!(got, want);
-            prop_assert_eq!(lines.bytes_read, text.len());
+            prop_assert_eq!(lines.pos() as usize, text.len());
         }
     }
 

@@ -65,13 +65,15 @@ echo "== TSV reader and streamed party: bit-equal to their references or the sam
 # same matrix bit for bit or the same error with the same line, column
 # and token; the exact path equals str::parse on 2e5 tokens and declines
 # past its limits; arbitrary bytes never panic. The same stage pins the
-# streamed source `dash party` runs on (`StreamedParty`, which folds
-# x.tsv into lane sums and never holds X): for every N mod 4 up to N = 40,
-# M in {1, 5, 13}, K in {0, 1, 3}, tiles of 4, 8 and budgeted rows and
-# 1-byte reads, every block cut's summands equal the resident load's bit
-# for bit, or the error is the reader's, or the row-count mismatch is a
-# ShapeMismatch. DASH_TSV_CASES bounds the generated tables (default 256;
-# raise it locally for a deeper search).
+# streamed source `dash party` runs on (`StreamedParty`, which reads x.tsv
+# a block of columns at a time from a byte cursor per row and never holds
+# X): for every N mod 4 up to N = 40, M in {1, 5, 13}, K in {0, 1, 3},
+# blocks of 1, 3, 5 or M asked in order from block 0 or a later one (as a
+# resume asks), CRLF and 1-byte reads, a row count other than y's is a
+# ShapeMismatch first, and otherwise every block's summands equal the
+# resident load's bit for bit or the error is the reader's.
+# DASH_TSV_CASES bounds the generated tables (default 256; raise it
+# locally for a deeper search).
 DASH_TSV_CASES=2048 cargo test -p dash-gwas --release --lib io::tests
 
 echo "== p-values: a slice evaluated in lock step equals the scalar oracle bit for bit"
