@@ -129,10 +129,13 @@ pub fn checkpoint_path(dir: &Path, party: usize) -> PathBuf {
     dir.join(format!("party-{party}.ckpt"))
 }
 
-/// FNV-1a 64-bit over `data` — cheap, dependency-free corruption check
-/// (not a MAC; the checkpoint dir is trusted local state).
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit, continued from `h` over `data` — cheap, dependency-free
+/// corruption check (not a MAC; the checkpoint dir is trusted local
+/// state). `fnv1a64(FNV_BASIS, a ++ b) == fnv1a64(fnv1a64(FNV_BASIS, a), b)`.
+fn fnv1a64(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -146,19 +149,50 @@ fn corrupt(what: impl Into<String>) -> CoreError {
 
 // ---- payload encoding ----------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// Where encoded bytes go: `save` counts them, then hashes and writes them
+/// as they come, so the file is never held whole in memory (the tests
+/// collect them in a `Vec`).
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Enc {
+/// A byte count: the payload's length, which the header states before it.
+impl Sink for u64 {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len() as u64;
+    }
+}
+
+/// The file: every byte is folded into the checksum and written; the
+/// first write error is kept for `save` to report.
+struct Hashed<W> {
+    out: W,
+    sum: u64,
+    err: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> Sink for Hashed<W> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.sum = fnv1a64(self.sum, bytes);
+        if self.err.is_none() {
+            self.err = self.out.write_all(bytes).err();
+        }
+    }
+}
+
+struct Enc<S> {
+    sink: S,
+}
+
+impl<S: Sink> Enc<S> {
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.sink.put(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -177,7 +211,7 @@ impl Enc {
     }
     fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.sink.put(v);
     }
     fn state4(&mut self, s: &[u64; 4]) {
         for &w in s {
@@ -258,8 +292,8 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode(c: &Checkpoint) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+/// Encodes the payload of `c` into `e`.
+fn encode<S: Sink>(c: &Checkpoint, e: &mut Enc<S>) {
     let fp = &c.fingerprint;
     e.u64(fp.seed);
     e.u64(fp.party);
@@ -332,7 +366,6 @@ fn encode(c: &Checkpoint) -> Vec<u8> {
             }
         }
     }
-    e.buf
 }
 
 fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
@@ -459,24 +492,37 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
 // ---- file I/O ------------------------------------------------------------
 
 /// Atomically writes `c` to `path`: tmp file, fsync, rename, dir fsync.
+/// The payload is encoded twice, once to count its bytes for the header
+/// and once into the file through a small buffer, with the checksum
+/// folded over the bytes as they are written.
 pub fn save(path: &Path, c: &Checkpoint) -> Result<(), CoreError> {
-    let payload = encode(c);
-    let mut file = Vec::with_capacity(payload.len() + 28);
-    file.extend_from_slice(MAGIC);
-    file.extend_from_slice(&VERSION.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&payload);
-    let sum = fnv1a64(&file);
-    file.extend_from_slice(&sum.to_le_bytes());
+    let mut len = Enc { sink: 0u64 };
+    encode(c, &mut len);
 
     let tmp = path.with_extension("ckpt.tmp");
     let io_err =
         |stage: &str, e: std::io::Error| corrupt(format!("{stage} {}: {e}", path.display()));
     {
         use std::io::Write;
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", e))?;
-        f.write_all(&file).map_err(|e| io_err("write", e))?;
-        f.sync_all().map_err(|e| io_err("fsync", e))?;
+        let f = std::fs::File::create(&tmp).map_err(|e| io_err("create", e))?;
+        let mut e = Enc {
+            sink: Hashed {
+                out: std::io::BufWriter::new(f),
+                sum: FNV_BASIS,
+                err: None,
+            },
+        };
+        e.sink.put(MAGIC);
+        e.u32(VERSION);
+        e.u64(len.sink);
+        encode(c, &mut e);
+        let Hashed { mut out, sum, err } = e.sink;
+        let written = match err {
+            Some(err) => Err(err),
+            None => out.write_all(&sum.to_le_bytes()).and_then(|()| out.flush()),
+        };
+        written.map_err(|e| io_err("write", e))?;
+        out.get_ref().sync_all().map_err(|e| io_err("fsync", e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| io_err("rename", e))?;
     if let Some(dir) = path.parent() {
@@ -499,7 +545,7 @@ pub fn load(path: &Path) -> Result<Checkpoint, CoreError> {
     let (body, sum_bytes) = raw.split_at(body_len);
     let mut sum = [0u8; 8];
     sum.copy_from_slice(sum_bytes);
-    if fnv1a64(body) != u64::from_le_bytes(sum) {
+    if fnv1a64(FNV_BASIS, body) != u64::from_le_bytes(sum) {
         return Err(corrupt("checksum mismatch (torn or corrupt file)"));
     }
     if body.len() < 20 {
@@ -599,10 +645,35 @@ mod tests {
         }
     }
 
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+    }
+
+    fn payload(c: &Checkpoint) -> Vec<u8> {
+        let mut e = Enc { sink: Vec::new() };
+        encode(c, &mut e);
+        e.sink
+    }
+
+    /// The file `save` wrote when it built it whole in memory, under
+    /// `version`: the oracle for the bytes a streamed save puts on disk.
+    fn file_bytes(c: &Checkpoint, version: u32) -> Vec<u8> {
+        let payload = payload(c);
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&version.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&payload);
+        let sum = fnv1a64(FNV_BASIS, &file);
+        file.extend_from_slice(&sum.to_le_bytes());
+        file
+    }
+
     /// Equality down to the bits: the NaN rows of degenerate variants
     /// included, which `==` on f64 never calls equal.
     fn assert_same(got: &Checkpoint, want: &Checkpoint) {
-        assert_eq!(encode(got), encode(want));
+        assert_eq!(payload(got), payload(want));
         assert_eq!(got.rows.df, want.rows.df);
     }
 
@@ -631,10 +702,36 @@ mod tests {
     }
 
     #[test]
+    fn a_streamed_save_writes_the_bytes_of_the_file_built_whole() {
+        let dir = std::env::temp_dir().join(format!("dash_ckpt_bytes_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint_path(&dir, 0);
+        // The fixture, and one whose backlog spans many write buffers.
+        let mut big = sample(0);
+        if let Some(links) = &mut big.links {
+            links.replay[1] = (0..64u64)
+                .map(|seq| Message {
+                    seq,
+                    tag: 7,
+                    payload: vec![seq as u8; 1000 + seq as usize],
+                })
+                .collect();
+        }
+        let mut bare = sample(0);
+        bare.links = None;
+        for c in [sample(0), big, bare] {
+            save(&path, &c).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), file_bytes(&c, VERSION));
+            assert_same(&load(&path).unwrap(), &c);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn links_none_roundtrips() {
         let mut c = sample(0);
         c.links = None;
-        let back = decode(&encode(&c)).unwrap();
+        let back = decode(&payload(&c)).unwrap();
         assert_same(&back, &c);
     }
 
@@ -645,14 +742,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dash_ckpt_v1_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = checkpoint_path(&dir, 0);
-        let payload = encode(&sample(0));
-        let mut file = MAGIC.to_vec();
-        file.extend_from_slice(&1u32.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload);
-        let sum = fnv1a64(&file);
-        file.extend_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
+        std::fs::write(&path, file_bytes(&sample(0), 1)).unwrap();
         let err = load(&path).unwrap_err();
         assert!(
             err.to_string().contains("unsupported checkpoint version 1"),
@@ -685,7 +775,7 @@ mod tests {
     #[test]
     fn truncated_payload_and_bad_tags_fail_structurally() {
         let c = sample(2);
-        let full = encode(&c);
+        let full = payload(&c);
         // Every strict prefix of the payload must fail decode, never
         // panic or succeed.
         for cut in [0, 1, 8, 40, full.len() / 2, full.len() - 1] {

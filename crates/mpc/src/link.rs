@@ -84,6 +84,8 @@ pub(crate) struct Link {
     /// Receive cursor a checkpoint made durable; once set, acks carry it
     /// so the peer never prunes a frame a restart could still re-request.
     durable: Option<u64>,
+    /// The ack cursor last written, by an ack or a heartbeat.
+    acked: u64,
     /// We rejoined from a checkpoint: the peer may hold frames of our
     /// previous life past anything this one has re-sent yet.
     resumed: bool,
@@ -120,6 +122,7 @@ impl Link {
             recv_contig: 0,
             early: BTreeMap::new(),
             durable: None,
+            acked: 0,
             resumed: false,
             closed: false,
             last_heard: now,
@@ -316,14 +319,30 @@ impl Link {
         Ok(Reconnect::Dial { remaining, pause })
     }
 
-    /// The ack cursor to put in a heartbeat now, if one is due.
+    /// The ack cursor to put in a heartbeat now, if one is due: liveness,
+    /// and the ack of a link the protocol has stopped taking frames from.
     pub(crate) fn heartbeat_due(&mut self, now: Instant) -> Option<u64> {
         let interval = self.policy.filter(|_| !self.closed)?.heartbeat_interval;
         if now.saturating_duration_since(self.last_beat) < interval {
             return None;
         }
         self.last_beat = now;
-        Some(self.durable.unwrap_or(self.recv_contig))
+        self.acked = self.durable.unwrap_or(self.recv_contig);
+        Some(self.acked)
+    }
+
+    /// The ack cursor to write now that the protocol took a frame, if it
+    /// has moved past the last one written: the durable cursor once a
+    /// checkpoint noted one, else the contiguous one. So the peer's replay
+    /// buffer holds only what we have not taken (or not made durable), at
+    /// protocol points, not on the heartbeat's clock.
+    pub(crate) fn ack_due(&mut self) -> Option<u64> {
+        self.policy.filter(|_| !self.closed)?;
+        let cursor = self.durable.unwrap_or(self.recv_contig);
+        (cursor > self.acked).then(|| {
+            self.acked = cursor;
+            cursor
+        })
     }
 
     /// `PeerCrashed` once the peer has been silent past the liveness
@@ -849,6 +868,46 @@ mod tests {
         assert_eq!(ours.heartbeat_due(t0 + ms(10_000)), None);
     }
 
+    #[test]
+    fn an_ack_is_due_once_per_cursor_advance_and_only_while_supervised_and_open() {
+        let t0 = epoch();
+        let mut link = fresh(Some(64), t0);
+        assert_eq!(link.ack_due(), None);
+        assert_eq!(arrive(&mut link, data(0), t0), Ok(vec![0]));
+        assert_eq!(link.ack_due(), Some(1));
+        assert_eq!(link.ack_due(), None);
+        // A held frame moves nothing; the one that joins it up acks both.
+        assert_eq!(arrive(&mut link, data(2), t0), Ok(vec![]));
+        assert_eq!(link.ack_due(), None);
+        assert_eq!(arrive(&mut link, data(1), t0), Ok(vec![1, 2]));
+        assert_eq!(link.ack_due(), Some(3));
+        // A heartbeat that carried the cursor wrote it: no duplicate.
+        assert_eq!(arrive(&mut link, data(3), t0), Ok(vec![3]));
+        assert_eq!(link.heartbeat_due(t0 + ms(100)), Some(4));
+        assert_eq!(link.ack_due(), None);
+        // Once durable, only a checkpoint moves the cursor an ack carries.
+        link.note_durable(4);
+        assert_eq!(arrive(&mut link, data(4), t0), Ok(vec![4]));
+        assert_eq!(link.ack_due(), None);
+        link.note_durable(5);
+        assert_eq!(link.ack_due(), Some(5));
+        // Nobody reads an ack after a close record, ours or the peer's.
+        for peer_closed in [false, true] {
+            let mut link = fresh(Some(64), t0);
+            assert_eq!(arrive(&mut link, data(0), t0), Ok(vec![0]));
+            if peer_closed {
+                assert_eq!(arrive(&mut link, close_record(), t0), Ok(vec![]));
+            } else {
+                link.close();
+            }
+            assert_eq!(link.ack_due(), None);
+        }
+        // Unsupervised, nothing is kept for replay and nothing is acked.
+        let mut bare = fresh(None, t0);
+        assert_eq!(arrive(&mut bare, data(0), t0), Ok(vec![0]));
+        assert_eq!(bare.ack_due(), None);
+    }
+
     /// Frames each simulated party sends over a schedule.
     const TOTAL: u64 = 12;
 
@@ -893,20 +952,22 @@ mod tests {
         }
 
         /// Takes the next in-flight frame off the socket and checks that
-        /// what the machine hands on continues the sequence exactly.
-        fn read(&mut self, now: Instant) -> Result<(), String> {
+        /// what the machine hands on continues the sequence exactly; true
+        /// when the protocol took a frame.
+        fn read(&mut self, now: Instant) -> Result<bool, String> {
             let Some(msg) = self.wire.pop_front() else {
-                return Ok(());
+                return Ok(false);
             };
             let due = self.link.frame_arrived(msg, now);
-            for msg in due.map_err(|e| format!("{e:?}"))? {
+            let due = due.map_err(|e| format!("{e:?}"))?;
+            for msg in &due {
                 let want = self.consumed();
-                if msg != data(want) {
+                if *msg != data(want) {
                     return Err(format!("frame {want} expected, got {msg:?}"));
                 }
                 self.delivered.push(want);
             }
-            Ok(())
+            Ok(!due.is_empty())
         }
     }
 
@@ -931,6 +992,42 @@ mod tests {
     }
 
     impl Sim {
+        fn new(capacity: usize) -> Sim {
+            let now = epoch();
+            Sim {
+                ends: [
+                    End::new(false, capacity, now),
+                    End::new(true, capacity, now),
+                ],
+                now,
+                capacity,
+                cut: false,
+                cut_at: now,
+            }
+        }
+
+        /// The end at `side` reads one frame; when the protocol took one,
+        /// the ack it owes goes onto the socket (lost if the link is down,
+        /// as a failed write is).
+        fn read(&mut self, side: usize) -> Result<(), String> {
+            let [a, b] = &mut self.ends;
+            let (to, from) = if side == 0 { (a, b) } else { (b, a) };
+            if to.read(self.now)? {
+                if let (Some(ack), false) = (to.link.ack_due(), self.cut) {
+                    from.wire.push_back(heartbeat(ack));
+                }
+            }
+            Ok(())
+        }
+
+        /// What `side` keeps for replay.
+        fn backlog(&self, side: usize) -> Vec<u64> {
+            self.ends[side]
+                .link
+                .snapshot()
+                .map_or(vec![], |(_, r)| seqs(&r))
+        }
+
         fn send(&mut self, side: usize) {
             let [a, b] = &mut self.ends;
             let (from, to) = if side == 0 { (a, b) } else { (b, a) };
@@ -1059,13 +1156,13 @@ mod tests {
         /// ever sent, once and in order (`read` checks both), and both
         /// ends end clean, whatever cuts and restarts came before.
         fn close(&mut self, side: usize) -> Result<Outcome, String> {
+            self.ends[side].link.close();
+            self.ends[1 - side].wire.push_back(close_record());
+            while !self.ends[1 - side].wire.is_empty() {
+                self.read(1 - side)?;
+            }
             let [a, b] = &mut self.ends;
             let (from, to) = if side == 0 { (a, b) } else { (b, a) };
-            from.link.close();
-            to.wire.push_back(close_record());
-            while !to.wire.is_empty() {
-                to.read(self.now)?;
-            }
             let sent = from.link.snapshot().map_or(0, |(n, _)| n);
             if to.consumed() < sent {
                 let held = to.consumed();
@@ -1086,7 +1183,7 @@ mod tests {
                 let side = usize::from(arg & 1);
                 match op {
                     0..=2 => self.send(side),
-                    3..=5 => self.ends[side].read(self.now)?,
+                    3..=5 => self.read(side)?,
                     6 => {
                         let front = self.ends[side].wire.front().cloned();
                         self.ends[side].wire.extend(front);
@@ -1123,7 +1220,7 @@ mod tests {
             }
             for side in 0..2 {
                 while !self.ends[side].wire.is_empty() {
-                    self.ends[side].read(self.now)?;
+                    self.read(side)?;
                 }
                 let want: Vec<u64> = (0..TOTAL).collect();
                 if self.ends[side].delivered != want {
@@ -1135,18 +1232,32 @@ mod tests {
     }
 
     fn run_schedule(capacity: usize, ops: &[(u8, u8)]) -> Result<Outcome, String> {
-        let now = epoch();
-        let sim = Sim {
-            ends: [
-                End::new(false, capacity, now),
-                End::new(true, capacity, now),
-            ],
-            now,
-            capacity,
-            cut: false,
-            cut_at: now,
-        };
-        sim.run(ops)
+        Sim::new(capacity).run(ops)
+    }
+
+    #[test]
+    fn acks_at_protocol_points_prune_and_a_cut_and_a_resume_still_deliver() {
+        let mut sim = Sim::new(64);
+        for _ in 0..3 {
+            sim.send(0);
+            assert_eq!(sim.read(1), Ok(()));
+        }
+        // Taken but not yet durable: the sender keeps all of it.
+        assert_eq!(sim.backlog(0), [0, 1, 2]);
+        sim.checkpoint(1);
+        sim.send(0);
+        // The next frame taken carries the checkpoint's cursor back ...
+        assert_eq!(sim.read(1), Ok(()));
+        assert_eq!(sim.read(0), Ok(()));
+        // ... and the sender keeps only what a restart could re-request.
+        assert_eq!(sim.backlog(0), [3]);
+        sim.cut();
+        assert_eq!(sim.reconnect(), Ok(None));
+        sim.send(0);
+        assert_eq!(sim.read(1), Ok(()));
+        assert_eq!(sim.backlog(0), [3, 4]);
+        // Dies, resumes from the checkpoint at 3: the pruned sender meets it.
+        assert_eq!(sim.run(&[(14, 1)]), Ok(Outcome::Delivered));
     }
 
     #[test]

@@ -524,9 +524,11 @@ impl Stop {
 /// onto the wire in sequence order, and none can slip between the
 /// replayed backlog and the first new send, nor follow the close record
 /// that `close` writes under it. (2) `machine` is never held across I/O
-/// and `socket` is never taken to process an arriving frame, so a sender
-/// blocked in `write_all` on a full frame stalls no reader. Lock order:
-/// `socket`, then `machine`.
+/// and `socket` is never taken to process an arriving frame: acks are
+/// written by the protocol thread as it takes frames (and by the heartbeat
+/// thread), never by the reader, so a sender blocked in `write_all` on a
+/// full frame stalls no reader. Lock order: `socket`, then `machine`; an
+/// ack asks `machine` and releases it before it takes `socket`.
 #[derive(Debug)]
 struct PeerLink {
     /// Current socket; `None` while the link is down.
@@ -861,10 +863,22 @@ fn accept_route_loop(
     }
 }
 
+/// Writes the heartbeat sentinel carrying `ack` under the `socket` lock;
+/// false when the link is down. A failed write just marks it down — the
+/// link's own reader notices the broken socket and runs the reconnect
+/// protocol, and the next heartbeat carries the ack again.
+fn write_ack(link: &PeerLink, ack: u64) -> bool {
+    let frame = frame_bytes(SENTINEL_SEQ, HEARTBEAT_TAG, &ack.to_le_bytes());
+    let mut socket = link.socket.lock();
+    let written = socket.as_mut().is_some_and(|s| s.write_all(&frame).is_ok());
+    if !written {
+        *socket = None;
+    }
+    written
+}
+
 /// The heartbeat thread: writes the liveness/ack sentinel on every up
-/// link whenever its machine says one is due. Write failures just mark
-/// the link down — the link's own reader notices the broken socket and
-/// runs the reconnect protocol; the heartbeat thread never supervises.
+/// link whenever its machine says one is due; it never supervises.
 fn heartbeat_loop(
     id: usize,
     links: Vec<Option<Arc<PeerLink>>>,
@@ -877,16 +891,8 @@ fn heartbeat_loop(
         .max(Duration::from_millis(1));
     while !stop.wait(step) {
         for link in links.iter().flatten() {
-            let Some(ack) = link.machine.lock().heartbeat_due(Instant::now()) else {
-                continue;
-            };
-            let frame = frame_bytes(SENTINEL_SEQ, HEARTBEAT_TAG, &ack.to_le_bytes());
-            let mut socket = link.socket.lock();
-            let Some(s) = socket.as_mut() else { continue };
-            if s.write_all(&frame).is_err() {
-                *socket = None;
-            } else {
-                drop(socket);
+            let ack = link.machine.lock().heartbeat_due(Instant::now());
+            if ack.is_some_and(|ack| write_ack(link, ack)) {
                 stats.record(id, Counter::HeartbeatsSent);
             }
         }
@@ -1205,7 +1211,9 @@ impl Transport for TcpTransport {
     /// one), while a live-but-slow peer still gets the full deadline. A
     /// closed channel means the link's reader exited; the verdict it left
     /// in the machine (malformed frame, reorder overflow, torn connection,
-    /// dead peer, irreconcilable resume) is the error.
+    /// dead peer, irreconcilable resume) is the error. A frame taken is
+    /// acked at once when the machine says the ack cursor moved, written
+    /// here on the protocol thread (invariant 2 on `PeerLink`).
     fn recv_frame(
         &self,
         from: usize,
@@ -1221,6 +1229,13 @@ impl Transport for TcpTransport {
             match inbox.rx.recv_timeout(slice) {
                 Ok(frame) => {
                     inbox.consumed += 1;
+                    drop(inbox);
+                    // Its own statement: `machine` is released before
+                    // `write_ack` takes `socket`.
+                    let ack = link.machine.lock().ack_due();
+                    if let Some(ack) = ack {
+                        write_ack(link, ack);
+                    }
                     return Ok(frame);
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -1560,10 +1575,12 @@ pub(crate) mod tests {
         ));
     }
 
-    /// Party 1 of a two-party run `run_id` whose party 0 is a raw socket:
-    /// it answers the hello by hand, writes `wire` as it stands, and holds
-    /// the socket open a while so EOF cannot race the parse.
-    fn against_raw_party_0(run_id: u64, wire: Vec<u8>) -> (TcpTransport, JoinHandle<()>) {
+    /// Party 1 of a two-party run under `cfg` whose party 0 is a raw
+    /// socket: it answers the hello by hand, then `script` drives it.
+    fn against_raw_party_0(
+        cfg: TcpConfig,
+        script: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (TcpTransport, JoinHandle<()>) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
@@ -1571,13 +1588,21 @@ pub(crate) mod tests {
             let (mut s, _) = l0.accept().unwrap();
             let mut hello = [0u8; HELLO_BYTES];
             s.read_exact(&mut hello).unwrap();
-            s.write_all(&encode_hello(run_id, 0, 2, 0, 0)).unwrap();
-            s.write_all(&wire).unwrap();
-            std::thread::sleep(Duration::from_millis(500));
+            s.write_all(&encode_hello(cfg.run_id, 0, 2, 0, 0)).unwrap();
+            script(s);
         });
         let stats = Arc::new(NetworkStats::with_trace(2, TraceHandle::disabled()));
-        let t = TcpTransport::connect(1, l1, &addrs, test_cfg(run_id), stats).unwrap();
+        let t = TcpTransport::connect(1, l1, &addrs, cfg, stats).unwrap();
         (t, fake)
+    }
+
+    /// A raw party 0 that writes `wire` as it stands and holds the socket
+    /// open a while so EOF cannot race the parse.
+    fn writes(wire: Vec<u8>) -> impl FnOnce(TcpStream) + Send + 'static {
+        move |mut s| {
+            s.write_all(&wire).unwrap();
+            std::thread::sleep(Duration::from_millis(500));
+        }
     }
 
     #[test]
@@ -1589,7 +1614,7 @@ pub(crate) mod tests {
         frame.extend_from_slice(&0u64.to_le_bytes());
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        let (t, fake) = against_raw_party_0(5, frame);
+        let (t, fake) = against_raw_party_0(test_cfg(5), writes(frame));
         let err = t
             .recv_words_timeout(0, 1, Duration::from_secs(5))
             .unwrap_err();
@@ -1607,7 +1632,7 @@ pub(crate) mod tests {
         let frames: Vec<_> = [1u64, 0, 0, 2]
             .map(|seq| (seq, 10 + seq as u32, (100 + seq).to_le_bytes().to_vec()))
             .into();
-        let (t, fake) = against_raw_party_0(8, frame_stream(&frames, &[]));
+        let (t, fake) = against_raw_party_0(test_cfg(8), writes(frame_stream(&frames, &[])));
         for seq in 0..3 {
             assert_eq!(t.recv_words(0, 10 + seq as u32).unwrap(), vec![100 + seq]);
         }
@@ -1619,7 +1644,7 @@ pub(crate) mod tests {
         // One frame more ahead of seq 0 than a link holds ends the link.
         let max = crate::link::MAX_EARLY_FRAMES;
         let early: Vec<_> = (1..=max as u64 + 1).map(|seq| (seq, 7, vec![])).collect();
-        let (t, fake) = against_raw_party_0(9, frame_stream(&early, &[]));
+        let (t, fake) = against_raw_party_0(test_cfg(9), writes(frame_stream(&early, &[])));
         assert_eq!(
             t.recv_words_timeout(0, 7, Duration::from_secs(5)),
             Err(MpcError::ReorderOverflow {
@@ -1770,6 +1795,110 @@ pub(crate) mod tests {
         assert_eq!(mesh[0].stats().total_bytes(), HEADER_BYTES + 16);
     }
 
+    /// Supervision whose heartbeats never fire within a test: whatever
+    /// prunes a replay buffer is an ack written at a receive.
+    fn no_heartbeats() -> LinkSupervision {
+        LinkSupervision {
+            heartbeat_interval: Duration::from_secs(60),
+            ..test_sup()
+        }
+    }
+
+    /// A supervised three-party run of masked sums: after every round,
+    /// each link keeps at most that round's one frame, which its peer may
+    /// not have taken yet. Every earlier frame was acked by the receive
+    /// that took it, on the stream ahead of the peer's next-round frame.
+    /// An unsupervised run of the same rounds moves the same traffic.
+    #[test]
+    fn acks_at_each_receive_bound_the_replay_backlog_to_the_rounds_in_flight() {
+        use crate::net::{NetOptions, Network};
+        use crate::protocol::masked::masked_sum_ring;
+        use crate::ring::R64;
+        const ROUNDS: u64 = 12;
+        let rounds = |ctx: &mut crate::party::PartyCtx| -> Result<Vec<usize>, MpcError> {
+            let mut backlogs = Vec::new();
+            for round in 0..ROUNDS {
+                let own = R64(ctx.id() as u64 + round);
+                let sum = masked_sum_ring(ctx, &[own], "round")?;
+                assert_eq!(sum, [R64(3 + 3 * round)]);
+                if let Some(snap) = ctx.endpoint().link_snapshot() {
+                    backlogs.extend(snap.replay.iter().map(Vec::len));
+                }
+            }
+            ctx.endpoint().close();
+            Ok(backlogs)
+        };
+        let opts = NetOptions::default();
+        let supervised = TcpConfig {
+            supervision: Some(no_heartbeats()),
+            ..test_cfg(60)
+        };
+        let totals = [supervised, test_cfg(61)].map(|cfg| {
+            let (results, stats, _) =
+                Network::run_parties_tcp_with(3, 9, &opts, cfg, rounds).expect("the mesh connects");
+            let backlogs: Vec<usize> = results
+                .into_iter()
+                .flat_map(|r| r.unwrap().unwrap())
+                .collect();
+            (backlogs, stats.total_bytes(), stats.total_messages())
+        });
+        let [(supervised, bytes, msgs), (unsupervised, bytes_bare, msgs_bare)] = totals;
+        // Three links' slots per party per round, one of them its own.
+        assert_eq!(supervised.len(), 3 * 3 * ROUNDS as usize);
+        assert!(supervised.iter().all(|&n| n <= 1), "{supervised:?}");
+        assert!(unsupervised.is_empty());
+        assert_eq!((bytes, msgs), (bytes_bare, msgs_bare));
+        assert_eq!(msgs, 6 * ROUNDS);
+    }
+
+    /// Party 1 takes two frames from a raw party 0 and closes. Supervised,
+    /// each receive writes its ack before the next frame is even sent;
+    /// unsupervised, the close record is all it ever writes.
+    #[test]
+    fn a_taken_frame_is_acked_at_once_supervised_and_never_unsupervised() {
+        for supervision in [Some(no_heartbeats()), None] {
+            let cfg = TcpConfig {
+                supervision,
+                ..test_cfg(62)
+            };
+            let (t, fake) = against_raw_party_0(cfg, move |mut s| {
+                let mut written = Vec::new();
+                for seq in 0..2u64 {
+                    s.write_all(&frame_bytes(seq, 10, &seq.to_le_bytes()))
+                        .unwrap();
+                    if supervision.is_some() {
+                        written.push(read_frame(&mut s, &AtomicBool::new(false)).unwrap());
+                    }
+                }
+                while let Ok(frame) = read_frame(&mut s, &AtomicBool::new(false)) {
+                    written.push(frame);
+                }
+                let acks = supervision.map_or(vec![], |_| {
+                    (1..=2u64)
+                        .map(|ack| Message {
+                            seq: SENTINEL_SEQ,
+                            tag: HEARTBEAT_TAG,
+                            payload: ack.to_le_bytes().to_vec(),
+                        })
+                        .collect()
+                });
+                let close = Message {
+                    seq: SENTINEL_SEQ,
+                    tag: CLOSE_TAG,
+                    payload: Vec::new(),
+                };
+                assert_eq!(written, [acks, vec![close]].concat());
+            });
+            for seq in 0..2u64 {
+                assert_eq!(t.recv_words(0, 10).unwrap(), vec![seq]);
+            }
+            assert_eq!(t.stats().count_by(1, Counter::HeartbeatsSent), 0);
+            t.close();
+            drop(t);
+            fake.join().unwrap();
+        }
+    }
+
     #[test]
     fn dead_peer_fails_fast_with_peer_crashed() {
         let mut cfg = test_cfg(52);
@@ -1806,6 +1935,9 @@ pub(crate) mod tests {
         let (mut mesh, addrs) = connect_mesh_cfg(2, cfg);
         let b = mesh.pop().unwrap();
         let a = mesh.pop().unwrap();
+        // A is a checkpointed party that has not saved yet: its acks carry
+        // the durable cursor 0, so B keeps its frame for the snapshot.
+        a.note_durable(&[0, 0]);
         // Traffic in both directions before the crash.
         a.send_words(1, 100, &[10]).unwrap();
         a.send_words(1, 101, &[11]).unwrap();

@@ -753,13 +753,22 @@ mod tests {
         // The slow ones sit at the symmetry split, |t| ≈ 1.7–2.3; a search
         // of 2·10⁶ values of t there finds at most 100 steps for these df.
         // Above df ≈ 3·10¹⁰ the stopping rule is inside rounding noise and
-        // some t do exhaust `ITMAX` (`StudentT`'s tests hold one).
-        let dfs = [1.0, 2.5, 92.0, 4496.0, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
+        // some t do exhaust `ITMAX` (`StudentT`'s tests hold one): 20 and
+        // 11 of 60,000 steps across |t| in [1.7, 2.3] at 3e11 and 1e12.
+        // There a slice of p-values still gets an answer.
+        let dfs = [
+            1.0, 2.5, 92.0, 4496.0, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 3e11, 1e12,
+        ];
         for df in dfs {
             let (a, b) = (df / 2.0, 0.5);
             let split = (a + 1.0) / (a + b + 2.0);
-            let mut t = 1e-3;
-            while t <= 60.0 {
+            let mut ts: Vec<f64> = std::iter::successors(Some(1e-3), |t| Some(t * 1.01))
+                .take_while(|&t| t <= 60.0)
+                .collect();
+            if df > 1e10 {
+                ts.extend((0..60_000).map(|i| 1.7 + 1e-5 * f64::from(i)));
+            }
+            for &t in ts.iter().filter(|_| df <= 1e10) {
                 let x = df / (df + t * t);
                 if x > 0.0 && x < 1.0 {
                     let h = if x < split {
@@ -769,8 +778,13 @@ mod tests {
                     };
                     assert!(h.is_ok(), "df={df} t={t}: {h:?}");
                 }
-                t *= 1.01;
             }
+            let mut p = vec![0.0; ts.len()];
+            let got = crate::tdist::StudentT::new(df)
+                .unwrap()
+                .two_sided_p_into(&ts, &mut p);
+            assert_eq!(got, Ok(()), "df={df}");
+            assert!(p.iter().all(|p| (0.0..=1.0).contains(p)), "df={df}");
         }
     }
 }

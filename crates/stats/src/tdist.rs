@@ -9,6 +9,13 @@ use crate::error::StatsError;
 use crate::normal::Normal;
 use crate::special::{ln_beta_normaliser, ln_gamma, reg_inc_beta_normalised_in_place};
 
+/// Degrees of freedom from which a t tail whose continued fraction does not
+/// converge is answered with the normal tail. The two differ by
+/// O(|t|³/ν) relatively, and from ν ≈ 3e10, where the fraction first fails,
+/// that is below the rounding error x = ν/(ν+t²) already carries there
+/// (about ε·ν/t² relatively).
+const NORMAL_TAIL_DF: f64 = 1e8;
+
 /// Student's t distribution with `df` degrees of freedom (not necessarily
 /// integral).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,40 +72,57 @@ impl StudentT {
     /// One-sided tail `P(T > |t|)`, evaluated with full relative accuracy:
     /// `½ I_x(ν/2, ½)` with `x = ν/(ν + t²)`.
     fn sf_abs(&self, t_abs: f64) -> f64 {
-        let mut tail = [t_abs];
+        if t_abs.is_nan() {
+            return f64::NAN;
+        }
+        let mut tail = [0.0];
         // Of the three ways the evaluation can fail, x = ν/(ν+t²) in [0, 1]
         // rules out the domain error on x and `new` the one on the shapes.
         // The third, `NoConvergence`, takes 500 steps of the continued
         // fraction: for ν ≤ 1e10 none takes 128 (special.rs,
-        // `continued_fraction_headroom_for_every_df_a_scan_can_hold`). It is
-        // reachable above ν ≈ 3e10, where a scan gets it as an error from
-        // `two_sided_p_into`.
-        self.sf_abs_in_place(&mut tail)
-            .expect("x is in [0,1], the shapes are positive, df is below ~3e10");
+        // `continued_fraction_headroom_for_every_df_a_scan_can_hold`), and
+        // from `NORMAL_TAIL_DF` on `tails_into` answers it.
+        self.tails_into(&[t_abs], &mut tail)
+            .expect("below df 1e8 the fraction converges in 128 of its 500 steps");
         tail[0]
     }
 
-    /// Replaces every `|t|` of the slice by its [`sf_abs`](Self::sf_abs).
-    fn sf_abs_in_place(&self, t_abs: &mut [f64]) -> Result<(), StatsError> {
+    /// The one-sided tail [`sf_abs`](Self::sf_abs) of every `|t[i]|` into
+    /// `out[i]`, several at a time (a NaN rides along as t = 0, the
+    /// cheapest tail). From `NORMAL_TAIL_DF` on, a statistic whose
+    /// fraction does not converge gets the normal tail instead; the others
+    /// keep their own bits, so a slice still equals its scalars.
+    fn tails_into(&self, t: &[f64], out: &mut [f64]) -> Result<(), StatsError> {
         let v = self.df;
-        for t in t_abs.iter_mut() {
-            debug_assert!(*t >= 0.0);
-            *t = v / (v + *t * *t);
+        for (x, &t) in out.iter_mut().zip(t) {
+            let t = if t.is_nan() { 0.0 } else { t.abs() };
+            *x = v / (v + t * t);
         }
-        reg_inc_beta_normalised_in_place(v / 2.0, 0.5, self.ln_tail_norm, t_abs)?;
-        for tail in t_abs.iter_mut() {
-            *tail *= 0.5;
+        match reg_inc_beta_normalised_in_place(v / 2.0, 0.5, self.ln_tail_norm, out) {
+            Ok(()) => {
+                for tail in out.iter_mut() {
+                    *tail *= 0.5;
+                }
+                Ok(())
+            }
+            Err(StatsError::NoConvergence { .. }) if v >= NORMAL_TAIL_DF => {
+                if let [t] = t {
+                    out.fill(Normal::standard().sf(t.abs()));
+                } else {
+                    for (t, out) in t.chunks(1).zip(out.chunks_mut(1)) {
+                        self.tails_into(t, out)?;
+                    }
+                }
+                Ok(())
+            }
+            Err(err) => Err(err),
         }
-        Ok(())
     }
 
     /// Two-sided p-value `P(|T| ≥ |t|) = 2·pt(−|t|, df)` — exactly what the
-    /// paper's R demo computes.
-    ///
-    /// # Panics
-    /// For `df` above about 3e10 and some `|t|` near 1.7–2.3, where the
-    /// continued fraction does not converge;
-    /// [`two_sided_p_into`](Self::two_sided_p_into) returns that as an error.
+    /// paper's R demo computes. From df = 1e8 on, where the continued
+    /// fraction fails to converge for some `|t|` near 1.7–2.3 (it does
+    /// above df ≈ 3e10), it is the normal `2·Φ(−|t|)` there instead.
     pub fn two_sided_p(&self, t: f64) -> f64 {
         if t.is_nan() {
             return f64::NAN;
@@ -110,18 +134,15 @@ impl StudentT {
     /// the same bits, with the tails of the slice evaluated several at a
     /// time (see `reg_inc_beta_normalised_in_place`).
     ///
-    /// The only error is [`StatsError::NoConvergence`], and only for `df`
-    /// above about 3e10; `out` is then unspecified.
+    /// The only error is [`StatsError::NoConvergence`], for a fraction
+    /// that fails below df = 1e8, which none does up to 1e10 (special.rs's
+    /// headroom test); `out` is then unspecified.
     ///
     /// # Panics
     /// When the slices differ in length.
     pub fn two_sided_p_into(&self, t: &[f64], out: &mut [f64]) -> Result<(), StatsError> {
         assert_eq!(t.len(), out.len(), "one p-value per statistic");
-        for (p, &t) in out.iter_mut().zip(t) {
-            // A NaN statistic rides along as t = 0, the cheapest tail.
-            *p = if t.is_nan() { 0.0 } else { t.abs() };
-        }
-        self.sf_abs_in_place(out)?;
+        self.tails_into(t, out)?;
         for (p, &t) in out.iter_mut().zip(t) {
             *p = if t.is_nan() {
                 f64::NAN
@@ -433,10 +454,11 @@ mod tests {
     }
 
     #[test]
-    fn a_fraction_that_does_not_converge_is_an_error_from_the_slice() {
+    fn a_fraction_that_does_not_converge_gives_the_normal_tail_and_only_there() {
         // Above df ≈ 3e10 the stopping rule of the continued fraction sits
         // inside rounding noise and some |t| never meet it. The oracle
-        // agrees: this is the evaluation's envelope, not the lanes'.
+        // agrees: this is the evaluation's envelope, not the lanes'. That
+        // statistic gets the normal tail; its neighbours keep their bits.
         let df = 316_227_766_017.0;
         let t = 1.73406705;
         let x = df / (df + t * t);
@@ -444,11 +466,19 @@ mod tests {
         let want = oracle::reg_inc_beta_normalised(df / 2.0, 0.5, x, ln_norm).unwrap_err();
         assert!(matches!(want, StatsError::NoConvergence { .. }), "{want:?}");
         let dist = StudentT::new(df).unwrap();
+        let normal = 2.0 * Normal::standard().sf(t);
+        assert_eq!(dist.two_sided_p(-t).to_bits(), normal.to_bits());
         for at in 0..5 {
             let mut ts = [0.3, -2.5, 1.1, 7.0, 0.0];
             ts[at] = t;
-            let got = dist.two_sided_p_into(&ts, &mut [0.0; 5]).unwrap_err();
-            assert_eq!(got, want);
+            let mut p = [0.0; 5];
+            dist.two_sided_p_into(&ts, &mut p).unwrap();
+            for (&t, &p) in ts.iter().zip(&p) {
+                assert_eq!(p.to_bits(), dist.two_sided_p(t).to_bits(), "t={t}");
+            }
+            for (i, (&t, &p)) in ts.iter().zip(&p).enumerate().filter(|&(i, _)| i != at) {
+                assert_eq!(p.to_bits(), oracle_p(df, t).to_bits(), "i={i}");
+            }
         }
     }
 }
