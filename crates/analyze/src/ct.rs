@@ -35,9 +35,8 @@
 //! through casts: a branch on `(x.0 & 7) as usize` still branches on
 //! share material.
 //!
-//! Test code is exempt; a deliberate exception would carry a
-//! `// dash-analyze::allow(constant-time): reason` pragma. The mpc crate
-//! has none, and its integration test pins that.
+//! Test code is exempt. There is no other exception: every non-test line
+//! of the arithmetic modules is in scope.
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, Node, Stmt};
 use crate::model::FileModel;
@@ -275,7 +274,7 @@ struct CtScan<'a> {
 
 impl CtScan<'_> {
     fn push(&mut self, line: usize, message: String) {
-        if !self.seen_lines.insert(line) || self.m.allowed_line(LINT, line) {
+        if !self.seen_lines.insert(line) {
             return;
         }
         self.out.push(Finding {
@@ -525,10 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn pragma_and_test_code_exempt() {
-        let src = "// dash-analyze::allow(constant-time): Option return is public\n\
-                   fn inverse(x: R64) -> Option<R64> { if x.0 == 0 { None } else { Some(x) } }\n\
-                   #[cfg(test)]\n\
+    fn test_code_exempt() {
+        let src = "#[cfg(test)]\n\
                    mod tests {\n\
                        fn helper(x: R64) -> bool { x.0 == 0 }\n\
                    }";

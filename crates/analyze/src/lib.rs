@@ -1,18 +1,7 @@
 //! `dash-analyze`: a dependency-free static analyzer for the DASH
-//! workspace, enforcing the protocol invariants that the type system
-//! cannot express:
+//! workspace, enforcing the protocol invariants that neither the type
+//! system nor clippy can express:
 //!
-//! - **disclosure-completeness** — every call to an opening primitive
-//!   (`all_gather*`, `broadcast*`, `exchange_sum*`, `open_*`) must be
-//!   accounted to the [`DisclosureLog`] in the same function, so the
-//!   leakage ladder measured by the experiments stays honest.
-//! - **tag-range** — tag constants may not be declared outside the
-//!   registry module `dash_mpc::tags`, whose `REGISTRY` proves itself a
-//!   partition of the `u32` space with a compile-time assertion.
-//! - **panic-free** — `unwrap`/`expect`, the `panic!` family and
-//!   `assert!`/`assert_eq!`/`assert_ne!` are denied in the secure crates'
-//!   non-test code: a party that panics mid-round deadlocks or crashes
-//!   everyone else.
 //! - **secret-taint** — share/mask/triple types must not derive `Debug`,
 //!   flow into print macros, or appear in formatting/assertions outside
 //!   `#[cfg(test)]`.
@@ -21,28 +10,34 @@
 //!   through a call chain that never passes an audited open) must not
 //!   reach a print/format macro, even via innocuously-named locals or
 //!   wrapper structs.
-//! - **secure-indexing** — direct `x[i]` indexing in secure code.
 //! - **constant-time** — the mpc crate's element/share modules must stay
 //!   branch-free on secret data: no `if`/`while`/`match`, comparison,
 //!   `%`/`/`, or table indexing whose operand is share material. Scoped
 //!   to the arithmetic core (`ring.rs`, `ctime.rs`, `fixed.rs`,
 //!   `dealer.rs`, `secret.rs`); protocol layers branch on public control
 //!   flow and are exempt by design.
+//! - **panic-free** — `assert!`/`assert_eq!`/`assert_ne!` in non-test
+//!   code: a party that aborts mid-round deadlocks or crashes everyone
+//!   else, and no clippy lint flags an assertion.
+//! - **tag-range** — tag constants may not be declared outside the
+//!   registry module `dash_mpc::tags`, whose `REGISTRY` proves itself a
+//!   partition of the `u32` space with a compile-time assertion.
 //!
-//! One pipeline, one verdict: lex → token lints + parse → AST passes, and
-//! any finding fails the gate. The only suppression is an inline pragma —
+//! What the compiler states is not repeated here. `unwrap`/`expect`,
+//! `panic!`, `unreachable!`, `todo!`, `unimplemented!` and indexing are
+//! clippy denies at the two scope roots (`crates/mpc/src/lib.rs` and the
+//! `secure` module of `crates/core/src/lib.rs`), where an `#[allow]`
+//! must give a `reason`. Disclosure accounting is a required argument
+//! of every opening (`dash_mpc::Opening`).
 //!
-//! ```text
-//! // dash-analyze::allow(<lint>): <reason>
-//! ```
-//!
-//! — which applies to the enclosing (or immediately following) function.
+//! One pipeline, one verdict: lex → parse → per-file passes, then the
+//! cross-function taint and constant-time passes over every scoped file,
+//! and any finding fails the gate. There is no suppression: a finding is
+//! fixed in the code.
 //!
 //! The analyzer is self-contained by design: a hand-rolled lexer, parser
 //! and JSON reader, no registry access, consistent with the
 //! workspace's vendored-shim policy.
-//!
-//! [`DisclosureLog`]: ../dash_mpc/audit/struct.DisclosureLog.html
 
 pub mod ast;
 pub mod ct;
@@ -60,8 +55,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One finding. Pragma-suppressed sites never become findings, so each one
-/// fails the gate.
+/// One finding. Each one fails the gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     pub lint: &'static str,
@@ -87,8 +81,8 @@ pub struct Report {
     pub functions: usize,
 }
 
-/// Whether a repo-relative path is in the secure scope the deny lints
-/// cover.
+/// Whether a repo-relative path is in the secure scope the lints cover:
+/// the same two roots that carry the clippy denies.
 pub fn in_scope(rel: &str) -> bool {
     rel.contains("crates/mpc/src") || rel.contains("crates/core/src/secure")
 }

@@ -1,13 +1,12 @@
-//! File model: function spans, test regions, and suppression pragmas
-//! recovered from the token stream by brace tracking — plus the parsed
-//! AST (`ast` field) that the taint and constant-time passes walk.
+//! File model: function spans and test regions recovered from the token
+//! stream by brace tracking — plus the parsed AST (`ast` field) that the
+//! taint, panic-free and constant-time passes walk.
 //!
 //! The token-level view (`code`, `fns`, `enclosing_fn`, …) is the
-//! interface for the single-token lints (disclosure-completeness,
-//! panic-free, secure-indexing, tag-range); the AST passes use `ast`.
-//! Test regions and pragmas are resolved by source line
-//! (`line_in_test`, `allowed_line`); `in_test` and `allowed` look up a
-//! token's line and ask the same question.
+//! interface for the one single-token lint (tag-range) and the check
+//! that the parser loses no function; the AST passes use `ast`. Test
+//! regions are resolved by source line (`line_in_test`); `in_test` looks
+//! up a token's line and asks the same question.
 
 use crate::ast::Item;
 use crate::lexer::{lex, Tok, TokKind};
@@ -28,13 +27,6 @@ pub struct FnSpan {
     pub is_test: bool,
 }
 
-/// An inline `// dash-analyze::allow(<lint>): reason` suppression.
-#[derive(Debug, Clone)]
-pub struct Pragma {
-    pub lint: String,
-    pub line: usize,
-}
-
 /// One analyzed source file.
 #[derive(Debug)]
 pub struct FileModel {
@@ -43,7 +35,6 @@ pub struct FileModel {
     /// Comment-free token stream — what the lints scan.
     pub code: Vec<Tok>,
     pub fns: Vec<FnSpan>,
-    pub pragmas: Vec<Pragma>,
     /// Line ranges (inclusive) of `#[cfg(test)]` modules.
     pub test_mod_lines: Vec<(usize, usize)>,
     /// Trimmed source lines, for finding snippets (index = line − 1).
@@ -55,32 +46,13 @@ pub struct FileModel {
 impl FileModel {
     /// Lexes and models `src`.
     pub fn parse(rel: &str, src: &str) -> FileModel {
-        let all = lex(src);
-        let mut pragmas = Vec::new();
-        for t in &all {
-            if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
-                let body = t.text.trim().trim_start_matches('!').trim();
-                if let Some(rest) = body.strip_prefix("dash-analyze::allow(") {
-                    if let Some(end) = rest.find(')') {
-                        pragmas.push(Pragma {
-                            lint: rest[..end].trim().to_string(),
-                            line: t.line,
-                        });
-                    }
-                }
-            }
-        }
-        let code: Vec<Tok> = all
-            .into_iter()
-            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .collect();
+        let code = lex(src);
         let (fns, test_mod_lines) = scan_items(&code);
         let ast = parser::parse_items(&code);
         FileModel {
             rel: rel.to_string(),
             code,
             fns,
-            pragmas,
             test_mod_lines,
             lines: src.lines().map(|l| l.trim().to_string()).collect(),
             ast,
@@ -126,39 +98,26 @@ impl FileModel {
             .iter()
             .any(|&(a, b)| a <= line && line <= b)
     }
+}
 
-    /// Whether a pragma suppresses `lint` at code token `idx`.
-    pub fn allowed(&self, lint: &str, idx: usize) -> bool {
-        self.allowed_line(lint, self.line_of(idx))
+/// Index (in the code view) of the token matching the opener at `open`.
+/// `open`/`close` are single punctuation chars. Returns the last token on
+/// unbalanced input (the analyzer must not panic).
+fn matching(code: &[Tok], open: usize, oc: char, cc: char) -> usize {
+    let mut depth = 0usize;
+    let mut i = open;
+    while i < code.len() {
+        if code[i].is_punct(oc) {
+            depth += 1;
+        } else if code[i].is_punct(cc) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+        i += 1;
     }
-
-    /// Whether a pragma suppresses `lint` at source `line` (1-based). A
-    /// pragma applies to the function whose line span contains it, or —
-    /// when written above an item — to the first function starting after
-    /// the pragma line. Item-level code accepts a pragma anywhere within
-    /// the preceding 5 lines.
-    pub fn allowed_line(&self, lint: &str, line: usize) -> bool {
-        let enclosing = self
-            .fns
-            .iter()
-            .filter(|f| f.start_line <= line && line <= f.end_line)
-            .min_by_key(|f| f.end_line - f.start_line);
-        let Some(f) = enclosing else {
-            return self
-                .pragmas
-                .iter()
-                .any(|p| p.lint == lint && p.line <= line && line - p.line <= 5);
-        };
-        self.pragmas.iter().any(|p| {
-            p.lint == lint
-                && ((f.start_line <= p.line && p.line <= f.end_line)
-                    || (p.line < f.start_line
-                        && !self
-                            .fns
-                            .iter()
-                            .any(|g| g.start_line > p.line && g.start_line < f.start_line)))
-        })
-    }
+    code.len().saturating_sub(1)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,7 +217,7 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
                 // (`Table<{N >> 1}>`): skip to its close, it is not the
                 // fn body. (The `>>` inside decrements `adepth` harmlessly
                 // — it saturates and the real closer re-saturates at 0.)
-                i = crate::lints::matching(code, i, '{', '}');
+                i = matching(code, i, '{', '}');
             }
             TokKind::Punct if t.is_punct('{') => {
                 adepth = 0;
@@ -313,11 +272,11 @@ mod tests {
     use super::*;
 
     const SRC: &str = r#"
-// dash-analyze::allow(panic-free): demo pragma above item
+// a comment above an item
 fn top() { inner_call(); }
 
 fn plain(v: Vec<u32>) -> u32 {
-    // dash-analyze::allow(secure-indexing): demo inline
+    // a comment inside a body
     v[0]
 }
 
@@ -336,17 +295,6 @@ mod tests {
         assert!(m.fns[2].is_test);
         assert!(!m.fns[0].is_test);
         assert_eq!(m.test_mod_lines.len(), 1);
-    }
-
-    #[test]
-    fn pragmas_resolve_to_functions() {
-        let m = FileModel::parse("x.rs", SRC);
-        let top = m.fns.iter().find(|f| f.name == "top").unwrap();
-        let plain = m.fns.iter().find(|f| f.name == "plain").unwrap();
-        assert!(m.allowed("panic-free", top.body_start + 1));
-        assert!(!m.allowed("panic-free", plain.body_start + 1));
-        assert!(m.allowed("secure-indexing", plain.body_start + 1));
-        assert!(!m.allowed("secure-indexing", top.body_start + 1));
     }
 
     #[test]

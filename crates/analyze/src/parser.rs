@@ -1171,7 +1171,6 @@ impl<'a> Parser<'a> {
             }
             TokKind::Punct => return self.primary_punct(line),
             TokKind::Ident => return self.primary_ident(ns, line),
-            _ => ExprKind::Unknown,
         };
         self.bump();
         Expr { line, kind }
@@ -1495,21 +1494,9 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::model::FileModel;
 
     fn parse(src: &str) -> Vec<Item> {
-        let m = FileModel::parse("x.rs", src);
-        let _ = m;
-        let code: Vec<Tok> = lex(src)
-            .into_iter()
-            .filter(|t| {
-                !matches!(
-                    t.kind,
-                    crate::lexer::TokKind::LineComment | crate::lexer::TokKind::BlockComment
-                )
-            })
-            .collect();
-        parse_items(&code)
+        parse_items(&lex(src))
     }
 
     fn first_fn(items: &[Item]) -> &Fun {

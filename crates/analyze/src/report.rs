@@ -1,5 +1,4 @@
-//! Report rendering. Every finding that reaches the renderer fails the
-//! gate: pragma-suppressed sites are dropped by the passes themselves.
+//! Report rendering. Every finding fails the gate.
 
 use crate::Report;
 use std::fmt::Write as _;
@@ -35,11 +34,7 @@ pub fn render_text(r: &Report) -> String {
     if r.findings.is_empty() {
         let _ = writeln!(s, "dash-analyze: PASS — {covered}");
     } else {
-        let _ = writeln!(
-            s,
-            "dash-analyze: FAIL — {covered}; fix the findings or add a \
-             `// dash-analyze::allow(<lint>): reason` pragma"
-        );
+        let _ = writeln!(s, "dash-analyze: FAIL — {covered}; fix the findings");
     }
     s
 }
@@ -63,7 +58,10 @@ mod tests {
     #[test]
     fn any_finding_fails_none_passes() {
         let mut r = Report {
-            findings: vec![f("panic-free", "a.unwrap()"), f("secure-indexing", "v[0]")],
+            findings: vec![
+                f("panic-free", "assert!(ok)"),
+                f("tag-range", "const MY_TAG: u32 = 7;"),
+            ],
             files: 1,
             functions: 7,
         };
@@ -73,7 +71,7 @@ mod tests {
             "{s}"
         );
         assert!(
-            s.contains("error[secure-indexing] crates/mpc/src/x.rs:3 (in fn g)"),
+            s.contains("error[tag-range] crates/mpc/src/x.rs:3 (in fn g)"),
             "{s}"
         );
         r.findings.clear();

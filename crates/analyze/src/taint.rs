@@ -35,9 +35,7 @@
 //! `Secret` itself, gated behind receiver-type resolution), propagates
 //! function-level taint to a fixpoint by abstractly evaluating each body,
 //! and reports print/format macros whose arguments (or inline `{name}`
-//! captures) evaluate tainted — unless pragma-allowed
-//! (`// dash-analyze::allow(cross-function-taint): reason`) or in test
-//! code.
+//! captures) evaluate tainted, outside test code.
 //!
 //! [`Secret`]: ../../dash_mpc/secret/struct.Secret.html
 
@@ -650,21 +648,19 @@ impl<'a> Intra<'a> {
                 }
                 if self.emit && SINK_MACROS.contains(&name.as_str()) {
                     if let Some((who, how)) = offender {
-                        if !self.model.allowed_line(LINT, e.line) {
-                            self.findings.push(Finding {
-                                lint: LINT,
-                                file: self.model.rel.clone(),
-                                line: e.line,
-                                function: self.fun_name.to_string(),
-                                message: format!(
-                                    "{}! formats `{}` — {} function material that never passed \
-                                     an audited open (`open_via`); secret-typed values must open \
-                                     through the DisclosureLog before they may be rendered",
-                                    name, who, how
-                                ),
-                                snippet: self.model.line_text(e.line).to_string(),
-                            });
-                        }
+                        self.findings.push(Finding {
+                            lint: LINT,
+                            file: self.model.rel.clone(),
+                            line: e.line,
+                            function: self.fun_name.to_string(),
+                            message: format!(
+                                "{}! formats `{}` — {} function material that never passed \
+                                 an audited open (`open_via`); secret-typed values must open \
+                                 through the DisclosureLog before they may be rendered",
+                                name, who, how
+                            ),
+                            snippet: self.model.line_text(e.line).to_string(),
+                        });
                     }
                 }
                 any
@@ -963,7 +959,7 @@ fn report(prg: &mut Prg) -> String {
 fn draw(prg: &mut Prg) -> Secret<Vec<R64>> { Secret::new(prg.ring_vec(4)) }
 fn open_and_report(ctx: &mut Ctx, prg: &mut Prg) -> String {
     let shares = draw(prg);
-    let total = ctx.open_local(shares, Some("total"));
+    let total = ctx.open_local(shares, Opening::Disclosed("total"));
     format!("{total:?}")
 }
 fn derived(ctx: &mut Ctx, prg: &mut Prg) -> Vec<R64> {
@@ -980,18 +976,13 @@ fn uses_derived(ctx: &mut Ctx, prg: &mut Prg) -> String {
     }
 
     #[test]
-    fn local_to_local_moves_tracked_and_pragma_respected() {
+    fn local_to_local_moves_tracked() {
         let src = r#"
 fn draw(prg: &mut Prg) -> Secret<Vec<R64>> { Secret::new(prg.ring_vec(4)) }
 fn leak(prg: &mut Prg) {
     let a = draw(prg);
     let b = a;
     println!("{:?}", b);
-}
-fn allowed(prg: &mut Prg) {
-    let a = draw(prg);
-    // dash-analyze::allow(cross-function-taint): demo of redacted Debug
-    println!("{:?}", a);
 }
 "#;
         let f = run(&models(&[("crates/mpc/src/x.rs", src)]));
@@ -1102,7 +1093,7 @@ fn leak(st: &RoundState, log: &mut Log) -> String {
     format!("{v:?}")
 }
 fn fine(ctx: &mut PartyCtx, s: Secret<Vec<R64>>) -> String {
-    let v = ctx.open_local(s, None);
+    let v = ctx.open_local(s, Opening::Pad);
     format!("{v:?}")
 }
 "#;

@@ -119,13 +119,6 @@ fn len_check(shares: &[R64]) -> usize {
     if shares.is_empty() { 0 } else { shares.len() }
 }
 
-// CLEAN: pragma'd — an Option return is inherently a public branch (an
-// even ring element has no inverse).
-// dash-analyze::allow(constant-time): invertibility is publicly observable
-fn checked_inverse(x: R64) -> Option<R64> {
-    if x.0 & 1 == 0 { None } else { Some(R64(x.0)) }
-}
-
 #[cfg(test)]
 mod tests {
     // CLEAN: test code may branch on element values freely.

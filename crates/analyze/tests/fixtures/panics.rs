@@ -1,20 +1,23 @@
-//! Seeded violations for the panic-free lint.
-//! Not compiled by cargo — parsed by the analyzer's integration tests.
+//! Seeded violations of the secure scope's panic-free discipline.
+//! `scripts/check.sh` compiles this file as a module of `dash-mpc`, where
+//! clippy must fail each line marked `// seeded: clippy::<lint>` with that
+//! lint and nothing else; the analyzer's integration tests parse it for
+//! the assertions, which no clippy lint flags.
 
 /// VIOLATION: unwrap on the hot path.
 fn take_unwrap(v: Option<u32>) -> u32 {
-    v.unwrap()
+    v.unwrap() // seeded: clippy::unwrap_used
 }
 
 /// VIOLATION: expect on the hot path.
 fn take_expect(v: Option<u32>) -> u32 {
-    v.expect("always present")
+    v.expect("always present") // seeded: clippy::expect_used
 }
 
 /// VIOLATION: explicit panic.
 fn boom(flag: bool) {
     if flag {
-        panic!("protocol desync");
+        panic!("protocol desync"); // seeded: clippy::panic
     }
 }
 
@@ -22,16 +25,16 @@ fn boom(flag: bool) {
 fn pick(mode: u8) -> u8 {
     match mode {
         0 => 1,
-        _ => unreachable!("handled above"),
+        _ => unreachable!("handled above"), // seeded: clippy::unreachable
     }
 }
 
-/// VIOLATION: a failed assert aborts the party just like panic!.
+/// VIOLATION (analyzer): a failed assert aborts the party just like panic!.
 fn checked_len(v: &[u32]) {
     assert!(!v.is_empty(), "empty round");
 }
 
-/// VIOLATION: assert_eq likewise.
+/// VIOLATION (analyzer): assert_eq likewise.
 fn checked_eq(a: u32, b: u32) {
     assert_eq!(a, b);
 }
@@ -43,12 +46,12 @@ fn debug_only(n: usize) {
 
 /// OK: the panic-free combinators do not trigger.
 fn graceful(v: Option<u32>) -> u32 {
-    v.unwrap_or(0).max(v.unwrap_or_else(|| 1)).max(v.unwrap_or_default())
+    v.unwrap_or(0).max(v.unwrap_or_default())
 }
 
-/// OK: pragma'd documented contract.
+/// OK: an allowance that states its reason.
+#[allow(clippy::unwrap_used, reason = "test-facing runner contract")]
 fn documented_panic(v: Option<u32>) -> u32 {
-    // dash-analyze::allow(panic-free): test-facing runner contract.
     v.unwrap()
 }
 

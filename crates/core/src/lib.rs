@@ -57,13 +57,9 @@
 //! assert!(result.beta[0] > 0.0); // variant 0 tracks y
 //! ```
 
-// Unit tests assert freely; the panic-free discipline (clippy
-// unwrap_used/expect_used plus the dash-analyze gate) applies to the
-// non-test code compiled without cfg(test).
-#![cfg_attr(
-    test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
-)]
+// Unit tests assert freely; the workspace's unwrap_used/expect_used
+// denies apply to the non-test code compiled without cfg(test).
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod block;
 pub mod burden;
@@ -77,6 +73,19 @@ pub mod online;
 pub mod pca;
 pub mod permutation;
 pub mod scan;
+// The secure scope: the same panic-free and indexing denies as dash-mpc's
+// root (crates/mpc/src/lib.rs).
+#[cfg_attr(
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 pub mod secure;
 pub mod suffstats;
 

@@ -8,13 +8,13 @@
 
 use crate::error::CoreError;
 use crate::secure::triples::TripleFeed;
-use crate::secure::wire::all_gather_f64;
+use crate::secure::wire::{all_gather_f64, Discloses};
 use crate::secure::{AggregationMode, SecureScanConfig};
 use crate::suffstats::{ScanStats, VariantSummands};
 use dash_linalg::{dot, self_dot, Matrix};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
-use dash_mpc::{MpcError, PartyCtx, Secret, R64};
+use dash_mpc::{MpcError, Opening, PartyCtx, Secret, R64};
 use dash_obs::Counter;
 
 /// Structured shape error for opened aggregate vectors that arrive with
@@ -115,13 +115,12 @@ pub(crate) fn aggregate_y(
                 flat.len() + m * (2 + k),
                 "Public disclosure accounting out of sync with the y-round payload"
             );
-            ctx.audit().record_party(
-                ctx.id(),
-                format!("party {} raw statistic summands", ctx.id()),
-                full_count,
-            );
+            let discloses = Discloses::Party {
+                label: format!("party {} raw statistic summands", ctx.id()),
+                scalars: full_count,
+            };
             let tag = ctx.fresh_tag();
-            let gathered = all_gather_f64(ctx, tag, &flat)?;
+            let gathered = all_gather_f64(ctx, tag, &flat, discloses)?;
             sum_gathered(gathered, flat.len())?
         }
         AggregationMode::MaskedPrg => {
@@ -151,7 +150,7 @@ pub(crate) fn aggregate_y(
             let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
             let opened = ctx.open_sum(
                 &product_shares,
-                Some("projected response dot product (Qᵀy·Qᵀy)"),
+                Opening::Disclosed("projected response dot product (Qᵀy·Qᵀy)"),
             )?;
             let qtyqty = beaver_codec.decode_product(
                 *opened
@@ -206,12 +205,8 @@ pub(crate) fn aggregate_block(
     flat.extend_from_slice(block.qtx.as_slice());
     let total = match cfg.aggregation {
         AggregationMode::Public => {
-            // dash-analyze::allow(disclosure-completeness): the per-party
-            // disclosure for the *whole* summand vector is recorded once in
-            // `aggregate_y` (sized 1 + 2m + k + km); recording again per
-            // block would double-count the same opening.
             let tag = ctx.fresh_tag();
-            let gathered = all_gather_f64(ctx, tag, &flat)?;
+            let gathered = all_gather_f64(ctx, tag, &flat, Discloses::PublicBlockSummands)?;
             sum_gathered(gathered, flat.len())?
         }
         AggregationMode::MaskedPrg => masked_sum_f64(
@@ -233,9 +228,17 @@ pub(crate) fn aggregate_block(
             }));
         }
     };
-    let xy = total[..len].to_vec();
-    let xx = total[len..2 * len].to_vec();
-    let qtx = Matrix::from_column_major(k, len, total[2 * len..].to_vec())?;
+    let short = || {
+        shape(
+            "aggregated variant-block statistics",
+            flat.len(),
+            total.len(),
+        )
+    };
+    let (xy, rest) = total.split_at_checked(len).ok_or_else(short)?;
+    let (xx, qtx) = rest.split_at_checked(len).ok_or_else(short)?;
+    let (xy, xx) = (xy.to_vec(), xx.to_vec());
+    let qtx = Matrix::from_column_major(k, len, qtx.to_vec())?;
     let mut qtxqty = Vec::with_capacity(len);
     let mut qtxqtx = Vec::with_capacity(len);
     for j in 0..len {
@@ -272,8 +275,10 @@ fn beaver_block(
     left.extend_from_slice(&block.xy);
     left.extend_from_slice(&block.xx);
     let left_total = masked_sum_f64(ctx, &cfg.ring_codec()?, &left, "aggregate X·y, X·X")?;
-    let xy = left_total[..len].to_vec();
-    let xx = left_total[len..].to_vec();
+    let (xy, xx) = left_total
+        .split_at_checked(len)
+        .ok_or_else(|| shape("aggregated X·y, X·X", left.len(), left_total.len()))?;
+    let (xy, xx) = (xy.to_vec(), xx.to_vec());
     if k == 0 {
         return Ok(ScanStats {
             yy,
@@ -311,7 +316,7 @@ fn beaver_block(
     let product_shares = beaver_inner_batch(ctx, &Secret::new(xs), &ys, &batch)?;
     let opened = ctx.open_sum(
         &product_shares,
-        Some("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
+        Opening::Disclosed("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
     )?;
     let mut products = opened.iter();
     let mut qtxqty = Vec::with_capacity(len);

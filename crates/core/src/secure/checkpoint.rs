@@ -793,4 +793,98 @@ mod tests {
         evil[fixed..fixed + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&evil).is_err());
     }
+
+    /// The one outcome any payload may have: a structured error, or a
+    /// checkpoint whose encoding is that payload byte for byte (so a
+    /// decoder that accepted two spellings of one state fails too).
+    fn decoded_or_refused(bytes: &[u8], how: &str) -> Result<(), String> {
+        match decode(bytes) {
+            Err(CoreError::Checkpoint { .. }) => Ok(()),
+            Err(e) => Err(format!("{how}: unstructured error {e}")),
+            Ok(c) if payload(&c) == bytes => Ok(()),
+            Ok(_) => Err(format!("{how}: decoded, but re-encodes to other bytes")),
+        }
+    }
+
+    /// `bytes` framed as a file: a valid header and a checksum recomputed
+    /// around them, so `load` reaches the payload decoder.
+    fn framed(bytes: &[u8]) -> Vec<u8> {
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&VERSION.to_le_bytes());
+        file.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        file.extend_from_slice(bytes);
+        let sum = fnv1a64(FNV_BASIS, &file);
+        file.extend_from_slice(&sum.to_le_bytes());
+        file
+    }
+
+    /// A valid payload with one seeded edit: bytes overwritten, a
+    /// little-endian word set to a small value (where a length or a tag
+    /// may sit), a cut, an insertion, or a span repeated.
+    fn mutated(seed: u64) -> Vec<u8> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = sample(rng.gen_range(0..3u64));
+        if rng.gen_bool(0.25) {
+            c.links = None;
+        }
+        let mut bytes = payload(&c);
+        let at = rng.gen_range(0..bytes.len());
+        match rng.gen_range(0..5u8) {
+            0 => {
+                for _ in 0..rng.gen_range(1..5u8) {
+                    let i = rng.gen_range(0..bytes.len());
+                    bytes[i] = rng.gen_range(0..=u8::MAX);
+                }
+            }
+            1 => {
+                let word = rng.gen_range(0..70u64).to_le_bytes();
+                let end = (at + 8).min(bytes.len());
+                bytes[at..end].copy_from_slice(&word[..end - at]);
+            }
+            2 => bytes.truncate(at),
+            3 => {
+                let extra: Vec<u8> = (0..rng.gen_range(1..25))
+                    .map(|_| rng.gen_range(0..=u8::MAX))
+                    .collect();
+                bytes.splice(at..at, extra);
+            }
+            _ => {
+                let end = (at + rng.gen_range(1..49usize)).min(bytes.len());
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, and valid payloads with one edit, decode to a
+        /// checkpoint that re-encodes to them or fail structurally —
+        /// through `decode`, and through `load` with a valid frame.
+        #[test]
+        fn any_payload_decodes_canonically_or_fails_structurally(
+            raw in proptest::collection::vec(0u8..=255, 0..200),
+            seed in 0u64..u64::MAX,
+        ) {
+            let edited = mutated(seed);
+            for (bytes, how) in [(&raw, "random bytes"), (&edited, "edited payload")] {
+                decoded_or_refused(bytes, how).map_err(proptest::test_runner::TestCaseError::Fail)?;
+            }
+            let dir = std::env::temp_dir().join(format!("dash_ckpt_fuzz_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = checkpoint_path(&dir, 0);
+            for bytes in [&raw, &edited] {
+                std::fs::write(&path, framed(bytes)).unwrap();
+                let (loaded, decoded) = (load(&path), decode(bytes));
+                proptest::prop_assert_eq!(loaded.is_ok(), decoded.is_ok());
+                if let (Ok(l), Ok(d)) = (loaded, decoded) {
+                    proptest::prop_assert_eq!(payload(&l), payload(&d));
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //! The three modes differ only in *who sees which* K×K summary.
 
 use crate::error::CoreError;
-use crate::secure::wire::{all_gather_f64, broadcast_f64, recv_f64, send_f64};
+use crate::secure::wire::{all_gather_f64, broadcast_f64, recv_f64, send_f64, Discloses};
 use crate::secure::{RFactorMode, SecureScanConfig};
 use dash_linalg::{cholesky_upper, combine_r_factors, gemm_at_b, qr_r_factor, Matrix};
 use dash_mpc::protocol::masked::masked_sum_f64;
@@ -112,13 +112,12 @@ fn public_stack(ctx: &mut PartyCtx, c: &Matrix, k: usize) -> Result<Matrix, Core
     let r_local = local_r(c)?;
     let packed = pack_upper(&r_local)?;
     debug_assert_eq!(packed.len(), triangle_scalars(k));
-    ctx.audit().record_party(
-        ctx.id(),
-        format!("party {} local R factor", ctx.id()),
-        packed.len(),
-    );
+    let discloses = Discloses::Party {
+        label: format!("party {} local R factor", ctx.id()),
+        scalars: packed.len(),
+    };
     let tag = ctx.fresh_tag();
-    let gathered = all_gather_f64(ctx, tag, &packed)?;
+    let gathered = all_gather_f64(ctx, tag, &packed, discloses)?;
     let blocks: Vec<Matrix> = gathered
         .into_iter()
         .map(|flat| unpack_upper(k, &flat))
@@ -174,9 +173,11 @@ fn pairwise_tree(ctx: &mut PartyCtx, c: &Matrix, k: usize) -> Result<Matrix, Cor
     let combined = if me == 0 {
         let packed = pack_upper(&r)?;
         debug_assert_eq!(packed.len(), triangle_scalars(k));
-        broadcast_f64(ctx, tag, &packed)?;
-        ctx.audit()
-            .record_aggregate("combined R factor of pooled C", packed.len());
+        let discloses = Discloses::Aggregate {
+            label: "combined R factor of pooled C",
+            scalars: packed.len(),
+        };
+        broadcast_f64(ctx, tag, &packed, discloses)?;
         r
     } else {
         unpack_upper(k, &recv_f64(ctx, 0, tag)?)?

@@ -2,9 +2,38 @@
 //!
 //! The public (non-secret) exchanges of the protocol — R factors, opened
 //! summands in `Public` mode — ship raw IEEE-754 doubles bit-cast into the
-//! network's u64 words.
+//! network's u64 words. The two that open values to every party,
+//! [`all_gather_f64`] and [`broadcast_f64`], take what they disclose and
+//! record it themselves.
 
 use dash_mpc::{MpcError, PartyCtx};
+
+/// What an opening f64 exchange discloses, recorded in the disclosure log
+/// by the exchange itself before its first send.
+pub(crate) enum Discloses {
+    /// `scalars` values derived from this party's own data, logged under
+    /// its id.
+    Party { label: String, scalars: usize },
+    /// An all-party aggregate of `scalars` values, logged by the party
+    /// that sends it.
+    Aggregate { label: &'static str, scalars: usize },
+    /// A `Public`-mode block round: its summands are part of the whole-run
+    /// vector that `aggregate_y` logs once (`1 + 2m + k + km` scalars), so
+    /// logging them again would count the same opening twice.
+    PublicBlockSummands,
+}
+
+impl Discloses {
+    fn record(self, ctx: &PartyCtx) {
+        match self {
+            Discloses::Party { label, scalars } => {
+                ctx.audit().record_party(ctx.id(), label, scalars)
+            }
+            Discloses::Aggregate { label, scalars } => ctx.audit().record_aggregate(label, scalars),
+            Discloses::PublicBlockSummands => {}
+        }
+    }
+}
 
 /// Sends a slice of doubles to one peer.
 pub(crate) fn send_f64(ctx: &PartyCtx, to: usize, tag: u32, vals: &[f64]) -> Result<(), MpcError> {
@@ -23,8 +52,14 @@ pub(crate) fn recv_f64(ctx: &PartyCtx, from: usize, tag: u32) -> Result<Vec<f64>
         .collect())
 }
 
-/// Broadcasts doubles to every other party.
-pub(crate) fn broadcast_f64(ctx: &PartyCtx, tag: u32, vals: &[f64]) -> Result<(), MpcError> {
+/// Broadcasts doubles to every other party, recording `discloses` first.
+pub(crate) fn broadcast_f64(
+    ctx: &PartyCtx,
+    tag: u32,
+    vals: &[f64],
+    discloses: Discloses,
+) -> Result<(), MpcError> {
+    discloses.record(ctx);
     for j in 0..ctx.n_parties() {
         if j != ctx.id() {
             send_f64(ctx, j, tag, vals)?;
@@ -35,7 +70,7 @@ pub(crate) fn broadcast_f64(ctx: &PartyCtx, tag: u32, vals: &[f64]) -> Result<()
 
 /// All-gather: exchanges doubles with every other party and returns
 /// everyone's vectors in party order (own contribution included at its
-/// index).
+/// index). Each party records its own `discloses` first.
 ///
 /// Uses a rank-rotated schedule: at step `d`, party `me` sends to
 /// `(me + d) % n` and receives from `(me + n − d) % n`. Every step pairs
@@ -48,7 +83,9 @@ pub(crate) fn all_gather_f64(
     ctx: &PartyCtx,
     tag: u32,
     own: &[f64],
+    discloses: Discloses,
 ) -> Result<Vec<Vec<f64>>, MpcError> {
+    discloses.record(ctx);
     let n = ctx.n_parties();
     let me = ctx.id();
     let mut out = vec![Vec::new(); n];
@@ -72,7 +109,50 @@ pub(crate) fn all_gather_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_mpc::net::Network;
+    use dash_mpc::net::{NetOptions, Network};
+
+    fn own_values(label: &str) -> Discloses {
+        Discloses::Party {
+            label: label.to_string(),
+            scalars: 1,
+        }
+    }
+
+    #[test]
+    fn opening_exchanges_record_what_they_disclose() {
+        let (slots, _, audit) =
+            Network::run_parties_detailed_with(3, 1, &NetOptions::default(), |ctx| {
+                let tag = ctx.fresh_tag();
+                all_gather_f64(ctx, tag, &[1.0], own_values("gather")).map(drop)?;
+                let tag = ctx.fresh_tag();
+                all_gather_f64(ctx, tag, &[2.0], Discloses::PublicBlockSummands).map(drop)?;
+                let tag = ctx.fresh_tag();
+                if ctx.id() == 0 {
+                    let root = Discloses::Aggregate {
+                        label: "root",
+                        scalars: 2,
+                    };
+                    broadcast_f64(ctx, tag, &[3.0, 4.0], root)
+                } else {
+                    recv_f64(ctx, 0, tag).map(drop)
+                }
+            })
+            .unwrap();
+        assert!(slots.iter().all(|s| matches!(s, Ok(Ok(())))), "{slots:?}");
+        let mut log: Vec<(Option<usize>, String, usize)> = audit
+            .entries()
+            .into_iter()
+            .map(|d| (d.source_party, d.label, d.scalars))
+            .collect();
+        log.sort();
+        let want = vec![
+            (None, "root".to_string(), 2),
+            (Some(0), "gather".to_string(), 1),
+            (Some(1), "gather".to_string(), 1),
+            (Some(2), "gather".to_string(), 1),
+        ];
+        assert_eq!(log, want);
+    }
 
     #[test]
     fn f64_roundtrip_preserves_bits() {
@@ -95,7 +175,7 @@ mod tests {
     fn all_gather_ordering() {
         let results = Network::run_parties(3, 1, |ctx| {
             let tag = ctx.fresh_tag();
-            all_gather_f64(ctx, tag, &[ctx.id() as f64 * 10.0]).unwrap()
+            all_gather_f64(ctx, tag, &[ctx.id() as f64 * 10.0], own_values("gather")).unwrap()
         });
         for r in results {
             assert_eq!(r, vec![vec![0.0], vec![10.0], vec![20.0]]);
@@ -118,7 +198,7 @@ mod tests {
                 std::thread::sleep(Duration::from_micros(delay_us));
                 let tag = ctx.fresh_tag();
                 let own = [ctx.id() as f64 + 100.0 * round as f64];
-                rounds.push(all_gather_f64(ctx, tag, &own).unwrap());
+                rounds.push(all_gather_f64(ctx, tag, &own, own_values("round")).unwrap());
             }
             rounds
         });

@@ -72,13 +72,22 @@
 //! }
 //! ```
 
-// Unit tests assert freely; the panic-free discipline (clippy
-// unwrap_used/expect_used plus the dash-analyze gate) applies to the
-// non-test protocol code compiled without cfg(test).
+// The secure scope's panic-free and indexing discipline, stated to the
+// compiler: a party that panics mid-round stalls or crashes every peer.
+// The same list sits on `pub mod secure;` in dash-core (a test in
+// dash-analyze keeps the two equal). Unit tests assert freely.
 #![cfg_attr(
-    test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
 )]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;
 pub mod chaos;
@@ -102,7 +111,7 @@ pub use dealer::TrustedDealer;
 pub use error::MpcError;
 pub use fixed::FixedPointCodec;
 pub use net::{CostModel, NetOptions, Network, NetworkStats};
-pub use party::{CtxState, PartyCtx};
+pub use party::{CtxState, Opening, PartyCtx};
 // The observability layer (spans, typed counters, JSON trace export)
 // lives in its own dependency-free crate; re-export the handle types the
 // protocol and application layers need.

@@ -589,13 +589,15 @@ impl Network {
     /// want a party's original panic: `n` SPMD party threads over the
     /// mpsc mesh, results in party order. Library code uses
     /// [`Network::run_parties_detailed_with`].
+    #[allow(
+        clippy::panic,
+        reason = "panic-on-failure is this wrapper's documented contract; no library path calls it"
+    )]
     pub fn run_parties<T: Send>(
         n: usize,
         seed: u64,
         f: impl Fn(&mut PartyCtx) -> T + Sync,
     ) -> Vec<T> {
-        // dash-analyze::allow(panic-free): panic-on-failure is this
-        // wrapper's documented contract; no library path calls it.
         let ok = |r: Result<T, MpcError>| r.unwrap_or_else(|e| panic!("party failed: {e}"));
         let run = Self::run_parties_detailed_with(n, seed, &NetOptions::default(), f);
         let (slots, _, _) = run.unwrap_or_else(|e| panic!("network setup failed: {e}"));

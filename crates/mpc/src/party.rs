@@ -32,6 +32,20 @@ pub struct CtxState {
     pub tag_counter: u32,
 }
 
+/// How an opening is accounted: the label it is disclosed under, or the
+/// one-time-pad case by name. [`PartyCtx::open_sum`] and
+/// [`PartyCtx::open_local`] require one, so no opening can be written
+/// without saying what it discloses.
+#[derive(Debug, Clone, Copy)]
+pub enum Opening<'a> {
+    /// An all-party aggregate, recorded once in the [`DisclosureLog`]
+    /// under this label.
+    Disclosed(&'a str),
+    /// A uniform one-time-pad difference (Beaver `d`/`e`): independent of
+    /// the inputs by construction, so not a disclosure.
+    Pad,
+}
+
 /// One party's execution context.
 #[derive(Debug)]
 pub struct PartyCtx {
@@ -248,7 +262,7 @@ impl PartyCtx {
     }
 
     /// Sends the same element vector to every other party.
-    pub fn broadcast(&self, tag: u32, v: &[R64]) -> Result<(), MpcError> {
+    pub(crate) fn broadcast(&self, tag: u32, v: &[R64]) -> Result<(), MpcError> {
         for j in 0..self.n_parties() {
             if j != self.id() {
                 self.send(j, tag, v)?;
@@ -259,7 +273,7 @@ impl PartyCtx {
 
     /// Broadcasts own contribution and element-wise sums everyone's
     /// vectors (the "open" step of an additively shared value).
-    pub fn exchange_sum(&self, tag: u32, own: &[R64]) -> Result<Vec<R64>, MpcError> {
+    pub(crate) fn exchange_sum(&self, tag: u32, own: &[R64]) -> Result<Vec<R64>, MpcError> {
         self.broadcast(tag, own)?;
         let mut total = own.to_vec();
         for j in 0..self.n_parties() {
@@ -294,26 +308,44 @@ impl PartyCtx {
 
     /// Opens an additively shared vector on a fresh tag: exchanges partial
     /// sums with every peer and routes the total through the audited
-    /// [`Secret::open_via`] path. With `Some(label)` the total is a
-    /// disclosure — party 0 records it (once per network, not once per
-    /// party) and mirrors the count into the trace; with `None` the total
-    /// is a uniform one-time-pad difference (Beaver `d`/`e`), which is not
-    /// a disclosure by construction.
+    /// [`Secret::open_via`] path. With [`Opening::Disclosed`] the total is
+    /// a disclosure — party 0 records it (once per network, not once per
+    /// party) and mirrors the count into the trace; with [`Opening::Pad`]
+    /// the total is a uniform one-time-pad difference, which is not a
+    /// disclosure by construction.
+    ///
+    /// ```
+    /// use dash_mpc::{Network, Opening, Secret, R64};
+    /// let totals = Network::run_parties(2, 1, |ctx| {
+    ///     ctx.open_sum(&Secret::new(vec![R64(1)]), Opening::Disclosed("demo"))
+    /// });
+    /// assert_eq!(totals[0].as_ref().ok(), Some(&vec![R64(2)]));
+    /// ```
+    ///
+    /// The accounting is a required argument, so an unlabelled open does
+    /// not build:
+    ///
+    /// ```compile_fail
+    /// use dash_mpc::{Network, Secret, R64};
+    /// let totals = Network::run_parties(2, 1, |ctx| {
+    ///     ctx.open_sum(&Secret::new(vec![R64(1)]), None)
+    /// });
+    /// ```
     pub fn open_sum(
         &mut self,
         partial: &Secret<Vec<R64>>,
-        disclosed_as: Option<&str>,
+        opening: Opening<'_>,
     ) -> Result<Vec<R64>, MpcError> {
         let tag = self.fresh_tag();
         let total = self.exchange_sum(tag, partial.expose())?;
-        Ok(self.finish_open(Secret::new(total), disclosed_as))
+        Ok(self.finish_open(Secret::new(total), opening))
     }
 
     /// Opens a value this party already holds in full (the single-party
     /// fast path, or a star aggregator's locally accumulated total) via
     /// the same audited path as [`PartyCtx::open_sum`].
-    pub fn open_local<T: ScalarCount>(&self, value: Secret<T>, disclosed_as: Option<&str>) -> T {
-        self.finish_open(value, disclosed_as)
+    pub fn open_local<T: ScalarCount>(&self, value: Secret<T>, opening: Opening<'_>) -> T {
+        self.finish_open(value, opening)
     }
 
     /// Captures the deterministic protocol-layer state a checkpoint must
@@ -374,9 +406,9 @@ impl PartyCtx {
     /// The single audited exit for every opening in the protocol layer.
     /// The disclosure count is derived from the opened value itself inside
     /// [`Secret::open_via`], so the log cannot drift from what opened.
-    fn finish_open<T: ScalarCount>(&self, total: Secret<T>, disclosed_as: Option<&str>) -> T {
-        match disclosed_as {
-            Some(label) if self.id() == 0 => {
+    fn finish_open<T: ScalarCount>(&self, total: Secret<T>, opening: Opening<'_>) -> T {
+        match opening {
+            Opening::Disclosed(label) if self.id() == 0 => {
                 // The trace observes the opened word count at the opening
                 // step, on the recording party, so the disclosure-size
                 // tests can check the log's claimed scalar counts against
@@ -386,8 +418,8 @@ impl PartyCtx {
             }
             // Every party opens the same total in lockstep; parties other
             // than the leader open a replica, which records nothing.
-            Some(_) => total.open_via(&self.audit, OpenMode::Replica),
-            None => total.open_via(&self.audit, OpenMode::Pad),
+            Opening::Disclosed(_) => total.open_via(&self.audit, OpenMode::Replica),
+            Opening::Pad => total.open_via(&self.audit, OpenMode::Pad),
         }
     }
 }

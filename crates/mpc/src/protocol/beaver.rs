@@ -25,7 +25,7 @@
 
 use crate::dealer::TripleBatch;
 use crate::error::MpcError;
-use crate::party::PartyCtx;
+use crate::party::{Opening, PartyCtx};
 use crate::ring::R64;
 use crate::secret::Secret;
 
@@ -67,10 +67,9 @@ pub fn beaver_inner_batch(
         pads.extend(x.iter().zip(a).map(|(&x, &a)| x - a));
         pads.extend(y.iter().zip(b).map(|(&y, &b)| y - b));
     }
-    // dash-analyze::allow(disclosure-completeness): the concatenated
-    // per-product differences are uniform one-time-pad values; opening
-    // them reveals nothing, so no disclosure entry is due here.
-    let opened = ctx.open_sum(&Secret::new(pads), None)?;
+    // The concatenated per-product differences are uniform one-time-pad
+    // values; opening them reveals nothing, so no disclosure entry is due.
+    let opened = ctx.open_sum(&Secret::new(pads), Opening::Pad)?;
     if opened.len() != 2 * a.len() {
         return Err(MpcError::Protocol {
             what: "beaver_inner_batch: opened buffer differs from its declared shape",
@@ -176,7 +175,9 @@ mod tests {
     fn open_reconstructs_and_records_once() {
         let (results, audit) = with_triples(3, &[], |ctx, _| {
             let share = Secret::new(vec![R64::from_i64((ctx.id() as i64 + 1) * 7)]);
-            ctx.open_sum(&share, Some("sum of shares")).unwrap()[0].as_i64()
+            ctx.open_sum(&share, Opening::Disclosed("sum of shares"))
+                .unwrap()[0]
+                .as_i64()
         });
         assert_eq!(results, vec![7 + 14 + 21; 3]);
         let entries = audit.entries();
@@ -194,7 +195,7 @@ mod tests {
             let (results, _) = with_triples(n, &[(len, 1)], |ctx, triples| {
                 let (xs, ys) = operands(&codec, ctx.id(), 0..1, len);
                 let z = beaver_inner_batch(ctx, &xs, &ys, &triples[0]).unwrap();
-                let opened = ctx.open_sum(&z, Some("dot")).unwrap();
+                let opened = ctx.open_sum(&z, Opening::Disclosed("dot")).unwrap();
                 codec.decode_product(opened[0])
             });
             let expect = expected_dot(n, 0, len);
@@ -215,7 +216,7 @@ mod tests {
             let (results, _) = with_triples(2, &[(1, 1)], |ctx, triples| {
                 let half = Secret::new(codec.encode_field_vec(&[x / 2.0]).unwrap());
                 let z = beaver_inner_batch(ctx, &half, &half, &triples[0]).unwrap();
-                codec.decode_product(ctx.open_sum(&z, Some("product")).unwrap()[0])
+                codec.decode_product(ctx.open_sum(&z, Opening::Disclosed("product")).unwrap()[0])
             });
             assert_eq!(results, vec![x * x; 2], "x = {x}");
         }
@@ -230,7 +231,7 @@ mod tests {
             let x = if ctx.id() == 0 { x_clear } else { R64::ZERO };
             let t = triples.remove(0);
             let pad = t.map(|t| vec![x - t.parts().0[0]]);
-            ctx.open_sum(&pad, None).unwrap()[0]
+            ctx.open_sum(&pad, Opening::Pad).unwrap()[0]
         });
         assert_eq!(results[0], results[1]);
         assert_ne!(results[0], x_clear, "mask failed to hide the input");
@@ -250,12 +251,12 @@ mod tests {
             for (p, t) in triples[..n_pairs].iter().enumerate() {
                 let (xs, ys) = operands(&codec, ctx.id(), p..p + 1, len);
                 let z = beaver_inner_batch(ctx, &xs, &ys, t).unwrap();
-                seq.push(ctx.open_sum(&z, None).unwrap()[0]);
+                seq.push(ctx.open_sum(&z, Opening::Pad).unwrap()[0]);
             }
             // One round for all of them, on fresh triples.
             let (xs, ys) = operands(&codec, ctx.id(), 0..n_pairs, len);
             let batch = beaver_inner_batch(ctx, &xs, &ys, &triples[n_pairs]).unwrap();
-            (seq, ctx.open_sum(&batch, None).unwrap())
+            (seq, ctx.open_sum(&batch, Opening::Pad).unwrap())
         });
         for (seq_open, batch_open) in results {
             assert_eq!(batch_open.len(), n_pairs);
@@ -299,7 +300,7 @@ mod tests {
             let dots = beaver_inner_batch(ctx, &none, &none, &triples[1]).unwrap();
             (
                 empty.scalar_count(),
-                ctx.open_sum(&dots, None).unwrap(),
+                ctx.open_sum(&dots, Opening::Pad).unwrap(),
                 ctx.fresh_tag(),
             )
         });

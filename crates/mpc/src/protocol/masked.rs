@@ -18,7 +18,7 @@
 
 use crate::error::MpcError;
 use crate::fixed::FixedPointCodec;
-use crate::party::PartyCtx;
+use crate::party::{Opening, PartyCtx};
 use crate::ring::R64;
 use crate::secret::Secret;
 
@@ -32,7 +32,7 @@ pub fn masked_sum_ring(
     let n = ctx.n_parties();
     let me = ctx.id();
     if n == 1 {
-        return Ok(ctx.open_local(Secret::new(values.to_vec()), Some(label)));
+        return Ok(ctx.open_local(Secret::new(values.to_vec()), Opening::Disclosed(label)));
     }
     // Apply pairwise masks. Both endpoints of a pair draw the same stream;
     // iteration order differs per party but streams are per-pair, so each
@@ -49,7 +49,7 @@ pub fn masked_sum_ring(
     }
     // One broadcast round; masks cancel in the sum. The total opens
     // through the audited path (recorded once, by party 0).
-    ctx.open_sum(&Secret::new(masked), Some(label))
+    ctx.open_sum(&Secret::new(masked), Opening::Disclosed(label))
 }
 
 /// Star-topology masked sum: masked values flow to one aggregator
@@ -69,7 +69,7 @@ pub fn masked_sum_star_ring(
     let n = ctx.n_parties();
     let me = ctx.id();
     if n == 1 {
-        return Ok(ctx.open_local(Secret::new(values.to_vec()), Some(label)));
+        return Ok(ctx.open_local(Secret::new(values.to_vec()), Opening::Disclosed(label)));
     }
     let mut masked = values.to_vec();
     for j in 0..n {
@@ -90,7 +90,7 @@ pub fn masked_sum_star_ring(
             let v = ctx.recv_secret(j, tag_up)?;
             total.add_assign_secret(&v)?;
         }
-        let total = ctx.open_local(total, Some(label));
+        let total = ctx.open_local(total, Opening::Disclosed(label));
         ctx.broadcast(tag_down, &total)?;
         Ok(total)
     } else {

@@ -7,20 +7,55 @@ echo "== build (all targets)"
 cargo build --workspace --all-targets --release
 
 echo "== lint (clippy, warnings are errors)"
-# indexing_slicing stays advisory at the clippy layer: dash-analyze below
-# denies direct indexing in the secure scope, where it matters; a blanket
-# clippy error would only force blanket module allows in the non-secure
-# crates.
-cargo clippy --workspace --all-targets --release -- -D warnings -A clippy::indexing-slicing
+# The secure scope's panic-free and indexing rules are denies in source,
+# at its two roots (crates/mpc/src/lib.rs and `pub mod secure;` in
+# crates/core/src/lib.rs), where an #[allow] must state a reason.
+cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "== static analysis (dash-analyze: token lints, cross-function taint, constant-time)"
-# Any finding fails the build; the only suppression is an inline pragma
-# with a written reason. Covers the single-token lints plus the call-graph
-# taint pass: any path from a Secret-producing function to a formatter
-# that never goes through an audited open (open_via/open_local). The set
-# includes the constant-time lint: data-dependent branches, comparisons,
-# `%`/`/`, and table lookups on share material in the mpc arithmetic
-# modules.
+echo "== seeded fixtures fail under clippy (exactly the marked sites)"
+# The panic and indexing fixtures of crates/analyze/tests/fixtures are
+# compiled as modules of a copy of dash-mpc. Clippy must fail every line
+# that ends in `// seeded: clippy::<lint>` with that lint, once per mark, and
+# report no other error: a deny that drops off a root, or a site that
+# stops failing, fails here. The copy keeps a fixed path under target/
+# so its build stays incremental (about 1-2 s after the first run).
+SEEDED_TREE=target/seeded-fixtures
+rm -rf "$SEEDED_TREE"
+mkdir -p "$SEEDED_TREE"
+cp -a Cargo.toml Cargo.lock crates src "$SEEDED_TREE"/
+SEEDED_EXPECT=""
+for name in panics indexing; do
+    dest="crates/mpc/src/seeded_$name.rs"
+    cp "crates/analyze/tests/fixtures/$name.rs" "$SEEDED_TREE/$dest"
+    printf '#[allow(dead_code, reason = "compiled, never called")]\nmod seeded_%s;\n' \
+        "$name" >> "$SEEDED_TREE/crates/mpc/src/lib.rs"
+    SEEDED_EXPECT+=$(awk -v f="$dest" '/\/\/ seeded: / && !/^ *\/\// {
+        s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
+        for (i = 1; i <= n; i++) print f ":" FNR, l[i]
+    }' "crates/analyze/tests/fixtures/$name.rs")$'\n'
+done
+SEEDED_FOUND=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
+    cargo clippy -p dash-mpc --lib --release 2>&1 || true) | awk '
+    /^error/ && !/^error: could not compile/ { n++; site[n] = ""; lint[n] = ""; next }
+    n && site[n] == "" && /^ *--> / { split($2, a, ":"); site[n] = a[1] ":" a[2] }
+    n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
+    END { for (i = 1; i <= n; i++) print site[i], lint[i] }' | sort)
+SEEDED_EXPECT=$(sort <<<"${SEEDED_EXPECT%$'\n'}")
+echo "$SEEDED_FOUND" | sed 's/^/  /'
+if [ -z "$SEEDED_EXPECT" ] || [ "$SEEDED_FOUND" != "$SEEDED_EXPECT" ]; then
+    echo "error: clippy's errors on the seeded fixtures differ from their marks" >&2
+    diff <(echo "$SEEDED_EXPECT") <(echo "$SEEDED_FOUND") >&2 || true
+    exit 1
+fi
+
+echo "== static analysis (dash-analyze: taint, cross-function taint, constant-time, asserts, tags)"
+# Any finding fails the build; there is no suppression. Covers secret
+# taint, the call-graph taint pass (any path from a Secret-producing
+# function to a formatter that never goes through an audited open:
+# open_via/open_local/open_sum), the constant-time lint (data-dependent
+# branches, comparisons, `%`/`/`, and table lookups on share material in
+# the mpc arithmetic modules), non-debug assertions, and tag constants
+# outside the registry.
 ./target/release/dash-analyze
 
 echo "== analyzer runtime budget (E15)"

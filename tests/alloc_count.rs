@@ -12,7 +12,7 @@ use dash_core::suffstats::ScanStats;
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
 use dash_mpc::net::{NetOptions, Network};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
-use dash_mpc::{Secret, R64};
+use dash_mpc::{Opening, Secret, R64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -85,7 +85,7 @@ fn deal_and_round(count: usize) -> (u64, u64) {
             for batch in &batches {
                 let (round, opened) = allocs_of(|| {
                     let z = beaver_inner_batch(ctx, &xs, &ys, batch).unwrap();
-                    ctx.open_sum(&z, None).unwrap()
+                    ctx.open_sum(&z, Opening::Pad).unwrap()
                 });
                 assert_eq!(opened.len(), count);
                 // (Σ_id (id + 2))² · LEN, the same product in every slot.
