@@ -46,11 +46,16 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest. A `dash-trace/1` export nests
+/// four levels; the bound keeps a hostile file from overflowing the
+/// parser's stack.
+const MAX_DEPTH: usize = 32;
+
 /// Parses one JSON document (trailing whitespace allowed).
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let b = src.as_bytes();
     let mut i = 0usize;
-    let v = parse_value(b, &mut i)?;
+    let v = parse_value(b, &mut i, 0)?;
     skip_ws(b, &mut i);
     if i != b.len() {
         return Err(format!("trailing garbage at byte {i}"));
@@ -64,8 +69,13 @@ fn skip_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, i);
+    if matches!(b.get(*i), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {i}"
+        ));
+    }
     match b.get(*i) {
         Some(b'{') => {
             *i += 1;
@@ -83,7 +93,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {i}"));
                 }
                 *i += 1;
-                let v = parse_value(b, i)?;
+                let v = parse_value(b, i, depth + 1)?;
                 fields.push((k, v));
                 skip_ws(b, i);
                 match b.get(*i) {
@@ -105,7 +115,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, i)?);
+                items.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -183,14 +193,19 @@ fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
                 }
                 *i += 1;
             }
-            c => {
-                // Multi-byte UTF-8: copy the full char.
-                let s = std::str::from_utf8(&b[*i..])
-                    .map_err(|_| format!("invalid utf-8 at byte {i}"))?;
-                let ch = s.chars().next().ok_or("empty string tail")?;
-                out.push(ch);
-                *i += ch.len_utf8();
-                let _ = c;
+            _ => {
+                // Copy the run up to the next quote or escape at once:
+                // both are ASCII, so the run ends on a char boundary.
+                let run = b.get(*i..).unwrap_or_default();
+                let len = run
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(run.len());
+                let text = run.get(..len).unwrap_or_default();
+                out.push_str(
+                    std::str::from_utf8(text).map_err(|_| format!("invalid utf-8 at byte {i}"))?,
+                );
+                *i += len;
             }
         }
     }
@@ -213,5 +228,30 @@ mod tests {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} x").is_err());
+    }
+
+    #[test]
+    fn strings_copy_multibyte_text_and_escapes() {
+        let v = parse_json("[\"añ→𝄞\\n\\u00e9x\", \"\"]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("añ→𝄞\néx"));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert!(parse_json("\"open").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"k\": ".repeat(100_000);
+        assert!(parse_json(&objects)
+            .unwrap_err()
+            .contains("nesting deeper than"));
+        // The bound itself parses.
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_bound).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&past).is_err());
     }
 }

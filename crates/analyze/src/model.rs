@@ -183,7 +183,8 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
                 attr_is_test = false;
                 adepth = 0;
             }
-            TokKind::Ident if t.text == "mod" => {
+            // A `#[cfg(test)] impl` is a test region like a test module.
+            TokKind::Ident if t.text == "mod" || t.text == "impl" => {
                 pending_test_mod = attr_is_test;
                 mod_start_line = t.line;
                 attr_is_test = false;
@@ -195,9 +196,12 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
                 pdepth = pdepth.saturating_sub(1);
             }
             TokKind::Punct if t.is_punct(';') && pdepth == 0 => {
-                // Trait method signature or `mod foo;` — no body.
+                // Trait method signature or `mod foo;` — no body. An
+                // attribute ends with its item: `#[cfg(test)] use ..;`
+                // does not mark the next fn.
                 pending_fn = None;
                 pending_test_mod = false;
+                attr_is_test = false;
                 adepth = 0;
             }
             TokKind::Punct if t.is_punct('<') && pending_fn.is_some() => {
@@ -221,6 +225,8 @@ fn scan_items(code: &[Tok]) -> (Vec<FnSpan>, Vec<(usize, usize)>) {
             }
             TokKind::Punct if t.is_punct('{') => {
                 adepth = 0;
+                // Nor does `#[cfg(test)] struct S { .. }`.
+                attr_is_test = false;
                 if let Some((name, line, is_test, _)) = pending_fn.take_if(|p| p.3 == pdepth) {
                     fns.push(FnSpan {
                         name,
@@ -360,6 +366,26 @@ mod tests {
         assert_eq!(
             m.enclosing_fn(m.fns[1].body_start + 1).map(|x| &*x.name),
             Some("tail")
+        );
+    }
+
+    #[test]
+    fn cfg_test_marks_only_the_item_it_sits_on() {
+        let m = FileModel::parse(
+            "x.rs",
+            "#[cfg(test)]\nimpl Net {\n fn a() {}\n fn b() {}\n}\nimpl Net {\n fn c() {}\n}\n\
+             #[cfg(test)]\nuse std::fmt;\nfn d() {}\n#[cfg(test)]\nstruct S { x: u8 }\nfn e() {}",
+        );
+        let flags: Vec<(&str, bool)> = m.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
+        assert_eq!(
+            flags,
+            [
+                ("a", true),
+                ("b", true),
+                ("c", false),
+                ("d", false),
+                ("e", false)
+            ]
         );
     }
 

@@ -706,7 +706,11 @@ impl<'a> Parser<'a> {
             return Some(Item::Fn(self.fun(attrs.test)));
         }
         if self.is_id("impl") {
-            return Some(Item::Impl(self.impl_block()));
+            let outer = self.in_test;
+            self.in_test |= attrs.cfg_test || attrs.test;
+            let block = self.impl_block();
+            self.in_test = outer;
+            return Some(Item::Impl(block));
         }
         if saw_qual {
             // `extern { … }` blocks.
@@ -1711,6 +1715,20 @@ mod tests {
                 assert!(f.is_test, "{} should be test-scoped", f.name);
             }
         }
+    }
+
+    #[test]
+    fn cfg_test_impl_marks_fns() {
+        let items = parse("#[cfg(test)]\nimpl Net { fn a() {} fn b() {} }\nimpl Net { fn c() {} }");
+        let fns: Vec<(&str, bool)> = items
+            .iter()
+            .filter_map(|i| match i {
+                Item::Impl(ib) => Some(ib.fns.iter().map(|f| (f.name.as_str(), f.is_test))),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!(fns, [("a", true), ("b", true), ("c", false)]);
     }
 
     #[test]

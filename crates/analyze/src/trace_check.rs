@@ -97,7 +97,10 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
                     match row.get(key).and_then(as_count) {
                         Some(v) => {
                             if let Some(s) = sums.get_mut(slot) {
-                                *s += v;
+                                match s.checked_add(v) {
+                                    Some(sum) => *s = sum,
+                                    None => errs.push(format!("summed \"{key}\" overflows u64")),
+                                }
                             }
                         }
                         None => errs.push(format!(
@@ -246,5 +249,58 @@ mod tests {
     fn garbage_rejected() {
         assert!(validate_trace("not json").is_err());
         assert!(validate_trace("{}").is_err());
+    }
+
+    #[test]
+    fn counter_sums_past_u64_are_an_error() {
+        let big = counters_row(0, u64::MAX, u64::MAX);
+        let src = doc(&[big.clone(), big], "");
+        let errs = validate_trace(&src).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("\"bytes_sent\" overflows")),
+            "{errs:?}"
+        );
+    }
+
+    /// Arbitrary bytes, and a valid trace with bytes overwritten, each
+    /// end in `Ok` or `Err`: the validator never panics on its input.
+    #[test]
+    fn arbitrary_and_corrupted_traces_never_panic() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const ALPHABET: &[u8] = "{}[],:\"\\ 0123456789.eE+-tfnulrsaéx".as_bytes();
+        for _ in 0..2_000 {
+            let len = (next() % 64) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() as u8,
+                    _ => ALPHABET[(next() % ALPHABET.len() as u64) as usize],
+                })
+                .collect();
+            let _ = validate_trace(&String::from_utf8_lossy(&bytes));
+        }
+        let valid = doc(
+            &[counters_row(0, 100, 50), counters_row(1, 50, 100)],
+            "{\"party\": 0, \"name\": \"scan\", \"index\": null, \"depth\": 0, \
+             \"start_ns\": 5, \"end_ns\": 90}",
+        );
+        assert!(validate_trace(&valid).is_ok());
+        for _ in 0..2_000 {
+            let mut bytes = valid.clone().into_bytes();
+            for _ in 0..1 + next() % 4 {
+                let at = (next() % bytes.len() as u64) as usize;
+                bytes[at] = match next() % 2 {
+                    0 => next() as u8,
+                    _ => ALPHABET[(next() % ALPHABET.len() as u64) as usize],
+                };
+            }
+            let _ = validate_trace(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

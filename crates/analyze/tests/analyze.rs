@@ -222,7 +222,9 @@ fn workspace_clean() {
 
 /// The clippy denies that state panic-free and indexing sit at the two
 /// roots `in_scope` names, as one list: a lint added at one root and not
-/// the other would hold half the secure scope to a weaker rule.
+/// the other would hold half the secure scope to a weaker rule. And no
+/// non-test code under either root lifts `clippy::panic` again with an
+/// `allow` or `expect` attribute.
 #[test]
 fn scope_roots_deny_the_same_lints() {
     // The first `deny(..)` list in a root file, and the source after it.
@@ -250,6 +252,42 @@ fn scope_roots_deny_the_same_lints() {
     assert_eq!(next_item, Some("pub mod secure;"));
     assert!(dash_analyze::in_scope("crates/mpc/src/lib.rs"));
     assert!(dash_analyze::in_scope("crates/core/src/secure/mod.rs"));
+
+    let mut files = Vec::new();
+    for dir in ["crates/mpc/src", "crates/core/src/secure"] {
+        rs_files(&workspace_root().join(dir), &mut files);
+    }
+    assert!(files.len() > 10, "scope walk found only {files:?}");
+    let mut allowances = Vec::new();
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        // The non-test region: scripts/loc.sh's rule.
+        let region = src.split("\n#[cfg(test)]").next().unwrap_or(&src);
+        for attr in ["allow(", "expect("] {
+            for (at, _) in region.match_indices(attr) {
+                let list = region[at + attr.len()..].split(')').next().unwrap_or("");
+                if list.split(',').any(|l| l.trim() == "clippy::panic") {
+                    allowances.push(format!("{}: {attr}{list})", path.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        allowances.is_empty(),
+        "the secure scope allows clippy::panic:\n{}",
+        allowances.join("\n")
+    );
+}
+
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable scope dir") {
+        let p = entry.expect("dir entry").path();
+        if p.is_dir() {
+            rs_files(&p, out);
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
 }
 
 /// The crash-recovery modules (supervised transport, chaos proxy,

@@ -2,7 +2,7 @@
 //!
 //! For every (R-factor mode × aggregation mode) combination, reports what
 //! the run *actually disclosed* (from the audit log), what it cost in
-//! bytes and simulated network time, and that correctness is unaffected.
+//! measured bytes and messages, and that correctness is unaffected.
 //! This is the quantified version of the paper's "for greater security,
 //! one could …" remarks.
 
@@ -10,7 +10,7 @@
 // here fails the run loudly instead of printing a wrong table.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dash_bench::table::{fmt_bytes, fmt_sci, fmt_seconds, Table};
+use dash_bench::table::{fmt_bytes, fmt_sci, Table};
 use dash_bench::workloads::normal_parties;
 use dash_core::model::pool_parties;
 use dash_core::scan::associate;
@@ -32,7 +32,7 @@ fn main() {
             "per-party scalars opened",
             "aggregate scalars opened",
             "total bytes",
-            "WAN time",
+            "messages",
             "max rel diff",
         ]);
         for rf in [
@@ -70,7 +70,7 @@ fn main() {
                     per_party.to_string(),
                     aggregate.to_string(),
                     fmt_bytes(out.network.total_bytes),
-                    fmt_seconds(out.network.wan_seconds),
+                    out.network.total_messages.to_string(),
                     fmt_sci(out.result.max_rel_diff(&reference).unwrap()),
                 ]);
             }

@@ -1,5 +1,5 @@
-//! Runs every experiment binary in sequence (E1–E15), separated by
-//! banners — the one-command reproduction of EXPERIMENTS.md.
+//! Runs every experiment binary in sequence, separated by banners — the
+//! one-command reproduction of EXPERIMENTS.md.
 //!
 //! Each experiment is an independent binary; this runner invokes their
 //! `main` logic in-process by shelling out to the sibling executables,
@@ -15,7 +15,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp1_correctness",
     "exp2_scaling",
     "exp3_communication",
-    "exp4_overhead",
     "exp5_meta_power",
     "exp6_modes",
     "exp7_sparsity",
@@ -23,7 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp9_pca",
     "exp10_ablation",
     "exp11_logistic",
-    "exp12_blocked_secure",
     "exp13_trace_overhead",
     "exp14_timing",
     "exp15_analyze",

@@ -3,7 +3,7 @@
 //!
 //! Sits between one party and the rest of the mesh and injects the
 //! failures a supervised transport must survive (or fail structurally
-//! on): connection resets mid-stream, network partitions, stalls, and
+//! on): connection resets mid-stream, network partitions and
 //! slow-loris trickle. Point the *dialing* party's `--peers` entry for
 //! the victim at the proxy's listen address; the proxy forwards to the
 //! victim's real address.
@@ -35,7 +35,6 @@ OPTIONS:
     --fault SPEC      fault to inject [default: passthrough]
                         passthrough           forward verbatim
                         rst-after=N           reset the connection after N bytes
-                        stall-after=N:MS      forward N bytes, then freeze MS ms
                         slow-loris=CHUNK:MS   trickle CHUNK bytes every MS ms
                         partition-after=N:MS  after N bytes, black-hole ALL
                                               traffic for MS ms
@@ -51,7 +50,7 @@ fn bad(flag: &str, value: &str, expected: &'static str) -> CliError {
     }
 }
 
-/// Parses `N:MS` pairs used by the stall/slow-loris/partition specs.
+/// Parses `N:MS` pairs used by the slow-loris/partition specs.
 fn parse_pair(flag: &str, body: &str, expected: &'static str) -> Result<(u64, u64), CliError> {
     let (a, b) = body
         .split_once(':')
@@ -70,7 +69,7 @@ pub(crate) fn parse_fault(raw: &str) -> Result<ChaosMode, CliError> {
         bad(
             "--fault",
             raw,
-            "passthrough | rst-after=N | stall-after=N:MS | slow-loris=CHUNK:MS | partition-after=N:MS",
+            "passthrough | rst-after=N | slow-loris=CHUNK:MS | partition-after=N:MS",
         )
     })?;
     match kind {
@@ -79,13 +78,6 @@ pub(crate) fn parse_fault(raw: &str) -> Result<ChaosMode, CliError> {
                 .parse()
                 .map_err(|_| bad("--fault", raw, "rst-after=N with N a byte count"))?;
             Ok(ChaosMode::RstAfterBytes(n))
-        }
-        "stall-after" => {
-            let (n, ms) = parse_pair("--fault", body, "stall-after=N:MS")?;
-            Ok(ChaosMode::StallAfterBytes {
-                bytes: n,
-                stall: Duration::from_millis(ms),
-            })
         }
         "slow-loris" => {
             let (chunk, ms) = parse_pair("--fault", body, "slow-loris=CHUNK:MS")?;
@@ -107,7 +99,7 @@ pub(crate) fn parse_fault(raw: &str) -> Result<ChaosMode, CliError> {
         _ => Err(bad(
             "--fault",
             raw,
-            "passthrough | rst-after=N | stall-after=N:MS | slow-loris=CHUNK:MS | partition-after=N:MS",
+            "passthrough | rst-after=N | slow-loris=CHUNK:MS | partition-after=N:MS",
         )),
     }
 }
@@ -188,13 +180,6 @@ mod tests {
             ChaosMode::RstAfterBytes(512)
         );
         assert_eq!(
-            parse_fault("stall-after=100:250").unwrap(),
-            ChaosMode::StallAfterBytes {
-                bytes: 100,
-                stall: Duration::from_millis(250)
-            }
-        );
-        assert_eq!(
             parse_fault("slow-loris=8:5").unwrap(),
             ChaosMode::SlowLoris {
                 chunk: 8,
@@ -211,7 +196,7 @@ mod tests {
         for bogus in [
             "rst-after",
             "rst-after=x",
-            "stall-after=5",
+            "partition-after=5",
             "slow-loris=0:5",
             "meteor-strike=9",
         ] {

@@ -212,12 +212,6 @@ impl ScanFlags {
         )?;
         writeln!(
             out,
-            "simulated network time: LAN {:.1} ms, WAN {:.1} ms",
-            output.network.lan_seconds * 1e3,
-            output.network.wan_seconds * 1e3
-        )?;
-        writeln!(
-            out,
             "transport: {} send retries, {} receive timeouts",
             output.network.total_retries, output.network.total_timeouts
         )?;

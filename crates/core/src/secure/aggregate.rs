@@ -353,6 +353,7 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::secure::protocol::triple_counts;
+    use crate::secure::run_parties_ok;
     use crate::secure::triples::{deal_alongside, FeedSlots};
     use crate::suffstats::{orthonormal_basis, y_dots, ScanStats, SuffStats};
     use dash_mpc::dealer::TrustedDealer;
@@ -553,7 +554,7 @@ mod tests {
             aggregation: AggregationMode::BeaverDots,
             ..SecureScanConfig::default()
         };
-        let results = Network::run_parties(2, 1, |ctx| {
+        let results = run_parties_ok(2, 1, |ctx| {
             let (y, x, _) = &parties[ctx.id()];
             aggregate_all(
                 ctx,

@@ -36,7 +36,7 @@ use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
 use dash_mpc::audit::{Disclosure, DisclosureLog};
 use dash_mpc::dealer::TrustedDealer;
-use dash_mpc::net::{CostModel, NetOptions, Network, NetworkStats};
+use dash_mpc::net::{NetOptions, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
 use dash_mpc::tcp::TcpConfig;
 use dash_mpc::transport::{Transport, TransportConfig};
@@ -187,10 +187,6 @@ pub struct NetworkReport {
     pub max_party_bytes: u64,
     /// Total messages.
     pub total_messages: u64,
-    /// Simulated wall clock on a 10 Gbit/s / 0.1 ms LAN.
-    pub lan_seconds: f64,
-    /// Simulated wall clock on a 100 Mbit/s / 30 ms WAN.
-    pub wan_seconds: f64,
     /// Send retries across all parties: 0 by construction, since no
     /// transport retries a send. Kept for the benchmark's
     /// failed-operations parser.
@@ -206,8 +202,6 @@ impl NetworkReport {
             total_bytes: stats.total_bytes(),
             max_party_bytes: stats.max_party_bytes(),
             total_messages: stats.total_messages(),
-            lan_seconds: CostModel::lan().estimate_seconds(stats),
-            wan_seconds: CostModel::wan().estimate_seconds(stats),
             total_retries: stats.total(TraceCounter::Retries),
             total_timeouts: stats.total(TraceCounter::Timeouts),
         }
@@ -639,6 +633,19 @@ pub fn secure_scan_tcp_local_traced<S: SummandSource>(
     run_scan(parties, None, cfg, |slots| {
         all_parties(parties, cfg, trace, Some(tcp), slots)
     })
+}
+
+/// `n` party threads over the in-process mesh with every slot
+/// unwrapped: the panic-on-failure shape the `secure::` unit tests use.
+#[cfg(test)]
+pub(crate) fn run_parties_ok<T: Send>(
+    n: usize,
+    seed: u64,
+    f: impl Fn(&mut PartyCtx) -> T + Sync,
+) -> Vec<T> {
+    let (slots, _, _) =
+        Network::run_parties_detailed_with(n, seed, &NetOptions::default(), f).unwrap();
+    slots.into_iter().map(Result::unwrap).collect()
 }
 
 #[cfg(test)]

@@ -213,6 +213,7 @@ fn gram_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::run_parties_ok;
     use dash_mpc::net::{NetOptions, Network};
 
     fn rand_block(n: usize, k: usize, seed: u64) -> Matrix {
@@ -311,7 +312,7 @@ mod tests {
                 ..SecureScanConfig::default()
             };
             let results =
-                Network::run_parties(2, 3, |ctx| combine_r(ctx, &blocks[ctx.id()], &cfg).unwrap());
+                run_parties_ok(2, 3, |ctx| combine_r(ctx, &blocks[ctx.id()], &cfg).unwrap());
             for r in &results {
                 assert!(
                     r.max_abs_diff(&expect).unwrap() < 1e-5,
@@ -340,7 +341,7 @@ mod tests {
     #[test]
     fn k_zero_is_empty() {
         let cfg = SecureScanConfig::default();
-        let results = Network::run_parties(2, 1, |ctx| {
+        let results = run_parties_ok(2, 1, |ctx| {
             let c = Matrix::zeros(5, 0);
             combine_r(ctx, &c, &cfg).unwrap().shape()
         });
@@ -360,7 +361,7 @@ mod tests {
                 rfactor: mode,
                 ..SecureScanConfig::default()
             };
-            let results = Network::run_parties(1, 3, |ctx| combine_r(ctx, &block, &cfg).unwrap());
+            let results = run_parties_ok(1, 3, |ctx| combine_r(ctx, &block, &cfg).unwrap());
             assert!(results[0].max_abs_diff(&expect).unwrap() < 1e-6, "{mode:?}");
         }
     }

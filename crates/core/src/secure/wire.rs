@@ -109,6 +109,7 @@ pub(crate) fn all_gather_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::run_parties_ok;
     use dash_mpc::net::{NetOptions, Network};
 
     fn own_values(label: &str) -> Discloses {
@@ -157,7 +158,7 @@ mod tests {
     #[test]
     fn f64_roundtrip_preserves_bits() {
         let specials = [0.0, -0.0, 1.5, -2.25e-300, f64::INFINITY, f64::MIN_POSITIVE];
-        let results = Network::run_parties(2, 1, |ctx| {
+        let results = run_parties_ok(2, 1, |ctx| {
             let tag = ctx.fresh_tag();
             if ctx.id() == 0 {
                 send_f64(ctx, 1, tag, &specials).unwrap();
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     fn all_gather_ordering() {
-        let results = Network::run_parties(3, 1, |ctx| {
+        let results = run_parties_ok(3, 1, |ctx| {
             let tag = ctx.fresh_tag();
             all_gather_f64(ctx, tag, &[ctx.id() as f64 * 10.0], own_values("gather")).unwrap()
         });
@@ -191,7 +192,7 @@ mod tests {
         // not correctness).
         use std::time::Duration;
 
-        let results = Network::run_parties(4, 2, |ctx| {
+        let results = run_parties_ok(4, 2, |ctx| {
             let mut rounds = Vec::new();
             for round in 0..3 {
                 let delay_us = ctx.rng_mut().next_u64() % 3_000;

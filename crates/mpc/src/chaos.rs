@@ -2,9 +2,8 @@
 //!
 //! [`ChaosProxy`] sits between a dialing party and a peer's listener,
 //! forwarding bytes until a configured fault fires: an abrupt
-//! connection abort ([`ChaosMode::RstAfterBytes`]), a silent stall
-//! ([`ChaosMode::StallAfterBytes`]), a trickle-bandwidth link
-//! ([`ChaosMode::SlowLoris`]), or a timed partition that also
+//! connection abort ([`ChaosMode::RstAfterBytes`]), a trickle-bandwidth
+//! link ([`ChaosMode::SlowLoris`]), or a timed partition that also
 //! black-holes reconnect attempts ([`ChaosMode::PartitionAfterBytes`]).
 //! The supervised [`crate::tcp::TcpTransport`] must either recover
 //! bit-identically through its replay/dedup machinery or fail with a
@@ -52,16 +51,6 @@ pub enum ChaosMode {
     /// the victim sees a torn frame and — because unread bytes are left
     /// behind — usually a real RST.
     RstAfterBytes(u64),
-    /// After `bytes` forwarded, stop moving data for `stall` while
-    /// keeping the connection open: a live-but-silent link. Shorter
-    /// than the liveness deadline this must surface as a deadline
-    /// `Timeout`, not `PeerCrashed`.
-    StallAfterBytes {
-        /// Forwarded-byte threshold that arms the stall.
-        bytes: u64,
-        /// How long the link stays silent.
-        stall: Duration,
-    },
     /// Forward in `chunk`-byte pieces with `delay` between each: a
     /// pathologically slow link that must not trip crash detection.
     SlowLoris {
@@ -100,8 +89,6 @@ struct ConnState {
     bytes: AtomicU64,
     /// Set once the fault fired; both pumps abort promptly.
     tripped: AtomicBool,
-    /// Set once a stall has been served so it fires only once.
-    stalled: AtomicBool,
 }
 
 /// A running chaos proxy; dropping it (or calling [`stop`]) shuts the
@@ -259,7 +246,6 @@ fn accept_loop(
                 let st = Arc::new(ConnState {
                     bytes: AtomicU64::new(0),
                     tripped: AtomicBool::new(false),
-                    stalled: AtomicBool::new(false),
                 });
                 for (from, to) in [(down_r, up), (up_r, down)] {
                     let st = Arc::clone(&st);
@@ -378,16 +364,6 @@ fn pump(
                     *guard = Some(Instant::now() + window);
                 }
                 continue;
-            }
-            ChaosMode::StallAfterBytes { bytes, stall }
-                if total >= bytes && !st.stalled.swap(true, Ordering::Relaxed) =>
-            {
-                // Silence, not death: sleep in slices so proxy
-                // shutdown still ends promptly.
-                let deadline = Instant::now() + stall;
-                while Instant::now() < deadline && !shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(POLL);
-                }
             }
             ChaosMode::SlowLoris { delay, .. } => {
                 let deadline = Instant::now() + delay;

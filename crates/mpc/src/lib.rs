@@ -110,7 +110,7 @@ pub use audit::{Disclosure, DisclosureLog};
 pub use dealer::TrustedDealer;
 pub use error::MpcError;
 pub use fixed::FixedPointCodec;
-pub use net::{CostModel, NetOptions, Network, NetworkStats};
+pub use net::{NetOptions, Network, NetworkStats};
 pub use party::{CtxState, Opening, PartyCtx};
 // The observability layer (spans, typed counters, JSON trace export)
 // lives in its own dependency-free crate; re-export the handle types the

@@ -5,8 +5,7 @@
 //! the per-link counters measure exactly what a TCP deployment would
 //! ship. The paper's headline communication claim — O(M) inter-party
 //! bits, independent of N — is validated against these counters in
-//! experiment E3, and the [`CostModel`] converts them into simulated
-//! LAN/WAN wall clock for the E4 overhead tables.
+//! experiment E3.
 //!
 //! An mpsc channel is FIFO and exactly-once, so the in-process endpoint
 //! numbers nothing: it hands each frame over in send order, once. (The
@@ -165,13 +164,6 @@ impl NetworkStats {
             .map_or(0, |b| b.load(Ordering::Relaxed))
     }
 
-    /// Messages sent on the directed link `from → to`.
-    pub fn messages_between(&self, from: usize, to: usize) -> u64 {
-        self.msgs
-            .get(from * self.n + to)
-            .map_or(0, |m| m.load(Ordering::Relaxed))
-    }
-
     /// Total bytes sent by one party.
     pub fn bytes_sent_by(&self, party: usize) -> u64 {
         (0..self.n).map(|j| self.bytes_between(party, j)).sum()
@@ -314,67 +306,6 @@ pub struct StatsSnapshot {
     pub block_traffic: Vec<(u32, u64, u64)>,
     /// Bytes recorded under non-block tags.
     pub unscoped_bytes: u64,
-}
-
-/// A latency/bandwidth model converting counters into simulated seconds.
-///
-/// Per party the estimate charges one latency per *message on its
-/// busiest outbound link* plus serialized bytes over the bandwidth:
-/// `max_j msgs(i→j) · latency + bytes_i / bandwidth`; the network
-/// estimate is the maximum over parties. Back-to-back messages to
-/// *distinct* peers overlap in flight (each link has its own latency),
-/// so only the deepest per-link message chain is charged; messages on
-/// the *same* link are conservatively serialized. The result remains an
-/// upper bound for the symmetric protocols used here and is reported as
-/// such in EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// One-way message latency in seconds.
-    pub latency_s: f64,
-    /// Link bandwidth in bytes per second.
-    pub bandwidth_bytes_per_s: f64,
-}
-
-impl CostModel {
-    /// Data-center LAN: 0.1 ms latency, 10 Gbit/s.
-    pub fn lan() -> Self {
-        CostModel {
-            latency_s: 1e-4,
-            bandwidth_bytes_per_s: 1.25e9,
-        }
-    }
-
-    /// Cross-institution WAN: 30 ms latency, 100 Mbit/s.
-    pub fn wan() -> Self {
-        CostModel {
-            latency_s: 3e-2,
-            bandwidth_bytes_per_s: 1.25e7,
-        }
-    }
-
-    /// Simulated network seconds for a finished protocol run.
-    ///
-    /// Latency is charged per party as `latency · max_j msgs(i→j)` — the
-    /// deepest same-link message chain — because a party writes all its
-    /// sockets before blocking on reads: sends to *distinct* peers in one
-    /// round overlap, while repeated messages on one link must serialize.
-    /// Bandwidth is charged on the party's full outbound byte count, and
-    /// the slowest party bounds the run. This is an optimistic-but-tight
-    /// lower bound: it never exceeds the serial (`latency · total_msgs`)
-    /// model and is exact for the all-to-all rounds the protocols use.
-    pub fn estimate_seconds(&self, stats: &NetworkStats) -> f64 {
-        let n = stats.n_parties();
-        (0..n)
-            .map(|i| {
-                let deepest_link = (0..n)
-                    .map(|j| stats.messages_between(i, j))
-                    .max()
-                    .unwrap_or(0);
-                deepest_link as f64 * self.latency_s
-                    + stats.bytes_sent_by(i) as f64 / self.bandwidth_bytes_per_s
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// One party's view of the in-process network: a channel to every peer
@@ -535,13 +466,9 @@ where
 }
 
 impl Network {
-    /// Builds endpoints for `n` parties plus the shared counters.
-    pub fn endpoints(n: usize) -> Result<(Vec<Endpoint>, Arc<NetworkStats>), MpcError> {
-        Self::endpoints_traced(n, TraceHandle::disabled())
-    }
-
-    /// Like [`Network::endpoints`] but the shared counters mirror into
-    /// `trace` (pass [`TraceHandle::disabled`] for the free path).
+    /// Builds endpoints for `n` parties plus the shared counters, which
+    /// mirror into `trace` (pass [`TraceHandle::disabled`] for the free
+    /// path).
     pub fn endpoints_traced(
         n: usize,
         trace: TraceHandle,
@@ -583,25 +510,6 @@ impl Network {
             })
             .collect();
         Ok((endpoints, stats))
-    }
-
-    /// Panic-on-failure shorthand for tests and experiment binaries that
-    /// want a party's original panic: `n` SPMD party threads over the
-    /// mpsc mesh, results in party order. Library code uses
-    /// [`Network::run_parties_detailed_with`].
-    #[allow(
-        clippy::panic,
-        reason = "panic-on-failure is this wrapper's documented contract; no library path calls it"
-    )]
-    pub fn run_parties<T: Send>(
-        n: usize,
-        seed: u64,
-        f: impl Fn(&mut PartyCtx) -> T + Sync,
-    ) -> Vec<T> {
-        let ok = |r: Result<T, MpcError>| r.unwrap_or_else(|e| panic!("party failed: {e}"));
-        let run = Self::run_parties_detailed_with(n, seed, &NetOptions::default(), f);
-        let (slots, _, _) = run.unwrap_or_else(|e| panic!("network setup failed: {e}"));
-        slots.into_iter().map(ok).collect()
     }
 
     /// The structured runner over the in-process mpsc mesh: `n` party
@@ -684,6 +592,26 @@ impl Network {
 }
 
 #[cfg(test)]
+impl Network {
+    /// Untraced endpoints for `n` parties plus the shared counters.
+    pub(crate) fn endpoints(n: usize) -> Result<(Vec<Endpoint>, Arc<NetworkStats>), MpcError> {
+        Self::endpoints_traced(n, TraceHandle::disabled())
+    }
+
+    /// `n` SPMD party threads over the mpsc mesh, results in party
+    /// order; a party's failure fails the test with its error.
+    pub(crate) fn run_parties<T: Send>(
+        n: usize,
+        seed: u64,
+        f: impl Fn(&mut PartyCtx) -> T + Sync,
+    ) -> Vec<T> {
+        let (slots, _, _) =
+            Self::run_parties_detailed_with(n, seed, &NetOptions::default(), f).unwrap();
+        slots.into_iter().map(Result::unwrap).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tags::{BLOCK_TAG_BASE, BLOCK_TAG_STRIDE};
@@ -749,8 +677,8 @@ mod tests {
         assert!(stats.total_bytes() > 0);
         for p in 0..3 {
             assert_eq!(trace.counter(p, Counter::BytesSent), stats.bytes_sent_by(p));
-            let messages_sent: u64 = (0..3).map(|j| stats.messages_between(p, j)).sum();
-            assert_eq!(trace.counter(p, Counter::MessagesSent), messages_sent);
+            // Every party sends one frame to each of its two peers.
+            assert_eq!(trace.counter(p, Counter::MessagesSent), 2);
             assert_eq!(
                 trace.counter(p, Counter::Retries),
                 stats.count_by(p, Counter::Retries)
@@ -761,6 +689,10 @@ mod tests {
             );
         }
         assert_eq!(trace.counter_total(Counter::BytesSent), stats.total_bytes());
+        assert_eq!(
+            trace.counter_total(Counter::MessagesSent),
+            stats.total_messages()
+        );
         assert_eq!(
             trace.counter_total(Counter::BytesReceived),
             stats.total_bytes()
@@ -844,7 +776,7 @@ mod tests {
         let got = b.recv_words(0, 7).unwrap();
         assert_eq!(got, vec![1, 2, 3]);
         assert_eq!(stats.bytes_between(0, 1), HEADER_BYTES + 24);
-        assert_eq!(stats.messages_between(0, 1), 1);
+        assert_eq!(stats.total_messages(), 1);
         assert_eq!(stats.bytes_between(1, 0), 0);
     }
 
@@ -973,39 +905,6 @@ mod tests {
         assert_eq!(stats.total_bytes() - bytes, HEADER_BYTES + 16);
         assert_eq!(stats.total_messages() - messages, 1);
         assert_eq!(stats.total(Counter::Retries), 1);
-    }
-
-    #[test]
-    fn cost_model_estimates() {
-        let (eps, stats) = Network::endpoints(2).unwrap();
-        eps[0].send_words(1, 0, &[0; 1000]).unwrap();
-        let lan = CostModel::lan();
-        let t = lan.estimate_seconds(&stats);
-        let expect =
-            1.0 * lan.latency_s + (HEADER_BYTES as f64 + 8000.0) / lan.bandwidth_bytes_per_s;
-        assert!((t - expect).abs() < 1e-12);
-        // WAN is strictly slower.
-        assert!(CostModel::wan().estimate_seconds(&stats) > t);
-    }
-
-    #[test]
-    fn cost_model_overlaps_distinct_peer_sends() {
-        // A round where party 0 fires back-to-back messages to two
-        // different peers: latency is charged per busiest link (2 here),
-        // not per total message count (3), because independent links
-        // carry frames concurrently.
-        let (eps, stats) = Network::endpoints(3).unwrap();
-        eps[0].send_words(1, 0, &[]).unwrap();
-        eps[0].send_words(1, 1, &[]).unwrap();
-        eps[0].send_words(2, 0, &[]).unwrap();
-        let lan = CostModel::lan();
-        let lan_expect =
-            2.0 * lan.latency_s + (3 * HEADER_BYTES) as f64 / lan.bandwidth_bytes_per_s;
-        assert!((lan.estimate_seconds(&stats) - lan_expect).abs() < 1e-15);
-        let wan = CostModel::wan();
-        let wan_expect =
-            2.0 * wan.latency_s + (3 * HEADER_BYTES) as f64 / wan.bandwidth_bytes_per_s;
-        assert!((wan.estimate_seconds(&stats) - wan_expect).abs() < 1e-12);
     }
 
     #[test]

@@ -315,19 +315,20 @@ impl PartyCtx {
     /// disclosure by construction.
     ///
     /// ```
-    /// use dash_mpc::{Network, Opening, Secret, R64};
-    /// let totals = Network::run_parties(2, 1, |ctx| {
+    /// use dash_mpc::{NetOptions, Network, Opening, Secret, R64};
+    /// let (slots, _, _) = Network::run_parties_detailed_with(2, 1, &NetOptions::default(), |ctx| {
     ///     ctx.open_sum(&Secret::new(vec![R64(1)]), Opening::Disclosed("demo"))
-    /// });
-    /// assert_eq!(totals[0].as_ref().ok(), Some(&vec![R64(2)]));
+    /// })
+    /// .unwrap();
+    /// assert_eq!(slots[0].as_ref().ok().and_then(|t| t.as_ref().ok()), Some(&vec![R64(2)]));
     /// ```
     ///
     /// The accounting is a required argument, so an unlabelled open does
     /// not build:
     ///
     /// ```compile_fail
-    /// use dash_mpc::{Network, Secret, R64};
-    /// let totals = Network::run_parties(2, 1, |ctx| {
+    /// use dash_mpc::{NetOptions, Network, Secret, R64};
+    /// let run = Network::run_parties_detailed_with(2, 1, &NetOptions::default(), |ctx| {
     ///     ctx.open_sum(&Secret::new(vec![R64(1)]), None)
     /// });
     /// ```

@@ -1396,7 +1396,7 @@ pub(crate) mod tests {
         // Sender-side accounting matches the in-process endpoint's
         // charge: header plus payload, on the sender's own stats.
         assert_eq!(mesh[0].stats().bytes_between(0, 1), HEADER_BYTES + 24);
-        assert_eq!(mesh[0].stats().messages_between(0, 1), 1);
+        assert_eq!(mesh[0].stats().total_messages(), 1);
         assert_eq!(mesh[1].stats().bytes_between(1, 0), HEADER_BYTES + 8);
     }
 

@@ -157,11 +157,13 @@ proptest! {
             .map(|k| rows.iter().fold(R64::ZERO, |acc, row| acc + row[k]))
             .collect();
         for sum in SUMS {
-            let results = Network::run_parties(n, seed, |ctx| {
-                sum(ctx, &rows[ctx.id()], "prop").unwrap()
-            });
-            for r in &results {
-                prop_assert_eq!(r, &expect);
+            let (slots, _, _) =
+                Network::run_parties_detailed_with(n, seed, &NetOptions::default(), |ctx| {
+                    sum(ctx, &rows[ctx.id()], "prop")
+                })
+                .unwrap();
+            for slot in slots {
+                prop_assert_eq!(slot.unwrap().unwrap(), expect.clone());
             }
         }
     }

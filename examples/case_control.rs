@@ -48,11 +48,8 @@ fn main() {
     let (secure, report) =
         secure_logistic_scan(&hospitals, &SecureScanConfig::paper_default(1717)).unwrap();
     println!(
-        "secure logistic scan: {} bytes total ({} msgs); LAN {:.1} ms, WAN {:.0} ms",
-        report.total_bytes,
-        report.total_messages,
-        report.lan_seconds * 1e3,
-        report.wan_seconds * 1e3
+        "secure logistic scan: {} bytes total ({} msgs)",
+        report.total_bytes, report.total_messages
     );
 
     // Matches the pooled plaintext score scan.

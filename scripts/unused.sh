@@ -30,11 +30,10 @@
 #     FixedPointCodec::encode_ring (crates/mpc/tests/props.rs),
 #     GenotypeMatrix::observed_maf, SparseMatrix::col_dense
 #       (crates/gwas/tests/props.rs),
-#     Network::run_parties, DisclosureLog::per_party_disclosures (the
-#       dash-core `secure::` unit tests), Matrix::from_rows (the dash-gwas
-#       reader's test oracle and the dash-linalg crate example).
+#     DisclosureLog::per_party_disclosures (the dash-core `secure::` unit
+#       tests), Matrix::from_rows (the dash-gwas reader's test oracle and
+#       the dash-linalg crate example).
 #   Their own crate's tests, pinning what the method states:
-#     Network::endpoints (the mpsc mesh the dash-mpc tests drive),
 #     DisclosureLog::total_scalars (the log's sum),
 #     FixedPointCodec::sum_capacity (the wrap bound `max_abs_ring`'s doc
 #       points to), Normal::new (the location-scale form; every caller
