@@ -16,7 +16,8 @@ use dash_core::model::PartyData;
 use dash_core::secure::{
     AggregationMode, RFactorMode, SecureScanConfig, SecureScanOutput, TraceHandle,
 };
-use dash_gwas::io::{read_matrix_tsv, write_scan_tsv, StreamedParty};
+use dash_core::ScanSummary;
+use dash_gwas::io::{read_matrix_tsv, StreamedParty};
 use dash_linalg::Matrix;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -177,6 +178,11 @@ impl ScanFlags {
         })
     }
 
+    /// Where `--out` asks for the results TSV.
+    pub(crate) fn out_path(&self) -> Option<&Path> {
+        self.out_path.as_deref()
+    }
+
     /// The run's trace sink: enabled iff `--trace-out` or `--metrics`
     /// asked for it.
     pub(crate) fn trace(&self, n_parties: usize) -> TraceHandle {
@@ -187,21 +193,22 @@ impl ScanFlags {
         }
     }
 
-    /// Everything both commands print and write after a run: the traffic,
-    /// transport and blocked-pipeline lines, the disclosure audit, the
-    /// metrics table, the top results, the results TSV and the trace.
+    /// Everything both commands print and write after a run whose results
+    /// TSV is already written: the traffic, transport and blocked-pipeline
+    /// lines, the disclosure audit (aggregates first, then each party's in
+    /// its own protocol order, so the text does not depend on which party
+    /// thread recorded first), the metrics table, the summary and the
+    /// trace.
     pub(crate) fn report(
         &self,
         out: &mut dyn Write,
-        output: &SecureScanOutput,
+        output: &SecureScanOutput<ScanSummary>,
         trace: &TraceHandle,
     ) -> Result<(), CliError> {
         writeln!(
             out,
             "secure scan over {} parties, {} variants (mode: {})",
-            output.n_parties,
-            output.result.len(),
-            self.mode
+            output.n_parties, output.result.rows, self.mode
         )?;
         writeln!(
             out,
@@ -221,7 +228,7 @@ impl ScanFlags {
                 out,
                 "blocked pipeline: {} blocks of <= {} variants, {} bytes in block rounds ({} bytes/block avg), {} threads",
                 output.per_block_bytes.len(),
-                self.block_size.unwrap_or(output.result.len()),
+                self.block_size.unwrap_or(output.result.rows),
                 block_total,
                 block_total / output.per_block_bytes.len() as u64,
                 self.threads,
@@ -236,7 +243,9 @@ impl ScanFlags {
         writeln!(out, "per-party scalars disclosed: {per_party}")?;
         if self.audit {
             writeln!(out, "disclosure log:")?;
-            for d in &output.disclosures {
+            let mut log: Vec<_> = output.disclosures.iter().collect();
+            log.sort_by_key(|d| d.source_party);
+            for d in log {
                 writeln!(out, "  {d}")?;
             }
         }
@@ -245,7 +254,6 @@ impl ScanFlags {
         }
         scan::summarize(&output.result, out)?;
         if let Some(path) = &self.out_path {
-            write_scan_tsv(path, &output.result)?;
             writeln!(out, "results written to {}", path.display())?;
         }
         if let Some(path) = &self.trace_out {

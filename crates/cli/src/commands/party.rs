@@ -19,8 +19,9 @@ use crate::args::Flags;
 use crate::commands::{open_party_dir, ScanFlags};
 use crate::error::CliError;
 use dash_core::secure::checkpoint::{self, CheckpointPolicy};
-use dash_core::secure::{secure_scan_party_checkpointed, secure_scan_party_with};
-use dash_core::CoreError;
+use dash_core::secure::secure_scan_party_into;
+use dash_core::{CoreError, NoRows, RowSink};
+use dash_gwas::io::TsvSink;
 use dash_mpc::net::NetworkStats;
 use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::transport::Transport;
@@ -43,7 +44,8 @@ OPTIONS:
     --listen ADDR   bind address [default: the peer list's entry K]
     --mode MODE     security mode: public | default | star | tree | max
                     [default: default]
-    --out FILE      write results TSV here
+    --out FILE      write results TSV here, a block of rows at a time as
+                    each block's round closes (no row is held to the end)
     --seed S        protocol seed — must match at every party [default: 42]
     --run-id R      handshake run identifier; rejects peers from a
                     different run [default: the protocol seed]
@@ -200,6 +202,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         None
     };
     let resume_state = loaded.as_ref().and_then(|c| c.links.clone());
+    // The results file is opened before the dial too: a resumed run's
+    // must exist, and the scan cuts it back to the checkpoint's length.
+    let mut sink: Box<dyn RowSink> = match scan.out_path() {
+        None => Box::new(NoRows),
+        Some(path) if resume => Box::new(TsvSink::reopen(path)?),
+        Some(path) => Box::new(TsvSink::create(path)?),
+    };
     if resume {
         writeln!(
             out,
@@ -214,24 +223,21 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "party {id}: all {n} parties connected")?;
     out.flush()?;
 
-    let output = match checkpoint_dir {
-        Some(dir) => {
-            // A fresh checkpointed run advertises zero as its durable
-            // receive cursors at once, so peers never prune replay frames
-            // this process could still re-request after a crash; a
-            // resumed transport noted the checkpoint's own cursors.
-            if loaded.is_none() {
-                transport.note_durable(&vec![0; n]);
-            }
-            let policy = CheckpointPolicy {
-                dir,
-                resume_from: loaded,
-                crash_after_block,
-            };
-            secure_scan_party_checkpointed(&data, &cfg, transport, &policy)?
+    let policy = checkpoint_dir.map(|dir| {
+        // A fresh checkpointed run advertises zero as its durable
+        // receive cursors at once, so peers never prune replay frames
+        // this process could still re-request after a crash; a
+        // resumed transport noted the checkpoint's own cursors.
+        if loaded.is_none() {
+            transport.note_durable(&vec![0; n]);
         }
-        None => secure_scan_party_with(&data, &cfg, transport)?,
-    };
+        CheckpointPolicy {
+            dir,
+            resume_from: loaded,
+            crash_after_block,
+        }
+    });
+    let output = secure_scan_party_into(&data, &cfg, transport, sink.as_mut(), policy.as_ref())?;
     scan.report(out, &output, &trace)
 }
 

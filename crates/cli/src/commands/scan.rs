@@ -5,6 +5,7 @@ use crate::commands::{load_party, load_party_dir};
 use crate::error::CliError;
 use dash_core::model::PartyData;
 use dash_core::scan::associate_parallel;
+use dash_core::ScanSummary;
 use dash_gwas::io::write_scan_tsv;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -49,7 +50,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         data.n_covariates(),
         result.df
     )?;
-    summarize(&result, out)?;
+    summarize(&ScanSummary::of(&result), out)?;
     if let Some(path) = out_path {
         write_scan_tsv(&path, &result)?;
         writeln!(out, "results written to {}", path.display())?;
@@ -75,31 +76,23 @@ pub(crate) fn load_input(flags: &Flags) -> Result<PartyData, CliError> {
 }
 
 /// Prints hit counts and the best association.
-pub(crate) fn summarize(
-    result: &dash_core::model::ScanResult,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let gw = result.hits(5e-8).len();
-    let sugg = result.hits(1e-5).len();
-    writeln!(out, "hits: {gw} at p<5e-8, {sugg} at p<1e-5")?;
-    if let Some((best, bp)) = result
-        .p
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_finite())
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-    {
+pub(crate) fn summarize(summary: &ScanSummary, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(
+        out,
+        "hits: {} at p<5e-8, {} at p<1e-5",
+        summary.genome_wide, summary.suggestive
+    )?;
+    if let Some((best, beta, p)) = summary.top {
         writeln!(
             out,
-            "top association: variant {best} (beta = {:.4}, p = {:.3e})",
-            result.beta[best], bp
+            "top association: variant {best} (beta = {beta:.4}, p = {p:.3e})"
         )?;
     }
-    if result.n_degenerate > 0 {
+    if summary.n_degenerate > 0 {
         writeln!(
             out,
             "note: {} degenerate variants (NaN)",
-            result.n_degenerate
+            summary.n_degenerate
         )?;
     }
     Ok(())

@@ -4,6 +4,8 @@ use crate::args::Flags;
 use crate::commands::{load_all_parties, ScanFlags};
 use crate::error::CliError;
 use dash_core::secure::secure_scan_traced_with;
+use dash_core::ScanSummary;
+use dash_gwas::io::write_scan_tsv;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -59,7 +61,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parties = load_all_parties(&dir)?;
     let trace = scan.trace(parties.len());
     let output = secure_scan_traced_with(&parties, &cfg, trace.clone())?;
-    scan.report(out, &output, &trace)
+    if let Some(path) = scan.out_path() {
+        write_scan_tsv(path, &output.result)?;
+    }
+    scan.report(out, &output.map(|rows| ScanSummary::of(&rows)), &trace)
 }
 
 #[cfg(test)]

@@ -5,10 +5,16 @@
 //! traffic totals and disclosure multisets must be byte-identical to an
 //! uninterrupted run of the same workload and seed.
 //!
+//! The crashed party's results file ends past what its checkpoint counts
+//! (the state a crash between the file's fsync and the checkpoint's
+//! rename leaves); the resume cuts it back.
+//!
 //! Also covers the unrecoverable paths: a crashed peer that never comes
 //! back must fail the survivors with a structured liveness error inside
-//! the reconnect window (never a hang), and a resume under a different
-//! protocol seed must be refused as belonging to a different run.
+//! the reconnect window (never a hang), a resume under a different
+//! protocol seed must be refused as belonging to a different run, and a
+//! results file shorter than its checkpoint records, or missing, is
+//! refused by name.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
@@ -194,6 +200,17 @@ fn killed_party_resumes_bit_identical() {
         "the --crash-after-block party must die mid-run, got {crash:?}"
     );
 
+    // Rows the checkpoint does not count, one whole and one cut short,
+    // as a crash after the file's fsync and before the checkpoint's
+    // rename leaves them.
+    use std::io::Write;
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("res2.tsv"))
+        .unwrap()
+        .write_all(b"4\t0.5\t0.25\t2\t0.05\n5\t-0.125\t0.")
+        .unwrap();
+
     // Restart the victim from its checkpoint while the survivors are
     // still inside their reconnect window.
     let mut revived = spawn_party(&dir, &peers, 2, &["--resume", "true"]);
@@ -376,5 +393,86 @@ fn resume_with_wrong_seed_is_refused() {
         "expected the fingerprint refusal, got:\n{stderr}"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume whose results file holds fewer bytes than its checkpoint
+/// records, or is gone, is refused with a structured error that names
+/// the file — never continued into a table with rows missing.
+#[test]
+fn resume_with_a_short_or_missing_results_file_is_refused() {
+    let dir = tmp_dir("shortfile");
+    dash(&[
+        "simulate",
+        "--out",
+        dir.to_str().unwrap(),
+        "--samples",
+        "8,9",
+        "--variants",
+        "8",
+        "--causal",
+        "2",
+        "--covariates",
+        "2",
+        "--seed",
+        "8",
+    ]);
+    let peers = reserve_peers(2);
+    let mut a = spawn_party(&dir, &peers, 0, &[]);
+    let mut b = spawn_party(&dir, &peers, 1, &[]);
+    let _oa = drain_stdout(&mut a);
+    let _ob = drain_stdout(&mut b);
+    for (child, what) in [(&mut a, "party 0"), (&mut b, "party 1")] {
+        let status = wait_with_watchdog(child, Duration::from_secs(120), what);
+        assert!(status.success(), "{what} exited nonzero: {status:?}");
+    }
+    let stderr_of = |child: &mut Child| {
+        let mut text = String::new();
+        use std::io::Read;
+        child.stderr.take().unwrap().read_to_string(&mut text).ok();
+        text
+    };
+
+    // One byte short at party 0: refused once the checkpoint is read.
+    let res0 = dir.join("res0.tsv");
+    let len = std::fs::metadata(&res0).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&res0)
+        .unwrap()
+        .set_len(len - 1)
+        .unwrap();
+    let peers = reserve_peers(2);
+    let resume = ["--resume", "true"];
+    let mut a = spawn_party(&dir, &peers, 0, &resume);
+    let mut b = spawn_party(&dir, &peers, 1, &resume);
+    let _oa = drain_stdout(&mut a);
+    let _ob = drain_stdout(&mut b);
+    let status = wait_with_watchdog(&mut a, Duration::from_secs(120), "party 0");
+    wait_with_watchdog(&mut b, Duration::from_secs(120), "party 1");
+    assert!(!status.success(), "party 0 resumed a short results file");
+    let stderr = stderr_of(&mut a);
+    assert!(
+        stderr.contains(&format!("result file {} holds", res0.display())),
+        "{stderr}"
+    );
+
+    // Missing at party 1: refused before it dials anyone.
+    let res1 = dir.join("res1.tsv");
+    std::fs::remove_file(&res1).unwrap();
+    let mut b = spawn_party(&dir, &reserve_peers(2), 1, &resume);
+    let status = wait_with_watchdog(&mut b, Duration::from_secs(60), "party 1");
+    assert!(
+        !status.success(),
+        "party 1 resumed without its results file"
+    );
+    let stderr = stderr_of(&mut b);
+    assert!(
+        stderr.contains(&format!(
+            "result file {} cannot be reopened",
+            res1.display()
+        )),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

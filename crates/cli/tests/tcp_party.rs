@@ -434,6 +434,42 @@ fn an_x_with_one_row_too_many_fails_at_block_0() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The printed disclosure audit does not depend on which in-process
+/// party thread recorded first: two runs on one 3-party study print
+/// byte-equal stdout.
+#[test]
+fn secure_scan_audit_prints_the_same_bytes_every_run() {
+    let dir = tmp_dir("audit");
+    dash(&[
+        "simulate",
+        "--out",
+        dir.to_str().unwrap(),
+        "--samples",
+        "20,25,15",
+        "--variants",
+        "12",
+        "--covariates",
+        "2",
+        "--seed",
+        "5",
+    ]);
+    let run = || {
+        dash(&[
+            "secure-scan",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--block-size",
+            "4",
+            "--audit",
+            "true",
+        ])
+    };
+    let first = run();
+    assert!(first.contains("[party 2]"), "{first}");
+    assert_eq!(first, run());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Guard for the helper itself: the reference parsers must agree with
 /// the real report format (a silent format drift would turn the main
 /// assertions vacuous).

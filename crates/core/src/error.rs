@@ -40,6 +40,9 @@ pub enum CoreError {
     /// A [`SummandSource`](crate::secure::SummandSource) could not read
     /// its party's data (a streamed table that fails to parse).
     Source { what: String },
+    /// A [`RowSink`](crate::model::RowSink) could not take or keep the
+    /// rows handed to it (a result file that cannot be written).
+    Sink { what: String },
     /// An underlying linear-algebra kernel failed.
     Linalg(LinalgError),
     /// An underlying statistical routine failed.
@@ -80,6 +83,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::Checkpoint { what } => write!(f, "checkpoint: {what}"),
             CoreError::Source { what } => write!(f, "party data: {what}"),
+            CoreError::Sink { what } => write!(f, "results: {what}"),
             CoreError::Linalg(e) => write!(f, "linear algebra: {e}"),
             CoreError::Stats(e) => write!(f, "statistics: {e}"),
             CoreError::Mpc(e) => write!(f, "mpc: {e}"),

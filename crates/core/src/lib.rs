@@ -92,16 +92,16 @@ pub mod suffstats;
 pub use block::{block_scan, BlockTestResult, TransientBlock};
 pub use error::CoreError;
 pub use logistic::{fit_null_logistic, logistic_score_scan, secure_logistic_scan, ScoreScanResult};
-pub use model::{pool_parties, PartyData, ScanResult};
+pub use model::{pool_parties, NoRows, PartyData, RowSink, ScanResult, ScanSummary};
 pub use multi::{multi_phenotype_scan, secure_multi_phenotype_scan, MultiPartyData};
 pub use pca::{plaintext_pca, secure_pca, PcaConfig, SecurePcaOutput};
 pub use permutation::{permutation_scan, PermutationResult};
 pub use scan::{associate, associate_parallel, per_variant_ols};
 pub use secure::checkpoint::{Checkpoint, CheckpointPolicy};
 pub use secure::{
-    secure_scan, secure_scan_party_checkpointed, secure_scan_party_with,
-    secure_scan_tcp_local_traced, secure_scan_traced_with, AggregationMode, NetworkReport,
-    RFactorMode, SecureScanConfig, SecureScanOutput, SummandSource, TraceCounter, TraceHandle,
+    secure_scan, secure_scan_party_into, secure_scan_party_with, secure_scan_tcp_local_traced,
+    secure_scan_traced_with, AggregationMode, NetworkReport, RFactorMode, SecureScanConfig,
+    SecureScanOutput, SummandSource, TraceCounter, TraceHandle,
 };
 pub use suffstats::{ScanStats, SuffStats, VariantSummands};
 

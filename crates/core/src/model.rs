@@ -201,6 +201,103 @@ impl ScanResult {
     }
 }
 
+/// What a scan's report states, folded a block of rows at a time, so it
+/// is O(1) whatever M is.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScanSummary {
+    /// Rows folded so far.
+    pub rows: usize,
+    /// Residual degrees of freedom `N − K − 1`.
+    pub df: usize,
+    /// Rows with p < 5·10⁻⁸ (genome-wide).
+    pub genome_wide: usize,
+    /// Rows with p < 10⁻⁵ (suggestive).
+    pub suggestive: usize,
+    /// `(variant, β̂, p)` of the first row with the least finite p.
+    pub top: Option<(usize, f64, f64)>,
+    /// Rows whose statistics are NaN.
+    pub n_degenerate: usize,
+}
+
+impl ScanSummary {
+    /// The summary of a whole result.
+    pub fn of(res: &ScanResult) -> Self {
+        let mut s = ScanSummary {
+            df: res.df,
+            ..Self::default()
+        };
+        s.add(res);
+        s
+    }
+
+    /// Folds in the next rows, which follow every row folded so far.
+    pub fn add(&mut self, rows: &ScanResult) {
+        for (j, (&beta, &p)) in rows.beta.iter().zip(&rows.p).enumerate() {
+            self.genome_wide += usize::from(p < 5e-8);
+            self.suggestive += usize::from(p < 1e-5);
+            if p.is_finite() && self.top.is_none_or(|(_, _, best)| p < best) {
+                self.top = Some((self.rows + j, beta, p));
+            }
+        }
+        self.rows += rows.len();
+        self.n_degenerate += rows.n_degenerate;
+    }
+}
+
+/// Where a scan's finalized rows go, a block at a time as each block's
+/// round closes, so a party need not hold all M of them.
+pub trait RowSink {
+    /// Takes the rows of variants `first..`, which follow every row pushed
+    /// before.
+    fn push(&mut self, first: usize, rows: &ScanResult) -> Result<(), CoreError>;
+
+    /// Makes every pushed row durable and returns the sink's length, where
+    /// a resumed run picks up. A sink holding its rows in memory cannot.
+    fn durable(&mut self) -> Result<u64, CoreError> {
+        Err(in_memory())
+    }
+
+    /// Drops whatever follows `len`, a length `durable` returned in an
+    /// interrupted run, and continues from there.
+    fn resume(&mut self, _len: u64) -> Result<(), CoreError> {
+        Err(in_memory())
+    }
+}
+
+fn in_memory() -> CoreError {
+    let what = "an in-memory result cannot be made durable; write the rows to a file";
+    CoreError::Checkpoint { what: what.into() }
+}
+
+/// The in-memory sink: the rows are appended to the result.
+impl RowSink for ScanResult {
+    fn push(&mut self, _first: usize, rows: &ScanResult) -> Result<(), CoreError> {
+        self.beta.extend_from_slice(&rows.beta);
+        self.se.extend_from_slice(&rows.se);
+        self.t.extend_from_slice(&rows.t);
+        self.p.extend_from_slice(&rows.p);
+        self.df = rows.df;
+        self.n_degenerate += rows.n_degenerate;
+        Ok(())
+    }
+}
+
+/// The sink of a run that reports only its summary: it keeps nothing, so
+/// it is durable at length 0 and resumes anywhere.
+pub struct NoRows;
+
+impl RowSink for NoRows {
+    fn push(&mut self, _first: usize, _rows: &ScanResult) -> Result<(), CoreError> {
+        Ok(())
+    }
+    fn durable(&mut self) -> Result<u64, CoreError> {
+        Ok(0)
+    }
+    fn resume(&mut self, _len: u64) -> Result<(), CoreError> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,12 +3,12 @@
 //! A checkpoint is everything one party needs to rejoin a run after a
 //! `kill -9`: the deterministic protocol state at a block boundary
 //! (PRG states, tag counter, the combined R factor, the y-round head),
-//! the finished result rows of every block before it (a block's rows are
-//! final when its round closes, so nothing else of a block survives it),
-//! the per-link transport cursors and replay backlog (so the reconnect
-//! handshake can reconcile sequence numbers), the traffic counters, and
-//! the disclosure log — so a resumed run's final TSV, NetworkStats, and
-//! disclosure multiset are bit-identical to an uninterrupted run.
+//! the length of its result file with the rows of the blocks before it
+//! durable, and their summary (not the rows), the per-link transport
+//! cursors and replay backlog (so the reconnect handshake can reconcile
+//! sequence numbers), the traffic counters, and the disclosure log — so a
+//! resumed run's final TSV, NetworkStats, and disclosure multiset are
+//! bit-identical to an uninterrupted run.
 //!
 //! The file format is deliberately dependency-free and versioned:
 //!
@@ -23,11 +23,12 @@
 //! Writes are atomic: the file is written to `<path>.tmp`, fsynced,
 //! renamed over `<path>`, and the directory fsynced — a crash mid-write
 //! leaves either the previous complete checkpoint or none, never a torn
-//! one. A torn or bit-flipped file fails the checksum and surfaces as a
-//! structured [`CoreError::Checkpoint`], not a garbage resume.
+//! one; the result file was fsynced first. A torn or bit-flipped file
+//! fails the checksum and surfaces as a structured
+//! [`CoreError::Checkpoint`], not a garbage resume.
 
 use crate::error::CoreError;
-use crate::model::ScanResult;
+use crate::model::ScanSummary;
 use dash_mpc::audit::Disclosure;
 use dash_mpc::net::StatsSnapshot;
 use dash_mpc::transport::{LinkSnapshot, Message};
@@ -36,9 +37,9 @@ use std::path::{Path, PathBuf};
 /// File magic; changing the payload layout bumps [`VERSION`], not this.
 const MAGIC: &[u8; 8] = b"DSHCKPT1";
 
-/// Payload layout version: 2 holds finished result rows where 1 held
-/// four per-variant accumulators.
-const VERSION: u32 = 2;
+/// Payload layout version: 3 holds the result file's length and the
+/// rows' summary, 2 the rows, 1 four per-variant accumulators.
+const VERSION: u32 = 3;
 
 /// Hard cap on the payload a loader will allocate for (a corrupt length
 /// field must not become an OOM).
@@ -94,10 +95,13 @@ pub struct Checkpoint {
     pub yy: f64,
     /// Opened Qᵀy aggregate from round 0.
     pub qty: Vec<f64>,
-    /// The finished rows (β̂, σ̂, t, p and the degenerate count) of blocks
-    /// `< next_block`, in variant order; the blocks after them run on
-    /// resume. `df` is not stored: it is `n_total − k − 1`.
-    pub rows: ScanResult,
+    /// The row sink's length once the rows of blocks `< next_block` were
+    /// durable in it (the result TSV's byte length); a resume drops
+    /// whatever follows it.
+    pub sink_len: u64,
+    /// The summary of those rows. `df` is not stored: it is
+    /// `n_total − k − 1`.
+    pub summary: ScanSummary,
     /// Disclosure log entries recorded so far (restored verbatim so the
     /// final multiset matches an uninterrupted run).
     pub disclosures: Vec<Disclosure>,
@@ -218,6 +222,12 @@ impl<S: Sink> Enc<S> {
             self.u64(w);
         }
     }
+    /// The tag byte of an `Option` (0 or 1); the caller encodes what it
+    /// holds.
+    fn some<T>(&mut self, v: Option<T>) -> Option<T> {
+        self.u8(u8::from(v.is_some()));
+        v
+    }
 }
 
 struct Dec<'a> {
@@ -242,17 +252,19 @@ impl<'a> Dec<'a> {
     fn u8(&mut self) -> Result<u8, CoreError> {
         Ok(self.take(1)?.first().copied().unwrap_or(0))
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CoreError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| corrupt("payload truncated"))
+    }
     fn u32(&mut self) -> Result<u32, CoreError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, CoreError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+    fn usize(&mut self) -> Result<usize, CoreError> {
+        usize::try_from(self.u64()?).map_err(|_| corrupt("count overflows usize"))
     }
     fn f64(&mut self) -> Result<f64, CoreError> {
         Ok(f64::from_bits(self.u64()?))
@@ -261,8 +273,7 @@ impl<'a> Dec<'a> {
     /// bounds-checked against the remaining payload so corrupt lengths
     /// fail instead of allocating.
     fn len(&mut self, elem_bytes: usize) -> Result<usize, CoreError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| corrupt("length overflows usize"))?;
+        let n = self.usize()?;
         if n.saturating_mul(elem_bytes.max(1)) > self.buf.len().saturating_sub(self.pos) {
             return Err(corrupt("length field exceeds payload"));
         }
@@ -282,6 +293,14 @@ impl<'a> Dec<'a> {
     }
     fn state4(&mut self) -> Result<[u64; 4], CoreError> {
         Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
+    }
+    /// The tag byte of an `Option`: 0 for `None`, 1 for `Some`.
+    fn some(&mut self, what: &str) -> Result<bool, CoreError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(corrupt(format!("bad {what} tag"))),
+        }
     }
     fn finished(&self) -> Result<(), CoreError> {
         if self.pos == self.buf.len() {
@@ -310,30 +329,28 @@ fn encode<S: Sink>(c: &Checkpoint, e: &mut Enc<S>) {
     e.state4(&c.rng);
     e.u64(c.pair_prgs.len() as u64);
     for p in &c.pair_prgs {
-        match p {
-            None => e.u8(0),
-            Some(s) => {
-                e.u8(1);
-                e.state4(s);
-            }
+        if let Some(s) = e.some(p.as_ref()) {
+            e.state4(s);
         }
     }
     e.u32(c.tag_counter);
     e.f64s(&c.r);
     e.f64(c.yy);
     e.f64s(&c.qty);
-    for v in [&c.rows.beta, &c.rows.se, &c.rows.t, &c.rows.p] {
-        e.f64s(v);
+    e.u64(c.sink_len);
+    let s = &c.summary;
+    for n in [s.rows, s.genome_wide, s.suggestive, s.n_degenerate] {
+        e.u64(n as u64);
     }
-    e.u64(c.rows.n_degenerate as u64);
+    if let Some((variant, beta, p)) = e.some(s.top) {
+        e.u64(variant as u64);
+        e.f64(beta);
+        e.f64(p);
+    }
     e.u64(c.disclosures.len() as u64);
     for d in &c.disclosures {
-        match d.source_party {
-            None => e.u8(0),
-            Some(p) => {
-                e.u8(1);
-                e.u64(p as u64);
-            }
+        if let Some(p) = e.some(d.source_party) {
+            e.u64(p as u64);
         }
         e.bytes(d.label.as_bytes());
         e.u64(d.scalars as u64);
@@ -349,20 +366,16 @@ fn encode<S: Sink>(c: &Checkpoint, e: &mut Enc<S>) {
         e.u64(msgs);
     }
     e.u64(c.stats.unscoped_bytes);
-    match &c.links {
-        None => e.u8(0),
-        Some(l) => {
-            e.u8(1);
-            e.u64s(&l.send_next);
-            e.u64s(&l.recv_next);
-            e.u64(l.replay.len() as u64);
-            for frames in &l.replay {
-                e.u64(frames.len() as u64);
-                for f in frames {
-                    e.u64(f.seq);
-                    e.u32(f.tag);
-                    e.bytes(&f.payload);
-                }
+    if let Some(l) = e.some(c.links.as_ref()) {
+        e.u64s(&l.send_next);
+        e.u64s(&l.recv_next);
+        e.u64(l.replay.len() as u64);
+        for frames in &l.replay {
+            e.u64(frames.len() as u64);
+            for f in frames {
+                e.u64(f.seq);
+                e.u32(f.tag);
+                e.bytes(&f.payload);
             }
         }
     }
@@ -391,46 +404,44 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
     let n_prgs = d.len(1)?;
     let mut pair_prgs = Vec::with_capacity(n_prgs);
     for _ in 0..n_prgs {
-        pair_prgs.push(match d.u8()? {
-            0 => None,
-            1 => Some(d.state4()?),
-            _ => return Err(corrupt("bad PRG slot tag")),
-        });
+        pair_prgs.push(d.some("PRG slot")?.then(|| d.state4()).transpose()?);
     }
     let tag_counter = d.u32()?;
     let r = d.f64s()?;
     let yy = d.f64()?;
     let qty = d.f64s()?;
-    let rows = ScanResult {
-        beta: d.f64s()?,
-        se: d.f64s()?,
-        t: d.f64s()?,
-        p: d.f64s()?,
+    let sink_len = d.u64()?;
+    let [rows, genome_wide, suggestive, n_degenerate] =
+        [d.usize()?, d.usize()?, d.usize()?, d.usize()?];
+    let summary = ScanSummary {
+        rows,
         df: usize::try_from(n_total.saturating_sub(fingerprint.k.saturating_add(1)))
             .map_err(|_| corrupt("degrees of freedom overflow usize"))?,
-        n_degenerate: usize::try_from(d.u64()?)
-            .map_err(|_| corrupt("degenerate count overflows usize"))?,
+        genome_wide,
+        suggestive,
+        top: d
+            .some("top row")?
+            .then(|| Ok::<_, CoreError>((d.usize()?, d.f64()?, d.f64()?)))
+            .transpose()?,
+        n_degenerate,
     };
     let n_disc = d.len(1)?;
     let mut disclosures = Vec::with_capacity(n_disc);
     for _ in 0..n_disc {
-        let source_party = match d.u8()? {
-            0 => None,
-            1 => Some(usize::try_from(d.u64()?).map_err(|_| corrupt("disclosure party overflow"))?),
-            _ => return Err(corrupt("bad disclosure source tag")),
-        };
+        let source_party = d
+            .some("disclosure source")?
+            .then(|| d.usize())
+            .transpose()?;
         let label =
             String::from_utf8(d.bytes()?).map_err(|_| corrupt("disclosure label is not UTF-8"))?;
-        let scalars =
-            usize::try_from(d.u64()?).map_err(|_| corrupt("disclosure scalars overflow"))?;
         disclosures.push(Disclosure {
             source_party,
             label,
-            scalars,
+            scalars: d.usize()?,
         });
     }
     let stats = StatsSnapshot {
-        n: usize::try_from(d.u64()?).map_err(|_| corrupt("stats party count overflow"))?,
+        n: d.usize()?,
         bytes: d.u64s()?,
         msgs: d.u64s()?,
         timeouts: d.u64s()?,
@@ -444,32 +455,30 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
         },
         unscoped_bytes: d.u64()?,
     };
-    let links = match d.u8()? {
-        0 => None,
-        1 => {
-            let send_next = d.u64s()?;
-            let recv_next = d.u64s()?;
-            let n_links = d.len(8)?;
-            let mut replay = Vec::with_capacity(n_links);
-            for _ in 0..n_links {
-                let n_frames = d.len(20)?;
-                let mut frames = Vec::with_capacity(n_frames);
-                for _ in 0..n_frames {
-                    frames.push(Message {
-                        seq: d.u64()?,
-                        tag: d.u32()?,
-                        payload: d.bytes()?,
-                    });
-                }
-                replay.push(frames);
+    let links = if d.some("link snapshot")? {
+        let send_next = d.u64s()?;
+        let recv_next = d.u64s()?;
+        let n_links = d.len(8)?;
+        let mut replay = Vec::with_capacity(n_links);
+        for _ in 0..n_links {
+            let n_frames = d.len(20)?;
+            let mut frames = Vec::with_capacity(n_frames);
+            for _ in 0..n_frames {
+                frames.push(Message {
+                    seq: d.u64()?,
+                    tag: d.u32()?,
+                    payload: d.bytes()?,
+                });
             }
-            Some(LinkSnapshot {
-                send_next,
-                recv_next,
-                replay,
-            })
+            replay.push(frames);
         }
-        _ => return Err(corrupt("bad link snapshot tag")),
+        Some(LinkSnapshot {
+            send_next,
+            recv_next,
+            replay,
+        })
+    } else {
+        None
     };
     d.finished()?;
     Ok(Checkpoint {
@@ -482,7 +491,8 @@ fn decode(payload: &[u8]) -> Result<Checkpoint, CoreError> {
         r,
         yy,
         qty,
-        rows,
+        sink_len,
+        summary,
         disclosures,
         stats,
         links,
@@ -542,32 +552,23 @@ pub fn load(path: &Path) -> Result<Checkpoint, CoreError> {
         .len()
         .checked_sub(8)
         .ok_or_else(|| corrupt("file too short"))?;
-    let (body, sum_bytes) = raw.split_at(body_len);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(sum_bytes);
-    if fnv1a64(FNV_BASIS, body) != u64::from_le_bytes(sum) {
+    let (body, sum) = raw.split_at(body_len);
+    let mut d = Dec { buf: sum, pos: 0 };
+    if fnv1a64(FNV_BASIS, body) != d.u64()? {
         return Err(corrupt("checksum mismatch (torn or corrupt file)"));
     }
-    if body.len() < 20 {
-        return Err(corrupt("file too short"));
-    }
-    let (magic, rest) = body.split_at(8);
-    if magic != MAGIC {
+    let mut d = Dec { buf: body, pos: 0 };
+    if d.array::<8>().map_err(|_| corrupt("file too short"))? != *MAGIC {
         return Err(corrupt("bad magic (not a checkpoint file)"));
     }
-    let (ver_bytes, rest) = rest.split_at(4);
-    let mut v = [0u8; 4];
-    v.copy_from_slice(ver_bytes);
-    let version = u32::from_le_bytes(v);
+    let version = d.u32()?;
     if version != VERSION {
         return Err(corrupt(format!(
             "unsupported checkpoint version {version} (expected {VERSION})"
         )));
     }
-    let (len_bytes, payload) = rest.split_at(8);
-    let mut l = [0u8; 8];
-    l.copy_from_slice(len_bytes);
-    let len = u64::from_le_bytes(l);
+    let len = d.u64()?;
+    let payload = body.get(d.pos..).unwrap_or_default();
     if len > MAX_PAYLOAD || len != payload.len() as u64 {
         return Err(corrupt("payload length field disagrees with file size"));
     }
@@ -601,12 +602,13 @@ mod tests {
             yy: 12.5,
             qty: vec![0.5, -1.5],
             // Blocks 0 and 1 of two variants; variant 2 is degenerate.
-            rows: ScanResult {
-                beta: vec![0.25, -1.5, f64::NAN, 3.0],
-                se: vec![0.5, 0.75, f64::NAN, 1.0],
-                t: vec![0.5, -2.0, f64::NAN, 3.0],
-                p: vec![0.62, 0.052, f64::NAN, 0.0046],
+            sink_len: 151,
+            summary: ScanSummary {
+                rows: 4,
                 df: 42,
+                genome_wide: 0,
+                suggestive: 1,
+                top: Some((3, 3.0, 4.6e-6)),
                 n_degenerate: 1,
             },
             disclosures: vec![
@@ -660,21 +662,13 @@ mod tests {
     /// The file `save` wrote when it built it whole in memory, under
     /// `version`: the oracle for the bytes a streamed save puts on disk.
     fn file_bytes(c: &Checkpoint, version: u32) -> Vec<u8> {
-        let payload = payload(c);
-        let mut file = MAGIC.to_vec();
-        file.extend_from_slice(&version.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload);
-        let sum = fnv1a64(FNV_BASIS, &file);
-        file.extend_from_slice(&sum.to_le_bytes());
-        file
+        framed(&payload(c), version)
     }
 
-    /// Equality down to the bits: the NaN rows of degenerate variants
-    /// included, which `==` on f64 never calls equal.
+    /// Equality down to the bits, and of the `df` no byte stores.
     fn assert_same(got: &Checkpoint, want: &Checkpoint) {
         assert_eq!(payload(got), payload(want));
-        assert_eq!(got.rows.df, want.rows.df);
+        assert_eq!(got.summary.df, want.summary.df);
     }
 
     #[test]
@@ -686,11 +680,9 @@ mod tests {
         save(&path, &c).unwrap();
         let back = load(&path).unwrap();
         assert_same(&back, &c);
-        // The partial rows come back with their NaN row in place and `df`
-        // recomputed from the sample and covariate counts.
-        assert_eq!(back.rows.len(), 4);
-        assert!(back.rows.p[2].is_nan() && !back.rows.p[3].is_nan());
-        assert_eq!((back.rows.df, back.rows.n_degenerate), (45 - 2 - 1, 1));
+        // `df` is recomputed from the sample and covariate counts.
+        assert_eq!(back, c);
+        assert_eq!(back.summary.df, 45 - 2 - 1);
         // Overwrite is atomic and keeps the newest state.
         let mut c2 = c.clone();
         c2.next_block = 3;
@@ -735,19 +727,23 @@ mod tests {
         assert_same(&back, &c);
     }
 
-    /// A version-1 file (four per-variant accumulators where version 2
-    /// has result rows) is refused by its version, not misread.
+    /// A version-1 file (four per-variant accumulators) or version-2 file
+    /// (result rows) is refused by its version, not misread.
     #[test]
-    fn version_one_is_refused_by_name() {
+    fn versions_one_and_two_are_refused_by_name() {
         let dir = std::env::temp_dir().join(format!("dash_ckpt_v1_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = checkpoint_path(&dir, 0);
-        std::fs::write(&path, file_bytes(&sample(0), 1)).unwrap();
-        let err = load(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported checkpoint version 1"),
-            "{err}"
-        );
+        for version in [1, 2] {
+            std::fs::write(&path, file_bytes(&sample(0), version)).unwrap();
+            match load(&path) {
+                Err(CoreError::Checkpoint { what }) => assert!(
+                    what.contains(&format!("unsupported checkpoint version {version}")),
+                    "{what}"
+                ),
+                other => panic!("version {version} loaded: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -808,9 +804,9 @@ mod tests {
 
     /// `bytes` framed as a file: a valid header and a checksum recomputed
     /// around them, so `load` reaches the payload decoder.
-    fn framed(bytes: &[u8]) -> Vec<u8> {
+    fn framed(bytes: &[u8], version: u32) -> Vec<u8> {
         let mut file = MAGIC.to_vec();
-        file.extend_from_slice(&VERSION.to_le_bytes());
+        file.extend_from_slice(&version.to_le_bytes());
         file.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         file.extend_from_slice(bytes);
         let sum = fnv1a64(FNV_BASIS, &file);
@@ -877,7 +873,7 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let path = checkpoint_path(&dir, 0);
             for bytes in [&raw, &edited] {
-                std::fs::write(&path, framed(bytes)).unwrap();
+                std::fs::write(&path, framed(bytes, VERSION)).unwrap();
                 let (loaded, decoded) = (load(&path), decode(bytes));
                 proptest::prop_assert_eq!(loaded.is_ok(), decoded.is_ok());
                 if let (Ok(l), Ok(d)) = (loaded, decoded) {

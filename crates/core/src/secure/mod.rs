@@ -33,7 +33,7 @@ pub(crate) mod triples;
 pub(crate) mod wire;
 
 use crate::error::CoreError;
-use crate::model::{PartyData, ScanResult};
+use crate::model::{PartyData, RowSink, ScanResult, ScanSummary};
 use dash_mpc::audit::{Disclosure, DisclosureLog};
 use dash_mpc::dealer::TrustedDealer;
 use dash_mpc::net::{NetOptions, Network, NetworkStats};
@@ -210,10 +210,12 @@ impl NetworkReport {
 
 /// Everything a secure scan run produces.
 #[derive(Debug, Clone)]
-pub struct SecureScanOutput {
+pub struct SecureScanOutput<R = ScanResult> {
     /// The scan results: party 0's rows. In-process, party 0 alone
     /// finalizes, once every party's digest matched (see [`secure_scan`]).
-    pub result: ScanResult,
+    /// A run whose rows went to a [`RowSink`] holds their [`ScanSummary`]
+    /// here instead.
+    pub result: R,
     /// Communication accounting.
     pub network: NetworkReport,
     /// Every value any protocol opened.
@@ -225,6 +227,19 @@ pub struct SecureScanOutput {
     /// Together with the unscoped protocol traffic these partition
     /// [`NetworkReport::total_bytes`].
     pub per_block_bytes: Vec<u64>,
+}
+
+impl<R> SecureScanOutput<R> {
+    /// The same run with `f` of its result.
+    pub fn map<U>(self, f: impl FnOnce(R) -> U) -> SecureScanOutput<U> {
+        SecureScanOutput {
+            result: f(self.result),
+            network: self.network,
+            disclosures: self.disclosures,
+            n_parties: self.n_parties,
+            per_block_bytes: self.per_block_bytes,
+        }
+    }
 }
 
 /// A party-local provider of the scan's additive statistics.
@@ -400,19 +415,31 @@ pub(crate) fn run_in_process<P: Sync, T: Send>(
     )?)
 }
 
-/// Party 0's rows, once every party's digest equals party 0's (in every
+/// Party 0's result, once every party's digest equals party 0's (in every
 /// build); else the first party that disagrees, as a structured error.
-fn agreed_rows(scans: Vec<protocol::PartyScan>) -> Result<ScanResult, CoreError> {
+fn agreed_rows<R>(scans: Vec<(R, u64)>) -> Result<R, CoreError> {
     let mut scans = scans.into_iter();
-    let first = scans.next().ok_or(CoreError::NoParties)?;
-    match scans.enumerate().find(|(_, s)| s.digest != first.digest) {
-        None => Ok(first.rows),
-        Some((i, other)) => Err(CoreError::PartiesInconsistent {
+    let (first, digest) = scans.next().ok_or(CoreError::NoParties)?;
+    match scans.enumerate().find(|(_, (_, d))| *d != digest) {
+        None => Ok(first),
+        Some((i, (_, other))) => Err(CoreError::PartiesInconsistent {
             what: "digest of the opened statistics",
             party: i + 1,
-            expected: first.digest as usize,
-            got: other.digest as usize,
+            expected: digest as usize,
+            got: other as usize,
         }),
+    }
+}
+
+/// A result with no rows yet and room for `m`.
+fn no_rows(m: usize) -> ScanResult {
+    ScanResult {
+        beta: Vec::with_capacity(m),
+        se: Vec::with_capacity(m),
+        t: Vec::with_capacity(m),
+        p: Vec::with_capacity(m),
+        df: 0,
+        n_degenerate: 0,
     }
 }
 
@@ -420,12 +447,12 @@ fn agreed_rows(scans: Vec<protocol::PartyScan>) -> Result<ScanResult, CoreError>
 /// process holds — next to the run's dealer when the mode has one — check
 /// they agree, and report. `lone` is `(id, party count)` when `parties` is
 /// the single party of a multi-process run, `None` when it is all of them.
-fn run_scan<S: SummandSource>(
+fn run_scan<S: SummandSource, R>(
     parties: &[S],
     lone: Option<(usize, usize)>,
     cfg: &SecureScanConfig,
-    run: impl FnOnce(&FeedSlots) -> Result<RunParts<protocol::PartyScan>, CoreError>,
-) -> Result<SecureScanOutput, CoreError> {
+    run: impl FnOnce(&FeedSlots) -> Result<RunParts<(R, u64)>, CoreError>,
+) -> Result<SecureScanOutput<R>, CoreError> {
     let n_parties = lone.map_or(parties.len(), |(_, n)| n);
     // Validate eagerly so configuration errors surface before any thread
     // spawns.
@@ -471,14 +498,15 @@ fn run_scan<S: SummandSource>(
 }
 
 /// The `run` of both all-parties shapes: a thread per party over the mpsc
-/// mesh or (with `tcp`) loopback sockets. Party 0 alone finalizes.
+/// mesh or (with `tcp`) loopback sockets. Party 0 alone finalizes, into
+/// its result in memory.
 fn all_parties<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
     trace: TraceHandle,
     tcp: Option<TcpConfig>,
     slots: &FeedSlots,
-) -> Result<RunParts<protocol::PartyScan>, CoreError> {
+) -> Result<RunParts<(ScanResult, u64)>, CoreError> {
     let opts = NetOptions {
         trace,
         ..cfg.net_options()
@@ -487,10 +515,14 @@ fn all_parties<S: SummandSource>(
         let data = own_rows(parties, ctx)?;
         let mut feed = TripleFeed::take_from(slots, ctx.id());
         let finalize = ctx.id() == 0;
+        let mut rows = no_rows(if finalize { data.n_variants() } else { 0 });
+        let sink = finalize.then_some(&mut rows as &mut dyn RowSink);
         // A party that finished says so (`Transport::close`); one that
         // failed must look to its peers like the crash it is.
-        protocol::party_protocol_with(ctx, data, cfg, &mut feed, None, finalize)
-            .inspect(|_| ctx.endpoint().close())
+        let scan = protocol::party_protocol_with(ctx, data, cfg, &mut feed, None, sink)
+            .inspect(|_| ctx.endpoint().close())?;
+        rows.df = scan.summary.df;
+        Ok((rows, scan.digest))
     };
     let (p, seed) = (parties.len(), cfg.seed);
     flatten(match tcp {
@@ -550,41 +582,33 @@ where
     S: SummandSource,
     T: Transport + 'static,
 {
-    scan_party(data, cfg, transport, None)
+    let mut rows = no_rows(data.n_variants());
+    let out = secure_scan_party_into(data, cfg, transport, &mut rows, None)?;
+    rows.df = out.result.df;
+    Ok(out.map(|_| rows))
 }
 
-/// [`secure_scan_party_with`] with crash-recovery checkpoints: the run
-/// persists its deterministic protocol state to
-/// [`checkpoint::checkpoint_path`]`(policy.dir, id)` after the y round
-/// and after every variant block, and — when `policy.resume_from` holds
-/// a loaded [`checkpoint::Checkpoint`] — rejoins an interrupted run at
-/// its last durable block boundary. The caller connects the transport
-/// (with [`dash_mpc::tcp::TcpTransport::connect_resume`] and the
-/// checkpoint's link cursors when resuming) before handing it in.
+/// [`secure_scan_party_with`] handing each block's rows to `sink` as its
+/// round closes, so the party holds none of them; reports their summary.
 ///
-/// Restrictions, each a structured [`CoreError::Checkpoint`]: the
-/// aggregation mode must not be Beaver (its y aggregate stays
-/// secret-shared across blocks, and share material must never touch
-/// disk), and the transport must have durable link identity (TCP).
-pub fn secure_scan_party_checkpointed<S, T>(
+/// With `checkpoints`, the protocol state is saved to
+/// [`checkpoint::checkpoint_path`]`(dir, id)` after the y round and after
+/// every block, once `sink` has made the rows before it durable; with a
+/// loaded [`checkpoint::Checkpoint`] in `resume_from`, the run rejoins an
+/// interrupted one at that boundary, `sink` cut back to the length it
+/// recorded. Connect the transport first (when resuming, with
+/// [`dash_mpc::tcp::TcpTransport::connect_resume`] and the checkpoint's
+/// link cursors). Refused before any round, as [`CoreError::Checkpoint`]:
+/// Beaver mode (share material must never touch disk), a transport
+/// without durable link identity (TCP has it), and a sink that cannot
+/// make its rows durable (an in-memory [`ScanResult`]).
+pub fn secure_scan_party_into<S, T>(
     data: &S,
     cfg: &SecureScanConfig,
     transport: T,
-    policy: &checkpoint::CheckpointPolicy,
-) -> Result<SecureScanOutput, CoreError>
-where
-    S: SummandSource,
-    T: Transport + 'static,
-{
-    scan_party(data, cfg, transport, Some(policy))
-}
-
-fn scan_party<S, T>(
-    data: &S,
-    cfg: &SecureScanConfig,
-    transport: T,
-    policy: Option<&checkpoint::CheckpointPolicy>,
-) -> Result<SecureScanOutput, CoreError>
+    sink: &mut dyn RowSink,
+    checkpoints: Option<&checkpoint::CheckpointPolicy>,
+) -> Result<SecureScanOutput<ScanSummary>, CoreError>
 where
     S: SummandSource,
     T: Transport + 'static,
@@ -601,12 +625,14 @@ where
         // A party that finished says so before it tears down; one that
         // failed says nothing, so supervised peers see a crash and hold the
         // link open for a `--resume`.
-        let result = protocol::party_protocol_with(&mut ctx, data, cfg, &mut feed, policy, true)
-            .inspect(|_| ctx.endpoint().close());
+        let result =
+            protocol::party_protocol_with(&mut ctx, data, cfg, &mut feed, checkpoints, Some(sink))
+                .inspect(|_| ctx.endpoint().close());
         // Tear the socket mesh down before reporting so every reader
         // thread has exited and the counters are final.
         drop(ctx);
-        Ok((vec![result?], stats, audit))
+        let scan = result?;
+        Ok((vec![(scan.summary, scan.digest)], stats, audit))
     })
 }
 
@@ -650,7 +676,6 @@ pub(crate) fn run_parties_ok<T: Send>(
 
 #[cfg(test)]
 mod tests {
-    use super::protocol::PartyScan;
     use super::*;
 
     /// The parties-agree check: party 0's rows when every digest equals
@@ -658,16 +683,16 @@ mod tests {
     /// disagrees.
     #[test]
     fn agreed_rows_names_the_first_party_that_disagrees() {
-        let scan = |digest, m| PartyScan {
-            rows: ScanResult {
+        let scan = |digest, m| {
+            let rows = ScanResult {
                 beta: vec![f64::NAN; m],
                 se: vec![f64::NAN; m],
                 t: vec![f64::NAN; m],
                 p: vec![f64::NAN; m],
                 df: 3,
                 n_degenerate: m,
-            },
-            digest,
+            };
+            (rows, digest)
         };
         let rows = agreed_rows(vec![scan(7, 2), scan(7, 0), scan(7, 0)]).unwrap();
         assert_eq!((rows.len(), rows.n_degenerate), (2, 2));
@@ -683,7 +708,10 @@ mod tests {
                 }
             );
         }
-        assert_eq!(agreed_rows(Vec::new()).unwrap_err(), CoreError::NoParties);
+        assert_eq!(
+            agreed_rows(Vec::<(ScanResult, u64)>::new()).unwrap_err(),
+            CoreError::NoParties
+        );
     }
 
     /// `secure_scan`, the three §5 drivers and `secure_pca` all run their

@@ -9,14 +9,16 @@
 //! computes the *next* block's local summands concurrently (optionally
 //! splitting each block's columns over `threads` workers). A block's
 //! rows are final as soon as its round closes: it is finalized on its
-//! own and appended to the run's result. Peak summand memory is O(K·B),
-//! and results are the same bits for every block size (finalization is
-//! per variant).
-//! Every party digests each block's opened statistics; only a lone party,
-//! or party 0 of an in-process run, also finalizes them into rows.
+//! own, folded into the run's [`ScanSummary`] and handed to the run's
+//! [`RowSink`], so neither summands (O(K·B)) nor rows need grow with M.
+//! Results are the same bits for every block size (finalization is per
+//! variant).
+//! Every party digests each block's opened statistics; only a party with
+//! a sink — a lone party, or party 0 of an in-process run — also
+//! finalizes them into rows.
 
 use crate::error::CoreError;
-use crate::model::ScanResult;
+use crate::model::{RowSink, ScanSummary};
 use crate::scan::parallel::variant_summands;
 use crate::secure::aggregate::YAggregate;
 use crate::secure::checkpoint::{self, Checkpoint, CheckpointPolicy, Fingerprint};
@@ -32,30 +34,31 @@ use dash_mpc::{CtxState, PartyCtx, R64};
 use std::path::PathBuf;
 use std::sync::mpsc;
 
-/// One party's scan: its rows (none unless it finalizes) and its digest.
+/// One party's scan: the summary of the rows it finalized (none without
+/// a sink) and its digest of what it opened.
 pub(crate) struct PartyScan {
-    pub(crate) rows: ScanResult,
+    pub(crate) summary: ScanSummary,
     pub(crate) digest: u64,
 }
 
 /// Executes the secure scan from one party's perspective (SPMD — every
 /// party runs this same function over the shared network). Generic over
-/// the party's storage via [`SummandSource`]; rows only with `finalize`.
+/// the party's storage via [`SummandSource`]; rows only with a `sink`.
 ///
 /// With `policy`, the protocol state is persisted after the y round and
 /// after every block, and — when `policy.resume_from` is set — the run
 /// rejoins an interrupted one at its last durable block boundary instead
-/// of starting over. Checkpointing needs a non-Beaver aggregation mode
-/// and a transport with durable link identity (TCP);
-/// anything else is a structured [`CoreError::Checkpoint`], never a
-/// silently unusable checkpoint.
+/// of starting over. Checkpointing needs a non-Beaver aggregation mode,
+/// a transport with durable link identity (TCP) and a sink that can make
+/// its rows durable; anything else is a structured
+/// [`CoreError::Checkpoint`], never a silently unusable checkpoint.
 pub(crate) fn party_protocol_with<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
     policy: Option<&CheckpointPolicy>,
-    finalize: bool,
+    mut sink: Option<&mut dyn RowSink>,
 ) -> Result<PartyScan, CoreError> {
     let m = data.n_variants();
     let k = data.covariates().cols();
@@ -64,11 +67,12 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         let _scan_span = ctx.trace_span("scan");
         let (n_total, _r, q_k) = count_and_rfactor(ctx, data.n_samples(), data.covariates(), cfg)?;
         return blocked_core(
-            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None, finalize,
+            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None, sink,
         );
     };
 
-    let (path, fingerprint) = checkpoint_target(ctx, cfg, policy, m, k, block_size)?;
+    let (path, fingerprint) =
+        checkpoint_target(ctx, cfg, policy, m, k, block_size, sink.as_deref_mut())?;
     let _scan_span = ctx.trace_span("scan");
     let (n_total, r, q_k, resume) = match policy.resume_from.as_deref() {
         None => {
@@ -77,8 +81,9 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
             (n_total, r, q_k, None)
         }
         Some(cp) => {
-            let (n_total, r, q_k, head, rows) = restore(ctx, data, cp, &fingerprint)?;
-            (n_total, r, q_k, Some((head, rows)))
+            let (n_total, r, q_k, resumed) =
+                restore(ctx, data, cp, &fingerprint, sink.as_deref_mut())?;
+            (n_total, r, q_k, Some(resumed))
         }
     };
     let saver = Saver {
@@ -98,7 +103,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         triples,
         Some(&saver),
         resume,
-        finalize,
+        sink,
     )
 }
 
@@ -180,6 +185,11 @@ fn mode_codes(cfg: &SecureScanConfig) -> (u8, u8) {
     (rf, agg)
 }
 
+/// Where a run continues once the y round is behind it: the opened y
+/// aggregate, the summary of the rows before the next block, and that
+/// block.
+type Resumed = (YAggregate, ScanSummary, usize);
+
 /// Block-boundary checkpoint writer for one party run.
 struct Saver {
     path: PathBuf,
@@ -192,22 +202,25 @@ struct Saver {
 
 impl Saver {
     /// Persists the protocol state at a block boundary (`next_block` is
-    /// the first block the resumed run would still execute, `rows` the
-    /// finished rows of the blocks before it), then tells the transport
-    /// the just-fsynced receive cursors are durable so peers may prune
-    /// their replay buffers up to them.
+    /// the first block the resumed run would still execute, `summary`
+    /// that of the rows before it): first the sink's rows, then the
+    /// checkpoint that records how long they are. Then it tells the
+    /// transport the just-fsynced receive cursors are durable so peers
+    /// may prune their replay buffers up to them.
     fn save_boundary(
         &self,
         ctx: &PartyCtx,
         next_block: u32,
         head: &YAggregate,
-        rows: &ScanResult,
+        summary: &ScanSummary,
+        sink: Option<&mut (dyn RowSink + '_)>,
     ) -> Result<(), CoreError> {
         let YAggregate::Opened { yy, qty } = head else {
             return Err(ckpt_err(
                 "cannot checkpoint a secret-shared y aggregate (Beaver mode)",
             ));
         };
+        let sink_len = sink.map_or(Ok(0), RowSink::durable)?;
         let state = ctx.protocol_state()?;
         let links = ctx.endpoint().link_snapshot();
         let snapshot = Checkpoint {
@@ -220,7 +233,8 @@ impl Saver {
             r: self.r.clone(),
             yy: *yy,
             qty: qty.clone(),
-            rows: rows.clone(),
+            sink_len,
+            summary: *summary,
             disclosures: ctx.audit().entries(),
             stats: ctx.endpoint().stats().snapshot(),
             links,
@@ -242,6 +256,7 @@ fn checkpoint_target(
     m: usize,
     k: usize,
     block_size: usize,
+    sink: Option<&mut (dyn RowSink + '_)>,
 ) -> Result<(PathBuf, Fingerprint), CoreError> {
     if cfg.aggregation == AggregationMode::BeaverDots {
         return Err(ckpt_err(
@@ -253,6 +268,9 @@ fn checkpoint_target(
         return Err(ckpt_err(
             "transport has no durable link identity to checkpoint; run over TCP",
         ));
+    }
+    if let Some(sink) = sink {
+        sink.durable()?;
     }
     std::fs::create_dir_all(&policy.dir)
         .map_err(|e| ckpt_err(format!("create {}: {e}", policy.dir.display())))?;
@@ -276,15 +294,17 @@ fn checkpoint_target(
 }
 
 /// Validates a loaded checkpoint against this run and puts the party back
-/// at its block boundary: returns `(N, R, Q_k, head, rows)` in place of
-/// steps 0 and 1 and the y round, which never re-run — so nothing
-/// re-opens — and of the blocks whose finished `rows` it holds.
+/// at its block boundary: returns `(N, R, Q_k)` and where to continue in
+/// place of steps 0 and 1 and the y round, which never re-run — so
+/// nothing re-opens — and of the blocks whose rows the sink already
+/// holds, once it has dropped whatever it took after the checkpoint.
 fn restore<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cp: &Checkpoint,
     fingerprint: &Fingerprint,
-) -> Result<(usize, Matrix, Matrix, YAggregate, ScanResult), CoreError> {
+    sink: Option<&mut (dyn RowSink + '_)>,
+) -> Result<(usize, Matrix, Matrix, Resumed), CoreError> {
     let m = data.n_variants();
     let k = data.covariates().cols();
     if cp.fingerprint != *fingerprint {
@@ -317,14 +337,16 @@ fn restore<S: SummandSource>(
     // The rows of exactly the blocks before `next_block`, so the run
     // picks up where they end.
     let done = next_block.saturating_mul(block_size).min(m);
-    let rows = &cp.rows;
-    let lens = [rows.beta.len(), rows.se.len(), rows.t.len(), rows.p.len()];
-    if lens.iter().any(|&l| l != done) || rows.n_degenerate > done {
+    let summary = cp.summary;
+    if summary.rows != done || summary.n_degenerate > done {
         return Err(ckpt_err(format!(
-            "checkpointed rows have lengths {lens:?} and {} degenerate, expected {done} \
-             rows for the blocks before block {next_block}",
-            rows.n_degenerate
+            "checkpointed summary counts {} rows and {} degenerate, expected {done} rows \
+             for the blocks before block {next_block}",
+            summary.rows, summary.n_degenerate
         )));
+    }
+    if let Some(sink) = sink {
+        sink.resume(cp.sink_len)?;
     }
     // Deterministic state back first: randomness, tags, the audit log,
     // and the traffic counters — so everything recorded from here on
@@ -342,31 +364,7 @@ fn restore<S: SummandSource>(
         yy: cp.yy,
         qty: cp.qty.clone(),
     };
-    let mut resumed = no_rows(m, n_total, k);
-    append(&mut resumed, rows.clone());
-    Ok((n_total, r, q_k, head, resumed))
-}
-
-/// A run's result before any block has closed: no rows yet, room for
-/// all `m`.
-fn no_rows(m: usize, n_total: usize, k: usize) -> ScanResult {
-    ScanResult {
-        beta: Vec::with_capacity(m),
-        se: Vec::with_capacity(m),
-        t: Vec::with_capacity(m),
-        p: Vec::with_capacity(m),
-        df: n_total.saturating_sub(k + 1),
-        n_degenerate: 0,
-    }
-}
-
-/// Appends one block's finished rows to the run's.
-fn append(rows: &mut ScanResult, block: ScanResult) {
-    rows.beta.extend(block.beta);
-    rows.se.extend(block.se);
-    rows.t.extend(block.t);
-    rows.p.extend(block.p);
-    rows.n_degenerate += block.n_degenerate;
+    Ok((n_total, r, q_k, (head, summary, next_block)))
 }
 
 /// Folds a block's opened statistics into the running digest `h`, a
@@ -387,14 +385,15 @@ fn digest_block(mut h: u64, s: &ScanStats) -> u64 {
 /// A producer thread computes block b+1's summands while the protocol
 /// thread runs block b's secure round; a rendezvous channel of depth 1
 /// bounds in-flight summand memory to two blocks. Each block's opened
-/// statistics are digested, and — with `finalize` — finalized as soon as
-/// its round closes; only its rows are kept.
+/// statistics are digested, and — with a `sink` — finalized as soon as
+/// its round closes, folded into the summary and pushed to the sink;
+/// nothing of the block is kept.
 ///
 /// With `saver`, the protocol state is persisted at every block boundary
 /// (after the y round and after each block); with `resume`, the y round
-/// and the blocks whose rows it holds are skipped — the remainder of the
-/// run is bit-identical to an uninterrupted one because all randomness,
-/// tags, and cursors were restored to the boundary state.
+/// and the blocks before its `next_block` are skipped — the remainder of
+/// the run is bit-identical to an uninterrupted one because all
+/// randomness, tags, and cursors were restored to the boundary state.
 #[allow(
     clippy::too_many_arguments,
     reason = "every secure entry point funnels into this one driver; a struct of its inputs would only rename them"
@@ -408,15 +407,14 @@ fn blocked_core<S: SummandSource>(
     cfg: &SecureScanConfig,
     triples: &mut TripleFeed,
     saver: Option<&Saver>,
-    resume: Option<(YAggregate, ScanResult)>,
-    finalize: bool,
+    resume: Option<Resumed>,
+    mut sink: Option<&mut dyn RowSink>,
 ) -> Result<PartyScan, CoreError> {
     let _agg_span = ctx.trace_span("phase:aggregate");
     let m = data.n_variants();
     let k = q_k.cols();
-    let n_blocks = blocks(m, block_size).len();
 
-    let (head, mut rows) = match resume {
+    let (head, mut summary, start_block) = match resume {
         Some(resumed) => resumed,
         None => {
             // Round 0, under ordinary protocol tags: the y-side
@@ -425,15 +423,16 @@ fn blocked_core<S: SummandSource>(
             let (yy_local, qty_local) = data.y_summands(q_k)?;
             let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples)?;
             drop(y_span);
-            let rows = no_rows(if finalize { m } else { 0 }, n_total, k);
+            let summary = ScanSummary {
+                df: n_total.saturating_sub(k + 1),
+                ..ScanSummary::default()
+            };
             if let Some(s) = saver {
-                s.save_boundary(ctx, 0, &head, &rows)?;
+                s.save_boundary(ctx, 0, &head, &summary, sink.as_deref_mut())?;
             }
-            (head, rows)
+            (head, summary, 0)
         }
     };
-    // Every block before the first one without rows is done.
-    let start_block = rows.len().div_ceil(block_size.max(1));
     let mut digest = n_total as u64; // N was opened too
 
     std::thread::scope(|scope| -> Result<(), CoreError> {
@@ -449,7 +448,7 @@ fn blocked_core<S: SummandSource>(
             }
         });
         let mut consume = || -> Result<(), CoreError> {
-            for b in start_block..n_blocks {
+            for (b, (lo, _)) in blocks(m, block_size).enumerate().skip(start_block) {
                 let summ = rx.recv().map_err(|_| CoreError::WorkerPanicked {
                     reason: "block producer exited without delivering a block".to_string(),
                 })??;
@@ -465,11 +464,13 @@ fn blocked_core<S: SummandSource>(
                 ctx.exit_block().map_err(CoreError::from)?;
                 let stats = stats?;
                 digest = digest_block(digest, &stats);
-                if finalize {
-                    append(&mut rows, stats.finalize(n_total, k)?);
+                if let Some(sink) = sink.as_deref_mut() {
+                    let rows = stats.finalize(n_total, k)?;
+                    summary.add(&rows);
+                    sink.push(lo, &rows)?;
                 }
                 if let Some(s) = saver {
-                    s.save_boundary(ctx, (b + 1) as u32, &head, &rows)?;
+                    s.save_boundary(ctx, (b + 1) as u32, &head, &summary, sink.as_deref_mut())?;
                     if s.crash_after_block == Some(b as u32) {
                         // The crash-injection hook: die the way kill -9
                         // does — no unwinding, no Drop, no flush — right
@@ -490,7 +491,7 @@ fn blocked_core<S: SummandSource>(
         }
         res
     })?;
-    Ok(PartyScan { rows, digest })
+    Ok(PartyScan { summary, digest })
 }
 
 #[cfg(test)]
@@ -570,7 +571,7 @@ mod tests {
                     seen = parts
                         .0
                         .iter()
-                        .map(|s| (s.rows.len(), s.rows.beta.capacity(), s.digest))
+                        .map(|(rows, digest)| (rows.len(), rows.beta.capacity(), *digest))
                         .collect();
                     Ok(parts)
                 })

@@ -3,7 +3,8 @@
 //! observers), the files it leaves must be loadable and complete, and a
 //! full-fleet resume from those files must reproduce the same output —
 //! results, traffic accounting, disclosures — without re-running any
-//! completed round. The harsher single-party `kill -9` mid-run path is
+//! completed round. Each party's rows go to a file of raw row bits, a
+//! sink that is durable the way the CLI's result TSV is. The harsher single-party `kill -9` mid-run path is
 //! covered end-to-end by the `dash` CLI crash/resume test, which spawns
 //! real processes.
 
@@ -12,16 +13,83 @@
 use dash_core::model::PartyData;
 use dash_core::secure::checkpoint::{self, CheckpointPolicy};
 use dash_core::secure::{
-    secure_scan, secure_scan_party_checkpointed, AggregationMode, SecureScanConfig,
-    SecureScanOutput,
+    secure_scan, secure_scan_party_into, AggregationMode, SecureScanConfig, SecureScanOutput,
 };
-use dash_core::CoreError;
+use dash_core::{CoreError, RowSink, ScanResult, ScanSummary};
 use dash_linalg::Matrix;
 use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::NetworkStats;
+use std::fs::File;
+use std::io::{Seek, SeekFrom, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// A row sink over a file of row bits (β̂, σ̂, t, p; 32 B a row): rows are
+/// appended as pushed, `durable` is an fsync, `resume` a truncation.
+struct BitsFile {
+    file: File,
+    len: u64,
+}
+
+impl BitsFile {
+    fn open(path: &Path, fresh: bool) -> BitsFile {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(fresh)
+            .open(path)
+            .unwrap();
+        let len = file.metadata().unwrap().len();
+        BitsFile { file, len }
+    }
+}
+
+impl RowSink for BitsFile {
+    fn push(&mut self, _first: usize, rows: &ScanResult) -> Result<(), CoreError> {
+        let mut bytes = Vec::with_capacity(32 * rows.len());
+        for j in 0..rows.len() {
+            for v in [rows.beta[j], rows.se[j], rows.t[j], rows.p[j]] {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        self.file.write_all(&bytes).unwrap();
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+    fn durable(&mut self) -> Result<u64, CoreError> {
+        self.file.sync_data().unwrap();
+        Ok(self.len)
+    }
+    fn resume(&mut self, len: u64) -> Result<(), CoreError> {
+        assert!(
+            len <= self.len,
+            "the file is shorter than the checkpoint says"
+        );
+        self.file.set_len(len).unwrap();
+        self.len = self.file.seek(SeekFrom::Start(len)).unwrap();
+        Ok(())
+    }
+}
+
+/// The rows a [`BitsFile`] holds, with the run's `df`.
+fn read_rows(path: &Path, df: usize) -> ScanResult {
+    let bytes = std::fs::read(path).unwrap();
+    let mut cols: [Vec<f64>; 4] = Default::default();
+    for (i, word) in bytes.chunks_exact(8).enumerate() {
+        cols[i % 4].push(f64::from_bits(u64::from_le_bytes(word.try_into().unwrap())));
+    }
+    let [beta, se, t, p] = cols;
+    let n_degenerate = beta.iter().filter(|b| b.is_nan()).count();
+    ScanResult {
+        beta,
+        se,
+        t,
+        p,
+        df,
+        n_degenerate,
+    }
+}
 
 fn gen_parties(sizes: &[usize], m: usize, k: usize, seed: u64) -> Vec<PartyData> {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
@@ -49,9 +117,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Runs every party of a checkpointed scan on its own thread with its
-/// own stats sink and transport — the in-process stand-in for one OS
-/// process per party. With `resume`, each party loads its checkpoint
-/// from `dir` and rejoins through `connect_resume`.
+/// own stats sink, transport and rows file `dir/rows<i>` — the
+/// in-process stand-in for one OS process per party. With `resume`, each
+/// party loads its checkpoint from `dir` and rejoins through
+/// `connect_resume`. Each output's result is the rows its file holds.
 fn run_tcp_checkpointed(
     parties: &[PartyData],
     cfg: &SecureScanConfig,
@@ -99,7 +168,11 @@ fn run_tcp_checkpointed(
                         resume_from,
                         crash_after_block: None,
                     };
-                    secure_scan_party_checkpointed(&parties[i], cfg, tcp, &policy)
+                    let rows = dir.join(format!("rows{i}"));
+                    let mut sink = BitsFile::open(&rows, !resume);
+                    let out =
+                        secure_scan_party_into(&parties[i], cfg, tcp, &mut sink, Some(&policy))?;
+                    Ok(out.map(|s: ScanSummary| read_rows(&rows, s.df)))
                 })
             })
             .collect();
@@ -218,7 +291,7 @@ fn full_fleet_resume(block_size: Option<usize>) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint must hold exactly the rows of the blocks before its
+/// A checkpoint must count exactly the rows of the blocks before its
 /// boundary: one row short, the resume is refused rather than run into
 /// a result with a variant missing.
 #[test]
@@ -238,18 +311,11 @@ fn a_checkpoint_missing_a_row_is_refused() {
         let path = checkpoint::checkpoint_path(&dir, i);
         let mut cp = checkpoint::load(&path).unwrap();
         assert_eq!(
-            cp.rows.len(),
-            5,
-            "party {i}: the final checkpoint holds every row"
+            (cp.summary.rows, cp.sink_len),
+            (5, 5 * 32),
+            "party {i}: the final checkpoint counts every row"
         );
-        for v in [
-            &mut cp.rows.beta,
-            &mut cp.rows.se,
-            &mut cp.rows.t,
-            &mut cp.rows.p,
-        ] {
-            v.pop();
-        }
+        cp.summary.rows -= 1;
         checkpoint::save(&path, &cp).unwrap();
     }
     for r in run_tcp_checkpointed(&parties, &cfg, &dir, true) {
@@ -282,6 +348,62 @@ fn unsupported_configurations_fail_structurally() {
             other => panic!("expected Checkpoint error, got {other:?}"),
         }
     }
+
+    // An in-memory result cannot be made durable: refused before any
+    // round, the way Beaver mode is.
+    let in_memory = SecureScanConfig {
+        block_size: Some(1),
+        seed: 7,
+        ..SecureScanConfig::default()
+    };
+    let (listeners, addrs): (Vec<_>, Vec<_>) = (0..2)
+        .map(|_| {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            let a = l.local_addr().unwrap();
+            (l, a)
+        })
+        .unzip();
+    let tcp_cfg = TcpConfig {
+        run_id: 7,
+        supervision: Some(LinkSupervision::default()),
+        ..TcpConfig::default()
+    };
+    std::thread::scope(|scope| {
+        for (i, listener) in listeners.into_iter().enumerate() {
+            let (addrs, parties, dir) = (&addrs, &parties, &dir);
+            scope.spawn(move || {
+                let stats = Arc::new(NetworkStats::with_trace(
+                    2,
+                    dash_core::TraceHandle::disabled(),
+                ));
+                let tcp = TcpTransport::connect(i, listener, addrs, tcp_cfg, stats).unwrap();
+                let policy = CheckpointPolicy {
+                    dir: dir.clone(),
+                    ..CheckpointPolicy::default()
+                };
+                let mut result = ScanResult {
+                    beta: vec![],
+                    se: vec![],
+                    t: vec![],
+                    p: vec![],
+                    df: 0,
+                    n_degenerate: 0,
+                };
+                match secure_scan_party_into(
+                    &parties[i],
+                    &in_memory,
+                    tcp,
+                    &mut result,
+                    Some(&policy),
+                ) {
+                    Err(CoreError::Checkpoint { what }) => {
+                        assert!(what.contains("in-memory"), "{what}")
+                    }
+                    other => panic!("expected Checkpoint error, got {other:?}"),
+                }
+            });
+        }
+    });
 
     // A checkpoint from a different run (different seed) must be
     // rejected by its fingerprint, not silently diverge.

@@ -13,14 +13,15 @@
 //! [`StreamedParty`] reads a block of columns at a time into the scan.
 
 use crate::error::GwasError;
-use dash_core::model::ScanResult;
+use dash_core::model::{RowSink, ScanResult};
 use dash_core::secure::SummandSource;
 use dash_core::suffstats::{y_dots, VariantSummands};
 use dash_core::CoreError;
 use dash_linalg::{Matrix, ScanDots, ScanLanes};
 use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 /// Writes a matrix as TSV (rows × columns).
@@ -46,20 +47,25 @@ pub fn write_matrix(w: &mut impl Write, m: &Matrix) -> Result<(), GwasError> {
 /// Bytes of text gathered before the writer sees any of it.
 const WRITE_CHUNK: usize = 1 << 16;
 
+/// Room past a chunk for the row that crosses it. A scan-result row is
+/// five numbers of at most 24 characters and five separators, so its
+/// buffer never reallocates (a longer matrix row still grows it).
+const ROW_ROOM: usize = 256;
+
 /// Table text on its way to a writer: cells are formatted straight into
 /// one reused `String` (no per-cell trip through the `io::Write` adapter)
 /// and the writer is handed `WRITE_CHUNK` bytes or more at a time, so it
 /// needs no buffer of its own.
-struct TextOut<'w, W: Write> {
-    w: &'w mut W,
+struct TextOut<W: Write> {
+    w: W,
     buf: String,
 }
 
-impl<'w, W: Write> TextOut<'w, W> {
-    fn new(w: &'w mut W) -> Self {
+impl<W: Write> TextOut<W> {
+    fn new(w: W) -> Self {
         TextOut {
             w,
-            buf: String::with_capacity(WRITE_CHUNK),
+            buf: String::with_capacity(WRITE_CHUNK + ROW_ROOM),
         }
     }
 
@@ -76,14 +82,15 @@ impl<'w, W: Write> TextOut<'w, W> {
     fn end_row(&mut self) -> Result<(), GwasError> {
         self.buf.push('\n');
         if self.buf.len() >= WRITE_CHUNK {
-            self.w.write_all(self.buf.as_bytes())?;
-            self.buf.clear();
+            self.finish()?;
         }
         Ok(())
     }
 
-    fn finish(self) -> Result<(), GwasError> {
+    /// Hands the writer everything gathered so far.
+    fn finish(&mut self) -> Result<(), GwasError> {
         self.w.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
         Ok(())
     }
 }
@@ -810,25 +817,93 @@ fn leading_digits(s: &[u8]) -> (u64, usize) {
 }
 
 /// Writes scan results as a header-bearing TSV with the R demo's column
-/// names.
+/// names: a [`TsvSink`] handed all the rows at once.
 pub fn write_scan_tsv(path: &Path, res: &ScanResult) -> Result<(), GwasError> {
-    write_scan(&mut std::fs::File::create(path)?, res)
+    let mut tsv = TsvSink::create(path)?;
+    tsv.rows(0, res)?;
+    tsv.text.finish()
 }
 
-/// [`write_scan_tsv`] to any writer.
-fn write_scan(w: &mut impl Write, res: &ScanResult) -> Result<(), GwasError> {
-    let mut text = TextOut::new(w);
-    text.buf.push_str("variant\tbeta\tsigma\ttstat\tpval");
-    text.end_row()?;
-    for j in 0..res.len() {
-        write!(text.buf, "{j}").expect("formatting into a String cannot fail");
-        for stat in [&res.beta, &res.se, &res.t, &res.p] {
-            text.buf.push('\t');
-            text.cell(stat[j]);
-        }
-        text.end_row()?;
+/// The first line of a scan-result TSV.
+const SCAN_HEADER: &str = "variant\tbeta\tsigma\ttstat\tpval\n";
+
+/// A scan-result TSV written a block of rows at a time, as each block's
+/// round closes (`dash party --out`): each push reaches the file,
+/// `durable` fsyncs it and returns its length, `resume` cuts it back to
+/// such a length.
+pub struct TsvSink {
+    path: PathBuf,
+    text: TextOut<File>,
+}
+
+impl TsvSink {
+    /// Creates (or truncates) the file at `path`, starting with the header.
+    pub fn create(path: &Path) -> Result<TsvSink, GwasError> {
+        let mut text = TextOut::new(File::create(path)?);
+        text.buf.push_str(SCAN_HEADER);
+        let path = path.to_path_buf();
+        Ok(TsvSink { path, text })
     }
-    text.finish()
+
+    /// The file an interrupted run was writing, untouched until `resume`
+    /// cuts it back; a missing file is an error that names it.
+    pub fn reopen(path: &Path) -> Result<TsvSink, CoreError> {
+        let file = std::fs::OpenOptions::new().write(true).open(path);
+        let file = file.map_err(|e| resume_err(path, format!("cannot be reopened: {e}")))?;
+        let (path, text) = (path.to_path_buf(), TextOut::new(file));
+        Ok(TsvSink { path, text })
+    }
+
+    /// Formats the rows of variants `first..` into the buffer.
+    fn rows(&mut self, first: usize, res: &ScanResult) -> Result<(), GwasError> {
+        let text = &mut self.text;
+        for j in 0..res.len() {
+            write!(text.buf, "{}", first + j).expect("formatting into a String cannot fail");
+            for stat in [&res.beta, &res.se, &res.t, &res.p] {
+                text.buf.push('\t');
+                text.cell(stat[j]);
+            }
+            text.end_row()?;
+        }
+        Ok(())
+    }
+}
+
+fn sink_err(path: &Path, e: impl std::fmt::Display) -> CoreError {
+    let what = format!("{}: {e}", path.display());
+    CoreError::Sink { what }
+}
+
+fn resume_err(path: &Path, what: String) -> CoreError {
+    let what = format!("result file {} {what}", path.display());
+    CoreError::Checkpoint { what }
+}
+
+impl RowSink for TsvSink {
+    fn push(&mut self, first: usize, rows: &ScanResult) -> Result<(), CoreError> {
+        let written = self.rows(first, rows).and_then(|()| self.text.finish());
+        written.map_err(|e| sink_err(&self.path, e))
+    }
+
+    fn durable(&mut self) -> Result<u64, CoreError> {
+        self.text.finish().map_err(|e| sink_err(&self.path, e))?;
+        let file = &mut self.text.w;
+        let len = file.sync_data().and_then(|()| file.stream_position());
+        len.map_err(|e| sink_err(&self.path, e))
+    }
+
+    fn resume(&mut self, len: u64) -> Result<(), CoreError> {
+        let file = &mut self.text.w;
+        let held = file.metadata().map_err(|e| sink_err(&self.path, e))?.len();
+        if held < len || len < SCAN_HEADER.len() as u64 {
+            let what = format!("holds {held} bytes; the checkpoint recorded {len}");
+            return Err(resume_err(&self.path, what));
+        }
+        let cut = file
+            .set_len(len)
+            .and_then(|()| file.seek(SeekFrom::Start(len)));
+        cut.map(drop).map_err(|e| sink_err(&self.path, e))
+    }
 }
 
 /// Reads a scan-result TSV written by [`write_scan_tsv`].
@@ -1625,11 +1700,29 @@ mod tests {
             df: 92,
             n_degenerate: 0,
         };
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        write_scan(&mut got, &res).unwrap();
+        let path = tmp("scan_bytes.tsv");
+        write_scan_tsv(&path, &res).unwrap();
+        let got = std::fs::read(&path).unwrap();
+        let mut want = Vec::new();
         write_scan_by_cells(&mut want, &res);
         assert!(want.len() > 3 * WRITE_CHUNK);
         assert!(got == want, "scan TSV differs from the per-cell writer");
+        // Pushed a block at a time, some blocks empty or one row, the
+        // file is the same, and each durable length is the file's.
+        let mut tsv = TsvSink::create(&path).unwrap();
+        let mut lo = 0;
+        for hi in [0, 1, 1, 7, 2_000, 2_001, 5_500, rows] {
+            tsv.push(lo, &rows_of(&res, lo, hi)).unwrap();
+            let len = tsv.durable().unwrap();
+            assert_eq!(len, std::fs::metadata(&path).unwrap().len());
+            lo = hi;
+        }
+        let got = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            got == want,
+            "blocked scan TSV differs from the per-cell writer"
+        );
 
         // A matrix with rows far longer than a chunk, one column, and none.
         for (r, c) in [(3, 9_000), (rows, 1), (4, 0), (0, 0)] {
@@ -1645,6 +1738,72 @@ mod tests {
                 "{r}×{c} matrix differs from the per-cell writer"
             );
         }
+    }
+
+    /// Rows `lo..hi` of `res`.
+    fn rows_of(res: &ScanResult, lo: usize, hi: usize) -> ScanResult {
+        ScanResult {
+            beta: res.beta[lo..hi].to_vec(),
+            se: res.se[lo..hi].to_vec(),
+            t: res.t[lo..hi].to_vec(),
+            p: res.p[lo..hi].to_vec(),
+            df: res.df,
+            n_degenerate: res.beta[lo..hi].iter().filter(|b| b.is_nan()).count(),
+        }
+    }
+
+    /// A resumed TSV is cut back to the recorded length and continued: a
+    /// file longer than that (rows written after the checkpoint) ends
+    /// byte-equal to an uninterrupted one; a shorter or missing file, or a
+    /// length inside the header, is refused with an error naming it.
+    #[test]
+    fn a_resumed_tsv_continues_from_the_recorded_length_or_is_refused() {
+        let res = ScanResult {
+            beta: (0..300).map(|i| i as f64 * 0.25 - 7.0).collect(),
+            se: (0..300).map(|i| 1.0 / (i as f64 + 1.0)).collect(),
+            t: (0..300).map(|i| (i as f64).sin()).collect(),
+            p: (0..300).map(|i| (i as f64 + 0.5) / 301.0).collect(),
+            df: 12,
+            n_degenerate: 0,
+        };
+        let (whole, path) = (tmp("resume_whole.tsv"), tmp("resume.tsv"));
+        write_scan_tsv(&whole, &res).unwrap();
+        let want = std::fs::read(&whole).unwrap();
+
+        let mut tsv = TsvSink::create(&path).unwrap();
+        tsv.push(0, &rows_of(&res, 0, 100)).unwrap();
+        let len = tsv.durable().unwrap();
+        // Rows past the checkpoint reach the file, and half a row more.
+        tsv.push(100, &rows_of(&res, 100, 180)).unwrap();
+        drop(tsv);
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(b"180\t0.5\t0.2")
+            .unwrap();
+        let mut tsv = TsvSink::reopen(&path).unwrap();
+        tsv.resume(len).unwrap();
+        tsv.push(100, &rows_of(&res, 100, 300)).unwrap();
+        assert!(std::fs::read(&path).unwrap() == want);
+
+        let refused = |err: CoreError| match err {
+            CoreError::Checkpoint { what } => {
+                assert!(what.contains(&*path.to_string_lossy()), "{what}")
+            }
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        };
+        let full = want.len() as u64;
+        refused(
+            TsvSink::reopen(&path)
+                .unwrap()
+                .resume(full + 1)
+                .unwrap_err(),
+        );
+        refused(TsvSink::reopen(&path).unwrap().resume(3).unwrap_err());
+        std::fs::remove_file(&path).ok();
+        refused(TsvSink::reopen(&path).err().unwrap());
+        std::fs::remove_file(&whole).ok();
     }
 
     #[test]

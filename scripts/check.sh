@@ -186,6 +186,23 @@ for i in 0 1; do
 done
 ./target/release/dash-analyze --validate-trace "$TRACE_TMP/tcp-trace.json"
 
+echo "== disclosure audit is deterministic (two secure-scan runs, byte-compare)"
+# The in-process parties record into one shared log in thread-arrival
+# order; the printed audit is sorted by source party (aggregates first,
+# each party's entries in its own protocol order), so two runs' stdout
+# must be byte-identical.
+AUDIT_TMP="$TRACE_TMP/audit"
+./target/release/dash simulate --out "$AUDIT_TMP" --samples 20,25,15 \
+    --variants 12 --causal 3 --covariates 2 --seed 5 > /dev/null
+for run in 1 2; do
+    ./target/release/dash secure-scan --dir "$AUDIT_TMP" --block-size 4 \
+        --audit true > "$AUDIT_TMP/stdout$run.txt"
+done
+cmp "$AUDIT_TMP/stdout1.txt" "$AUDIT_TMP/stdout2.txt" || {
+    echo "error: two runs printed different disclosure audits" >&2
+    exit 1
+}
+
 echo "== crash/resume chaos smoke (mid-stream RST, kill a party, resume, byte-compare)"
 # Three real party processes, checkpointing at every block boundary. Party
 # 2 dials party 0 through the `dash chaos` proxy, which resets the first
@@ -193,8 +210,11 @@ echo "== crash/resume chaos smoke (mid-stream RST, kill a party, resume, byte-co
 # has to reconnect and replay. Party 2 also kills itself right after block
 # 0's checkpoint is durable (the --crash-after-block hook stands in for a
 # well-timed kill -9) and is restarted with --resume inside the reconnect
-# window. All three result files must still be byte-identical to the
-# in-process reference — recovery must be invisible in the results.
+# window. Before the restart a partial row is appended to its results
+# file, as a crash between the file's fsync and the checkpoint's rename
+# leaves rows the checkpoint does not count; the resume must cut them off.
+# All three result files must still be byte-identical to the in-process
+# reference — recovery must be invisible in the results.
 CHAOS_TMP="$TRACE_TMP/chaos"
 ./target/release/dash simulate --out "$CHAOS_TMP" --samples 20,25,15 \
     --variants 12 --causal 3 --covariates 2 --seed 5
@@ -226,6 +246,7 @@ if wait $!; then
     cat "$CHAOS_TMP/party2-crash.log" >&2
     exit 1
 fi
+printf '4\t0.125\t0.5' >> "$CHAOS_TMP/res2.tsv"
 timeout 180 ./target/release/dash party --id 2 --peers "$PEERS3_PROXIED" \
     --dir "$CHAOS_TMP/party2" --block-size 4 --audit false \
     --checkpoint-dir "$CHAOS_TMP/ckpt" --resume true \

@@ -5,16 +5,26 @@
 //! (4 rows of it) and 8 B per row for the cursors; streaming 16,384
 //! columns in blocks of 512 peaks where 512 columns do, up to one tile of
 //! a block; and the resident `read_matrix` of the largest file holds all
-//! 8·N·M bytes of X. Live bytes repeat exactly where RSS and timings do
-//! not, so this gates in tier-1. The tracking allocator is process-wide,
-//! hence a test binary of its own; the tally is per thread, and every
-//! allocation measured here is made and freed on the calling thread.
+//! 8·N·M bytes of X. A party of a secure scan whose rows go to a results
+//! TSV as each block closes holds no more of them at 4M variants than at
+//! M. Live bytes repeat exactly where RSS and timings do not, so this
+//! gates in tier-1. The tracking allocator is process-wide, hence a test
+//! binary of its own; the tally is per thread: the streaming tests make
+//! and free every allocation they measure on the calling thread, and the
+//! party's protocol thread frees the summands and frames other threads
+//! made for it, which only lowers its tally.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use dash_core::secure::SummandSource;
-use dash_gwas::io::{read_matrix_tsv, StreamedParty};
+use dash_core::model::PartyData;
+use dash_core::secure::{
+    secure_scan_party_into, secure_scan_party_with, SecureScanConfig, SummandSource, TraceHandle,
+};
+use dash_gwas::io::{read_matrix_tsv, StreamedParty, TsvSink};
+use dash_gwas::pheno::{normal_matrix, normal_vec};
+use dash_gwas::{simulate_genotypes, GenotypeSimConfig};
 use dash_linalg::Matrix;
+use dash_mpc::net::Network;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -159,5 +169,63 @@ fn streaming_x_in_blocks_holds_no_more_at_16384_columns_than_at_512() {
     assert!(
         resident >= 8 * n * wide && wide_peak < resident / 2,
         "read_matrix peaked at {resident} B, streaming at {wide_peak} B"
+    );
+}
+
+/// Party 0's protocol-thread peak live heap over a three-party secure scan
+/// of `m` generated genotype columns in blocks of `B`, its rows going to a
+/// results TSV, against two peer threads over the in-process mesh.
+fn party_peak(m: usize) -> usize {
+    let mut rng = StdRng::seed_from_u64(m as u64);
+    let parties: Vec<PartyData> = [16, 20, 18]
+        .iter()
+        .map(|&n| {
+            let g = simulate_genotypes(n, m, &GenotypeSimConfig::default(), &mut rng).unwrap();
+            PartyData::new(
+                normal_vec(n, &mut rng),
+                g.to_dosages(),
+                normal_matrix(n, K, &mut rng),
+            )
+            .unwrap()
+        })
+        .collect();
+    let cfg = SecureScanConfig {
+        block_size: Some(B),
+        seed: 7,
+        ..SecureScanConfig::default()
+    };
+    let path = std::env::temp_dir().join(format!("dash_party_peak_{}_{m}.tsv", std::process::id()));
+    let (endpoints, _) = Network::endpoints_traced(parties.len(), TraceHandle::disabled()).unwrap();
+    let mut endpoints = endpoints.into_iter();
+    let own = endpoints.next().unwrap();
+    let peak = std::thread::scope(|scope| {
+        for (endpoint, data) in endpoints.zip(&parties[1..]) {
+            scope.spawn(move || secure_scan_party_with(data, &cfg, endpoint).unwrap());
+        }
+        let (peak, out) = peak_of(|| {
+            let mut tsv = TsvSink::create(&path).unwrap();
+            secure_scan_party_into(&parties[0], &cfg, own, &mut tsv, None).unwrap()
+        });
+        assert_eq!(out.result.rows, m);
+        peak
+    });
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(lines, m + 1, "header and one line per variant");
+    std::fs::remove_file(&path).ok();
+    peak
+}
+
+#[test]
+fn a_party_writing_its_rows_holds_no_more_at_4m_variants_than_at_m() {
+    let m = 8192;
+    let small = party_peak(m);
+    let large = party_peak(4 * m);
+    // What may grow is per block, not per variant: the disclosure log
+    // gains a few entries a block. Rows held to the end would add 32 B a
+    // variant, 786,432 B here.
+    assert!(
+        large < small + 64 * 1024,
+        "party peaks {small} B at M = {m} and {large} B at M = {}",
+        4 * m
     );
 }
