@@ -11,6 +11,9 @@
 //! for everything else, the same `f64` bit for bit either way — and
 //! [`read_matrix`] writes each value once into its column-major slot, or
 //! [`StreamedParty`] reads a block of columns at a time into the scan.
+//! Writing mirrors it: `TextOut::cell` is the one place a number becomes
+//! text — Ryu's shortest digits for the normal values below 2⁵³, `{}` for
+//! the rest, the bytes of `{}` either way (DESIGN §5.5).
 
 use crate::error::GwasError;
 use dash_core::model::{RowSink, ScanResult};
@@ -18,11 +21,12 @@ use dash_core::secure::SummandSource;
 use dash_core::suffstats::{y_dots, VariantSummands};
 use dash_core::CoreError;
 use dash_linalg::{Matrix, ScanDots, ScanLanes};
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
+
+mod shortest;
 
 /// Writes a matrix as TSV (rows × columns).
 pub fn write_matrix_tsv(path: &Path, m: &Matrix) -> Result<(), GwasError> {
@@ -35,7 +39,7 @@ pub fn write_matrix(w: &mut impl Write, m: &Matrix) -> Result<(), GwasError> {
     for i in 0..m.rows() {
         for j in 0..m.cols() {
             if j > 0 {
-                text.buf.push('\t');
+                text.buf.push(b'\t');
             }
             text.cell(m.get(i, j));
         }
@@ -47,40 +51,53 @@ pub fn write_matrix(w: &mut impl Write, m: &Matrix) -> Result<(), GwasError> {
 /// Bytes of text gathered before the writer sees any of it.
 const WRITE_CHUNK: usize = 1 << 16;
 
-/// Room past a chunk for the row that crosses it. A scan-result row is
-/// five numbers of at most 24 characters and five separators, so its
-/// buffer never reallocates (a longer matrix row still grows it).
-const ROW_ROOM: usize = 256;
+/// The longest text `{}` gives an `f64`: −5e-324, "-0." and 323 zeros
+/// before its one digit.
+const LONGEST_CELL: usize = 327;
 
-/// Table text on its way to a writer: cells are formatted straight into
-/// one reused `String` (no per-cell trip through the `io::Write` adapter)
+/// The longest variant index, `usize::MAX`.
+const LONGEST_INDEX: usize = usize::MAX.ilog10() as usize + 1;
+
+/// Room past a chunk for the row that crosses it: the longest scan-result
+/// row, an index, four cells, four tabs and a newline, so that buffer
+/// never reallocates (a longer matrix row still grows it).
+const ROW_ROOM: usize = LONGEST_INDEX + 4 * LONGEST_CELL + 5;
+
+/// Table text on its way to a writer: cells are written straight into
+/// one reused byte buffer (no per-cell trip through `core::fmt`)
 /// and the writer is handed `WRITE_CHUNK` bytes or more at a time, so it
 /// needs no buffer of its own.
 struct TextOut<W: Write> {
     w: W,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> TextOut<W> {
     fn new(w: W) -> Self {
         TextOut {
             w,
-            buf: String::with_capacity(WRITE_CHUNK + ROW_ROOM),
+            buf: Vec::with_capacity(WRITE_CHUNK + ROW_ROOM),
         }
     }
 
-    /// Appends one number: Rust's `{}`, which is shortest-roundtrip, and
-    /// NaN spelled so `parse` accepts it back whatever its sign.
+    /// The one place a number becomes text: Rust's `{}`, which is
+    /// shortest-roundtrip, and NaN spelled so `parse` accepts it back
+    /// whatever its sign. `shortest::push` writes `{}`'s bytes for the
+    /// normal values below 2⁵³ that make up a scan's rows; `{}` itself
+    /// writes the rest (DESIGN §5.5).
     fn cell(&mut self, v: f64) {
+        if shortest::push(&mut self.buf, v) {
+            return;
+        }
         if v.is_nan() {
-            self.buf.push_str("NaN");
+            self.buf.extend_from_slice(b"NaN");
         } else {
-            write!(self.buf, "{v}").expect("formatting into a String cannot fail");
+            write!(self.buf, "{v}").expect("writing into a Vec cannot fail");
         }
     }
 
     fn end_row(&mut self) -> Result<(), GwasError> {
-        self.buf.push('\n');
+        self.buf.push(b'\n');
         if self.buf.len() >= WRITE_CHUNK {
             self.finish()?;
         }
@@ -89,7 +106,7 @@ impl<W: Write> TextOut<W> {
 
     /// Hands the writer everything gathered so far.
     fn finish(&mut self) -> Result<(), GwasError> {
-        self.w.write_all(self.buf.as_bytes())?;
+        self.w.write_all(&self.buf)?;
         self.buf.clear();
         Ok(())
     }
@@ -840,7 +857,7 @@ impl TsvSink {
     /// Creates (or truncates) the file at `path`, starting with the header.
     pub fn create(path: &Path) -> Result<TsvSink, GwasError> {
         let mut text = TextOut::new(File::create(path)?);
-        text.buf.push_str(SCAN_HEADER);
+        text.buf.extend_from_slice(SCAN_HEADER.as_bytes());
         let path = path.to_path_buf();
         Ok(TsvSink { path, text })
     }
@@ -858,9 +875,9 @@ impl TsvSink {
     fn rows(&mut self, first: usize, res: &ScanResult) -> Result<(), GwasError> {
         let text = &mut self.text;
         for j in 0..res.len() {
-            write!(text.buf, "{}", first + j).expect("formatting into a String cannot fail");
+            shortest::push_integer(&mut text.buf, (first + j) as u64);
             for stat in [&res.beta, &res.se, &res.t, &res.p] {
-                text.buf.push('\t');
+                text.buf.push(b'\t');
                 text.cell(stat[j]);
             }
             text.end_row()?;

@@ -566,7 +566,10 @@ mod tests {
         // window are black-holed, the retry loop keeps going, and the
         // link comes back with no data loss.
         // Threshold above the 96-byte hello exchange so the initial
-        // mesh connect always succeeds; heartbeats and data trip it.
+        // mesh connect always succeeds. The frames alone trip it, however
+        // the heartbeats and acks fall: six 8-word frames are 6 × 84 B,
+        // so the 300th byte passes before the last frame is through, and
+        // the frames after it can only arrive over the reconnect.
         let (t0, t1, proxy) = proxied_pair(
             71,
             ChaosMode::PartitionAfterBytes {
@@ -577,8 +580,9 @@ mod tests {
         );
         for i in 0..6u64 {
             let tag = 500 + i as u32;
-            t1.send_words(0, tag, &[i]).unwrap();
-            assert_eq!(t0.recv_words(1, tag).unwrap(), vec![i]);
+            let words: Vec<u64> = (i..i + 8).collect();
+            t1.send_words(0, tag, &words).unwrap();
+            assert_eq!(t0.recv_words(1, tag).unwrap(), words);
         }
         assert!(proxy.connections() >= 2, "partition never tripped");
         proxy.stop();

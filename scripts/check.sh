@@ -111,6 +111,16 @@ echo "== TSV reader and streamed party: bit-equal to their references or the sam
 # locally for a deeper search).
 DASH_TSV_CASES=2048 cargo test -p dash-gwas --release --lib io::tests
 
+echo "== TSV writer: shortest digits equal \`{}\` byte for byte"
+# The cell writer's fast path (gwas/src/io/shortest.rs, Ryu's e2 < 0
+# half with ties up) against `format!("{}")`: random bit patterns,
+# exponent-uniform normals, every power of two and 1e{k} with their
+# neighbours, integers and fractions, exact ties k + {.25, .5, .75} for
+# 2^50 <= k < 2^51, and the edges of the fast path's domain, where `{}`
+# itself writes the cell. DASH_FMT_CASES bounds each random family
+# (default 20,000, ~0.1 s; here ~20 s).
+DASH_FMT_CASES=10000000 cargo test -p dash-gwas --release --lib io::shortest::tests
+
 echo "== p-values: a slice evaluated in lock step equals the scalar oracle bit for bit"
 # `StudentT::two_sided_p_into` (stats/src/{tdist,special}.rs: the
 # incomplete-beta continued fractions of a slice run four at a time)

@@ -1,14 +1,17 @@
 //! Beaver preprocessing and the Beaver round allocate per *batch*, not per
 //! triple: the number of heap allocations is the same for a batch of 64
 //! triples and one of 8,192. Likewise `ScanStats::finalize` allocates its
-//! four result vectors and no scratch that grows with M. A count repeats
+//! four result vectors and no scratch that grows with M, and the result
+//! TSV writer allocates nothing per row or per cell. A count repeats
 //! exactly where a timing does not, so this gates in tier-1. The counting
 //! allocator is process-wide, hence a test binary of its own; the counter
 //! is per thread, so its tests do not see each other.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use dash_core::model::{RowSink, ScanResult};
 use dash_core::suffstats::ScanStats;
+use dash_gwas::io::TsvSink;
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
 use dash_mpc::net::{NetOptions, Network};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
@@ -142,4 +145,51 @@ fn finalize_allocates_its_results_and_no_scratch_that_grows_with_m() {
     // place, a few lanes at a time.
     assert_eq!(finalize_allocs(1_000), 4);
     assert_eq!(finalize_allocs(100_000), 4);
+}
+
+/// Allocations of one `TsvSink::push` of `rows`, a block of variants
+/// written to a fresh file.
+fn push_allocs(rows: &ScanResult, name: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("dash_alloc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let mut sink = TsvSink::create(&path).unwrap();
+    let (allocs, pushed) = allocs_of(|| sink.push(0, rows));
+    pushed.unwrap();
+    drop(sink);
+    std::fs::remove_dir_all(&dir).ok();
+    allocs
+}
+
+/// `m` rows; `stat(k, j)` is column k (β̂, σ̂, t, p) of row j.
+fn rows(m: usize, stat: impl Fn(usize, usize) -> f64) -> ScanResult {
+    let column = |k| (0..m).map(|j| stat(k, j)).collect::<Vec<f64>>();
+    ScanResult {
+        beta: column(0),
+        se: column(1),
+        t: column(2),
+        p: column(3),
+        df: 92,
+        n_degenerate: 0,
+    }
+}
+
+#[test]
+fn the_tsv_writer_allocates_nothing_per_row_or_per_cell() {
+    // Cells of a scan's usual spelling: 16-18 characters.
+    let usual = |k: usize, j: usize| ((j * 4 + k) as f64 * 0.37).sin() / (k + 1) as f64;
+    let small = push_allocs(&rows(64, usual), "small.tsv");
+    let large = push_allocs(&rows(8_192, usual), "large.tsv");
+    assert_eq!(small, large, "a TsvSink push allocates per row");
+    // The longest cells `{}` writes, in every row of a block that crosses
+    // its 64 KiB chunk some 80 times: the room left past the chunk holds
+    // any row, so the buffer is never grown.
+    let extreme = |k: usize, j: usize| match k {
+        0 => -f64::MAX,
+        1 => f64::NAN,
+        2 => [f64::INFINITY, f64::NEG_INFINITY][j % 2],
+        _ => 5e-324,
+    };
+    let extremes = push_allocs(&rows(8_192, extreme), "extreme.tsv");
+    assert_eq!(small, extremes, "a row of extreme cells grew the buffer");
 }
