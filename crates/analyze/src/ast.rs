@@ -1,10 +1,10 @@
 //! A lossy-but-faithful Rust AST for the analyzer.
 //!
 //! The parser (`parser.rs`) produces these nodes from the comment-free
-//! token stream. "Lossy" means: anything the taint and constant-time
-//! passes don't need (lifetimes, generic bounds, visibility, attributes
-//! other than `#[test]`/`#[cfg(test)]`/`#[derive(..)]`) is dropped or
-//! flattened, and any construct the parser cannot make sense of becomes
+//! token stream. "Lossy" means: anything the constant-time pass doesn't
+//! need (lifetimes, generic bounds, visibility, attributes other than
+//! `#[test]`/`#[cfg(test)]`, struct/enum bodies, literal text) is dropped
+//! or flattened, and any construct the parser cannot make sense of becomes
 //! [`ExprKind::Unknown`] rather than an error. "Faithful" means: for the
 //! constructs the passes *do* reason about — items, fn signatures and
 //! bodies, `let`/`match` bindings, field accesses, closures, method and
@@ -27,43 +27,9 @@ pub struct Ty {
 }
 
 impl Ty {
-    pub fn simple(head: &str) -> Ty {
-        Ty {
-            head: head.to_string(),
-            args: Vec::new(),
-            idents: vec![head.to_string()],
-        }
-    }
-
     /// Whether `name` appears anywhere in the type expression.
     pub fn mentions(&self, name: &str) -> bool {
         self.idents.iter().any(|s| s == name)
-    }
-
-    pub fn is_unknown(&self) -> bool {
-        self.head.is_empty() && self.args.is_empty()
-    }
-
-    /// The element type of a container/wrapper, if this type is one the
-    /// passes understand (`Vec<T>`, `[T]`, `Option<T>`, `Box<T>`, …).
-    pub fn elem(&self) -> Option<&Ty> {
-        match self.head.as_str() {
-            "Vec" | "VecDeque" | "Box" | "Rc" | "Arc" | "Option" | "Some" | "Cow" => {
-                self.args.first()
-            }
-            // Slice `[T]` / array `[T; N]`: head "" with exactly one arg.
-            "" if self.args.len() == 1 => self.args.first(),
-            _ => None,
-        }
-    }
-
-    /// Tuple element `i`, when this is a tuple type.
-    pub fn tuple_elem(&self, i: usize) -> Option<&Ty> {
-        if self.head.is_empty() && self.args.len() >= 2 {
-            self.args.get(i)
-        } else {
-            None
-        }
     }
 }
 
@@ -71,35 +37,17 @@ impl Ty {
 #[derive(Debug)]
 pub enum Item {
     Fn(Fun),
-    Struct(StructDef),
     Impl(ImplBlock),
     Mod(ModDef),
-    /// `use`, `const`, `static`, `type`, `macro_rules!`, `extern` blocks —
-    /// parsed past, not modeled.
+    /// `use`, `const`, `static`, `type`, `struct`, `enum`, `union`,
+    /// `macro_rules!`, `extern` blocks — parsed past, not modeled.
     Other,
 }
 
-/// A `struct` or `enum` definition with the fields the taint pass needs.
-#[derive(Debug)]
-pub struct StructDef {
-    pub name: String,
-    /// Named fields (`name: Ty`). Tuple-struct fields use `"0"`, `"1"`, …
-    /// For enums, the union of every variant's fields.
-    pub fields: Vec<(String, Ty)>,
-    /// Idents inside `#[derive(...)]`.
-    pub derives: Vec<String>,
-    pub is_enum: bool,
-    pub line: usize,
-}
-
-/// An `impl` block (inherent or trait) or a `trait` definition.
+/// An `impl` block (inherent or trait) or a `trait` definition: the fns
+/// it defines bodies for.
 #[derive(Debug)]
 pub struct ImplBlock {
-    /// Head of the self type (`Secret` for `impl<T> Secret<T>`); the trait
-    /// name itself for `trait` definitions with default bodies.
-    pub self_ty: String,
-    /// Trait being implemented, if any.
-    pub trait_name: Option<String>,
     pub fns: Vec<Fun>,
 }
 
@@ -132,16 +80,6 @@ pub struct Fun {
 #[derive(Debug, Default)]
 pub struct Block {
     pub stmts: Vec<Stmt>,
-}
-
-impl Block {
-    /// The tail expression (last statement, expression, no semicolon).
-    pub fn tail(&self) -> Option<&Expr> {
-        match self.stmts.last() {
-            Some(Stmt::Expr { expr, semi: false }) => Some(expr),
-            _ => None,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -224,17 +162,6 @@ pub enum BinOp {
     Ge,
 }
 
-impl BinOp {
-    /// Comparison operators (the constant-time lint denies these on
-    /// secret operands).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge
-        )
-    }
-}
-
 /// One `match` arm.
 #[derive(Debug)]
 pub struct Arm {
@@ -256,10 +183,8 @@ pub enum ExprKind {
     /// `a::b::c` — path segments (turbofish dropped). A single lowercase
     /// segment is usually a local variable.
     Path(Vec<String>),
-    /// Numeric/char/bool literal.
+    /// Numeric/char/bool/string literal.
     Lit,
-    /// String literal (text retained for inline-capture scanning).
-    Str(String),
     /// `base.field` / `base.0`.
     Field(Box<Expr>, String),
     /// `recv.name(args…)`.
@@ -274,13 +199,11 @@ pub enum ExprKind {
         args: Vec<Expr>,
     },
     /// `name!(args…)`. `raw_idents` is every identifier token inside the
-    /// delimiters (robust even when an arg fails to parse), `strs` every
-    /// string-literal token.
+    /// delimiters (robust even when an arg fails to parse).
     Macro {
         name: String,
         args: Vec<Expr>,
         raw_idents: Vec<String>,
-        strs: Vec<String>,
     },
     /// `|params| body` / `move |params| body`.
     Closure {
@@ -423,7 +346,7 @@ impl Expr {
     pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
         let mut expr = |e: &'a Expr| f(Node::Expr(e));
         match &self.kind {
-            ExprKind::Path(_) | ExprKind::Lit | ExprKind::Str(_) | ExprKind::Unknown => {}
+            ExprKind::Path(_) | ExprKind::Lit | ExprKind::Unknown => {}
             ExprKind::Field(a, _)
             | ExprKind::Unary(a)
             | ExprKind::Cast(a, _)
@@ -560,7 +483,18 @@ pub fn for_each_item<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
                 .fns
                 .iter()
                 .for_each(|fun| nested(Node::Block(&fun.body), f)),
-            Item::Struct(_) | Item::Other => {}
+            Item::Other => {}
+        }
+    }
+}
+
+#[cfg(test)]
+impl Block {
+    /// The tail expression (last statement, expression, no semicolon).
+    pub fn tail(&self) -> Option<&Expr> {
+        match self.stmts.last() {
+            Some(Stmt::Expr { expr, semi: false }) => Some(expr),
+            _ => None,
         }
     }
 }

@@ -1,39 +1,31 @@
 //! `dash-analyze`: a dependency-free static analyzer for the DASH
-//! workspace, enforcing the protocol invariants that neither the type
-//! system nor clippy can express:
+//! workspace, enforcing the two protocol invariants that neither the
+//! type system nor clippy can express:
 //!
-//! - **secret-taint** — share/mask/triple types must not derive `Debug`,
-//!   flow into print macros, or appear in formatting/assertions outside
-//!   `#[cfg(test)]`.
-//! - **cross-function-taint** — call-graph closure of secret-taint: a
-//!   value produced by any `Secret`-returning function (directly or
-//!   through a call chain that never passes an audited open) must not
-//!   reach a print/format macro, even via innocuously-named locals or
-//!   wrapper structs.
 //! - **constant-time** — the mpc crate's element/share modules must stay
 //!   branch-free on secret data: no `if`/`while`/`match`, comparison,
 //!   `%`/`/`, or table indexing whose operand is share material. Scoped
 //!   to the arithmetic core (`ring.rs`, `ctime.rs`, `fixed.rs`,
 //!   `dealer.rs`, `secret.rs`); protocol layers branch on public control
 //!   flow and are exempt by design.
-//! - **panic-free** — `assert!`/`assert_eq!`/`assert_ne!` in non-test
-//!   code: a party that aborts mid-round deadlocks or crashes everyone
-//!   else, and no clippy lint flags an assertion.
 //! - **tag-range** — tag constants may not be declared outside the
 //!   registry module `dash_mpc::tags`, whose `REGISTRY` proves itself a
 //!   partition of the `u32` space with a compile-time assertion.
 //!
-//! What the compiler states is not repeated here. `unwrap`/`expect`,
-//! `panic!`, `unreachable!`, `todo!`, `unimplemented!` and indexing are
-//! clippy denies at the two scope roots (`crates/mpc/src/lib.rs` and the
-//! `secure` module of `crates/core/src/lib.rs`), where an `#[allow]`
-//! must give a `reason`. Disclosure accounting is a required argument
-//! of every opening (`dash_mpc::Opening`).
+//! What the compiler states is not repeated here. `unwrap`/`expect`, the
+//! `panic!` family, indexing and printing are clippy denies at the two
+//! scope roots (`crates/mpc/src/lib.rs` and the `secure` module of
+//! `crates/core/src/lib.rs`), where an `#[allow]` must give a `reason`;
+//! `assert!`, `assert_eq!` and `assert_ne!` are `compile_error!` shadows
+//! at the top of `crates/mpc/src/lib.rs` and `crates/core/src/secure/mod.rs`;
+//! `R64`'s word is crate-private and every secret type's `Debug` is
+//! redacted; disclosure accounting is a required argument of every
+//! opening (`dash_mpc::Opening`).
 //!
-//! One pipeline, one verdict: lex → parse → per-file passes, then the
-//! cross-function taint and constant-time passes over every scoped file,
-//! and any finding fails the gate. There is no suppression: a finding is
-//! fixed in the code.
+//! One pipeline, one verdict: lex → parse → the tag-range pass per file,
+//! then the constant-time pass over every scoped file, and any finding
+//! fails the gate. There is no suppression: a finding is fixed in the
+//! code.
 //!
 //! The analyzer is self-contained by design: a hand-rolled lexer, parser
 //! and JSON reader, no registry access, consistent with the
@@ -48,7 +40,6 @@ pub mod model;
 pub mod parser;
 pub(crate) mod registry;
 pub mod report;
-pub mod taint;
 pub mod trace_check;
 
 use std::fs;
@@ -90,10 +81,10 @@ pub fn in_scope(rel: &str) -> bool {
 /// Analyzes one file's source; `scoped` selects whether the secure-code
 /// lints apply.
 ///
-/// The cross-function passes run here over the single file only — enough
-/// for fixtures and ad-hoc checks. Whole-workspace runs go through
-/// [`analyze_workspace`], which feeds them every scoped file at once so
-/// chains spanning files are closed too.
+/// The constant-time pass's call-graph closure runs here over the single
+/// file only — enough for fixtures and ad-hoc checks. Whole-workspace
+/// runs go through [`analyze_workspace`], which feeds it every scoped
+/// file at once.
 pub fn analyze_source(rel: &str, src: &str, scoped: bool) -> Vec<Finding> {
     if !scoped {
         return Vec::new();
@@ -101,12 +92,11 @@ pub fn analyze_source(rel: &str, src: &str, scoped: bool) -> Vec<Finding> {
     analyze_models(&[model::FileModel::parse(rel, src)]).findings
 }
 
-/// The one pipeline: per-file lints, then the cross-function taint and
-/// constant-time passes over all of `models` at once.
+/// The one pipeline: the per-file lint, then the constant-time pass over
+/// all of `models` at once.
 fn analyze_models(models: &[model::FileModel]) -> Report {
     let mut findings: Vec<Finding> = models.iter().flat_map(lints::run_all).collect();
     let reg = registry::Registry::build(models);
-    findings.extend(taint::run(&reg));
     findings.extend(ct::run(&reg));
     Report {
         findings,
@@ -134,8 +124,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     }
     files.sort();
 
-    // Every scoped file is modelled before any pass runs, so secret-returning
-    // call chains that cross files (mpc → core/secure) are closed.
+    // Every scoped file is modelled before any pass runs, so the
+    // element-producing call graph spans files (mpc → core/secure).
     let mut models = Vec::new();
     for path in files {
         let rel = rel_path(root, &path);

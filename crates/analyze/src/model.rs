@@ -1,6 +1,6 @@
 //! File model: function spans and test regions recovered from the token
 //! stream by brace tracking — plus the parsed AST (`ast` field) that the
-//! taint, panic-free and constant-time passes walk.
+//! constant-time pass walks.
 //!
 //! The token-level view (`code`, `fns`, `enclosing_fn`, …) is the
 //! interface for the one single-token lint (tag-range) and the check

@@ -20,9 +20,7 @@
 //!    stream (`a | |x| x`, `a < <T>::f()`) resolve toward the common
 //!    reading.
 
-use crate::ast::{
-    Arm, BinOp, Block, Expr, ExprKind, Fun, ImplBlock, Item, ModDef, Pat, Stmt, StructDef, Ty,
-};
+use crate::ast::{Arm, BinOp, Block, Expr, ExprKind, Fun, ImplBlock, Item, ModDef, Pat, Stmt, Ty};
 use crate::lexer::{Tok, TokKind};
 
 /// Parses a comment-free token stream into items.
@@ -77,7 +75,6 @@ const ASSIGN: [&str; 11] = [
 struct Attrs {
     test: bool,
     cfg_test: bool,
-    derives: Vec<String>,
 }
 
 struct Parser<'a> {
@@ -359,10 +356,6 @@ impl<'a> Parser<'a> {
             self.pos += k;
             let ids = self.group().texts(TokKind::Ident);
             let has = |s: &str| ids.iter().any(|i| i == s);
-            if has("derive") {
-                out.derives
-                    .extend(ids.iter().filter(|i| *i != "derive").cloned());
-            }
             if has("test") {
                 out.test = true;
                 out.cfg_test |= has("cfg");
@@ -720,7 +713,8 @@ impl<'a> Parser<'a> {
             return Some(Item::Other);
         }
         if self.is_id("struct") || self.is_id("enum") || self.is_id("union") {
-            return Some(Item::Struct(self.struct_def(attrs.derives)));
+            self.skip_struct();
+            return Some(Item::Other);
         }
         if self.is_id("trait") {
             return Some(Item::Impl(self.trait_def()));
@@ -815,65 +809,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn struct_def(&mut self, derives: Vec<String>) -> StructDef {
-        let line = self.line();
-        let is_enum = self.is_id("enum");
+    /// Skips a `struct`/`enum`/`union` definition: name, generics,
+    /// `where` clause, then its `(…)` and/or `{…}` body as whole groups,
+    /// so a struct-like enum variant's `}` cannot end the item.
+    fn skip_struct(&mut self) {
         self.bump(); // struct/enum/union
-        let name = self.eat_ident();
+        self.eat_ident();
         if self.is_p('<') {
             self.angles();
         }
         self.where_clause();
-        let mut fields = Vec::new();
         if self.is_p('(') {
-            self.group().tuple_fields(&mut fields);
-        } else if self.is_p('{') && is_enum {
-            // Variants: `Name`, `Name(Ty, …)`, `Name { f: Ty, … }`, each
-            // with an optional `= discriminant`.
-            self.group().list(",", |p| {
-                let _ = p.attrs();
-                p.eat_ident();
-                if p.is_p('(') {
-                    p.group().tuple_fields(&mut fields);
-                } else if p.is_p('{') {
-                    p.group().named_fields(&mut fields);
-                }
-                p.skip_to(",", false);
-            });
-        } else if self.is_p('{') {
-            self.group().named_fields(&mut fields);
+            self.group();
+            self.where_clause();
+        }
+        if self.is_p('{') {
+            self.group();
         }
         self.eat_p(';');
-        StructDef {
-            name,
-            fields,
-            derives,
-            is_enum,
-            line,
-        }
-    }
-
-    /// The rest of the slice as tuple fields `Ty, …`, named `0`, `1`, ….
-    fn tuple_fields(&mut self, fields: &mut Vec<(String, Ty)>) {
-        let mut idx = 0usize;
-        self.list(",", |p| {
-            let _ = p.attrs();
-            p.vis();
-            fields.push((idx.to_string(), p.ty()));
-            idx += 1;
-        });
-    }
-
-    /// The rest of the slice as named fields `name: Ty, …`.
-    fn named_fields(&mut self, fields: &mut Vec<(String, Ty)>) {
-        self.list(",", |p| {
-            let _ = p.attrs();
-            p.vis();
-            let name = p.eat_ident();
-            if !name.is_empty() && p.eat_p(':') {
-                fields.push((name, p.ty()));
-            }
-        });
     }
 
     fn impl_block(&mut self) -> ImplBlock {
@@ -881,28 +834,22 @@ impl<'a> Parser<'a> {
         if self.is_p('<') {
             self.angles();
         }
-        let first = self.ty();
-        let (self_ty, trait_name) = if self.eat_id("for") {
-            (self.ty().head, Some(first.head))
-        } else {
-            (first.head, None)
-        };
+        self.ty();
+        if self.eat_id("for") {
+            self.ty();
+        }
         self.where_clause();
         ImplBlock {
-            self_ty,
-            trait_name,
             fns: self.fn_items(),
         }
     }
 
     fn trait_def(&mut self) -> ImplBlock {
         self.bump(); // `trait`
-        let name = self.eat_ident();
+        self.eat_ident();
         // Generics, supertrait bounds and `where` clause.
         self.skip_to("{;", true);
         ImplBlock {
-            self_ty: name,
-            trait_name: None,
             fns: self.fn_items(),
         }
     }
@@ -1166,7 +1113,7 @@ impl<'a> Parser<'a> {
         };
         let kind = match t.kind {
             TokKind::Number | TokKind::Char => ExprKind::Lit,
-            TokKind::Str => ExprKind::Str(t.text.clone()),
+            TokKind::Str => ExprKind::Lit,
             TokKind::Lifetime => {
                 // Loop label: `'l: loop { … }`.
                 self.bump();
@@ -1465,13 +1412,13 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `name!(…)` — `pos` sits on the opening delimiter. Captures
-    /// the raw ident/string bag, then best-effort parses the top-level
+    /// the raw ident bag, then best-effort parses the top-level
     /// `,`/`;`-separated segments as expressions, each on its own slice:
     /// an argument that is no expression (a pattern, a type) cannot
     /// disturb its neighbours. Leftover tokens of a segment are ignored.
     fn macro_call(&mut self, name: String, line: usize) -> Expr {
         let mut inner = self.group();
-        let (raw_idents, strs) = (inner.texts(TokKind::Ident), inner.texts(TokKind::Str));
+        let raw_idents = inner.texts(TokKind::Ident);
         let mut args = Vec::new();
         while !inner.at_end() {
             let start = inner.pos;
@@ -1488,7 +1435,6 @@ impl<'a> Parser<'a> {
                 name,
                 args,
                 raw_idents,
-                strs,
             },
         }
     }
@@ -1566,21 +1512,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_derives() {
-        let items = parse(
-            "#[derive(Clone, Debug)]\npub struct Pkt { pub label: String, shares: Secret<Vec<R64>> }",
-        );
-        let Some(Item::Struct(s)) = items.first() else {
-            panic!("expected struct");
-        };
-        assert_eq!(s.name, "Pkt");
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[1].0, "shares");
-        assert!(s.fields[1].1.mentions("Secret"));
-        assert!(s.derives.iter().any(|d| d == "Debug"));
-    }
-
-    #[test]
     fn impl_methods_resolved_to_self_ty() {
         let items = parse(
             "impl<T> Secret<T> { pub fn open_via(&self) -> T { self.0 } }\n\
@@ -1589,14 +1520,12 @@ mod tests {
         let Some(Item::Impl(i1)) = items.first() else {
             panic!("expected impl");
         };
-        assert_eq!(i1.self_ty, "Secret");
         assert_eq!(i1.fns[0].name, "open_via");
         assert!(i1.fns[0].has_self);
         let Some(Item::Impl(i2)) = items.get(1) else {
             panic!("expected impl");
         };
-        assert_eq!(i2.self_ty, "Pkt");
-        assert_eq!(i2.trait_name.as_deref(), Some("Render"));
+        assert_eq!(i2.fns[0].name, "render");
     }
 
     #[test]
@@ -1679,14 +1608,10 @@ mod tests {
         let Some(Stmt::Expr { expr, .. }) = f.body.stmts.first() else {
             panic!("expected stmt");
         };
-        let ExprKind::Macro {
-            name, args, strs, ..
-        } = &expr.kind
-        else {
+        let ExprKind::Macro { name, args, .. } = &expr.kind else {
             panic!("expected macro, got {expr:?}");
         };
         assert_eq!(name, "println");
-        assert!(strs[0].contains("{x}"));
         assert_eq!(args[1].place().as_deref(), Some("pkt.shares"));
     }
 
@@ -1697,10 +1622,7 @@ mod tests {
         let tail = f.body.tail().expect("tail");
         assert_eq!(tail.place().as_deref(), Some("pair.0"));
         assert_eq!(f.params[0].1.args.len(), 2);
-        assert!(f.params[0]
-            .1
-            .tuple_elem(1)
-            .is_some_and(|t| t.mentions("Secret")));
+        assert!(f.params[0].1.args[1].mentions("Secret"));
     }
 
     #[test]
@@ -1796,11 +1718,7 @@ mod tests {
         // enum's real `}` then ended the file's item list.
         let items = parse("enum E { A, B { x: u32 }, C }\nfn after() {}");
         assert_eq!(fn_names(&items), vec!["after"]);
-        let Some(Item::Struct(e)) = items.first() else {
-            panic!("expected enum");
-        };
-        let fields: Vec<&str> = e.fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(fields, vec!["x"]);
+        assert!(matches!(items.first(), Some(Item::Other)));
     }
 
     #[test]
@@ -1956,9 +1874,7 @@ mod tests {
         assert_eq!(stmts.len(), 2, "{stmts:?}");
         assert!(matches!(&stmts[0], Stmt::Expr { expr, .. }
             if matches!(&expr.kind, ExprKind::MethodCall { name, .. } if name == "sort")));
-        assert!(
-            matches!(&stmts[1], Stmt::Item(i) if matches!(&**i, Item::Struct(s) if s.name == "U"))
-        );
+        assert!(matches!(&stmts[1], Stmt::Item(i) if matches!(&**i, Item::Other)));
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod tests {
     fn any_finding_fails_none_passes() {
         let mut r = Report {
             findings: vec![
-                f("panic-free", "assert!(ok)"),
+                f("constant-time", "if share.0 > 3 {"),
                 f("tag-range", "const MY_TAG: u32 = 7;"),
             ],
             files: 1,

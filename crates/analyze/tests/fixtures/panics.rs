@@ -1,8 +1,9 @@
 //! Seeded violations of the secure scope's panic-free discipline.
-//! `scripts/check.sh` compiles this file as a module of `dash-mpc`, where
-//! clippy must fail each line marked `// seeded: clippy::<lint>` with that
-//! lint and nothing else; the analyzer's integration tests parse it for
-//! the assertions, which no clippy lint flags.
+//! `scripts/check.sh` compiles this file as a module of `dash-mpc`, and
+//! again of dash-core's `secure` module, where the build must fail each
+//! line marked `// seeded: clippy::<lint>` with that lint and each line
+//! marked `// seeded: compile_error` with the root's `assert!` shadow,
+//! and nothing else.
 
 /// VIOLATION: unwrap on the hot path.
 fn take_unwrap(v: Option<u32>) -> u32 {
@@ -29,14 +30,19 @@ fn pick(mode: u8) -> u8 {
     }
 }
 
-/// VIOLATION (analyzer): a failed assert aborts the party just like panic!.
+/// VIOLATION: a failed assert aborts the party just like panic!.
 fn checked_len(v: &[u32]) {
-    assert!(!v.is_empty(), "empty round");
+    assert!(!v.is_empty(), "empty round"); // seeded: compile_error
 }
 
-/// VIOLATION (analyzer): assert_eq likewise.
+/// VIOLATION: assert_eq likewise.
 fn checked_eq(a: u32, b: u32) {
-    assert_eq!(a, b);
+    assert_eq!(a, b); // seeded: compile_error
+}
+
+/// VIOLATION: assert_ne likewise.
+fn checked_ne(a: u32, b: u32) {
+    assert_ne!(a, b); // seeded: compile_error
 }
 
 /// OK: debug assertions are compiled out of release builds.

@@ -73,39 +73,42 @@ fn main() {
     // The Beaver combination's public half: an opened `d`, `e` and the
     // party's `c` share, fixed so the two secret operands `a`, `b` are
     // what the classes vary.
-    let (z, d, e) = (R64(0x0123_4567_89AB_CDEF), R64(u64::MAX), R64(1 << 63));
+    let (z, d, e) = (
+        R64::from(0x0123_4567_89AB_CDEF),
+        R64::from(u64::MAX),
+        R64::from(1 << 63),
+    );
+    let r = R64::from;
 
     let rows = vec![
         OpRow {
             name: "r64_add",
             report: measure_binary(samples, &mut rng, (u64::MAX, u64::MAX), words, |a, b| {
-                (R64(a) + R64(b)).0
+                r(a) + r(b)
             }),
         },
         OpRow {
             name: "r64_sub",
-            report: measure_binary(samples, &mut rng, (0, u64::MAX), words, |a, b| {
-                (R64(a) - R64(b)).0
-            }),
+            report: measure_binary(samples, &mut rng, (0, u64::MAX), words, |a, b| r(a) - r(b)),
         },
         OpRow {
             name: "r64_mul",
-            report: measure_binary(samples, &mut rng, (0, 0), words, |a, b| (R64(a) * R64(b)).0),
+            report: measure_binary(samples, &mut rng, (0, 0), words, |a, b| r(a) * r(b)),
         },
         OpRow {
             name: "r64_neg",
-            report: measure_binary(samples, &mut rng, (0, 0), words, |a, _| (-R64(a)).0),
+            report: measure_binary(samples, &mut rng, (0, 0), words, |a, _| -r(a)),
         },
         OpRow {
             name: "r64_from_i64",
             report: measure_binary(samples, &mut rng, (i64::MIN as u64, 0), words, |a, _| {
-                R64::from_i64(a as i64).0
+                R64::from_i64(a as i64)
             }),
         },
         OpRow {
             name: "beaver_combine",
             report: measure_binary(samples, &mut rng, (0, 0), words, |a, b| {
-                (z + d * R64(b) + e * R64(a)).0
+                z + d * r(b) + e * r(a)
             }),
         },
     ];

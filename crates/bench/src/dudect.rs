@@ -126,7 +126,7 @@ pub const BATCH: usize = 64;
 /// timestamp — the random class draws during the measurement loop would
 /// otherwise perturb caches and pipelines asymmetrically and show up as
 /// a spurious class difference. Returns the two-class report.
-pub fn measure_binary<Op>(
+pub fn measure_binary<Op, T>(
     samples: usize,
     rng: &mut StdRng,
     fixed: (u64, u64),
@@ -134,7 +134,7 @@ pub fn measure_binary<Op>(
     mut op: Op,
 ) -> TimingReport
 where
-    Op: FnMut(u64, u64) -> u64,
+    Op: FnMut(u64, u64) -> T,
 {
     let schedule: Vec<(bool, u64, u64)> = (0..samples)
         .map(|_| {
@@ -157,12 +157,10 @@ where
     }
     for &(is_fixed, a, b) in &schedule {
         let t0 = stamp();
-        let mut acc = 0u64;
         for _ in 0..BATCH {
-            acc = acc.wrapping_add(op(black_box(a), black_box(b)));
+            black_box(op(black_box(a), black_box(b)));
         }
         let dt = stamp().wrapping_sub(t0);
-        black_box(acc);
         if is_fixed {
             fixed_times.push(dt as f64);
         } else {

@@ -38,16 +38,6 @@ pub struct TransientBlock {
     pub columns: Vec<usize>,
 }
 
-impl TransientBlock {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>, columns: Vec<usize>) -> Self {
-        TransientBlock {
-            name: name.into(),
-            columns,
-        }
-    }
-}
-
 /// Result of one joint block test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockTestResult {
@@ -188,15 +178,21 @@ mod tests {
         PartyData::new(y, x, c).unwrap()
     }
 
+    fn block(name: &str, columns: Vec<usize>) -> TransientBlock {
+        TransientBlock {
+            name: name.to_string(),
+            columns,
+        }
+    }
+
     #[test]
     fn single_column_block_matches_t_squared() {
         // F(1, d) of a one-column block equals t² of the scalar scan,
         // with identical p-values.
         let data = gen_data(60, 4, 2, 1);
         let scalar = associate(&data).unwrap();
-        let blocks: Vec<TransientBlock> = (0..4)
-            .map(|j| TransientBlock::new(format!("v{j}"), vec![j]))
-            .collect();
+        let blocks: Vec<TransientBlock> =
+            (0..4).map(|j| block(&format!("v{j}"), vec![j])).collect();
         let joint = block_scan(&data, &blocks).unwrap();
         for (j, jb) in joint.iter().enumerate().take(4) {
             assert!(
@@ -225,10 +221,7 @@ mod tests {
         data = PartyData::new(y, data.x().clone(), data.c().clone()).unwrap();
         let res = block_scan(
             &data,
-            &[
-                TransientBlock::new("pair", vec![0, 1]),
-                TransientBlock::new("null", vec![2, 3]),
-            ],
+            &[block("pair", vec![0, 1]), block("null", vec![2, 3])],
         )
         .unwrap();
         assert!(res[0].p < 1e-8, "joint p = {}", res[0].p);
@@ -245,7 +238,7 @@ mod tests {
         let col: Vec<f64> = base.x().col(0).to_vec();
         let x = Matrix::from_cols(&[&col, &col]).unwrap();
         let data = PartyData::new(base.y().to_vec(), x, base.c().clone()).unwrap();
-        let res = block_scan(&data, &[TransientBlock::new("dup", vec![0, 1])]).unwrap();
+        let res = block_scan(&data, &[block("dup", vec![0, 1])]).unwrap();
         assert!(res[0].f.is_nan());
         assert!(res[0].beta.iter().all(|b| b.is_nan()));
     }
@@ -254,11 +247,11 @@ mod tests {
     fn validation_errors() {
         let data = gen_data(20, 3, 1, 7);
         assert!(block_scan(&data, &[]).is_err());
-        assert!(block_scan(&data, &[TransientBlock::new("e", vec![])]).is_err());
-        assert!(block_scan(&data, &[TransientBlock::new("oob", vec![5])]).is_err());
+        assert!(block_scan(&data, &[block("e", vec![])]).is_err());
+        assert!(block_scan(&data, &[block("oob", vec![5])]).is_err());
         // q too large for N (needs N > K + q = 4).
         let tiny = gen_data(4, 3, 1, 8);
-        assert!(block_scan(&tiny, &[TransientBlock::new("big", vec![0, 1, 2])]).is_err());
+        assert!(block_scan(&tiny, &[block("big", vec![0, 1, 2])]).is_err());
     }
 
     #[test]
@@ -269,7 +262,7 @@ mod tests {
         let x0: Vec<f64> = base.x().col(0).to_vec();
         let y: Vec<f64> = x0.iter().map(|v| 2.0 * v).collect();
         let data = PartyData::new(y, base.x().clone(), base.c().clone()).unwrap();
-        let res = block_scan(&data, &[TransientBlock::new("exact", vec![0])]).unwrap();
+        let res = block_scan(&data, &[block("exact", vec![0])]).unwrap();
         assert!(res[0].f.is_infinite() || res[0].f > 1e10);
         assert!(res[0].p < 1e-12);
     }

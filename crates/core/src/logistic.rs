@@ -349,8 +349,11 @@ fn party_logistic(
     codec: &dash_mpc::FixedPointCodec,
 ) -> Result<ScoreScanResult, CoreError> {
     // Pooled N (reported in the audit log; also sanity-checks liveness).
-    let _n_total =
-        masked_sum_ring(ctx, &[R64(data.n_samples() as u64)], "total sample count N")?[0].0;
+    let _n_total = masked_sum_ring(
+        ctx,
+        &[R64::from(data.n_samples() as u64)],
+        "total sample count N",
+    )?[0];
 
     // Null-model IRLS on aggregates.
     let mut beta = vec![0.0; k];

@@ -25,6 +25,32 @@
 //! Every opening is recorded in the disclosure log; the E6 experiment
 //! prints the resulting leakage/cost ladder.
 
+// Panic-free for the secure scope's dash-core half, as at the top of
+// `crates/mpc/src/lib.rs`: outside unit tests an `assert!`, `assert_eq!`
+// or `assert_ne!` in this module or any module declared below does not
+// compile. `debug_assert!` still does.
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert {
+    ($($t:tt)*) => {
+        compile_error!("assert! aborts a party mid-round: return an error")
+    };
+}
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert_eq {
+    ($($t:tt)*) => {
+        compile_error!("assert_eq! aborts a party mid-round: return an error")
+    };
+}
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert_ne {
+    ($($t:tt)*) => {
+        compile_error!("assert_ne! aborts a party mid-round: return an error")
+    };
+}
+
 pub mod aggregate;
 pub mod checkpoint;
 pub mod protocol;

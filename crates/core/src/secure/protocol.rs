@@ -121,11 +121,11 @@ pub(crate) fn count_and_rfactor(
     let k = c.cols();
     let n_total = {
         let _span = ctx.trace_span("phase:count");
-        let own = [R64(n_samples as u64)];
+        let own = [R64::from(n_samples as u64)];
         let total = masked_sum_ring(ctx, &own, "total sample count N")?;
         total
             .first()
-            .map(|r| r.0 as usize)
+            .map(|&n| n as usize)
             .ok_or(CoreError::ShapeMismatch {
                 what: "aggregated sample count",
                 expected: 1,

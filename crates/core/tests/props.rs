@@ -100,7 +100,10 @@ proptest! {
         let data = dataset(28, 4, 1, seed);
         let scalar = associate(&data).unwrap();
         let blocks: Vec<TransientBlock> = (0..4)
-            .map(|j| TransientBlock::new(format!("v{j}"), vec![j]))
+            .map(|j| TransientBlock {
+ name: format!("v{j}"),
+ columns: vec![j],
+ })
             .collect();
         let joint = block_scan(&data, &blocks).unwrap();
         for (j, jb) in joint.iter().enumerate().take(4) {

@@ -103,15 +103,6 @@ impl FixedPointCodec {
         Ok((x * scale).round() as i64)
     }
 
-    /// Encodes one value into the ring.
-    pub fn encode_ring(&self, x: f64) -> Result<R64, MpcError> {
-        Ok(R64::from_i64(self.to_scaled_i64(
-            x,
-            self.scale(),
-            self.max_abs_ring(),
-        )?))
-    }
-
     /// Decodes a ring element (interpreting it as two's-complement).
     pub fn decode_ring(&self, v: R64) -> f64 {
         v.as_i64() as f64 / self.scale()
@@ -153,6 +144,19 @@ impl Default for FixedPointCodec {
     /// comfortable for every statistic the scan aggregates.
     fn default() -> Self {
         FixedPointCodec { frac_bits: 32 }
+    }
+}
+
+#[cfg(test)]
+impl FixedPointCodec {
+    /// Encodes one value into the ring, as [`FixedPointCodec::encode_ring_vec`]
+    /// encodes each of a slice.
+    pub(crate) fn encode_ring(&self, x: f64) -> Result<R64, MpcError> {
+        Ok(R64::from_i64(self.to_scaled_i64(
+            x,
+            self.scale(),
+            self.max_abs_ring(),
+        )?))
     }
 }
 

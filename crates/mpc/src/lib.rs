@@ -25,7 +25,7 @@
 //!   accounting are provided once on top.
 //! - [`net`]: the in-process mpsc implementor ([`net::Endpoint`]), the
 //!   exact per-link byte/message accounting every implementor records
-//!   into, a latency/bandwidth cost model, and the one party runner.
+//!   into, and the one party runner.
 //! - [`tcp`]: the real-socket implementor ([`tcp::TcpTransport`]) — one
 //!   OS process per party, length-prefixed frames, deterministic connect
 //!   handshake, identical error surface and accounting to the
@@ -72,10 +72,11 @@
 //! }
 //! ```
 
-// The secure scope's panic-free and indexing discipline, stated to the
-// compiler: a party that panics mid-round stalls or crashes every peer.
-// The same list sits on `pub mod secure;` in dash-core (a test in
-// dash-analyze keeps the two equal). Unit tests assert freely.
+// The secure scope's panic-free, indexing and print discipline, stated
+// to the compiler: a party that panics mid-round stalls or crashes every
+// peer, and a party that prints may print a share. The same list sits on
+// `pub mod secure;` in dash-core (a test in dash-analyze keeps the two
+// equal). Unit tests assert and print freely.
 #![cfg_attr(
     not(test),
     deny(
@@ -84,10 +85,41 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::allow_attributes_without_reason
+        clippy::allow_attributes_without_reason,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro
     )
 )]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
+// The half of panic-free no clippy lint states: outside unit tests an
+// `assert!`, `assert_eq!` or `assert_ne!` in this crate does not compile.
+// Textual macro scope covers every module declared below; `debug_assert!`
+// expands through `::core::assert!` and still compiles, as does a
+// compile-time `const _: () = ::core::assert!(..)`. The same three
+// shadows open `crates/core/src/secure/mod.rs`.
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert {
+    ($($t:tt)*) => {
+        compile_error!("assert! aborts a party mid-round: return an error")
+    };
+}
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert_eq {
+    ($($t:tt)*) => {
+        compile_error!("assert_eq! aborts a party mid-round: return an error")
+    };
+}
+#[cfg(not(test))]
+#[allow(unused_macros, reason = "a shadow: used means the build fails")]
+macro_rules! assert_ne {
+    ($($t:tt)*) => {
+        compile_error!("assert_ne! aborts a party mid-round: return an error")
+    };
+}
 
 pub mod audit;
 pub mod chaos;

@@ -145,8 +145,8 @@ impl PartyCtx {
 
     /// Adds `amount` to this party's trace counter. A no-op (one branch)
     /// when tracing is disabled. Only pass *counts* here — never secret
-    /// values; `dash-analyze`'s secret-taint lint flags secret-named
-    /// arguments to this sink.
+    /// values. An `R64` is not a `u64` and its word is private to this
+    /// crate, so outside it no element reaches this sink undecoded.
     #[inline]
     pub fn trace_add(&self, counter: Counter, amount: u64) {
         self.trace.add(self.id(), counter, amount);
@@ -317,10 +317,10 @@ impl PartyCtx {
     /// ```
     /// use dash_mpc::{NetOptions, Network, Opening, Secret, R64};
     /// let (slots, _, _) = Network::run_parties_detailed_with(2, 1, &NetOptions::default(), |ctx| {
-    ///     ctx.open_sum(&Secret::new(vec![R64(1)]), Opening::Disclosed("demo"))
+    ///     ctx.open_sum(&Secret::new(vec![R64::from(1)]), Opening::Disclosed("demo"))
     /// })
     /// .unwrap();
-    /// assert_eq!(slots[0].as_ref().ok().and_then(|t| t.as_ref().ok()), Some(&vec![R64(2)]));
+    /// assert_eq!(slots[0].as_ref().ok().and_then(|t| t.as_ref().ok()), Some(&vec![R64::from(2)]));
     /// ```
     ///
     /// The accounting is a required argument, so an unlabelled open does
@@ -329,7 +329,7 @@ impl PartyCtx {
     /// ```compile_fail
     /// use dash_mpc::{NetOptions, Network, Secret, R64};
     /// let run = Network::run_parties_detailed_with(2, 1, &NetOptions::default(), |ctx| {
-    ///     ctx.open_sum(&Secret::new(vec![R64(1)]), None)
+    ///     ctx.open_sum(&Secret::new(vec![R64::from(1)]), None)
     /// });
     /// ```
     pub fn open_sum(

@@ -23,16 +23,20 @@ use crate::ring::R64;
 use crate::secret::Secret;
 
 /// Securely sums each coordinate of `values` across all parties using
-/// pairwise-correlated masks; every party learns only the totals.
+/// pairwise-correlated masks; every party learns only the totals. They
+/// come back opened, as public integers (the words of the ring totals).
 pub fn masked_sum_ring(
     ctx: &mut PartyCtx,
     values: &[R64],
     label: &str,
-) -> Result<Vec<R64>, MpcError> {
+) -> Result<Vec<u64>, MpcError> {
     let n = ctx.n_parties();
     let me = ctx.id();
     if n == 1 {
-        return Ok(ctx.open_local(Secret::new(values.to_vec()), Opening::Disclosed(label)));
+        return Ok(words(ctx.open_local(
+            Secret::new(values.to_vec()),
+            Opening::Disclosed(label),
+        )));
     }
     // Apply pairwise masks. Both endpoints of a pair draw the same stream;
     // iteration order differs per party but streams are per-pair, so each
@@ -49,7 +53,16 @@ pub fn masked_sum_ring(
     }
     // One broadcast round; masks cancel in the sum. The total opens
     // through the audited path (recorded once, by party 0).
-    ctx.open_sum(&Secret::new(masked), Opening::Disclosed(label))
+    Ok(words(ctx.open_sum(
+        &Secret::new(masked),
+        Opening::Disclosed(label),
+    )?))
+}
+
+/// The words of an opened total: public, so they leave the crate as
+/// integers (in place: `R64` and `u64` share a layout).
+fn words(opened: Vec<R64>) -> Vec<u64> {
+    opened.into_iter().map(|r| r.0).collect()
 }
 
 /// Star-topology masked sum: masked values flow to one aggregator
@@ -65,11 +78,14 @@ pub fn masked_sum_star_ring(
     ctx: &mut PartyCtx,
     values: &[R64],
     label: &str,
-) -> Result<Vec<R64>, MpcError> {
+) -> Result<Vec<u64>, MpcError> {
     let n = ctx.n_parties();
     let me = ctx.id();
     if n == 1 {
-        return Ok(ctx.open_local(Secret::new(values.to_vec()), Opening::Disclosed(label)));
+        return Ok(words(ctx.open_local(
+            Secret::new(values.to_vec()),
+            Opening::Disclosed(label),
+        )));
     }
     let mut masked = values.to_vec();
     for j in 0..n {
@@ -92,12 +108,12 @@ pub fn masked_sum_star_ring(
         }
         let total = ctx.open_local(total, Opening::Disclosed(label));
         ctx.broadcast(tag_down, &total)?;
-        Ok(total)
+        Ok(words(total))
     } else {
         ctx.send(0, tag_up, &masked)?;
         // The aggregator already recorded this total; what arrives here is
         // the published aggregate, not a secret.
-        ctx.recv(0, tag_down)
+        ctx.recv_words(0, tag_down)
     }
 }
 
@@ -110,7 +126,7 @@ pub fn masked_sum_star_f64(
 ) -> Result<Vec<f64>, MpcError> {
     let encoded = codec.encode_ring_vec(values)?;
     let total = masked_sum_star_ring(ctx, &encoded, label)?;
-    Ok(codec.decode_ring_vec(&total))
+    Ok(decode(codec, total))
 }
 
 /// Fixed-point wrapper over [`masked_sum_ring`].
@@ -122,7 +138,16 @@ pub fn masked_sum_f64(
 ) -> Result<Vec<f64>, MpcError> {
     let encoded = codec.encode_ring_vec(values)?;
     let total = masked_sum_ring(ctx, &encoded, label)?;
-    Ok(codec.decode_ring_vec(&total))
+    Ok(decode(codec, total))
+}
+
+/// Decodes opened total words, as [`FixedPointCodec::decode_ring_vec`]
+/// decodes their elements.
+fn decode(codec: &FixedPointCodec, total: Vec<u64>) -> Vec<f64> {
+    total
+        .into_iter()
+        .map(|w| codec.decode_ring(R64(w)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -130,7 +155,7 @@ mod tests {
     use super::*;
     use crate::net::{NetOptions, Network, HEADER_BYTES};
 
-    type RingSum = fn(&mut PartyCtx, &[R64], &str) -> Result<Vec<R64>, MpcError>;
+    type RingSum = fn(&mut PartyCtx, &[R64], &str) -> Result<Vec<u64>, MpcError>;
     type F64Sum = fn(&mut PartyCtx, &FixedPointCodec, &[f64], &str) -> Result<Vec<f64>, MpcError>;
 
     /// Both members of the family: what is asserted about "a secure sum"
@@ -155,9 +180,9 @@ mod tests {
                 let lin: i64 = -(0..n as i64).sum::<i64>();
                 let hundreds: u64 = (1..=n as u64).map(|i| 100 * i).sum();
                 for r in &results {
-                    assert_eq!(r[0].as_i64(), sq, "{name} n={n}");
-                    assert_eq!(r[1].as_i64(), lin, "{name} n={n}");
-                    assert_eq!(r[2], R64(hundreds), "{name} n={n}");
+                    assert_eq!(r[0] as i64, sq, "{name} n={n}");
+                    assert_eq!(r[1] as i64, lin, "{name} n={n}");
+                    assert_eq!(r[2], hundreds, "{name} n={n}");
                 }
             }
         }
@@ -173,7 +198,7 @@ mod tests {
             total[0]
         });
         // Total = 3 * 42.
-        assert!(results.iter().all(|&t| t == R64(126)));
+        assert!(results.iter().all(|&t| t == 126));
     }
 
     #[test]
@@ -236,8 +261,8 @@ mod tests {
                 (a[0], b[0])
             });
             for &(a, b) in &results {
-                assert_eq!(a, R64(3), "{name}");
-                assert_eq!(b, R64(33), "{name}");
+                assert_eq!(a, 3, "{name}");
+                assert_eq!(b, 33, "{name}");
             }
         }
     }
@@ -309,7 +334,7 @@ mod tests {
                     sum(ctx, &[R64(7)], "solo").unwrap()
                 })
                 .unwrap();
-            assert_eq!(slots, vec![Ok(vec![R64(7)])], "{name}");
+            assert_eq!(slots, vec![Ok(vec![7])], "{name}");
             assert_eq!(stats.total_messages(), 0);
             assert_eq!(audit.entries().len(), 1, "{name}");
             let r = Network::run_parties(3, 1, move |ctx| sum(ctx, &[], "none").unwrap());

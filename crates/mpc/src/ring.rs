@@ -16,8 +16,17 @@
 //! code with no data-dependent branches or memory accesses, audited by
 //! the `constant-time` dash-analyze lint and timed by E14
 //! (`exp14_timing`). Comparisons are provided only as mask-returning
-//! [`R64::ct_eq`] (plus [`R64::ct_select`]) so callers never need
-//! `==`/`<` on share words.
+//! `ct_eq` (plus `ct_select`) so this crate never needs `==`/`<` on
+//! share words.
+//!
+//! # Privacy
+//!
+//! The word is private to this crate. Elements are built with
+//! `R64::from(u64)` or [`R64::from_i64`], and nothing outside dash-mpc
+//! reads a word back: an opened total leaves as a public integer (the
+//! masked sums return `u64`s) or through the fixed-point codec. Outside
+//! unit tests `{:?}` prints `R64(<redacted>)`, so a derived `Debug` on a
+//! struct of elements prints no word, and there is no `Display`.
 
 use crate::ctime;
 use std::borrow::Borrow;
@@ -26,8 +35,44 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// An element of Z₂⁶⁴. All arithmetic wraps. The one element type that
 /// travels: one `u64` word on the wire, for sums and Beaver products
 /// alike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct R64(pub u64);
+///
+/// The word is private to dash-mpc:
+///
+/// ```compile_fail
+/// let _ = dash_mpc::R64::from(7).0;
+/// ```
+///
+/// and no element is `Display`:
+///
+/// ```compile_fail
+/// let _ = format!("{}", dash_mpc::R64::ZERO);
+/// ```
+///
+/// Its `Debug` is redacted (outside this crate's unit tests):
+///
+/// ```
+/// assert_eq!(format!("{:?}", dash_mpc::R64::from(7)), "R64(<redacted>)");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[cfg_attr(test, derive(Debug))]
+pub struct R64(pub(crate) u64);
+
+/// Redacted, as [`crate::Secret`]'s: an element is a share, a mask or a
+/// masked value until an opening says otherwise.
+#[cfg(not(test))]
+impl std::fmt::Debug for R64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("R64(<redacted>)")
+    }
+}
+
+impl From<u64> for R64 {
+    /// The element whose word is `w`.
+    #[inline]
+    fn from(w: u64) -> R64 {
+        R64(w)
+    }
+}
 
 impl R64 {
     /// The additive identity.
@@ -38,7 +83,7 @@ impl R64 {
     /// Reinterprets the ring element as a signed two's-complement integer
     /// (how the fixed-point decoder recovers negative values).
     #[inline]
-    pub fn as_i64(self) -> i64 {
+    pub(crate) fn as_i64(self) -> i64 {
         self.0 as i64
     }
 
@@ -62,13 +107,13 @@ impl R64 {
 
     /// Constant-time equality: all-ones if equal, zero otherwise.
     #[inline]
-    pub fn ct_eq(self, other: R64) -> u64 {
+    pub(crate) fn ct_eq(self, other: R64) -> u64 {
         ctime::eq_mask(self.0, other.0)
     }
 
     /// Constant-time select: `a` where `mask` is all-ones, `b` where zero.
     #[inline]
-    pub fn ct_select(mask: u64, a: R64, b: R64) -> R64 {
+    pub(crate) fn ct_select(mask: u64, a: R64, b: R64) -> R64 {
         R64(ctime::select(mask, a.0, b.0))
     }
 }

@@ -33,7 +33,7 @@ use std::fmt;
 ///
 /// ```compile_fail
 /// use dash_mpc::{ring::R64, Secret};
-/// let s = Secret::new(R64(42));
+/// let s = Secret::new(R64::from(42));
 /// let inner = s.0; // private field
 /// ```
 ///
@@ -42,7 +42,7 @@ use std::fmt;
 ///
 /// ```compile_fail
 /// use dash_mpc::{ring::R64, Secret};
-/// let s = Secret::new(R64(42));
+/// let s = Secret::new(R64::from(42));
 /// let msg = format!("{}", s); // no Display impl
 /// ```
 ///
@@ -50,7 +50,7 @@ use std::fmt;
 ///
 /// ```compile_fail
 /// use dash_mpc::{ring::R64, Secret};
-/// let s = Secret::new(R64(42));
+/// let s = Secret::new(R64::from(42));
 /// let r = s.expose(); // pub(crate) only
 /// ```
 ///
@@ -59,7 +59,7 @@ use std::fmt;
 ///
 /// ```
 /// use dash_mpc::{ring::R64, Secret};
-/// let s = Secret::new(vec![R64(0xDEAD_BEEF)]);
+/// let s = Secret::new(vec![R64::from(0xDEAD_BEEF)]);
 /// assert_eq!(format!("{s:?}"), "Secret { <redacted> }");
 /// ```
 #[derive(Clone, PartialEq, Eq)]
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn debug_is_redacted() {
-        let s = Secret::new(vec![R64(0xDEAD_BEEF)]);
+        let s = Secret::new(vec![R64::from(0xDEAD_BEEF)]);
         let d = format!("{s:?}");
         assert_eq!(d, "Secret { <redacted> }");
         assert!(!d.contains("3735928559") && !d.to_lowercase().contains("dead"));

@@ -127,7 +127,7 @@ pub const fn is_partition(mut ranges: &[TagRange]) -> bool {
     next.is_none()
 }
 
-const _: () = assert!(
+const _: () = ::core::assert!(
     is_partition(&REGISTRY),
     "REGISTRY must partition 0..=u32::MAX: ascending, contiguous, no inverted range"
 );

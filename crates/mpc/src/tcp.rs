@@ -1820,7 +1820,7 @@ pub(crate) mod tests {
             for round in 0..ROUNDS {
                 let own = R64(ctx.id() as u64 + round);
                 let sum = masked_sum_ring(ctx, &[own], "round")?;
-                assert_eq!(sum, [R64(3 + 3 * round)]);
+                assert_eq!(sum, [3 + 3 * round]);
                 if let Some(snap) = ctx.endpoint().link_snapshot() {
                     backlogs.extend(snap.replay.iter().map(Vec::len));
                 }

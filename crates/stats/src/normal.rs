@@ -11,17 +11,6 @@ pub struct Normal {
 }
 
 impl Normal {
-    /// Creates a normal distribution; `sd` must be positive and finite.
-    pub fn new(mean: f64, sd: f64) -> Result<Self, StatsError> {
-        if !(sd > 0.0 && sd.is_finite() && mean.is_finite()) {
-            return Err(StatsError::InvalidParameter {
-                what: "normal standard deviation",
-                value: sd,
-            });
-        }
-        Ok(Normal { mean, sd })
-    }
-
     /// The standard normal N(0, 1).
     pub fn standard() -> Self {
         Normal { mean: 0.0, sd: 1.0 }
@@ -114,6 +103,21 @@ fn acklam(p: f64) -> f64 {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    }
+}
+
+#[cfg(test)]
+impl Normal {
+    /// The location-scale form the tests pin; `sd` must be positive and
+    /// finite.
+    pub(crate) fn new(mean: f64, sd: f64) -> Result<Self, StatsError> {
+        if !(sd > 0.0 && sd.is_finite() && mean.is_finite()) {
+            return Err(StatsError::InvalidParameter {
+                what: "normal standard deviation",
+                value: sd,
+            });
+        }
+        Ok(Normal { mean, sd })
     }
 }
 

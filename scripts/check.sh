@@ -7,55 +7,84 @@ echo "== build (all targets)"
 cargo build --workspace --all-targets --release
 
 echo "== lint (clippy, warnings are errors)"
-# The secure scope's panic-free and indexing rules are denies in source,
-# at its two roots (crates/mpc/src/lib.rs and `pub mod secure;` in
+# The secure scope's panic-free, indexing and print rules are denies in
+# source, at its two roots (crates/mpc/src/lib.rs and `pub mod secure;` in
 # crates/core/src/lib.rs), where an #[allow] must state a reason.
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "== seeded fixtures fail under clippy (exactly the marked sites)"
-# The panic and indexing fixtures of crates/analyze/tests/fixtures are
-# compiled as modules of a copy of dash-mpc. Clippy must fail every line
-# that ends in `// seeded: clippy::<lint>` with that lint, once per mark, and
-# report no other error: a deny that drops off a root, or a site that
-# stops failing, fails here. The copy keeps a fixed path under target/
-# so its build stays incremental (about 1-2 s after the first run).
+echo "== seeded fixtures fail the build (exactly the marked sites, in both scope roots)"
+# The panic, indexing and print fixtures of crates/analyze/tests/fixtures
+# are compiled as modules of a copy of dash-mpc, then of the copy's
+# dash-core `secure` module. Each line that ends in `// seeded: <mark>`
+# must fail with that mark, once per mark, and nothing else may: a
+# `compile_error` mark is an `assert!` that the root's shadow macro turns
+# into a build error (reported at the `:::` invocation line; the `-->`
+# line is the shadow's definition), a `clippy::<lint>` mark a deny that
+# fails clippy. A build error stops clippy before any lint runs, so each
+# root takes two passes: the fixtures whole (only the compile_error marks
+# may fail), then with the compile_error lines blanked (only the clippy
+# marks may fail). A deny or shadow that drops off a root, or a site that
+# stops failing, fails here. The copy keeps a fixed path under target/ so
+# its build stays incremental.
 SEEDED_TREE=target/seeded-fixtures
+SEEDED_ROOTS="crates/mpc/src/lib.rs crates/core/src/secure/mod.rs"
 rm -rf "$SEEDED_TREE"
 mkdir -p "$SEEDED_TREE"
 cp -a Cargo.toml Cargo.lock crates src "$SEEDED_TREE"/
-SEEDED_EXPECT=""
-for name in panics indexing; do
-    dest="crates/mpc/src/seeded_$name.rs"
-    cp "crates/analyze/tests/fixtures/$name.rs" "$SEEDED_TREE/$dest"
-    printf '#[allow(dead_code, reason = "compiled, never called")]\nmod seeded_%s;\n' \
-        "$name" >> "$SEEDED_TREE/crates/mpc/src/lib.rs"
-    SEEDED_EXPECT+=$(awk -v f="$dest" '/\/\/ seeded: / && !/^ *\/\// {
-        s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
-        for (i = 1; i <= n; i++) print f ":" FNR, l[i]
-    }' "crates/analyze/tests/fixtures/$name.rs")$'\n'
+# seeded_pass <package> <module root> <compile_error|clippy>
+seeded_pass() {
+    local pkg=$1 root=$2 pass=$3 dir expect="" found name src dest r
+    dir=$(dirname "$root")
+    for r in $SEEDED_ROOTS; do
+        cp "$r" "$SEEDED_TREE/$r"
+        rm -f "$SEEDED_TREE/$(dirname "$r")"/seeded_*.rs
+    done
+    for name in panics indexing prints; do
+        src="crates/analyze/tests/fixtures/$name.rs"
+        dest="$dir/seeded_$name.rs"
+        if [ "$pass" = compile_error ]; then
+            cp "$src" "$SEEDED_TREE/$dest"
+        else
+            sed 's|.*// seeded: compile_error$||' "$src" > "$SEEDED_TREE/$dest"
+        fi
+        printf '#[allow(dead_code, reason = "compiled, never called")]\nmod seeded_%s;\n' \
+            "$name" >> "$SEEDED_TREE/$root"
+        expect+=$(awk -v f="$dest" -v pass="$pass" '/\/\/ seeded: / && !/^ *\/\// {
+            s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
+            for (i = 1; i <= n; i++)
+                if ((l[i] == "compile_error") == (pass == "compile_error")) print f ":" FNR, l[i]
+        }' "$src")$'\n'
+    done
+    found=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
+        cargo clippy -p "$pkg" --lib --release 2>&1 || true) | awk '
+        /^error/ && !/^error: could not compile/ { n++; arrow[n] = ""; call[n] = ""; lint[n] = ""; next }
+        n && arrow[n] == "" && /^ *--> / { split($2, a, ":"); arrow[n] = a[1] ":" a[2] }
+        n && call[n] == "" && /^ *::: / { split($2, a, ":"); call[n] = a[1] ":" a[2] }
+        n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
+        END {
+            for (i = 1; i <= n; i++)
+                if (lint[i] != "") print arrow[i], lint[i]; else print call[i], "compile_error"
+        }' | sort)
+    expect=$(sort <<<"${expect%$'\n'}" | sed '/^$/d')
+    echo "$found" | sed "s/^/  [$pass] /"
+    if [ -z "$expect" ] || [ "$found" != "$expect" ]; then
+        echo "error: the seeded fixtures' $pass errors in $dir differ from their marks" >&2
+        diff <(echo "$expect") <(echo "$found") >&2 || true
+        exit 1
+    fi
+}
+for pass in compile_error clippy; do
+    seeded_pass dash-mpc crates/mpc/src/lib.rs "$pass"
 done
-SEEDED_FOUND=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
-    cargo clippy -p dash-mpc --lib --release 2>&1 || true) | awk '
-    /^error/ && !/^error: could not compile/ { n++; site[n] = ""; lint[n] = ""; next }
-    n && site[n] == "" && /^ *--> / { split($2, a, ":"); site[n] = a[1] ":" a[2] }
-    n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
-    END { for (i = 1; i <= n; i++) print site[i], lint[i] }' | sort)
-SEEDED_EXPECT=$(sort <<<"${SEEDED_EXPECT%$'\n'}")
-echo "$SEEDED_FOUND" | sed 's/^/  /'
-if [ -z "$SEEDED_EXPECT" ] || [ "$SEEDED_FOUND" != "$SEEDED_EXPECT" ]; then
-    echo "error: clippy's errors on the seeded fixtures differ from their marks" >&2
-    diff <(echo "$SEEDED_EXPECT") <(echo "$SEEDED_FOUND") >&2 || true
-    exit 1
-fi
+for pass in compile_error clippy; do
+    seeded_pass dash-core crates/core/src/secure/mod.rs "$pass"
+done
 
-echo "== static analysis (dash-analyze: taint, cross-function taint, constant-time, asserts, tags)"
-# Any finding fails the build; there is no suppression. Covers secret
-# taint, the call-graph taint pass (any path from a Secret-producing
-# function to a formatter that never goes through an audited open:
-# open_via/open_local/open_sum), the constant-time lint (data-dependent
-# branches, comparisons, `%`/`/`, and table lookups on share material in
-# the mpc arithmetic modules), non-debug assertions, and tag constants
-# outside the registry.
+echo "== static analysis (dash-analyze: constant-time, tags)"
+# Any finding fails the build; there is no suppression. Covers the
+# constant-time lint (data-dependent branches, comparisons, `%`/`/`, and
+# table lookups on share material in the mpc arithmetic modules) and tag
+# constants outside the registry.
 ./target/release/dash-analyze
 
 echo "== analyzer runtime budget (E15)"
@@ -310,12 +339,14 @@ echo "== pub fns with no non-test caller (scripts/unused.sh, two ceilings)"
 # gives it a caller, deletes it, or raises the ceiling and says why.
 # Names: 7 since the helpers no open item needed went (`norm2`,
 # `is_enabled`, `messages_sent_by`, `variance_population`,
-# `missing_fraction`). Methods: 14 since the test-only mpsc shorthands
-# `Network::{run_parties, endpoints}` became `#[cfg(test)]` (16 before;
-# 31 before `Welford`, the getters nothing read and the other methods
-# nothing called went).
+# `missing_fraction`). Methods: 11 since `TransientBlock::new` went (its
+# fields are pub) and `FixedPointCodec::encode_ring` and `Normal::new`
+# became `#[cfg(test)]` (14 before, since the test-only mpsc shorthands
+# `Network::{run_parties, endpoints}` became `#[cfg(test)]`; 16 before
+# that; 31 before `Welford`, the getters nothing read and the other
+# methods nothing called went).
 UNUSED_CEILING=7
-UNUSED_METHOD_CEILING=14
+UNUSED_METHOD_CEILING=11
 UNUSED_OUT=$(scripts/unused.sh)
 echo "$UNUSED_OUT"
 UNUSED_NOW=$(grep -E 'pub fn names have no non-test caller$' <<<"$UNUSED_OUT" | awk '{ print $1 }')

@@ -19,15 +19,17 @@
 # ceiling. What keeps each method the second count still flags:
 #   PartyCtx::rng_mut - the per-party draw of ROADMAP's key-material
 #     item (b).
-#   Secret::ct_select - the remedy dash-analyze's constant-time lint
-#     names (crates/analyze/src/ct.rs).
-#   SparseParty::new - the sparse `SummandSource`, which ROADMAP's input
-#     item puts beside `StreamedParty`; its own tests build it.
+#   Secret::ct_select - with `R64`'s word and its `ct_select` private to
+#     dash-mpc, the one branch-free select on elements outside it, and
+#     the remedy dash-analyze's constant-time lint names
+#     (crates/analyze/src/ct.rs).
+#   Constructors that check what a struct literal would not, the only
+#     way to build their type (private fields) or to build it valid:
+#     SparseParty::new (the sparse `SummandSource`, which ROADMAP's input
+#     item puts beside `StreamedParty`; its own tests build it),
+#     MultiPartyData::new (row counts; tests/generalizations.rs).
 #   Integration tests in another crate, which need it `pub`:
-#     TransientBlock::new (crates/core/tests/props.rs, tests/extensions.rs),
-#     MultiPartyData::new (tests/generalizations.rs),
 #     DisclosureLog::per_party_scalars (tests/leakage.rs),
-#     FixedPointCodec::encode_ring (crates/mpc/tests/props.rs),
 #     GenotypeMatrix::observed_maf, SparseMatrix::col_dense
 #       (crates/gwas/tests/props.rs),
 #     DisclosureLog::per_party_disclosures (the dash-core `secure::` unit
@@ -36,8 +38,7 @@
 #   Their own crate's tests, pinning what the method states:
 #     DisclosureLog::total_scalars (the log's sum),
 #     FixedPointCodec::sum_capacity (the wrap bound `max_abs_ring`'s doc
-#       points to), Normal::new (the location-scale form; every caller
-#       uses `Normal::standard`).
+#       points to).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

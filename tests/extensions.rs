@@ -151,8 +151,14 @@ fn block_f_test_beats_scalar_scan_on_split_signal() {
     let c = Matrix::from_cols(&[&vec![1.0; n]]).unwrap();
     let data = PartyData::new(y, x, c).unwrap();
     let blocks = vec![
-        TransientBlock::new("signal", vec![0, 1, 2]),
-        TransientBlock::new("null", vec![10, 11, 12]),
+        TransientBlock {
+            name: "signal".into(),
+            columns: vec![0, 1, 2],
+        },
+        TransientBlock {
+            name: "null".into(),
+            columns: vec![10, 11, 12],
+        },
     ];
     let joint = block_scan(&data, &blocks).unwrap();
     assert!(joint[0].p < 1e-6, "signal block p {}", joint[0].p);
