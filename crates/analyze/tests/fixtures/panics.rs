@@ -1,8 +1,10 @@
 //! Seeded violations of the secure scope's panic-free discipline.
 //! `scripts/check.sh` compiles this file as a module of `dash-mpc`, and
 //! again of dash-core's `secure` module, where the build must fail each
-//! line marked `// seeded: clippy::<lint>` with that lint and each line
+//! line marked `// seeded: clippy::<lint>` with that lint, each line
 //! marked `// seeded: compile_error` with the root's `assert!` shadow,
+//! and each line marked `// seeded: path_assert` (an assert named by its
+//! path, which the shadow does not reach) with the stage's textual check,
 //! and nothing else.
 
 /// VIOLATION: unwrap on the hot path.
@@ -43,6 +45,16 @@ fn checked_eq(a: u32, b: u32) {
 /// VIOLATION: assert_ne likewise.
 fn checked_ne(a: u32, b: u32) {
     assert_ne!(a, b); // seeded: compile_error
+}
+
+/// VIOLATION: an assert named by its path compiles past the shadow.
+fn checked_path(v: &[u32]) {
+    std::assert!(!v.is_empty()); // seeded: path_assert
+}
+
+/// VIOLATION: likewise from core, with a leading `::`.
+fn checked_core_path(a: u32, b: u32) {
+    ::core::assert_eq!(a, b); // seeded: path_assert
 }
 
 /// OK: debug assertions are compiled out of release builds.

@@ -101,9 +101,9 @@ proptest! {
         let scalar = associate(&data).unwrap();
         let blocks: Vec<TransientBlock> = (0..4)
             .map(|j| TransientBlock {
- name: format!("v{j}"),
- columns: vec![j],
- })
+                name: format!("v{j}"),
+                columns: vec![j],
+            })
             .collect();
         let joint = block_scan(&data, &blocks).unwrap();
         for (j, jb) in joint.iter().enumerate().take(4) {

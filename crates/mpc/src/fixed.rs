@@ -148,19 +148,6 @@ impl Default for FixedPointCodec {
 }
 
 #[cfg(test)]
-impl FixedPointCodec {
-    /// Encodes one value into the ring, as [`FixedPointCodec::encode_ring_vec`]
-    /// encodes each of a slice.
-    pub(crate) fn encode_ring(&self, x: f64) -> Result<R64, MpcError> {
-        Ok(R64::from_i64(self.to_scaled_i64(
-            x,
-            self.scale(),
-            self.max_abs_ring(),
-        )?))
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -184,8 +171,7 @@ mod tests {
             1e6,
             -99999.125,
         ] {
-            let v = c.encode_ring(x).unwrap();
-            let back = c.decode_ring(v);
+            let back = c.decode_ring(c.encode_ring_vec(&[x]).unwrap()[0]);
             assert!((back - x).abs() <= 1.0 / c.scale(), "x={x} back={back}");
         }
     }
@@ -194,7 +180,7 @@ mod tests {
     fn ring_sum_homomorphism() {
         let c = FixedPointCodec::new(32).unwrap();
         let xs = [1.5, -2.25, 100.0625, -0.0009765625];
-        let encoded: Vec<R64> = xs.iter().map(|&x| c.encode_ring(x).unwrap()).collect();
+        let encoded = c.encode_ring_vec(&xs).unwrap();
         let sum = R64::sum(&encoded);
         let expect: f64 = xs.iter().sum();
         assert!((c.decode_ring(sum) - expect).abs() < 4.0 / c.scale());
@@ -204,21 +190,21 @@ mod tests {
     fn ring_overflow_rejected() {
         let c = FixedPointCodec::new(32).unwrap();
         assert!(matches!(
-            c.encode_ring(1e200),
+            c.encode_ring_vec(&[1e200]),
             Err(MpcError::FixedPointOverflow { .. })
         ));
-        assert!(c.encode_ring(c.max_abs_ring() * 1.01).is_err());
-        assert!(c.encode_ring(c.max_abs_ring() * 0.99).is_ok());
+        assert!(c.encode_ring_vec(&[c.max_abs_ring() * 1.01]).is_err());
+        assert!(c.encode_ring_vec(&[c.max_abs_ring() * 0.99]).is_ok());
     }
 
     #[test]
     fn non_finite_rejected() {
         let c = FixedPointCodec::default();
         assert!(matches!(
-            c.encode_ring(f64::NAN),
+            c.encode_ring_vec(&[f64::NAN]),
             Err(MpcError::NotFinite { .. })
         ));
-        assert!(c.encode_ring(f64::INFINITY).is_err());
+        assert!(c.encode_ring_vec(&[f64::INFINITY]).is_err());
         assert!(c.encode_field_vec(&[f64::NEG_INFINITY]).is_err());
     }
 
@@ -278,8 +264,8 @@ mod tests {
             let c = FixedPointCodec::new(f).unwrap();
             let mr = c.max_abs_ring();
             let mo = c.max_abs_operand();
-            assert_eq!(c.decode_ring(c.encode_ring(mr).unwrap()), mr, "f={f}");
-            assert_eq!(c.decode_ring(c.encode_ring(-mr).unwrap()), -mr, "f={f}");
+            let back = c.decode_ring_vec(&c.encode_ring_vec(&[mr, -mr]).unwrap());
+            assert_eq!(back, [mr, -mr], "f={f}");
             let back = c.decode_ring_vec(&c.encode_field_vec(&[mo, -mo]).unwrap());
             assert_eq!(back, [mo, -mo], "f={f}");
         }
@@ -291,8 +277,8 @@ mod tests {
             let c = FixedPointCodec::new(f).unwrap();
             let ring_above = c.max_abs_ring() * (1.0 + 1e-9);
             assert!(ring_above > c.max_abs_ring());
-            assert!(c.encode_ring(ring_above).is_err(), "f={f}");
-            assert!(c.encode_ring(-ring_above).is_err(), "f={f}");
+            assert!(c.encode_ring_vec(&[ring_above]).is_err(), "f={f}");
+            assert!(c.encode_ring_vec(&[-ring_above]).is_err(), "f={f}");
             let operand_above = c.max_abs_operand() * (1.0 + 1e-9);
             assert!(c.encode_field_vec(&[operand_above]).is_err(), "f={f}");
             assert!(c.encode_field_vec(&[-operand_above]).is_err(), "f={f}");

@@ -97,8 +97,10 @@
 // `assert!`, `assert_eq!` or `assert_ne!` in this crate does not compile.
 // Textual macro scope covers every module declared below; `debug_assert!`
 // expands through `::core::assert!` and still compiles, as does a
-// compile-time `const _: () = ::core::assert!(..)`. The same three
-// shadows open `crates/core/src/secure/mod.rs`.
+// compile-time `const _: () = ::core::assert!(..)`. A call named by its
+// path (`std::assert!(..)`) also passes the shadow, so check.sh's seeded
+// stage rejects any path to the three outside a `const _` item. The same
+// three shadows open `crates/core/src/secure/mod.rs`.
 #[cfg(not(test))]
 #[allow(unused_macros, reason = "a shadow: used means the build fails")]
 macro_rules! assert {

@@ -142,7 +142,8 @@ pub fn masked_sum_f64(
 }
 
 /// Decodes opened total words, as [`FixedPointCodec::decode_ring_vec`]
-/// decodes their elements.
+/// decodes their elements. The f64 wrappers go through the public ring
+/// sums, so each topology has one entry point.
 fn decode(codec: &FixedPointCodec, total: Vec<u64>) -> Vec<f64> {
     total
         .into_iter()

@@ -24,9 +24,9 @@
 //! The word is private to this crate. Elements are built with
 //! `R64::from(u64)` or [`R64::from_i64`], and nothing outside dash-mpc
 //! reads a word back: an opened total leaves as a public integer (the
-//! masked sums return `u64`s) or through the fixed-point codec. Outside
-//! unit tests `{:?}` prints `R64(<redacted>)`, so a derived `Debug` on a
-//! struct of elements prints no word, and there is no `Display`.
+//! masked sums return `u64`s) or through the fixed-point codec. `{:?}`
+//! prints `R64(<redacted>)`, so a derived `Debug` on a struct of elements
+//! prints no word, and there is no `Display`.
 
 use crate::ctime;
 use std::borrow::Borrow;
@@ -48,18 +48,16 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// let _ = format!("{}", dash_mpc::R64::ZERO);
 /// ```
 ///
-/// Its `Debug` is redacted (outside this crate's unit tests):
+/// Its `Debug` is redacted:
 ///
 /// ```
 /// assert_eq!(format!("{:?}", dash_mpc::R64::from(7)), "R64(<redacted>)");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(test, derive(Debug))]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct R64(pub(crate) u64);
 
 /// Redacted, as [`crate::Secret`]'s: an element is a share, a mask or a
 /// masked value until an opening says otherwise.
-#[cfg(not(test))]
 impl std::fmt::Debug for R64 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("R64(<redacted>)")

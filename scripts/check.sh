@@ -19,10 +19,15 @@ echo "== seeded fixtures fail the build (exactly the marked sites, in both scope
 # must fail with that mark, once per mark, and nothing else may: a
 # `compile_error` mark is an `assert!` that the root's shadow macro turns
 # into a build error (reported at the `:::` invocation line; the `-->`
-# line is the shadow's definition), a `clippy::<lint>` mark a deny that
-# fails clippy. A build error stops clippy before any lint runs, so each
-# root takes two passes: the fixtures whole (only the compile_error marks
-# may fail), then with the compile_error lines blanked (only the clippy
+# line is the shadow's definition), a `path_assert` mark an assert named
+# by its path (`std::assert!`, `::core::assert_eq!`), which the shadow
+# does not reach and a textual check of the root's directory rejects
+# (comment lines and compile-time `const _` items aside), and a
+# `clippy::<lint>` mark a deny that fails clippy. A build error stops
+# clippy before any lint runs, so each root takes three passes: the
+# fixtures whole (only the compile_error marks may fail), the textual
+# check (only the path_assert marks, and no line of the real scope), then
+# the fixtures with the compile_error lines blanked (only the clippy
 # marks may fail). A deny or shadow that drops off a root, or a site that
 # stops failing, fails here. The copy keeps a fixed path under target/ so
 # its build stays incremental.
@@ -31,7 +36,7 @@ SEEDED_ROOTS="crates/mpc/src/lib.rs crates/core/src/secure/mod.rs"
 rm -rf "$SEEDED_TREE"
 mkdir -p "$SEEDED_TREE"
 cp -a Cargo.toml Cargo.lock crates src "$SEEDED_TREE"/
-# seeded_pass <package> <module root> <compile_error|clippy>
+# seeded_pass <package> <module root> <compile_error|path_assert|clippy>
 seeded_pass() {
     local pkg=$1 root=$2 pass=$3 dir expect="" found name src dest r
     dir=$(dirname "$root")
@@ -52,19 +57,26 @@ seeded_pass() {
         expect+=$(awk -v f="$dest" -v pass="$pass" '/\/\/ seeded: / && !/^ *\/\// {
             s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
             for (i = 1; i <= n; i++)
-                if ((l[i] == "compile_error") == (pass == "compile_error")) print f ":" FNR, l[i]
+                if ((l[i] ~ /^clippy::/ ? "clippy" : l[i]) == pass) print f ":" FNR, l[i]
         }' "$src")$'\n'
     done
-    found=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
-        cargo clippy -p "$pkg" --lib --release 2>&1 || true) | awk '
-        /^error/ && !/^error: could not compile/ { n++; arrow[n] = ""; call[n] = ""; lint[n] = ""; next }
-        n && arrow[n] == "" && /^ *--> / { split($2, a, ":"); arrow[n] = a[1] ":" a[2] }
-        n && call[n] == "" && /^ *::: / { split($2, a, ":"); call[n] = a[1] ":" a[2] }
-        n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
-        END {
-            for (i = 1; i <= n; i++)
-                if (lint[i] != "") print arrow[i], lint[i]; else print call[i], "compile_error"
-        }' | sort)
+    if [ "$pass" = path_assert ]; then
+        found=$( (cd "$SEEDED_TREE" && grep -rnE '\b(std|core)::assert(_eq|_ne)?\b' \
+            --include='*.rs' "$dir" || true) |
+            awk -F: '{ code = $0; sub(/^[^:]*:[0-9]+:[[:space:]]*/, "", code) }
+                code !~ /^(\/\/|const _)/ { print $1 ":" $2, "path_assert" }' | sort)
+    else
+        found=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
+            cargo clippy -p "$pkg" --lib --release 2>&1 || true) | awk '
+            /^error/ && !/^error: could not compile/ { n++; arrow[n] = ""; call[n] = ""; lint[n] = ""; next }
+            n && arrow[n] == "" && /^ *--> / { split($2, a, ":"); arrow[n] = a[1] ":" a[2] }
+            n && call[n] == "" && /^ *::: / { split($2, a, ":"); call[n] = a[1] ":" a[2] }
+            n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
+            END {
+                for (i = 1; i <= n; i++)
+                    if (lint[i] != "") print arrow[i], lint[i]; else print call[i], "compile_error"
+            }' | sort)
+    fi
     expect=$(sort <<<"${expect%$'\n'}" | sed '/^$/d')
     echo "$found" | sed "s/^/  [$pass] /"
     if [ -z "$expect" ] || [ "$found" != "$expect" ]; then
@@ -73,10 +85,10 @@ seeded_pass() {
         exit 1
     fi
 }
-for pass in compile_error clippy; do
+for pass in compile_error path_assert clippy; do
     seeded_pass dash-mpc crates/mpc/src/lib.rs "$pass"
 done
-for pass in compile_error clippy; do
+for pass in compile_error path_assert clippy; do
     seeded_pass dash-core crates/core/src/secure/mod.rs "$pass"
 done
 
@@ -339,9 +351,9 @@ echo "== pub fns with no non-test caller (scripts/unused.sh, two ceilings)"
 # gives it a caller, deletes it, or raises the ceiling and says why.
 # Names: 7 since the helpers no open item needed went (`norm2`,
 # `is_enabled`, `messages_sent_by`, `variance_population`,
-# `missing_fraction`). Methods: 11 since `TransientBlock::new` went (its
-# fields are pub) and `FixedPointCodec::encode_ring` and `Normal::new`
-# became `#[cfg(test)]` (14 before, since the test-only mpsc shorthands
+# `missing_fraction`). Methods: 11 since `TransientBlock::new` (its
+# fields are pub), `FixedPointCodec::encode_ring` and `Normal::new` went
+# (14 before, since the test-only mpsc shorthands
 # `Network::{run_parties, endpoints}` became `#[cfg(test)]`; 16 before
 # that; 31 before `Welford`, the getters nothing read and the other
 # methods nothing called went).
