@@ -1,9 +1,9 @@
 //! E14 — timing-leak detection for the R64 share arithmetic.
 //!
-//! The `constant-time` lint (dash-analyze) proves the arithmetic source
-//! is branch-free; this experiment checks the compiled code on the host
-//! CPU agrees, using the dudect fixed-vs-random two-class protocol (see
-//! `dash_bench::dudect`). Every Z₂⁶⁴ operation the protocols run — add,
+//! The element type keeps every comparison and division of share words
+//! inside `ring.rs`, and check.sh holds that file branch-free; this
+//! experiment checks the compiled code on the host CPU agrees, using the
+//! dudect fixed-vs-random two-class protocol (see `dash_bench::dudect`). Every Z₂⁶⁴ operation the protocols run — add,
 //! sub, mul, negation, signed encode, and the Beaver share combination
 //! `z + d·b + e·a` — is measured with a worst-case fixed class against a
 //! uniform random class; a Welch t-test over the interleaved timings must

@@ -24,7 +24,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp11_logistic",
     "exp13_trace_overhead",
     "exp14_timing",
-    "exp15_analyze",
 ];
 
 fn main() {

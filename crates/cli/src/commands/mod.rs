@@ -9,6 +9,7 @@ pub mod scan;
 pub mod secure_scan;
 pub mod simulate;
 pub mod top;
+pub mod trace;
 
 use crate::args::Flags;
 use crate::error::CliError;

@@ -19,6 +19,23 @@ pub enum CliError {
     Core(dash_core::CoreError),
     /// Workload IO/parsing failed.
     Gwas(dash_gwas::GwasError),
+    /// `dash trace check` read the trace and it is invalid: one problem
+    /// per entry.
+    TraceInvalid(Vec<String>),
+    /// `dash trace check` could not check: a bad invocation or an
+    /// unreadable file.
+    CannotCheck(String),
+}
+
+impl CliError {
+    /// The process exit code: 2 when `dash trace check` could not check,
+    /// as a checker's "no verdict"; 1 for every other failure.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            CliError::CannotCheck(_) => 2,
+            _ => 1,
+        }
+    }
 }
 
 impl fmt::Display for CliError {
@@ -33,6 +50,12 @@ impl fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Core(e) => write!(f, "analysis error: {e}"),
             CliError::Gwas(e) => write!(f, "data error: {e}"),
+            CliError::TraceInvalid(errs) => {
+                let lines: Vec<String> =
+                    errs.iter().map(|e| format!("trace invalid: {e}")).collect();
+                write!(f, "{}", lines.join("\n"))
+            }
+            CliError::CannotCheck(msg) => write!(f, "{msg}"),
         }
     }
 }

@@ -11,6 +11,7 @@
 //! dash party       --id K --peers HOST:PORT,… --dir DIR/partyK --out results.tsv
 //! dash meta        --dir DIR --out results.tsv
 //! dash top         --results results.tsv [--alpha 5e-8] [--limit 10]
+//! dash trace check trace.json
 //! ```
 //!
 //! The library surface ([`run`]) takes argv and a writer, so the whole
@@ -41,6 +42,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "pca" => commands::pca::run(rest, out),
         "perm" => commands::perm::run(rest, out),
         "top" => commands::top::run(rest, out),
+        "trace" => commands::trace::run(rest, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -68,6 +70,7 @@ COMMANDS:
     pca          Secure distributed PCA (ancestry covariates)
     perm         Max-T permutation scan (empirical FWER control)
     top          Show the strongest associations from a results file
+    trace        Validate a dash-trace/1 export (`dash trace check FILE`)
     help         Show this message
 
 Run a command with no options to see its specific usage.";

@@ -7,9 +7,14 @@ fn main() -> ExitCode {
     let mut stdout = std::io::stdout();
     match dash_cli::run(&argv, &mut stdout) {
         Ok(()) => ExitCode::SUCCESS,
+        // An invalid trace is a verdict, printed as its own lines.
+        Err(e @ dash_cli::CliError::TraceInvalid(_)) => {
+            eprintln!("{e}");
+            ExitCode::from(e.exit_code())
+        }
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

@@ -73,7 +73,7 @@ pub struct Fingerprint {
 }
 
 /// One party's complete crash-recovery state at a block boundary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Checkpoint {
     /// Which run this state belongs to.
     pub fingerprint: Fingerprint,
@@ -110,6 +110,50 @@ pub struct Checkpoint {
     /// Per-link sequence cursors and replay backlog (`None` when the
     /// transport has no durable link identity, e.g. in-process).
     pub links: Option<LinkSnapshot>,
+}
+
+/// Prints every field but the PRG states, which determine every future
+/// mask and triple share: `rng` and `pair_prgs` are redacted, as
+/// `Prg`'s own `Debug` is.
+impl std::fmt::Debug for Checkpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Destructured, so a new field must be placed here to build.
+        let Checkpoint {
+            fingerprint,
+            n_total,
+            next_block,
+            rng: _,
+            pair_prgs,
+            tag_counter,
+            r,
+            yy,
+            qty,
+            sink_len,
+            summary,
+            disclosures,
+            stats,
+            links,
+        } = self;
+        f.debug_struct("Checkpoint")
+            .field("fingerprint", fingerprint)
+            .field("n_total", n_total)
+            .field("next_block", next_block)
+            .field("rng", &format_args!("<state redacted>"))
+            .field(
+                "pair_prgs",
+                &format_args!("<{} states redacted>", pair_prgs.iter().flatten().count()),
+            )
+            .field("tag_counter", tag_counter)
+            .field("r", r)
+            .field("yy", yy)
+            .field("qty", qty)
+            .field("sink_len", sink_len)
+            .field("summary", summary)
+            .field("disclosures", disclosures)
+            .field("stats", stats)
+            .field("links", links)
+            .finish()
+    }
 }
 
 /// How a party run participates in crash recovery.
@@ -669,6 +713,35 @@ mod tests {
     fn assert_same(got: &Checkpoint, want: &Checkpoint) {
         assert_eq!(payload(got), payload(want));
         assert_eq!(got.summary.df, want.summary.df);
+    }
+
+    /// `{:?}` and `{:#?}` of a checkpoint print none of its PRG state
+    /// words, in decimal or hex, and say that they are redacted.
+    #[test]
+    fn debug_prints_no_prg_state_word() {
+        const WORDS: [u64; 4] = [
+            0xDEAD_BEEF_1234_5678,
+            u64::MAX,
+            0x0123_4567_89AB_CDEF,
+            0x7FFF_0000_FFFF_0001,
+        ];
+        let mut c = sample(1);
+        c.rng = WORDS;
+        c.pair_prgs = vec![
+            Some([WORDS[3], WORDS[2], WORDS[1], WORDS[0]]),
+            None,
+            Some(WORDS),
+        ];
+        for text in [format!("{c:?}"), format!("{c:#?}")] {
+            for w in WORDS {
+                for r in [w.to_string(), format!("{w:x}"), format!("{w:X}")] {
+                    assert!(!text.contains(&r), "{text:?} holds {r}");
+                }
+            }
+            assert!(text.contains("<state redacted>"), "{text}");
+            assert!(text.contains("<2 states redacted>"), "{text}");
+            assert!(text.contains("tag_counter"), "{text}");
+        }
     }
 
     #[test]

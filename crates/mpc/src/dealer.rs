@@ -28,7 +28,7 @@ use std::slice::IterMut;
 
 /// One party's shares of a batch of `count` inner-product triples over
 /// vectors of length `len`, structure-of-arrays in one arena.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct TripleBatch {
     len: usize,
     count: usize,
@@ -170,10 +170,11 @@ impl TrustedDealer {
 mod tests {
     use super::*;
     use crate::audit::DisclosureLog;
+    use crate::ring::words;
     use crate::secret::OpenMode;
 
-    /// One party's triple in the layout this module replaced.
-    type RefTriple = (Vec<R64>, Vec<R64>, R64);
+    /// One party's triple in the layout this module replaced, as words.
+    type RefTriple = (Vec<u64>, Vec<u64>, u64);
 
     /// The per-element dealer this module replaced, kept as the oracle:
     /// one `Vec` per vector, per share column and per split value.
@@ -207,7 +208,7 @@ mod tests {
                 .iter_mut()
                 .zip(shares_a.into_iter().zip(shares_b).zip(sc))
             {
-                dst.push((a, b, c));
+                dst.push((words(&a), words(&b), c.declassify()));
             }
         }
         out
@@ -221,6 +222,12 @@ mod tests {
             .collect()
     }
 
+    /// Every word of a batch: `a⃗`, then `b⃗`, then `c`.
+    fn batch_words(t: &TripleBatch) -> Vec<u64> {
+        let (a, b, c) = t.parts();
+        words(&[a, b, c].concat())
+    }
+
     /// The flat batches in the oracle's layout.
     fn as_reference(batches: &[TripleBatch]) -> Vec<Vec<RefTriple>> {
         batches
@@ -230,7 +237,7 @@ mod tests {
                 t.rows(a)
                     .zip(t.rows(b))
                     .zip(c)
-                    .map(|((a, b), &c)| (a.to_vec(), b.to_vec(), c))
+                    .map(|((a, b), &c)| (words(a), words(b), c.declassify()))
                     .collect()
             })
             .collect()
@@ -290,7 +297,8 @@ mod tests {
                     let bj = R64::sum(batches.iter().map(|t| t.parts().1[j]));
                     dot += aj * bj;
                 }
-                assert_eq!(dot, R64::sum(batches.iter().map(|t| t.parts().2[i])));
+                let c = R64::sum(batches.iter().map(|t| t.parts().2[i]));
+                assert_eq!(dot.declassify(), c.declassify());
             }
         }
     }
@@ -307,7 +315,8 @@ mod tests {
         let batches = opened(d.deal_inners(0, 4));
         assert!(batches[0].rows(batches[0].parts().0).all(<[R64]>::is_empty));
         for i in 0..4 {
-            assert_eq!(R64::sum(batches.iter().map(|t| t.parts().2[i])), R64::ZERO);
+            let c = R64::sum(batches.iter().map(|t| t.parts().2[i]));
+            assert_eq!(c.declassify(), 0);
         }
     }
 
@@ -315,14 +324,14 @@ mod tests {
     fn shares_differ_across_parties() {
         let mut d = TrustedDealer::new(3, 11).unwrap();
         let batches = opened(d.deal_inners(2, 1));
-        assert_ne!(batches[0], batches[1]);
+        assert_ne!(batch_words(&batches[0]), batch_words(&batches[1]));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let deal = |seed| {
             let mut d = TrustedDealer::new(2, seed).unwrap();
-            d.deal_inners(3, 1).remove(0)
+            batch_words(opened(d.deal_inners(3, 1)).first().unwrap())
         };
         assert_eq!(deal(5), deal(5));
         assert_ne!(deal(5), deal(6));

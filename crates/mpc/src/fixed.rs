@@ -105,7 +105,7 @@ impl FixedPointCodec {
 
     /// Decodes a ring element (interpreting it as two's-complement).
     pub fn decode_ring(&self, v: R64) -> f64 {
-        v.as_i64() as f64 / self.scale()
+        v.declassify() as i64 as f64 / self.scale()
     }
 
     /// Encodes a slice into the ring.
@@ -135,7 +135,7 @@ impl FixedPointCodec {
     /// Decodes an opened Beaver product, a ring element at scale 2^{2f}
     /// (two's-complement). Exact iff the module's product bound holds.
     pub fn decode_product(&self, v: R64) -> f64 {
-        v.as_i64() as f64 / (self.scale() * self.scale())
+        v.declassify() as i64 as f64 / (self.scale() * self.scale())
     }
 }
 

@@ -9,11 +9,11 @@
 //!
 //! Layers, bottom to top:
 //!
-//! - [`ctime`]: branch-free mask primitives (select, comparisons as
-//!   all-ones/zero masks) underlying every constant-time arithmetic path.
 //! - [`ring`]: the ring **Z₂⁶⁴** (wrapping `u64`), the one arithmetic
 //!   domain: masked sums that open immediately, and Beaver products where
-//!   shares are *multiplied* before anything opens.
+//!   shares are *multiplied* before anything opens. Its element, [`R64`],
+//!   cannot be compared, divided or read outside `ring.rs`, so share
+//!   arithmetic is constant-time by type.
 //! - [`fixed`]: fixed-point encoding of `f64` statistics into ring
 //!   elements with explicit overflow errors, and the one exactness bound
 //!   for Beaver products.
@@ -75,8 +75,8 @@
 // The secure scope's panic-free, indexing and print discipline, stated
 // to the compiler: a party that panics mid-round stalls or crashes every
 // peer, and a party that prints may print a share. The same list sits on
-// `pub mod secure;` in dash-core (a test in dash-analyze keeps the two
-// equal). Unit tests assert and print freely.
+// `pub mod secure;` in dash-core (the root package's
+// tests/scope_roots.rs keeps the two equal). Unit tests assert and print freely.
 #![cfg_attr(
     not(test),
     deny(
@@ -125,7 +125,6 @@ macro_rules! assert_ne {
 
 pub mod audit;
 pub mod chaos;
-pub mod ctime;
 pub mod dealer;
 pub mod error;
 pub mod fixed;

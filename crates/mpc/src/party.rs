@@ -252,13 +252,17 @@ impl PartyCtx {
 
     /// Sends an element vector to a peer, one word per element.
     pub fn send(&self, to: usize, tag: u32, v: &[R64]) -> Result<(), MpcError> {
-        let words: Vec<u64> = v.iter().map(|e| e.0).collect();
+        let words: Vec<u64> = v.iter().map(|e| e.declassify()).collect();
         self.send_words(to, tag, &words)
     }
 
     /// Receives an element vector from a peer.
     pub fn recv(&self, from: usize, tag: u32) -> Result<Vec<R64>, MpcError> {
-        Ok(self.recv_words(from, tag)?.into_iter().map(R64).collect())
+        Ok(self
+            .recv_words(from, tag)?
+            .into_iter()
+            .map(R64::from)
+            .collect())
     }
 
     /// Sends the same element vector to every other party.
@@ -315,12 +319,15 @@ impl PartyCtx {
     /// disclosure by construction.
     ///
     /// ```
-    /// use dash_mpc::{NetOptions, Network, Opening, Secret, R64};
+    /// use dash_mpc::{FixedPointCodec, NetOptions, Network, Opening, Secret};
+    /// let codec = FixedPointCodec::default();
     /// let (slots, _, _) = Network::run_parties_detailed_with(2, 1, &NetOptions::default(), |ctx| {
-    ///     ctx.open_sum(&Secret::new(vec![R64::from(1)]), Opening::Disclosed("demo"))
+    ///     let share = Secret::new(codec.encode_ring_vec(&[1.5])?);
+    ///     let total = ctx.open_sum(&share, Opening::Disclosed("demo"))?;
+    ///     Ok::<_, dash_mpc::MpcError>(codec.decode_ring_vec(&total))
     /// })
     /// .unwrap();
-    /// assert_eq!(slots[0].as_ref().ok().and_then(|t| t.as_ref().ok()), Some(&vec![R64::from(2)]));
+    /// assert_eq!(slots[0].as_ref().ok().and_then(|t| t.as_ref().ok()), Some(&vec![3.0]));
     /// ```
     ///
     /// The accounting is a required argument, so an unlabelled open does
@@ -510,12 +517,15 @@ mod tests {
     #[test]
     fn exchange_sum_ring_totals() {
         let totals = Network::run_parties(3, 1, |ctx| {
-            let own = vec![R64(ctx.id() as u64 + 1), R64(10 * (ctx.id() as u64 + 1))];
+            let own = vec![
+                R64::from(ctx.id() as u64 + 1),
+                R64::from(10 * (ctx.id() as u64 + 1)),
+            ];
             let tag = ctx.fresh_tag();
             ctx.exchange_sum(tag, &own).unwrap()
         });
         for t in totals {
-            assert_eq!(t, vec![R64(6), R64(60)]);
+            assert_eq!(crate::ring::words(&t), [6, 60]);
         }
     }
 
@@ -527,7 +537,7 @@ mod tests {
             ctx.exchange_sum(tag, &own).unwrap()
         });
         for t in totals {
-            assert_eq!(t[0].as_i64(), -2); // (-2) + (-1) + 0 + 1
+            assert_eq!(t[0].declassify() as i64, -2); // (-2) + (-1) + 0 + 1
         }
     }
 
@@ -581,8 +591,8 @@ mod tests {
     fn single_party_exchange_is_identity() {
         let totals = Network::run_parties(1, 1, |ctx| {
             let tag = ctx.fresh_tag();
-            ctx.exchange_sum(tag, &[R64(9)]).unwrap()
+            ctx.exchange_sum(tag, &[R64::from(9)]).unwrap()
         });
-        assert_eq!(totals[0], vec![R64(9)]);
+        assert_eq!(crate::ring::words(&totals[0]), [9]);
     }
 }

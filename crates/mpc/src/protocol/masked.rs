@@ -62,7 +62,7 @@ pub fn masked_sum_ring(
 /// The words of an opened total: public, so they leave the crate as
 /// integers (in place: `R64` and `u64` share a layout).
 fn words(opened: Vec<R64>) -> Vec<u64> {
-    opened.into_iter().map(|r| r.0).collect()
+    opened.into_iter().map(R64::declassify).collect()
 }
 
 /// Star-topology masked sum: masked values flow to one aggregator
@@ -147,7 +147,7 @@ pub fn masked_sum_f64(
 fn decode(codec: &FixedPointCodec, total: Vec<u64>) -> Vec<f64> {
     total
         .into_iter()
-        .map(|w| codec.decode_ring(R64(w)))
+        .map(|w| codec.decode_ring(R64::from(w)))
         .collect()
 }
 
@@ -173,7 +173,7 @@ mod tests {
                     let mine = vec![
                         R64::from_i64(me * me),
                         R64::from_i64(-me),
-                        R64(100 * (me as u64 + 1)),
+                        R64::from(100 * (me as u64 + 1)),
                     ];
                     sum(ctx, &mine, "sq").unwrap()
                 });
@@ -194,7 +194,7 @@ mod tests {
         // No party's broadcast equals its raw input (overwhelmingly
         // likely): capture what each party would have sent by recomputing.
         let results = Network::run_parties(3, 123, |ctx| {
-            let mine = vec![R64(42)]; // same raw input for everyone
+            let mine = vec![R64::from(42)]; // same raw input for everyone
             let total = masked_sum_ring(ctx, &mine, "x").unwrap();
             total[0]
         });
@@ -209,7 +209,7 @@ mod tests {
         for (name, sum) in RING {
             let (slots, _stats, audit) =
                 Network::run_parties_detailed_with(3, 1, &NetOptions::default(), move |ctx| {
-                    sum(ctx, &[R64(1), R64(2)], "aggregate pair").unwrap()
+                    sum(ctx, &[R64::from(1), R64::from(2)], "aggregate pair").unwrap()
                 })
                 .unwrap();
             assert!(slots.iter().all(Result::is_ok), "{name}: {slots:?}");
@@ -230,7 +230,7 @@ mod tests {
         let traffic = |sum: RingSum, p: usize, len: usize, secret: u64| {
             let (slots, stats, _a) =
                 Network::run_parties_detailed_with(p, 3, &NetOptions::default(), move |ctx| {
-                    sum(ctx, &vec![R64(secret ^ ctx.id() as u64); len], "t").unwrap()
+                    sum(ctx, &vec![R64::from(secret ^ ctx.id() as u64); len], "t").unwrap()
                 })
                 .unwrap();
             assert!(slots.iter().all(Result::is_ok), "{slots:?}");
@@ -257,8 +257,8 @@ mod tests {
         // Pairwise PRGs must advance identically across calls.
         for (name, sum) in RING {
             let results = Network::run_parties(3, 8, move |ctx| {
-                let a = sum(ctx, &[R64(ctx.id() as u64)], "a").unwrap();
-                let b = sum(ctx, &[R64(10 + ctx.id() as u64)], "b").unwrap();
+                let a = sum(ctx, &[R64::from(ctx.id() as u64)], "a").unwrap();
+                let b = sum(ctx, &[R64::from(10 + ctx.id() as u64)], "b").unwrap();
                 (a[0], b[0])
             });
             for &(a, b) in &results {
@@ -332,7 +332,7 @@ mod tests {
             // audited path all the same.
             let (slots, stats, audit) =
                 Network::run_parties_detailed_with(1, 1, &NetOptions::default(), move |ctx| {
-                    sum(ctx, &[R64(7)], "solo").unwrap()
+                    sum(ctx, &[R64::from(7)], "solo").unwrap()
                 })
                 .unwrap();
             assert_eq!(slots, vec![Ok(vec![7])], "{name}");

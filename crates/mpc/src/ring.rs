@@ -12,23 +12,26 @@
 //!
 //! # Constant time
 //!
-//! All ring arithmetic is `wrapping_*` on `u64` — straight-line machine
-//! code with no data-dependent branches or memory accesses, audited by
-//! the `constant-time` dash-analyze lint and timed by E14
-//! (`exp14_timing`). Comparisons are provided only as mask-returning
-//! `ct_eq` (plus `ct_select`) so this crate never needs `==`/`<` on
-//! share words.
+//! The type states it. The word is private to this module, and an
+//! element is not `PartialEq`, `PartialOrd` or `Div`, so outside this
+//! file no code can compare, divide, match on or index by an element:
+//! each is a build error. What an element offers is ring arithmetic,
+//! `wrapping_*` on `u64`, straight-line machine code with no
+//! data-dependent branch or memory access. This file is the one place
+//! that sees the word, and `scripts/check.sh`'s seeded stage holds its
+//! non-test code to no branch, comparison, `/` or `%`; E14
+//! (`exp14_timing`) times the compiled arithmetic.
 //!
 //! # Privacy
 //!
-//! The word is private to this crate. Elements are built with
-//! `R64::from(u64)` or [`R64::from_i64`], and nothing outside dash-mpc
-//! reads a word back: an opened total leaves as a public integer (the
-//! masked sums return `u64`s) or through the fixed-point codec. `{:?}`
-//! prints `R64(<redacted>)`, so a derived `Debug` on a struct of elements
-//! prints no word, and there is no `Display`.
+//! Elements are built with `R64::from(u64)` or [`R64::from_i64`]. A word
+//! leaves an element only through `declassify`, which is private to the
+//! crate and has three callers: the wire encode (`PartyCtx::send`), the
+//! opened totals of the masked sums (which leave dash-mpc as `u64`s) and
+//! the fixed-point decode. `{:?}` prints `R64(<redacted>)`, so a derived
+//! `Debug` on a struct of elements prints no word, and there is no
+//! `Display`.
 
-use crate::ctime;
 use std::borrow::Borrow;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -36,10 +39,16 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// travels: one `u64` word on the wire, for sums and Beaver products
 /// alike.
 ///
-/// The word is private to dash-mpc:
+/// The word is private to this module:
 ///
 /// ```compile_fail
 /// let _ = dash_mpc::R64::from(7).0;
+/// ```
+///
+/// no two elements compare:
+///
+/// ```compile_fail
+/// let _ = dash_mpc::R64::from(7) == dash_mpc::R64::ZERO;
 /// ```
 ///
 /// and no element is `Display`:
@@ -53,8 +62,8 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// ```
 /// assert_eq!(format!("{:?}", dash_mpc::R64::from(7)), "R64(<redacted>)");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct R64(pub(crate) u64);
+#[derive(Clone, Copy, Default)]
+pub struct R64(u64);
 
 /// Redacted, as [`crate::Secret`]'s: an element is a share, a mask or a
 /// masked value until an opening says otherwise.
@@ -78,11 +87,12 @@ impl R64 {
     /// The multiplicative identity.
     pub const ONE: R64 = R64(1);
 
-    /// Reinterprets the ring element as a signed two's-complement integer
-    /// (how the fixed-point decoder recovers negative values).
+    /// The element's word: the one way out of the type. Its callers are
+    /// the wire encode, the opened totals and the fixed-point decode;
+    /// `scripts/check.sh` fails if any other file calls it.
     #[inline]
-    pub(crate) fn as_i64(self) -> i64 {
-        self.0 as i64
+    pub(crate) fn declassify(self) -> u64 {
+        self.0
     }
 
     /// Builds a ring element from a signed integer.
@@ -101,18 +111,6 @@ impl R64 {
         elems
             .into_iter()
             .fold(R64::ZERO, |acc, e| acc + *e.borrow())
-    }
-
-    /// Constant-time equality: all-ones if equal, zero otherwise.
-    #[inline]
-    pub(crate) fn ct_eq(self, other: R64) -> u64 {
-        ctime::eq_mask(self.0, other.0)
-    }
-
-    /// Constant-time select: `a` where `mask` is all-ones, `b` where zero.
-    #[inline]
-    pub(crate) fn ct_select(mask: u64, a: R64, b: R64) -> R64 {
-        R64(ctime::select(mask, a.0, b.0))
     }
 }
 
@@ -191,34 +189,41 @@ pub fn sub_assign_vec(acc: &mut [R64], rhs: &[R64]) {
 }
 
 #[cfg(test)]
+/// The words of a slice of elements: how the crate's unit tests compare
+/// elements, which have no `==`.
+pub(crate) fn words(v: &[R64]) -> Vec<u64> {
+    v.iter().map(|e| e.0).collect()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn wrapping_addition() {
-        assert_eq!(R64(u64::MAX) + R64(1), R64(0));
-        assert_eq!(R64(5) + R64(7), R64(12));
+        assert_eq!((R64(u64::MAX) + R64(1)).0, 0);
+        assert_eq!((R64(5) + R64(7)).0, 12);
     }
 
     #[test]
     fn subtraction_inverse_of_addition() {
         let a = R64(0xDEADBEEF12345678);
         let b = R64(0x0123456789ABCDEF);
-        assert_eq!(a + b - b, a);
-        assert_eq!((a - b) + b, a);
+        assert_eq!((a + b - b).0, a.0);
+        assert_eq!(((a - b) + b).0, a.0);
     }
 
     #[test]
     fn negation() {
         let a = R64(42);
-        assert_eq!(a + (-a), R64::ZERO);
-        assert_eq!(-R64::ZERO, R64::ZERO);
+        assert_eq!((a + (-a)).0, 0);
+        assert_eq!((-R64::ZERO).0, 0);
     }
 
     #[test]
     fn signed_roundtrip() {
         for &v in &[0i64, 1, -1, i64::MAX, i64::MIN, -123456789] {
-            assert_eq!(R64::from_i64(v).as_i64(), v);
+            assert_eq!(R64::from_i64(v).declassify() as i64, v);
         }
     }
 
@@ -228,41 +233,31 @@ mod tests {
         // (mod 2^64 two's complement).
         let a = R64::from_i64(-1000);
         let b = R64::from_i64(400);
-        assert_eq!((a + b).as_i64(), -600);
+        assert_eq!((a + b).declassify() as i64, -600);
     }
 
     #[test]
     fn sum_accepts_slices_and_iterators() {
         let v = [R64(1), R64(2), R64::from_i64(-3)];
-        assert_eq!(R64::sum(v.as_slice()), R64::ZERO);
-        assert_eq!(R64::sum(v.iter().copied()), R64::ZERO);
-        assert_eq!(R64::sum(std::iter::empty::<R64>()), R64::ZERO);
-        assert_eq!(v.iter().sum::<R64>(), R64::ZERO);
-        assert_eq!(v.iter().copied().sum::<R64>(), R64::ZERO);
-    }
-
-    #[test]
-    fn ct_eq_and_select() {
-        let a = R64(0xDEAD);
-        let b = R64(0xBEEF);
-        assert_eq!(a.ct_eq(a), u64::MAX);
-        assert_eq!(a.ct_eq(b), 0);
-        assert_eq!(R64::ct_select(u64::MAX, a, b), a);
-        assert_eq!(R64::ct_select(0, a, b), b);
+        assert_eq!(R64::sum(v.as_slice()).0, 0);
+        assert_eq!(R64::sum(v.iter().copied()).0, 0);
+        assert_eq!(R64::sum(std::iter::empty::<R64>()).0, 0);
+        assert_eq!(v.iter().sum::<R64>().0, 0);
+        assert_eq!(v.iter().copied().sum::<R64>().0, 0);
     }
 
     #[test]
     fn vector_ops() {
         let mut acc = vec![R64(1), R64(2)];
         add_assign_vec(&mut acc, &[R64(10), R64(20)]);
-        assert_eq!(acc, vec![R64(11), R64(22)]);
+        assert_eq!(words(&acc), [11, 22]);
         sub_assign_vec(&mut acc, &[R64(1), R64(2)]);
-        assert_eq!(acc, vec![R64(10), R64(20)]);
+        assert_eq!(words(&acc), [10, 20]);
     }
 
     #[test]
     fn multiplication_wraps() {
-        assert_eq!(R64(1 << 32) * R64(1 << 32), R64(0));
-        assert_eq!(R64(3) * R64(7), R64(21));
+        assert_eq!((R64(1 << 32) * R64(1 << 32)).0, 0);
+        assert_eq!((R64(3) * R64(7)).0, 21);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's security argument is that *only* the O(M) aggregated
 //! statistics ever leave a party; shares, Beaver triples, PRG masks and
-//! the secret-shared K-vector summands must stay local. The lints in
-//! `dash-analyze` enforce that discipline heuristically; `Secret<T>`
-//! enforces it structurally:
+//! the secret-shared K-vector summands must stay local. `Secret<T>`
+//! enforces that discipline structurally, beside the clippy denies at
+//! the secure scope's roots and [`R64`]'s own incomparable type:
 //!
 //! - the wrapped value is private — no `Display`, no serialization, and a
 //!   `Debug` impl that prints only a redaction marker;
@@ -62,7 +62,7 @@ use std::fmt;
 /// let s = Secret::new(vec![R64::from(0xDEAD_BEEF)]);
 /// assert_eq!(format!("{s:?}"), "Secret { <redacted> }");
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Secret<T>(T);
 
 impl<T> fmt::Debug for Secret<T> {
@@ -194,25 +194,10 @@ impl Secret<Vec<R64>> {
     }
 }
 
-impl Secret<R64> {
-    /// Constant-time equality of two secret ring elements. The result is
-    /// an all-ones/zero *mask* and stays wrapped: whether two shares are
-    /// equal is itself secret.
-    pub fn ct_eq(&self, other: &Secret<R64>) -> Secret<u64> {
-        Secret(self.0.ct_eq(other.0))
-    }
-
-    /// Constant-time selection between two secret ring elements under a
-    /// secret mask (`a` where all-ones, `b` where zero). No branch is
-    /// taken on any of the three inputs.
-    pub fn ct_select(mask: &Secret<u64>, a: &Secret<R64>, b: &Secret<R64>) -> Secret<R64> {
-        Secret(R64::ct_select(mask.0, a.0, b.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::words;
 
     #[test]
     fn debug_is_redacted() {
@@ -225,7 +210,7 @@ mod tests {
     #[test]
     fn open_via_records_actual_count() {
         let log = DisclosureLog::new();
-        let s = Secret::new(vec![R64(1), R64(2), R64(3)]);
+        let s = Secret::new(vec![R64::from(1), R64::from(2), R64::from(3)]);
         let v = s.open_via(&log, OpenMode::Aggregate("triple of values"));
         assert_eq!(v.len(), 3);
         let entries = log.entries();
@@ -237,9 +222,9 @@ mod tests {
     #[test]
     fn open_via_party_and_silent_modes() {
         let log = DisclosureLog::new();
-        Secret::new(R64(7)).open_via(&log, OpenMode::Party(2, "party 2 value"));
-        Secret::new(R64(8)).open_via(&log, OpenMode::Replica);
-        Secret::new(R64(9)).open_via(&log, OpenMode::Pad);
+        Secret::new(R64::from(7)).open_via(&log, OpenMode::Party(2, "party 2 value"));
+        Secret::new(R64::from(8)).open_via(&log, OpenMode::Replica);
+        Secret::new(R64::from(9)).open_via(&log, OpenMode::Pad);
         assert_eq!(log.entries().len(), 1);
         assert_eq!(log.per_party_scalars(), 1);
     }
@@ -247,51 +232,38 @@ mod tests {
     #[test]
     fn combinators_stay_wrapped() {
         let log = DisclosureLog::new();
-        let doubled = Secret::new(R64(5)).map(|x| x + x);
-        assert_eq!(doubled.open_via(&log, OpenMode::Pad), R64(10));
+        let doubled = Secret::new(R64::from(5)).map(|x| x + x);
+        assert_eq!(doubled.open_via(&log, OpenMode::Pad).declassify(), 10);
     }
 
     #[test]
     fn add_assign_checks_lengths() {
-        let mut a = Secret::new(vec![R64(1), R64(2)]);
-        let b = Secret::new(vec![R64(10), R64(20)]);
+        let mut a = Secret::new(vec![R64::from(1), R64::from(2)]);
+        let b = Secret::new(vec![R64::from(10), R64::from(20)]);
         a.add_assign_secret(&b).unwrap();
         let log = DisclosureLog::new();
-        assert_eq!(a.open_via(&log, OpenMode::Pad), vec![R64(11), R64(22)]);
-        let mut c = Secret::new(vec![R64(1)]);
+        assert_eq!(words(&a.open_via(&log, OpenMode::Pad)), [11, 22]);
+        let mut c = Secret::new(vec![R64::from(1)]);
         assert!(c.add_assign_secret(&b).is_err());
     }
 
     #[test]
     fn pad_into_roundtrip() {
-        let pad = Secret::new(vec![R64(100), R64(200)]);
-        let mut buf = vec![R64(1), R64(2)];
+        let pad = Secret::new(vec![R64::from(100), R64::from(200)]);
+        let mut buf = vec![R64::from(1), R64::from(2)];
         pad.pad_into(&mut buf, true).unwrap();
-        assert_eq!(buf, vec![R64(101), R64(202)]);
+        assert_eq!(words(&buf), [101, 202]);
         pad.pad_into(&mut buf, false).unwrap();
-        assert_eq!(buf, vec![R64(1), R64(2)]);
-        let mut short = vec![R64(0)];
+        assert_eq!(words(&buf), [1, 2]);
+        let mut short = vec![R64::from(0)];
         assert!(pad.pad_into(&mut short, true).is_err());
     }
 
     #[test]
-    fn ct_combinators_stay_wrapped() {
-        let log = DisclosureLog::new();
-        let a = Secret::new(R64(1));
-        let b = Secret::new(R64(2));
-        let (ones, zero) = (a.ct_eq(&a), a.ct_eq(&b));
-        let picked = Secret::<R64>::ct_select(&ones, &a, &b);
-        assert_eq!(picked.open_via(&log, OpenMode::Pad), R64(1));
-        let other = Secret::<R64>::ct_select(&zero, &a, &b);
-        assert_eq!(other.open_via(&log, OpenMode::Pad), R64(2));
-        assert_eq!(zero.open_via(&log, OpenMode::Pad), 0);
-    }
-
-    #[test]
     fn scalar_counts() {
-        assert_eq!(Secret::new(R64(1)).scalar_count(), 1);
+        assert_eq!(Secret::new(R64::from(1)).scalar_count(), 1);
         assert_eq!(Secret::new(7u64).scalar_count(), 1);
-        assert_eq!(Secret::new(vec![R64(1); 5]).scalar_count(), 5);
+        assert_eq!(Secret::new(vec![R64::from(1); 5]).scalar_count(), 5);
         let mut dealer = crate::dealer::TrustedDealer::new(2, 1).unwrap();
         let batch = dealer.deal_inners(4, 3).remove(0);
         assert_eq!(batch.count(), 3);

@@ -7,9 +7,9 @@
 //! subsystems ever claim overlapping tag values, so every named range
 //! lives here, the [`REGISTRY`] table enumerates them exhaustively, and a
 //! compile-time assertion ([`is_partition`]) stops the build unless the
-//! ranges are pairwise disjoint and cover the whole `u32` space. Defining
-//! a tag constant anywhere else in `crates/mpc` or `crates/core/src/secure`
-//! is a `dash-analyze` finding.
+//! ranges are pairwise disjoint and cover the whole `u32` space. A
+//! `const` named with a whole `TAG` word anywhere else in `crates/mpc/src`
+//! or `crates/core/src/secure` fails `scripts/check.sh`'s seeded stage.
 //!
 //! | range | tags | who issues them |
 //! |-------|------|-----------------|

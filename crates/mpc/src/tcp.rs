@@ -1498,10 +1498,10 @@ pub(crate) mod tests {
         use crate::net::{NetOptions, Network};
         let round = |ctx: &mut crate::party::PartyCtx| -> Result<u64, MpcError> {
             let tag = ctx.fresh_tag();
-            let me = crate::ring::R64(ctx.id() as u64 + 1);
+            let me = crate::ring::R64::from(ctx.id() as u64 + 1);
             let sum = ctx.exchange_sum(tag, &[me])?;
             ctx.endpoint().close();
-            Ok(sum.first().map_or(0, |s| s.0))
+            Ok(sum.first().map_or(0, |s| s.declassify()))
         };
         let opts = NetOptions::default();
         let supervised = TcpConfig {
@@ -1818,7 +1818,7 @@ pub(crate) mod tests {
         let rounds = |ctx: &mut crate::party::PartyCtx| -> Result<Vec<usize>, MpcError> {
             let mut backlogs = Vec::new();
             for round in 0..ROUNDS {
-                let own = R64(ctx.id() as u64 + round);
+                let own = R64::from(ctx.id() as u64 + round);
                 let sum = masked_sum_ring(ctx, &[own], "round")?;
                 assert_eq!(sum, [3 + 3 * round]);
                 if let Some(snap) = ctx.endpoint().link_snapshot() {

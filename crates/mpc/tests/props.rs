@@ -51,6 +51,17 @@ fn dealt(dealer: &mut TrustedDealer, len: usize, count: usize) -> Vec<TripleBatc
         .collect()
 }
 
+/// Element equality through the public surface, which has no `==` on
+/// elements: the difference decodes to 0.0 exactly when it is the zero
+/// word (a nonzero integer never converts to 0.0).
+fn same(a: &[R64], b: &[R64]) -> bool {
+    let codec = FixedPointCodec::default();
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(&x, &y)| codec.decode_ring(x - y) == 0.0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -71,7 +82,7 @@ proptest! {
             let dot = (t * len..(t + 1) * len)
                 .map(|i| total(|b| b.parts().0, i) * total(|b| b.parts().1, i))
                 .fold(R64::ZERO, |acc, v| acc + v);
-            prop_assert_eq!(dot, total(|b| b.parts().2, t));
+            prop_assert!(same(&[dot], &[total(|b| b.parts().2, t)]));
         }
     }
 
@@ -92,9 +103,9 @@ proptest! {
             let (wa, wb, wc) = whole.parts();
             let (ha, hb, hc) = head.parts();
             let (ta, tb, tc) = tail.parts();
-            prop_assert_eq!(wa, [ha, ta].concat());
-            prop_assert_eq!(wb, [hb, tb].concat());
-            prop_assert_eq!(wc, [hc, tc].concat());
+            prop_assert!(same(wa, &[ha, ta].concat()));
+            prop_assert!(same(wb, &[hb, tb].concat()));
+            prop_assert!(same(wc, &[hc, tc].concat()));
         }
     }
 

@@ -1,5 +1,6 @@
-//! Hand-rolled JSON reader (no serde, per the vendored-shim policy):
-//! [`parse_json`] reads `dash-trace/1` exports for `--validate-trace`.
+//! Hand-rolled JSON reader (no serde: this crate is std-only):
+//! [`parse_json`] reads `dash-trace/1` exports for the validator in
+//! [`crate::trace_check`].
 
 /// Minimal JSON value.
 #[derive(Debug, Clone, PartialEq)]

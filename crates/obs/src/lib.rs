@@ -12,7 +12,9 @@
 //!   send retries, receive timeouts, Beaver triples consumed, and opened
 //!   (disclosed) scalar counts — one atomic slot per `(party, counter)`;
 //! - a human-readable [`TraceHandle::summary`] and a machine-readable
-//!   [`TraceHandle::export_json`] trace (schema `dash-trace/1`).
+//!   [`TraceHandle::export_json`] trace (schema `dash-trace/1`), with its
+//!   validator beside it ([`trace_check::validate_trace`], which
+//!   `dash trace check` runs).
 //!
 //! The entry point is [`TraceHandle`], a cheaply cloneable handle that is
 //! threaded through the transport and protocol layers. A **disabled**
@@ -31,6 +33,9 @@
     test,
     allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
+
+mod json;
+pub mod trace_check;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -287,8 +292,8 @@ impl TraceHandle {
     /// Crediting both ends locally also makes the sent/received
     /// conservation invariant hold *per process*: a `dash party` process
     /// only observes its own outbound sends, yet its emitted trace still
-    /// balances and passes `dash-analyze --validate-trace` without
-    /// merging the peers' traces.
+    /// balances and passes `dash trace check` without merging the peers'
+    /// traces.
     #[inline]
     pub fn on_message(&self, from: usize, to: usize, nbytes: u64) {
         if self.sink.is_some() {
@@ -687,13 +692,12 @@ mod tests {
         assert!(json.contains("\"name\": \"block\""));
         assert!(json.contains("\"index\": 0"));
         assert!(json.contains("\"dropped_spans\": 0"));
-        // Balanced braces/brackets (cheap well-formedness check).
+        // The writer's output is what its validator accepts.
+        let summary = trace_check::validate_trace(&json).unwrap();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            (summary.n_parties, summary.total_bytes, summary.n_spans),
+            (2, 28, 1)
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Validator for `dash-trace/1` JSON exports (`--validate-trace`).
+//! Validator for `dash-trace/1` JSON exports (`dash trace check`).
 //!
 //! The trace format is the machine-readable output of `dash secure-scan
-//! --trace-out`; CI's smoke stage runs a small scan and feeds the file
-//! through this validator, so a schema drift between `dash-obs` and its
-//! consumers fails the gate instead of silently producing garbage
-//! dashboards.
+//! --trace-out` ([`crate::TraceHandle::export_json`]); CI's smoke stage
+//! runs a small scan and feeds the file through this validator, so a
+//! schema drift between the writer and its consumers fails the gate
+//! instead of silently producing garbage dashboards. The counter keys are
+//! the writer's own, [`Counter::ALL`]'s names.
 //!
 //! Checks, in order:
 //! - the document parses and carries `"schema": "dash-trace/1"`;
@@ -18,22 +19,7 @@
 //!   non-empty name; `dropped_spans` is a non-negative integer.
 
 use crate::json::{parse_json, Json};
-
-/// Counter keys every per-party counters object must carry (mirrors
-/// `dash_obs::Counter::ALL` — update both together).
-pub const COUNTER_KEYS: [&str; 11] = [
-    "bytes_sent",
-    "bytes_received",
-    "messages_sent",
-    "messages_received",
-    "retries",
-    "timeouts",
-    "triples_consumed",
-    "opened_scalars",
-    "heartbeats_sent",
-    "reconnects",
-    "resumes",
-];
+use crate::{Counter, N_COUNTERS};
 
 /// Headline numbers of a valid trace, for the CLI's one-line report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +65,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
         errs.push("\"dropped_spans\" must be a non-negative integer".to_string());
     }
 
-    let mut sums = [0u64; COUNTER_KEYS.len()];
+    let mut sums = [0u64; N_COUNTERS];
     match doc.get("counters").and_then(Json::as_arr) {
         None => errs.push("missing \"counters\" array".to_string()),
         Some(rows) => {
@@ -93,10 +79,11 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
                 if row.get("party").and_then(as_count) != Some(p as u64) {
                     errs.push(format!("counters[{p}] is not for party {p}"));
                 }
-                for (slot, key) in COUNTER_KEYS.iter().enumerate() {
+                for counter in Counter::ALL {
+                    let key = counter.name();
                     match row.get(key).and_then(as_count) {
                         Some(v) => {
-                            if let Some(s) = sums.get_mut(slot) {
+                            if let Some(s) = sums.get_mut(counter.slot()) {
                                 match s.checked_add(v) {
                                     Some(sum) => *s = sum,
                                     None => errs.push(format!("summed \"{key}\" overflows u64")),
@@ -113,7 +100,9 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
     }
     // Conservation at the transport accounting point: every frame adds
     // its bytes to the sender's sent and the receiver's received counter.
-    let [sent, received, msg_sent, msg_received, ..] = sums;
+    let sum = |c: Counter| sums.get(c.slot()).copied().unwrap_or(0);
+    let (sent, received) = (sum(Counter::BytesSent), sum(Counter::BytesReceived));
+    let (msg_sent, msg_received) = (sum(Counter::MessagesSent), sum(Counter::MessagesReceived));
     if sent != received {
         errs.push(format!(
             "byte conservation violated: {sent} sent vs {received} received"
@@ -169,13 +158,20 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
 mod tests {
     use super::*;
 
+    /// One party's counters: the given bytes, one message each way, and
+    /// 0 for every other counter the writer has.
     fn counters_row(p: usize, sent: u64, received: u64) -> String {
-        format!(
-            "{{\"party\": {p}, \"bytes_sent\": {sent}, \"bytes_received\": {received}, \
-             \"messages_sent\": 1, \"messages_received\": 1, \"retries\": 0, \
-             \"timeouts\": 0, \"triples_consumed\": 0, \"opened_scalars\": 0, \
-             \"heartbeats_sent\": 0, \"reconnects\": 0, \"resumes\": 0}}"
-        )
+        let value = |c: Counter| match c {
+            Counter::BytesSent => sent,
+            Counter::BytesReceived => received,
+            Counter::MessagesSent | Counter::MessagesReceived => 1,
+            _ => 0,
+        };
+        let cells: Vec<String> = Counter::ALL
+            .iter()
+            .map(|&c| format!(", \"{}\": {}", c.name(), value(c)))
+            .collect();
+        format!("{{\"party\": {p}{}}}", cells.concat())
     }
 
     fn doc(rows: &[String], spans: &str) -> String {

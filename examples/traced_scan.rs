@@ -61,7 +61,7 @@ fn main() {
     assert_eq!(claimed, observed);
     println!("disclosure check: {claimed} scalars claimed, {observed} observed — equal");
 
-    // The JSON export feeds dashboards or `dash-analyze --validate-trace`.
+    // The JSON export feeds dashboards or `dash trace check`.
     let json = trace.export_json();
     println!(
         "\ndash-trace/1 export: {} bytes, first line: {}",

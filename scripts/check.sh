@@ -13,30 +13,96 @@ echo "== lint (clippy, warnings are errors)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== seeded fixtures fail the build (exactly the marked sites, in both scope roots)"
-# The panic, indexing and print fixtures of crates/analyze/tests/fixtures
-# are compiled as modules of a copy of dash-mpc, then of the copy's
-# dash-core `secure` module. Each line that ends in `// seeded: <mark>`
-# must fail with that mark, once per mark, and nothing else may: a
-# `compile_error` mark is an `assert!` that the root's shadow macro turns
-# into a build error (reported at the `:::` invocation line; the `-->`
-# line is the shadow's definition), a `path_assert` mark an assert named
-# by its path (`std::assert!`, `::core::assert_eq!`), which the shadow
-# does not reach and a textual check of the root's directory rejects
-# (comment lines and compile-time `const _` items aside), and a
-# `clippy::<lint>` mark a deny that fails clippy. A build error stops
-# clippy before any lint runs, so each root takes three passes: the
-# fixtures whole (only the compile_error marks may fail), the textual
-# check (only the path_assert marks, and no line of the real scope), then
-# the fixtures with the compile_error lines blanked (only the clippy
-# marks may fail). A deny or shadow that drops off a root, or a site that
-# stops failing, fails here. The copy keeps a fixed path under target/ so
-# its build stays incremental.
+# The fixtures of scripts/seeded/ (not compiled by cargo) state each rule
+# of the secure scope, crates/mpc/src and crates/core/src/secure, by a
+# site that breaks it. A line that ends in `// seeded: <mark> ...` must
+# fail with each of its marks, once per mark, and nothing else may fail.
+#
+# Constant time is the element type's: outside crates/mpc/src/ring.rs an
+# `R64` has no readable word and no `==`, `<`, `/` or constant pattern.
+# ring.rs itself, the one file that sees the word, is held to no branch,
+# comparison, `/` or `%` in its non-test code by a textual check (E14
+# times the compiled arithmetic), and the word leaves an element only
+# through `declassify`, called from exactly three files: the wire encode,
+# the opened totals and the fixed-point decode. Both textual checks run
+# first, over the tree, and the ring one also over ct_violations.rs,
+# where it must reject exactly the `ring_text` lines.
+#
+# Then each fixture is compiled as a module of a copy of dash-mpc, then
+# of the copy's dash-core `secure` module (a fixture's `use crate::` read
+# as `use dash_mpc::`). The marks and the pass that proves each:
+#   compile_error  an `assert!` that the root's shadow macro turns into a
+#                  build error (reported at the `:::` invocation line; the
+#                  `-->` line is the shadow's definition);
+#   type           a read of an element's word, or a comparison, division
+#                  or pattern on elements: a type error at its own `-->`
+#                  line (a following `-->` note on ring.rs is not a site);
+#   path_assert    an assert named by its path (`std::assert!`,
+#                  `::core::assert_eq!`), which the shadow does not reach
+#                  and a textual check of the root's directory rejects
+#                  (comment lines and compile-time `const _` items aside);
+#   tag_range      a `const` named with a whole `TAG` word outside
+#                  crates/mpc/src/tags.rs, which a textual check of the
+#                  root's directory rejects;
+#   clippy::<lint> a deny at the root that fails clippy.
+# A build error stops clippy before any lint runs, and a type error may
+# hide another, so each build pass compiles the fixtures with the other
+# build pass's lines blanked (every type line is a statement): the
+# compile_error pass, the type pass, then the clippy pass with both
+# blanked, where the CLEAN shapes must build. A deny, shadow or private
+# word that drops off a root, or a site that stops failing, fails here.
+# The copy keeps a fixed path under target/ so its build stays
+# incremental.
+
+# ring_text <file>...: non-test, non-comment lines that branch, compare,
+# divide or take a remainder, as "<file>:<line> ring_text".
+ring_text() {
+    awk 'FNR == 1 { counting = 1 }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        !counting || /^[[:space:]]*\/\// { next }
+        { code = $0; sub(/[[:space:]]*\/\/.*/, "", code) }
+        code ~ /(^|[^[:alnum:]_])(if|match|while|loop)([^[:alnum:]_]|$)/ ||
+        code ~ /==|!=|<=|>=| < | > | % | \// { print FILENAME ":" FNR, "ring_text" }' "$@"
+}
+# marked <mark> <file> [<as>]: the lines of <file> that carry <mark> (a
+# clippy mark counts for the pass `clippy`), as "<as>:<line> <mark>".
+marked() {
+    awk -v f="${3:-$2}" -v pass="$1" '/\/\/ seeded: / && !/^ *\/\// {
+        s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
+        for (i = 1; i <= n; i++)
+            if ((l[i] ~ /^clippy::/ ? "clippy" : l[i]) == pass) print f ":" FNR, l[i]
+    }' "$2"
+}
+# same <what> <expected> <found> [<label>]: prints what was found and
+# fails the stage unless it is what was expected.
+same() {
+    echo "$3" | sed "/^$/d; s/^/  ${4:+[$4] }/"
+    if [ "$2" != "$3" ]; then
+        echo "error: $1 differ from their marks" >&2
+        diff <(echo "$2") <(echo "$3") >&2 || true
+        exit 1
+    fi
+}
+RING=crates/mpc/src/ring.rs
+same "ring.rs's branches, comparisons and divisions" "" "$(ring_text "$RING")"
+same "the textual ring check's hits in ct_violations.rs" \
+    "$(marked ring_text scripts/seeded/ct_violations.rs | sort)" \
+    "$(ring_text scripts/seeded/ct_violations.rs | sort)"
+EXIT_CALLERS=$(find crates/*/src -name '*.rs' | sort | xargs awk -v ring="$RING" '
+    FNR == 1 { counting = 1 }
+    /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])declassify([^[:alnum:]_]|$)/ &&
+        FILENAME != ring { print FILENAME }' | sort -u)
+same "the files that call R64::declassify" "crates/mpc/src/fixed.rs
+crates/mpc/src/party.rs
+crates/mpc/src/protocol/masked.rs" "$EXIT_CALLERS"
+
 SEEDED_TREE=target/seeded-fixtures
 SEEDED_ROOTS="crates/mpc/src/lib.rs crates/core/src/secure/mod.rs"
 rm -rf "$SEEDED_TREE"
 mkdir -p "$SEEDED_TREE"
 cp -a Cargo.toml Cargo.lock crates src "$SEEDED_TREE"/
-# seeded_pass <package> <module root> <compile_error|path_assert|clippy>
+# seeded_pass <package> <module root> <compile_error|type|path_assert|tag_range|clippy>
 seeded_pass() {
     local pkg=$1 root=$2 pass=$3 dir expect="" found name src dest r
     dir=$(dirname "$root")
@@ -44,65 +110,63 @@ seeded_pass() {
         cp "$r" "$SEEDED_TREE/$r"
         rm -f "$SEEDED_TREE/$(dirname "$r")"/seeded_*.rs
     done
-    for name in panics indexing prints; do
-        src="crates/analyze/tests/fixtures/$name.rs"
+    for name in panics indexing prints ct_violations stray_tag; do
+        src="scripts/seeded/$name.rs"
         dest="$dir/seeded_$name.rs"
-        if [ "$pass" = compile_error ]; then
-            cp "$src" "$SEEDED_TREE/$dest"
-        else
-            sed 's|.*// seeded: compile_error$||' "$src" > "$SEEDED_TREE/$dest"
-        fi
+        awk -v keep="$pass" -v core="$([ "$pkg" = dash-core ] && echo 1)" '
+            core { sub(/^use crate::/, "use dash_mpc::") }
+            /\/\/ seeded: / {
+                s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
+                for (i = 1; i <= n; i++)
+                    if ((l[i] == "compile_error" || l[i] == "type") && l[i] != keep) { print ""; next }
+            }
+            { print }' "$src" > "$SEEDED_TREE/$dest"
         printf '#[allow(dead_code, reason = "compiled, never called")]\nmod seeded_%s;\n' \
             "$name" >> "$SEEDED_TREE/$root"
-        expect+=$(awk -v f="$dest" -v pass="$pass" '/\/\/ seeded: / && !/^ *\/\// {
-            s = $0; sub(/.*\/\/ seeded: /, "", s); n = split(s, l, " ")
-            for (i = 1; i <= n; i++)
-                if ((l[i] ~ /^clippy::/ ? "clippy" : l[i]) == pass) print f ":" FNR, l[i]
-        }' "$src")$'\n'
+        expect+=$(marked "$pass" "$src" "$dest")$'\n'
     done
-    if [ "$pass" = path_assert ]; then
+    case $pass in
+    path_assert)
         found=$( (cd "$SEEDED_TREE" && grep -rnE '\b(std|core)::assert(_eq|_ne)?\b' \
             --include='*.rs' "$dir" || true) |
             awk -F: '{ code = $0; sub(/^[^:]*:[0-9]+:[[:space:]]*/, "", code) }
-                code !~ /^(\/\/|const _)/ { print $1 ":" $2, "path_assert" }' | sort)
-    else
+                code !~ /^(\/\/|const _)/ { print $1 ":" $2, "path_assert" }' | sort) ;;
+    tag_range)
+        found=$( (cd "$SEEDED_TREE" && grep -rnE \
+            '\bconst[[:space:]]+([A-Z0-9]+_)*TAG(_[A-Z0-9]+)*[[:space:]]*:' \
+            --include='*.rs' "$dir" || true) |
+            awk -F: '{ code = $0; sub(/^[^:]*:[0-9]+:[[:space:]]*/, "", code) }
+                $1 != "crates/mpc/src/tags.rs" && code !~ /^\/\// { print $1 ":" $2, "tag_range" }' |
+            sort) ;;
+    *)
         found=$( (cd "$SEEDED_TREE" && CARGO_TARGET_DIR=../seeded-fixtures-target \
             cargo clippy -p "$pkg" --lib --release 2>&1 || true) | awk '
-            /^error/ && !/^error: could not compile/ { n++; arrow[n] = ""; call[n] = ""; lint[n] = ""; next }
+            /^error/ && !/^error: (could not compile|aborting)/ {
+                n++; msg[n] = $0; arrow[n] = ""; call[n] = ""; lint[n] = ""; next
+            }
             n && arrow[n] == "" && /^ *--> / { split($2, a, ":"); arrow[n] = a[1] ":" a[2] }
             n && call[n] == "" && /^ *::: / { split($2, a, ":"); call[n] = a[1] ":" a[2] }
             n && lint[n] == "" && /index\.html#/ { sub(/.*index\.html#/, ""); lint[n] = "clippy::" $0 }
             END {
                 for (i = 1; i <= n; i++)
-                    if (lint[i] != "") print arrow[i], lint[i]; else print call[i], "compile_error"
-            }' | sort)
-    fi
+                    if (lint[i] != "") print arrow[i], lint[i]
+                    else if (msg[i] ~ /aborts a party mid-round/) print call[i], "compile_error"
+                    else print arrow[i], "type"
+            }' | sort) ;;
+    esac
     expect=$(sort <<<"${expect%$'\n'}" | sed '/^$/d')
-    echo "$found" | sed "s/^/  [$pass] /"
-    if [ -z "$expect" ] || [ "$found" != "$expect" ]; then
-        echo "error: the seeded fixtures' $pass errors in $dir differ from their marks" >&2
-        diff <(echo "$expect") <(echo "$found") >&2 || true
+    if [ -z "$expect" ]; then
+        echo "error: no $pass marks in the seeded fixtures" >&2
         exit 1
     fi
+    same "the seeded fixtures' $pass errors in $dir" "$expect" "$found" "$pass"
 }
-for pass in compile_error path_assert clippy; do
+for pass in compile_error type path_assert tag_range clippy; do
     seeded_pass dash-mpc crates/mpc/src/lib.rs "$pass"
 done
-for pass in compile_error path_assert clippy; do
+for pass in compile_error type path_assert tag_range clippy; do
     seeded_pass dash-core crates/core/src/secure/mod.rs "$pass"
 done
-
-echo "== static analysis (dash-analyze: constant-time, tags)"
-# Any finding fails the build; there is no suppression. Covers the
-# constant-time lint (data-dependent branches, comparisons, `%`/`/`, and
-# table lookups on share material in the mpc arithmetic modules) and tag
-# constants outside the registry.
-./target/release/dash-analyze
-
-echo "== analyzer runtime budget (E15)"
-# The gate runs uncached on every sweep, so its own runtime is pinned:
-# E15 asserts the median full-workspace analysis stays under 1.5 s.
-./target/release/exp15_analyze
 
 echo "== format"
 cargo fmt --all --check
@@ -202,7 +266,7 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 ./target/release/dash secure-scan --dir "$TRACE_TMP" --block-size 4 \
     --audit false --metrics true --trace-out "$TRACE_TMP/trace.json" \
     --out "$TRACE_TMP/ref.tsv"
-./target/release/dash-analyze --validate-trace "$TRACE_TMP/trace.json"
+./target/release/dash trace check "$TRACE_TMP/trace.json"
 
 echo "== multi-process TCP smoke (3 real party processes over loopback)"
 # The same workload again, but as three OS processes talking real TCP:
@@ -235,7 +299,7 @@ for i in 0 1; do
         exit 1
     }
 done
-./target/release/dash-analyze --validate-trace "$TRACE_TMP/tcp-trace.json"
+./target/release/dash trace check "$TRACE_TMP/tcp-trace.json"
 
 echo "== disclosure audit is deterministic (two secure-scan runs, byte-compare)"
 # The in-process parties record into one shared log in thread-arrival
@@ -351,14 +415,16 @@ echo "== pub fns with no non-test caller (scripts/unused.sh, two ceilings)"
 # gives it a caller, deletes it, or raises the ceiling and says why.
 # Names: 7 since the helpers no open item needed went (`norm2`,
 # `is_enabled`, `messages_sent_by`, `variance_population`,
-# `missing_fraction`). Methods: 11 since `TransientBlock::new` (its
-# fields are pub), `FixedPointCodec::encode_ring` and `Normal::new` went
-# (14 before, since the test-only mpsc shorthands
-# `Network::{run_parties, endpoints}` became `#[cfg(test)]`; 16 before
-# that; 31 before `Welford`, the getters nothing read and the other
-# methods nothing called went).
+# `missing_fraction`). Methods: 10 since `Secret::ct_select` went with
+# the constant-time pass whose remedy it was (11 before, since
+# `TransientBlock::new` (its fields are pub),
+# `FixedPointCodec::encode_ring` and `Normal::new` went; 14 before,
+# since the test-only mpsc shorthands `Network::{run_parties,
+# endpoints}` became `#[cfg(test)]`; 16 before that; 31 before
+# `Welford`, the getters nothing read and the other methods nothing
+# called went).
 UNUSED_CEILING=7
-UNUSED_METHOD_CEILING=11
+UNUSED_METHOD_CEILING=10
 UNUSED_OUT=$(scripts/unused.sh)
 echo "$UNUSED_OUT"
 UNUSED_NOW=$(grep -E 'pub fn names have no non-test caller$' <<<"$UNUSED_OUT" | awk '{ print $1 }')

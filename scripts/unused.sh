@@ -19,10 +19,6 @@
 # ceiling. What keeps each method the second count still flags:
 #   PartyCtx::rng_mut - the per-party draw of ROADMAP's key-material
 #     item (b).
-#   Secret::ct_select - with `R64`'s word and its `ct_select` private to
-#     dash-mpc, the one branch-free select on elements outside it, and
-#     the remedy dash-analyze's constant-time lint names
-#     (crates/analyze/src/ct.rs).
 #   Constructors that check what a struct literal would not, the only
 #     way to build their type (private fields) or to build it valid:
 #     SparseParty::new (the sparse `SummandSource`, which ROADMAP's input

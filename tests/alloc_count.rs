@@ -15,7 +15,7 @@ use dash_gwas::io::TsvSink;
 use dash_mpc::dealer::{TripleBatch, TrustedDealer};
 use dash_mpc::net::{NetOptions, Network};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
-use dash_mpc::{Opening, Secret, R64};
+use dash_mpc::{FixedPointCodec, Opening, Secret, R64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -92,9 +92,11 @@ fn deal_and_round(count: usize) -> (u64, u64) {
                 });
                 assert_eq!(opened.len(), count);
                 // (Σ_id (id + 2))² · LEN, the same product in every slot.
-                assert!(opened
-                    .iter()
-                    .all(|&v| v == R64::from_i64(9 * 9 * LEN as i64)));
+                // Elements have no `==`: the difference decodes to 0.0
+                // exactly when it is the zero word.
+                let want = R64::from_i64(9 * 9 * LEN as i64);
+                let codec = FixedPointCodec::default();
+                assert!(opened.iter().all(|&v| codec.decode_ring(v - want) == 0.0));
                 fewest = fewest.min(round);
             }
             fewest
