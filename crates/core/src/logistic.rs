@@ -22,8 +22,8 @@ use crate::error::CoreError;
 use crate::model::{validate_parties, PartyData};
 use crate::secure::{run_in_process, NetworkReport, SecureScanConfig};
 use dash_linalg::{cholesky_upper, dot, solve_lower, solve_upper, Matrix};
-use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_ring};
-use dash_mpc::{PartyCtx, R64};
+use dash_mpc::protocol::masked::masked_sum_f64;
+use dash_mpc::PartyCtx;
 use dash_stats::{ChiSquared, StatsError};
 
 /// IRLS iteration cap for the null model.
@@ -348,13 +348,6 @@ fn party_logistic(
     k: usize,
     codec: &dash_mpc::FixedPointCodec,
 ) -> Result<ScoreScanResult, CoreError> {
-    // Pooled N (reported in the audit log; also sanity-checks liveness).
-    let _n_total = masked_sum_ring(
-        ctx,
-        &[R64::from(data.n_samples() as u64)],
-        "total sample count N",
-    )?[0];
-
     // Null-model IRLS on aggregates.
     let mut beta = vec![0.0; k];
     let mut iterations = 0;

@@ -90,35 +90,10 @@ impl PartyData {
 }
 
 /// Checks a set of parties for mutual consistency and returns
-/// `(N_total, M, K)`.
+/// `(N_total, M, K)`: the secure scan's check of its sources, then N.
 pub fn validate_parties(parties: &[PartyData]) -> Result<(usize, usize, usize), CoreError> {
-    let first = parties.first().ok_or(CoreError::NoParties)?;
-    let m = first.n_variants();
-    let k = first.n_covariates();
-    let mut n = 0;
-    for (i, p) in parties.iter().enumerate() {
-        if p.n_variants() != m {
-            return Err(CoreError::PartiesInconsistent {
-                what: "variant count M",
-                party: i,
-                expected: m,
-                got: p.n_variants(),
-            });
-        }
-        if p.n_covariates() != k {
-            return Err(CoreError::PartiesInconsistent {
-                what: "covariate count K",
-                party: i,
-                expected: k,
-                got: p.n_covariates(),
-            });
-        }
-        n += p.n_samples();
-    }
-    if n <= k + 1 {
-        return Err(CoreError::NotEnoughSamples { n, k });
-    }
-    Ok((n, m, k))
+    let (m, k) = crate::secure::validate_sources(parties, parties.len())?;
+    Ok((parties.iter().map(PartyData::n_samples).sum(), m, k))
 }
 
 /// Stacks all parties' rows into one pooled dataset — the (insecure)

@@ -2,13 +2,13 @@
 //!
 //! Biobanks and eQTL studies test each variant against many responses.
 //! The expensive per-variant work — `X·X` and `QᵀX` — does not depend on
-//! the phenotype, so a T-phenotype scan costs one `QᵀX` pass plus T cheap
-//! y-side passes, not T full scans.
+//! the phenotype, so a T-phenotype scan reads `X` once, in one
+//! [`scan_dots`] pass that also forms every `X·y_t`, not T full scans.
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
 use crate::suffstats::{orthonormal_basis, ScanStats};
-use dash_linalg::{dot, gemm_at_b, gemv_t, self_dot, Matrix};
+use dash_linalg::{gemv_t, scan_dots, self_dot, Matrix, ScanDots};
 
 /// Scans every column of `ys` (N×T) against every column of `x` (N×M),
 /// adjusting for `c` (N×K). Returns one [`ScanResult`] per phenotype.
@@ -17,58 +17,87 @@ pub fn multi_phenotype_scan(
     x: &Matrix,
     c: &Matrix,
 ) -> Result<Vec<ScanResult>, CoreError> {
-    let n = x.rows();
-    if ys.rows() != n || c.rows() != n {
-        return Err(CoreError::ShapeMismatch {
-            what: "multi_phenotype_scan rows",
-            expected: n,
-            got: if ys.rows() != n { ys.rows() } else { c.rows() },
-        });
-    }
-    let k = c.cols();
+    check_rows("multi_phenotype_scan rows", ys, x, c)?;
+    let (n, k) = (ys.rows(), c.cols());
     if n <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n, k });
     }
-    let m = x.cols();
-    let t = ys.cols();
-    if t == 0 {
+    if ys.cols() == 0 {
         return Ok(Vec::new());
     }
-    // Phenotype-independent work, done once.
     let q = orthonormal_basis(c)?;
-    let qtx = gemm_at_b(&q, x)?; // K×M
-    let mut xx = Vec::with_capacity(m);
-    let mut qtxqtx = Vec::with_capacity(m);
-    for j in 0..m {
-        xx.push(self_dot(x.col(j)));
-        qtxqtx.push(self_dot(qtx.col(j)));
+    unpack(&payload(ys, x, &q)?, x.cols(), k, ys.cols(), n)
+}
+
+/// Checks that `ys`, `x` and `c` hold one row per sample.
+fn check_rows(what: &'static str, ys: &Matrix, x: &Matrix, c: &Matrix) -> Result<(), CoreError> {
+    let n = ys.rows();
+    match [x.rows(), c.rows()].into_iter().find(|&rows| rows != n) {
+        Some(got) => Err(CoreError::ShapeMismatch {
+            what,
+            expected: n,
+            got,
+        }),
+        None => Ok(()),
     }
-    // Per-phenotype y-side work.
-    let mut out = Vec::with_capacity(t);
+}
+
+/// The summands of a T-phenotype scan (T ≥ 1) over the rows of `ys`, `x`
+/// and `q`, flat: `X·X` (M) and `QᵀX` (K×M) once, then per phenotype
+/// `y·y`, `X·y` (M) and `Qᵀy` (K). One [`scan_dots`] pass reads `X` once
+/// for every dot: against the first phenotype, and against `Q` and the
+/// other phenotypes as its targets.
+fn payload(ys: &Matrix, x: &Matrix, q: &Matrix) -> Result<Vec<f64>, CoreError> {
+    let (n, m, k, t) = (ys.rows(), x.cols(), q.cols(), ys.cols());
+    let mut targets = q.as_slice().to_vec();
+    targets.extend_from_slice(&ys.as_slice()[n..]);
+    let targets = Matrix::from_column_major(n, k + t - 1, targets)?;
+    let ScanDots { xy, xx, atx } = scan_dots(ys.col(0), &targets, x, 0, m)?;
+    let mut out = Vec::with_capacity(m + k * m + t * (1 + m + k));
+    out.extend_from_slice(&xx);
+    for j in 0..m {
+        out.extend_from_slice(&atx.col(j)[..k]);
+    }
     for ti in 0..t {
         let y = ys.col(ti);
-        let yy = self_dot(y);
-        let qty = gemv_t(&q, y)?;
-        let qtyqty = self_dot(&qty);
-        let mut xy = Vec::with_capacity(m);
-        let mut qtxqty = Vec::with_capacity(m);
-        for j in 0..m {
-            xy.push(dot(x.col(j), y));
-            qtxqty.push(dot(qtx.col(j), &qty));
+        out.push(self_dot(y));
+        match ti {
+            0 => out.extend_from_slice(&xy),
+            _ => out.extend((0..m).map(|j| atx.get(k + ti - 1, j))),
         }
-        out.push(
-            ScanStats {
-                yy,
-                xy,
-                xx: xx.clone(),
-                qtyqty,
-                qtxqty,
-                qtxqtx: qtxqtx.clone(),
-            }
-            .finalize(n, k)?,
-        );
+        out.extend_from_slice(&gemv_t(q, y)?);
     }
     Ok(out)
+}
+
+/// Finalizes each phenotype of a [`payload`] (or a sum of them) over `n`
+/// samples: `X·X` and `QᵀX` are shared, and each phenotype reduces with
+/// them through [`ScanStats::from_sums`].
+fn unpack(
+    total: &[f64],
+    m: usize,
+    k: usize,
+    t: usize,
+    n: usize,
+) -> Result<Vec<ScanResult>, CoreError> {
+    let expected = m + k * m + t * (1 + m + k);
+    if total.len() != expected {
+        return Err(CoreError::ShapeMismatch {
+            what: "multi-phenotype statistics",
+            expected,
+            got: total.len(),
+        });
+    }
+    let (xx, rest) = total.split_at(m);
+    let (qtx, phenotypes) = rest.split_at(k * m);
+    let qtx = Matrix::from_column_major(k, m, qtx.to_vec())?;
+    phenotypes
+        .chunks_exact(1 + m + k)
+        .map(|p| {
+            let (yy, xy, qty) = (p[0], &p[1..=m], &p[1 + m..]);
+            ScanStats::from_sums(yy, xy.to_vec(), xx.to_vec(), qty, &qtx).finalize(n, k)
+        })
+        .collect()
 }
 
 /// One party's data for a multi-phenotype study: T responses per sample.
@@ -85,17 +114,7 @@ pub struct MultiPartyData {
 impl MultiPartyData {
     /// Validates row consistency.
     pub fn new(ys: Matrix, x: Matrix, c: Matrix) -> Result<Self, CoreError> {
-        if x.rows() != ys.rows() || c.rows() != ys.rows() {
-            return Err(CoreError::ShapeMismatch {
-                what: "MultiPartyData rows",
-                expected: ys.rows(),
-                got: if x.rows() != ys.rows() {
-                    x.rows()
-                } else {
-                    c.rows()
-                },
-            });
-        }
+        check_rows("MultiPartyData rows", &ys, &x, &c)?;
         Ok(MultiPartyData { ys, x, c })
     }
 }
@@ -107,8 +126,8 @@ impl MultiPartyData {
 /// once and shared across all T phenotypes, so the marginal cost of an
 /// extra phenotype is one M-vector (`X·y_t`) plus one K-vector — not a
 /// full rerun. Aggregation uses the masked secure sum (the paper-default
-/// rung); only aggregates open. Any other `cfg.aggregation` is refused
-/// with [`CoreError::BadConfig`].
+/// rung) of every party's flat summands; only aggregates open. Any other
+/// `cfg.aggregation` is refused with [`CoreError::BadConfig`].
 pub fn secure_multi_phenotype_scan(
     parties: &[MultiPartyData],
     cfg: &crate::secure::SecureScanConfig,
@@ -121,14 +140,20 @@ pub fn secure_multi_phenotype_scan(
     let m = first.x.cols();
     let k = first.c.cols();
     let t_count = first.ys.cols();
-    for (i, p) in parties.iter().enumerate() {
-        if p.x.cols() != m || p.c.cols() != k || p.ys.cols() != t_count {
-            return Err(CoreError::PartiesInconsistent {
-                what: "multi-phenotype shapes",
-                party: i,
-                expected: m,
-                got: p.x.cols(),
-            });
+    for (party, p) in parties.iter().enumerate() {
+        for (what, expected, got) in [
+            ("variant count M", m, p.x.cols()),
+            ("covariate count K", k, p.c.cols()),
+            ("phenotype count T", t_count, p.ys.cols()),
+        ] {
+            if got != expected {
+                return Err(CoreError::PartiesInconsistent {
+                    what,
+                    party,
+                    expected,
+                    got,
+                });
+            }
         }
     }
     if t_count == 0 {
@@ -142,60 +167,10 @@ pub fn secure_multi_phenotype_scan(
         // Steps 0-1: pooled N, shared R and private Q rows.
         let (n_total, _r, q) =
             crate::secure::protocol::count_and_rfactor(ctx, data.ys.rows(), &data.c, cfg)?;
-        // Phase 2: one flat payload carrying the shared X-side statistics
-        // plus T phenotype-side blocks.
-        let qtx = gemm_at_b(&q, &data.x)?;
-        let mut payload = Vec::with_capacity(m * 2 + k * m + t_count * (1 + m + k));
-        for j in 0..m {
-            payload.push(self_dot(data.x.col(j)));
-        }
-        payload.extend_from_slice(qtx.as_slice());
-        for ti in 0..t_count {
-            let y = data.ys.col(ti);
-            payload.push(self_dot(y));
-            for j in 0..m {
-                payload.push(dot(data.x.col(j), y));
-            }
-            payload.extend_from_slice(&gemv_t(&q, y)?);
-        }
-        let total = masked_sum_f64(
-            ctx,
-            &codec,
-            &payload,
-            "aggregate multi-phenotype statistics",
-        )?;
-        // Unpack and finalize per phenotype.
-        let xx = total[..m].to_vec();
-        let qtx_total = Matrix::from_column_major(k, m, total[m..m + k * m].to_vec())?;
-        let mut qtxqtx = Vec::with_capacity(m);
-        for j in 0..m {
-            qtxqtx.push(self_dot(qtx_total.col(j)));
-        }
-        let mut out = Vec::with_capacity(t_count);
-        let mut off = m + k * m;
-        for _ti in 0..t_count {
-            let yy = total[off];
-            let xy = total[off + 1..off + 1 + m].to_vec();
-            let qty = &total[off + 1 + m..off + 1 + m + k];
-            off += 1 + m + k;
-            let qtyqty = self_dot(qty);
-            let mut qtxqty = Vec::with_capacity(m);
-            for j in 0..m {
-                qtxqty.push(dot(qtx_total.col(j), qty));
-            }
-            out.push(
-                crate::suffstats::ScanStats {
-                    yy,
-                    xy,
-                    xx: xx.clone(),
-                    qtyqty,
-                    qtxqty,
-                    qtxqtx: qtxqtx.clone(),
-                }
-                .finalize(n_total, k)?,
-            );
-        }
-        Ok(out)
+        let own = payload(&data.ys, &data.x, &q)?;
+        let label = "aggregate multi-phenotype statistics";
+        let total = masked_sum_f64(ctx, &codec, &own, label)?;
+        unpack(&total, m, k, t_count, n_total)
     };
     let (results, _stats, _audit) = run_in_process(parties, cfg.seed, &cfg.net_options(), run)?;
     results.into_iter().next().ok_or(CoreError::NoParties)
@@ -284,10 +259,15 @@ mod tests {
             MultiPartyData::new(ys2, x2, bad_c).unwrap(),
         ];
         let cfg = crate::secure::SecureScanConfig::paper_default(1);
-        assert!(matches!(
+        assert_eq!(
             secure_multi_phenotype_scan(&parties, &cfg),
-            Err(CoreError::PartiesInconsistent { .. })
-        ));
+            Err(CoreError::PartiesInconsistent {
+                what: "covariate count K",
+                party: 1,
+                expected: 1,
+                got: 2,
+            })
+        );
         assert!(matches!(
             secure_multi_phenotype_scan(&[], &cfg),
             Err(CoreError::NoParties)

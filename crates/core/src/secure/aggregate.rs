@@ -11,7 +11,7 @@ use crate::secure::triples::TripleFeed;
 use crate::secure::wire::{all_gather_f64, Discloses};
 use crate::secure::{AggregationMode, SecureScanConfig};
 use crate::suffstats::{ScanStats, VariantSummands};
-use dash_linalg::{dot, self_dot, Matrix};
+use dash_linalg::{self_dot, Matrix};
 use dash_mpc::protocol::beaver::beaver_inner_batch;
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
 use dash_mpc::{MpcError, Opening, PartyCtx, Secret, R64};
@@ -101,69 +101,57 @@ pub(crate) fn aggregate_y(
     triples: &mut TripleFeed,
 ) -> Result<YAggregate, CoreError> {
     let k = qty.len();
+    if cfg.aggregation == AggregationMode::BeaverDots {
+        let opened = masked_sum_f64(ctx, &cfg.ring_codec()?, &[yy], "aggregate y·y")?;
+        let yy_total = *opened
+            .first()
+            .ok_or_else(|| shape("aggregated y·y", 1, 0))?;
+        if k == 0 {
+            return Ok(YAggregate::BeaverShared {
+                yy: yy_total,
+                qty_share: Secret::new(Vec::new()),
+                qtyqty: 0.0,
+            });
+        }
+        let beaver_codec = cfg.beaver_codec()?;
+        let y_scale = safe_inv_sqrt(yy_total);
+        let qty_scaled: Vec<f64> = qty.iter().map(|v| v * y_scale).collect();
+        let qty_share = Secret::new(beaver_codec.encode_field_vec(&qty_scaled)?);
+        let batch = triples.take(1)?;
+        ctx.trace_add(Counter::TriplesConsumed, 1);
+        let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
+        let opened = ctx.open_sum(
+            &product_shares,
+            Opening::Disclosed("projected response dot product (Qᵀy·Qᵀy)"),
+        )?;
+        let qtyqty = beaver_codec.decode_product(
+            *opened
+                .first()
+                .ok_or_else(|| shape("opened Qᵀy·Qᵀy product", 1, 0))?,
+        ) * yy_total;
+        return Ok(YAggregate::BeaverShared {
+            yy: yy_total,
+            qty_share,
+            qtyqty,
+        });
+    }
     let mut flat = Vec::with_capacity(1 + k);
     flat.push(yy);
     flat.extend_from_slice(qty);
-    let opened = match cfg.aggregation {
-        AggregationMode::Public => {
-            // Recorded once for the whole run: this round sends the
-            // 1 + k y-side scalars, and the per-block rounds send the
-            // remaining m·(2 + k) — together the full summand vector.
-            let full_count = 1 + 2 * m + k + k * m;
-            debug_assert_eq!(
-                full_count,
-                flat.len() + m * (2 + k),
-                "Public disclosure accounting out of sync with the y-round payload"
-            );
-            let discloses = Discloses::Party {
-                label: format!("party {} raw statistic summands", ctx.id()),
-                scalars: full_count,
-            };
-            let tag = ctx.fresh_tag();
-            let gathered = all_gather_f64(ctx, tag, &flat, discloses)?;
-            sum_gathered(gathered, flat.len())?
-        }
-        AggregationMode::MaskedPrg => {
-            masked_sum_f64(ctx, &cfg.ring_codec()?, &flat, "aggregate y·y, Qᵀy")?
-        }
-        AggregationMode::MaskedStar => {
-            masked_sum_star_f64(ctx, &cfg.ring_codec()?, &flat, "aggregate y·y, Qᵀy")?
-        }
-        AggregationMode::BeaverDots => {
-            let opened = masked_sum_f64(ctx, &cfg.ring_codec()?, &[yy], "aggregate y·y")?;
-            let yy_total = *opened
-                .first()
-                .ok_or_else(|| shape("aggregated y·y", 1, 0))?;
-            if k == 0 {
-                return Ok(YAggregate::BeaverShared {
-                    yy: yy_total,
-                    qty_share: Secret::new(Vec::new()),
-                    qtyqty: 0.0,
-                });
-            }
-            let beaver_codec = cfg.beaver_codec()?;
-            let y_scale = safe_inv_sqrt(yy_total);
-            let qty_scaled: Vec<f64> = qty.iter().map(|v| v * y_scale).collect();
-            let qty_share = Secret::new(beaver_codec.encode_field_vec(&qty_scaled)?);
-            let batch = triples.take(1)?;
-            ctx.trace_add(Counter::TriplesConsumed, 1);
-            let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
-            let opened = ctx.open_sum(
-                &product_shares,
-                Opening::Disclosed("projected response dot product (Qᵀy·Qᵀy)"),
-            )?;
-            let qtyqty = beaver_codec.decode_product(
-                *opened
-                    .first()
-                    .ok_or_else(|| shape("opened Qᵀy·Qᵀy product", 1, 0))?,
-            ) * yy_total;
-            return Ok(YAggregate::BeaverShared {
-                yy: yy_total,
-                qty_share,
-                qtyqty,
-            });
-        }
+    // Public mode records its disclosure once for the whole run: this
+    // round sends the 1 + k y-side scalars, and the per-block rounds send
+    // the remaining m·(2 + k) — together the full summand vector.
+    let full_count = 1 + 2 * m + k + k * m;
+    debug_assert_eq!(
+        full_count,
+        flat.len() + m * (2 + k),
+        "Public disclosure accounting out of sync with the y-round payload"
+    );
+    let discloses = Discloses::Party {
+        label: format!("party {} raw statistic summands", ctx.id()),
+        scalars: full_count,
     };
+    let opened = opened_sum(ctx, cfg, &flat, "aggregate y·y, Qᵀy", discloses)?;
     let (yy_total, qty_total) = opened
         .split_first()
         .ok_or_else(|| shape("aggregated y-side statistics", 1 + k, 0))?;
@@ -203,31 +191,8 @@ pub(crate) fn aggregate_block(
     flat.extend_from_slice(&block.xy);
     flat.extend_from_slice(&block.xx);
     flat.extend_from_slice(block.qtx.as_slice());
-    let total = match cfg.aggregation {
-        AggregationMode::Public => {
-            let tag = ctx.fresh_tag();
-            let gathered = all_gather_f64(ctx, tag, &flat, Discloses::PublicBlockSummands)?;
-            sum_gathered(gathered, flat.len())?
-        }
-        AggregationMode::MaskedPrg => masked_sum_f64(
-            ctx,
-            &cfg.ring_codec()?,
-            &flat,
-            "aggregate variant-block statistics",
-        )?,
-        AggregationMode::MaskedStar => masked_sum_star_f64(
-            ctx,
-            &cfg.ring_codec()?,
-            &flat,
-            "aggregate variant-block statistics",
-        )?,
-        AggregationMode::BeaverDots => {
-            // The Beaver y round never opens `Qᵀy`.
-            return Err(CoreError::from(MpcError::Protocol {
-                what: "blocked Beaver round given an opened y-aggregate",
-            }));
-        }
-    };
+    let label = "aggregate variant-block statistics";
+    let total = opened_sum(ctx, cfg, &flat, label, Discloses::PublicBlockSummands)?;
     let short = || {
         shape(
             "aggregated variant-block statistics",
@@ -239,22 +204,35 @@ pub(crate) fn aggregate_block(
     let (xx, qtx) = rest.split_at_checked(len).ok_or_else(short)?;
     let (xy, xx) = (xy.to_vec(), xx.to_vec());
     let qtx = Matrix::from_column_major(k, len, qtx.to_vec())?;
-    let mut qtxqty = Vec::with_capacity(len);
-    let mut qtxqtx = Vec::with_capacity(len);
-    for j in 0..len {
-        // Same `dot`/`self_dot` reduction as `SuffStats::reduce`.
-        let col = qtx.col(j);
-        qtxqty.push(dot(col, qty));
-        qtxqtx.push(self_dot(col));
+    Ok(ScanStats::from_sums(yy, xy, xx, qty, &qtx))
+}
+
+/// The sum of every party's `flat` that opens it, under the configured
+/// rung: gathered and summed in party order in `Public` mode (which
+/// records `public`), else the masked sum, all-to-all or through the star.
+/// Beaver mode opens no such sum.
+fn opened_sum(
+    ctx: &mut PartyCtx,
+    cfg: &SecureScanConfig,
+    flat: &[f64],
+    label: &str,
+    public: Discloses,
+) -> Result<Vec<f64>, CoreError> {
+    match cfg.aggregation {
+        AggregationMode::Public => {
+            let tag = ctx.fresh_tag();
+            let gathered = all_gather_f64(ctx, tag, flat, public)?;
+            sum_gathered(gathered, flat.len())
+        }
+        AggregationMode::MaskedPrg => Ok(masked_sum_f64(ctx, &cfg.ring_codec()?, flat, label)?),
+        AggregationMode::MaskedStar => {
+            Ok(masked_sum_star_f64(ctx, &cfg.ring_codec()?, flat, label)?)
+        }
+        // The Beaver y round never opens `Qᵀy`.
+        AggregationMode::BeaverDots => Err(CoreError::from(MpcError::Protocol {
+            what: "an opened-sum round under the Beaver rung",
+        })),
     }
-    Ok(ScanStats {
-        yy,
-        xy,
-        xx,
-        qtyqty,
-        qtxqty,
-        qtxqtx,
-    })
 }
 
 /// The Beaver block round: `X·y, X·X` open through a secure sum; `QᵀX`
@@ -280,14 +258,7 @@ fn beaver_block(
         .ok_or_else(|| shape("aggregated X·y, X·X", left.len(), left_total.len()))?;
     let (xy, xx) = (xy.to_vec(), xx.to_vec());
     if k == 0 {
-        return Ok(ScanStats {
-            yy,
-            xy,
-            xx,
-            qtyqty,
-            qtxqty: vec![0.0; len],
-            qtxqtx: vec![0.0; len],
-        });
+        return Ok(ScanStats::from_sums(yy, xy, xx, &[], &block.qtx));
     }
     let beaver_codec = cfg.beaver_codec()?;
     // QᵀX, each column scaled by 1/√(X·X_j), encoded in one pass; then the

@@ -329,7 +329,7 @@ impl SummandSource for PartyData {
 /// The pooled sample count is checked only when this process holds every
 /// party's rows; a lone party of a multi-process run learns it from the
 /// count round.
-fn validate_sources<S: SummandSource>(
+pub(crate) fn validate_sources<S: SummandSource>(
     parties: &[S],
     n_parties: usize,
 ) -> Result<(usize, usize), CoreError> {

@@ -82,23 +82,8 @@ impl SuffStats {
     /// Reduces the additive statistics to the opened layer: collapses the
     /// K-vectors into the three dot products of Lemma 2.1.
     pub fn reduce(&self) -> ScanStats {
-        let m = self.n_variants();
-        let qtyqty = self_dot(&self.qty);
-        let mut qtxqty = Vec::with_capacity(m);
-        let mut qtxqtx = Vec::with_capacity(m);
-        for j in 0..m {
-            let col = self.qtx.col(j);
-            qtxqty.push(dot(col, &self.qty));
-            qtxqtx.push(self_dot(col));
-        }
-        ScanStats {
-            yy: self.yy,
-            xy: self.xy.clone(),
-            xx: self.xx.clone(),
-            qtyqty,
-            qtxqty,
-            qtxqtx,
-        }
+        let (xy, xx) = (self.xy.clone(), self.xx.clone());
+        ScanStats::from_sums(self.yy, xy, xx, &self.qty, &self.qtx)
     }
 }
 
@@ -203,6 +188,26 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
+    /// The one reduction of summed statistics to the opened layer: `Qᵀy`
+    /// and the K×M `QᵀX` collapse into `Qᵀy·Qᵀy` and, per variant,
+    /// `QᵀX_m·Qᵀy` and `QᵀX_m·QᵀX_m` ([`dot`] and [`self_dot`]). Every scan
+    /// that opens the K-vectors reduces them here — pooled, per secure
+    /// block, after the online scan's triangular solves, per phenotype —
+    /// so they all round alike. K = 0 (`qty` empty, `qtx` 0×M) gives zeros.
+    pub fn from_sums(yy: f64, xy: Vec<f64>, xx: Vec<f64>, qty: &[f64], qtx: &Matrix) -> Self {
+        let (qtxqty, qtxqtx) = (0..qtx.cols())
+            .map(|j| (dot(qtx.col(j), qty), self_dot(qtx.col(j))))
+            .unzip();
+        ScanStats {
+            yy,
+            xy,
+            xx,
+            qtyqty: self_dot(qty),
+            qtxqty,
+            qtxqtx,
+        }
+    }
+
     /// Applies Lemma 2.1: turns the reduced statistics into β̂, σ̂, t, p.
     ///
     /// `n` and `k` are the pooled sample count and covariate count; the
@@ -370,37 +375,19 @@ impl CtStats {
     ///
     /// K = 0 passes through with empty projections.
     pub fn to_scan_stats(&self) -> Result<ScanStats, CoreError> {
-        let k = self.cty.len();
-        let m = self.xy.len();
-        if k == 0 {
-            return Ok(ScanStats {
-                yy: self.yy,
-                xy: self.xy.clone(),
-                xx: self.xx.clone(),
-                qtyqty: 0.0,
-                qtxqty: vec![0.0; m],
-                qtxqtx: vec![0.0; m],
-            });
+        let (k, m) = (self.cty.len(), self.xy.len());
+        let mut qtx = Matrix::zeros(k, m);
+        let mut qty = Vec::new();
+        if k > 0 {
+            let rt = dash_linalg::cholesky_upper(&self.gram)?.transpose(); // lower triangular
+            qty = solve_lower(&rt, &self.cty)?;
+            for j in 0..m {
+                qtx.col_mut(j)
+                    .copy_from_slice(&solve_lower(&rt, self.ctx.col(j))?);
+            }
         }
-        let r = dash_linalg::cholesky_upper(&self.gram)?;
-        let rt = r.transpose(); // lower triangular
-        let qty = solve_lower(&rt, &self.cty)?;
-        let qtyqty = self_dot(&qty);
-        let mut qtxqty = Vec::with_capacity(m);
-        let mut qtxqtx = Vec::with_capacity(m);
-        for j in 0..m {
-            let qtx_col = solve_lower(&rt, self.ctx.col(j))?;
-            qtxqty.push(dot(&qtx_col, &qty));
-            qtxqtx.push(self_dot(&qtx_col));
-        }
-        Ok(ScanStats {
-            yy: self.yy,
-            xy: self.xy.clone(),
-            xx: self.xx.clone(),
-            qtyqty,
-            qtxqty,
-            qtxqtx,
-        })
+        let (xy, xx) = (self.xy.clone(), self.xx.clone());
+        Ok(ScanStats::from_sums(self.yy, xy, xx, &qty, &qtx))
     }
 
     /// Finalizes directly (convenience: `to_scan_stats` + Lemma 2.1 with

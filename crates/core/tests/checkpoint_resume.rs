@@ -18,12 +18,13 @@ use dash_core::secure::{
 use dash_core::{CoreError, RowSink, ScanResult, ScanSummary};
 use dash_linalg::Matrix;
 use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
-use dash_mpc::NetworkStats;
+use dash_mpc::{MpcError, NetworkStats};
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A row sink over a file of row bits (β̂, σ̂, t, p; 32 B a row): rows are
 /// appended as pushed, `durable` is an fsync, `resume` a truncation.
@@ -127,6 +128,44 @@ fn run_tcp_checkpointed(
     dir: &Path,
     resume: bool,
 ) -> Vec<Result<SecureScanOutput, CoreError>> {
+    run_tcp_checkpointed_with(parties, cfg, dir, resume, LinkSupervision::default(), None)
+}
+
+/// A [`BitsFile`] that fails every push from variant `fail_at` on, the
+/// way a result file on a full disk does.
+struct FailingFrom {
+    rows: BitsFile,
+    fail_at: usize,
+}
+
+impl RowSink for FailingFrom {
+    fn push(&mut self, first: usize, rows: &ScanResult) -> Result<(), CoreError> {
+        if first >= self.fail_at {
+            return Err(CoreError::Sink {
+                what: "no space left for the rows".to_string(),
+            });
+        }
+        self.rows.push(first, rows)
+    }
+    fn durable(&mut self) -> Result<u64, CoreError> {
+        self.rows.durable()
+    }
+    fn resume(&mut self, len: u64) -> Result<(), CoreError> {
+        self.rows.resume(len)
+    }
+}
+
+/// [`run_tcp_checkpointed`] under `supervision`, with `failing =
+/// Some((party, variant))` giving that party a sink that fails from that
+/// variant's rows on.
+fn run_tcp_checkpointed_with(
+    parties: &[PartyData],
+    cfg: &SecureScanConfig,
+    dir: &Path,
+    resume: bool,
+    supervision: LinkSupervision,
+    failing: Option<(usize, usize)>,
+) -> Vec<Result<SecureScanOutput, CoreError>> {
     let p = parties.len();
     let mut listeners = Vec::with_capacity(p);
     let mut addrs = Vec::with_capacity(p);
@@ -139,7 +178,7 @@ fn run_tcp_checkpointed(
     // replay buffers and cursors a resume reconciles against.
     let tcp_cfg = TcpConfig {
         run_id: cfg.seed,
-        supervision: Some(LinkSupervision::default()),
+        supervision: Some(supervision),
         ..TcpConfig::default()
     };
     std::thread::scope(|scope| {
@@ -169,9 +208,16 @@ fn run_tcp_checkpointed(
                         crash_after_block: None,
                     };
                     let rows = dir.join(format!("rows{i}"));
-                    let mut sink = BitsFile::open(&rows, !resume);
+                    let file = BitsFile::open(&rows, !resume);
+                    let mut sink: Box<dyn RowSink> = match failing {
+                        Some((party, fail_at)) if party == i => Box::new(FailingFrom {
+                            rows: file,
+                            fail_at,
+                        }),
+                        _ => Box::new(file),
+                    };
                     let out =
-                        secure_scan_party_into(&parties[i], cfg, tcp, &mut sink, Some(&policy))?;
+                        secure_scan_party_into(&parties[i], cfg, tcp, &mut *sink, Some(&policy))?;
                     Ok(out.map(|s: ScanSummary| read_rows(&rows, s.df)))
                 })
             })
@@ -286,6 +332,72 @@ fn full_fleet_resume(block_size: Option<usize>) {
     assert_eq!(
         sorted_disclosures(&first),
         sorted_disclosures(&resumed),
+        "disclosure multiset"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fleet whose parties stopped a block apart resumes bit-identically.
+/// Party 1's rows sink fails on block 1's rows, after that block's round
+/// has closed, so its last checkpoint says block 1. Its peers checkpoint
+/// block 1 and then wait in block 2 until its silence ends them, so theirs
+/// say block 2. On resume, party 1 re-runs block 1 against its peers'
+/// checkpointed replay backlog, the only copy of their block-1 frames
+/// left, while they wait in block 2.
+#[test]
+fn a_fleet_whose_parties_are_a_block_apart_resumes_bit_identically() {
+    let parties = gen_parties(&[9, 8, 10], 6, 2, 0xA9A27);
+    let cfg = SecureScanConfig {
+        aggregation: AggregationMode::MaskedPrg,
+        block_size: Some(2),
+        seed: 0xB10C,
+        ..SecureScanConfig::default()
+    };
+    let reference = secure_scan(&parties, &cfg).unwrap();
+    let short = LinkSupervision {
+        heartbeat_interval: Duration::from_millis(100),
+        liveness_deadline: Duration::from_secs(1),
+        reconnect_window: Duration::from_secs(1),
+    };
+    let dir = temp_dir("apart");
+    let failed = run_tcp_checkpointed_with(&parties, &cfg, &dir, false, short, Some((1, 2)));
+    for (i, r) in failed.iter().enumerate() {
+        match (i, r) {
+            (1, Err(CoreError::Sink { .. })) => {}
+            (0 | 2, Err(CoreError::Mpc(MpcError::PeerCrashed { peer: 1, .. }))) => {}
+            other => panic!("party {i}: unexpected outcome {other:?}"),
+        }
+    }
+    let next_block: Vec<u32> = (0..parties.len())
+        .map(|i| {
+            let cp = checkpoint::load(&checkpoint::checkpoint_path(&dir, i)).unwrap();
+            cp.next_block
+        })
+        .collect();
+    assert_eq!(next_block, [2, 1, 2], "checkpointed resume blocks");
+
+    let resumed: Vec<_> = run_tcp_checkpointed_with(&parties, &cfg, &dir, true, short, None)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    for (i, o) in resumed.iter().enumerate() {
+        assert_eq!(o.result, reference.result, "party {i} rows");
+    }
+    let summed = |f: fn(&SecureScanOutput) -> u64| resumed.iter().map(f).sum::<u64>();
+    assert_eq!(
+        (
+            summed(|o| o.network.total_bytes),
+            summed(|o| o.network.total_messages)
+        ),
+        (
+            reference.network.total_bytes,
+            reference.network.total_messages
+        ),
+        "summed traffic"
+    );
+    assert_eq!(
+        sorted_disclosures(&resumed),
+        sorted_disclosures(std::slice::from_ref(&reference)),
         "disclosure multiset"
     );
     std::fs::remove_dir_all(&dir).ok();

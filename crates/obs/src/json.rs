@@ -8,6 +8,10 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
     Arr(Vec<Json>),
     Str(String),
+    /// An integer literal (no sign, `.` or exponent) that fits a `u64`,
+    /// kept exactly: trace counters pass 2⁵³, where an `f64` rounds.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     Bool(bool),
     Null,
@@ -32,9 +36,12 @@ impl Json {
             _ => None,
         }
     }
-    pub fn as_num(&self) -> Option<f64> {
+    /// The value as a count: an integer literal, exact up to `u64::MAX`
+    /// (the trace writes plain u64s). A fractional, negative or larger
+    /// number is none.
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -149,11 +156,16 @@ fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
             {
                 *i += 1;
             }
-            std::str::from_utf8(&b[start..*i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
+            // Only digits parse as a `u64`: the branch starts at a digit or
+            // `-`, and a sign, `.` or exponent fails the integer parse.
+            let text = std::str::from_utf8(&b[start..*i]).unwrap_or_default();
+            match text.parse::<u64>() {
+                Ok(n) => Ok(Json::Int(n)),
+                Err(_) => text
+                    .parse::<f64>()
+                    .map(Json::Num)
+                    .map_err(|_| format!("bad number at byte {start}")),
+            }
         }
         _ => Err(format!("unexpected byte at {i}")),
     }
@@ -222,6 +234,18 @@ mod tests {
         let v = parse_json("{\"k\": \"a\\\"b\\\\c\\nd\", \"n\": [1, 2.5], \"t\": true}").unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(obj[0].1.as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn integers_are_exact_and_other_numbers_are_not_integers() {
+        let v = parse_json("[9007199254740993, 18446744073709551615, 0]").unwrap();
+        let ints: Vec<_> = v.as_arr().unwrap().iter().map(Json::as_u64).collect();
+        assert_eq!(ints, [Some(9_007_199_254_740_993), Some(u64::MAX), Some(0)]);
+        for text in ["18446744073709551616", "-1", "1.0", "1e3", "+1", "-0"] {
+            let n = parse_json(text).unwrap_or(Json::Null);
+            assert_eq!(n.as_u64(), None, "{text}");
+        }
+        assert!(parse_json("1.5.2").is_err());
     }
 
     #[test]

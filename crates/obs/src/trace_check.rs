@@ -11,7 +11,8 @@
 //! - the document parses and carries `"schema": "dash-trace/1"`;
 //! - `n_parties` is a positive integer and the `counters` array has
 //!   exactly one entry per party, in party order, each carrying every
-//!   counter key as a non-negative integer;
+//!   counter key as a non-negative integer (an integer literal, read
+//!   exactly: counters past 2⁵³ are compared as `u64`s, not `f64`s);
 //! - conservation: summed `bytes_sent` equals summed `bytes_received`
 //!   and likewise for messages (every frame credits both sides at the
 //!   transport's single accounting point);
@@ -29,16 +30,6 @@ pub struct TraceSummary {
     pub n_spans: usize,
 }
 
-/// Reads `v` as a non-negative integer (the trace writes plain u64s).
-fn as_count(v: &Json) -> Option<u64> {
-    let n = v.as_num()?;
-    if n >= 0.0 && n.fract() == 0.0 {
-        Some(n as u64)
-    } else {
-        None
-    }
-}
-
 /// Validates a `dash-trace/1` document, returning its headline numbers
 /// or every problem found (the list is never empty on `Err`).
 pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
@@ -54,14 +45,14 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
         )),
         None => errs.push("missing \"schema\" field".to_string()),
     }
-    let n_parties = match doc.get("n_parties").and_then(as_count) {
+    let n_parties = match doc.get("n_parties").and_then(Json::as_u64) {
         Some(n) if n >= 1 => n as usize,
         _ => {
             errs.push("\"n_parties\" must be a positive integer".to_string());
             0
         }
     };
-    if doc.get("dropped_spans").and_then(as_count).is_none() {
+    if doc.get("dropped_spans").and_then(Json::as_u64).is_none() {
         errs.push("\"dropped_spans\" must be a non-negative integer".to_string());
     }
 
@@ -76,12 +67,12 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
                 ));
             }
             for (p, row) in rows.iter().enumerate() {
-                if row.get("party").and_then(as_count) != Some(p as u64) {
+                if row.get("party").and_then(Json::as_u64) != Some(p as u64) {
                     errs.push(format!("counters[{p}] is not for party {p}"));
                 }
                 for counter in Counter::ALL {
                     let key = counter.name();
-                    match row.get(key).and_then(as_count) {
+                    match row.get(key).and_then(Json::as_u64) {
                         Some(v) => {
                             if let Some(s) = sums.get_mut(counter.slot()) {
                                 match s.checked_add(v) {
@@ -120,7 +111,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
         Some(spans) => {
             n_spans = spans.len();
             for (i, s) in spans.iter().enumerate() {
-                match s.get("party").and_then(as_count) {
+                match s.get("party").and_then(Json::as_u64) {
                     Some(p) if n_parties == 0 || (p as usize) < n_parties => {}
                     _ => errs.push(format!("spans[{i}] has an out-of-range party")),
                 }
@@ -130,13 +121,13 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, Vec<String>> {
                 {
                     errs.push(format!("spans[{i}] has no name"));
                 }
-                let start = s.get("start_ns").and_then(as_count);
-                let end = s.get("end_ns").and_then(as_count);
+                let start = s.get("start_ns").and_then(Json::as_u64);
+                let end = s.get("end_ns").and_then(Json::as_u64);
                 match (start, end) {
                     (Some(a), Some(b)) if b >= a => {}
                     _ => errs.push(format!("spans[{i}] timestamps are not monotone integers")),
                 }
-                if s.get("depth").and_then(as_count).is_none() {
+                if s.get("depth").and_then(Json::as_u64).is_none() {
                     errs.push(format!("spans[{i}] missing depth"));
                 }
             }
@@ -245,6 +236,32 @@ mod tests {
     fn garbage_rejected() {
         assert!(validate_trace("not json").is_err());
         assert!(validate_trace("{}").is_err());
+    }
+
+    /// Counters past 2⁵³ are compared exactly: one byte apart there, an
+    /// `f64` reading would round both to 2⁵³ and call the trace valid.
+    #[test]
+    fn counters_past_2_pow_53_are_exact() {
+        let (big, bigger) = (9_007_199_254_740_992_u64, 9_007_199_254_740_993_u64);
+        let src = doc(&[counters_row(0, bigger, 0), counters_row(1, 0, big)], "");
+        let errs = validate_trace(&src).unwrap_err();
+        let want = format!("byte conservation violated: {bigger} sent vs {big} received");
+        assert!(errs.contains(&want), "{errs:?}");
+        let src = doc(
+            &[counters_row(0, bigger, 0), counters_row(1, 0, bigger)],
+            "",
+        );
+        assert_eq!(validate_trace(&src).unwrap().total_bytes, bigger);
+        for bad in ["1.0", "-1", "1e3", "18446744073709551616"] {
+            let row = counters_row(0, 5, 5)
+                .replace("\"bytes_sent\": 5", &format!("\"bytes_sent\": {bad}"));
+            let errs = validate_trace(&doc(&[row], "")).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains("missing non-negative integer \"bytes_sent\"")),
+                "{bad}: {errs:?}"
+            );
+        }
     }
 
     #[test]

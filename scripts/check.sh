@@ -267,6 +267,23 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
     --audit false --metrics true --trace-out "$TRACE_TMP/trace.json" \
     --out "$TRACE_TMP/ref.tsv"
 ./target/release/dash trace check "$TRACE_TMP/trace.json"
+# Counters are read as exact integers: a hand-made two-party trace whose
+# byte counters pass 2^53 and differ by one must fail conservation (an
+# f64 reading rounds both to 2^53 and passes it).
+trace_row() { # party, bytes_sent, bytes_received
+    printf '{"party": %s, "bytes_sent": %s, "bytes_received": %s, "messages_sent": 1, "messages_received": 1, "retries": 0, "timeouts": 0, "triples_consumed": 0, "opened_scalars": 0, "heartbeats_sent": 0, "reconnects": 0, "resumes": 0}' "$@"
+}
+printf '{"schema": "dash-trace/1", "n_parties": 2, "dropped_spans": 0, "counters": [%s, %s], "spans": []}\n' \
+    "$(trace_row 0 9007199254740993 0)" "$(trace_row 1 0 9007199254740992)" \
+    > "$TRACE_TMP/past-2-53.json"
+set +e
+./target/release/dash trace check "$TRACE_TMP/past-2-53.json"
+PAST_253=$?
+set -e
+if [ "$PAST_253" != 1 ]; then
+    echo "error: a trace one byte apart past 2^53 must exit 1, exited $PAST_253" >&2
+    exit 1
+fi
 
 echo "== multi-process TCP smoke (3 real party processes over loopback)"
 # The same workload again, but as three OS processes talking real TCP:

@@ -8,8 +8,8 @@ use dash_core::model::{pool_parties, PartyData};
 use dash_core::multi::{multi_phenotype_scan, secure_multi_phenotype_scan, MultiPartyData};
 use dash_core::online::{secure_online_scan, OnlineScan};
 use dash_core::scan::associate;
-use dash_core::secure::{secure_scan, SecureScanConfig};
-use dash_core::CoreError;
+use dash_core::secure::{secure_scan, RFactorMode, SecureScanConfig};
+use dash_core::{CoreError, ScanResult};
 use dash_gwas::pheno::{normal_matrix, normal_vec, sample_standard_normal};
 use dash_linalg::{qr_thin, Matrix};
 use rand::rngs::StdRng;
@@ -261,4 +261,134 @@ fn section5_drivers_honour_deadline_and_fail_cleanly() {
         assert!(matches!(err, CoreError::Mpc(_)), "{name}: {err:?}");
         assert!(started.elapsed().as_secs() < 5, "{name} hung");
     }
+}
+
+/// The bits of every value a result holds, `df` and the degenerate count
+/// first.
+fn result_bits(r: &ScanResult) -> Vec<u64> {
+    let head = [r.df as u64, r.n_degenerate as u64];
+    let cols = [&r.beta, &r.se, &r.t, &r.p];
+    head.into_iter()
+        .chain(cols.iter().flat_map(|c| c.iter().map(|v| v.to_bits())))
+        .collect()
+}
+
+/// FNV-1a over [`result_bits`].
+fn result_hash(r: &ScanResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for word in result_bits(r) {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A T-phenotype scan is T single scans that share `X·X` and `QᵀX`: each
+/// phenotype's result is `associate`'s on `(y_t, X, C)`, bit for bit.
+#[test]
+fn multi_phenotype_scan_is_associate_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(5);
+    for (n, m, k, t) in [(61, 13, 2, 3), (40, 9, 0, 2), (37, 5, 4, 1)] {
+        let x = normal_matrix(n, m, &mut rng);
+        let c = normal_matrix(n, k, &mut rng);
+        let ys = normal_matrix(n, t, &mut rng);
+        let multi = multi_phenotype_scan(&ys, &x, &c).unwrap();
+        assert_eq!(multi.len(), t);
+        for (ti, result) in multi.iter().enumerate() {
+            let data = PartyData::new(ys.col(ti).to_vec(), x.clone(), c.clone()).unwrap();
+            let single = associate(&data).unwrap();
+            assert_eq!(
+                result_bits(result),
+                result_bits(&single),
+                "n={n} m={m} k={k} phenotype {ti}"
+            );
+        }
+    }
+}
+
+/// The secure T-phenotype scan opens the same sums a secure scan per
+/// phenotype opens: each phenotype's result is `secure_scan`'s on that
+/// phenotype under the same configuration, bit for bit.
+#[test]
+fn secure_multi_phenotype_scan_is_secure_scan_bit_for_bit() {
+    let ps = parties(&[23, 31, 19], 11, 2, 6);
+    let mut rng = StdRng::seed_from_u64(7);
+    let extra: Vec<Vec<f64>> = ps
+        .iter()
+        .map(|p| normal_vec(p.n_samples(), &mut rng))
+        .collect();
+    let multi: Vec<MultiPartyData> = ps
+        .iter()
+        .zip(&extra)
+        .map(|(p, e)| {
+            let ys = Matrix::from_cols(&[p.y(), e]).unwrap();
+            MultiPartyData::new(ys, p.x().clone(), p.c().clone()).unwrap()
+        })
+        .collect();
+    for rfactor in [
+        RFactorMode::PublicStack,
+        RFactorMode::PairwiseTree,
+        RFactorMode::GramAggregate,
+    ] {
+        let cfg = SecureScanConfig {
+            rfactor,
+            ..SecureScanConfig::paper_default(8)
+        };
+        let results = secure_multi_phenotype_scan(&multi, &cfg).unwrap();
+        assert_eq!(results.len(), 2);
+        for (ti, result) in results.iter().enumerate() {
+            let single: Vec<PartyData> = multi
+                .iter()
+                .map(|p| PartyData::new(p.ys.col(ti).to_vec(), p.x.clone(), p.c.clone()).unwrap())
+                .collect();
+            let want = secure_scan(&single, &cfg).unwrap().result;
+            assert_eq!(
+                result_bits(result),
+                result_bits(&want),
+                "{rfactor:?} phenotype {ti}"
+            );
+        }
+    }
+}
+
+/// `(OnlineScan::finalize, secure_online_scan)` result hashes on the
+/// study of `online_scans_keep_their_bits`, recorded before the
+/// reduction of summed statistics became one function.
+const ONLINE_BEFORE_ONE_REDUCTION: (u64, u64) = (0x8b18950e2fbc9099, 0x9d597b3c7bb8ab1c);
+
+/// The online scans keep their bits: the plaintext accumulator over
+/// every batch, and the secure merge of two parties' accumulators.
+#[test]
+fn online_scans_keep_their_bits() {
+    let mut rng = StdRng::seed_from_u64(10);
+    let (m, k) = (17, 3);
+    let batches: Vec<PartyData> = [21, 18, 26, 15]
+        .iter()
+        .map(|&n| {
+            PartyData::new(
+                normal_vec(n, &mut rng),
+                normal_matrix(n, m, &mut rng),
+                normal_matrix(n, k, &mut rng),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut all = OnlineScan::new(m, k);
+    let (mut a, mut b) = (OnlineScan::new(m, k), OnlineScan::new(m, k));
+    for (i, batch) in batches.iter().enumerate() {
+        all.push_batch(batch).unwrap();
+        if i < 2 { &mut a } else { &mut b }
+            .push_batch(batch)
+            .unwrap();
+    }
+    let plain = all.finalize().unwrap();
+    let (secure, _) = secure_online_scan(&[a, b], &SecureScanConfig::paper_default(11)).unwrap();
+    assert_eq!(
+        (result_hash(&plain), result_hash(&secure)),
+        ONLINE_BEFORE_ONE_REDUCTION,
+        "{:#018x} {:#018x}",
+        result_hash(&plain),
+        result_hash(&secure)
+    );
 }
