@@ -2,8 +2,9 @@
 //!
 //! Biobanks and eQTL studies test each variant against many responses.
 //! The expensive per-variant work — `X·X` and `QᵀX` — does not depend on
-//! the phenotype, so a T-phenotype scan reads `X` once, in one
-//! [`scan_dots`] pass that also forms every `X·y_t`, not T full scans.
+//! the phenotype, so a T-phenotype scan reads `X` in one [`scan_dots`]
+//! pass for `QᵀX` and one per block of phenotypes for their `X·y_t`, not
+//! in T full scans.
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
@@ -26,7 +27,14 @@ pub fn multi_phenotype_scan(
         return Ok(Vec::new());
     }
     let q = orthonormal_basis(c)?;
-    unpack(&payload(ys, x, &q)?, x.cols(), k, ys.cols(), n)
+    let ScanDots { xx, atx: qtx, .. } = scan_dots(ys.col(0), &q, x, 0, x.cols())?;
+    let mut out = Vec::with_capacity(ys.cols());
+    each_xy(ys, x, |y, xy| {
+        let qty = gemv_t(&q, y)?;
+        out.push(ScanStats::from_sums(self_dot(y), xy, xx.clone(), &qty, &qtx).finalize(n, k)?);
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Checks that `ys`, `x` and `c` hold one row per sample.
@@ -42,37 +50,47 @@ fn check_rows(what: &'static str, ys: &Matrix, x: &Matrix, c: &Matrix) -> Result
     }
 }
 
-/// The summands of a T-phenotype scan (T ≥ 1) over the rows of `ys`, `x`
-/// and `q`, flat: `X·X` (M) and `QᵀX` (K×M) once, then per phenotype
-/// `y·y`, `X·y` (M) and `Qᵀy` (K). One [`scan_dots`] pass reads `X` once
-/// for every dot: against the first phenotype, and against `Q` and the
-/// other phenotypes as its targets.
-fn payload(ys: &Matrix, x: &Matrix, q: &Matrix) -> Result<Vec<f64>, CoreError> {
-    let (n, m, k, t) = (ys.rows(), x.cols(), q.cols(), ys.cols());
-    let mut targets = q.as_slice().to_vec();
-    targets.extend_from_slice(&ys.as_slice()[n..]);
-    let targets = Matrix::from_column_major(n, k + t - 1, targets)?;
-    let ScanDots { xy, xx, atx } = scan_dots(ys.col(0), &targets, x, 0, m)?;
-    let mut out = Vec::with_capacity(m + k * m + t * (1 + m + k));
-    out.extend_from_slice(&xx);
-    for j in 0..m {
-        out.extend_from_slice(&atx.col(j)[..k]);
-    }
-    for ti in 0..t {
-        let y = ys.col(ti);
-        out.push(self_dot(y));
-        match ti {
-            0 => out.extend_from_slice(&xy),
-            _ => out.extend((0..m).map(|j| atx.get(k + ti - 1, j))),
+/// Phenotypes per [`scan_dots`] pass over `X`: each pass holds a copy of
+/// this many columns of `ys` and their `YᵀX` block, not all T of them.
+const PHENOTYPES_PER_PASS: usize = 64;
+
+/// Calls `each(y_t, X·y_t)` for every phenotype `t` in order. One
+/// [`scan_dots`] pass per [`PHENOTYPES_PER_PASS`] phenotypes forms their
+/// `X·y` as targets, so `X` is read once per block, not once per phenotype.
+fn each_xy(
+    ys: &Matrix,
+    x: &Matrix,
+    mut each: impl FnMut(&[f64], Vec<f64>) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    for t0 in (0..ys.cols()).step_by(PHENOTYPES_PER_PASS) {
+        let block = ys.col_block(t0, ys.cols().min(t0 + PHENOTYPES_PER_PASS));
+        let ytx = scan_dots(block.col(0), &block, x, 0, x.cols())?.atx;
+        for t in 0..block.cols() {
+            each(block.col(t), ytx.row(t))?;
         }
-        out.extend_from_slice(&gemv_t(q, y)?);
     }
+    Ok(())
+}
+
+/// One party's summands of a T-phenotype scan (T ≥ 1), flat for the
+/// masked sum: `X·X` (M) and `QᵀX` (K×M) once, then per phenotype `y·y`,
+/// `X·y` (M) and `Qᵀy` (K).
+fn payload(ys: &Matrix, x: &Matrix, q: &Matrix) -> Result<Vec<f64>, CoreError> {
+    let ScanDots { xx, atx: qtx, .. } = scan_dots(ys.col(0), q, x, 0, x.cols())?;
+    let mut out = xx;
+    out.extend_from_slice(qtx.as_slice());
+    each_xy(ys, x, |y, xy| {
+        out.push(self_dot(y));
+        out.extend(xy);
+        out.extend(gemv_t(q, y)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
-/// Finalizes each phenotype of a [`payload`] (or a sum of them) over `n`
-/// samples: `X·X` and `QᵀX` are shared, and each phenotype reduces with
-/// them through [`ScanStats::from_sums`].
+/// Finalizes each phenotype of a sum of [`payload`]s over `n` samples:
+/// `X·X` and `QᵀX` are shared, and each phenotype reduces with them
+/// through [`ScanStats::from_sums`].
 fn unpack(
     total: &[f64],
     m: usize,
@@ -207,6 +225,48 @@ mod tests {
                     .unwrap();
             let d = result.max_rel_diff(&single).unwrap();
             assert!(d < 1e-11, "phenotype {ti}: diff {d}");
+        }
+    }
+
+    /// Phenotypes past the first [`PHENOTYPES_PER_PASS`] take further
+    /// passes, the last one short; every phenotype keeps the bits of its
+    /// own scan, plaintext and secure.
+    #[test]
+    fn phenotype_blocks_keep_the_bits_of_single_scans() {
+        let bits = |r: &ScanResult| -> Vec<u64> {
+            [&r.beta, &r.se, &r.t, &r.p]
+                .iter()
+                .flat_map(|v| v.iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        let t = PHENOTYPES_PER_PASS + 3;
+        let (ys, x, c) = gen(30, 4, 2, t, 5);
+        let multi = multi_phenotype_scan(&ys, &x, &c).unwrap();
+        assert_eq!(multi.len(), t);
+        for (ti, result) in multi.iter().enumerate() {
+            let data = PartyData::new(ys.col(ti).to_vec(), x.clone(), c.clone()).unwrap();
+            assert_eq!(
+                bits(result),
+                bits(&associate(&data).unwrap()),
+                "phenotype {ti}"
+            );
+        }
+
+        let (ys2, x2, c2) = gen(20, 4, 2, t, 6);
+        let parties = [
+            MultiPartyData::new(ys, x, c).unwrap(),
+            MultiPartyData::new(ys2, x2, c2).unwrap(),
+        ];
+        let cfg = crate::secure::SecureScanConfig::paper_default(9);
+        let secure = secure_multi_phenotype_scan(&parties, &cfg).unwrap();
+        assert_eq!(secure.len(), t);
+        for ti in [0, PHENOTYPES_PER_PASS - 1, PHENOTYPES_PER_PASS, t - 1] {
+            let single: Vec<PartyData> = parties
+                .iter()
+                .map(|p| PartyData::new(p.ys.col(ti).to_vec(), p.x.clone(), p.c.clone()).unwrap())
+                .collect();
+            let want = crate::secure::secure_scan(&single, &cfg).unwrap().result;
+            assert_eq!(bits(&secure[ti]), bits(&want), "secure phenotype {ti}");
         }
     }
 

@@ -344,6 +344,12 @@ fn full_fleet_resume(block_size: Option<usize>) {
 /// say block 2. On resume, party 1 re-runs block 1 against its peers'
 /// checkpointed replay backlog, the only copy of their block-1 frames
 /// left, while they wait in block 2.
+///
+/// The first run's 3 s liveness deadline and reconnect window are what
+/// end the survivors once party 1 is gone. Before party 1's sink fails,
+/// a link falls silent only if a party thread stalls for 3 s, not for a
+/// scheduling hiccup of a loaded host. The resumed run keeps the default
+/// supervision.
 #[test]
 fn a_fleet_whose_parties_are_a_block_apart_resumes_bit_identically() {
     let parties = gen_parties(&[9, 8, 10], 6, 2, 0xA9A27);
@@ -356,8 +362,8 @@ fn a_fleet_whose_parties_are_a_block_apart_resumes_bit_identically() {
     let reference = secure_scan(&parties, &cfg).unwrap();
     let short = LinkSupervision {
         heartbeat_interval: Duration::from_millis(100),
-        liveness_deadline: Duration::from_secs(1),
-        reconnect_window: Duration::from_secs(1),
+        liveness_deadline: Duration::from_secs(3),
+        reconnect_window: Duration::from_secs(3),
     };
     let dir = temp_dir("apart");
     let failed = run_tcp_checkpointed_with(&parties, &cfg, &dir, false, short, Some((1, 2)));
@@ -376,10 +382,11 @@ fn a_fleet_whose_parties_are_a_block_apart_resumes_bit_identically() {
         .collect();
     assert_eq!(next_block, [2, 1, 2], "checkpointed resume blocks");
 
-    let resumed: Vec<_> = run_tcp_checkpointed_with(&parties, &cfg, &dir, true, short, None)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let resumed: Vec<_> =
+        run_tcp_checkpointed_with(&parties, &cfg, &dir, true, LinkSupervision::default(), None)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
     for (i, o) in resumed.iter().enumerate() {
         assert_eq!(o.result, reference.result, "party {i} rows");
     }

@@ -277,13 +277,18 @@ printf '{"schema": "dash-trace/1", "n_parties": 2, "dropped_spans": 0, "counters
     "$(trace_row 0 9007199254740993 0)" "$(trace_row 1 0 9007199254740992)" \
     > "$TRACE_TMP/past-2-53.json"
 set +e
-./target/release/dash trace check "$TRACE_TMP/past-2-53.json"
+PAST_253_ERR=$(./target/release/dash trace check "$TRACE_TMP/past-2-53.json" 2>&1 >/dev/null)
 PAST_253=$?
 set -e
-if [ "$PAST_253" != 1 ]; then
-    echo "error: a trace one byte apart past 2^53 must exit 1, exited $PAST_253" >&2
+PAST_253_WANT="trace invalid: byte conservation violated: 9007199254740993 sent vs 9007199254740992 received"
+if [ "$PAST_253" != 1 ] || [ "$PAST_253_ERR" != "$PAST_253_WANT" ]; then
+    echo "error: a trace one byte apart past 2^53 must exit 1 with exactly" >&2
+    echo "  $PAST_253_WANT" >&2
+    echo "exited $PAST_253 with:" >&2
+    echo "$PAST_253_ERR" >&2
     exit 1
 fi
+echo "$PAST_253_ERR (exit 1, as required)"
 
 echo "== multi-process TCP smoke (3 real party processes over loopback)"
 # The same workload again, but as three OS processes talking real TCP:
