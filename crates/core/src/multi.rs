@@ -18,23 +18,39 @@ pub fn multi_phenotype_scan(
     x: &Matrix,
     c: &Matrix,
 ) -> Result<Vec<ScanResult>, CoreError> {
+    let (n, k) = (ys.rows(), c.cols());
+    let mut out = Vec::with_capacity(ys.cols());
+    each_phenotype(ys, x, c, |stats| {
+        out.push(stats.finalize(n, k)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Calls `each` with every column of `ys`'s reduced [`ScanStats`] against
+/// `x`, adjusting for `c`, in order: the one pass behind
+/// [`multi_phenotype_scan`], for callers that keep less of each scan.
+pub(crate) fn each_phenotype(
+    ys: &Matrix,
+    x: &Matrix,
+    c: &Matrix,
+    mut each: impl FnMut(ScanStats) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
     check_rows("multi_phenotype_scan rows", ys, x, c)?;
     let (n, k) = (ys.rows(), c.cols());
     if n <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n, k });
     }
     if ys.cols() == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let q = orthonormal_basis(c)?;
     let ScanDots { xx, atx: qtx, .. } = scan_dots(ys.col(0), &q, x, 0, x.cols())?;
-    let mut out = Vec::with_capacity(ys.cols());
     each_xy(ys, x, |y, xy| {
         let qty = gemv_t(&q, y)?;
-        out.push(ScanStats::from_sums(self_dot(y), xy, xx.clone(), &qty, &qtx).finalize(n, k)?);
-        Ok(())
-    })?;
-    Ok(out)
+        let stats = ScanStats::from_sums(self_dot(y), xy, xx.clone(), &qty, &qtx);
+        each(stats)
+    })
 }
 
 /// Checks that `ys`, `x` and `c` hold one row per sample.

@@ -141,14 +141,19 @@ pub fn secure_online_scan(
     cfg.require_masked_prg()?;
     let first = accumulators.first().ok_or(CoreError::NoParties)?;
     let (m, k) = (first.m, first.k);
-    for (i, a) in accumulators.iter().enumerate() {
-        if a.m != m || a.k != k {
-            return Err(CoreError::PartiesInconsistent {
-                what: "online accumulator shape",
-                party: i,
-                expected: m,
-                got: a.m,
-            });
+    for (party, a) in accumulators.iter().enumerate() {
+        for (what, expected, got) in [
+            ("online accumulator variant count M", m, a.m),
+            ("online accumulator covariate count K", k, a.k),
+        ] {
+            if got != expected {
+                return Err(CoreError::PartiesInconsistent {
+                    what,
+                    party,
+                    expected,
+                    got,
+                });
+            }
         }
     }
     let codec = cfg.ring_codec()?;
@@ -283,12 +288,22 @@ mod tests {
 
     #[test]
     fn secure_online_requires_consistent_shapes() {
-        let a = OnlineScan::new(3, 1);
-        let b = OnlineScan::new(4, 1);
-        assert!(matches!(
-            secure_online_scan(&[a, b], &SecureScanConfig::default()),
-            Err(CoreError::PartiesInconsistent { .. })
-        ));
+        // M and K each name themselves, with the counts they compare.
+        let m = "online accumulator variant count M";
+        let k = "online accumulator covariate count K";
+        for (a, b, (what, expected, got)) in
+            [((3, 1), (4, 1), (m, 3, 4)), ((4, 1), (4, 2), (k, 1, 2))]
+        {
+            let want = CoreError::PartiesInconsistent {
+                what,
+                party: 1,
+                expected,
+                got,
+            };
+            let accs = [OnlineScan::new(a.0, a.1), OnlineScan::new(b.0, b.1)];
+            let got = secure_online_scan(&accs, &SecureScanConfig::default());
+            assert_eq!(got.unwrap_err(), want);
+        }
         assert!(matches!(
             secure_online_scan(&[], &SecureScanConfig::default()),
             Err(CoreError::NoParties)

@@ -12,7 +12,7 @@
 
 use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
-use crate::multi::multi_phenotype_scan;
+use crate::multi::each_phenotype;
 use dash_linalg::Matrix;
 use rand::Rng;
 
@@ -68,18 +68,23 @@ pub fn permutation_scan(
         }
         ys.col_mut(b).copy_from_slice(&perm);
     }
-    let mut scans = multi_phenotype_scan(&ys, data.x(), data.c())?;
-    let observed = scans.remove(0);
-
-    // Null distribution of the genome-wide max |t|.
-    let mut max_t_null: Vec<f64> = scans
-        .iter()
-        .map(|s| {
-            s.t.iter()
-                .filter(|t| t.is_finite())
-                .fold(0.0f64, |acc, &t| acc.max(t.abs()))
-        })
-        .collect();
+    // The observed scan in full; of each permuted one, only the
+    // genome-wide max |t| — its null distribution.
+    let k = data.c().cols();
+    let mut observed = None;
+    let mut max_t_null = Vec::with_capacity(n_permutations);
+    each_phenotype(&ys, data.x(), data.c(), |stats| {
+        match observed {
+            None => observed = Some(stats.finalize(n, k)?),
+            Some(_) => max_t_null.push(stats.max_abs_t(n, k)?),
+        }
+        Ok(())
+    })?;
+    let observed = observed.ok_or(CoreError::ShapeMismatch {
+        what: "permutation scan phenotypes",
+        expected: n_permutations + 1,
+        got: 0,
+    })?;
     max_t_null.sort_by(f64::total_cmp);
 
     // Adjusted p-values with +1 smoothing.
@@ -205,6 +210,91 @@ mod tests {
         pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
         for w in pairs.windows(2) {
             assert!(w[0].1 <= w[1].1 + 1e-12, "monotonicity violated");
+        }
+    }
+
+    /// `permutation_scan` as it was before the permuted scans were folded
+    /// to their max |t|: every scan finalized, p-values and all, then
+    /// reduced.
+    fn permutation_scan_by_finalizing(
+        data: &PartyData,
+        n_permutations: usize,
+        rng: &mut impl Rng,
+    ) -> PermutationResult {
+        let n = data.n_samples();
+        let mut ys = Matrix::zeros(n, n_permutations + 1);
+        ys.col_mut(0).copy_from_slice(data.y());
+        let mut perm: Vec<f64> = data.y().to_vec();
+        for b in 1..=n_permutations {
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                perm.swap(i, j);
+            }
+            ys.col_mut(b).copy_from_slice(&perm);
+        }
+        let mut scans = crate::multi::multi_phenotype_scan(&ys, data.x(), data.c()).unwrap();
+        let observed = scans.remove(0);
+        let mut max_t_null: Vec<f64> = scans
+            .iter()
+            .map(|s| {
+                s.t.iter()
+                    .filter(|t| t.is_finite())
+                    .fold(0.0f64, |acc, &t| acc.max(t.abs()))
+            })
+            .collect();
+        max_t_null.sort_by(f64::total_cmp);
+        let b = n_permutations as f64;
+        let maxt_p = observed
+            .t
+            .iter()
+            .map(|&t| {
+                if !t.is_finite() {
+                    return f64::NAN;
+                }
+                let exceed = max_t_null.iter().filter(|&&m| m >= t.abs()).count() as f64;
+                (exceed + 1.0) / (b + 1.0)
+            })
+            .collect();
+        PermutationResult {
+            observed,
+            maxt_p,
+            max_t_null,
+            n_permutations,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn folding_each_permutation_to_its_max_t_keeps_every_bit() {
+        for (n, m, k, seed) in [(60, 9, 2, 7), (45, 5, 0, 8), (30, 70, 3, 9)] {
+            let base = gen_data(n, m, k, seed);
+            // A variant in the span of C (when there is one), so the null
+            // meets a degenerate row.
+            let mut x = base.x().clone();
+            if k > 0 {
+                let c0 = base.c().col(0).to_vec();
+                x.col_mut(1).copy_from_slice(&c0);
+            }
+            let data = PartyData::new(base.y().to_vec(), x, base.c().clone()).unwrap();
+            let got = permutation_scan(&data, 33, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let want = permutation_scan_by_finalizing(&data, 33, &mut StdRng::seed_from_u64(seed));
+            let (g, w) = (&got.observed, &want.observed);
+            for (a, b) in [
+                (&g.beta, &w.beta),
+                (&g.se, &w.se),
+                (&g.t, &w.t),
+                (&g.p, &w.p),
+            ] {
+                assert_eq!(bits(a), bits(b), "observed rows, n={n} m={m} k={k}");
+            }
+            assert_eq!((g.df, g.n_degenerate), (w.df, w.n_degenerate));
+            assert_eq!(w.n_degenerate, usize::from(k > 0));
+            assert_eq!(bits(&got.max_t_null), bits(&want.max_t_null));
+            assert_eq!(bits(&got.maxt_p), bits(&want.maxt_p));
+            assert_eq!(got.n_permutations, want.n_permutations);
         }
     }
 }

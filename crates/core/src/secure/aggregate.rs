@@ -7,14 +7,14 @@
 //! opens. See the table in [`crate::secure`].
 
 use crate::error::CoreError;
-use crate::secure::triples::TripleFeed;
+use crate::secure::triples::DealerFeed;
 use crate::secure::wire::{all_gather_f64, Discloses};
 use crate::secure::{AggregationMode, SecureScanConfig};
 use crate::suffstats::{ScanStats, VariantSummands};
 use dash_linalg::{self_dot, Matrix};
-use dash_mpc::protocol::beaver::beaver_inner_batch;
+use dash_mpc::protocol::beaver::{open_mask, project, MaskedOperand};
 use dash_mpc::protocol::masked::{masked_sum_f64, masked_sum_star_f64};
-use dash_mpc::{MpcError, Opening, PartyCtx, Secret, R64};
+use dash_mpc::{MpcError, Opening, PartyCtx, Secret};
 use dash_obs::Counter;
 
 /// Structured shape error for opened aggregate vectors that arrive with
@@ -33,10 +33,11 @@ pub(crate) enum YAggregate {
     /// The aggregate `Qᵀy` opened (every mode except Beaver).
     Opened { yy: f64, qty: Vec<f64> },
     /// `Qᵀy` still secret-shared (Beaver mode): each party keeps its
-    /// normalized additive share and only `Qᵀy·Qᵀy` has opened.
+    /// normalized share masked by the run's mask — the opened `e⃗` and its
+    /// share of `b⃗` (`None` when K = 0) — and only `Qᵀy·Qᵀy` has opened.
     BeaverShared {
         yy: f64,
-        qty_share: Secret<Vec<R64>>,
+        qty: Option<MaskedOperand>,
         qtyqty: f64,
     },
 }
@@ -81,24 +82,23 @@ fn sum_gathered(gathered: Vec<Vec<f64>>, len: usize) -> Result<Vec<f64>, CoreErr
 ///
 /// Beaver mode, the strictest: `Qᵀy` and `QᵀX` stay secret-shared (each
 /// party's summand *is* an additive share of the aggregate, masked by the
-/// dealer's uniform triples during the openings); only the dot products
+/// dealer's uniform masks during the openings); only the dot products
 /// open. The left-hand sum `y·y` opens first and the shared vector is
 /// normalized by `1/√(y·y)` (per block: `1/√(X·X_m)`) before encoding, so
 /// each party's share, and their sum, have norm ≤ 1. That keeps every
 /// Beaver product far inside the ring's exactness bound
 /// (`dash_mpc::fixed`) for any data scale, and the opened products are
-/// rescaled exactly afterwards. This
-/// round consumes the dealer's first batch, of one triple, for the
-/// `(Qᵀy, Qᵀy)` product; each block round consumes one batch of two per
-/// variant in ascending order, so the triple a product meets does not
-/// depend on the block size.
+/// rescaled exactly afterwards. This round consumes the dealer's first
+/// batch, the run's mask, and opens `Qᵀy` against it once; each block
+/// round consumes one projection per variant in ascending order, so the
+/// mask a product meets does not depend on the block size.
 pub(crate) fn aggregate_y(
     ctx: &mut PartyCtx,
     yy: f64,
     qty: &[f64],
     m: usize,
     cfg: &SecureScanConfig,
-    triples: &mut TripleFeed,
+    dealer: &mut DealerFeed,
 ) -> Result<YAggregate, CoreError> {
     let k = qty.len();
     if cfg.aggregation == AggregationMode::BeaverDots {
@@ -109,7 +109,7 @@ pub(crate) fn aggregate_y(
         if k == 0 {
             return Ok(YAggregate::BeaverShared {
                 yy: yy_total,
-                qty_share: Secret::new(Vec::new()),
+                qty: None,
                 qtyqty: 0.0,
             });
         }
@@ -117,11 +117,11 @@ pub(crate) fn aggregate_y(
         let y_scale = safe_inv_sqrt(yy_total);
         let qty_scaled: Vec<f64> = qty.iter().map(|v| v * y_scale).collect();
         let qty_share = Secret::new(beaver_codec.encode_field_vec(&qty_scaled)?);
-        let batch = triples.take(1)?;
+        let mask = dealer.take(1)?;
         ctx.trace_add(Counter::TriplesConsumed, 1);
-        let product_shares = beaver_inner_batch(ctx, &qty_share, &qty_share, &batch)?;
+        let (qty, product_share) = open_mask(ctx, &qty_share, &mask)?;
         let opened = ctx.open_sum(
-            &product_shares,
+            &product_share,
             Opening::Disclosed("projected response dot product (Qᵀy·Qᵀy)"),
         )?;
         let qtyqty = beaver_codec.decode_product(
@@ -131,7 +131,7 @@ pub(crate) fn aggregate_y(
         ) * yy_total;
         return Ok(YAggregate::BeaverShared {
             yy: yy_total,
-            qty_share,
+            qty: Some(qty),
             qtyqty,
         });
     }
@@ -168,23 +168,22 @@ pub(crate) fn aggregate_y(
 /// Element-wise, every secure sum here opens a value that does not depend
 /// on the block size (fixed-point sums are exact and PRG masks cancel
 /// exactly, regardless of how the vector is split across rounds), and
-/// Beaver triples are consumed two per variant in ascending order — so
-/// the returned statistics are the same bits for every way of cutting
-/// the variants into blocks.
+/// Beaver products open exact ring values — so the returned statistics
+/// are the same bits for every way of cutting the variants into blocks.
 pub(crate) fn aggregate_block(
     ctx: &mut PartyCtx,
     block: &VariantSummands,
     head: &YAggregate,
     cfg: &SecureScanConfig,
-    triples: &mut TripleFeed,
+    dealer: &mut DealerFeed,
 ) -> Result<ScanStats, CoreError> {
     let len = block.len();
     let k = block.qtx.rows();
     let (yy, qtyqty) = head.y_stats();
     let qty = match head {
         YAggregate::Opened { qty, .. } => qty,
-        YAggregate::BeaverShared { qty_share, .. } => {
-            return beaver_block(ctx, block, (yy, qtyqty), qty_share, cfg, triples)
+        YAggregate::BeaverShared { qty, .. } => {
+            return beaver_block(ctx, block, (yy, qtyqty), qty.as_ref(), cfg, dealer)
         }
     };
     let mut flat = Vec::with_capacity(2 * len + k * len);
@@ -236,16 +235,16 @@ fn opened_sum(
 }
 
 /// The Beaver block round: `X·y, X·X` open through a secure sum; `QᵀX`
-/// stays shared, and against the shared, `1/√yy`-normalized `Qᵀy` the
-/// round's batch of `2·len` triples opens two dot products per variant.
-/// `(yy, qtyqty)` are the opened y-side scalars.
+/// stays shared, and the round's batch of `len` projections opens its two
+/// dot products per variant, against the masked, `1/√yy`-normalized
+/// `Qᵀy` and against itself. `(yy, qtyqty)` are the opened y-side scalars.
 fn beaver_block(
     ctx: &mut PartyCtx,
     block: &VariantSummands,
     (yy, qtyqty): (f64, f64),
-    qty_share: &Secret<Vec<R64>>,
+    qty: Option<&MaskedOperand>,
     cfg: &SecureScanConfig,
-    triples: &mut TripleFeed,
+    dealer: &mut DealerFeed,
 ) -> Result<ScanStats, CoreError> {
     let len = block.len();
     let k = block.qtx.rows();
@@ -260,31 +259,19 @@ fn beaver_block(
     if k == 0 {
         return Ok(ScanStats::from_sums(yy, xy, xx, &[], &block.qtx));
     }
+    let qty = qty.ok_or_else(|| shape("masked Qᵀy", k, 0))?;
     let beaver_codec = cfg.beaver_codec()?;
-    // QᵀX, each column scaled by 1/√(X·X_j), encoded in one pass; then the
-    // products `(QᵀX_j, Qᵀy)`, `(QᵀX_j, QᵀX_j)` laid out like their batch.
+    // QᵀX, each column scaled by 1/√(X·X_j), encoded in one pass: the
+    // block's operands, laid out like its batch.
     let mut scaled = block.qtx.as_slice().to_vec();
     for (col, &xxj) in scaled.chunks_exact_mut(k).zip(&xx) {
         let s = safe_inv_sqrt(xxj);
         col.iter_mut().for_each(|v| *v *= s);
     }
-    let qtx = beaver_codec.encode_field_vec(&scaled)?;
-    let mut xs = Vec::with_capacity(2 * k * len);
-    for col in qtx.chunks_exact(k) {
-        xs.extend_from_slice(col);
-        xs.extend_from_slice(col);
-    }
-    let ys = qty_share.clone().map(|qty| {
-        let mut ys = Vec::with_capacity(2 * k * len);
-        for col in qtx.chunks_exact(k) {
-            ys.extend_from_slice(&qty);
-            ys.extend_from_slice(col);
-        }
-        ys
-    });
-    let batch = triples.take(2 * len)?;
-    ctx.trace_add(Counter::TriplesConsumed, 2 * len as u64);
-    let product_shares = beaver_inner_batch(ctx, &Secret::new(xs), &ys, &batch)?;
+    let qtx = Secret::new(beaver_codec.encode_field_vec(&scaled)?);
+    let batch = dealer.take(len)?;
+    ctx.trace_add(Counter::TriplesConsumed, len as u64);
+    let product_shares = project(ctx, &qtx, qty, &batch)?;
     let opened = ctx.open_sum(
         &product_shares,
         Opening::Disclosed("per-variant projected dot products (QᵀX·Qᵀy, QᵀX·QᵀX)"),
@@ -323,11 +310,10 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::secure::protocol::triple_counts;
+    use crate::secure::protocol::deal_counts;
     use crate::secure::run_parties_ok;
-    use crate::secure::triples::{deal_alongside, FeedSlots};
+    use crate::secure::triples::{deal_alongside, scan_dealer, FeedSlots};
     use crate::suffstats::{orthonormal_basis, y_dots, ScanStats, SuffStats};
-    use dash_mpc::dealer::TrustedDealer;
     use dash_mpc::net::{NetOptions, Network};
     use dash_obs::TraceHandle;
 
@@ -389,11 +375,11 @@ mod tests {
         x: &Matrix,
         q: &Matrix,
         cfg: &SecureScanConfig,
-        triples: &mut TripleFeed,
+        dealer: &mut DealerFeed,
     ) -> Result<ScanStats, CoreError> {
         let m = x.cols();
         let (yy, qty) = y_dots(y, q)?;
-        let head = aggregate_y(ctx, yy, &qty, m, cfg, triples)?;
+        let head = aggregate_y(ctx, yy, &qty, m, cfg, dealer)?;
         let (yy, qtyqty) = head.y_stats();
         let mut stats = ScanStats {
             yy,
@@ -405,7 +391,7 @@ mod tests {
         };
         for lo in (0..m).step_by(3) {
             let block = VariantSummands::local(y, x, q, lo, (lo + 3).min(m))?;
-            let agg = aggregate_block(ctx, &block, &head, cfg, triples)?;
+            let agg = aggregate_block(ctx, &block, &head, cfg, dealer)?;
             assert_eq!((agg.yy, agg.qtyqty), (yy, qtyqty));
             stats.xy.extend(agg.xy);
             stats.xx.extend(agg.xx);
@@ -436,13 +422,12 @@ mod tests {
         let run = |slots: &FeedSlots| {
             Ok(Network::run_parties_detailed_with(p, 21, &opts, |ctx| {
                 let (y, x, _) = &parties[ctx.id()];
-                let mut feed = TripleFeed::take_from(slots, ctx.id());
+                let mut feed = DealerFeed::take_from(slots, ctx.id());
                 aggregate_all(ctx, y, x, &qs[ctx.id()], &cfg, &mut feed)
             })?)
         };
         let (results, _stats, audit) = if mode == AggregationMode::BeaverDots && k > 0 {
-            let mut dealer = TrustedDealer::new(p, 5).unwrap();
-            let deal = |count| dealer.deal_inners(k, count);
+            let deal = scan_dealer(p, 5, k).unwrap();
             deal_alongside(deal, counts.into_iter(), (p, None), run).unwrap()
         } else {
             run(&[]).unwrap()
@@ -460,7 +445,7 @@ mod tests {
         k: usize,
     ) -> (ScanStats, ScanStats, usize) {
         let (parties, pooled) = setup(p, 12, m, k);
-        let counts = triple_counts(m, Some(3)).collect();
+        let counts = deal_counts(m, Some(3)).collect();
         let (results, leaks) = run_parties(mode, &parties, counts, TraceHandle::disabled());
         let results: Vec<_> = results.into_iter().map(Result::unwrap).collect();
         // All parties agree exactly.
@@ -518,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn beaver_without_triples_errors() {
+    fn beaver_without_a_dealer_errors() {
         let (parties, _) = setup(2, 10, 2, 1);
         let qs = party_qs(&parties);
         let cfg = SecureScanConfig {
@@ -533,7 +518,7 @@ mod tests {
                 x,
                 &qs[ctx.id()],
                 &cfg,
-                &mut TripleFeed::take_from(&[], 0),
+                &mut DealerFeed::take_from(&[], 0),
             )
             .err()
         });
@@ -548,19 +533,19 @@ mod tests {
 
     #[test]
     fn a_short_dealer_fails_the_block_before_anything_is_consumed() {
-        // The y round's batch of one, then a block batch one triple short
-        // of the 2·3 the first block of three variants needs.
+        // The y round's mask, then a block batch one projection short of
+        // the 3 the first block of three variants needs.
         let (parties, _) = setup(2, 12, 4, 2);
         let trace = TraceHandle::enabled(2);
         let (results, _) = run_parties(
             AggregationMode::BeaverDots,
             &parties,
-            vec![1, 5, 2],
+            vec![1, 2, 1],
             trace.clone(),
         );
         let short = MpcError::DealerExhausted {
-            wanted: 6,
-            available: 5,
+            wanted: 3,
+            available: 2,
         };
         for (id, r) in results.into_iter().enumerate() {
             assert_eq!(r, Err(CoreError::Mpc(short.clone())));

@@ -113,7 +113,7 @@ pub struct Checkpoint {
 }
 
 /// Prints every field but the PRG states, which determine every future
-/// mask and triple share: `rng` and `pair_prgs` are redacted, as
+/// mask and dealer share: `rng` and `pair_prgs` are redacted, as
 /// `Prg`'s own `Debug` is.
 impl std::fmt::Debug for Checkpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

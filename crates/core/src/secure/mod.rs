@@ -61,7 +61,6 @@ pub(crate) mod wire;
 use crate::error::CoreError;
 use crate::model::{PartyData, RowSink, ScanResult, ScanSummary};
 use dash_mpc::audit::{Disclosure, DisclosureLog};
-use dash_mpc::dealer::TrustedDealer;
 use dash_mpc::net::{NetOptions, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
 use dash_mpc::tcp::TcpConfig;
@@ -70,7 +69,7 @@ use dash_mpc::{FixedPointCodec, MpcError};
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
 use std::sync::Arc;
 use std::time::Duration;
-use triples::{FeedSlots, TripleFeed};
+use triples::{DealerFeed, FeedSlots};
 
 /// How the combined R factor of the pooled covariates is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -490,10 +489,9 @@ fn run_scan<S: SummandSource, R>(
     // is a function of `(party count, seed)`, so a lone party process runs
     // the whole stream itself and keeps its own slice of it.
     let (results, stats, audit) = if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-        let mut dealer = TrustedDealer::new(n_parties, cfg.seed)?;
         triples::deal_alongside(
-            |count| dealer.deal_inners(k, count),
-            protocol::triple_counts(m, cfg.block_size),
+            triples::scan_dealer(n_parties, cfg.seed, k)?,
+            protocol::deal_counts(m, cfg.block_size),
             (n_parties, lone.map(|(id, _)| id)),
             run,
         )?
@@ -539,7 +537,7 @@ fn all_parties<S: SummandSource>(
     };
     let party = |ctx: &mut PartyCtx| {
         let data = own_rows(parties, ctx)?;
-        let mut feed = TripleFeed::take_from(slots, ctx.id());
+        let mut feed = DealerFeed::take_from(slots, ctx.id());
         let finalize = ctx.id() == 0;
         let mut rows = no_rows(if finalize { data.n_variants() } else { 0 });
         let sink = finalize.then_some(&mut rows as &mut dyn RowSink);
@@ -647,7 +645,7 @@ where
         let mut ctx = cfg
             .net_options()
             .party_ctx(transport, cfg.seed, audit.clone());
-        let mut feed = TripleFeed::take_from(slots, id);
+        let mut feed = DealerFeed::take_from(slots, id);
         // A party that finished says so before it tears down; one that
         // failed says nothing, so supervised peers see a crash and hold the
         // link open for a `--resume`.

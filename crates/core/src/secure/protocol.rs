@@ -22,7 +22,7 @@ use crate::model::{RowSink, ScanSummary};
 use crate::scan::parallel::variant_summands;
 use crate::secure::aggregate::YAggregate;
 use crate::secure::checkpoint::{self, Checkpoint, CheckpointPolicy, Fingerprint};
-use crate::secure::triples::TripleFeed;
+use crate::secure::triples::DealerFeed;
 use crate::secure::{
     aggregate, rfactor, AggregationMode, RFactorMode, SecureScanConfig, SummandSource,
 };
@@ -56,7 +56,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
-    triples: &mut TripleFeed,
+    dealer: &mut DealerFeed,
     policy: Option<&CheckpointPolicy>,
     mut sink: Option<&mut dyn RowSink>,
 ) -> Result<PartyScan, CoreError> {
@@ -67,7 +67,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         let _scan_span = ctx.trace_span("scan");
         let (n_total, _r, q_k) = count_and_rfactor(ctx, data.n_samples(), data.covariates(), cfg)?;
         return blocked_core(
-            ctx, data, &q_k, n_total, block_size, cfg, triples, None, None, sink,
+            ctx, data, &q_k, n_total, block_size, cfg, dealer, None, None, sink,
         );
     };
 
@@ -100,7 +100,7 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
         n_total,
         block_size,
         cfg,
-        triples,
+        dealer,
         Some(&saver),
         resume,
         sink,
@@ -147,10 +147,11 @@ fn blocks(m: usize, block_size: usize) -> impl ExactSizeIterator<Item = (usize, 
     (0..m.div_ceil(size)).map(move |b| (b * size, ((b + 1) * size).min(m)))
 }
 
-/// Triples each Beaver round consumes — one dealer batch per entry: one
-/// for the y round's `Qᵀy·Qᵀy`, then two per variant of each block.
-pub(crate) fn triple_counts(m: usize, block_size: Option<usize>) -> impl Iterator<Item = usize> {
-    let per_block = blocks(m, block_size.unwrap_or(m)).map(|(lo, hi)| 2 * (hi - lo));
+/// The dealer batch each Beaver round consumes, one entry per round: the
+/// run's mask (a batch of one) for the y round, then one projection per
+/// variant of each block.
+pub(crate) fn deal_counts(m: usize, block_size: Option<usize>) -> impl Iterator<Item = usize> {
+    let per_block = blocks(m, block_size.unwrap_or(m)).map(|(lo, hi)| hi - lo);
     std::iter::once(1).chain(per_block)
 }
 
@@ -405,7 +406,7 @@ fn blocked_core<S: SummandSource>(
     n_total: usize,
     block_size: usize,
     cfg: &SecureScanConfig,
-    triples: &mut TripleFeed,
+    dealer: &mut DealerFeed,
     saver: Option<&Saver>,
     resume: Option<Resumed>,
     mut sink: Option<&mut dyn RowSink>,
@@ -421,7 +422,7 @@ fn blocked_core<S: SummandSource>(
             // statistics.
             let y_span = ctx.trace_span("round:y");
             let (yy_local, qty_local) = data.y_summands(q_k)?;
-            let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, triples)?;
+            let head = aggregate::aggregate_y(ctx, yy_local, &qty_local, m, cfg, dealer)?;
             drop(y_span);
             let summary = ScanSummary {
                 df: n_total.saturating_sub(k + 1),
@@ -459,7 +460,7 @@ fn blocked_core<S: SummandSource>(
                 let _block_span = ctx.trace_span_at("block", b as u64);
                 ctx.enter_block(b as u32).map_err(CoreError::from)?;
                 let round_span = ctx.trace_span("round:secure");
-                let stats = aggregate::aggregate_block(ctx, &summ, &head, cfg, triples);
+                let stats = aggregate::aggregate_block(ctx, &summ, &head, cfg, dealer);
                 drop(round_span);
                 ctx.exit_block().map_err(CoreError::from)?;
                 let stats = stats?;

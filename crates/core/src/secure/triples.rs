@@ -1,16 +1,18 @@
 //! The Beaver mode's offline phase as a stream: one dealer per run, one
-//! [`TripleBatch`] per round, at most one round ahead of each party.
+//! [`ProjectionBatch`] per round, at most one round ahead of each party.
+//! The y round's batch is the run's mask; each block's holds one
+//! projection per variant ([`dash_mpc::dealer`]).
 //!
 //! The dealer runs on a scoped thread next to the parties this process
 //! holds and hands each its slice of every batch through a rendezvous
-//! channel: a send completes when the party asks, so a party's triple
+//! channel: a send completes when the party asks, so a party's dealt
 //! material in flight is the batch it is using plus the one the dealer
-//! holds out — two batches, never the run's 2M+1 triples. A party that
-//! ends, for whatever reason, drops its receiver and the dealer stops
+//! holds out — two batches, never the run's M + 1 projections. A party
+//! that ends, for whatever reason, drops its receiver and the dealer stops
 //! serving it; when every receiver is gone the dealer ends.
 
 use crate::error::CoreError;
-use dash_mpc::dealer::TripleBatch;
+use dash_mpc::dealer::{ProjectionBatch, TrustedDealer};
 use dash_mpc::{MpcError, Secret};
 use parking_lot::Mutex;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -43,7 +45,26 @@ fn feed_parties<T>(
 
 /// Each local party's end of the stream, taken by the party's own thread
 /// so that it drops when the party ends. Empty when there is no dealer.
-pub(crate) type FeedSlots<T = Secret<TripleBatch>> = [Mutex<Option<Receiver<T>>>];
+pub(crate) type FeedSlots<T = Secret<ProjectionBatch>> = [Mutex<Option<Receiver<T>>>];
+
+/// The run's dealer for `n` parties and K = `k`, as the stream calls it:
+/// the first batch is the run's mask (the y round's batch of one), every
+/// later one that many projections against it.
+pub(crate) fn scan_dealer(
+    n: usize,
+    seed: u64,
+    k: usize,
+) -> Result<impl FnMut(usize) -> Vec<Secret<ProjectionBatch>> + Send, MpcError> {
+    let mut dealer = TrustedDealer::new(n, seed)?;
+    let mut masked = false;
+    Ok(move |count| {
+        if std::mem::replace(&mut masked, true) {
+            dealer.deal_projections(count)
+        } else {
+            dealer.deal_mask(k)
+        }
+    })
+}
 
 /// Runs `run` with a dealer thread alongside it that deals one batch per
 /// entry of `counts`, to all `n_parties` parties or to `lone` only (a lone
@@ -70,25 +91,25 @@ pub(crate) fn deal_alongside<T: Send, R>(
 }
 
 /// A party's end of the dealer stream.
-pub(crate) struct TripleFeed {
-    rx: Receiver<Secret<TripleBatch>>,
+pub(crate) struct DealerFeed {
+    rx: Receiver<Secret<ProjectionBatch>>,
     /// The batch on offer: received, not yet taken.
-    next: Option<Secret<TripleBatch>>,
+    next: Option<Secret<ProjectionBatch>>,
 }
 
-impl TripleFeed {
+impl DealerFeed {
     /// Party `id`'s feed out of `slots`; without one (no dealer, or taken
     /// already) a feed that has ended.
     pub(crate) fn take_from(slots: &FeedSlots, id: usize) -> Self {
         let taken = slots.get(id).and_then(|slot| slot.lock().take());
         let rx = taken.unwrap_or_else(|| sync_channel(0).1);
-        TripleFeed { rx, next: None }
+        DealerFeed { rx, next: None }
     }
 
-    /// Takes the next batch, which must hold exactly `wanted` triples.
+    /// Takes the next batch, which must hold exactly `wanted` projections.
     /// All or nothing: on any other batch — or none, the dealer having
     /// ended — the error names both counts and the batch stays on offer.
-    pub(crate) fn take(&mut self, wanted: usize) -> Result<Secret<TripleBatch>, MpcError> {
+    pub(crate) fn take(&mut self, wanted: usize) -> Result<Secret<ProjectionBatch>, MpcError> {
         if self.next.is_none() {
             self.next = self.rx.recv().ok();
         }
@@ -102,14 +123,13 @@ impl TripleFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::secure::protocol::triple_counts;
-    use dash_mpc::dealer::TrustedDealer;
+    use crate::secure::protocol::deal_counts;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// A dealt slice that counts itself among its party's live ones.
     struct Tracked {
-        batch: Secret<TripleBatch>,
+        batch: Secret<ProjectionBatch>,
         live: Arc<AtomicUsize>,
     }
 
@@ -123,12 +143,12 @@ mod tests {
     /// parties `lone` selects. The dealer thread checks, every time it is
     /// about to deal, what is still alive of what it dealt before: at most
     /// the one batch a local party is using — so two with the new one —
-    /// and nothing of a remote party's. Returns the triples each party
-    /// took.
+    /// and nothing of a remote party's. Returns the projections each party
+    /// took, the mask counted as one.
     fn stream(lone: Option<usize>) -> Vec<usize> {
         let (p, m, b, k) = (3, 131_072, 4_096, 3);
         let live: Vec<_> = (0..p).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-        let mut dealer = TrustedDealer::new(p, 9).unwrap();
+        let mut dealer = scan_dealer(p, 9, k).unwrap();
         let deal = |count| {
             for (i, l) in live.iter().enumerate() {
                 let bound = usize::from(lone.is_none_or(|id| id == i));
@@ -141,20 +161,20 @@ mod tests {
                     live: Arc::clone(l),
                 }
             };
-            let slices = dealer.deal_inners(k, count);
+            let slices = dealer(count);
             slices.into_iter().zip(&live).map(tracked).collect()
         };
         let party = |slot: &Mutex<Option<Receiver<Tracked>>>| {
             let mut taken = 0;
             for slice in slot.lock().take().into_iter().flatten() {
-                assert!(slice.batch.count() <= 2 * b);
+                assert!(slice.batch.count() <= b);
                 assert!(slice.live.load(Ordering::SeqCst) <= 2);
                 taken += slice.batch.count();
                 std::thread::yield_now();
             }
             taken
         };
-        let counts = triple_counts(m, Some(b));
+        let counts = deal_counts(m, Some(b));
         let taken = deal_alongside(deal, counts, (p, lone), |slots: &FeedSlots<Tracked>| {
             std::thread::scope(|scope| {
                 let parties: Vec<_> = slots.iter().map(|s| scope.spawn(|| party(s))).collect();
@@ -167,12 +187,12 @@ mod tests {
 
     #[test]
     fn a_party_never_has_more_than_two_batches_in_flight() {
-        assert_eq!(stream(None), vec![2 * 131_072 + 1; 3]);
+        assert_eq!(stream(None), vec![131_072 + 1; 3]);
     }
 
     #[test]
     fn a_lone_party_drops_its_peers_slices_block_by_block() {
-        assert_eq!(stream(Some(1)), vec![0, 2 * 131_072 + 1, 0]);
+        assert_eq!(stream(Some(1)), vec![0, 131_072 + 1, 0]);
     }
 
     #[test]
@@ -204,21 +224,21 @@ mod tests {
 
     #[test]
     fn a_short_batch_is_refused_whole() {
-        let mut dealer = TrustedDealer::new(2, 3).unwrap();
-        let deal = |count| dealer.deal_inners(3, count);
+        let deal = scan_dealer(2, 3, 3).unwrap();
         let refused = |wanted, available| MpcError::DealerExhausted { wanted, available };
-        deal_alongside(deal, std::iter::once(4), (2, Some(0)), |slots| {
-            let mut feed = TripleFeed::take_from(slots, 0);
+        deal_alongside(deal, [1, 4].into_iter(), (2, Some(0)), |slots| {
+            let mut feed = DealerFeed::take_from(slots, 0);
+            assert_eq!(feed.take(1).unwrap().count(), 1, "the mask");
             for _ in 0..2 {
                 assert_eq!(feed.take(6).unwrap_err(), refused(6, 4));
             }
             assert_eq!(feed.take(4).unwrap().count(), 4);
             assert_eq!(feed.take(1).unwrap_err(), refused(1, 0));
             // No slot left, and none to begin with: feeds that have ended.
-            let mut again = TripleFeed::take_from(slots, 0);
+            let mut again = DealerFeed::take_from(slots, 0);
             assert_eq!(again.take(1).unwrap_err(), refused(1, 0));
             assert_eq!(
-                TripleFeed::take_from(&[], 0).take(1).unwrap_err(),
+                DealerFeed::take_from(&[], 0).take(1).unwrap_err(),
                 refused(1, 0)
             );
             Ok(())

@@ -214,40 +214,23 @@ impl ScanStats {
     /// residual degrees of freedom are `n − k − 1` (must be ≥ 1).
     /// Variants numerically inside the span of C produce NaN rows and are
     /// counted in [`ScanResult::n_degenerate`].
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(a > b)` deliberately catches NaN
     pub fn finalize(&self, n: usize, k: usize) -> Result<ScanResult, CoreError> {
-        if n <= k + 1 {
-            return Err(CoreError::NotEnoughSamples { n, k });
-        }
-        let df = n - k - 1;
+        let df = residual_df(n, k)?;
         let tdist = StudentT::new(df as f64)?;
         let m = self.xy.len();
-        let yyq = self.yy - self.qtyqty;
         // A degenerate variant keeps the NaN row it starts with.
         let mut beta = vec![f64::NAN; m];
         let mut se = vec![f64::NAN; m];
         let mut t = vec![f64::NAN; m];
         let mut n_degenerate = 0;
-        for j in 0..m {
-            let xxq = self.xx[j] - self.qtxqtx[j];
-            // Relative test: a variant is degenerate when the projection
-            // removes (essentially) all of its variance, at any data
-            // scale. `!(a > b)` also catches NaN.
-            if !(xxq > DEGENERATE_RTOL * self.xx[j]) {
-                // Variant is constant after projecting out C (or xxq is
-                // NaN): the model is unidentifiable for this variant.
+        for (j, fit) in self.fits(df)?.enumerate() {
+            let Some((b, s, tj)) = fit else {
                 n_degenerate += 1;
                 continue;
-            }
-            let xyq = self.xy[j] - self.qtxqty[j];
-            let b = xyq / xxq;
-            // Round-off can push the residual variance a hair negative
-            // when the fit is essentially perfect; clamp at zero.
-            let sigma2 = ((yyq / xxq - b * b) / df as f64).max(0.0);
-            let s = sigma2.sqrt();
+            };
             beta[j] = b;
             se[j] = s;
-            t[j] = b / s; // ±inf on a perfect fit, NaN only if b == 0 too
+            t[j] = tj;
         }
         // All M p-values in one call: the t tail is a chain of dependent
         // divisions per variant, and the slice form runs several side by
@@ -263,6 +246,72 @@ impl ScanStats {
             n_degenerate,
         })
     }
+
+    /// The largest finite |t| over the variants, 0 when none is finite —
+    /// all a max-T permutation null keeps of a scan. Each t is
+    /// [`ScanStats::finalize`]'s to the bit; no rows, no p-values.
+    pub fn max_abs_t(&self, n: usize, k: usize) -> Result<f64, CoreError> {
+        let df = residual_df(n, k)?;
+        Ok(self
+            .fits(df)?
+            .flatten()
+            .map(|(_, _, t)| t)
+            .filter(|t| t.is_finite())
+            .fold(0.0, |acc, t| acc.max(t.abs())))
+    }
+
+    /// Lemma 2.1 per variant, in order: `(β̂, σ̂, t)`, or `None` for a
+    /// degenerate variant. The four per-variant vectors must be of one
+    /// length.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(a > b)` deliberately catches NaN
+    fn fits(
+        &self,
+        df: usize,
+    ) -> Result<impl Iterator<Item = Option<(f64, f64, f64)>> + '_, CoreError> {
+        let m = self.xy.len();
+        if let Some(got) = [&self.xx, &self.qtxqty, &self.qtxqtx]
+            .into_iter()
+            .map(Vec::len)
+            .find(|&len| len != m)
+        {
+            return Err(CoreError::ShapeMismatch {
+                what: "ScanStats per-variant statistics",
+                expected: m,
+                got,
+            });
+        }
+        let yyq = self.yy - self.qtyqty;
+        let sums = self
+            .xx
+            .iter()
+            .zip(&self.qtxqtx)
+            .zip(self.xy.iter().zip(&self.qtxqty));
+        Ok(sums.map(move |((&xx, &qtxqtx), (&xy, &qtxqty))| {
+            let xxq = xx - qtxqtx;
+            // Relative test: a variant is degenerate when the projection
+            // removes (essentially) all of its variance, at any data
+            // scale. `!(a > b)` also catches NaN: the variant is constant
+            // after projecting out C (or xxq is NaN), and the model is
+            // unidentifiable for it.
+            if !(xxq > DEGENERATE_RTOL * xx) {
+                return None;
+            }
+            let b = (xy - qtxqty) / xxq;
+            // Round-off can push the residual variance a hair negative
+            // when the fit is essentially perfect; clamp at zero.
+            let sigma2 = ((yyq / xxq - b * b) / df as f64).max(0.0);
+            let s = sigma2.sqrt();
+            Some((b, s, b / s)) // t = ±inf on a perfect fit, NaN only if b == 0 too
+        }))
+    }
+}
+
+/// The residual degrees of freedom `n − k − 1`, which must be ≥ 1.
+fn residual_df(n: usize, k: usize) -> Result<usize, CoreError> {
+    if n <= k + 1 {
+        return Err(CoreError::NotEnoughSamples { n, k });
+    }
+    Ok(n - k - 1)
 }
 
 /// Cᵀ-compressed statistics (§5): like [`SuffStats`] but projected with

@@ -2,8 +2,7 @@
 //! y round, then the variants in blocks of B — and `block_size: None` is
 //! its one-block case. Fixed-point secure sums are exact per element, PRG
 //! masks cancel exactly however the summand vector is split across
-//! rounds, and Beaver triples are consumed two per variant in ascending
-//! order; so every B ∈ {1, odd divisor, non-divisor, M, > M, None}, in
+//! rounds, and Beaver products open exact ring values; so every B ∈ {1, odd divisor, non-divisor, M, > M, None}, in
 //! every security mode, party count and thread count, must give the same
 //! **bits** as B = M, the same unscoped traffic, and the same per-party
 //! disclosure entries — and B = M itself is anchored to per-variant OLS.
@@ -311,20 +310,23 @@ fn accounting_hash(h: &mut u64, out: &SecureScanOutput) {
 /// the Some(B) runs for B in [1, 3, 4, 6, 9])`. The recording had fifteen
 /// rows; the three of the retired share-based rung (result hash
 /// `0x0fe858ea9cdb4217`, the masked sums' own) left with it, the other
-/// twelve are as recorded.
+/// twelve are as recorded — except the accounting hashes of the three
+/// `BeaverDots` rows, re-recorded when each Beaver operand came to be
+/// masked once (fewer pad bytes, the same messages and disclosures; see
+/// `beaver_block_rounds_move_the_one_mask_bytes`).
 const BEFORE_ONE_PIPELINE: [(u64, u64); 12] = [
     (0x76cf6ff752ee757e, 0x71ee7d95adbefd83),
     (0x0fe858ea9cdb4217, 0x0fb1252d26ff50e1),
     (0x0fe858ea9cdb4217, 0x7a3de6863fe75c59),
-    (0xf67daa89f4c67e44, 0x8e517d26d86bc19a),
+    (0xf67daa89f4c67e44, 0xc58179ea60b71b78),
     (0x76cf6ff752ee757e, 0x36b2c3515258dff2),
     (0x0fe858ea9cdb4217, 0x05fc89a99922fd7c),
     (0x0fe858ea9cdb4217, 0xf735f4b1acdc1114),
-    (0xf67daa89f4c67e44, 0xaf43fc8c86ce6c71),
+    (0xf67daa89f4c67e44, 0xbab9f63e632d08d9),
     (0xb217cf4d00cb3b0f, 0xb5efc17f37300ef1),
     (0x0fe858ea9cdb4217, 0x73c84079b60af1b7),
     (0x0fe858ea9cdb4217, 0xd76b1e8f6ab9ac29),
-    (0xf67daa89f4c67e44, 0x77cc788938612544),
+    (0xf67daa89f4c67e44, 0xb8d664ae3b8f51c2),
 ];
 
 /// Deleting the whole-M round moved no bit: `None` and `Some(M)` give the
@@ -415,6 +417,32 @@ impl SummandSource for Counting<'_> {
 /// all M variants once per block (and once more for the y round). A scan
 /// must ask for each variant column exactly once, whatever the block
 /// size and thread count.
+/// A `BeaverDots` block round of `len` variants is three all-to-all
+/// openings — the secure sum of `X·y, X·X` (2 words per variant), the pad
+/// `QᵀX − a⃗` (K), the products `QᵀX·Qᵀy, QᵀX·QᵀX` (2) — so every ordered
+/// pair of parties carries three frames of 8-byte words and a 20-byte
+/// header each: P(P−1)·(8·(2 + K + 2)·len + 3·20) bytes.
+#[test]
+fn beaver_block_rounds_move_the_one_mask_bytes() {
+    let (m, b) = (7, 3);
+    for p in [2, 3, 4] {
+        for k in [1, 2, 4] {
+            let parties = gen_parties(&vec![12; p], m, k, 5);
+            let cfg = SecureScanConfig {
+                aggregation: AggregationMode::BeaverDots,
+                block_size: Some(b),
+                ..SecureScanConfig::default()
+            };
+            let lens = [3, 3, 1];
+            let want: Vec<u64> = lens
+                .iter()
+                .map(|&len| (p * (p - 1) * (8 * (2 + k + 2) * len + 3 * 20)) as u64)
+                .collect();
+            assert_eq!(run(&parties, &cfg).per_block_bytes, want, "P={p} K={k}");
+        }
+    }
+}
+
 #[test]
 fn every_block_size_visits_each_column_exactly_once() {
     let m = 10;

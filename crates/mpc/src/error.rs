@@ -61,8 +61,9 @@ pub enum MpcError {
     /// with a different run id or protocol version, claimed an impossible
     /// party id, or the socket died before the hello exchange finished.
     Handshake { peer: usize, reason: String },
-    /// This Beaver round needs a batch of `wanted` triples and the dealer
-    /// offers one of `available` (0: no dealer, or its stream has ended).
+    /// This Beaver round needs a dealer batch of `wanted` projections (the
+    /// run's mask is a batch of one) and the dealer offers one of
+    /// `available` (0: no dealer, or its stream has ended).
     DealerExhausted { wanted: usize, available: usize },
     /// A party id outside `0..n_parties`.
     NoSuchParty { id: usize, n_parties: usize },
@@ -143,7 +144,10 @@ impl fmt::Display for MpcError {
                 write!(f, "handshake with party {peer} failed: {reason}")
             }
             MpcError::DealerExhausted { wanted, available } => {
-                write!(f, "dealer: wanted {wanted} triples, batch has {available}")
+                write!(
+                    f,
+                    "dealer: wanted {wanted} projections, batch has {available}"
+                )
             }
             MpcError::NoSuchParty { id, n_parties } => {
                 write!(f, "party id {id} out of range for {n_parties} parties")

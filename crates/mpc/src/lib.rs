@@ -3,7 +3,7 @@
 //! The paper assumes "an SMC sum protocol which only reveals the overall
 //! sum" on tiny data (§3). This crate supplies exactly what a scan runs of
 //! that: one secure-sum family (pairwise-masked, mesh or star), the
-//! Beaver-triple inner product its parenthetical calls for, and the
+//! Beaver products its parenthetical calls for, and the
 //! simulated multi-party network on which the communication claims (O(M)
 //! inter-party bits, independent of N) are measured.
 //!
@@ -18,7 +18,7 @@
 //!   elements with explicit overflow errors, and the one exactness bound
 //!   for Beaver products.
 //! - [`prg`]: deterministic pseudo-random generator for the pairwise
-//!   correlated masks and the dealer's triples.
+//!   correlated masks and the dealer's material.
 //! - [`transport`]: the one [`transport::Transport`] trait between a
 //!   party's protocol and the wire — implementors move tagged frames,
 //!   each once and in order; the word codec, tag check and timeout
@@ -35,11 +35,11 @@
 //!   rules once and does no I/O.
 //! - [`party`]: per-party protocol context tying network, randomness and
 //!   the [`audit`] disclosure log together.
-//! - [`dealer`]: the trusted dealer, which additively shares
-//!   inner-product triples into one flat [`dealer::TripleBatch`] per
-//!   party and Beaver round.
-//! - [`protocol`]: the masked secure sum (mesh and star) and the batched
-//!   Beaver inner product.
+//! - [`dealer`]: the trusted dealer, which additively shares the run's
+//!   mask and, per Beaver round, one projection per variant into one flat
+//!   [`dealer::ProjectionBatch`] per party.
+//! - [`protocol`]: the masked secure sum (mesh and star) and the Beaver
+//!   products, each operand masked once.
 //!
 //! # Trust model
 //!

@@ -1,98 +1,144 @@
-//! Beaver-triple inner products on secret shares.
+//! Beaver products on secret shares, each operand masked once.
 //!
 //! This powers the paper's strictest mode ("use a more sophisticated SMC
 //! algorithm to only share the three right-hand quantities"): the K-vector
-//! summands `Qᵀy` and `QᵀX_m` stay secret-shared — a party's summand *is*
+//! summands `Qᵀy` and `QᵀX_j` stay secret-shared — a party's summand *is*
 //! its additive share of the aggregate — and only the final dot products
-//! `Qᵀy·Qᵀy`, `QᵀX_m·Qᵀy`, `QᵀX_m·QᵀX_m` are ever opened.
+//! `Qᵀy·Qᵀy`, `QᵀX_j·Qᵀy`, `QᵀX_j·QᵀX_j` are ever opened.
 //!
-//! Protocol (per inner product, inputs shared over Z₂⁶⁴): with a
-//! preprocessed vector triple `(a⃗, b⃗, c = a⃗·b⃗)`, parties open the masked
-//! differences `d⃗ = x⃗ − a⃗` and `e⃗ = y⃗ − b⃗` (uniform in the ring, so they
-//! reveal nothing) and output the share `z = c + d⃗·⟨b⃗⟩ + e⃗·⟨a⃗⟩ (+ d⃗·e⃗ at
-//! party 0)`, which reconstructs to `x⃗·y⃗`. Nothing divides or inverts, so
-//! a ring is enough; [`crate::fixed`] states when the opened product
-//! decodes exactly. [`beaver_inner_batch`] is the one product: a
-//! whole batch of length-L dots costs one round of `2L` opened masked
-//! words each, concatenated into a single opening, against one flat
-//! [`TripleBatch`] and two flat operand vectors of the same shape. One
-//! inner product is a batch of one; a scalar product is an inner product
-//! of length 1.
+//! Protocol (inputs shared over Z₂⁶⁴), against the dealer's run mask `b⃗`
+//! and one projection `(a⃗_j, c_j = a⃗_j·b⃗, s_j = a⃗_j·a⃗_j)` per variant
+//! ([`crate::dealer`]). Every opened difference is uniform in the ring, so
+//! it reveals nothing.
 //!
-//! Every share, triple and intermediate result here travels wrapped in
+//! - [`open_mask`], once per run: open `e⃗ = y⃗ − b⃗`; the share of `y⃗·y⃗`
+//!   is `b⃗·b⃗ + 2·e⃗·⟨b⃗⟩ (+ e⃗·e⃗ at party 0)`.
+//! - [`project`], per block: open `d⃗_j = x⃗_j − a⃗_j` for every variant,
+//!   one opening of `count × K` words; the shares of `x⃗_j·y⃗` and
+//!   `x⃗_j·x⃗_j` are `c_j + d⃗_j·⟨b⃗⟩ + e⃗·⟨a⃗_j⟩ (+ d⃗_j·e⃗ at party 0)` and
+//!   `s_j + 2·d⃗_j·⟨a⃗_j⟩ (+ d⃗_j·d⃗_j at party 0)`.
+//!
+//! These reconstruct to the exact ring products, the same words generic
+//! inner-product triples give, at a quarter of their opened pad words:
+//! `x⃗_j` is masked once for both its products, and `y⃗` once per run.
+//! Nothing divides or inverts, so a ring is enough; [`crate::fixed`]
+//! states when an opened product decodes exactly.
+//!
+//! Every share and intermediate result here travels wrapped in
 //! [`Secret`]; the only unwrap points are the audited
 //! [`PartyCtx::open_sum`] openings.
 
-use crate::dealer::TripleBatch;
+use crate::dealer::ProjectionBatch;
 use crate::error::MpcError;
 use crate::party::{Opening, PartyCtx};
 use crate::ring::R64;
 use crate::secret::Secret;
 
-/// Batched inner products: evaluates many length-L dots in **one**
-/// communication round by concatenating every product's masked
-/// differences into a single opening — 2M+1 dot products cost one masked
-/// and one result opening per block instead of 2M+1 sequential rounds.
-///
-/// `xs` and `ys` are laid out like the batch's `a` and `b` regions
-/// (product `i` at row `i` of [`TripleBatch::rows`]), so both must hold
-/// `count × len` shares; anything else is a [`MpcError::LengthMismatch`]
-/// before a word is sent. Returns one (wrapped) share per product. An
-/// empty batch, or one of empty vectors (every product the empty dot),
-/// still runs its opening, of zero words: every party stays on one tag.
-pub fn beaver_inner_batch(
+/// The run-constant operand `y⃗` after [`open_mask`]: its opened
+/// difference `e⃗ = y⃗ − b⃗` from the run's mask, and this party's share of
+/// `b⃗`.
+pub struct MaskedOperand {
+    e: Vec<R64>,
+    b: Secret<Vec<R64>>,
+}
+
+/// `x − a` word by word, opened as one pad: a uniform one-time-pad value,
+/// so no disclosure entry is due. The opening must come back in `x`'s
+/// shape.
+fn open_difference(ctx: &mut PartyCtx, x: &[R64], a: &[R64]) -> Result<Vec<R64>, MpcError> {
+    let pads = x.iter().zip(a).map(|(&x, &a)| x - a).collect();
+    let opened = ctx.open_sum(&Secret::new(pads), Opening::Pad)?;
+    if opened.len() != x.len() {
+        return Err(MpcError::Protocol {
+            what: "beaver: opened pad differs from its declared shape",
+        });
+    }
+    Ok(opened)
+}
+
+/// Opens the run-constant operand `y` against the run's `mask` (the
+/// dealer's batch of one, whose `a⃗` is `b⃗`) in one round of K pad words.
+/// Returns `y` masked for every later [`project`] call, and this party's
+/// share of `y⃗·y⃗` (one word). A `y` of another length than the mask, or
+/// a mask batch of other than one, is a [`MpcError::LengthMismatch`]
+/// before a word is sent.
+pub fn open_mask(
     ctx: &mut PartyCtx,
-    xs: &Secret<Vec<R64>>,
-    ys: &Secret<Vec<R64>>,
-    triples: &Secret<TripleBatch>,
-) -> Result<Secret<Vec<R64>>, MpcError> {
-    let t = triples.expose();
-    let (a, b, c) = t.parts();
-    for (what, operand) in [
-        ("beaver_inner_batch xs vs batch", xs),
-        ("beaver_inner_batch ys vs batch", ys),
+    y: &Secret<Vec<R64>>,
+    mask: &Secret<ProjectionBatch>,
+) -> Result<(MaskedOperand, Secret<Vec<R64>>), MpcError> {
+    let t = mask.expose();
+    let (b, _, bb) = t.parts();
+    for (what, expected, got) in [
+        ("open_mask: mask batch count", 1, bb.len()),
+        ("open_mask: y vs mask", b.len(), y.scalar_count()),
     ] {
-        if operand.scalar_count() != a.len() {
+        if got != expected {
             return Err(MpcError::LengthMismatch {
                 what,
-                expected: a.len(),
-                got: operand.scalar_count(),
+                expected,
+                got,
             });
         }
     }
-    // Per product, [x⃗ − a⃗ ; y⃗ − b⃗].
-    let mut pads = Vec::with_capacity(2 * a.len());
-    let operands = t.rows(xs.expose()).zip(t.rows(ys.expose()));
-    for ((x, y), (a, b)) in operands.zip(t.rows(a).zip(t.rows(b))) {
-        pads.extend(x.iter().zip(a).map(|(&x, &a)| x - a));
-        pads.extend(y.iter().zip(b).map(|(&y, &b)| y - b));
+    let e = open_difference(ctx, y.expose(), b)?;
+    let eb = R64::dot(&e, b);
+    let mut z = R64::sum(bb) + eb + eb;
+    if ctx.id() == 0 {
+        z += R64::dot(&e, &e);
     }
-    // The concatenated per-product differences are uniform one-time-pad
-    // values; opening them reveals nothing, so no disclosure entry is due.
-    let opened = ctx.open_sum(&Secret::new(pads), Opening::Pad)?;
-    if opened.len() != 2 * a.len() {
-        return Err(MpcError::Protocol {
-            what: "beaver_inner_batch: opened buffer differs from its declared shape",
-        });
+    let y = MaskedOperand {
+        e,
+        b: Secret::new(b.to_vec()),
+    };
+    Ok((y, Secret::new(vec![z])))
+}
+
+/// The two products of every operand in `xs` with the masked `y` and with
+/// itself, in **one** round: the batch's `count × K` differences open as
+/// a single pad.
+///
+/// `xs` is laid out like the batch's `a` region (operand `j` at row `j`
+/// of [`ProjectionBatch::rows`]), so it must hold `count × K` shares, and
+/// `y` must be of length K; anything else is a
+/// [`MpcError::LengthMismatch`] before a word is sent. Returns the shares
+/// `[x⃗_0·y⃗, x⃗_0·x⃗_0, x⃗_1·y⃗, …]`, wrapped. An empty batch, or one of
+/// empty vectors (every product the empty dot), still runs its opening,
+/// of zero words: every party stays on one tag.
+pub fn project(
+    ctx: &mut PartyCtx,
+    xs: &Secret<Vec<R64>>,
+    y: &MaskedOperand,
+    batch: &Secret<ProjectionBatch>,
+) -> Result<Secret<Vec<R64>>, MpcError> {
+    let t = batch.expose();
+    let (a, c, s) = t.parts();
+    for (what, expected, got) in [
+        ("project: xs vs batch", a.len(), xs.scalar_count()),
+        ("project: y vs batch", t.dim(), y.e.len()),
+    ] {
+        if got != expected {
+            return Err(MpcError::LengthMismatch {
+                what,
+                expected,
+                got,
+            });
+        }
     }
-    // Reassemble shares.
+    let opened = open_difference(ctx, xs.expose(), a)?;
+    let (e, b) = (y.e.as_slice(), y.b.expose().as_slice());
     let leader = ctx.id() == 0;
-    let mut out = Vec::with_capacity(c.len());
-    let mut rest = opened.as_slice();
-    for ((a, b), &ci) in t.rows(a).zip(t.rows(b)).zip(c) {
-        let (d, tail) = rest.split_at(a.len());
-        let (e, tail) = tail.split_at(b.len());
-        rest = tail;
-        let mut z = ci;
-        for ((&dv, &ev), (&av, &bv)) in d.iter().zip(e).zip(a.iter().zip(b)) {
-            z += dv * bv + ev * av;
-        }
+    let mut out = Vec::with_capacity(2 * c.len());
+    for ((d, a), (&c, &s)) in t.rows(&opened).zip(t.rows(a)).zip(c.iter().zip(s)) {
+        let da = R64::dot(d, a);
+        let mut xy = c + R64::dot(d, b) + R64::dot(e, a);
+        let mut xx = s + da + da;
         if leader {
-            for (&dv, &ev) in d.iter().zip(e) {
-                z += dv * ev;
-            }
+            xy += R64::dot(d, e);
+            xx += R64::dot(d, d);
         }
-        out.push(z);
+        out.push(xy);
+        out.push(xx);
     }
     Ok(Secret::new(out))
 }
@@ -106,18 +152,22 @@ mod tests {
     use crate::net::{NetOptions, Network};
     use parking_lot::Mutex;
 
-    /// Runs `f` at every party with its slice of each `deal_inners(len,
-    /// count)` batch in `shapes`, in order (threads take their own bundle
-    /// at startup); returns the results and the shared disclosure log.
-    fn with_triples<T: Send>(
+    /// Runs `f` at every party with its slice of the run's mask (of length
+    /// `len`) and of each `deal_projections(count)` batch in `counts`, in
+    /// order (threads take their own bundle at startup); returns the
+    /// results and the shared disclosure log.
+    fn with_mask<T: Send>(
         n: usize,
-        shapes: &[(usize, usize)],
-        f: impl Fn(&mut PartyCtx, Vec<Secret<TripleBatch>>) -> T + Sync,
+        len: usize,
+        counts: &[usize],
+        f: impl Fn(&mut PartyCtx, Vec<Secret<ProjectionBatch>>) -> T + Sync,
     ) -> (Vec<T>, DisclosureLog) {
         let mut dealer = TrustedDealer::new(n, 31).unwrap();
-        let mut slots: Vec<Vec<Secret<TripleBatch>>> = vec![Vec::new(); n];
-        for &(len, count) in shapes {
-            for (slot, batch) in slots.iter_mut().zip(dealer.deal_inners(len, count)) {
+        let mut slots: Vec<Vec<Secret<ProjectionBatch>>> = vec![Vec::new(); n];
+        let mask = dealer.deal_mask(len);
+        let batches = counts.iter().map(|&count| dealer.deal_projections(count));
+        for dealt in std::iter::once(mask).chain(batches) {
+            for (slot, batch) in slots.iter_mut().zip(dealt) {
                 slot.push(batch);
             }
         }
@@ -131,49 +181,59 @@ mod tests {
         (results.into_iter().map(Result::unwrap).collect(), audit)
     }
 
-    /// Party `id`'s additive share of pair `p`'s operands — its own clear
-    /// summand, the way the scan shares `Qᵀy` and `QᵀX`.
-    fn summands(id: usize, p: usize, len: usize) -> (Vec<f64>, Vec<f64>) {
-        let xs = (0..len)
-            .map(|i| (p * len + i) as f64 * 0.25 - 1.0 + id as f64 * 0.125)
-            .collect();
-        let ys = (0..len)
-            .map(|i| 1.5 - (p + i) as f64 * 0.5 - id as f64 * 0.375)
-            .collect();
-        (xs, ys)
+    /// Party `id`'s additive share of operand `p` (`p = 0` is `y`) — its
+    /// own clear summand, the way the scan shares `Qᵀy` and `QᵀX`.
+    fn summand(id: usize, p: usize, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| 1.5 - (p * len + i) as f64 * 0.25 + id as f64 * 0.125)
+            .collect()
     }
 
-    /// Party `id`'s flat, encoded operands for pairs `pairs`.
+    /// Party `id`'s encoded share of the operands `ps`, flat.
     fn operands(
         codec: &FixedPointCodec,
         id: usize,
-        pairs: std::ops::Range<usize>,
+        ps: std::ops::Range<usize>,
         len: usize,
-    ) -> (Secret<Vec<R64>>, Secret<Vec<R64>>) {
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        for p in pairs {
-            let (x, y) = summands(id, p, len);
-            xs.extend(x);
-            ys.extend(y);
-        }
-        let encoded = |v: &[f64]| Secret::new(codec.encode_field_vec(v).unwrap());
-        (encoded(&xs), encoded(&ys))
+    ) -> Secret<Vec<R64>> {
+        let flat: Vec<f64> = ps.flat_map(|p| summand(id, p, len)).collect();
+        Secret::new(codec.encode_field_vec(&flat).unwrap())
     }
 
-    /// The clear reference: `(Σ_id xs) · (Σ_id ys)` for pair `p`.
-    fn expected_dot(n: usize, p: usize, len: usize) -> f64 {
-        (0..len)
-            .map(|i| {
-                let x: f64 = (0..n).map(|id| summands(id, p, len).0[i]).sum();
-                let y: f64 = (0..n).map(|id| summands(id, p, len).1[i]).sum();
-                x * y
-            })
-            .sum()
+    /// The clear reference: `(Σ_id x_p) · (Σ_id x_q)`.
+    fn expected_dot(n: usize, (p, q): (usize, usize), len: usize) -> f64 {
+        let total = |p| -> Vec<f64> {
+            (0..len)
+                .map(|i| (0..n).map(|id| summand(id, p, len)[i]).sum())
+                .collect()
+        };
+        total(p).iter().zip(total(q)).map(|(x, y)| x * y).sum()
+    }
+
+    /// Opens `y·y` and the products of operands `1..=count` against `y`,
+    /// decoded, at every party.
+    fn products(n: usize, len: usize, count: usize) -> Vec<Vec<f64>> {
+        let codec = FixedPointCodec::new(20).unwrap();
+        let (results, audit) = with_mask(n, len, &[count], |ctx, batches| {
+            let y = operands(&codec, ctx.id(), 0..1, len);
+            let (y, yy) = open_mask(ctx, &y, &batches[0]).unwrap();
+            let xs = operands(&codec, ctx.id(), 1..count + 1, len);
+            let z = project(ctx, &xs, &y, &batches[1]).unwrap();
+            let mut opened = ctx.open_sum(&yy, Opening::Disclosed("yy")).unwrap();
+            opened.extend(ctx.open_sum(&z, Opening::Disclosed("dots")).unwrap());
+            opened
+                .into_iter()
+                .map(|v| codec.decode_product(v))
+                .collect()
+        });
+        // Two disclosures; the pads record none.
+        assert_eq!(audit.entries().len(), 2);
+        results
     }
 
     #[test]
     fn open_reconstructs_and_records_once() {
-        let (results, audit) = with_triples(3, &[], |ctx, _| {
+        let (results, audit) = with_mask(3, 0, &[], |ctx, _| {
             let share = Secret::new(vec![R64::from_i64((ctx.id() as i64 + 1) * 7)]);
             ctx.open_sum(&share, Opening::Disclosed("sum of shares"))
                 .unwrap()[0]
@@ -186,21 +246,21 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_correct() {
-        // A single inner product is a batch of one; one party is a valid
-        // party count (its share of every triple is the triple).
-        let len = 8;
-        let codec = FixedPointCodec::new(20).unwrap();
-        for n in [1, 4] {
-            let (results, _) = with_triples(n, &[(len, 1)], |ctx, triples| {
-                let (xs, ys) = operands(&codec, ctx.id(), 0..1, len);
-                let z = beaver_inner_batch(ctx, &xs, &ys, &triples[0]).unwrap();
-                let opened = ctx.open_sum(&z, Opening::Disclosed("dot")).unwrap();
-                codec.decode_product(opened[0])
-            });
-            let expect = expected_dot(n, 0, len);
-            for r in results {
-                assert!((r - expect).abs() < 1e-3, "n={n} r={r} expect={expect}");
+    fn products_are_correct() {
+        // One party is a valid party count (its share of every mask is
+        // the mask).
+        for n in [1, 2, 4] {
+            let (len, count) = (8, 3);
+            for got in products(n, len, count) {
+                let mut want = vec![expected_dot(n, (0, 0), len)];
+                for j in 1..=count {
+                    want.push(expected_dot(n, (j, 0), len));
+                    want.push(expected_dot(n, (j, j), len));
+                }
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-3, "n={n} got={g} want={w}");
+                }
             }
         }
     }
@@ -210,33 +270,38 @@ mod tests {
         // The bound is |Σ x·y|·2^{2f} < 2^63 (`crate::fixed`). At f = 20,
         // x = y = 1024 encodes to 2^30 and multiplies to 2^60, which a
         // 61-bit modulus would wrap. 2^11 − 2^−10 multiplies to just under
-        // 2^62. Two parties hold half of x each.
+        // 2^62. Two parties hold half of x each, as y and as the operand.
         let codec = FixedPointCodec::new(20).unwrap();
         for x in [1024.0, 2048.0 - 1.0 / 1024.0] {
-            let (results, _) = with_triples(2, &[(1, 1)], |ctx, triples| {
+            let (results, _) = with_mask(2, 1, &[1], |ctx, batches| {
                 let half = Secret::new(codec.encode_field_vec(&[x / 2.0]).unwrap());
-                let z = beaver_inner_batch(ctx, &half, &half, &triples[0]).unwrap();
-                codec.decode_product(ctx.open_sum(&z, Opening::Disclosed("product")).unwrap()[0])
+                let (y, yy) = open_mask(ctx, &half, &batches[0]).unwrap();
+                let z = project(ctx, &half, &y, &batches[1]).unwrap();
+                let mut opened = ctx.open_sum(&yy, Opening::Disclosed("y·y")).unwrap();
+                opened.extend(ctx.open_sum(&z, Opening::Disclosed("x·y, x·x")).unwrap());
+                opened
+                    .into_iter()
+                    .map(|v| codec.decode_product(v))
+                    .collect::<Vec<_>>()
             });
-            assert_eq!(results, vec![x * x; 2], "x = {x}");
+            assert_eq!(results, vec![vec![x * x; 3]; 2], "x = {x}");
         }
     }
 
     #[test]
     fn masked_openings_reveal_nothing_recognizable() {
-        // The d = x − a opening inside the product must not equal the raw
-        // input (a is uniform). Party 0 holds x, party 1 a zero share.
-        let x_clear = R64::from_i64(5);
-        let (results, audit) = with_triples(2, &[(1, 1)], |ctx, mut triples| {
-            let x = if ctx.id() == 0 { x_clear } else { R64::ZERO };
-            let t = triples.remove(0);
-            let pad = t.map(|t| vec![x - t.parts().0[0]]);
-            ctx.open_sum(&pad, Opening::Pad).unwrap()[0].declassify()
+        // The e = y − b opening must not equal the raw input (b is
+        // uniform). Party 0 holds y, party 1 a zero share.
+        let y_clear = R64::from_i64(5);
+        let (results, audit) = with_mask(2, 1, &[], |ctx, batches| {
+            let y = if ctx.id() == 0 { y_clear } else { R64::ZERO };
+            let (y, _) = open_mask(ctx, &Secret::new(vec![y]), &batches[0]).unwrap();
+            y.e[0].declassify()
         });
         assert_eq!(results[0], results[1]);
         assert_ne!(
             results[0],
-            x_clear.declassify(),
+            y_clear.declassify(),
             "mask failed to hide the input"
         );
         // A pad opening is not a disclosure.
@@ -244,50 +309,54 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_equals_its_pairs_one_at_a_time() {
-        let (n, len, n_pairs) = (3, 5, 4);
+    fn a_batch_equals_its_operands_one_at_a_time() {
+        let (n, len, count) = (3, 5, 4);
         let codec = FixedPointCodec::new(20).unwrap();
-        let mut shapes = vec![(len, 1); n_pairs];
-        shapes.push((len, n_pairs));
-        let (results, _) = with_triples(n, &shapes, |ctx, triples| {
-            // One round per pair.
+        let mut counts = vec![1; count];
+        counts.push(count);
+        let (results, _) = with_mask(n, len, &counts, |ctx, batches| {
+            let y = operands(&codec, ctx.id(), 0..1, len);
+            let (y, _) = open_mask(ctx, &y, &batches[0]).unwrap();
+            // One round per operand.
             let mut seq = Vec::new();
-            for (p, t) in triples[..n_pairs].iter().enumerate() {
-                let (xs, ys) = operands(&codec, ctx.id(), p..p + 1, len);
-                let z = beaver_inner_batch(ctx, &xs, &ys, t).unwrap();
-                seq.push(ctx.open_sum(&z, Opening::Pad).unwrap()[0]);
+            for (j, t) in batches[1..=count].iter().enumerate() {
+                let xs = operands(&codec, ctx.id(), j + 1..j + 2, len);
+                let z = project(ctx, &xs, &y, t).unwrap();
+                seq.extend(ctx.open_sum(&z, Opening::Pad).unwrap());
             }
-            // One round for all of them, on fresh triples.
-            let (xs, ys) = operands(&codec, ctx.id(), 0..n_pairs, len);
-            let batch = beaver_inner_batch(ctx, &xs, &ys, &triples[n_pairs]).unwrap();
+            // One round for all of them, on fresh projections.
+            let xs = operands(&codec, ctx.id(), 1..count + 1, len);
+            let batch = project(ctx, &xs, &y, &batches[count + 1]).unwrap();
             (seq, ctx.open_sum(&batch, Opening::Pad).unwrap())
         });
-        for (seq_open, batch_open) in results {
-            assert_eq!(batch_open.len(), n_pairs);
-            for (p, (s, b)) in seq_open.iter().zip(&batch_open).enumerate() {
-                let expect = expected_dot(n, p, len);
-                assert!((codec.decode_product(*s) - expect).abs() < 1e-3);
-                let (s, b) = (s.declassify(), b.declassify());
-                assert_eq!(s, b, "pair {p}: batch disagrees with one at a time");
-            }
+        for (seq, batch) in results {
+            assert_eq!(batch.len(), 2 * count);
+            assert_eq!(crate::ring::words(&seq), crate::ring::words(&batch));
         }
     }
 
     #[test]
-    fn batch_shape_errors() {
-        let (results, _) = with_triples(2, &[(3, 2)], |ctx, triples| {
-            let t = &triples[0];
-            let full = Secret::new(vec![R64::ONE; 6]);
-            // One product's worth of operands against a batch of two, a
-            // short ys, and operands for another vector length: each a
-            // structured error before anything is sent, never an index
-            // panic.
-            let one = Secret::new(vec![R64::ONE; 3]);
-            let long = Secret::new(vec![R64::ONE; 8]);
+    fn shape_errors() {
+        let (results, _) = with_mask(2, 3, &[2], |ctx, batches| {
+            let (mask, t) = (&batches[0], &batches[1]);
+            let ones = |n| Secret::new(vec![R64::ONE; n]);
+            // A y of another length, the projections for a mask, xs for
+            // one operand against a batch of two, xs for another length,
+            // and a y of another K: each a structured error before
+            // anything is sent, never an index panic.
+            let short_y = open_mask(ctx, &ones(2), mask).err();
+            let not_a_mask = open_mask(ctx, &ones(3), t).err();
+            let (y, _) = open_mask(ctx, &ones(3), mask).unwrap();
+            let other_k = MaskedOperand {
+                e: vec![R64::ONE; 2],
+                b: ones(2),
+            };
             [
-                beaver_inner_batch(ctx, &one, &one, t).err(),
-                beaver_inner_batch(ctx, &full, &one, t).err(),
-                beaver_inner_batch(ctx, &long, &long, t).err(),
+                short_y,
+                not_a_mask,
+                project(ctx, &ones(3), &y, t).err(),
+                project(ctx, &ones(8), &y, t).err(),
+                project(ctx, &ones(6), &other_k, t).err(),
             ]
         });
         for r in results.into_iter().flatten() {
@@ -298,21 +367,24 @@ mod tests {
     #[test]
     fn degenerate_batches_run_an_empty_round() {
         // count == 0: no products. len == 0 (K = 0): every product is the
-        // empty dot, whose shares are the batch's shares of c = 0.
-        let (results, audit) = with_triples(3, &[(4, 0), (0, 5)], |ctx, triples| {
+        // empty dot, whose shares are the batch's shares of c = s = 0.
+        let (results, audit) = with_mask(3, 0, &[0, 5], |ctx, batches| {
             let none = Secret::new(Vec::new());
-            let empty = beaver_inner_batch(ctx, &none, &none, &triples[0]).unwrap();
-            let dots = beaver_inner_batch(ctx, &none, &none, &triples[1]).unwrap();
+            let (y, yy) = open_mask(ctx, &none, &batches[0]).unwrap();
+            let empty = project(ctx, &none, &y, &batches[1]).unwrap();
+            let dots = project(ctx, &none, &y, &batches[2]).unwrap();
             (
                 empty.scalar_count(),
+                ctx.open_sum(&yy, Opening::Pad).unwrap(),
                 ctx.open_sum(&dots, Opening::Pad).unwrap(),
                 ctx.fresh_tag(),
             )
         });
-        for (empty, dots, tag) in &results {
+        for (empty, yy, dots, tag) in &results {
             assert_eq!(*empty, 0);
-            assert_eq!(crate::ring::words(dots), [0; 5]);
-            assert_eq!(*tag, results[0].2, "parties left on different tags");
+            assert_eq!(crate::ring::words(yy), [0]);
+            assert_eq!(crate::ring::words(dots), [0; 10]);
+            assert_eq!(*tag, results[0].3, "parties left on different tags");
         }
         assert!(audit.entries().is_empty());
     }

@@ -112,6 +112,12 @@ impl R64 {
             .into_iter()
             .fold(R64::ZERO, |acc, e| acc + *e.borrow())
     }
+
+    /// The wrapping inner product of two vectors (the shorter one's
+    /// length).
+    pub fn dot(a: &[R64], b: &[R64]) -> R64 {
+        a.iter().zip(b).fold(R64::ZERO, |acc, (&x, &y)| acc + x * y)
+    }
 }
 
 impl std::iter::Sum for R64 {

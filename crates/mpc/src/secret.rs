@@ -265,8 +265,10 @@ mod tests {
         assert_eq!(Secret::new(7u64).scalar_count(), 1);
         assert_eq!(Secret::new(vec![R64::from(1); 5]).scalar_count(), 5);
         let mut dealer = crate::dealer::TrustedDealer::new(2, 1).unwrap();
-        let batch = dealer.deal_inners(4, 3).remove(0);
+        assert_eq!(dealer.deal_inners(4, 3).remove(0).scalar_count(), 27);
+        dealer.deal_mask(4);
+        let batch = dealer.deal_projections(3).remove(0);
         assert_eq!(batch.count(), 3);
-        assert_eq!(batch.scalar_count(), 27);
+        assert_eq!(batch.scalar_count(), 18);
     }
 }

@@ -4,14 +4,17 @@
 // protocol code proper.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use dash_mpc::dealer::{TripleBatch, TrustedDealer};
+use dash_mpc::dealer::{ProjectionBatch, TripleBatch, TrustedDealer};
 use dash_mpc::fixed::FixedPointCodec;
 use dash_mpc::net::{NetOptions, Network};
+use dash_mpc::protocol::beaver::{open_mask, project};
 use dash_mpc::protocol::masked::{masked_sum_ring, masked_sum_star_ring};
 use dash_mpc::ring::R64;
 use dash_mpc::tcp::{LinkSupervision, TcpConfig, TcpTransport};
 use dash_mpc::transport::{LinkSnapshot, Transport};
-use dash_mpc::{DisclosureLog, MpcError, OpenMode, PartyCtx, Secret, TraceCounter, TraceHandle};
+use dash_mpc::{
+    DisclosureLog, MpcError, OpenMode, Opening, PartyCtx, Secret, TraceCounter, TraceHandle,
+};
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -62,50 +65,164 @@ fn same(a: &[R64], b: &[R64]) -> bool {
             .all(|(&x, &y)| codec.decode_ring(x - y) == 0.0)
 }
 
+/// Deals the run's mask of length `mask` (with `Some`) or `count`
+/// projections against the dealt one (with `None`), and reconstructs every
+/// party's shares: `(a⃗, c, s)` per projection.
+fn projected(
+    dealer: &mut TrustedDealer,
+    mask: Option<usize>,
+    count: usize,
+) -> Vec<(Vec<R64>, R64, R64)> {
+    let log = DisclosureLog::new();
+    let dealt = match mask {
+        Some(len) => dealer.deal_mask(len),
+        None => dealer.deal_projections(count),
+    };
+    let batches: Vec<ProjectionBatch> = dealt
+        .into_iter()
+        .map(|b| b.open_via(&log, OpenMode::Pad))
+        .collect();
+    let total = |region: fn(&ProjectionBatch) -> &[R64], i: usize| {
+        R64::sum(batches.iter().map(|t| region(t)[i]))
+    };
+    let len = batches[0].dim();
+    (0..batches[0].parts().1.len())
+        .map(|j| {
+            let a = (j * len..(j + 1) * len).map(|i| total(|t| t.parts().0, i));
+            (
+                a.collect(),
+                total(|t| t.parts().1, j),
+                total(|t| t.parts().2, j),
+            )
+        })
+        .collect()
+}
+
+/// A seeded stream of uniform ring words (splitmix64).
+fn ring_words(seed: u64, n: usize) -> Vec<R64> {
+    let mut s = seed;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            R64::from(z ^ (z >> 31))
+        })
+        .collect()
+}
+
+/// The one-mask products at `p` parties: each holds uniform shares of a
+/// K-vector `y` and of `count` K-vectors `x_j`; the opened shares of
+/// `y·y` and of every `x_j·y`, `x_j·x_j` must be the exact ring products
+/// of the summed operands.
+fn projections_reconstruct_exactly(p: usize, k: usize, count: usize, seed: u64) {
+    let width = k * (1 + count);
+    let shares: Vec<Vec<R64>> = (0..p)
+        .map(|id| ring_words(seed ^ id as u64, width))
+        .collect();
+    let total: Vec<R64> = (0..width)
+        .map(|i| R64::sum(shares.iter().map(|s| s[i])))
+        .collect();
+    let (y, xs) = total.split_at(k);
+    let mut want = vec![R64::dot(y, y)];
+    for j in 0..count {
+        let x = &xs[j * k..(j + 1) * k];
+        want.extend([R64::dot(x, y), R64::dot(x, x)]);
+    }
+    let mut dealer = TrustedDealer::new(p, seed).unwrap();
+    let mut slots: Vec<_> = dealer.deal_mask(k).into_iter().map(|m| vec![m]).collect();
+    for (slot, batch) in slots.iter_mut().zip(dealer.deal_projections(count)) {
+        slot.push(batch);
+    }
+    let slots: Vec<_> = slots
+        .into_iter()
+        .map(|s| std::sync::Mutex::new(Some(s)))
+        .collect();
+    let (results, _, audit) =
+        Network::run_parties_detailed_with(p, seed, &NetOptions::default(), |ctx| {
+            let mine = slots[ctx.id()].lock().unwrap().take().unwrap();
+            let (y, x) = shares[ctx.id()].split_at(k);
+            let (y, yy) = open_mask(ctx, &Secret::new(y.to_vec()), &mine[0])?;
+            let z = project(ctx, &Secret::new(x.to_vec()), &y, &mine[1])?;
+            let mut opened = ctx.open_sum(&yy, Opening::Pad)?;
+            opened.extend(ctx.open_sum(&z, Opening::Pad)?);
+            Ok::<_, MpcError>(opened)
+        })
+        .unwrap();
+    assert!(audit.entries().is_empty());
+    for r in results {
+        assert!(
+            same(&r.unwrap().unwrap(), &want),
+            "p={p} k={k} count={count}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every shape the scan meets at small scale: P ∈ {2, 3, 4},
+    /// K ∈ {0, 1, 3, 16}, count ∈ {0, 1, 5}, on fresh uniform operands.
+    #[test]
+    fn projection_shares_sum_to_the_exact_ring_products(seed in any::<u64>()) {
+        for p in [2, 3, 4] {
+            for k in [0, 1, 3, 16] {
+                for count in [0, 1, 5] {
+                    projections_reconstruct_exactly(p, k, count, seed);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dealt_shares_reconstruct_to_the_triple_relation(
+    fn dealt_projections_reconstruct_to_their_relations(
         n in 1usize..8,
         len in 0usize..6,
         count in 0usize..5,
         seed in any::<u64>(),
     ) {
-        let batches = dealt(&mut TrustedDealer::new(n, seed).unwrap(), len, count);
-        prop_assert_eq!(batches.len(), n);
-        // Σ over parties, word by word, of each region.
-        let total = |region: fn(&TripleBatch) -> &[R64], i: usize| {
-            R64::sum(batches.iter().map(|t| region(t)[i]))
+        let mut dealer = TrustedDealer::new(n, seed).unwrap();
+        let mask = projected(&mut dealer, Some(len), 1);
+        let [(b, bc, bb)] = mask.as_slice() else {
+            panic!("the mask is a batch of one");
         };
-        for t in 0..count {
-            let dot = (t * len..(t + 1) * len)
-                .map(|i| total(|b| b.parts().0, i) * total(|b| b.parts().1, i))
-                .fold(R64::ZERO, |acc, v| acc + v);
-            prop_assert!(same(&[dot], &[total(|b| b.parts().2, t)]));
+        prop_assert!(same(&[*bc, *bb], &[R64::dot(b, b); 2]));
+        for (a, c, s) in projected(&mut dealer, None, count) {
+            prop_assert!(same(&[c, s], &[R64::dot(&a, b), R64::dot(&a, &a)]));
         }
     }
 
-    /// Consecutive calls continue one stream: however a run's triples are
-    /// cut into batches, every party holds the same words.
+    /// Consecutive calls continue one stream: however a run's projections
+    /// are cut into batches, every party holds the same words.
     #[test]
-    fn cutting_the_deal_into_batches_never_changes_a_word(
+    fn cutting_the_projections_into_batches_never_changes_a_word(
         n in 1usize..6,
         len in 0usize..5,
         first in 0usize..6,
         second in 0usize..6,
         seed in any::<u64>(),
     ) {
-        let whole = dealt(&mut TrustedDealer::new(n, seed).unwrap(), len, first + second);
+        let shares = |dealer: &mut TrustedDealer, count| {
+            let log = DisclosureLog::new();
+            let batches = dealer.deal_projections(count).into_iter();
+            batches.map(|b| b.open_via(&log, OpenMode::Pad)).collect::<Vec<_>>()
+        };
+        let mut whole = TrustedDealer::new(n, seed).unwrap();
         let mut cut = TrustedDealer::new(n, seed).unwrap();
-        let (head, tail) = (dealt(&mut cut, len, first), dealt(&mut cut, len, second));
-        for ((whole, head), tail) in whole.iter().zip(&head).zip(&tail) {
-            let (wa, wb, wc) = whole.parts();
-            let (ha, hb, hc) = head.parts();
-            let (ta, tb, tc) = tail.parts();
+        whole.deal_mask(len);
+        cut.deal_mask(len);
+        let all = shares(&mut whole, first + second);
+        let (head, tail) = (shares(&mut cut, first), shares(&mut cut, second));
+        for ((all, head), tail) in all.iter().zip(&head).zip(&tail) {
+            let (wa, wc, ws) = all.parts();
+            let ((ha, hc, hs), (ta, tc, ts)) = (head.parts(), tail.parts());
             prop_assert!(same(wa, &[ha, ta].concat()));
-            prop_assert!(same(wb, &[hb, tb].concat()));
             prop_assert!(same(wc, &[hc, tc].concat()));
+            prop_assert!(same(ws, &[hs, ts].concat()));
         }
     }
 

@@ -71,6 +71,11 @@ fn no_secret_type_formats_a_word() {
         let batch = batch.open_via(&log, OpenMode::Pad);
         assert_no_word(&batch, &[]);
     }
+    dealer.deal_mask(3);
+    for batch in dealer.deal_projections(2) {
+        let batch = batch.open_via(&log, OpenMode::Pad);
+        assert_no_word(&batch, &[]);
+    }
 
     let mut prg = Prg::from_seed(11);
     prg.next_u64();

@@ -9,7 +9,7 @@
 //!   monotonic wall-clock timing, recorded per party into a bounded ring
 //!   buffer (oldest spans are dropped, never the run);
 //! - **typed counters** ([`Counter`]): bytes sent/received, messages,
-//!   send retries, receive timeouts, Beaver triples consumed, and opened
+//!   send retries, receive timeouts, Beaver dealer material consumed, and opened
 //!   (disclosed) scalar counts — one atomic slot per `(party, counter)`;
 //! - a human-readable [`TraceHandle::summary`] and a machine-readable
 //!   [`TraceHandle::export_json`] trace (schema `dash-trace/1`), with its
@@ -65,7 +65,9 @@ pub enum Counter {
     Retries,
     /// Receive deadlines this party saw expire.
     Timeouts,
-    /// Beaver (inner-product) triples this party consumed.
+    /// Dealer material this party's Beaver rounds consumed: the run's mask
+    /// counts one, each variant's projection one. The key keeps its
+    /// historical `triples_consumed` name.
     TriplesConsumed,
     /// Scalars opened to the network, counted at the opening primitive
     /// with the *observed* opened length (cross-checked against the

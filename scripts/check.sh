@@ -340,6 +340,40 @@ cmp "$AUDIT_TMP/stdout1.txt" "$AUDIT_TMP/stdout2.txt" || {
     exit 1
 }
 
+echo "== max-mode multi-process smoke (3 dash party --mode max, byte-compare)"
+# The strictest rung as three OS processes: each process runs the whole
+# dealer stream itself from the public seed and keeps only its own slice
+# (the lone-process dealer path, which no benchmark workload runs). Every
+# party's results must be byte-identical to the in-process `--mode max`
+# reference, three blocks of Beaver rounds included.
+MAX_TMP="$TRACE_TMP/max"
+./target/release/dash simulate --out "$MAX_TMP" --samples 20,25,15 \
+    --variants 12 --causal 3 --covariates 2 --seed 9 > /dev/null
+./target/release/dash secure-scan --dir "$MAX_TMP" --mode max --block-size 5 \
+    --audit false --out "$MAX_TMP/ref.tsv" > /dev/null
+MAX_BASE=$((20000 + RANDOM % 20000))
+PEERS_MAX="127.0.0.1:$MAX_BASE,127.0.0.1:$((MAX_BASE + 1)),127.0.0.1:$((MAX_BASE + 2))"
+MAX_PIDS=()
+for i in 0 1 2; do
+    timeout 120 ./target/release/dash party --id "$i" --peers "$PEERS_MAX" \
+        --dir "$MAX_TMP/party$i" --mode max --block-size 5 --audit false \
+        --out "$MAX_TMP/res$i.tsv" > "$MAX_TMP/party$i.log" 2>&1 &
+    MAX_PIDS+=($!)
+done
+for pid in "${MAX_PIDS[@]}"; do
+    if ! wait "$pid"; then
+        echo "error: a dash party --mode max process failed; logs follow" >&2
+        cat "$MAX_TMP"/party*.log >&2
+        exit 1
+    fi
+done
+for i in 0 1 2; do
+    cmp "$MAX_TMP/ref.tsv" "$MAX_TMP/res$i.tsv" || {
+        echo "error: party $i --mode max results differ from in-process reference" >&2
+        exit 1
+    }
+done
+
 echo "== crash/resume chaos smoke (mid-stream RST, kill a party, resume, byte-compare)"
 # Three real party processes, checkpointing at every block boundary. Party
 # 2 dials party 0 through the `dash chaos` proxy, which resets the first

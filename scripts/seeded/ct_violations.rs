@@ -12,7 +12,7 @@
 //! Each type line is a statement, so the other passes compile the file
 //! with those lines blanked: the CLEAN shapes build in both roots.
 
-use crate::{dealer::TripleBatch, prg::Prg, ring::R64};
+use crate::{dealer::ProjectionBatch, prg::Prg, ring::R64};
 
 const M: u64 = (1 << 61) - 1;
 
@@ -83,7 +83,7 @@ fn cast_sum_leak(n: u32, x: R64) {
 }
 
 // BAD 12: a dealt batch is share material.
-fn batch_leak(t: &TripleBatch) {
+fn batch_leak(t: &ProjectionBatch) {
     let _ = match t.parts().0.iter().map(|w| w.0).max() { Some(0) => 0, _ => 1 }; // seeded: type ring_text
 }
 
@@ -119,7 +119,7 @@ fn element_div(a: R64, b: R64) {
 
 // CLEAN: a batch's shape is public. ring.rs branches on nothing, so the
 // textual check rejects even this branch there.
-fn batch_shape(t: &TripleBatch) -> usize {
+fn batch_shape(t: &ProjectionBatch) -> usize {
     if t.parts().0.iter().count() > 4 { t.parts().2.len() } else { 0 } // seeded: ring_text
 }
 

@@ -1,6 +1,6 @@
 //! Beaver preprocessing and the Beaver round allocate per *batch*, not per
-//! triple: the number of heap allocations is the same for a batch of 64
-//! triples and one of 8,192. Likewise `ScanStats::finalize` allocates its
+//! triple or projection: the number of heap allocations is the same for a
+//! batch of 64 and one of 8,192. Likewise `ScanStats::finalize` allocates its
 //! four result vectors and no scratch that grows with M, and the result
 //! TSV writer allocates nothing per row or per cell. A count repeats
 //! exactly where a timing does not, so this gates in tier-1. The counting
@@ -12,9 +12,9 @@
 use dash_core::model::{RowSink, ScanResult};
 use dash_core::suffstats::ScanStats;
 use dash_gwas::io::TsvSink;
-use dash_mpc::dealer::{TripleBatch, TrustedDealer};
+use dash_mpc::dealer::{ProjectionBatch, TrustedDealer};
 use dash_mpc::net::{NetOptions, Network};
-use dash_mpc::protocol::beaver::beaver_inner_batch;
+use dash_mpc::protocol::beaver::{open_mask, project};
 use dash_mpc::{FixedPointCodec, Opening, Secret, R64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,16 +63,22 @@ const PARTIES: usize = 3;
 /// fewest allocations over a few rounds is the round's own count.
 const ROUNDS: usize = 4;
 
-/// Deals batches of `count` triples and runs Beaver block rounds on them —
-/// masked opening, share reassembly, product opening — at three parties.
-/// Returns the allocations of one `deal_inners` call and of one round at
-/// party 0.
-fn deal_and_round(count: usize) -> (u64, u64) {
+/// Deals the run's mask and batches of `count` projections, and runs
+/// Beaver block rounds on them — pad opening, share combination, product
+/// opening — at three parties. Returns the allocations of one
+/// `deal_inners(LEN, count)` call, of one `deal_projections(count)` call,
+/// and of one round at party 0.
+fn deal_and_round(count: usize) -> (u64, u64, u64) {
     let mut dealer = TrustedDealer::new(PARTIES, 7).unwrap();
-    let mut slots: Vec<Vec<Secret<TripleBatch>>> = vec![Vec::new(); PARTIES];
+    let mut inners = u64::MAX;
+    for _ in 0..ROUNDS {
+        inners = inners.min(allocs_of(|| dealer.deal_inners(LEN, count)).0);
+    }
+    let mut slots: Vec<Vec<Secret<ProjectionBatch>>> =
+        dealer.deal_mask(LEN).into_iter().map(|m| vec![m]).collect();
     let mut dealing = u64::MAX;
     for _ in 0..ROUNDS {
-        let (n, batches) = allocs_of(|| dealer.deal_inners(LEN, count));
+        let (n, batches) = allocs_of(|| dealer.deal_projections(count));
         dealing = dealing.min(n);
         for (slot, batch) in slots.iter_mut().zip(batches) {
             slot.push(batch);
@@ -82,15 +88,17 @@ fn deal_and_round(count: usize) -> (u64, u64) {
     let (results, _stats, _audit) =
         Network::run_parties_detailed_with(PARTIES, 8, &NetOptions::default(), |ctx| {
             let batches = slots[ctx.id()].lock().unwrap().take().unwrap();
-            let operand = || Secret::new(vec![R64::from_i64(ctx.id() as i64 + 2); LEN * count]);
-            let (xs, ys) = (operand(), operand());
+            let share = R64::from_i64(ctx.id() as i64 + 2);
+            let operand = |n| Secret::new(vec![share; n]);
+            let (y, _) = open_mask(ctx, &operand(LEN), &batches[0]).unwrap();
+            let xs = operand(LEN * count);
             let mut fewest = u64::MAX;
-            for batch in &batches {
+            for batch in &batches[1..] {
                 let (round, opened) = allocs_of(|| {
-                    let z = beaver_inner_batch(ctx, &xs, &ys, batch).unwrap();
+                    let z = project(ctx, &xs, &y, batch).unwrap();
                     ctx.open_sum(&z, Opening::Pad).unwrap()
                 });
-                assert_eq!(opened.len(), count);
+                assert_eq!(opened.len(), 2 * count);
                 // (Σ_id (id + 2))² · LEN, the same product in every slot.
                 // Elements have no `==`: the difference decodes to 0.0
                 // exactly when it is the zero word.
@@ -102,26 +110,36 @@ fn deal_and_round(count: usize) -> (u64, u64) {
             fewest
         })
         .unwrap();
-    (dealing, results.into_iter().next().unwrap().unwrap())
+    (
+        inners,
+        dealing,
+        results.into_iter().next().unwrap().unwrap(),
+    )
 }
 
 #[test]
 fn allocations_do_not_grow_with_the_triple_count() {
-    let (deal_small, round_small) = deal_and_round(64);
-    let (deal_large, round_large) = deal_and_round(8_192);
+    let (inners_small, deal_small, round_small) = deal_and_round(64);
+    let (inners_large, deal_large, round_large) = deal_and_round(8_192);
     assert_eq!(
-        deal_small, deal_large,
+        inners_small, inners_large,
         "deal_inners(3, c) allocates per triple"
     );
     assert_eq!(
+        deal_small, deal_large,
+        "deal_projections(c) allocates per projection"
+    );
+    assert_eq!(
         round_small, round_large,
-        "a Beaver block round allocates per triple"
+        "a Beaver block round allocates per projection"
     );
     // One arena per party plus a fixed handful of cursors and scratch.
-    assert!(
-        deal_large <= 4 * PARTIES as u64,
-        "deal_inners made {deal_large} allocations"
-    );
+    for (call, n) in [
+        ("deal_inners", inners_large),
+        ("deal_projections", deal_large),
+    ] {
+        assert!(n <= 4 * PARTIES as u64, "{call} made {n} allocations");
+    }
 }
 
 /// Allocations of one `ScanStats::finalize` over `m` variants whose
